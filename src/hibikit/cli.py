@@ -13,10 +13,6 @@ reported to stderr as a machine readable JSON record.
 Faces are addressed by their canonical key (the JSON list of tight
 incomparable pairs); the shorthands "full" (no tight pairs) and "apex"
 (all tight) are also accepted.
-
-HIBI_MAX_THREADS > 1 fans independent per-extension certifications out to
-a thread pool; results are assembled in input order, so the output bytes
-do not depend on the schedule.
 """
 
 from __future__ import annotations
@@ -25,23 +21,21 @@ import argparse
 import csv
 import io
 import json
-import os
 import re
 import string
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .cone import Face, MaxCone, cone_K, enumerate_faces, face_of
 from .errors import BadParams, HibikitError
 from .exactgeom import polytope_json, vector_pairs
-from .flaggt import (MAX_GT_RANK, component_shape, flag_lattice,
-                     grassmann_lattice, gt_poset, gt_subdivision, gt_vertices)
+from .flaggt import (MAX_GT_RANK, flag_lattice, grassmann_lattice,
+                     gt_subdivision, gt_vertices, shape_census)
 from .hibi import degeneration_certificate
 from .lattice import Lattice, birkhoff, diamond_pairs, maximal_chains, parse_lattice
-from .poset import Poset, antichain, from_cover_relations, linear_extensions, parse_poset
+from .poset import Poset, antichain, from_cover_relations, parse_poset
 from .subdivision import (face_subdivision, generalized_permutahedron,
                           regular_subdivision, subdivision_invariance_check,
                           subdivision_json)
@@ -161,29 +155,6 @@ def resolve_face(K: MaxCone, spec: str) -> Face:
     raise BadParams(f"no face of the cone has key {spec}")
 
 
-# -- worker fan-out ----------------------------------------------------------
-
-
-def _max_threads() -> int:
-    raw = os.environ.get("HIBI_MAX_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise BadParams(f"HIBI_MAX_THREADS must be an integer, got {raw!r}")
-
-
-def _ordered_map(fn: Callable, items: Iterable) -> list:
-    """Map preserving input order; uses a thread pool when allowed."""
-    items = list(items)
-    workers = _max_threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # -- subcommands -------------------------------------------------------------
 
 
@@ -213,7 +184,7 @@ def cmd_lattice(args) -> int:
 def cmd_cone(args) -> int:
     L = build_lattice(args)
     K = cone_K(L)  # raises unless every inequality is LP-certified a facet
-    faces = enumerate_faces(K, max_candidates=args.max_faces)
+    faces = enumerate_faces(K)
     face_rows = sorted(
         ({"key": F.key(), "dim": F.dim, "tight_count": len(F.tight)}
          for F in faces),
@@ -284,16 +255,6 @@ def cmd_weightpoly(args) -> int:
     return 0
 
 
-def _census(n: int) -> dict[str, int]:
-    # per-extension product certification is independent work, so fan it out
-    shapes = _ordered_map(component_shape, linear_extensions(gt_poset(n)))
-    census: dict[str, int] = {}
-    for shape in shapes:
-        key = "x".join(str(d) for d in sorted(shape, reverse=True))
-        census[key] = census.get(key, 0) + 1
-    return census
-
-
 def _gt_subdivision_payload(n: int, face_spec: str) -> dict:
     K = cone_K(flag_lattice(n))
     F = resolve_face(K, face_spec)
@@ -313,7 +274,7 @@ def cmd_gt(args) -> int:
         raise BadParams(f"gt needs 2 <= n <= {MAX_GT_RANK}")
     payload = {"command": "gt", "n": args.n}
     if args.action in (None, "census"):
-        census = _census(args.n)
+        census = shape_census(args.n)
         payload["census"] = census
         payload["component_count"] = sum(census.values())
     if args.action in (None, "subdivide"):
@@ -366,8 +327,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("cone", cmd_cone)
     _add_input_flags(p)
-    p.add_argument("--max-faces", type=int, default=1 << 20,
-                   help="guard on the face enumeration search space")
 
     p = add("subdivide", cmd_subdivide)
     _add_input_flags(p)

@@ -17,6 +17,8 @@ from .errors import NotInCone, TooLarge
 from .exactgeom import Vec, integer_kernel, lp_feasible, rank, to_vec, vadd, vdot, vscale, zero_vec
 from .lattice import DiamondPair, Lattice, diamond_pairs
 
+MAX_PAIRS = 20
+
 
 def pair_normal(L: Lattice, d: DiamondPair) -> Vec:
     """e_{a∧b} + e_{a∨b} - e_a - e_b over the canonical element order."""
@@ -139,23 +141,14 @@ def sample_relative_interior(F: Face) -> Vec:
     if not loose:
         return zero_vec(n)
     w = F._witness
-    slacks = [vdot(K.normals[k], w) for k in loose]
-    if all(s > 0 for s in slacks):
-        low = min(slacks)
-        if low < 1:
-            w = vscale(ceil(Fraction(1) / low), w)
-        return w
-    # witness degraded (should not happen for faces built here); re-solve
-    total = zero_vec(n)
-    for k in loose:
-        cons = [(K.normals[i], "=", 0) for i in sorted(F.tight_idx)]
-        cons += [(K.normals[j], ">=", 0) for j in loose]
-        cons += [(K.normals[k], ">=", 1)]
-        x = lp_feasible(cons, n)
-        if x is None:
-            raise AssertionError("tight set of a Face must be closed")
-        total = vadd(total, x)
-    return total
+    low = min(vdot(K.normals[k], w) for k in loose)
+    if low <= 0:
+        # face_of and enumerate_faces both build witnesses slack on every
+        # loose pair
+        raise AssertionError("face witness is not slack on every loose pair")
+    if low < 1:
+        w = vscale(ceil(Fraction(1) / low), w)
+    return w
 
 
 def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Optional[Vec]]:
@@ -186,14 +179,12 @@ def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Opt
     return frozenset(closed), witness
 
 
-def enumerate_faces(K: MaxCone, max_candidates: int = 1 << 20) -> list[Face]:
+def enumerate_faces(K: MaxCone) -> list[Face]:
     """All faces of K-bar, by iterating subsets of diamond pairs and keeping
     those that equal their own closure. Exponential by design."""
     m = len(K.pairs)
-    if m > 20:
-        raise TooLarge(f"{m} diamond pairs; enumeration is capped at 20")
-    if (1 << m) > max_candidates:
-        raise TooLarge(f"2^{m} candidate subsets exceed max_candidates={max_candidates}")
+    if m > MAX_PAIRS:
+        raise TooLarge(f"{m} diamond pairs; enumeration is capped at {MAX_PAIRS}")
     faces = []
     for mask in range(1 << m):
         subset = frozenset(i for i in range(m) if mask >> i & 1)

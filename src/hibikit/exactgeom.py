@@ -58,6 +58,16 @@ def is_integral(v: Sequence) -> bool:
 # dense rational elimination
 
 
+def _pivot(T, row, col):
+    """Scale T[row] to a unit entry in `col` and clear `col` in every other row."""
+    inv = 1 / T[row][col]
+    T[row] = [x * inv for x in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            f = T[i][col]
+            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+
+
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -71,12 +81,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
         if pivot_row is None:
             continue
         mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        _pivot(mat, r, c)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -95,9 +100,6 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fract
     aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
     red, pivots = rref(aug)
     n = len(rows[0])
-    for row in red:
-        if all(x == 0 for x in row[:n]) and row[n] != 0:
-            return None
     x = [Fraction(0)] * n
     for row, p in zip(red, pivots):
         if p == n:
@@ -127,16 +129,6 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
 # exact simplex
 
 
-def _pivot(T, basis, row, col):
-    inv = 1 / T[row][col]
-    T[row] = [x * inv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
-    basis[row] = col
-
-
 def _run_simplex(T, basis, cost, allowed):
     """Maximize over the tableau in place. Bland's rule on `allowed` columns.
 
@@ -164,7 +156,8 @@ def _run_simplex(T, basis, cost, allowed):
                     leaving = i
         if leaving is None:
             return "unbounded"
-        _pivot(T, basis, leaving, entering)
+        _pivot(T, leaving, entering)
+        basis[leaving] = entering
 
 
 def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence, c: Sequence):
@@ -196,7 +189,8 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence, c: Sequence):
             col = next((j for j in range(n) if T[i][j] != 0), None)
             if col is None:
                 continue
-            _pivot(T, basis, i, col)
+            _pivot(T, i, col)
+            basis[i] = col
         keep.append(i)
     T = [T[i][:n] + [T[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
@@ -322,43 +316,12 @@ def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
     return out
 
 
-def integer_kernel(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of {v in Z^n : M v = 0}; the basis generates all such v."""
-    if not M:
-        return []
-    m = len(M)
-    n = len(M[0])
-    cols = [[int(M[i][j]) for i in range(m)] for j in range(n)]
-    U = [[1 if i == j else 0 for i in range(n)] for j in range(n)]  # U[j] is column j
+def _euclid_echelon(work: list[list[int]], ncols: int) -> int:
+    """Bring integer rows to echelon form in place over their first `ncols`
+    coordinates, by Euclidean row reduction and swaps; each pivot is made
+    positive. Returns the number of pivot rows, which come first."""
     r = 0
-    for row in range(m):
-        active = [j for j in range(r, n) if cols[j][row] != 0]
-        while len(active) > 1:
-            j0 = min(active, key=lambda j: abs(cols[j][row]))
-            for j in active:
-                if j == j0:
-                    continue
-                q = cols[j][row] // cols[j0][row]
-                cols[j] = [x - q * y for x, y in zip(cols[j], cols[j0])]
-                U[j] = [x - q * y for x, y in zip(U[j], U[j0])]
-            active = [j for j in active if cols[j][row] != 0]
-        if active:
-            j0 = active[0]
-            cols[r], cols[j0] = cols[j0], cols[r]
-            U[r], U[j0] = U[j0], U[r]
-            r += 1
-    return [U[j] for j in range(r, n)]
-
-
-def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer row echelon basis of the lattice generated by the rows."""
-    work = [list(map(int, row)) for row in rows if any(row)]
-    if not work:
-        return []
-    n = len(work[0])
-    done = []
-    r = 0
-    for c in range(n):
+    for c in range(ncols):
         active = [i for i in range(r, len(work)) if work[i][c] != 0]
         while len(active) > 1:
             i0 = min(active, key=lambda i: abs(work[i][c]))
@@ -374,7 +337,30 @@ def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             if work[r][c] < 0:
                 work[r] = [-x for x in work[r]]
             r += 1
-    return [row for row in work[:r]]
+    return r
+
+
+def integer_kernel(M: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Basis of {v in Z^n : M v = 0}; the basis generates all such v."""
+    if not M:
+        return []
+    m = len(M)
+    n = len(M[0])
+    # row j is [column j of M | e_j]; the e-parts of the rows that reduce to
+    # zero over the first m coordinates span the kernel
+    work = [[int(M[i][j]) for i in range(m)] + [1 if k == j else 0 for k in range(n)]
+            for j in range(n)]
+    r = _euclid_echelon(work, m)
+    return [row[m:] for row in work[r:]]
+
+
+def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer row echelon basis of the lattice generated by the rows."""
+    work = [list(map(int, row)) for row in rows if any(row)]
+    if not work:
+        return []
+    r = _euclid_echelon(work, len(work[0]))
+    return work[:r]
 
 
 def lattice_member(echelon: Sequence[Sequence[int]], v: Sequence[int]) -> bool:

@@ -34,6 +34,7 @@ from .poset import (
     LinearExtension,
     Poset,
     from_cover_relations,
+    is_stronger,
     linear_extensions,
     order_ideals,
 )
@@ -233,55 +234,52 @@ def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> boo
     return all(point[a] >= point[b] for a, b in order.covers())
 
 
-def _vertex_candidates(mp: MarkedPoset, order: Poset):
-    """Monotone completions of the markings using marking values only.
-
-    Every vertex coordinate propagates from a marked cell through tight
-    inequalities, so this candidate set contains all vertices.
-    """
-    if not is_stronger_quiet(order, mp.base):
+def _monotone_fillings(mp: MarkedPoset, order: Poset, values: Sequence[Fraction]):
+    """Every point that fixes the markings, takes one of `values` (given in
+    descending order) on each free cell, and satisfies x_a >= x_b for each
+    cover a < b of `order`. Points come as dicts, in a fixed order."""
+    if not is_stronger(order, mp.base):
         raise NotStronger("order must refine the marked poset's base order")
     free = mp.free()
     if len(free) > 13:
         raise TooLarge("marked polytope enumeration capped at 13 free cells")
-    values = sorted(set(mp.values.values()), reverse=True)
     ext = next(linear_extensions(order)).order
     preds = {p: [a for a, b in order.covers() if b == p] for p in order.elements}
     lower = {
         p: max(mp.values[m] for m in mp.marked if order.leq(p, m))
         for p in free
     }
-    out = []
+    assignment = {}
 
-    def descend(i, assignment):
-        if len(out) > 500_000:
-            raise TooLarge("marked polytope has too many candidate points")
+    def descend(i):
         if i == len(ext):
-            out.append(dict(assignment))
+            yield dict(assignment)
             return
         p = ext[i]
         cap = min((assignment[q] for q in preds[p]), default=values[0])
-        if p in mp.values:
-            if mp.values[p] <= cap:
-                assignment[p] = mp.values[p]
-                descend(i + 1, assignment)
-                del assignment[p]
-            return
-        for v in values:
-            if v > cap or v < lower[p]:
+        for v in [mp.values[p]] if p in mp.values else values:
+            if v > cap or (p in lower and v < lower[p]):
                 continue
             assignment[p] = v
-            descend(i + 1, assignment)
+            yield from descend(i + 1)
             del assignment[p]
 
-    descend(0, {})
-    return free, out
+    return descend(0)
 
 
-def is_stronger_quiet(strong: Poset, weak: Poset) -> bool:
-    if set(strong.elements) != set(weak.elements):
-        return False
-    return weak.label_pairs() <= strong.label_pairs()
+def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, Fraction]]:
+    """Monotone completions of the markings using marking values only.
+
+    Every vertex coordinate propagates from a marked cell through tight
+    inequalities, so this candidate set contains all vertices.
+    """
+    values = sorted(set(mp.values.values()), reverse=True)
+    out = []
+    for point in _monotone_fillings(mp, order, values):
+        if len(out) == 500_000:
+            raise TooLarge("marked polytope has too many candidate points")
+        out.append(point)
+    return out
 
 
 def _is_vertex(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> bool:
@@ -327,10 +325,9 @@ def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
     Vertices enumerated exactly: candidates take marking values only, and a
     candidate is extreme iff its tight graph anchors every free cell.
     """
-    free, candidates = _vertex_candidates(mp, order)
     labels = mp.base.elements
     points = []
-    for cand in candidates:
+    for cand in _vertex_candidates(mp, order):
         if _is_vertex(mp, order, cand):
             points.append(tuple(cand[p] for p in labels))
     assert points, "a marked polytope always has at least one vertex"
@@ -341,39 +338,12 @@ def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
 def marked_integer_points(mp: MarkedPoset, order: Poset) -> list[Vec]:
     """All integer points, for integral markings, by direct enumeration."""
     assert all(v.denominator == 1 for v in mp.values.values())
-    if not is_stronger_quiet(order, mp.base):
-        raise NotStronger("order must refine the marked poset's base order")
-    free = mp.free()
-    if len(free) > 13:
-        raise TooLarge("marked polytope enumeration capped at 13 free cells")
     top = max(v for v in mp.values.values())
     bottom = min(v for v in mp.values.values())
     values = [Fraction(x) for x in range(int(top), int(bottom) - 1, -1)]
-    ext = next(linear_extensions(order)).order
-    preds = {p: [a for a, b in order.covers() if b == p] for p in order.elements}
-    lower = {
-        p: max(mp.values[m] for m in mp.marked if order.leq(p, m))
-        for p in free
-    }
     labels = mp.base.elements
-    out = []
-
-    def descend(i, assignment):
-        if i == len(ext):
-            out.append(tuple(assignment[p] for p in labels))
-            return
-        p = ext[i]
-        cap = min((assignment[q] for q in preds[p]), default=values[0])
-        choices = [mp.values[p]] if p in mp.values else values
-        for v in choices:
-            if v > cap or (p in lower and v < lower[p]):
-                continue
-            assignment[p] = v
-            descend(i + 1, assignment)
-            del assignment[p]
-
-    descend(0, {})
-    return out
+    return [tuple(point[p] for p in labels)
+            for point in _monotone_fillings(mp, order, values)]
 
 
 # -- Gelfand-Tsetlin vertices ------------------------------------------------
@@ -432,9 +402,8 @@ def gt_patterns(n: int) -> list[tuple[Vec, tuple[str, ...]]]:
     labels = pbar_labels(n)
     ptilde = set(_ptilde_labels(n))
     mp = gt_marked_poset(n)
-    _, candidates = _vertex_candidates(mp, mp.base)
     out = []
-    for cand in candidates:
+    for cand in _vertex_candidates(mp, mp.base):
         point = tuple(cand[p] for p in labels)
         chain = []
         total = zero_vec(len(labels))

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, Optional, Sequence
 
-from .errors import BadParams, NotStronger
+from .errors import BadParams
 from .exactgeom import Vec, to_vec, vadd, zero_vec
 from .lattice import Lattice, sublattice_for_order
 from .poset import Poset
@@ -113,9 +113,15 @@ def format_polynomial(poly: Polynomial, labels: Sequence[str]) -> str:
 
 def hibi_generators(L: Lattice) -> list[Polynomial]:
     """X_a X_b - X_{a∨b} X_{a∧b} for each incomparable unordered pair."""
+    return _binomials(L, L.elements)
+
+
+def _binomials(L: Lattice, members: Sequence[str]) -> list[Polynomial]:
+    """The Hibi binomials of the incomparable pairs among `members`, in the
+    ambient variables of L."""
     gens = []
-    for i, a in enumerate(L.elements):
-        for b in L.elements[i + 1:]:
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
             if not L.incomparable(a, b):
                 continue
             lead = monomial(L, {a: 1, b: 1})
@@ -369,14 +375,7 @@ def component_ideal(L: Lattice, order: Poset) -> list[Polynomial]:
     excluded element, all in the ambient variable set."""
     members = sublattice_for_order(L, order)
     inside = set(members)
-    gens = []
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            if not L.incomparable(a, b):
-                continue
-            lead = monomial(L, {a: 1, b: 1})
-            tail = monomial(L, {L.join(a, b): 1, L.meet(a, b): 1})
-            gens.append(Polynomial({lead: 1, tail: -1}))
+    gens = _binomials(L, members)
     for c in L.elements:
         if c not in inside:
             gens.append(Polynomial({monomial(L, {c: 1}): 1}))

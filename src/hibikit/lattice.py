@@ -18,7 +18,6 @@ from .exactgeom import Vec
 from .poset import (
     LinearExtension,
     Poset,
-    from_cover_relations,
     is_stronger,
     linear_extensions,
     order_ideals,
@@ -104,6 +103,16 @@ class Lattice:
         """The 0/1 vector of iota(a) over the canonical poset_P order."""
         ideal = self.iota[a]
         return tuple(Fraction(1 if p in ideal else 0) for p in self.poset_P.elements)
+
+    def chain(self, ext: LinearExtension) -> tuple[str, ...]:
+        """The maximal chain of a linear extension of poset_P: the elements
+        whose ideals are the extension's prefixes, bottom first."""
+        members = [self.bottom]
+        prefix: set[str] = set()
+        for p in ext.order:
+            prefix.add(p)
+            members.append(self.iota_inv(frozenset(prefix)))
+        return tuple(members)
 
     def extensions(self) -> tuple[LinearExtension, ...]:
         if self._extensions is None:
@@ -361,14 +370,7 @@ def maximal_chains(L: Lattice) -> list[MaximalChain]:
     """All maximal chains, each |P|+1 long, paired with the linear extension
     it comes from (prefix ideals of the extension, pulled back through iota).
     The pairing is the explicit bijection between chains and extensions."""
-    chains = []
-    for ext in L.extensions():
-        members = [L.iota_inv(frozenset())]
-        prefix: set[str] = set()
-        for p in ext.order:
-            prefix.add(p)
-            members.append(L.iota_inv(frozenset(prefix)))
-        chains.append(MaximalChain(tuple(members), ext))
+    chains = [MaximalChain(L.chain(ext), ext) for ext in L.extensions()]
 
     # independent check: depth first walk over covers finds the same chains
     walked = set()

@@ -13,14 +13,12 @@ convexity adjectives.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import Face, pair_normal, sample_relative_interior, span_of_face
-from .errors import NotInCone
+from .cone import Face, MaxCone, face_of, pair_normal, sample_relative_interior, span_of_face
 from .exactgeom import (
     AffineMap,
     LatticePolytope,
@@ -84,18 +82,11 @@ class Subdivision:
 
 
 def _tight_key(L: Lattice, w: Vec) -> str:
-    """Canonical face key of w: sorted tight diamond pairs. NotInCone if w
-    violates some diamond inequality."""
-    tight = []
-    for d in diamond_pairs(L):
-        value = vdot(pair_normal(L, d), w)
-        if value < 0:
-            raise NotInCone(
-                f"w_{{{d.meet_elt}}}+w_{{{d.join_elt}}}-w_{{{d.a}}}-w_{{{d.b}}}"
-                f" = {value} < 0")
-        if value == 0:
-            tight.append(sorted([d.a, d.b]))
-    return json.dumps(sorted(tight), separators=(",", ":"))
+    """Canonical key of the face holding w. NotInCone if w violates some
+    diamond inequality."""
+    pairs = diamond_pairs(L)
+    normals = [pair_normal(L, d) for d in pairs]
+    return face_of(MaxCone(L, pairs, normals), w).key()
 
 
 def regular_subdivision(L: Lattice, w: Sequence) -> Subdivision:
@@ -116,13 +107,9 @@ def regular_subdivision(L: Lattice, w: Sequence) -> Subdivision:
         # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}}
         const = wt[L.bottom]
         alpha = [Fraction(0)] * n
-        prev = L.bottom
-        prefix: set[str] = set()
-        for p in ext.order:
-            prefix.add(p)
-            cur = L.iota_inv(frozenset(prefix))
-            alpha[P.index(p)] = wt[cur] - wt[prev]
-            prev = cur
+        chain = L.chain(ext)
+        for p, lo, hi in zip(ext.order, chain, chain[1:]):
+            alpha[P.index(p)] = wt[hi] - wt[lo]
         groups.setdefault((tuple(alpha), const), []).append(ext)
 
     parts = []
@@ -131,16 +118,10 @@ def regular_subdivision(L: Lattice, w: Sequence) -> Subdivision:
         order = intersect_orders([e.as_poset() for e in exts])
         if not is_stronger(order, P):
             raise AssertionError("part order must refine P")
-        chain_ideals = {frozenset()}
-        for e in exts:
-            prefix = set()
-            for p in e.order:
-                prefix.add(p)
-                chain_ideals.add(frozenset(prefix))
-        if chain_ideals != set(order_ideals(order)):
+        on_chains = set().union(*(L.chain(e) for e in exts))
+        if {L.iota[a] for a in on_chains} != set(order_ideals(order)):
             raise AssertionError("part is not the order polytope of its order")
-        vertex_elements = tuple(
-            a for a in L.elements if L.iota[a] in chain_ideals)
+        vertex_elements = tuple(a for a in L.elements if a in on_chains)
         parts.append(Part(order, affine, tuple(exts), vertex_elements))
 
     # envelope: every part overestimates w on all of L, tight exactly on
@@ -173,9 +154,7 @@ def face_subdivision(F: Face) -> Subdivision:
     seen_pairs = set()
     for i, j in graph.edges:
         ei, ej = graph.extensions[i], graph.extensions[j]
-        chain_i = _chain_elements(L, ei)
-        chain_j = _chain_elements(L, ej)
-        pair = frozenset(chain_i ^ chain_j)
+        pair = frozenset(L.chain(ei)) ^ frozenset(L.chain(ej))
         seen_pairs.add(pair)
         same_part = sub.part_of(ei) == sub.part_of(ej)
         if same_part != (pair in tight_pairs):
@@ -185,15 +164,6 @@ def face_subdivision(F: Face) -> Subdivision:
     if not all_pairs <= seen_pairs:
         raise AssertionError("every diamond pair needs a witnessing adjacency")
     return sub
-
-
-def _chain_elements(L: Lattice, ext: LinearExtension) -> frozenset[str]:
-    members = {L.bottom}
-    prefix: set[str] = set()
-    for p in ext.order:
-        prefix.add(p)
-        members.add(L.iota_inv(frozenset(prefix)))
-    return frozenset(members)
 
 
 def subdivision_invariance_check(F: Face, trials: int, seed: int = 0) -> bool:
@@ -244,7 +214,7 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
     transposition; the chain difference is a diamond pair.
     """
     exts = L.extensions()
-    chains = [_chain_elements(L, e) for e in exts]
+    chains = [frozenset(L.chain(e)) for e in exts]
     pair_set = {frozenset((d.a, d.b)) for d in diamond_pairs(L)}
     edges = []
     for i in range(len(exts)):

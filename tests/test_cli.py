@@ -183,20 +183,13 @@ def test_gt_vertices(capsys):
         assert len(record["decomposition"]) == 2
 
 
-# -- determinism, errors, environment ----------------------------------------
+# -- determinism and errors ---------------------------------------------------
 
 
 def test_byte_identical_reruns(capsys):
     first = run_cli(capsys, ["cone", "--grassmann", "2", "4"])
     second = run_cli(capsys, ["cone", "--grassmann", "2", "4"])
     assert first == second
-
-
-def test_thread_fanout_matches_serial(capsys, monkeypatch):
-    serial = run_cli(capsys, ["gt", "--n", "4", "census"])
-    monkeypatch.setenv("HIBI_MAX_THREADS", "4")
-    fanned = run_cli(capsys, ["gt", "--n", "4", "census"])
-    assert serial == fanned
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -8,7 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hibikit import cone as cone_module
 from hibikit.cone import (
+    MAX_PAIRS,
+    MaxCone,
     cone_K,
     enumerate_faces,
     face_of,
@@ -218,10 +221,19 @@ def test_enumerate_chain_single_face():
     assert faces[0].dim == 4
 
 
-def test_enumerate_candidate_guard():
+def test_enumerate_candidate_guard(monkeypatch):
+    # B3's six pairs repeated to 24 exceed the 20-pair cap, which must trip
+    # before the first feasibility LP
     K = cone_K(birkhoff(antichain(["p", "q", "r"])))
+    big = MaxCone(K.lattice, K.pairs * 4, K.normals * 4)
+    assert len(big.pairs) == 24 > MAX_PAIRS
+
+    def no_lp(*args):
+        raise AssertionError("enumeration ran an LP past the cap")
+
+    monkeypatch.setattr(cone_module, "lp_feasible", no_lp)
     with pytest.raises(TooLarge):
-        enumerate_faces(K, max_candidates=16)
+        enumerate_faces(big)
 
 
 def test_enumerate_faces_b3_consistency():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hibikit.cone import cone_K, enumerate_faces, face_of
-from hibikit.errors import BadParams, NotStronger, TooLarge
+from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
 from hibikit.exactgeom import vadd, zero_vec
 from hibikit.flaggt import (
     MarkedPoset,
@@ -204,6 +204,15 @@ def test_marked_polytope_rejects_weaker_order():
         marked_order_polytope(mp, loose)
 
 
+def test_marked_polytopes_reject_order_on_other_ground_set():
+    mp = mu_k_marked_poset(3, 1)
+    other = antichain(["x", "y"])
+    with pytest.raises(GroundSetMismatch):
+        marked_order_polytope(mp, other)
+    with pytest.raises(GroundSetMismatch):
+        marked_integer_points(mp, other)
+
+
 def test_marked_polytope_too_large():
     mp = gt_marked_poset(6)  # 15 free cells
     with pytest.raises(TooLarge):
@@ -337,6 +346,18 @@ def test_xi_vertex_sets_are_flag_points():
             if len(lbl) == k
         }
         assert set(Q.vertices) == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_integer_points_of_01_levels_are_vertices(n):
+    # both enumerations walk the same fillings; on a 0/1 polytope the
+    # integer points are exactly the vertices
+    base = gt_marked_poset(n).base
+    for k in range(1, n):
+        mp = mu_k_marked_poset(n, k)
+        points = marked_integer_points(mp, base)
+        assert len(set(points)) == len(points)
+        assert set(points) == set(marked_order_polytope(mp, base).vertices)
 
 
 @pytest.mark.parametrize("n", [3, 4])
