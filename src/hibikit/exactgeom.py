@@ -1,8 +1,10 @@
 """Exact rational linear algebra and small scale polyhedral primitives.
 
-Everything here works over fractions.Fraction; no floating point anywhere.
-The LP solver is a two phase simplex with Bland's rule, so it terminates
-without any tolerance knobs.
+No floating point anywhere. Row reduction and the LP solver pivot on
+integer tableaux with one common denominator (integer-preserving
+elimination), and their results come back as reduced fractions.Fraction;
+the rest works over Fraction directly. The LP solver is a two phase simplex
+with Bland's rule, so it terminates without any tolerance knobs.
 """
 
 from __future__ import annotations
@@ -55,42 +57,86 @@ def is_integral(v: Sequence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# dense rational elimination
+# integer-preserving elimination
+#
+# A tableau is a list of integer rows M with one common denominator D > 0 and
+# stands for the rational matrix M / D. Pivoting keeps every entry an integer
+# (Edmonds 1967; Bareiss 1968), so no Fraction arithmetic runs in the loops;
+# results are turned back into reduced Fractions once, at the end.
 
 
-def _pivot(T, row, col):
-    """Scale T[row] to a unit entry in `col` and clear `col` in every other row."""
-    inv = 1 / T[row][col]
-    T[row] = [x * inv for x in T[row]]
-    for i in range(len(T)):
-        if i != row and T[i][col] != 0:
-            f = T[i][col]
-            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+def _as_rationals(values) -> list:
+    """The values as exact rationals; ints and Fractions pass through."""
+    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+
+
+def _scaled(values, s: int) -> list[int]:
+    """s times each rational value, for s a common multiple of the denominators."""
+    return [x.numerator * (s // x.denominator) for x in values]
+
+
+def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Scale each rational row to a primitive integer row."""
+    out = []
+    for row in rows:
+        row = _as_rationals(row)
+        ints = _scaled(row, lcm(*(x.denominator for x in row)))
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def _pivot(M, D, row, col):
+    """Pivot the tableau M / D on (row, col) in place; returns the new
+    denominator. Every other row becomes (p*M[i] - M[i][col]*M[row]) / D with
+    p = M[row][col], a division that is exact, and p is the new denominator.
+    A negative p first negates the pivot row, which leaves the pivoted
+    tableau unchanged and keeps the denominator positive."""
+    prow = M[row]
+    p = prow[col]
+    if p < 0:
+        prow = M[row] = [-x for x in prow]
+        p = -p
+    for i, r in enumerate(M):
+        f = r[col]
+        if i == row or (f == 0 and p == D):
+            continue
+        if f == 0:
+            M[i] = [x * p // D for x in r]
+        else:
+            M[i] = [(p * x - f * y) // D for x, y in zip(r, prow)]
+    return p
+
+
+def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], int, list[int]]:
+    """Gauss-Jordan elimination of the rows; returns (M, D, pivot columns)
+    with M / D the reduced row echelon form, zero rows dropped. Scaling the
+    input rows to integers leaves the unique RREF as it is."""
+    M = _int_rows(rows)
+    D = 1
+    pivots = []
+    r = 0
+    for c in range(len(M[0]) if M else 0):
+        if r == len(M):
+            break
+        pivot_row = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        M[r], M[pivot_row] = M[pivot_row], M[r]
+        D = _pivot(M, D, r, c)
+        pivots.append(c)
+        r += 1
+    return M[:r], D, pivots
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        _pivot(mat, r, c)
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+    M, D, pivots = _echelon(rows)
+    return [[Fraction(x, D) for x in row] for row in M], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[0])
+    return len(_echelon(rows)[2])
 
 
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
@@ -98,13 +144,13 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fract
     if not rows:
         return []
     aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
-    red, pivots = rref(aug)
+    M, D, pivots = _echelon(aug)
     n = len(rows[0])
     x = [Fraction(0)] * n
-    for row, p in zip(red, pivots):
+    for row, p in zip(M, pivots):
         if p == n:
             return None
-        x[p] = row[n]
+        x[p] = Fraction(row[n], D)
     return x
 
 
@@ -113,14 +159,14 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     if not rows:
         return []
     n = len(rows[0])
-    red, pivots = rref(rows)
+    M, D, pivots = _echelon(rows)
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * n
         v[f] = Fraction(1)
-        for row, p in zip(red, pivots):
-            v[p] = -row[f]
+        for row, p in zip(M, pivots):
+            v[p] = Fraction(-row[f], D)
         basis.append(v)
     return basis
 
@@ -129,34 +175,36 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
 # exact simplex
 
 
-def _run_simplex(T, basis, cost, allowed):
-    """Maximize over the tableau in place. Bland's rule on `allowed` columns.
+def _run_simplex(M, D, basis, cost, allowed):
+    """Maximize over the tableau M / D in place by Bland's rule on the
+    `allowed` columns, for an integer cost vector.
 
-    Returns "optimal" or "unbounded".
+    Returns ("optimal" or "unbounded", the final denominator).
     """
-    m = len(T)
     while True:
-        cb = [cost[b] for b in basis]
+        # the sign of column j's reduced cost is that of cost_j*D - sum c_B M[.][j]
+        priced = [(M[i], cost[bi]) for i, bi in enumerate(basis) if cost[bi]]
         entering = None
         for j in allowed:
-            rj = cost[j] - sum(cb[i] * T[i][j] for i in range(m))
-            if rj > 0:
+            if cost[j] * D - sum(cb * row[j] for row, cb in priced) > 0:
                 entering = j
                 break
         if entering is None:
-            return "optimal"
+            return "optimal", D
+        # smallest ratio M[i][-1] / M[i][entering], ties to the smaller basis index
         leaving = None
-        best = None
-        for i in range(m):
-            if T[i][entering] > 0:
-                ratio = T[i][-1] / T[i][entering]
-                key = (ratio, basis[i])
-                if best is None or key < best:
-                    best = key
-                    leaving = i
+        for i, row in enumerate(M):
+            a = row[entering]
+            if a > 0:
+                if leaving is None:
+                    leaving, num, den = i, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, num, den = i, row[-1], a
         if leaving is None:
-            return "unbounded"
-        _pivot(T, leaving, entering)
+            return "unbounded", D
+        D = _pivot(M, D, leaving, entering)
         basis[leaving] = entering
 
 
@@ -168,40 +216,46 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence, c: Sequence):
     """
     m = len(A)
     n = len(c)
-    rows = [[Fraction(x) for x in row] for row in A]
-    rhs = [Fraction(x) for x in b]
-    for i in range(m):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-    # phase 1 tableau with one artificial per row
-    T = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]]
-         for i in range(m)]
+    rows = [_as_rationals(row) for row in A]
+    rhs = _as_rationals(b)
+    # one common scale for A and b only rescales the artificial variables,
+    # so both phases make the same pivot choices as over the rationals
+    s = lcm(*(x.denominator for row in rows for x in row), *(x.denominator for x in rhs))
+    M = []
+    for i, (row, r) in enumerate(zip(rows, _scaled(rhs, s))):
+        row = _scaled(row, s)
+        if r < 0:
+            row = [-x for x in row]
+            r = -r
+        # phase 1 tableau with one artificial per row
+        M.append(row + [1 if j == i else 0 for j in range(m)] + [r])
     basis = [n + i for i in range(m)]
-    cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    _run_simplex(T, basis, cost1, list(range(n)))
-    if any(T[i][-1] != 0 for i in range(m) if basis[i] >= n):
+    cost1 = [0] * n + [-1] * m
+    _, D = _run_simplex(M, 1, basis, cost1, range(n))
+    if any(M[i][-1] != 0 for i in range(m) if basis[i] >= n):
         return "infeasible", None, None
     # drive leftover zero-valued artificials out, dropping redundant rows
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if T[i][j] != 0), None)
+            col = next((j for j in range(n) if M[i][j] != 0), None)
             if col is None:
                 continue
-            _pivot(T, i, col)
+            D = _pivot(M, D, i, col)
             basis[i] = col
         keep.append(i)
-    T = [T[i][:n] + [T[i][-1]] for i in keep]
+    M = [M[i][:n] + [M[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    cost2 = [Fraction(x) for x in c]
-    status = _run_simplex(T, basis, cost2, list(range(n)))
+    cost = _as_rationals(c)
+    s = lcm(*(x.denominator for x in cost))
+    cost = _scaled(cost, s)
+    status, D = _run_simplex(M, D, basis, cost, range(n))
     y = [Fraction(0)] * n
     for i, bi in enumerate(basis):
-        y[bi] = T[i][-1]
+        y[bi] = Fraction(M[i][-1], D)
     if status == "unbounded":
         return "unbounded", y, None
-    return "optimal", y, vdot(cost2, y)
+    return "optimal", y, Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, M)), s * D)
 
 
 def lp_feasible(constraints: Sequence[tuple], n: int) -> Optional[Vec]:
@@ -215,7 +269,7 @@ def lp_feasible(constraints: Sequence[tuple], n: int) -> Optional[Vec]:
     """
     rows = []
     for coeffs, rel, rhs in constraints:
-        a = [Fraction(x) for x in coeffs]
+        a = _as_rationals(coeffs)
         r = Fraction(rhs)
         if rel in (">=", ">"):
             a = [-x for x in a]
@@ -234,27 +288,27 @@ def lp_feasible(constraints: Sequence[tuple], n: int) -> Optional[Vec]:
     b = []
     slack = 0
     for a, rel, r in rows:
-        row = [Fraction(0)] * total
+        row = [0] * total
         for i in range(n):
             row[i] = a[i]
             row[n + i] = -a[i]
         if rel == "<":
-            row[t_col] = Fraction(1)
+            row[t_col] = 1
         if rel != "=":
-            row[base + slack] = Fraction(1)
+            row[base + slack] = 1
             slack += 1
         A.append(row)
         b.append(r)
     if strict:
-        row = [Fraction(0)] * total
-        row[t_col] = Fraction(1)
-        row[base + slack] = Fraction(1)
+        row = [0] * total
+        row[t_col] = 1
+        row[base + slack] = 1
         slack += 1
         A.append(row)
-        b.append(Fraction(1))
-    c = [Fraction(0)] * total
+        b.append(1)
+    c = [0] * total
     if strict:
-        c[t_col] = Fraction(1)
+        c[t_col] = 1
     status, y, value = solve_eq_nonneg(A, b, c)
     if status != "optimal":
         return None
@@ -300,20 +354,6 @@ def hull_vertices(points: Sequence[Vec]) -> list[Vec]:
 
 # ---------------------------------------------------------------------------
 # integer lattices
-
-
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    """Scale each rational row to a primitive integer row."""
-    out = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        ints = [int(x * mult) for x in row]
-        g = gcd(*ints) if any(ints) else 1
-        if g:
-            ints = [x // g for x in ints]
-        out.append(ints)
-    return out
 
 
 def _euclid_echelon(work: list[list[int]], ncols: int) -> int:

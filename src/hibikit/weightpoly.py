@@ -77,10 +77,8 @@ def weight_polytope(F: Face) -> WeightPolytope:
     return WeightPolytope(F, basis, points, poly)
 
 
-def _inclusion_matrix(G: Face, F: Face) -> list[list[Fraction]]:
+def _inclusion_matrix(basis_g, basis_f) -> list[list[Fraction]]:
     # rows of basis(F) written in coordinates over basis(G)
-    basis_g = span_of_face(G)
-    basis_f = span_of_face(F)
     cols = list(zip(*basis_g))
     out = []
     for row in basis_f:
@@ -102,25 +100,27 @@ def project(G: Face, F: Face, point: Sequence) -> Vec:
         raise ValueError("faces must belong to the same cone")
     if not (G.tight_idx <= F.tight_idx):
         raise NotSubface("the source face's tight set must be contained in the target's")
-    C = _inclusion_matrix(G, F)
+    C = _inclusion_matrix(span_of_face(G), span_of_face(F))
     y = to_vec(point)
     if C and len(y) != len(C[0]):
         raise ValueError("point has the wrong length for the source face")
     return tuple(vdot(row, y) for row in C)
 
 
-def _zeta_for(K) -> AffineMap:
-    L = K.lattice
-    apex = face_of(K, zero_vec(L.size))
-    W = weight_polytope(apex)
+def _apex_weight_polytope(K) -> WeightPolytope:
+    return weight_polytope(face_of(K, zero_vec(K.lattice.size)))
+
+
+def _zeta_for(apex: WeightPolytope) -> AffineMap:
+    L = apex.face.cone.lattice
     inputs = [L.indicator(a) for a in L.elements]
-    outputs = [W.points[a] for a in L.elements]
+    outputs = [apex.points[a] for a in L.elements]
     m = affine_map_through(inputs, outputs)
     assert m is not None
     assert rank(m.matrix) == L.poset_P.size, "map must be injective on R^P"
     assert is_integral(m.offset) and all(is_integral(r) for r in m.matrix)
     columns = [list(col) for col in zip(*m.matrix)]
-    lb = W.polytope.lattice_basis
+    lb = apex.polytope.lattice_basis
     assert lb is not None and same_lattice(columns, [list(r) for r in lb])
     return m
 
@@ -129,7 +129,7 @@ def zeta(L: Lattice) -> AffineMap:
     """Affine identification of R^P with the affine span of the apex weight
     polytope, sending each ideal indicator to the matching labeled point.
     Integer points correspond to Z^P under it."""
-    return _zeta_for(cone_K(L))
+    return _zeta_for(_apex_weight_polytope(cone_K(L)))
 
 
 def invert_affine(m: AffineMap, point: Sequence) -> Vec:
@@ -184,22 +184,24 @@ class DistinguishedFace:
     polytope: LatticePolytope
 
 
-def distinguished_faces(F: Face) -> list[DistinguishedFace]:
-    """One face of the weight polytope per part of the regular subdivision.
+def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
+    """One face of the weight polytope W of a face F per part of F's regular
+    subdivision.
 
     Each face is the hull of the projected chain simplices of the part's
     extensions. Certified three ways: a separating functional inside the
     face's span, dimension |P|, and a bijection with the part's order
     polytope vertices through the apex identification.
     """
+    F = W.face
     L = F.cone.lattice
-    K = F.cone
     sub = face_subdivision(F)
-    W = weight_polytope(F)
     w = sample_relative_interior(F)
-    apex = face_of(K, zero_vec(L.size))
-    zmap = _zeta_for(K)
-    basis_cols = list(zip(*span_of_face(F)))
+    apex = W if F.is_apex else _apex_weight_polytope(F.cone)
+    zmap = _zeta_for(apex)
+    # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
+    to_apex = _inclusion_matrix(W.basis, apex.basis)
+    basis_cols = list(zip(*W.basis))
     out = []
     for part in sub.parts:
         members = set(part.vertex_elements)
@@ -217,7 +219,7 @@ def distinguished_faces(F: Face) -> list[DistinguishedFace]:
         assert poly.dim == L.poset_P.size
         ideal_sets = set()
         for a in part.vertex_elements:
-            back = invert_affine(zmap, project(F, apex, W.points[a]))
+            back = invert_affine(zmap, tuple(vdot(row, W.points[a]) for row in to_apex))
             assert back == L.indicator(a)
             ideal_sets.add(frozenset(L.iota[a]))
         assert ideal_sets == set(order_ideals(part.order))
@@ -242,7 +244,7 @@ def normality_probe(Q: LatticePolytope, k_max: int) -> Optional[int]:
 
 def weight_polytope_json(F: Face) -> dict:
     W = weight_polytope(F)
-    faces = distinguished_faces(F)
+    faces = distinguished_faces(W)
     return {
         "face": F.key(),
         "basis": [list(row) for row in W.basis],

@@ -1,0 +1,112 @@
+"""Rational oracles for hibikit's integer-preserving elimination kernel.
+
+These are the two-phase simplex and the Gauss-Jordan elimination that
+exactgeom used before its tableaux became integer matrices over one common
+denominator. Every entry here is a fractions.Fraction and every pivot
+divides through, which is slow but plainly exact. solve_eq_nonneg also
+returns its pivot count, so a test can check that the integer kernel walks
+the same pivot sequence.
+"""
+
+from fractions import Fraction
+
+
+def _pivot(T, row, col):
+    """Scale T[row] to a unit entry in `col` and clear `col` in every other row."""
+    inv = 1 / T[row][col]
+    T[row] = [x * inv for x in T[row]]
+    for i in range(len(T)):
+        if i != row and T[i][col] != 0:
+            f = T[i][col]
+            T[i] = [x - f * y for x, y in zip(T[i], T[row])]
+
+
+def rref(rows):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        _pivot(mat, r, c)
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def _run_simplex(T, basis, cost, allowed):
+    """Maximize over the tableau in place by Bland's rule on the `allowed`
+    columns. Returns (status, pivot count)."""
+    m = len(T)
+    pivots = 0
+    while True:
+        cb = [cost[b] for b in basis]
+        entering = None
+        for j in allowed:
+            if cost[j] - sum(cb[i] * T[i][j] for i in range(m)) > 0:
+                entering = j
+                break
+        if entering is None:
+            return "optimal", pivots
+        leaving = None
+        best = None
+        for i in range(m):
+            if T[i][entering] > 0:
+                key = (T[i][-1] / T[i][entering], basis[i])
+                if best is None or key < best:
+                    best = key
+                    leaving = i
+        if leaving is None:
+            return "unbounded", pivots
+        _pivot(T, leaving, entering)
+        basis[leaving] = entering
+        pivots += 1
+
+
+def solve_eq_nonneg(A, b, c):
+    """Maximize c.y subject to A y = b, y >= 0.
+
+    Returns (status, y, value, pivots) with status in {"optimal",
+    "infeasible", "unbounded"}.
+    """
+    m = len(A)
+    n = len(c)
+    rows = [[Fraction(x) for x in row] for row in A]
+    rhs = [Fraction(x) for x in b]
+    for i in range(m):
+        if rhs[i] < 0:
+            rows[i] = [-x for x in rows[i]]
+            rhs[i] = -rhs[i]
+    T = [rows[i] + [Fraction(int(j == i)) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
+    _, pivots = _run_simplex(T, basis, cost1, list(range(n)))
+    if any(T[i][-1] != 0 for i in range(m) if basis[i] >= n):
+        return "infeasible", None, None, pivots
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if T[i][j] != 0), None)
+            if col is None:
+                continue
+            _pivot(T, i, col)
+            pivots += 1
+            basis[i] = col
+        keep.append(i)
+    T = [T[i][:n] + [T[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    cost2 = [Fraction(x) for x in c]
+    status, more = _run_simplex(T, basis, cost2, list(range(n)))
+    y = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        y[bi] = T[i][-1]
+    if status == "unbounded":
+        return "unbounded", y, None, pivots + more
+    return "optimal", y, sum(x * v for x, v in zip(cost2, y)), pivots + more

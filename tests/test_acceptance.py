@@ -110,7 +110,7 @@ def test_acceptance_5_weight_polytope_invariants():
                     assert invert_affine(zmap, W.points[a]) == L.indicator(a)
             # distinguished faces biject with the subdivision parts
             # (each is certified against its part inside the call)
-            faces = distinguished_faces(F)
+            faces = distinguished_faces(W)
             sub = face_subdivision(F)
             assert len(faces) == len(sub.parts)
             assert ({frozenset(d.elements) for d in faces}

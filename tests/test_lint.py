@@ -21,9 +21,43 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in bound if name not in used]
 
 
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named with a leading underscore that no code
+    of the package refers to, outside their own body; as "module.name"."""
+    defined = []
+    refs = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        own = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+                defined.append((module, node.name))
+                own.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None and own.get(id(node)) != name:
+                refs.add(name.split(".")[-1])
+    return [f"{module}.{name}" for module, name in defined if name not in refs]
+
+
 def test_unused_imports_detects_dead_name():
     source = "import os\nimport sys\nfrom json import dumps, loads\nprint(sys.argv, loads)\n"
     assert unused_imports(source) == ["os", "dumps"]
+
+
+def test_unreferenced_private_functions_detects_dead_helper():
+    sources = {
+        "a": "def _used():\n    pass\n\n\ndef _dead():\n    return _dead()\n",
+        "b": "from a import _used\n\n\ndef _local():\n    pass\n\n\nrun = [_local]\n",
+    }
+    assert unreferenced_private_functions(sources) == ["a._dead"]
+
+
+def test_every_private_function_is_referenced():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_private_functions(sources) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

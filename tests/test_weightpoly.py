@@ -183,7 +183,7 @@ def test_chain_simplex_grid_has_five_vertices():
 
 def test_apex_single_distinguished_face_is_whole_polytope():
     A = apex_face(B3)
-    faces = distinguished_faces(A)
+    faces = distinguished_faces(weight_polytope(A))
     assert len(faces) == 1
     assert faces[0].polytope == weight_polytope(A).polytope
     assert set(faces[0].elements) == set(B3.elements)
@@ -192,13 +192,13 @@ def test_apex_single_distinguished_face_is_whole_polytope():
 def test_full_face_distinguished_are_chain_simplices():
     P = antichain(["p", "q"])
     F = full_face(B2)
-    faces = distinguished_faces(F)
+    faces = distinguished_faces(weight_polytope(F))
     simplices = {chain_simplex(ext).polytope for ext in linear_extensions(P)}
     assert {d.polytope for d in faces} == simplices
 
 
 def test_b2_full_two_triangles_sharing_an_edge():
-    faces = distinguished_faces(full_face(B2))
+    faces = distinguished_faces(weight_polytope(full_face(B2)))
     assert len(faces) == 2
     assert all(len(d.elements) == 3 for d in faces)
     shared = set(faces[0].elements) & set(faces[1].elements)
@@ -208,7 +208,7 @@ def test_b2_full_two_triangles_sharing_an_edge():
 def test_separator_vanishes_exactly_on_face():
     L = GRIDL
     for F in enumerate_faces(cone_K(L)):
-        for d in distinguished_faces(F):
+        for d in distinguished_faces(weight_polytope(F)):
             members = set(d.elements)
             for a, value in zip(L.elements, d.separator):
                 if a in members:
@@ -222,7 +222,7 @@ def test_distinguished_images_are_subdivision_parts():
     L = B3
     for F in enumerate_faces(cone_K(L)):
         sub = face_subdivision(F)
-        got = {frozenset(d.elements) for d in distinguished_faces(F)}
+        got = {frozenset(d.elements) for d in distinguished_faces(weight_polytope(F))}
         want = {frozenset(p.vertex_elements) for p in sub.parts}
         assert got == want
 
