@@ -78,15 +78,6 @@ def load_poset(path) -> Poset:
     return parse_poset(text)
 
 
-def export_polytope(poly, path) -> None:
-    Path(path).write_text(canonical_json(polytope_json(poly)), encoding="utf-8")
-
-
-def export_subdivision(sub, path) -> None:
-    Path(path).write_text(canonical_json(subdivision_json(sub)),
-                          encoding="utf-8")
-
-
 def parse_vector(text: str) -> tuple[Fraction, ...]:
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:

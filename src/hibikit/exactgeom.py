@@ -42,10 +42,7 @@ def vscale(c, a: Vec) -> Vec:
 
 
 def vdot(a: Sequence, b: Sequence) -> Fraction:
-    total = Fraction(0)
-    for x, y in zip(a, b, strict=True):
-        total += Fraction(x) * Fraction(y)
-    return total
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
 def zero_vec(n: int) -> Vec:
@@ -581,10 +578,6 @@ class LatticePolytope:
         self._lattice_basis_known = False
         self._lattice_basis = None
         self._span_equations = None
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.vertices[0])
 
     @property
     def dim(self) -> int:

@@ -1,11 +1,14 @@
-"""The Hibi ideal of a distributive lattice and its degree-wise oracles.
+"""The Hibi ideal of a distributive lattice and its degree-wise dimensions.
 
 All ideal computations are degree-truncated exact linear algebra over the
 monomial basis of R_l; no Groebner bases. Generators are binomials
 X_a X_b - X_{a∨b} X_{a∧b}, so rows stay two-sparse through elimination.
 
-Initial forms use the min convention: in_w keeps the terms of minimal
-w-weight. Ties keep every minimizing term.
+The certificate's dim in_w(I)_l is computed as dim I_l, the rank of the
+degree-l rows. A Groebner degeneration of a homogeneous ideal is flat: in_w(I)
+has the Hilbert function of I for every weight w (Sturmfels, Groebner Bases
+and Convex Polytopes, ch. 1-2). So the number does not depend on the face,
+and only the intersection of the component ideals does.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .errors import BadParams
-from .exactgeom import Vec, to_vec, vadd, zero_vec
+from .exactgeom import Vec, vadd, zero_vec
 from .lattice import Lattice, sublattice_for_order
 from .poset import Poset
 
@@ -48,13 +51,6 @@ class Monomial:
 
     def times(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(x + y for x, y in zip(self.exps, other.exps, strict=True)))
-
-    def exponent_map(self, labels: Sequence[str]) -> dict[str, int]:
-        return {a: e for a, e in zip(labels, self.exps, strict=True) if e}
-
-    def sort_key(self) -> tuple:
-        # graded lexicographic on the canonical element order
-        return (self.degree, self.exps)
 
 
 def monomial(L: Lattice, exps: Mapping[str, int]) -> Monomial:
@@ -96,91 +92,21 @@ class Polynomial:
         return f"Polynomial({len(self.terms)} terms)"
 
 
-def format_polynomial(poly: Polynomial, labels: Sequence[str]) -> str:
-    if poly.is_zero:
-        return "0"
-    parts = []
-    for m in sorted(poly.terms, key=Monomial.sort_key, reverse=True):
-        factors = " ".join(
-            f"X[{a}]^{e}" for a, e in zip(labels, m.exps) if e)
-        parts.append(f"{poly.terms[m]} * {factors}" if factors else str(poly.terms[m]))
-    return " + ".join(parts)
-
-
 # ---------------------------------------------------------------------------
-# generators and straightening
+# generators and standard monomials
 
 
 def hibi_generators(L: Lattice) -> list[Polynomial]:
     """X_a X_b - X_{a∨b} X_{a∧b} for each incomparable unordered pair."""
-    return _binomials(L, L.elements)
-
-
-def _binomials(L: Lattice, members: Sequence[str]) -> list[Polynomial]:
-    """The Hibi binomials of the incomparable pairs among `members`, in the
-    ambient variables of L."""
     gens = []
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
+    for i, a in enumerate(L.elements):
+        for b in L.elements[i + 1:]:
             if not L.incomparable(a, b):
                 continue
             lead = monomial(L, {a: 1, b: 1})
             tail = monomial(L, {L.join(a, b): 1, L.meet(a, b): 1})
             gens.append(Polynomial({lead: 1, tail: -1}))
     return gens
-
-
-def is_standard(L: Lattice, m: Monomial) -> bool:
-    f = m.factors()
-    return all(
-        not L.incomparable(L.elements[f[i]], L.elements[f[j]])
-        for i in range(len(f))
-        for j in range(i + 1, len(f)))
-
-
-def straighten(L: Lattice, m: Monomial) -> Monomial:
-    """Rewrite to the standard monomial with the same exponent sum by
-    repeatedly replacing an incomparable factor pair with meet and join.
-    Each step strictly increases the sum of squared heights, which bounds
-    the number of steps."""
-    factors = m.factors()
-    target = zero_vec(L.poset_P.size)
-    for i in factors:
-        target = vadd(target, L.indicator(L.elements[i]))
-
-    def badness():
-        return sum(len(L.iota[L.elements[i]]) ** 2 for i in factors)
-
-    score = badness()
-    while True:
-        swap = None
-        for i in range(len(factors)):
-            for j in range(i + 1, len(factors)):
-                if L.incomparable(L.elements[factors[i]], L.elements[factors[j]]):
-                    swap = (i, j)
-                    break
-            if swap:
-                break
-        if swap is None:
-            break
-        i, j = swap
-        a, b = L.elements[factors[i]], L.elements[factors[j]]
-        factors[i] = L.index(L.meet(a, b))
-        factors[j] = L.index(L.join(a, b))
-        factors.sort()
-        new_score = badness()
-        if new_score <= score:
-            raise AssertionError("straightening step must increase squared heights")
-        score = new_score
-
-    total = zero_vec(L.poset_P.size)
-    exps = [0] * L.size
-    for i in factors:
-        exps[i] += 1
-        total = vadd(total, L.indicator(L.elements[i]))
-    if total != target:
-        raise AssertionError("straightening changed the exponent sum")
-    return Monomial(tuple(exps))
 
 
 def _check_caps(n: int, l: int):
@@ -249,16 +175,15 @@ def _degree_rows(generators: Sequence[Polynomial], n: int, l: int,
     return rows
 
 
-def _eliminate(rows: list[dict[int, Fraction]], order: Sequence[int]
-               ) -> dict[int, dict[int, Fraction]]:
-    """Gauss-Jordan over sparse rows. `order[c]` is the pivot priority of
-    column c (lower first). Returns fully reduced pivot rows keyed by their
-    pivot column: each pivot column appears in exactly one row."""
+def _eliminate(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Gauss-Jordan over sparse rows, pivoting on each row's lowest column.
+    Returns fully reduced pivot rows keyed by their pivot column: each pivot
+    column appears in exactly one row."""
     pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
         row = dict(row)
         while row:
-            lead = min(row, key=lambda c: order[c])
+            lead = min(row)
             if lead in pivots:
                 factor = row[lead]
                 for c, v in pivots[lead].items():
@@ -299,87 +224,11 @@ def ideal_dim(generators: Sequence[Polynomial], l: int) -> int:
     _check_caps(n, l)
     basis = _degree_monomials(n, l)
     col_index = {m: i for i, m in enumerate(basis)}
-    rows = _degree_rows(generators, n, l, col_index)
-    order = list(range(len(basis)))
-    return len(_eliminate(rows, order))
-
-
-def initial_ideal_dim(generators: Sequence[Polynomial], w: Sequence, l: int
-                      ) -> tuple[int, list[Polynomial]]:
-    """Dimension of in_w(I)_l together with a basis of initial forms.
-
-    The degree-l row space is put in reduced echelon form under a column
-    order refining ascending w-weight, so each pivot is a minimal-weight
-    term of its row and the rows' initial forms are independent and span
-    in_w(I)_l. dim in_w(I)_l = dim I_l by construction.
-    """
-    n = _ambient_size(generators)
-    if n is None:
-        return 0, []
-    _check_caps(n, l)
-    w = to_vec(w)
-    if len(w) != n:
-        raise ValueError("weight has wrong dimension")
-    basis = _degree_monomials(n, l)
-    col_index = {m: i for i, m in enumerate(basis)}
-
-    def weight(m: Monomial) -> Fraction:
-        return sum((w[i] * e for i, e in enumerate(m.exps)), Fraction(0))
-
-    ranked = sorted(range(len(basis)), key=lambda c: (weight(basis[c]), c))
-    order = [0] * len(basis)
-    for pos, c in enumerate(ranked):
-        order[c] = pos
-
-    rows = _degree_rows(generators, n, l, col_index)
-    pivots = _eliminate(rows, order)
-    forms = []
-    for lead in sorted(pivots, key=lambda c: order[c]):
-        row = pivots[lead]
-        low = min(weight(basis[c]) for c in row)
-        forms.append(Polynomial(
-            {basis[c]: v for c, v in row.items() if weight(basis[c]) == low}))
-    return len(pivots), forms
-
-
-def span_contains(basis_polys: Sequence[Polynomial], target: Polynomial) -> bool:
-    """Whether target lies in the rational span of the given polynomials."""
-    cols: dict[Monomial, int] = {}
-    for p in list(basis_polys) + [target]:
-        for m in p.terms:
-            cols.setdefault(m, len(cols))
-    rows = [{cols[m]: c for m, c in p.terms.items()} for p in basis_polys]
-    order = list(range(len(cols)))
-    pivots = _eliminate(rows, order)
-    rest = {cols[m]: c for m, c in target.terms.items()}
-    while rest:
-        lead = min(rest)
-        if lead not in pivots:
-            return False
-        factor = rest[lead]
-        for c, v in pivots[lead].items():
-            new = rest.get(c, Fraction(0)) - factor * v
-            if new == 0:
-                rest.pop(c, None)
-            else:
-                rest[c] = new
-    return True
+    return len(_eliminate(_degree_rows(generators, n, l, col_index)))
 
 
 # ---------------------------------------------------------------------------
-# components and intersections
-
-
-def component_ideal(L: Lattice, order: Poset) -> list[Polynomial]:
-    """Hibi binomials of the surviving sublattice plus one variable per
-    excluded element, all in the ambient variable set."""
-    members = sublattice_for_order(L, order)
-    inside = set(members)
-    gens = _binomials(L, members)
-    for c in L.elements:
-        if c not in inside:
-            gens.append(Polynomial({monomial(L, {c: 1}): 1}))
-    return gens
+# intersections of the component ideals
 
 
 def intersection_dim(L: Lattice, orders: Sequence[Poset], l: int) -> int:
@@ -408,7 +257,7 @@ def intersection_dim(L: Lattice, orders: Sequence[Poset], l: int) -> int:
     total_rank = 0
     for hit_sets in blocks.values():
         rows = [{i: Fraction(1) for i in hits} for hits in hit_sets]
-        total_rank += len(_eliminate(rows, list(range(k))))
+        total_rank += len(_eliminate(rows))
     return comb(L.size + l - 1, l) - total_rank
 
 
@@ -418,22 +267,24 @@ def intersection_dim(L: Lattice, orders: Sequence[Poset], l: int) -> int:
 
 def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     """One row per (face of K, degree l <= lmax) checking the three-way
-    dimension identity: dim in_w(I)_l at an interior sample of the face,
-    dim of the intersection of the face's component ideals, and
-    dim R_l minus the standard monomial count."""
-    from .cone import cone_K, enumerate_faces, sample_relative_interior
+    dimension identity dim in_w(I)_l = dim of the intersection of the face's
+    component ideals = dim R_l minus the standard monomial count.
+
+    dim in_w(I)_l is reported as dim I_l: the degeneration is flat, so it
+    is the same for every weight w. It and the standard monomial count are
+    computed once per degree, before any LP runs, so the element and degree
+    caps fail fast; only the intersection is computed per face."""
+    from .cone import cone_K, enumerate_faces
     from .subdivision import face_subdivision
 
     gens = hibi_generators(L)
+    degrees = [(l, comb(L.size + l - 1, l), ideal_dim(gens, l),
+                standard_monomial_count(L, l)) for l in range(1, lmax + 1)]
     rows = []
     for face in enumerate_faces(cone_K(L)):
-        w = sample_relative_interior(face)
         orders = [part.order for part in face_subdivision(face).parts]
-        for l in range(1, lmax + 1):
-            dim_r = comb(L.size + l - 1, l)
-            dim_in, _ = initial_ideal_dim(gens, w, l)
+        for l, dim_r, dim_in, standard in degrees:
             dim_cap = intersection_dim(L, orders, l)
-            standard = standard_monomial_count(L, l)
             rows.append({
                 "face_key": face.key(),
                 "l": l,

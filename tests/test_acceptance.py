@@ -9,12 +9,14 @@ import json
 import random
 import time
 
+from hibi_oracle import is_standard, straighten
+
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
 from hibikit.exactgeom import zero_vec
 from hibikit.flaggt import (flag_lattice, grassmann_lattice, gt_poset_iso,
                             gt_subdivision, gt_vertices, lift_c, pbar_labels)
-from hibikit.hibi import degeneration_certificate, is_standard, monomial, straighten
+from hibikit.hibi import degeneration_certificate, monomial
 from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,

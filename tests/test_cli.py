@@ -11,13 +11,12 @@ import sys
 
 import pytest
 
-from hibikit.cli import (canonical_json, export_polytope, export_poset,
-                         export_subdivision, load_poset, main, parse_vector)
+from hibikit.cli import canonical_json, export_poset, load_poset, main, parse_vector
 from hibikit.cone import cone_K, face_of
-from hibikit.exactgeom import LatticePolytope
+from hibikit.exactgeom import LatticePolytope, polytope_json
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain, from_cover_relations
-from hibikit.subdivision import face_subdivision
+from hibikit.subdivision import face_subdivision, subdivision_json
 
 
 def run_cli(capsys, argv):
@@ -78,21 +77,18 @@ def test_export_poset_round_trip(tmp_path):
     assert load_poset(path) == P
 
 
-def test_export_square_polytope(tmp_path):
+def test_export_square_polytope():
     square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
-    path = tmp_path / "square.json"
-    export_polytope(square, path)
-    data = json.loads(path.read_text(encoding="utf-8"))
+    data = polytope_json(square)
     assert len(data["vertices"]) == 4
     assert all(num in (0, 1) and den == 1
                for vert in data["vertices"] for num, den in vert)
 
 
-def test_export_subdivision_part_count(tmp_path):
+def test_export_subdivision_part_count():
     L = birkhoff(antichain(["p", "q"]))
     F = face_of(cone_K(L), [0, 1, 1, 3])  # interior weight, m(F) = 2
-    export_subdivision(face_subdivision(F), tmp_path / "sub.json")
-    data = json.loads((tmp_path / "sub.json").read_text(encoding="utf-8"))
+    data = subdivision_json(face_subdivision(F))
     assert len(data["parts"]) == 2
     assert len(data["parts"]) == len(L.extensions())
 
@@ -219,6 +215,21 @@ def test_error_records(argv, capsys):
     assert code == 2
     record = json.loads(err)
     assert set(record["error"]) == {"type", "message"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--grassmann", "3", "6", "--lmax", "2"],  # 20 elements
+    ["certify", "--boolean", "4"],                        # 16 elements
+])
+def test_certify_past_element_cap_fails_before_any_lp(argv, capsys, monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise RuntimeError("certify solved an LP past the element cap")
+
+    monkeypatch.setattr("hibikit.cone.lp_feasible", no_lp)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "BadParams"
 
 
 def test_parse_vector_fractions():

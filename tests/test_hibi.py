@@ -1,4 +1,4 @@
-"""Hibi ideal generators, straightening, and the dimension oracles."""
+"""Hibi ideal generators, the degree-wise dimensions, and their oracles."""
 
 import itertools
 import random
@@ -8,24 +8,21 @@ from math import comb
 import pytest
 import sympy
 
-from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
+from hibi_oracle import component_ideal, is_standard, straighten
+
+from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, NotStronger
 from hibikit.exactgeom import vadd, zero_vec
+from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.hibi import (
     Monomial,
     Polynomial,
-    component_ideal,
     degeneration_certificate,
-    format_polynomial,
     hibi_generators,
     ideal_dim,
-    initial_ideal_dim,
     intersection_dim,
-    is_standard,
     monomial,
-    span_contains,
     standard_monomial_count,
-    straighten,
 )
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
@@ -38,6 +35,8 @@ B2 = birkhoff(antichain(["p", "q"]))
 B3 = birkhoff(antichain(["p", "q", "r"]))
 GRIDL = birkhoff(GRID)
 CHAIN4 = birkhoff(chain(["a", "b", "c"]))
+# the lattices the oracles check the certificate columns on
+ORACLE_LATTICES = [B2, B3, GRIDL, CHAIN4, grassmann_lattice(2, 4), flag_lattice(3)]
 
 
 # -- generators --------------------------------------------------------------
@@ -68,7 +67,7 @@ def test_generator_count_is_incomparable_pairs():
     assert len(hibi_generators(B3)) == 9
 
 
-# -- straighten --------------------------------------------------------------
+# -- straighten (oracle) -----------------------------------------------------
 
 
 def test_straighten_b2():
@@ -161,6 +160,17 @@ def test_standard_count_matches_bruteforce_multichains():
             assert standard_monomial_count(L, l) == brute
 
 
+def test_standard_count_is_number_of_straightened_monomials():
+    # every degree-l monomial straightens to a standard one, and different
+    # standard monomials have different exponent sums
+    for L in ORACLE_LATTICES:
+        for l in (1, 2, 3):
+            straightened = {
+                straighten(L, Monomial(tuple(combo.count(i) for i in range(L.size))))
+                for combo in itertools.combinations_with_replacement(range(L.size), l)}
+            assert len(straightened) == standard_monomial_count(L, l)
+
+
 def test_caps_enforced():
     with pytest.raises(BadParams):
         standard_monomial_count(B2, 7)
@@ -226,62 +236,7 @@ def test_ideal_dim_rejects_inhomogeneous():
         ideal_dim([bad], 2)
 
 
-# -- initial_ideal_dim -------------------------------------------------------
-
-
-def test_initial_forms_b2_generic():
-    gens = hibi_generators(B2)
-    dim, forms = initial_ideal_dim(gens, (0, -1, -1, 0), 2)
-    assert dim == 1
-    assert forms == [Polynomial({monomial(B2, {"{p}": 1, "{q}": 1}): 1})]
-
-
-def test_initial_forms_b2_zero_weight():
-    gens = hibi_generators(B2)
-    dim, forms = initial_ideal_dim(gens, (0, 0, 0, 0), 2)
-    assert dim == 1
-    assert len(forms) == 1
-    assert len(forms[0].terms) == 2  # tie keeps the whole binomial
-
-
-def test_uniform_weight_keeps_dimension():
-    for L in (B2, B3, GRIDL):
-        gens = hibi_generators(L)
-        for l in (2, 3):
-            dim, _ = initial_ideal_dim(gens, (5,) * L.size, l)
-            assert dim == ideal_dim(gens, l)
-
-
-def test_initial_dim_always_matches_ideal_dim():
-    L = B3
-    gens = hibi_generators(L)
-    K = cone_K(L)
-    for F in enumerate_faces(K):
-        w = sample_relative_interior(F)
-        for l in (2, 3):
-            dim, forms = initial_ideal_dim(gens, w, l)
-            assert dim == ideal_dim(gens, l)
-            assert len(forms) == dim
-
-
-def test_strict_pairs_give_monomials_in_initial_ideal():
-    # X_a X_b lands in in_w I whenever the diamond inequality is strict at w
-    L = B3
-    gens = hibi_generators(L)
-    w = tuple(Fraction(len(L.iota[a]) ** 2) for a in L.elements)
-    _, forms = initial_ideal_dim(gens, w, 2)
-    for i, a in enumerate(L.elements):
-        for b in L.elements[i + 1:]:
-            if not L.incomparable(a, b):
-                continue
-            wa = w[L.index(a)] + w[L.index(b)]
-            wmj = w[L.index(L.meet(a, b))] + w[L.index(L.join(a, b))]
-            if wa < wmj:
-                target = Polynomial({monomial(L, {a: 1, b: 1}): 1})
-                assert span_contains(forms, target)
-
-
-# -- component ideals --------------------------------------------------------
+# -- component ideals (oracle) -----------------------------------------------
 
 
 def test_component_ideal_weak_order_is_hibi():
@@ -323,21 +278,29 @@ def test_intersection_single_weak_order_is_ideal_dim():
             assert got == ideal_dim(hibi_generators(L), l)
 
 
+def test_single_component_dim_matches_its_ideal():
+    for L in ORACLE_LATTICES:
+        orders = [L.poset_P] + [e.as_poset() for e in linear_extensions(L.poset_P)]
+        for o in orders:
+            gens = component_ideal(L, o)
+            for l in (1, 2, 3):
+                assert ideal_dim(gens, l) == intersection_dim(L, [o], l)
+
+
 def test_intersection_not_stronger():
     with pytest.raises(NotStronger):
         intersection_dim(birkhoff(chain(["p", "q"])), [antichain(["p", "q"])], 2)
 
 
 def test_intersection_of_components_is_initial_dim():
+    # dim in_w(I)_l = dim I_l on every face, because the degeneration is flat
     L = GRIDL
     K = cone_K(L)
     gens = hibi_generators(L)
     for F in enumerate_faces(K):
-        w = sample_relative_interior(F)
         orders = [part.order for part in face_subdivision(F).parts]
         for l in (2, 3):
-            dim_in, _ = initial_ideal_dim(gens, w, l)
-            assert intersection_dim(L, orders, l) == dim_in
+            assert intersection_dim(L, orders, l) == ideal_dim(gens, l)
 
 
 def test_samesum_factors_lie_in_intersection():
@@ -386,16 +349,3 @@ def test_degeneration_certificate_passes(P, lmax):
     for row in rows:
         assert row["pass"], row
         assert row["dim_in"] == row["dimR"] - row["standard_count"]
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def test_format_polynomial():
-    g = hibi_generators(B2)[0]
-    text = format_polynomial(g, B2.elements)
-    assert text == "-1 * X[{}]^1 X[{p,q}]^1 + 1 * X[{p}]^1 X[{q}]^1"
-
-
-def test_format_zero():
-    assert format_polynomial(Polynomial({}), B2.elements) == "0"
