@@ -28,7 +28,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .cone import Face, MaxCone, cone_K, enumerate_faces, face_of
+from .cone import Face, MaxCone, _close_tight, cone_K, enumerate_faces, face_of
 from .errors import BadParams, HibikitError
 from .exactgeom import polytope_json, vector_pairs
 from .flaggt import (MAX_GT_RANK, flag_lattice, grassmann_lattice,
@@ -140,10 +140,19 @@ def resolve_face(K: MaxCone, spec: str) -> Face:
         return face_of(K, interior_weight(K.lattice))
     if spec == "apex":
         return face_of(K, apex_weight(K.lattice))
-    for F in enumerate_faces(K):
-        if F.key() == spec:
-            return F
-    raise BadParams(f"no face of the cone has key {spec}")
+    # closing the key's pairs is the call enumerate_faces makes for that
+    # subset, so the witness is the same; the closure's key is the spec only
+    # if closing added no pair and the spec is spelled as Face.key spells it
+    unknown = f"no face of the cone has key {spec}"
+    index = {tuple(sorted((d.a, d.b))): i for i, d in enumerate(K.pairs)}
+    try:
+        tight = frozenset(index[tuple(pair)] for pair in json.loads(spec))
+    except (ValueError, TypeError, KeyError):
+        raise BadParams(unknown) from None
+    F = Face(K, *_close_tight(K, tight))
+    if F.key() != spec:
+        raise BadParams(unknown)
+    return F
 
 
 # -- subcommands -------------------------------------------------------------

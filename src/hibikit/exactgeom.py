@@ -3,15 +3,15 @@
 No floating point anywhere. Row reduction and the LP solver pivot on
 integer tableaux with one common denominator (integer-preserving
 elimination), and their results come back as reduced fractions.Fraction;
-the rest works over Fraction directly. The LP solver is a two phase simplex
-with Bland's rule, so it terminates without any tolerance knobs.
+the facet kernel keeps its rays as primitive integer vectors; the rest
+works over Fraction directly. The LP solver is a two phase simplex with
+Bland's rule, so it terminates without any tolerance knobs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, floor, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -490,55 +490,74 @@ def affine_map_through(inputs: Sequence[Vec], outputs: Sequence[Vec]) -> Optiona
 # polytopes
 
 
+def _extreme_rays(rows: list[list[int]]) -> list[tuple[list[int], int]]:
+    """Extreme rays of the pointed cone {h : row.h >= 0 for every row}, for
+    integer rows of full column rank, by the double description method
+    (Motzkin et al. 1953; Fukuda & Prodon 1996). Returns (ray, tight) pairs:
+    a primitive integer ray and the bit set of the rows it makes tight.
+
+    The first n independent rows cut a simplicial cone whose rays are the
+    columns of their inverse; each further row keeps the rays on its
+    nonnegative side and joins every adjacent pair it separates. Two rays
+    are adjacent iff their common tight set has at least n - 2 rows and no
+    other ray's tight set contains it (the combinatorial test).
+    """
+    n = len(rows[0])
+    basis = _echelon(list(zip(*rows)))[2]
+    inverse, _ = rref([rows[i] + [int(j == k) for j in range(n)] for k, i in enumerate(basis)])
+    rays = _int_rows(list(zip(*(row[n:] for row in inverse))))
+    tight = [sum(1 << i for j, i in enumerate(basis) if j != k) for k in range(n)]
+    for i, row in enumerate(rows):
+        if i in basis:
+            continue
+        bit = 1 << i
+        vals = [sum(a * x for a, x in zip(row, ray)) for ray in rays]
+        plus = [k for k, v in enumerate(vals) if v > 0]
+        minus = [k for k, v in enumerate(vals) if v < 0]
+        joined = []
+        for p in plus:
+            for q in minus:
+                common = tight[p] & tight[q]
+                if common.bit_count() < n - 2 or any(
+                        z & common == common for k, z in enumerate(tight) if k != p and k != q):
+                    continue
+                # the positive combination of rays p and q on the row's hyperplane
+                ray = [vals[p] * x - vals[q] * y for x, y in zip(rays[q], rays[p])]
+                g = gcd(*ray)
+                joined.append(([x // g for x in ray], common | bit))
+        kept = [(rays[k], tight[k] | bit if v == 0 else tight[k])
+                for k, v in enumerate(vals) if v >= 0] + joined
+        rays = [ray for ray, _ in kept]
+        tight = [z for _, z in kept]
+    return list(zip(rays, tight))
+
+
 def facet_hyperplanes(vertices: Sequence[Vec]) -> list[tuple[Vec, Fraction]]:
     """Facet inequalities (normal, rhs), convention normal.x <= rhs, of the
-    convex hull of the given extreme points, cutting within the affine span.
+    convex hull of the given points, cutting within the affine span.
     Normals are primitive integer vectors. Guarded to dimension <= 12.
+
+    In the coordinates y = span_rows . x of the affine span, each facet
+    m.y >= -b is an extreme ray (m, b) of the cone {h : (y_i, 1).h >= 0}
+    over the points y_i, so normal = -sum m_k span_rows[k].
     """
     verts = [to_vec(v) for v in vertices]
     if not verts:
         return []
     base = verts[0]
-    diffs = [vsub(v, base) for v in verts[1:]]
-    span_rows, _ = rref(diffs)
+    span_rows, _ = rref([vsub(v, base) for v in verts[1:]])
     d = len(span_rows)
     if d == 0:
         return []
     if d > 12:
         raise TooLarge(f"H-representation limited to dimension 12, got {d}")
+    rows = _int_rows([[vdot(s, v) for s in span_rows] + [1] for v in verts])
     out = []
-    seen = set()
-    for subset in combinations(range(len(verts)), d):
-        pts = [verts[i] for i in subset]
-        rel = [vsub(p, pts[0]) for p in pts[1:]]
-        if rank(rel) != d - 1:
-            continue
-        # normal = m . span_rows, orthogonal to the facet directions
-        system = [[vdot(span_rows[k], dv) for k in range(d)] for dv in rel]
-        if system:
-            kern = nullspace(system)
-        else:  # d == 1, single point spans the 0-dim "facet"
-            kern = [[Fraction(1)]]
-        if len(kern) != 1:
-            continue
-        m = kern[0]
-        normal = [Fraction(0)] * len(base)
-        for k in range(d):
-            if m[k] != 0:
-                normal = [x + m[k] * y for x, y in zip(normal, span_rows[k])]
-        normal = _int_rows([normal])[0]
-        rhs = vdot(normal, pts[0])
-        lo = any(vdot(normal, v) < rhs for v in verts)
-        hi = any(vdot(normal, v) > rhs for v in verts)
-        if lo and hi:
-            continue
-        if hi:  # all mass above the plane: flip so that normal.x <= rhs holds
-            normal = [-x for x in normal]
-            rhs = -rhs
-        key = (tuple(normal), rhs)
-        if key not in seen:
-            seen.add(key)
-            out.append((to_vec(normal), Fraction(rhs)))
+    for ray, tight in _extreme_rays(rows):
+        m = ray[:d]
+        normal = _int_rows([[-sum(a * x for a, x in zip(m, col)) for col in zip(*span_rows)]])[0]
+        rhs = vdot(normal, verts[(tight & -tight).bit_length() - 1])
+        out.append((to_vec(normal), rhs))
     out.sort()
     return out
 

@@ -1,4 +1,4 @@
-"""Rational oracles for hibikit's integer-preserving elimination kernel.
+"""Rational oracles for hibikit's exact kernels.
 
 These are the two-phase simplex and the Gauss-Jordan elimination that
 exactgeom used before its tableaux became integer matrices over one common
@@ -6,9 +6,15 @@ denominator. Every entry here is a fractions.Fraction and every pivot
 divides through, which is slow but plainly exact. solve_eq_nonneg also
 returns its pivot count, so a test can check that the integer kernel walks
 the same pivot sequence.
+
+facet_hyperplanes is the subset scan that exactgeom used before its double
+description kernel: it tries every d-subset of the points as a facet.
 """
 
 from fractions import Fraction
+from itertools import combinations
+
+from hibikit.exactgeom import _int_rows, nullspace, rank, rref, to_vec, vdot, vsub
 
 
 def _pivot(T, row, col):
@@ -110,3 +116,54 @@ def solve_eq_nonneg(A, b, c):
     if status == "unbounded":
         return "unbounded", y, None, pivots + more
     return "optimal", y, sum(x * v for x, v in zip(cost2, y)), pivots + more
+
+
+def facet_hyperplanes(vertices):
+    """Facet inequalities (normal, rhs), convention normal.x <= rhs, of the
+    convex hull of the given extreme points, cutting within the affine span.
+    Normals are primitive integer vectors. Tries all C(#points, d) subsets.
+    """
+    verts = [to_vec(v) for v in vertices]
+    if not verts:
+        return []
+    base = verts[0]
+    diffs = [vsub(v, base) for v in verts[1:]]
+    span_rows, _ = rref(diffs)
+    d = len(span_rows)
+    if d == 0:
+        return []
+    out = []
+    seen = set()
+    for subset in combinations(range(len(verts)), d):
+        pts = [verts[i] for i in subset]
+        rel = [vsub(p, pts[0]) for p in pts[1:]]
+        if rank(rel) != d - 1:
+            continue
+        # normal = m . span_rows, orthogonal to the facet directions
+        system = [[vdot(span_rows[k], dv) for k in range(d)] for dv in rel]
+        if system:
+            kern = nullspace(system)
+        else:  # d == 1, single point spans the 0-dim "facet"
+            kern = [[Fraction(1)]]
+        if len(kern) != 1:
+            continue
+        m = kern[0]
+        normal = [Fraction(0)] * len(base)
+        for k in range(d):
+            if m[k] != 0:
+                normal = [x + m[k] * y for x, y in zip(normal, span_rows[k])]
+        normal = _int_rows([normal])[0]
+        rhs = vdot(normal, pts[0])
+        lo = any(vdot(normal, v) < rhs for v in verts)
+        hi = any(vdot(normal, v) > rhs for v in verts)
+        if lo and hi:
+            continue
+        if hi:  # all mass above the plane: flip so that normal.x <= rhs holds
+            normal = [-x for x in normal]
+            rhs = -rhs
+        key = (tuple(normal), rhs)
+        if key not in seen:
+            seen.add(key)
+            out.append((to_vec(normal), Fraction(rhs)))
+    out.sort()
+    return out

@@ -232,6 +232,45 @@ def test_certify_past_element_cap_fails_before_any_lp(argv, capsys, monkeypatch)
     assert json.loads(err)["error"]["type"] == "BadParams"
 
 
+def test_face_keys_resolve_without_enumerating_the_cone(capsys, monkeypatch):
+    def no_enumeration(K):
+        raise RuntimeError("a face key was resolved by enumerating the cone")
+
+    monkeypatch.setattr("hibikit.cli.enumerate_faces", no_enumeration)
+    key = '[["14","23"]]'
+    report = run_json(capsys, ["subdivide", "--grassmann", "2", "5", "--face", key])
+    assert report["face"] == key
+    key = '[["{p,q}","{p,r}"]]'
+    report = run_json(capsys, ["weightpoly", "--boolean", "3", "--face", key])
+    assert report["face"] == key
+
+
+def test_face_key_past_the_enumeration_cap(capsys):
+    # B4 has 24 diamond pairs, more than cone.MAX_PAIRS, so its faces cannot
+    # be enumerated, but a key is still resolved; of the 24 linear extensions
+    # the four that start with p, q in either order merge in pairs
+    report = run_json(capsys, ["subdivide", "--boolean", "4", "--face", '[["{p}","{q}"]]'])
+    assert report["part_count"] == 22
+
+
+@pytest.mark.parametrize("key", [
+    '[["{p,q}","{p,r}"],["{p}","{q}"]]',  # canonical spelling, but not closed
+    '[["{p}","{r}"],["{p,q}","{q,r}"]]',  # a face's pairs in the wrong order
+    '[["{q,r}","{p,q}"]]',                # a face's pair spelled backwards
+    '[["{p,q}", "{q,r}"]]',               # non-canonical whitespace
+    '[["{p}","{q}"],["{p}","{q}"]]',      # a repeated pair
+    '[["{p}"]]',                          # not a pair
+    '{"{p}": "{q}"}',                     # not a list of pairs
+    '[[',                                 # not JSON
+])
+def test_keys_naming_no_face_are_bad_params(key, capsys):
+    code, out, err = run_cli(capsys, ["weightpoly", "--boolean", "3", "--face", key])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "BadParams", "message": f"no face of the cone has key {key}"}
+
+
 def test_parse_vector_fractions():
     from fractions import Fraction
     assert parse_vector("1, 3/2  2") == (1, Fraction(3, 2), 2)

@@ -1,0 +1,129 @@
+"""The double description facet kernel against the subset scan it replaced.
+
+tests/fraction_oracle.py keeps the scan over all C(#points, d) subsets. On
+random rational point sets, embedded in larger ambient spaces, and on
+degenerate non-simplicial polytopes the kernel must return the same rows,
+in the same order and with the same types.
+"""
+
+import itertools
+import string
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
+from hibikit.cli import interior_weight
+from hibikit.exactgeom import facet_hyperplanes, to_vec
+from hibikit.lattice import birkhoff
+from hibikit.poset import antichain
+from hibikit.subdivision import generalized_permutahedron
+
+RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def assert_same_facets(points):
+    new = facet_hyperplanes(points)
+    assert repr(new) == repr(oracle.facet_hyperplanes(points))
+    return new
+
+
+@st.composite
+def embedded_point_sets(draw):
+    """Points of Q^d (not always affinely spanning it), sent into Q^(d+e)
+    by an injective affine map: the identity, e extra integer combinations
+    of the coordinates, a coordinate shuffle and a rational shift."""
+    d = draw(st.integers(1, 5))
+    e = draw(st.integers(0, 2))
+    k = draw(st.integers(1, d + 5))
+    points = [[draw(RATIONALS) for _ in range(d)] for _ in range(k)]
+    extra = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(e)]
+    order = draw(st.permutations(range(d + e)))
+    shift = [draw(RATIONALS) for _ in range(d + e)]
+    out = []
+    for p in points:
+        coords = p + [sum(a * x for a, x in zip(row, p)) for row in extra]
+        out.append(to_vec(coords[j] + s for j, s in zip(order, shift)))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(embedded_point_sets())
+def test_random_point_sets_match_subset_scan(points):
+    assert_same_facets(points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(4, 6).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(0, 1)] * d).map(to_vec), min_size=d + 1, max_size=d + 6)))
+def test_random_01_point_sets_match_subset_scan(points):
+    # 0/1 points put many points on each facet and many facets on each face,
+    # which is where the combinatorial adjacency test matters
+    assert_same_facets(points)
+
+
+def cube(d):
+    return [to_vec(v) for v in itertools.product([0, 1], repeat=d)]
+
+
+def cross_polytope(d):
+    return [to_vec([s if i == j else 0 for j in range(d)]) for i in range(d) for s in (1, -1)]
+
+
+def prism(k):
+    """A prism over a convex k-gon with integer corners on the parabola."""
+    return [to_vec([x, x * x, h]) for x in range(k) for h in (0, 1)]
+
+
+def lifted(points):
+    """The points in the hyperplane sum(x) = 1 of one more coordinate."""
+    return [to_vec(list(p) + [1 - sum(p)]) for p in points]
+
+
+def permutahedron(n):
+    L = birkhoff(antichain(list(string.ascii_lowercase[15:15 + n])))
+    return list(generalized_permutahedron(L, interior_weight(L)).vertices)
+
+
+DEGENERATE = [
+    ("square", cube(2), 4),
+    ("cube", cube(3), 6),
+    ("4-cube", cube(4), 8),
+    ("octahedron", cross_polytope(3), 8),
+    ("4-cross-polytope", cross_polytope(4), 16),
+    ("5-cross-polytope", cross_polytope(5), 32),
+    ("triangular prism", prism(3), 5),
+    ("pentagonal prism", prism(5), 7),
+    ("lifted cube", lifted(cube(3)), 6),
+    ("lifted octahedron", lifted(cross_polytope(3)), 8),
+    ("0/1 polytope", [to_vec(v) for v in [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (0, 1, 0, 0, 1),
+                                          (1, 0, 0, 0, 1), (0, 0, 1, 1, 0), (0, 1, 1, 1, 1),
+                                          (0, 0, 0, 1, 0), (1, 1, 1, 1, 1), (0, 1, 1, 1, 0)]], 18),
+    # at an interior weight: S_n's permutahedron, with one facet per proper
+    # nonempty subset of atoms (B4: 8 hexagons and 6 squares)
+    ("B3 permutahedron", permutahedron(3), 6),
+    ("B4 permutahedron", permutahedron(4), 14),
+]
+
+
+@pytest.mark.parametrize("points, facets", [(p, f) for _, p, f in DEGENERATE],
+                         ids=[name for name, _, _ in DEGENERATE])
+def test_degenerate_polytopes_match_subset_scan(points, facets):
+    assert len(assert_same_facets(points)) == facets
+
+
+def test_points_inside_facets_and_repeated_points():
+    # a square with its center, an edge midpoint and a repeated corner
+    points = cube(2) + [to_vec([Fraction(1, 2)] * 2), to_vec([Fraction(1, 2), 0]),
+                        to_vec([1, 1])]
+    assert len(assert_same_facets(points)) == 4
+
+
+def test_low_dimensions():
+    assert facet_hyperplanes([]) == []
+    assert facet_hyperplanes([to_vec([1, 2]), to_vec([1, 2])]) == []
+    # a segment in the plane, listed with its midpoint: its two endpoints
+    segment = assert_same_facets([to_vec([0, 0]), to_vec([2, 4]), to_vec([1, 2])])
+    assert segment == [(to_vec([-1, -2]), 0), (to_vec([1, 2]), 10)]

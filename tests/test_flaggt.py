@@ -1,10 +1,13 @@
 """Grassmannian/flag lattices, marked order polytopes, and GT machinery."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
 from hibikit.exactgeom import vadd, zero_vec
@@ -461,6 +464,40 @@ def test_gt_subdivision_4_mid_face():
     assert 1 < len(parts) < 12
 
 
+def test_gt_4_subdivision_facets_are_the_tight_cover_inequalities(capsys):
+    # every facet of a marked order polytope is a cover inequality x_a >= x_b
+    # of its order, with the marked (diagonal) cells moved to the right-hand
+    # side; it is a facet iff its tight vertices have affine rank d - 1
+    assert main(["gt", "--n", "4", "subdivide"]) == 0
+    report = json.loads(capsys.readouterr().out)["subdivision"]
+    assert report["part_count"] == len(report["parts"]) == 12
+    mp = gt_marked_poset(4)
+    col = {p: i for i, p in enumerate(mp.base.elements)}
+
+    def affine_rank(points):
+        return sympy.Matrix([[x - y for x, y in zip(p, points[0])] for p in points[1:]]).rank()
+
+    for part in report["parts"]:
+        poly = part["polytope"]
+        verts = [[Fraction(*x) for x in v] for v in poly["vertices"]]
+        d = affine_rank(verts)
+        assert d == len(col) - len(mp.marked)
+        expected = set()
+        for a, b in part["order_covers"]:
+            normal, rhs = [0] * len(col), Fraction(0)
+            for p, sign in ((a, -1), (b, 1)):
+                if p in mp.marked:
+                    rhs -= sign * mp.values[p]
+                else:
+                    normal[col[p]] += sign
+            tight = [v for v in verts if sum(n * x for n, x in zip(normal, v)) == rhs]
+            if any(normal) and tight and affine_rank(tight) == d - 1:
+                expected.add((tuple(normal), rhs))
+        planes = [(tuple(Fraction(*x) for x in h["normal"]), Fraction(*h["rhs"]))
+                  for h in poly["hyperplanes"]]
+        assert sorted(planes) == sorted(expected)
+
+
 def test_gt_subdivision_rejects_foreign_lattice():
     B2 = birkhoff(antichain(["p", "q"]))
     with pytest.raises(ValueError):
@@ -504,3 +541,4 @@ def test_grassmann_2_4_is_a_grid_lattice():
     G = grassmann_lattice(2, 4)
     ideals = order_ideals(G.poset_P)
     assert len(ideals) == G.size
+
