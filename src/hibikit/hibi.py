@@ -1,14 +1,25 @@
 """The Hibi ideal of a distributive lattice and its degree-wise dimensions.
 
-All ideal computations are degree-truncated exact linear algebra over the
-monomial basis of R_l; no Groebner bases. Generators are binomials
-X_a X_b - X_{a∨b} X_{a∧b}, so rows stay two-sparse through elimination.
+All ideal computations are degree-truncated linear algebra over the monomial
+basis of R_l, in integers; no Groebner bases.
 
-The certificate's dim in_w(I)_l is computed as dim I_l, the rank of the
-degree-l rows. A Groebner degeneration of a homogeneous ideal is flat: in_w(I)
-has the Hilbert function of I for every weight w (Sturmfels, Groebner Bases
-and Convex Polytopes, ch. 1-2). So the number does not depend on the face,
-and only the intersection of the component ideals does.
+The degree table of L groups the degree-l monomials by exponent sum, the sum
+of the indicator vectors of their factors' ideals. It maps each class to the
+distinct supports of its monomials, as bit masks over L's elements, and is
+built once per degree and kept on the Lattice. The classes are as many as the
+standard monomials. The intersection of a face's component ideals has one
+small rank per class: a support's row is the set of components containing it.
+
+dim I_l is the rank of the degree-l rows m*g. Every generator used here is a
+binomial c(M - M') or a monomial, so each row is e_u - e_v or e_u, and the
+rank is the number of union-find merges over the degree-l monomials and a
+sink.
+
+The certificate's dim in_w(I)_l is computed as dim I_l. A Groebner
+degeneration of a homogeneous ideal is flat: in_w(I) has the Hilbert function
+of I for every weight w (Sturmfels, Groebner Bases and Convex Polytopes, ch.
+1-2). So the number does not depend on the face, and only the intersection of
+the component ideals does.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .errors import BadParams
-from .exactgeom import Vec, vadd, zero_vec
+from .exactgeom import rank
 from .lattice import Lattice, sublattice_for_order
 from .poset import Poset
 
@@ -41,13 +52,6 @@ class Monomial:
     @property
     def degree(self) -> int:
         return sum(self.exps)
-
-    def factors(self) -> list[int]:
-        """Element indices with multiplicity, ascending."""
-        out = []
-        for i, e in enumerate(self.exps):
-            out.extend([i] * e)
-        return out
 
     def times(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(x + y for x, y in zip(self.exps, other.exps, strict=True)))
@@ -118,9 +122,35 @@ def _check_caps(n: int, l: int):
         raise BadParams("degree must be nonnegative")
 
 
+def degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
+    """The degree-l monomials of L by exponent-sum class: each class's packed
+    sum maps to the distinct supports of its monomials, ascending bit masks
+    over L's elements. A sum is packed with one digit per element of poset_P
+    in base l + 1, so adding l indicators never carries. Built once per
+    degree and kept on L."""
+    _check_caps(L.size, l)
+    table = L._degree_tables.get(l)
+    if table is None:
+        table = L._degree_tables[l] = _build_degree_table(L, l)
+    return table
+
+
+def _build_degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
+    digit = {p: (l + 1) ** j for j, p in enumerate(L.poset_P.elements)}
+    packed = [sum(digit[p] for p in L.iota[a]) for a in L.elements]
+    states = {(0, 0)}  # (packed sum, support mask) over the degree-k monomials
+    for _ in range(l):
+        states = {(s + packed[i], mask | 1 << i)
+                  for s, mask in states for i in range(L.size)}
+    table: dict[int, list[int]] = {}
+    for s, mask in sorted(states):
+        table.setdefault(s, []).append(mask)
+    return {s: tuple(masks) for s, masks in table.items()}
+
+
 def standard_monomial_count(L: Lattice, l: int) -> int:
     """Multichains of length l, cross-checked against the number of
-    distinct l-fold sums of indicator vectors."""
+    exponent-sum classes in the degree table."""
     _check_caps(L.size, l)
     if l == 0:
         return 1
@@ -132,11 +162,7 @@ def standard_monomial_count(L: Lattice, l: int) -> int:
             for b in L.elements
         ]
     count = sum(ladder)
-
-    sums = {zero_vec(L.poset_P.size)}
-    for _ in range(l):
-        sums = {vadd(u, L.indicator(a)) for u in sums for a in L.elements}
-    if len(sums) != count:
+    if len(degree_table(L, l)) != count:
         raise AssertionError("multichain count must equal the exponent-sum count")
     return count
 
@@ -155,60 +181,6 @@ def _degree_monomials(n: int, l: int) -> list[Monomial]:
     return out
 
 
-def _degree_rows(generators: Sequence[Polynomial], n: int, l: int,
-                 col_index: Mapping[Monomial, int]) -> list[dict[int, Fraction]]:
-    """Sparse coefficient rows of { m*g : deg = l } over the degree-l basis."""
-    rows = []
-    for g in generators:
-        if not g.is_homogeneous():
-            raise BadParams("generators must be homogeneous")
-        if g.is_zero:
-            continue
-        d = g.degree()
-        if d > l:
-            continue
-        for m in _degree_monomials(n, l - d):
-            row = {}
-            for mono, coef in g.terms.items():
-                row[col_index[m.times(mono)]] = coef
-            rows.append(row)
-    return rows
-
-
-def _eliminate(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Gauss-Jordan over sparse rows, pivoting on each row's lowest column.
-    Returns fully reduced pivot rows keyed by their pivot column: each pivot
-    column appears in exactly one row."""
-    pivots: dict[int, dict[int, Fraction]] = {}
-    for row in rows:
-        row = dict(row)
-        while row:
-            lead = min(row)
-            if lead in pivots:
-                factor = row[lead]
-                for c, v in pivots[lead].items():
-                    new = row.get(c, Fraction(0)) - factor * v
-                    if new == 0:
-                        row.pop(c, None)
-                    else:
-                        row[c] = new
-            else:
-                inv = 1 / row[lead]
-                row = {c: v * inv for c, v in row.items()}
-                for prow in pivots.values():
-                    if lead in prow:
-                        f = prow[lead]
-                        for c, v in row.items():
-                            new = prow.get(c, Fraction(0)) - f * v
-                            if new == 0:
-                                prow.pop(c, None)
-                            else:
-                                prow[c] = new
-                pivots[lead] = row
-                break
-    return pivots
-
-
 def _ambient_size(generators: Sequence[Polynomial]) -> Optional[int]:
     for g in generators:
         for m in g.terms:
@@ -217,14 +189,43 @@ def _ambient_size(generators: Sequence[Polynomial]) -> Optional[int]:
 
 
 def ideal_dim(generators: Sequence[Polynomial], l: int) -> int:
-    """dim of the degree-l piece of the ideal the generators span."""
+    """dim of the degree-l piece of the ideal the generators span.
+
+    Each generator must be a monomial or a binomial c(M - M'), as the Hibi
+    binomials and the component ideals' generators are; any other shape
+    raises BadParams. Every degree-l row m*g is then e_u or c(e_u - e_v), so
+    the rank is the number of union-find merges over the degree-l monomials
+    and a sink (None): e_u joins u to the sink, e_u - e_v joins u to v."""
     n = _ambient_size(generators)
     if n is None:
         return 0
     _check_caps(n, l)
-    basis = _degree_monomials(n, l)
-    col_index = {m: i for i, m in enumerate(basis)}
-    return len(_eliminate(_degree_rows(generators, n, l, col_index)))
+    parent: dict[Optional[Monomial], Optional[Monomial]] = {}  # roots are absent
+
+    def find(x):
+        while x in parent:
+            parent[x] = parent.get(parent[x], parent[x])  # path halving
+            x = parent[x]
+        return x
+
+    merges = 0
+    for g in generators:
+        if not g.is_homogeneous():
+            raise BadParams("generators must be homogeneous")
+        ends: list[Optional[Monomial]] = list(g.terms)
+        if len(ends) == 1:
+            ends.append(None)
+        elif len(ends) > 2 or len(ends) == 2 and sum(g.terms.values()) != 0:
+            raise BadParams("generators must be monomials or binomials c*(M - M')")
+        d = g.degree()
+        if not ends or d > l:
+            continue
+        for m in _degree_monomials(n, l - d):
+            u, v = (find(None if e is None else m.times(e)) for e in ends)
+            if u != v:
+                parent[u] = v
+                merges += 1
+    return merges
 
 
 # ---------------------------------------------------------------------------
@@ -237,27 +238,23 @@ def intersection_dim(L: Lattice, orders: Sequence[Poset], l: int) -> int:
 
     The intersection is the kernel of the evaluation map sending a degree-l
     monomial M to, per component i, its exponent-sum class when every
-    factor survives in component i and zero otherwise. Monomials with
-    different exponent sums hit disjoint coordinates, so the rank splits
-    into one honest matrix rank per exponent-sum class.
+    factor survives in component i and zero otherwise. So M's image is fixed
+    by its class and by its hit vector, the components whose members contain
+    its support. Classes hit disjoint coordinates, so the rank is the sum,
+    over the classes of the degree table, of the rank of their distinct
+    nonzero hit vectors; a class with at most one needs no elimination.
     """
     _check_caps(L.size, l)
-    members = [frozenset(sublattice_for_order(L, o)) for o in orders]
-    k = len(members)
-    blocks: dict[Vec, set[frozenset[int]]] = {}
-    for m in _degree_monomials(L.size, l):
-        u = zero_vec(L.poset_P.size)
-        labels = [L.elements[i] for i in m.factors()]
-        for a in labels:
-            u = vadd(u, L.indicator(a))
-        hits = frozenset(
-            i for i in range(k) if all(a in members[i] for a in labels))
-        if hits:
-            blocks.setdefault(u, set()).add(hits)
+    members = [sum(1 << L.index(a) for a in sublattice_for_order(L, o)) for o in orders]
     total_rank = 0
-    for hit_sets in blocks.values():
-        rows = [{i: Fraction(1) for i in hits} for hits in hit_sets]
-        total_rank += len(_eliminate(rows))
+    for supports in degree_table(L, l).values():
+        hits = {sum(1 << i for i, m in enumerate(members) if s & m == s) for s in supports}
+        hits.discard(0)
+        if len(hits) > 1:
+            total_rank += rank([[h >> i & 1 for i in range(len(members))]
+                                for h in sorted(hits)])
+        else:
+            total_rank += len(hits)
     return comb(L.size + l - 1, l) - total_rank
 
 

@@ -48,6 +48,7 @@ class Lattice:
         self.iota: dict[str, frozenset[str]] = dict(iota)
         self._iota_inv = {v: k for k, v in self.iota.items()}
         self._extensions: Optional[tuple[LinearExtension, ...]] = None
+        self._degree_tables: dict[int, dict[int, tuple[int, ...]]] = {}  # hibi.degree_table
 
     # -- basic structure ----------------------------------------------------
 

@@ -1,14 +1,29 @@
 """Hibi ideal generators, the degree-wise dimensions, and their oracles."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hibi_oracle import component_ideal, is_standard, straighten
+from hibi_oracle import (
+    component_ideal,
+    elimination_ideal_dim,
+    exponent_sum_count,
+    factor_indices,
+    is_standard,
+    per_monomial_intersection_dim,
+    straighten,
+)
 
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, NotStronger
@@ -18,6 +33,7 @@ from hibikit.hibi import (
     Monomial,
     Polynomial,
     degeneration_certificate,
+    degree_table,
     hibi_generators,
     ideal_dim,
     intersection_dim,
@@ -27,6 +43,8 @@ from hibikit.hibi import (
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -88,7 +106,7 @@ def test_straighten_grid_middle_pair():
 
 def exponent_sum(L, m):
     total = zero_vec(L.poset_P.size)
-    for i in m.factors():
+    for i in factor_indices(m):
         total = vadd(total, L.indicator(L.elements[i]))
     return total
 
@@ -194,7 +212,7 @@ def sympy_ideal_dim(L, gens, l):
         for extra in itertools.combinations_with_replacement(range(n), l - d):
             row = [0] * len(cols)
             for m, coef in g.terms.items():
-                key = tuple(sorted(m.factors() + list(extra)))
+                key = tuple(sorted(factor_indices(m) + list(extra)))
                 row[col_index[key]] += coef
             rows.append(row)
     if not rows:
@@ -224,7 +242,37 @@ def test_ideal_dim_matches_sympy_and_hilbert(L, l):
     gens = hibi_generators(L)
     got = ideal_dim(gens, l)
     assert got == sympy_ideal_dim(L, gens, l)
+    assert got == elimination_ideal_dim(gens, l)
     assert got == comb(L.size + l - 1, l) - standard_monomial_count(L, l)
+
+
+def test_ideal_dim_matches_elimination_up_to_degree_six():
+    gens = hibi_generators(B3)
+    for l in range(7):
+        assert ideal_dim(gens, l) == elimination_ideal_dim(gens, l)
+
+
+@pytest.mark.parametrize("L", [B2, GRIDL, CHAIN4])
+def test_component_ideal_dim_matches_sympy(L):
+    # component ideals mix binomials with monomials (the excluded variables)
+    for o in [L.poset_P] + [e.as_poset() for e in linear_extensions(L.poset_P)]:
+        gens = component_ideal(L, o)
+        for l in (1, 2, 3):
+            got = ideal_dim(gens, l)
+            assert got == elimination_ideal_dim(gens, l)
+            assert got == sympy_ideal_dim(L, gens, l)
+
+
+def test_ideal_dim_rejects_other_shapes():
+    three_terms = Polynomial({
+        monomial(B2, {"{p}": 1, "{q}": 1}): 1,
+        monomial(B2, {"{}": 1, "{p,q}": 1}): -1,
+        monomial(B2, {"{p}": 2}): 1,
+    })
+    plain_sum = Polynomial({monomial(B2, {"{p}": 1}): 1, monomial(B2, {"{q}": 1}): 1})
+    for bad in (three_terms, plain_sum):
+        with pytest.raises(BadParams):
+            ideal_dim(hibi_generators(B2) + [bad], 2)
 
 
 def test_ideal_dim_rejects_inhomogeneous():
@@ -284,7 +332,53 @@ def test_single_component_dim_matches_its_ideal():
         for o in orders:
             gens = component_ideal(L, o)
             for l in (1, 2, 3):
-                assert ideal_dim(gens, l) == intersection_dim(L, [o], l)
+                got = intersection_dim(L, [o], l)
+                assert got == ideal_dim(gens, l) == elimination_ideal_dim(gens, l)
+
+
+@st.composite
+def small_lattices(draw):
+    """Birkhoff lattices of random posets on 3-6 elements with at most 10
+    elements: random comparabilities, then more, in a fixed order, until
+    the lattice is small enough."""
+    n = draw(st.integers(3, 6))
+    labels = [f"p{i}" for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    covers = [pair for pair in pairs if draw(st.booleans())]
+    L = birkhoff(from_cover_relations(labels, covers))
+    for pair in pairs:
+        if L.size <= 10:
+            break
+        covers.append(pair)
+        L = birkhoff(from_cover_relations(labels, covers))
+    return L
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_lattices(), st.data())
+def test_degree_tables_match_the_per_monomial_oracle(L, data):
+    for l in range(4):
+        assert (len(degree_table(L, l)) == standard_monomial_count(L, l)
+                == exponent_sum_count(L, l))
+    families = [[part.order for part in face_subdivision(F).parts]
+                for F in enumerate_faces(cone_K(L))]
+    # a face's parts tile a polytope, so each class has at most one nonzero
+    # hit vector; parts drawn from different faces reach the ranks
+    parts = [o for orders in families for o in orders]
+    families.append(data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=5)))
+    for orders in families:
+        for l in range(4):
+            assert intersection_dim(L, orders, l) == per_monomial_intersection_dim(L, orders, l)
+
+
+def test_intersection_of_two_faces_parts_needs_a_rank():
+    # the parts of two faces together tile nothing: at l = 3 one class of B3
+    # has the hit vectors {0}, {5, 6} and {0, 5, 6}, of rank 2, not 3
+    faces = {F.key(): F for F in enumerate_faces(cone_K(B3))}
+    keys = ['[["{p}","{q}"]]',
+            '[["{p,q}","{p,r}"],["{p,q}","{q,r}"],["{p}","{r}"],["{q}","{r}"]]']
+    orders = [part.order for key in keys for part in face_subdivision(faces[key]).parts]
+    assert intersection_dim(B3, orders, 3) == per_monomial_intersection_dim(B3, orders, 3) == 28
 
 
 def test_intersection_not_stronger():
@@ -334,6 +428,47 @@ def test_samesum_factors_lie_in_intersection():
 
 
 # -- certificate -------------------------------------------------------------
+
+
+COUNT_SCRIPT = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from hibikit import hibi
+from hibikit.cli import main
+counts = {"tables": [], "ranks": 0}
+build, rank = hibi._build_degree_table, hibi.rank
+
+def counting_build(L, l):
+    counts["tables"].append(l)
+    return build(L, l)
+
+def counting_rank(rows):
+    counts["ranks"] += 1
+    return rank(rows)
+
+hibi._build_degree_table, hibi.rank = counting_build, counting_rank
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = main(["certify", "--boolean", "3", "--lmax", "4"])
+counts["code"], counts["rows"] = code, len(out.getvalue().splitlines()) - 1
+print(json.dumps(counts))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "3", "17"])
+def test_certify_work_counts(hash_seed):
+    # 22 faces x 4 degrees read each degree's table, built once per job.
+    # Only a class with two or more distinct nonzero hit vectors is
+    # eliminated, and on a face's parts there is none: the parts containing
+    # a monomial's support are the parts containing its exponent sum / l
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_SCRIPT, str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONHASHSEED": hash_seed})
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    assert counts["code"] == 0 and counts["rows"] == 22 * 4
+    assert counts["tables"] == [1, 2, 3, 4]
+    assert counts["ranks"] == 0
 
 
 @pytest.mark.parametrize("P,lmax", [
