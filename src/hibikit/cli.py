@@ -140,9 +140,8 @@ def resolve_face(K: MaxCone, spec: str) -> Face:
         return face_of(K, interior_weight(K.lattice))
     if spec == "apex":
         return face_of(K, apex_weight(K.lattice))
-    # closing the key's pairs is the call enumerate_faces makes for that
-    # subset, so the witness is the same; the closure's key is the spec only
-    # if closing added no pair and the spec is spelled as Face.key spells it
+    # close the key's pairs by LP; the closure's key is the spec only if
+    # closing added no pair and the spec is spelled as Face.key spells it
     unknown = f"no face of the cone has key {spec}"
     index = {tuple(sorted((d.a, d.b))): i for i, d in enumerate(K.pairs)}
     try:

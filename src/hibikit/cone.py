@@ -1,9 +1,9 @@
 """The maximal Groebner cone K of a distributive lattice.
 
 K lives in R^L. Its closure is cut out by one inequality per diamond pair
-{a, b}: w_{a∧b} + w_{a∨b} - w_a - w_b >= 0. Faces are keyed by the set of
-diamond equalities that hold on the whole face (the closed tight set), so
-two descriptions of the same face compare equal.
+{a, b}: w_{a∧b} + w_{a∨b} - w_a - w_b >= 0. A face is keyed by its closed
+tight set, the diamond equalities that hold on all of it. The faces are read
+off the tight sets of the cone's rays; a single key is closed by LP.
 """
 
 from __future__ import annotations
@@ -14,10 +14,12 @@ from math import ceil
 from typing import Optional, Sequence
 
 from .errors import NotInCone, TooLarge
-from .exactgeom import Vec, integer_kernel, lp_feasible, rank, to_vec, vadd, vdot, vscale, zero_vec
+from .exactgeom import (Vec, _echelon, _extreme_rays, integer_kernel, lp_feasible, rank, to_vec,
+                        vadd, vdot, vscale, zero_vec)
 from .lattice import DiamondPair, Lattice, diamond_pairs
 
-MAX_PAIRS = 20
+MAX_FACES = 25000
+MAX_RAYS = 2000
 
 
 def pair_normal(L: Lattice, d: DiamondPair) -> Vec:
@@ -143,8 +145,7 @@ def sample_relative_interior(F: Face) -> Vec:
     w = F._witness
     low = min(vdot(K.normals[k], w) for k in loose)
     if low <= 0:
-        # face_of and enumerate_faces both build witnesses slack on every
-        # loose pair
+        # every Face is built with a witness slack on every loose pair
         raise AssertionError("face witness is not slack on every loose pair")
     if low < 1:
         w = vscale(ceil(Fraction(1) / low), w)
@@ -162,7 +163,6 @@ def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Opt
     m = len(K.pairs)
     closed = set(tight)
     witness = zero_vec(n)
-    any_loose = False
     base = [(K.normals[i], "=", 0) for i in sorted(tight)]
     base += [(K.normals[j], ">=", 0) for j in range(m) if j not in tight]
     for k in range(m):
@@ -172,23 +172,28 @@ def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Opt
         if x is None:
             closed.add(k)
         else:
-            any_loose = True
             witness = vadd(witness, x)
-    if not any_loose:
-        witness = zero_vec(n)
     return frozenset(closed), witness
 
 
 def enumerate_faces(K: MaxCone) -> list[Face]:
-    """All faces of K-bar, by iterating subsets of diamond pairs and keeping
-    those that equal their own closure. Exponential by design."""
+    """All faces of K-bar in increasing tight-mask order, with no LP. On r
+    independent columns J of the normals N, double description gives the rays
+    of the pointed quotient {h : N_J h >= 0}; the faces' tight sets are all
+    pairs (the apex) and the intersections of rays' tight sets (Kaibel &
+    Pfetsch 2002). A face's witness is the sum of its rays, placed on J."""
     m = len(K.pairs)
-    if m > MAX_PAIRS:
-        raise TooLarge(f"{m} diamond pairs; enumeration is capped at {MAX_PAIRS}")
+    J = _echelon(K.normals)[2]
+    rays = _extreme_rays([[int(row[j]) for j in J] for row in K.normals], MAX_RAYS) if J else []
+    masks = {(1 << m) - 1}
+    for _, tight in rays:
+        masks |= {tight & mask for mask in masks}
+        if len(masks) > MAX_FACES:
+            raise TooLarge(f"more than {MAX_FACES} faces; enumeration is capped there")
     faces = []
-    for mask in range(1 << m):
-        subset = frozenset(i for i in range(m) if mask >> i & 1)
-        closed, witness = _close_tight(K, subset)
-        if closed == subset:
-            faces.append(Face(K, closed, witness))
+    for mask in sorted(masks):
+        on_face = [ray for ray, tight in rays if tight & mask == mask]
+        h = dict(zip(J, map(sum, zip(*on_face))))
+        faces.append(Face(K, frozenset(i for i in range(m) if mask >> i & 1),
+                          to_vec(h.get(j, 0) for j in range(K.lattice.size))))
     return faces

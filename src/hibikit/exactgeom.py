@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd, lcm
+from math import ceil, floor, gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import TooLarge, UnboundedError
@@ -490,7 +490,7 @@ def affine_map_through(inputs: Sequence[Vec], outputs: Sequence[Vec]) -> Optiona
 # polytopes
 
 
-def _extreme_rays(rows: list[list[int]]) -> list[tuple[list[int], int]]:
+def _extreme_rays(rows: list[list[int]], max_rays: float = inf) -> list[tuple[list[int], int]]:
     """Extreme rays of the pointed cone {h : row.h >= 0 for every row}, for
     integer rows of full column rank, by the double description method
     (Motzkin et al. 1953; Fukuda & Prodon 1996). Returns (ray, tight) pairs:
@@ -500,7 +500,7 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[list[int], int]]:
     columns of their inverse; each further row keeps the rays on its
     nonnegative side and joins every adjacent pair it separates. Two rays
     are adjacent iff their common tight set has at least n - 2 rows and no
-    other ray's tight set contains it (the combinatorial test).
+    other ray's tight set contains it (the combinatorial test). TooLarge past max_rays rays.
     """
     n = len(rows[0])
     basis = _echelon(list(zip(*rows)))[2]
@@ -529,6 +529,8 @@ def _extreme_rays(rows: list[list[int]]) -> list[tuple[list[int], int]]:
                 for k, v in enumerate(vals) if v >= 0] + joined
         rays = [ray for ray, _ in kept]
         tight = [z for _, z in kept]
+        if len(rays) > max_rays:
+            raise TooLarge(f"double description kept more than {max_rays} rays")
     return list(zip(rays, tight))
 
 

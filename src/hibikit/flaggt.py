@@ -22,7 +22,6 @@ from .exactgeom import (
     AffineMap,
     LatticePolytope,
     Vec,
-    hull_vertices,
     rank,
     same_lattice,
     to_vec,
@@ -425,8 +424,7 @@ def gt_vertices(n: int) -> list[GTVertex]:
     """Vertices of the Gelfand-Tsetlin polytope with exact decompositions.
 
     Vertices are the patterns whose tight-constraint graph anchors every
-    free cell; for n <= 4 the set is cross-checked by an exact hull
-    computation over all patterns.
+    free cell.
     """
     phi = _phi(n)
     xi = {
@@ -439,9 +437,8 @@ def gt_vertices(n: int) -> list[GTVertex]:
         assert xi[k] == k_points, "level-k vertices must be k-index flag points"
     mp = gt_marked_poset(n)
     labels = mp.base.elements
-    patterns = gt_patterns(n)
     out = []
-    for point, chain in patterns:
+    for point, chain in gt_patterns(n):
         if not _is_vertex(mp, mp.base, dict(zip(labels, point))):
             continue
         decomposition = tuple(
@@ -450,9 +447,6 @@ def gt_vertices(n: int) -> list[GTVertex]:
         for k, lbl in enumerate(chain, start=1):
             assert flag_point(n, lbl, phi) in xi[k]
         out.append(GTVertex(point, decomposition, chain))
-    if n <= 4:
-        assert set(hull_vertices([p for p, _ in patterns])) == {
-            gv.point for gv in out}
     return out
 
 

@@ -160,7 +160,7 @@ def face_subdivision(F: Face) -> Subdivision:
         if same_part != (pair in tight_pairs):
             raise AssertionError(
                 "tight diamond pairs must match same-part adjacencies")
-    all_pairs = {frozenset((d.a, d.b)) for d in diamond_pairs(L)}
+    all_pairs = {frozenset((d.a, d.b)) for d in F.cone.pairs}
     if not all_pairs <= seen_pairs:
         raise AssertionError("every diamond pair needs a witnessing adjacency")
     return sub

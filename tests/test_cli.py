@@ -8,6 +8,7 @@ entry point.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -122,6 +123,18 @@ def test_cone_report(capsys):
                                            [-1, -1, 1, 1])
 
 
+# out of range for the scan over all 2^m subsets of the m facets: 2^24
+# candidates on B4, and about a minute on Gr(3,6)
+@pytest.mark.parametrize("argv, facets, faces", [
+    ("cone --boolean 4", 24, 22108),
+    ("cone --grassmann 3 6", 12, 1408),
+])
+def test_cone_face_counts(argv, facets, faces, capsys):
+    report = run_json(capsys, argv.split())
+    assert report["facet_count"] == facets
+    assert report["face_count"] == faces
+
+
 def test_subdivide_by_weight_and_by_face(capsys):
     by_face = run_json(capsys, ["subdivide", "--boolean", "2",
                                 "--face", "full"])
@@ -232,6 +245,17 @@ def test_certify_past_element_cap_fails_before_any_lp(argv, capsys, monkeypatch)
     assert json.loads(err)["error"]["type"] == "BadParams"
 
 
+def test_cone_past_the_face_cap_fails_fast(capsys):
+    # Flag(5) has 90,112 faces, more than cone.MAX_FACES; the cap trips while
+    # the rays' tight sets are intersected, before any face is built
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, ["cone", "--flag", "5"])
+    assert time.monotonic() - start < 10
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "TooLarge"
+
+
 def test_face_keys_resolve_without_enumerating_the_cone(capsys, monkeypatch):
     def no_enumeration(K):
         raise RuntimeError("a face key was resolved by enumerating the cone")
@@ -246,9 +270,9 @@ def test_face_keys_resolve_without_enumerating_the_cone(capsys, monkeypatch):
 
 
 def test_face_key_past_the_enumeration_cap(capsys):
-    # B4 has 24 diamond pairs, more than cone.MAX_PAIRS, so its faces cannot
-    # be enumerated, but a key is still resolved; of the 24 linear extensions
-    # the four that start with p, q in either order merge in pairs
+    # a key is resolved by closing its own pairs, without enumerating B4's
+    # 22,108 faces; of the 24 linear extensions the four that start with
+    # p, q in either order merge in pairs
     report = run_json(capsys, ["subdivide", "--boolean", "4", "--face", '[["{p}","{q}"]]'])
     assert report["part_count"] == 22
 

@@ -5,13 +5,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hibikit import cone as cone_module
+from hibikit import exactgeom
 from hibikit.cone import (
-    MAX_PAIRS,
+    Face,
     MaxCone,
+    _close_tight,
     cone_K,
     enumerate_faces,
     face_of,
@@ -21,7 +23,8 @@ from hibikit.cone import (
 )
 from hibikit.errors import NotInCone, TooLarge
 from hibikit.exactgeom import lp_feasible, rank, same_lattice, vdot
-from hibikit.lattice import birkhoff
+from hibikit.flaggt import grassmann_lattice
+from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import antichain, chain, from_cover_relations
 
 GRID = from_cover_relations(
@@ -221,19 +224,35 @@ def test_enumerate_chain_single_face():
     assert faces[0].dim == 4
 
 
-def test_enumerate_candidate_guard(monkeypatch):
-    # B3's six pairs repeated to 24 exceed the 20-pair cap, which must trip
-    # before the first feasibility LP
+def test_enumerate_face_cap(monkeypatch):
     K = cone_K(birkhoff(antichain(["p", "q", "r"])))
-    big = MaxCone(K.lattice, K.pairs * 4, K.normals * 4)
-    assert len(big.pairs) == 24 > MAX_PAIRS
+    monkeypatch.setattr(cone_module, "MAX_FACES", 21)
+    with pytest.raises(TooLarge, match="faces"):
+        enumerate_faces(K)
+    monkeypatch.setattr(cone_module, "MAX_FACES", 22)
+    assert len(enumerate_faces(K)) == 22
+
+
+def test_enumerate_ray_cap_stops_b5():
+    # the double description on B5's 80 pairs keeps thousands of rays and
+    # runs for minutes uncapped; the cone is built without cone_K's LPs
+    L = birkhoff(antichain(["p", "q", "r", "s", "t"]))
+    pairs = diamond_pairs(L)
+    K = MaxCone(L, pairs, [pair_normal(L, d) for d in pairs])
+    with pytest.raises(TooLarge, match="rays"):
+        enumerate_faces(K)
+
+
+@pytest.mark.parametrize("L, count", [(birkhoff(antichain(["p", "q", "r"])), 22),
+                                      (grassmann_lattice(2, 5), 8)], ids=["B3", "Gr(2,5)"])
+def test_enumerate_solves_no_lp(L, count, monkeypatch):
+    K = cone_K(L)
 
     def no_lp(*args):
-        raise AssertionError("enumeration ran an LP past the cap")
+        raise AssertionError("enumeration solved an LP")
 
-    monkeypatch.setattr(cone_module, "lp_feasible", no_lp)
-    with pytest.raises(TooLarge):
-        enumerate_faces(big)
+    monkeypatch.setattr(exactgeom, "solve_eq_nonneg", no_lp)
+    assert len(enumerate_faces(K)) == count
 
 
 def test_enumerate_faces_b3_consistency():
@@ -258,12 +277,29 @@ def test_enumerate_faces_b3_consistency():
     assert dims[-1] == L.size
 
 
-@settings(max_examples=10, deadline=None)
-@given(poset_strategy())
+def faces_by_subset_scan(K):
+    """The enumeration the double description replaced: every subset of
+    pairs that equals its own LP closure, in increasing mask order."""
+    m = len(K.pairs)
+    faces = []
+    for mask in range(1 << m):
+        subset = frozenset(i for i in range(m) if mask >> i & 1)
+        closed, witness = _close_tight(K, subset)
+        if closed == subset:
+            faces.append(Face(K, closed, witness))
+    return faces
+
+
+@settings(max_examples=25, deadline=None)
+@given(poset_strategy(max_size=7))
 def test_enumerate_random_small(P):
     L = birkhoff(P)
+    assume(len(diamond_pairs(L)) <= 8)
     K = cone_K(L)
     faces = enumerate_faces(K)
+    oracle = faces_by_subset_scan(K)
+    assert [f.tight_idx for f in faces] == [f.tight_idx for f in oracle]
+    assert [f.dim for f in faces] == [f.dim for f in oracle]
     assert sum(f.is_full for f in faces) == 1
     for f in faces:
         assert face_of(K, sample_relative_interior(f)) == f

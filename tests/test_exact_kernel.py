@@ -169,7 +169,8 @@ def test_solve_linear_matches_fraction_oracle(data):
 
 # -- pinned work counts --------------------------------------------------------
 
-WORK = [("cone --boolean 3", 198, 1568), ("cone --grassmann 2 5", 15, 61)]
+# cone_K's facet LPs; enumerate_faces solves none
+WORK = [("cone --boolean 3", 6, 39), ("cone --grassmann 2 5", 3, 9)]
 
 
 @pytest.mark.parametrize("argv, solves, pivots", WORK, ids=[a for a, _, _ in WORK])
@@ -198,9 +199,11 @@ def test_simplex_work_counts(argv, solves, pivots, monkeypatch, capsys):
     assert counts == {"solves": solves, "pivots": pivots}
 
 
-# "gt --n 4 vertices" solves the hull LPs of rational Gelfand-Tsetlin points,
+# the keyed job solves cone_K's LPs and the closure LPs of its key; the
+# permutahedron of a fractional weight solves hull LPs over rational points,
 # whose denominators the kernel clears with one global scale
-REPLAY = [("cone --grassmann 2 5", False), ("gt --n 4 vertices", True)]
+REPLAY = [('subdivide --grassmann 2 5 --face [["14","23"]]', False),
+          ("permutahedron --boolean 3 --w 0,1/2,1,1,4,4,4,9", True)]
 
 
 @pytest.mark.parametrize("argv, rational", REPLAY, ids=[a for a, _ in REPLAY])

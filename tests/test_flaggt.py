@@ -10,7 +10,7 @@ import sympy
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
-from hibikit.exactgeom import vadd, zero_vec
+from hibikit.exactgeom import hull_vertices, vadd, zero_vec
 from hibikit.flaggt import (
     MarkedPoset,
     component_shape,
@@ -254,9 +254,14 @@ def test_gt_patterns_are_chains():
         assert L.leq(chain[1], chain[0])
 
 
+def hull_of_patterns(n):
+    return set(hull_vertices([p for p, _ in gt_patterns(n)]))
+
+
 def test_gt_vertices_2():
     vs = gt_vertices(2)
     assert {gv.labels for gv in vs} == {("1",), ("2",)}
+    assert hull_of_patterns(2) == {gv.point for gv in vs}
 
 
 def test_gt_vertices_3():
@@ -271,6 +276,7 @@ def test_gt_vertices_3():
     # the pattern (1, 1/2, 0) is a midpoint of two vertices, not a vertex
     assert (1, half, 0) not in {free_coords(3, gv.point) for gv in vs}
     assert (1, half, 0) in {free_coords(3, p) for p, _ in gt_patterns(3)}
+    assert hull_of_patterns(3) == {gv.point for gv in vs}
 
 
 def test_gt_vertex_decompositions_3():
@@ -316,8 +322,11 @@ def _scaled_sum(n, combo):
 
 
 def test_gt_vertices_4_hull_certified():
-    # the in-module cross-check runs an exact hull over all 64 patterns
-    assert len(gt_vertices(4)) == 40
+    # the anchoring test selects exactly the vertices of the exact hull of
+    # all 64 patterns
+    vs = {gv.point for gv in gt_vertices(4)}
+    assert len(vs) == 40
+    assert hull_of_patterns(4) == vs
 
 
 def test_gt_vertices_5():

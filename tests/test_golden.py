@@ -29,6 +29,9 @@ GOLDEN = [
      "79ed290cec5164af7b1edd7c145fe3b20fbf0ea0af78a8047e58665d5ad1e68b", 10),
     ("permutahedron --boolean 3 --w 0,1,1,1,4,4,4,9",
      "c217968161e17f8474e794049d8e7de09b1abcb8fe68784aed33f59f36f2acf8", 6),
+    # recorded with the 2^m subset scan of faces, which took about a minute
+    ("cone --grassmann 3 6",
+     "a9a6f156f95647a25b19f37b2e822cc52e6955898d73a7161eb695ee5e6ebfeb", 0),
     # keyed faces resolved by LP: these outputs carry _close_tight witnesses
     ('subdivide --grassmann 2 5 --face [["14","23"]] --check 3 --seed 1',
      "1e8f334314f2a29caab129346226d81f3f8bc1b15a559b813ee432adb14e268b", 0),
