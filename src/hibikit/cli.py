@@ -191,7 +191,7 @@ def cmd_cone(args) -> int:
     payload = {
         "command": "cone",
         "facet_count": len(K.pairs),
-        "facets": [{"pair": [d.a, d.b], "normal": [int(x) for x in normal]}
+        "facets": [{"pair": [d.a, d.b], "normal": list(normal)}
                    for d, normal in K.facet_inequalities],
         "face_count": len(faces),
         "faces": face_rows,

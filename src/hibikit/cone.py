@@ -22,9 +22,9 @@ MAX_FACES = 25000
 MAX_RAYS = 2000
 
 
-def pair_normal(L: Lattice, d: DiamondPair) -> Vec:
+def pair_normal(L: Lattice, d: DiamondPair) -> tuple[int, ...]:
     """e_{a∧b} + e_{a∨b} - e_a - e_b over the canonical element order."""
-    v = [Fraction(0)] * L.size
+    v = [0] * L.size
     v[L.index(d.meet_elt)] += 1
     v[L.index(d.join_elt)] += 1
     v[L.index(d.a)] -= 1
@@ -35,13 +35,14 @@ def pair_normal(L: Lattice, d: DiamondPair) -> Vec:
 class MaxCone:
     """The closed cone K-bar with its certified minimal H-description."""
 
-    def __init__(self, lattice: Lattice, pairs: Sequence[DiamondPair], normals: Sequence[Vec]):
+    def __init__(self, lattice: Lattice, pairs: Sequence[DiamondPair],
+                 normals: Sequence[tuple[int, ...]]):
         self.lattice = lattice
         self.pairs: tuple[DiamondPair, ...] = tuple(pairs)
-        self.normals: tuple[Vec, ...] = tuple(normals)
+        self.normals: tuple[tuple[int, ...], ...] = tuple(normals)
 
     @property
-    def facet_inequalities(self) -> list[tuple[DiamondPair, Vec]]:
+    def facet_inequalities(self) -> list[tuple[DiamondPair, tuple[int, ...]]]:
         return list(zip(self.pairs, self.normals))
 
     def __repr__(self):
@@ -128,7 +129,7 @@ def face_of(K: MaxCone, w: Sequence) -> Face:
 def span_of_face(F: Face) -> list[list[int]]:
     """Saturated integer basis of {w : equality for every tight pair}."""
     n = F.cone.lattice.size
-    rows = [[int(x) for x in F.cone.normals[i]] for i in sorted(F.tight_idx)]
+    rows = [F.cone.normals[i] for i in sorted(F.tight_idx)]
     if not rows:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     return integer_kernel(rows)
@@ -184,7 +185,7 @@ def enumerate_faces(K: MaxCone) -> list[Face]:
     Pfetsch 2002). A face's witness is the sum of its rays, placed on J."""
     m = len(K.pairs)
     J = _echelon(K.normals)[2]
-    rays = _extreme_rays([[int(row[j]) for j in J] for row in K.normals], MAX_RAYS) if J else []
+    rays = _extreme_rays([[row[j] for j in J] for row in K.normals], MAX_RAYS) if J else []
     masks = {(1 << m) - 1}
     for _, tight in rays:
         masks |= {tight & mask for mask in masks}

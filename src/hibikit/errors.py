@@ -48,9 +48,5 @@ class TooLarge(HibikitError):
     """The request exceeds a documented size guard."""
 
 
-class UnboundedError(HibikitError):
-    """The polyhedron is unbounded where a bounded one is required."""
-
-
 class BadParams(HibikitError):
     """Parameters outside the documented domain."""

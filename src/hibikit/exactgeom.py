@@ -2,10 +2,12 @@
 
 No floating point anywhere. Row reduction and the LP solver pivot on
 integer tableaux with one common denominator (integer-preserving
-elimination), and their results come back as reduced fractions.Fraction;
-the facet kernel keeps its rays as primitive integer vectors; the rest
-works over Fraction directly. The LP solver is a two phase simplex with
-Bland's rule, so it terminates without any tolerance knobs.
+elimination), and their results come back as reduced fractions.Fraction.
+The polytope kernel scales its points by one common denominator, finds the
+facets by the double description method with primitive integer rays, and
+reads the vertices off the facets' tight sets; the rest works over
+Fraction directly. The LP solver is a two phase simplex with Bland's rule,
+so it terminates without any tolerance knobs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import TooLarge, UnboundedError
+from .errors import TooLarge
 
 Vec = tuple[Fraction, ...]
 
@@ -317,38 +319,6 @@ def lp_feasible(constraints: Sequence[tuple], n: int) -> Optional[Vec]:
     return x
 
 
-def convex_combination(points: Sequence[Vec], target: Vec) -> Optional[list[Fraction]]:
-    """Coefficients expressing target as a convex combination, or None."""
-    k = len(points)
-    if k == 0:
-        return None
-    dim = len(target)
-    A = [[Fraction(p[i]) for p in points] for i in range(dim)]
-    A.append([Fraction(1)] * k)
-    b = list(target) + [Fraction(1)]
-    status, y, _ = solve_eq_nonneg(A, b, [Fraction(0)] * k)
-    if status != "optimal":
-        return None
-    return y
-
-
-def hull_vertices(points: Sequence[Vec]) -> list[Vec]:
-    """The extreme points, certified by exact LP separation."""
-    seen = []
-    for p in points:
-        p = to_vec(p)
-        if p not in seen:
-            seen.append(p)
-    if len(seen) <= 1:
-        return seen
-    out = []
-    for i, p in enumerate(seen):
-        others = seen[:i] + seen[i + 1:]
-        if convex_combination(others, p) is None:
-            out.append(p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # integer lattices
 
@@ -504,7 +474,7 @@ def _extreme_rays(rows: list[list[int]], max_rays: float = inf) -> list[tuple[li
     """
     n = len(rows[0])
     basis = _echelon(list(zip(*rows)))[2]
-    inverse, _ = rref([rows[i] + [int(j == k) for j in range(n)] for k, i in enumerate(basis)])
+    inverse = _echelon([rows[i] + [int(j == k) for j in range(n)] for k, i in enumerate(basis)])[0]
     rays = _int_rows(list(zip(*(row[n:] for row in inverse))))
     tight = [sum(1 << i for j, i in enumerate(basis) if j != k) for k in range(n)]
     for i, row in enumerate(rows):
@@ -534,43 +504,65 @@ def _extreme_rays(rows: list[list[int]], max_rays: float = inf) -> list[tuple[li
     return list(zip(rays, tight))
 
 
+def _common_scale(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
+    """The points times s, the lcm of their denominators, as integer rows; and s."""
+    s = lcm(*(x.denominator for p in points for x in p))
+    return [_scaled(p, s) for p in points], s
+
+
 def facet_hyperplanes(vertices: Sequence[Vec]) -> list[tuple[Vec, Fraction]]:
     """Facet inequalities (normal, rhs), convention normal.x <= rhs, of the
     convex hull of the given points, cutting within the affine span.
-    Normals are primitive integer vectors. Guarded to dimension <= 12.
+    Normals are primitive integer vectors.
 
-    In the coordinates y = span_rows . x of the affine span, each facet
-    m.y >= -b is an extreme ray (m, b) of the cone {h : (y_i, 1).h >= 0}
-    over the points y_i, so normal = -sum m_k span_rows[k].
+    With the points scaled to integers X_i = s x_i and E the primitive
+    integer rows of the echelon form of their differences, each facet
+    m.y >= -b in the span coordinates y = E . X is an extreme ray (m, b) of
+    the cone {h : (y_i, 1).h >= 0} over the points, so normal = -sum m_k E_k.
     """
-    verts = [to_vec(v) for v in vertices]
-    if not verts:
+    points, s = _common_scale([to_vec(v) for v in vertices])
+    if not points:
         return []
-    base = verts[0]
-    span_rows, _ = rref([vsub(v, base) for v in verts[1:]])
+    base = points[0]
+    span_rows = _int_rows(_echelon([[x - y for x, y in zip(p, base)] for p in points[1:]])[0])
     d = len(span_rows)
     if d == 0:
         return []
-    if d > 12:
-        raise TooLarge(f"H-representation limited to dimension 12, got {d}")
-    rows = _int_rows([[vdot(s, v) for s in span_rows] + [1] for v in verts])
+    rows = [[sum(a * x for a, x in zip(e, p)) for e in span_rows] + [1] for p in points]
     out = []
     for ray, tight in _extreme_rays(rows):
         m = ray[:d]
         normal = _int_rows([[-sum(a * x for a, x in zip(m, col)) for col in zip(*span_rows)]])[0]
-        rhs = vdot(normal, verts[(tight & -tight).bit_length() - 1])
-        out.append((to_vec(normal), rhs))
+        on_facet = points[(tight & -tight).bit_length() - 1]
+        out.append((to_vec(normal), Fraction(sum(a * x for a, x in zip(normal, on_facet)), s)))
     out.sort()
     return out
+
+
+def _facet_vertices(points: list[Vec], planes) -> list[Vec]:
+    """Those of the distinct points at which the facets through the point
+    meet in that point alone: no other point lies on all of them."""
+    scaled, s = _common_scale(points)
+    meet = [(1 << len(points)) - 1] * len(points)
+    for normal, rhs in planes:
+        a = [x.numerator for x in normal]
+        b = rhs.numerator * (s // rhs.denominator)
+        on = [i for i, p in enumerate(scaled) if sum(x * y for x, y in zip(a, p)) == b]
+        tight = sum(1 << i for i in on)
+        for i in on:
+            meet[i] &= tight
+    return [p for i, p in enumerate(points) if meet[i] == 1 << i]
 
 
 class LatticePolytope:
     """Exact V- and H-data for a bounded polytope, with the integer lattice
     of its affine span when the vertices are integral.
 
-    Hyperplanes follow the convention normal.x <= rhs; each one listed is
-    supporting. The H-representation is computed on demand and only for
-    polytopes of dimension <= 12.
+    Built from any points, it runs the facet kernel once on them, keeps the
+    facets as its H-description and the points the facets single out as its
+    vertices. Built from `already_extreme` vertices, it finds its facets on
+    demand. Hyperplanes follow the convention normal.x <= rhs; each one
+    listed is supporting.
     """
 
     def __init__(self, vertices: Sequence[Vec], hyperplanes=None, already_extreme=False):
@@ -581,10 +573,11 @@ class LatticePolytope:
                 pts.append(p)
         if not pts:
             raise ValueError("a polytope needs at least one vertex")
-        if not already_extreme:
-            pts = hull_vertices(pts)
-        self.vertices: tuple[Vec, ...] = tuple(sorted(pts))
         self._hyperplanes = None
+        if not already_extreme:
+            self._hyperplanes = tuple(facet_hyperplanes(pts))
+            pts = _facet_vertices(pts, self._hyperplanes)
+        self.vertices: tuple[Vec, ...] = tuple(sorted(pts))
         if hyperplanes is not None:
             kept = []
             for normal, rhs in hyperplanes:
@@ -642,11 +635,7 @@ class LatticePolytope:
         for row, b in self.span_equations():
             if vdot(row, point) != b:
                 return False
-        try:
-            planes = self.hyperplanes
-        except TooLarge:
-            return convex_combination(list(self.vertices), point) is not None
-        return all(vdot(n, point) <= r for n, r in planes)
+        return all(vdot(n, point) <= r for n, r in self.hyperplanes)
 
     def scaled(self, k) -> "LatticePolytope":
         k = Fraction(k)
@@ -727,28 +716,14 @@ def integer_points(poly: LatticePolytope) -> list[Vec]:
     """All points of Z^n inside the polytope, in canonical sorted order.
 
     Enumeration runs over the bounding box, restricted to the affine span
-    and filtered by the hyperplanes (or by LP membership when the
-    H-representation is out of the dimension guard).
+    and filtered by the hyperplanes.
     """
     verts = poly.vertices
-    if not verts:
-        raise UnboundedError("no vertices")
     n = len(verts[0])
     lo = [floor(min(v[i] for v in verts)) for i in range(n)]
     hi = [ceil(max(v[i] for v in verts)) for i in range(n)]
-    eqs = [(row, b) for row, b in poly.span_equations()]
-    try:
-        les = [(list(normal), rhs) for normal, rhs in poly.hyperplanes]
-        lp_filter = False
-    except TooLarge:
-        les = []
-        lp_filter = True
-    out = []
-    for pt in _box_lattice_points(lo, hi, eqs, les):
-        v = to_vec(pt)
-        if lp_filter and convex_combination(list(verts), v) is None:
-            continue
-        out.append(v)
+    les = [(list(normal), rhs) for normal, rhs in poly.hyperplanes]
+    out = [to_vec(pt) for pt in _box_lattice_points(lo, hi, poly.span_equations(), les)]
     out.sort()
     return out
 
@@ -773,12 +748,8 @@ def vector_pairs(v: Sequence) -> list[list[int]]:
 def polytope_json(poly: LatticePolytope) -> dict:
     """Canonical JSON payload: vertices, hyperplanes, lattice basis, all as
     reduced [num, den] integer pairs."""
-    planes = []
-    try:
-        for normal, rhs in poly.hyperplanes:
-            planes.append({"normal": vector_pairs(normal), "rhs": fraction_pair(rhs)})
-    except TooLarge:
-        planes = None
+    planes = [{"normal": vector_pairs(normal), "rhs": fraction_pair(rhs)}
+              for normal, rhs in poly.hyperplanes]
     basis = poly.lattice_basis
     return {
         "vertices": [vector_pairs(v) for v in poly.vertices],

@@ -24,7 +24,6 @@ from .exactgeom import (
     LatticePolytope,
     Vec,
     fraction_pair,
-    hull_vertices,
     to_vec,
     vadd,
     vdot,
@@ -255,7 +254,7 @@ def generalized_permutahedron(L: Lattice, w: Sequence) -> LatticePolytope:
             for B in u:
                 if u[A] + u[B] < u[A & B] + u[A | B]:
                     raise AssertionError("-w is not submodular")
-    return LatticePolytope(hull_vertices(points), already_extreme=True)
+    return LatticePolytope(points)
 
 
 def subdivision_json(sub: Subdivision) -> dict:

@@ -9,12 +9,18 @@ the same pivot sequence.
 
 facet_hyperplanes is the subset scan that exactgeom used before its double
 description kernel: it tries every d-subset of the points as a facet.
+
+hull_vertices is the LP hull that exactgeom used before LatticePolytope read
+its vertices off the facet kernel: one convex_combination LP per point, on
+exactgeom's integer simplex, which the rational simplex here checks.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from typing import Optional, Sequence
 
-from hibikit.exactgeom import _int_rows, nullspace, rank, rref, to_vec, vdot, vsub
+from hibikit import exactgeom
+from hibikit.exactgeom import Vec, _int_rows, nullspace, rank, rref, to_vec, vdot, vsub
 
 
 def _pivot(T, row, col):
@@ -166,4 +172,36 @@ def facet_hyperplanes(vertices):
             seen.add(key)
             out.append((to_vec(normal), Fraction(rhs)))
     out.sort()
+    return out
+
+
+def convex_combination(points: Sequence[Vec], target: Vec) -> Optional[list[Fraction]]:
+    """Coefficients expressing target as a convex combination, or None."""
+    k = len(points)
+    if k == 0:
+        return None
+    dim = len(target)
+    A = [[Fraction(p[i]) for p in points] for i in range(dim)]
+    A.append([Fraction(1)] * k)
+    b = list(target) + [Fraction(1)]
+    status, y, _ = exactgeom.solve_eq_nonneg(A, b, [Fraction(0)] * k)
+    if status != "optimal":
+        return None
+    return y
+
+
+def hull_vertices(points: Sequence[Vec]) -> list[Vec]:
+    """The extreme points, certified by exact LP separation."""
+    seen = []
+    for p in points:
+        p = to_vec(p)
+        if p not in seen:
+            seen.append(p)
+    if len(seen) <= 1:
+        return seen
+    out = []
+    for i, p in enumerate(seen):
+        others = seen[:i] + seen[i + 1:]
+        if convex_combination(others, p) is None:
+            out.append(p)
     return out

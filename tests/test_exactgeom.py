@@ -11,15 +11,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibikit.errors import TooLarge
+import fraction_oracle as oracle
 from hibikit.exactgeom import (
     AffineMap,
     LatticePolytope,
     affine_lattice_basis,
     affine_map_through,
-    convex_combination,
     facet_hyperplanes,
-    hull_vertices,
     int_row_echelon,
     integer_kernel,
     integer_points,
@@ -158,36 +156,42 @@ def test_lp_feasibility_decision_against_brute_rational_grid():
 # ----------------------------------------------------------------------- hull
 
 
+def hull(pts):
+    """The vertices of the points' hull, which the LP oracle must agree on."""
+    vertices = list(LatticePolytope(pts).vertices)
+    assert vertices == sorted(oracle.hull_vertices(pts))
+    return vertices
+
+
 def test_hull_collinear():
     pts = [vec(0), vec(1), vec(2)]
-    assert sorted(hull_vertices(pts)) == [vec(0), vec(2)]
+    assert hull(pts) == [vec(0), vec(2)]
 
 
 def test_hull_square_plus_center():
     pts = [vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1), vec(Fraction(1, 2), Fraction(1, 2))]
-    assert sorted(hull_vertices(pts)) == sorted([vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)])
+    assert hull(pts) == sorted([vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)])
 
 
 def test_hull_cube_all_extreme():
     pts = [vec(*(int(b) for b in f"{m:03b}")) for m in range(8)]
-    assert len(hull_vertices(pts)) == 8
+    assert len(hull(pts)) == 8
 
 
 def test_hull_idempotent_and_order_independent():
     pts = [vec(0, 0), vec(2, 0), vec(1, 0), vec(0, 2), vec(1, 1)]
-    out1 = hull_vertices(pts)
-    out2 = hull_vertices(list(reversed(pts)))
-    assert sorted(out1) == sorted(out2)
-    assert sorted(hull_vertices(out1)) == sorted(out1)
+    out = hull(pts)
+    assert hull(list(reversed(pts))) == out
+    assert hull(out) == out
 
 
 def test_convex_combination_witness():
     pts = [vec(0, 0), vec(1, 0), vec(0, 1)]
-    lam = convex_combination(pts, vec(Fraction(1, 3), Fraction(1, 3)))
+    lam = oracle.convex_combination(pts, vec(Fraction(1, 3), Fraction(1, 3)))
     assert sum(lam) == 1 and all(c >= 0 for c in lam)
     target = [sum(c * p[i] for c, p in zip(lam, pts)) for i in range(2)]
     assert to_vec(target) == vec(Fraction(1, 3), Fraction(1, 3))
-    assert convex_combination(pts, vec(2, 2)) is None
+    assert oracle.convex_combination(pts, vec(2, 2)) is None
 
 
 # ------------------------------------------------------------ integer lattice
@@ -281,13 +285,13 @@ def test_facets_of_embedded_triangle():
     assert len(planes) == 3
 
 
-def test_polytope_guard():
-    # a 13-dimensional simplex is over the H-representation guard
+def test_simplex_past_dimension_12():
+    # the facet kernel has no dimension guard: the 13-simplex has its 14 facets
     pts = [to_vec([0] * 13)] + [to_vec([1 if i == j else 0 for j in range(13)])
                                 for i in range(13)]
-    poly = LatticePolytope(pts, already_extreme=True)
-    with pytest.raises(TooLarge):
-        poly.hyperplanes
+    poly = LatticePolytope(pts)
+    assert len(poly.hyperplanes) == 14
+    assert integer_points(poly) == sorted(pts)
 
 
 def test_integer_points_unit_square():

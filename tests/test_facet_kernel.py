@@ -1,9 +1,10 @@
-"""The double description facet kernel against the subset scan it replaced.
+"""The double description polytope kernel against the code it replaced.
 
-tests/fraction_oracle.py keeps the scan over all C(#points, d) subsets. On
-random rational point sets, embedded in larger ambient spaces, and on
-degenerate non-simplicial polytopes the kernel must return the same rows,
-in the same order and with the same types.
+tests/fraction_oracle.py keeps the scan over all C(#points, d) subsets and
+the LP hull. On random rational point sets, embedded in larger ambient
+spaces, and on degenerate non-simplicial polytopes the kernel must return
+the same facet rows, in the same order and with the same types, and
+LatticePolytope the same vertices as one LP per point.
 """
 
 import itertools
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from hibikit.cli import interior_weight
-from hibikit.exactgeom import facet_hyperplanes, to_vec
+from hibikit.exactgeom import LatticePolytope, facet_hyperplanes, to_vec
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain
 from hibikit.subdivision import generalized_permutahedron
@@ -31,12 +32,12 @@ def assert_same_facets(points):
 
 
 @st.composite
-def embedded_point_sets(draw):
+def embedded_point_sets(draw, min_dim=1):
     """Points of Q^d (not always affinely spanning it), sent into Q^(d+e)
     by an injective affine map: the identity, e extra integer combinations
     of the coordinates, a coordinate shuffle and a rational shift."""
-    d = draw(st.integers(1, 5))
-    e = draw(st.integers(0, 2))
+    d = draw(st.integers(min_dim, 5))
+    e = draw(st.integers(0 if d else 1, 2))
     k = draw(st.integers(1, d + 5))
     points = [[draw(RATIONALS) for _ in range(d)] for _ in range(k)]
     extra = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(e)]
@@ -62,6 +63,38 @@ def test_random_01_point_sets_match_subset_scan(points):
     # 0/1 points put many points on each facet and many facets on each face,
     # which is where the combinatorial adjacency test matters
     assert_same_facets(points)
+
+
+@st.composite
+def hull_inputs(draw):
+    """Embedded point sets of dimension 0 to 5, with the midpoints of some
+    pairs added: repeated points, points inside edges and inside the hull."""
+    points = draw(embedded_point_sets(min_dim=0))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                          max_size=4))
+    return points + [to_vec((x + y) / 2 for x, y in zip(p, q)) for p, q in pairs]
+
+
+def assert_same_vertices(points):
+    vertices = LatticePolytope(points).vertices
+    assert vertices == tuple(sorted(oracle.hull_vertices(points)))
+    return vertices
+
+
+@settings(max_examples=150, deadline=None)
+@given(hull_inputs())
+def test_random_point_sets_vertices_match_lp_hull(points):
+    assert_same_vertices(points)
+
+
+def simplex(d):
+    return [to_vec([0] * d)] + [to_vec([int(i == j) for j in range(d)]) for i in range(d)]
+
+
+def test_simplex_past_dimension_12_vertices_match_lp_hull():
+    points = simplex(13)
+    center = to_vec([Fraction(1, 14)] * 13)
+    assert assert_same_vertices(points + [center, points[1]]) == tuple(sorted(points))
 
 
 def cube(d):

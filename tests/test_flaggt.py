@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import fraction_oracle as oracle
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
-from hibikit.exactgeom import hull_vertices, vadd, zero_vec
+from hibikit.exactgeom import vadd, zero_vec
 from hibikit.flaggt import (
     MarkedPoset,
     component_shape,
@@ -255,7 +256,7 @@ def test_gt_patterns_are_chains():
 
 
 def hull_of_patterns(n):
-    return set(hull_vertices([p for p, _ in gt_patterns(n)]))
+    return set(oracle.hull_vertices([p for p, _ in gt_patterns(n)]))
 
 
 def test_gt_vertices_2():
