@@ -61,14 +61,6 @@ def _write_text(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def export_poset(P: Poset, path) -> None:
-    payload = {
-        "elements": list(P.elements),
-        "covers": [[a, b] for a, b in P.covers()],
-    }
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
-
-
 def load_poset(path) -> Poset:
     text = Path(path).read_text(encoding="utf-8")
     if text.lstrip().startswith("{"):
@@ -78,10 +70,13 @@ def load_poset(path) -> Poset:
     return parse_poset(text)
 
 
-def parse_vector(text: str) -> tuple[Fraction, ...]:
+def parse_vector(text: str, size: int) -> tuple[Fraction, ...]:
+    """A weight vector of `size` entries, one per lattice element."""
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise BadParams("empty weight vector")
+    if len(tokens) != size:
+        raise BadParams(f"weight vector needs {size} entries, got {len(tokens)}")
     try:
         return tuple(Fraction(t) for t in tokens)
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,7 +95,8 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
     g.add_argument("--flag", type=int, metavar="N",
                    help="lattice of all nonempty proper index tuples for rank N")
     g.add_argument("--poset", metavar="FILE",
-                   help="poset or lattice file (text format or exported JSON)")
+                   help="poset or lattice file (text format, or JSON with "
+                        "elements and covers)")
 
 
 def build_lattice(args) -> Lattice:
@@ -120,9 +116,13 @@ def build_lattice(args) -> Lattice:
     if args.flag is not None:
         return flag_lattice(args.flag)
     text = Path(args.poset).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        return birkhoff(load_poset(args.poset))
-    return parse_lattice(text)
+    try:
+        if not text.lstrip().startswith("{"):
+            return parse_lattice(text)
+        P = load_poset(args.poset)
+    except (ValueError, TypeError, KeyError) as exc:  # bad line or JSON shape, repeated element
+        raise BadParams(f"bad poset file: {exc!r}") from None
+    return birkhoff(P)
 
 
 def interior_weight(L: Lattice) -> list[int]:
@@ -204,10 +204,12 @@ def cmd_subdivide(args) -> int:
     L = build_lattice(args)
     if (args.w is None) == (args.face is None):
         raise BadParams("give exactly one of --w or --face")
+    if args.check is not None and args.check < 2:
+        raise BadParams("--check needs at least 2 trials")
     K = cone_K(L)
     if args.w is not None:
-        w = parse_vector(args.w)
-        F = face_of(K, w)  # validates length and cone membership
+        w = parse_vector(args.w, L.size)
+        F = face_of(K, w)  # validates cone membership
         sub = regular_subdivision(L, w)
     else:
         F = resolve_face(K, args.face)
@@ -219,7 +221,7 @@ def cmd_subdivide(args) -> int:
         "subdivision": subdivision_json(sub),
     }
     status = 0
-    if args.check:
+    if args.check is not None:
         ok = subdivision_invariance_check(F, args.check, seed=args.seed)
         payload["invariance_check"] = {
             "trials": args.check, "seed": args.seed, "pass": ok,
@@ -232,6 +234,8 @@ def cmd_subdivide(args) -> int:
 
 def cmd_certify(args) -> int:
     L = build_lattice(args)
+    if args.lmax < 1:
+        raise BadParams("--lmax needs to be at least 1")
     rows = degeneration_certificate(L, args.lmax)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CERTIFY_COLUMNS, lineterminator="\n")
@@ -292,10 +296,7 @@ def cmd_gt(args) -> int:
 
 def cmd_permutahedron(args) -> int:
     L = build_lattice(args)
-    w = parse_vector(args.w)
-    if len(w) != L.size:
-        raise BadParams(f"weight vector needs {L.size} entries, got {len(w)}")
-    Q = generalized_permutahedron(L, w)
+    Q = generalized_permutahedron(L, parse_vector(args.w, L.size))
     payload = {
         "command": "permutahedron",
         "vertex_count": len(Q.vertices),

@@ -40,10 +40,6 @@ class NotInCone(HibikitError):
     """The weight vector violates a diamond pair inequality."""
 
 
-class NotSubface(HibikitError):
-    """The claimed face containment does not hold (tight sets do not nest)."""
-
-
 class TooLarge(HibikitError):
     """The request exceeds a documented size guard."""
 

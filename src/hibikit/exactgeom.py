@@ -5,9 +5,11 @@ integer tableaux with one common denominator (integer-preserving
 elimination), and their results come back as reduced fractions.Fraction.
 The polytope kernel scales its points by one common denominator, finds the
 facets by the double description method with primitive integer rays, and
-reads the vertices off the facets' tight sets; the rest works over
-Fraction directly. The LP solver is a two phase simplex with Bland's rule,
-so it terminates without any tolerance knobs.
+reads the vertices off the facets' tight sets. Every facet normal and span
+equation of a LatticePolytope is a primitive integer row, so its integer
+points are searched on ints. The rest works over Fraction directly. The LP
+solver is a two phase simplex with Bland's rule, so it terminates without
+any tolerance knobs.
 """
 
 from __future__ import annotations
@@ -20,10 +22,6 @@ from typing import Iterable, Optional, Sequence
 from .errors import TooLarge
 
 Vec = tuple[Fraction, ...]
-
-
-def vec(*coords) -> Vec:
-    return tuple(Fraction(c) for c in coords)
 
 
 def to_vec(coords: Iterable) -> Vec:
@@ -126,12 +124,6 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], int, list[int]]
         pivots.append(c)
         r += 1
     return M[:r], D, pivots
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    M, D, pivots = _echelon(rows)
-    return [[Fraction(x, D) for x in row] for row in M], pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -561,11 +553,11 @@ class LatticePolytope:
     Built from any points, it runs the facet kernel once on them, keeps the
     facets as its H-description and the points the facets single out as its
     vertices. Built from `already_extreme` vertices, it finds its facets on
-    demand. Hyperplanes follow the convention normal.x <= rhs; each one
-    listed is supporting.
+    demand. Hyperplanes follow the convention normal.x <= rhs, with
+    primitive integer normals; each one is a facet.
     """
 
-    def __init__(self, vertices: Sequence[Vec], hyperplanes=None, already_extreme=False):
+    def __init__(self, vertices: Sequence[Vec], already_extreme=False):
         pts = []
         for p in vertices:
             p = to_vec(p)
@@ -578,17 +570,6 @@ class LatticePolytope:
             self._hyperplanes = tuple(facet_hyperplanes(pts))
             pts = _facet_vertices(pts, self._hyperplanes)
         self.vertices: tuple[Vec, ...] = tuple(sorted(pts))
-        if hyperplanes is not None:
-            kept = []
-            for normal, rhs in hyperplanes:
-                normal = to_vec(normal)
-                rhs = Fraction(rhs)
-                values = [vdot(normal, v) for v in self.vertices]
-                if any(val > rhs for val in values):
-                    raise ValueError("hyperplane violated by a vertex")
-                if any(val == rhs for val in values):  # keep only supporting ones
-                    kept.append((normal, rhs))
-            self._hyperplanes = tuple(sorted(kept))
         self._lattice_basis_known = False
         self._lattice_basis = None
         self._span_equations = None
@@ -617,8 +598,9 @@ class LatticePolytope:
                 self._lattice_basis = None
         return self._lattice_basis
 
-    def span_equations(self) -> list[tuple[list[int], int]]:
-        """Integer equations a.x = b cutting out the affine span."""
+    def span_equations(self) -> list[tuple[list[int], Fraction]]:
+        """Equations a.x = b cutting out the affine span, each a a primitive
+        integer row."""
         if self._span_equations is None:
             base = self.vertices[0]
             diffs = [vsub(v, base) for v in self.vertices[1:]]
@@ -626,24 +608,8 @@ class LatticePolytope:
             if not diffs:
                 kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(len(base))]
                           for i in range(len(base))]
-            rows = _int_rows(kernel)
-            self._span_equations = [(row, int_or_fraction_dot(row, base)) for row in rows]
+            self._span_equations = [(row, vdot(row, base)) for row in _int_rows(kernel)]
         return self._span_equations
-
-    def contains(self, point: Vec) -> bool:
-        point = to_vec(point)
-        for row, b in self.span_equations():
-            if vdot(row, point) != b:
-                return False
-        return all(vdot(n, point) <= r for n, r in self.hyperplanes)
-
-    def scaled(self, k) -> "LatticePolytope":
-        k = Fraction(k)
-        verts = [vscale(k, v) for v in self.vertices]
-        planes = None
-        if self._hyperplanes is not None:
-            planes = [(n, r * k) for n, r in self._hyperplanes]
-        return LatticePolytope(verts, hyperplanes=planes, already_extreme=True)
 
     def __eq__(self, other):
         return isinstance(other, LatticePolytope) and self.vertices == other.vertices
@@ -655,81 +621,55 @@ class LatticePolytope:
         return f"LatticePolytope({len(self.vertices)} vertices, dim {self.dim})"
 
 
-def int_or_fraction_dot(row: Sequence[int], point: Vec):
-    val = vdot(row, point)
-    return int(val) if val.denominator == 1 else val
-
-
-def _box_lattice_points(lo: list[int], hi: list[int],
-                        eqs: list[tuple[list, object]],
-                        les: list[tuple[list, object]]):
-    """Integer points of the box satisfying a.x = b and a.x <= b constraints,
-    by depth first search with interval pruning. Constraint data may be
-    Fractions; arithmetic stays exact."""
+def _box_lattice_points(lo: list[int], hi: list[int], les: list[tuple[list[int], int]]):
+    """Integer points of the box satisfying the integer constraints a.x <= b,
+    by depth first search with interval pruning."""
     n = len(lo)
-    # suffix extremes of each constraint over the remaining box
-    def suffix(coeffs):
-        mins = [Fraction(0)] * (n + 1)
-        maxs = [Fraction(0)] * (n + 1)
+    # the least value each constraint's terms past coordinate i take on the box
+    data = []
+    for a, b in les:
+        rest = [0] * (n + 1)
         for i in range(n - 1, -1, -1):
-            a = Fraction(coeffs[i])
-            c1, c2 = a * lo[i], a * hi[i]
-            mins[i] = mins[i + 1] + min(c1, c2)
-            maxs[i] = maxs[i + 1] + max(c1, c2)
-        return mins, maxs
-
-    eq_data = [(coeffs, Fraction(b), *suffix(coeffs)) for coeffs, b in eqs]
-    le_data = [(coeffs, Fraction(b), *suffix(coeffs)) for coeffs, b in les]
+            rest[i] = rest[i + 1] + min(a[i] * lo[i], a[i] * hi[i])
+        data.append((a, b, rest))
     point = [0] * n
 
-    def descend(i, eq_partial, le_partial):
+    def descend(i, partial):
         if i == n:
             yield tuple(point)
             return
         for x in range(lo[i], hi[i] + 1):
             point[i] = x
-            ok = True
-            new_eq = []
-            for (coeffs, b, mins, maxs), s in zip(eq_data, eq_partial):
-                s2 = s + Fraction(coeffs[i]) * x
-                if s2 + mins[i + 1] > b or s2 + maxs[i + 1] < b:
-                    ok = False
+            sums = []
+            for (a, b, rest), s in zip(data, partial):
+                s += a[i] * x
+                if s + rest[i + 1] > b:
                     break
-                new_eq.append(s2)
-            if not ok:
-                continue
-            new_le = []
-            for (coeffs, b, mins, maxs), s in zip(le_data, le_partial):
-                s2 = s + Fraction(coeffs[i]) * x
-                if s2 + mins[i + 1] > b:
-                    ok = False
-                    break
-                new_le.append(s2)
-            if not ok:
-                continue
-            yield from descend(i + 1, new_eq, new_le)
+                sums.append(s)
+            else:
+                yield from descend(i + 1, sums)
 
-    yield from descend(0, [Fraction(0)] * len(eq_data), [Fraction(0)] * len(le_data))
+    yield from descend(0, [0] * len(data))
 
 
 def integer_points(poly: LatticePolytope) -> list[Vec]:
     """All points of Z^n inside the polytope, in canonical sorted order.
 
     Enumeration runs over the bounding box, restricted to the affine span
-    and filtered by the hyperplanes.
+    and filtered by the facets, on integers: the span equations and facet
+    normals are integer rows, so at an integer point a.x = b needs b to be
+    an integer, and a.x <= b means a.x <= floor(b).
     """
+    les = []
+    for a, b in poly.span_equations():
+        if b.denominator != 1:
+            return []
+        les += [(a, b.numerator), ([-x for x in a], -b.numerator)]
+    les += [([x.numerator for x in normal], floor(rhs)) for normal, rhs in poly.hyperplanes]
     verts = poly.vertices
-    n = len(verts[0])
-    lo = [floor(min(v[i] for v in verts)) for i in range(n)]
-    hi = [ceil(max(v[i] for v in verts)) for i in range(n)]
-    les = [(list(normal), rhs) for normal, rhs in poly.hyperplanes]
-    out = [to_vec(pt) for pt in _box_lattice_points(lo, hi, poly.span_equations(), les)]
-    out.sort()
-    return out
-
-
-def minkowski_sum(A: Iterable[Vec], B: Iterable[Vec]) -> set[Vec]:
-    return {vadd(a, b) for a in A for b in B}
+    lo = [floor(min(coords)) for coords in zip(*verts)]
+    hi = [ceil(max(coords)) for coords in zip(*verts)]
+    return sorted(to_vec(pt) for pt in _box_lattice_points(lo, hi, les))
 
 
 # ---------------------------------------------------------------------------

@@ -18,16 +18,7 @@ from typing import Optional, Sequence
 
 from .cone import Face, sample_relative_interior
 from .errors import BadParams, NotStronger, TooLarge
-from .exactgeom import (
-    AffineMap,
-    LatticePolytope,
-    Vec,
-    rank,
-    same_lattice,
-    to_vec,
-    vadd,
-    zero_vec,
-)
+from .exactgeom import AffineMap, LatticePolytope, Vec, same_lattice, vadd, zero_vec
 from .lattice import Lattice, from_ops
 from .poset import (
     LinearExtension,
@@ -222,26 +213,26 @@ def mu_k_marked_poset(n: int, k: int) -> MarkedPoset:
                        _diagonal_values(n, lambda r: 1 if r <= n - k else 0))
 
 
-def scaled_marked_poset(mp: MarkedPoset, c) -> MarkedPoset:
-    return MarkedPoset(mp.base, mp.marked,
-                       {p: Fraction(c) * v for p, v in mp.values.items()})
-
-
 def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> bool:
     if any(point[p] != mp.values[p] for p in mp.marked):
         return False
     return all(point[a] >= point[b] for a, b in order.covers())
 
 
-def _monotone_fillings(mp: MarkedPoset, order: Poset, values: Sequence[Fraction]):
-    """Every point that fixes the markings, takes one of `values` (given in
-    descending order) on each free cell, and satisfies x_a >= x_b for each
-    cover a < b of `order`. Points come as dicts, in a fixed order."""
+def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, Fraction]]:
+    """Every point that fixes the markings, takes a marking value on each
+    free cell, and satisfies x_a >= x_b for each cover a < b of `order`, as
+    dicts in a fixed order.
+
+    Every vertex coordinate propagates from a marked cell through tight
+    inequalities, so this candidate set contains all vertices.
+    """
     if not is_stronger(order, mp.base):
         raise NotStronger("order must refine the marked poset's base order")
     free = mp.free()
     if len(free) > 13:
         raise TooLarge("marked polytope enumeration capped at 13 free cells")
+    values = sorted(set(mp.values.values()), reverse=True)
     ext = next(linear_extensions(order)).order
     preds = {p: [a for a, b in order.covers() if b == p] for p in order.elements}
     lower = {
@@ -249,10 +240,13 @@ def _monotone_fillings(mp: MarkedPoset, order: Poset, values: Sequence[Fraction]
         for p in free
     }
     assignment = {}
+    out = []
 
     def descend(i):
         if i == len(ext):
-            yield dict(assignment)
+            if len(out) == 500_000:
+                raise TooLarge("marked polytope has too many candidate points")
+            out.append(dict(assignment))
             return
         p = ext[i]
         cap = min((assignment[q] for q in preds[p]), default=values[0])
@@ -260,24 +254,10 @@ def _monotone_fillings(mp: MarkedPoset, order: Poset, values: Sequence[Fraction]
             if v > cap or (p in lower and v < lower[p]):
                 continue
             assignment[p] = v
-            yield from descend(i + 1)
+            descend(i + 1)
             del assignment[p]
 
-    return descend(0)
-
-
-def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, Fraction]]:
-    """Monotone completions of the markings using marking values only.
-
-    Every vertex coordinate propagates from a marked cell through tight
-    inequalities, so this candidate set contains all vertices.
-    """
-    values = sorted(set(mp.values.values()), reverse=True)
-    out = []
-    for point in _monotone_fillings(mp, order, values):
-        if len(out) == 500_000:
-            raise TooLarge("marked polytope has too many candidate points")
-        out.append(point)
+    descend(0)
     return out
 
 
@@ -299,25 +279,6 @@ def _is_vertex(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> boo
     return all(find(p) in anchored for p in mp.free())
 
 
-def tight_rank(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> int:
-    """Rank of the tight constraint normals in the free coordinates. Equals
-    the number of free cells exactly at vertices."""
-    free = mp.free()
-    col = {p: i for i, p in enumerate(free)}
-    rows = []
-    for a, b in order.covers():
-        if point[a] != point[b]:
-            continue
-        row = [Fraction(0)] * len(free)
-        if a in col:
-            row[col[a]] += 1
-        if b in col:
-            row[col[b]] -= 1
-        if any(row):
-            rows.append(row)
-    return rank(rows) if rows else 0
-
-
 def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
     """x_p fixed to the marking on M, x_p >= x_q for p < q in `order`.
 
@@ -332,17 +293,6 @@ def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
     assert points, "a marked polytope always has at least one vertex"
     assert len(set(points)) == len(points)
     return LatticePolytope(points, already_extreme=True)
-
-
-def marked_integer_points(mp: MarkedPoset, order: Poset) -> list[Vec]:
-    """All integer points, for integral markings, by direct enumeration."""
-    assert all(v.denominator == 1 for v in mp.values.values())
-    top = max(v for v in mp.values.values())
-    bottom = min(v for v in mp.values.values())
-    values = [Fraction(x) for x in range(int(top), int(bottom) - 1, -1)]
-    labels = mp.base.elements
-    return [tuple(point[p] for p in labels)
-            for point in _monotone_fillings(mp, order, values)]
 
 
 # -- Gelfand-Tsetlin vertices ------------------------------------------------
@@ -448,19 +398,6 @@ def gt_vertices(n: int) -> list[GTVertex]:
             assert flag_point(n, lbl, phi) in xi[k]
         out.append(GTVertex(point, decomposition, chain))
     return out
-
-
-def lift_c(n: int, w: Sequence) -> dict[Vec, Fraction]:
-    """Height per GT vertex: the sum of the weights of its decomposition's
-    flag elements. `w` is indexed like flag_lattice(n).elements."""
-    L = flag_lattice(n)
-    w = to_vec(w)
-    if len(w) != L.size:
-        raise ValueError("weight vector must be indexed by the flag lattice")
-    return {
-        gv.point: sum((w[L.index(lbl)] for lbl in gv.labels), Fraction(0))
-        for gv in gt_vertices(n)
-    }
 
 
 # -- sections of the ambient subdivision -------------------------------------

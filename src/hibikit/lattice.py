@@ -48,6 +48,8 @@ class Lattice:
         self.iota: dict[str, frozenset[str]] = dict(iota)
         self._iota_inv = {v: k for k, v in self.iota.items()}
         self._extensions: Optional[tuple[LinearExtension, ...]] = None
+        self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
+        self._adjacency_graph = None  # subdivision.adjacency_graph
         self._degree_tables: dict[int, dict[int, tuple[int, ...]]] = {}  # hibi.degree_table
 
     # -- basic structure ----------------------------------------------------
@@ -344,8 +346,11 @@ def from_tables(elements: Sequence[str],
 # structure maps
 
 
-def diamond_pairs(L: Lattice) -> list[DiamondPair]:
-    """All unordered diamond pairs, in canonical element order."""
+def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
+    """All unordered diamond pairs, in canonical element order; built once
+    per lattice and kept on L."""
+    if L._diamond_pairs is not None:
+        return L._diamond_pairs
     out = []
     for i, a in enumerate(L.elements):
         for b in L.elements[i + 1:]:
@@ -358,7 +363,8 @@ def diamond_pairs(L: Lattice) -> list[DiamondPair]:
                 if L.height(a) != L.height(b):
                     raise AssertionError("diamond pair members differ in height")
                 out.append(DiamondPair(a, b, m, j))
-    return out
+    L._diamond_pairs = tuple(out)
+    return L._diamond_pairs
 
 
 @dataclass(frozen=True)
@@ -444,9 +450,3 @@ def parse_lattice(text: str) -> Lattice:
     if tables_mode:
         return from_tables(labels, join, meet)
     return birkhoff(parse_poset(text))
-
-
-def format_lattice(L: Lattice) -> str:
-    """Serialize as the poset file of poset_P; reload via birkhoff."""
-    from .poset import format_poset
-    return format_poset(L.poset_P)

@@ -230,9 +230,3 @@ def parse_poset(text: str) -> Poset:
         else:
             raise ValueError(f"bad poset line: {raw!r}")
     return from_cover_relations(labels, covers)
-
-
-def format_poset(P: Poset) -> str:
-    lines = [f"elem {x}" for x in P.elements]
-    lines += [f"cover {a} {b}" for a, b in P.covers()]
-    return "\n".join(lines) + "\n"

@@ -210,8 +210,11 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
 
     Three equivalent tests are computed and cross-checked: the maximal
     chains differ in exactly one element; the tuples differ by one adjacent
-    transposition; the chain difference is a diamond pair.
+    transposition; the chain difference is a diamond pair. Built once per
+    lattice and kept on L.
     """
+    if L._adjacency_graph is not None:
+        return L._adjacency_graph
     exts = L.extensions()
     chains = [frozenset(L.chain(e)) for e in exts]
     pair_set = {frozenset((d.a, d.b)) for d in diamond_pairs(L)}
@@ -232,7 +235,8 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
                     f"{exts[i].order} / {exts[j].order}")
             if by_chain:
                 edges.append((i, j))
-    return AdjacencyGraph(tuple(exts), tuple(edges))
+    L._adjacency_graph = AdjacencyGraph(tuple(exts), tuple(edges))
+    return L._adjacency_graph
 
 
 def generalized_permutahedron(L: Lattice, w: Sequence) -> LatticePolytope:

@@ -3,10 +3,10 @@
 Each face F of the cone carries a linear span U(F) with a saturated integer
 basis. Restricting the coordinate functionals of R^L to U(F) and reading them
 in the dual basis yields one integer point per lattice element; their convex
-hull is the weight polytope of F. The module also provides the projections
-dual to span inclusions, the affine change of coordinates between the order
-polytope and the apex weight polytope, chain simplices, the distinguished
-faces induced by a regular subdivision, and a small normality probe.
+hull is the weight polytope of F. The distinguished faces, one per part of
+F's regular subdivision, are certified through the projection dual to the
+span inclusion U(apex) ⊆ U(F) and the affine change of coordinates between
+the order polytope and the apex weight polytope.
 """
 
 from __future__ import annotations
@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .cone import Face, cone_K, face_of, sample_relative_interior, span_of_face
-from .errors import NotSubface, TooLarge
+from .cone import Face, face_of, sample_relative_interior, span_of_face
 from .exactgeom import (
     AffineMap,
     LatticePolytope,
@@ -25,7 +24,6 @@ from .exactgeom import (
     affine_map_through,
     integer_points,
     is_integral,
-    minkowski_sum,
     rank,
     same_lattice,
     solve_linear,
@@ -34,8 +32,7 @@ from .exactgeom import (
     vsub,
     zero_vec,
 )
-from .lattice import Lattice, ideal_label
-from .poset import LinearExtension, order_ideals
+from .poset import order_ideals
 from .subdivision import face_subdivision
 
 
@@ -89,24 +86,6 @@ def _inclusion_matrix(basis_g, basis_f) -> list[list[Fraction]]:
     return out
 
 
-def project(G: Face, F: Face, point: Sequence) -> Vec:
-    """Dual of the span inclusion U(F) ⊆ U(G), in dual-basis coordinates.
-
-    Sends the coordinates of a functional on U(G) to the coordinates of its
-    restriction to U(F). Carries the point of G's weight polytope labeled by
-    a lattice element to the identically labeled point of F's.
-    """
-    if G.cone.lattice != F.cone.lattice:
-        raise ValueError("faces must belong to the same cone")
-    if not (G.tight_idx <= F.tight_idx):
-        raise NotSubface("the source face's tight set must be contained in the target's")
-    C = _inclusion_matrix(span_of_face(G), span_of_face(F))
-    y = to_vec(point)
-    if C and len(y) != len(C[0]):
-        raise ValueError("point has the wrong length for the source face")
-    return tuple(vdot(row, y) for row in C)
-
-
 def _apex_weight_polytope(K) -> WeightPolytope:
     return weight_polytope(face_of(K, zero_vec(K.lattice.size)))
 
@@ -125,13 +104,6 @@ def _zeta_for(apex: WeightPolytope) -> AffineMap:
     return m
 
 
-def zeta(L: Lattice) -> AffineMap:
-    """Affine identification of R^P with the affine span of the apex weight
-    polytope, sending each ideal indicator to the matching labeled point.
-    Integer points correspond to Z^P under it."""
-    return _zeta_for(_apex_weight_polytope(cone_K(L)))
-
-
 def invert_affine(m: AffineMap, point: Sequence) -> Vec:
     """The unique preimage under an injective affine map; raises if the
     point is off the image."""
@@ -140,35 +112,6 @@ def invert_affine(m: AffineMap, point: Sequence) -> Vec:
     assert x is not None, "point is outside the affine image"
     assert m(x) == tuple(point), "point is outside the affine image"
     return tuple(x)
-
-
-@dataclass(frozen=True)
-class ChainSimplex:
-    """Coordinate face of the full-face weight polytope on a maximal chain."""
-
-    extension: LinearExtension
-    elements: tuple[str, ...]
-    points: dict[str, tuple[int, ...]]
-    polytope: LatticePolytope
-
-
-def chain_simplex(ext: LinearExtension) -> ChainSimplex:
-    from .lattice import birkhoff
-
-    P = ext.poset
-    L = birkhoff(P)
-    K = cone_K(L)
-    interior = tuple(Fraction(len(L.iota[a]) ** 2) for a in L.elements)
-    full = face_of(K, interior)
-    assert full.is_full
-    W = weight_polytope(full)
-    labels = [ideal_label(frozenset(ext.order[:k]), P.elements)
-              for k in range(P.size + 1)]
-    pts = {a: W.points[a] for a in labels}
-    poly = LatticePolytope(list(pts.values()))
-    assert poly.dim == P.size
-    assert len(poly.vertices) == P.size + 1
-    return ChainSimplex(ext, tuple(labels), pts, poly)
 
 
 @dataclass(frozen=True)
@@ -225,21 +168,6 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
         assert ideal_sets == set(order_ideals(part.order))
         out.append(DistinguishedFace(part.vertex_elements, sep, poly))
     return out
-
-
-def normality_probe(Q: LatticePolytope, k_max: int) -> Optional[int]:
-    """Smallest k <= k_max whose dilation kQ has an integer point that is
-    not a sum of k integer points of Q, or None when every level passes."""
-    if k_max > 4:
-        raise TooLarge("normality probe is capped at k_max = 4")
-    assert all(is_integral(v) for v in Q.vertices)
-    base = set(integer_points(Q))
-    sums = set(base)
-    for k in range(2, k_max + 1):
-        sums = minkowski_sum(sums, base)
-        if not set(integer_points(Q.scaled(k))) <= sums:
-            return k
-    return None
 
 
 def weight_polytope_json(F: Face) -> dict:

@@ -13,6 +13,10 @@ description kernel: it tries every d-subset of the points as a facet.
 hull_vertices is the LP hull that exactgeom used before LatticePolytope read
 its vertices off the facet kernel: one convex_combination LP per point, on
 exactgeom's integer simplex, which the rational simplex here checks.
+
+contains is the Fraction membership test that LatticePolytope used to carry;
+a brute-force box filter with it checks integer_points, which searches on
+integers.
 """
 
 from fractions import Fraction
@@ -20,7 +24,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from hibikit import exactgeom
-from hibikit.exactgeom import Vec, _int_rows, nullspace, rank, rref, to_vec, vdot, vsub
+from hibikit.exactgeom import (LatticePolytope, Vec, _int_rows, nullspace, rank, to_vec, vadd,
+                               vdot, vsub)
 
 
 def _pivot(T, row, col):
@@ -205,3 +210,15 @@ def hull_vertices(points: Sequence[Vec]) -> list[Vec]:
         if convex_combination(others, p) is None:
             out.append(p)
     return out
+
+
+def contains(poly: LatticePolytope, point) -> bool:
+    """Whether the point satisfies the polytope's span equations and facet
+    inequalities, in Fraction arithmetic."""
+    point = to_vec(point)
+    return (all(vdot(row, point) == b for row, b in poly.span_equations())
+            and all(vdot(n, point) <= r for n, r in poly.hyperplanes))
+
+
+def minkowski_sum(A, B) -> set:
+    return {vadd(a, b) for a in A for b in B}

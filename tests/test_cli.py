@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from hibikit.cli import canonical_json, export_poset, load_poset, main, parse_vector
+from hibikit.cli import canonical_json, load_poset, main, parse_vector
 from hibikit.cone import cone_K, face_of
 from hibikit.exactgeom import LatticePolytope, polytope_json
 from hibikit.lattice import birkhoff
@@ -71,10 +71,14 @@ def test_certify_grassmann_2_4_all_pass(capsys):
 # -- exports -----------------------------------------------------------------
 
 
-def test_export_poset_round_trip(tmp_path):
+def test_export_poset_round_trip(tmp_path, capsys):
+    # the "poset" object that `lattice` prints is a poset file for --poset
     P = from_cover_relations(["x", "y", "z"], [("x", "y"), ("x", "z")])
+    (tmp_path / "p.txt").write_text("elem x\nelem y\nelem z\ncover x y\ncover x z\n",
+                                    encoding="utf-8")
+    report = run_json(capsys, ["lattice", "--poset", str(tmp_path / "p.txt")])
     path = tmp_path / "poset.json"
-    export_poset(P, path)
+    path.write_text(canonical_json(report["poset"]), encoding="utf-8")
     assert load_poset(path) == P
 
 
@@ -95,8 +99,8 @@ def test_export_subdivision_part_count():
 
 
 def test_poset_file_drives_lattice_command(tmp_path, capsys):
-    P = from_cover_relations(["a", "b", "c"], [("a", "c"), ("b", "c")])
-    export_poset(P, tmp_path / "p.json")
+    (tmp_path / "p.json").write_text(
+        '{"elements": ["a", "b", "c"], "covers": [["a", "c"], ["b", "c"]]}', encoding="utf-8")
     report = run_json(capsys, ["lattice", "--poset", str(tmp_path / "p.json")])
     assert report["size"] == 5  # ideals: {}, a, b, ab, abc
     assert report["maximal_chains"] == 2
@@ -295,9 +299,32 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
         "type": "BadParams", "message": f"no face of the cone has key {key}"}
 
 
+@pytest.mark.parametrize("argv, poset_file", [
+    ("subdivide --boolean 2 --w 0,1,1", None),
+    ("subdivide --boolean 2 --face full --check 1", None),
+    ("subdivide --boolean 2 --face full --check -2", None),
+    ("certify --boolean 2 --lmax 0", None),
+    ("lattice --poset FILE", "elem a\nbogus b\n"),
+    ("lattice --poset FILE", "elem a\nelem a\n"),
+    ("lattice --poset FILE", '{"elements": ["a", "a"], "covers": []}'),
+    ("lattice --poset FILE", '{"elements": 5, "covers": []}'),
+    ("lattice --poset FILE", '{"elements": ["a"]}'),
+], ids=["short weight", "one trial", "negative trials", "degree 0", "bad poset line",
+        "repeated elem", "repeated JSON element", "JSON elements not a list",
+        "JSON without covers"])
+def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
+    # exit 1 means a certification ran and failed; bad input never runs one
+    path = tmp_path / "poset.txt"
+    if poset_file is not None:
+        path.write_text(poset_file, encoding="utf-8")
+    code, out, err = run_cli(capsys, argv.replace("FILE", str(path)).split())
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "BadParams"
+
+
 def test_parse_vector_fractions():
     from fractions import Fraction
-    assert parse_vector("1, 3/2  2") == (1, Fraction(3, 2), 2)
+    assert parse_vector("1, 3/2  2", 3) == (1, Fraction(3, 2), 2)
 
 
 def test_canonical_json_sorted_and_terminated():

@@ -4,20 +4,22 @@ tests/fraction_oracle.py keeps the scan over all C(#points, d) subsets and
 the LP hull. On random rational point sets, embedded in larger ambient
 spaces, and on degenerate non-simplicial polytopes the kernel must return
 the same facet rows, in the same order and with the same types, and
-LatticePolytope the same vertices as one LP per point.
+LatticePolytope the same vertices as one LP per point. integer_points, which
+searches on integers, must find what Fraction membership finds in the box.
 """
 
 import itertools
+import math
 import string
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from hibikit.cli import interior_weight
-from hibikit.exactgeom import LatticePolytope, facet_hyperplanes, to_vec
+from hibikit.exactgeom import LatticePolytope, facet_hyperplanes, integer_points, to_vec
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain
 from hibikit.subdivision import generalized_permutahedron
@@ -85,6 +87,16 @@ def assert_same_vertices(points):
 @given(hull_inputs())
 def test_random_point_sets_vertices_match_lp_hull(points):
     assert_same_vertices(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(embedded_point_sets(min_dim=0))
+def test_random_point_sets_integer_points_match_box_filter(points):
+    poly = LatticePolytope(points)
+    box = [range(math.floor(min(c)), math.ceil(max(c)) + 1) for c in zip(*poly.vertices)]
+    assume(math.prod(map(len, box)) <= 3000)
+    inside = [to_vec(x) for x in itertools.product(*box) if oracle.contains(poly, x)]
+    assert integer_points(poly) == inside
 
 
 def simplex(d):

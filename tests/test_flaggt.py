@@ -11,9 +11,10 @@ import fraction_oracle as oracle
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
-from hibikit.exactgeom import vadd, zero_vec
+from hibikit.exactgeom import rank, vadd, vscale, zero_vec
 from hibikit.flaggt import (
     MarkedPoset,
+    _is_vertex,
     component_shape,
     flag_lattice,
     flag_point,
@@ -25,14 +26,10 @@ from hibikit.flaggt import (
     gt_subdivision,
     gt_vertices,
     grassmann_lattice,
-    lift_c,
-    marked_integer_points,
     marked_order_polytope,
     mu_k_marked_poset,
     pbar_labels,
-    scaled_marked_poset,
     shape_census,
-    tight_rank,
 )
 from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import antichain, linear_extensions, order_ideals
@@ -50,6 +47,45 @@ def apex_face(L):
 def free_coords(n, point):
     labels = pbar_labels(n)
     return tuple(x for p, x in zip(labels, point) if p[1] != p[2])
+
+
+def dilate(mp, c):
+    """The marked poset with every marking multiplied by c."""
+    return MarkedPoset(mp.base, mp.marked, {p: c * v for p, v in mp.values.items()})
+
+
+def marked_integer_points(mp, order):
+    """All integer points of the marked order polytope of an integral
+    marking, by brute force over the free cells' values between the least
+    and the greatest marking."""
+    labels = mp.base.elements
+    free = mp.free()
+    values = range(int(min(mp.values.values())), int(max(mp.values.values())) + 1)
+    out = []
+    for filling in itertools.product(values, repeat=len(free)):
+        point = {**mp.values, **dict(zip(free, map(Fraction, filling)))}
+        if all(point[a] >= point[b] for a, b in order.covers()):
+            out.append(tuple(point[p] for p in labels))
+    return out
+
+
+def tight_rank(mp, order, point):
+    """Rank of the tight constraint normals in the free coordinates. Equals
+    the number of free cells exactly at vertices."""
+    free = mp.free()
+    col = {p: i for i, p in enumerate(free)}
+    rows = []
+    for a, b in order.covers():
+        if point[a] != point[b]:
+            continue
+        row = [Fraction(0)] * len(free)
+        if a in col:
+            row[col[a]] += 1
+        if b in col:
+            row[col[b]] -= 1
+        if any(row):
+            rows.append(row)
+    return rank(rows) if rows else 0
 
 
 # -- grassmann_lattice -------------------------------------------------------
@@ -197,8 +233,8 @@ def test_gt3_polytope_is_3_dimensional():
 def test_marked_polytope_scaling():
     # O_{M,(n-1)mu} = (n-1) * O_{M,mu}
     mp = gt_marked_poset(3)
-    big = marked_order_polytope(scaled_marked_poset(mp, 2), mp.base)
-    assert big == gt_polytope(3).scaled(2)
+    big = marked_order_polytope(dilate(mp, 2), mp.base)
+    assert set(big.vertices) == {vscale(2, v) for v in gt_polytope(3).vertices}
 
 
 def test_marked_polytope_rejects_weaker_order():
@@ -213,8 +249,6 @@ def test_marked_polytopes_reject_order_on_other_ground_set():
     other = antichain(["x", "y"])
     with pytest.raises(GroundSetMismatch):
         marked_order_polytope(mp, other)
-    with pytest.raises(GroundSetMismatch):
-        marked_integer_points(mp, other)
 
 
 def test_marked_polytope_too_large():
@@ -238,6 +272,16 @@ def test_tight_rank_detects_vertices():
     half = Fraction(1, 2)
     loose = dict(zip(labels, (Fraction(1), Fraction(1), half, half, Fraction(0), Fraction(0))))
     assert tight_rank(mp, mp.base, loose) == 2
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_tight_rank_agrees_with_anchoring(n):
+    # the rank test and the tight-graph anchoring test pick the same patterns
+    mp = gt_marked_poset(n)
+    for point, _ in gt_patterns(n):
+        coords = dict(zip(mp.base.elements, point))
+        assert _is_vertex(mp, mp.base, coords) == (
+            tight_rank(mp, mp.base, coords) == len(mp.free()))
 
 
 # -- patterns and vertices ---------------------------------------------------
@@ -363,8 +407,7 @@ def test_xi_vertex_sets_are_flag_points():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_integer_points_of_01_levels_are_vertices(n):
-    # both enumerations walk the same fillings; on a 0/1 polytope the
-    # integer points are exactly the vertices
+    # on a 0/1 polytope the integer points are exactly the vertices
     base = gt_marked_poset(n).base
     for k in range(1, n):
         mp = mu_k_marked_poset(n, k)
@@ -376,52 +419,39 @@ def test_integer_points_of_01_levels_are_vertices(n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_minkowski_sum_of_integer_points(n):
     mp = gt_marked_poset(n)
-    big = set(marked_integer_points(scaled_marked_poset(mp, n - 1), mp.base))
+    big = set(marked_integer_points(dilate(mp, n - 1), mp.base))
     sums = {zero_vec(len(pbar_labels(n)))}
     for k in range(1, n):
-        layer = marked_integer_points(mu_k_marked_poset(n, k), mp.base)
-        sums = {vadd(s, u) for s in sums for u in layer}
+        sums = oracle.minkowski_sum(sums, marked_integer_points(mu_k_marked_poset(n, k), mp.base))
     # integer points of the dilate are exactly the level-wise sums
     assert len(big) == 2 ** (n * (n - 1) // 2)
     assert big == sums
 
 
-# -- lift_c ------------------------------------------------------------------
+# -- lifted heights ----------------------------------------------------------
 
 
-def test_lift_zero():
-    c = lift_c(3, [Fraction(0)] * 6)
-    assert len(c) == 7
-    assert all(v == 0 for v in c.values())
-
-
-def test_lift_counts_minimal_element():
-    L = flag_lattice(3)
-    w = [Fraction(1 if a == "12" else 0) for a in L.elements]
-    c = lift_c(3, w)
-    for gv in gt_vertices(3):
-        assert c[gv.point] == gv.labels.count("12")
-
-
-def test_lift_envelope_identity():
-    # f(v) = c(w)_v / (n-1) for the ambient envelope f at every GT vertex
-    n = 3
+def assert_envelope_is_lift(n, w):
+    """At every GT vertex the ambient envelope f of w is the lifted height
+    over n - 1: the sum of the weights of the decomposition's flag elements."""
     L = flag_lattice(n)
-    w = tuple(Fraction(len(L.iota[a]) ** 2) for a in L.elements)
     sub = regular_subdivision(L, w)
     pt, iso = gt_poset_iso(n)
-    c = lift_c(n, w)
     pbar = pbar_labels(n)
     for gv in gt_vertices(n):
         coords = dict(zip(pbar, gv.point))
         ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
         value = min(part.value(ambient) for part in sub.parts)
-        assert value == c[gv.point] / (n - 1)
+        assert value == sum(w[L.index(lbl)] for lbl in gv.labels) / (n - 1)
 
 
-def test_lift_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        lift_c(3, [Fraction(0)] * 5)
+def test_lift_zero():
+    assert_envelope_is_lift(3, [Fraction(0)] * 6)
+
+
+def test_lift_envelope_identity():
+    L = flag_lattice(3)
+    assert_envelope_is_lift(3, [Fraction(len(L.iota[a]) ** 2) for a in L.elements])
 
 
 # -- gt_subdivision ----------------------------------------------------------

@@ -42,6 +42,30 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
     return [f"{module}.{name}" for module, name in defined if name not in refs]
 
 
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Module-level public functions and classes that no code of the package
+    refers to, outside their own body; as "module.name". The entry point
+    cli.main is exempt."""
+    defined = []
+    refs = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        own = {}
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                defined.append((module, node.name))
+                own.update((id(inner), node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name is not None and own.get(id(node)) != name:
+                refs.add(name.split(".")[-1])
+    return [f"{module}.{name}" for module, name in defined
+            if name not in refs and (module, name) != ("cli", "main")]
+
+
 def test_unused_imports_detects_dead_name():
     source = "import os\nimport sys\nfrom json import dumps, loads\nprint(sys.argv, loads)\n"
     assert unused_imports(source) == ["os", "dumps"]
@@ -53,6 +77,22 @@ def test_unreferenced_private_functions_detects_dead_helper():
         "b": "from a import _used\n\n\ndef _local():\n    pass\n\n\nrun = [_local]\n",
     }
     assert unreferenced_private_functions(sources) == ["a._dead"]
+
+
+def test_unreferenced_public_names_detects_test_only_api():
+    sources = {
+        "a": "class Used:\n    pass\n\n\nclass Dead:\n    x = Dead\n\n\n"
+             "def helper():\n    return helper()\n",
+        "b": "from a import Used\n\n\ndef run():\n    return Used\n\n\nrun()\n",
+        "cli": "def main():\n    pass\n",
+    }
+    assert unreferenced_public_names(sources) == ["a.Dead", "a.helper"]
+
+
+def test_every_public_name_is_reached_from_the_package():
+    # a public function or class that only tests call belongs in tests/
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unreferenced_public_names(sources) == []
 
 
 def test_every_private_function_is_referenced():

@@ -16,7 +16,6 @@ from hibikit.poset import (
     Poset,
     antichain,
     chain,
-    format_poset,
     from_cover_relations,
     intersect_orders,
     is_stronger,
@@ -182,7 +181,8 @@ def test_intersection_of_extensions_recovers_poset(n, data):
 
 def test_text_format_round_trip():
     P = grid22()
-    text = format_poset(P)
+    text = "".join([f"elem {x}\n" for x in P.elements]
+                   + [f"cover {a} {b}\n" for a, b in P.covers()])
     Q = parse_poset(text)
     assert Q.elements == P.elements
     assert Q.label_pairs() == P.label_pairs()

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hibikit import lattice, subdivision
+from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import NotInCone
 from hibikit.exactgeom import to_vec, vdot
@@ -250,6 +252,27 @@ def test_b3_adjacency_hexagon():
                 seen.add(y)
                 frontier.append(y)
     assert seen == set(range(6))
+
+
+def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
+    # cone_K, every face's key and every face's subdivision read the diamond
+    # pairs and the adjacency graph, which one job builds once for its lattice
+    built = {"pairs": 0, "graphs": 0}
+    pair, graph = lattice.DiamondPair, subdivision.AdjacencyGraph
+
+    def counting_pair(*args):
+        built["pairs"] += 1
+        return pair(*args)
+
+    def counting_graph(*args):
+        built["graphs"] += 1
+        return graph(*args)
+
+    monkeypatch.setattr(lattice, "DiamondPair", counting_pair)
+    monkeypatch.setattr(subdivision, "AdjacencyGraph", counting_graph)
+    assert main(["certify", "--boolean", "3", "--lmax", "4"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 22 * 4
+    assert built == {"pairs": 6, "graphs": 1}
 
 
 @settings(max_examples=15, deadline=None)
