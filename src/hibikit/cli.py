@@ -275,13 +275,16 @@ def _gt_subdivision_payload(n: int, face_spec: str) -> dict:
 def cmd_gt(args) -> int:
     if not 2 <= args.n <= MAX_GT_RANK:
         raise BadParams(f"gt needs 2 <= n <= {MAX_GT_RANK}")
+    if args.face is not None and args.action in ("census", "vertices"):
+        raise BadParams(f"gt {args.action} takes no --face")
     payload = {"command": "gt", "n": args.n}
     if args.action in (None, "census"):
         census = shape_census(args.n)
         payload["census"] = census
         payload["component_count"] = sum(census.values())
     if args.action in (None, "subdivide"):
-        payload["subdivision"] = _gt_subdivision_payload(args.n, args.face)
+        face = "full" if args.face is None else args.face
+        payload["subdivision"] = _gt_subdivision_payload(args.n, face)
     if args.action == "vertices":
         vs = gt_vertices(args.n)
         payload["vertex_count"] = len(vs)
@@ -354,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", nargs="?",
                    choices=["census", "subdivide", "vertices"],
                    help="default: census plus the full-face subdivision")
-    p.add_argument("--face", metavar="KEY", default="full",
+    p.add_argument("--face", metavar="KEY",
                    help="cone face for the subdivision (default full)")
 
     p = add("permutahedron", cmd_permutahedron)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .cone import Face, sample_relative_interior
 from .errors import BadParams, NotStronger, TooLarge
-from .exactgeom import AffineMap, LatticePolytope, Vec, same_lattice, vadd, zero_vec
+from .exactgeom import LatticePolytope, Vec, same_lattice
 from .lattice import Lattice, from_ops
 from .poset import (
     LinearExtension,
@@ -184,8 +184,10 @@ class MarkedPoset:
         return [p for p in self.base.elements if p not in marked]
 
 
-def _diagonal_values(n: int, value_of_r) -> dict[str, Fraction]:
-    return {_cell(r, r): Fraction(value_of_r(r)) for r in range(1, n + 1)}
+def _scaled_marking(n: int) -> dict[str, int]:
+    """The Gelfand-Tsetlin marking on the (n-1)-scaled lattice: p_{r,r}
+    carries n - r."""
+    return {_cell(r, r): n - r for r in range(1, n + 1)}
 
 
 def gt_marked_poset(n: int) -> MarkedPoset:
@@ -200,7 +202,14 @@ def gt_marked_poset(n: int) -> MarkedPoset:
     ]
     base = from_cover_relations(labels, pairs)
     marked = tuple(_cell(r, r) for r in range(1, n + 1))
-    return MarkedPoset(base, marked, _diagonal_values(n, lambda r: Fraction(n - r, n - 1)))
+    return MarkedPoset(base, marked,
+                       {p: Fraction(v, n - 1) for p, v in _scaled_marking(n).items()})
+
+
+def _scaled_gt_marked_poset(n: int) -> MarkedPoset:
+    """gt_marked_poset(n) scaled by n - 1, so every marking is an integer."""
+    mp = gt_marked_poset(n)
+    return MarkedPoset(mp.base, mp.marked, _scaled_marking(n))
 
 
 def mu_k_marked_poset(n: int, k: int) -> MarkedPoset:
@@ -210,7 +219,7 @@ def mu_k_marked_poset(n: int, k: int) -> MarkedPoset:
         raise BadParams("need 1 <= k <= n-1")
     mp = gt_marked_poset(n)
     return MarkedPoset(mp.base, mp.marked,
-                       _diagonal_values(n, lambda r: 1 if r <= n - k else 0))
+                       {p: Fraction(1 if v >= k else 0) for p, v in _scaled_marking(n).items()})
 
 
 def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> bool:
@@ -232,13 +241,21 @@ def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, Fraction
     free = mp.free()
     if len(free) > 13:
         raise TooLarge("marked polytope enumeration capped at 13 free cells")
-    values = sorted(set(mp.values.values()), reverse=True)
-    ext = next(linear_extensions(order)).order
-    preds = {p: [a for a, b in order.covers() if b == p] for p in order.elements}
+    preds = {p: [] for p in order.elements}
+    for a, b in order.covers():
+        preds[b].append(a)
     lower = {
         p: max(mp.values[m] for m in mp.marked if order.leq(p, m))
         for p in free
     }
+    return _fillings(next(linear_extensions(order)).order, preds, lower, mp.values)
+
+
+def _fillings(ext: Sequence[str], preds: dict, lower: dict, marking: dict) -> list[dict]:
+    """The candidate search, cell by cell along the linear extension `ext`:
+    a marked cell takes its marking, a free cell p any marking value between
+    lower[p] and the least value of its predecessors."""
+    values = sorted(set(marking.values()), reverse=True)
     assignment = {}
     out = []
 
@@ -250,7 +267,7 @@ def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, Fraction
             return
         p = ext[i]
         cap = min((assignment[q] for q in preds[p]), default=values[0])
-        for v in [mp.values[p]] if p in mp.values else values:
+        for v in [marking[p]] if p in marking else values:
             if v > cap or (p in lower and v < lower[p]):
                 continue
             assignment[p] = v
@@ -261,22 +278,28 @@ def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, Fraction
     return out
 
 
-def _is_vertex(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> bool:
+def _anchored(covers, marked, free, point) -> bool:
     # a point is a vertex iff every free cell reaches a marked cell through
-    # the graph of tight cover inequalities
-    parent = {p: p for p in order.elements}
+    # the graph of tight cover inequalities; cells are keys of `point`
+    parent = {}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while x in parent:
+            parent[x] = parent.get(parent[x], parent[x])  # path halving
             x = parent[x]
         return x
 
-    for a, b in order.covers():
+    for a, b in covers:
         if point[a] == point[b]:
-            parent[find(a)] = find(b)
-    anchored = {find(m) for m in mp.marked}
-    return all(find(p) in anchored for p in mp.free())
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    anchored = {find(m) for m in marked}
+    return all(find(p) in anchored for p in free)
+
+
+def _is_vertex(mp: MarkedPoset, order: Poset, point: dict) -> bool:
+    return _anchored(order.covers(), mp.marked, mp.free(), point)
 
 
 def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
@@ -309,7 +332,7 @@ class GTVertex:
     labels: tuple[str, ...]
 
 
-def flag_point(n: int, label: str, phi: Optional[dict] = None) -> Vec:
+def flag_point(n: int, label: str, phi: Optional[dict] = None) -> tuple[int, ...]:
     """0/1 indicator of the flag element's triangular ideal, with the two
     corner cells pinned to 1 and 0."""
     if phi is None:
@@ -318,11 +341,11 @@ def flag_point(n: int, label: str, phi: Optional[dict] = None) -> Vec:
     coords = []
     for p in pbar_labels(n):
         if p == _cell(1, 1):
-            coords.append(Fraction(1))
+            coords.append(1)
         elif p == _cell(n, n):
-            coords.append(Fraction(0))
+            coords.append(0)
         else:
-            coords.append(Fraction(1 if p in ideal else 0))
+            coords.append(1 if p in ideal else 0)
     return tuple(coords)
 
 
@@ -331,15 +354,16 @@ def gt_polytope(n: int) -> LatticePolytope:
     return marked_order_polytope(mp, mp.base)
 
 
-def gt_patterns(n: int) -> list[tuple[Vec, tuple[str, ...]]]:
+def gt_patterns(n: int) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     """Every point of the Gelfand-Tsetlin polytope whose coordinates all
-    take marking values, with its flag-element chain.
+    take marking values, with its flag-element chain, on the (n-1)-scaled
+    integer lattice: each point is n - 1 times a point of the polytope.
 
-    The k-th chain entry is read off the superlevel set at k/(n-1): that
-    ideal's flag element has exactly k indices, and the point is the sum of
-    the scaled flag points of its chain. Patterns are exactly the chains
+    The k-th chain entry is read off the superlevel set at k: that ideal's
+    flag element has exactly k indices, and the point is the sum of the 0/1
+    flag points of its chain. Patterns are exactly the chains
     a_1 > a_2 > ... > a_{n-1} with a_k a k-index element, so there are
-    2^(n(n-1)/2) of them; the polytope's vertices are among them.
+    2^(n(n-1)/2) of them; the polytope's vertices, scaled, are among them.
     """
     if n < 2:
         raise BadParams("need n >= 2")
@@ -348,22 +372,20 @@ def gt_patterns(n: int) -> list[tuple[Vec, tuple[str, ...]]]:
     phi = _phi(n)
     ideal_to_label = {ideal: lbl for lbl, ideal in phi.items()}
     assert len(ideal_to_label) == len(phi)
+    flag_points = {lbl: flag_point(n, lbl, phi) for lbl in phi}
     labels = pbar_labels(n)
-    ptilde = set(_ptilde_labels(n))
-    mp = gt_marked_poset(n)
+    ptilde = _ptilde_labels(n)
+    mp = _scaled_gt_marked_poset(n)
     out = []
     for cand in _vertex_candidates(mp, mp.base):
         point = tuple(cand[p] for p in labels)
         chain = []
-        total = zero_vec(len(labels))
         for k in range(1, n):
-            level = frozenset(
-                p for p in ptilde if cand[p] >= Fraction(k, n - 1))
+            level = frozenset(p for p in ptilde if cand[p] >= k)
             lbl = ideal_to_label.get(level)
             assert lbl is not None and len(lbl) == k
             chain.append(lbl)
-            total = vadd(total, tuple(
-                x / (n - 1) for x in flag_point(n, lbl, phi)))
+        total = tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain))))
         assert total == point
         out.append((point, tuple(chain)))
     assert len(out) == 2 ** (n * (n - 1) // 2)
@@ -374,29 +396,29 @@ def gt_vertices(n: int) -> list[GTVertex]:
     """Vertices of the Gelfand-Tsetlin polytope with exact decompositions.
 
     Vertices are the patterns whose tight-constraint graph anchors every
-    free cell.
+    free cell. The search runs on the (n-1)-scaled integer lattice; each
+    point and each label's share of a decomposition becomes a Fraction once.
     """
+    mp = _scaled_gt_marked_poset(n)
     phi = _phi(n)
+    flag_points = {lbl: flag_point(n, lbl, phi) for lbl in phi}
     xi = {
-        k: set(marked_order_polytope(mu_k_marked_poset(n, k),
-                                     gt_marked_poset(n).base).vertices)
+        k: set(marked_order_polytope(mu_k_marked_poset(n, k), mp.base).vertices)
         for k in range(1, n)
     }
     for k in range(1, n):
-        k_points = {flag_point(n, lbl, phi) for lbl in phi if len(lbl) == k}
+        k_points = {flag_points[lbl] for lbl in phi if len(lbl) == k}
         assert xi[k] == k_points, "level-k vertices must be k-index flag points"
-    mp = gt_marked_poset(n)
+    shares = {lbl: tuple(Fraction(x, n - 1) for x in flag_points[lbl]) for lbl in phi}
     labels = mp.base.elements
     out = []
     for point, chain in gt_patterns(n):
         if not _is_vertex(mp, mp.base, dict(zip(labels, point))):
             continue
-        decomposition = tuple(
-            tuple(x / (n - 1) for x in flag_point(n, lbl, phi))
-            for lbl in chain)
         for k, lbl in enumerate(chain, start=1):
-            assert flag_point(n, lbl, phi) in xi[k]
-        out.append(GTVertex(point, decomposition, chain))
+            assert flag_points[lbl] in xi[k]
+        out.append(GTVertex(tuple(Fraction(x, n - 1) for x in point),
+                            tuple(shares[lbl] for lbl in chain), chain))
     return out
 
 
@@ -431,7 +453,8 @@ def gt_subdivision(n: int, F: Face) -> list[tuple[Poset, LatticePolytope]]:
     mp = gt_marked_poset(n)
     sub = face_subdivision(F)
     w = sample_relative_interior(F)
-    patterns = gt_patterns(n)
+    patterns = [(tuple(Fraction(x, n - 1) for x in point), chain)
+                for point, chain in gt_patterns(n)]
     heights = {
         point: sum((Fraction(w[L.index(lbl)]) for lbl in chain), Fraction(0))
         for point, chain in patterns
@@ -468,13 +491,30 @@ def gt_subdivision(n: int, F: Face) -> list[tuple[Poset, LatticePolytope]]:
 # -- component shapes --------------------------------------------------------
 
 
-def component_shape(ext: LinearExtension) -> tuple[int, ...]:
-    """Block sizes of a linearization: the number of cells strictly between
-    consecutive diagonal markers once the corners are added back.
+def _chain_vertices(chain: Sequence[str], marking: dict[str, int]) -> list[tuple[int, ...]]:
+    """Vertices of the marked order polytope of a chain, x_c >= x_d for
+    each step c, d of it, as value tuples along the chain: the candidates
+    of the search that marked_order_polytope runs, kept by the same
+    anchoring test."""
+    preds = {d: [c] for c, d in zip(chain, chain[1:])}
+    preds[chain[0]] = []
+    lower = {}
+    bound = None  # the marking of the next marked cell
+    for p in reversed(chain):
+        if p in marking:
+            bound = marking[p]
+        else:
+            lower[p] = bound
+    covers = list(zip(chain, chain[1:]))
+    free = list(lower)
+    return [tuple(point[p] for p in chain)
+            for point in _fillings(chain, preds, lower, marking)
+            if _anchored(covers, marking, free, point)]
 
-    Verifies that the corresponding section is a product of unit simplices
-    of these dimensions, up to a unimodular change of the (n-1)-scaled
-    lattice."""
+
+def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """component_shape's block sizes, with the image of its section's
+    vertices under the difference map, on the (n-1)-scaled lattice."""
     size = ext.poset.size
     n = next(m for m in range(2, 20) if m * (m + 1) // 2 - 2 == size)
     total = [_cell(1, 1), *ext.order, _cell(n, n)]
@@ -488,22 +528,14 @@ def component_shape(ext: LinearExtension) -> tuple[int, ...]:
     assert sum(shape) == n * (n - 1) // 2
     assert all(d > 0 for d in shape)
 
-    mp = gt_marked_poset(n)
-    Q = marked_order_polytope(mp, from_cover_relations(
-        pbar_labels(n), list(zip(total, total[1:]))))
-    col = {p: i for i, p in enumerate(mp.base.elements)}
-    rows = []
-    for k, block in enumerate(blocks, start=1):
-        chain = block + [_cell(k + 1, k + 1)]
-        for a, b in zip(chain, chain[1:]):
-            row = [Fraction(0)] * len(mp.base.elements)
-            row[col[a]] = Fraction(n - 1)
-            row[col[b]] = Fraction(-(n - 1))
-            rows.append(row)
-    diff = AffineMap(tuple(tuple(r) for r in rows),
-                     tuple(zero_vec(len(rows))))
-    image = [diff(v) for v in Q.vertices]
-    assert len(set(image)) == len(Q.vertices)
+    # the difference map sends x to x_c - x_d over the steps c, d of each
+    # block followed by the next marker: one row per free cell c, in
+    # chain order, and d is the cell after c
+    marking = _scaled_marking(n)
+    vertices = _chain_vertices(total, marking)
+    rows = [i for i, p in enumerate(total) if p not in marking]
+    image = [tuple(v[i] - v[i + 1] for i in rows) for v in vertices]
+    assert len(set(image)) == len(vertices)
     slots = []
     offset = 0
     for d in shape:
@@ -515,13 +547,30 @@ def component_shape(ext: LinearExtension) -> tuple[int, ...]:
         for j in choice:
             if j is not None:
                 z[j] = 1
-        product_vertices.add(tuple(map(Fraction, z)))
+        product_vertices.add(tuple(z))
     assert set(image) == product_vertices
-    free_cols = [col[p] for p in mp.free()]
-    B = [[int(r[c]) // (n - 1) for c in free_cols] for r in rows]
+    col = {p: j for j, p in enumerate(p for p in pbar_labels(n) if p not in marking)}
+    B = []
+    for i in rows:
+        row = [0] * len(col)
+        row[col[total[i]]] = 1
+        if total[i + 1] in col:
+            row[col[total[i + 1]]] = -1
+        B.append(row)
     identity = [[1 if i == j else 0 for j in range(len(B))] for i in range(len(B))]
     assert same_lattice(B, identity), "difference map must be unimodular"
-    return shape
+    return shape, image
+
+
+def component_shape(ext: LinearExtension) -> tuple[int, ...]:
+    """Block sizes of a linearization: the number of cells strictly between
+    consecutive diagonal markers once the corners are added back.
+
+    Verifies that the corresponding section is a product of unit simplices
+    of these dimensions, up to a unimodular change of the (n-1)-scaled
+    lattice. The section's vertices are enumerated on that lattice, where
+    the marking of p_{r,r} is n - r, and compared as integer tuples."""
+    return _shape_and_image(ext)[0]
 
 
 def shape_census(n: int) -> dict[str, int]:

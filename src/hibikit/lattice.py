@@ -51,6 +51,7 @@ class Lattice:
         self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
         self._adjacency_graph = None  # subdivision.adjacency_graph
         self._degree_tables: dict[int, dict[int, tuple[int, ...]]] = {}  # hibi.degree_table
+        self._sublattices: dict[Poset, tuple[str, ...]] = {}  # sublattice_for_order
 
     # -- basic structure ----------------------------------------------------
 
@@ -401,7 +402,10 @@ def maximal_chains(L: Lattice) -> list[MaximalChain]:
 
 def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
     """iota^{-1} of the ideals of a stronger order on poset_P: the elements
-    that survive in the component indexed by that order."""
+    that survive in the component indexed by that order. Built once per
+    order and kept on the lattice."""
+    if stronger in L._sublattices:
+        return L._sublattices[stronger]
     if not is_stronger(stronger, L.poset_P):
         raise NotStronger("order does not refine the lattice's poset")
     members = []
@@ -413,7 +417,8 @@ def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
         for b in members:
             if L.join(a, b) not in members or L.meet(a, b) not in members:
                 raise AssertionError("sublattice is not closed")
-    return tuple(members)
+    L._sublattices[stronger] = tuple(members)
+    return L._sublattices[stronger]
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ against the canonical element tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
+from typing import Iterator, Optional
 
 from .errors import CycleError, GroundSetMismatch, UnknownLabel
 
@@ -23,6 +23,8 @@ class Poset:
 
     elements: tuple[str, ...]
     relation: frozenset[tuple[int, int]]
+    _covers: Optional[tuple[tuple[str, str], ...]] = field(
+        default=None, init=False, repr=False, compare=False)  # covers()
 
     def __post_init__(self):
         n = len(self.elements)
@@ -63,7 +65,13 @@ class Poset:
         return frozenset(i for i, k in self.relation if k == j)
 
     def covers(self) -> list[tuple[str, str]]:
-        """Cover pairs (a, b) with a < b and nothing in between."""
+        """Cover pairs (a, b) with a < b and nothing in between, scanned
+        once per poset."""
+        if self._covers is None:
+            object.__setattr__(self, "_covers", tuple(self._scan_covers()))
+        return list(self._covers)
+
+    def _scan_covers(self) -> list[tuple[str, str]]:
         out = []
         for i, j in sorted(self.relation):
             if not any((i, k) in self.relation and (k, j) in self.relation

@@ -17,15 +17,25 @@ exactgeom's integer simplex, which the rational simplex here checks.
 contains is the Fraction membership test that LatticePolytope used to carry;
 a brute-force box filter with it checks integer_points, which searches on
 integers.
+
+gt_patterns and component_image are the Gelfand-Tsetlin pattern search and
+the component shape check that flaggt ran in Fraction arithmetic before it
+moved them to the (n-1)-scaled integer lattice: the patterns are the
+Fraction points themselves, and each section is a marked order polytope of
+its chain mapped by a Fraction AffineMap.
 """
 
+import itertools
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from hibikit import exactgeom
-from hibikit.exactgeom import (LatticePolytope, Vec, _int_rows, nullspace, rank, to_vec, vadd,
-                               vdot, vsub)
+from hibikit.exactgeom import (AffineMap, LatticePolytope, Vec, _int_rows, nullspace, rank,
+                               same_lattice, to_vec, vadd, vdot, vsub, zero_vec)
+from hibikit.flaggt import (_cell, _phi, _ptilde_labels, _vertex_candidates, flag_point,
+                            gt_marked_poset, marked_order_polytope, pbar_labels)
+from hibikit.poset import LinearExtension, from_cover_relations
 
 
 def _pivot(T, row, col):
@@ -222,3 +232,79 @@ def contains(poly: LatticePolytope, point) -> bool:
 
 def minkowski_sum(A, B) -> set:
     return {vadd(a, b) for a in A for b in B}
+
+
+def gt_patterns(n: int) -> list[tuple[Vec, tuple[str, ...]]]:
+    """Every marking-valued point of the Gelfand-Tsetlin polytope with its
+    flag-element chain, read off the superlevel sets at k/(n-1)."""
+    phi = _phi(n)
+    ideal_to_label = {ideal: lbl for lbl, ideal in phi.items()}
+    labels = pbar_labels(n)
+    ptilde = set(_ptilde_labels(n))
+    mp = gt_marked_poset(n)
+    out = []
+    for cand in _vertex_candidates(mp, mp.base):
+        point = tuple(cand[p] for p in labels)
+        chain = []
+        total = zero_vec(len(labels))
+        for k in range(1, n):
+            level = frozenset(p for p in ptilde if cand[p] >= Fraction(k, n - 1))
+            lbl = ideal_to_label[level]
+            chain.append(lbl)
+            total = vadd(total, tuple(Fraction(x) / (n - 1) for x in flag_point(n, lbl, phi)))
+        assert total == point
+        out.append((point, tuple(chain)))
+    return out
+
+
+def component_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[Vec]]:
+    """Block sizes of a linearization and the image of its section's
+    vertices under the difference map, checked as component_shape checks
+    them."""
+    size = ext.poset.size
+    n = next(m for m in range(2, 20) if m * (m + 1) // 2 - 2 == size)
+    total = [_cell(1, 1), *ext.order, _cell(n, n)]
+    position = {p: i for i, p in enumerate(total)}
+    blocks = []
+    for k in range(1, n):
+        lo, hi = position[_cell(k, k)], position[_cell(k + 1, k + 1)]
+        assert lo < hi
+        blocks.append(total[lo + 1:hi])
+    shape = tuple(len(b) for b in blocks)
+    assert sum(shape) == n * (n - 1) // 2
+    assert all(d > 0 for d in shape)
+
+    mp = gt_marked_poset(n)
+    Q = marked_order_polytope(mp, from_cover_relations(
+        pbar_labels(n), list(zip(total, total[1:]))))
+    col = {p: i for i, p in enumerate(mp.base.elements)}
+    rows = []
+    for k, block in enumerate(blocks, start=1):
+        chain = block + [_cell(k + 1, k + 1)]
+        for a, b in zip(chain, chain[1:]):
+            row = [Fraction(0)] * len(mp.base.elements)
+            row[col[a]] = Fraction(n - 1)
+            row[col[b]] = Fraction(-(n - 1))
+            rows.append(row)
+    diff = AffineMap(tuple(tuple(r) for r in rows),
+                     tuple(zero_vec(len(rows))))
+    image = [diff(v) for v in Q.vertices]
+    assert len(set(image)) == len(Q.vertices)
+    slots = []
+    offset = 0
+    for d in shape:
+        slots.append(range(offset, offset + d))
+        offset += d
+    product_vertices = set()
+    for choice in itertools.product(*[[None, *s] for s in slots]):
+        z = [0] * offset
+        for j in choice:
+            if j is not None:
+                z[j] = 1
+        product_vertices.add(tuple(map(Fraction, z)))
+    assert set(image) == product_vertices
+    free_cols = [col[p] for p in mp.free()]
+    B = [[int(r[c]) // (n - 1) for c in free_cols] for r in rows]
+    identity = [[1 if i == j else 0 for j in range(len(B))] for i in range(len(B))]
+    assert same_lattice(B, identity), "difference map must be unimodular"
+    return shape, image

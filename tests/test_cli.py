@@ -225,6 +225,8 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     ["lattice"],
     ["permutahedron", "--boolean", "2", "--w", "1,2,3"],  # wrong length
     ["gt", "--n", "9", "census"],
+    ["gt", "--n", "3", "census", "--face", "bogus"],     # --face needs subdivide
+    ["gt", "--n", "3", "vertices", "--face", "apex"],
     ["lattice", "--poset", "/nonexistent/poset.json"],
 ])
 def test_error_records(argv, capsys):

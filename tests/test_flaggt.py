@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hibikit.exactgeom import rank, vadd, vscale, zero_vec
 from hibikit.flaggt import (
     MarkedPoset,
     _is_vertex,
+    _shape_and_image,
     component_shape,
     flag_lattice,
     flag_point,
@@ -32,7 +34,7 @@ from hibikit.flaggt import (
     shape_census,
 )
 from hibikit.lattice import birkhoff, diamond_pairs
-from hibikit.poset import antichain, linear_extensions, order_ideals
+from hibikit.poset import Poset, antichain, linear_extensions, order_ideals
 from hibikit.subdivision import regular_subdivision
 
 
@@ -42,6 +44,11 @@ def full_face(L):
 
 def apex_face(L):
     return face_of(cone_K(L), zero_vec(L.size))
+
+
+def unscaled(n, point):
+    """A point of the (n-1)-scaled lattice as a point of the GT polytope."""
+    return tuple(Fraction(x, n - 1) for x in point)
 
 
 def free_coords(n, point):
@@ -279,7 +286,7 @@ def test_tight_rank_agrees_with_anchoring(n):
     # the rank test and the tight-graph anchoring test pick the same patterns
     mp = gt_marked_poset(n)
     for point, _ in gt_patterns(n):
-        coords = dict(zip(mp.base.elements, point))
+        coords = dict(zip(mp.base.elements, unscaled(n, point)))
         assert _is_vertex(mp, mp.base, coords) == (
             tight_rank(mp, mp.base, coords) == len(mp.free()))
 
@@ -292,6 +299,14 @@ def test_gt_pattern_count(n, count):
     assert len(gt_patterns(n)) == count
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gt_patterns_match_fraction_oracle(n):
+    # the integer patterns, divided by n - 1, are the Fraction patterns
+    patterns = gt_patterns(n)
+    assert all(type(x) is int for point, _ in patterns for x in point)
+    assert [(unscaled(n, point), chain) for point, chain in patterns] == oracle.gt_patterns(n)
+
+
 def test_gt_patterns_are_chains():
     L = flag_lattice(3)
     for point, chain in gt_patterns(3):
@@ -300,7 +315,7 @@ def test_gt_patterns_are_chains():
 
 
 def hull_of_patterns(n):
-    return set(oracle.hull_vertices([p for p, _ in gt_patterns(n)]))
+    return set(oracle.hull_vertices([unscaled(n, p) for p, _ in gt_patterns(n)]))
 
 
 def test_gt_vertices_2():
@@ -320,7 +335,7 @@ def test_gt_vertices_3():
     assert {free_coords(3, gv.point) for gv in vs} == expected
     # the pattern (1, 1/2, 0) is a midpoint of two vertices, not a vertex
     assert (1, half, 0) not in {free_coords(3, gv.point) for gv in vs}
-    assert (1, half, 0) in {free_coords(3, p) for p, _ in gt_patterns(3)}
+    assert (1, half, 0) in {free_coords(3, unscaled(3, p)) for p, _ in gt_patterns(3)}
     assert hull_of_patterns(3) == {gv.point for gv in vs}
 
 
@@ -361,8 +376,7 @@ def _all_flag_labels(n):
 def _scaled_sum(n, combo):
     total = zero_vec(len(pbar_labels(n)))
     for lbl in combo:
-        total = vadd(total, tuple(
-            x / (n - 1) for x in flag_point(n, lbl)))
+        total = vadd(total, unscaled(n, flag_point(n, lbl)))
     return total
 
 
@@ -564,6 +578,56 @@ def test_component_shape_n3():
 
 def test_shape_census_n4():
     assert shape_census(4) == {"3x2x1": 8, "2x2x2": 2, "4x1x1": 2}
+
+
+def test_shape_census_n5():
+    # 286 linearizations; the Fraction census took about 44 s on this
+    census = shape_census(5)
+    assert census == {"3x3x2x2": 42, "3x3x3x1": 18, "4x2x2x2": 24, "4x3x2x1": 96,
+                      "4x4x1x1": 16, "5x2x2x1": 40, "5x3x1x1": 30, "6x2x1x1": 20}
+    assert sum(census.values()) == 286
+
+
+def _oracle_linearizations():
+    # every linearization for n <= 4, and a seeded 12 of n = 5's 286
+    cases = [(n, ext) for n in (2, 3, 4) for ext in linear_extensions(gt_poset(n))]
+    exts5 = list(linear_extensions(gt_poset(5)))
+    assert len(exts5) == 286
+    cases += [(5, ext) for ext in random.Random(5).sample(exts5, 12)]
+    return cases
+
+
+ORACLE_CASES = _oracle_linearizations()
+
+
+@pytest.mark.parametrize("n, ext", ORACLE_CASES,
+                         ids=[f"n{n}-{i}" for i, (n, _) in enumerate(ORACLE_CASES)])
+def test_component_shape_matches_fraction_oracle(n, ext):
+    # same blocks, and the same difference image of the section's vertices
+    shape, image = _shape_and_image(ext)
+    want_shape, want_image = oracle.component_image(ext)
+    assert shape == component_shape(ext) == want_shape
+    assert all(type(x) is int for z in image for x in z)
+    assert sorted(image) == sorted(want_image)
+
+
+@pytest.mark.parametrize("action, orders", [("census", 0), ("vertices", 2)])
+def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
+    # Poset.covers keeps its scan. The census reads no order's covers; the
+    # vertex search reads the base order's covers once per candidate, on
+    # the base built by gt_vertices and on the one built by gt_patterns.
+    # Each read used to rescan: 406 and 118 scans per job.
+    scans = {}
+    scan = Poset._scan_covers
+
+    def counting(self):
+        scans[id(self)] = scans.get(id(self), 0) + 1
+        return scan(self)
+
+    monkeypatch.setattr(Poset, "_scan_covers", counting)
+    assert main(["gt", "--n", "4", action]) == 0
+    capsys.readouterr()
+    assert list(scans.values()) == [1] * orders
 
 
 def test_component_shape_sums():

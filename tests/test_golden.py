@@ -52,6 +52,14 @@ GOLDEN = [
      "ceb56ea2206a361e35c8a2b9312fff50a37744331cfbf94aaf60247aea09fab1", 153),
     ("weightpoly --flag 4",
      "a5ead3f5e34f8b312d0287e535d59bd7e6c7fa1e70a734c98cd76ec99579e2ae", 134),
+    # recorded with the Fraction census and patterns, which took about 44 s
+    # on the n = 5 census
+    ("gt --n 4 vertices",
+     "36f36a89c78b8dd95c86e132aee348db5efb4fdc1d0de7c947549b726c4fcbd9", 0),
+    ("gt --n 4 census",
+     "34371d3acbb2ffe25521da4b37a7dd745c0e52a2dab2f85fa0128bfc01c77be7", 0),
+    ("gt --n 5 census",
+     "2a1b84701a8a02e4f1def1380aba46894f2b50b9559869e0a1677c896e793e90", 0),
 ]
 
 

@@ -25,6 +25,7 @@ from hibi_oracle import (
     straighten,
 )
 
+from hibikit import hibi, lattice
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, NotStronger
 from hibikit.exactgeom import vadd, zero_vec
@@ -469,6 +470,24 @@ def test_certify_work_counts(hash_seed):
     assert counts["code"] == 0 and counts["rows"] == 22 * 4
     assert counts["tables"] == [1, 2, 3, 4]
     assert counts["ranks"] == 0
+
+
+@pytest.mark.parametrize("make, lmax, asks, builds", [
+    (lambda: birkhoff(antichain(["p", "q", "r"])), 4, 340, 19),
+    (lambda: grassmann_lattice(2, 5), 3, 66, 14),
+])
+def test_certificate_builds_each_orders_members_once(make, lmax, asks, builds, monkeypatch):
+    # intersection_dim asks for every part's members at every degree; each
+    # order's members are built once and kept on the lattice
+    L = make()
+    asked, built = [], []
+    members, ideals = hibi.sublattice_for_order, lattice.order_ideals
+    monkeypatch.setattr(hibi, "sublattice_for_order",
+                        lambda L, order: asked.append(order) or members(L, order))
+    monkeypatch.setattr(lattice, "order_ideals", lambda P: built.append(P) or ideals(P))
+    assert all(row["pass"] for row in degeneration_certificate(L, lmax))
+    assert len(asked) == asks
+    assert len(built) == len(set(asked)) == builds
 
 
 @pytest.mark.parametrize("P,lmax", [
