@@ -208,15 +208,14 @@ def cmd_subdivide(args) -> int:
         raise BadParams("--check needs at least 2 trials")
     K = cone_K(L)
     if args.w is not None:
-        w = parse_vector(args.w, L.size)
-        F = face_of(K, w)  # validates cone membership
-        sub = regular_subdivision(L, w)
+        sub = regular_subdivision(L, parse_vector(args.w, L.size), K)  # validates cone membership
+        F = face_of(K, sub.weight) if args.check is not None else None
     else:
         F = resolve_face(K, args.face)
         sub = face_subdivision(F)
     payload = {
         "command": "subdivide",
-        "face": F.key(),
+        "face": sub.face_key,
         "part_count": len(sub.parts),
         "subdivision": subdivision_json(sub),
     }
@@ -259,9 +258,9 @@ def cmd_weightpoly(args) -> int:
 
 
 def _gt_subdivision_payload(n: int, face_spec: str) -> dict:
-    K = cone_K(flag_lattice(n))
-    F = resolve_face(K, face_spec)
-    parts = gt_subdivision(n, F)
+    flag = flag_lattice(n)
+    F = resolve_face(cone_K(flag), face_spec)
+    parts = gt_subdivision(n, F, flag)
     return {
         "face": F.key(),
         "part_count": len(parts),

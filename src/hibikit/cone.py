@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import ceil
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import NotInCone, TooLarge
 from .exactgeom import (Vec, _echelon, _extreme_rays, integer_kernel, lp_feasible, rank, to_vec,
@@ -66,8 +66,7 @@ class Face:
                 raise AssertionError("apex dimension is not |P|+1")
 
     def key(self) -> str:
-        pairs = sorted(sorted([d.a, d.b]) for d in self.tight)
-        return json.dumps(pairs, separators=(",", ":"))
+        return _key_of(self.tight)
 
     @property
     def is_apex(self) -> bool:
@@ -87,6 +86,26 @@ class Face:
 
     def __repr__(self):
         return f"Face(dim {self.dim}, tight {self.key()})"
+
+
+def _key_of(tight: Iterable[DiamondPair]) -> str:
+    return json.dumps(sorted(sorted([d.a, d.b]) for d in tight), separators=(",", ":"))
+
+
+def _tight_set(pairs: Sequence[DiamondPair], normals: Sequence[tuple[int, ...]],
+               w: Sequence, den: int = 1) -> frozenset[int]:
+    """Indices of the pairs tight at w / den; NotInCone names the first violated."""
+    tight = set()
+    for i, normal in enumerate(normals):
+        value = sum(c * x for c, x in zip(normal, w, strict=True))
+        if value < 0:
+            d = pairs[i]
+            raise NotInCone(
+                f"w_{{{d.meet_elt}}}+w_{{{d.join_elt}}}-w_{{{d.a}}}-w_{{{d.b}}}"
+                f" = {Fraction(value, den)} < 0")
+        if value == 0:
+            tight.add(i)
+    return frozenset(tight)
 
 
 def cone_K(L: Lattice) -> MaxCone:
@@ -113,17 +132,7 @@ def face_of(K: MaxCone, w: Sequence) -> Face:
     w = to_vec(w)
     if len(w) != K.lattice.size:
         raise ValueError("point has wrong dimension")
-    tight = set()
-    for i, normal in enumerate(K.normals):
-        value = vdot(normal, w)
-        if value < 0:
-            d = K.pairs[i]
-            raise NotInCone(
-                f"w_{{{d.meet_elt}}}+w_{{{d.join_elt}}}-w_{{{d.a}}}-w_{{{d.b}}}"
-                f" = {value} < 0")
-        if value == 0:
-            tight.add(i)
-    return Face(K, frozenset(tight), w)
+    return Face(K, _tight_set(K.pairs, K.normals, w), w)
 
 
 def span_of_face(F: Face) -> list[list[int]]:

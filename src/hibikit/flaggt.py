@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cone import Face, sample_relative_interior
+from .cone import Face
 from .errors import BadParams, NotStronger, TooLarge
 from .exactgeom import LatticePolytope, Vec, same_lattice
 from .lattice import Lattice, from_ops
@@ -128,10 +128,9 @@ def _phi(n: int) -> dict[str, frozenset[str]]:
     return out
 
 
-def gt_poset_iso(n: int) -> tuple[Poset, dict[str, str]]:
+def gt_poset_iso(n: int, L: Lattice) -> tuple[Poset, dict[str, str]]:
     """The triangular poset together with the label map that identifies it
-    with the flag lattice's poset of join-irreducibles."""
-    L = flag_lattice(n)
+    with the poset of join-irreducibles of L, which must be flag_lattice(n)."""
     pt = gt_poset(n)
     phi = _phi(n)
     assert set(phi.values()) == set(order_ideals(pt))
@@ -434,9 +433,10 @@ def _extend_to_pbar(n: int, order_pt: Poset, iso: dict[str, str]) -> Poset:
     return from_cover_relations(pbar_labels(n), pairs)
 
 
-def gt_subdivision(n: int, F: Face) -> list[tuple[Poset, LatticePolytope]]:
-    """Parts of the Gelfand-Tsetlin polytope induced by a face of the flag
-    lattice's cone: the diagonal-pinned sections of the ambient parts.
+def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
+    """Parts of the Gelfand-Tsetlin polytope induced by a face of the cone
+    of flag = flag_lattice(n): the diagonal-pinned sections of the ambient
+    parts.
 
     Cross-checked against the subdivision the lifted heights define
     directly: over every pattern point x, each part's affine map
@@ -447,21 +447,20 @@ def gt_subdivision(n: int, F: Face) -> list[tuple[Poset, LatticePolytope]]:
     if n > MAX_GT_RANK:
         raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
     L = F.cone.lattice
-    if L != flag_lattice(n):
+    if L != flag:
         raise ValueError("face must come from the flag lattice's cone")
-    pt, iso = gt_poset_iso(n)
+    pt, iso = gt_poset_iso(n, flag)
     mp = gt_marked_poset(n)
     sub = face_subdivision(F)
-    w = sample_relative_interior(F)
-    patterns = [(tuple(Fraction(x, n - 1) for x in point), chain)
-                for point, chain in gt_patterns(n)]
-    heights = {
-        point: sum((Fraction(w[L.index(lbl)]) for lbl in chain), Fraction(0))
-        for point, chain in patterns
-    }
+    # each pattern point with its scaled point and its lifted height times
+    # (n-1)·den, which is the sum of the scaled weight over its chain
+    lifts = {tuple(Fraction(x, n - 1) for x in point):
+             (point, sum(sub.scaled[L.index(lbl)] for lbl in chain))
+             for point, chain in gt_patterns(n)}
     gt_dim = gt_polytope(n).dim
     pbar = pbar_labels(n)
-    pattern_points = set(heights)
+    at = [pbar.index(iso[p]) for p in L.poset_P.elements]
+    pattern_points = set(lifts)
     in_parts = {point: 0 for point in pattern_points}
     parts = []
     for part in sub.parts:
@@ -472,9 +471,8 @@ def gt_subdivision(n: int, F: Face) -> list[tuple[Poset, LatticePolytope]]:
         assert member_points <= pattern_points
         for point in pattern_points:
             coords = dict(zip(pbar, point))
-            ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
-            value = part.value(ambient)
-            lifted = heights[point] / (n - 1)
+            scaled, lifted = lifts[point]
+            value = part.const * (n - 1) + sum(a * scaled[k] for a, k in zip(part.alpha, at))
             assert value >= lifted, "part maps must overestimate the lift"
             inside = _satisfies(mp, order, coords)
             assert (value == lifted) == inside

@@ -118,6 +118,11 @@ class Lattice:
             members.append(self.iota_inv(frozenset(prefix)))
         return tuple(members)
 
+    def masks(self) -> tuple[int, ...]:
+        """iota(a) per element as a bitmask, bit j for poset_P.elements[j]."""
+        bit = {p: 1 << j for j, p in enumerate(self.poset_P.elements)}
+        return tuple(sum(bit[p] for p in self.iota[a]) for a in self.elements)
+
     def extensions(self) -> tuple[LinearExtension, ...]:
         if self._extensions is None:
             self._extensions = tuple(linear_extensions(self.poset_P))

@@ -8,7 +8,7 @@ against the canonical element tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import CycleError, GroundSetMismatch, UnknownLabel
 
@@ -98,18 +98,6 @@ class LinearExtension:
             if pos[a] > pos[b]:
                 raise ValueError(f"order violates {a} < {b}")
 
-    def as_poset(self) -> Poset:
-        """The extension as a total-order poset on the same canonical element tuple."""
-        pos = {x: k for k, x in enumerate(self.order)}
-        elems = self.poset.elements
-        rel = frozenset(
-            (i, j)
-            for i in range(len(elems))
-            for j in range(len(elems))
-            if i != j and pos[elems[i]] < pos[elems[j]]
-        )
-        return Poset(elems, rel)
-
 
 def _transitive_closure(n: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
     adj = {i: set() for i in range(n)}
@@ -194,6 +182,15 @@ def order_ideals(P: Poset) -> list[frozenset[str]]:
     return [frozenset(P.elements[j] for j in t) for t in found]
 
 
+def down_closed(P: Poset, masks: Sequence[int]) -> list[bool]:
+    """For each bitmask (bit j for P.elements[j]), whether the set it holds
+    is down-closed in P."""
+    below = [0] * P.size
+    for i, j in P.relation:
+        below[j] |= 1 << i
+    return [all(not below[j] & ~m for j in range(P.size) if m >> j & 1) for m in masks]
+
+
 def _check_same_ground(a: Poset, b: Poset):
     if set(a.elements) != set(b.elements):
         raise GroundSetMismatch("posets are not on the same ground set")
@@ -203,20 +200,6 @@ def is_stronger(strong: Poset, weak: Poset) -> bool:
     """True iff every weak relation also holds in `strong` (same ground set)."""
     _check_same_ground(strong, weak)
     return weak.label_pairs() <= strong.label_pairs()
-
-
-def intersect_orders(orders: list[Poset]) -> Poset:
-    """The poset whose relation is the intersection of the given relations."""
-    if not orders:
-        raise ValueError("need at least one poset")
-    first = orders[0]
-    for other in orders[1:]:
-        _check_same_ground(first, other)
-    common = orders[0].label_pairs()
-    for other in orders[1:]:
-        common &= other.label_pairs()
-    index = {x: i for i, x in enumerate(first.elements)}
-    return Poset(first.elements, frozenset((index[a], index[b]) for a, b in common))
 
 
 def parse_poset(text: str) -> Poset:

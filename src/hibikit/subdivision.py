@@ -5,6 +5,10 @@ each staircase simplex of the order polytope (one simplex per linear
 extension of P). Extensions with the same affine map merge into one part;
 each part is again an order polytope O(P, order) for a stronger order.
 
+The work runs on integers: w is scaled once by the lcm den of its
+denominators, so each part's map is x -> (const + alpha·x) / den with an
+integer const and alpha.
+
 Orientation is pinned to the inequality g_i(v_a) >= w_a: every part's map
 weakly overestimates the weight off its own vertex set, with equality
 exactly on it. The code verifies this on every element rather than trusting
@@ -16,46 +20,47 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import lcm
+from typing import Optional, Sequence
 
-from .cone import Face, MaxCone, face_of, pair_normal, sample_relative_interior, span_of_face
-from .exactgeom import (
-    AffineMap,
-    LatticePolytope,
-    Vec,
-    fraction_pair,
-    to_vec,
-    vadd,
-    vdot,
-    vscale,
-)
+from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
+                   span_of_face)
+from .exactgeom import LatticePolytope, Vec, fraction_pair, to_vec, vadd, vdot, vscale
 from .lattice import Lattice, diamond_pairs
-from .poset import LinearExtension, Poset, intersect_orders, is_stronger, order_ideals
+from .poset import LinearExtension, Poset, down_closed, is_stronger
 
 
 @dataclass(frozen=True)
 class Part:
-    """One linearity domain of the envelope: the order polytope O(P, order)."""
+    """One linearity domain of the envelope: the order polytope O(P, order).
+
+    Its map is x -> (const + alpha·x) / den on R^P, with the subdivision's
+    den; values[i] is its numerator at the i-th lattice element's indicator.
+    """
 
     order: Poset
-    affine: AffineMap
+    alpha: tuple[int, ...]
+    const: int
+    values: tuple[int, ...]
     simplices: tuple[LinearExtension, ...]
     vertex_elements: tuple[str, ...]
 
-    @property
-    def alpha(self) -> Vec:
-        return self.affine.matrix[0]
-
-    def value(self, point: Sequence) -> Fraction:
-        return self.affine(point)[0]
-
 
 class Subdivision:
-    def __init__(self, lattice: Lattice, weight: Vec, parts: tuple[Part, ...], face_key: str):
+    """The parts of the subdivision of the weight scaled / den."""
+
+    def __init__(self, lattice: Lattice, scaled: tuple[int, ...], den: int,
+                 parts: tuple[Part, ...], face_key: str):
         self.lattice = lattice
-        self.weight = weight
+        self.scaled = scaled
+        self.den = den
         self.parts = parts
         self.face_key = face_key
+        self._part_of = {ext: i for i, p in enumerate(parts) for ext in p.simplices}
+
+    @property
+    def weight(self) -> Vec:
+        return tuple(Fraction(x, self.den) for x in self.scaled)
 
     def structure(self) -> frozenset:
         """Weight-independent identity: the parts as (vertex set, order)."""
@@ -63,100 +68,95 @@ class Subdivision:
             (p.vertex_elements, p.order.label_pairs()) for p in self.parts)
 
     def part_of(self, ext: LinearExtension) -> int:
-        for i, p in enumerate(self.parts):
-            if ext in p.simplices:
-                return i
-        raise ValueError("extension not covered by any part")
-
-    def __eq__(self, other):
-        return (isinstance(other, Subdivision)
-                and self.lattice.elements == other.lattice.elements
-                and self.structure() == other.structure())
-
-    def __hash__(self):
-        return hash((self.lattice.elements, self.structure()))
+        return self._part_of[ext]
 
     def __repr__(self):
         return f"Subdivision({len(self.parts)} parts, face {self.face_key})"
 
 
-def _tight_key(L: Lattice, w: Vec) -> str:
-    """Canonical key of the face holding w. NotInCone if w violates some
-    diamond inequality."""
-    pairs = diamond_pairs(L)
-    normals = [pair_normal(L, d) for d in pairs]
-    return face_of(MaxCone(L, pairs, normals), w).key()
-
-
-def regular_subdivision(L: Lattice, w: Sequence) -> Subdivision:
+def regular_subdivision(L: Lattice, w: Sequence, K: Optional[MaxCone] = None) -> Subdivision:
     """Interpolate w over every staircase simplex, merge equal affine maps,
     and verify each merged class is the order polytope of the intersected
-    order with the envelope inequality holding on all of L."""
+    order with the envelope inequality holding on all of L. A caller that
+    holds L's cone K passes it for its normals."""
     w = to_vec(w)
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
-    key = _tight_key(L, w)  # also checks w in K-bar
+    den = lcm(*(x.denominator for x in w))
+    ws = tuple(x.numerator * (den // x.denominator) for x in w)
+    pairs = K.pairs if K is not None else diamond_pairs(L)
+    normals = K.normals if K is not None else [pair_normal(L, d) for d in pairs]
+    tight = _tight_set(pairs, normals, ws, den)  # also checks w in K-bar
     P = L.poset_P
     n = P.size
-    wt = {a: w[i] for i, a in enumerate(L.elements)}
+    position = {p: j for j, p in enumerate(P.elements)}
+    masks = L.masks()
+    at_mask = {m: i for i, m in enumerate(masks)}
+    bits = [[j for j in range(n) if m >> j & 1] for m in masks]
 
-    groups: dict[tuple, list[LinearExtension]] = {}
+    # vertices of a simplex are its prefix-ideal indicators; the
+    # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}}, and
+    # before[p] is the mask of the elements the extension puts before p
+    groups: dict[tuple, list[tuple[LinearExtension, list[int], list[int]]]] = {}
     for ext in L.extensions():
-        # vertices of the simplex are the prefix-ideal indicators; the
-        # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}}
-        const = wt[L.bottom]
-        alpha = [Fraction(0)] * n
-        chain = L.chain(ext)
-        for p, lo, hi in zip(ext.order, chain, chain[1:]):
-            alpha[P.index(p)] = wt[hi] - wt[lo]
-        groups.setdefault((tuple(alpha), const), []).append(ext)
+        alpha = [0] * n
+        before = [0] * n
+        chain = [at_mask[0]]
+        m = 0
+        for p in ext.order:
+            j = position[p]
+            before[j] = m
+            m |= 1 << j
+            chain.append(at_mask[m])
+            alpha[j] = ws[chain[-1]] - ws[chain[-2]]
+        groups.setdefault((tuple(alpha), ws[chain[0]]), []).append((ext, chain, before))
 
     parts = []
-    for (alpha, const), exts in sorted(groups.items()):
-        affine = AffineMap((tuple(alpha),), (const,))
-        order = intersect_orders([e.as_poset() for e in exts])
+    for (alpha, const), members in sorted(groups.items()):
+        below = members[0][2]
+        for _, _, before in members[1:]:
+            below = [x & y for x, y in zip(below, before)]
+        order = Poset(P.elements, frozenset(
+            (i, j) for j in range(n) for i in range(n) if below[j] >> i & 1))
         if not is_stronger(order, P):
             raise AssertionError("part order must refine P")
-        on_chains = set().union(*(L.chain(e) for e in exts))
-        if {L.iota[a] for a in on_chains} != set(order_ideals(order)):
+        # every ideal of the stronger order is an ideal of P, so an element
+        # of L: the order's ideals are the elements with down-closed masks
+        on_chains = set().union(*(chain for _, chain, _ in members))
+        closed = down_closed(order, masks)
+        if on_chains != {i for i, ok in enumerate(closed) if ok}:
             raise AssertionError("part is not the order polytope of its order")
-        vertex_elements = tuple(a for a in L.elements if a in on_chains)
-        parts.append(Part(order, affine, tuple(exts), vertex_elements))
-
-    # envelope: every part overestimates w on all of L, tight exactly on
-    # its own vertices
-    for part in parts:
-        on_part = set(part.vertex_elements)
-        for a in L.elements:
-            value = part.value(L.indicator(a))
-            if a in on_part:
-                if value != wt[a]:
+        # envelope: the part overestimates w on all of L, tight exactly on
+        # its own vertices
+        values = tuple(const + sum(alpha[j] for j in b) for b in bits)
+        for i, (value, target) in enumerate(zip(values, ws)):
+            if i in on_chains:
+                if value != target:
                     raise AssertionError("part map must interpolate w on its vertices")
-            elif value < wt[a]:
+            elif value < target:
                 raise AssertionError("envelope inequality fails")
-            elif value == wt[a]:
+            elif value == target:
                 raise AssertionError("tight value off the part's vertex set")
-    return Subdivision(L, w, tuple(parts), key)
+        parts.append(Part(order, alpha, const, values, tuple(e for e, _, _ in members),
+                          tuple(L.elements[i] for i in sorted(on_chains))))
+    return Subdivision(L, ws, den, tuple(parts), _key_of(pairs[i] for i in sorted(tight)))
 
 
 def face_subdivision(F: Face) -> Subdivision:
     """The subdivision of the face: regular_subdivision at an interior
     sample, verified against the tightness/same-part correspondence."""
     L = F.cone.lattice
-    w = sample_relative_interior(F)
-    sub = regular_subdivision(L, w)
+    sub = regular_subdivision(L, sample_relative_interior(F), F.cone)
     if sub.face_key != F.key():
         raise AssertionError("sample does not lie in the face's relative interior")
 
     tight_pairs = {frozenset((d.a, d.b)) for d in F.tight}
     graph = adjacency_graph(L)
+    part = [sub.part_of(e) for e in graph.extensions]
     seen_pairs = set()
-    for i, j in graph.edges:
-        ei, ej = graph.extensions[i], graph.extensions[j]
-        pair = frozenset(L.chain(ei)) ^ frozenset(L.chain(ej))
+    for (i, j), pair in zip(graph.edges, graph.pairs):
         seen_pairs.add(pair)
-        same_part = sub.part_of(ei) == sub.part_of(ej)
-        if same_part != (pair in tight_pairs):
+        if (part[i] == part[j]) != (pair in tight_pairs):
             raise AssertionError(
                 "tight diamond pairs must match same-part adjacencies")
     all_pairs = {frozenset((d.a, d.b)) for d in F.cone.pairs}
@@ -190,16 +190,20 @@ def subdivision_invariance_check(F: Face, trials: int, seed: int = 0) -> bool:
             samples.append(candidate)
     subs = []
     for w in samples:
-        if _tight_key(L, w) != F.key():
+        subs.append(regular_subdivision(L, w, F.cone))
+        if subs[-1].face_key != F.key():
             raise AssertionError("perturbed sample left the relative interior")
-        subs.append(regular_subdivision(L, w))
     return all(s.structure() == subs[0].structure() for s in subs)
 
 
 @dataclass(frozen=True)
 class AdjacencyGraph:
+    """Edges index into `extensions`; pairs[k] is the diamond pair {a, b}
+    by which the chains of edge k differ."""
+
     extensions: tuple[LinearExtension, ...]
     edges: tuple[tuple[int, int], ...]
+    pairs: tuple[frozenset[str], ...]
 
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if i in e)
@@ -218,7 +222,7 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
     exts = L.extensions()
     chains = [frozenset(L.chain(e)) for e in exts]
     pair_set = {frozenset((d.a, d.b)) for d in diamond_pairs(L)}
-    edges = []
+    edges, edge_pairs = [], []
     for i in range(len(exts)):
         for j in range(i + 1, len(exts)):
             diff = chains[i] ^ chains[j]
@@ -235,7 +239,8 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
                     f"{exts[i].order} / {exts[j].order}")
             if by_chain:
                 edges.append((i, j))
-    L._adjacency_graph = AdjacencyGraph(tuple(exts), tuple(edges))
+                edge_pairs.append(diff)
+    L._adjacency_graph = AdjacencyGraph(tuple(exts), tuple(edges), tuple(edge_pairs))
     return L._adjacency_graph
 
 
@@ -244,16 +249,15 @@ def generalized_permutahedron(L: Lattice, w: Sequence) -> LatticePolytope:
     the subdivision of w. For Boolean lattices, u = -w is checked
     submodular over all pairs of ideals."""
     sub = regular_subdivision(L, w)
-    w = sub.weight
-    wt = {a: w[i] for i, a in enumerate(L.elements)}
+    ws = sub.scaled
     points = []
     for part in sub.parts:
-        if part.affine.offset[0] != wt[L.bottom]:
+        if part.const != ws[L.index(L.bottom)]:
             raise AssertionError("part constant must be the bottom weight")
-        points.append(vscale(-1, part.alpha))
+        points.append(tuple(Fraction(-x, sub.den) for x in part.alpha))
 
     if not L.poset_P.label_pairs():  # Boolean lattice: antichain poset
-        u = {frozenset(L.iota[a]): -wt[a] for a in L.elements}
+        u = {frozenset(L.iota[a]): -ws[i] for i, a in enumerate(L.elements)}
         for A in u:
             for B in u:
                 if u[A] + u[B] < u[A & B] + u[A | B]:
@@ -267,7 +271,7 @@ def subdivision_json(sub: Subdivision) -> dict:
         parts.append({
             "order_covers": [[a, b] for a, b in p.order.covers()],
             "elements": list(p.vertex_elements),
-            "alpha": [fraction_pair(x) for x in p.alpha],
+            "alpha": [fraction_pair(Fraction(x, sub.den)) for x in p.alpha],
         })
     return {
         "weight": [fraction_pair(x) for x in sub.weight],

@@ -11,12 +11,11 @@ the order polytope and the apex weight polytope.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .cone import Face, face_of, sample_relative_interior, span_of_face
+from .cone import Face, face_of, span_of_face
 from .exactgeom import (
     AffineMap,
     LatticePolytope,
@@ -32,7 +31,7 @@ from .exactgeom import (
     vsub,
     zero_vec,
 )
-from .poset import order_ideals
+from .poset import down_closed
 from .subdivision import face_subdivision
 
 
@@ -139,33 +138,35 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     F = W.face
     L = F.cone.lattice
     sub = face_subdivision(F)
-    w = sample_relative_interior(F)
     apex = W if F.is_apex else _apex_weight_polytope(F.cone)
     zmap = _zeta_for(apex)
     # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
     to_apex = _inclusion_matrix(W.basis, apex.basis)
     basis_cols = list(zip(*W.basis))
+    masks = L.masks()
     out = []
     for part in sub.parts:
         members = set(part.vertex_elements)
-        raw = [part.value(L.indicator(a)) - w[i] for i, a in enumerate(L.elements)]
+        # the part's map minus w, times den; the separator scales it so its
+        # least positive value is at least 1
+        raw = [v - x for v, x in zip(part.values, sub.scaled)]
         positive = [x for x in raw if x > 0]
         assert all(x == 0 for a, x in zip(L.elements, raw) if a in members)
         assert len(positive) == L.size - len(members)
-        scale = max([Fraction(1)] + [1 / x for x in positive])
-        sep = tuple(x * math.ceil(scale) for x in raw)
+        scale = max([1] + [-(-sub.den // x) for x in positive])
+        sep = tuple(Fraction(x * scale, sub.den) for x in raw)
         # the functional lives in the face's span, so it cuts a genuine face
         assert solve_linear(basis_cols, sep) is not None
         pts = [W.points[a] for a in part.vertex_elements]
         poly = LatticePolytope(pts)
         assert len(poly.vertices) == len(members)
         assert poly.dim == L.poset_P.size
-        ideal_sets = set()
         for a in part.vertex_elements:
             back = invert_affine(zmap, tuple(vdot(row, W.points[a]) for row in to_apex))
             assert back == L.indicator(a)
-            ideal_sets.add(frozenset(L.iota[a]))
-        assert ideal_sets == set(order_ideals(part.order))
+        # the vertices are the elements whose ideals are the order's ideals
+        closed = down_closed(part.order, masks)
+        assert members == {a for a, ok in zip(L.elements, closed) if ok}
         out.append(DistinguishedFace(part.vertex_elements, sep, poly))
     return out
 

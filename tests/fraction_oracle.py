@@ -23,19 +23,30 @@ the component shape check that flaggt ran in Fraction arithmetic before it
 moved them to the (n-1)-scaled integer lattice: the patterns are the
 Fraction points themselves, and each section is a marked order polytope of
 its chain mapped by a Fraction AffineMap.
+
+regular_subdivision is the subdivision that hibikit ran in Fraction
+arithmetic before it scaled the weight to integers: one AffineMap per
+part, evaluated at every element's indicator, each extension's total order
+built as a Poset (extension_poset) and the part orders intersected
+(intersect_orders), and the order ideals scanned over all 2^|P| subsets.
+part_value evaluates an integer part's map at a rational point.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
 from hibikit import exactgeom
+from hibikit.cone import MaxCone, face_of, pair_normal
 from hibikit.exactgeom import (AffineMap, LatticePolytope, Vec, _int_rows, nullspace, rank,
                                same_lattice, to_vec, vadd, vdot, vsub, zero_vec)
 from hibikit.flaggt import (_cell, _phi, _ptilde_labels, _vertex_candidates, flag_point,
                             gt_marked_poset, marked_order_polytope, pbar_labels)
-from hibikit.poset import LinearExtension, from_cover_relations
+from hibikit.lattice import Lattice, diamond_pairs
+from hibikit.poset import (LinearExtension, Poset, from_cover_relations, is_stronger,
+                           order_ideals)
 
 
 def _pivot(T, row, col):
@@ -308,3 +319,87 @@ def component_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[Vec]]:
     identity = [[1 if i == j else 0 for j in range(len(B))] for i in range(len(B))]
     assert same_lattice(B, identity), "difference map must be unimodular"
     return shape, image
+
+
+def extension_poset(ext: LinearExtension) -> Poset:
+    """The extension as a total-order poset on the same canonical element tuple."""
+    pos = {x: k for k, x in enumerate(ext.order)}
+    elems = ext.poset.elements
+    rel = frozenset(
+        (i, j)
+        for i in range(len(elems))
+        for j in range(len(elems))
+        if i != j and pos[elems[i]] < pos[elems[j]]
+    )
+    return Poset(elems, rel)
+
+
+def intersect_orders(orders: list[Poset]) -> Poset:
+    """The poset whose relation is the intersection of the given relations."""
+    if not orders:
+        raise ValueError("need at least one poset")
+    first = orders[0]
+    for other in orders[1:]:
+        assert set(other.elements) == set(first.elements)
+    common = orders[0].label_pairs()
+    for other in orders[1:]:
+        common &= other.label_pairs()
+    index = {x: i for i, x in enumerate(first.elements)}
+    return Poset(first.elements, frozenset((index[a], index[b]) for a, b in common))
+
+
+def part_value(sub, part, point) -> Fraction:
+    """An integer part's map at a point of R^P: (const + alpha·point) / den."""
+    total = part.const + sum(a * x for a, x in zip(part.alpha, point, strict=True))
+    return Fraction(total) / sub.den
+
+
+@dataclass(frozen=True)
+class FractionPart:
+    order: Poset
+    affine: AffineMap
+    simplices: tuple[LinearExtension, ...]
+    vertex_elements: tuple[str, ...]
+
+
+def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart]]:
+    """The face key of w and the parts of its subdivision, in the order of
+    their (alpha, const), all in Fraction arithmetic."""
+    w = to_vec(w)
+    if len(w) != L.size:
+        raise ValueError("weight has wrong dimension")
+    pairs = diamond_pairs(L)
+    key = face_of(MaxCone(L, pairs, [pair_normal(L, d) for d in pairs]), w).key()
+    P = L.poset_P
+    n = P.size
+    wt = {a: w[i] for i, a in enumerate(L.elements)}
+
+    groups: dict[tuple, list[LinearExtension]] = {}
+    for ext in L.extensions():
+        const = wt[L.bottom]
+        alpha = [Fraction(0)] * n
+        chain = L.chain(ext)
+        for p, lo, hi in zip(ext.order, chain, chain[1:]):
+            alpha[P.index(p)] = wt[hi] - wt[lo]
+        groups.setdefault((tuple(alpha), const), []).append(ext)
+
+    parts = []
+    for (alpha, const), exts in sorted(groups.items()):
+        affine = AffineMap((tuple(alpha),), (const,))
+        order = intersect_orders([extension_poset(e) for e in exts])
+        assert is_stronger(order, P), "part order must refine P"
+        on_chains = set().union(*(L.chain(e) for e in exts))
+        assert {L.iota[a] for a in on_chains} == set(order_ideals(order)), \
+            "part is not the order polytope of its order"
+        vertex_elements = tuple(a for a in L.elements if a in on_chains)
+        parts.append(FractionPart(order, affine, tuple(exts), vertex_elements))
+
+    for part in parts:
+        on_part = set(part.vertex_elements)
+        for a in L.elements:
+            value = part.affine(L.indicator(a))[0]
+            if a in on_part:
+                assert value == wt[a], "part map must interpolate w on its vertices"
+            else:
+                assert value > wt[a], "envelope inequality fails or is tight off the part"
+    return key, parts

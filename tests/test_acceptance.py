@@ -9,6 +9,7 @@ import json
 import random
 import time
 
+from fraction_oracle import part_value
 from hibi_oracle import is_standard, straighten
 
 from hibikit.cli import main
@@ -129,16 +130,16 @@ def test_acceptance_6_gt_consistency():
         assert F.is_full
         # section-based parts; the call itself certifies agreement with the
         # envelope of the lifted heights over every pattern point
-        parts = gt_subdivision(n, F)
+        parts = gt_subdivision(n, F, L)
         sub = face_subdivision(F)
         assert len(parts) == len(sub.parts)
         w = sample_relative_interior(F)
-        pt, iso = gt_poset_iso(n)
+        pt, iso = gt_poset_iso(n, L)
         pbar = pbar_labels(n)
         for v in gt_vertices(n):
             coords = dict(zip(pbar, v.point))
             ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
-            envelope = min(p.value(ambient) for p in sub.parts)
+            envelope = min(part_value(sub, p, ambient) for p in sub.parts)
             # the lifted height: the weights of the decomposition's flag elements
             assert envelope == sum(w[L.index(lbl)] for lbl in v.labels) / (n - 1)
     _done("6 Gelfand-Tsetlin consistency", t0, 120)

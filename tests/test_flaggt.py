@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 import fraction_oracle as oracle
+from hibikit import lattice
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
@@ -198,20 +199,20 @@ def test_gt_poset_4_hasse():
 
 
 def test_gt_poset_iso_2():
-    pt, iso = gt_poset_iso(2)
+    pt, iso = gt_poset_iso(2, flag_lattice(2))
     assert pt.elements == ("p12",)
     assert iso == {"2": "p12"}
 
 
 def test_gt_poset_iso_3():
-    pt, iso = gt_poset_iso(3)
+    pt, iso = gt_poset_iso(3, flag_lattice(3))
     assert iso == {"1": "p22", "3": "p23", "13": "p12", "23": "p13"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_gt_poset_iso_is_order_isomorphism(n):
     # the heavy lattice checks run inside gt_poset_iso; spot-check the map
-    pt, iso = gt_poset_iso(n)
+    pt, iso = gt_poset_iso(n, flag_lattice(n))
     P = flag_lattice(n).poset_P
     assert sorted(iso.values()) == sorted(pt.elements)
     for s, t in itertools.product(P.elements, repeat=2):
@@ -450,12 +451,12 @@ def assert_envelope_is_lift(n, w):
     over n - 1: the sum of the weights of the decomposition's flag elements."""
     L = flag_lattice(n)
     sub = regular_subdivision(L, w)
-    pt, iso = gt_poset_iso(n)
+    pt, iso = gt_poset_iso(n, L)
     pbar = pbar_labels(n)
     for gv in gt_vertices(n):
         coords = dict(zip(pbar, gv.point))
         ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
-        value = min(part.value(ambient) for part in sub.parts)
+        value = min(oracle.part_value(sub, part, ambient) for part in sub.parts)
         assert value == sum(w[L.index(lbl)] for lbl in gv.labels) / (n - 1)
 
 
@@ -471,14 +472,19 @@ def test_lift_envelope_identity():
 # -- gt_subdivision ----------------------------------------------------------
 
 
+def sections(n, face):
+    L = flag_lattice(n)
+    return gt_subdivision(n, face(L), L)
+
+
 def test_gt_subdivision_3_apex():
-    parts = gt_subdivision(3, apex_face(flag_lattice(3)))
+    parts = sections(3, apex_face)
     assert len(parts) == 1
     assert parts[0][1] == gt_polytope(3)
 
 
 def test_gt_subdivision_3_full():
-    parts = gt_subdivision(3, full_face(flag_lattice(3)))
+    parts = sections(3, full_face)
     assert len(parts) == 2
     assert [q.dim for _, q in parts] == [3, 3]
     # two products of simplices with 2*3 = 3*2 = 6 vertices each
@@ -491,7 +497,7 @@ def test_gt_subdivision_3_full():
 
 
 def test_gt_subdivision_4_full():
-    parts = gt_subdivision(4, full_face(flag_lattice(4)))
+    parts = sections(4, full_face)
     assert len(parts) == 12
     # vertex counts match the product-of-simplices census
     census = shape_census(4)
@@ -514,7 +520,7 @@ def test_gt_subdivision_4_mid_face():
     C = cone_K(flag_lattice(4))
     mids = [F for F in enumerate_faces(C) if 0 < len(F.tight) < 5]
     picked = sorted(mids, key=lambda F: len(F.tight))[0]
-    parts = gt_subdivision(4, picked)
+    parts = gt_subdivision(4, picked, C.lattice)
     assert 1 < len(parts) < 12
 
 
@@ -555,12 +561,12 @@ def test_gt_4_subdivision_facets_are_the_tight_cover_inequalities(capsys):
 def test_gt_subdivision_rejects_foreign_lattice():
     B2 = birkhoff(antichain(["p", "q"]))
     with pytest.raises(ValueError):
-        gt_subdivision(3, full_face(B2))
+        gt_subdivision(3, full_face(B2), flag_lattice(3))
 
 
 def test_gt_subdivision_too_large():
     with pytest.raises(TooLarge):
-        gt_subdivision(6, full_face(flag_lattice(3)))
+        gt_subdivision(6, full_face(flag_lattice(3)), flag_lattice(3))
 
 
 # -- component shapes --------------------------------------------------------
@@ -628,6 +634,17 @@ def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
     assert main(["gt", "--n", "4", action]) == 0
     capsys.readouterr()
     assert list(scans.values()) == [1] * orders
+
+
+def test_gt_subdivide_builds_the_flag_lattice_once(monkeypatch, capsys):
+    # the CLI's lattice serves cone_K, the foreign-lattice check and the
+    # poset isomorphism; it used to be built three times per job
+    built = []
+    assemble = lattice._assemble
+    monkeypatch.setattr(lattice, "_assemble", lambda *args: built.append(1) or assemble(*args))
+    assert main(["gt", "--n", "3", "subdivide"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_component_shape_sums():

@@ -21,6 +21,10 @@ GOLDEN = [
      "9b2b4f8d04f9bdfec538f373971d5f8d5bce42aace48217fad40ff88a1e54ad4", 0),
     ("subdivide --boolean 3 --face full --check 3 --seed 1",
      "0948918885c6b89662e49ba93c50dcf3c9316f29fdd64d9c4332733cef47baf6", 0),
+    # a weight with mixed non-unit denominators pins the scaling by their
+    # lcm; recorded with the Fraction subdivision, before it moved to integers
+    ("subdivide --boolean 3 --w 1/5,7/10,8/15,19/20,31/30,97/60,77/60,27/10 --check 3 --seed 1",
+     "986357aaad5488fa4f9f017ee294aab690c1037f76b16ae0d6b2d543c168b513", 0),
     ("certify --boolean 2 --lmax 3",
      "e66a32089f85fc7254983ab664d8625121e646a71cf312c7b66fdafb1748c3ba", 0),
     ("weightpoly --grassmann 2 4 --face apex",

@@ -15,6 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracle import extension_poset
 from hibi_oracle import (
     component_ideal,
     elimination_ideal_dim,
@@ -256,7 +257,7 @@ def test_ideal_dim_matches_elimination_up_to_degree_six():
 @pytest.mark.parametrize("L", [B2, GRIDL, CHAIN4])
 def test_component_ideal_dim_matches_sympy(L):
     # component ideals mix binomials with monomials (the excluded variables)
-    for o in [L.poset_P] + [e.as_poset() for e in linear_extensions(L.poset_P)]:
+    for o in [L.poset_P] + [extension_poset(e) for e in linear_extensions(L.poset_P)]:
         gens = component_ideal(L, o)
         for l in (1, 2, 3):
             got = ideal_dim(gens, l)
@@ -300,7 +301,7 @@ def test_component_ideal_chain_order():
 
 def test_component_ideal_grid_linearization():
     ext = next(linear_extensions(GRID))
-    gens = component_ideal(GRIDL, ext.as_poset())
+    gens = component_ideal(GRIDL, extension_poset(ext))
     quadrics = [g for g in gens if g.degree() == 2]
     variables = [g for g in gens if g.degree() == 1]
     assert quadrics == []
@@ -316,7 +317,7 @@ def test_component_ideal_not_stronger():
 
 
 def test_intersection_b2_two_linearizations():
-    orders = [e.as_poset() for e in linear_extensions(antichain(["p", "q"]))]
+    orders = [extension_poset(e) for e in linear_extensions(antichain(["p", "q"]))]
     assert intersection_dim(B2, orders, 2) == 1
 
 
@@ -329,7 +330,7 @@ def test_intersection_single_weak_order_is_ideal_dim():
 
 def test_single_component_dim_matches_its_ideal():
     for L in ORACLE_LATTICES:
-        orders = [L.poset_P] + [e.as_poset() for e in linear_extensions(L.poset_P)]
+        orders = [L.poset_P] + [extension_poset(e) for e in linear_extensions(L.poset_P)]
         for o in orders:
             gens = component_ideal(L, o)
             for l in (1, 2, 3):

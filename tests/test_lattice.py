@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracle import extension_poset
 from hibikit.errors import NotALattice, NotDistributive, NotStronger, UnknownLabel
 from hibikit.lattice import (
     DiamondPair,
@@ -346,7 +347,7 @@ def test_sublattice_chain_order():
 def test_sublattice_linearization_of_grid_is_maximal_chain():
     L = birkhoff(GRID)
     ext = next(linear_extensions(GRID))
-    members = sublattice_for_order(L, ext.as_poset())
+    members = sublattice_for_order(L, extension_poset(ext))
     assert len(members) == 5
     assert tuple(members) in {c.elements for c in maximal_chains(L)}
 
@@ -362,9 +363,9 @@ def test_sublattice_not_stronger():
 def test_sublattice_closure_and_ideals(P):
     L = birkhoff(P)
     for ext in itertools.islice(linear_extensions(P), 3):
-        members = sublattice_for_order(L, ext.as_poset())
+        members = sublattice_for_order(L, extension_poset(ext))
         ideals = {L.iota[a] for a in members}
-        assert ideals == set(order_ideals(ext.as_poset()))
+        assert ideals == set(order_ideals(extension_poset(ext)))
         for a in members:
             for b in members:
                 assert L.join(a, b) in members

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibikit import lattice, subdivision
+import fraction_oracle as oracle
+from fraction_oracle import part_value
+from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import NotInCone
@@ -109,10 +111,10 @@ def test_parts_interpolate_weight():
     wt = dict(zip(L.elements, to_vec(w)))
     for part in sub.parts:
         for a in part.vertex_elements:
-            assert part.value(L.indicator(a)) == wt[a]
+            assert part_value(sub, part, L.indicator(a)) == wt[a]
         for a in L.elements:
             if a not in part.vertex_elements:
-                assert part.value(L.indicator(a)) > wt[a]
+                assert part_value(sub, part, L.indicator(a)) > wt[a]
 
 
 @settings(max_examples=15, deadline=None)
@@ -135,6 +137,72 @@ def test_subdivision_partitions_extensions(P, salt):
         ideals = {L.iota[a] for a in part.vertex_elements}
         from hibikit.poset import order_ideals
         assert ideals == set(order_ideals(part.order))
+
+
+def fraction_strategy(low=-6):
+    return st.builds(Fraction, st.integers(low, 6), st.sampled_from([1, 2, 3, 4, 5, 6, 10, 12]))
+
+
+@st.composite
+def lattice_and_weight(draw):
+    """A random lattice on at most 5 join-irreducibles with a rational weight
+    of mixed denominators: either any weight, which mostly lies outside
+    K-bar, or a modular weight plus nonnegative multiples of the
+    supermodular indicators [S ⊆ iota(a)], which lies in K-bar and is
+    tight on the pairs that no chosen S separates."""
+    L = birkhoff(draw(poset_strategy(max_size=5)))
+    labels = L.poset_P.elements
+    if draw(st.booleans()):
+        return L, [draw(fraction_strategy()) for _ in L.elements]
+    const = draw(fraction_strategy())
+    slope = {p: draw(fraction_strategy()) for p in labels}
+    w = [const + sum(slope[p] for p in L.iota[a]) for a in L.elements]
+    for _ in range(draw(st.integers(0, 4))):
+        S = draw(st.sets(st.sampled_from(labels), min_size=min(2, len(labels))))
+        c = draw(fraction_strategy(low=1))
+        w = [x + (c if S <= L.iota[a] else 0) for x, a in zip(w, L.elements)]
+    return L, w
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_and_weight())
+def test_regular_subdivision_matches_fraction_oracle(case):
+    L, w = case
+    try:
+        want_key, want = oracle.regular_subdivision(L, w)
+    except NotInCone as exc:
+        with pytest.raises(NotInCone) as got:
+            regular_subdivision(L, w)
+        assert str(got.value) == str(exc)
+        return
+    sub = regular_subdivision(L, w)
+    assert sub.weight == to_vec(w)
+    assert sub.face_key == want_key
+    assert len(sub.parts) == len(want)
+    for part, old in zip(sub.parts, want):
+        assert part.order == old.order
+        assert part.vertex_elements == old.vertex_elements
+        assert part.simplices == old.simplices
+        assert tuple(Fraction(x, sub.den) for x in part.alpha) == old.affine.matrix[0]
+        assert Fraction(part.const, sub.den) == old.affine.offset[0]
+
+
+def test_subdivide_classifies_the_weight_once(monkeypatch, capsys):
+    # the subdivision reads the normals of the cone the job built, and a
+    # --w job classifies its weight once
+    calls = []
+    tight = cone._tight_set
+
+    def counting(*args):
+        calls.append(args)
+        return tight(*args)
+
+    monkeypatch.setattr(cone, "_tight_set", counting)
+    monkeypatch.setattr(subdivision, "_tight_set", counting)
+    monkeypatch.setattr(subdivision, "pair_normal", None)
+    assert main(["subdivide", "--boolean", "3", "--w", "0,1,1,1,4,4,4,9"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 # -- face_subdivision --------------------------------------------------------
