@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import ceil
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotInCone, TooLarge
 from .exactgeom import (Vec, _echelon, _extreme_rays, integer_kernel, lp_feasible, rank, to_vec,
-                        vadd, vdot, vscale, zero_vec)
+                        vadd, vscale, zero_vec)
 from .lattice import DiamondPair, Lattice, diamond_pairs
 
 MAX_FACES = 25000
@@ -152,13 +152,17 @@ def sample_relative_interior(F: Face) -> Vec:
     loose = [k for k in range(len(K.pairs)) if k not in F.tight_idx]
     if not loose:
         return zero_vec(n)
+    # the least slack is low / den, for the witness's numerators over their
+    # common denominator den
     w = F._witness
-    low = min(vdot(K.normals[k], w) for k in loose)
+    den = lcm(*(x.denominator for x in w))
+    num = [x.numerator * (den // x.denominator) for x in w]
+    low = min(sum(c * x for c, x in zip(K.normals[k], num)) for k in loose)
     if low <= 0:
         # every Face is built with a witness slack on every loose pair
         raise AssertionError("face witness is not slack on every loose pair")
-    if low < 1:
-        w = vscale(ceil(Fraction(1) / low), w)
+    if low < den:
+        w = vscale(-(-den // low), w)
     return w
 
 

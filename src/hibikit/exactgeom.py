@@ -14,7 +14,6 @@ any tolerance knobs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
@@ -404,48 +403,6 @@ def affine_lattice_basis(points: Sequence[Vec]) -> list[list[int]]:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     K = _int_rows(complement)
     return integer_kernel(K)
-
-
-# ---------------------------------------------------------------------------
-# affine maps
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x -> matrix . x + offset with exact rational entries."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-    offset: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        for row in self.matrix:
-            if len(row) != len(self.matrix[0]):
-                raise ValueError("ragged matrix")
-        if len(self.offset) != len(self.matrix):
-            raise ValueError("offset length must match row count")
-
-    def __call__(self, v: Sequence) -> Vec:
-        return tuple(vdot(row, v) + off for row, off in zip(self.matrix, self.offset))
-
-
-def affine_map_through(inputs: Sequence[Vec], outputs: Sequence[Vec]) -> Optional[AffineMap]:
-    """The affine map sending each input to its output, or None if the data
-    is inconsistent. Underdetermined directions get zero coefficients."""
-    if not inputs:
-        raise ValueError("need at least one point")
-    n = len(inputs[0])
-    k = len(outputs[0])
-    X = [list(map(Fraction, v)) + [Fraction(1)] for v in inputs]
-    matrix = []
-    offset = []
-    for coord in range(k):
-        y = [Fraction(out[coord]) for out in outputs]
-        z = solve_linear(X, y)
-        if z is None:
-            return None
-        matrix.append(tuple(z[:n]))
-        offset.append(z[n])
-    return AffineMap(tuple(matrix), tuple(offset))
 
 
 # ---------------------------------------------------------------------------

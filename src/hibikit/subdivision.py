@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
                    span_of_face)
-from .exactgeom import LatticePolytope, Vec, fraction_pair, to_vec, vadd, vdot, vscale
+from .exactgeom import LatticePolytope, Vec, fraction_pair, to_vec
 from .lattice import Lattice, diamond_pairs
 from .poset import LinearExtension, Poset, down_closed, is_stronger
 
@@ -180,12 +180,14 @@ def subdivision_invariance_check(F: Face, trials: int, seed: int = 0) -> bool:
         attempts += 1
         if attempts > 1000:
             raise AssertionError("could not draw enough distinct samples")
-        shift = tuple(Fraction(0) for _ in L.elements)
+        # an integer combination of the integer span rows
+        shift = [0] * L.size
         for row in span:
-            shift = vadd(shift, vscale(rng.randint(-3, 3), to_vec(row)))
-        bound = max((abs(vdot(normal, shift)) for normal in F.cone.normals),
-                    default=Fraction(0))
-        candidate = vadd(vscale(bound + 1, base), shift)
+            c = rng.randint(-3, 3)
+            shift = [x + c * y for x, y in zip(shift, row)]
+        bound = max((abs(sum(a * x for a, x in zip(normal, shift)))
+                     for normal in F.cone.normals), default=0)
+        candidate = tuple((bound + 1) * x + y for x, y in zip(base, shift))
         if candidate not in samples:
             samples.append(candidate)
     subs = []

@@ -5,8 +5,10 @@ basis. Restricting the coordinate functionals of R^L to U(F) and reading them
 in the dual basis yields one integer point per lattice element; their convex
 hull is the weight polytope of F. The distinguished faces, one per part of
 F's regular subdivision, are certified through the projection dual to the
-span inclusion U(apex) ⊆ U(F) and the affine change of coordinates between
-the order polytope and the apex weight polytope.
+span inclusion U(apex) ⊆ U(F) and the affine change of coordinates zeta
+between the order polytope and the apex weight polytope. Both maps are
+integer matrices, each found by one integer elimination, so the
+certificates are integer dot products; no part needs a hull of its own.
 """
 
 from __future__ import annotations
@@ -17,18 +19,12 @@ from typing import Sequence
 
 from .cone import Face, face_of, span_of_face
 from .exactgeom import (
-    AffineMap,
     LatticePolytope,
-    Vec,
-    affine_map_through,
+    _echelon,
     integer_points,
-    is_integral,
     rank,
     same_lattice,
     solve_linear,
-    to_vec,
-    vdot,
-    vsub,
     zero_vec,
 )
 from .poset import down_closed
@@ -73,44 +69,53 @@ def weight_polytope(F: Face) -> WeightPolytope:
     return WeightPolytope(F, basis, points, poly)
 
 
-def _inclusion_matrix(basis_g, basis_f) -> list[list[Fraction]]:
-    # rows of basis(F) written in coordinates over basis(G)
-    cols = list(zip(*basis_g))
-    out = []
-    for row in basis_f:
-        x = solve_linear(cols, row)
-        assert x is not None, "span of the subface must sit inside the span"
-        assert is_integral(x)
-        out.append(x)
-    return out
+def _integral_solution(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The unique X with A·X = B, for integer A and B, from one integer
+    elimination of [A | B]. Asserts that X exists, is unique and is
+    integral."""
+    n = len(A[0])
+    M, D, pivots = _echelon([list(a) + list(b) for a, b in zip(A, B, strict=True)])
+    # a pivot past A's columns is a column of B off A's column span
+    assert pivots == list(range(n)), "no unique solution"
+    assert all(x % D == 0 for row in M for x in row[n:]), "solution is not integral"
+    return [[x // D for x in row[n:]] for row in M]
+
+
+def _inclusion_matrix(basis_g, basis_f) -> list[list[int]]:
+    # rows of basis(F) written in coordinates over basis(G); the span of the
+    # subface must sit inside the span, and the coordinates are integers
+    X = _integral_solution(list(zip(*basis_g)), list(zip(*basis_f)))
+    return [list(col) for col in zip(*X)]
 
 
 def _apex_weight_polytope(K) -> WeightPolytope:
     return weight_polytope(face_of(K, zero_vec(K.lattice.size)))
 
 
-def _zeta_for(apex: WeightPolytope) -> AffineMap:
+def _zeta_for(apex: WeightPolytope) -> tuple[list[list[int]], list[int]]:
+    """The affine map zeta: x -> Z·x + z0 from R^P to the apex coordinates
+    that sends each element's indicator 1_a to apex.points[a], as the
+    integer matrix Z and offset z0. Asserts that the map exists and is
+    integral, that Z has rank |P| (zeta is injective) and that its columns
+    span the apex polytope's lattice."""
     L = apex.face.cone.lattice
-    inputs = [L.indicator(a) for a in L.elements]
-    outputs = [apex.points[a] for a in L.elements]
-    m = affine_map_through(inputs, outputs)
-    assert m is not None
-    assert rank(m.matrix) == L.poset_P.size, "map must be injective on R^P"
-    assert is_integral(m.offset) and all(is_integral(r) for r in m.matrix)
-    columns = [list(col) for col in zip(*m.matrix)]
+    n = L.poset_P.size
+    inputs = [[m >> j & 1 for j in range(n)] + [1] for m in L.masks()]
+    X = _integral_solution(inputs, [apex.points[a] for a in L.elements])
+    columns, z0 = X[:n], X[n]
+    Z = [list(row) for row in zip(*columns)]
+    assert rank(Z) == n, "map must be injective on R^P"
     lb = apex.polytope.lattice_basis
     assert lb is not None and same_lattice(columns, [list(r) for r in lb])
-    return m
+    return Z, z0
 
 
-def invert_affine(m: AffineMap, point: Sequence) -> Vec:
-    """The unique preimage under an injective affine map; raises if the
-    point is off the image."""
-    rhs = vsub(to_vec(point), m.offset)
-    x = solve_linear(m.matrix, rhs)
-    assert x is not None, "point is outside the affine image"
-    assert m(x) == tuple(point), "point is outside the affine image"
-    return tuple(x)
+def _pulls_back(to_apex, zeta, point, x) -> bool:
+    """Whether to_apex·point == Z·x + z0, in integer dot products. Z has
+    rank |P|, so then x is the unique preimage of to_apex·point under zeta."""
+    Z, z0 = zeta
+    return ([sum(c * y for c, y in zip(row, point, strict=True)) for row in to_apex]
+            == [sum(c * y for c, y in zip(row, x, strict=True)) + c0 for row, c0 in zip(Z, z0)])
 
 
 @dataclass(frozen=True)
@@ -131,19 +136,37 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     subdivision.
 
     Each face is the hull of the projected chain simplices of the part's
-    extensions. Certified three ways: a separating functional inside the
-    face's span, dimension |P|, and a bijection with the part's order
-    polytope vertices through the apex identification.
+    extensions. Certified on integers, for each part:
+
+    - a separating functional, the part's values minus the weight, zero on
+      the part's elements and positive elsewhere, that lies in the face's
+      span (one integer elimination), so it cuts a genuine face;
+    - the pullback through the apex: for each member a, to_apex·W.points[a]
+      == Z·1_a + z0, where to_apex is the integer projection dual to
+      U(apex) ⊆ U(F) and zeta = (Z, z0) the integer apex map of rank |P|,
+      so 1_a is the unique preimage;
+    - the members are the elements whose ideals are the order's ideals, the
+      vertices of the part's order polytope;
+    - the face has dimension |P|.
+
+    The face's polytope takes the member points as its vertices without a
+    hull. Distinct 0/1 points are in convex position. Z is injective and
+    affine, so the images Z·1_a + z0 are distinct vertices of their hull.
+    The linear map to_apex sends each W.points[a] to its image Z·1_a + z0;
+    were some W.points[a] a convex combination of the others, its image
+    would be the same convex combination of theirs, which is impossible.
     """
     F = W.face
     L = F.cone.lattice
+    n = L.poset_P.size
     sub = face_subdivision(F)
     apex = W if F.is_apex else _apex_weight_polytope(F.cone)
-    zmap = _zeta_for(apex)
+    zeta = _zeta_for(apex)
     # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
     to_apex = _inclusion_matrix(W.basis, apex.basis)
     basis_cols = list(zip(*W.basis))
     masks = L.masks()
+    indicator = {a: [m >> j & 1 for j in range(n)] for a, m in zip(L.elements, masks)}
     out = []
     for part in sub.parts:
         members = set(part.vertex_elements)
@@ -156,14 +179,14 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
         scale = max([1] + [-(-sub.den // x) for x in positive])
         sep = tuple(Fraction(x * scale, sub.den) for x in raw)
         # the functional lives in the face's span, so it cuts a genuine face
-        assert solve_linear(basis_cols, sep) is not None
-        pts = [W.points[a] for a in part.vertex_elements]
-        poly = LatticePolytope(pts)
-        assert len(poly.vertices) == len(members)
-        assert poly.dim == L.poset_P.size
+        assert solve_linear(basis_cols, raw) is not None
         for a in part.vertex_elements:
-            back = invert_affine(zmap, tuple(vdot(row, W.points[a]) for row in to_apex))
-            assert back == L.indicator(a)
+            assert _pulls_back(to_apex, zeta, W.points[a], indicator[a]), \
+                "point is outside the apex image of its indicator"
+        poly = LatticePolytope([W.points[a] for a in part.vertex_elements],
+                               already_extreme=True)
+        assert len(poly.vertices) == len(members)
+        assert poly.dim == n
         # the vertices are the elements whose ideals are the order's ideals
         closed = down_closed(part.order, masks)
         assert members == {a for a, ok in zip(L.elements, closed) if ok}

@@ -30,18 +30,29 @@ part, evaluated at every element's indicator, each extension's total order
 built as a Poset (extension_poset) and the part orders intersected
 (intersect_orders), and the order ideals scanned over all 2^|P| subsets.
 part_value evaluates an integer part's map at a rational point.
+
+AffineMap, affine_map_through and invert_affine are the Fraction affine maps
+that weightpoly certified its distinguished faces with before zeta and the
+projection to the apex became integer matrices: one solve_linear per output
+coordinate for zeta, and one solve per point for its preimage.
+
+sample_relative_interior and invariance_samples are the relative-interior
+witness and the perturbed samples of subdivision_invariance_check, taken in
+Fraction arithmetic before both moved to integers.
 """
 
 import itertools
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 from typing import Optional, Sequence
 
 from hibikit import exactgeom
-from hibikit.cone import MaxCone, face_of, pair_normal
-from hibikit.exactgeom import (AffineMap, LatticePolytope, Vec, _int_rows, nullspace, rank,
-                               same_lattice, to_vec, vadd, vdot, vsub, zero_vec)
+from hibikit.cone import MaxCone, face_of, pair_normal, span_of_face
+from hibikit.exactgeom import (LatticePolytope, Vec, _int_rows, nullspace, rank, same_lattice,
+                               solve_linear, to_vec, vadd, vdot, vscale, vsub, zero_vec)
 from hibikit.flaggt import (_cell, _phi, _ptilde_labels, _vertex_candidates, flag_point,
                             gt_marked_poset, marked_order_polytope, pbar_labels)
 from hibikit.lattice import Lattice, diamond_pairs
@@ -199,6 +210,54 @@ def facet_hyperplanes(vertices):
             out.append((to_vec(normal), Fraction(rhs)))
     out.sort()
     return out
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """x -> matrix . x + offset with exact rational entries."""
+
+    matrix: tuple[tuple[Fraction, ...], ...]
+    offset: tuple[Fraction, ...]
+
+    def __post_init__(self):
+        for row in self.matrix:
+            if len(row) != len(self.matrix[0]):
+                raise ValueError("ragged matrix")
+        if len(self.offset) != len(self.matrix):
+            raise ValueError("offset length must match row count")
+
+    def __call__(self, v: Sequence) -> Vec:
+        return tuple(vdot(row, v) + off for row, off in zip(self.matrix, self.offset))
+
+
+def affine_map_through(inputs: Sequence[Vec], outputs: Sequence[Vec]) -> Optional[AffineMap]:
+    """The affine map sending each input to its output, or None if the data
+    is inconsistent. Underdetermined directions get zero coefficients."""
+    if not inputs:
+        raise ValueError("need at least one point")
+    n = len(inputs[0])
+    k = len(outputs[0])
+    X = [list(map(Fraction, v)) + [Fraction(1)] for v in inputs]
+    matrix = []
+    offset = []
+    for coord in range(k):
+        y = [Fraction(out[coord]) for out in outputs]
+        z = solve_linear(X, y)
+        if z is None:
+            return None
+        matrix.append(tuple(z[:n]))
+        offset.append(z[n])
+    return AffineMap(tuple(matrix), tuple(offset))
+
+
+def invert_affine(m: AffineMap, point: Sequence) -> Vec:
+    """The unique preimage under an injective affine map; raises if the
+    point is off the image."""
+    rhs = vsub(to_vec(point), m.offset)
+    x = solve_linear(m.matrix, rhs)
+    assert x is not None, "point is outside the affine image"
+    assert m(x) == tuple(point), "point is outside the affine image"
+    return tuple(x)
 
 
 def convex_combination(points: Sequence[Vec], target: Vec) -> Optional[list[Fraction]]:
@@ -403,3 +462,38 @@ def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart
             else:
                 assert value > wt[a], "envelope inequality fails or is tight off the part"
     return key, parts
+
+
+def sample_relative_interior(F) -> Vec:
+    """The face's witness scaled so every loose pair has slack at least 1,
+    with the least slack taken by Fraction vdot over the full normals."""
+    K = F.cone
+    loose = [k for k in range(len(K.pairs)) if k not in F.tight_idx]
+    if not loose:
+        return zero_vec(K.lattice.size)
+    w = F._witness
+    low = min(vdot(K.normals[k], w) for k in loose)
+    assert low > 0, "face witness is not slack on every loose pair"
+    if low < 1:
+        w = vscale(ceil(Fraction(1) / low), w)
+    return w
+
+
+def invariance_samples(F, trials: int, seed: int = 0) -> list[Vec]:
+    """The samples subdivision_invariance_check draws, in Fraction
+    arithmetic: the base witness, then (bound + 1)·base + shift for random
+    shifts in the face's span, skipping repeats."""
+    base = sample_relative_interior(F)
+    rng = random.Random(seed)
+    span = span_of_face(F)
+    samples = [base]
+    while len(samples) < trials:
+        shift = zero_vec(F.cone.lattice.size)
+        for row in span:
+            shift = vadd(shift, vscale(rng.randint(-3, 3), to_vec(row)))
+        bound = max((abs(vdot(normal, shift)) for normal in F.cone.normals),
+                    default=Fraction(0))
+        candidate = vadd(vscale(bound + 1, base), shift)
+        if candidate not in samples:
+            samples.append(candidate)
+    return samples

@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from fraction_oracle import part_value
+from fraction_oracle import AffineMap, invert_affine, part_value
 from hibi_oracle import is_standard, straighten
 
 from hibikit.cli import main
@@ -23,7 +23,7 @@ from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,
                                  generalized_permutahedron)
 from hibikit.weightpoly import (_apex_weight_polytope, _zeta_for, distinguished_faces,
-                                invert_affine, weight_polytope)
+                                weight_polytope)
 
 
 def b(n):
@@ -99,7 +99,7 @@ def test_acceptance_5_weight_polytope_invariants():
         K = cone_K(L)
         unit = {tuple(1 if j == i else 0 for j in range(L.size))
                 for i in range(L.size)}
-        zmap = _zeta_for(_apex_weight_polytope(K))
+        zmap = AffineMap(*_zeta_for(_apex_weight_polytope(K)))
         for F in enumerate_faces(K):
             # constructor certifies |vertices| = |integer points| = |L|
             # and dim = dim F - 1

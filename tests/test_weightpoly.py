@@ -9,27 +9,33 @@ distinguished faces, and the normality of the weight and order polytopes.
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from hibikit import exactgeom
+from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
 from hibikit.exactgeom import (
     LatticePolytope,
     integer_points,
     is_integral,
+    solve_linear,
     vdot,
     vscale,
     vsub,
     zero_vec,
 )
-from hibikit.lattice import birkhoff, ideal_label
-from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
+from hibikit.lattice import birkhoff, diamond_pairs, ideal_label
+from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision
 from hibikit.weightpoly import (
+    WeightPolytope,
     _apex_weight_polytope,
     _inclusion_matrix,
+    _pulls_back,
     _zeta_for,
     distinguished_faces,
-    invert_affine,
     weight_polytope,
     weight_polytope_json,
 )
@@ -169,15 +175,15 @@ def test_project_composition():
 
 @pytest.mark.parametrize("L", [birkhoff(chain(["a", "b", "c"])), B2, B3, GRIDL])
 def test_zeta_bijects_order_polytope_and_apex_polytope(L):
-    z = _zeta_for(_apex_weight_polytope(cone_K(L)))
+    z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(L))))
     W = weight_polytope(apex_face(L))
     for a in L.elements:
         assert z(L.indicator(a)) == W.points[a]
-        assert invert_affine(z, W.points[a]) == L.indicator(a)
+        assert oracle.invert_affine(z, W.points[a]) == L.indicator(a)
 
 
 def test_zeta_square_to_square():
-    z = _zeta_for(_apex_weight_polytope(cone_K(B2)))
+    z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(B2))))
     order_poly = LatticePolytope([B2.indicator(a) for a in B2.elements])
     image = LatticePolytope([z(v) for v in order_poly.vertices])
     W = weight_polytope(apex_face(B2))
@@ -258,6 +264,104 @@ def test_distinguished_images_are_subdivision_parts():
         got = {frozenset(d.elements) for d in distinguished_faces(weight_polytope(F))}
         want = {frozenset(p.vertex_elements) for p in sub.parts}
         assert got == want
+
+
+# -- the integer certificate -------------------------------------------------
+
+
+@st.composite
+def small_posets(draw):
+    """A poset on at most 5 elements: the transitive closure of random
+    pairs i < j."""
+    n = draw(st.integers(1, 5))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    less = {ij for ij, k in zip(pairs, keep) if k}
+    for k in range(n):
+        into = {i for i, j in less if j == k}
+        out = {j for i, j in less if i == k}
+        less |= {(i, j) for i in into for j in out}
+    return Poset(tuple(f"p{i}" for i in range(n)), frozenset(less))
+
+
+def bump(point, i):
+    return tuple(x + (j == i) for j, x in enumerate(point))
+
+
+def oracle_pulls_back(zmap, to_apex, point, x):
+    """The Fraction check: x is the unique preimage of to_apex·point under
+    zeta, found by invert_affine's solve."""
+    try:
+        return oracle.invert_affine(zmap, [vdot(row, point) for row in to_apex]) == tuple(x)
+    except AssertionError:
+        return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_posets())
+def test_integer_certificate_matches_fraction_oracle(P):
+    L = birkhoff(P)
+    assume(len(diamond_pairs(L)) <= 8)
+    K = cone_K(L)
+    apex = _apex_weight_polytope(K)
+    zeta = _zeta_for(apex)
+    zmap = oracle.affine_map_through([L.indicator(a) for a in L.elements],
+                                     [apex.points[a] for a in L.elements])
+    assert (zmap.matrix, zmap.offset) == (tuple(map(tuple, zeta[0])), tuple(zeta[1]))
+    indicators = [[int(x) for x in L.indicator(a)] for a in L.elements]
+    for F in enumerate_faces(K):
+        W = weight_polytope(F)
+        to_apex = _inclusion_matrix(W.basis, apex.basis)
+        cols = list(zip(*W.basis))
+        assert to_apex == [solve_linear(cols, row) for row in apex.basis]
+        # each element's own point and indicator, a wrong indicator, and
+        # the point moved by 1 in each coordinate
+        for i, a in enumerate(L.elements):
+            q = W.points[a]
+            cases = [(q, indicators[i]), (q, indicators[i - 1])]
+            cases += [(bump(q, j), indicators[i]) for j in range(len(q))]
+            for point, x in cases:
+                assert (_pulls_back(to_apex, zeta, point, x)
+                        == oracle_pulls_back(zmap, to_apex, point, x))
+        for d in distinguished_faces(W):
+            hull = LatticePolytope([W.points[a] for a in d.elements])
+            assert d.polytope.vertices == hull.vertices
+            assert d.polytope.hyperplanes == hull.hyperplanes
+
+
+@pytest.mark.parametrize("L", [B3, GRIDL])
+def test_certificate_rejects_a_moved_point(L):
+    # each element's point moved by 1 in one coordinate, taken in turn: off
+    # the apex the pullback check fails; on the apex, where W is the apex
+    # polytope, zeta itself no longer exists or spans its lattice
+    for F in enumerate_faces(cone_K(L)):
+        W = weight_polytope(F)
+        for k, a in enumerate(L.elements):
+            moved = bump(W.points[a], k % len(W.points[a]))
+            with pytest.raises(AssertionError,
+                               match=None if F.is_apex else "outside the apex image"):
+                distinguished_faces(WeightPolytope(F, W.basis, {**W.points, a: moved},
+                                                   W.polytope))
+
+
+@pytest.mark.parametrize("face, calls", [
+    ("apex", 1),
+    ("full", 2),
+    ('[["{p,q}","{p,r}"]]', 2),
+])
+def test_weightpoly_runs_the_facet_kernel_on_w_and_the_apex(face, calls, capsys, monkeypatch):
+    # the distinguished faces take their vertices without a hull
+    found = []
+    kernel = exactgeom.facet_hyperplanes
+
+    def counting(vertices):
+        found.append(len(vertices))
+        return kernel(vertices)
+
+    monkeypatch.setattr(exactgeom, "facet_hyperplanes", counting)
+    assert main(["weightpoly", "--boolean", "3", "--face", face]) == 0
+    capsys.readouterr()
+    assert len(found) == calls
 
 
 # -- normality_probe ---------------------------------------------------------
