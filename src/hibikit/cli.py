@@ -182,7 +182,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_cone(args) -> int:
     L = build_lattice(args)
-    K = cone_K(L)  # raises unless every inequality is LP-certified a facet
+    K = cone_K(L)  # raises unless every inequality has its facet witness
     faces = enumerate_faces(K)
     face_rows = sorted(
         ({"key": F.key(), "dim": F.dim, "tight_count": len(F.tight)}

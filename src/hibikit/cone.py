@@ -1,16 +1,17 @@
 """The maximal Groebner cone K of a distributive lattice.
 
 K lives in R^L. Its closure is cut out by one inequality per diamond pair
-{a, b}: w_{a∧b} + w_{a∨b} - w_a - w_b >= 0. A face is keyed by its closed
-tight set, the diamond equalities that hold on all of it. The faces are read
-off the tight sets of the cone's rays; a single key is closed by LP.
+{a, b}: w_{a∧b} + w_{a∨b} - w_a - w_b >= 0, each certified a facet by an
+explicit integer point. A face is keyed by its closed tight set, the diamond
+equalities that hold on all of it. The faces are read off the tight sets of
+the cone's rays; a single key is closed by LP.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import NotInCone, TooLarge
@@ -110,16 +111,27 @@ def _tight_set(pairs: Sequence[DiamondPair], normals: Sequence[tuple[int, ...]],
 
 def cone_K(L: Lattice) -> MaxCone:
     """Build K-bar and certify every inequality facet-defining: for each
-    pair there is a point with that equality exact and all others slack."""
+    pair there is a point with that equality exact and all others slack.
+
+    For the pair with meet d and join d ∪ {p, q} the point is
+    w(I) = 2·C(|I|, 2) − [I = d] − [I = d ∪ {p, q}]. Across any diamond
+    the second difference of C(|I|, 2) is 1, so the first term gives every
+    pair the value 2. Subtracting [I = X] takes 1 from each pair with X as
+    its meet or join and adds 1 to each pair with X as a side. So the two
+    indicators take 2 from this pair, and at most 1 from any other: taking 2
+    needs d as the meet and d ∪ {p, q} as the join. Each point is checked by
+    integer dot products with every normal."""
     pairs = diamond_pairs(L)
     normals = [pair_normal(L, d) for d in pairs]
-    n = L.size
-    for i in range(len(pairs)):
-        cons = [(normals[i], "=", 0)]
-        cons += [(normals[k], ">=", 1) for k in range(len(pairs)) if k != i]
-        if lp_feasible(cons, n) is None:
-            raise AssertionError(
-                f"inequality for {pairs[i].key()} is not facet-defining")
+    supports = [[(i, c) for i, c in enumerate(normal) if c] for normal in normals]
+    base = [2 * comb(L.height(a), 2) for a in L.elements]
+    for k, d in enumerate(pairs):
+        w = list(base)
+        w[L.index(d.meet_elt)] -= 1
+        w[L.index(d.join_elt)] -= 1
+        values = [sum(c * w[i] for i, c in support) for support in supports]
+        if values[k] != 0 or any(v < 1 for j, v in enumerate(values) if j != k):
+            raise AssertionError(f"inequality for {d.key()} is not facet-defining")
     return MaxCone(L, pairs, normals)
 
 
@@ -177,12 +189,12 @@ def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Opt
     m = len(K.pairs)
     closed = set(tight)
     witness = zero_vec(n)
-    base = [(K.normals[i], "=", 0) for i in sorted(tight)]
-    base += [(K.normals[j], ">=", 0) for j in range(m) if j not in tight]
+    equalities = [K.normals[i] for i in sorted(tight)]
+    rows = [(K.normals[j], 0) for j in range(m) if j not in tight]
     for k in range(m):
         if k in tight:
             continue
-        x = lp_feasible(base + [(K.normals[k], ">=", 1)], n)
+        x = lp_feasible(equalities, rows + [(K.normals[k], 1)], n)
         if x is None:
             closed.add(k)
         else:

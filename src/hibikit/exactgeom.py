@@ -9,12 +9,14 @@ reads the vertices off the facets' tight sets. Every facet normal and span
 equation of a LatticePolytope is a primitive integer row, so its integer
 points are searched on ints. The rest works over Fraction directly. The LP
 solver is a two phase simplex with Bland's rule, so it terminates without
-any tolerance knobs.
+any tolerance knobs; lp_feasible poses it homogeneous equalities and rows
+a.x >= r, the systems that close a face key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, floor, gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -75,8 +77,11 @@ def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """Scale each rational row to a primitive integer row."""
     out = []
     for row in rows:
-        row = _as_rationals(row)
-        ints = _scaled(row, lcm(*(x.denominator for x in row)))
+        if all(type(x) is int for x in row):
+            ints = list(row)
+        else:
+            row = _as_rationals(row)
+            ints = _scaled(row, lcm(*(x.denominator for x in row)))
         g = gcd(*ints)
         out.append([x // g for x in ints] if g > 1 else ints)
     return out
@@ -248,66 +253,22 @@ def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence, c: Sequence):
     return "optimal", y, Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, M)), s * D)
 
 
-def lp_feasible(constraints: Sequence[tuple], n: int) -> Optional[Vec]:
-    """Exact feasibility for linear constraints over n free variables.
+def lp_feasible(equalities: Sequence[Sequence], rows: Sequence[tuple], n: int) -> Optional[Vec]:
+    """A point x in Q^n with a.x = 0 for every equality row a and a.x >= r
+    for every (a, r) in rows, or None when there is none.
 
-    Each constraint is (coeffs, rel, rhs) with rel one of "<=", "<", "=",
-    ">=", ">". Strict inequalities are handled by maximizing an auxiliary
-    slack capped at 1; when the system is homogeneous the witness is scaled
-    so every strict constraint has slack at least 1. Returns a witness
-    vector or None.
+    x = u - v with u, v >= 0, and each row gets one slack s >= 0: the
+    columns are u, v, then the slacks, and a row reads -a.u + a.v + s = -r.
     """
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        a = _as_rationals(coeffs)
-        r = Fraction(rhs)
-        if rel in (">=", ">"):
-            a = [-x for x in a]
-            r = -r
-            rel = "<=" if rel == ">=" else "<"
-        rows.append((a, rel, r))
-    strict = any(rel == "<" for _, rel, _ in rows)
-    homogeneous = all(r == 0 for _, _, r in rows)
-
-    # variables: u (n), v (n), then t if needed, then one slack per inequality
-    nslack = sum(1 for _, rel, _ in rows if rel != "=") + (1 if strict else 0)
-    t_col = 2 * n if strict else None
-    base = 2 * n + (1 if strict else 0)
-    total = base + nslack
-    A = []
-    b = []
-    slack = 0
-    for a, rel, r in rows:
-        row = [0] * total
-        for i in range(n):
-            row[i] = a[i]
-            row[n + i] = -a[i]
-        if rel == "<":
-            row[t_col] = 1
-        if rel != "=":
-            row[base + slack] = 1
-            slack += 1
-        A.append(row)
-        b.append(r)
-    if strict:
-        row = [0] * total
-        row[t_col] = 1
-        row[base + slack] = 1
-        slack += 1
-        A.append(row)
-        b.append(1)
-    c = [0] * total
-    if strict:
-        c[t_col] = 1
-    status, y, value = solve_eq_nonneg(A, b, c)
+    m = len(rows)
+    A = [list(a) + [-x for x in a] + [0] * m for a in equalities]
+    A += [[-x for x in a] + list(a) + [int(j == k) for j in range(m)]
+          for k, (a, _) in enumerate(rows)]
+    b = [0] * len(equalities) + [-r for _, r in rows]
+    status, y, _ = solve_eq_nonneg(A, b, [0] * (2 * n + m))
     if status != "optimal":
         return None
-    if strict and value <= 0:
-        return None
-    x = tuple(y[i] - y[n + i] for i in range(n))
-    if strict and homogeneous and value < 1:
-        x = vscale(ceil(Fraction(1) / value), x)
-    return x
+    return tuple(y[i] - y[n + i] for i in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +476,7 @@ class LatticePolytope:
     """
 
     def __init__(self, vertices: Sequence[Vec], already_extreme=False):
-        pts = []
-        for p in vertices:
-            p = to_vec(p)
-            if p not in pts:
-                pts.append(p)
+        pts = list(dict.fromkeys(map(to_vec, vertices)))
         if not pts:
             raise ValueError("a polytope needs at least one vertex")
         self._hyperplanes = None
@@ -531,10 +488,10 @@ class LatticePolytope:
         self._lattice_basis = None
         self._span_equations = None
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        base = self.vertices[0]
-        return rank([vsub(v, base) for v in self.vertices[1:]])
+        points, _ = _common_scale(self.vertices)
+        return rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
 
     @property
     def hyperplanes(self) -> tuple[tuple[Vec, Fraction], ...]:

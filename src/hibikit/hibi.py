@@ -269,8 +269,8 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
 
     dim in_w(I)_l is reported as dim I_l: the degeneration is flat, so it
     is the same for every weight w. It and the standard monomial count are
-    computed once per degree, before any LP runs, so the element and degree
-    caps fail fast; only the intersection is computed per face."""
+    computed once per degree, before the cone is built, so the element and
+    degree caps fail fast; only the intersection is computed per face."""
     from .cone import cone_K, enumerate_faces
     from .subdivision import face_subdivision
 

@@ -39,6 +39,11 @@ coordinate for zeta, and one solve per point for its preimage.
 sample_relative_interior and invariance_samples are the relative-interior
 witness and the perturbed samples of subdivision_invariance_check, taken in
 Fraction arithmetic before both moved to integers.
+
+cone_K is the facet certificate that cone ran before its integer witness:
+one LP per diamond pair, for a point with that pair tight and every other
+pair slack at least 1. Its LPs run on the rational simplex here through
+lp_feasible, which takes "=", ">=" and "<=" rows with any right-hand side.
 """
 
 import itertools
@@ -159,6 +164,31 @@ def solve_eq_nonneg(A, b, c):
     if status == "unbounded":
         return "unbounded", y, None, pivots + more
     return "optimal", y, sum(x * v for x, v in zip(cost2, y)), pivots + more
+
+
+def lp_feasible(constraints, n: int) -> Optional[Vec]:
+    """A point x in Q^n with a.x (rel) r for every (a, rel, r), or None.
+    x = u - v with u, v >= 0, and each row gets one slack column."""
+    k = len(constraints)
+    sign = {"=": 0, ">=": -1, "<=": 1}
+    A = [list(a) + [-x for x in a] + [sign[rel] * int(j == i) for j in range(k)]
+         for i, (a, rel, _) in enumerate(constraints)]
+    status, y, _, _ = solve_eq_nonneg(A, [r for _, _, r in constraints], [0] * (2 * n + k))
+    if status != "optimal":
+        return None
+    return tuple(y[i] - y[n + i] for i in range(n))
+
+
+def cone_K(L: Lattice) -> MaxCone:
+    """K-bar with every inequality certified a facet by LP."""
+    pairs = diamond_pairs(L)
+    normals = [pair_normal(L, d) for d in pairs]
+    for i in range(len(pairs)):
+        cons = [(normals[i], "=", 0)]
+        cons += [(normals[k], ">=", 1) for k in range(len(pairs)) if k != i]
+        if lp_feasible(cons, L.size) is None:
+            raise AssertionError(f"inequality for {pairs[i].key()} is not facet-defining")
+    return MaxCone(L, pairs, normals)
 
 
 def facet_hyperplanes(vertices):

@@ -49,7 +49,7 @@ def test_acceptance_2_cone_minimality():
     t0 = time.monotonic()
     for L in (b(2), b(3), grassmann_lattice(2, 4), flag_lattice(3),
               flag_lattice(4)):
-        K = cone_K(L)  # raises unless every inequality is LP-certified a facet
+        K = cone_K(L)  # raises unless every inequality has its facet witness
         assert len(K.pairs) == len(diamond_pairs(L))
     _done("2 cone minimality", t0, 30)
 

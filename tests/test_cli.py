@@ -139,6 +139,23 @@ def test_cone_face_counts(argv, facets, faces, capsys):
     assert report["face_count"] == faces
 
 
+def test_subdivide_b6_full_face(capsys):
+    # did not finish while cone_K certified B6's 240 facets by LP
+    report = run_json(capsys, ["subdivide", "--boolean", "6", "--face", "full"])
+    assert report["part_count"] == 720
+
+
+def test_cone_b5_reaches_the_ray_cap_without_lp(capsys, monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("cone solved an LP")
+
+    monkeypatch.setattr("hibikit.exactgeom.solve_eq_nonneg", no_lp)
+    code, out, err = run_cli(capsys, ["cone", "--boolean", "5"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "TooLarge"
+
+
 def test_subdivide_by_weight_and_by_face(capsys):
     by_face = run_json(capsys, ["subdivide", "--boolean", "2",
                                 "--face", "full"])
@@ -244,7 +261,7 @@ def test_certify_past_element_cap_fails_before_any_lp(argv, capsys, monkeypatch)
     def no_lp(*args, **kwargs):
         raise RuntimeError("certify solved an LP past the element cap")
 
-    monkeypatch.setattr("hibikit.cone.lp_feasible", no_lp)
+    monkeypatch.setattr("hibikit.exactgeom.solve_eq_nonneg", no_lp)
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""

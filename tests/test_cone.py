@@ -14,7 +14,6 @@ from hibikit import exactgeom, subdivision
 from hibikit.cli import resolve_face
 from hibikit.cone import (
     Face,
-    MaxCone,
     _close_tight,
     cone_K,
     enumerate_faces,
@@ -24,9 +23,9 @@ from hibikit.cone import (
     span_of_face,
 )
 from hibikit.errors import NotInCone, TooLarge
-from hibikit.exactgeom import is_integral, lp_feasible, rank, same_lattice, vdot, vscale
+from hibikit.exactgeom import is_integral, rank, same_lattice, vdot, vscale
 from hibikit.flaggt import flag_lattice, grassmann_lattice
-from hibikit.lattice import birkhoff, diamond_pairs
+from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs
 from hibikit.poset import antichain, chain, from_cover_relations
 
 GRID = from_cover_relations(
@@ -95,6 +94,60 @@ def test_grid_cone_single_inequality():
 def test_b3_cone_six_inequalities():
     K = cone_K(birkhoff(antichain(["p", "q", "r"])))
     assert len(K.pairs) == 6
+
+
+WITNESSED = [
+    ("B3", birkhoff(antichain(["p", "q", "r"])), 6),
+    ("B4", birkhoff(antichain(["p", "q", "r", "s"])), 24),
+    ("B5", birkhoff(antichain(["p", "q", "r", "s", "t"])), 80),
+    ("B6", birkhoff(antichain(["p", "q", "r", "s", "t", "u"])), 240),
+    ("Flag(4)", flag_lattice(4), 5),
+    ("Gr(3,6)", grassmann_lattice(3, 6), 12),
+]
+
+
+@pytest.mark.parametrize("name, L, count", WITNESSED, ids=[name for name, _, _ in WITNESSED])
+def test_cone_K_certifies_facets_without_lp(name, L, count, monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("cone_K solved an LP")
+
+    monkeypatch.setattr(exactgeom, "solve_eq_nonneg", no_lp)
+    assert len(cone_K(L).pairs) == count
+
+
+@settings(max_examples=25, deadline=None)
+@given(poset_strategy(max_size=6))
+def test_witness_and_lp_oracle_accept_the_same_pairs(P):
+    L = birkhoff(P)
+    assume(len(diamond_pairs(L)) <= 12)
+    K = cone_K(L)
+    lp = oracle.cone_K(L)
+    assert (K.pairs, K.normals) == (lp.pairs, lp.normals)
+
+
+@pytest.mark.parametrize("extra", ["repeat", "sum"])
+def test_cone_K_rejects_a_redundant_inequality(extra, monkeypatch):
+    # one inequality more than B3's six: a repeat of the first is tight
+    # wherever the first is, so its point fails the slack check; the sum of
+    # the first two normals, on a pair with bottom and top as meet and join,
+    # gets a point where all six are slack and it is not, so only the
+    # tightness check fails
+    L = birkhoff(antichain(["p", "q", "r"]))
+    pairs = diamond_pairs(L)
+    if extra == "repeat":
+        added, normal = pairs[0], pair_normal
+    else:
+        added = DiamondPair(pairs[0].a, pairs[0].b, L.bottom, L.top)
+        summed = tuple(x + y for x, y in zip(pair_normal(L, pairs[0]), pair_normal(L, pairs[1])))
+
+        def normal(L, d):
+            return summed if d is added else pair_normal(L, d)
+
+    for module, build in ((cone_module, cone_K), (oracle, oracle.cone_K)):
+        monkeypatch.setattr(module, "diamond_pairs", lambda L: pairs + (added,))
+        monkeypatch.setattr(module, "pair_normal", normal)
+        with pytest.raises(AssertionError, match="not facet-defining"):
+            build(L)
 
 
 # -- face_of -----------------------------------------------------------------
@@ -288,10 +341,8 @@ def test_enumerate_face_cap(monkeypatch):
 
 def test_enumerate_ray_cap_stops_b5():
     # the double description on B5's 80 pairs keeps thousands of rays and
-    # runs for minutes uncapped; the cone is built without cone_K's LPs
-    L = birkhoff(antichain(["p", "q", "r", "s", "t"]))
-    pairs = diamond_pairs(L)
-    K = MaxCone(L, pairs, [pair_normal(L, d) for d in pairs])
+    # runs for minutes uncapped
+    K = cone_K(birkhoff(antichain(["p", "q", "r", "s", "t"])))
     with pytest.raises(TooLarge, match="rays"):
         enumerate_faces(K)
 
@@ -379,7 +430,7 @@ def test_each_inequality_is_irredundant(P):
     for i in range(len(K.pairs)):
         cons = [(K.normals[k], ">=", 0) for k in range(len(K.pairs)) if k != i]
         cons.append((K.normals[i], "<=", -1))
-        assert lp_feasible(cons, n) is not None
+        assert oracle.lp_feasible(cons, n) is not None
 
 
 def test_normal_structure():

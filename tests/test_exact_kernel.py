@@ -169,8 +169,11 @@ def test_solve_linear_matches_fraction_oracle(data):
 
 # -- pinned work counts --------------------------------------------------------
 
-# cone_K's facet LPs; enumerate_faces solves none
-WORK = [("cone --boolean 3", 6, 39), ("cone --grassmann 2 5", 3, 9)]
+# cone_K and enumerate_faces solve no LP; a keyed job solves one closure LP
+# per pair off its key
+WORK = [("cone --boolean 3", 0, 0), ("cone --grassmann 2 5", 0, 0),
+        ('subdivide --grassmann 2 5 --face [["14","23"]]', 2, 9),
+        ('weightpoly --boolean 3 --face [["{p,q}","{p,r}"]]', 5, 44)]
 
 
 @pytest.mark.parametrize("argv, solves, pivots", WORK, ids=[a for a, _, _ in WORK])
@@ -199,9 +202,9 @@ def test_simplex_work_counts(argv, solves, pivots, monkeypatch, capsys):
     assert counts == {"solves": solves, "pivots": pivots}
 
 
-# the keyed job solves cone_K's LPs and the closure LPs of its key; LPs over
-# rational data, whose denominators the kernel clears with one global scale,
-# are covered by the hypothesis LPs above
+# the keyed job solves the closure LPs of its key; LPs over rational data,
+# whose denominators the kernel clears with one global scale, are covered by
+# the hypothesis LPs above
 REPLAY = ['subdivide --grassmann 2 5 --face [["14","23"]]']
 
 

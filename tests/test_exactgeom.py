@@ -31,20 +31,9 @@ from hibikit.exactgeom import (
 )
 
 
-def check_witness(constraints, witness):
-    for coeffs, rel, rhs in constraints:
-        val = vdot(coeffs, witness)
-        rhs = Fraction(rhs)
-        if rel == "<=":
-            assert val <= rhs
-        elif rel == "<":
-            assert val < rhs
-        elif rel == ">=":
-            assert val >= rhs
-        elif rel == ">":
-            assert val > rhs
-        else:
-            assert val == rhs
+def check_witness(equalities, rows, witness):
+    assert all(vdot(a, witness) == 0 for a in equalities)
+    assert all(vdot(a, witness) >= r for a, r in rows)
 
 
 # ---------------------------------------------------------------- elimination
@@ -81,71 +70,42 @@ def test_solve_linear():
 
 
 def test_lp_infeasible_interval():
-    assert lp_feasible([([1], "<=", 1), ([1], ">=", 2)], 1) is None
+    assert lp_feasible([], [([-1], -1), ([1], 2)], 1) is None
 
 
-def test_lp_strict_homogeneous_scaled():
-    w = lp_feasible([([1], "<", 0)], 1)
-    assert w is not None and w[0] <= -1
-
-
-def test_lp_equalities_and_strict_mix():
-    cons = [([1, 1], "=", 2), ([1, -1], "<", 0)]
-    w = lp_feasible(cons, 2)
-    check_witness(cons, w)
-
-
-def test_lp_strict_inhomogeneous():
-    cons = [([1], "<", 0), ([1], ">", Fraction(-1, 2))]
-    w = lp_feasible(cons, 1)
-    check_witness(cons, w)
-
-
-def test_lp_open_cone_of_square():
-    # diamond inequality for the 2-antichain lattice, strict form
-    cons = [([1, -1, -1, 1], ">", 0)]
-    w = lp_feasible(cons, 4)
-    check_witness(cons, w)
-    assert w[0] + w[3] - w[1] - w[2] >= 1  # homogeneous scaling promise
+def test_lp_equalities_and_inequalities_mix():
+    eqs, rows = [[1, 1]], [([-1, 1], 1)]
+    w = lp_feasible(eqs, rows, 2)
+    check_witness(eqs, rows, w)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.tuples(
-    st.lists(st.integers(-3, 3), min_size=2, max_size=2),
-    st.sampled_from(["<=", ">=", "=", "<", ">"]),
-    st.integers(-4, 4)), min_size=1, max_size=5))
-def test_lp_random_systems_verified_by_substitution(cons):
-    w = lp_feasible(cons, 2)
+@given(st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), max_size=2),
+       st.lists(st.tuples(st.lists(st.integers(-3, 3), min_size=2, max_size=2),
+                          st.integers(-4, 4)), min_size=1, max_size=5))
+def test_lp_random_systems_verified_by_substitution(eqs, rows):
+    w = lp_feasible(eqs, rows, 2)
     if w is not None:
-        check_witness(cons, w)
+        check_witness(eqs, rows, w)
 
 
 def test_lp_feasibility_decision_against_brute_rational_grid():
-    # small random-ish systems where a coarse rational grid finds a point
-    # whenever one exists with small coordinates
+    # small systems where a coarse rational grid finds a point whenever one
+    # exists with small coordinates
     systems = [
-        [([2, -1], "<=", 1), ([-1, 2], "<=", 1), ([1, 1], ">", 0)],
-        [([1, 1], "=", 1), ([1, -1], ">=", 1)],
-        [([1, 0], "<", 0), ([0, 1], "<", 0), ([1, 1], ">", -1)],
+        ([], [([-2, 1], -1), ([1, -2], -1), ([1, 1], 1)]),
+        ([[1, 1]], [([1, -1], 1)]),
+        ([[1, -1]], [([1, 0], 1), ([-1, 0], -2), ([0, 1], 3)]),
     ]
-    for cons in systems:
-        w = lp_feasible(cons, 2)
-        grid = [Fraction(n, 2) for n in range(-8, 9)]
-        brute = None
-        for x in grid:
-            for y in grid:
-                try:
-                    check_witness(cons, (x, y))
-                    brute = (x, y)
-                    break
-                except AssertionError:
-                    continue
-            if brute:
-                break
-        if brute is not None:
-            assert w is not None
+    grid = [Fraction(n, 2) for n in range(-8, 9)]
+    for eqs, rows in systems:
+        w = lp_feasible(eqs, rows, 2)
+        brute = next(((x, y) for x in grid for y in grid
+                      if all(vdot(a, (x, y)) == 0 for a in eqs)
+                      and all(vdot(a, (x, y)) >= r for a, r in rows)), None)
+        assert (w is None) == (brute is None)
         if w is not None:
-            check_witness(cons, w)
+            check_witness(eqs, rows, w)
 
 
 # ----------------------------------------------------------------------- hull

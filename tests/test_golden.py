@@ -58,6 +58,9 @@ GOLDEN = [
      "ceb56ea2206a361e35c8a2b9312fff50a37744331cfbf94aaf60247aea09fab1", 27),
     ("weightpoly --flag 4",
      "a5ead3f5e34f8b312d0287e535d59bd7e6c7fa1e70a734c98cd76ec99579e2ae", 26),
+    # recorded when cone_K certified B5's 80 facets by LP, about 10 s
+    ("subdivide --boolean 5 --face full",
+     "998cdc0370c3f9b623a3f1e2443813e6a0acc2bdf8c0b42f8ca301b8fc92146e", 0),
     # recorded with the Fraction census and patterns, which took about 44 s
     # on the n = 5 census
     ("gt --n 4 vertices",
