@@ -73,10 +73,6 @@ class Face:
     def is_apex(self) -> bool:
         return len(self.tight_idx) == len(self.cone.pairs)
 
-    @property
-    def is_full(self) -> bool:
-        return not self.tight_idx
-
     def __eq__(self, other):
         return (isinstance(other, Face)
                 and self.cone.lattice.elements == other.cone.lattice.elements

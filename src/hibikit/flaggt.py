@@ -7,6 +7,12 @@ Flag lattice elements are increasing index tuples written as digit strings
 extended ground set that marked polytopes are defined on. Points of the
 ambient space R^{Pbar} are tuples over pbar_labels(n), which sorts cells
 by (r, s).
+
+Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
+lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
+the vertex search and the sections of a subdivision. Coordinates become
+Fractions (divided by n - 1) only in the GTVertex values and the section
+polytopes returned for output.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cone import Face
 from .errors import BadParams, NotStronger, TooLarge
@@ -156,7 +162,7 @@ def gt_poset_iso(n: int, L: Lattice) -> tuple[Poset, dict[str, str]]:
 
 @dataclass(frozen=True)
 class MarkedPoset:
-    """A poset with a marked subset carrying fixed rational values.
+    """A poset with a marked subset carrying fixed integer values.
 
     Convention: points satisfy x_p >= x_q whenever p < q, so values must
     not increase along the order.
@@ -164,7 +170,7 @@ class MarkedPoset:
 
     base: Poset
     marked: tuple[str, ...]
-    values: dict[str, Fraction]
+    values: dict[str, int]
 
     def __post_init__(self):
         marked = set(self.marked)
@@ -183,14 +189,15 @@ class MarkedPoset:
         return [p for p in self.base.elements if p not in marked]
 
 
-def _scaled_marking(n: int) -> dict[str, int]:
+def _gt_marking(n: int) -> dict[str, int]:
     """The Gelfand-Tsetlin marking on the (n-1)-scaled lattice: p_{r,r}
     carries n - r."""
     return {_cell(r, r): n - r for r in range(1, n + 1)}
 
 
 def gt_marked_poset(n: int) -> MarkedPoset:
-    """Full triangular array, diagonal marked to (n-r)/(n-1)."""
+    """Full triangular array, diagonal marked to n - r: the Gelfand-Tsetlin
+    polytope scaled by n - 1, so every marking is an integer."""
     if n < 2:
         raise BadParams("need n >= 2")
     labels = pbar_labels(n)
@@ -201,14 +208,7 @@ def gt_marked_poset(n: int) -> MarkedPoset:
     ]
     base = from_cover_relations(labels, pairs)
     marked = tuple(_cell(r, r) for r in range(1, n + 1))
-    return MarkedPoset(base, marked,
-                       {p: Fraction(v, n - 1) for p, v in _scaled_marking(n).items()})
-
-
-def _scaled_gt_marked_poset(n: int) -> MarkedPoset:
-    """gt_marked_poset(n) scaled by n - 1, so every marking is an integer."""
-    mp = gt_marked_poset(n)
-    return MarkedPoset(mp.base, mp.marked, _scaled_marking(n))
+    return MarkedPoset(base, marked, _gt_marking(n))
 
 
 def mu_k_marked_poset(n: int, k: int) -> MarkedPoset:
@@ -218,16 +218,16 @@ def mu_k_marked_poset(n: int, k: int) -> MarkedPoset:
         raise BadParams("need 1 <= k <= n-1")
     mp = gt_marked_poset(n)
     return MarkedPoset(mp.base, mp.marked,
-                       {p: Fraction(1 if v >= k else 0) for p, v in _scaled_marking(n).items()})
+                       {p: 1 if v >= k else 0 for p, v in mp.values.items()})
 
 
-def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, Fraction]) -> bool:
+def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, int]) -> bool:
     if any(point[p] != mp.values[p] for p in mp.marked):
         return False
     return all(point[a] >= point[b] for a, b in order.covers())
 
 
-def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, Fraction]]:
+def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, int]]:
     """Every point that fixes the markings, takes a marking value on each
     free cell, and satisfies x_a >= x_b for each cover a < b of `order`, as
     dicts in a fixed order.
@@ -301,20 +301,18 @@ def _is_vertex(mp: MarkedPoset, order: Poset, point: dict) -> bool:
     return _anchored(order.covers(), mp.marked, mp.free(), point)
 
 
-def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
-    """x_p fixed to the marking on M, x_p >= x_q for p < q in `order`.
-
-    Vertices enumerated exactly: candidates take marking values only, and a
-    candidate is extreme iff its tight graph anchors every free cell.
-    """
+def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
+    """Vertices of the marked order polytope, x_p fixed to the marking on M
+    and x_p >= x_q for p < q in `order`, as value tuples over
+    mp.base.elements: the candidates take marking values only, and a
+    candidate is extreme iff its tight graph anchors every free cell."""
     labels = mp.base.elements
-    points = []
-    for cand in _vertex_candidates(mp, order):
-        if _is_vertex(mp, order, cand):
-            points.append(tuple(cand[p] for p in labels))
+    points = [tuple(cand[p] for p in labels)
+              for cand in _vertex_candidates(mp, order)
+              if _is_vertex(mp, order, cand)]
     assert points, "a marked polytope always has at least one vertex"
     assert len(set(points)) == len(points)
-    return LatticePolytope(points, already_extreme=True)
+    return points
 
 
 # -- Gelfand-Tsetlin vertices ------------------------------------------------
@@ -331,11 +329,9 @@ class GTVertex:
     labels: tuple[str, ...]
 
 
-def flag_point(n: int, label: str, phi: Optional[dict] = None) -> tuple[int, ...]:
-    """0/1 indicator of the flag element's triangular ideal, with the two
-    corner cells pinned to 1 and 0."""
-    if phi is None:
-        phi = _phi(n)
+def flag_point(n: int, label: str, phi: dict) -> tuple[int, ...]:
+    """0/1 indicator of the flag element's triangular ideal phi[label], with
+    the two corner cells pinned to 1 and 0."""
     ideal = phi[label]
     coords = []
     for p in pbar_labels(n):
@@ -346,11 +342,6 @@ def flag_point(n: int, label: str, phi: Optional[dict] = None) -> tuple[int, ...
         else:
             coords.append(1 if p in ideal else 0)
     return tuple(coords)
-
-
-def gt_polytope(n: int) -> LatticePolytope:
-    mp = gt_marked_poset(n)
-    return marked_order_polytope(mp, mp.base)
 
 
 def gt_patterns(n: int) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
@@ -374,7 +365,7 @@ def gt_patterns(n: int) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     flag_points = {lbl: flag_point(n, lbl, phi) for lbl in phi}
     labels = pbar_labels(n)
     ptilde = _ptilde_labels(n)
-    mp = _scaled_gt_marked_poset(n)
+    mp = gt_marked_poset(n)
     out = []
     for cand in _vertex_candidates(mp, mp.base):
         point = tuple(cand[p] for p in labels)
@@ -398,13 +389,10 @@ def gt_vertices(n: int) -> list[GTVertex]:
     free cell. The search runs on the (n-1)-scaled integer lattice; each
     point and each label's share of a decomposition becomes a Fraction once.
     """
-    mp = _scaled_gt_marked_poset(n)
+    mp = gt_marked_poset(n)
     phi = _phi(n)
     flag_points = {lbl: flag_point(n, lbl, phi) for lbl in phi}
-    xi = {
-        k: set(marked_order_polytope(mu_k_marked_poset(n, k), mp.base).vertices)
-        for k in range(1, n)
-    }
+    xi = {k: set(_marked_vertices(mu_k_marked_poset(n, k), mp.base)) for k in range(1, n)}
     for k in range(1, n):
         k_points = {flag_points[lbl] for lbl in phi if len(lbl) == k}
         assert xi[k] == k_points, "level-k vertices must be k-index flag points"
@@ -443,36 +431,34 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     overestimates the lifted height, meets it exactly when x lies in that
     section, and the minimum over parts always attains it. Since section
     vertices are pattern points, this pins the same cell structure.
+
+    The sections are cut on the (n-1)-scaled integer lattice, over the
+    patterns of gt_patterns; each section's vertices become Fractions once,
+    in the polytope returned.
     """
     if n > MAX_GT_RANK:
         raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
     L = F.cone.lattice
     if L != flag:
         raise ValueError("face must come from the flag lattice's cone")
-    pt, iso = gt_poset_iso(n, flag)
+    _, iso = gt_poset_iso(n, flag)
     mp = gt_marked_poset(n)
     sub = face_subdivision(F)
-    # each pattern point with its scaled point and its lifted height times
-    # (n-1)·den, which is the sum of the scaled weight over its chain
-    lifts = {tuple(Fraction(x, n - 1) for x in point):
-             (point, sum(sub.scaled[L.index(lbl)] for lbl in chain))
-             for point, chain in gt_patterns(n)}
-    gt_dim = gt_polytope(n).dim
     pbar = pbar_labels(n)
+    # each scaled pattern point with its cells and its lifted height times
+    # (n-1)·den, which is the sum of the scaled weight over its chain
+    lifts = {point: (dict(zip(pbar, point)), sum(sub.scaled[L.index(lbl)] for lbl in chain))
+             for point, chain in gt_patterns(n)}
     at = [pbar.index(iso[p]) for p in L.poset_P.elements]
-    pattern_points = set(lifts)
-    in_parts = {point: 0 for point in pattern_points}
+    in_parts = dict.fromkeys(lifts, 0)
     parts = []
     for part in sub.parts:
         order = _extend_to_pbar(n, part.order, iso)
-        Q = marked_order_polytope(mp, order)
-        assert Q.dim == gt_dim, "each section must be full-dimensional"
-        member_points = set(Q.vertices)
-        assert member_points <= pattern_points
-        for point in pattern_points:
-            coords = dict(zip(pbar, point))
-            scaled, lifted = lifts[point]
-            value = part.const * (n - 1) + sum(a * scaled[k] for a, k in zip(part.alpha, at))
+        vertices = _marked_vertices(mp, order)
+        member_points = set(vertices)
+        assert member_points <= lifts.keys()
+        for point, (coords, lifted) in lifts.items():
+            value = part.const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))
             assert value >= lifted, "part maps must overestimate the lift"
             inside = _satisfies(mp, order, coords)
             assert (value == lifted) == inside
@@ -480,6 +466,9 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
                 in_parts[point] += 1
             assert (inside and _is_vertex(mp, order, coords)) == (
                 point in member_points)
+        Q = LatticePolytope([tuple(Fraction(x, n - 1) for x in v) for v in vertices],
+                            already_extreme=True)
+        assert Q.dim == len(mp.free()), "each section must be full-dimensional"
         parts.append((order, Q))
     assert all(count >= 1 for count in in_parts.values())
     assert len(parts) == len(sub.parts)
@@ -492,8 +481,8 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
 def _chain_vertices(chain: Sequence[str], marking: dict[str, int]) -> list[tuple[int, ...]]:
     """Vertices of the marked order polytope of a chain, x_c >= x_d for
     each step c, d of it, as value tuples along the chain: the candidates
-    of the search that marked_order_polytope runs, kept by the same
-    anchoring test."""
+    of the search that _marked_vertices runs, kept by the same anchoring
+    test."""
     preds = {d: [c] for c, d in zip(chain, chain[1:])}
     preds[chain[0]] = []
     lower = {}
@@ -529,7 +518,7 @@ def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[
     # the difference map sends x to x_c - x_d over the steps c, d of each
     # block followed by the next marker: one row per free cell c, in
     # chain order, and d is the cell after c
-    marking = _scaled_marking(n)
+    marking = _gt_marking(n)
     vertices = _chain_vertices(total, marking)
     rows = [i for i, p in enumerate(total) if p not in marking]
     image = [tuple(v[i] - v[i + 1] for i in rows) for v in vertices]

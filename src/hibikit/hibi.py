@@ -75,10 +75,6 @@ class Polynomial:
                 cleaned[m] = c
         self.terms: dict[Monomial, Fraction] = cleaned
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
 

@@ -10,11 +10,9 @@ checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import NotALattice, NotDistributive, NotStronger, UnknownLabel
-from .exactgeom import Vec
 from .poset import (
     LinearExtension,
     Poset,
@@ -102,11 +100,6 @@ class Lattice:
             return self._iota_inv[frozenset(ideal)]
         except KeyError:
             raise UnknownLabel(f"no element with ideal {set(ideal)}") from None
-
-    def indicator(self, a: str) -> Vec:
-        """The 0/1 vector of iota(a) over the canonical poset_P order."""
-        ideal = self.iota[a]
-        return tuple(Fraction(1 if p in ideal else 0) for p in self.poset_P.elements)
 
     def chain(self, ext: LinearExtension) -> tuple[str, ...]:
         """The maximal chain of a linear extension of poset_P: the elements

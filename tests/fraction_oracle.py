@@ -18,11 +18,18 @@ contains is the Fraction membership test that LatticePolytope used to carry;
 a brute-force box filter with it checks integer_points, which searches on
 integers.
 
+gt_marked_poset is the Gelfand-Tsetlin marking that flaggt used before it
+moved to the (n-1)-scaled integer lattice: p_{r,r} carries (n-r)/(n-1).
+marked_order_polytope wraps a marked poset's vertices in a LatticePolytope,
+and gt_polytope is the Gelfand-Tsetlin polytope itself.
+
 gt_patterns and component_image are the Gelfand-Tsetlin pattern search and
 the component shape check that flaggt ran in Fraction arithmetic before it
 moved them to the (n-1)-scaled integer lattice: the patterns are the
 Fraction points themselves, and each section is a marked order polytope of
-its chain mapped by a Fraction AffineMap.
+its chain mapped by a Fraction AffineMap. gt_subdivision is the section
+search that flaggt ran on the Fraction marking, with one Fraction marked
+order polytope per part and the full dimension read off gt_polytope.
 
 regular_subdivision is the subdivision that hibikit ran in Fraction
 arithmetic before it scaled the weight to integers: one AffineMap per
@@ -40,6 +47,10 @@ sample_relative_interior and invariance_samples are the relative-interior
 witness and the perturbed samples of subdivision_invariance_check, taken in
 Fraction arithmetic before both moved to integers.
 
+indicator and is_full are the Lattice and Face members that only tests
+read: an element's 0/1 Fraction vector over poset_P, and whether a face has
+no tight pair.
+
 cone_K is the facet certificate that cone ran before its integer witness:
 one LP per diamond pair, for a point with that pair tight and every other
 pair slack at least 1. Its LPs run on the rational simplex here through
@@ -54,15 +65,29 @@ from itertools import combinations
 from math import ceil
 from typing import Optional, Sequence
 
-from hibikit import exactgeom
-from hibikit.cone import MaxCone, face_of, pair_normal, span_of_face
+from hibikit import exactgeom, flaggt
+from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
 from hibikit.exactgeom import (LatticePolytope, Vec, _int_rows, nullspace, rank, same_lattice,
                                solve_linear, to_vec, vadd, vdot, vscale, vsub, zero_vec)
-from hibikit.flaggt import (_cell, _phi, _ptilde_labels, _vertex_candidates, flag_point,
-                            gt_marked_poset, marked_order_polytope, pbar_labels)
+from hibikit.errors import TooLarge
+from hibikit.flaggt import (MAX_GT_RANK, MarkedPoset, _cell, _extend_to_pbar, _is_vertex,
+                            _marked_vertices, _phi, _ptilde_labels, _satisfies,
+                            _vertex_candidates, flag_point, gt_poset_iso, pbar_labels)
 from hibikit.lattice import Lattice, diamond_pairs
 from hibikit.poset import (LinearExtension, Poset, from_cover_relations, is_stronger,
                            order_ideals)
+from hibikit.subdivision import face_subdivision
+
+
+def indicator(L: Lattice, a: str) -> Vec:
+    """The 0/1 vector of iota(a) over the canonical poset_P order."""
+    ideal = L.iota[a]
+    return tuple(Fraction(1 if p in ideal else 0) for p in L.poset_P.elements)
+
+
+def is_full(F: Face) -> bool:
+    """Whether F is the full-dimensional face, with no tight pair."""
+    return not F.tight_idx
 
 
 def _pivot(T, row, col):
@@ -334,6 +359,69 @@ def minkowski_sum(A, B) -> set:
     return {vadd(a, b) for a in A for b in B}
 
 
+def gt_marked_poset(n: int) -> MarkedPoset:
+    """Full triangular array, diagonal marked to (n-r)/(n-1)."""
+    mp = flaggt.gt_marked_poset(n)
+    return MarkedPoset(mp.base, mp.marked, {p: Fraction(v, n - 1) for p, v in mp.values.items()})
+
+
+def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
+    """x_p fixed to the marking on M, x_p >= x_q for p < q in `order`, with
+    the vertices flaggt's search finds."""
+    return LatticePolytope(_marked_vertices(mp, order), already_extreme=True)
+
+
+def gt_polytope(n: int) -> LatticePolytope:
+    mp = gt_marked_poset(n)
+    return marked_order_polytope(mp, mp.base)
+
+
+def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
+    """The sections of flaggt.gt_subdivision, cut on the Fraction marking:
+    the same checks over the Fraction pattern points, with one marked order
+    polytope per part."""
+    if n > MAX_GT_RANK:
+        raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
+    L = F.cone.lattice
+    if L != flag:
+        raise ValueError("face must come from the flag lattice's cone")
+    _, iso = gt_poset_iso(n, flag)
+    mp = gt_marked_poset(n)
+    sub = face_subdivision(F)
+    # each pattern point with its scaled point and its lifted height times
+    # (n-1)·den, which is the sum of the scaled weight over its chain
+    lifts = {tuple(Fraction(x, n - 1) for x in point):
+             (point, sum(sub.scaled[L.index(lbl)] for lbl in chain))
+             for point, chain in flaggt.gt_patterns(n)}
+    gt_dim = gt_polytope(n).dim
+    pbar = pbar_labels(n)
+    at = [pbar.index(iso[p]) for p in L.poset_P.elements]
+    pattern_points = set(lifts)
+    in_parts = {point: 0 for point in pattern_points}
+    parts = []
+    for part in sub.parts:
+        order = _extend_to_pbar(n, part.order, iso)
+        Q = marked_order_polytope(mp, order)
+        assert Q.dim == gt_dim, "each section must be full-dimensional"
+        member_points = set(Q.vertices)
+        assert member_points <= pattern_points
+        for point in pattern_points:
+            coords = dict(zip(pbar, point))
+            scaled, lifted = lifts[point]
+            value = part.const * (n - 1) + sum(a * scaled[k] for a, k in zip(part.alpha, at))
+            assert value >= lifted, "part maps must overestimate the lift"
+            inside = _satisfies(mp, order, coords)
+            assert (value == lifted) == inside
+            if inside:
+                in_parts[point] += 1
+            assert (inside and _is_vertex(mp, order, coords)) == (
+                point in member_points)
+        parts.append((order, Q))
+    assert all(count >= 1 for count in in_parts.values())
+    assert len(parts) == len(sub.parts)
+    return parts
+
+
 def gt_patterns(n: int) -> list[tuple[Vec, tuple[str, ...]]]:
     """Every marking-valued point of the Gelfand-Tsetlin polytope with its
     flag-element chain, read off the superlevel sets at k/(n-1)."""
@@ -486,7 +574,7 @@ def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart
     for part in parts:
         on_part = set(part.vertex_elements)
         for a in L.elements:
-            value = part.affine(L.indicator(a))[0]
+            value = part.affine(indicator(L, a))[0]
             if a in on_part:
                 assert value == wt[a], "part map must interpolate w on its vertices"
             else:

@@ -16,6 +16,7 @@ per_monomial_intersection_dim eliminate sparse Fraction rows.
 from fractions import Fraction
 from math import comb
 
+from fraction_oracle import indicator
 from hibikit.errors import BadParams
 from hibikit.exactgeom import vadd, zero_vec
 from hibikit.hibi import (
@@ -54,7 +55,7 @@ def straighten(L, m):
     factors = factor_indices(m)
     target = zero_vec(L.poset_P.size)
     for i in factors:
-        target = vadd(target, L.indicator(L.elements[i]))
+        target = vadd(target, indicator(L, L.elements[i]))
 
     def badness():
         return sum(len(L.iota[L.elements[i]]) ** 2 for i in factors)
@@ -85,7 +86,7 @@ def straighten(L, m):
     exps = [0] * L.size
     for i in factors:
         exps[i] += 1
-        total = vadd(total, L.indicator(L.elements[i]))
+        total = vadd(total, indicator(L, L.elements[i]))
     if total != target:
         raise AssertionError("straightening changed the exponent sum")
     return Monomial(tuple(exps))
@@ -113,7 +114,7 @@ def exponent_sum_count(L, l):
     """The number of distinct l-fold sums of indicator vectors."""
     sums = {zero_vec(L.poset_P.size)}
     for _ in range(l):
-        sums = {vadd(u, L.indicator(a)) for u in sums for a in L.elements}
+        sums = {vadd(u, indicator(L, a)) for u in sums for a in L.elements}
     return len(sums)
 
 
@@ -123,7 +124,7 @@ def _degree_rows(generators, n, l, col_index):
     for g in generators:
         if not g.is_homogeneous():
             raise BadParams("generators must be homogeneous")
-        if g.is_zero:
+        if not g.terms:
             continue
         d = g.degree()
         if d > l:
@@ -194,7 +195,7 @@ def per_monomial_intersection_dim(L, orders, l):
         u = zero_vec(L.poset_P.size)
         labels = [L.elements[i] for i in factor_indices(m)]
         for a in labels:
-            u = vadd(u, L.indicator(a))
+            u = vadd(u, indicator(L, a))
         hits = frozenset(
             i for i in range(k) if all(a in members[i] for a in labels))
         if hits:

@@ -9,7 +9,7 @@ import json
 import random
 import time
 
-from fraction_oracle import AffineMap, invert_affine, part_value
+from fraction_oracle import AffineMap, indicator, invert_affine, is_full, part_value
 from hibi_oracle import is_standard, straighten
 
 from hibikit.cli import main
@@ -79,7 +79,7 @@ def test_acceptance_4_subdivision_bijection():
             forms.add(frozenset(
                 (frozenset(p.order.covers()), frozenset(p.vertex_elements))
                 for p in sub.parts))
-            if F.is_full:
+            if is_full(F):
                 # staircase triangulation: one simplex per linear extension
                 assert len(sub.parts) == m == len(L.extensions())
                 for p in sub.parts:
@@ -106,11 +106,11 @@ def test_acceptance_5_weight_polytope_invariants():
             W = weight_polytope(F)
             assert len(W.polytope.vertices) == L.size
             assert W.polytope.dim == F.dim - 1
-            if F.is_full:
+            if is_full(F):
                 assert set(W.points.values()) == unit  # standard simplex
             if F.is_apex:
                 for a in L.elements:
-                    assert invert_affine(zmap, W.points[a]) == L.indicator(a)
+                    assert invert_affine(zmap, W.points[a]) == indicator(L, a)
             # distinguished faces biject with the subdivision parts
             # (each is certified against its part inside the call)
             faces = distinguished_faces(W)
@@ -127,7 +127,7 @@ def test_acceptance_6_gt_consistency():
         L = flag_lattice(n)
         K = cone_K(L)
         F = face_of(K, [L.height(a) ** 2 for a in L.elements])
-        assert F.is_full
+        assert is_full(F)
         # section-based parts; the call itself certifies agreement with the
         # envelope of the lifted heights over every pattern point
         parts = gt_subdivision(n, F, L)
@@ -181,7 +181,7 @@ def test_acceptance_7_property_suites():
 
     L = b(3)
     w = [L.height(a) ** 2 for a in L.elements]
-    assert face_of(cone_K(L), w).is_full  # generic interior weight
+    assert is_full(face_of(cone_K(L), w))  # generic interior weight
     Q = generalized_permutahedron(L, w)  # checks -w submodular internally
     assert len(Q.vertices) == 6
     wt = {a: w[L.index(a)] for a in L.elements}

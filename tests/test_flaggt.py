@@ -17,19 +17,19 @@ from hibikit.exactgeom import rank, vadd, vscale, zero_vec
 from hibikit.flaggt import (
     MarkedPoset,
     _is_vertex,
+    _marked_vertices,
+    _phi,
     _shape_and_image,
     component_shape,
     flag_lattice,
     flag_point,
     gt_marked_poset,
     gt_patterns,
-    gt_polytope,
     gt_poset,
     gt_poset_iso,
     gt_subdivision,
     gt_vertices,
     grassmann_lattice,
-    marked_order_polytope,
     mu_k_marked_poset,
     pbar_labels,
     shape_census,
@@ -57,21 +57,16 @@ def free_coords(n, point):
     return tuple(x for p, x in zip(labels, point) if p[1] != p[2])
 
 
-def dilate(mp, c):
-    """The marked poset with every marking multiplied by c."""
-    return MarkedPoset(mp.base, mp.marked, {p: c * v for p, v in mp.values.items()})
-
-
 def marked_integer_points(mp, order):
     """All integer points of the marked order polytope of an integral
     marking, by brute force over the free cells' values between the least
     and the greatest marking."""
     labels = mp.base.elements
     free = mp.free()
-    values = range(int(min(mp.values.values())), int(max(mp.values.values())) + 1)
+    values = range(min(mp.values.values()), max(mp.values.values()) + 1)
     out = []
     for filling in itertools.product(values, repeat=len(free)):
-        point = {**mp.values, **dict(zip(free, map(Fraction, filling)))}
+        point = {**mp.values, **dict(zip(free, filling))}
         if all(point[a] >= point[b] for a, b in order.covers()):
             out.append(tuple(point[p] for p in labels))
     return out
@@ -224,51 +219,51 @@ def test_gt_poset_iso_is_order_isomorphism(n):
 
 def test_marked_polytope_n2_is_segment():
     mp = gt_marked_poset(2)
-    Q = marked_order_polytope(mp, mp.base)
-    assert Q.dim == 1
-    assert set(Q.vertices) == {
-        (Fraction(1), Fraction(0), Fraction(0)),
-        (Fraction(1), Fraction(1), Fraction(0)),
-    }
+    assert sorted(_marked_vertices(mp, mp.base)) == [(1, 0, 0), (1, 1, 0)]
+    assert oracle.marked_order_polytope(mp, mp.base).dim == 1
 
 
 def test_gt3_polytope_is_3_dimensional():
-    Q = gt_polytope(3)
+    Q = oracle.gt_polytope(3)
     assert Q.dim == 3
     assert len(Q.vertices) == 7
+    # gt_subdivision checks each section's dimension against the free cells
+    for n in range(2, 6):
+        assert oracle.gt_polytope(n).dim == len(gt_marked_poset(n).free()) == n * (n - 1) // 2
 
 
 def test_marked_polytope_scaling():
-    # O_{M,(n-1)mu} = (n-1) * O_{M,mu}
+    # O_{M,(n-1)mu} = (n-1) * O_{M,mu}: the integer marking is the dilate of
+    # the Fraction one
     mp = gt_marked_poset(3)
-    big = marked_order_polytope(dilate(mp, 2), mp.base)
-    assert set(big.vertices) == {vscale(2, v) for v in gt_polytope(3).vertices}
+    assert set(_marked_vertices(mp, mp.base)) == {
+        vscale(2, v) for v in oracle.gt_polytope(3).vertices}
 
 
 def test_marked_polytope_rejects_weaker_order():
     mp = gt_marked_poset(3)
     loose = antichain(list(mp.base.elements))
     with pytest.raises(NotStronger):
-        marked_order_polytope(mp, loose)
+        _marked_vertices(mp, loose)
 
 
 def test_marked_polytopes_reject_order_on_other_ground_set():
     mp = mu_k_marked_poset(3, 1)
     other = antichain(["x", "y"])
     with pytest.raises(GroundSetMismatch):
-        marked_order_polytope(mp, other)
+        _marked_vertices(mp, other)
 
 
 def test_marked_polytope_too_large():
     mp = gt_marked_poset(6)  # 15 free cells
     with pytest.raises(TooLarge):
-        marked_order_polytope(mp, mp.base)
+        _marked_vertices(mp, mp.base)
 
 
 def test_marked_poset_requires_marked_extremes():
     base = gt_marked_poset(2).base
     with pytest.raises(AssertionError):
-        MarkedPoset(base, ("p11",), {"p11": Fraction(1)})
+        MarkedPoset(base, ("p11",), {"p11": 1})
 
 
 def test_tight_rank_detects_vertices():
@@ -287,7 +282,7 @@ def test_tight_rank_agrees_with_anchoring(n):
     # the rank test and the tight-graph anchoring test pick the same patterns
     mp = gt_marked_poset(n)
     for point, _ in gt_patterns(n):
-        coords = dict(zip(mp.base.elements, unscaled(n, point)))
+        coords = dict(zip(mp.base.elements, point))
         assert _is_vertex(mp, mp.base, coords) == (
             tight_rank(mp, mp.base, coords) == len(mp.free()))
 
@@ -349,7 +344,7 @@ def test_gt_vertex_decompositions_3():
         assert total == gv.point
         for k, (lbl, part) in enumerate(zip(gv.labels, gv.decomposition), 1):
             assert len(lbl) == k
-            assert tuple(2 * x for x in part) == flag_point(3, lbl)
+            assert tuple(2 * x for x in part) == flag_point(3, lbl, _phi(3))
         assert L.leq(gv.labels[1], gv.labels[0])
 
 
@@ -377,7 +372,7 @@ def _all_flag_labels(n):
 def _scaled_sum(n, combo):
     total = zero_vec(len(pbar_labels(n)))
     for lbl in combo:
-        total = vadd(total, unscaled(n, flag_point(n, lbl)))
+        total = vadd(total, unscaled(n, flag_point(n, lbl, _phi(n))))
     return total
 
 
@@ -411,13 +406,13 @@ def test_xi_vertex_sets_are_flag_points():
     n = 4
     base = gt_marked_poset(n).base
     for k in range(1, n):
-        Q = marked_order_polytope(mu_k_marked_poset(n, k), base)
+        vertices = _marked_vertices(mu_k_marked_poset(n, k), base)
         expected = {
-            flag_point(n, lbl)
+            flag_point(n, lbl, _phi(n))
             for lbl in _all_flag_labels(n)
             if len(lbl) == k
         }
-        assert set(Q.vertices) == expected
+        assert set(vertices) == expected
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -428,17 +423,18 @@ def test_integer_points_of_01_levels_are_vertices(n):
         mp = mu_k_marked_poset(n, k)
         points = marked_integer_points(mp, base)
         assert len(set(points)) == len(points)
-        assert set(points) == set(marked_order_polytope(mp, base).vertices)
+        assert set(points) == set(_marked_vertices(mp, base))
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_minkowski_sum_of_integer_points(n):
     mp = gt_marked_poset(n)
-    big = set(marked_integer_points(dilate(mp, n - 1), mp.base))
+    big = set(marked_integer_points(mp, mp.base))
     sums = {zero_vec(len(pbar_labels(n)))}
     for k in range(1, n):
         sums = oracle.minkowski_sum(sums, marked_integer_points(mu_k_marked_poset(n, k), mp.base))
-    # integer points of the dilate are exactly the level-wise sums
+    # integer points of the (n-1)-scaled polytope are exactly the level-wise
+    # sums
     assert len(big) == 2 ** (n * (n - 1) // 2)
     assert big == sums
 
@@ -480,7 +476,7 @@ def sections(n, face):
 def test_gt_subdivision_3_apex():
     parts = sections(3, apex_face)
     assert len(parts) == 1
-    assert parts[0][1] == gt_polytope(3)
+    assert parts[0][1] == oracle.gt_polytope(3)
 
 
 def test_gt_subdivision_3_full():
@@ -531,7 +527,7 @@ def test_gt_4_subdivision_facets_are_the_tight_cover_inequalities(capsys):
     assert main(["gt", "--n", "4", "subdivide"]) == 0
     report = json.loads(capsys.readouterr().out)["subdivision"]
     assert report["part_count"] == len(report["parts"]) == 12
-    mp = gt_marked_poset(4)
+    mp = oracle.gt_marked_poset(4)
     col = {p: i for i, p in enumerate(mp.base.elements)}
 
     def affine_rank(points):
@@ -556,6 +552,22 @@ def test_gt_4_subdivision_facets_are_the_tight_cover_inequalities(capsys):
         planes = [(tuple(Fraction(*x) for x in h["normal"]), Fraction(*h["rhs"]))
                   for h in poly["hyperplanes"]]
         assert sorted(planes) == sorted(expected)
+
+
+@pytest.mark.parametrize("n, face_count", [(3, 2), (4, 32)])
+def test_gt_subdivision_matches_fraction_oracle(n, face_count):
+    # on every face of the cone, the integer sections and the Fraction ones
+    # have the same order covers and the same Fraction vertex tuples, in the
+    # same part order
+    C = cone_K(flag_lattice(n))
+    faces = enumerate_faces(C)
+    assert len(faces) == face_count
+    for F in faces:
+        got = gt_subdivision(n, F, C.lattice)
+        want = oracle.gt_subdivision(n, F, C.lattice)
+        assert all(type(x) is Fraction for _, Q in got for v in Q.vertices for x in v)
+        assert ([(order.covers(), Q.vertices) for order, Q in got]
+                == [(order.covers(), Q.vertices) for order, Q in want])
 
 
 def test_gt_subdivision_rejects_foreign_lattice():

@@ -69,6 +69,10 @@ GOLDEN = [
      "34371d3acbb2ffe25521da4b37a7dd745c0e52a2dab2f85fa0128bfc01c77be7", 0),
     ("gt --n 5 census",
      "2a1b84701a8a02e4f1def1380aba46894f2b50b9559869e0a1677c896e793e90", 0),
+    # recorded with the sections cut on the Fraction marking; the full face
+    # of the same job stays out of tier-1 while it runs for over 10 s
+    ("gt --n 5 subdivide --face apex",
+     "f1440fc9f9b6fdc1da9401d7e09c5aa300658965d922e3e35c91f1678e2b6198", 20),
 ]
 
 

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import extension_poset
+from fraction_oracle import extension_poset, indicator
 from hibi_oracle import (
     component_ideal,
     elimination_ideal_dim,
@@ -109,7 +109,7 @@ def test_straighten_grid_middle_pair():
 def exponent_sum(L, m):
     total = zero_vec(L.poset_P.size)
     for i in factor_indices(m):
-        total = vadd(total, L.indicator(L.elements[i]))
+        total = vadd(total, indicator(L, L.elements[i]))
     return total
 
 
@@ -414,7 +414,7 @@ def test_samesum_factors_lie_in_intersection():
                 continue
             total = zero_vec(L.poset_P.size)
             for a in combo:
-                total = vadd(total, L.indicator(a))
+                total = vadd(total, indicator(L, a))
             standard.setdefault(total, []).append(combo)
         for total, combos in standard.items():
             for c1 in combos:

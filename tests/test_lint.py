@@ -43,27 +43,43 @@ def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
 
 
 def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
-    """Module-level public functions and classes that no code of the package
-    refers to, outside their own body; as "module.name". The entry point
-    cli.main is exempt."""
+    """Module-level public functions and classes, and the public methods and
+    properties of those classes, that no code of the package refers to
+    outside their own body; as "module.name" and "module.Class.name". A
+    member counts as referred to only through an attribute, such as
+    obj.name. The entry point cli.main and dunder methods are exempt."""
     defined = []
     refs = set()
+    attrs = set()
     for module, source in sources.items():
         tree = ast.parse(source)
         own = {}
+
+        def define(node, qualname):
+            defined.append((module, qualname, node.name))
+            for inner in ast.walk(node):
+                own.setdefault(id(inner), set()).add(node.name)
+
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
-                defined.append((module, node.name))
-                own.update((id(inner), node.name) for inner in ast.walk(node))
+                define(node, node.name)
+                if isinstance(node, ast.ClassDef):
+                    for member in node.body:
+                        if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                                and not member.name.startswith("_")):
+                            define(member, f"{node.name}.{member.name}")
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
-            if name is not None and own.get(id(node)) != name:
+            if name is not None and name not in own.get(id(node), ()):
                 refs.add(name.split(".")[-1])
-    return [f"{module}.{name}" for module, name in defined
-            if name not in refs and (module, name) != ("cli", "main")]
+                if isinstance(node, ast.Attribute):
+                    attrs.add(name)
+    return [f"{module}.{qualname}" for module, qualname, name in defined
+            if name not in (attrs if "." in qualname else refs)
+            and (module, qualname) != ("cli", "main")]
 
 
 def test_unused_imports_detects_dead_name():
@@ -89,8 +105,23 @@ def test_unreferenced_public_names_detects_test_only_api():
     assert unreferenced_public_names(sources) == ["a.Dead", "a.helper"]
 
 
+def test_unreferenced_public_names_detects_test_only_members():
+    sources = {
+        "a": "class Shape:\n"
+             "    def __init__(self):\n        self.area()\n\n"
+             "    def area(self):\n        return 0\n\n"
+             "    @property\n    def dead(self):\n        return self.dead\n\n"
+             "    def shadowed(self):\n        pass\n\n"
+             "    def _private(self):\n        pass\n\n"
+             "    def __eq__(self, other):\n        return True\n",
+        "b": "from a import Shape\n\n\nshadowed = Shape()\n",
+    }
+    assert unreferenced_public_names(sources) == ["a.Shape.dead", "a.Shape.shadowed"]
+
+
 def test_every_public_name_is_reached_from_the_package():
-    # a public function or class that only tests call belongs in tests/
+    # a public function, class, method or property that only tests call
+    # belongs in tests/
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unreferenced_public_names(sources) == []
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import part_value
+from fraction_oracle import indicator, is_full, part_value
 from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
@@ -111,10 +111,10 @@ def test_parts_interpolate_weight():
     wt = dict(zip(L.elements, to_vec(w)))
     for part in sub.parts:
         for a in part.vertex_elements:
-            assert part_value(sub, part, L.indicator(a)) == wt[a]
+            assert part_value(sub, part, indicator(L, a)) == wt[a]
         for a in L.elements:
             if a not in part.vertex_elements:
-                assert part_value(sub, part, L.indicator(a)) > wt[a]
+                assert part_value(sub, part, indicator(L, a)) > wt[a]
 
 
 @settings(max_examples=15, deadline=None)
@@ -211,7 +211,7 @@ def test_subdivide_classifies_the_weight_once(monkeypatch, capsys):
 def test_full_face_triangulation():
     K = cone_K(B3)
     full = face_of(K, tuple(Fraction(len(B3.iota[a]) ** 2) for a in B3.elements))
-    assert full.is_full
+    assert is_full(full)
     sub = face_subdivision(full)
     assert len(sub.parts) == 6  # one simplex per linear extension
     for part in sub.parts:
@@ -254,7 +254,7 @@ def test_part_count_is_monotone_under_face_inclusion():
         assert 1 <= len(sub.parts) <= 6
         if F.is_apex:
             assert len(sub.parts) == 1
-        if F.is_full:
+        if is_full(F):
             assert len(sub.parts) == 6
 
 

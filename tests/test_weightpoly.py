@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from fraction_oracle import indicator, is_full
 from hibikit import exactgeom
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
@@ -163,7 +164,7 @@ def test_project_composition():
     K = cone_K(L)
     apex = face_of(K, zero_vec(L.size))
     full = full_face(L)
-    mid = next(F for F in enumerate_faces(K) if not F.is_apex and not F.is_full)
+    mid = next(F for F in enumerate_faces(K) if not F.is_apex and not is_full(F))
     W = weight_polytope(full)
     for a in L.elements:
         two_step = project(mid, apex, project(full, mid, W.points[a]))
@@ -178,13 +179,13 @@ def test_zeta_bijects_order_polytope_and_apex_polytope(L):
     z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(L))))
     W = weight_polytope(apex_face(L))
     for a in L.elements:
-        assert z(L.indicator(a)) == W.points[a]
-        assert oracle.invert_affine(z, W.points[a]) == L.indicator(a)
+        assert z(indicator(L, a)) == W.points[a]
+        assert oracle.invert_affine(z, W.points[a]) == indicator(L, a)
 
 
 def test_zeta_square_to_square():
     z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(B2))))
-    order_poly = LatticePolytope([B2.indicator(a) for a in B2.elements])
+    order_poly = LatticePolytope([indicator(B2, a) for a in B2.elements])
     image = LatticePolytope([z(v) for v in order_poly.vertices])
     W = weight_polytope(apex_face(B2))
     assert image == W.polytope
@@ -305,10 +306,10 @@ def test_integer_certificate_matches_fraction_oracle(P):
     K = cone_K(L)
     apex = _apex_weight_polytope(K)
     zeta = _zeta_for(apex)
-    zmap = oracle.affine_map_through([L.indicator(a) for a in L.elements],
+    zmap = oracle.affine_map_through([indicator(L, a) for a in L.elements],
                                      [apex.points[a] for a in L.elements])
     assert (zmap.matrix, zmap.offset) == (tuple(map(tuple, zeta[0])), tuple(zeta[1]))
-    indicators = [[int(x) for x in L.indicator(a)] for a in L.elements]
+    indicators = [[int(x) for x in indicator(L, a)] for a in L.elements]
     for F in enumerate_faces(K):
         W = weight_polytope(F)
         to_apex = _inclusion_matrix(W.basis, apex.basis)
@@ -379,7 +380,7 @@ def test_probe_passes_unimodular_simplex():
 ])
 def test_probe_passes_order_polytopes(P):
     L = birkhoff(P)
-    Q = LatticePolytope([L.indicator(a) for a in L.elements])
+    Q = LatticePolytope([indicator(L, a) for a in L.elements])
     assert normality_probe(Q, 4) is None
 
 
