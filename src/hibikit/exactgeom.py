@@ -3,21 +3,22 @@
 No floating point anywhere. Row reduction and the LP solver pivot on
 integer tableaux with one common denominator (integer-preserving
 elimination), and their results come back as reduced fractions.Fraction.
-The polytope kernel scales its points by one common denominator, finds the
-facets by the double description method with primitive integer rays, and
-reads the vertices off the facets' tight sets. Every facet normal and span
-equation of a LatticePolytope is a primitive integer row, so its integer
-points are searched on ints. The rest works over Fraction directly. The LP
-solver is a two phase simplex with Bland's rule, so it terminates without
-any tolerance knobs; lp_feasible poses it homogeneous equalities and rows
-a.x >= r, the systems that close a face key.
+A LatticePolytope holds integer points over one common denominator: its
+facet kernel runs the double description method with primitive integer
+rays on those ints and reads the vertices off the facets' tight sets, its
+facet normals and span equations are primitive integer rows, and its
+integer points are searched on ints. Its coordinates become Fractions only
+in polytope_json. The LP solver is a two phase simplex with Bland's rule,
+so it terminates without any tolerance knobs; lp_feasible poses it
+homogeneous equalities and rows a.x >= r, the systems that close a face
+key.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor, gcd, inf, lcm
+from math import gcd, inf, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import TooLarge
@@ -33,25 +34,13 @@ def vadd(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vscale(c, a: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * x for x in a)
 
 
-def vdot(a: Sequence, b: Sequence) -> Fraction:
-    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
-
-
-def is_integral(v: Sequence) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
 
 
 # ---------------------------------------------------------------------------
@@ -149,21 +138,24 @@ def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fract
     return x
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Basis of {x : A x = 0}."""
+def nullspace(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Basis of {x : A x = 0}, one primitive integer row per free column f
+    of the reduced row echelon form: the solution with x_f positive and
+    every other free coordinate 0."""
     if not rows:
         return []
     n = len(rows[0])
     M, D, pivots = _echelon(rows)
-    free = [c for c in range(n) if c not in pivots]
     basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [0] * n
+        v[f] = D
         for row, p in zip(M, pivots):
-            v[p] = Fraction(-row[f], D)
+            v[p] = -row[f]
         basis.append(v)
-    return basis
+    return _int_rows(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -343,29 +335,6 @@ def same_lattice(gens_a: Sequence[Sequence[int]], gens_b: Sequence[Sequence[int]
             and all(lattice_member(ech_b, v) for v in gens_a))
 
 
-def affine_lattice_basis(points: Sequence[Vec]) -> list[list[int]]:
-    """Integer basis of (affine span of the points) directions intersected
-    with Z^n. The basis is saturated: any integer point of the affine span
-    is the base point plus an integer combination.
-    """
-    pts = [to_vec(p) for p in points]
-    if not pts:
-        return []
-    if not all(is_integral(p) for p in pts):
-        raise ValueError("affine_lattice_basis needs integer points")
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts[1:]]
-    diffs = [d for d in diffs if any(d)]
-    n = len(base)
-    if not diffs:
-        return []
-    complement = nullspace(diffs)
-    if not complement:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    K = _int_rows(complement)
-    return integer_kernel(K)
-
-
 # ---------------------------------------------------------------------------
 # polytopes
 
@@ -414,50 +383,41 @@ def _extreme_rays(rows: list[list[int]], max_rays: float = inf) -> list[tuple[li
     return list(zip(rays, tight))
 
 
-def _common_scale(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
-    """The points times s, the lcm of their denominators, as integer rows; and s."""
-    s = lcm(*(x.denominator for p in points for x in p))
-    return [_scaled(p, s) for p in points], s
-
-
-def facet_hyperplanes(vertices: Sequence[Vec]) -> list[tuple[Vec, Fraction]]:
+def facet_hyperplanes(vertices: Sequence[Sequence[int]]) -> list[tuple[tuple[int, ...], int]]:
     """Facet inequalities (normal, rhs), convention normal.x <= rhs, of the
-    convex hull of the given points, cutting within the affine span.
-    Normals are primitive integer vectors.
+    convex hull of the given integer points, cutting within the affine span.
+    Normals are primitive integer vectors; rhs is normal.p at a point p of
+    the facet, on the points' own scale.
 
-    With the points scaled to integers X_i = s x_i and E the primitive
-    integer rows of the echelon form of their differences, each facet
-    m.y >= -b in the span coordinates y = E . X is an extreme ray (m, b) of
-    the cone {h : (y_i, 1).h >= 0} over the points, so normal = -sum m_k E_k.
+    With E the primitive integer rows of the echelon form of the points'
+    differences, each facet m.y >= -b in the span coordinates y = E . x is
+    an extreme ray (m, b) of the cone {h : (y_i, 1).h >= 0} over the points,
+    so normal = -sum m_k E_k.
     """
-    points, s = _common_scale([to_vec(v) for v in vertices])
-    if not points:
+    if not vertices:
         return []
-    base = points[0]
-    span_rows = _int_rows(_echelon([[x - y for x, y in zip(p, base)] for p in points[1:]])[0])
+    base = vertices[0]
+    span_rows = _int_rows(_echelon([[x - y for x, y in zip(p, base)] for p in vertices[1:]])[0])
     d = len(span_rows)
     if d == 0:
         return []
-    rows = [[sum(a * x for a, x in zip(e, p)) for e in span_rows] + [1] for p in points]
+    rows = [[sum(a * x for a, x in zip(e, p)) for e in span_rows] + [1] for p in vertices]
     out = []
     for ray, tight in _extreme_rays(rows):
         m = ray[:d]
         normal = _int_rows([[-sum(a * x for a, x in zip(m, col)) for col in zip(*span_rows)]])[0]
-        on_facet = points[(tight & -tight).bit_length() - 1]
-        out.append((to_vec(normal), Fraction(sum(a * x for a, x in zip(normal, on_facet)), s)))
+        on_facet = vertices[(tight & -tight).bit_length() - 1]
+        out.append((tuple(normal), sum(a * x for a, x in zip(normal, on_facet))))
     out.sort()
     return out
 
 
-def _facet_vertices(points: list[Vec], planes) -> list[Vec]:
+def _facet_vertices(points: list[tuple[int, ...]], planes) -> list[tuple[int, ...]]:
     """Those of the distinct points at which the facets through the point
     meet in that point alone: no other point lies on all of them."""
-    scaled, s = _common_scale(points)
     meet = [(1 << len(points)) - 1] * len(points)
     for normal, rhs in planes:
-        a = [x.numerator for x in normal]
-        b = rhs.numerator * (s // rhs.denominator)
-        on = [i for i, p in enumerate(scaled) if sum(x * y for x, y in zip(a, p)) == b]
+        on = [i for i, p in enumerate(points) if sum(a * x for a, x in zip(normal, p)) == rhs]
         tight = sum(1 << i for i in on)
         for i in on:
             meet[i] &= tight
@@ -468,68 +428,58 @@ class LatticePolytope:
     """Exact V- and H-data for a bounded polytope, with the integer lattice
     of its affine span when the vertices are integral.
 
-    Built from any points, it runs the facet kernel once on them, keeps the
-    facets as its H-description and the points the facets single out as its
-    vertices. Built from `already_extreme` vertices, it finds its facets on
-    demand. Hyperplanes follow the convention normal.x <= rhs, with
-    primitive integer normals; each one is a facet.
+    The polytope's points are integer tuples p standing for p / den, over
+    one common denominator den >= 1, and so are its vertices. Built from any
+    points, it runs the facet kernel once on them, keeps the facets as its
+    H-description and the points the facets single out as its vertices.
+    Built from `already_extreme` vertices, it finds its facets on demand.
+    Hyperplanes (normal, rhs) stand for normal.x <= rhs / den, with
+    primitive integer normals; each one is a facet. The coordinates become
+    Fractions only in polytope_json.
     """
 
-    def __init__(self, vertices: Sequence[Vec], already_extreme=False):
-        pts = list(dict.fromkeys(map(to_vec, vertices)))
+    def __init__(self, points: Sequence[tuple[int, ...]], den: int, already_extreme=False):
+        pts = list(dict.fromkeys(points))
         if not pts:
             raise ValueError("a polytope needs at least one vertex")
-        self._hyperplanes = None
+        self.den = den
         if not already_extreme:
-            self._hyperplanes = tuple(facet_hyperplanes(pts))
-            pts = _facet_vertices(pts, self._hyperplanes)
-        self.vertices: tuple[Vec, ...] = tuple(sorted(pts))
-        self._lattice_basis_known = False
-        self._lattice_basis = None
-        self._span_equations = None
+            self.hyperplanes = tuple(facet_hyperplanes(pts))
+            pts = _facet_vertices(pts, self.hyperplanes)
+        self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(pts))
+
+    @cached_property
+    def hyperplanes(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        return tuple(facet_hyperplanes(self.vertices))
 
     @cached_property
     def dim(self) -> int:
-        points, _ = _common_scale(self.vertices)
-        return rank([[x - y for x, y in zip(p, points[0])] for p in points[1:]])
+        base = self.vertices[0]
+        return rank([[x - y for x, y in zip(v, base)] for v in self.vertices[1:]])
 
-    @property
-    def hyperplanes(self) -> tuple[tuple[Vec, Fraction], ...]:
-        if self._hyperplanes is None:
-            self._hyperplanes = tuple(facet_hyperplanes(self.vertices))
-        return self._hyperplanes
+    @cached_property
+    def span_equations(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Equations a.x = b / den cutting out the affine span, each a a
+        primitive integer row."""
+        base = self.vertices[0]
+        n = len(base)
+        diffs = [[x - y for x, y in zip(v, base)] for v in self.vertices[1:]]
+        rows = nullspace(diffs) if diffs else [[int(i == j) for j in range(n)] for i in range(n)]
+        return tuple((tuple(a), sum(x * y for x, y in zip(a, base))) for a in rows)
 
-    @property
+    @cached_property
     def lattice_basis(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """Saturated integer basis of the affine span directions, when the
-        vertices are integral; None otherwise."""
-        if not self._lattice_basis_known:
-            self._lattice_basis_known = True
-            if all(is_integral(v) for v in self.vertices):
-                self._lattice_basis = tuple(
-                    tuple(row) for row in affine_lattice_basis(self.vertices))
-            else:
-                self._lattice_basis = None
-        return self._lattice_basis
-
-    def span_equations(self) -> list[tuple[list[int], Fraction]]:
-        """Equations a.x = b cutting out the affine span, each a a primitive
-        integer row."""
-        if self._span_equations is None:
-            base = self.vertices[0]
-            diffs = [vsub(v, base) for v in self.vertices[1:]]
-            kernel = nullspace(diffs) if diffs else []
-            if not diffs:
-                kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(len(base))]
-                          for i in range(len(base))]
-            self._span_equations = [(row, vdot(row, base)) for row in _int_rows(kernel)]
-        return self._span_equations
-
-    def __eq__(self, other):
-        return isinstance(other, LatticePolytope) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
+        vertices are integral (every coordinate a multiple of den); None
+        otherwise. The directions in Z^n are the integer kernel of the span
+        equations."""
+        if any(x % self.den for v in self.vertices for x in v):
+            return None
+        rows = [a for a, _ in self.span_equations]
+        if not rows:
+            n = len(self.vertices[0])
+            return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return tuple(map(tuple, integer_kernel(rows)))
 
     def __repr__(self):
         return f"LatticePolytope({len(self.vertices)} vertices, dim {self.dim})"
@@ -566,47 +516,51 @@ def _box_lattice_points(lo: list[int], hi: list[int], les: list[tuple[list[int],
     yield from descend(0, [0] * len(data))
 
 
-def integer_points(poly: LatticePolytope) -> list[Vec]:
+def integer_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
     """All points of Z^n inside the polytope, in canonical sorted order.
 
     Enumeration runs over the bounding box, restricted to the affine span
-    and filtered by the facets, on integers: the span equations and facet
-    normals are integer rows, so at an integer point a.x = b needs b to be
-    an integer, and a.x <= b means a.x <= floor(b).
+    and filtered by the facets, on integers: with the polytope's rows over
+    den, an integer point x meets a.x = b / den only if den divides b, and
+    a.x <= b / den means a.x <= floor(b / den).
     """
+    den = poly.den
     les = []
-    for a, b in poly.span_equations():
-        if b.denominator != 1:
+    for a, b in poly.span_equations:
+        if b % den:
             return []
-        les += [(a, b.numerator), ([-x for x in a], -b.numerator)]
-    les += [([x.numerator for x in normal], floor(rhs)) for normal, rhs in poly.hyperplanes]
+        les += [(a, b // den), ([-x for x in a], -(b // den))]
+    les += [(normal, rhs // den) for normal, rhs in poly.hyperplanes]
     verts = poly.vertices
-    lo = [floor(min(coords)) for coords in zip(*verts)]
-    hi = [ceil(max(coords)) for coords in zip(*verts)]
-    return sorted(to_vec(pt) for pt in _box_lattice_points(lo, hi, les))
+    lo = [min(coords) // den for coords in zip(*verts)]
+    hi = [-(-max(coords) // den) for coords in zip(*verts)]
+    return sorted(_box_lattice_points(lo, hi, les))
 
 
 # ---------------------------------------------------------------------------
 # serialization helpers
 
 
-def fraction_pair(x) -> list[int]:
-    f = Fraction(x)
+def fraction_pair(x, den: int = 1) -> list[int]:
+    """x / den as a reduced [num, den] pair."""
+    f = Fraction(x, den)
     return [f.numerator, f.denominator]
 
 
-def vector_pairs(v: Sequence) -> list[list[int]]:
-    return [fraction_pair(x) for x in v]
+def vector_pairs(v: Sequence, den: int = 1) -> list[list[int]]:
+    return [fraction_pair(x, den) for x in v]
 
 
 def polytope_json(poly: LatticePolytope) -> dict:
     """Canonical JSON payload: vertices, hyperplanes, lattice basis, all as
-    reduced [num, den] integer pairs."""
-    planes = [{"normal": vector_pairs(normal), "rhs": fraction_pair(rhs)}
+    reduced [num, den] integer pairs; the one place the polytope's
+    coordinates over den become Fractions."""
+    den = poly.den
+    planes = [{"normal": vector_pairs(normal), "rhs": fraction_pair(rhs, den)}
               for normal, rhs in poly.hyperplanes]
     basis = poly.lattice_basis
     return {
-        "vertices": [vector_pairs(v) for v in poly.vertices],
+        "vertices": [vector_pairs(v, den) for v in poly.vertices],
         "hyperplanes": planes,
         "lattice_basis": [vector_pairs(row) for row in basis] if basis else [],
     }

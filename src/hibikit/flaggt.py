@@ -10,9 +10,10 @@ by (r, s).
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
-the vertex search and the sections of a subdivision. Coordinates become
-Fractions (divided by n - 1) only in the GTVertex values and the section
-polytopes returned for output.
+the vertex search and the sections of a subdivision. The GTVertex values
+are divided by n - 1 into Fractions; each section's polytope keeps its
+scaled integer points over den = n - 1, which become Fractions only in
+polytope_json.
 """
 
 from __future__ import annotations
@@ -433,8 +434,8 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     vertices are pattern points, this pins the same cell structure.
 
     The sections are cut on the (n-1)-scaled integer lattice, over the
-    patterns of gt_patterns; each section's vertices become Fractions once,
-    in the polytope returned.
+    patterns of gt_patterns; each section's polytope holds those integer
+    vertices over den = n - 1.
     """
     if n > MAX_GT_RANK:
         raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
@@ -466,8 +467,7 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
                 in_parts[point] += 1
             assert (inside and _is_vertex(mp, order, coords)) == (
                 point in member_points)
-        Q = LatticePolytope([tuple(Fraction(x, n - 1) for x in v) for v in vertices],
-                            already_extreme=True)
+        Q = LatticePolytope(vertices, n - 1, already_extreme=True)
         assert Q.dim == len(mp.free()), "each section must be full-dimensional"
         parts.append((order, Q))
     assert all(count >= 1 for count in in_parts.values())

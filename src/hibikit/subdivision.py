@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
                    span_of_face)
-from .exactgeom import LatticePolytope, Vec, fraction_pair, to_vec
+from .exactgeom import LatticePolytope, Vec, to_vec, vector_pairs
 from .lattice import Lattice, diamond_pairs
 from .poset import LinearExtension, Poset, down_closed, is_stronger
 
@@ -248,15 +248,16 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
 
 def generalized_permutahedron(L: Lattice, w: Sequence) -> LatticePolytope:
     """Convex hull of the negated linear parts -alpha_i over the parts of
-    the subdivision of w. For Boolean lattices, u = -w is checked
-    submodular over all pairs of ideals."""
+    the subdivision of w, as integer points over the subdivision's den. For
+    Boolean lattices, u = -w is checked submodular over all pairs of
+    ideals."""
     sub = regular_subdivision(L, w)
     ws = sub.scaled
     points = []
     for part in sub.parts:
         if part.const != ws[L.index(L.bottom)]:
             raise AssertionError("part constant must be the bottom weight")
-        points.append(tuple(Fraction(-x, sub.den) for x in part.alpha))
+        points.append(tuple(-x for x in part.alpha))
 
     if not L.poset_P.label_pairs():  # Boolean lattice: antichain poset
         u = {frozenset(L.iota[a]): -ws[i] for i, a in enumerate(L.elements)}
@@ -264,7 +265,7 @@ def generalized_permutahedron(L: Lattice, w: Sequence) -> LatticePolytope:
             for B in u:
                 if u[A] + u[B] < u[A & B] + u[A | B]:
                     raise AssertionError("-w is not submodular")
-    return LatticePolytope(points)
+    return LatticePolytope(points, sub.den)
 
 
 def subdivision_json(sub: Subdivision) -> dict:
@@ -273,9 +274,9 @@ def subdivision_json(sub: Subdivision) -> dict:
         parts.append({
             "order_covers": [[a, b] for a, b in p.order.covers()],
             "elements": list(p.vertex_elements),
-            "alpha": [fraction_pair(Fraction(x, sub.den)) for x in p.alpha],
+            "alpha": vector_pairs(p.alpha, sub.den),
         })
     return {
-        "weight": [fraction_pair(x) for x in sub.weight],
+        "weight": vector_pairs(sub.weight),
         "parts": parts,
     }

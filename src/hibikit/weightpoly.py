@@ -60,7 +60,7 @@ def weight_polytope(F: Face) -> WeightPolytope:
     points = {
         a: tuple(row[L.index(a)] for row in basis) for a in L.elements
     }
-    poly = LatticePolytope(list(points.values()))
+    poly = LatticePolytope(list(points.values()), 1)
     # every coordinate functional is a vertex, and nothing else is integral
     assert len(set(points.values())) == L.size
     assert len(poly.vertices) == L.size
@@ -183,7 +183,7 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
         for a in part.vertex_elements:
             assert _pulls_back(to_apex, zeta, W.points[a], indicator[a]), \
                 "point is outside the apex image of its indicator"
-        poly = LatticePolytope([W.points[a] for a in part.vertex_elements],
+        poly = LatticePolytope([W.points[a] for a in part.vertex_elements], 1,
                                already_extreme=True)
         assert len(poly.vertices) == len(members)
         assert poly.dim == n

@@ -14,14 +14,26 @@ hull_vertices is the LP hull that exactgeom used before LatticePolytope read
 its vertices off the facet kernel: one convex_combination LP per point, on
 exactgeom's integer simplex, which the rational simplex here checks.
 
-contains is the Fraction membership test that LatticePolytope used to carry;
-a brute-force box filter with it checks integer_points, which searches on
-integers.
+LatticePolytope is the Fraction polytope that exactgeom kept before its
+points became integers over one common denominator: every vertex, facet
+rhs and span equation rhs a Fraction, with its facets from the subset scan
+above, its lattice basis from affine_lattice_basis and its integer points
+from integer_points, which runs the same integer box search on the floors
+of its Fraction rows. vsub, vdot and is_integral are the Fraction vector
+helpers it needs, and nullspace is the Fraction kernel basis, on the
+Fraction rref above, that exactgeom.nullspace returned before its basis
+became primitive integer rows.
+
+contains is the Fraction membership test that LatticePolytope used to carry,
+on the integer polytope's rows over den; a brute-force box filter with it
+checks integer_points, which searches on integers. over_den writes rational
+points as integer points over the lcm of their denominators, and
+fraction_vertices reads an integer polytope's vertices back as Fractions.
 
 gt_marked_poset is the Gelfand-Tsetlin marking that flaggt used before it
 moved to the (n-1)-scaled integer lattice: p_{r,r} carries (n-r)/(n-1).
-marked_order_polytope wraps a marked poset's vertices in a LatticePolytope,
-and gt_polytope is the Gelfand-Tsetlin polytope itself.
+marked_order_polytope wraps a marked poset's vertices in the Fraction
+LatticePolytope, and gt_polytope is the Gelfand-Tsetlin polytope itself.
 
 gt_patterns and component_image are the Gelfand-Tsetlin pattern search and
 the component shape check that flaggt ran in Fraction arithmetic before it
@@ -61,14 +73,15 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
-from math import ceil
+from math import ceil, floor, lcm
 from typing import Optional, Sequence
 
 from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
-from hibikit.exactgeom import (LatticePolytope, Vec, _int_rows, nullspace, rank, same_lattice,
-                               solve_linear, to_vec, vadd, vdot, vscale, vsub, zero_vec)
+from hibikit.exactgeom import (Vec, _box_lattice_points, _int_rows, integer_kernel, rank,
+                               same_lattice, solve_linear, to_vec, vadd, vscale, zero_vec)
 from hibikit.errors import TooLarge
 from hibikit.flaggt import (MAX_GT_RANK, MarkedPoset, _cell, _extend_to_pbar, _is_vertex,
                             _marked_vertices, _phi, _ptilde_labels, _satisfies,
@@ -77,6 +90,18 @@ from hibikit.lattice import Lattice, diamond_pairs
 from hibikit.poset import (LinearExtension, Poset, from_cover_relations, is_stronger,
                            order_ideals)
 from hibikit.subdivision import face_subdivision
+
+
+def vsub(a: Vec, b: Vec) -> Vec:
+    return tuple(x - y for x, y in zip(a, b, strict=True))
+
+
+def vdot(a: Sequence, b: Sequence) -> Fraction:
+    return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
+
+
+def is_integral(v: Sequence) -> bool:
+    return all(Fraction(x).denominator == 1 for x in v)
 
 
 def indicator(L: Lattice, a: str) -> Vec:
@@ -118,6 +143,25 @@ def rref(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def nullspace(rows) -> list[list[Fraction]]:
+    """Basis of {x : A x = 0}: one vector per free column f of the RREF,
+    with x_f = 1 and every other free coordinate 0."""
+    if not rows:
+        return []
+    n = len(rows[0])
+    red, pivots = rref(rows)
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return basis
 
 
 def _run_simplex(T, basis, cost, allowed):
@@ -347,12 +391,116 @@ def hull_vertices(points: Sequence[Vec]) -> list[Vec]:
     return out
 
 
-def contains(poly: LatticePolytope, point) -> bool:
-    """Whether the point satisfies the polytope's span equations and facet
-    inequalities, in Fraction arithmetic."""
+def affine_lattice_basis(points: Sequence[Vec]) -> list[list[int]]:
+    """Integer basis of (affine span of the points) directions intersected
+    with Z^n. The basis is saturated: any integer point of the affine span
+    is the base point plus an integer combination.
+    """
+    pts = [to_vec(p) for p in points]
+    if not pts:
+        return []
+    if not all(is_integral(p) for p in pts):
+        raise ValueError("affine_lattice_basis needs integer points")
+    base = pts[0]
+    diffs = [vsub(p, base) for p in pts[1:]]
+    diffs = [d for d in diffs if any(d)]
+    n = len(base)
+    if not diffs:
+        return []
+    complement = nullspace(diffs)
+    if not complement:
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    K = _int_rows(complement)
+    return integer_kernel(K)
+
+
+def _facet_vertices(points: list[Vec], planes) -> list[Vec]:
+    """Those of the distinct points at which the facets through the point
+    meet in that point alone: no other point lies on all of them."""
+    meet = [(1 << len(points)) - 1] * len(points)
+    for normal, rhs in planes:
+        on = [i for i, p in enumerate(points) if vdot(normal, p) == rhs]
+        tight = sum(1 << i for i in on)
+        for i in on:
+            meet[i] &= tight
+    return [p for i, p in enumerate(points) if meet[i] == 1 << i]
+
+
+class LatticePolytope:
+    """Exact V- and H-data for a bounded polytope over Fraction points, with
+    the integer lattice of its affine span when the vertices are integral.
+    Hyperplanes follow the convention normal.x <= rhs, with primitive
+    integer normals and Fraction rhs."""
+
+    def __init__(self, vertices: Sequence[Vec], already_extreme=False):
+        pts = list(dict.fromkeys(map(to_vec, vertices)))
+        if not pts:
+            raise ValueError("a polytope needs at least one vertex")
+        if not already_extreme:
+            self.hyperplanes = tuple(facet_hyperplanes(pts))
+            pts = _facet_vertices(pts, self.hyperplanes)
+        self.vertices: tuple[Vec, ...] = tuple(sorted(pts))
+
+    @cached_property
+    def hyperplanes(self) -> tuple[tuple[Vec, Fraction], ...]:
+        return tuple(facet_hyperplanes(self.vertices))
+
+    @cached_property
+    def dim(self) -> int:
+        return len(rref([vsub(v, self.vertices[0]) for v in self.vertices[1:]])[1])
+
+    @cached_property
+    def lattice_basis(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        if not all(is_integral(v) for v in self.vertices):
+            return None
+        return tuple(tuple(row) for row in affine_lattice_basis(self.vertices))
+
+    @cached_property
+    def span_equations(self) -> list[tuple[list[int], Fraction]]:
+        """Equations a.x = b cutting out the affine span, each a a primitive
+        integer row."""
+        base = self.vertices[0]
+        diffs = [vsub(v, base) for v in self.vertices[1:]]
+        kernel = nullspace(diffs) if diffs else []
+        if not diffs:
+            kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(len(base))]
+                      for i in range(len(base))]
+        return [(row, vdot(row, base)) for row in _int_rows(kernel)]
+
+
+def integer_points(poly: LatticePolytope) -> list[Vec]:
+    """All points of Z^n inside the Fraction polytope, in sorted order, by
+    the integer box search on the floors of its Fraction rows."""
+    les = []
+    for a, b in poly.span_equations:
+        if b.denominator != 1:
+            return []
+        les += [(a, b.numerator), ([-x for x in a], -b.numerator)]
+    les += [([x.numerator for x in normal], floor(rhs)) for normal, rhs in poly.hyperplanes]
+    verts = poly.vertices
+    lo = [floor(min(coords)) for coords in zip(*verts)]
+    hi = [ceil(max(coords)) for coords in zip(*verts)]
+    return sorted(to_vec(pt) for pt in _box_lattice_points(lo, hi, les))
+
+
+def contains(poly: exactgeom.LatticePolytope, point) -> bool:
+    """Whether the point satisfies the integer polytope's span equations
+    and facet inequalities, whose right-hand sides are over poly.den, in
+    Fraction arithmetic."""
     point = to_vec(point)
-    return (all(vdot(row, point) == b for row, b in poly.span_equations())
-            and all(vdot(n, point) <= r for n, r in poly.hyperplanes))
+    return (all(vdot(row, point) == Fraction(b, poly.den) for row, b in poly.span_equations)
+            and all(vdot(n, point) <= Fraction(r, poly.den) for n, r in poly.hyperplanes))
+
+
+def over_den(points) -> tuple[list[tuple[int, ...]], int]:
+    """Rational points as integer points over the lcm of their denominators."""
+    den = lcm(*(Fraction(x).denominator for p in points for x in p))
+    return [tuple(int(x * den) for x in p) for p in points], den
+
+
+def fraction_vertices(poly: exactgeom.LatticePolytope) -> tuple[Vec, ...]:
+    """An integer polytope's vertices over den, as Fraction tuples."""
+    return tuple(tuple(Fraction(x, poly.den) for x in v) for v in poly.vertices)
 
 
 def minkowski_sum(A, B) -> set:

@@ -14,7 +14,6 @@ from hibi_oracle import is_standard, straighten
 
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
-from hibikit.exactgeom import zero_vec
 from hibikit.flaggt import (flag_lattice, grassmann_lattice, gt_poset_iso,
                             gt_subdivision, gt_vertices, pbar_labels)
 from hibikit.hibi import degeneration_certificate, monomial

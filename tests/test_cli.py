@@ -83,7 +83,7 @@ def test_export_poset_round_trip(tmp_path, capsys):
 
 
 def test_export_square_polytope():
-    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
     data = polytope_json(square)
     assert len(data["vertices"]) == 4
     assert all(num in (0, 1) and den == 1

@@ -1,6 +1,5 @@
 """The cone K: facets, faces, spans, interior samples, enumeration."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full
+from fraction_oracle import indicator, is_full, is_integral, vdot
 from hibikit import cone as cone_module
 from hibikit import exactgeom, subdivision
 from hibikit.cli import resolve_face
@@ -24,7 +23,7 @@ from hibikit.cone import (
     span_of_face,
 )
 from hibikit.errors import NotInCone, TooLarge
-from hibikit.exactgeom import is_integral, rank, same_lattice, vdot, vscale
+from hibikit.exactgeom import rank, same_lattice, vscale
 from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs
 from hibikit.poset import antichain, chain, from_cover_relations

@@ -4,8 +4,9 @@ tests/fraction_oracle.py keeps the Fraction simplex and Gauss-Jordan
 elimination that the kernel replaced. On random rational LPs of each hard
 case the kernel must return the same (status, y, value) after the same
 number of pivots, which means it walked the same Bland pivot sequence;
-the reduced row echelon form must agree with sympy. The work counts of two cone jobs are pinned, so
-a change that alters the pivot sequence anywhere on them fails here.
+the reduced row echelon form and the kernel basis must agree with sympy.
+The work counts of two cone jobs are pinned, so a change that alters the
+pivot sequence anywhere on them fails here.
 """
 
 from contextlib import contextmanager
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from hibikit import exactgeom
 from hibikit.cli import main
-from hibikit.exactgeom import _echelon, nullspace, rank, solve_eq_nonneg, solve_linear, vdot
+from fraction_oracle import vdot
+from hibikit.exactgeom import _echelon, _int_rows, nullspace, rank, solve_eq_nonneg, solve_linear
 
 RATIONALS = st.one_of(st.just(Fraction(0)),
                       st.fractions(min_value=-4, max_value=4, max_denominator=3))
@@ -146,8 +148,10 @@ def test_rref_matches_sympy(data):
     assert red == [[to_fraction(want[i, j]) for j in range(n)] for i in range(len(pivots))]
     assert (red, pivots) == oracle.rref(rows)
     assert rank(rows) == len(want_pivots)
-    assert nullspace(rows) == [[to_fraction(x) for x in v]
-                               for v in sympy.Matrix(rows).nullspace()]
+    kernel = [[to_fraction(x) for x in v] for v in sympy.Matrix(rows).nullspace()]
+    assert oracle.nullspace(rows) == kernel
+    # the integer kernel is the same basis, each vector made a primitive integer row
+    assert nullspace(rows) == _int_rows(kernel)
 
 
 @settings(max_examples=60, deadline=None)

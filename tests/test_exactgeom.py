@@ -12,10 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator
+from fraction_oracle import affine_lattice_basis, indicator, vdot
 from hibikit.exactgeom import (
     LatticePolytope,
-    affine_lattice_basis,
     facet_hyperplanes,
     int_row_echelon,
     integer_kernel,
@@ -28,7 +27,6 @@ from hibikit.exactgeom import (
     same_lattice,
     solve_linear,
     to_vec,
-    vdot,
 )
 
 
@@ -114,7 +112,7 @@ def test_lp_feasibility_decision_against_brute_rational_grid():
 
 def hull(pts):
     """The vertices of the points' hull, which the LP oracle must agree on."""
-    vertices = list(LatticePolytope(pts).vertices)
+    vertices = list(oracle.fraction_vertices(LatticePolytope(*oracle.over_den(pts))))
     assert vertices == sorted(oracle.hull_vertices(pts))
     return vertices
 
@@ -153,20 +151,34 @@ def test_convex_combination_witness():
 # ------------------------------------------------------------ integer lattice
 
 
+def lattice_basis(points):
+    """The polytope's lattice basis, which the Fraction oracle must agree on."""
+    basis = LatticePolytope(points, 1).lattice_basis
+    assert list(map(list, basis)) == affine_lattice_basis(points)
+    return basis
+
+
 def test_affine_lattice_basis_standard():
-    basis = affine_lattice_basis([(0, 0), (1, 0), (0, 1)])
+    basis = lattice_basis([(0, 0), (1, 0), (0, 1)])
     assert same_lattice(basis, [[1, 0], [0, 1]])
 
 
 def test_affine_lattice_basis_saturation():
-    basis = affine_lattice_basis([(0, 0), (2, 0)])
+    basis = lattice_basis([(0, 0), (2, 0)])
     assert same_lattice(basis, [[1, 0]])
 
 
 def test_affine_lattice_basis_diagonal():
     # direction (2, 2): saturated lattice is generated by (1, 1)
-    basis = affine_lattice_basis([(0, 0), (2, 2)])
+    basis = lattice_basis([(0, 0), (2, 2)])
     assert same_lattice(basis, [[1, 1]])
+
+
+def test_lattice_basis_over_den():
+    # the same diagonal segment over den = 2 and den = 3: the basis needs
+    # integral vertices, which (2, 2) / 3 is not
+    assert LatticePolytope([(0, 0), (4, 4)], 2).lattice_basis == ((1, 1),)
+    assert LatticePolytope([(0, 0), (2, 2)], 3).lattice_basis is None
 
 
 def test_affine_lattice_basis_grid_order_polytope():
@@ -176,8 +188,8 @@ def test_affine_lattice_basis_grid_order_polytope():
     P = from_cover_relations(["a", "b", "c", "d"],
                              [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     L = birkhoff(P)
-    pts = [indicator(L, a) for a in L.elements]
-    basis = affine_lattice_basis(pts)
+    pts = [tuple(map(int, indicator(L, a))) for a in L.elements]
+    basis = lattice_basis(pts)
     assert len(basis) == 4
     assert sympy.Matrix(basis).rank() == 4
 
@@ -243,38 +255,40 @@ def test_facets_of_embedded_triangle():
 
 def test_simplex_past_dimension_12():
     # the facet kernel has no dimension guard: the 13-simplex has its 14 facets
-    pts = [to_vec([0] * 13)] + [to_vec([1 if i == j else 0 for j in range(13)])
-                                for i in range(13)]
-    poly = LatticePolytope(pts)
+    pts = [(0,) * 13] + [tuple(int(i == j) for j in range(13)) for i in range(13)]
+    poly = LatticePolytope(pts, 1)
     assert len(poly.hyperplanes) == 14
     assert integer_points(poly) == sorted(pts)
 
 
 def test_integer_points_unit_square():
-    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
     assert len(integer_points(square)) == 4
 
 
 def test_integer_points_doubled_segment():
-    seg = LatticePolytope([(0,), (2,), (1,)])
+    seg = LatticePolytope([(0,), (2,), (1,)], 1)
     assert integer_points(seg) == [(0,), (1,), (2,)]
 
 
 def test_integer_points_respect_affine_span():
     # segment from (0,0) to (2,2): integer points (0,0),(1,1),(2,2)
-    seg = LatticePolytope([(0, 0), (2, 2)])
+    seg = LatticePolytope([(0, 0), (2, 2)], 1)
     assert integer_points(seg) == [(0, 0), (1, 1), (2, 2)]
     # shifted off the integer lattice: no integer points at all
-    seg2 = LatticePolytope([(Fraction(1, 2), 0), (Fraction(1, 2), 1)])
+    seg2 = LatticePolytope([(1, 0), (1, 2)], 2)
     assert integer_points(seg2) == []
+    # the same segment over den = 2, and one that halves its ends
+    assert integer_points(LatticePolytope([(0, 0), (4, 4)], 2)) == [(0, 0), (1, 1), (2, 2)]
+    assert integer_points(LatticePolytope([(-1, -1), (5, 5)], 2)) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_polytope_contains():
-    tri = LatticePolytope([(0, 0), (2, 0), (0, 2)])
+    tri = LatticePolytope([(0, 0), (2, 0), (0, 2)], 1)
     assert oracle.contains(tri, (1, 1))
     assert oracle.contains(tri, (Fraction(1, 2), Fraction(1, 2)))
     assert not oracle.contains(tri, (2, 2))
-    assert not oracle.contains(LatticePolytope([(0, 0), (2, 2)]), (1, 0))
+    assert not oracle.contains(LatticePolytope([(0, 0), (2, 2)], 1), (1, 0))
 
 
 def test_minkowski_sum():
@@ -284,10 +298,21 @@ def test_minkowski_sum():
 
 
 def test_polytope_json_shape():
-    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
     payload = polytope_json(square)
     assert len(payload["vertices"]) == 4
     assert payload["vertices"][0][0] == [0, 1]
     assert len(payload["hyperplanes"]) == 4
     assert len(payload["lattice_basis"]) == 2
+
+
+def test_polytope_json_reduces_over_den():
+    # the segment [0, 1/2] ⊆ R stored over den = 4: Fractions reduced only here
+    payload = polytope_json(LatticePolytope([(0,), (2,)], 4))
+    assert payload == {
+        "vertices": [[[0, 1]], [[1, 2]]],
+        "hyperplanes": [{"normal": [[-1, 1]], "rhs": [0, 1]},
+                        {"normal": [[1, 1]], "rhs": [1, 2]}],
+        "lattice_basis": [],
+    }
 

@@ -1,11 +1,15 @@
-"""The double description polytope kernel against the code it replaced.
+"""The integer polytope kernel against the code it replaced.
 
-tests/fraction_oracle.py keeps the scan over all C(#points, d) subsets and
-the LP hull. On random rational point sets, embedded in larger ambient
-spaces, and on degenerate non-simplicial polytopes the kernel must return
-the same facet rows, in the same order and with the same types, and
+tests/fraction_oracle.py keeps the scan over all C(#points, d) subsets, the
+LP hull and the Fraction LatticePolytope. Rational points go to the kernel
+as integer points over a common denominator. On random rational point
+sets, embedded in larger ambient spaces, and on degenerate non-simplicial
+polytopes the kernel must return the same facet rows, in the same order,
+as integer rows whose rhs over den is the oracle's Fraction, and
 LatticePolytope the same vertices as one LP per point. integer_points, which
 searches on integers, must find what Fraction membership finds in the box.
+The integer LatticePolytope must agree with the Fraction one on every
+member, over the lcm of the points' denominators and over multiples of it.
 """
 
 import itertools
@@ -28,8 +32,11 @@ RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 def assert_same_facets(points):
-    new = facet_hyperplanes(points)
-    assert repr(new) == repr(oracle.facet_hyperplanes(points))
+    ints, den = oracle.over_den(points)
+    new = facet_hyperplanes(ints)
+    assert all(type(x) is int for normal, rhs in new for x in (*normal, rhs))
+    assert (repr([(to_vec(normal), Fraction(rhs, den)) for normal, rhs in new])
+            == repr(oracle.facet_hyperplanes(points)))
     return new
 
 
@@ -78,7 +85,7 @@ def hull_inputs(draw):
 
 
 def assert_same_vertices(points):
-    vertices = LatticePolytope(points).vertices
+    vertices = oracle.fraction_vertices(LatticePolytope(*oracle.over_den(points)))
     assert vertices == tuple(sorted(oracle.hull_vertices(points)))
     return vertices
 
@@ -92,44 +99,93 @@ def test_random_point_sets_vertices_match_lp_hull(points):
 @settings(max_examples=100, deadline=None)
 @given(embedded_point_sets(min_dim=0))
 def test_random_point_sets_integer_points_match_box_filter(points):
-    poly = LatticePolytope(points)
-    box = [range(math.floor(min(c)), math.ceil(max(c)) + 1) for c in zip(*poly.vertices)]
+    poly = LatticePolytope(*oracle.over_den(points))
+    box = [range(math.floor(min(c)), math.ceil(max(c)) + 1)
+           for c in zip(*oracle.fraction_vertices(poly))]
     assume(math.prod(map(len, box)) <= 3000)
-    inside = [to_vec(x) for x in itertools.product(*box) if oracle.contains(poly, x)]
+    inside = [x for x in itertools.product(*box) if oracle.contains(poly, x)]
     assert integer_points(poly) == inside
+    assert all(type(x) is int for p in integer_points(poly) for x in p)
+
+
+def assert_matches_fraction_polytope(points, scale=1):
+    """The integer polytope of the points over scale times the lcm of their
+    denominators against the Fraction polytope, member by member; also
+    rebuilt from its own vertices, with the facets found on demand."""
+    ints, den = oracle.over_den(points)
+    ints = [tuple(scale * x for x in p) for p in ints]
+    den *= scale
+    want = oracle.LatticePolytope(points)
+    hull = LatticePolytope(ints, den)
+    for got in (hull, LatticePolytope(hull.vertices, den, already_extreme=True)):
+        assert oracle.fraction_vertices(got) == want.vertices
+        assert all(type(x) is int for v in got.vertices for x in v)
+        assert [(normal, Fraction(rhs, den)) for normal, rhs in got.hyperplanes] == list(
+            want.hyperplanes)
+        assert got.dim == want.dim
+        assert got.lattice_basis == want.lattice_basis
+        assert [(list(a), Fraction(b, den)) for a, b in got.span_equations] == want.span_equations
+        assert integer_points(got) == oracle.integer_points(want)
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(hull_inputs(), st.integers(1, 3))
+def test_random_point_sets_match_fraction_polytope(points, scale):
+    assert_matches_fraction_polytope(points, scale)
+
+
+def test_single_point_matches_fraction_polytope():
+    got = assert_matches_fraction_polytope([(Fraction(1, 2), Fraction(-2, 3), 1)], 2)
+    assert got.dim == 0 and got.hyperplanes == () and got.lattice_basis is None
+
+
+def test_collinear_and_repeated_points_match_fraction_polytope():
+    points = [(Fraction(k, 3), Fraction(2 * k, 3) + 1) for k in (0, 4, 1, 4, 2, 0)]
+    got = assert_matches_fraction_polytope(points)
+    assert got.dim == 1 and len(got.vertices) == 2 and got.den == 3
+
+
+def test_integral_points_over_den_match_fraction_polytope():
+    # every coordinate a multiple of den > 1, as in a Gelfand-Tsetlin
+    # section, so the lattice basis exists
+    points = [(0, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 1)]
+    got = assert_matches_fraction_polytope(points, 3)
+    assert got.den == 3 and got.dim == 2
+    assert got.lattice_basis is not None and len(got.lattice_basis) == 2
 
 
 def simplex(d):
-    return [to_vec([0] * d)] + [to_vec([int(i == j) for j in range(d)]) for i in range(d)]
+    return [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
 
 
 def test_simplex_past_dimension_12_vertices_match_lp_hull():
     points = simplex(13)
-    center = to_vec([Fraction(1, 14)] * 13)
+    center = (Fraction(1, 14),) * 13
     assert assert_same_vertices(points + [center, points[1]]) == tuple(sorted(points))
 
 
 def cube(d):
-    return [to_vec(v) for v in itertools.product([0, 1], repeat=d)]
+    return list(itertools.product([0, 1], repeat=d))
 
 
 def cross_polytope(d):
-    return [to_vec([s if i == j else 0 for j in range(d)]) for i in range(d) for s in (1, -1)]
+    return [tuple(s if i == j else 0 for j in range(d)) for i in range(d) for s in (1, -1)]
 
 
 def prism(k):
     """A prism over a convex k-gon with integer corners on the parabola."""
-    return [to_vec([x, x * x, h]) for x in range(k) for h in (0, 1)]
+    return [(x, x * x, h) for x in range(k) for h in (0, 1)]
 
 
 def lifted(points):
     """The points in the hyperplane sum(x) = 1 of one more coordinate."""
-    return [to_vec(list(p) + [1 - sum(p)]) for p in points]
+    return [(*p, 1 - sum(p)) for p in points]
 
 
 def permutahedron(n):
     L = birkhoff(antichain(list(string.ascii_lowercase[15:15 + n])))
-    return list(generalized_permutahedron(L, interior_weight(L)).vertices)
+    return list(oracle.fraction_vertices(generalized_permutahedron(L, interior_weight(L))))
 
 
 DEGENERATE = [
@@ -143,9 +199,9 @@ DEGENERATE = [
     ("pentagonal prism", prism(5), 7),
     ("lifted cube", lifted(cube(3)), 6),
     ("lifted octahedron", lifted(cross_polytope(3)), 8),
-    ("0/1 polytope", [to_vec(v) for v in [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (0, 1, 0, 0, 1),
-                                          (1, 0, 0, 0, 1), (0, 0, 1, 1, 0), (0, 1, 1, 1, 1),
-                                          (0, 0, 0, 1, 0), (1, 1, 1, 1, 1), (0, 1, 1, 1, 0)]], 18),
+    ("0/1 polytope", [(1, 1, 0, 0, 0), (1, 1, 1, 0, 0), (0, 1, 0, 0, 1), (1, 0, 0, 0, 1),
+                      (0, 0, 1, 1, 0), (0, 1, 1, 1, 1), (0, 0, 0, 1, 0), (1, 1, 1, 1, 1),
+                      (0, 1, 1, 1, 0)], 18),
     # at an interior weight: S_n's permutahedron, with one facet per proper
     # nonempty subset of atoms (B4: 8 hexagons and 6 squares)
     ("B3 permutahedron", permutahedron(3), 6),
@@ -161,14 +217,13 @@ def test_degenerate_polytopes_match_subset_scan(points, facets):
 
 def test_points_inside_facets_and_repeated_points():
     # a square with its center, an edge midpoint and a repeated corner
-    points = cube(2) + [to_vec([Fraction(1, 2)] * 2), to_vec([Fraction(1, 2), 0]),
-                        to_vec([1, 1])]
+    points = cube(2) + [(Fraction(1, 2),) * 2, (Fraction(1, 2), 0), (1, 1)]
     assert len(assert_same_facets(points)) == 4
 
 
 def test_low_dimensions():
     assert facet_hyperplanes([]) == []
-    assert facet_hyperplanes([to_vec([1, 2]), to_vec([1, 2])]) == []
+    assert facet_hyperplanes([(1, 2), (1, 2)]) == []
     # a segment in the plane, listed with its midpoint: its two endpoints
-    segment = assert_same_facets([to_vec([0, 0]), to_vec([2, 4]), to_vec([1, 2])])
-    assert segment == [(to_vec([-1, -2]), 0), (to_vec([1, 2]), 10)]
+    segment = assert_same_facets([(0, 0), (2, 4), (1, 2)])
+    assert segment == [((-1, -2), 0), ((1, 2), 10)]

@@ -476,7 +476,8 @@ def sections(n, face):
 def test_gt_subdivision_3_apex():
     parts = sections(3, apex_face)
     assert len(parts) == 1
-    assert parts[0][1] == oracle.gt_polytope(3)
+    assert parts[0][1].den == 2
+    assert oracle.fraction_vertices(parts[0][1]) == oracle.gt_polytope(3).vertices
 
 
 def test_gt_subdivision_3_full():
@@ -488,7 +489,7 @@ def test_gt_subdivision_3_full():
     shared = set(parts[0][1].vertices) & set(parts[1][1].vertices)
     assert len(shared) == 4
     union = set(parts[0][1].vertices) | set(parts[1][1].vertices)
-    assert {gv.point for gv in gt_vertices(3)} <= union
+    assert {gv.point for gv in gt_vertices(3)} <= {unscaled(3, v) for v in union}
     assert len(union) == 8
 
 
@@ -556,17 +557,18 @@ def test_gt_4_subdivision_facets_are_the_tight_cover_inequalities(capsys):
 
 @pytest.mark.parametrize("n, face_count", [(3, 2), (4, 32)])
 def test_gt_subdivision_matches_fraction_oracle(n, face_count):
-    # on every face of the cone, the integer sections and the Fraction ones
-    # have the same order covers and the same Fraction vertex tuples, in the
-    # same part order
+    # on every face of the cone, the integer sections over den = n - 1 and
+    # the Fraction ones have the same order covers and the same vertices, in
+    # the same part order
     C = cone_K(flag_lattice(n))
     faces = enumerate_faces(C)
     assert len(faces) == face_count
     for F in faces:
         got = gt_subdivision(n, F, C.lattice)
         want = oracle.gt_subdivision(n, F, C.lattice)
-        assert all(type(x) is Fraction for _, Q in got for v in Q.vertices for x in v)
-        assert ([(order.covers(), Q.vertices) for order, Q in got]
+        assert all(Q.den == n - 1 for _, Q in got)
+        assert all(type(x) is int for _, Q in got for v in Q.vertices for x in v)
+        assert ([(order.covers(), oracle.fraction_vertices(Q)) for order, Q in got]
                 == [(order.covers(), Q.vertices) for order, Q in want])
 
 

@@ -81,8 +81,8 @@ def test_stdout_digest(argv, digest, facets, capsys, monkeypatch):
     found = []
     kernel = exactgeom.facet_hyperplanes
 
-    def counting(vertices):
-        planes = kernel(vertices)
+    def counting(*args, **kwargs):
+        planes = kernel(*args, **kwargs)
         found.append(len(planes))
         return planes
 

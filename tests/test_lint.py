@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "hibikit").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "hibikit").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -131,6 +132,7 @@ def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(sources) == []
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name if p.parent.name == "hibikit" else f"tests/{p.name}")
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -14,7 +14,6 @@ from fraction_oracle import extension_poset, intersect_orders
 from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
 from hibikit.poset import (
     LinearExtension,
-    Poset,
     antichain,
     chain,
     from_cover_relations,

@@ -1,6 +1,5 @@
 """Regular subdivisions, adjacency, and generalized permutahedra."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,7 @@ from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import NotInCone
-from hibikit.exactgeom import to_vec, vdot
+from hibikit.exactgeom import to_vec
 from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import (

@@ -13,20 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full
+from fraction_oracle import indicator, is_full, vdot, vsub
 from hibikit import exactgeom
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
-from hibikit.exactgeom import (
-    LatticePolytope,
-    integer_points,
-    is_integral,
-    solve_linear,
-    vdot,
-    vscale,
-    vsub,
-    zero_vec,
-)
+from hibikit.exactgeom import LatticePolytope, integer_points, solve_linear, zero_vec
 from hibikit.lattice import birkhoff, diamond_pairs, ideal_label
 from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision
@@ -65,7 +56,7 @@ def project(G, F, point):
     applies with F the apex. Carries the point of G's weight polytope
     labeled by a lattice element to the identically labeled point of F's."""
     assert G.tight_idx <= F.tight_idx
-    return tuple(vdot(row, point)
+    return tuple(sum(c * x for c, x in zip(row, point, strict=True))
                  for row in _inclusion_matrix(span_of_face(G), span_of_face(F)))
 
 
@@ -76,7 +67,7 @@ def chain_simplex(ext):
     W = weight_polytope(full_face(birkhoff(P)))
     labels = tuple(ideal_label(frozenset(ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
-    poly = LatticePolytope([W.points[a] for a in labels])
+    poly = LatticePolytope([W.points[a] for a in labels], 1)
     assert poly.dim == P.size
     assert len(poly.vertices) == P.size + 1
     return labels, poly
@@ -85,12 +76,13 @@ def chain_simplex(ext):
 def normality_probe(Q, k_max):
     """Smallest k <= k_max whose dilation kQ has an integer point that is
     not a sum of k integer points of Q, or None when every level passes."""
-    assert all(is_integral(v) for v in Q.vertices)
+    assert Q.lattice_basis is not None, "Q needs integral vertices"
     base = set(integer_points(Q))
     sums = set(base)
     for k in range(2, k_max + 1):
         sums = oracle.minkowski_sum(sums, base)
-        kQ = LatticePolytope([vscale(k, v) for v in Q.vertices], already_extreme=True)
+        kQ = LatticePolytope([tuple(k * x for x in v) for v in Q.vertices], Q.den,
+                             already_extreme=True)
         if not set(integer_points(kQ)) <= sums:
             return k
     return None
@@ -155,8 +147,8 @@ def test_project_carries_whole_polytope():
             for a in L.elements:
                 assert project(G, F, polys[G].points[a]) == polys[F].points[a]
             image = LatticePolytope(
-                [project(G, F, v) for v in polys[G].polytope.vertices])
-            assert image == polys[F].polytope
+                [project(G, F, v) for v in polys[G].polytope.vertices], 1)
+            assert image.vertices == polys[F].polytope.vertices
 
 
 def test_project_composition():
@@ -185,10 +177,10 @@ def test_zeta_bijects_order_polytope_and_apex_polytope(L):
 
 def test_zeta_square_to_square():
     z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(B2))))
-    order_poly = LatticePolytope([indicator(B2, a) for a in B2.elements])
-    image = LatticePolytope([z(v) for v in order_poly.vertices])
+    order_poly = LatticePolytope([tuple(map(int, indicator(B2, a))) for a in B2.elements], 1)
+    image = LatticePolytope(*oracle.over_den([z(v) for v in order_poly.vertices]))
     W = weight_polytope(apex_face(B2))
-    assert image == W.polytope
+    assert image.den == 1 and image.vertices == W.polytope.vertices
     assert len(integer_points(order_poly)) == len(integer_points(W.polytope))
 
 
@@ -199,7 +191,7 @@ def test_chain_simplex_whole_simplex_for_chain_lattice():
     P = chain(["a", "b", "c"])
     elements, poly = chain_simplex(next(linear_extensions(P)))
     assert len(elements) == 4
-    assert poly == weight_polytope(full_face(birkhoff(P))).polytope
+    assert poly.vertices == weight_polytope(full_face(birkhoff(P))).polytope.vertices
 
 
 def test_chain_simplex_b2():
@@ -225,7 +217,7 @@ def test_apex_single_distinguished_face_is_whole_polytope():
     A = apex_face(B3)
     faces = distinguished_faces(weight_polytope(A))
     assert len(faces) == 1
-    assert faces[0].polytope == weight_polytope(A).polytope
+    assert faces[0].polytope.vertices == weight_polytope(A).polytope.vertices
     assert set(faces[0].elements) == set(B3.elements)
 
 
@@ -233,8 +225,8 @@ def test_full_face_distinguished_are_chain_simplices():
     P = antichain(["p", "q"])
     F = full_face(B2)
     faces = distinguished_faces(weight_polytope(F))
-    simplices = {chain_simplex(ext)[1] for ext in linear_extensions(P)}
-    assert {d.polytope for d in faces} == simplices
+    simplices = {chain_simplex(ext)[1].vertices for ext in linear_extensions(P)}
+    assert {d.polytope.vertices for d in faces} == simplices
 
 
 def test_b2_full_two_triangles_sharing_an_edge():
@@ -325,7 +317,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
                 assert (_pulls_back(to_apex, zeta, point, x)
                         == oracle_pulls_back(zmap, to_apex, point, x))
         for d in distinguished_faces(W):
-            hull = LatticePolytope([W.points[a] for a in d.elements])
+            hull = LatticePolytope([W.points[a] for a in d.elements], 1)
             assert d.polytope.vertices == hull.vertices
             assert d.polytope.hyperplanes == hull.hyperplanes
 
@@ -355,9 +347,9 @@ def test_weightpoly_runs_the_facet_kernel_on_w_and_the_apex(face, calls, capsys,
     found = []
     kernel = exactgeom.facet_hyperplanes
 
-    def counting(vertices):
-        found.append(len(vertices))
-        return kernel(vertices)
+    def counting(*args, **kwargs):
+        found.append(args)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(exactgeom, "facet_hyperplanes", counting)
     assert main(["weightpoly", "--boolean", "3", "--face", face]) == 0
@@ -369,7 +361,7 @@ def test_weightpoly_runs_the_facet_kernel_on_w_and_the_apex(face, calls, capsys,
 
 
 def test_probe_passes_unimodular_simplex():
-    Q = LatticePolytope([(0, 0), (1, 0), (0, 1)])
+    Q = LatticePolytope([(0, 0), (1, 0), (0, 1)], 1)
     assert normality_probe(Q, 4) is None
 
 
@@ -380,13 +372,13 @@ def test_probe_passes_unimodular_simplex():
 ])
 def test_probe_passes_order_polytopes(P):
     L = birkhoff(P)
-    Q = LatticePolytope([indicator(L, a) for a in L.elements])
+    Q = LatticePolytope([tuple(map(int, indicator(L, a))) for a in L.elements], 1)
     assert normality_probe(Q, 4) is None
 
 
 def test_probe_detects_nonnormal_simplex():
     # the classical empty simplex: 2Q holds a point that is not a sum
-    Q = LatticePolytope([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    Q = LatticePolytope([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)], 1)
     assert normality_probe(Q, 4) == 2
 
 
