@@ -34,7 +34,7 @@ from .exactgeom import polytope_json, vector_pairs
 from .flaggt import (MAX_GT_RANK, flag_lattice, grassmann_lattice,
                      gt_subdivision, gt_vertices, shape_census)
 from .hibi import degeneration_certificate
-from .lattice import Lattice, birkhoff, diamond_pairs, maximal_chains, parse_lattice
+from .lattice import Lattice, birkhoff, diamond_pairs, maximal_chain_count, parse_lattice
 from .poset import Poset, antichain, from_cover_relations, parse_poset
 from .subdivision import (face_subdivision, generalized_permutahedron,
                           regular_subdivision, subdivision_invariance_check,
@@ -160,7 +160,6 @@ def resolve_face(K: MaxCone, spec: str) -> Face:
 def cmd_lattice(args) -> int:
     L = build_lattice(args)
     pairs = diamond_pairs(L)
-    chains = maximal_chains(L)
     payload = {
         "command": "lattice",
         "size": L.size,
@@ -173,7 +172,7 @@ def cmd_lattice(args) -> int:
         },
         "diamond_count": len(pairs),
         "diamond_pairs": [[d.a, d.b] for d in pairs],
-        "maximal_chains": len(chains),
+        "maximal_chains": maximal_chain_count(L),
         "chain_length": L.poset_P.size + 1,
     }
     _write_text(canonical_json(payload), args.out)

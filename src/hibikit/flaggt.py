@@ -38,6 +38,7 @@ from .poset import (
 from .subdivision import face_subdivision
 
 MAX_GT_RANK = 5
+MAX_INDEX = 9  # a label spells each index as one digit
 
 
 def _tuple_of(label: str) -> tuple[int, ...]:
@@ -48,10 +49,17 @@ def _label_of(indices: Sequence[int]) -> str:
     return "".join(str(i) for i in indices)
 
 
+def _check_single_digits(n: int):
+    if n > MAX_INDEX:
+        raise BadParams(f"need n <= {MAX_INDEX}: an element's label spells each "
+                        "of its indices 1..n as one digit")
+
+
 def grassmann_lattice(k: int, n: int) -> Lattice:
     """All k-element index sets with componentwise min/max as meet/join."""
     if not 1 <= k <= n - 1:
         raise BadParams("need 1 <= k <= n-1")
+    _check_single_digits(n)
     elements = [_label_of(c) for c in itertools.combinations(range(1, n + 1), k)]
 
     def meet(a, b):
@@ -67,6 +75,7 @@ def flag_lattice(n: int) -> Lattice:
     """Index tuples of every length 1..n-1; the shorter tuple wins the join."""
     if n < 2:
         raise BadParams("need n >= 2")
+    _check_single_digits(n)
     elements = [
         _label_of(c)
         for k in range(1, n)

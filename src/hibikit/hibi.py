@@ -1,7 +1,14 @@
 """The Hibi ideal of a distributive lattice and its degree-wise dimensions.
 
 All ideal computations are degree-truncated linear algebra over the monomial
-basis of R_l, in integers; no Groebner bases.
+basis of R_l, in integers; no Groebner bases. The lattice is read only
+through its ideal bitmasks, L.masks(): two elements are incomparable iff
+neither mask contains the other, and join and meet are OR and AND.
+
+The Hibi ideal I is spanned by the binomials X_a X_b - X_{a∨b} X_{a∧b},
+one per incomparable pair. Each degree-l row m*g is e_u - e_v, so dim I_l
+is the number of union-find merges over the degree-l monomials, packed as
+ints with one base-(l + 1) digit per element.
 
 The degree table of L groups the degree-l monomials by exponent sum, the sum
 of the indicator vectors of their factors' ideals. It maps each class to the
@@ -9,11 +16,6 @@ distinct supports of its monomials, as bit masks over L's elements, and is
 built once per degree and kept on the Lattice. The classes are as many as the
 standard monomials. The intersection of a face's component ideals has one
 small rank per class: a support's row is the set of components containing it.
-
-dim I_l is the rank of the degree-l rows m*g. Every generator used here is a
-binomial c(M - M') or a monomial, so each row is e_u - e_v or e_u, and the
-rank is the number of union-find merges over the degree-l monomials and a
-sink.
 
 The certificate's dim in_w(I)_l is computed as dim I_l. A Groebner
 degeneration of a homogeneous ideal is flat: in_w(I) has the Hilbert function
@@ -24,89 +26,30 @@ the component ideals does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 from .errors import BadParams
 from .exactgeom import rank
-from .lattice import Lattice, sublattice_for_order
-from .poset import Poset
+from .lattice import Lattice
 
 MAX_ELEMENTS = 12
 MAX_DEGREE = 6
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """Dense exponent tuple over the canonical lattice element order."""
-
-    exps: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.exps):
-            raise ValueError("exponents must be nonnegative")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(x + y for x, y in zip(self.exps, other.exps, strict=True)))
-
-
-def monomial(L: Lattice, exps: Mapping[str, int]) -> Monomial:
-    dense = [0] * L.size
-    for a, e in exps.items():
-        dense[L.index(a)] += e
-    return Monomial(tuple(dense))
-
-
-class Polynomial:
-    """Terms mapped to exact rational coefficients; zeros dropped."""
-
-    def __init__(self, terms: Mapping[Monomial, object]):
-        cleaned = {}
-        for m, c in terms.items():
-            c = Fraction(c)
-            if c != 0:
-                cleaned[m] = c
-        self.terms: dict[Monomial, Fraction] = cleaned
-
-    def degree(self) -> int:
-        return max((m.degree for m in self.terms), default=0)
-
-    def is_homogeneous(self) -> bool:
-        degs = {m.degree for m in self.terms}
-        return len(degs) <= 1
-
-    def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"Polynomial({len(self.terms)} terms)"
 
 
 # ---------------------------------------------------------------------------
 # generators and standard monomials
 
 
-def hibi_generators(L: Lattice) -> list[Polynomial]:
-    """X_a X_b - X_{a∨b} X_{a∧b} for each incomparable unordered pair."""
-    gens = []
-    for i, a in enumerate(L.elements):
-        for b in L.elements[i + 1:]:
-            if not L.incomparable(a, b):
-                continue
-            lead = monomial(L, {a: 1, b: 1})
-            tail = monomial(L, {L.join(a, b): 1, L.meet(a, b): 1})
-            gens.append(Polynomial({lead: 1, tail: -1}))
-    return gens
+def hibi_generators(L: Lattice) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """X_a X_b - X_{a∨b} X_{a∧b} for each incomparable unordered pair, as
+    element indices ((a, b), (a∨b, a∧b))."""
+    masks = L.masks()
+    at_mask = {m: i for i, m in enumerate(masks)}
+    return [((i, j), (at_mask[a | b], at_mask[a & b]))
+            for (i, a), (j, b) in combinations(enumerate(masks), 2)
+            if a & b not in (a, b)]
 
 
 def _check_caps(n: int, l: int):
@@ -132,8 +75,8 @@ def degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
 
 
 def _build_degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
-    digit = {p: (l + 1) ** j for j, p in enumerate(L.poset_P.elements)}
-    packed = [sum(digit[p] for p in L.iota[a]) for a in L.elements]
+    n = L.poset_P.size
+    packed = [sum((l + 1) ** j for j in range(n) if m >> j & 1) for m in L.masks()]
     states = {(0, 0)}  # (packed sum, support mask) over the degree-k monomials
     for _ in range(l):
         states = {(s + packed[i], mask | 1 << i)
@@ -150,13 +93,10 @@ def standard_monomial_count(L: Lattice, l: int) -> int:
     _check_caps(L.size, l)
     if l == 0:
         return 1
+    masks = L.masks()
     ladder = [1] * L.size  # multichains of length 1 ending at each element
     for _ in range(l - 1):
-        ladder = [
-            sum(ladder[i] for i in range(L.size)
-                if L.leq(L.elements[i], b))
-            for b in L.elements
-        ]
+        ladder = [sum(x for x, a in zip(ladder, masks) if a & b == a) for b in masks]
     count = sum(ladder)
     if len(degree_table(L, l)) != count:
         raise AssertionError("multichain count must equal the exponent-sum count")
@@ -167,36 +107,19 @@ def standard_monomial_count(L: Lattice, l: int) -> int:
 # degree-truncated linear algebra
 
 
-def _degree_monomials(n: int, l: int) -> list[Monomial]:
-    out = []
-    for combo in combinations_with_replacement(range(n), l):
-        exps = [0] * n
-        for i in combo:
-            exps[i] += 1
-        out.append(Monomial(tuple(exps)))
-    return out
+def ideal_dim(L: Lattice, l: int) -> int:
+    """dim I_l of the Hibi ideal: the rank of the degree-l rows m*g.
 
-
-def _ambient_size(generators: Sequence[Polynomial]) -> Optional[int]:
-    for g in generators:
-        for m in g.terms:
-            return len(m.exps)
-    return None
-
-
-def ideal_dim(generators: Sequence[Polynomial], l: int) -> int:
-    """dim of the degree-l piece of the ideal the generators span.
-
-    Each generator must be a monomial or a binomial c(M - M'), as the Hibi
-    binomials and the component ideals' generators are; any other shape
-    raises BadParams. Every degree-l row m*g is then e_u or c(e_u - e_v), so
-    the rank is the number of union-find merges over the degree-l monomials
-    and a sink (None): e_u joins u to the sink, e_u - e_v joins u to v."""
-    n = _ambient_size(generators)
-    if n is None:
+    A degree-l monomial is an int with one base-(l + 1) digit per element,
+    so multiplying monomials adds their ints and no digit carries. Every row
+    m*g is e_u - e_v, so the rank is the number of union-find merges of u
+    and v over the degree-l monomials."""
+    _check_caps(L.size, l)
+    if l < 2:
         return 0
-    _check_caps(n, l)
-    parent: dict[Optional[Monomial], Optional[Monomial]] = {}  # roots are absent
+    digit = [(l + 1) ** i for i in range(L.size)]
+    shifts = [sum(m) for m in combinations_with_replacement(digit, l - 2)]
+    parent: dict[int, int] = {}  # roots are absent
 
     def find(x):
         while x in parent:
@@ -205,19 +128,10 @@ def ideal_dim(generators: Sequence[Polynomial], l: int) -> int:
         return x
 
     merges = 0
-    for g in generators:
-        if not g.is_homogeneous():
-            raise BadParams("generators must be homogeneous")
-        ends: list[Optional[Monomial]] = list(g.terms)
-        if len(ends) == 1:
-            ends.append(None)
-        elif len(ends) > 2 or len(ends) == 2 and sum(g.terms.values()) != 0:
-            raise BadParams("generators must be monomials or binomials c*(M - M')")
-        d = g.degree()
-        if not ends or d > l:
-            continue
-        for m in _degree_monomials(n, l - d):
-            u, v = (find(None if e is None else m.times(e)) for e in ends)
+    for (a, b), (join, meet) in hibi_generators(L):
+        lead, tail = digit[a] + digit[b], digit[join] + digit[meet]
+        for shift in shifts:
+            u, v = find(shift + lead), find(shift + tail)
             if u != v:
                 parent[u] = v
                 merges += 1
@@ -228,9 +142,10 @@ def ideal_dim(generators: Sequence[Polynomial], l: int) -> int:
 # intersections of the component ideals
 
 
-def intersection_dim(L: Lattice, orders: Sequence[Poset], l: int) -> int:
+def intersection_dim(L: Lattice, members: Sequence[int], l: int) -> int:
     """dim of the degree-l piece of the intersection of the component
-    ideals I_i attached to the given stronger orders.
+    ideals I_i, each given by the bitmask of the elements that survive in
+    component i.
 
     The intersection is the kernel of the evaluation map sending a degree-l
     monomial M to, per component i, its exponent-sum class when every
@@ -241,7 +156,6 @@ def intersection_dim(L: Lattice, orders: Sequence[Poset], l: int) -> int:
     nonzero hit vectors; a class with at most one needs no elimination.
     """
     _check_caps(L.size, l)
-    members = [sum(1 << L.index(a) for a in sublattice_for_order(L, o)) for o in orders]
     total_rank = 0
     for supports in degree_table(L, l).values():
         hits = {sum(1 << i for i, m in enumerate(members) if s & m == s) for s in supports}
@@ -266,18 +180,22 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     dim in_w(I)_l is reported as dim I_l: the degeneration is flat, so it
     is the same for every weight w. It and the standard monomial count are
     computed once per degree, before the cone is built, so the element and
-    degree caps fail fast; only the intersection is computed per face."""
+    degree caps fail fast; only the intersection is computed per face.
+
+    A component's members are its part's vertex elements, which
+    regular_subdivision has checked to be the ideals of the part's order."""
     from .cone import cone_K, enumerate_faces
     from .subdivision import face_subdivision
 
-    gens = hibi_generators(L)
-    degrees = [(l, comb(L.size + l - 1, l), ideal_dim(gens, l),
+    degrees = [(l, comb(L.size + l - 1, l), ideal_dim(L, l),
                 standard_monomial_count(L, l)) for l in range(1, lmax + 1)]
+    masks = L.masks()
     rows = []
     for face in enumerate_faces(cone_K(L)):
-        orders = [part.order for part in face_subdivision(face).parts]
+        members = [_members(L, masks, part.vertex_elements)
+                   for part in face_subdivision(face).parts]
         for l, dim_r, dim_in, standard in degrees:
-            dim_cap = intersection_dim(L, orders, l)
+            dim_cap = intersection_dim(L, members, l)
             rows.append({
                 "face_key": face.key(),
                 "l": l,
@@ -288,3 +206,12 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
                 "pass": dim_in == dim_cap == dim_r - standard,
             })
     return rows
+
+
+def _members(L: Lattice, masks: Sequence[int], elements: Sequence[str]) -> int:
+    """The bitmask of the given elements, checked to be a sublattice: their
+    ideal masks are closed under OR and AND."""
+    ideals = {masks[L.index(a)] for a in elements}
+    if any(x | y not in ideals or x & y not in ideals for x in ideals for y in ideals):
+        raise AssertionError("sublattice is not closed")
+    return sum(1 << L.index(a) for a in elements)

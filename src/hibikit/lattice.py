@@ -12,11 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import NotALattice, NotDistributive, NotStronger, UnknownLabel
+from .errors import NotALattice, NotDistributive, UnknownLabel
 from .poset import (
     LinearExtension,
     Poset,
-    is_stronger,
     linear_extensions,
     order_ideals,
     parse_poset,
@@ -49,7 +48,6 @@ class Lattice:
         self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
         self._adjacency_graph = None  # subdivision.adjacency_graph
         self._degree_tables: dict[int, dict[int, tuple[int, ...]]] = {}  # hibi.degree_table
-        self._sublattices: dict[Poset, tuple[str, ...]] = {}  # sublattice_for_order
 
     # -- basic structure ----------------------------------------------------
 
@@ -366,57 +364,26 @@ def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
     return L._diamond_pairs
 
 
-@dataclass(frozen=True)
-class MaximalChain:
-    elements: tuple[str, ...]
-    extension: LinearExtension
-
-
-def maximal_chains(L: Lattice) -> list[MaximalChain]:
-    """All maximal chains, each |P|+1 long, paired with the linear extension
-    it comes from (prefix ideals of the extension, pulled back through iota).
-    The pairing is the explicit bijection between chains and extensions."""
-    chains = [MaximalChain(L.chain(ext), ext) for ext in L.extensions()]
-
-    # independent check: depth first walk over covers finds the same chains
-    walked = set()
-
-    def walk(a, acc):
-        uppers = [b for b in L.elements if L.covers(a, b)]
-        if not uppers:
-            walked.add(tuple(acc))
-            return
-        for b in uppers:
-            walk(b, acc + [b])
-
-    walk(L.bottom, [L.bottom])
-    if walked != {c.elements for c in chains}:
+def maximal_chain_count(L: Lattice) -> int:
+    """The number of maximal chains, counted twice: as paths from bottom to
+    top over the cover relation, and as linear extensions of poset_P, built
+    one maximal element at a time over the ideal masks. The two counts are
+    the two sides of the chain/extension bijection and must agree."""
+    height = [len(L.iota[a]) for a in L.elements]
+    # b covers a iff a < b and b is one higher: L is graded; only the
+    # bottom has no lower cover
+    paths = [0] * L.size  # element index -> chains from the bottom to it
+    for j in sorted(range(L.size), key=height.__getitem__):
+        paths[j] = sum(paths[i] for i in range(L.size)
+                       if height[i] == height[j] - 1 and L._join[i][j] == j) or 1
+    extensions = {0: 1}  # ideal mask -> linear extensions of the ideal
+    for m in sorted(L.masks(), key=int.bit_count)[1:]:
+        extensions[m] = sum(extensions.get(m & ~(1 << j), 0)
+                            for j in range(m.bit_length()) if m >> j & 1)
+    count = paths[L.index(L.top)]
+    if count != extensions[(1 << L.poset_P.size) - 1]:
         raise AssertionError("chain/extension bijection failed")
-    for c in chains:
-        if len(c.elements) != L.poset_P.size + 1:
-            raise AssertionError("maximal chain of unexpected length")
-    return chains
-
-
-def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
-    """iota^{-1} of the ideals of a stronger order on poset_P: the elements
-    that survive in the component indexed by that order. Built once per
-    order and kept on the lattice."""
-    if stronger in L._sublattices:
-        return L._sublattices[stronger]
-    if not is_stronger(stronger, L.poset_P):
-        raise NotStronger("order does not refine the lattice's poset")
-    members = []
-    ideal_set = set(order_ideals(stronger))
-    for a in L.elements:
-        if L.iota[a] in ideal_set:
-            members.append(a)
-    for a in members:  # closure under both operations, by construction
-        for b in members:
-            if L.join(a, b) not in members or L.meet(a, b) not in members:
-                raise AssertionError("sublattice is not closed")
-    L._sublattices[stronger] = tuple(members)
-    return L._sublattices[stronger]
+    return count
 
 
 # ---------------------------------------------------------------------------

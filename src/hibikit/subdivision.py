@@ -207,9 +207,6 @@ class AdjacencyGraph:
     edges: tuple[tuple[int, int], ...]
     pairs: tuple[frozenset[str], ...]
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
-
 
 def adjacency_graph(L: Lattice) -> AdjacencyGraph:
     """Extensions adjacent when their staircase simplices share a facet.

@@ -4,8 +4,19 @@ straighten rewrites a monomial, one meet/join swap at a time, to the
 standard monomial with the same exponent sum; counting its distinct results
 over all degree-l monomials gives `standard_count` without the multichain
 recursion. component_ideal writes the ideal of one degeneration component
-out as polynomials, so hibi.ideal_dim of it gives the single-order
+out as polynomials, so union_find_ideal_dim of it gives the single-order
 `dim_cap` that hibi.intersection_dim computes without building any ideal.
+
+Monomial, Polynomial and union_find_ideal_dim are the polynomial ring model
+and the general union-find that hibi used before it packed monomials into
+ints and took only the Hibi binomials: union_find_ideal_dim takes any
+monomials and binomials c(M - M') and rejects other shapes.
+generator_polynomials writes hibi_generators' index pairs out as
+polynomials. sublattice_for_order is the per-order sublattice that hibi
+built from order_ideals before it took each component's members from its
+part of the subdivision; member_masks gives them as hibi's bitmasks.
+maximal_chains lists the chains that the lattice command used to list only
+to count them.
 
 The rest is the per-monomial Fraction code that hibi's integer degree tables
 replaced, kept as the reference they are compared against:
@@ -13,21 +24,192 @@ exponent_sum_count sums indicator vectors, elimination_ideal_dim and
 per_monomial_intersection_dim eliminate sparse Fraction rows.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import comb
+from typing import Mapping, Optional, Sequence
 
 from fraction_oracle import indicator
-from hibikit.errors import BadParams
+from hibikit.errors import BadParams, NotStronger
 from hibikit.exactgeom import vadd, zero_vec
-from hibikit.hibi import (
-    Monomial,
-    Polynomial,
-    _ambient_size,
-    _check_caps,
-    _degree_monomials,
-    monomial,
-)
-from hibikit.lattice import sublattice_for_order
+from hibikit.hibi import _check_caps, hibi_generators
+from hibikit.lattice import Lattice
+from hibikit.poset import LinearExtension, Poset, is_stronger, order_ideals
+
+
+@dataclass(frozen=True)
+class Monomial:
+    """Dense exponent tuple over the canonical lattice element order."""
+
+    exps: tuple[int, ...]
+
+    def __post_init__(self):
+        if any(e < 0 for e in self.exps):
+            raise ValueError("exponents must be nonnegative")
+
+    @property
+    def degree(self) -> int:
+        return sum(self.exps)
+
+    def times(self, other: "Monomial") -> "Monomial":
+        return Monomial(tuple(x + y for x, y in zip(self.exps, other.exps, strict=True)))
+
+
+def monomial(L: Lattice, exps: Mapping[str, int]) -> Monomial:
+    dense = [0] * L.size
+    for a, e in exps.items():
+        dense[L.index(a)] += e
+    return Monomial(tuple(dense))
+
+
+class Polynomial:
+    """Terms mapped to exact rational coefficients; zeros dropped."""
+
+    def __init__(self, terms: Mapping[Monomial, object]):
+        cleaned = {}
+        for m, c in terms.items():
+            c = Fraction(c)
+            if c != 0:
+                cleaned[m] = c
+        self.terms: dict[Monomial, Fraction] = cleaned
+
+    def degree(self) -> int:
+        return max((m.degree for m in self.terms), default=0)
+
+    def is_homogeneous(self) -> bool:
+        degs = {m.degree for m in self.terms}
+        return len(degs) <= 1
+
+    def __eq__(self, other):
+        return isinstance(other, Polynomial) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return f"Polynomial({len(self.terms)} terms)"
+
+
+def generator_polynomials(L):
+    """hibi.hibi_generators written out as polynomials."""
+    def term(i, j):
+        exps = [0] * L.size
+        exps[i] += 1
+        exps[j] += 1
+        return Monomial(tuple(exps))
+
+    return [Polynomial({term(*lead): 1, term(*tail): -1})
+            for lead, tail in hibi_generators(L)]
+
+
+def _degree_monomials(n: int, l: int) -> list[Monomial]:
+    out = []
+    for combo in combinations_with_replacement(range(n), l):
+        exps = [0] * n
+        for i in combo:
+            exps[i] += 1
+        out.append(Monomial(tuple(exps)))
+    return out
+
+
+def _ambient_size(generators: Sequence[Polynomial]) -> Optional[int]:
+    for g in generators:
+        for m in g.terms:
+            return len(m.exps)
+    return None
+
+
+def union_find_ideal_dim(generators: Sequence[Polynomial], l: int) -> int:
+    """dim of the degree-l piece of the ideal the generators span.
+
+    Each generator must be a monomial or a binomial c(M - M'), as the Hibi
+    binomials and the component ideals' generators are; any other shape
+    raises BadParams. Every degree-l row m*g is then e_u or c(e_u - e_v), so
+    the rank is the number of union-find merges over the degree-l monomials
+    and a sink (None): e_u joins u to the sink, e_u - e_v joins u to v."""
+    n = _ambient_size(generators)
+    if n is None:
+        return 0
+    _check_caps(n, l)
+    parent: dict[Optional[Monomial], Optional[Monomial]] = {}  # roots are absent
+
+    def find(x):
+        while x in parent:
+            parent[x] = parent.get(parent[x], parent[x])  # path halving
+            x = parent[x]
+        return x
+
+    merges = 0
+    for g in generators:
+        if not g.is_homogeneous():
+            raise BadParams("generators must be homogeneous")
+        ends: list[Optional[Monomial]] = list(g.terms)
+        if len(ends) == 1:
+            ends.append(None)
+        elif len(ends) > 2 or len(ends) == 2 and sum(g.terms.values()) != 0:
+            raise BadParams("generators must be monomials or binomials c*(M - M')")
+        d = g.degree()
+        if not ends or d > l:
+            continue
+        for m in _degree_monomials(n, l - d):
+            u, v = (find(None if e is None else m.times(e)) for e in ends)
+            if u != v:
+                parent[u] = v
+                merges += 1
+    return merges
+
+
+def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
+    """iota^{-1} of the ideals of a stronger order on poset_P: the elements
+    that survive in the component indexed by that order."""
+    if not is_stronger(stronger, L.poset_P):
+        raise NotStronger("order does not refine the lattice's poset")
+    ideal_set = set(order_ideals(stronger))
+    members = [a for a in L.elements if L.iota[a] in ideal_set]
+    for a in members:  # closure under both operations, by construction
+        for b in members:
+            if L.join(a, b) not in members or L.meet(a, b) not in members:
+                raise AssertionError("sublattice is not closed")
+    return tuple(members)
+
+
+def member_masks(L, orders):
+    """The bitmask of each order's sublattice, as hibi.intersection_dim
+    takes its components."""
+    return [sum(1 << L.index(a) for a in sublattice_for_order(L, o)) for o in orders]
+
+
+@dataclass(frozen=True)
+class MaximalChain:
+    elements: tuple[str, ...]
+    extension: LinearExtension
+
+
+def maximal_chains(L: Lattice) -> list[MaximalChain]:
+    """All maximal chains, each |P|+1 long, paired with the linear extension
+    it comes from (prefix ideals of the extension, pulled back through iota).
+    The pairing is the explicit bijection between chains and extensions."""
+    chains = [MaximalChain(L.chain(ext), ext) for ext in L.extensions()]
+
+    # independent check: depth first walk over covers finds the same chains
+    walked = set()
+
+    def walk(a, acc):
+        uppers = [b for b in L.elements if L.covers(a, b)]
+        if not uppers:
+            walked.add(tuple(acc))
+            return
+        for b in uppers:
+            walk(b, acc + [b])
+
+    walk(L.bottom, [L.bottom])
+    if walked != {c.elements for c in chains}:
+        raise AssertionError("chain/extension bijection failed")
+    for c in chains:
+        if len(c.elements) != L.poset_P.size + 1:
+            raise AssertionError("maximal chain of unexpected length")
+    return chains
 
 
 def factor_indices(m):

@@ -10,13 +10,13 @@ import random
 import time
 
 from fraction_oracle import AffineMap, indicator, invert_affine, is_full, part_value
-from hibi_oracle import is_standard, straighten
+from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
 from hibikit.flaggt import (flag_lattice, grassmann_lattice, gt_poset_iso,
                             gt_subdivision, gt_vertices, pbar_labels)
-from hibikit.hibi import degeneration_certificate, monomial
+from hibikit.hibi import degeneration_certificate
 from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,

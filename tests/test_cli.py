@@ -328,9 +328,13 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("lattice --poset FILE", '{"elements": ["a", "a"], "covers": []}'),
     ("lattice --poset FILE", '{"elements": 5, "covers": []}'),
     ("lattice --poset FILE", '{"elements": ["a"]}'),
+    # labels spell one digit per index: 10 would read as 1 and 0
+    ("lattice --grassmann 1 10", None),
+    ("lattice --grassmann 2 10", None),
+    ("lattice --flag 10", None),
 ], ids=["short weight", "one trial", "negative trials", "degree 0", "bad poset line",
         "repeated elem", "repeated JSON element", "JSON elements not a list",
-        "JSON without covers"])
+        "JSON without covers", "Gr(1,10)", "Gr(2,10)", "Flag(10)"])
 def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
     # exit 1 means a certification ran and failed; bad input never runs one
     path = tmp_path / "poset.txt"
@@ -339,6 +343,20 @@ def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
     code, out, err = run_cli(capsys, argv.replace("FILE", str(path)).split())
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "BadParams"
+
+
+def test_largest_builtin_index_is_nine(capsys):
+    code, out, _ = run_cli(capsys, ["lattice", "--grassmann", "1", "9"])
+    assert code == 0
+    assert json.loads(out)["maximal_chains"] == 1
+
+
+def test_flag_six_chain_count(capsys):
+    # the chains are counted, not listed: Flag(6) has 33592 of them
+    code, out, _ = run_cli(capsys, ["lattice", "--flag", "6"])
+    assert code == 0
+    report = json.loads(out)
+    assert (report["size"], report["maximal_chains"]) == (62, 33592)
 
 
 def test_parse_vector_fractions():

@@ -29,6 +29,14 @@ GOLDEN = [
      "986357aaad5488fa4f9f017ee294aab690c1037f76b16ae0d6b2d543c168b513", 0),
     ("certify --boolean 2 --lmax 3",
      "e66a32089f85fc7254983ab664d8625121e646a71cf312c7b66fdafb1748c3ba", 0),
+    # recorded with the Polynomial generators and per-order sublattices;
+    # they reach the degree cap and pack ten elements into one int
+    ("certify --boolean 3 --lmax 6",
+     "a1458e8793d0f119b53793d367fc828035e125e392a4ac584f824e572719c210", 0),
+    ("certify --grassmann 2 5 --lmax 4",
+     "0f61da15678db4fb9a46a4fabc74495efe6d18e0657d8cf3aa1df8889f3f71c4", 0),
+    ("certify --flag 3 --lmax 6",
+     "c08ac147fac4f28a1afa3b8ee7c8f63844c7b3b8c3775f6d8d061a1c9c792eb3", 0),
     ("weightpoly --grassmann 2 4 --face apex",
      "83ceb1eef306bf36084d756e2b0c28f7d3d70e07a1c7c0ab660f000737b9d042", 6),
     ("gt --n 3",

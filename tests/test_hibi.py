@@ -17,29 +17,32 @@ from hypothesis import strategies as st
 
 from fraction_oracle import extension_poset, indicator
 from hibi_oracle import (
+    Monomial,
+    Polynomial,
     component_ideal,
     elimination_ideal_dim,
     exponent_sum_count,
     factor_indices,
+    generator_polynomials,
     is_standard,
+    member_masks,
+    monomial,
     per_monomial_intersection_dim,
     straighten,
+    union_find_ideal_dim,
 )
 
-from hibikit import hibi, lattice
+from hibikit import flaggt, lattice, poset
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, NotStronger
 from hibikit.exactgeom import vadd, zero_vec
 from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.hibi import (
-    Monomial,
-    Polynomial,
     degeneration_certificate,
     degree_table,
     hibi_generators,
     ideal_dim,
     intersection_dim,
-    monomial,
     standard_monomial_count,
 )
 from hibikit.lattice import birkhoff
@@ -67,13 +70,22 @@ def test_chain_has_no_generators():
 
 
 def test_b2_single_generator():
-    gens = hibi_generators(B2)
-    assert len(gens) == 1
+    # X_{p} X_{q} - X_{p,q} X_{}, as element indices
+    assert B2.elements == ("{}", "{p}", "{q}", "{p,q}")
+    assert hibi_generators(B2) == [((1, 2), (3, 0))]
     expected = Polynomial({
         monomial(B2, {"{p}": 1, "{q}": 1}): 1,
         monomial(B2, {"{}": 1, "{p,q}": 1}): -1,
     })
-    assert gens[0] == expected
+    assert generator_polynomials(B2) == [expected]
+
+
+def test_generators_are_incomparable_pairs_with_join_and_meet():
+    for L in ORACLE_LATTICES:
+        expected = [((i, j), (L.index(L.join(a, b)), L.index(L.meet(a, b))))
+                    for (i, a), (j, b) in itertools.combinations(enumerate(L.elements), 2)
+                    if L.incomparable(a, b)]
+        assert hibi_generators(L) == expected
 
 
 def test_generator_count_is_incomparable_pairs():
@@ -223,35 +235,44 @@ def sympy_ideal_dim(L, gens, l):
 
 
 def test_ideal_dim_b2():
-    assert ideal_dim(hibi_generators(B2), 2) == 1
+    assert ideal_dim(B2, 2) == 1
 
 
 def test_ideal_dim_empty():
-    assert ideal_dim([], 3) == 0
-    assert ideal_dim([Polynomial({})], 3) == 0
+    assert ideal_dim(CHAIN4, 3) == 0
+    assert union_find_ideal_dim([], 3) == 0
+    assert union_find_ideal_dim([Polynomial({})], 3) == 0
 
 
 def test_ideal_dim_b3_degree_two():
     # 9 independent quadrics: dim R_2 - standard = 36 - 27 = 9
-    gens = hibi_generators(B3)
-    assert ideal_dim(gens, 2) == 9
-    assert sympy_ideal_dim(B3, gens, 2) == 9
+    assert ideal_dim(B3, 2) == 9
+    assert sympy_ideal_dim(B3, generator_polynomials(B3), 2) == 9
 
 
 @pytest.mark.parametrize("L", [B2, GRIDL, CHAIN4])
 @pytest.mark.parametrize("l", [2, 3])
 def test_ideal_dim_matches_sympy_and_hilbert(L, l):
-    gens = hibi_generators(L)
-    got = ideal_dim(gens, l)
+    gens = generator_polynomials(L)
+    got = ideal_dim(L, l)
     assert got == sympy_ideal_dim(L, gens, l)
     assert got == elimination_ideal_dim(gens, l)
     assert got == comb(L.size + l - 1, l) - standard_monomial_count(L, l)
 
 
 def test_ideal_dim_matches_elimination_up_to_degree_six():
-    gens = hibi_generators(B3)
+    gens = generator_polynomials(B3)
     for l in range(7):
-        assert ideal_dim(gens, l) == elimination_ideal_dim(gens, l)
+        assert ideal_dim(B3, l) == elimination_ideal_dim(gens, l)
+
+
+def test_ideal_dim_packs_ten_elements_up_to_degree_six():
+    # one base-(l + 1) digit per element of Gr(2,5)
+    L = grassmann_lattice(2, 5)
+    gens = generator_polynomials(L)
+    for l in range(7):
+        assert ideal_dim(L, l) == union_find_ideal_dim(gens, l)
+        assert ideal_dim(L, l) == comb(L.size + l - 1, l) - standard_monomial_count(L, l)
 
 
 @pytest.mark.parametrize("L", [B2, GRIDL, CHAIN4])
@@ -260,7 +281,7 @@ def test_component_ideal_dim_matches_sympy(L):
     for o in [L.poset_P] + [extension_poset(e) for e in linear_extensions(L.poset_P)]:
         gens = component_ideal(L, o)
         for l in (1, 2, 3):
-            got = ideal_dim(gens, l)
+            got = union_find_ideal_dim(gens, l)
             assert got == elimination_ideal_dim(gens, l)
             assert got == sympy_ideal_dim(L, gens, l)
 
@@ -274,7 +295,7 @@ def test_ideal_dim_rejects_other_shapes():
     plain_sum = Polynomial({monomial(B2, {"{p}": 1}): 1, monomial(B2, {"{q}": 1}): 1})
     for bad in (three_terms, plain_sum):
         with pytest.raises(BadParams):
-            ideal_dim(hibi_generators(B2) + [bad], 2)
+            union_find_ideal_dim(generator_polynomials(B2) + [bad], 2)
 
 
 def test_ideal_dim_rejects_inhomogeneous():
@@ -283,7 +304,7 @@ def test_ideal_dim_rejects_inhomogeneous():
         monomial(B2, {"{p}": 1, "{q}": 1}): 1,
     })
     with pytest.raises(BadParams):
-        ideal_dim([bad], 2)
+        union_find_ideal_dim([bad], 2)
 
 
 # -- component ideals (oracle) -----------------------------------------------
@@ -291,7 +312,7 @@ def test_ideal_dim_rejects_inhomogeneous():
 
 def test_component_ideal_weak_order_is_hibi():
     gens = component_ideal(B2, antichain(["p", "q"]))
-    assert gens == hibi_generators(B2)
+    assert gens == generator_polynomials(B2)
 
 
 def test_component_ideal_chain_order():
@@ -316,16 +337,29 @@ def test_component_ideal_not_stronger():
 # -- intersection_dim --------------------------------------------------------
 
 
+def vertex_mask(L, part):
+    """The bitmask of a part's vertex elements, one component's members."""
+    return sum(1 << L.index(a) for a in part.vertex_elements)
+
+
+def test_vertex_masks_are_the_sublattices_of_the_part_orders():
+    for L in ORACLE_LATTICES:
+        for F in enumerate_faces(cone_K(L)):
+            parts = face_subdivision(F).parts
+            assert ([vertex_mask(L, part) for part in parts]
+                    == member_masks(L, [part.order for part in parts]))
+
+
 def test_intersection_b2_two_linearizations():
     orders = [extension_poset(e) for e in linear_extensions(antichain(["p", "q"]))]
-    assert intersection_dim(B2, orders, 2) == 1
+    assert intersection_dim(B2, member_masks(B2, orders), 2) == 1
 
 
 def test_intersection_single_weak_order_is_ideal_dim():
     for L in (B2, B3, GRIDL, CHAIN4):
         for l in (2, 3):
-            got = intersection_dim(L, [L.poset_P], l)
-            assert got == ideal_dim(hibi_generators(L), l)
+            got = intersection_dim(L, member_masks(L, [L.poset_P]), l)
+            assert got == ideal_dim(L, l)
 
 
 def test_single_component_dim_matches_its_ideal():
@@ -334,26 +368,34 @@ def test_single_component_dim_matches_its_ideal():
         for o in orders:
             gens = component_ideal(L, o)
             for l in (1, 2, 3):
-                got = intersection_dim(L, [o], l)
-                assert got == ideal_dim(gens, l) == elimination_ideal_dim(gens, l)
+                got = intersection_dim(L, member_masks(L, [o]), l)
+                assert got == union_find_ideal_dim(gens, l) == elimination_ideal_dim(gens, l)
 
 
 @st.composite
-def small_lattices(draw):
+def small_lattices(draw, sizes=st.integers(3, 6), max_size=10):
     """Birkhoff lattices of random posets on 3-6 elements with at most 10
-    elements: random comparabilities, then more, in a fixed order, until
-    the lattice is small enough."""
-    n = draw(st.integers(3, 6))
+    elements, or on `sizes` elements with at most `max_size`: random
+    comparabilities, then more, in a fixed order, until the lattice is small
+    enough."""
+    n = draw(sizes)
     labels = [f"p{i}" for i in range(n)]
     pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
     covers = [pair for pair in pairs if draw(st.booleans())]
     L = birkhoff(from_cover_relations(labels, covers))
     for pair in pairs:
-        if L.size <= 10:
+        if L.size <= max_size:
             break
         covers.append(pair)
         L = birkhoff(from_cover_relations(labels, covers))
     return L
+
+
+@settings(max_examples=15, deadline=None)
+@given(small_lattices(st.integers(1, 5), 12), st.integers(0, 4))
+def test_ideal_dim_matches_the_polynomial_oracles(L, l):
+    gens = generator_polynomials(L)
+    assert ideal_dim(L, l) == union_find_ideal_dim(gens, l) == elimination_ideal_dim(gens, l)
 
 
 @settings(max_examples=20, deadline=None)
@@ -362,15 +404,16 @@ def test_degree_tables_match_the_per_monomial_oracle(L, data):
     for l in range(4):
         assert (len(degree_table(L, l)) == standard_monomial_count(L, l)
                 == exponent_sum_count(L, l))
-    families = [[part.order for part in face_subdivision(F).parts]
-                for F in enumerate_faces(cone_K(L))]
+    families = [face_subdivision(F).parts for F in enumerate_faces(cone_K(L))]
     # a face's parts tile a polytope, so each class has at most one nonzero
     # hit vector; parts drawn from different faces reach the ranks
-    parts = [o for orders in families for o in orders]
+    parts = [part for family in families for part in family]
     families.append(data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=5)))
-    for orders in families:
+    for family in families:
+        members = [vertex_mask(L, part) for part in family]
+        orders = [part.order for part in family]
         for l in range(4):
-            assert intersection_dim(L, orders, l) == per_monomial_intersection_dim(L, orders, l)
+            assert intersection_dim(L, members, l) == per_monomial_intersection_dim(L, orders, l)
 
 
 def test_intersection_of_two_faces_parts_needs_a_rank():
@@ -379,24 +422,25 @@ def test_intersection_of_two_faces_parts_needs_a_rank():
     faces = {F.key(): F for F in enumerate_faces(cone_K(B3))}
     keys = ['[["{p}","{q}"]]',
             '[["{p,q}","{p,r}"],["{p,q}","{q,r}"],["{p}","{r}"],["{q}","{r}"]]']
-    orders = [part.order for key in keys for part in face_subdivision(faces[key]).parts]
-    assert intersection_dim(B3, orders, 3) == per_monomial_intersection_dim(B3, orders, 3) == 28
+    parts = [part for key in keys for part in face_subdivision(faces[key]).parts]
+    members = [vertex_mask(B3, part) for part in parts]
+    orders = [part.order for part in parts]
+    assert intersection_dim(B3, members, 3) == per_monomial_intersection_dim(B3, orders, 3) == 28
 
 
 def test_intersection_not_stronger():
     with pytest.raises(NotStronger):
-        intersection_dim(birkhoff(chain(["p", "q"])), [antichain(["p", "q"])], 2)
+        per_monomial_intersection_dim(birkhoff(chain(["p", "q"])), [antichain(["p", "q"])], 2)
 
 
 def test_intersection_of_components_is_initial_dim():
     # dim in_w(I)_l = dim I_l on every face, because the degeneration is flat
     L = GRIDL
     K = cone_K(L)
-    gens = hibi_generators(L)
     for F in enumerate_faces(K):
-        orders = [part.order for part in face_subdivision(F).parts]
+        members = [vertex_mask(L, part) for part in face_subdivision(F).parts]
         for l in (2, 3):
-            assert intersection_dim(L, orders, l) == ideal_dim(gens, l)
+            assert intersection_dim(L, members, l) == ideal_dim(L, l)
 
 
 def test_samesum_factors_lie_in_intersection():
@@ -473,22 +517,20 @@ def test_certify_work_counts(hash_seed):
     assert counts["ranks"] == 0
 
 
-@pytest.mark.parametrize("make, lmax, asks, builds", [
-    (lambda: birkhoff(antichain(["p", "q", "r"])), 4, 340, 19),
-    (lambda: grassmann_lattice(2, 5), 3, 66, 14),
+@pytest.mark.parametrize("make, lmax", [
+    (lambda: birkhoff(antichain(["p", "q", "r"])), 4),
+    (lambda: grassmann_lattice(2, 5), 3),
 ])
-def test_certificate_builds_each_orders_members_once(make, lmax, asks, builds, monkeypatch):
-    # intersection_dim asks for every part's members at every degree; each
-    # order's members are built once and kept on the lattice
+def test_certificate_builds_no_order_ideals(make, lmax, monkeypatch):
+    # each component's members are its part's vertex elements, which
+    # regular_subdivision has already matched to the ideals of its order
     L = make()
-    asked, built = [], []
-    members, ideals = hibi.sublattice_for_order, lattice.order_ideals
-    monkeypatch.setattr(hibi, "sublattice_for_order",
-                        lambda L, order: asked.append(order) or members(L, order))
-    monkeypatch.setattr(lattice, "order_ideals", lambda P: built.append(P) or ideals(P))
+    built = []
+    ideals = poset.order_ideals
+    for module in (poset, lattice, flaggt):
+        monkeypatch.setattr(module, "order_ideals", lambda P: built.append(P) or ideals(P))
     assert all(row["pass"] for row in degeneration_certificate(L, lmax))
-    assert len(asked) == asks
-    assert len(built) == len(set(asked)) == builds
+    assert built == []
 
 
 @pytest.mark.parametrize("P,lmax", [

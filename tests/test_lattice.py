@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracle import extension_poset, indicator
+from hibi_oracle import maximal_chains, sublattice_for_order
 from hibikit.errors import NotALattice, NotDistributive, NotStronger, UnknownLabel
 from hibikit.lattice import (
     DiamondPair,
@@ -16,9 +17,8 @@ from hibikit.lattice import (
     from_ops,
     from_tables,
     ideal_label,
-    maximal_chains,
+    maximal_chain_count,
     parse_lattice,
-    sublattice_for_order,
 )
 from hibikit.poset import (
     antichain,
@@ -303,15 +303,19 @@ def brute_maximal_chains(L):
 def test_b2_two_chains():
     L = birkhoff(antichain(["p", "q"]))
     chains = maximal_chains(L)
-    assert len(chains) == 2
+    assert len(chains) == maximal_chain_count(L) == 2
     assert {c.elements for c in chains} == brute_maximal_chains(L)
 
 
 def test_chain_lattice_single_chain():
     L = birkhoff(chain(["a", "b", "c"]))
     chains = maximal_chains(L)
-    assert len(chains) == 1
+    assert len(chains) == maximal_chain_count(L) == 1
     assert chains[0].elements == L.elements
+
+
+def test_one_element_lattice_has_one_chain():
+    assert maximal_chain_count(birkhoff(antichain([]))) == 1
 
 
 @settings(max_examples=15, deadline=None)
@@ -319,7 +323,7 @@ def test_chain_lattice_single_chain():
 def test_chain_extension_bijection(P):
     L = birkhoff(P)
     chains = maximal_chains(L)
-    assert len(chains) == len(list(linear_extensions(P)))
+    assert len(chains) == len(list(linear_extensions(P))) == maximal_chain_count(L)
     assert {c.elements for c in chains} == brute_maximal_chains(L)
     for c in chains:
         assert len(c.elements) == P.size + 1
