@@ -25,6 +25,7 @@ import re
 import string
 import sys
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -70,17 +71,20 @@ def load_poset(path) -> Poset:
     return parse_poset(text)
 
 
-def parse_vector(text: str, size: int) -> tuple[Fraction, ...]:
-    """A weight vector of `size` entries, one per lattice element."""
+def parse_vector(text: str, size: int) -> tuple[tuple[int, ...], int]:
+    """A weight vector of `size` entries, one per lattice element, as
+    integers over the lcm den of the entries' denominators: (w, den)."""
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
         raise BadParams("empty weight vector")
     if len(tokens) != size:
         raise BadParams(f"weight vector needs {size} entries, got {len(tokens)}")
     try:
-        return tuple(Fraction(t) for t in tokens)
+        values = [Fraction(t) for t in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise BadParams(f"bad weight vector entry: {exc}") from None
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
 
 # -- input selection ---------------------------------------------------------
@@ -137,9 +141,9 @@ def apex_weight(L: Lattice) -> list[int]:
 
 def resolve_face(K: MaxCone, spec: str) -> Face:
     if spec == "full":
-        return face_of(K, interior_weight(K.lattice))
+        return face_of(K, interior_weight(K.lattice), 1)
     if spec == "apex":
-        return face_of(K, apex_weight(K.lattice))
+        return face_of(K, apex_weight(K.lattice), 1)
     # close the key's pairs by LP; the closure's key is the spec only if
     # closing added no pair and the spec is spelled as Face.key spells it
     unknown = f"no face of the cone has key {spec}"
@@ -207,8 +211,8 @@ def cmd_subdivide(args) -> int:
         raise BadParams("--check needs at least 2 trials")
     K = cone_K(L)
     if args.w is not None:
-        sub = regular_subdivision(L, parse_vector(args.w, L.size), K)  # validates cone membership
-        F = face_of(K, sub.weight) if args.check is not None else None
+        sub = regular_subdivision(L, *parse_vector(args.w, L.size), K)  # validates cone membership
+        F = face_of(K, sub.scaled, sub.den) if args.check is not None else None
     else:
         F = resolve_face(K, args.face)
         sub = face_subdivision(F)
@@ -220,7 +224,7 @@ def cmd_subdivide(args) -> int:
     }
     status = 0
     if args.check is not None:
-        ok = subdivision_invariance_check(F, args.check, seed=args.seed)
+        ok = subdivision_invariance_check(F, sub, args.check, seed=args.seed)
         payload["invariance_check"] = {
             "trials": args.check, "seed": args.seed, "pass": ok,
         }
@@ -287,9 +291,9 @@ def cmd_gt(args) -> int:
         vs = gt_vertices(args.n)
         payload["vertex_count"] = len(vs)
         payload["vertices"] = [{
-            "point": vector_pairs(v.point),
+            "point": vector_pairs(v.point, args.n - 1),
             "labels": list(v.labels),
-            "decomposition": [vector_pairs(d) for d in v.decomposition],
+            "decomposition": [vector_pairs(d, args.n - 1) for d in v.decomposition],
         } for v in vs]
     _write_text(canonical_json(payload), args.out)
     return 0
@@ -297,7 +301,7 @@ def cmd_gt(args) -> int:
 
 def cmd_permutahedron(args) -> int:
     L = build_lattice(args)
-    Q = generalized_permutahedron(L, parse_vector(args.w, L.size))
+    Q = generalized_permutahedron(L, *parse_vector(args.w, L.size))
     payload = {
         "command": "permutahedron",
         "vertex_count": len(Q.vertices),

@@ -4,7 +4,9 @@ K lives in R^L. Its closure is cut out by one inequality per diamond pair
 {a, b}: w_{a∧b} + w_{a∨b} - w_a - w_b >= 0, each certified a facet by an
 explicit integer point. A face is keyed by its closed tight set, the diamond
 equalities that hold on all of it. The faces are read off the tight sets of
-the cone's rays; a single key is closed by LP.
+the cone's rays; a single key is closed by LP. A point of R^L is an integer
+tuple w over one positive denominator den, standing for w / den; the only
+Fraction is the violated value a NotInCone message prints.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NotInCone, TooLarge
-from .exactgeom import (Vec, _echelon, _extreme_rays, integer_kernel, lp_feasible, rank, to_vec,
-                        vadd, vscale, zero_vec)
+from .exactgeom import _echelon, _extreme_rays, integer_kernel, lp_feasible, rank
 from .lattice import DiamondPair, Lattice, diamond_pairs
 
 MAX_FACES = 25000
@@ -51,9 +52,11 @@ class MaxCone:
 
 
 class Face:
-    """A face of K-bar, identified by its closed tight set of diamond pairs."""
+    """A face of K-bar, identified by its closed tight set of diamond pairs.
+    Its witness (w, den) is a point w / den of its relative interior."""
 
-    def __init__(self, cone: MaxCone, tight_idx: frozenset[int], witness: Vec):
+    def __init__(self, cone: MaxCone, tight_idx: frozenset[int],
+                 witness: tuple[tuple[int, ...], int]):
         self.cone = cone
         self.tight_idx = tight_idx
         self.tight: tuple[DiamondPair, ...] = tuple(
@@ -90,7 +93,7 @@ def _key_of(tight: Iterable[DiamondPair]) -> str:
 
 
 def _tight_set(pairs: Sequence[DiamondPair], normals: Sequence[tuple[int, ...]],
-               w: Sequence, den: int = 1) -> frozenset[int]:
+               w: Sequence[int], den: int) -> frozenset[int]:
     """Indices of the pairs tight at w / den; NotInCone names the first violated."""
     tight = set()
     for i, normal in enumerate(normals):
@@ -131,16 +134,17 @@ def cone_K(L: Lattice) -> MaxCone:
     return MaxCone(L, pairs, normals)
 
 
-def face_of(K: MaxCone, w: Sequence) -> Face:
-    """The unique face holding w in its relative interior.
+def face_of(K: MaxCone, w: Sequence[int], den: int) -> Face:
+    """The unique face holding the point w / den in its relative interior,
+    for integer w and den > 0.
 
     The tight set at a point is automatically closed: the facets tight at w
     are exactly the facets containing the minimal face through w.
     """
-    w = to_vec(w)
+    w = tuple(w)
     if len(w) != K.lattice.size:
         raise ValueError("point has wrong dimension")
-    return Face(K, _tight_set(K.pairs, K.normals, w), w)
+    return Face(K, _tight_set(K.pairs, K.normals, w, den), (w, den))
 
 
 def span_of_face(F: Face) -> list[list[int]]:
@@ -152,30 +156,29 @@ def span_of_face(F: Face) -> list[list[int]]:
     return integer_kernel(rows)
 
 
-def sample_relative_interior(F: Face) -> Vec:
-    """Exact relative-interior witness: tight equalities exact, every other
-    diamond inequality slack at least 1."""
+def sample_relative_interior(F: Face) -> tuple[tuple[int, ...], int]:
+    """Exact relative-interior witness (w, den), the point w / den: tight
+    equalities exact, every other diamond inequality slack at least 1."""
     K = F.cone
-    n = K.lattice.size
     loose = [k for k in range(len(K.pairs)) if k not in F.tight_idx]
     if not loose:
-        return zero_vec(n)
-    # the least slack is low / den, for the witness's numerators over their
-    # common denominator den
-    w = F._witness
-    den = lcm(*(x.denominator for x in w))
-    num = [x.numerator * (den // x.denominator) for x in w]
-    low = min(sum(c * x for c, x in zip(K.normals[k], num)) for k in loose)
+        return (0,) * K.lattice.size, 1
+    # the least slack is low / den; scaling by ceil(den / low) lifts it to 1
+    w, den = F._witness
+    low = min(sum(c * x for c, x in zip(K.normals[k], w)) for k in loose)
     if low <= 0:
         # every Face is built with a witness slack on every loose pair
         raise AssertionError("face witness is not slack on every loose pair")
     if low < den:
-        w = vscale(-(-den // low), w)
-    return w
+        scale = -(-den // low)
+        w = tuple(scale * x for x in w)
+    return w, den
 
 
-def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Optional[Vec]]:
-    """Close a tight set against K-bar and produce an interior witness.
+def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int],
+                                                              tuple[tuple[int, ...], int]]:
+    """Close a tight set against K-bar and produce an interior witness, the
+    sum of the LP points over the lcm of their denominators.
 
     A pair k is implied when {tight equalities, all inequalities, slack >= 1
     on k} is infeasible. Implied equalities do not change the face, so the
@@ -184,7 +187,7 @@ def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Opt
     n = K.lattice.size
     m = len(K.pairs)
     closed = set(tight)
-    witness = zero_vec(n)
+    points = []
     equalities = [K.normals[i] for i in sorted(tight)]
     rows = [(K.normals[j], 0) for j in range(m) if j not in tight]
     for k in range(m):
@@ -194,8 +197,10 @@ def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int], Opt
         if x is None:
             closed.add(k)
         else:
-            witness = vadd(witness, x)
-    return frozenset(closed), witness
+            points.append(x)
+    den = lcm(*(d for _, d in points))
+    witness = tuple(sum(den // d * x[i] for x, d in points) for i in range(n))
+    return frozenset(closed), (witness, den)
 
 
 def enumerate_faces(K: MaxCone) -> list[Face]:
@@ -217,5 +222,5 @@ def enumerate_faces(K: MaxCone) -> list[Face]:
         on_face = [ray for ray, tight in rays if tight & mask == mask]
         h = dict(zip(J, map(sum, zip(*on_face))))
         faces.append(Face(K, frozenset(i for i in range(m) if mask >> i & 1),
-                          to_vec(h.get(j, 0) for j in range(K.lattice.size))))
+                          (tuple(h.get(j, 0) for j in range(K.lattice.size)), 1)))
     return faces

@@ -1,46 +1,26 @@
 """Exact rational linear algebra and small scale polyhedral primitives.
 
-No floating point anywhere. Row reduction and the LP solver pivot on
-integer tableaux with one common denominator (integer-preserving
-elimination), and their results come back as reduced fractions.Fraction.
-A LatticePolytope holds integer points over one common denominator: its
-facet kernel runs the double description method with primitive integer
-rays on those ints and reads the vertices off the facets' tight sets, its
-facet normals and span equations are primitive integer rows, and its
-integer points are searched on ints. Its coordinates become Fractions only
-in polytope_json. The LP solver is a two phase simplex with Bland's rule,
-so it terminates without any tolerance knobs; lp_feasible poses it
-homogeneous equalities and rows a.x >= r, the systems that close a face
-key.
+No floating point anywhere, and no Fraction: a rational vector is an
+integer tuple over one positive common denominator den. Row reduction and
+the LP solver pivot on integer tableaux with one common denominator
+(integer-preserving elimination). A LatticePolytope holds integer points
+over one common denominator: its facet kernel runs the double description
+method with primitive integer rays on those ints and reads the vertices off
+the facets' tight sets, its facet normals and span equations are primitive
+integer rows, and its integer points are searched on ints. Its coordinates
+become reduced [num, den] pairs only in polytope_json. lp_feasible runs
+phase 1 of the simplex with Bland's rule, so it terminates without any
+tolerance knobs, on homogeneous equalities and integer rows a.x >= r, the
+systems that close a face key.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, inf, lcm
-from typing import Iterable, Optional, Sequence
+from math import gcd, inf
+from typing import Optional, Sequence
 
 from .errors import TooLarge
-
-Vec = tuple[Fraction, ...]
-
-
-def to_vec(coords: Iterable) -> Vec:
-    return tuple(Fraction(c) for c in coords)
-
-
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
-
-
-def vscale(c, a: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * x for x in a)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
 
 
 # ---------------------------------------------------------------------------
@@ -48,31 +28,15 @@ def zero_vec(n: int) -> Vec:
 #
 # A tableau is a list of integer rows M with one common denominator D > 0 and
 # stands for the rational matrix M / D. Pivoting keeps every entry an integer
-# (Edmonds 1967; Bareiss 1968), so no Fraction arithmetic runs in the loops;
-# results are turned back into reduced Fractions once, at the end.
+# (Edmonds 1967; Bareiss 1968), so no rational arithmetic runs in the loops.
 
 
-def _as_rationals(values) -> list:
-    """The values as exact rationals; ints and Fractions pass through."""
-    return [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
-
-
-def _scaled(values, s: int) -> list[int]:
-    """s times each rational value, for s a common multiple of the denominators."""
-    return [x.numerator * (s // x.denominator) for x in values]
-
-
-def _int_rows(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Scale each rational row to a primitive integer row."""
+def _int_rows(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Each integer row divided by the gcd of its entries."""
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            ints = list(row)
-        else:
-            row = _as_rationals(row)
-            ints = _scaled(row, lcm(*(x.denominator for x in row)))
-        g = gcd(*ints)
-        out.append([x // g for x in ints] if g > 1 else ints)
+        g = gcd(*row)
+        out.append([x // g for x in row] if g > 1 else list(row))
     return out
 
 
@@ -100,8 +64,8 @@ def _pivot(M, D, row, col):
 
 def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], int, list[int]]:
     """Gauss-Jordan elimination of the rows; returns (M, D, pivot columns)
-    with M / D the reduced row echelon form, zero rows dropped. Scaling the
-    input rows to integers leaves the unique RREF as it is."""
+    with M / D the reduced row echelon form of the integer rows, zero rows
+    dropped. Dividing each row by its gcd leaves the unique RREF as it is."""
     M = _int_rows(rows)
     D = 1
     pivots = []
@@ -121,21 +85,6 @@ def _echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], int, list[int]]
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows)[2])
-
-
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One solution of A x = b, or None if inconsistent. Free variables get 0."""
-    if not rows:
-        return []
-    aug = [list(row) + [b] for row, b in zip(rows, rhs, strict=True)]
-    M, D, pivots = _echelon(aug)
-    n = len(rows[0])
-    x = [Fraction(0)] * n
-    for row, p in zip(M, pivots):
-        if p == n:
-            return None
-        x[p] = Fraction(row[n], D)
-    return x
 
 
 def nullspace(rows: Sequence[Sequence]) -> list[list[int]]:
@@ -159,25 +108,23 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# exact simplex
+# exact simplex, phase 1
 
 
-def _run_simplex(M, D, basis, cost, allowed):
-    """Maximize over the tableau M / D in place by Bland's rule on the
-    `allowed` columns, for an integer cost vector.
+def _run_simplex(M, D, basis, n):
+    """Phase 1 of the simplex on the tableau M / D in place: maximize minus
+    the sum of the artificial variables (the basic columns n and up) by
+    Bland's rule over the first n columns. Returns the final denominator.
 
-    Returns ("optimal" or "unbounded", the final denominator).
+    Column j enters when its reduced cost, the sum of its entries in the
+    artificial rows, is positive; such a column has a positive entry in some
+    artificial row, so phase 1 is never unbounded.
     """
     while True:
-        # the sign of column j's reduced cost is that of cost_j*D - sum c_B M[.][j]
-        priced = [(M[i], cost[bi]) for i, bi in enumerate(basis) if cost[bi]]
-        entering = None
-        for j in allowed:
-            if cost[j] * D - sum(cb * row[j] for row, cb in priced) > 0:
-                entering = j
-                break
+        artificial = [row for row, b in zip(M, basis) if b >= n]
+        entering = next((j for j in range(n) if sum(row[j] for row in artificial) > 0), None)
         if entering is None:
-            return "optimal", D
+            return D
         # smallest ratio M[i][-1] / M[i][entering], ties to the smaller basis index
         leaving = None
         for i, row in enumerate(M):
@@ -189,78 +136,50 @@ def _run_simplex(M, D, basis, cost, allowed):
                 lhs, rhs = row[-1] * den, num * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving, num, den = i, row[-1], a
-        if leaving is None:
-            return "unbounded", D
         D = _pivot(M, D, leaving, entering)
         basis[leaving] = entering
 
 
-def solve_eq_nonneg(A: Sequence[Sequence], b: Sequence, c: Sequence):
-    """Maximize c.y subject to A y = b, y >= 0.
-
-    Returns (status, y, value) with status in {"optimal", "infeasible",
-    "unbounded"}.
-    """
-    m = len(A)
-    n = len(c)
-    rows = [_as_rationals(row) for row in A]
-    rhs = _as_rationals(b)
-    # one common scale for A and b only rescales the artificial variables,
-    # so both phases make the same pivot choices as over the rationals
-    s = lcm(*(x.denominator for row in rows for x in row), *(x.denominator for x in rhs))
-    M = []
-    for i, (row, r) in enumerate(zip(rows, _scaled(rhs, s))):
-        row = _scaled(row, s)
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-        # phase 1 tableau with one artificial per row
-        M.append(row + [1 if j == i else 0 for j in range(m)] + [r])
-    basis = [n + i for i in range(m)]
-    cost1 = [0] * n + [-1] * m
-    _, D = _run_simplex(M, 1, basis, cost1, range(n))
-    if any(M[i][-1] != 0 for i in range(m) if basis[i] >= n):
-        return "infeasible", None, None
-    # drive leftover zero-valued artificials out, dropping redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if M[i][j] != 0), None)
-            if col is None:
-                continue
-            D = _pivot(M, D, i, col)
-            basis[i] = col
-        keep.append(i)
-    M = [M[i][:n] + [M[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    cost = _as_rationals(c)
-    s = lcm(*(x.denominator for x in cost))
-    cost = _scaled(cost, s)
-    status, D = _run_simplex(M, D, basis, cost, range(n))
-    y = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        y[bi] = Fraction(M[i][-1], D)
-    if status == "unbounded":
-        return "unbounded", y, None
-    return "optimal", y, Fraction(sum(cost[bi] * row[-1] for bi, row in zip(basis, M)), s * D)
-
-
-def lp_feasible(equalities: Sequence[Sequence], rows: Sequence[tuple], n: int) -> Optional[Vec]:
-    """A point x in Q^n with a.x = 0 for every equality row a and a.x >= r
-    for every (a, r) in rows, or None when there is none.
+def lp_feasible(equalities: Sequence[Sequence[int]], rows: Sequence[tuple[Sequence[int], int]],
+                n: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """A point x = num / den in Q^n with a.x = 0 for every integer equality
+    row a and a.x >= r for every integer (a, r) in rows, as (num, den), or
+    None when there is none.
 
     x = u - v with u, v >= 0, and each row gets one slack s >= 0: the
     columns are u, v, then the slacks, and a row reads -a.u + a.v + s = -r.
+    Phase 1 gives every equation one artificial variable; the system is
+    feasible iff phase 1 drives their sum to 0. Artificials left in the
+    basis at value 0 are then pivoted out, except on a redundant row, which
+    has no other nonzero entry.
     """
     m = len(rows)
     A = [list(a) + [-x for x in a] + [0] * m for a in equalities]
     A += [[-x for x in a] + list(a) + [int(j == k) for j in range(m)]
           for k, (a, _) in enumerate(rows)]
     b = [0] * len(equalities) + [-r for _, r in rows]
-    status, y, _ = solve_eq_nonneg(A, b, [0] * (2 * n + m))
-    if status != "optimal":
+    cols = 2 * n + m
+    M = []
+    for i, (row, r) in enumerate(zip(A, b)):
+        if r < 0:
+            row = [-x for x in row]
+            r = -r
+        M.append(row + [int(j == i) for j in range(len(A))] + [r])
+    basis = [cols + i for i in range(len(A))]
+    D = _run_simplex(M, 1, basis, cols)
+    if any(row[-1] != 0 for row, bi in zip(M, basis) if bi >= cols):
         return None
-    return tuple(y[i] - y[n + i] for i in range(n))
+    for i, row in enumerate(M):
+        if basis[i] >= cols:
+            col = next((j for j in range(cols) if row[j] != 0), None)
+            if col is not None:
+                D = _pivot(M, D, i, col)
+                basis[i] = col
+    y = [0] * cols
+    for row, bi in zip(M, basis):
+        if bi < cols:
+            y[bi] = row[-1]
+    return tuple(y[i] - y[n + i] for i in range(n)), D
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +353,8 @@ class LatticePolytope:
     H-description and the points the facets single out as its vertices.
     Built from `already_extreme` vertices, it finds its facets on demand.
     Hyperplanes (normal, rhs) stand for normal.x <= rhs / den, with
-    primitive integer normals; each one is a facet. The coordinates become
-    Fractions only in polytope_json.
+    primitive integer normals; each one is a facet. The coordinates are
+    reduced to [num, den] pairs only in polytope_json.
     """
 
     def __init__(self, points: Sequence[tuple[int, ...]], den: int, already_extreme=False):
@@ -541,20 +460,20 @@ def integer_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
 # serialization helpers
 
 
-def fraction_pair(x, den: int = 1) -> list[int]:
-    """x / den as a reduced [num, den] pair."""
-    f = Fraction(x, den)
-    return [f.numerator, f.denominator]
+def fraction_pair(x: int, den: int = 1) -> list[int]:
+    """x / den as a reduced [num, den] pair, for den > 0."""
+    g = gcd(x, den)
+    return [x // g, den // g]
 
 
-def vector_pairs(v: Sequence, den: int = 1) -> list[list[int]]:
+def vector_pairs(v: Sequence[int], den: int = 1) -> list[list[int]]:
     return [fraction_pair(x, den) for x in v]
 
 
 def polytope_json(poly: LatticePolytope) -> dict:
     """Canonical JSON payload: vertices, hyperplanes, lattice basis, all as
     reduced [num, den] integer pairs; the one place the polytope's
-    coordinates over den become Fractions."""
+    coordinates over den are reduced."""
     den = poly.den
     planes = [{"normal": vector_pairs(normal), "rhs": fraction_pair(rhs, den)}
               for normal, rhs in poly.hyperplanes]

@@ -10,22 +10,21 @@ by (r, s).
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
-the vertex search and the sections of a subdivision. The GTVertex values
-are divided by n - 1 into Fractions; each section's polytope keeps its
-scaled integer points over den = n - 1, which become Fractions only in
-polytope_json.
+the vertex search and the sections of a subdivision. A GTVertex keeps its
+scaled integer point and decomposition, and each section's polytope its
+scaled integer points over den = n - 1; they are divided by n - 1 only
+when written out.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cone import Face
 from .errors import BadParams, NotStronger, TooLarge
-from .exactgeom import LatticePolytope, Vec, same_lattice
+from .exactgeom import LatticePolytope, same_lattice
 from .lattice import Lattice, from_ops
 from .poset import (
     LinearExtension,
@@ -330,12 +329,13 @@ def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class GTVertex:
-    """A vertex with its Minkowski decomposition: point = sum(decomposition),
-    and (n-1) times the k-th entry is the flag point of the k-index element
-    named by labels[k-1]."""
+    """A vertex with its Minkowski decomposition, on the (n-1)-scaled
+    integer lattice: (n-1) times the vertex is point = sum(decomposition),
+    and the k-th entry is the flag point of the k-index element named by
+    labels[k-1]."""
 
-    point: Vec
-    decomposition: tuple[Vec, ...]
+    point: tuple[int, ...]
+    decomposition: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
 
 
@@ -396,8 +396,8 @@ def gt_vertices(n: int) -> list[GTVertex]:
     """Vertices of the Gelfand-Tsetlin polytope with exact decompositions.
 
     Vertices are the patterns whose tight-constraint graph anchors every
-    free cell. The search runs on the (n-1)-scaled integer lattice; each
-    point and each label's share of a decomposition becomes a Fraction once.
+    free cell. The search runs on the (n-1)-scaled integer lattice, and
+    each vertex keeps its scaled point and flag points.
     """
     mp = gt_marked_poset(n)
     phi = _phi(n)
@@ -406,7 +406,6 @@ def gt_vertices(n: int) -> list[GTVertex]:
     for k in range(1, n):
         k_points = {flag_points[lbl] for lbl in phi if len(lbl) == k}
         assert xi[k] == k_points, "level-k vertices must be k-index flag points"
-    shares = {lbl: tuple(Fraction(x, n - 1) for x in flag_points[lbl]) for lbl in phi}
     labels = mp.base.elements
     out = []
     for point, chain in gt_patterns(n):
@@ -414,8 +413,7 @@ def gt_vertices(n: int) -> list[GTVertex]:
             continue
         for k, lbl in enumerate(chain, start=1):
             assert flag_points[lbl] in xi[k]
-        out.append(GTVertex(tuple(Fraction(x, n - 1) for x in point),
-                            tuple(shares[lbl] for lbl in chain), chain))
+        out.append(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain))
     return out
 
 

@@ -170,16 +170,27 @@ def linear_extensions(P: Poset) -> Iterator[LinearExtension]:
 
 
 def order_ideals(P: Poset) -> list[frozenset[str]]:
-    """All down-closed subsets, in canonical order (by size, then positions)."""
+    """All down-closed subsets, in canonical order (by size, then positions).
+
+    The ideals are grown upward from the empty one: adding a minimal element
+    of an ideal's complement gives an ideal, and every nonempty ideal comes
+    from a smaller one by adding one of its maximal elements."""
     n = P.size
-    below = [P.below(j) for j in range(n)]
-    found = []
-    for mask in range(1 << n):
-        members = {j for j in range(n) if mask >> j & 1}
-        if all(below[j] <= members for j in members):
-            found.append(tuple(sorted(members)))
-    found.sort(key=lambda t: (len(t), t))
-    return [frozenset(P.elements[j] for j in t) for t in found]
+    below = [0] * n
+    for i, j in P.relation:
+        below[j] |= 1 << i
+    found = {0}
+    stack = [0]
+    while stack:
+        m = stack.pop()
+        for j in range(n):
+            grown = m | 1 << j
+            if grown not in found and not below[j] & ~m:
+                found.add(grown)
+                stack.append(grown)
+    ideals = sorted((tuple(j for j in range(n) if m >> j & 1) for m in found),
+                    key=lambda t: (len(t), t))
+    return [frozenset(P.elements[j] for j in t) for t in ideals]
 
 
 def down_closed(P: Poset, masks: Sequence[int]) -> list[bool]:

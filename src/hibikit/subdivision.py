@@ -5,9 +5,9 @@ each staircase simplex of the order polytope (one simplex per linear
 extension of P). Extensions with the same affine map merge into one part;
 each part is again an order polytope O(P, order) for a stronger order.
 
-The work runs on integers: w is scaled once by the lcm den of its
-denominators, so each part's map is x -> (const + alpha·x) / den with an
-integer const and alpha.
+The work runs on integers: the weight is an integer tuple over one
+positive den, reduced once to lowest terms, so each part's map is
+x -> (const + alpha·x) / den with an integer const and alpha.
 
 Orientation is pinned to the inequality g_i(v_a) >= w_a: every part's map
 weakly overestimates the weight off its own vertex set, with equality
@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
                    span_of_face)
-from .exactgeom import LatticePolytope, Vec, to_vec, vector_pairs
+from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import Lattice, diamond_pairs
 from .poset import LinearExtension, Poset, down_closed, is_stronger
 
@@ -47,7 +46,8 @@ class Part:
 
 
 class Subdivision:
-    """The parts of the subdivision of the weight scaled / den."""
+    """The parts of the subdivision of the weight scaled / den, in lowest
+    terms."""
 
     def __init__(self, lattice: Lattice, scaled: tuple[int, ...], den: int,
                  parts: tuple[Part, ...], face_key: str):
@@ -57,10 +57,6 @@ class Subdivision:
         self.parts = parts
         self.face_key = face_key
         self._part_of = {ext: i for i, p in enumerate(parts) for ext in p.simplices}
-
-    @property
-    def weight(self) -> Vec:
-        return tuple(Fraction(x, self.den) for x in self.scaled)
 
     def structure(self) -> frozenset:
         """Weight-independent identity: the parts as (vertex set, order)."""
@@ -74,16 +70,18 @@ class Subdivision:
         return f"Subdivision({len(self.parts)} parts, face {self.face_key})"
 
 
-def regular_subdivision(L: Lattice, w: Sequence, K: Optional[MaxCone] = None) -> Subdivision:
-    """Interpolate w over every staircase simplex, merge equal affine maps,
-    and verify each merged class is the order polytope of the intersected
-    order with the envelope inequality holding on all of L. A caller that
-    holds L's cone K passes it for its normals."""
-    w = to_vec(w)
+def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
+                        K: Optional[MaxCone] = None) -> Subdivision:
+    """Interpolate the weight w / den, for integer w and den > 0, over every
+    staircase simplex, merge equal affine maps, and verify each merged class
+    is the order polytope of the intersected order with the envelope
+    inequality holding on all of L. A caller that holds L's cone K passes it
+    for its normals."""
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
-    den = lcm(*(x.denominator for x in w))
-    ws = tuple(x.numerator * (den // x.denominator) for x in w)
+    g = gcd(den, *w)
+    ws = tuple(x // g for x in w)
+    den //= g
     pairs = K.pairs if K is not None else diamond_pairs(L)
     normals = K.normals if K is not None else [pair_normal(L, d) for d in pairs]
     tight = _tight_set(pairs, normals, ws, den)  # also checks w in K-bar
@@ -146,7 +144,7 @@ def face_subdivision(F: Face) -> Subdivision:
     """The subdivision of the face: regular_subdivision at an interior
     sample, verified against the tightness/same-part correspondence."""
     L = F.cone.lattice
-    sub = regular_subdivision(L, sample_relative_interior(F), F.cone)
+    sub = regular_subdivision(L, *sample_relative_interior(F), F.cone)
     if sub.face_key != F.key():
         raise AssertionError("sample does not lie in the face's relative interior")
 
@@ -165,13 +163,14 @@ def face_subdivision(F: Face) -> Subdivision:
     return sub
 
 
-def subdivision_invariance_check(F: Face, trials: int, seed: int = 0) -> bool:
-    """Draw `trials` distinct relative-interior points of F and compare the
-    subdivisions they induce (same part set with same orders)."""
+def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: int = 0) -> bool:
+    """Draw `trials` distinct relative-interior points of F, the first its
+    sample, and compare the subdivisions the others induce (same part set
+    with same orders) with sub, the subdivision of a point of F."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
     L = F.cone.lattice
-    base = sample_relative_interior(F)
+    base, den = sample_relative_interior(F)
     span = span_of_face(F)
     rng = random.Random(seed)
     samples = [base]
@@ -187,15 +186,16 @@ def subdivision_invariance_check(F: Face, trials: int, seed: int = 0) -> bool:
             shift = [x + c * y for x, y in zip(shift, row)]
         bound = max((abs(sum(a * x for a, x in zip(normal, shift)))
                      for normal in F.cone.normals), default=0)
-        candidate = tuple((bound + 1) * x + y for x, y in zip(base, shift))
+        # (bound + 1)·base + shift, over den
+        candidate = tuple((bound + 1) * x + den * y for x, y in zip(base, shift))
         if candidate not in samples:
             samples.append(candidate)
     subs = []
-    for w in samples:
-        subs.append(regular_subdivision(L, w, F.cone))
+    for w in samples[1:]:
+        subs.append(regular_subdivision(L, w, den, F.cone))
         if subs[-1].face_key != F.key():
             raise AssertionError("perturbed sample left the relative interior")
-    return all(s.structure() == subs[0].structure() for s in subs)
+    return all(s.structure() == sub.structure() for s in subs)
 
 
 @dataclass(frozen=True)
@@ -243,12 +243,12 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
     return L._adjacency_graph
 
 
-def generalized_permutahedron(L: Lattice, w: Sequence) -> LatticePolytope:
+def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> LatticePolytope:
     """Convex hull of the negated linear parts -alpha_i over the parts of
-    the subdivision of w, as integer points over the subdivision's den. For
-    Boolean lattices, u = -w is checked submodular over all pairs of
-    ideals."""
-    sub = regular_subdivision(L, w)
+    the subdivision of w / den, as integer points over the subdivision's
+    den. For Boolean lattices, u = -w is checked submodular over all pairs
+    of ideals."""
+    sub = regular_subdivision(L, w, den)
     ws = sub.scaled
     points = []
     for part in sub.parts:
@@ -274,6 +274,6 @@ def subdivision_json(sub: Subdivision) -> dict:
             "alpha": vector_pairs(p.alpha, sub.den),
         })
     return {
-        "weight": vector_pairs(sub.weight),
+        "weight": vector_pairs(sub.scaled, sub.den),
         "parts": parts,
     }

@@ -14,7 +14,6 @@ certificates are integer dot products; no part needs a hull of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .cone import Face, face_of, span_of_face
@@ -24,8 +23,6 @@ from .exactgeom import (
     integer_points,
     rank,
     same_lattice,
-    solve_linear,
-    zero_vec,
 )
 from .poset import down_closed
 from .subdivision import face_subdivision
@@ -89,7 +86,7 @@ def _inclusion_matrix(basis_g, basis_f) -> list[list[int]]:
 
 
 def _apex_weight_polytope(K) -> WeightPolytope:
-    return weight_polytope(face_of(K, zero_vec(K.lattice.size)))
+    return weight_polytope(face_of(K, (0,) * K.lattice.size, 1))
 
 
 def _zeta_for(apex: WeightPolytope) -> tuple[list[list[int]], list[int]]:
@@ -122,12 +119,12 @@ def _pulls_back(to_apex, zeta, point, x) -> bool:
 class DistinguishedFace:
     """A face of the weight polytope cut out by one subdivision part.
 
-    `separator` is the certifying functional, given per lattice element: it
-    vanishes exactly on `elements` and is at least 1 elsewhere.
+    `separator` is the certifying integer functional, given per lattice
+    element: it vanishes exactly on `elements` and is at least 1 elsewhere.
     """
 
     elements: tuple[str, ...]
-    separator: tuple[Fraction, ...]
+    separator: tuple[int, ...]
     polytope: LatticePolytope
 
 
@@ -164,22 +161,18 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     zeta = _zeta_for(apex)
     # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
     to_apex = _inclusion_matrix(W.basis, apex.basis)
-    basis_cols = list(zip(*W.basis))
     masks = L.masks()
     indicator = {a: [m >> j & 1 for j in range(n)] for a, m in zip(L.elements, masks)}
     out = []
     for part in sub.parts:
         members = set(part.vertex_elements)
-        # the part's map minus w, times den; the separator scales it so its
-        # least positive value is at least 1
-        raw = [v - x for v, x in zip(part.values, sub.scaled)]
-        positive = [x for x in raw if x > 0]
-        assert all(x == 0 for a, x in zip(L.elements, raw) if a in members)
-        assert len(positive) == L.size - len(members)
-        scale = max([1] + [-(-sub.den // x) for x in positive])
-        sep = tuple(Fraction(x * scale, sub.den) for x in raw)
+        # the separator: the part's map minus w, times den, an integer
+        # functional, so its positive values are at least 1
+        sep = tuple(v - x for v, x in zip(part.values, sub.scaled))
+        assert all(x == 0 for a, x in zip(L.elements, sep) if a in members)
+        assert sum(x > 0 for x in sep) == L.size - len(members)
         # the functional lives in the face's span, so it cuts a genuine face
-        assert solve_linear(basis_cols, raw) is not None
+        assert rank([*W.basis, sep]) == len(W.basis)
         for a in part.vertex_elements:
             assert _pulls_back(to_apex, zeta, W.points[a], indicator[a]), \
                 "point is outside the apex image of its indicator"

@@ -3,16 +3,25 @@
 These are the two-phase simplex and the Gauss-Jordan elimination that
 exactgeom used before its tableaux became integer matrices over one common
 denominator. Every entry here is a fractions.Fraction and every pivot
-divides through, which is slow but plainly exact. solve_eq_nonneg also
-returns its pivot count, so a test can check that the integer kernel walks
-the same pivot sequence.
+divides through, which is slow but plainly exact. solve_eq_nonneg is the
+general two phase simplex, with a cost vector and an unbounded status, and
+also returns its pivot count, so a test can check that the integer kernel
+walks the same pivot sequence; phase1_point poses it lp_feasible's system
+with c = 0. solve_linear is the Fraction solve of A x = b that exactgeom
+kept until its callers moved to integer ranks, rank and int_rows the
+Fraction rank and the scaling of rational rows to primitive integer rows
+that exactgeom's elimination accepted before it took integer rows only.
+
+Vec, to_vec, vadd, vscale and zero_vec are the Fraction vector helpers
+that exactgeom kept until every rational vector in hibikit became an
+integer tuple over one denominator; the oracles here still run on them.
 
 facet_hyperplanes is the subset scan that exactgeom used before its double
 description kernel: it tries every d-subset of the points as a facet.
 
 hull_vertices is the LP hull that exactgeom used before LatticePolytope read
 its vertices off the facet kernel: one convex_combination LP per point, on
-exactgeom's integer simplex, which the rational simplex here checks.
+the rational simplex here.
 
 LatticePolytope is the Fraction polytope that exactgeom kept before its
 points became integers over one common denominator: every vertex, facet
@@ -75,13 +84,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import ceil, floor, lcm
-from typing import Optional, Sequence
+from math import ceil, floor, gcd, lcm
+from typing import Iterable, Optional, Sequence
 
 from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
-from hibikit.exactgeom import (Vec, _box_lattice_points, _int_rows, integer_kernel, rank,
-                               same_lattice, solve_linear, to_vec, vadd, vscale, zero_vec)
+from hibikit.exactgeom import _box_lattice_points, integer_kernel, same_lattice
 from hibikit.errors import TooLarge
 from hibikit.flaggt import (MAX_GT_RANK, MarkedPoset, _cell, _extend_to_pbar, _is_vertex,
                             _marked_vertices, _phi, _ptilde_labels, _satisfies,
@@ -90,6 +98,26 @@ from hibikit.lattice import Lattice, diamond_pairs
 from hibikit.poset import (LinearExtension, Poset, from_cover_relations, is_stronger,
                            order_ideals)
 from hibikit.subdivision import face_subdivision
+
+
+Vec = tuple[Fraction, ...]
+
+
+def to_vec(coords: Iterable) -> Vec:
+    return tuple(Fraction(c) for c in coords)
+
+
+def vadd(a: Vec, b: Vec) -> Vec:
+    return tuple(x + y for x, y in zip(a, b, strict=True))
+
+
+def vscale(c, a: Vec) -> Vec:
+    c = Fraction(c)
+    return tuple(c * x for x in a)
+
+
+def zero_vec(n: int) -> Vec:
+    return (Fraction(0),) * n
 
 
 def vsub(a: Vec, b: Vec) -> Vec:
@@ -143,6 +171,36 @@ def rref(rows):
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def rank(rows) -> int:
+    return len(rref(rows)[1])
+
+
+def int_rows(rows) -> list[list[int]]:
+    """Scale each rational row to a primitive integer row."""
+    out = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        s = lcm(*(x.denominator for x in row))
+        ints = [int(x * s) for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints] if g > 1 else ints)
+    return out
+
+
+def solve_linear(rows, rhs) -> Optional[list[Fraction]]:
+    """One solution of A x = b, or None if inconsistent. Free variables get 0."""
+    if not rows:
+        return []
+    red, pivots = rref([list(row) + [b] for row, b in zip(rows, rhs, strict=True)])
+    n = len(rows[0])
+    x = [Fraction(0)] * n
+    for row, p in zip(red, pivots):
+        if p == n:
+            return None
+        x[p] = row[n]
+    return x
 
 
 def nullspace(rows) -> list[list[Fraction]]:
@@ -235,6 +293,23 @@ def solve_eq_nonneg(A, b, c):
     return "optimal", y, sum(x * v for x, v in zip(cost2, y)), pivots + more
 
 
+def phase1_point(equalities, rows, n: int) -> tuple[Optional[Vec], int]:
+    """exactgeom.lp_feasible's system, a.x = 0 for each equality row and
+    a.x >= r for each (a, r) in rows, on the rational simplex with c = 0:
+    the point phase 1 reaches, or None when the system is infeasible, and
+    the pivot count. The columns and rows are lp_feasible's, so the two make
+    the same Bland pivots."""
+    m = len(rows)
+    A = [list(a) + [-x for x in a] + [0] * m for a in equalities]
+    A += [[-x for x in a] + list(a) + [int(j == k) for j in range(m)]
+          for k, (a, _) in enumerate(rows)]
+    b = [0] * len(equalities) + [-r for _, r in rows]
+    status, y, _, pivots = solve_eq_nonneg(A, b, [0] * (2 * n + m))
+    if status != "optimal":
+        return None, pivots
+    return tuple(y[i] - y[n + i] for i in range(n)), pivots
+
+
 def lp_feasible(constraints, n: int) -> Optional[Vec]:
     """A point x in Q^n with a.x (rel) r for every (a, rel, r), or None.
     x = u - v with u, v >= 0, and each row gets one slack column."""
@@ -294,7 +369,7 @@ def facet_hyperplanes(vertices):
         for k in range(d):
             if m[k] != 0:
                 normal = [x + m[k] * y for x, y in zip(normal, span_rows[k])]
-        normal = _int_rows([normal])[0]
+        normal = int_rows([normal])[0]
         rhs = vdot(normal, pts[0])
         lo = any(vdot(normal, v) < rhs for v in verts)
         hi = any(vdot(normal, v) > rhs for v in verts)
@@ -368,7 +443,7 @@ def convex_combination(points: Sequence[Vec], target: Vec) -> Optional[list[Frac
     A = [[Fraction(p[i]) for p in points] for i in range(dim)]
     A.append([Fraction(1)] * k)
     b = list(target) + [Fraction(1)]
-    status, y, _ = exactgeom.solve_eq_nonneg(A, b, [Fraction(0)] * k)
+    status, y, _, _ = solve_eq_nonneg(A, b, [Fraction(0)] * k)
     if status != "optimal":
         return None
     return y
@@ -410,7 +485,7 @@ def affine_lattice_basis(points: Sequence[Vec]) -> list[list[int]]:
     complement = nullspace(diffs)
     if not complement:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    K = _int_rows(complement)
+    K = int_rows(complement)
     return integer_kernel(K)
 
 
@@ -465,7 +540,7 @@ class LatticePolytope:
         if not diffs:
             kernel = [[Fraction(1) if i == j else Fraction(0) for j in range(len(base))]
                       for i in range(len(base))]
-        return [(row, vdot(row, base)) for row in _int_rows(kernel)]
+        return [(row, vdot(row, base)) for row in int_rows(kernel)]
 
 
 def integer_points(poly: LatticePolytope) -> list[Vec]:
@@ -496,6 +571,12 @@ def over_den(points) -> tuple[list[tuple[int, ...]], int]:
     """Rational points as integer points over the lcm of their denominators."""
     den = lcm(*(Fraction(x).denominator for p in points for x in p))
     return [tuple(int(x * den) for x in p) for p in points], den
+
+
+def vec_over_den(v) -> tuple[tuple[int, ...], int]:
+    """A rational vector as integers over the lcm of its denominators."""
+    points, den = over_den([v])
+    return points[0], den
 
 
 def fraction_vertices(poly: exactgeom.LatticePolytope) -> tuple[Vec, ...]:
@@ -694,7 +775,7 @@ def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
     pairs = diamond_pairs(L)
-    key = face_of(MaxCone(L, pairs, [pair_normal(L, d) for d in pairs]), w).key()
+    key = face_of(MaxCone(L, pairs, [pair_normal(L, d) for d in pairs]), *vec_over_den(w)).key()
     P = L.poset_P
     n = P.size
     wt = {a: w[i] for i, a in enumerate(L.elements)}
@@ -737,7 +818,8 @@ def sample_relative_interior(F) -> Vec:
     loose = [k for k in range(len(K.pairs)) if k not in F.tight_idx]
     if not loose:
         return zero_vec(K.lattice.size)
-    w = F._witness
+    num, den = F._witness
+    w = tuple(Fraction(x, den) for x in num)
     low = min(vdot(K.normals[k], w) for k in loose)
     assert low > 0, "face witness is not slack on every loose pair"
     if low < 1:

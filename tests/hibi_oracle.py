@@ -30,9 +30,8 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, Optional, Sequence
 
-from fraction_oracle import indicator
+from fraction_oracle import indicator, vadd, zero_vec
 from hibikit.errors import BadParams, NotStronger
-from hibikit.exactgeom import vadd, zero_vec
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
 from hibikit.poset import LinearExtension, Poset, is_stronger, order_ideals

@@ -8,6 +8,7 @@ are no tolerances anywhere.
 import json
 import random
 import time
+from fractions import Fraction
 
 from fraction_oracle import AffineMap, indicator, invert_affine, is_full, part_value
 from hibi_oracle import is_standard, monomial, straighten
@@ -125,22 +126,22 @@ def test_acceptance_6_gt_consistency():
     for n in (3, 4):
         L = flag_lattice(n)
         K = cone_K(L)
-        F = face_of(K, [L.height(a) ** 2 for a in L.elements])
+        F = face_of(K, [L.height(a) ** 2 for a in L.elements], 1)
         assert is_full(F)
         # section-based parts; the call itself certifies agreement with the
         # envelope of the lifted heights over every pattern point
         parts = gt_subdivision(n, F, L)
         sub = face_subdivision(F)
         assert len(parts) == len(sub.parts)
-        w = sample_relative_interior(F)
+        w, den = sample_relative_interior(F)
         pt, iso = gt_poset_iso(n, L)
         pbar = pbar_labels(n)
         for v in gt_vertices(n):
-            coords = dict(zip(pbar, v.point))
+            coords = {p: Fraction(x, n - 1) for p, x in zip(pbar, v.point)}
             ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
             envelope = min(part_value(sub, p, ambient) for p in sub.parts)
             # the lifted height: the weights of the decomposition's flag elements
-            assert envelope == sum(w[L.index(lbl)] for lbl in v.labels) / (n - 1)
+            assert envelope == Fraction(sum(w[L.index(lbl)] for lbl in v.labels), den * (n - 1))
     _done("6 Gelfand-Tsetlin consistency", t0, 120)
 
 
@@ -180,8 +181,8 @@ def test_acceptance_7_property_suites():
 
     L = b(3)
     w = [L.height(a) ** 2 for a in L.elements]
-    assert is_full(face_of(cone_K(L), w))  # generic interior weight
-    Q = generalized_permutahedron(L, w)  # checks -w submodular internally
+    assert is_full(face_of(cone_K(L), w, 1))  # generic interior weight
+    Q = generalized_permutahedron(L, w, 1)  # checks -w submodular internally
     assert len(Q.vertices) == 6
     wt = {a: w[L.index(a)] for a in L.elements}
     for x in L.elements:

@@ -92,7 +92,7 @@ def test_export_square_polytope():
 
 def test_export_subdivision_part_count():
     L = birkhoff(antichain(["p", "q"]))
-    F = face_of(cone_K(L), [0, 1, 1, 3])  # interior weight, m(F) = 2
+    F = face_of(cone_K(L), [0, 1, 1, 3], 1)  # interior weight, m(F) = 2
     data = subdivision_json(face_subdivision(F))
     assert len(data["parts"]) == 2
     assert len(data["parts"]) == len(L.extensions())
@@ -149,7 +149,7 @@ def test_cone_b5_reaches_the_ray_cap_without_lp(capsys, monkeypatch):
     def no_lp(*args):
         raise AssertionError("cone solved an LP")
 
-    monkeypatch.setattr("hibikit.exactgeom.solve_eq_nonneg", no_lp)
+    monkeypatch.setattr("hibikit.exactgeom._run_simplex", no_lp)
     code, out, err = run_cli(capsys, ["cone", "--boolean", "5"])
     assert code == 2
     assert out == ""
@@ -261,7 +261,7 @@ def test_certify_past_element_cap_fails_before_any_lp(argv, capsys, monkeypatch)
     def no_lp(*args, **kwargs):
         raise RuntimeError("certify solved an LP past the element cap")
 
-    monkeypatch.setattr("hibikit.exactgeom.solve_eq_nonneg", no_lp)
+    monkeypatch.setattr("hibikit.exactgeom._run_simplex", no_lp)
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
@@ -360,8 +360,9 @@ def test_flag_six_chain_count(capsys):
 
 
 def test_parse_vector_fractions():
-    from fractions import Fraction
-    assert parse_vector("1, 3/2  2", 3) == (1, Fraction(3, 2), 2)
+    # integers over the lcm of the denominators
+    assert parse_vector("1, 3/2  2", 3) == ((2, 3, 4), 2)
+    assert parse_vector("1/6 -1/4 0", 3) == ((2, -3, 0), 12)
 
 
 def test_canonical_json_sorted_and_terminated():

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full, is_integral, vdot
+from fraction_oracle import indicator, is_full, vdot
 from hibikit import cone as cone_module
 from hibikit import exactgeom, subdivision
 from hibikit.cli import resolve_face
@@ -23,7 +23,7 @@ from hibikit.cone import (
     span_of_face,
 )
 from hibikit.errors import NotInCone, TooLarge
-from hibikit.exactgeom import rank, same_lattice, vscale
+from hibikit.exactgeom import rank, same_lattice
 from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs
 from hibikit.poset import antichain, chain, from_cover_relations
@@ -111,7 +111,7 @@ def test_cone_K_certifies_facets_without_lp(name, L, count, monkeypatch):
     def no_lp(*args):
         raise AssertionError("cone_K solved an LP")
 
-    monkeypatch.setattr(exactgeom, "solve_eq_nonneg", no_lp)
+    monkeypatch.setattr(exactgeom, "_run_simplex", no_lp)
     assert len(cone_K(L).pairs) == count
 
 
@@ -156,7 +156,7 @@ def test_cone_K_rejects_a_redundant_inequality(extra, monkeypatch):
 def test_face_of_interior_point_b2():
     L = birkhoff(antichain(["p", "q"]))
     K = cone_K(L)
-    F = face_of(K, (0, -1, -1, 0))
+    F = face_of(K, (0, -1, -1, 0), 1)
     assert F.tight == ()
     assert F.dim == 4
     assert is_full(F) and not F.is_apex
@@ -165,7 +165,7 @@ def test_face_of_interior_point_b2():
 def test_face_of_zero_is_apex():
     L = birkhoff(antichain(["p", "q"]))
     K = cone_K(L)
-    F = face_of(K, (0, 0, 0, 0))
+    F = face_of(K, (0, 0, 0, 0), 1)
     assert len(F.tight) == 1
     assert F.dim == 3 == L.poset_P.size + 1
     assert F.is_apex
@@ -174,13 +174,13 @@ def test_face_of_zero_is_apex():
 def test_face_of_outside_point():
     K = cone_K(birkhoff(antichain(["p", "q"])))
     with pytest.raises(NotInCone):
-        face_of(K, (0, 1, 1, 0))
+        face_of(K, (0, 1, 1, 0), 1)
 
 
 def test_face_of_wrong_dimension():
     K = cone_K(birkhoff(antichain(["p", "q"])))
     with pytest.raises(ValueError):
-        face_of(K, (0, 1))
+        face_of(K, (0, 1), 1)
 
 
 # -- span_of_face ------------------------------------------------------------
@@ -188,7 +188,7 @@ def test_face_of_wrong_dimension():
 
 def test_span_full_face_b2():
     K = cone_K(birkhoff(antichain(["p", "q"])))
-    F = face_of(K, (0, -1, -1, 0))
+    F = face_of(K, (0, -1, -1, 0), 1)
     basis = span_of_face(F)
     assert len(basis) == 4
     assert rank(basis) == 4
@@ -196,7 +196,7 @@ def test_span_full_face_b2():
 
 def test_span_apex_b2():
     K = cone_K(birkhoff(antichain(["p", "q"])))
-    F = face_of(K, (0, 0, 0, 0))
+    F = face_of(K, (0, 0, 0, 0), 1)
     basis = span_of_face(F)
     assert len(basis) == 3
     normal = K.normals[0]
@@ -218,14 +218,14 @@ def test_apex_span_is_affine_functions_of_indicators():
     for P in (antichain(["p", "q", "r"]), GRID, chain(["a", "b"])):
         L = birkhoff(P)
         K = cone_K(L)
-        apex = face_of(K, tuple(Fraction(0) for _ in L.elements))
+        apex = face_of(K, (0,) * L.size, 1)
         assert apex.is_apex
         basis = span_of_face(apex)
-        cols = [[Fraction(1)] + list(indicator(L, a)) for a in L.elements]
+        cols = [[1] + [int(x) for x in indicator(L, a)] for a in L.elements]
         assert rank(cols) == P.size + 1  # the evaluation map is nondegenerate
         assert len(basis) == P.size + 1
         for w in basis:
-            aug = [list(col) + [Fraction(wa)] for col, wa in zip(cols, w)]
+            aug = [list(col) + [wa] for col, wa in zip(cols, w)]
             assert rank(aug) == rank(cols)  # w is in the column space
 
 
@@ -234,21 +234,20 @@ def test_apex_span_is_affine_functions_of_indicators():
 
 def test_sample_full_face_b2():
     K = cone_K(birkhoff(antichain(["p", "q"])))
-    F = face_of(K, (0, -1, -1, 0))
-    w = sample_relative_interior(F)
-    assert vdot(K.normals[0], w) >= 1
-    assert face_of(K, w) == F
+    F = face_of(K, (0, -1, -1, 0), 1)
+    w, den = sample_relative_interior(F)
+    assert vdot(K.normals[0], w) >= den
+    assert face_of(K, w, den) == F
 
 
 def test_sample_apex_is_fixed_point():
     L = birkhoff(antichain(["p", "q", "r"]))
     K = cone_K(L)
-    apex = face_of(K, tuple(Fraction(0) for _ in L.elements))
-    w = sample_relative_interior(apex)
-    assert face_of(K, w) == apex
+    apex = face_of(K, (0,) * L.size, 1)
+    assert face_of(K, *sample_relative_interior(apex)) == apex
     # the affine weight w_S = |S| also lands in the apex
-    affine = tuple(Fraction(len(L.iota[a])) for a in L.elements)
-    assert face_of(K, affine).is_apex
+    affine = tuple(len(L.iota[a]) for a in L.elements)
+    assert face_of(K, affine, 1).is_apex
 
 
 # the keyed faces of the golden jobs, closed by LP in resolve_face
@@ -263,7 +262,8 @@ def faces_with_witnesses(name, L):
     faces = enumerate_faces(K)
     if name in LP_CLOSED_KEYS:
         faces.append(resolve_face(K, LP_CLOSED_KEYS[name]))
-    faces += [Face(K, F.tight_idx, vscale(c, F._witness))
+    faces += [Face(K, F.tight_idx, (tuple(c.numerator * x for x in F._witness[0]),
+                                     c.denominator * F._witness[1]))
               for F in list(faces) for c in (Fraction(1, 7), Fraction(3, 10), Fraction(5, 2))]
     return faces
 
@@ -278,28 +278,30 @@ SAMPLED = [
 @pytest.mark.parametrize("name, L", SAMPLED, ids=[name for name, _ in SAMPLED])
 def test_sample_relative_interior_matches_fraction_oracle(name, L):
     faces = faces_with_witnesses(name, L)
-    assert any(not is_integral(F._witness) for F in faces)
+    assert any(any(x % den for x in w) for w, den in (F._witness for F in faces))
     for F in faces:
-        w = sample_relative_interior(F)
-        assert w == oracle.sample_relative_interior(F)
-        assert all(type(x) is Fraction for x in w)
+        w, den = sample_relative_interior(F)
+        assert all(type(x) is int for x in w) and type(den) is int
+        assert tuple(Fraction(x, den) for x in w) == oracle.sample_relative_interior(F)
 
 
 @pytest.mark.parametrize("name, L", SAMPLED, ids=[name for name, _ in SAMPLED])
 def test_invariance_samples_match_fraction_oracle(name, L, monkeypatch):
     # the weights subdivision_invariance_check subdivides are its samples
+    # past the first, whose subdivision it is given
     seen = []
     kernel = subdivision.regular_subdivision
 
-    def recording(L, w, K=None):
-        seen.append(tuple(w))
-        return kernel(L, w, K)
+    def recording(L, w, den, K=None):
+        seen.append(tuple(Fraction(x, den) for x in w))
+        return kernel(L, w, den, K)
 
     monkeypatch.setattr(subdivision, "regular_subdivision", recording)
     for F in faces_with_witnesses(name, L):
+        sub = subdivision.face_subdivision(F)
         seen.clear()
-        assert subdivision.subdivision_invariance_check(F, 3, seed=1)
-        assert seen == oracle.invariance_samples(F, 3, seed=1)
+        assert subdivision.subdivision_invariance_check(F, sub, 3, seed=1)
+        assert seen == oracle.invariance_samples(F, 3, seed=1)[1:]
 
 
 def test_convex_weight_is_interior():
@@ -307,8 +309,8 @@ def test_convex_weight_is_interior():
     for P in (antichain(["p", "q", "r"]), GRID):
         L = birkhoff(P)
         K = cone_K(L)
-        w = tuple(Fraction(len(L.iota[a]) ** 2) for a in L.elements)
-        assert is_full(face_of(K, w))
+        w = tuple(len(L.iota[a]) ** 2 for a in L.elements)
+        assert is_full(face_of(K, w, 1))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -355,7 +357,7 @@ def test_enumerate_solves_no_lp(L, count, monkeypatch):
     def no_lp(*args):
         raise AssertionError("enumeration solved an LP")
 
-    monkeypatch.setattr(exactgeom, "solve_eq_nonneg", no_lp)
+    monkeypatch.setattr(exactgeom, "_run_simplex", no_lp)
     assert len(enumerate_faces(K)) == count
 
 
@@ -368,14 +370,14 @@ def test_enumerate_faces_b3_consistency():
     assert sum(is_full(f) for f in faces) == 1
     assert sum(f.is_apex for f in faces) == 1
     for f in faces:
-        w = sample_relative_interior(f)
-        assert face_of(K, w) == f
+        w, den = sample_relative_interior(f)
+        assert face_of(K, w, den) == f
         for i in range(len(K.pairs)):
             slack = vdot(K.normals[i], w)
             if i in f.tight_idx:
                 assert slack == 0
             else:
-                assert slack >= 1
+                assert slack >= den
     dims = sorted(f.dim for f in faces)
     assert dims[0] == L.poset_P.size + 1
     assert dims[-1] == L.size
@@ -406,7 +408,7 @@ def test_enumerate_random_small(P):
     assert [f.dim for f in faces] == [f.dim for f in oracle]
     assert sum(is_full(f) for f in faces) == 1
     for f in faces:
-        assert face_of(K, sample_relative_interior(f)) == f
+        assert face_of(K, *sample_relative_interior(f)) == f
         assert L.poset_P.size + 1 <= f.dim <= L.size
 
 

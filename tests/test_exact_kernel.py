@@ -1,12 +1,14 @@
 """The integer-preserving pivot kernel against its rational oracles.
 
 tests/fraction_oracle.py keeps the Fraction simplex and Gauss-Jordan
-elimination that the kernel replaced. On random rational LPs of each hard
-case the kernel must return the same (status, y, value) after the same
-number of pivots, which means it walked the same Bland pivot sequence;
-the reduced row echelon form and the kernel basis must agree with sympy.
-The work counts of two cone jobs are pinned, so a change that alters the
-pivot sequence anywhere on them fails here.
+elimination that the kernel replaced. On random integer systems of each
+hard case, lp_feasible must reach the point that the oracle's simplex
+reaches on the same tableau with c = 0 after as many pivots, which means
+it walked the same Bland pivot sequence, and return None exactly when the
+oracle finds the system infeasible; the reduced row echelon form and the
+kernel basis must agree with sympy. The work counts of two cone jobs are
+pinned, so a change that alters the pivot sequence anywhere on them fails
+here.
 """
 
 from contextlib import contextmanager
@@ -18,15 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from hibikit import exactgeom
+from hibikit import cone, exactgeom
 from hibikit.cli import main
-from fraction_oracle import vdot
-from hibikit.exactgeom import _echelon, _int_rows, nullspace, rank, solve_eq_nonneg, solve_linear
+from hibikit.exactgeom import _echelon, lp_feasible, nullspace, rank
 
-RATIONALS = st.one_of(st.just(Fraction(0)),
-                      st.fractions(min_value=-4, max_value=4, max_denominator=3))
-NONNEG = st.sampled_from([Fraction(0), Fraction(0), Fraction(0), Fraction(1),
-                          Fraction(1, 2), Fraction(5, 3)])
+INTS = st.integers(-3, 3)
 
 
 @contextmanager
@@ -47,82 +45,75 @@ def counting_pivots():
 
 
 def matrix(draw, m, n):
-    return [[draw(RATIONALS) for _ in range(n)] for _ in range(m)]
+    return [[draw(INTS) for _ in range(n)] for _ in range(m)]
 
 
-def combine(draw, rows, rhs):
-    """A rational combination of the rows and the same combination of rhs."""
-    lam = [draw(RATIONALS) for _ in rows]
-    row = [sum((l * r[j] for l, r in zip(lam, rows)), Fraction(0)) for j in range(len(rows[0]))]
-    return row, sum((l * x for l, x in zip(lam, rhs)), Fraction(0))
+def dot(a, x):
+    return sum(c * y for c, y in zip(a, x, strict=True))
 
 
 @st.composite
-def lps(draw, kind):
-    """A random LP max c.y, A y = b, y >= 0 of the given kind."""
-    m = draw(st.integers(1, 4))
-    n = draw(st.integers(1, 6))
-    A = matrix(draw, m, n)
-    c = [draw(RATIONALS) for _ in range(n)]
-    y0 = [draw(NONNEG) for _ in range(n)]
-    b = [vdot(row, y0) for row in A]  # feasible, with many zero entries
+def systems(draw, kind):
+    """A random system for lp_feasible of the given kind: (equalities,
+    rows, n) for a.x = 0 and a.x >= r on n unknowns."""
+    n = draw(st.integers(1, 4))
+    normals = matrix(draw, draw(st.integers(1, 4)), n)
+    equalities = matrix(draw, draw(st.integers(0, 2)), n)
     if kind == "degenerate":
-        # y0 on one coordinate, and rows blind to it, so many rhs are zero
-        k = draw(st.integers(0, n - 1))
-        y0 = [draw(NONNEG) if j == k else Fraction(0) for j in range(n)]
-        for i in draw(st.sets(st.integers(0, m - 1))):
-            A[i][k] = Fraction(0)
-        b = [vdot(row, y0) for row in A]
-    elif kind == "redundant":
+        # every row tight at a point with many zero coordinates
+        x0 = [draw(st.sampled_from([0, 0, 0, 1, -2])) for _ in range(n)]
+        return [], [(a, dot(a, x0)) for a in normals], n
+    if kind == "redundant":
+        # repeated and combined equalities leave zero artificial rows for
+        # the drive-out to drop; the origin is feasible
         for _ in range(draw(st.integers(1, 3))):
-            row, rhs = combine(draw, A, b)
-            at = draw(st.integers(0, len(A)))
-            A.insert(at, row)
-            b.insert(at, rhs)
-    elif kind == "infeasible":
-        row, rhs = combine(draw, A, b)
-        A.append(row)
-        b.append(rhs + draw(st.sampled_from([-1, Fraction(1, 2), 2])))
-    elif kind == "unbounded":
-        # a column opposite to column k: e_k + e_new is a recession
-        # direction of positive cost
-        k = draw(st.integers(0, n - 1))
-        for row in A:
-            row.append(-row[k])
-        y0.append(Fraction(0))
-        c.append(-c[k] + draw(st.fractions(min_value=Fraction(1, 3), max_value=3,
-                                           max_denominator=3)))
-    elif kind == "negative_rhs":
-        b = [draw(st.fractions(min_value=-4, max_value=0, max_denominator=3)) for _ in A]
-        b[draw(st.integers(0, m - 1))] = draw(st.sampled_from([-1, Fraction(-2, 3)]))
-    return A, b, c
+            lam = [draw(INTS) for _ in equalities]
+            row = [sum(l * e[j] for l, e in zip(lam, equalities)) for j in range(n)]
+            equalities.insert(draw(st.integers(0, len(equalities))), row)
+        return equalities, [(a, draw(st.integers(-3, 0))) for a in normals], n
+    if kind == "infeasible":
+        # a nonnegative combination of the rows, contradicted
+        rows = [(a, draw(st.integers(-3, 3))) for a in normals]
+        lam = [draw(st.integers(0, 2)) for _ in rows]
+        total = [sum(l * a[j] for l, (a, _) in zip(lam, rows)) for j in range(n)]
+        bound = sum(l * r for l, (_, r) in zip(lam, rows))
+        rows.append(([-x for x in total], -bound + draw(st.integers(1, 2))))
+        return equalities, rows, n
+    if kind == "negative_rhs":
+        rhs = [draw(st.integers(-4, 0)) for _ in normals]
+        rhs[draw(st.integers(0, len(rhs) - 1))] = draw(st.integers(-4, -1))
+        return equalities, list(zip(normals, rhs)), n
+    # "unbounded": a closure LP's shape, a cone's rows with one pair made
+    # slack at least 1, so any feasible set is an unbounded cone section
+    k = draw(st.integers(0, len(normals) - 1))
+    return equalities, [(a, int(i == k)) for i, a in enumerate(normals)], n
 
 
-EXPECTED = {"degenerate": {"optimal", "unbounded"}, "redundant": {"optimal", "unbounded"},
-            "infeasible": {"infeasible"}, "unbounded": {"unbounded"},
-            "negative_rhs": {"optimal", "unbounded", "infeasible"}}
+# whether each kind may be feasible
+EXPECTED = {"degenerate": {True}, "redundant": {True}, "infeasible": {False},
+            "negative_rhs": {True}, "unbounded": {True, False}}
 
 
 @pytest.mark.parametrize("kind", sorted(EXPECTED))
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_lp_matches_fraction_oracle(kind, data):
-    A, b, c = data.draw(lps(kind))
+    equalities, rows, n = data.draw(systems(kind))
     with counting_pivots() as count:
-        got = solve_eq_nonneg(A, b, c)
-    status, y, value, pivots = oracle.solve_eq_nonneg(A, b, c)
-    assert got == (status, y, value)
+        got = lp_feasible(equalities, rows, n)
+    want, pivots = oracle.phase1_point(equalities, rows, n)
     assert count[0] == pivots
-    assert status in EXPECTED[kind]
-    if y is not None:
-        assert all(type(x) is Fraction for x in got[1])
-    if value is not None:
-        assert type(got[2]) is Fraction
+    assert (got is not None) == (want is not None)
+    assert (want is not None) in EXPECTED[kind]
+    if got is not None:
+        x, den = got
+        assert all(type(v) is int for v in (*x, den)) and den > 0
+        assert tuple(Fraction(v, den) for v in x) == want
 
 
 def test_lp_with_no_rows():
-    assert solve_eq_nonneg([], [], [0, 0]) == ("optimal", [0, 0], 0)
-    assert solve_eq_nonneg([], [], [0, Fraction(1, 2)])[0] == "unbounded"
+    assert lp_feasible([], [], 2) == ((0, 0), 1)
+    assert lp_feasible([[1, -1]], [], 2) == ((0, 0), 1)
 
 
 def to_fraction(x) -> Fraction:
@@ -136,14 +127,13 @@ def test_rref_matches_sympy(data):
     n = data.draw(st.integers(1, 6))
     rows = matrix(data.draw, m, n)
     for i in data.draw(st.sets(st.integers(0, m - 1), max_size=2)):
-        rows[i] = [Fraction(0)] * n
+        rows[i] = [0] * n
     for j in data.draw(st.sets(st.integers(0, n - 1), max_size=2)):
         for row in rows:
-            row[j] = Fraction(0)
+            row[j] = 0
     M, D, pivots = _echelon(rows)
     red = [[Fraction(x, D) for x in row] for row in M]
-    want, want_pivots = sympy.Matrix(
-        [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).rref()
+    want, want_pivots = sympy.Matrix(rows).rref()
     assert tuple(pivots) == want_pivots
     assert red == [[to_fraction(want[i, j]) for j in range(n)] for i in range(len(pivots))]
     assert (red, pivots) == oracle.rref(rows)
@@ -151,24 +141,26 @@ def test_rref_matches_sympy(data):
     kernel = [[to_fraction(x) for x in v] for v in sympy.Matrix(rows).nullspace()]
     assert oracle.nullspace(rows) == kernel
     # the integer kernel is the same basis, each vector made a primitive integer row
-    assert nullspace(rows) == _int_rows(kernel)
+    assert nullspace(rows) == oracle.int_rows(kernel)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_solve_linear_matches_fraction_oracle(data):
+    # weightpoly's span check: b lies in the span of the rows iff adding it
+    # keeps the integer rank, iff the oracle solves sum_i x_i rows[i] = b
     m = data.draw(st.integers(1, 4))
     n = data.draw(st.integers(1, 5))
     rows = matrix(data.draw, m, n)
-    rhs = [data.draw(RATIONALS) for _ in range(m)]
-    red, pivots = oracle.rref([row + [x] for row, x in zip(rows, rhs)])
-    if n in pivots:
-        want = None
+    if data.draw(st.booleans()):
+        lam = [data.draw(INTS) for _ in rows]
+        b = [sum(l * row[j] for l, row in zip(lam, rows)) for j in range(n)]
     else:
-        want = [Fraction(0)] * n
-        for row, p in zip(red, pivots):
-            want[p] = row[n]
-    assert solve_linear(rows, rhs) == want
+        b = [data.draw(INTS) for _ in range(n)]
+    x = oracle.solve_linear([list(col) for col in zip(*rows)], b)
+    assert (rank([*rows, b]) == rank(rows)) == (x is not None)
+    if x is not None:
+        assert [sum(c * row[j] for c, row in zip(x, rows)) for j in range(n)] == b
 
 
 # -- pinned work counts --------------------------------------------------------
@@ -182,16 +174,17 @@ WORK = [("cone --boolean 3", 0, 0), ("cone --grassmann 2 5", 0, 0),
 
 @pytest.mark.parametrize("argv, solves, pivots", WORK, ids=[a for a, _, _ in WORK])
 def test_simplex_work_counts(argv, solves, pivots, monkeypatch, capsys):
-    """LP solves and simplex pivots (drive-out pivots included) of a job."""
+    """LP solves and simplex pivots (drive-out pivots included) of a job,
+    counted through lp_feasible, which cone calls for its closure LPs."""
     counts = {"solves": 0, "pivots": 0}
     inside = [False]
-    solve, step = exactgeom.solve_eq_nonneg, exactgeom._pivot
+    solve, step = cone.lp_feasible, exactgeom._pivot
 
-    def counting_solve(A, b, c):
+    def counting_solve(*args):
         counts["solves"] += 1
         inside[0] = True
         try:
-            return solve(A, b, c)
+            return solve(*args)
         finally:
             inside[0] = False
 
@@ -199,35 +192,37 @@ def test_simplex_work_counts(argv, solves, pivots, monkeypatch, capsys):
         counts["pivots"] += inside[0]
         return step(*args)
 
-    monkeypatch.setattr(exactgeom, "solve_eq_nonneg", counting_solve)
+    monkeypatch.setattr(cone, "lp_feasible", counting_solve)
     monkeypatch.setattr(exactgeom, "_pivot", counting_pivot)
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert counts == {"solves": solves, "pivots": pivots}
 
 
-# the keyed job solves the closure LPs of its key; LPs over rational data,
-# whose denominators the kernel clears with one global scale, are covered by
-# the hypothesis LPs above
+# the keyed job solves the closure LPs of its key
 REPLAY = ['subdivide --grassmann 2 5 --face [["14","23"]]']
 
 
 @pytest.mark.parametrize("argv", REPLAY, ids=REPLAY)
 def test_job_lps_match_fraction_oracle(argv, monkeypatch, capsys):
     """Every LP a job solves gets the oracle's answer after as many pivots."""
-    solve = exactgeom.solve_eq_nonneg
+    solve = cone.lp_feasible
     solved = []
 
-    def checked_solve(A, b, c):
+    def checked_solve(equalities, rows, n):
         with counting_pivots() as count:
-            got = solve(A, b, c)
-        status, y, value, pivots = oracle.solve_eq_nonneg(A, b, c)
-        assert got == (status, y, value)
+            got = solve(equalities, rows, n)
+        want, pivots = oracle.phase1_point(equalities, rows, n)
         assert count[0] == pivots
-        solved.append(status)
+        if want is None:
+            assert got is None
+        else:
+            x, den = got
+            assert tuple(Fraction(v, den) for v in x) == want
+        solved.append(want is not None)
         return got
 
-    monkeypatch.setattr(exactgeom, "solve_eq_nonneg", checked_solve)
+    monkeypatch.setattr(cone, "lp_feasible", checked_solve)
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert solved

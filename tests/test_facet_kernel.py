@@ -22,8 +22,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
+from fraction_oracle import to_vec
 from hibikit.cli import interior_weight
-from hibikit.exactgeom import LatticePolytope, facet_hyperplanes, integer_points, to_vec
+from hibikit.exactgeom import LatticePolytope, facet_hyperplanes, integer_points
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain
 from hibikit.subdivision import generalized_permutahedron
@@ -185,7 +186,7 @@ def lifted(points):
 
 def permutahedron(n):
     L = birkhoff(antichain(list(string.ascii_lowercase[15:15 + n])))
-    return list(oracle.fraction_vertices(generalized_permutahedron(L, interior_weight(L))))
+    return list(oracle.fraction_vertices(generalized_permutahedron(L, interior_weight(L), 1)))
 
 
 DEGENERATE = [

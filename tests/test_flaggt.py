@@ -9,11 +9,12 @@ import pytest
 import sympy
 
 import fraction_oracle as oracle
+from fraction_oracle import vadd, vec_over_den, vscale, zero_vec
 from hibikit import lattice
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
-from hibikit.exactgeom import rank, vadd, vscale, zero_vec
+from hibikit.exactgeom import rank
 from hibikit.flaggt import (
     MarkedPoset,
     _is_vertex,
@@ -40,11 +41,11 @@ from hibikit.subdivision import regular_subdivision
 
 
 def full_face(L):
-    return face_of(cone_K(L), tuple(len(L.iota[a]) ** 2 for a in L.elements))
+    return face_of(cone_K(L), tuple(len(L.iota[a]) ** 2 for a in L.elements), 1)
 
 
 def apex_face(L):
-    return face_of(cone_K(L), zero_vec(L.size))
+    return face_of(cone_K(L), (0,) * L.size, 1)
 
 
 def unscaled(n, point):
@@ -81,7 +82,7 @@ def tight_rank(mp, order, point):
     for a, b in order.covers():
         if point[a] != point[b]:
             continue
-        row = [Fraction(0)] * len(free)
+        row = [0] * len(free)
         if a in col:
             row[col[a]] += 1
         if b in col:
@@ -317,7 +318,7 @@ def hull_of_patterns(n):
 def test_gt_vertices_2():
     vs = gt_vertices(2)
     assert {gv.labels for gv in vs} == {("1",), ("2",)}
-    assert hull_of_patterns(2) == {gv.point for gv in vs}
+    assert hull_of_patterns(2) == {unscaled(2, gv.point) for gv in vs}
 
 
 def test_gt_vertices_3():
@@ -328,23 +329,21 @@ def test_gt_vertices_3():
         (half, 0, 0), (1, 0, 0), (half, half, 0), (1, 1, 0),
         (half, half, half), (1, half, half), (1, 1, half),
     }
-    assert {free_coords(3, gv.point) for gv in vs} == expected
+    assert {free_coords(3, unscaled(3, gv.point)) for gv in vs} == expected
     # the pattern (1, 1/2, 0) is a midpoint of two vertices, not a vertex
-    assert (1, half, 0) not in {free_coords(3, gv.point) for gv in vs}
+    assert (1, half, 0) not in {free_coords(3, unscaled(3, gv.point)) for gv in vs}
     assert (1, half, 0) in {free_coords(3, unscaled(3, p)) for p, _ in gt_patterns(3)}
-    assert hull_of_patterns(3) == {gv.point for gv in vs}
+    assert hull_of_patterns(3) == {unscaled(3, gv.point) for gv in vs}
 
 
 def test_gt_vertex_decompositions_3():
     L = flag_lattice(3)
     for gv in gt_vertices(3):
-        total = zero_vec(len(gv.point))
-        for part in gv.decomposition:
-            total = vadd(total, part)
-        assert total == gv.point
+        assert all(type(x) is int for x in gv.point)
+        assert tuple(map(sum, zip(*gv.decomposition))) == gv.point
         for k, (lbl, part) in enumerate(zip(gv.labels, gv.decomposition), 1):
             assert len(lbl) == k
-            assert tuple(2 * x for x in part) == flag_point(3, lbl, _phi(3))
+            assert part == flag_point(3, lbl, _phi(3))
         assert L.leq(gv.labels[1], gv.labels[0])
 
 
@@ -361,7 +360,7 @@ def test_gt_vertex_decomposition_unique(n):
         for combo in itertools.product(*[by_k[k] for k in range(1, n)])
     }
     for gv in gt_vertices(n):
-        matches = [c for c, p in points.items() if p == gv.point]
+        matches = [c for c, p in points.items() if p == unscaled(n, gv.point)]
         assert matches == [gv.labels]
 
 
@@ -379,7 +378,7 @@ def _scaled_sum(n, combo):
 def test_gt_vertices_4_hull_certified():
     # the anchoring test selects exactly the vertices of the exact hull of
     # all 64 patterns
-    vs = {gv.point for gv in gt_vertices(4)}
+    vs = {unscaled(4, gv.point) for gv in gt_vertices(4)}
     assert len(vs) == 40
     assert hull_of_patterns(4) == vs
 
@@ -446,11 +445,11 @@ def assert_envelope_is_lift(n, w):
     """At every GT vertex the ambient envelope f of w is the lifted height
     over n - 1: the sum of the weights of the decomposition's flag elements."""
     L = flag_lattice(n)
-    sub = regular_subdivision(L, w)
+    sub = regular_subdivision(L, *vec_over_den(w))
     pt, iso = gt_poset_iso(n, L)
     pbar = pbar_labels(n)
     for gv in gt_vertices(n):
-        coords = dict(zip(pbar, gv.point))
+        coords = dict(zip(pbar, unscaled(n, gv.point)))
         ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
         value = min(oracle.part_value(sub, part, ambient) for part in sub.parts)
         assert value == sum(w[L.index(lbl)] for lbl in gv.labels) / (n - 1)
@@ -489,7 +488,7 @@ def test_gt_subdivision_3_full():
     shared = set(parts[0][1].vertices) & set(parts[1][1].vertices)
     assert len(shared) == 4
     union = set(parts[0][1].vertices) | set(parts[1][1].vertices)
-    assert {gv.point for gv in gt_vertices(3)} <= {unscaled(3, v) for v in union}
+    assert {gv.point for gv in gt_vertices(3)} <= union
     assert len(union) == 8
 
 

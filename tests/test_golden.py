@@ -19,6 +19,9 @@ from hibikit.cli import main
 GOLDEN = [
     ("lattice --flag 3",
      "01ff33d806635caac777e03d45a3642e5b97df536a8694137b80a5682566c86c", 0),
+    # recorded with the scan of all 2^19 subsets for the order ideals
+    ("lattice --flag 6",
+     "8cb4e540fd49e4adc939e7f0436c3f9f9655113a005578552680d4148357c5e0", 0),
     ("cone --boolean 3",
      "9b2b4f8d04f9bdfec538f373971d5f8d5bce42aace48217fad40ff88a1e54ad4", 0),
     ("subdivide --boolean 3 --face full --check 3 --seed 1",

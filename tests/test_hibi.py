@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -15,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import extension_poset, indicator
+from fraction_oracle import extension_poset, indicator, vadd, zero_vec
 from hibi_oracle import (
     Monomial,
     Polynomial,
@@ -35,7 +34,6 @@ from hibi_oracle import (
 from hibikit import flaggt, lattice, poset
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, NotStronger
-from hibikit.exactgeom import vadd, zero_vec
 from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.hibi import (
     degeneration_certificate,
@@ -448,8 +446,8 @@ def test_samesum_factors_lie_in_intersection():
     # must lie inside both parts' element sets
     L = B3
     K = cone_K(L)
-    w = tuple(Fraction(len(L.iota[a]) ** 2) for a in L.elements)
-    sub = face_subdivision(face_of(K, w))
+    w = tuple(len(L.iota[a]) ** 2 for a in L.elements)
+    sub = face_subdivision(face_of(K, w, 1))
     part_members = [set(p.vertex_elements) for p in sub.parts]
     for l in (2, 3):
         standard = {}

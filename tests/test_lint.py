@@ -83,6 +83,18 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
             and (module, qualname) != ("cli", "main")]
 
 
+def fraction_importers(sources: dict[str, str]) -> list[str]:
+    """The modules that import the fractions module or a name from it."""
+    out = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if ((isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "fractions")):
+                out.append(module)
+                break
+    return sorted(out)
+
+
 def test_unused_imports_detects_dead_name():
     source = "import os\nimport sys\nfrom json import dumps, loads\nprint(sys.argv, loads)\n"
     assert unused_imports(source) == ["os", "dumps"]
@@ -118,6 +130,20 @@ def test_unreferenced_public_names_detects_test_only_members():
         "b": "from a import Shape\n\n\nshadowed = Shape()\n",
     }
     assert unreferenced_public_names(sources) == ["a.Shape.dead", "a.Shape.shadowed"]
+
+
+def test_fraction_importers_detects_both_forms():
+    sources = {"a": "from fractions import Fraction\n", "b": "def f():\n    import fractions\n",
+               "c": "import math\n"}
+    assert fraction_importers(sources) == ["a", "b"]
+
+
+def test_only_cli_and_cone_import_fractions():
+    # a rational vector in the package is an integer tuple over one
+    # denominator; Fraction only parses the CLI's weights and prints the
+    # violated value of a NotInCone message
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert fraction_importers(sources) == ["cli", "cone"]
 
 
 def test_every_public_name_is_reached_from_the_package():

@@ -35,15 +35,18 @@ def brute_extensions(P):
 
 
 def brute_ideals(P):
-    """Oracle: filter all subsets."""
-    out = set()
-    for r in range(P.size + 1):
-        for sub in itertools.combinations(P.elements, r):
-            s = set(sub)
-            if all(not (P.less(a, b) and b in s and a not in s)
-                   for a in P.elements for b in P.elements):
-                out.add(frozenset(s))
-    return out
+    """Oracle: the scan of all 2^|P| subsets that order_ideals ran before it
+    grew the ideals upward, in its canonical order (by size, then
+    positions)."""
+    n = P.size
+    below = [P.below(j) for j in range(n)]
+    found = []
+    for mask in range(1 << n):
+        members = {j for j in range(n) if mask >> j & 1}
+        if all(below[j] <= members for j in members):
+            found.append(tuple(sorted(members)))
+    found.sort(key=lambda t: (len(t), t))
+    return [frozenset(P.elements[j] for j in t) for t in found]
 
 
 def grid22():
@@ -114,7 +117,7 @@ def test_order_ideals_examples():
 def test_grid_ideals_against_brute_force():
     P = grid22()
     ideals = order_ideals(P)
-    assert set(ideals) == brute_ideals(P)
+    assert ideals == brute_ideals(P)
     assert len(ideals) == 6
 
 
@@ -176,6 +179,16 @@ def test_intersection_of_extensions_recovers_poset(n, data):
     P = random_poset_from_seed(labels, pairs)
     exts = [extension_poset(e) for e in linear_extensions(P)]
     assert intersect_orders(exts).label_pairs() == P.label_pairs()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_order_ideals_match_subset_scan_random(n, data):
+    labels = [f"e{i}" for i in range(n)]
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=10))
+    P = random_poset_from_seed(labels, pairs)
+    assert order_ideals(P) == brute_ideals(P)
 
 
 def test_text_format_round_trip():

@@ -7,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full, part_value
-from hibikit import cone, lattice, subdivision
+from fraction_oracle import indicator, is_full, part_value, vec_over_den
+from hibikit import cli, cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import NotInCone
-from hibikit.exactgeom import to_vec
 from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import (
@@ -65,7 +64,7 @@ def poset_strategy(max_size=3):
 
 
 def test_b2_zero_weight_single_part():
-    sub = regular_subdivision(B2, (0, 0, 0, 0))
+    sub = regular_subdivision(B2, (0, 0, 0, 0), 1)
     assert len(sub.parts) == 1
     part = sub.parts[0]
     assert part.order.label_pairs() == frozenset()
@@ -74,12 +73,12 @@ def test_b2_zero_weight_single_part():
 
 
 def test_b2_generic_weight_two_triangles():
-    sub = regular_subdivision(B2, (0, -1, -1, 0))
+    sub = regular_subdivision(B2, (0, -1, -1, 0), 1)
     assert len(sub.parts) == 2
     orders = {p.order.label_pairs() for p in sub.parts}
     assert orders == {frozenset({("p", "q")}), frozenset({("q", "p")})}
     alphas = {p.alpha for p in sub.parts}
-    assert alphas == {to_vec((-1, 1)), to_vec((1, -1))}
+    assert alphas == {(-1, 1), (1, -1)}
     for p in sub.parts:
         assert len(p.vertex_elements) == 3
         assert len(p.simplices) == 1
@@ -88,26 +87,26 @@ def test_b2_generic_weight_two_triangles():
 def test_chain_any_weight_single_simplex():
     L = birkhoff(chain(["a", "b", "c"]))
     for w in [(0, 0, 0, 0), (3, 1, -2, 7), (0, 5, 5, 5)]:
-        sub = regular_subdivision(L, w)
+        sub = regular_subdivision(L, w, 1)
         assert len(sub.parts) == 1
         assert sub.parts[0].vertex_elements == L.elements
 
 
 def test_subdivision_rejects_outside_weight():
     with pytest.raises(NotInCone):
-        regular_subdivision(B2, (0, 1, 1, 0))
+        regular_subdivision(B2, (0, 1, 1, 0), 1)
 
 
 def test_weight_dimension_checked():
     with pytest.raises(ValueError):
-        regular_subdivision(B2, (0, 1))
+        regular_subdivision(B2, (0, 1), 1)
 
 
 def test_parts_interpolate_weight():
     L = birkhoff(GRID)
     w = tuple(len(L.iota[a]) ** 2 for a in L.elements)
-    sub = regular_subdivision(L, w)
-    wt = dict(zip(L.elements, to_vec(w)))
+    sub = regular_subdivision(L, w, 1)
+    wt = dict(zip(L.elements, w))
     for part in sub.parts:
         for a in part.vertex_elements:
             assert part_value(sub, part, indicator(L, a)) == wt[a]
@@ -121,12 +120,12 @@ def test_parts_interpolate_weight():
 def test_subdivision_partitions_extensions(P, salt):
     L = birkhoff(P)
     # a convex-in-height weight lies in the closed cone; salt varies it
-    w = tuple(Fraction(len(L.iota[a]) ** 2 + (salt >> i & 1)) for i, a in enumerate(L.elements))
+    w = tuple(len(L.iota[a]) ** 2 + (salt >> i & 1) for i, a in enumerate(L.elements))
     try:
-        sub = regular_subdivision(L, w)
+        sub = regular_subdivision(L, w, 1)
     except NotInCone:
-        w = tuple(Fraction(len(L.iota[a]) ** 2) for a in L.elements)
-        sub = regular_subdivision(L, w)
+        w = tuple(len(L.iota[a]) ** 2 for a in L.elements)
+        sub = regular_subdivision(L, w, 1)
     seen = []
     for part in sub.parts:
         seen.extend(part.simplices)
@@ -167,15 +166,19 @@ def lattice_and_weight(draw):
 @given(lattice_and_weight())
 def test_regular_subdivision_matches_fraction_oracle(case):
     L, w = case
+    # the weight over a multiple of its least denominator: the subdivision
+    # reduces it to lowest terms
+    num, den = vec_over_den(w)
+    num, den = tuple(6 * x for x in num), 6 * den
     try:
         want_key, want = oracle.regular_subdivision(L, w)
     except NotInCone as exc:
         with pytest.raises(NotInCone) as got:
-            regular_subdivision(L, w)
+            regular_subdivision(L, num, den)
         assert str(got.value) == str(exc)
         return
-    sub = regular_subdivision(L, w)
-    assert sub.weight == to_vec(w)
+    sub = regular_subdivision(L, num, den)
+    assert (sub.scaled, sub.den) == vec_over_den(w)
     assert sub.face_key == want_key
     assert len(sub.parts) == len(want)
     for part, old in zip(sub.parts, want):
@@ -209,7 +212,7 @@ def test_subdivide_classifies_the_weight_once(monkeypatch, capsys):
 
 def test_full_face_triangulation():
     K = cone_K(B3)
-    full = face_of(K, tuple(Fraction(len(B3.iota[a]) ** 2) for a in B3.elements))
+    full = face_of(K, tuple(len(B3.iota[a]) ** 2 for a in B3.elements), 1)
     assert is_full(full)
     sub = face_subdivision(full)
     assert len(sub.parts) == 6  # one simplex per linear extension
@@ -220,7 +223,7 @@ def test_full_face_triangulation():
 
 def test_apex_single_part():
     K = cone_K(B3)
-    apex = face_of(K, tuple(Fraction(0) for _ in B3.elements))
+    apex = face_of(K, (0,) * B3.size, 1)
     sub = face_subdivision(apex)
     assert len(sub.parts) == 1
     assert sub.parts[0].vertex_elements == B3.elements
@@ -262,26 +265,51 @@ def test_part_count_is_monotone_under_face_inclusion():
 
 def test_invariance_b2_apex():
     K = cone_K(B2)
-    apex = face_of(K, (0, 0, 0, 0))
-    assert subdivision_invariance_check(apex, 3)
+    apex = face_of(K, (0, 0, 0, 0), 1)
+    assert subdivision_invariance_check(apex, face_subdivision(apex), 3)
 
 
 def test_invariance_b2_full():
     K = cone_K(B2)
-    full = face_of(K, (0, -1, -1, 0))
-    assert subdivision_invariance_check(full, 3)
+    full = face_of(K, (0, -1, -1, 0), 1)
+    assert subdivision_invariance_check(full, face_subdivision(full), 3)
 
 
 def test_invariance_all_faces_b3():
     K = cone_K(B3)
     for F in enumerate_faces(K):
-        assert subdivision_invariance_check(F, 5)
+        assert subdivision_invariance_check(F, face_subdivision(F), 5)
 
 
 def test_invariance_needs_two_trials():
     K = cone_K(B2)
+    apex = face_of(K, (0, 0, 0, 0), 1)
     with pytest.raises(ValueError):
-        subdivision_invariance_check(face_of(K, (0, 0, 0, 0)), 1)
+        subdivision_invariance_check(apex, face_subdivision(apex), 1)
+
+
+CHECK_JOBS = ["subdivide --boolean 3 --face full --check 3",
+              'subdivide --grassmann 2 5 --face [["14","23"]] --check 3',
+              "subdivide --boolean 3 --w 0,1,1,1,4,4,4,9 --check 3"]
+
+
+@pytest.mark.parametrize("argv", CHECK_JOBS, ids=CHECK_JOBS)
+def test_check_job_subdivides_each_weight_once(argv, monkeypatch, capsys):
+    # a --check 3 job compares three distinct weights' subdivisions, and
+    # builds the one it prints once
+    seen = []
+    kernel = subdivision.regular_subdivision
+
+    def recording(L, *args):
+        seen.append(args)
+        return kernel(L, *args)
+
+    monkeypatch.setattr(subdivision, "regular_subdivision", recording)
+    monkeypatch.setattr(cli, "regular_subdivision", recording)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert len(seen) == 3
+    assert len({tuple(Fraction(x, den) for x in w) for w, den, *_ in seen}) == 3
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -366,32 +394,32 @@ def test_adjacency_symdiff_is_diamond(P):
 
 
 def test_b2_zero_weight_point():
-    poly = generalized_permutahedron(B2, (0, 0, 0, 0))
-    assert poly.vertices == (to_vec((0, 0)),)
+    poly = generalized_permutahedron(B2, (0, 0, 0, 0), 1)
+    assert poly.vertices == ((0, 0),)
 
 
 def test_b2_generic_weight_segment():
-    poly = generalized_permutahedron(B2, (0, -1, -1, 0))
-    assert set(poly.vertices) == {to_vec((1, -1)), to_vec((-1, 1))}
+    poly = generalized_permutahedron(B2, (0, -1, -1, 0), 1)
+    assert set(poly.vertices) == {(1, -1), (-1, 1)}
 
 
 def test_b3_generic_weight_hexagon():
-    w = tuple(Fraction(len(B3.iota[a]) ** 2) for a in B3.elements)
-    poly = generalized_permutahedron(B3, w)
+    w = tuple(len(B3.iota[a]) ** 2 for a in B3.elements)
+    poly = generalized_permutahedron(B3, w, 1)
     assert len(poly.vertices) == 6
     assert poly.dim == 2  # hexagon lives in a plane (alpha sums are fixed)
 
 
 def test_permutahedron_rejects_outside_weight():
     with pytest.raises(NotInCone):
-        generalized_permutahedron(B2, (0, 2, 2, 0))
+        generalized_permutahedron(B2, (0, 2, 2, 0), 1)
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def test_subdivision_json_shape():
-    sub = regular_subdivision(B2, (0, -1, -1, 0))
+    sub = regular_subdivision(B2, (0, -1, -1, 0), 1)
     data = subdivision_json(sub)
     assert data["weight"] == [[0, 1], [-1, 1], [-1, 1], [0, 1]]
     assert len(data["parts"]) == 2

@@ -13,11 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full, vdot, vsub
+from fraction_oracle import indicator, is_full, solve_linear, vdot, vsub
 from hibikit import exactgeom
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
-from hibikit.exactgeom import LatticePolytope, integer_points, solve_linear, zero_vec
+from hibikit.exactgeom import LatticePolytope, integer_points
 from hibikit.lattice import birkhoff, diamond_pairs, ideal_label
 from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision
@@ -42,12 +42,12 @@ GRIDL = birkhoff(GRID)
 
 def full_face(L):
     K = cone_K(L)
-    return face_of(K, tuple(len(L.iota[a]) ** 2 for a in L.elements))
+    return face_of(K, tuple(len(L.iota[a]) ** 2 for a in L.elements), 1)
 
 
 def apex_face(L):
     K = cone_K(L)
-    return face_of(K, zero_vec(L.size))
+    return face_of(K, (0,) * L.size, 1)
 
 
 def project(G, F, point):
@@ -154,7 +154,7 @@ def test_project_carries_whole_polytope():
 def test_project_composition():
     L = B3
     K = cone_K(L)
-    apex = face_of(K, zero_vec(L.size))
+    apex = face_of(K, (0,) * L.size, 1)
     full = full_face(L)
     mid = next(F for F in enumerate_faces(K) if not F.is_apex and not is_full(F))
     W = weight_polytope(full)
