@@ -36,7 +36,7 @@ from .flaggt import (MAX_GT_RANK, flag_lattice, grassmann_lattice,
                      gt_subdivision, gt_vertices, shape_census)
 from .hibi import degeneration_certificate
 from .lattice import Lattice, birkhoff, diamond_pairs, maximal_chain_count, parse_lattice
-from .poset import Poset, antichain, from_cover_relations, parse_poset
+from .poset import Poset, antichain, check_labels, from_cover_relations, parse_poset
 from .subdivision import (face_subdivision, generalized_permutahedron,
                           regular_subdivision, subdivision_invariance_check,
                           subdivision_json)
@@ -63,12 +63,21 @@ def _write_text(text: str, out: Optional[str]) -> None:
 
 
 def load_poset(path) -> Poset:
+    """A poset file: JSON with `elements`, a list of distinct strings, and
+    `covers`, a list of string pairs; or the text format of parse_poset."""
     text = Path(path).read_text(encoding="utf-8")
-    if text.lstrip().startswith("{"):
-        data = json.loads(text)
-        covers = [(a, b) for a, b in data["covers"]]
-        return from_cover_relations(list(data["elements"]), covers)
-    return parse_poset(text)
+    if not text.lstrip().startswith("{"):
+        return parse_poset(text)
+    data = json.loads(text)
+    elements, covers = data["elements"], data["covers"]
+    if not (isinstance(elements, list) and all(isinstance(x, str) for x in elements)):
+        raise ValueError("poset JSON elements must be a list of strings")
+    if not (isinstance(covers, list) and all(
+            isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
+            for c in covers)):
+        raise ValueError("poset JSON covers must be a list of string pairs")
+    check_labels(elements)
+    return from_cover_relations(elements, [(a, b) for a, b in covers])
 
 
 def parse_vector(text: str, size: int) -> tuple[tuple[int, ...], int]:

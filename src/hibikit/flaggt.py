@@ -184,9 +184,10 @@ class MarkedPoset:
     def __post_init__(self):
         marked = set(self.marked)
         assert marked == set(self.values)
-        for p in self.base.elements:
-            is_min = not any(self.base.less(q, p) for q in self.base.elements)
-            is_max = not any(self.base.less(p, q) for q in self.base.elements)
+        below = self.base.below
+        for j, p in enumerate(self.base.elements):
+            is_min = not below[j]
+            is_max = not any(m >> j & 1 for m in below)
             if is_min or is_max:
                 assert p in marked, "extreme elements must be marked"
         for a, b in itertools.permutations(self.marked, 2):

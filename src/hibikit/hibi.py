@@ -2,7 +2,7 @@
 
 All ideal computations are degree-truncated linear algebra over the monomial
 basis of R_l, in integers; no Groebner bases. The lattice is read only
-through its ideal bitmasks, L.masks(): two elements are incomparable iff
+through its ideal bitmasks, L.masks: two elements are incomparable iff
 neither mask contains the other, and join and meet are OR and AND.
 
 The Hibi ideal I is spanned by the binomials X_a X_b - X_{a∨b} X_{a∧b},
@@ -45,10 +45,9 @@ MAX_DEGREE = 6
 def hibi_generators(L: Lattice) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """X_a X_b - X_{a∨b} X_{a∧b} for each incomparable unordered pair, as
     element indices ((a, b), (a∨b, a∧b))."""
-    masks = L.masks()
-    at_mask = {m: i for i, m in enumerate(masks)}
+    at_mask = L.at_mask
     return [((i, j), (at_mask[a | b], at_mask[a & b]))
-            for (i, a), (j, b) in combinations(enumerate(masks), 2)
+            for (i, a), (j, b) in combinations(enumerate(L.masks), 2)
             if a & b not in (a, b)]
 
 
@@ -76,7 +75,7 @@ def degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
 
 def _build_degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
     n = L.poset_P.size
-    packed = [sum((l + 1) ** j for j in range(n) if m >> j & 1) for m in L.masks()]
+    packed = [sum((l + 1) ** j for j in range(n) if m >> j & 1) for m in L.masks]
     states = {(0, 0)}  # (packed sum, support mask) over the degree-k monomials
     for _ in range(l):
         states = {(s + packed[i], mask | 1 << i)
@@ -93,7 +92,7 @@ def standard_monomial_count(L: Lattice, l: int) -> int:
     _check_caps(L.size, l)
     if l == 0:
         return 1
-    masks = L.masks()
+    masks = L.masks
     ladder = [1] * L.size  # multichains of length 1 ending at each element
     for _ in range(l - 1):
         ladder = [sum(x for x, a in zip(ladder, masks) if a & b == a) for b in masks]
@@ -189,7 +188,7 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
 
     degrees = [(l, comb(L.size + l - 1, l), ideal_dim(L, l),
                 standard_monomial_count(L, l)) for l in range(1, lmax + 1)]
-    masks = L.masks()
+    masks = L.masks
     rows = []
     for face in enumerate_faces(cone_K(L)):
         members = [_members(L, masks, part.vertex_elements)

@@ -1,49 +1,54 @@
 """Finite distributive lattices and the Birkhoff correspondence.
 
-A lattice is stored with explicit join/meet tables plus the poset of its
-join-irreducible elements and the isomorphism iota onto the order ideals
-of that poset. Every constructor funnels through one validator, so any
-Lattice in circulation has had all axioms and the Birkhoff invariants
-checked.
+A lattice is stored as the poset poset_P of its join-irreducible elements
+and, per element a, the bitmask of its order ideal iota(a) of poset_P, bit j
+for poset_P.elements[j]. Join and meet are OR and AND of the masks, and
+a <= b is mask containment. birkhoff reads the masks straight off the
+ideals of a poset. from_ops, whose operations are not set operations, goes
+through one validator that checks every lattice axiom and the Birkhoff
+invariants on n×n tables before it reads the masks off them; from_tables
+validates a text file's tables so, then relabels through birkhoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import NotALattice, NotDistributive, UnknownLabel
 from .poset import (
     LinearExtension,
     Poset,
+    _bits,
+    check_labels,
+    ideal_masks,
     linear_extensions,
-    order_ideals,
     parse_poset,
 )
 
 
-def ideal_label(ideal: frozenset[str], ground_order: Sequence[str]) -> str:
-    members = sorted(ideal, key=list(ground_order).index)
-    return "{" + ",".join(members) + "}"
+def ideal_label(mask: int, ground: Sequence[str]) -> str:
+    """The label of an ideal given as a bitmask, bit j for ground[j]: its
+    members in ground order, comma separated, in braces."""
+    return "{" + ",".join(ground[j] for j in _bits(mask)) + "}"
 
 
 class Lattice:
     """A finite distributive lattice.
 
     elements: canonical label tuple
-    join/meet: total binary tables (index based)
     poset_P: poset of join-irreducibles
-    iota: element label -> order ideal of poset_P (a frozenset of labels)
+    masks: per element, its order ideal of poset_P as a bitmask
+    at_mask: the element index of each mask
     """
 
-    def __init__(self, elements, join_idx, meet_idx, poset_P, iota):
+    def __init__(self, elements, poset_P, masks):
         self.elements: tuple[str, ...] = tuple(elements)
-        self._index = {x: i for i, x in enumerate(self.elements)}
-        self._join = join_idx
-        self._meet = meet_idx
         self.poset_P: Poset = poset_P
-        self.iota: dict[str, frozenset[str]] = dict(iota)
-        self._iota_inv = {v: k for k, v in self.iota.items()}
+        self.masks: tuple[int, ...] = tuple(masks)
+        self._index = {x: i for i, x in enumerate(self.elements)}
+        self.at_mask = {m: i for i, m in enumerate(self.masks)}
         self._extensions: Optional[tuple[LinearExtension, ...]] = None
         self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
         self._adjacency_graph = None  # subdivision.adjacency_graph
@@ -61,58 +66,38 @@ class Lattice:
     def size(self) -> int:
         return len(self.elements)
 
+    def _mask(self, a: str) -> int:
+        return self.masks[self.index(a)]
+
     def join(self, a: str, b: str) -> str:
-        return self.elements[self._join[self.index(a)][self.index(b)]]
+        return self.elements[self.at_mask[self._mask(a) | self._mask(b)]]
 
     def meet(self, a: str, b: str) -> str:
-        return self.elements[self._meet[self.index(a)][self.index(b)]]
+        return self.elements[self.at_mask[self._mask(a) & self._mask(b)]]
 
     def leq(self, a: str, b: str) -> bool:
-        return self.join(a, b) == b
-
-    def less(self, a: str, b: str) -> bool:
-        return a != b and self.leq(a, b)
-
-    def incomparable(self, a: str, b: str) -> bool:
-        return not self.leq(a, b) and not self.leq(b, a)
-
-    def covers(self, a: str, b: str) -> bool:
-        """Whether b covers a."""
-        if not self.less(a, b):
-            return False
-        return not any(self.less(a, c) and self.less(c, b) for c in self.elements)
+        return not self._mask(a) & ~self._mask(b)
 
     @property
     def bottom(self) -> str:
-        return self._iota_inv[frozenset()]
+        return self.elements[self.at_mask[0]]
 
     @property
     def top(self) -> str:
-        return self._iota_inv[frozenset(self.poset_P.elements)]
+        return self.elements[self.at_mask[(1 << self.poset_P.size) - 1]]
 
     def height(self, a: str) -> int:
-        return len(self.iota[a])
-
-    def iota_inv(self, ideal: frozenset[str]) -> str:
-        try:
-            return self._iota_inv[frozenset(ideal)]
-        except KeyError:
-            raise UnknownLabel(f"no element with ideal {set(ideal)}") from None
+        return self._mask(a).bit_count()
 
     def chain(self, ext: LinearExtension) -> tuple[str, ...]:
         """The maximal chain of a linear extension of poset_P: the elements
         whose ideals are the extension's prefixes, bottom first."""
+        m = 0
         members = [self.bottom]
-        prefix: set[str] = set()
         for p in ext.order:
-            prefix.add(p)
-            members.append(self.iota_inv(frozenset(prefix)))
+            m |= 1 << self.poset_P.index(p)
+            members.append(self.elements[self.at_mask[m]])
         return tuple(members)
-
-    def masks(self) -> tuple[int, ...]:
-        """iota(a) per element as a bitmask, bit j for poset_P.elements[j]."""
-        bit = {p: 1 << j for j, p in enumerate(self.poset_P.elements)}
-        return tuple(sum(bit[p] for p in self.iota[a]) for a in self.elements)
 
     def extensions(self) -> tuple[LinearExtension, ...]:
         if self._extensions is None:
@@ -121,7 +106,7 @@ class Lattice:
 
     def __eq__(self, other):
         return (isinstance(other, Lattice) and self.elements == other.elements
-                and self._join == other._join and self._meet == other._meet)
+                and self.poset_P == other.poset_P and self.masks == other.masks)
 
     def __hash__(self):
         return hash(self.elements)
@@ -149,9 +134,9 @@ class DiamondPair:
 
 def _assemble(elements: Sequence[str],
               join_idx: list[list[int]],
-              meet_idx: list[list[int]],
-              irreducible_name: Callable[[str], str] = lambda x: x) -> Lattice:
-    """Validate tables, compute join-irreducibles, poset_P, and iota.
+              meet_idx: list[list[int]]) -> Lattice:
+    """Validate tables, compute join-irreducibles, poset_P, and the ideal
+    masks.
 
     Raises NotALattice / NotDistributive with details on any violation.
     """
@@ -205,37 +190,25 @@ def _assemble(elements: Sequence[str],
         if len(covered) == 1:
             irreducibles.append(j)
 
-    names = [irreducible_name(elements[j]) for j in irreducibles]
-    if len(set(names)) != len(names):
-        raise NotALattice("irreducible names collide")
-    rel = frozenset((a, b)
-                    for a, ia in enumerate(irreducibles)
-                    for b, ib in enumerate(irreducibles)
-                    if less[ia][ib])
-    poset_P = Poset(tuple(names), rel)
-
-    iota = {}
-    for j in rng:
-        iota[elements[j]] = frozenset(
-            names[t] for t, i in enumerate(irreducibles) if leq[i][j])
+    poset_P = Poset(tuple(elements[j] for j in irreducibles), tuple(
+        sum(1 << s for s, i in enumerate(irreducibles) if less[i][j]) for j in irreducibles))
+    masks = [sum(1 << t for t, i in enumerate(irreducibles) if leq[i][j]) for j in rng]
 
     # Birkhoff invariants: iota is a bijection onto the ideals of poset_P,
     # joins go to unions and meets to intersections
-    ideals = set(order_ideals(poset_P))
-    images = set(iota.values())
-    chk(len(images) == n and images == ideals,
+    images = set(masks)
+    chk(len(images) == n and images == set(ideal_masks(poset_P)),
         "iota is not a bijection onto the order ideals")
     for i in rng:
         for j in rng:
-            a, b = elements[i], elements[j]
-            chk(iota[elements[join_idx[i][j]]] == iota[a] | iota[b],
+            chk(masks[join_idx[i][j]] == masks[i] | masks[j],
                 "join does not correspond to union of ideals")
-            chk(iota[elements[meet_idx[i][j]]] == iota[a] & iota[b],
+            chk(masks[meet_idx[i][j]] == masks[i] & masks[j],
                 "meet does not correspond to intersection of ideals")
     # every element is the join of the irreducibles below it
     for j in rng:
         acc = None
-        for t, i in enumerate(irreducibles):
+        for i in irreducibles:
             if leq[i][j]:
                 acc = i if acc is None else join_idx[acc][i]
         if acc is None:
@@ -245,9 +218,9 @@ def _assemble(elements: Sequence[str],
     for i in rng:
         for j in rng:
             if is_cover(i, j):
-                chk(len(iota[elements[j]]) == len(iota[elements[i]]) + 1,
+                chk(masks[j].bit_count() == masks[i].bit_count() + 1,
                     "cover steps must raise height by exactly one")
-    return Lattice(elements, join_idx, meet_idx, poset_P, iota)
+    return Lattice(elements, poset_P, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +229,27 @@ def _assemble(elements: Sequence[str],
 
 def birkhoff(P: Poset) -> Lattice:
     """The lattice of order ideals of P, with join union and meet
-    intersection. poset_P comes back equal to P and iota is the identity."""
-    ideals = order_ideals(P)
-    labels = [ideal_label(s, P.elements) for s in ideals]
-    by_set = {s: i for i, s in enumerate(ideals)}
-    n = len(ideals)
-    join_idx = [[by_set[ideals[i] | ideals[j]] for j in range(n)] for i in range(n)]
-    meet_idx = [[by_set[ideals[i] & ideals[j]] for j in range(n)] for i in range(n)]
+    intersection, read straight off the ideal masks: a family of sets closed
+    under union and intersection is a distributive lattice, so closure is
+    the one check. The elements are the ideals in canonical order, labelled
+    in P's element order. poset_P holds P's elements as the principal
+    ideals, in the lattice's element order, and the masks follow it."""
+    ideals = ideal_masks(P)
+    at = {m: k for k, m in enumerate(ideals)}
+    if any(x | y not in at or x & y not in at for x, y in combinations(ideals, 2)):
+        raise AssertionError("order ideals are not closed under union and intersection")
+    order = sorted(range(P.size), key=lambda j: at[P.below[j] | 1 << j])
+    bit = [0] * P.size
+    for t, j in enumerate(order):
+        bit[j] = 1 << t
 
-    # a principal ideal is named by its generator
-    principal = {}
-    for i, s in enumerate(ideals):
-        for p in P.elements:
-            if s == frozenset(q for q in P.elements if P.leq(q, p)):
-                principal[labels[i]] = p
-    L = _assemble(labels, join_idx, meet_idx,
-                  irreducible_name=lambda lab: principal[lab])
-    if L.poset_P.label_pairs() != P.label_pairs() or set(L.poset_P.elements) != set(P.elements):
-        raise AssertionError("birkhoff lattice does not reproduce its poset")
-    for lab, s in zip(labels, ideals):
-        if L.iota[lab] != s:
-            raise AssertionError("iota is not the identity on ideals")
-    return L
+    def moved(m: int) -> int:
+        return sum(bit[j] for j in _bits(m))
+
+    poset_P = Poset(tuple(P.elements[j] for j in order),
+                    tuple(moved(P.below[j]) for j in order))
+    return Lattice([ideal_label(m, P.elements) for m in ideals], poset_P,
+                   [moved(m) for m in ideals])
 
 
 def from_ops(elements: Sequence[str],
@@ -286,7 +258,6 @@ def from_ops(elements: Sequence[str],
     """Build a lattice from join/meet callables, keeping the given labels."""
     elems = tuple(elements)
     index = {x: i for i, x in enumerate(elems)}
-    n = len(elems)
 
     def idx_table(fn):
         table = []
@@ -308,7 +279,8 @@ def from_tables(elements: Sequence[str],
                 meet: Mapping[tuple[str, str], str]) -> Lattice:
     """Validate explicit tables and canonically rename elements to their
     ideals of join-irreducibles (the original irreducible labels survive as
-    the ground set of poset_P)."""
+    the ground set of poset_P): once the tables pass, the lattice is the
+    Birkhoff lattice of its irreducibles."""
 
     def lookup(table, a, b, what):
         if (a, b) in table:
@@ -322,21 +294,7 @@ def from_tables(elements: Sequence[str],
     raw = from_ops(elements,
                    lambda a, b: lookup(join, a, b, "join"),
                    lambda a, b: lookup(meet, a, b, "meet"))
-    # canonical renaming: element -> label of its ideal, canonical order
-    ground = raw.poset_P.elements
-    relabel = {a: ideal_label(raw.iota[a], ground) for a in raw.elements}
-    order = sorted(raw.elements,
-                   key=lambda a: (len(raw.iota[a]),
-                                  tuple(ground.index(p) for p in sorted(raw.iota[a], key=ground.index))))
-    new_elements = [relabel[a] for a in order]
-    pos = {a: i for i, a in enumerate(order)}
-    n = len(order)
-    join_idx = [[pos[raw.join(order[i], order[j])] for j in range(n)] for i in range(n)]
-    meet_idx = [[pos[raw.meet(order[i], order[j])] for j in range(n)] for i in range(n)]
-    irr_name = {relabel[a]: p for a in raw.elements for p in ground
-                if raw.iota[a] == frozenset(q for q in ground if raw.poset_P.leq(q, p))}
-    return _assemble(new_elements, join_idx, meet_idx,
-                     irreducible_name=lambda lab: irr_name[lab])
+    return birkhoff(raw.poset_P)
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +303,21 @@ def from_tables(elements: Sequence[str],
 
 def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
     """All unordered diamond pairs, in canonical element order; built once
-    per lattice and kept on L."""
+    per lattice and kept on L. A diamond is an ideal m, its meet, with two
+    addable elements p and q: minimal elements of its complement. Its sides
+    are m + p and m + q and its join m + p + q."""
     if L._diamond_pairs is not None:
         return L._diamond_pairs
-    out = []
-    for i, a in enumerate(L.elements):
-        for b in L.elements[i + 1:]:
-            if not L.incomparable(a, b):
-                continue
-            m = L.meet(a, b)
-            j = L.join(a, b)
-            if (L.covers(a, j) and L.covers(b, j)
-                    and L.covers(m, a) and L.covers(m, b)):
-                if L.height(a) != L.height(b):
-                    raise AssertionError("diamond pair members differ in height")
-                out.append(DiamondPair(a, b, m, j))
-    L._diamond_pairs = tuple(out)
+    at = L.at_mask
+    found = []
+    for m in L.masks:
+        addable = [1 << j for j, b in enumerate(L.poset_P.below)
+                   if not (m >> j & 1 or b & ~m)]
+        for p, q in combinations(addable, 2):
+            a, b = sorted((at[m | p], at[m | q]))
+            found.append((a, b, at[m], at[m | p | q]))
+    E = L.elements
+    L._diamond_pairs = tuple(DiamondPair(E[a], E[b], E[m], E[j]) for a, b, m, j in sorted(found))
     return L._diamond_pairs
 
 
@@ -369,17 +326,17 @@ def maximal_chain_count(L: Lattice) -> int:
     top over the cover relation, and as linear extensions of poset_P, built
     one maximal element at a time over the ideal masks. The two counts are
     the two sides of the chain/extension bijection and must agree."""
-    height = [len(L.iota[a]) for a in L.elements]
+    masks = L.masks
+    height = [m.bit_count() for m in masks]
     # b covers a iff a < b and b is one higher: L is graded; only the
     # bottom has no lower cover
     paths = [0] * L.size  # element index -> chains from the bottom to it
     for j in sorted(range(L.size), key=height.__getitem__):
         paths[j] = sum(paths[i] for i in range(L.size)
-                       if height[i] == height[j] - 1 and L._join[i][j] == j) or 1
+                       if height[i] == height[j] - 1 and not masks[i] & ~masks[j]) or 1
     extensions = {0: 1}  # ideal mask -> linear extensions of the ideal
-    for m in sorted(L.masks(), key=int.bit_count)[1:]:
-        extensions[m] = sum(extensions.get(m & ~(1 << j), 0)
-                            for j in range(m.bit_length()) if m >> j & 1)
+    for m in sorted(masks, key=int.bit_count)[1:]:
+        extensions[m] = sum(extensions.get(m & ~(1 << j), 0) for j in _bits(m))
     count = paths[L.index(L.top)]
     if count != extensions[(1 << L.poset_P.size) - 1]:
         raise AssertionError("chain/extension bijection failed")
@@ -418,5 +375,6 @@ def parse_lattice(text: str) -> Lattice:
         else:
             raise ValueError(f"bad lattice line: {raw!r}")
     if tables_mode:
+        check_labels(labels)
         return from_tables(labels, join, meet)
     return birkhoff(parse_poset(text))

@@ -1,8 +1,8 @@
 """Finite posets: construction, validation, linear extensions, order ideals,
 and order-strength comparisons.
 
-Elements carry opaque string labels; relations are stored positionally
-against the canonical element tuple.
+Elements carry opaque string labels. The order is held as one down-set
+bitmask per element: bit i of below[j] is set when elements[i] < elements[j].
 """
 
 from __future__ import annotations
@@ -10,48 +10,57 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .errors import CycleError, GroundSetMismatch, UnknownLabel
+from .errors import BadParams, CycleError, GroundSetMismatch, UnknownLabel
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 @dataclass(frozen=True)
 class Poset:
     """A finite strict partial order.
 
-    `relation` holds index pairs (i, j) meaning elements[i] < elements[j];
-    it must already be transitively closed.
+    `below[j]` is the bitmask of the indices strictly below element j; the
+    masks must already be transitively closed.
     """
 
     elements: tuple[str, ...]
-    relation: frozenset[tuple[int, int]]
+    below: tuple[int, ...]
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
     _covers: Optional[tuple[tuple[str, str], ...]] = field(
         default=None, init=False, repr=False, compare=False)  # covers()
 
     def __post_init__(self):
         n = len(self.elements)
-        if len(set(self.elements)) != n:
+        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.elements)})
+        if len(self._index) != n:
             raise ValueError("element labels must be pairwise distinct")
-        for i, j in self.relation:
-            if not (0 <= i < n and 0 <= j < n):
-                raise UnknownLabel(f"relation index out of range: {(i, j)}")
-            if i == j:
-                raise CycleError(f"relation is not irreflexive at {self.elements[i]}")
-            if (j, i) in self.relation:
-                raise CycleError(
-                    f"antisymmetry fails on {self.elements[i]}, {self.elements[j]}"
-                )
-        for i, j in self.relation:
-            for k, l in self.relation:
-                if j == k and (i, l) not in self.relation:
+        if len(self.below) != n:
+            raise ValueError("below needs one mask per element")
+        for j, m in enumerate(self.below):
+            if not 0 <= m < 1 << n:
+                raise UnknownLabel(f"below mask of {self.elements[j]} has an index out of range")
+            if m >> j & 1:
+                raise CycleError(f"relation is not irreflexive at {self.elements[j]}")
+            for i in _bits(m):
+                if self.below[i] >> j & 1:
+                    raise CycleError(
+                        f"antisymmetry fails on {self.elements[i]}, {self.elements[j]}")
+        for m in self.below:
+            for i in _bits(m):
+                if self.below[i] & ~m:
                     raise ValueError("relation is not transitively closed")
 
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self._index[label]
+        except KeyError:
             raise UnknownLabel(f"unknown element {label!r}") from None
 
     def less(self, a: str, b: str) -> bool:
-        return (self.index(a), self.index(b)) in self.relation
+        return bool(self.below[self.index(b)] >> self.index(a) & 1)
 
     def leq(self, a: str, b: str) -> bool:
         return a == b or self.less(a, b)
@@ -60,27 +69,26 @@ class Poset:
     def size(self) -> int:
         return len(self.elements)
 
-    def below(self, j: int) -> frozenset[int]:
-        """Indices strictly below element j."""
-        return frozenset(i for i, k in self.relation if k == j)
-
     def covers(self) -> list[tuple[str, str]]:
-        """Cover pairs (a, b) with a < b and nothing in between, scanned
-        once per poset."""
+        """Cover pairs (a, b) with a < b and nothing in between, ordered by
+        the indices of a, then b; scanned once per poset."""
         if self._covers is None:
             object.__setattr__(self, "_covers", tuple(self._scan_covers()))
         return list(self._covers)
 
     def _scan_covers(self) -> list[tuple[str, str]]:
-        out = []
-        for i, j in sorted(self.relation):
-            if not any((i, k) in self.relation and (k, j) in self.relation
-                       for k in range(len(self.elements))):
-                out.append((self.elements[i], self.elements[j]))
-        return out
+        # i is covered by j iff i is below j but below nothing below j
+        pairs = []
+        for j, m in enumerate(self.below):
+            inner = 0
+            for k in _bits(m):
+                inner |= self.below[k]
+            pairs += [(i, j) for i in _bits(m & ~inner)]
+        return [(self.elements[i], self.elements[j]) for i, j in sorted(pairs)]
 
     def label_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((self.elements[i], self.elements[j]) for i, j in self.relation)
+        return frozenset((self.elements[i], self.elements[j])
+                         for j, m in enumerate(self.below) for i in _bits(m))
 
 
 @dataclass(frozen=True)
@@ -93,51 +101,41 @@ class LinearExtension:
     def __post_init__(self):
         if sorted(self.order) != sorted(self.poset.elements):
             raise GroundSetMismatch("extension is not a permutation of the ground set")
-        pos = {x: k for k, x in enumerate(self.order)}
-        for a, b in self.poset.label_pairs():
-            if pos[a] > pos[b]:
-                raise ValueError(f"order violates {a} < {b}")
-
-
-def _transitive_closure(n: int, pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    adj = {i: set() for i in range(n)}
-    for i, j in pairs:
-        adj[i].add(j)
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(closed):
-            for k in adj[j]:
-                if (i, k) not in closed:
-                    closed.add((i, k))
-                    adj[i].add(k)
-                    changed = True
-    return closed
+        placed = 0
+        for x in self.order:
+            j = self.poset.index(x)
+            missing = self.poset.below[j] & ~placed
+            if missing:
+                a = self.poset.elements[_bits(missing)[0]]
+                raise ValueError(f"order violates {a} < {x}")
+            placed |= 1 << j
 
 
 def from_cover_relations(labels: list[str], covers: list[tuple[str, str]]) -> Poset:
-    """Build the poset generated by the given cover pairs.
+    """Build the poset generated by the given cover pairs, closed by one
+    Warshall pass over the masks.
 
     Raises CycleError if the closure is not irreflexive, UnknownLabel for
     covers mentioning labels outside `labels`.
     """
     elements = tuple(labels)
-    if len(set(elements)) != len(elements):
-        raise ValueError("element labels must be pairwise distinct")
     index = {x: i for i, x in enumerate(elements)}
-    pairs = set()
+    if len(index) != len(elements):
+        raise ValueError("element labels must be pairwise distinct")
+    below = [0] * len(elements)
     for a, b in covers:
         if a not in index:
             raise UnknownLabel(f"unknown element {a!r}")
         if b not in index:
             raise UnknownLabel(f"unknown element {b!r}")
-        pairs.add((index[a], index[b]))
-    closed = _transitive_closure(len(elements), pairs)
-    for i, j in closed:
-        if i == j or (j, i) in closed:
-            raise CycleError("cover relations contain a cycle")
-    return Poset(elements, frozenset(closed))
+        below[index[b]] |= 1 << index[a]
+    for k in range(len(below)):
+        for j, m in enumerate(below):
+            if m >> k & 1:
+                below[j] |= below[k]
+    if any(m >> j & 1 for j, m in enumerate(below)):
+        raise CycleError("cover relations contain a cycle")
+    return Poset(elements, tuple(below))
 
 
 def antichain(labels: list[str]) -> Poset:
@@ -151,72 +149,75 @@ def chain(labels: list[str]) -> Poset:
 def linear_extensions(P: Poset) -> Iterator[LinearExtension]:
     """All linearizations, lazily, in lexicographic order of label positions."""
     n = P.size
-    below = [P.below(j) for j in range(n)]
 
-    def emit(placed: list[int], used: set[int]) -> Iterator[tuple[int, ...]]:
+    def emit(placed: list[int], used: int) -> Iterator[tuple[int, ...]]:
         if len(placed) == n:
             yield tuple(placed)
             return
         for j in range(n):
-            if j not in used and below[j] <= used:
+            if not (used >> j & 1 or P.below[j] & ~used):
                 placed.append(j)
-                used.add(j)
-                yield from emit(placed, used)
+                yield from emit(placed, used | 1 << j)
                 placed.pop()
-                used.remove(j)
 
-    for perm in emit([], set()):
+    for perm in emit([], 0):
         yield LinearExtension(tuple(P.elements[j] for j in perm), P)
 
 
-def order_ideals(P: Poset) -> list[frozenset[str]]:
-    """All down-closed subsets, in canonical order (by size, then positions).
+def ideal_masks(P: Poset) -> list[int]:
+    """All down-closed subsets as bitmasks, in canonical order (by size,
+    then positions).
 
     The ideals are grown upward from the empty one: adding a minimal element
     of an ideal's complement gives an ideal, and every nonempty ideal comes
     from a smaller one by adding one of its maximal elements."""
-    n = P.size
-    below = [0] * n
-    for i, j in P.relation:
-        below[j] |= 1 << i
     found = {0}
     stack = [0]
     while stack:
         m = stack.pop()
-        for j in range(n):
+        for j, b in enumerate(P.below):
             grown = m | 1 << j
-            if grown not in found and not below[j] & ~m:
+            if grown not in found and not b & ~m:
                 found.add(grown)
                 stack.append(grown)
-    ideals = sorted((tuple(j for j in range(n) if m >> j & 1) for m in found),
-                    key=lambda t: (len(t), t))
-    return [frozenset(P.elements[j] for j in t) for t in ideals]
+    return sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+
+
+def order_ideals(P: Poset) -> list[frozenset[str]]:
+    """All down-closed subsets as label sets, in the order of ideal_masks."""
+    return [frozenset(P.elements[j] for j in _bits(m)) for m in ideal_masks(P)]
 
 
 def down_closed(P: Poset, masks: Sequence[int]) -> list[bool]:
     """For each bitmask (bit j for P.elements[j]), whether the set it holds
     is down-closed in P."""
-    below = [0] * P.size
-    for i, j in P.relation:
-        below[j] |= 1 << i
-    return [all(not below[j] & ~m for j in range(P.size) if m >> j & 1) for m in masks]
-
-
-def _check_same_ground(a: Poset, b: Poset):
-    if set(a.elements) != set(b.elements):
-        raise GroundSetMismatch("posets are not on the same ground set")
+    return [all(not P.below[j] & ~m for j in _bits(m)) for m in masks]
 
 
 def is_stronger(strong: Poset, weak: Poset) -> bool:
     """True iff every weak relation also holds in `strong` (same ground set)."""
-    _check_same_ground(strong, weak)
-    return weak.label_pairs() <= strong.label_pairs()
+    if set(strong.elements) != set(weak.elements):
+        raise GroundSetMismatch("posets are not on the same ground set")
+    pos = [strong.index(x) for x in weak.elements]
+    return all(not sum(1 << pos[i] for i in _bits(m)) & ~strong.below[pos[j]]
+               for j, m in enumerate(weak.below))
+
+
+def check_labels(labels: Sequence[str]) -> None:
+    """Reject a label a file may not use: an ideal is labelled by its
+    members joined by commas in braces, so a label that is empty or holds a
+    comma, a brace or whitespace could make two ideal labels collide."""
+    for x in labels:
+        if not x or any(c in ",{}" or c.isspace() for c in x):
+            raise BadParams(f"element label {x!r} is empty or holds a comma, "
+                            "a brace or whitespace")
 
 
 def parse_poset(text: str) -> Poset:
     """Parse the poset text format: `elem <label>` and `cover <a> <b>` lines.
 
-    `#` starts a comment; blank lines are ignored.
+    `#` starts a comment; blank lines are ignored. Labels follow
+    check_labels.
     """
     labels: list[str] = []
     covers: list[tuple[str, str]] = []
@@ -231,4 +232,5 @@ def parse_poset(text: str) -> Poset:
             covers.append((parts[1], parts[2]))
         else:
             raise ValueError(f"bad poset line: {raw!r}")
+    check_labels(labels)
     return from_cover_relations(labels, covers)

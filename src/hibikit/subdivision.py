@@ -61,7 +61,7 @@ class Subdivision:
     def structure(self) -> frozenset:
         """Weight-independent identity: the parts as (vertex set, order)."""
         return frozenset(
-            (p.vertex_elements, p.order.label_pairs()) for p in self.parts)
+            (p.vertex_elements, p.order.below) for p in self.parts)
 
     def part_of(self, ext: LinearExtension) -> int:
         return self._part_of[ext]
@@ -88,8 +88,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
     P = L.poset_P
     n = P.size
     position = {p: j for j, p in enumerate(P.elements)}
-    masks = L.masks()
-    at_mask = {m: i for i, m in enumerate(masks)}
+    masks, at_mask = L.masks, L.at_mask
     bits = [[j for j in range(n) if m >> j & 1] for m in masks]
 
     # vertices of a simplex are its prefix-ideal indicators; the
@@ -114,8 +113,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
         below = members[0][2]
         for _, _, before in members[1:]:
             below = [x & y for x, y in zip(below, before)]
-        order = Poset(P.elements, frozenset(
-            (i, j) for j in range(n) for i in range(n) if below[j] >> i & 1))
+        order = Poset(P.elements, tuple(below))
         if not is_stronger(order, P):
             raise AssertionError("part order must refine P")
         # every ideal of the stronger order is an ideal of P, so an element
@@ -256,8 +254,8 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
             raise AssertionError("part constant must be the bottom weight")
         points.append(tuple(-x for x in part.alpha))
 
-    if not L.poset_P.label_pairs():  # Boolean lattice: antichain poset
-        u = {frozenset(L.iota[a]): -ws[i] for i, a in enumerate(L.elements)}
+    if not any(L.poset_P.below):  # Boolean lattice: antichain poset
+        u = {m: -ws[i] for i, m in enumerate(L.masks)}
         for A in u:
             for B in u:
                 if u[A] + u[B] < u[A & B] + u[A | B]:

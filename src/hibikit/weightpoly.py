@@ -97,7 +97,7 @@ def _zeta_for(apex: WeightPolytope) -> tuple[list[list[int]], list[int]]:
     span the apex polytope's lattice."""
     L = apex.face.cone.lattice
     n = L.poset_P.size
-    inputs = [[m >> j & 1 for j in range(n)] + [1] for m in L.masks()]
+    inputs = [[m >> j & 1 for j in range(n)] + [1] for m in L.masks]
     X = _integral_solution(inputs, [apex.points[a] for a in L.elements])
     columns, z0 = X[:n], X[n]
     Z = [list(row) for row in zip(*columns)]
@@ -161,7 +161,7 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     zeta = _zeta_for(apex)
     # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
     to_apex = _inclusion_matrix(W.basis, apex.basis)
-    masks = L.masks()
+    masks = L.masks
     indicator = {a: [m >> j & 1 for j in range(n)] for a, m in zip(L.elements, masks)}
     out = []
     for part in sub.parts:

@@ -98,6 +98,7 @@ from hibikit.lattice import Lattice, diamond_pairs
 from hibikit.poset import (LinearExtension, Poset, from_cover_relations, is_stronger,
                            order_ideals)
 from hibikit.subdivision import face_subdivision
+from order_oracle import iota, poset_from_pairs
 
 
 Vec = tuple[Fraction, ...]
@@ -134,7 +135,7 @@ def is_integral(v: Sequence) -> bool:
 
 def indicator(L: Lattice, a: str) -> Vec:
     """The 0/1 vector of iota(a) over the canonical poset_P order."""
-    ideal = L.iota[a]
+    ideal = iota(L, a)
     return tuple(Fraction(1 if p in ideal else 0) for p in L.poset_P.elements)
 
 
@@ -737,7 +738,7 @@ def extension_poset(ext: LinearExtension) -> Poset:
         for j in range(len(elems))
         if i != j and pos[elems[i]] < pos[elems[j]]
     )
-    return Poset(elems, rel)
+    return poset_from_pairs(elems, rel)
 
 
 def intersect_orders(orders: list[Poset]) -> Poset:
@@ -751,7 +752,7 @@ def intersect_orders(orders: list[Poset]) -> Poset:
     for other in orders[1:]:
         common &= other.label_pairs()
     index = {x: i for i, x in enumerate(first.elements)}
-    return Poset(first.elements, frozenset((index[a], index[b]) for a, b in common))
+    return poset_from_pairs(first.elements, ((index[a], index[b]) for a, b in common))
 
 
 def part_value(sub, part, point) -> Fraction:
@@ -795,7 +796,7 @@ def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart
         order = intersect_orders([extension_poset(e) for e in exts])
         assert is_stronger(order, P), "part order must refine P"
         on_chains = set().union(*(L.chain(e) for e in exts))
-        assert {L.iota[a] for a in on_chains} == set(order_ideals(order)), \
+        assert {iota(L, a) for a in on_chains} == set(order_ideals(order)), \
             "part is not the order polytope of its order"
         vertex_elements = tuple(a for a in L.elements if a in on_chains)
         parts.append(FractionPart(order, affine, tuple(exts), vertex_elements))

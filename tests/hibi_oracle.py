@@ -35,6 +35,7 @@ from hibikit.errors import BadParams, NotStronger
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
 from hibikit.poset import LinearExtension, Poset, is_stronger, order_ideals
+from order_oracle import covers, incomparable, iota
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
     if not is_stronger(stronger, L.poset_P):
         raise NotStronger("order does not refine the lattice's poset")
     ideal_set = set(order_ideals(stronger))
-    members = [a for a in L.elements if L.iota[a] in ideal_set]
+    members = [a for a in L.elements if iota(L, a) in ideal_set]
     for a in members:  # closure under both operations, by construction
         for b in members:
             if L.join(a, b) not in members or L.meet(a, b) not in members:
@@ -195,7 +196,7 @@ def maximal_chains(L: Lattice) -> list[MaximalChain]:
     walked = set()
 
     def walk(a, acc):
-        uppers = [b for b in L.elements if L.covers(a, b)]
+        uppers = [b for b in L.elements if covers(L, a, b)]
         if not uppers:
             walked.add(tuple(acc))
             return
@@ -223,7 +224,7 @@ def is_standard(L, m):
     """Whether the factors of m form a multichain of L."""
     f = factor_indices(m)
     return all(
-        not L.incomparable(L.elements[f[i]], L.elements[f[j]])
+        not incomparable(L, L.elements[f[i]], L.elements[f[j]])
         for i in range(len(f))
         for j in range(i + 1, len(f)))
 
@@ -239,14 +240,14 @@ def straighten(L, m):
         target = vadd(target, indicator(L, L.elements[i]))
 
     def badness():
-        return sum(len(L.iota[L.elements[i]]) ** 2 for i in factors)
+        return sum(L.height(L.elements[i]) ** 2 for i in factors)
 
     score = badness()
     while True:
         swap = None
         for i in range(len(factors)):
             for j in range(i + 1, len(factors)):
-                if L.incomparable(L.elements[factors[i]], L.elements[factors[j]]):
+                if incomparable(L, L.elements[factors[i]], L.elements[factors[j]]):
                     swap = (i, j)
                     break
             if swap:
@@ -280,7 +281,7 @@ def component_ideal(L, order):
     gens = []
     for i, a in enumerate(members):
         for b in members[i + 1:]:
-            if L.incomparable(a, b):
+            if incomparable(L, a, b):
                 gens.append(Polynomial({
                     monomial(L, {a: 1, b: 1}): 1,
                     monomial(L, {L.join(a, b): 1, L.meet(a, b): 1}): -1,

@@ -1,0 +1,143 @@
+"""Reference orders for the bitmask posets and lattices.
+
+hibikit holds an order as one down-set bitmask per element: bit i of
+Poset.below[j] is set when elements[i] < elements[j], and a lattice element
+is the bitmask of its order ideal of poset_P. PairPoset is the earlier
+format it replaced: the relation as a frozenset of index pairs (i, j),
+validated pair by pair, with brute-force covers, linear extensions over all
+permutations and order ideals over all subsets. The lattice helpers read a
+lattice element as the label set of its ideal, iota(a), as the lattice did
+when it kept those sets.
+"""
+
+import itertools
+
+from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
+from hibikit.lattice import DiamondPair
+from hibikit.poset import Poset
+
+
+def closure(n: int, pairs) -> set[tuple[int, int]]:
+    """The transitive closure of index pairs, by a fixed-point loop."""
+    adj = {i: set() for i in range(n)}
+    for i, j in pairs:
+        adj[i].add(j)
+    closed = set(pairs)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in list(closed):
+            for k in adj[j]:
+                if (i, k) not in closed:
+                    closed.add((i, k))
+                    adj[i].add(k)
+                    changed = True
+    return closed
+
+
+def pairs_of(P: Poset) -> frozenset[tuple[int, int]]:
+    """The relation of P as index pairs (i, j), i below j."""
+    return frozenset((i, j) for j, m in enumerate(P.below)
+                     for i in range(m.bit_length()) if m >> i & 1)
+
+
+def poset_from_pairs(elements, pairs) -> Poset:
+    """The mask Poset of a transitively closed set of index pairs."""
+    below = [0] * len(elements)
+    for i, j in pairs:
+        below[j] |= 1 << i
+    return Poset(tuple(elements), tuple(below))
+
+
+class PairPoset:
+    """A finite strict partial order on index pairs; `relation` must
+    already be transitively closed."""
+
+    def __init__(self, elements, relation):
+        self.elements = tuple(elements)
+        self.relation = frozenset(relation)
+        n = len(self.elements)
+        if len(set(self.elements)) != n:
+            raise ValueError("element labels must be pairwise distinct")
+        for i, j in self.relation:
+            if not (0 <= i < n and 0 <= j < n):
+                raise UnknownLabel(f"relation index out of range: {(i, j)}")
+            if i == j:
+                raise CycleError(f"relation is not irreflexive at {self.elements[i]}")
+            if (j, i) in self.relation:
+                raise CycleError(
+                    f"antisymmetry fails on {self.elements[i]}, {self.elements[j]}")
+        for i, j in self.relation:
+            for k, l in self.relation:
+                if j == k and (i, l) not in self.relation:
+                    raise ValueError("relation is not transitively closed")
+
+    def covers(self) -> list[tuple[str, str]]:
+        out = []
+        for i, j in sorted(self.relation):
+            if not any((i, k) in self.relation and (k, j) in self.relation
+                       for k in range(len(self.elements))):
+                out.append((self.elements[i], self.elements[j]))
+        return out
+
+    def label_pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset((self.elements[i], self.elements[j]) for i, j in self.relation)
+
+    def linear_extensions(self) -> list[tuple[str, ...]]:
+        """The permutations that respect every pair, in lexicographic order
+        of positions."""
+        return [tuple(self.elements[j] for j in perm)
+                for perm in itertools.permutations(range(len(self.elements)))
+                if all(perm.index(i) < perm.index(j) for i, j in self.relation)]
+
+    def order_ideals(self) -> list[frozenset[str]]:
+        """The down-closed subsets of all 2^n, by size, then positions."""
+        n = len(self.elements)
+        found = [t for k in range(n + 1) for t in itertools.combinations(range(n), k)
+                 if all(i in t for i, j in self.relation if j in t)]
+        return [frozenset(self.elements[j] for j in t) for t in found]
+
+    def down_closed(self, masks) -> list[bool]:
+        return [all(m >> i & 1 for i, j in self.relation if m >> j & 1) for m in masks]
+
+    def is_stronger(self, weak: "PairPoset") -> bool:
+        if set(self.elements) != set(weak.elements):
+            raise GroundSetMismatch("posets are not on the same ground set")
+        return weak.label_pairs() <= self.label_pairs()
+
+
+# -- a lattice element read as the label set of its ideal ---------------------
+
+
+def iota(L, a) -> frozenset[str]:
+    """The order ideal of poset_P that the element a stands for."""
+    m = L.masks[L.index(a)]
+    return frozenset(p for j, p in enumerate(L.poset_P.elements) if m >> j & 1)
+
+
+def iota_inv(L, ideal) -> str:
+    """The element whose ideal is the given label set."""
+    return next(a for a in L.elements if iota(L, a) == frozenset(ideal))
+
+
+def incomparable(L, a, b) -> bool:
+    return not L.leq(a, b) and not L.leq(b, a)
+
+
+def covers(L, a, b) -> bool:
+    """Whether b covers a in L."""
+    return (a != b and L.leq(a, b)
+            and not any(c not in (a, b) and L.leq(a, c) and L.leq(c, b) for c in L.elements))
+
+
+def diamond_pairs_by_covers(L) -> tuple[DiamondPair, ...]:
+    """The diamond pairs by their definition, scanning the element pairs in
+    canonical order: incomparable a, b whose join covers both and which
+    cover their meet."""
+    out = []
+    for a, b in itertools.combinations(L.elements, 2):
+        m, j = L.meet(a, b), L.join(a, b)
+        if (incomparable(L, a, b) and covers(L, a, j) and covers(L, b, j)
+                and covers(L, m, a) and covers(L, m, b)):
+            out.append(DiamondPair(a, b, m, j))
+    return tuple(out)

@@ -6,9 +6,11 @@ entry point.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from hibikit.exactgeom import LatticePolytope, polytope_json
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision, subdivision_json
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, argv):
@@ -328,13 +332,24 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("lattice --poset FILE", '{"elements": ["a", "a"], "covers": []}'),
     ("lattice --poset FILE", '{"elements": 5, "covers": []}'),
     ("lattice --poset FILE", '{"elements": ["a"]}'),
+    ("lattice --poset FILE", '{"elements": [1, 2], "covers": []}'),
+    ("lattice --poset FILE", '{"elements": "ab", "covers": []}'),
+    ("lattice --poset FILE", '{"elements": ["a", "b"], "covers": {"ab": 1}}'),
+    # an ideal's label is its members, comma separated, in braces
+    ("lattice --poset FILE", "elem a\nelem b\nelem a,b\n"),
+    ("lattice --poset FILE", '{"elements": ["a", "b", "a,b"], "covers": []}'),
+    ("lattice --poset FILE", '{"elements": ["a b"], "covers": []}'),
+    ("lattice --poset FILE", '{"elements": [""], "covers": []}'),
+    ("lattice --poset FILE", "join x y {z}\nmeet x y w\n"),
     # labels spell one digit per index: 10 would read as 1 and 0
     ("lattice --grassmann 1 10", None),
     ("lattice --grassmann 2 10", None),
     ("lattice --flag 10", None),
 ], ids=["short weight", "one trial", "negative trials", "degree 0", "bad poset line",
         "repeated elem", "repeated JSON element", "JSON elements not a list",
-        "JSON without covers", "Gr(1,10)", "Gr(2,10)", "Flag(10)"])
+        "JSON without covers", "JSON elements not strings", "JSON elements a string",
+        "JSON covers not pairs", "comma label", "JSON comma label", "JSON space label",
+        "JSON empty label", "table brace label", "Gr(1,10)", "Gr(2,10)", "Flag(10)"])
 def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
     # exit 1 means a certification ran and failed; bad input never runs one
     path = tmp_path / "poset.txt"
@@ -343,6 +358,20 @@ def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
     code, out, err = run_cli(capsys, argv.replace("FILE", str(path)).split())
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("poset_file, label", [
+    ("elem p\nelem {q}\ncover p {q}\n", "{q}"),
+    ('{"elements": ["p", "q r"], "covers": [["p", "q r"]]}', "q r"),
+    ("join x,y z x,y\nmeet x,y z z\n", "x,y"),
+])
+def test_label_rule_names_the_label(tmp_path, capsys, poset_file, label):
+    path = tmp_path / "poset.txt"
+    path.write_text(poset_file, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["lattice", "--poset", str(path)])
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "BadParams" and repr(label) in error["message"]
 
 
 def test_largest_builtin_index_is_nine(capsys):
@@ -374,6 +403,8 @@ def test_canonical_json_sorted_and_terminated():
 def test_module_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hibikit.cli", "lattice", "--boolean", "2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["maximal_chains"] == 2

@@ -246,7 +246,7 @@ def test_sample_apex_is_fixed_point():
     apex = face_of(K, (0,) * L.size, 1)
     assert face_of(K, *sample_relative_interior(apex)) == apex
     # the affine weight w_S = |S| also lands in the apex
-    affine = tuple(len(L.iota[a]) for a in L.elements)
+    affine = tuple(L.height(a) for a in L.elements)
     assert face_of(K, affine, 1).is_apex
 
 
@@ -309,7 +309,7 @@ def test_convex_weight_is_interior():
     for P in (antichain(["p", "q", "r"]), GRID):
         L = birkhoff(P)
         K = cone_K(L)
-        w = tuple(len(L.iota[a]) ** 2 for a in L.elements)
+        w = tuple(L.height(a) ** 2 for a in L.elements)
         assert is_full(face_of(K, w, 1))
 
 

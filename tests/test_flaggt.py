@@ -41,7 +41,7 @@ from hibikit.subdivision import regular_subdivision
 
 
 def full_face(L):
-    return face_of(cone_K(L), tuple(len(L.iota[a]) ** 2 for a in L.elements), 1)
+    return face_of(cone_K(L), tuple(L.height(a) ** 2 for a in L.elements), 1)
 
 
 def apex_face(L):
@@ -461,7 +461,7 @@ def test_lift_zero():
 
 def test_lift_envelope_identity():
     L = flag_lattice(3)
-    assert_envelope_is_lift(3, [Fraction(len(L.iota[a]) ** 2) for a in L.elements])
+    assert_envelope_is_lift(3, [Fraction(L.height(a) ** 2) for a in L.elements])
 
 
 # -- gt_subdivision ----------------------------------------------------------

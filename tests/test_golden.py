@@ -7,14 +7,37 @@ the number of facets the facet kernel returns over the whole job, so a lost
 or extra facet names itself as a work count. A weightpoly job runs the
 kernel on its weight polytope and, off the apex, on the apex weight
 polytope; its distinguished faces take their vertices without a hull.
+A job that reads a --poset file names one of POSET_FILES, written to a
+temporary directory first.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from hibikit import exactgeom
 from hibikit.cli import main
+
+
+def _table_file() -> str:
+    """join/meet lines for the ideals of {a < c, b}, under labels unrelated
+    to the ideals and in no canonical order."""
+    sets = {"o": "", "s": "a", "t": "b", "v": "ab", "w": "ac", "u": "abc"}
+    name = {frozenset(v): k for k, v in sets.items()}
+    lines = []
+    for x, y in itertools.combinations(["u", "w", "o", "t", "v", "s"], 2):
+        X, Y = frozenset(sets[x]), frozenset(sets[y])
+        lines += [f"join {x} {y} {name[X | Y]}", f"meet {x} {y} {name[X & Y]}"]
+    return "\n".join(lines) + "\n"
+
+
+# the JSON poset lists its elements out of irreducible order: poset_P is
+# (b, a, c), while the ideal labels follow the file's order (c, b, a)
+POSET_FILES = {
+    "reordered.json": '{"elements": ["c", "b", "a"], "covers": [["a", "c"]]}\n',
+    "tables.txt": _table_file(),
+}
 
 GOLDEN = [
     ("lattice --flag 3",
@@ -84,11 +107,23 @@ GOLDEN = [
     # of the same job stays out of tier-1 while it runs for over 10 s
     ("gt --n 5 subdivide --face apex",
      "f1440fc9f9b6fdc1da9401d7e09c5aa300658965d922e3e35c91f1678e2b6198", 20),
+    # the --poset inputs, recorded with the pair-set posets and the
+    # table-validated Birkhoff lattices
+    ("lattice --poset reordered.json",
+     "570c7da7e9a8ab37bad333be1baf1063df877e0df81b89f2f9fd49dfb084ad69", 0),
+    ("subdivide --poset reordered.json --face full --check 3 --seed 1",
+     "f76129733be10f376b148cb12cfd7764ae8c271bb0fd5751ba515c4f1c229846", 0),
+    ("certify --poset reordered.json --lmax 3",
+     "f3486e3bc8319f08da13b17dbc86c821740059df74fe5f5ba4ec0976eefac845", 0),
+    ("lattice --poset tables.txt",
+     "2db0eca2f3f6a7b8994f42e2499954ff308a4f94622a41b49889f1be4e68469e", 0),
 ]
 
 
 @pytest.mark.parametrize("argv, digest, facets", GOLDEN, ids=[a for a, *_ in GOLDEN])
-def test_stdout_digest(argv, digest, facets, capsys, monkeypatch):
+def test_stdout_digest(argv, digest, facets, capsys, monkeypatch, tmp_path):
+    for name, text in POSET_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     found = []
     kernel = exactgeom.facet_hyperplanes
 
@@ -98,7 +133,7 @@ def test_stdout_digest(argv, digest, facets, capsys, monkeypatch):
         return planes
 
     monkeypatch.setattr(exactgeom, "facet_hyperplanes", counting)
-    code = main(argv.split())
+    code = main([str(tmp_path / a) if a in POSET_FILES else a for a in argv.split()])
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert sum(found) == facets

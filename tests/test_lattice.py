@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fraction_oracle import extension_poset, indicator
@@ -27,6 +27,8 @@ from hibikit.poset import (
     linear_extensions,
     order_ideals,
 )
+from order_oracle import (PairPoset, covers, diamond_pairs_by_covers, incomparable, iota,
+                          iota_inv, pairs_of)
 
 
 def random_poset_from_seed(labels, pairs):
@@ -230,12 +232,42 @@ def test_from_tables_birkhoff_round_trip_isomorphic(P):
     M = from_tables(*tables_of(L))
     assert M.size == L.size
     # explicit iso on the irreducible posets: p -> label of its principal ideal
-    f = {
-        p: ideal_label(frozenset(q for q in P.elements if P.leq(q, p)), P.elements)
-        for p in P.elements
-    }
+    f = {p: ideal_label(P.below[j] | 1 << j, P.elements) for j, p in enumerate(P.elements)}
     assert set(f.values()) == set(M.poset_P.elements)
     assert {(f[a], f[b]) for a, b in P.label_pairs()} == set(M.poset_P.label_pairs())
+
+
+@st.composite
+def reordered_posets(draw, max_size=7):
+    """A poset on at most 7 elements with its labels in a drawn order, so
+    poset_P often lists them in another: the closure of random pairs."""
+    n = draw(st.integers(1, max_size))
+    labels = draw(st.permutations([f"p{i}" for i in range(n)]))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)),
+                          min_size=n // 2, max_size=2 * n))
+    return random_poset_from_seed(list(labels), pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(reordered_posets())
+def test_birkhoff_matches_the_validated_set_lattice(P):
+    # from_ops on union and intersection of the ideals runs every lattice
+    # axiom and Birkhoff invariant; its irreducibles keep their ideal labels
+    ideals = PairPoset(P.elements, pairs_of(P)).order_ideals()
+    assume(len(ideals) <= 40)
+    label = {s: "{" + ",".join(p for p in P.elements if p in s) + "}" for s in ideals}
+    ideal = {x: s for s, x in label.items()}
+    M = from_ops([label[s] for s in ideals],
+                 lambda a, b: label[ideal[a] | ideal[b]],
+                 lambda a, b: label[ideal[a] & ideal[b]])
+    L = birkhoff(P)
+    assert L.elements == M.elements
+    assert L.masks == M.masks
+    generator = {label[frozenset(q for q in P.elements if P.leq(q, p))]: p for p in P.elements}
+    assert L.poset_P.elements == tuple(generator[x] for x in M.poset_P.elements)
+    assert L.poset_P.below == M.poset_P.below
+    assert diamond_pairs(L) == diamond_pairs_by_covers(M)
+    assert maximal_chain_count(L) == maximal_chain_count(M)
 
 
 # -- diamond pairs -----------------------------------------------------------
@@ -253,13 +285,13 @@ def test_b3_six_diamond_pairs():
     # brute-force oracle straight from the cover definition
     expected = set()
     for a, b in itertools.combinations(L.elements, 2):
-        if L.incomparable(a, b):
+        if incomparable(L, a, b):
             m, j = L.meet(a, b), L.join(a, b)
             if (
-                L.covers(a, j)
-                and L.covers(b, j)
-                and L.covers(m, a)
-                and L.covers(m, b)
+                covers(L, a, j)
+                and covers(L, b, j)
+                and covers(L, m, a)
+                and covers(L, m, b)
             ):
                 expected.add((a, b))
     assert {(d.a, d.b) for d in pairs} == expected
@@ -289,7 +321,7 @@ def brute_maximal_chains(L):
     out = set()
 
     def walk(a, acc):
-        ups = [b for b in L.elements if L.covers(a, b)]
+        ups = [b for b in L.elements if covers(L, a, b)]
         if not ups:
             out.add(tuple(acc))
             return
@@ -329,10 +361,10 @@ def test_chain_extension_bijection(P):
         assert len(c.elements) == P.size + 1
         # prefix ideals of the extension give back the chain
         prefix = set()
-        assert L.iota[c.elements[0]] == frozenset()
+        assert iota(L, c.elements[0]) == frozenset()
         for p, a in zip(c.extension.order, c.elements[1:]):
             prefix.add(p)
-            assert L.iota[a] == frozenset(prefix)
+            assert iota(L, a) == frozenset(prefix)
 
 
 # -- sublattices -------------------------------------------------------------
@@ -368,7 +400,7 @@ def test_sublattice_closure_and_ideals(P):
     L = birkhoff(P)
     for ext in itertools.islice(linear_extensions(P), 3):
         members = sublattice_for_order(L, extension_poset(ext))
-        ideals = {L.iota[a] for a in members}
+        ideals = {iota(L, a) for a in members}
         assert ideals == set(order_ideals(extension_poset(ext)))
         for a in members:
             for b in members:
@@ -385,11 +417,11 @@ def test_height_equals_ideal_size(P):
     L = birkhoff(P)
     # longest-chain height by dynamic programming over the lattice order
     heights = {}
-    for a in sorted(L.elements, key=lambda x: len(L.iota[x])):
-        lower = [heights[b] for b in L.elements if L.covers(b, a)]
+    for a in sorted(L.elements, key=L.height):
+        lower = [heights[b] for b in L.elements if covers(L, b, a)]
         heights[a] = 1 + max(lower) if lower else 0
     for a in L.elements:
-        assert heights[a] == L.height(a) == len(L.iota[a])
+        assert heights[a] == L.height(a) == len(iota(L, a))
     assert max(heights.values()) + 1 == P.size + 1
 
 
@@ -404,8 +436,8 @@ def test_every_element_is_join_of_its_irreducibles():
     L = birkhoff(GRID)
     for a in L.elements:
         acc = L.bottom
-        for p in L.iota[a]:
-            acc = L.join(acc, L.iota_inv(frozenset(q for q in GRID.elements if GRID.leq(q, p))))
+        for p in iota(L, a):
+            acc = L.join(acc, iota_inv(L, frozenset(q for q in GRID.elements if GRID.leq(q, p))))
         assert acc == a
 
 
@@ -419,17 +451,19 @@ def test_parse_lattice_poset_mode():
 
 
 def test_parse_lattice_tables_mode():
+    # the file's labels hold no comma or brace, so they cannot be B2's own
     lines = []
     L = birkhoff(antichain(["p", "q"]))
+    name = dict(zip(L.elements, ["bot", "p", "q", "top"]))
     for a in L.elements:
-        lines.append(f"elem {a}")
+        lines.append(f"elem {name[a]}")
     for a in L.elements:
         for b in L.elements:
-            lines.append(f"join {a} {b} {L.join(a, b)}")
-            lines.append(f"meet {a} {b} {L.meet(a, b)}")
+            lines.append(f"join {name[a]} {name[b]} {name[L.join(a, b)]}")
+            lines.append(f"meet {name[a]} {name[b]} {name[L.meet(a, b)]}")
     M = parse_lattice("\n".join(lines))
     assert M.size == 4
-    assert set(M.poset_P.elements) == {"{p}", "{q}"}
+    assert set(M.poset_P.elements) == {"p", "q"}
 
 
 def test_format_lattice_round_trip():

@@ -14,14 +14,17 @@ from fraction_oracle import extension_poset, intersect_orders
 from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
 from hibikit.poset import (
     LinearExtension,
+    Poset,
     antichain,
     chain,
+    down_closed,
     from_cover_relations,
     is_stronger,
     linear_extensions,
     order_ideals,
     parse_poset,
 )
+from order_oracle import PairPoset, closure, pairs_of
 
 
 def brute_extensions(P):
@@ -39,7 +42,7 @@ def brute_ideals(P):
     grew the ideals upward, in its canonical order (by size, then
     positions)."""
     n = P.size
-    below = [P.below(j) for j in range(n)]
+    below = [{i for i in range(n) if P.below[j] >> i & 1} for j in range(n)]
     found = []
     for mask in range(1 << n):
         members = {j for j in range(n) if mask >> j & 1}
@@ -218,3 +221,81 @@ def test_linear_extension_validation():
 def test_covers_are_transitive_reduction():
     C = chain(["p", "q", "r"])
     assert C.covers() == [("p", "q"), ("q", "r")]
+
+
+# -- the bitmask poset against the pair-set reference ------------------------
+
+
+@st.composite
+def labelled_pairs(draw, max_size=7):
+    """Labels in a drawn order and random index pairs among them, cycles
+    allowed."""
+    n = draw(st.integers(1, max_size))
+    labels = draw(st.permutations([f"e{i}" for i in range(n)]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    return list(labels), pairs
+
+
+def error_type(build):
+    try:
+        build()
+    except Exception as exc:  # the type is what is compared
+        return type(exc)
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(labelled_pairs(), st.data())
+def test_mask_poset_matches_pair_set_reference(drawn, data):
+    labels, pairs = drawn
+    n = len(labels)
+    covers = [(labels[i], labels[j]) for i, j in pairs]
+    closed = closure(n, pairs)
+    if any(i == j for i, j in closed):
+        with pytest.raises(CycleError):
+            from_cover_relations(labels, covers)
+        return
+    P = from_cover_relations(labels, covers)
+    R = PairPoset(labels, closed)
+    assert pairs_of(P) == R.relation
+    assert P.covers() == R.covers()
+    assert P.label_pairs() == R.label_pairs()
+    assert [e.order for e in linear_extensions(P)] == R.linear_extensions()
+    assert order_ideals(P) == R.order_ideals()
+    every = range(1 << n)
+    assert down_closed(P, every) == R.down_closed(every)
+    # a second order on the same labels, listed in another order
+    order_q = data.draw(st.permutations(labels))
+    pairs_q = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                                 max_size=2 * n))
+    closed_q = {(i, j) for i, j in closure(n, pairs_q) if i < j}  # still closed
+    Q = PairPoset(order_q, closed_q)
+    Qm = from_cover_relations(order_q, [(order_q[i], order_q[j]) for i, j in closed_q])
+    assert is_stronger(P, Qm) == R.is_stronger(Q)
+    assert is_stronger(Qm, P) == Q.is_stronger(R)
+
+
+@st.composite
+def below_masks(draw, max_size=7):
+    """One mask per element: arbitrary, or acyclic (bits below j only) and
+    so often not closed, or acyclic with one bit past the last index."""
+    n = draw(st.integers(1, max_size))
+    kind = draw(st.sampled_from(["any", "acyclic", "out of range"]))
+    if kind == "any":
+        return [draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+    below = [draw(st.integers(0, (1 << j) - 1)) for j in range(n)]
+    if kind == "out of range":
+        below[draw(st.integers(0, n - 1))] |= 1 << n
+    return below
+
+
+@settings(max_examples=120, deadline=None)
+@given(below_masks())
+def test_mask_constructor_raises_as_pair_set_reference(below):
+    labels = tuple(f"e{j}" for j in range(len(below)))
+    pairs = {(i, j) for j, m in enumerate(below) for i in range(m.bit_length()) if m >> i & 1}
+    expected = error_type(lambda: PairPoset(labels, pairs))
+    assert error_type(lambda: Poset(labels, tuple(below))) == expected
+    if expected is None:
+        assert pairs_of(Poset(labels, tuple(below))) == pairs

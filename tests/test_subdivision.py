@@ -22,6 +22,7 @@ from hibikit.subdivision import (
     subdivision_invariance_check,
     subdivision_json,
 )
+from order_oracle import iota, iota_inv
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -104,7 +105,7 @@ def test_weight_dimension_checked():
 
 def test_parts_interpolate_weight():
     L = birkhoff(GRID)
-    w = tuple(len(L.iota[a]) ** 2 for a in L.elements)
+    w = tuple(L.height(a) ** 2 for a in L.elements)
     sub = regular_subdivision(L, w, 1)
     wt = dict(zip(L.elements, w))
     for part in sub.parts:
@@ -120,11 +121,11 @@ def test_parts_interpolate_weight():
 def test_subdivision_partitions_extensions(P, salt):
     L = birkhoff(P)
     # a convex-in-height weight lies in the closed cone; salt varies it
-    w = tuple(len(L.iota[a]) ** 2 + (salt >> i & 1) for i, a in enumerate(L.elements))
+    w = tuple(L.height(a) ** 2 + (salt >> i & 1) for i, a in enumerate(L.elements))
     try:
         sub = regular_subdivision(L, w, 1)
     except NotInCone:
-        w = tuple(len(L.iota[a]) ** 2 for a in L.elements)
+        w = tuple(L.height(a) ** 2 for a in L.elements)
         sub = regular_subdivision(L, w, 1)
     seen = []
     for part in sub.parts:
@@ -132,7 +133,7 @@ def test_subdivision_partitions_extensions(P, salt):
     assert sorted(e.order for e in seen) == sorted(
         e.order for e in linear_extensions(P))
     for part in sub.parts:
-        ideals = {L.iota[a] for a in part.vertex_elements}
+        ideals = {iota(L, a) for a in part.vertex_elements}
         from hibikit.poset import order_ideals
         assert ideals == set(order_ideals(part.order))
 
@@ -154,11 +155,11 @@ def lattice_and_weight(draw):
         return L, [draw(fraction_strategy()) for _ in L.elements]
     const = draw(fraction_strategy())
     slope = {p: draw(fraction_strategy()) for p in labels}
-    w = [const + sum(slope[p] for p in L.iota[a]) for a in L.elements]
+    w = [const + sum(slope[p] for p in iota(L, a)) for a in L.elements]
     for _ in range(draw(st.integers(0, 4))):
         S = draw(st.sets(st.sampled_from(labels), min_size=min(2, len(labels))))
         c = draw(fraction_strategy(low=1))
-        w = [x + (c if S <= L.iota[a] else 0) for x, a in zip(w, L.elements)]
+        w = [x + (c if S <= iota(L, a) else 0) for x, a in zip(w, L.elements)]
     return L, w
 
 
@@ -212,7 +213,7 @@ def test_subdivide_classifies_the_weight_once(monkeypatch, capsys):
 
 def test_full_face_triangulation():
     K = cone_K(B3)
-    full = face_of(K, tuple(len(B3.iota[a]) ** 2 for a in B3.elements), 1)
+    full = face_of(K, tuple(B3.height(a) ** 2 for a in B3.elements), 1)
     assert is_full(full)
     sub = face_subdivision(full)
     assert len(sub.parts) == 6  # one simplex per linear extension
@@ -382,11 +383,11 @@ def test_adjacency_symdiff_is_diamond(P):
         pre = set()
         for p in g.extensions[i].order:
             pre.add(p)
-            ci.add(L.iota_inv(frozenset(pre)))
+            ci.add(iota_inv(L, frozenset(pre)))
         pre = set()
         for p in g.extensions[j].order:
             pre.add(p)
-            cj.add(L.iota_inv(frozenset(pre)))
+            cj.add(iota_inv(L, frozenset(pre)))
         assert frozenset(ci ^ cj) in pairs
 
 
@@ -404,7 +405,7 @@ def test_b2_generic_weight_segment():
 
 
 def test_b3_generic_weight_hexagon():
-    w = tuple(len(B3.iota[a]) ** 2 for a in B3.elements)
+    w = tuple(B3.height(a) ** 2 for a in B3.elements)
     poly = generalized_permutahedron(B3, w, 1)
     assert len(poly.vertices) == 6
     assert poly.dim == 2  # hexagon lives in a plane (alpha sums are fixed)

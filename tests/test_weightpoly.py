@@ -19,7 +19,7 @@ from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
 from hibikit.exactgeom import LatticePolytope, integer_points
 from hibikit.lattice import birkhoff, diamond_pairs, ideal_label
-from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
+from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision
 from hibikit.weightpoly import (
     WeightPolytope,
@@ -31,6 +31,7 @@ from hibikit.weightpoly import (
     weight_polytope,
     weight_polytope_json,
 )
+from order_oracle import poset_from_pairs
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -42,7 +43,7 @@ GRIDL = birkhoff(GRID)
 
 def full_face(L):
     K = cone_K(L)
-    return face_of(K, tuple(len(L.iota[a]) ** 2 for a in L.elements), 1)
+    return face_of(K, tuple(L.height(a) ** 2 for a in L.elements), 1)
 
 
 def apex_face(L):
@@ -65,7 +66,7 @@ def chain_simplex(ext):
     chain of a linear extension: its element labels and its polytope."""
     P = ext.poset
     W = weight_polytope(full_face(birkhoff(P)))
-    labels = tuple(ideal_label(frozenset(ext.order[:k]), P.elements)
+    labels = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
     poly = LatticePolytope([W.points[a] for a in labels], 1)
     assert poly.dim == P.size
@@ -274,7 +275,7 @@ def small_posets(draw):
         into = {i for i, j in less if j == k}
         out = {j for i, j in less if i == k}
         less |= {(i, j) for i in into for j in out}
-    return Poset(tuple(f"p{i}" for i in range(n)), frozenset(less))
+    return poset_from_pairs(tuple(f"p{i}" for i in range(n)), less)
 
 
 def bump(point, i):
