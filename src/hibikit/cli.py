@@ -30,13 +30,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .cone import Face, MaxCone, _close_tight, cone_K, enumerate_faces, face_of
-from .errors import BadParams, HibikitError
+from .errors import BadParams, CycleError, HibikitError, UnknownLabel
 from .exactgeom import polytope_json, vector_pairs
-from .flaggt import (MAX_GT_RANK, flag_lattice, grassmann_lattice,
+from .flaggt import (MAX_GT_RANK, GelfandTsetlin, flag_lattice, grassmann_lattice,
                      gt_subdivision, gt_vertices, shape_census)
 from .hibi import degeneration_certificate
 from .lattice import Lattice, birkhoff, diamond_pairs, maximal_chain_count, parse_lattice
-from .poset import Poset, antichain, check_labels, from_cover_relations, parse_poset
+from .poset import Poset, antichain, check_labels, from_cover_relations
 from .subdivision import (face_subdivision, generalized_permutahedron,
                           regular_subdivision, subdivision_invariance_check,
                           subdivision_json)
@@ -62,12 +62,9 @@ def _write_text(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def load_poset(path) -> Poset:
-    """A poset file: JSON with `elements`, a list of distinct strings, and
-    `covers`, a list of string pairs; or the text format of parse_poset."""
-    text = Path(path).read_text(encoding="utf-8")
-    if not text.lstrip().startswith("{"):
-        return parse_poset(text)
+def parse_poset_json(text: str) -> Poset:
+    """A JSON poset file: `elements`, a list of distinct strings, and
+    `covers`, a list of string pairs."""
     data = json.loads(text)
     elements, covers = data["elements"], data["covers"]
     if not (isinstance(elements, list) and all(isinstance(x, str) for x in elements)):
@@ -132,9 +129,11 @@ def build_lattice(args) -> Lattice:
     try:
         if not text.lstrip().startswith("{"):
             return parse_lattice(text)
-        P = load_poset(args.poset)
+        P = parse_poset_json(text)
     except (ValueError, TypeError, KeyError) as exc:  # bad line or JSON shape, repeated element
         raise BadParams(f"bad poset file: {exc!r}") from None
+    except (CycleError, UnknownLabel) as exc:  # covers that close a cycle or name no element
+        raise BadParams(str(exc)) from None
     return birkhoff(P)
 
 
@@ -269,10 +268,10 @@ def cmd_weightpoly(args) -> int:
     return 0
 
 
-def _gt_subdivision_payload(n: int, face_spec: str) -> dict:
-    flag = flag_lattice(n)
+def _gt_subdivision_payload(gt: GelfandTsetlin, face_spec: str) -> dict:
+    flag = flag_lattice(gt.n)
     F = resolve_face(cone_K(flag), face_spec)
-    parts = gt_subdivision(n, F, flag)
+    parts = gt_subdivision(gt, F, flag)
     return {
         "face": F.key(),
         "part_count": len(parts),
@@ -289,15 +288,16 @@ def cmd_gt(args) -> int:
     if args.face is not None and args.action in ("census", "vertices"):
         raise BadParams(f"gt {args.action} takes no --face")
     payload = {"command": "gt", "n": args.n}
+    gt = GelfandTsetlin(args.n)
     if args.action in (None, "census"):
-        census = shape_census(args.n)
+        census = shape_census(gt)
         payload["census"] = census
         payload["component_count"] = sum(census.values())
     if args.action in (None, "subdivide"):
         face = "full" if args.face is None else args.face
-        payload["subdivision"] = _gt_subdivision_payload(args.n, face)
+        payload["subdivision"] = _gt_subdivision_payload(gt, face)
     if args.action == "vertices":
-        vs = gt_vertices(args.n)
+        vs = gt_vertices(gt)
         payload["vertex_count"] = len(vs)
         payload["vertices"] = [{
             "point": vector_pairs(v.point, args.n - 1),

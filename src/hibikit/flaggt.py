@@ -4,9 +4,17 @@ Gelfand-Tsetlin specializations.
 Flag lattice elements are increasing index tuples written as digit strings
 ("13" for a_{1,3}). The triangular poset lives on labels "p{r}{s}" for
 1 <= r <= s <= n; the two corner cells p11 and pnn only appear in the
-extended ground set that marked polytopes are defined on. Points of the
-ambient space R^{Pbar} are tuples over pbar_labels(n), which sorts cells
-by (r, s).
+extended ground set that marked polytopes are defined on. pbar_labels(n)
+sorts the cells by (r, s), so the corners are its first and last cells,
+and cell j of the triangular poset gt_poset(n) is cell j + 1 of Pbar.
+
+Every computation holds one point format: a point of R^{Pbar}, or of any
+marked poset's ground set, is an int tuple over the base poset's element
+order, and a marking is one value per index (None on a free element).
+Orders are read through Poset.below masks and cover index pairs, and each
+flag element's order ideal is a bitmask over gt_poset(n). A job builds
+the triangular poset, the marked poset and the ideals once, as one
+GelfandTsetlin, and hands it to every step it runs.
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
@@ -20,20 +28,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .cone import Face
-from .errors import BadParams, NotStronger, TooLarge
+from .errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
 from .exactgeom import LatticePolytope, same_lattice
 from .lattice import Lattice, from_ops
-from .poset import (
-    LinearExtension,
-    Poset,
-    from_cover_relations,
-    is_stronger,
-    linear_extensions,
-    order_ideals,
-)
+from .poset import LinearExtension, Poset, _bits, chain, ideal_masks, linear_extensions
 from .subdivision import face_subdivision
 
 MAX_GT_RANK = 5
@@ -106,64 +107,59 @@ def pbar_labels(n: int) -> list[str]:
     return [_cell(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
 
 
-def _ptilde_labels(n: int) -> list[str]:
-    return [c for c in pbar_labels(n) if c not in (_cell(1, 1), _cell(n, n))]
+def _triangle(n: int, corners: bool) -> Poset:
+    """The cells p_{r,s}, 1 <= r <= s <= n, in the order of pbar_labels and
+    ordered componentwise, which is already transitive; the two corners p11
+    and pnn only when `corners` is set."""
+    if n < 2:
+        raise BadParams("need n >= 2")
+    cells = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)
+             if corners or (r, s) not in ((1, 1), (n, n))]
+    below = [sum(1 << i for i, (a, b) in enumerate(cells)
+                 if a <= r and b <= s and (a, b) != (r, s))
+             for r, s in cells]
+    return Poset(tuple(_cell(r, s) for r, s in cells), tuple(below))
 
 
 def gt_poset(n: int) -> Poset:
     """Cells p_{r,s}, 1 <= r <= s <= n without the two corners, ordered
     componentwise."""
-    if n < 2:
-        raise BadParams("need n >= 2")
-    labels = _ptilde_labels(n)
-    pairs = [
-        (a, b)
-        for a, b in itertools.permutations(labels, 2)
-        if a != b and int(a[1]) <= int(b[1]) and int(a[2]) <= int(b[2])
-    ]
-    return from_cover_relations(labels, pairs)
+    return _triangle(n, corners=False)
 
 
-def _phi(n: int) -> dict[str, frozenset[str]]:
-    # each flag element as an order ideal of the triangular poset: column
-    # n-j+1 holds rows 1..i_j-j, plus every full column left of n-k+1
+def _phi(n: int, pt: Poset) -> dict[str, int]:
+    # each flag element as an order ideal of the triangular poset pt, a
+    # bitmask over its cells: column n-j+1 holds rows 1..i_j-j, plus every
+    # full column left of n-k+1
     out = {}
     for k in range(1, n):
         for combo in itertools.combinations(range(1, n + 1), k):
-            cells = set()
-            for j, ij in enumerate(combo, start=1):
-                col = n - j + 1
-                cells.update(_cell(t, col) for t in range(1, ij - j + 1))
-            for r in range(1, n + 1):
-                for s in range(r, n + 1):
-                    if s < n - k + 1:
-                        cells.add(_cell(r, s))
-            cells.discard(_cell(1, 1))
-            out[_label_of(combo)] = frozenset(cells)
+            cells = {(t, n - j + 1) for j, ij in enumerate(combo, start=1)
+                     for t in range(1, ij - j + 1)}
+            cells |= {(r, s) for s in range(1, n - k + 1) for r in range(1, s + 1)}
+            cells.discard((1, 1))
+            out[_label_of(combo)] = sum(1 << pt.index(_cell(r, s)) for r, s in cells)
     return out
 
 
-def gt_poset_iso(n: int, L: Lattice) -> tuple[Poset, dict[str, str]]:
-    """The triangular poset together with the label map that identifies it
-    with the poset of join-irreducibles of L, which must be flag_lattice(n)."""
-    pt = gt_poset(n)
-    phi = _phi(n)
-    assert set(phi.values()) == set(order_ideals(pt))
+def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
+    """The label map that identifies the triangular poset gt.poset with the
+    poset of join-irreducibles of L, which must be flag_lattice(gt.n)."""
+    pt, phi = gt.poset, gt.phi
+    assert sorted(phi.values()) == sorted(ideal_masks(pt))
     for a, b in itertools.product(L.elements, repeat=2):
-        assert L.leq(a, b) == (phi[a] <= phi[b])
+        assert L.leq(a, b) == (not phi[a] & ~phi[b])
         assert phi[L.join(a, b)] == phi[a] | phi[b]
         assert phi[L.meet(a, b)] == phi[a] & phi[b]
+    principal = {m | 1 << j: p for j, (p, m) in enumerate(zip(pt.elements, pt.below))}
     mapping = {}
     for t in L.poset_P.elements:
-        ideal = phi[t]
-        tops = [p for p in ideal
-                if not any(p != q and pt.leq(p, q) for q in ideal)]
-        assert len(tops) == 1, "irreducibles must map to principal ideals"
-        mapping[t] = tops[0]
+        assert phi[t] in principal, "irreducibles must map to principal ideals"
+        mapping[t] = principal[phi[t]]
     assert sorted(mapping.values()) == sorted(pt.elements)
     for s, t in itertools.product(L.poset_P.elements, repeat=2):
         assert L.poset_P.leq(s, t) == pt.leq(mapping[s], mapping[t])
-    return pt, mapping
+    return mapping
 
 
 # -- marked order polytopes --------------------------------------------------
@@ -171,144 +167,141 @@ def gt_poset_iso(n: int, L: Lattice) -> tuple[Poset, dict[str, str]]:
 
 @dataclass(frozen=True)
 class MarkedPoset:
-    """A poset with a marked subset carrying fixed integer values.
+    """A poset with a marked subset carrying fixed integer values:
+    values[j] is the marking of base.elements[j], None when it is free.
 
     Convention: points satisfy x_p >= x_q whenever p < q, so values must
     not increase along the order.
     """
 
     base: Poset
-    marked: tuple[str, ...]
-    values: dict[str, int]
+    values: tuple[Optional[int], ...]
 
     def __post_init__(self):
-        marked = set(self.marked)
-        assert marked == set(self.values)
+        assert len(self.values) == self.base.size
         below = self.base.below
-        for j, p in enumerate(self.base.elements):
-            is_min = not below[j]
-            is_max = not any(m >> j & 1 for m in below)
+        for j, m in enumerate(below):
+            is_min = not m
+            is_max = not any(b >> j & 1 for b in below)
             if is_min or is_max:
-                assert p in marked, "extreme elements must be marked"
-        for a, b in itertools.permutations(self.marked, 2):
-            if self.base.less(a, b):
-                assert self.values[a] >= self.values[b]
+                assert self.values[j] is not None, "extreme elements must be marked"
+        for b in self.marked():
+            for a in _bits(below[b]):
+                if self.values[a] is not None:
+                    assert self.values[a] >= self.values[b]
 
-    def free(self) -> list[str]:
-        marked = set(self.marked)
-        return [p for p in self.base.elements if p not in marked]
+    def marked(self) -> list[int]:
+        return [j for j, v in enumerate(self.values) if v is not None]
+
+    def free(self) -> list[int]:
+        return [j for j, v in enumerate(self.values) if v is None]
 
 
-def _gt_marking(n: int) -> dict[str, int]:
-    """The Gelfand-Tsetlin marking on the (n-1)-scaled lattice: p_{r,r}
-    carries n - r."""
-    return {_cell(r, r): n - r for r in range(1, n + 1)}
+def _gt_marking(n: int, labels: Sequence[str]) -> tuple[Optional[int], ...]:
+    """The Gelfand-Tsetlin marking of the cells `labels` on the (n-1)-scaled
+    lattice: p_{r,r} carries n - r, every other cell is free."""
+    return tuple(n - int(p[1]) if p[1] == p[2] else None for p in labels)
 
 
 def gt_marked_poset(n: int) -> MarkedPoset:
     """Full triangular array, diagonal marked to n - r: the Gelfand-Tsetlin
     polytope scaled by n - 1, so every marking is an integer."""
-    if n < 2:
-        raise BadParams("need n >= 2")
-    labels = pbar_labels(n)
-    pairs = [
-        (a, b)
-        for a, b in itertools.permutations(labels, 2)
-        if int(a[1]) <= int(b[1]) and int(a[2]) <= int(b[2])
-    ]
-    base = from_cover_relations(labels, pairs)
-    marked = tuple(_cell(r, r) for r in range(1, n + 1))
-    return MarkedPoset(base, marked, _gt_marking(n))
+    base = _triangle(n, corners=True)
+    return MarkedPoset(base, _gt_marking(n, base.elements))
 
 
-def mu_k_marked_poset(n: int, k: int) -> MarkedPoset:
+class GelfandTsetlin:
+    """What a Gelfand-Tsetlin job of rank n reads, built once per job: the
+    triangular poset (gt_poset), the marked poset on Pbar
+    (gt_marked_poset), and phi, each flag element's order ideal as a
+    bitmask over the triangular poset."""
+
+    def __init__(self, n: int):
+        if n > MAX_GT_RANK:
+            raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
+        self.n = n
+        self.poset = gt_poset(n)
+        self.marked = gt_marked_poset(n)
+        self.phi = _phi(n, self.poset)
+
+
+def mu_k_marked_poset(gt: GelfandTsetlin, k: int) -> MarkedPoset:
     """0/1 diagonal marking whose polytope holds the k-index flag points:
     p_{r,r} is marked 1 exactly when r <= n-k."""
-    if not 1 <= k <= n - 1:
+    if not 1 <= k <= gt.n - 1:
         raise BadParams("need 1 <= k <= n-1")
-    mp = gt_marked_poset(n)
-    return MarkedPoset(mp.base, mp.marked,
-                       {p: 1 if v >= k else 0 for p, v in mp.values.items()})
+    return MarkedPoset(gt.marked.base,
+                       tuple(None if v is None else int(v >= k) for v in gt.marked.values))
 
 
-def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, int]) -> bool:
-    if any(point[p] != mp.values[p] for p in mp.marked):
+def _satisfies(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
+    if any(v is not None and point[j] != v for j, v in enumerate(mp.values)):
         return False
-    return all(point[a] >= point[b] for a, b in order.covers())
+    return all(point[a] >= point[b] for a, b in order.cover_indices())
 
 
-def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, int]]:
+def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
     """Every point that fixes the markings, takes a marking value on each
-    free cell, and satisfies x_a >= x_b for each cover a < b of `order`, as
-    dicts in a fixed order.
+    free cell, and satisfies x_a >= x_b for each cover a < b of `order`, in
+    a fixed order. `order` lists the base's elements in the base's order.
 
     Every vertex coordinate propagates from a marked cell through tight
-    inequalities, so this candidate set contains all vertices.
+    inequalities, so this candidate set contains all vertices. The search
+    runs index by index along a linear extension of `order`: a marked index
+    takes its marking, a free index p any marking value between the largest
+    marking above p and the least value of its predecessors.
     """
-    if not is_stronger(order, mp.base):
+    if order.elements != mp.base.elements:
+        raise GroundSetMismatch("order must list the marked poset's elements in its order")
+    if any(m & ~s for m, s in zip(mp.base.below, order.below)):
         raise NotStronger("order must refine the marked poset's base order")
-    free = mp.free()
+    marking, free = mp.values, mp.free()
     if len(free) > 13:
         raise TooLarge("marked polytope enumeration capped at 13 free cells")
-    preds = {p: [] for p in order.elements}
-    for a, b in order.covers():
+    preds = [[] for _ in marking]
+    for a, b in order.cover_indices():
         preds[b].append(a)
-    lower = {
-        p: max(mp.values[m] for m in mp.marked if order.leq(p, m))
-        for p in free
-    }
-    return _fillings(next(linear_extensions(order)).order, preds, lower, mp.values)
-
-
-def _fillings(ext: Sequence[str], preds: dict, lower: dict, marking: dict) -> list[dict]:
-    """The candidate search, cell by cell along the linear extension `ext`:
-    a marked cell takes its marking, a free cell p any marking value between
-    lower[p] and the least value of its predecessors."""
-    values = sorted(set(marking.values()), reverse=True)
-    assignment = {}
+    lower = list(marking)  # a marked index is bounded by its own marking
+    for p in free:
+        lower[p] = max(marking[m] for m in mp.marked() if order.below[m] >> p & 1)
+    ext = [order.index(p) for p in next(linear_extensions(order)).order]
+    values = sorted({v for v in marking if v is not None}, reverse=True)
+    point = [0] * len(marking)
     out = []
 
     def descend(i):
         if i == len(ext):
             if len(out) == 500_000:
                 raise TooLarge("marked polytope has too many candidate points")
-            out.append(dict(assignment))
+            out.append(tuple(point))
             return
         p = ext[i]
-        cap = min((assignment[q] for q in preds[p]), default=values[0])
-        for v in [marking[p]] if p in marking else values:
-            if v > cap or (p in lower and v < lower[p]):
-                continue
-            assignment[p] = v
-            descend(i + 1)
-            del assignment[p]
+        cap = min((point[q] for q in preds[p]), default=values[0])
+        for v in values if marking[p] is None else [marking[p]]:
+            if lower[p] <= v <= cap:
+                point[p] = v
+                descend(i + 1)
 
     descend(0)
     return out
 
 
-def _anchored(covers, marked, free, point) -> bool:
+def _is_vertex(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
     # a point is a vertex iff every free cell reaches a marked cell through
-    # the graph of tight cover inequalities; cells are keys of `point`
-    parent = {}
+    # the graph of tight cover inequalities
+    root = list(range(len(point)))
 
     def find(x):
-        while x in parent:
-            parent[x] = parent.get(parent[x], parent[x])  # path halving
-            x = parent[x]
+        while root[x] != x:
+            root[x] = root[root[x]]  # path halving
+            x = root[x]
         return x
 
-    for a, b in covers:
+    for a, b in order.cover_indices():
         if point[a] == point[b]:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    anchored = {find(m) for m in marked}
-    return all(find(p) in anchored for p in free)
-
-
-def _is_vertex(mp: MarkedPoset, order: Poset, point: dict) -> bool:
-    return _anchored(order.covers(), mp.marked, mp.free(), point)
+            root[find(a)] = find(b)
+    anchored = {find(m) for m in mp.marked()}
+    return all(find(p) in anchored for p in mp.free())
 
 
 def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
@@ -316,10 +309,8 @@ def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
     and x_p >= x_q for p < q in `order`, as value tuples over
     mp.base.elements: the candidates take marking values only, and a
     candidate is extreme iff its tight graph anchors every free cell."""
-    labels = mp.base.elements
-    points = [tuple(cand[p] for p in labels)
-              for cand in _vertex_candidates(mp, order)
-              if _is_vertex(mp, order, cand)]
+    points = [point for point in _vertex_candidates(mp, order)
+              if _is_vertex(mp, order, point)]
     assert points, "a marked polytope always has at least one vertex"
     assert len(set(points)) == len(points)
     return points
@@ -340,22 +331,14 @@ class GTVertex:
     labels: tuple[str, ...]
 
 
-def flag_point(n: int, label: str, phi: dict) -> tuple[int, ...]:
-    """0/1 indicator of the flag element's triangular ideal phi[label], with
-    the two corner cells pinned to 1 and 0."""
-    ideal = phi[label]
-    coords = []
-    for p in pbar_labels(n):
-        if p == _cell(1, 1):
-            coords.append(1)
-        elif p == _cell(n, n):
-            coords.append(0)
-        else:
-            coords.append(1 if p in ideal else 0)
-    return tuple(coords)
+def flag_point(gt: GelfandTsetlin, label: str) -> tuple[int, ...]:
+    """0/1 indicator of the flag element's triangular ideal gt.phi[label],
+    over Pbar, with the two corner cells pinned to 1 and 0."""
+    mask = gt.phi[label] << 1 | 1  # cell j of gt.poset is cell j + 1 of Pbar
+    return tuple(mask >> j & 1 for j in range(gt.marked.base.size))
 
 
-def gt_patterns(n: int) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
+def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     """Every point of the Gelfand-Tsetlin polytope whose coordinates all
     take marking values, with its flag-element chain, on the (n-1)-scaled
     integer lattice: each point is n - 1 times a point of the polytope.
@@ -366,23 +349,16 @@ def gt_patterns(n: int) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     a_1 > a_2 > ... > a_{n-1} with a_k a k-index element, so there are
     2^(n(n-1)/2) of them; the polytope's vertices, scaled, are among them.
     """
-    if n < 2:
-        raise BadParams("need n >= 2")
-    if n > MAX_GT_RANK:
-        raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
-    phi = _phi(n)
-    ideal_to_label = {ideal: lbl for lbl, ideal in phi.items()}
-    assert len(ideal_to_label) == len(phi)
-    flag_points = {lbl: flag_point(n, lbl, phi) for lbl in phi}
-    labels = pbar_labels(n)
-    ptilde = _ptilde_labels(n)
-    mp = gt_marked_poset(n)
+    n, mp = gt.n, gt.marked
+    ideal_to_label = {ideal: lbl for lbl, ideal in gt.phi.items()}
+    assert len(ideal_to_label) == len(gt.phi)
+    flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
     out = []
-    for cand in _vertex_candidates(mp, mp.base):
-        point = tuple(cand[p] for p in labels)
+    for point in _vertex_candidates(mp, mp.base):
         chain = []
         for k in range(1, n):
-            level = frozenset(p for p in ptilde if cand[p] >= k)
+            # the superlevel set over the cells of gt.poset, Pbar's inner cells
+            level = sum(1 << j for j, x in enumerate(point[1:-1]) if x >= k)
             lbl = ideal_to_label.get(level)
             assert lbl is not None and len(lbl) == k
             chain.append(lbl)
@@ -393,24 +369,23 @@ def gt_patterns(n: int) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     return out
 
 
-def gt_vertices(n: int) -> list[GTVertex]:
+def gt_vertices(gt: GelfandTsetlin) -> list[GTVertex]:
     """Vertices of the Gelfand-Tsetlin polytope with exact decompositions.
 
     Vertices are the patterns whose tight-constraint graph anchors every
     free cell. The search runs on the (n-1)-scaled integer lattice, and
     each vertex keeps its scaled point and flag points.
     """
-    mp = gt_marked_poset(n)
-    phi = _phi(n)
-    flag_points = {lbl: flag_point(n, lbl, phi) for lbl in phi}
-    xi = {k: set(_marked_vertices(mu_k_marked_poset(n, k), mp.base)) for k in range(1, n)}
-    for k in range(1, n):
-        k_points = {flag_points[lbl] for lbl in phi if len(lbl) == k}
+    mp = gt.marked
+    flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
+    xi = {k: set(_marked_vertices(mu_k_marked_poset(gt, k), mp.base))
+          for k in range(1, gt.n)}
+    for k in range(1, gt.n):
+        k_points = {flag_points[lbl] for lbl in gt.phi if len(lbl) == k}
         assert xi[k] == k_points, "level-k vertices must be k-index flag points"
-    labels = mp.base.elements
     out = []
-    for point, chain in gt_patterns(n):
-        if not _is_vertex(mp, mp.base, dict(zip(labels, point))):
+    for point, chain in gt_patterns(gt):
+        if not _is_vertex(mp, mp.base, point):
             continue
         for k, lbl in enumerate(chain, start=1):
             assert flag_points[lbl] in xi[k]
@@ -421,19 +396,21 @@ def gt_vertices(n: int) -> list[GTVertex]:
 # -- sections of the ambient subdivision -------------------------------------
 
 
-def _extend_to_pbar(n: int, order_pt: Poset, iso: dict[str, str]) -> Poset:
-    relabeled = [(iso[a], iso[b]) for a, b in order_pt.label_pairs()]
-    bottom, top = _cell(1, 1), _cell(n, n)
-    inner = [iso[p] for p in order_pt.elements]
-    pairs = relabeled + [(bottom, p) for p in inner] + [(p, top) for p in inner]
-    pairs.append((bottom, top))
-    return from_cover_relations(pbar_labels(n), pairs)
+def _extend_to_pbar(base: Poset, order_pt: Poset, at: Sequence[int]) -> Poset:
+    # the part order on Pbar's cells, with order_pt's element j at index
+    # at[j], the corner p11 (index 0) below every cell and pnn (the last
+    # index) above every cell
+    below = [0] * base.size
+    for j, m in enumerate(order_pt.below):
+        below[at[j]] = 1 | sum(1 << at[i] for i in _bits(m))
+    below[-1] = (1 << base.size - 1) - 1
+    return Poset(base.elements, tuple(below))
 
 
-def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
+def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
     """Parts of the Gelfand-Tsetlin polytope induced by a face of the cone
-    of flag = flag_lattice(n): the diagonal-pinned sections of the ambient
-    parts.
+    of flag = flag_lattice(gt.n): the diagonal-pinned sections of the
+    ambient parts.
 
     Cross-checked against the subdivision the lifted heights define
     directly: over every pattern point x, each part's affine map
@@ -445,35 +422,32 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     patterns of gt_patterns; each section's polytope holds those integer
     vertices over den = n - 1.
     """
-    if n > MAX_GT_RANK:
-        raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
+    n, mp = gt.n, gt.marked
     L = F.cone.lattice
     if L != flag:
         raise ValueError("face must come from the flag lattice's cone")
-    _, iso = gt_poset_iso(n, flag)
-    mp = gt_marked_poset(n)
+    iso = gt_poset_iso(gt, flag)
     sub = face_subdivision(F)
-    pbar = pbar_labels(n)
-    # each scaled pattern point with its cells and its lifted height times
-    # (n-1)·den, which is the sum of the scaled weight over its chain
-    lifts = {point: (dict(zip(pbar, point)), sum(sub.scaled[L.index(lbl)] for lbl in chain))
-             for point, chain in gt_patterns(n)}
-    at = [pbar.index(iso[p]) for p in L.poset_P.elements]
+    # each scaled pattern point with its lifted height times (n-1)·den,
+    # which is the sum of the scaled weight over its chain
+    lifts = {point: sum(sub.scaled[L.index(lbl)] for lbl in chain)
+             for point, chain in gt_patterns(gt)}
+    at = [mp.base.index(iso[p]) for p in L.poset_P.elements]  # P's cells in Pbar
     in_parts = dict.fromkeys(lifts, 0)
     parts = []
     for part in sub.parts:
-        order = _extend_to_pbar(n, part.order, iso)
+        order = _extend_to_pbar(mp.base, part.order, at)
         vertices = _marked_vertices(mp, order)
         member_points = set(vertices)
         assert member_points <= lifts.keys()
-        for point, (coords, lifted) in lifts.items():
+        for point, lifted in lifts.items():
             value = part.const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))
             assert value >= lifted, "part maps must overestimate the lift"
-            inside = _satisfies(mp, order, coords)
+            inside = _satisfies(mp, order, point)
             assert (value == lifted) == inside
             if inside:
                 in_parts[point] += 1
-            assert (inside and _is_vertex(mp, order, coords)) == (
+            assert (inside and _is_vertex(mp, order, point)) == (
                 point in member_points)
         Q = LatticePolytope(vertices, n - 1, already_extreme=True)
         assert Q.dim == len(mp.free()), "each section must be full-dimensional"
@@ -484,27 +458,6 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
 
 
 # -- component shapes --------------------------------------------------------
-
-
-def _chain_vertices(chain: Sequence[str], marking: dict[str, int]) -> list[tuple[int, ...]]:
-    """Vertices of the marked order polytope of a chain, x_c >= x_d for
-    each step c, d of it, as value tuples along the chain: the candidates
-    of the search that _marked_vertices runs, kept by the same anchoring
-    test."""
-    preds = {d: [c] for c, d in zip(chain, chain[1:])}
-    preds[chain[0]] = []
-    lower = {}
-    bound = None  # the marking of the next marked cell
-    for p in reversed(chain):
-        if p in marking:
-            bound = marking[p]
-        else:
-            lower[p] = bound
-    covers = list(zip(chain, chain[1:]))
-    free = list(lower)
-    return [tuple(point[p] for p in chain)
-            for point in _fillings(chain, preds, lower, marking)
-            if _anchored(covers, marking, free, point)]
 
 
 def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
@@ -523,12 +476,14 @@ def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[
     assert sum(shape) == n * (n - 1) // 2
     assert all(d > 0 for d in shape)
 
-    # the difference map sends x to x_c - x_d over the steps c, d of each
-    # block followed by the next marker: one row per free cell c, in
-    # chain order, and d is the cell after c
-    marking = _gt_marking(n)
-    vertices = _chain_vertices(total, marking)
-    rows = [i for i, p in enumerate(total) if p not in marking]
+    # the section is the marked order polytope of the chain, with its
+    # vertices as value tuples along the chain. The difference map sends x
+    # to x_c - x_d over the steps c, d of each block followed by the next
+    # marker: one row per free cell c, in chain order, and d is the cell
+    # after c
+    mp = MarkedPoset(chain(total), _gt_marking(n, total))
+    vertices = _marked_vertices(mp, mp.base)
+    rows = mp.free()
     image = [tuple(v[i] - v[i + 1] for i in rows) for v in vertices]
     assert len(set(image)) == len(vertices)
     slots = []
@@ -544,7 +499,7 @@ def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[
                 z[j] = 1
         product_vertices.add(tuple(z))
     assert set(image) == product_vertices
-    col = {p: j for j, p in enumerate(p for p in pbar_labels(n) if p not in marking)}
+    col = {p: j for j, p in enumerate(p for p in pbar_labels(n) if p[1] != p[2])}
     B = []
     for i in rows:
         row = [0] * len(col)
@@ -568,10 +523,10 @@ def component_shape(ext: LinearExtension) -> tuple[int, ...]:
     return _shape_and_image(ext)[0]
 
 
-def shape_census(n: int) -> dict[str, int]:
+def shape_census(gt: GelfandTsetlin) -> dict[str, int]:
     """How many linearizations produce each multiset of block sizes."""
     census: dict[str, int] = {}
-    for ext in linear_extensions(gt_poset(n)):
+    for ext in linear_extensions(gt.poset):
         shape = component_shape(ext)
         key = "x".join(str(d) for d in sorted(shape, reverse=True))
         census[key] = census.get(key, 0) + 1

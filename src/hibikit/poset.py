@@ -29,8 +29,8 @@ class Poset:
     elements: tuple[str, ...]
     below: tuple[int, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _covers: Optional[tuple[tuple[str, str], ...]] = field(
-        default=None, init=False, repr=False, compare=False)  # covers()
+    _covers: Optional[tuple[tuple[int, int], ...]] = field(
+        default=None, init=False, repr=False, compare=False)  # cover_indices()
 
     def __post_init__(self):
         n = len(self.elements)
@@ -69,14 +69,19 @@ class Poset:
     def size(self) -> int:
         return len(self.elements)
 
-    def covers(self) -> list[tuple[str, str]]:
-        """Cover pairs (a, b) with a < b and nothing in between, ordered by
-        the indices of a, then b; scanned once per poset."""
+    def cover_indices(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs (i, j) of indices, elements[i] < elements[j] with
+        nothing in between, ordered by i, then j; scanned once per poset."""
         if self._covers is None:
             object.__setattr__(self, "_covers", tuple(self._scan_covers()))
-        return list(self._covers)
+        return self._covers
 
-    def _scan_covers(self) -> list[tuple[str, str]]:
+    def covers(self) -> list[tuple[str, str]]:
+        """Cover pairs (a, b) with a < b and nothing in between, as labels,
+        in the order of cover_indices."""
+        return [(self.elements[i], self.elements[j]) for i, j in self.cover_indices()]
+
+    def _scan_covers(self) -> list[tuple[int, int]]:
         # i is covered by j iff i is below j but below nothing below j
         pairs = []
         for j, m in enumerate(self.below):
@@ -84,7 +89,7 @@ class Poset:
             for k in _bits(m):
                 inner |= self.below[k]
             pairs += [(i, j) for i in _bits(m & ~inner)]
-        return [(self.elements[i], self.elements[j]) for i, j in sorted(pairs)]
+        return sorted(pairs)
 
     def label_pairs(self) -> frozenset[tuple[str, str]]:
         return frozenset((self.elements[i], self.elements[j])
@@ -183,11 +188,6 @@ def ideal_masks(P: Poset) -> list[int]:
     return sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
 
 
-def order_ideals(P: Poset) -> list[frozenset[str]]:
-    """All down-closed subsets as label sets, in the order of ideal_masks."""
-    return [frozenset(P.elements[j] for j in _bits(m)) for m in ideal_masks(P)]
-
-
 def down_closed(P: Poset, masks: Sequence[int]) -> list[bool]:
     """For each bitmask (bit j for P.elements[j]), whether the set it holds
     is down-closed in P."""
@@ -198,9 +198,7 @@ def is_stronger(strong: Poset, weak: Poset) -> bool:
     """True iff every weak relation also holds in `strong` (same ground set)."""
     if set(strong.elements) != set(weak.elements):
         raise GroundSetMismatch("posets are not on the same ground set")
-    pos = [strong.index(x) for x in weak.elements]
-    return all(not sum(1 << pos[i] for i in _bits(m)) & ~strong.below[pos[j]]
-               for j, m in enumerate(weak.below))
+    return weak.label_pairs() <= strong.label_pairs()
 
 
 def check_labels(labels: Sequence[str]) -> None:

@@ -39,10 +39,21 @@ checks integer_points, which searches on integers. over_den writes rational
 points as integer points over the lcm of their denominators, and
 fraction_vertices reads an integer polytope's vertices back as Fractions.
 
+MarkedPoset, _satisfies, _vertex_candidates, _fillings, _anchored,
+_is_vertex and _marked_vertices are the vertex search that flaggt ran
+before its points became int tuples over the base's element order: a
+marking keyed by label, each candidate a dict from label to value, and
+the order read through its label covers. labelled turns a marked poset of
+flaggt into this form. _phi (each flag element's ideal as a label set),
+_ptilde_labels and flag_point are the ideals flaggt read the patterns off
+before they became bitmasks, and _extend_to_pbar the part orders it closed
+from label pairs before it wrote their masks.
+
 gt_marked_poset is the Gelfand-Tsetlin marking that flaggt used before it
 moved to the (n-1)-scaled integer lattice: p_{r,r} carries (n-r)/(n-1).
-marked_order_polytope wraps a marked poset's vertices in the Fraction
-LatticePolytope, and gt_polytope is the Gelfand-Tsetlin polytope itself.
+marked_order_polytope wraps a marked poset's vertices, found by the search
+above, in the Fraction LatticePolytope, and gt_polytope is the
+Gelfand-Tsetlin polytope itself.
 
 gt_patterns and component_image are the Gelfand-Tsetlin pattern search and
 the component shape check that flaggt ran in Fraction arithmetic before it
@@ -90,15 +101,13 @@ from typing import Iterable, Optional, Sequence
 from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
 from hibikit.exactgeom import _box_lattice_points, integer_kernel, same_lattice
-from hibikit.errors import TooLarge
-from hibikit.flaggt import (MAX_GT_RANK, MarkedPoset, _cell, _extend_to_pbar, _is_vertex,
-                            _marked_vertices, _phi, _ptilde_labels, _satisfies,
-                            _vertex_candidates, flag_point, gt_poset_iso, pbar_labels)
+from hibikit.errors import NotStronger, TooLarge
+from hibikit.flaggt import GelfandTsetlin, _cell, _label_of, gt_poset_iso, pbar_labels
 from hibikit.lattice import Lattice, diamond_pairs
 from hibikit.poset import (LinearExtension, Poset, from_cover_relations, is_stronger,
-                           order_ideals)
+                           linear_extensions)
 from hibikit.subdivision import face_subdivision
-from order_oracle import iota, poset_from_pairs
+from order_oracle import iota, order_ideals, poset_from_pairs
 
 
 Vec = tuple[Fraction, ...]
@@ -589,15 +598,149 @@ def minkowski_sum(A, B) -> set:
     return {vadd(a, b) for a in A for b in B}
 
 
+# -- the label-dict marked polytope search ----------------------------------
+
+
+@dataclass(frozen=True)
+class MarkedPoset:
+    """A poset with a marked subset carrying fixed integer values.
+
+    Convention: points satisfy x_p >= x_q whenever p < q, so values must
+    not increase along the order.
+    """
+
+    base: Poset
+    marked: tuple[str, ...]
+    values: dict[str, int]
+
+    def __post_init__(self):
+        marked = set(self.marked)
+        assert marked == set(self.values)
+        below = self.base.below
+        for j, p in enumerate(self.base.elements):
+            is_min = not below[j]
+            is_max = not any(m >> j & 1 for m in below)
+            if is_min or is_max:
+                assert p in marked, "extreme elements must be marked"
+        for a, b in itertools.permutations(self.marked, 2):
+            if self.base.less(a, b):
+                assert self.values[a] >= self.values[b]
+
+    def free(self) -> list[str]:
+        marked = set(self.marked)
+        return [p for p in self.base.elements if p not in marked]
+
+
+def labelled(mp: flaggt.MarkedPoset) -> MarkedPoset:
+    """A marked poset of flaggt, with its marking keyed by label."""
+    elements = mp.base.elements
+    return MarkedPoset(mp.base, tuple(elements[j] for j in mp.marked()),
+                       {elements[j]: mp.values[j] for j in mp.marked()})
+
+
+def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, int]) -> bool:
+    if any(point[p] != mp.values[p] for p in mp.marked):
+        return False
+    return all(point[a] >= point[b] for a, b in order.covers())
+
+
+def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, int]]:
+    """Every point that fixes the markings, takes a marking value on each
+    free cell, and satisfies x_a >= x_b for each cover a < b of `order`, as
+    dicts in a fixed order.
+
+    Every vertex coordinate propagates from a marked cell through tight
+    inequalities, so this candidate set contains all vertices.
+    """
+    if not is_stronger(order, mp.base):
+        raise NotStronger("order must refine the marked poset's base order")
+    free = mp.free()
+    if len(free) > 13:
+        raise TooLarge("marked polytope enumeration capped at 13 free cells")
+    preds = {p: [] for p in order.elements}
+    for a, b in order.covers():
+        preds[b].append(a)
+    lower = {
+        p: max(mp.values[m] for m in mp.marked if order.leq(p, m))
+        for p in free
+    }
+    return _fillings(next(linear_extensions(order)).order, preds, lower, mp.values)
+
+
+def _fillings(ext: Sequence[str], preds: dict, lower: dict, marking: dict) -> list[dict]:
+    """The candidate search, cell by cell along the linear extension `ext`:
+    a marked cell takes its marking, a free cell p any marking value between
+    lower[p] and the least value of its predecessors."""
+    values = sorted(set(marking.values()), reverse=True)
+    assignment = {}
+    out = []
+
+    def descend(i):
+        if i == len(ext):
+            if len(out) == 500_000:
+                raise TooLarge("marked polytope has too many candidate points")
+            out.append(dict(assignment))
+            return
+        p = ext[i]
+        cap = min((assignment[q] for q in preds[p]), default=values[0])
+        for v in [marking[p]] if p in marking else values:
+            if v > cap or (p in lower and v < lower[p]):
+                continue
+            assignment[p] = v
+            descend(i + 1)
+            del assignment[p]
+
+    descend(0)
+    return out
+
+
+def _anchored(covers, marked, free, point) -> bool:
+    # a point is a vertex iff every free cell reaches a marked cell through
+    # the graph of tight cover inequalities; cells are keys of `point`
+    parent = {}
+
+    def find(x):
+        while x in parent:
+            parent[x] = parent.get(parent[x], parent[x])  # path halving
+            x = parent[x]
+        return x
+
+    for a, b in covers:
+        if point[a] == point[b]:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    anchored = {find(m) for m in marked}
+    return all(find(p) in anchored for p in free)
+
+
+def _is_vertex(mp: MarkedPoset, order: Poset, point: dict) -> bool:
+    return _anchored(order.covers(), mp.marked, mp.free(), point)
+
+
+def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
+    """Vertices of the marked order polytope, x_p fixed to the marking on M
+    and x_p >= x_q for p < q in `order`, as value tuples over
+    mp.base.elements: the candidates take marking values only, and a
+    candidate is extreme iff its tight graph anchors every free cell."""
+    labels = mp.base.elements
+    points = [tuple(cand[p] for p in labels)
+              for cand in _vertex_candidates(mp, order)
+              if _is_vertex(mp, order, cand)]
+    assert points, "a marked polytope always has at least one vertex"
+    assert len(set(points)) == len(points)
+    return points
+
+
 def gt_marked_poset(n: int) -> MarkedPoset:
     """Full triangular array, diagonal marked to (n-r)/(n-1)."""
-    mp = flaggt.gt_marked_poset(n)
+    mp = labelled(flaggt.gt_marked_poset(n))
     return MarkedPoset(mp.base, mp.marked, {p: Fraction(v, n - 1) for p, v in mp.values.items()})
 
 
 def marked_order_polytope(mp: MarkedPoset, order: Poset) -> LatticePolytope:
     """x_p fixed to the marking on M, x_p >= x_q for p < q in `order`, with
-    the vertices flaggt's search finds."""
+    the vertices of the label-dict search."""
     return LatticePolytope(_marked_vertices(mp, order), already_extreme=True)
 
 
@@ -606,23 +749,69 @@ def gt_polytope(n: int) -> LatticePolytope:
     return marked_order_polytope(mp, mp.base)
 
 
+def _ptilde_labels(n: int) -> list[str]:
+    return [c for c in pbar_labels(n) if c not in (_cell(1, 1), _cell(n, n))]
+
+
+def _phi(n: int) -> dict[str, frozenset[str]]:
+    # each flag element as an order ideal of the triangular poset: column
+    # n-j+1 holds rows 1..i_j-j, plus every full column left of n-k+1
+    out = {}
+    for k in range(1, n):
+        for combo in itertools.combinations(range(1, n + 1), k):
+            cells = set()
+            for j, ij in enumerate(combo, start=1):
+                col = n - j + 1
+                cells.update(_cell(t, col) for t in range(1, ij - j + 1))
+            for r in range(1, n + 1):
+                for s in range(r, n + 1):
+                    if s < n - k + 1:
+                        cells.add(_cell(r, s))
+            cells.discard(_cell(1, 1))
+            out[_label_of(combo)] = frozenset(cells)
+    return out
+
+
+def flag_point(n: int, label: str, phi: dict) -> tuple[int, ...]:
+    """0/1 indicator of the flag element's triangular ideal phi[label], with
+    the two corner cells pinned to 1 and 0."""
+    ideal = phi[label]
+    coords = []
+    for p in pbar_labels(n):
+        if p == _cell(1, 1):
+            coords.append(1)
+        elif p == _cell(n, n):
+            coords.append(0)
+        else:
+            coords.append(1 if p in ideal else 0)
+    return tuple(coords)
+
+
+def _extend_to_pbar(n: int, order_pt: Poset, iso: dict[str, str]) -> Poset:
+    relabeled = [(iso[a], iso[b]) for a, b in order_pt.label_pairs()]
+    bottom, top = _cell(1, 1), _cell(n, n)
+    inner = [iso[p] for p in order_pt.elements]
+    pairs = relabeled + [(bottom, p) for p in inner] + [(p, top) for p in inner]
+    pairs.append((bottom, top))
+    return from_cover_relations(pbar_labels(n), pairs)
+
+
 def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
     """The sections of flaggt.gt_subdivision, cut on the Fraction marking:
     the same checks over the Fraction pattern points, with one marked order
     polytope per part."""
-    if n > MAX_GT_RANK:
-        raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
     L = F.cone.lattice
     if L != flag:
         raise ValueError("face must come from the flag lattice's cone")
-    _, iso = gt_poset_iso(n, flag)
+    gt = GelfandTsetlin(n)
+    iso = gt_poset_iso(gt, flag)
     mp = gt_marked_poset(n)
     sub = face_subdivision(F)
     # each pattern point with its scaled point and its lifted height times
     # (n-1)·den, which is the sum of the scaled weight over its chain
     lifts = {tuple(Fraction(x, n - 1) for x in point):
              (point, sum(sub.scaled[L.index(lbl)] for lbl in chain))
-             for point, chain in flaggt.gt_patterns(n)}
+             for point, chain in flaggt.gt_patterns(gt)}
     gt_dim = gt_polytope(n).dim
     pbar = pbar_labels(n)
     at = [pbar.index(iso[p]) for p in L.poset_P.elements]

@@ -34,8 +34,8 @@ from fraction_oracle import indicator, vadd, zero_vec
 from hibikit.errors import BadParams, NotStronger
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
-from hibikit.poset import LinearExtension, Poset, is_stronger, order_ideals
-from order_oracle import covers, incomparable, iota
+from hibikit.poset import LinearExtension, Poset, is_stronger
+from order_oracle import covers, incomparable, iota, order_ideals
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,23 @@ Poset.below[j] is set when elements[i] < elements[j], and a lattice element
 is the bitmask of its order ideal of poset_P. PairPoset is the earlier
 format it replaced: the relation as a frozenset of index pairs (i, j),
 validated pair by pair, with brute-force covers, linear extensions over all
-permutations and order ideals over all subsets. The lattice helpers read a
-lattice element as the label set of its ideal, iota(a), as the lattice did
-when it kept those sets.
+permutations and order ideals over all subsets. order_ideals labels the
+bitmasks of poset.ideal_masks as the label sets that poset returned until
+its last caller in the package, flaggt, moved to the bitmasks. The lattice
+helpers read a lattice element as the label set of its ideal, iota(a), as
+the lattice did when it kept those sets.
 """
 
 import itertools
 
 from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
 from hibikit.lattice import DiamondPair
-from hibikit.poset import Poset
+from hibikit.poset import Poset, _bits, ideal_masks
+
+
+def order_ideals(P: Poset) -> list[frozenset[str]]:
+    """All down-closed subsets as label sets, in the order of ideal_masks."""
+    return [frozenset(P.elements[j] for j in _bits(m)) for m in ideal_masks(P)]
 
 
 def closure(n: int, pairs) -> set[tuple[int, int]]:

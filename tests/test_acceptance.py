@@ -15,7 +15,7 @@ from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
-from hibikit.flaggt import (flag_lattice, grassmann_lattice, gt_poset_iso,
+from hibikit.flaggt import (GelfandTsetlin, flag_lattice, grassmann_lattice, gt_poset_iso,
                             gt_subdivision, gt_vertices, pbar_labels)
 from hibikit.hibi import degeneration_certificate
 from hibikit.lattice import birkhoff, diamond_pairs
@@ -130,13 +130,14 @@ def test_acceptance_6_gt_consistency():
         assert is_full(F)
         # section-based parts; the call itself certifies agreement with the
         # envelope of the lifted heights over every pattern point
-        parts = gt_subdivision(n, F, L)
+        gt = GelfandTsetlin(n)
+        parts = gt_subdivision(gt, F, L)
         sub = face_subdivision(F)
         assert len(parts) == len(sub.parts)
         w, den = sample_relative_interior(F)
-        pt, iso = gt_poset_iso(n, L)
+        iso = gt_poset_iso(gt, L)
         pbar = pbar_labels(n)
-        for v in gt_vertices(n):
+        for v in gt_vertices(gt):
             coords = {p: Fraction(x, n - 1) for p, x in zip(pbar, v.point)}
             ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
             envelope = min(part_value(sub, p, ambient) for p in sub.parts)

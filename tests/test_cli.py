@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from hibikit.cli import canonical_json, load_poset, main, parse_vector
+from hibikit.cli import canonical_json, main, parse_poset_json, parse_vector
 from hibikit.cone import cone_K, face_of
 from hibikit.exactgeom import LatticePolytope, polytope_json
 from hibikit.lattice import birkhoff
@@ -81,9 +81,7 @@ def test_export_poset_round_trip(tmp_path, capsys):
     (tmp_path / "p.txt").write_text("elem x\nelem y\nelem z\ncover x y\ncover x z\n",
                                     encoding="utf-8")
     report = run_json(capsys, ["lattice", "--poset", str(tmp_path / "p.txt")])
-    path = tmp_path / "poset.json"
-    path.write_text(canonical_json(report["poset"]), encoding="utf-8")
-    assert load_poset(path) == P
+    assert parse_poset_json(canonical_json(report["poset"])) == P
 
 
 def test_export_square_polytope():
@@ -114,6 +112,20 @@ def test_poset_file_drives_lattice_command(tmp_path, capsys):
         "elem a\nelem b\nelem c\ncover a c\ncover b c\n", encoding="utf-8")
     again = run_json(capsys, ["lattice", "--poset", str(tmp_path / "p.txt")])
     assert again == report
+
+
+def test_poset_file_is_read_once(tmp_path, capsys, monkeypatch):
+    # the file's text picks the format and is then parsed; a JSON file used
+    # to be read a second time to parse it
+    path = tmp_path / "p.json"
+    path.write_text('{"elements": ["a", "b"], "covers": [["a", "b"]]}', encoding="utf-8")
+    reads = []
+    read_text = Path.read_text
+    monkeypatch.setattr(Path, "read_text",
+                        lambda self, *args, **kwargs: reads.append(self) or read_text(self, *args, **kwargs))
+    code, out, err = run_cli(capsys, ["certify", "--poset", str(path), "--lmax", "2"])
+    assert code == 0, err
+    assert reads == [path]
 
 
 # -- remaining subcommands ---------------------------------------------------
@@ -341,6 +353,11 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("lattice --poset FILE", '{"elements": ["a b"], "covers": []}'),
     ("lattice --poset FILE", '{"elements": [""], "covers": []}'),
     ("lattice --poset FILE", "join x y {z}\nmeet x y w\n"),
+    # covers that close a cycle or name an element the file does not list
+    ("lattice --poset FILE", "elem a\nelem b\ncover a b\ncover b a\n"),
+    ("lattice --poset FILE", '{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}'),
+    ("lattice --poset FILE", "elem a\ncover a z\n"),
+    ("lattice --poset FILE", '{"elements": ["a"], "covers": [["a", "z"]]}'),
     # labels spell one digit per index: 10 would read as 1 and 0
     ("lattice --grassmann 1 10", None),
     ("lattice --grassmann 2 10", None),
@@ -349,7 +366,9 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
         "repeated elem", "repeated JSON element", "JSON elements not a list",
         "JSON without covers", "JSON elements not strings", "JSON elements a string",
         "JSON covers not pairs", "comma label", "JSON comma label", "JSON space label",
-        "JSON empty label", "table brace label", "Gr(1,10)", "Gr(2,10)", "Flag(10)"])
+        "JSON empty label", "table brace label", "cover cycle", "JSON cover cycle",
+        "unknown cover label", "JSON unknown cover label", "Gr(1,10)", "Gr(2,10)",
+        "Flag(10)"])
 def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
     # exit 1 means a certification ran and failed; bad input never runs one
     path = tmp_path / "poset.txt"
@@ -358,6 +377,18 @@ def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
     code, out, err = run_cli(capsys, argv.replace("FILE", str(path)).split())
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("poset_file, message", [
+    ("elem a\nelem b\ncover a b\ncover b a\n", "cover relations contain a cycle"),
+    ('{"elements": ["a"], "covers": [["a", "z"]]}', "unknown element 'z'"),
+])
+def test_poset_file_order_faults_keep_their_message(tmp_path, capsys, poset_file, message):
+    path = tmp_path / "poset.txt"
+    path.write_text(poset_file, encoding="utf-8")
+    code, out, err = run_cli(capsys, ["lattice", "--poset", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {"type": "BadParams", "message": message}
 
 
 @pytest.mark.parametrize("poset_file, label", [

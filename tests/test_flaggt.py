@@ -7,19 +7,23 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from fraction_oracle import vadd, vec_over_den, vscale, zero_vec
-from hibikit import lattice
+from hibikit import flaggt, lattice
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
 from hibikit.exactgeom import rank
 from hibikit.flaggt import (
+    GelfandTsetlin,
     MarkedPoset,
+    _extend_to_pbar,
+    _gt_marking,
     _is_vertex,
     _marked_vertices,
-    _phi,
     _shape_and_image,
     component_shape,
     flag_lattice,
@@ -36,8 +40,9 @@ from hibikit.flaggt import (
     shape_census,
 )
 from hibikit.lattice import birkhoff, diamond_pairs
-from hibikit.poset import Poset, antichain, linear_extensions, order_ideals
-from hibikit.subdivision import regular_subdivision
+from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
+from hibikit.subdivision import face_subdivision, regular_subdivision
+from order_oracle import order_ideals
 
 
 def full_face(L):
@@ -62,14 +67,15 @@ def marked_integer_points(mp, order):
     """All integer points of the marked order polytope of an integral
     marking, by brute force over the free cells' values between the least
     and the greatest marking."""
-    labels = mp.base.elements
     free = mp.free()
-    values = range(min(mp.values.values()), max(mp.values.values()) + 1)
+    marks = [v for v in mp.values if v is not None]
     out = []
-    for filling in itertools.product(values, repeat=len(free)):
-        point = {**mp.values, **dict(zip(free, filling))}
-        if all(point[a] >= point[b] for a, b in order.covers()):
-            out.append(tuple(point[p] for p in labels))
+    for filling in itertools.product(range(min(marks), max(marks) + 1), repeat=len(free)):
+        point = list(mp.values)
+        for j, x in zip(free, filling):
+            point[j] = x
+        if all(point[a] >= point[b] for a, b in order.cover_indices()):
+            out.append(tuple(point))
     return out
 
 
@@ -79,7 +85,7 @@ def tight_rank(mp, order, point):
     free = mp.free()
     col = {p: i for i, p in enumerate(free)}
     rows = []
-    for a, b in order.covers():
+    for a, b in order.cover_indices():
         if point[a] != point[b]:
             continue
         row = [0] * len(free)
@@ -195,20 +201,22 @@ def test_gt_poset_4_hasse():
 
 
 def test_gt_poset_iso_2():
-    pt, iso = gt_poset_iso(2, flag_lattice(2))
-    assert pt.elements == ("p12",)
+    gt = GelfandTsetlin(2)
+    iso = gt_poset_iso(gt, flag_lattice(2))
+    assert gt.poset.elements == ("p12",)
     assert iso == {"2": "p12"}
 
 
 def test_gt_poset_iso_3():
-    pt, iso = gt_poset_iso(3, flag_lattice(3))
+    iso = gt_poset_iso(GelfandTsetlin(3), flag_lattice(3))
     assert iso == {"1": "p22", "3": "p23", "13": "p12", "23": "p13"}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_gt_poset_iso_is_order_isomorphism(n):
     # the heavy lattice checks run inside gt_poset_iso; spot-check the map
-    pt, iso = gt_poset_iso(n, flag_lattice(n))
+    gt = GelfandTsetlin(n)
+    pt, iso = gt.poset, gt_poset_iso(gt, flag_lattice(n))
     P = flag_lattice(n).poset_P
     assert sorted(iso.values()) == sorted(pt.elements)
     for s, t in itertools.product(P.elements, repeat=2):
@@ -221,7 +229,7 @@ def test_gt_poset_iso_is_order_isomorphism(n):
 def test_marked_polytope_n2_is_segment():
     mp = gt_marked_poset(2)
     assert sorted(_marked_vertices(mp, mp.base)) == [(1, 0, 0), (1, 1, 0)]
-    assert oracle.marked_order_polytope(mp, mp.base).dim == 1
+    assert oracle.marked_order_polytope(oracle.labelled(mp), mp.base).dim == 1
 
 
 def test_gt3_polytope_is_3_dimensional():
@@ -249,7 +257,7 @@ def test_marked_polytope_rejects_weaker_order():
 
 
 def test_marked_polytopes_reject_order_on_other_ground_set():
-    mp = mu_k_marked_poset(3, 1)
+    mp = mu_k_marked_poset(GelfandTsetlin(3), 1)
     other = antichain(["x", "y"])
     with pytest.raises(GroundSetMismatch):
         _marked_vertices(mp, other)
@@ -264,28 +272,89 @@ def test_marked_polytope_too_large():
 def test_marked_poset_requires_marked_extremes():
     base = gt_marked_poset(2).base
     with pytest.raises(AssertionError):
-        MarkedPoset(base, ("p11",), {"p11": 1})
+        MarkedPoset(base, (1, None, None))
 
 
 def test_tight_rank_detects_vertices():
-    mp = gt_marked_poset(3)
-    labels = mp.base.elements
-    for gv in gt_vertices(3):
-        assert tight_rank(mp, mp.base, dict(zip(labels, gv.point))) == 3
-    # the one pattern that is not a vertex: free coords (1, 1/2, 0)
-    half = Fraction(1, 2)
-    loose = dict(zip(labels, (Fraction(1), Fraction(1), half, half, Fraction(0), Fraction(0))))
-    assert tight_rank(mp, mp.base, loose) == 2
+    gt = GelfandTsetlin(3)
+    mp = gt.marked
+    for gv in gt_vertices(gt):
+        assert tight_rank(mp, mp.base, gv.point) == 3
+    # the one pattern that is not a vertex: free coords (1, 1/2, 0), scaled
+    # by n - 1 = 2 over (p11, p12, p13, p22, p23, p33)
+    assert tight_rank(mp, mp.base, (2, 2, 1, 1, 0, 0)) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tight_rank_agrees_with_anchoring(n):
     # the rank test and the tight-graph anchoring test pick the same patterns
-    mp = gt_marked_poset(n)
-    for point, _ in gt_patterns(n):
+    gt = GelfandTsetlin(n)
+    mp = gt.marked
+    for point, _ in gt_patterns(gt):
+        assert _is_vertex(mp, mp.base, point) == (
+            tight_rank(mp, mp.base, point) == len(mp.free()))
+
+
+# -- the index search against the label-dict search ---------------------------
+
+
+def assert_search_matches_oracle(mp, order, patterns):
+    """The index search returns the label-dict search's vertex tuples in the
+    same order, and _is_vertex agrees with it on every pattern."""
+    labelled = oracle.labelled(mp)
+    assert _marked_vertices(mp, order) == oracle._marked_vertices(labelled, order)
+    for point in patterns:
         coords = dict(zip(mp.base.elements, point))
-        assert _is_vertex(mp, mp.base, coords) == (
-            tight_rank(mp, mp.base, coords) == len(mp.free()))
+        assert _is_vertex(mp, order, point) == oracle._is_vertex(labelled, order, coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_search_matches_label_dict_oracle_on_random_orders(data):
+    # an order that intersects 1-4 random linear extensions of the base,
+    # under the Gelfand-Tsetlin marking or one of its 0/1 levels
+    n = data.draw(st.integers(2, 4), label="n")
+    gt = GelfandTsetlin(n)
+    k = data.draw(st.integers(0, n - 1), label="level")
+    mp = gt.marked if k == 0 else mu_k_marked_poset(gt, k)
+    base = mp.base
+    masks = [(1 << base.size) - 1] * base.size
+    for _ in range(data.draw(st.integers(1, 4), label="extensions")):
+        placed = 0
+        while placed != (1 << base.size) - 1:
+            ready = [j for j in range(base.size)
+                     if not placed >> j & 1 and not base.below[j] & ~placed]
+            j = data.draw(st.sampled_from(ready))
+            masks[j] &= placed
+            placed |= 1 << j
+    order = Poset(base.elements, tuple(masks))
+    assert_search_matches_oracle(mp, order, [p for p, _ in gt_patterns(gt)])
+
+
+def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
+    # every part order of every face of the Flag(3) and Flag(4) cones, and
+    # each chain of shape_census: as the census marks it, and as an order
+    # on the Gelfand-Tsetlin base
+    for n in (2, 3, 4):
+        gt = GelfandTsetlin(n)
+        mp = gt.marked
+        patterns = [p for p, _ in gt_patterns(gt)]
+        orders = []
+        if n > 2:
+            C = cone_K(flag_lattice(n))
+            iso = gt_poset_iso(gt, C.lattice)
+            at = [mp.base.index(iso[p]) for p in C.lattice.poset_P.elements]
+            orders += [_extend_to_pbar(mp.base, part.order, at)
+                       for F in enumerate_faces(C) for part in face_subdivision(F).parts]
+        for ext in linear_extensions(gt.poset):
+            total = [mp.base.elements[0], *ext.order, mp.base.elements[-1]]
+            orders.append(from_cover_relations(list(mp.base.elements), list(zip(total, total[1:]))))
+            census = MarkedPoset(chain(total), _gt_marking(n, total))
+            at = [mp.base.index(p) for p in total]
+            assert_search_matches_oracle(census, census.base,
+                                         [tuple(p[i] for i in at) for p in patterns])
+        for order in orders:
+            assert_search_matches_oracle(mp, order, patterns)
 
 
 # -- patterns and vertices ---------------------------------------------------
@@ -293,36 +362,37 @@ def test_tight_rank_agrees_with_anchoring(n):
 
 @pytest.mark.parametrize("n,count", [(2, 2), (3, 8), (4, 64)])
 def test_gt_pattern_count(n, count):
-    assert len(gt_patterns(n)) == count
+    assert len(gt_patterns(GelfandTsetlin(n))) == count
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_gt_patterns_match_fraction_oracle(n):
     # the integer patterns, divided by n - 1, are the Fraction patterns
-    patterns = gt_patterns(n)
+    patterns = gt_patterns(GelfandTsetlin(n))
     assert all(type(x) is int for point, _ in patterns for x in point)
     assert [(unscaled(n, point), chain) for point, chain in patterns] == oracle.gt_patterns(n)
 
 
 def test_gt_patterns_are_chains():
     L = flag_lattice(3)
-    for point, chain in gt_patterns(3):
+    for point, chain in gt_patterns(GelfandTsetlin(3)):
         assert [len(lbl) for lbl in chain] == [1, 2]
         assert L.leq(chain[1], chain[0])
 
 
 def hull_of_patterns(n):
-    return set(oracle.hull_vertices([unscaled(n, p) for p, _ in gt_patterns(n)]))
+    return set(oracle.hull_vertices([unscaled(n, p) for p, _ in gt_patterns(GelfandTsetlin(n))]))
 
 
 def test_gt_vertices_2():
-    vs = gt_vertices(2)
+    vs = gt_vertices(GelfandTsetlin(2))
     assert {gv.labels for gv in vs} == {("1",), ("2",)}
     assert hull_of_patterns(2) == {unscaled(2, gv.point) for gv in vs}
 
 
 def test_gt_vertices_3():
-    vs = gt_vertices(3)
+    gt = GelfandTsetlin(3)
+    vs = gt_vertices(gt)
     assert len(vs) == 7
     half = Fraction(1, 2)
     expected = {
@@ -332,18 +402,19 @@ def test_gt_vertices_3():
     assert {free_coords(3, unscaled(3, gv.point)) for gv in vs} == expected
     # the pattern (1, 1/2, 0) is a midpoint of two vertices, not a vertex
     assert (1, half, 0) not in {free_coords(3, unscaled(3, gv.point)) for gv in vs}
-    assert (1, half, 0) in {free_coords(3, unscaled(3, p)) for p, _ in gt_patterns(3)}
+    assert (1, half, 0) in {free_coords(3, unscaled(3, p)) for p, _ in gt_patterns(gt)}
     assert hull_of_patterns(3) == {unscaled(3, gv.point) for gv in vs}
 
 
 def test_gt_vertex_decompositions_3():
     L = flag_lattice(3)
-    for gv in gt_vertices(3):
+    gt = GelfandTsetlin(3)
+    for gv in gt_vertices(gt):
         assert all(type(x) is int for x in gv.point)
         assert tuple(map(sum, zip(*gv.decomposition))) == gv.point
         for k, (lbl, part) in enumerate(zip(gv.labels, gv.decomposition), 1):
             assert len(lbl) == k
-            assert part == flag_point(3, lbl, _phi(3))
+            assert part == flag_point(gt, lbl)
         assert L.leq(gv.labels[1], gv.labels[0])
 
 
@@ -351,15 +422,16 @@ def test_gt_vertex_decompositions_3():
 def test_gt_vertex_decomposition_unique(n):
     # brute force over all index tuples: each vertex has exactly one
     # representation as a sum of scaled flag points, one per index count
+    gt = GelfandTsetlin(n)
     by_k = {
         k: [lbl for lbl in _all_flag_labels(n) if len(lbl) == k]
         for k in range(1, n)
     }
     points = {
-        combo: _scaled_sum(n, combo)
+        combo: _scaled_sum(gt, combo)
         for combo in itertools.product(*[by_k[k] for k in range(1, n)])
     }
-    for gv in gt_vertices(n):
+    for gv in gt_vertices(gt):
         matches = [c for c, p in points.items() if p == unscaled(n, gv.point)]
         assert matches == [gv.labels]
 
@@ -368,25 +440,38 @@ def _all_flag_labels(n):
     return flag_lattice(n).elements
 
 
-def _scaled_sum(n, combo):
-    total = zero_vec(len(pbar_labels(n)))
+def _scaled_sum(gt, combo):
+    total = zero_vec(len(pbar_labels(gt.n)))
     for lbl in combo:
-        total = vadd(total, unscaled(n, flag_point(n, lbl, _phi(n))))
+        total = vadd(total, unscaled(gt.n, flag_point(gt, lbl)))
     return total
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_phi_masks_are_the_label_set_ideals(n):
+    # each flag element's ideal, a bitmask over gt_poset(n), holds the
+    # cells of the label-set ideal, and its flag point is the same
+    gt = GelfandTsetlin(n)
+    want = oracle._phi(n)
+    assert list(gt.phi) == list(want)
+    for lbl, mask in gt.phi.items():
+        assert {p for j, p in enumerate(gt.poset.elements) if mask >> j & 1} == want[lbl]
+        assert flag_point(gt, lbl) == oracle.flag_point(n, lbl, want)
 
 
 def test_gt_vertices_4_hull_certified():
     # the anchoring test selects exactly the vertices of the exact hull of
     # all 64 patterns
-    vs = {unscaled(4, gv.point) for gv in gt_vertices(4)}
+    vs = {unscaled(4, gv.point) for gv in gt_vertices(GelfandTsetlin(4))}
     assert len(vs) == 40
     assert hull_of_patterns(4) == vs
 
 
 def test_gt_vertices_5():
-    vs = gt_vertices(5)
+    gt = GelfandTsetlin(5)
+    vs = gt_vertices(gt)
     assert len(vs) == 358
-    assert len(gt_patterns(5)) == 1024
+    assert len(gt_patterns(gt)) == 1024
     L = flag_lattice(5)
     for gv in vs[:20]:
         for a, b in zip(gv.labels, gv.labels[1:]):
@@ -395,19 +480,20 @@ def test_gt_vertices_5():
 
 def test_gt_vertices_too_large():
     with pytest.raises(TooLarge):
-        gt_vertices(6)
+        gt_vertices(GelfandTsetlin(6))
     with pytest.raises(BadParams):
-        gt_vertices(1)
+        gt_vertices(GelfandTsetlin(1))
 
 
 def test_xi_vertex_sets_are_flag_points():
     # level polytopes have one vertex per k-index element
     n = 4
-    base = gt_marked_poset(n).base
+    gt = GelfandTsetlin(n)
+    base = gt.marked.base
     for k in range(1, n):
-        vertices = _marked_vertices(mu_k_marked_poset(n, k), base)
+        vertices = _marked_vertices(mu_k_marked_poset(gt, k), base)
         expected = {
-            flag_point(n, lbl, _phi(n))
+            flag_point(gt, lbl)
             for lbl in _all_flag_labels(n)
             if len(lbl) == k
         }
@@ -417,9 +503,10 @@ def test_xi_vertex_sets_are_flag_points():
 @pytest.mark.parametrize("n", [3, 4])
 def test_integer_points_of_01_levels_are_vertices(n):
     # on a 0/1 polytope the integer points are exactly the vertices
-    base = gt_marked_poset(n).base
+    gt = GelfandTsetlin(n)
+    base = gt.marked.base
     for k in range(1, n):
-        mp = mu_k_marked_poset(n, k)
+        mp = mu_k_marked_poset(gt, k)
         points = marked_integer_points(mp, base)
         assert len(set(points)) == len(points)
         assert set(points) == set(_marked_vertices(mp, base))
@@ -427,11 +514,12 @@ def test_integer_points_of_01_levels_are_vertices(n):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_minkowski_sum_of_integer_points(n):
-    mp = gt_marked_poset(n)
+    gt = GelfandTsetlin(n)
+    mp = gt.marked
     big = set(marked_integer_points(mp, mp.base))
     sums = {zero_vec(len(pbar_labels(n)))}
     for k in range(1, n):
-        sums = oracle.minkowski_sum(sums, marked_integer_points(mu_k_marked_poset(n, k), mp.base))
+        sums = oracle.minkowski_sum(sums, marked_integer_points(mu_k_marked_poset(gt, k), mp.base))
     # integer points of the (n-1)-scaled polytope are exactly the level-wise
     # sums
     assert len(big) == 2 ** (n * (n - 1) // 2)
@@ -446,9 +534,10 @@ def assert_envelope_is_lift(n, w):
     over n - 1: the sum of the weights of the decomposition's flag elements."""
     L = flag_lattice(n)
     sub = regular_subdivision(L, *vec_over_den(w))
-    pt, iso = gt_poset_iso(n, L)
+    gt = GelfandTsetlin(n)
+    iso = gt_poset_iso(gt, L)
     pbar = pbar_labels(n)
-    for gv in gt_vertices(n):
+    for gv in gt_vertices(gt):
         coords = dict(zip(pbar, unscaled(n, gv.point)))
         ambient = tuple(coords[iso[p]] for p in L.poset_P.elements)
         value = min(oracle.part_value(sub, part, ambient) for part in sub.parts)
@@ -469,7 +558,7 @@ def test_lift_envelope_identity():
 
 def sections(n, face):
     L = flag_lattice(n)
-    return gt_subdivision(n, face(L), L)
+    return gt_subdivision(GelfandTsetlin(n), face(L), L)
 
 
 def test_gt_subdivision_3_apex():
@@ -488,7 +577,7 @@ def test_gt_subdivision_3_full():
     shared = set(parts[0][1].vertices) & set(parts[1][1].vertices)
     assert len(shared) == 4
     union = set(parts[0][1].vertices) | set(parts[1][1].vertices)
-    assert {gv.point for gv in gt_vertices(3)} <= union
+    assert {gv.point for gv in gt_vertices(GelfandTsetlin(3))} <= union
     assert len(union) == 8
 
 
@@ -496,7 +585,7 @@ def test_gt_subdivision_4_full():
     parts = sections(4, full_face)
     assert len(parts) == 12
     # vertex counts match the product-of-simplices census
-    census = shape_census(4)
+    census = shape_census(GelfandTsetlin(4))
     expected = sorted(
         v
         for key, mult in census.items()
@@ -516,7 +605,7 @@ def test_gt_subdivision_4_mid_face():
     C = cone_K(flag_lattice(4))
     mids = [F for F in enumerate_faces(C) if 0 < len(F.tight) < 5]
     picked = sorted(mids, key=lambda F: len(F.tight))[0]
-    parts = gt_subdivision(4, picked, C.lattice)
+    parts = gt_subdivision(GelfandTsetlin(4), picked, C.lattice)
     assert 1 < len(parts) < 12
 
 
@@ -563,7 +652,7 @@ def test_gt_subdivision_matches_fraction_oracle(n, face_count):
     faces = enumerate_faces(C)
     assert len(faces) == face_count
     for F in faces:
-        got = gt_subdivision(n, F, C.lattice)
+        got = gt_subdivision(GelfandTsetlin(n), F, C.lattice)
         want = oracle.gt_subdivision(n, F, C.lattice)
         assert all(Q.den == n - 1 for _, Q in got)
         assert all(type(x) is int for _, Q in got for v in Q.vertices for x in v)
@@ -574,12 +663,12 @@ def test_gt_subdivision_matches_fraction_oracle(n, face_count):
 def test_gt_subdivision_rejects_foreign_lattice():
     B2 = birkhoff(antichain(["p", "q"]))
     with pytest.raises(ValueError):
-        gt_subdivision(3, full_face(B2), flag_lattice(3))
+        gt_subdivision(GelfandTsetlin(3), full_face(B2), flag_lattice(3))
 
 
 def test_gt_subdivision_too_large():
     with pytest.raises(TooLarge):
-        gt_subdivision(6, full_face(flag_lattice(3)), flag_lattice(3))
+        gt_subdivision(GelfandTsetlin(6), full_face(flag_lattice(3)), flag_lattice(3))
 
 
 # -- component shapes --------------------------------------------------------
@@ -596,12 +685,12 @@ def test_component_shape_n3():
 
 
 def test_shape_census_n4():
-    assert shape_census(4) == {"3x2x1": 8, "2x2x2": 2, "4x1x1": 2}
+    assert shape_census(GelfandTsetlin(4)) == {"3x2x1": 8, "2x2x2": 2, "4x1x1": 2}
 
 
 def test_shape_census_n5():
     # 286 linearizations; the Fraction census took about 44 s on this
-    census = shape_census(5)
+    census = shape_census(GelfandTsetlin(5))
     assert census == {"3x3x2x2": 42, "3x3x3x1": 18, "4x2x2x2": 24, "4x3x2x1": 96,
                       "4x4x1x1": 16, "5x2x2x1": 40, "5x3x1x1": 30, "6x2x1x1": 20}
     assert sum(census.values()) == 286
@@ -630,11 +719,11 @@ def test_component_shape_matches_fraction_oracle(n, ext):
     assert sorted(image) == sorted(want_image)
 
 
-@pytest.mark.parametrize("action, orders", [("census", 0), ("vertices", 2)])
+@pytest.mark.parametrize("action, orders", [("census", 12), ("vertices", 1)])
 def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
-    # Poset.covers keeps its scan. The census reads no order's covers; the
-    # vertex search reads the base order's covers once per candidate, on
-    # the base built by gt_vertices and on the one built by gt_patterns.
+    # Poset keeps its cover scan. The census reads the covers of each of
+    # the 12 chains its sections are marked on; the vertex search reads
+    # those of the one base order, which the patterns and the levels share.
     # Each read used to rescan: 406 and 118 scans per job.
     scans = {}
     scan = Poset._scan_covers
@@ -658,6 +747,27 @@ def test_gt_subdivide_builds_the_flag_lattice_once(monkeypatch, capsys):
     assert main(["gt", "--n", "3", "subdivide"]) == 0
     capsys.readouterr()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [["gt", "--n", "4", "vertices"], ["gt", "--n", "3"]],
+                         ids=["vertices", "census and subdivide"])
+def test_gt_builds_the_triangle_once(argv, monkeypatch, capsys):
+    # the job builds its GelfandTsetlin once and hands it to every step:
+    # the vertex job used to build the marked poset 5 times and the ideals
+    # twice, and the census-and-subdivide job each of the three twice
+    built = {name: 0 for name in ("gt_poset", "gt_marked_poset", "_phi")}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in built:
+        monkeypatch.setattr(flaggt, name, counting(name, getattr(flaggt, name)))
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert built == {"gt_poset": 1, "gt_marked_poset": 1, "_phi": 1}
 
 
 def test_component_shape_sums():

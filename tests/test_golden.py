@@ -101,6 +101,12 @@ GOLDEN = [
      "36f36a89c78b8dd95c86e132aee348db5efb4fdc1d0de7c947549b726c4fcbd9", 0),
     ("gt --n 4 census",
      "34371d3acbb2ffe25521da4b37a7dd745c0e52a2dab2f85fa0128bfc01c77be7", 0),
+    # recorded with the label-dict vertex search: 358 vertices, and the
+    # keyed Flag(3) face the polytopes workload subdivides
+    ("gt --n 5 vertices",
+     "eddd6a1067a2b133e9c2643df831976393ee0d1f6420b1f4df450037ecea71d0", 0),
+    ('gt --n 3 subdivide --face [["1","23"]]',
+     "bf92bfb746e61fbd5b136ae098b7dc9145af20ffb79c8891436fcac2b09f013b", 6),
     ("gt --n 5 census",
      "2a1b84701a8a02e4f1def1380aba46894f2b50b9559869e0a1677c896e793e90", 0),
     # recorded with the sections cut on the Fraction marking; the full face

@@ -25,10 +25,9 @@ from hibikit.poset import (
     chain,
     from_cover_relations,
     linear_extensions,
-    order_ideals,
 )
 from order_oracle import (PairPoset, covers, diamond_pairs_by_covers, incomparable, iota,
-                          iota_inv, pairs_of)
+                          iota_inv, order_ideals, pairs_of)
 
 
 def random_poset_from_seed(labels, pairs):

@@ -21,10 +21,9 @@ from hibikit.poset import (
     from_cover_relations,
     is_stronger,
     linear_extensions,
-    order_ideals,
     parse_poset,
 )
-from order_oracle import PairPoset, closure, pairs_of
+from order_oracle import PairPoset, closure, order_ideals, pairs_of
 
 
 def brute_extensions(P):
