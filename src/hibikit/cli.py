@@ -13,18 +13,27 @@ reported to stderr as a machine readable JSON record.
 Faces are addressed by their canonical key (the JSON list of tight
 incomparable pairs); the shorthands "full" (no tight pairs) and "apex"
 (all tight) are also accepted.
+
+main(argv) is cheap to call repeatedly in one process: the argument parser
+is built on the first call and kept, and parsing leaves it unchanged.
+Canonical JSON comes from this module's own writer, byte-identical to
+json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False), whose
+indented form runs on the stdlib's pure-Python encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import re
 import string
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring as _escape  # the C escaper
 from math import lcm
 from pathlib import Path
 from typing import Optional, Sequence
@@ -43,6 +52,7 @@ from .subdivision import (face_subdivision, generalized_permutahedron,
 from .weightpoly import weight_polytope_json
 
 MAX_BOOLEAN = 6
+MAX_ENTRY_DIGITS = 100  # per weight entry, exponent included
 
 CERTIFY_COLUMNS = ["face_key", "l", "dimR", "dim_in", "dim_cap",
                    "standard_count", "pass"]
@@ -52,7 +62,65 @@ CERTIFY_COLUMNS = ["face_key", "l", "dimR", "dim_in", "dim_cap",
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """obj as the bytes of json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=False) plus a newline, for str-keyed dicts, lists, tuples,
+    str, int, bool and None; any other type raises TypeError."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, nl: str, out: list[str]) -> None:
+    # nl is a newline plus the indent of the line obj starts on
+    t = type(obj)
+    if t is str:
+        out.append(_escape(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
+    elif t is list or t is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if all(type(x) is int for x in obj):
+            out.append("[" + inner + sep.join(map(int.__repr__, obj)) + nl + "]")
+        elif (all(type(x) is list or type(x) is tuple for x in obj) and all(obj)
+              and {type(y) for x in obj for y in x} == {int}):
+            # rows of ints ([num, den] pairs, points): one %d template for
+            # the whole list, filled in one step
+            deeper = inner + "  "
+            row = {k: ("," + deeper).join(["%d"] * k) for k in set(map(len, obj))}
+            template = (inner + "]," + inner + "[" + deeper).join([row[len(x)] for x in obj])
+            out.append("[" + inner + "[" + deeper
+                       + template % tuple(itertools.chain.from_iterable(obj))
+                       + inner + "]" + nl + "]")
+        else:
+            for i, x in enumerate(obj):
+                out.append(sep if i else "[" + inner)
+                _emit(x, inner, out)
+            out.append(nl + "]")
+    elif t is dict:
+        if not obj:
+            out.append("{}")
+            return
+        if not all(type(k) is str for k in obj):
+            raise TypeError("canonical JSON keys must be str")
+        inner = nl + "  "
+        sep = "," + inner
+        for i, k in enumerate(sorted(obj)):
+            out.append((sep if i else "{" + inner) + _escape(k) + ": ")
+            _emit(obj[k], inner, out)
+        out.append(nl + "}")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"canonical JSON has no form for {t.__name__}")
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -77,6 +145,20 @@ def parse_poset_json(text: str) -> Poset:
     return from_cover_relations(elements, [(a, b) for a, b in covers])
 
 
+def _entry_digits(token: str) -> int:
+    """A bound, read off the text, on the digits that Fraction(token) writes
+    into its numerator and denominator: the token's digits plus the size of
+    its exponent, so 1e999999 counts before Fraction expands it."""
+    digits = sum(c.isdigit() for c in token)
+    exp = token.lower().partition("e")[2]
+    if not exp or digits > MAX_ENTRY_DIGITS:
+        return digits
+    try:
+        return digits + abs(int(exp))
+    except ValueError:  # not a number; Fraction rejects the token
+        return digits
+
+
 def parse_vector(text: str, size: int) -> tuple[tuple[int, ...], int]:
     """A weight vector of `size` entries, one per lattice element, as
     integers over the lcm den of the entries' denominators: (w, den)."""
@@ -85,6 +167,10 @@ def parse_vector(text: str, size: int) -> tuple[tuple[int, ...], int]:
         raise BadParams("empty weight vector")
     if len(tokens) != size:
         raise BadParams(f"weight vector needs {size} entries, got {len(tokens)}")
+    for i, t in enumerate(tokens):
+        if _entry_digits(t) > MAX_ENTRY_DIGITS:
+            raise BadParams(f"weight vector entry {i + 1} has more than "
+                            f"{MAX_ENTRY_DIGITS} digits")
     try:
         values = [Fraction(t) for t in tokens]
     except (ValueError, ZeroDivisionError) as exc:
@@ -323,6 +409,7 @@ def cmd_permutahedron(args) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hibikit",

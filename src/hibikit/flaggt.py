@@ -462,7 +462,18 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
 
 def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """component_shape's block sizes, with the image of its section's
-    vertices under the difference map, on the (n-1)-scaled lattice."""
+    vertices under the difference map, on the (n-1)-scaled lattice.
+
+    The section's vertices are its candidates, with no anchoring test: each
+    free cell lies between two diagonal markers whose markings differ by 1,
+    so it takes one of them and is tight to it. The certificate does not
+    rest on that argument. The candidates are points of the section that
+    include all its vertices, so the section is their hull, and the
+    difference map is injective and unimodular. So when the images are
+    exactly the product's vertices, the section maps onto the product and
+    every candidate is a vertex; a candidate that is not a vertex would map
+    to a point of the product that is not a vertex, and
+    `set(image) == product_vertices` would fail."""
     size = ext.poset.size
     n = next(m for m in range(2, 20) if m * (m + 1) // 2 - 2 == size)
     total = [_cell(1, 1), *ext.order, _cell(n, n)]
@@ -482,7 +493,7 @@ def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[
     # marker: one row per free cell c, in chain order, and d is the cell
     # after c
     mp = MarkedPoset(chain(total), _gt_marking(n, total))
-    vertices = _marked_vertices(mp, mp.base)
+    vertices = _vertex_candidates(mp, mp.base)
     rows = mp.free()
     image = [tuple(v[i] - v[i + 1] for i in rows) for v in vertices]
     assert len(set(image)) == len(vertices)
@@ -498,7 +509,7 @@ def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[
             if j is not None:
                 z[j] = 1
         product_vertices.add(tuple(z))
-    assert set(image) == product_vertices
+    assert set(image) == product_vertices, "the section must be a product of unit simplices"
     col = {p: j for j, p in enumerate(p for p in pbar_labels(n) if p[1] != p[2])}
     B = []
     for i in rows:

@@ -100,7 +100,7 @@ def _zeta_for(apex: WeightPolytope) -> tuple[list[list[int]], list[int]]:
     inputs = [[m >> j & 1 for j in range(n)] + [1] for m in L.masks]
     X = _integral_solution(inputs, [apex.points[a] for a in L.elements])
     columns, z0 = X[:n], X[n]
-    Z = [list(row) for row in zip(*columns)]
+    Z = [[col[i] for col in columns] for i in range(len(z0))]  # |P| = 0 leaves its rows empty
     assert rank(Z) == n, "map must be injective on R^P"
     lb = apex.polytope.lattice_basis
     assert lb is not None and same_lattice(columns, [list(r) for r in lb])

@@ -5,15 +5,20 @@ writes; one test goes through a real subprocess to cover the module
 entry point.
 """
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hibikit import cli
 from hibikit.cli import canonical_json, main, parse_poset_json, parse_vector
 from hibikit.cone import cone_K, face_of
 from hibikit.exactgeom import LatticePolytope, polytope_json
@@ -336,6 +341,11 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
 
 @pytest.mark.parametrize("argv, poset_file", [
     ("subdivide --boolean 2 --w 0,1,1", None),
+    # an entry past cli.MAX_ENTRY_DIGITS, counted on its text: the exponent
+    # alone would make Fraction build a million-digit integer
+    ("subdivide --boolean 2 --w 1,1,1,1e999999", None),
+    ("subdivide --boolean 2 --w 1,1,1,1e-999999", None),
+    ("permutahedron --boolean 2 --w 1,1,1," + "9" * 5000, None),
     ("subdivide --boolean 2 --face full --check 1", None),
     ("subdivide --boolean 2 --face full --check -2", None),
     ("certify --boolean 2 --lmax 0", None),
@@ -362,7 +372,7 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("lattice --grassmann 1 10", None),
     ("lattice --grassmann 2 10", None),
     ("lattice --flag 10", None),
-], ids=["short weight", "one trial", "negative trials", "degree 0", "bad poset line",
+], ids=["short weight", "huge exponent", "huge negative exponent", "5000 digits", "one trial", "negative trials", "degree 0", "bad poset line",
         "repeated elem", "repeated JSON element", "JSON elements not a list",
         "JSON without covers", "JSON elements not strings", "JSON elements a string",
         "JSON covers not pairs", "comma label", "JSON comma label", "JSON space label",
@@ -429,6 +439,70 @@ def test_canonical_json_sorted_and_terminated():
     text = canonical_json({"b": 1, "a": [2, 3]})
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
+
+
+TRICKY = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u2029é漢😀a ') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | TRICKY,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(TRICKY, inner)
+                   | st.lists(st.integers()) | st.lists(st.lists(st.integers()))
+                   | st.lists(st.lists(st.integers(), min_size=1).map(tuple))),
+    max_leaves=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_is_the_stdlib_layout(obj):
+    # hibikit's writer gives the bytes of the stdlib's pure-Python indent
+    # encoder, the one it replaces
+    want = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(obj) == want
+
+
+@pytest.mark.parametrize("obj", [
+    1.5, Fraction(1, 2), {1, 2}, frozenset(), b"bytes",
+    {1: "int key"}, {True: "bool key"}, {None: "null key"}, {("a",): "tuple key"},
+    {"a": [1, 2.0]}, [[1, 2], [3, Fraction(4)]], [{"a": {0.5}}],
+], ids=["float", "Fraction", "set", "frozenset", "bytes", "int key", "bool key",
+        "None key", "tuple key", "nested float", "Fraction in a row", "nested set"])
+def test_canonical_json_rejects_what_it_cannot_spell(obj):
+    # the stdlib would write some of these (floats, int keys); the writer
+    # never picks a spelling for a type it does not know
+    with pytest.raises(TypeError):
+        canonical_json(obj)
+
+
+MIXED_JOBS = [
+    ["cone", "--grassmann", "2", "4"],
+    ["lattice", "--boolean", "2"],
+    ["certify", "--boolean", "2", "--lmax", "2"],
+    ["subdivide", "--boolean", "2", "--face", "bogus"],  # exit 2, a record on stderr
+    ["gt", "--n", "3", "census"],
+    ["permutahedron", "--boolean", "2", "--w", "0,1,1,3"],
+]
+
+
+def test_main_reenters_on_one_parser(capsys, monkeypatch):
+    # main builds its parser once per process: a mix of jobs, an argv that
+    # argparse rejects, and the mix again give the same codes and bytes
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # "hibikit", or "hibikit <command>" per subparser
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    first = [run_cli(capsys, argv) for argv in MIXED_JOBS]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 0, 0]
+    with pytest.raises(SystemExit) as stop:
+        main(["cone", "--grassmann", "2", "--bogus"])
+    assert stop.value.code == 2
+    assert "usage: hibikit cone" in capsys.readouterr().err
+    assert [run_cli(capsys, argv) for argv in MIXED_JOBS] == first
+    assert built.count("hibikit") == 1
 
 
 def test_module_entry_point_subprocess():

@@ -719,6 +719,33 @@ def test_component_shape_matches_fraction_oracle(n, ext):
     assert sorted(image) == sorted(want_image)
 
 
+def test_census_takes_no_anchoring_test(monkeypatch, capsys):
+    # on a census chain every candidate is a vertex, and the product check
+    # certifies that; the census used to run _is_vertex on all of them
+    def no_anchoring(*args):
+        raise RuntimeError("the census ran the anchoring test")
+
+    monkeypatch.setattr(flaggt, "_is_vertex", no_anchoring)
+    assert main(["gt", "--n", "4", "census"]) == 0
+    assert json.loads(capsys.readouterr().out)["component_count"] == 12
+
+
+def test_census_certificate_rejects_a_non_vertex_candidate(monkeypatch):
+    # a candidate that is not a vertex, here the midpoint of two vertices,
+    # maps off the product's vertices and fails the product check
+    search = flaggt._vertex_candidates
+
+    def with_midpoint(mp, order):
+        points = search(mp, order)
+        return points + [tuple(Fraction(x + y, 2) for x, y in zip(points[0], points[-1]))]
+
+    monkeypatch.setattr(flaggt, "_vertex_candidates", with_midpoint)
+    for n in (3, 4):
+        for ext in linear_extensions(gt_poset(n)):
+            with pytest.raises(AssertionError, match="product of unit simplices"):
+                _shape_and_image(ext)
+
+
 @pytest.mark.parametrize("action, orders", [("census", 12), ("vertices", 1)])
 def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
     # Poset keeps its cover scan. The census reads the covers of each of

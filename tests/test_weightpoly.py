@@ -7,6 +7,7 @@ distinguished faces, and the normality of the weight and order polytopes.
 """
 
 import itertools
+import json
 
 import pytest
 from hypothesis import assume, given, settings
@@ -167,13 +168,28 @@ def test_project_composition():
 # -- zeta --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("L", [birkhoff(chain(["a", "b", "c"])), B2, B3, GRIDL])
+@pytest.mark.parametrize("L", [birkhoff(chain(["a", "b", "c"])), B2, B3, GRIDL,
+                               birkhoff(antichain([]))])
 def test_zeta_bijects_order_polytope_and_apex_polytope(L):
     z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(L))))
     W = weight_polytope(apex_face(L))
     for a in L.elements:
         assert z(indicator(L, a)) == W.points[a]
         assert oracle.invert_affine(z, W.points[a]) == indicator(L, a)
+
+
+@pytest.mark.parametrize("face", ["full", "apex"])
+def test_weightpoly_on_the_empty_poset(face, tmp_path, capsys):
+    # one lattice element, the empty ideal: zeta has a row per apex
+    # coordinate and no column (the last case of the zeta test above); it
+    # used to have no row, and the pullback check failed with an
+    # AssertionError record
+    path = tmp_path / "empty.json"
+    path.write_text('{"elements": [], "covers": []}', encoding="utf-8")
+    assert main(["weightpoly", "--poset", str(path), "--face", face]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["points"] == {"{}": [1]}
+    assert report["distinguished"] == [["{}"]]
 
 
 def test_zeta_square_to_square():
