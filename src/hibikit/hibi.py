@@ -10,25 +10,34 @@ one per incomparable pair. Each degree-l row m*g is e_u - e_v, so dim I_l
 is the number of union-find merges over the degree-l monomials, packed as
 ints with one base-(l + 1) digit per element.
 
-The degree table of L groups the degree-l monomials by exponent sum, the sum
-of the indicator vectors of their factors' ideals. It maps each class to the
-distinct supports of its monomials, as bit masks over L's elements, and is
-built once per degree and kept on the Lattice. The classes are as many as the
-standard monomials. The intersection of a face's component ideals has one
-small rank per class: a support's row is the set of components containing it.
+The degree table of L lays the degree-l monomials out as bits. They fall
+into exponent-sum classes, a class being the sum of the indicator vectors of
+its monomials' factors' ideals, as many as the standard monomials. Each class
+gives its distinct supports, as bit masks over L's elements, consecutive bit
+positions: a block, followed by one guard bit. The table keeps, per element
+e, one int of the positions whose support contains e; it is built once per
+degree and kept on the Lattice. The intersection of a face's component
+ideals has one small rank per class, a support's row being the set of
+components containing it, and the bit layout finds those ranks for all
+classes at once with a few int operations per component.
 
-The certificate's dim in_w(I)_l is computed as dim I_l. A Groebner
-degeneration of a homogeneous ideal is flat: in_w(I) has the Hilbert function
-of I for every weight w (Sturmfels, Groebner Bases and Convex Polytopes, ch.
-1-2). So the number does not depend on the face, and only the intersection of
-the component ideals does.
+A certificate row checks that three dimensions are equal: dim in_w(I)_l, the
+dimension of the intersection of the face's component ideals, and dim R_l
+minus the standard monomial count. dim in_w(I)_l is computed as dim I_l: a
+Groebner degeneration of a homogeneous ideal is flat, so in_w(I) has the
+Hilbert function of I for every weight w (Sturmfels, Groebner Bases and
+Convex Polytopes, 1996, ch. 1-2). No row uses w, and equal dimensions alone
+do not certify in_w(I)_l = the intersection of the I_{i,l}: that also needs
+one space to contain the other, which the certificate does not check.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BadParams
 from .exactgeom import rank
@@ -60,12 +69,21 @@ def _check_caps(n: int, l: int):
         raise BadParams("degree must be nonnegative")
 
 
-def degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
-    """The degree-l monomials of L by exponent-sum class: each class's packed
-    sum maps to the distinct supports of its monomials, ascending bit masks
-    over L's elements. A sum is packed with one digit per element of poset_P
-    in base l + 1, so adding l indicators never carries. Built once per
-    degree and kept on L."""
+class DegreeTable(NamedTuple):
+    """The bit layout of the degree-l monomials of L. Each exponent-sum class
+    is a block of consecutive positions, one per distinct support, followed
+    by one guard bit."""
+
+    within: tuple[int, ...]  # per element e, the positions whose support contains e
+    guards: int  # the guard bit above each block
+    lows: int  # the lowest position of each block
+
+
+def degree_table(L: Lattice, l: int) -> DegreeTable:
+    """The degree-l monomials of L by exponent-sum class, laid out as bits.
+    The classes are told apart by their packed sums, one digit per element
+    of poset_P in base l + 1, so adding l indicators never carries. Built
+    once per degree and kept on L."""
     _check_caps(L.size, l)
     table = L._degree_tables.get(l)
     if table is None:
@@ -73,17 +91,30 @@ def degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
     return table
 
 
-def _build_degree_table(L: Lattice, l: int) -> dict[int, tuple[int, ...]]:
+def _build_degree_table(L: Lattice, l: int) -> DegreeTable:
     n = L.poset_P.size
     packed = [sum((l + 1) ** j for j in range(n) if m >> j & 1) for m in L.masks]
     states = {(0, 0)}  # (packed sum, support mask) over the degree-k monomials
     for _ in range(l):
         states = {(s + packed[i], mask | 1 << i)
                   for s, mask in states for i in range(L.size)}
-    table: dict[int, list[int]] = {}
-    for s, mask in sorted(states):
-        table.setdefault(s, []).append(mask)
-    return {s: tuple(masks) for s, masks in table.items()}
+    classes: dict[int, list[int]] = {}
+    for s, mask in states:
+        classes.setdefault(s, []).append(mask)
+    # per position, its support; at a guard, the item's top bit, above every
+    # element while L.size < width (MAX_ELEMENTS keeps it so)
+    cells = array("I")
+    width = 8 * cells.itemsize
+    for supports in classes.values():
+        cells.extend(supports)
+        cells.append(1 << width - 1)
+    # the cells' bits, most significant position first: bit e of every cell
+    # is one slice of the string, and so one int
+    digits = format(int.from_bytes(cells.tobytes(), sys.byteorder), f"0{width * len(cells)}b")
+    within = tuple(int(digits[width - 1 - e::width], 2) for e in range(L.size))
+    guards = int(digits[::width], 2)
+    lows = (guards << 1 | 1) & ~(1 << len(cells))  # position 0 and the one above each guard
+    return DegreeTable(within, guards, lows)
 
 
 def standard_monomial_count(L: Lattice, l: int) -> int:
@@ -97,7 +128,7 @@ def standard_monomial_count(L: Lattice, l: int) -> int:
     for _ in range(l - 1):
         ladder = [sum(x for x, a in zip(ladder, masks) if a & b == a) for b in masks]
     count = sum(ladder)
-    if len(degree_table(L, l)) != count:
+    if degree_table(L, l).guards.bit_count() != count:
         raise AssertionError("multichain count must equal the exponent-sum count")
     return count
 
@@ -151,19 +182,50 @@ def intersection_dim(L: Lattice, members: Sequence[int], l: int) -> int:
     factor survives in component i and zero otherwise. So M's image is fixed
     by its class and by its hit vector, the components whose members contain
     its support. Classes hit disjoint coordinates, so the rank is the sum,
-    over the classes of the degree table, of the rank of their distinct
-    nonzero hit vectors; a class with at most one needs no elimination.
+    over the classes, of the rank of their distinct nonzero hit vectors.
+
+    The work runs on the degree table's bit layout, for all classes at once.
+    Component i's inside_i is every position whose support avoids all the
+    elements outside its members: one OR of within[e] per such element.
+    A block holds a bit of x iff its guard survives ((x | guards) - lows) &
+    guards: the subtraction borrows through the block's positions only when
+    they are all clear, and the guard stops the borrow at the block's edge.
+    A class has at least one nonzero hit vector iff its block meets hit, the
+    OR of the inside_i; it has two distinct ones iff, for some i, its block
+    meets both inside_i and hit & ~inside_i. Those mixed classes alone are
+    eliminated; every other class that hit meets has rank 1.
     """
     _check_caps(L.size, l)
-    total_rank = 0
-    for supports in degree_table(L, l).values():
-        hits = {sum(1 << i for i, m in enumerate(members) if s & m == s) for s in supports}
+    within, guards, lows = degree_table(L, l)
+    positions = guards - lows  # every block's positions, no guard
+
+    def occupied(x: int) -> int:
+        """The guard of each block that holds a bit of x."""
+        return ((x | guards) - lows) & guards
+
+    insides = []
+    for m in members:
+        outside = 0
+        for e, column in enumerate(within):
+            if not m >> e & 1:
+                outside |= column
+        insides.append(positions & ~outside)
+    hit = 0
+    for inside in insides:
+        hit |= inside
+    mixed = 0
+    for inside in insides:
+        mixed |= occupied(hit & ~inside) & occupied(inside)
+    total_rank = (occupied(hit) & ~mixed).bit_count()
+    while mixed:
+        guard = mixed.bit_length() - 1
+        low = (lows & ((1 << guard) - 1)).bit_length() - 1
+        blocks = [inside >> low & ((1 << guard - low) - 1) for inside in insides]
+        hits = {sum(1 << i for i, block in enumerate(blocks) if block >> j & 1)
+                for j in range(guard - low)}
         hits.discard(0)
-        if len(hits) > 1:
-            total_rank += rank([[h >> i & 1 for i in range(len(members))]
-                                for h in sorted(hits)])
-        else:
-            total_rank += len(hits)
+        total_rank += rank([[h >> i & 1 for i in range(len(members))] for h in sorted(hits)])
+        mixed ^= 1 << guard
     return comb(L.size + l - 1, l) - total_rank
 
 
@@ -177,7 +239,8 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     component ideals = dim R_l minus the standard monomial count.
 
     dim in_w(I)_l is reported as dim I_l: the degeneration is flat, so it
-    is the same for every weight w. It and the standard monomial count are
+    is the same for every weight w, and the row checks dimensions only (see
+    the module docstring). It and the standard monomial count are
     computed once per degree, before the cone is built, so the element and
     degree caps fail fast; only the intersection is computed per face.
 

@@ -52,7 +52,7 @@ class Lattice:
         self._extensions: Optional[tuple[LinearExtension, ...]] = None
         self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
         self._adjacency_graph = None  # subdivision.adjacency_graph
-        self._degree_tables: dict[int, dict[int, tuple[int, ...]]] = {}  # hibi.degree_table
+        self._degree_tables: dict[int, tuple] = {}  # hibi.degree_table
 
     # -- basic structure ----------------------------------------------------
 

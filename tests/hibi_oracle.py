@@ -22,6 +22,11 @@ The rest is the per-monomial Fraction code that hibi's integer degree tables
 replaced, kept as the reference they are compared against:
 exponent_sum_count sums indicator vectors, elimination_ideal_dim and
 per_monomial_intersection_dim eliminate sparse Fraction rows.
+per_support_intersection_dim is the per-support scan that
+hibi.intersection_dim ran over a dict degree table before it laid the
+classes out as bit blocks: for every class and support it tests every
+member, and it ranks every class with two or more distinct nonzero hit
+vectors.
 """
 
 from dataclasses import dataclass
@@ -32,6 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 from fraction_oracle import indicator, vadd, zero_vec
 from hibikit.errors import BadParams, NotStronger
+from hibikit.exactgeom import rank
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
 from hibikit.poset import LinearExtension, Poset, is_stronger
@@ -386,4 +392,32 @@ def per_monomial_intersection_dim(L, orders, l):
     for hit_sets in blocks.values():
         rows = [{i: Fraction(1) for i in hits} for hits in hit_sets]
         total_rank += len(_eliminate(rows))
+    return comb(L.size + l - 1, l) - total_rank
+
+
+def support_table(L, l):
+    """The distinct supports, as bit masks over L's elements, of the
+    degree-l monomials of each exponent-sum class, keyed by the sum."""
+    table = {}
+    for combo in combinations_with_replacement(range(L.size), l):
+        total = tuple(sum(L.masks[i] >> j & 1 for i in combo) for j in range(L.poset_P.size))
+        table.setdefault(total, set()).add(sum(1 << i for i in set(combo)))
+    return table
+
+
+def per_support_intersection_dim(L, members, l):
+    """dim of the degree-l piece of the intersection of the component
+    ideals, each given by a bitmask of members: every support of every class
+    is tested against every member, and a class with two or more distinct
+    nonzero hit vectors is ranked."""
+    _check_caps(L.size, l)
+    total_rank = 0
+    for supports in support_table(L, l).values():
+        hits = {sum(1 << i for i, m in enumerate(members) if s & m == s) for s in supports}
+        hits.discard(0)
+        if len(hits) > 1:
+            total_rank += rank([[h >> i & 1 for i in range(len(members))]
+                                for h in sorted(hits)])
+        else:
+            total_rank += len(hits)
     return comb(L.size + l - 1, l) - total_rank

@@ -37,6 +37,8 @@ def _table_file() -> str:
 POSET_FILES = {
     "reordered.json": '{"elements": ["c", "b", "a"], "covers": [["a", "c"]]}\n',
     "tables.txt": _table_file(),
+    "empty.json": '{"elements": [], "covers": []}\n',
+    "one.json": '{"elements": ["a"], "covers": []}\n',
 }
 
 GOLDEN = [
@@ -121,6 +123,11 @@ GOLDEN = [
      "f76129733be10f376b148cb12cfd7764ae8c271bb0fd5751ba515c4f1c229846", 0),
     ("certify --poset reordered.json --lmax 3",
      "f3486e3bc8319f08da13b17dbc86c821740059df74fe5f5ba4ec0976eefac845", 0),
+    # the one-element lattice of the empty poset, and the 2-chain
+    ("certify --poset empty.json --lmax 2",
+     "913a103e13e4a810c3fff673f4fbb8538066b1e43ca9aa45e8c332974ff26ede", 0),
+    ("certify --poset one.json --lmax 2",
+     "49c26b0a7046f778ba3990baa0348ed6e96c402881f82ce79b94a845a53c11f8", 0),
     ("lattice --poset tables.txt",
      "2db0eca2f3f6a7b8994f42e2499954ff308a4f94622a41b49889f1be4e68469e", 0),
 ]

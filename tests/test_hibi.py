@@ -27,13 +27,16 @@ from hibi_oracle import (
     member_masks,
     monomial,
     per_monomial_intersection_dim,
+    per_support_intersection_dim,
     straighten,
+    support_table,
     union_find_ideal_dim,
 )
 
-from hibikit import lattice, poset
+from hibikit import hibi, lattice, poset
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, NotStronger
+from hibikit.exactgeom import rank
 from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.hibi import (
     degeneration_certificate,
@@ -401,8 +404,11 @@ def test_ideal_dim_matches_the_polynomial_oracles(L, l):
 @given(small_lattices(), st.data())
 def test_degree_tables_match_the_per_monomial_oracle(L, data):
     for l in range(4):
-        assert (len(degree_table(L, l)) == standard_monomial_count(L, l)
-                == exponent_sum_count(L, l))
+        table, supports = degree_table(L, l), support_table(L, l)
+        assert (table.guards.bit_count() == standard_monomial_count(L, l)
+                == exponent_sum_count(L, l) == len(supports))
+        # one position per distinct support of each class
+        assert (table.guards - table.lows).bit_count() == sum(map(len, supports.values()))
     families = [face_subdivision(F).parts for F in enumerate_faces(cone_K(L))]
     # a face's parts tile a polytope, so each class has at most one nonzero
     # hit vector; parts drawn from different faces reach the ranks
@@ -425,6 +431,38 @@ def test_intersection_of_two_faces_parts_needs_a_rank():
     members = [vertex_mask(B3, part) for part in parts]
     orders = [part.order for part in parts]
     assert intersection_dim(B3, members, 3) == per_monomial_intersection_dim(B3, orders, 3) == 28
+
+
+# the lattices the per-support scan checks arbitrary member masks on: B3,
+# Gr(2,4), Flag(3), a 3-chain and the one-element lattice
+MASK_LATTICES = [B3, grassmann_lattice(2, 4), flag_lattice(3), birkhoff(chain(["a", "b"])),
+                 birkhoff(antichain([]))]
+
+
+def test_intersection_dim_matches_the_per_support_scan(monkeypatch):
+    # members drawn as any masks, not only sublattices, split the supports
+    # of a class between them, so some draws must reach the exact rank
+    ranked = []
+    monkeypatch.setattr(hibi, "rank", lambda rows: ranked.append(rows) or rank(rows))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(MASK_LATTICES), st.integers(0, 3), st.data())
+    def check(L, l, data):
+        members = data.draw(st.lists(st.integers(0, (1 << L.size) - 1), max_size=5))
+        assert intersection_dim(L, members, l) == per_support_intersection_dim(L, members, l)
+
+    check()
+    assert ranked
+
+
+def test_two_members_that_split_one_class_rank_it_once(monkeypatch):
+    # at l = 2 only B2's class of {p}{q} and {}{p,q} has two supports; the
+    # members {p},{q} and {},{p,q} give them the hit vectors 01 and 10
+    ranked = []
+    monkeypatch.setattr(hibi, "rank", lambda rows: ranked.append(rows) or rank(rows))
+    members = [0b0110, 0b1001]
+    assert intersection_dim(B2, members, 2) == per_support_intersection_dim(B2, members, 2) == 4
+    assert ranked == [[[1, 0], [0, 1]]]
 
 
 def test_intersection_not_stronger():
@@ -530,6 +568,16 @@ def test_certificate_builds_no_order_ideals(make, lmax, monkeypatch):
         monkeypatch.setattr(module, "ideal_masks", lambda P: built.append(P) or ideals(P))
     assert all(row["pass"] for row in degeneration_certificate(L, lmax))
     assert built == []
+
+
+def test_certificate_past_the_element_cap(monkeypatch):
+    # Gr(2,6) has 15 elements, past the cap of 12 that the CLI keeps; its
+    # standard monomial counts are the Weyl dimensions of V(l * omega_2)
+    monkeypatch.setattr(hibi, "MAX_ELEMENTS", 15)
+    rows = degeneration_certificate(grassmann_lattice(2, 6), 5)
+    assert len(rows) == 320 and all(row["pass"] for row in rows)
+    assert sorted({(row["l"], row["standard_count"]) for row in rows}) == [
+        (1, 15), (2, 105), (3, 490), (4, 1764), (5, 5292)]
 
 
 @pytest.mark.parametrize("P,lmax", [
