@@ -34,7 +34,7 @@ from .cone import Face
 from .errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
 from .exactgeom import LatticePolytope, same_lattice
 from .lattice import Lattice, from_ops
-from .poset import LinearExtension, Poset, _bits, chain, ideal_masks, linear_extensions
+from .poset import Poset, _bits, chain, ideal_masks, linear_extensions
 from .subdivision import face_subdivision
 
 MAX_GT_RANK = 5
@@ -264,7 +264,7 @@ def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
     lower = list(marking)  # a marked index is bounded by its own marking
     for p in free:
         lower[p] = max(marking[m] for m in mp.marked() if order.below[m] >> p & 1)
-    ext = [order.index(p) for p in next(linear_extensions(order)).order]
+    ext = next(linear_extensions(order))
     values = sorted({v for v in marking if v is not None}, reverse=True)
     point = [0] * len(marking)
     out = []
@@ -460,7 +460,8 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
 # -- component shapes --------------------------------------------------------
 
 
-def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _shape_and_image(gt: GelfandTsetlin, ext: tuple[int, ...]
+                     ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """component_shape's block sizes, with the image of its section's
     vertices under the difference map, on the (n-1)-scaled lattice.
 
@@ -474,9 +475,8 @@ def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[
     every candidate is a vertex; a candidate that is not a vertex would map
     to a point of the product that is not a vertex, and
     `set(image) == product_vertices` would fail."""
-    size = ext.poset.size
-    n = next(m for m in range(2, 20) if m * (m + 1) // 2 - 2 == size)
-    total = [_cell(1, 1), *ext.order, _cell(n, n)]
+    n = gt.n
+    total = [_cell(1, 1), *(gt.poset.elements[j] for j in ext), _cell(n, n)]
     position = {p: i for i, p in enumerate(total)}
     blocks = []
     for k in range(1, n):
@@ -523,22 +523,23 @@ def _shape_and_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[tuple[
     return shape, image
 
 
-def component_shape(ext: LinearExtension) -> tuple[int, ...]:
-    """Block sizes of a linearization: the number of cells strictly between
-    consecutive diagonal markers once the corners are added back.
+def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]:
+    """Block sizes of a linearization ext of gt.poset, an index tuple: the
+    number of cells strictly between consecutive diagonal markers once the
+    corners are added back.
 
     Verifies that the corresponding section is a product of unit simplices
     of these dimensions, up to a unimodular change of the (n-1)-scaled
     lattice. The section's vertices are enumerated on that lattice, where
     the marking of p_{r,r} is n - r, and compared as integer tuples."""
-    return _shape_and_image(ext)[0]
+    return _shape_and_image(gt, ext)[0]
 
 
 def shape_census(gt: GelfandTsetlin) -> dict[str, int]:
     """How many linearizations produce each multiset of block sizes."""
     census: dict[str, int] = {}
     for ext in linear_extensions(gt.poset):
-        shape = component_shape(ext)
+        shape = component_shape(gt, ext)
         key = "x".join(str(d) for d in sorted(shape, reverse=True))
         census[key] = census.get(key, 0) + 1
     return census

@@ -42,6 +42,7 @@ from typing import NamedTuple, Sequence
 from .errors import BadParams
 from .exactgeom import rank
 from .lattice import Lattice
+from .poset import _bits
 
 MAX_ELEMENTS = 12
 MAX_DEGREE = 6
@@ -244,7 +245,7 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     computed once per degree, before the cone is built, so the element and
     degree caps fail fast; only the intersection is computed per face.
 
-    A component's members are its part's vertex elements, which
+    A component's members are its part's vertices, which
     regular_subdivision has checked to be the ideals of the part's order."""
     from .cone import cone_K, enumerate_faces
     from .subdivision import face_subdivision
@@ -254,8 +255,7 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     masks = L.masks
     rows = []
     for face in enumerate_faces(cone_K(L)):
-        members = [_members(L, masks, part.vertex_elements)
-                   for part in face_subdivision(face).parts]
+        members = [_members(masks, part.vertex_mask) for part in face_subdivision(face).parts]
         for l, dim_r, dim_in, standard in degrees:
             dim_cap = intersection_dim(L, members, l)
             rows.append({
@@ -270,10 +270,10 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     return rows
 
 
-def _members(L: Lattice, masks: Sequence[int], elements: Sequence[str]) -> int:
-    """The bitmask of the given elements, checked to be a sublattice: their
-    ideal masks are closed under OR and AND."""
-    ideals = {masks[L.index(a)] for a in elements}
+def _members(masks: Sequence[int], members: int) -> int:
+    """The bitmask members of lattice elements, checked to be a sublattice:
+    their ideal masks are closed under OR and AND."""
+    ideals = {masks[i] for i in _bits(members)}
     if any(x | y not in ideals or x & y not in ideals for x in ideals for y in ideals):
         raise AssertionError("sublattice is not closed")
-    return sum(1 << L.index(a) for a in elements)
+    return members

@@ -18,7 +18,6 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import NotALattice, NotDistributive, UnknownLabel
 from .poset import (
-    LinearExtension,
     Poset,
     _bits,
     check_labels,
@@ -49,7 +48,7 @@ class Lattice:
         self.masks: tuple[int, ...] = tuple(masks)
         self._index = {x: i for i, x in enumerate(self.elements)}
         self.at_mask = {m: i for i, m in enumerate(self.masks)}
-        self._extensions: Optional[tuple[LinearExtension, ...]] = None
+        self._extensions: Optional[tuple[tuple[int, ...], ...]] = None
         self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
         self._adjacency_graph = None  # subdivision.adjacency_graph
         self._degree_tables: dict[int, tuple] = {}  # hibi.degree_table
@@ -89,17 +88,9 @@ class Lattice:
     def height(self, a: str) -> int:
         return self._mask(a).bit_count()
 
-    def chain(self, ext: LinearExtension) -> tuple[str, ...]:
-        """The maximal chain of a linear extension of poset_P: the elements
-        whose ideals are the extension's prefixes, bottom first."""
-        m = 0
-        members = [self.bottom]
-        for p in ext.order:
-            m |= 1 << self.poset_P.index(p)
-            members.append(self.elements[self.at_mask[m]])
-        return tuple(members)
-
-    def extensions(self) -> tuple[LinearExtension, ...]:
+    def extensions(self) -> tuple[tuple[int, ...], ...]:
+        """The linear extensions of poset_P, as linear_extensions yields
+        them; built once per lattice."""
         if self._extensions is None:
             self._extensions = tuple(linear_extensions(self.poset_P))
         return self._extensions

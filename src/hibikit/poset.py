@@ -3,6 +3,7 @@ and order-strength comparisons.
 
 Elements carry opaque string labels. The order is held as one down-set
 bitmask per element: bit i of below[j] is set when elements[i] < elements[j].
+A linear extension is a tuple of element indices.
 """
 
 from __future__ import annotations
@@ -96,26 +97,6 @@ class Poset:
                          for j, m in enumerate(self.below) for i in _bits(m))
 
 
-@dataclass(frozen=True)
-class LinearExtension:
-    """A linearization of a poset: a total order refining it."""
-
-    order: tuple[str, ...]
-    poset: Poset
-
-    def __post_init__(self):
-        if sorted(self.order) != sorted(self.poset.elements):
-            raise GroundSetMismatch("extension is not a permutation of the ground set")
-        placed = 0
-        for x in self.order:
-            j = self.poset.index(x)
-            missing = self.poset.below[j] & ~placed
-            if missing:
-                a = self.poset.elements[_bits(missing)[0]]
-                raise ValueError(f"order violates {a} < {x}")
-            placed |= 1 << j
-
-
 def from_cover_relations(labels: list[str], covers: list[tuple[str, str]]) -> Poset:
     """Build the poset generated by the given cover pairs, closed by one
     Warshall pass over the masks.
@@ -151,8 +132,9 @@ def chain(labels: list[str]) -> Poset:
     return from_cover_relations(labels, list(zip(labels, labels[1:])))
 
 
-def linear_extensions(P: Poset) -> Iterator[LinearExtension]:
-    """All linearizations, lazily, in lexicographic order of label positions."""
+def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
+    """All linearizations, lazily, each as the tuple of P's element indices
+    in its order, the tuples in lexicographic order."""
     n = P.size
 
     def emit(placed: list[int], used: int) -> Iterator[tuple[int, ...]]:
@@ -165,8 +147,7 @@ def linear_extensions(P: Poset) -> Iterator[LinearExtension]:
                 yield from emit(placed, used | 1 << j)
                 placed.pop()
 
-    for perm in emit([], 0):
-        yield LinearExtension(tuple(P.elements[j] for j in perm), P)
+    yield from emit([], 0)
 
 
 def ideal_masks(P: Poset) -> list[int]:
@@ -186,12 +167,6 @@ def ideal_masks(P: Poset) -> list[int]:
                 found.add(grown)
                 stack.append(grown)
     return sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
-
-
-def down_closed(P: Poset, masks: Sequence[int]) -> list[bool]:
-    """For each bitmask (bit j for P.elements[j]), whether the set it holds
-    is down-closed in P."""
-    return [all(not P.below[j] & ~m for j in _bits(m)) for m in masks]
 
 
 def is_stronger(strong: Poset, weak: Poset) -> bool:

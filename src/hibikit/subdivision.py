@@ -18,7 +18,7 @@ convexity adjectives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional, Sequence
 
@@ -26,7 +26,7 @@ from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relat
                    span_of_face)
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import Lattice, diamond_pairs
-from .poset import LinearExtension, Poset, down_closed, is_stronger
+from .poset import Poset, _bits, ideal_masks, is_stronger
 
 
 @dataclass(frozen=True)
@@ -35,14 +35,23 @@ class Part:
 
     Its map is x -> (const + alpha·x) / den on R^P, with the subdivision's
     den; values[i] is its numerator at the i-th lattice element's indicator.
+    Its simplices are its linear extensions, index tuples over P's
+    elements. Bit i of vertex_mask is set when the i-th lattice element is
+    a vertex; labels are the lattice's elements, which vertex_elements
+    reads the vertices by.
     """
 
     order: Poset
     alpha: tuple[int, ...]
     const: int
     values: tuple[int, ...]
-    simplices: tuple[LinearExtension, ...]
-    vertex_elements: tuple[str, ...]
+    simplices: tuple[tuple[int, ...], ...]
+    vertex_mask: int
+    labels: tuple[str, ...] = field(repr=False, compare=False)
+
+    @property
+    def vertex_elements(self) -> tuple[str, ...]:
+        return tuple(self.labels[i] for i in _bits(self.vertex_mask))
 
 
 class Subdivision:
@@ -60,10 +69,9 @@ class Subdivision:
 
     def structure(self) -> frozenset:
         """Weight-independent identity: the parts as (vertex set, order)."""
-        return frozenset(
-            (p.vertex_elements, p.order.below) for p in self.parts)
+        return frozenset((p.vertex_mask, p.order.below) for p in self.parts)
 
-    def part_of(self, ext: LinearExtension) -> int:
+    def part_of(self, ext: tuple[int, ...]) -> int:
         return self._part_of[ext]
 
     def __repr__(self):
@@ -87,21 +95,19 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
     tight = _tight_set(pairs, normals, ws, den)  # also checks w in K-bar
     P = L.poset_P
     n = P.size
-    position = {p: j for j, p in enumerate(P.elements)}
-    masks, at_mask = L.masks, L.at_mask
-    bits = [[j for j in range(n) if m >> j & 1] for m in masks]
+    at_mask = L.at_mask
+    bits = [_bits(m) for m in L.masks]
 
     # vertices of a simplex are its prefix-ideal indicators; the
     # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}}, and
     # before[p] is the mask of the elements the extension puts before p
-    groups: dict[tuple, list[tuple[LinearExtension, list[int], list[int]]]] = {}
+    groups: dict[tuple, list[tuple[tuple[int, ...], list[int], list[int]]]] = {}
     for ext in L.extensions():
         alpha = [0] * n
         before = [0] * n
         chain = [at_mask[0]]
         m = 0
-        for p in ext.order:
-            j = position[p]
+        for j in ext:
             before[j] = m
             m |= 1 << j
             chain.append(at_mask[m])
@@ -117,10 +123,9 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
         if not is_stronger(order, P):
             raise AssertionError("part order must refine P")
         # every ideal of the stronger order is an ideal of P, so an element
-        # of L: the order's ideals are the elements with down-closed masks
+        # of L
         on_chains = set().union(*(chain for _, chain, _ in members))
-        closed = down_closed(order, masks)
-        if on_chains != {i for i, ok in enumerate(closed) if ok}:
+        if on_chains != {at_mask[m] for m in ideal_masks(order)}:
             raise AssertionError("part is not the order polytope of its order")
         # envelope: the part overestimates w on all of L, tight exactly on
         # its own vertices
@@ -134,7 +139,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
             elif value == target:
                 raise AssertionError("tight value off the part's vertex set")
         parts.append(Part(order, alpha, const, values, tuple(e for e, _, _ in members),
-                          tuple(L.elements[i] for i in sorted(on_chains))))
+                          sum(1 << i for i in on_chains), L.elements))
     return Subdivision(L, ws, den, tuple(parts), _key_of(pairs[i] for i in sorted(tight)))
 
 
@@ -146,17 +151,14 @@ def face_subdivision(F: Face) -> Subdivision:
     if sub.face_key != F.key():
         raise AssertionError("sample does not lie in the face's relative interior")
 
-    tight_pairs = {frozenset((d.a, d.b)) for d in F.tight}
+    # graph.pairs index diamond_pairs(L), the pairs cone_K builds F.cone on
     graph = adjacency_graph(L)
     part = [sub.part_of(e) for e in graph.extensions]
-    seen_pairs = set()
     for (i, j), pair in zip(graph.edges, graph.pairs):
-        seen_pairs.add(pair)
-        if (part[i] == part[j]) != (pair in tight_pairs):
+        if (part[i] == part[j]) != (pair in F.tight_idx):
             raise AssertionError(
                 "tight diamond pairs must match same-part adjacencies")
-    all_pairs = {frozenset((d.a, d.b)) for d in F.cone.pairs}
-    if not all_pairs <= seen_pairs:
+    if len(set(graph.pairs)) != len(F.cone.pairs):
         raise AssertionError("every diamond pair needs a witnessing adjacency")
     return sub
 
@@ -198,46 +200,47 @@ def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: i
 
 @dataclass(frozen=True)
 class AdjacencyGraph:
-    """Edges index into `extensions`; pairs[k] is the diamond pair {a, b}
-    by which the chains of edge k differ."""
+    """Edges index into `extensions`; pairs[k] is the index in
+    diamond_pairs(L) of the diamond pair by which the chains of edge k
+    differ."""
 
-    extensions: tuple[LinearExtension, ...]
+    extensions: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
-    pairs: tuple[frozenset[str], ...]
+    pairs: tuple[int, ...]
 
 
 def adjacency_graph(L: Lattice) -> AdjacencyGraph:
-    """Extensions adjacent when their staircase simplices share a facet.
-
-    Three equivalent tests are computed and cross-checked: the maximal
-    chains differ in exactly one element; the tuples differ by one adjacent
-    transposition; the chain difference is a diamond pair. Built once per
-    lattice and kept on L.
-    """
+    """Extensions adjacent when their staircase simplices share a facet,
+    built from adjacent swaps: t[k] and t[k+1] incomparable give the
+    extension with the two swapped, whose maximal chain differs from t's
+    across the diamond with meet m, the ideal before them, and sides
+    m + t[k] and m + t[k+1]. Edges (i, j), i < j, are listed in order.
+    Built once per lattice and kept on L."""
     if L._adjacency_graph is not None:
         return L._adjacency_graph
     exts = L.extensions()
-    chains = [frozenset(L.chain(e)) for e in exts]
-    pair_set = {frozenset((d.a, d.b)) for d in diamond_pairs(L)}
+    where = {t: i for i, t in enumerate(exts)}
+    pair_of = {(L.index(d.a), L.index(d.b)): k for k, d in enumerate(diamond_pairs(L))}
+    at, below = L.at_mask, L.poset_P.below
     edges, edge_pairs = [], []
-    for i in range(len(exts)):
-        for j in range(i + 1, len(exts)):
-            diff = chains[i] ^ chains[j]
-            by_chain = len(diff) == 2
-            oi, oj = exts[i].order, exts[j].order
-            spots = [k for k in range(len(oi)) if oi[k] != oj[k]]
-            by_swap = (len(spots) == 2 and spots[1] == spots[0] + 1
-                       and oi[spots[0]] == oj[spots[1]]
-                       and oi[spots[1]] == oj[spots[0]])
-            by_diamond = len(diff) == 2 and frozenset(diff) in pair_set
-            if by_chain != by_swap or by_swap != by_diamond:
-                raise AssertionError(
-                    "adjacency characterizations disagree on "
-                    f"{exts[i].order} / {exts[j].order}")
-            if by_chain:
-                edges.append((i, j))
-                edge_pairs.append(diff)
-    L._adjacency_graph = AdjacencyGraph(tuple(exts), tuple(edges), tuple(edge_pairs))
+    for i, t in enumerate(exts):
+        found = []
+        m = 0
+        for k in range(len(t) - 1):
+            p, q = t[k], t[k + 1]
+            if not below[q] >> p & 1:
+                j = where[t[:k] + (q, p) + t[k + 2:]]
+                if j > i:
+                    pair = pair_of.get(tuple(sorted((at[m | 1 << p], at[m | 1 << q]))))
+                    if pair is None:
+                        raise AssertionError(
+                            f"extensions {t} and {exts[j]} differ across no diamond pair")
+                    found.append((j, pair))
+            m |= 1 << p
+        for j, pair in sorted(found):
+            edges.append((i, j))
+            edge_pairs.append(pair)
+    L._adjacency_graph = AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
     return L._adjacency_graph
 
 

@@ -24,7 +24,7 @@ from .exactgeom import (
     rank,
     same_lattice,
 )
-from .poset import down_closed
+from .poset import ideal_masks
 from .subdivision import face_subdivision
 
 
@@ -161,11 +161,11 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     zeta = _zeta_for(apex)
     # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
     to_apex = _inclusion_matrix(W.basis, apex.basis)
-    masks = L.masks
-    indicator = {a: [m >> j & 1 for j in range(n)] for a, m in zip(L.elements, masks)}
+    indicator = {a: [m >> j & 1 for j in range(n)] for a, m in zip(L.elements, L.masks)}
     out = []
     for part in sub.parts:
-        members = set(part.vertex_elements)
+        elements = part.vertex_elements
+        members = set(elements)
         # the separator: the part's map minus w, times den, an integer
         # functional, so its positive values are at least 1
         sep = tuple(v - x for v, x in zip(part.values, sub.scaled))
@@ -173,17 +173,16 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
         assert sum(x > 0 for x in sep) == L.size - len(members)
         # the functional lives in the face's span, so it cuts a genuine face
         assert rank([*W.basis, sep]) == len(W.basis)
-        for a in part.vertex_elements:
+        for a in elements:
             assert _pulls_back(to_apex, zeta, W.points[a], indicator[a]), \
                 "point is outside the apex image of its indicator"
-        poly = LatticePolytope([W.points[a] for a in part.vertex_elements], 1,
+        poly = LatticePolytope([W.points[a] for a in elements], 1,
                                already_extreme=True)
         assert len(poly.vertices) == len(members)
         assert poly.dim == n
         # the vertices are the elements whose ideals are the order's ideals
-        closed = down_closed(part.order, masks)
-        assert members == {a for a, ok in zip(L.elements, closed) if ok}
-        out.append(DistinguishedFace(part.vertex_elements, sep, poly))
+        assert members == {L.elements[L.at_mask[m]] for m in ideal_masks(part.order)}
+        out.append(DistinguishedFace(elements, sep, poly))
     return out
 
 

@@ -104,10 +104,10 @@ from hibikit.exactgeom import _box_lattice_points, integer_kernel, same_lattice
 from hibikit.errors import NotStronger, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, _label_of, gt_poset_iso, pbar_labels
 from hibikit.lattice import Lattice, diamond_pairs
-from hibikit.poset import (LinearExtension, Poset, from_cover_relations, is_stronger,
-                           linear_extensions)
+from hibikit.poset import Poset, from_cover_relations, is_stronger, linear_extensions
 from hibikit.subdivision import face_subdivision
-from order_oracle import iota, order_ideals, poset_from_pairs
+from order_oracle import (LinearExtension, iota, label_extension, label_extensions,
+                          lattice_chain, order_ideals, poset_from_pairs)
 
 
 Vec = tuple[Fraction, ...]
@@ -664,7 +664,8 @@ def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, int]]:
         p: max(mp.values[m] for m in mp.marked if order.leq(p, m))
         for p in free
     }
-    return _fillings(next(linear_extensions(order)).order, preds, lower, mp.values)
+    return _fillings(label_extension(order, next(linear_extensions(order))).order,
+                     preds, lower, mp.values)
 
 
 def _fillings(ext: Sequence[str], preds: dict, lower: dict, marking: dict) -> list[dict]:
@@ -971,10 +972,10 @@ def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart
     wt = {a: w[i] for i, a in enumerate(L.elements)}
 
     groups: dict[tuple, list[LinearExtension]] = {}
-    for ext in L.extensions():
+    for ext in label_extensions(P):
         const = wt[L.bottom]
         alpha = [Fraction(0)] * n
-        chain = L.chain(ext)
+        chain = lattice_chain(L, ext)
         for p, lo, hi in zip(ext.order, chain, chain[1:]):
             alpha[P.index(p)] = wt[hi] - wt[lo]
         groups.setdefault((tuple(alpha), const), []).append(ext)
@@ -984,7 +985,7 @@ def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart
         affine = AffineMap((tuple(alpha),), (const,))
         order = intersect_orders([extension_poset(e) for e in exts])
         assert is_stronger(order, P), "part order must refine P"
-        on_chains = set().union(*(L.chain(e) for e in exts))
+        on_chains = set().union(*(lattice_chain(L, e) for e in exts))
         assert {iota(L, a) for a in on_chains} == set(order_ideals(order)), \
             "part is not the order polytope of its order"
         vertex_elements = tuple(a for a in L.elements if a in on_chains)

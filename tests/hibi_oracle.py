@@ -40,8 +40,9 @@ from hibikit.errors import BadParams, NotStronger
 from hibikit.exactgeom import rank
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
-from hibikit.poset import LinearExtension, Poset, is_stronger
-from order_oracle import covers, incomparable, iota, order_ideals
+from hibikit.poset import Poset, is_stronger
+from order_oracle import (LinearExtension, covers, incomparable, iota, label_extensions,
+                          lattice_chain, order_ideals)
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def maximal_chains(L: Lattice) -> list[MaximalChain]:
     """All maximal chains, each |P|+1 long, paired with the linear extension
     it comes from (prefix ideals of the extension, pulled back through iota).
     The pairing is the explicit bijection between chains and extensions."""
-    chains = [MaximalChain(L.chain(ext), ext) for ext in L.extensions()]
+    chains = [MaximalChain(lattice_chain(L, ext), ext) for ext in label_extensions(L.poset_P)]
 
     # independent check: depth first walk over covers finds the same chains
     walked = set()

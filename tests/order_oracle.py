@@ -10,13 +10,26 @@ bitmasks of poset.ideal_masks as the label sets that poset returned until
 its last caller in the package, flaggt, moved to the bitmasks. The lattice
 helpers read a lattice element as the label set of its ideal, iota(a), as
 the lattice did when it kept those sets.
+
+LinearExtension is the validated label tuple that poset.linear_extensions
+yielded before it yielded index tuples; label_extension labels and
+validates one index tuple, label_extensions all that linear_extensions
+yields. lattice_chain is the maximal chain
+of a labelled extension, as Lattice.chain read it; down_closed is the
+per-mask closure test that regular_subdivision and distinguished_faces ran
+before they read a part's vertices off ideal_masks of its order; and
+pairwise_adjacency is the scan of all pairs of extensions, cross-checking
+three characterizations of adjacency, that adjacency_graph ran before it
+built its edges from adjacent swaps.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
-from hibikit.lattice import DiamondPair
-from hibikit.poset import Poset, _bits, ideal_masks
+from hibikit.lattice import DiamondPair, diamond_pairs
+from hibikit.poset import Poset, _bits, ideal_masks, linear_extensions
+from hibikit.subdivision import AdjacencyGraph
 
 
 def order_ideals(P: Poset) -> list[frozenset[str]]:
@@ -148,3 +161,81 @@ def diamond_pairs_by_covers(L) -> tuple[DiamondPair, ...]:
                 and covers(L, m, a) and covers(L, m, b)):
             out.append(DiamondPair(a, b, m, j))
     return tuple(out)
+
+
+# -- labelled linear extensions and the pairwise adjacency scan ---------------
+
+
+@dataclass(frozen=True)
+class LinearExtension:
+    """A linearization of a poset: a total order refining it."""
+
+    order: tuple[str, ...]
+    poset: Poset
+
+    def __post_init__(self):
+        if sorted(self.order) != sorted(self.poset.elements):
+            raise GroundSetMismatch("extension is not a permutation of the ground set")
+        placed = 0
+        for x in self.order:
+            j = self.poset.index(x)
+            missing = self.poset.below[j] & ~placed
+            if missing:
+                a = self.poset.elements[_bits(missing)[0]]
+                raise ValueError(f"order violates {a} < {x}")
+            placed |= 1 << j
+
+
+def label_extension(P: Poset, ext) -> LinearExtension:
+    """The index tuple ext as a validated label extension of P."""
+    return LinearExtension(tuple(P.elements[j] for j in ext), P)
+
+
+def label_extensions(P: Poset) -> list[LinearExtension]:
+    return [label_extension(P, ext) for ext in linear_extensions(P)]
+
+
+def lattice_chain(L, ext: LinearExtension) -> tuple[str, ...]:
+    """The maximal chain of a linear extension of L.poset_P: the elements
+    whose ideals are the extension's prefixes, bottom first."""
+    m = 0
+    members = [L.bottom]
+    for p in ext.order:
+        m |= 1 << L.poset_P.index(p)
+        members.append(L.elements[L.at_mask[m]])
+    return tuple(members)
+
+
+def down_closed(P: Poset, masks) -> list[bool]:
+    """For each bitmask (bit j for P.elements[j]), whether the set it holds
+    is down-closed in P."""
+    return [all(not P.below[j] & ~m for j in _bits(m)) for m in masks]
+
+
+def pairwise_adjacency(L) -> AdjacencyGraph:
+    """Extensions adjacent when their staircase simplices share a facet,
+    over all pairs of extensions. Three equivalent tests are computed and
+    cross-checked: the maximal chains differ in exactly one element; the
+    tuples differ by one adjacent transposition; the chain difference is a
+    diamond pair. pairs[k] indexes diamond_pairs(L)."""
+    exts = L.extensions()
+    chains = [frozenset(lattice_chain(L, label_extension(L.poset_P, e))) for e in exts]
+    pair_index = {frozenset((d.a, d.b)): k for k, d in enumerate(diamond_pairs(L))}
+    edges, edge_pairs = [], []
+    for i in range(len(exts)):
+        for j in range(i + 1, len(exts)):
+            diff = chains[i] ^ chains[j]
+            by_chain = len(diff) == 2
+            oi, oj = exts[i], exts[j]
+            spots = [k for k in range(len(oi)) if oi[k] != oj[k]]
+            by_swap = (len(spots) == 2 and spots[1] == spots[0] + 1
+                       and oi[spots[0]] == oj[spots[1]]
+                       and oi[spots[1]] == oj[spots[0]])
+            by_diamond = len(diff) == 2 and diff in pair_index
+            if by_chain != by_swap or by_swap != by_diamond:
+                raise AssertionError(
+                    f"adjacency characterizations disagree on {oi} / {oj}")
+            if by_chain:
+                edges.append((i, j))
+                edge_pairs.append(pair_index[diff])
+    return AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))

@@ -162,8 +162,8 @@ def test_acceptance_7_property_suites():
             assert s.degree == m.degree  # exponent sum is preserved
 
     for L in (b(2), b(3), grassmann_lattice(2, 4), flag_lattice(3)):
-        # the call cross-checks shared-facet, transposition and diamond
-        # symmetric-difference adjacency against each other
+        # the graph is built from adjacent swaps, each checked to cross a
+        # diamond pair
         g = adjacency_graph(L)
         assert len(g.extensions) == len(L.extensions())
         if len(g.extensions) > 1:

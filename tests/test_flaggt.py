@@ -42,7 +42,7 @@ from hibikit.flaggt import (
 from hibikit.lattice import birkhoff, diamond_pairs
 from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision, regular_subdivision
-from order_oracle import order_ideals
+from order_oracle import label_extension, order_ideals
 
 
 def full_face(L):
@@ -347,7 +347,8 @@ def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
             orders += [_extend_to_pbar(mp.base, part.order, at)
                        for F in enumerate_faces(C) for part in face_subdivision(F).parts]
         for ext in linear_extensions(gt.poset):
-            total = [mp.base.elements[0], *ext.order, mp.base.elements[-1]]
+            total = [mp.base.elements[0], *(gt.poset.elements[j] for j in ext),
+                     mp.base.elements[-1]]
             orders.append(from_cover_relations(list(mp.base.elements), list(zip(total, total[1:]))))
             census = MarkedPoset(chain(total), _gt_marking(n, total))
             at = [mp.base.index(p) for p in total]
@@ -675,12 +676,13 @@ def test_gt_subdivision_too_large():
 
 
 def test_component_shape_n2():
-    exts = list(linear_extensions(gt_poset(2)))
-    assert [component_shape(e) for e in exts] == [(1,)]
+    gt = GelfandTsetlin(2)
+    assert [component_shape(gt, e) for e in linear_extensions(gt.poset)] == [(1,)]
 
 
 def test_component_shape_n3():
-    shapes = sorted(component_shape(e) for e in linear_extensions(gt_poset(3)))
+    gt = GelfandTsetlin(3)
+    shapes = sorted(component_shape(gt, e) for e in linear_extensions(gt.poset))
     assert shapes == [(1, 2), (2, 1)]
 
 
@@ -712,9 +714,10 @@ ORACLE_CASES = _oracle_linearizations()
                          ids=[f"n{n}-{i}" for i, (n, _) in enumerate(ORACLE_CASES)])
 def test_component_shape_matches_fraction_oracle(n, ext):
     # same blocks, and the same difference image of the section's vertices
-    shape, image = _shape_and_image(ext)
-    want_shape, want_image = oracle.component_image(ext)
-    assert shape == component_shape(ext) == want_shape
+    gt = GelfandTsetlin(n)
+    shape, image = _shape_and_image(gt, ext)
+    want_shape, want_image = oracle.component_image(label_extension(gt.poset, ext))
+    assert shape == component_shape(gt, ext) == want_shape
     assert all(type(x) is int for z in image for x in z)
     assert sorted(image) == sorted(want_image)
 
@@ -741,9 +744,10 @@ def test_census_certificate_rejects_a_non_vertex_candidate(monkeypatch):
 
     monkeypatch.setattr(flaggt, "_vertex_candidates", with_midpoint)
     for n in (3, 4):
-        for ext in linear_extensions(gt_poset(n)):
+        gt = GelfandTsetlin(n)
+        for ext in linear_extensions(gt.poset):
             with pytest.raises(AssertionError, match="product of unit simplices"):
-                _shape_and_image(ext)
+                _shape_and_image(gt, ext)
 
 
 @pytest.mark.parametrize("action, orders", [("census", 12), ("vertices", 1)])
@@ -798,8 +802,9 @@ def test_gt_builds_the_triangle_once(argv, monkeypatch, capsys):
 
 
 def test_component_shape_sums():
-    for ext in linear_extensions(gt_poset(4)):
-        shape = component_shape(ext)
+    gt = GelfandTsetlin(4)
+    for ext in linear_extensions(gt.poset):
+        shape = component_shape(gt, ext)
         assert sum(shape) == 6
         assert len(shape) == 3
 

@@ -97,6 +97,12 @@ GOLDEN = [
     # recorded when cone_K certified B5's 80 facets by LP, about 10 s
     ("subdivide --boolean 5 --face full",
      "998cdc0370c3f9b623a3f1e2443813e6a0acc2bdf8c0b42f8ca301b8fc92146e", 0),
+    # recorded with the adjacency graph scanning all pairs of extensions:
+    # B6's 720 and Flag(5)'s 286
+    ("subdivide --boolean 6 --face full --check 3 --seed 1",
+     "1133cb9fd853930c730352647e656d6148e6180199173873285e9d6168e9c984", 0),
+    ("subdivide --flag 5 --face full --check 3 --seed 1",
+     "31e7cf518f702003252ba39b92c1134e00e284f83dbc93e6256d60501208fc9b", 0),
     # recorded with the Fraction census and patterns, which took about 44 s
     # on the n = 5 census
     ("gt --n 4 vertices",

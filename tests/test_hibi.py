@@ -47,9 +47,9 @@ from hibikit.hibi import (
     standard_monomial_count,
 )
 from hibikit.lattice import birkhoff
-from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
+from hibikit.poset import antichain, chain, from_cover_relations
 from hibikit.subdivision import face_subdivision
-from order_oracle import incomparable
+from order_oracle import incomparable, label_extensions
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -280,7 +280,7 @@ def test_ideal_dim_packs_ten_elements_up_to_degree_six():
 @pytest.mark.parametrize("L", [B2, GRIDL, CHAIN4])
 def test_component_ideal_dim_matches_sympy(L):
     # component ideals mix binomials with monomials (the excluded variables)
-    for o in [L.poset_P] + [extension_poset(e) for e in linear_extensions(L.poset_P)]:
+    for o in [L.poset_P] + [extension_poset(e) for e in label_extensions(L.poset_P)]:
         gens = component_ideal(L, o)
         for l in (1, 2, 3):
             got = union_find_ideal_dim(gens, l)
@@ -323,8 +323,7 @@ def test_component_ideal_chain_order():
 
 
 def test_component_ideal_grid_linearization():
-    ext = next(linear_extensions(GRID))
-    gens = component_ideal(GRIDL, extension_poset(ext))
+    gens = component_ideal(GRIDL, extension_poset(label_extensions(GRID)[0]))
     quadrics = [g for g in gens if g.degree() == 2]
     variables = [g for g in gens if g.degree() == 1]
     assert quadrics == []
@@ -339,21 +338,16 @@ def test_component_ideal_not_stronger():
 # -- intersection_dim --------------------------------------------------------
 
 
-def vertex_mask(L, part):
-    """The bitmask of a part's vertex elements, one component's members."""
-    return sum(1 << L.index(a) for a in part.vertex_elements)
-
-
 def test_vertex_masks_are_the_sublattices_of_the_part_orders():
     for L in ORACLE_LATTICES:
         for F in enumerate_faces(cone_K(L)):
             parts = face_subdivision(F).parts
-            assert ([vertex_mask(L, part) for part in parts]
+            assert ([part.vertex_mask for part in parts]
                     == member_masks(L, [part.order for part in parts]))
 
 
 def test_intersection_b2_two_linearizations():
-    orders = [extension_poset(e) for e in linear_extensions(antichain(["p", "q"]))]
+    orders = [extension_poset(e) for e in label_extensions(antichain(["p", "q"]))]
     assert intersection_dim(B2, member_masks(B2, orders), 2) == 1
 
 
@@ -366,7 +360,7 @@ def test_intersection_single_weak_order_is_ideal_dim():
 
 def test_single_component_dim_matches_its_ideal():
     for L in ORACLE_LATTICES:
-        orders = [L.poset_P] + [extension_poset(e) for e in linear_extensions(L.poset_P)]
+        orders = [L.poset_P] + [extension_poset(e) for e in label_extensions(L.poset_P)]
         for o in orders:
             gens = component_ideal(L, o)
             for l in (1, 2, 3):
@@ -415,7 +409,7 @@ def test_degree_tables_match_the_per_monomial_oracle(L, data):
     parts = [part for family in families for part in family]
     families.append(data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=5)))
     for family in families:
-        members = [vertex_mask(L, part) for part in family]
+        members = [part.vertex_mask for part in family]
         orders = [part.order for part in family]
         for l in range(4):
             assert intersection_dim(L, members, l) == per_monomial_intersection_dim(L, orders, l)
@@ -428,7 +422,7 @@ def test_intersection_of_two_faces_parts_needs_a_rank():
     keys = ['[["{p}","{q}"]]',
             '[["{p,q}","{p,r}"],["{p,q}","{q,r}"],["{p}","{r}"],["{q}","{r}"]]']
     parts = [part for key in keys for part in face_subdivision(faces[key]).parts]
-    members = [vertex_mask(B3, part) for part in parts]
+    members = [part.vertex_mask for part in parts]
     orders = [part.order for part in parts]
     assert intersection_dim(B3, members, 3) == per_monomial_intersection_dim(B3, orders, 3) == 28
 
@@ -475,7 +469,7 @@ def test_intersection_of_components_is_initial_dim():
     L = GRIDL
     K = cone_K(L)
     for F in enumerate_faces(K):
-        members = [vertex_mask(L, part) for part in face_subdivision(F).parts]
+        members = [part.vertex_mask for part in face_subdivision(F).parts]
         for l in (2, 3):
             assert intersection_dim(L, members, l) == ideal_dim(L, l)
 

@@ -3,17 +3,19 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full, part_value, vec_over_den
+from fraction_oracle import (extension_poset, indicator, intersect_orders, is_full, part_value,
+                             vec_over_den)
 from hibikit import cli, cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import NotInCone
+from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.lattice import birkhoff, diamond_pairs
-from hibikit.poset import antichain, chain, from_cover_relations, linear_extensions
+from hibikit.poset import antichain, chain, from_cover_relations, ideal_masks
 from hibikit.subdivision import (
     adjacency_graph,
     face_subdivision,
@@ -22,7 +24,8 @@ from hibikit.subdivision import (
     subdivision_invariance_check,
     subdivision_json,
 )
-from order_oracle import iota, iota_inv, order_ideals
+from order_oracle import (down_closed, iota, iota_inv, label_extension, label_extensions,
+                          order_ideals, pairwise_adjacency)
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -130,11 +133,32 @@ def test_subdivision_partitions_extensions(P, salt):
     seen = []
     for part in sub.parts:
         seen.extend(part.simplices)
-    assert sorted(e.order for e in seen) == sorted(
-        e.order for e in linear_extensions(P))
+    assert sorted(label_extension(L.poset_P, e).order for e in seen) == sorted(
+        e.order for e in label_extensions(P))
     for part in sub.parts:
         ideals = {iota(L, a) for a in part.vertex_elements}
         assert ideals == set(order_ideals(part.order))
+
+
+@st.composite
+def lattice_and_intersection_order(draw):
+    """The lattice of a random poset P on at most 5 elements and the
+    intersection of 1 to 4 of P's linear extensions: a part's order."""
+    L = birkhoff(draw(poset_strategy(max_size=5)))
+    exts = label_extensions(L.poset_P)
+    chosen = draw(st.lists(st.sampled_from(exts), min_size=1, max_size=4))
+    return L, intersect_orders([extension_poset(e) for e in chosen])
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_and_intersection_order())
+def test_order_ideals_are_the_down_closed_masks(case):
+    # regular_subdivision and distinguished_faces read a part's vertices
+    # off the ideal masks of its order, where they tested each element's
+    # mask for closure
+    L, order = case
+    closed = down_closed(order, L.masks)
+    assert {L.at_mask[m] for m in ideal_masks(order)} == {i for i, ok in enumerate(closed) if ok}
 
 
 def fraction_strategy(low=-6):
@@ -184,7 +208,7 @@ def test_regular_subdivision_matches_fraction_oracle(case):
     for part, old in zip(sub.parts, want):
         assert part.order == old.order
         assert part.vertex_elements == old.vertex_elements
-        assert part.simplices == old.simplices
+        assert tuple(label_extension(L.poset_P, e) for e in part.simplices) == old.simplices
         assert tuple(Fraction(x, sub.den) for x in part.alpha) == old.affine.matrix[0]
         assert Fraction(part.const, sub.den) == old.affine.offset[0]
 
@@ -371,23 +395,36 @@ def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
 
 
 @settings(max_examples=15, deadline=None)
-@given(poset_strategy())
-def test_adjacency_symdiff_is_diamond(P):
-    L = birkhoff(P)
+@given(poset_strategy().map(birkhoff))
+@example(birkhoff(antichain(["p", "q", "r", "s"])))
+@example(birkhoff(antichain(["p", "q", "r", "s", "t"])))
+@example(flag_lattice(4))
+@example(grassmann_lattice(3, 6))
+def test_adjacency_symdiff_is_diamond(L):
+    # the swap build gives the edges, in order, and the pair indices of the
+    # pairwise scan, which cross-checks the chain, swap and diamond tests
     g = adjacency_graph(L)
-    pairs = {frozenset((d.a, d.b)) for d in diamond_pairs(L)}
-    for i, j in g.edges:
+    assert g == pairwise_adjacency(L)
+    pairs = diamond_pairs(L)
+    for (i, j), k in zip(g.edges, g.pairs):
         ci = {L.bottom}
         cj = {L.bottom}
         pre = set()
-        for p in g.extensions[i].order:
+        for p in label_extension(L.poset_P, g.extensions[i]).order:
             pre.add(p)
             ci.add(iota_inv(L, frozenset(pre)))
         pre = set()
-        for p in g.extensions[j].order:
+        for p in label_extension(L.poset_P, g.extensions[j]).order:
             pre.add(p)
             cj.add(iota_inv(L, frozenset(pre)))
-        assert frozenset(ci ^ cj) in pairs
+        assert ci ^ cj == {pairs[k].a, pairs[k].b}
+
+
+def test_swap_build_needs_every_diamond_pair(monkeypatch):
+    # with a diamond pair dropped, a swap crosses a diamond the lookup lacks
+    monkeypatch.setattr(subdivision, "diamond_pairs", lambda L: lattice.diamond_pairs(L)[1:])
+    with pytest.raises(AssertionError, match="differ across no diamond pair"):
+        adjacency_graph(birkhoff(antichain(["p", "q", "r"])))
 
 
 # -- generalized permutahedron -----------------------------------------------
