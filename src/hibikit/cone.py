@@ -5,15 +5,14 @@ K lives in R^L. Its closure is cut out by one inequality per diamond pair
 explicit integer point. A face is keyed by its closed tight set, the diamond
 equalities that hold on all of it. The faces are read off the tight sets of
 the cone's rays; a single key is closed by LP. A point of R^L is an integer
-tuple w over one positive denominator den, standing for w / den; the only
-Fraction is the violated value a NotInCone message prints.
+tuple w over one positive denominator den, standing for w / den, and a
+NotInCone message prints the violated value as a reduced num/den.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NotInCone, TooLarge
@@ -100,9 +99,11 @@ def _tight_set(pairs: Sequence[DiamondPair], normals: Sequence[tuple[int, ...]],
         value = sum(c * x for c, x in zip(normal, w, strict=True))
         if value < 0:
             d = pairs[i]
+            g = gcd(value, den)
+            shown = f"{value // g}" if g == den else f"{value // g}/{den // g}"
             raise NotInCone(
                 f"w_{{{d.meet_elt}}}+w_{{{d.join_elt}}}-w_{{{d.a}}}-w_{{{d.b}}}"
-                f" = {Fraction(value, den)} < 0")
+                f" = {shown} < 0")
         if value == 0:
             tight.add(i)
     return frozenset(tight)

@@ -1,12 +1,13 @@
-"""Grassmannian and flag lattices, marked order polytopes, and
-Gelfand-Tsetlin specializations.
+"""Marked order polytopes and the Gelfand-Tsetlin specialization of the
+flag lattices.
 
-Flag lattice elements are increasing index tuples written as digit strings
-("13" for a_{1,3}). The triangular poset lives on labels "p{r}{s}" for
-1 <= r <= s <= n; the two corner cells p11 and pnn only appear in the
-extended ground set that marked polytopes are defined on. pbar_labels(n)
-sorts the cells by (r, s), so the corners are its first and last cells,
-and cell j of the triangular poset gt_poset(n) is cell j + 1 of Pbar.
+Flag lattice elements (lattice.flag_lattice) are increasing index tuples
+written as digit strings ("13" for a_{1,3}). The triangular poset lives on
+labels "p{r}{s}" for 1 <= r <= s <= n; the two corner cells p11 and pnn
+only appear in the extended ground set that marked polytopes are defined
+on. pbar_labels(n) sorts the cells by (r, s), so the corners are its first
+and last cells, and cell j of the triangular poset gt_poset(n) is cell
+j + 1 of Pbar.
 
 Every computation holds one point format: a point of R^{Pbar}, or of any
 marked poset's ground set, is an int tuple over the base poset's element
@@ -27,73 +28,16 @@ when written out.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cone import Face
 from .errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
 from .exactgeom import LatticePolytope, same_lattice
-from .lattice import Lattice, from_ops
+from .lattice import Lattice, _label_of
 from .poset import Poset, _bits, chain, ideal_masks, linear_extensions
 from .subdivision import face_subdivision
 
 MAX_GT_RANK = 5
-MAX_INDEX = 9  # a label spells each index as one digit
-
-
-def _tuple_of(label: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in label)
-
-
-def _label_of(indices: Sequence[int]) -> str:
-    return "".join(str(i) for i in indices)
-
-
-def _check_single_digits(n: int):
-    if n > MAX_INDEX:
-        raise BadParams(f"need n <= {MAX_INDEX}: an element's label spells each "
-                        "of its indices 1..n as one digit")
-
-
-def grassmann_lattice(k: int, n: int) -> Lattice:
-    """All k-element index sets with componentwise min/max as meet/join."""
-    if not 1 <= k <= n - 1:
-        raise BadParams("need 1 <= k <= n-1")
-    _check_single_digits(n)
-    elements = [_label_of(c) for c in itertools.combinations(range(1, n + 1), k)]
-
-    def meet(a, b):
-        return _label_of(min(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
-
-    def join(a, b):
-        return _label_of(max(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
-
-    return from_ops(elements, join, meet)
-
-
-def flag_lattice(n: int) -> Lattice:
-    """Index tuples of every length 1..n-1; the shorter tuple wins the join."""
-    if n < 2:
-        raise BadParams("need n >= 2")
-    _check_single_digits(n)
-    elements = [
-        _label_of(c)
-        for k in range(1, n)
-        for c in itertools.combinations(range(1, n + 1), k)
-    ]
-
-    def meet(a, b):
-        s, t = _tuple_of(a), _tuple_of(b)
-        if len(s) < len(t):
-            s, t = t, s
-        return _label_of(
-            [min(x, y) for x, y in zip(s, t)] + list(s[len(t):]))
-
-    def join(a, b):
-        s, t = _tuple_of(a), _tuple_of(b)
-        return _label_of(max(x, y) for x, y in zip(s, t))
-
-    return from_ops(sorted(elements, key=lambda s: (len(s), s)), join, meet)
 
 
 # -- the triangular poset ----------------------------------------------------
@@ -165,30 +109,39 @@ def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
 # -- marked order polytopes --------------------------------------------------
 
 
-@dataclass(frozen=True)
 class MarkedPoset:
     """A poset with a marked subset carrying fixed integer values:
     values[j] is the marking of base.elements[j], None when it is free.
+    Equal when the base and the values are.
 
     Convention: points satisfy x_p >= x_q whenever p < q, so values must
     not increase along the order.
     """
 
-    base: Poset
-    values: tuple[Optional[int], ...]
+    __slots__ = ("base", "values")
 
-    def __post_init__(self):
-        assert len(self.values) == self.base.size
-        below = self.base.below
+    def __init__(self, base: Poset, values: tuple[Optional[int], ...]):
+        self.base = base
+        self.values = values
+        assert len(values) == base.size
+        below = base.below
         for j, m in enumerate(below):
             is_min = not m
             is_max = not any(b >> j & 1 for b in below)
             if is_min or is_max:
-                assert self.values[j] is not None, "extreme elements must be marked"
+                assert values[j] is not None, "extreme elements must be marked"
         for b in self.marked():
             for a in _bits(below[b]):
-                if self.values[a] is not None:
-                    assert self.values[a] >= self.values[b]
+                if values[a] is not None:
+                    assert values[a] >= values[b]
+
+    def __eq__(self, other):
+        if not isinstance(other, MarkedPoset):
+            return NotImplemented
+        return self.base == other.base and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.base, self.values))
 
     def marked(self) -> list[int]:
         return [j for j, v in enumerate(self.values) if v is not None]
@@ -319,8 +272,7 @@ def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
 # -- Gelfand-Tsetlin vertices ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GTVertex:
+class GTVertex(NamedTuple):
     """A vertex with its Minkowski decomposition, on the (n-1)-scaled
     integer lattice: (n-1) times the vertex is point = sum(decomposition),
     and the k-th entry is the flag point of the k-index element named by

@@ -8,15 +8,17 @@ ideals of a poset. from_ops, whose operations are not set operations, goes
 through one validator that checks every lattice axiom and the Birkhoff
 invariants on n×n tables before it reads the masks off them; from_tables
 validates a text file's tables so, then relabels through birkhoff.
+
+The builtin Grassmann and flag families label their elements by index
+tuples written as digit strings ("13" for {1, 3}), so n is capped at 9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import NotALattice, NotDistributive, UnknownLabel
+from .errors import BadParams, NotALattice, NotDistributive, UnknownLabel
 from .poset import (
     Poset,
     _bits,
@@ -106,8 +108,7 @@ class Lattice:
         return f"Lattice({self.size} elements, P of size {self.poset_P.size})"
 
 
-@dataclass(frozen=True)
-class DiamondPair:
+class DiamondPair(NamedTuple):
     """Incomparable a, b whose join covers both and which cover their meet."""
 
     a: str
@@ -217,6 +218,8 @@ def _assemble(elements: Sequence[str],
 # ---------------------------------------------------------------------------
 # constructors
 
+MAX_INDEX = 9  # a label spells each index as one digit
+
 
 def birkhoff(P: Poset) -> Lattice:
     """The lattice of order ideals of P, with join union and meet
@@ -286,6 +289,61 @@ def from_tables(elements: Sequence[str],
                    lambda a, b: lookup(join, a, b, "join"),
                    lambda a, b: lookup(meet, a, b, "meet"))
     return birkhoff(raw.poset_P)
+
+
+def _tuple_of(label: str) -> tuple[int, ...]:
+    return tuple(int(c) for c in label)
+
+
+def _label_of(indices: Sequence[int]) -> str:
+    return "".join(str(i) for i in indices)
+
+
+def _check_single_digits(n: int):
+    if n > MAX_INDEX:
+        raise BadParams(f"need n <= {MAX_INDEX}: an element's label spells each "
+                        "of its indices 1..n as one digit")
+
+
+def grassmann_lattice(k: int, n: int) -> Lattice:
+    """All k-element index sets with componentwise min/max as meet/join."""
+    if not 1 <= k <= n - 1:
+        raise BadParams("need 1 <= k <= n-1")
+    _check_single_digits(n)
+    elements = [_label_of(c) for c in combinations(range(1, n + 1), k)]
+
+    def meet(a, b):
+        return _label_of(min(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
+
+    def join(a, b):
+        return _label_of(max(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
+
+    return from_ops(elements, join, meet)
+
+
+def flag_lattice(n: int) -> Lattice:
+    """Index tuples of every length 1..n-1; the shorter tuple wins the join."""
+    if n < 2:
+        raise BadParams("need n >= 2")
+    _check_single_digits(n)
+    elements = [
+        _label_of(c)
+        for k in range(1, n)
+        for c in combinations(range(1, n + 1), k)
+    ]
+
+    def meet(a, b):
+        s, t = _tuple_of(a), _tuple_of(b)
+        if len(s) < len(t):
+            s, t = t, s
+        return _label_of(
+            [min(x, y) for x, y in zip(s, t)] + list(s[len(t):]))
+
+    def join(a, b):
+        s, t = _tuple_of(a), _tuple_of(b)
+        return _label_of(max(x, y) for x, y in zip(s, t))
+
+    return from_ops(sorted(elements, key=lambda s: (len(s), s)), join, meet)
 
 
 # ---------------------------------------------------------------------------

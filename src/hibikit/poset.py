@@ -8,7 +8,6 @@ A linear extension is a tuple of element indices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadParams, CycleError, GroundSetMismatch, UnknownLabel
@@ -19,40 +18,49 @@ def _bits(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-@dataclass(frozen=True)
 class Poset:
     """A finite strict partial order.
 
     `below[j]` is the bitmask of the indices strictly below element j; the
-    masks must already be transitively closed.
+    masks must already be transitively closed. Two posets are equal when
+    their elements and masks are.
     """
 
-    elements: tuple[str, ...]
-    below: tuple[int, ...]
-    _index: dict[str, int] = field(init=False, repr=False, compare=False)
-    _covers: Optional[tuple[tuple[int, int], ...]] = field(
-        default=None, init=False, repr=False, compare=False)  # cover_indices()
+    __slots__ = ("elements", "below", "_index", "_covers")
 
-    def __post_init__(self):
-        n = len(self.elements)
-        object.__setattr__(self, "_index", {x: i for i, x in enumerate(self.elements)})
+    def __init__(self, elements: tuple[str, ...], below: tuple[int, ...]):
+        self.elements = elements
+        self.below = below
+        self._covers: Optional[tuple[tuple[int, int], ...]] = None  # cover_indices()
+        n = len(elements)
+        self._index = {x: i for i, x in enumerate(elements)}
         if len(self._index) != n:
             raise ValueError("element labels must be pairwise distinct")
-        if len(self.below) != n:
+        if len(below) != n:
             raise ValueError("below needs one mask per element")
-        for j, m in enumerate(self.below):
+        for j, m in enumerate(below):
             if not 0 <= m < 1 << n:
-                raise UnknownLabel(f"below mask of {self.elements[j]} has an index out of range")
+                raise UnknownLabel(f"below mask of {elements[j]} has an index out of range")
             if m >> j & 1:
-                raise CycleError(f"relation is not irreflexive at {self.elements[j]}")
+                raise CycleError(f"relation is not irreflexive at {elements[j]}")
             for i in _bits(m):
-                if self.below[i] >> j & 1:
-                    raise CycleError(
-                        f"antisymmetry fails on {self.elements[i]}, {self.elements[j]}")
-        for m in self.below:
+                if below[i] >> j & 1:
+                    raise CycleError(f"antisymmetry fails on {elements[i]}, {elements[j]}")
+        for m in below:
             for i in _bits(m):
-                if self.below[i] & ~m:
+                if below[i] & ~m:
                     raise ValueError("relation is not transitively closed")
+
+    def __eq__(self, other):
+        if not isinstance(other, Poset):
+            return NotImplemented
+        return self.elements == other.elements and self.below == other.below
+
+    def __hash__(self):
+        return hash((self.elements, self.below))
+
+    def __repr__(self):
+        return f"Poset(elements={self.elements!r}, below={self.below!r})"
 
     def index(self, label: str) -> int:
         try:
@@ -74,7 +82,7 @@ class Poset:
         """Cover pairs (i, j) of indices, elements[i] < elements[j] with
         nothing in between, ordered by i, then j; scanned once per poset."""
         if self._covers is None:
-            object.__setattr__(self, "_covers", tuple(self._scan_covers()))
+            self._covers = tuple(self._scan_covers())
         return self._covers
 
     def covers(self) -> list[tuple[str, str]]:

@@ -18,9 +18,8 @@ convexity adjectives.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
                    span_of_face)
@@ -29,7 +28,6 @@ from .lattice import Lattice, diamond_pairs
 from .poset import Poset, _bits, ideal_masks, is_stronger
 
 
-@dataclass(frozen=True)
 class Part:
     """One linearity domain of the envelope: the order polytope O(P, order).
 
@@ -38,16 +36,34 @@ class Part:
     Its simplices are its linear extensions, index tuples over P's
     elements. Bit i of vertex_mask is set when the i-th lattice element is
     a vertex; labels are the lattice's elements, which vertex_elements
-    reads the vertices by.
+    reads the vertices by. Two parts are equal when all but their labels
+    are.
     """
 
-    order: Poset
-    alpha: tuple[int, ...]
-    const: int
-    values: tuple[int, ...]
-    simplices: tuple[tuple[int, ...], ...]
-    vertex_mask: int
-    labels: tuple[str, ...] = field(repr=False, compare=False)
+    __slots__ = ("order", "alpha", "const", "values", "simplices", "vertex_mask", "labels")
+
+    def __init__(self, order: Poset, alpha: tuple[int, ...], const: int,
+                 values: tuple[int, ...], simplices: tuple[tuple[int, ...], ...],
+                 vertex_mask: int, labels: tuple[str, ...]):
+        self.order = order
+        self.alpha = alpha
+        self.const = const
+        self.values = values
+        self.simplices = simplices
+        self.vertex_mask = vertex_mask
+        self.labels = labels
+
+    def _key(self) -> tuple:
+        return (self.order, self.alpha, self.const, self.values, self.simplices,
+                self.vertex_mask)
+
+    def __eq__(self, other):
+        if not isinstance(other, Part):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def vertex_elements(self) -> tuple[str, ...]:
@@ -198,8 +214,7 @@ def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: i
     return all(s.structure() == sub.structure() for s in subs)
 
 
-@dataclass(frozen=True)
-class AdjacencyGraph:
+class AdjacencyGraph(NamedTuple):
     """Edges index into `extensions`; pairs[k] is the index in
     diamond_pairs(L) of the diamond pair by which the chains of edge k
     differ."""

@@ -13,8 +13,7 @@ certificates are integer dot products; no part needs a hull of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cone import Face, face_of, span_of_face
 from .exactgeom import (
@@ -28,19 +27,23 @@ from .poset import ideal_masks
 from .subdivision import face_subdivision
 
 
-@dataclass(frozen=True)
 class WeightPolytope:
     """Hull of the dual-basis coordinates of the coordinate functionals.
 
     `basis` rows span U(F) ∩ Z^L and are saturated, so "integer point" has
     an unambiguous meaning in the dual coordinates. `points[a]` is the
-    vector (b_1[a], ..., b_d[a]) for the basis rows b_i.
+    vector (b_1[a], ..., b_d[a]) for the basis rows b_i. Two weight
+    polytopes are equal when their faces are.
     """
 
-    face: Face
-    basis: tuple[tuple[int, ...], ...]
-    points: dict[str, tuple[int, ...]]
-    polytope: LatticePolytope
+    __slots__ = ("face", "basis", "points", "polytope")
+
+    def __init__(self, face: Face, basis: tuple[tuple[int, ...], ...],
+                 points: dict[str, tuple[int, ...]], polytope: LatticePolytope):
+        self.face = face
+        self.basis = basis
+        self.points = points
+        self.polytope = polytope
 
     def __eq__(self, other):
         if not isinstance(other, WeightPolytope):
@@ -115,8 +118,7 @@ def _pulls_back(to_apex, zeta, point, x) -> bool:
             == [sum(c * y for c, y in zip(row, x, strict=True)) + c0 for row, c0 in zip(Z, z0)])
 
 
-@dataclass(frozen=True)
-class DistinguishedFace:
+class DistinguishedFace(NamedTuple):
     """A face of the weight polytope cut out by one subdivision part.
 
     `separator` is the certifying integer functional, given per lattice

@@ -102,8 +102,8 @@ from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
 from hibikit.exactgeom import _box_lattice_points, integer_kernel, same_lattice
 from hibikit.errors import NotStronger, TooLarge
-from hibikit.flaggt import GelfandTsetlin, _cell, _label_of, gt_poset_iso, pbar_labels
-from hibikit.lattice import Lattice, diamond_pairs
+from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso, pbar_labels
+from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, is_stronger, linear_extensions
 from hibikit.subdivision import face_subdivision
 from order_oracle import (LinearExtension, iota, label_extension, label_extensions,

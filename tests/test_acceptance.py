@@ -15,10 +15,10 @@ from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
-from hibikit.flaggt import (GelfandTsetlin, flag_lattice, grassmann_lattice, gt_poset_iso,
-                            gt_subdivision, gt_vertices, pbar_labels)
+from hibikit.flaggt import (GelfandTsetlin, gt_poset_iso, gt_subdivision, gt_vertices,
+                            pbar_labels)
 from hibikit.hibi import degeneration_certificate
-from hibikit.lattice import birkhoff, diamond_pairs
+from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,
                                  generalized_permutahedron)

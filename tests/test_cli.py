@@ -133,6 +133,20 @@ def test_poset_file_is_read_once(tmp_path, capsys, monkeypatch):
     assert reads == [path]
 
 
+@pytest.mark.parametrize("poset_file", [
+    "elem a\nelem b\nelem c\ncover a c\n",
+    '{"elements": ["a", "b", "c"], "covers": [["a", "c"]]}',
+], ids=["text", "JSON"])
+def test_poset_file_may_start_with_a_byte_order_mark(tmp_path, capsys, poset_file):
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.write_text(poset_file, encoding="utf-8")
+    marked.write_text(poset_file, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    outputs = [run_cli(capsys, ["cone", "--poset", str(path)]) for path in (plain, marked)]
+    assert outputs[0][0] == 0
+    assert outputs[1] == outputs[0]
+
+
 # -- remaining subcommands ---------------------------------------------------
 
 
@@ -304,7 +318,7 @@ def test_face_keys_resolve_without_enumerating_the_cone(capsys, monkeypatch):
     def no_enumeration(K):
         raise RuntimeError("a face key was resolved by enumerating the cone")
 
-    monkeypatch.setattr("hibikit.cli.enumerate_faces", no_enumeration)
+    monkeypatch.setattr("hibikit.cone.enumerate_faces", no_enumeration)
     key = '[["14","23"]]'
     report = run_json(capsys, ["subdivide", "--grassmann", "2", "5", "--face", key])
     assert report["face"] == key
@@ -348,6 +362,9 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("permutahedron --boolean 2 --w 1,1,1," + "9" * 5000, None),
     ("subdivide --boolean 2 --face full --check 1", None),
     ("subdivide --boolean 2 --face full --check -2", None),
+    # past cli.MAX_CHECK; B2 has fewer distinct samples than 5000
+    ("subdivide --boolean 2 --face full --check 21", None),
+    ("subdivide --boolean 2 --face full --check 5000", None),
     ("certify --boolean 2 --lmax 0", None),
     ("lattice --poset FILE", "elem a\nbogus b\n"),
     ("lattice --poset FILE", "elem a\nelem a\n"),
@@ -372,7 +389,8 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("lattice --grassmann 1 10", None),
     ("lattice --grassmann 2 10", None),
     ("lattice --flag 10", None),
-], ids=["short weight", "huge exponent", "huge negative exponent", "5000 digits", "one trial", "negative trials", "degree 0", "bad poset line",
+], ids=["short weight", "huge exponent", "huge negative exponent", "5000 digits", "one trial", "negative trials",
+        "trials past the guard", "more trials than samples", "degree 0", "bad poset line",
         "repeated elem", "repeated JSON element", "JSON elements not a list",
         "JSON without covers", "JSON elements not strings", "JSON elements a string",
         "JSON covers not pairs", "comma label", "JSON comma label", "JSON space label",
@@ -503,6 +521,47 @@ def test_main_reenters_on_one_parser(capsys, monkeypatch):
     assert "usage: hibikit cone" in capsys.readouterr().err
     assert [run_cli(capsys, argv) for argv in MIXED_JOBS] == first
     assert built.count("hibikit") == 1
+
+
+# Prints main(argv)'s exit status and the modules that `import hibikit.cli`
+# and that call load, beyond those the bare interpreter had loaded.
+STARTUP_PROBE = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import hibikit.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = hibikit.cli.main(sys.argv[1:])
+    except SystemExit as stop:
+        code = stop.code
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def loaded_modules(argv, code):
+    proc = subprocess.run(
+        [sys.executable, "-c", STARTUP_PROBE, *argv], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])})
+    status, modules = json.loads(proc.stdout)
+    assert status == code, argv
+    return set(modules)
+
+
+def test_startup_loads_only_what_the_subcommand_runs():
+    # start-up, the import and main([]) that builds the parser, loads four
+    # package modules and none of the heavy stdlib ones; each subcommand
+    # then loads its own kernels
+    loaded = loaded_modules([], 2)  # argparse rejects the empty argv
+    assert {m for m in loaded if m.startswith("hibikit.")} == {
+        "hibikit.cli", "hibikit.errors", "hibikit.lattice", "hibikit.poset"}
+    assert not loaded & {"dataclasses", "inspect", "fractions", "csv"}
+    for argv, absent in [("certify --boolean 2 --lmax 2", {"flaggt", "weightpoly"}),
+                         ("gt --n 3", {"hibi", "weightpoly"}),
+                         ("lattice --grassmann 2 4", {"flaggt", "cone"})]:
+        loaded = loaded_modules(argv.split(), 0)
+        assert not loaded & {f"hibikit.{m}" for m in absent}, argv
+        assert "dataclasses" not in loaded, argv
 
 
 def test_module_entry_point_subprocess():

@@ -24,8 +24,7 @@ from hibikit.cone import (
 )
 from hibikit.errors import NotInCone, TooLarge
 from hibikit.exactgeom import rank, same_lattice
-from hibikit.flaggt import flag_lattice, grassmann_lattice
-from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs
+from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain, chain, from_cover_relations
 
 GRID = from_cover_relations(

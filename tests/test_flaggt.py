@@ -26,7 +26,6 @@ from hibikit.flaggt import (
     _marked_vertices,
     _shape_and_image,
     component_shape,
-    flag_lattice,
     flag_point,
     gt_marked_poset,
     gt_patterns,
@@ -34,12 +33,11 @@ from hibikit.flaggt import (
     gt_poset_iso,
     gt_subdivision,
     gt_vertices,
-    grassmann_lattice,
     mu_k_marked_poset,
     pbar_labels,
     shape_census,
 )
-from hibikit.lattice import birkhoff, diamond_pairs
+from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision, regular_subdivision
 from order_oracle import label_extension, order_ideals
@@ -273,6 +271,14 @@ def test_marked_poset_requires_marked_extremes():
     base = gt_marked_poset(2).base
     with pytest.raises(AssertionError):
         MarkedPoset(base, (1, None, None))
+
+
+def test_marked_posets_equal_on_base_and_values():
+    mp = gt_marked_poset(3)
+    again = MarkedPoset(gt_marked_poset(3).base, mp.values)
+    assert again == mp and hash(again) == hash(mp)
+    assert mu_k_marked_poset(GelfandTsetlin(3), 1) != mp
+    assert MarkedPoset(chain(["a", "b"]), (1, 0)) != MarkedPoset(chain(["a", "c"]), (1, 0))
 
 
 def test_tight_rank_detects_vertices():
@@ -755,11 +761,13 @@ def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
     # Poset keeps its cover scan. The census reads the covers of each of
     # the 12 chains its sections are marked on; the vertex search reads
     # those of the one base order, which the patterns and the levels share.
-    # Each read used to rescan: 406 and 118 scans per job.
-    scans = {}
+    # Each read used to rescan: 406 and 118 scans per job. The counted
+    # posets are kept, so a freed poset's id cannot be reused by the next.
+    scans, counted = {}, []
     scan = Poset._scan_covers
 
     def counting(self):
+        counted.append(self)
         scans[id(self)] = scans.get(id(self), 0) + 1
         return scan(self)
 

@@ -37,7 +37,6 @@ from hibikit import hibi, lattice, poset
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, NotStronger
 from hibikit.exactgeom import rank
-from hibikit.flaggt import flag_lattice, grassmann_lattice
 from hibikit.hibi import (
     degeneration_certificate,
     degree_table,
@@ -46,7 +45,7 @@ from hibikit.hibi import (
     intersection_dim,
     standard_monomial_count,
 )
-from hibikit.lattice import birkhoff
+from hibikit.lattice import birkhoff, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain, chain, from_cover_relations
 from hibikit.subdivision import face_subdivision
 from order_oracle import incomparable, label_extensions

@@ -83,13 +83,14 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
             and (module, qualname) != ("cli", "main")]
 
 
-def fraction_importers(sources: dict[str, str]) -> list[str]:
-    """The modules that import the fractions module or a name from it."""
+def importers(sources: dict[str, str], name: str) -> list[str]:
+    """The modules that import the module `name` or a name from it,
+    anywhere in their source."""
     out = []
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if ((isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
-                    or (isinstance(node, ast.ImportFrom) and node.module == "fractions")):
+            if ((isinstance(node, ast.Import) and any(a.name == name for a in node.names))
+                    or (isinstance(node, ast.ImportFrom) and node.module == name)):
                 out.append(module)
                 break
     return sorted(out)
@@ -135,15 +136,22 @@ def test_unreferenced_public_names_detects_test_only_members():
 def test_fraction_importers_detects_both_forms():
     sources = {"a": "from fractions import Fraction\n", "b": "def f():\n    import fractions\n",
                "c": "import math\n"}
-    assert fraction_importers(sources) == ["a", "b"]
+    assert importers(sources, "fractions") == ["a", "b"]
 
 
-def test_only_cli_and_cone_import_fractions():
+def test_only_cli_imports_fractions():
     # a rational vector in the package is an integer tuple over one
-    # denominator; Fraction only parses the CLI's weights and prints the
-    # violated value of a NotInCone message
+    # denominator; Fraction only parses the CLI's weights, and a NotInCone
+    # message prints its violated value as a reduced num/den
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
-    assert fraction_importers(sources) == ["cli", "cone"]
+    assert importers(sources, "fractions") == ["cli"]
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast, dis and tokenize at start-up; records
+    # are NamedTuples or __slots__ classes
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert importers(sources, "dataclasses") == []
 
 
 def test_every_public_name_is_reached_from_the_package():

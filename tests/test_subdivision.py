@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from fraction_oracle import (extension_poset, indicator, intersect_orders, is_full, part_value,
                              vec_over_den)
-from hibikit import cli, cone, lattice, subdivision
+from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import NotInCone
-from hibikit.flaggt import flag_lattice, grassmann_lattice
-from hibikit.lattice import birkhoff, diamond_pairs
+from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain, chain, from_cover_relations, ideal_masks
 from hibikit.subdivision import (
+    Part,
     adjacency_graph,
     face_subdivision,
     generalized_permutahedron,
@@ -329,7 +329,6 @@ def test_check_job_subdivides_each_weight_once(argv, monkeypatch, capsys):
         return kernel(L, *args)
 
     monkeypatch.setattr(subdivision, "regular_subdivision", recording)
-    monkeypatch.setattr(cli, "regular_subdivision", recording)
     assert main(argv.split()) == 0
     capsys.readouterr()
     assert len(seen) == 3
@@ -464,3 +463,14 @@ def test_subdivision_json_shape():
         assert set(part) == {"order_covers", "elements", "alpha"}
         assert len(part["alpha"]) == 2
         assert all(isinstance(x, list) and len(x) == 2 for x in part["alpha"])
+
+
+def test_parts_equal_whatever_their_labels():
+    # a part's labels only name its vertices; equality and hashing ignore them
+    for p in regular_subdivision(B3, [0, 1, 1, 1, 4, 4, 4, 9], 1).parts:
+        relabelled = Part(p.order, p.alpha, p.const, p.values, p.simplices, p.vertex_mask,
+                          tuple(x.upper() for x in p.labels))
+        assert relabelled == p and hash(relabelled) == hash(p)
+        assert relabelled.vertex_elements != p.vertex_elements
+        assert Part(p.order, p.alpha, p.const + 1, p.values, p.simplices, p.vertex_mask,
+                    p.labels) != p

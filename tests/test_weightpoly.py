@@ -416,3 +416,15 @@ def test_weight_polytope_json_shape():
     assert sorted(data["points"]) == sorted(B2.elements)
     assert data["distinguished"] == [["{}", "{p}", "{q}", "{p,q}"]]
     assert all(isinstance(x, int) for row in data["basis"] for x in row)
+
+
+def test_weight_polytopes_equal_on_their_face():
+    # a weight polytope is determined by its face, so equality and hashing
+    # compare only the face
+    K = cone_K(B3)
+    full, apex = face_of(K, [0, 1, 1, 1, 4, 4, 4, 9], 1), face_of(K, (0,) * 8, 1)
+    W = weight_polytope(full)
+    again = weight_polytope(face_of(cone_K(B3), [0, 1, 1, 1, 4, 4, 4, 9], 1))
+    assert again == W and hash(again) == hash(W)
+    assert WeightPolytope(full, (), {}, W.polytope) == W
+    assert weight_polytope(apex) != W
