@@ -11,7 +11,7 @@ NotInCone message prints the violated value as a reduced num/den.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
@@ -61,6 +61,7 @@ class Face:
         self.tight: tuple[DiamondPair, ...] = tuple(
             cone.pairs[i] for i in sorted(tight_idx))
         self._witness = witness
+        self._key: str | None = None  # key()
         n = cone.lattice.size
         self.dim: int = n - rank([cone.normals[i] for i in sorted(tight_idx)])
         if len(tight_idx) == len(cone.pairs):
@@ -69,7 +70,10 @@ class Face:
                 raise AssertionError("apex dimension is not |P|+1")
 
     def key(self) -> str:
-        return _key_of(self.tight)
+        """The face's key, built once."""
+        if self._key is None:
+            self._key = _key_of(self.tight)
+        return self._key
 
     @property
     def is_apex(self) -> bool:
@@ -88,7 +92,12 @@ class Face:
 
 
 def _key_of(tight: Iterable[DiamondPair]) -> str:
-    return json.dumps(sorted(sorted([d.a, d.b]) for d in tight), separators=(",", ":"))
+    """The sorted [a, b] label pairs of the tight set in the bytes of
+    json.dumps(..., separators=(",", ":")): each label quoted by the same
+    ASCII string encoder."""
+    return "[" + ",".join(
+        f"[{encode_basestring_ascii(a)},{encode_basestring_ascii(b)}]"
+        for a, b in sorted(sorted((d.a, d.b)) for d in tight)) + "]"
 
 
 def _tight_set(pairs: Sequence[DiamondPair], normals: Sequence[tuple[int, ...]],

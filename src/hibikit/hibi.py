@@ -83,8 +83,12 @@ class DegreeTable(NamedTuple):
 def degree_table(L: Lattice, l: int) -> DegreeTable:
     """The degree-l monomials of L by exponent-sum class, laid out as bits.
     The classes are told apart by their packed sums, one digit per element
-    of poset_P in base l + 1, so adding l indicators never carries. Built
-    once per degree and kept on L."""
+    of poset_P in base MAX_DEGREE + 1, so adding up to MAX_DEGREE indicators
+    never carries. Two per-lattice tables are kept on L: each degree's
+    table, built once, and the (packed sum, support) states of the degree-k
+    monomials for every k built so far, each degree's states extending the
+    last's by one factor; a state is one int, the support in its low L.size
+    bits."""
     _check_caps(L.size, l)
     table = L._degree_tables.get(l)
     if table is None:
@@ -93,15 +97,21 @@ def degree_table(L: Lattice, l: int) -> DegreeTable:
 
 
 def _build_degree_table(L: Lattice, l: int) -> DegreeTable:
-    n = L.poset_P.size
-    packed = [sum((l + 1) ** j for j in range(n) if m >> j & 1) for m in L.masks]
-    states = {(0, 0)}  # (packed sum, support mask) over the degree-k monomials
-    for _ in range(l):
-        states = {(s + packed[i], mask | 1 << i)
-                  for s, mask in states for i in range(L.size)}
+    # states[k]: the (packed sum, support mask) pairs of the degree-k
+    # monomials, each one int with the support in its low L.size bits
+    states = L._degree_states
+    n = L.size
+    if len(states) <= l:
+        base = MAX_DEGREE + 1
+        factors = [(sum(base ** j for j in _bits(m)) << n, 1 << i) for i, m in enumerate(L.masks)]
+        if not states:
+            states.append({0})
+        while len(states) <= l:
+            states.append({state + packed | bit for state in states[-1] for packed, bit in factors})
     classes: dict[int, list[int]] = {}
-    for s, mask in states:
-        classes.setdefault(s, []).append(mask)
+    support = (1 << n) - 1
+    for state in states[l]:
+        classes.setdefault(state >> n, []).append(state & support)
     # per position, its support; at a guard, the item's top bit, above every
     # element while L.size < width (MAX_ELEMENTS keeps it so)
     cells = array("I")
@@ -274,6 +284,6 @@ def _members(masks: Sequence[int], members: int) -> int:
     """The bitmask members of lattice elements, checked to be a sublattice:
     their ideal masks are closed under OR and AND."""
     ideals = {masks[i] for i in _bits(members)}
-    if any(x | y not in ideals or x & y not in ideals for x in ideals for y in ideals):
+    if any(x | y not in ideals or x & y not in ideals for x, y in combinations(ideals, 2)):
         raise AssertionError("sublattice is not closed")
     return members

@@ -26,28 +26,31 @@ class Poset:
     their elements and masks are.
     """
 
-    __slots__ = ("elements", "below", "_index", "_covers")
+    __slots__ = ("elements", "below", "_index", "_covers", "_label_pairs")
 
     def __init__(self, elements: tuple[str, ...], below: tuple[int, ...]):
         self.elements = elements
         self.below = below
         self._covers: Optional[tuple[tuple[int, int], ...]] = None  # cover_indices()
+        self._label_pairs: Optional[frozenset[tuple[str, str]]] = None  # label_pairs()
         n = len(elements)
         self._index = {x: i for i, x in enumerate(elements)}
         if len(self._index) != n:
             raise ValueError("element labels must be pairwise distinct")
         if len(below) != n:
             raise ValueError("below needs one mask per element")
+        members = []
         for j, m in enumerate(below):
             if not 0 <= m < 1 << n:
                 raise UnknownLabel(f"below mask of {elements[j]} has an index out of range")
             if m >> j & 1:
                 raise CycleError(f"relation is not irreflexive at {elements[j]}")
-            for i in _bits(m):
+            members.append(_bits(m))
+            for i in members[j]:
                 if below[i] >> j & 1:
                     raise CycleError(f"antisymmetry fails on {elements[i]}, {elements[j]}")
-        for m in below:
-            for i in _bits(m):
+        for m, bits in zip(below, members):
+            for i in bits:
                 if below[i] & ~m:
                     raise ValueError("relation is not transitively closed")
 
@@ -101,8 +104,11 @@ class Poset:
         return sorted(pairs)
 
     def label_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((self.elements[i], self.elements[j])
-                         for j, m in enumerate(self.below) for i in _bits(m))
+        """The relation as (a, b) label pairs, a < b; built once per poset."""
+        if self._label_pairs is None:
+            self._label_pairs = frozenset((self.elements[i], self.elements[j])
+                                          for j, m in enumerate(self.below) for i in _bits(m))
+        return self._label_pairs
 
 
 def from_cover_relations(labels: list[str], covers: list[tuple[str, str]]) -> Poset:
@@ -160,7 +166,12 @@ def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
 
 def ideal_masks(P: Poset) -> list[int]:
     """All down-closed subsets as bitmasks, in canonical order (by size,
-    then positions).
+    then positions)."""
+    return sorted(ideal_set(P), key=lambda m: (m.bit_count(), _bits(m)))
+
+
+def ideal_set(P: Poset) -> set[int]:
+    """All down-closed subsets as bitmasks, unordered.
 
     The ideals are grown upward from the empty one: adding a minimal element
     of an ideal's complement gives an ideal, and every nonempty ideal comes
@@ -174,7 +185,7 @@ def ideal_masks(P: Poset) -> list[int]:
             if grown not in found and not b & ~m:
                 found.add(grown)
                 stack.append(grown)
-    return sorted(found, key=lambda m: (m.bit_count(), _bits(m)))
+    return found
 
 
 def is_stronger(strong: Poset, weak: Poset) -> bool:

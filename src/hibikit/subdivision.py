@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional, Sequence
 from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
                    span_of_face)
 from .exactgeom import LatticePolytope, vector_pairs
-from .lattice import Lattice, diamond_pairs
-from .poset import Poset, _bits, ideal_masks, is_stronger
+from .lattice import DiamondPair, Lattice, diamond_pairs
+from .poset import Poset, _bits, ideal_set, is_stronger
 
 
 class Part:
@@ -72,16 +72,22 @@ class Part:
 
 class Subdivision:
     """The parts of the subdivision of the weight scaled / den, in lowest
-    terms."""
+    terms; tight holds the diamond pairs tight at the weight, in the cone's
+    pair order."""
 
     def __init__(self, lattice: Lattice, scaled: tuple[int, ...], den: int,
-                 parts: tuple[Part, ...], face_key: str):
+                 parts: tuple[Part, ...], tight: tuple[DiamondPair, ...]):
         self.lattice = lattice
         self.scaled = scaled
         self.den = den
         self.parts = parts
-        self.face_key = face_key
+        self.tight = tight
         self._part_of = {ext: i for i, p in enumerate(parts) for ext in p.simplices}
+
+    @property
+    def face_key(self) -> str:
+        """The key of the face holding the weight in its relative interior."""
+        return _key_of(self.tight)
 
     def structure(self) -> frozenset:
         """Weight-independent identity: the parts as (vertex set, order)."""
@@ -94,13 +100,58 @@ class Subdivision:
         return f"Subdivision({len(self.parts)} parts, face {self.face_key})"
 
 
+class StaircaseTable(NamedTuple):
+    """The weight-independent half of regular_subdivision, built once per
+    lattice and kept on L. For the k-th linear extension t of P, chains[k]
+    holds the element indices of its maximal chain, the ideals of t's
+    prefixes from the bottom up, and befores[k][p] the mask of the elements
+    t puts before p. peel lists (i, parent, j) for every element i but the
+    bottom, each after its parent's entry: j is a maximal member of i's
+    ideal and parent the element whose ideal is i's without j."""
+
+    chains: tuple[tuple[int, ...], ...]
+    befores: tuple[tuple[int, ...], ...]
+    peel: tuple[tuple[int, int, int], ...]
+
+
+def staircase_table(L: Lattice) -> StaircaseTable:
+    """L's staircase table, built on first use."""
+    if L._staircases is not None:
+        return L._staircases
+    at = L.at_mask
+    n = L.poset_P.size
+    chains, befores = [], []
+    for ext in L.extensions():
+        before = [0] * n
+        chain = [at[0]]
+        m = 0
+        for j in ext:
+            before[j] = m
+            m |= 1 << j
+            chain.append(at[m])
+        chains.append(tuple(chain))
+        befores.append(tuple(before))
+    peel = []
+    for i in sorted(range(L.size), key=lambda i: L.masks[i].bit_count())[1:]:
+        m = L.masks[i]
+        # removing a maximal member of an ideal leaves an ideal
+        j = next(j for j in reversed(_bits(m)) if m ^ 1 << j in at)
+        peel.append((i, at[m ^ 1 << j], j))
+    L._staircases = StaircaseTable(tuple(chains), tuple(befores), tuple(peel))
+    return L._staircases
+
+
 def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
                         K: Optional[MaxCone] = None) -> Subdivision:
     """Interpolate the weight w / den, for integer w and den > 0, over every
     staircase simplex, merge equal affine maps, and verify each merged class
     is the order polytope of the intersected order with the envelope
     inequality holding on all of L. A caller that holds L's cone K passes it
-    for its normals."""
+    for its normals.
+
+    The chains, before masks and peel order come from L's staircase table,
+    so the work per weight is one difference per chain step, one AND of
+    before masks per merged extension and one add per element and part."""
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
     g = gcd(den, *w)
@@ -112,40 +163,38 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
     P = L.poset_P
     n = P.size
     at_mask = L.at_mask
-    bits = [_bits(m) for m in L.masks]
+    exts = L.extensions()
+    chains, befores, peel = staircase_table(L)
 
     # vertices of a simplex are its prefix-ideal indicators; the
-    # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}}, and
-    # before[p] is the mask of the elements the extension puts before p
-    groups: dict[tuple, list[tuple[tuple[int, ...], list[int], list[int]]]] = {}
-    for ext in L.extensions():
+    # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}} along the
+    # extension's chain a_0 < a_1 < ...
+    groups: dict[tuple, list[int]] = {}
+    for k, (ext, chain) in enumerate(zip(exts, chains)):
+        steps = [ws[i] for i in chain]
         alpha = [0] * n
-        before = [0] * n
-        chain = [at_mask[0]]
-        m = 0
-        for j in ext:
-            before[j] = m
-            m |= 1 << j
-            chain.append(at_mask[m])
-            alpha[j] = ws[chain[-1]] - ws[chain[-2]]
-        groups.setdefault((tuple(alpha), ws[chain[0]]), []).append((ext, chain, before))
+        for j, low, high in zip(ext, steps, steps[1:]):
+            alpha[j] = high - low
+        groups.setdefault((tuple(alpha), steps[0]), []).append(k)
 
     parts = []
     for (alpha, const), members in sorted(groups.items()):
-        below = members[0][2]
-        for _, _, before in members[1:]:
-            below = [x & y for x, y in zip(below, before)]
+        below = befores[members[0]]
+        for k in members[1:]:
+            below = [x & y for x, y in zip(below, befores[k])]
         order = Poset(P.elements, tuple(below))
         if not is_stronger(order, P):
             raise AssertionError("part order must refine P")
         # every ideal of the stronger order is an ideal of P, so an element
         # of L
-        on_chains = set().union(*(chain for _, chain, _ in members))
-        if on_chains != {at_mask[m] for m in ideal_masks(order)}:
+        on_chains = set().union(*(chains[k] for k in members))
+        if on_chains != {at_mask[m] for m in ideal_set(order)}:
             raise AssertionError("part is not the order polytope of its order")
         # envelope: the part overestimates w on all of L, tight exactly on
-        # its own vertices
-        values = tuple(const + sum(alpha[j] for j in b) for b in bits)
+        # its own vertices; each value is its parent's plus one alpha
+        values = [const] * L.size
+        for i, parent, j in peel:
+            values[i] = values[parent] + alpha[j]
         for i, (value, target) in enumerate(zip(values, ws)):
             if i in on_chains:
                 if value != target:
@@ -154,9 +203,9 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
                 raise AssertionError("envelope inequality fails")
             elif value == target:
                 raise AssertionError("tight value off the part's vertex set")
-        parts.append(Part(order, alpha, const, values, tuple(e for e, _, _ in members),
+        parts.append(Part(order, alpha, const, tuple(values), tuple(exts[k] for k in members),
                           sum(1 << i for i in on_chains), L.elements))
-    return Subdivision(L, ws, den, tuple(parts), _key_of(pairs[i] for i in sorted(tight)))
+    return Subdivision(L, ws, den, tuple(parts), tuple(pairs[i] for i in sorted(tight)))
 
 
 def face_subdivision(F: Face) -> Subdivision:
@@ -164,7 +213,7 @@ def face_subdivision(F: Face) -> Subdivision:
     sample, verified against the tightness/same-part correspondence."""
     L = F.cone.lattice
     sub = regular_subdivision(L, *sample_relative_interior(F), F.cone)
-    if sub.face_key != F.key():
+    if sub.tight != F.tight:
         raise AssertionError("sample does not lie in the face's relative interior")
 
     # graph.pairs index diamond_pairs(L), the pairs cone_K builds F.cone on
@@ -189,6 +238,9 @@ def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: i
     base, den = sample_relative_interior(F)
     span = span_of_face(F)
     rng = random.Random(seed)
+    # coefficients in [-r, r]: a one-row span gives 2r + 1 >= trials
+    # distinct samples, the base among them
+    r = max(3, trials // 2)
     samples = [base]
     attempts = 0
     while len(samples) < trials:
@@ -198,7 +250,7 @@ def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: i
         # an integer combination of the integer span rows
         shift = [0] * L.size
         for row in span:
-            c = rng.randint(-3, 3)
+            c = rng.randint(-r, r)
             shift = [x + c * y for x, y in zip(shift, row)]
         bound = max((abs(sum(a * x for a, x in zip(normal, shift)))
                      for normal in F.cone.normals), default=0)
@@ -209,7 +261,7 @@ def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: i
     subs = []
     for w in samples[1:]:
         subs.append(regular_subdivision(L, w, den, F.cone))
-        if subs[-1].face_key != F.key():
+        if subs[-1].tight != F.tight:
             raise AssertionError("perturbed sample left the relative interior")
     return all(s.structure() == sub.structure() for s in subs)
 

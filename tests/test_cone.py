@@ -1,5 +1,6 @@
 """The cone K: facets, faces, spans, interior samples, enumeration."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -22,10 +23,10 @@ from hibikit.cone import (
     sample_relative_interior,
     span_of_face,
 )
-from hibikit.errors import NotInCone, TooLarge
+from hibikit.errors import BadParams, NotInCone, TooLarge
 from hibikit.exactgeom import rank, same_lattice
 from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
-from hibikit.poset import antichain, chain, from_cover_relations
+from hibikit.poset import antichain, chain, check_labels, from_cover_relations
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -380,6 +381,31 @@ def test_enumerate_faces_b3_consistency():
     dims = sorted(f.dim for f in faces)
     assert dims[0] == L.poset_P.size + 1
     assert dims[-1] == L.size
+
+
+def accepted_labels():
+    """Labels a file may use, with quotes, backslashes, control characters,
+    non-ASCII letters and a lone surrogate (a JSON file may escape one)."""
+    special = st.sampled_from(['"', "\\", "\x00", "\x07", "\x7f", "é", "λ", "\u200b",
+                               "\U0001f600", "\ud800"])
+    letters = st.lists(st.one_of(special, st.characters()), min_size=1, max_size=5)
+
+    def accepted(label):
+        try:
+            check_labels([label])
+        except BadParams:
+            return False
+        return True
+
+    return letters.map("".join).filter(accepted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(accepted_labels(), accepted_labels()), max_size=6))
+def test_face_key_is_the_compact_json_of_its_pairs(labels):
+    tight = [DiamondPair(a, b, "m", "j") for a, b in labels]
+    assert cone_module._key_of(tight) == json.dumps(
+        sorted(sorted([a, b]) for a, b in labels), separators=(",", ":"))
 
 
 def faces_by_subset_scan(K):

@@ -134,6 +134,12 @@ GOLDEN = [
      "913a103e13e4a810c3fff673f4fbb8538066b1e43ca9aa45e8c332974ff26ede", 0),
     ("certify --poset one.json --lmax 2",
      "49c26b0a7046f778ba3990baa0348ed6e96c402881f82ce79b94a845a53c11f8", 0),
+    # the empty poset's full face has a one-row span: its samples need
+    # coefficients past [-3, 3] from 8 trials on
+    ("subdivide --poset empty.json --face full --check 8",
+     "3f2939fda6c11446ee7c2f1226520b14528f7b99414407a286ec31c7661d4dee", 0),
+    ("subdivide --poset empty.json --face full --check 20",
+     "9d329f3894739cd2d3ca52140b723b3ee0ab079fd325cd336429b83d25570d69", 0),
     ("lattice --poset tables.txt",
      "2db0eca2f3f6a7b8994f42e2499954ff308a4f94622a41b49889f1be4e68469e", 0),
 ]

@@ -394,6 +394,27 @@ def test_ideal_dim_matches_the_polynomial_oracles(L, l):
 
 
 @settings(max_examples=20, deadline=None)
+@given(small_lattices())
+def test_degree_states_are_shared_across_degrees(L):
+    # degree l's (packed sum, support) states extend degree l - 1's and stay
+    # on the lattice, so the tables come out the same whichever degree is
+    # read first; each degree's states are the oracle's supports by class,
+    # the packed sum read as one base-(MAX_DEGREE + 1) digit per element
+    cold = lattice.Lattice(L.elements, L.poset_P, L.masks)
+    descending = [degree_table(cold, l) for l in reversed(range(5))]
+    assert [degree_table(L, l) for l in range(5)] == descending[::-1]
+    base = hibi.MAX_DEGREE + 1
+    assert len(L._degree_states) == 5
+    for l, states in enumerate(L._degree_states):
+        classes = {}
+        for state in states:
+            packed, support = state >> L.size, state & (1 << L.size) - 1
+            digits = tuple(packed // base ** j % base for j in range(L.poset_P.size))
+            classes.setdefault(digits, set()).add(support)
+        assert classes == support_table(L, l)
+
+
+@settings(max_examples=20, deadline=None)
 @given(small_lattices(), st.data())
 def test_degree_tables_match_the_per_monomial_oracle(L, data):
     for l in range(4):

@@ -167,15 +167,20 @@ def fraction_strategy(low=-6):
 
 @st.composite
 def lattice_and_weight(draw):
-    """A random lattice on at most 5 join-irreducibles with a rational weight
-    of mixed denominators: either any weight, which mostly lies outside
-    K-bar, or a modular weight plus nonnegative multiples of the
-    supermodular indicators [S ⊆ iota(a)], which lies in K-bar and is
-    tight on the pairs that no chosen S separates."""
+    """A random lattice on at most 5 join-irreducibles with a weight drawn
+    by weight_on."""
     L = birkhoff(draw(poset_strategy(max_size=5)))
+    return L, weight_on(draw, L)
+
+
+def weight_on(draw, L):
+    """A rational weight on L of mixed denominators: either any weight,
+    which mostly lies outside K-bar, or a modular weight plus nonnegative
+    multiples of the supermodular indicators [S ⊆ iota(a)], which lies in
+    K-bar and is tight on the pairs that no chosen S separates."""
     labels = L.poset_P.elements
     if draw(st.booleans()):
-        return L, [draw(fraction_strategy()) for _ in L.elements]
+        return [draw(fraction_strategy()) for _ in L.elements]
     const = draw(fraction_strategy())
     slope = {p: draw(fraction_strategy()) for p in labels}
     w = [const + sum(slope[p] for p in iota(L, a)) for a in L.elements]
@@ -183,7 +188,20 @@ def lattice_and_weight(draw):
         S = draw(st.sets(st.sampled_from(labels), min_size=min(2, len(labels))))
         c = draw(fraction_strategy(low=1))
         w = [x + (c if S <= iota(L, a) else 0) for x, a in zip(w, L.elements)]
-    return L, w
+    return w
+
+
+def assert_matches_oracle(sub, want_key, want):
+    """sub equals the Fraction oracle's face key and parts."""
+    L = sub.lattice
+    assert sub.face_key == want_key
+    assert len(sub.parts) == len(want)
+    for part, old in zip(sub.parts, want):
+        assert part.order == old.order
+        assert part.vertex_elements == old.vertex_elements
+        assert tuple(label_extension(L.poset_P, e) for e in part.simplices) == old.simplices
+        assert tuple(Fraction(x, sub.den) for x in part.alpha) == old.affine.matrix[0]
+        assert Fraction(part.const, sub.den) == old.affine.offset[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -203,14 +221,38 @@ def test_regular_subdivision_matches_fraction_oracle(case):
         return
     sub = regular_subdivision(L, num, den)
     assert (sub.scaled, sub.den) == vec_over_den(w)
-    assert sub.face_key == want_key
-    assert len(sub.parts) == len(want)
-    for part, old in zip(sub.parts, want):
-        assert part.order == old.order
-        assert part.vertex_elements == old.vertex_elements
-        assert tuple(label_extension(L.poset_P, e) for e in part.simplices) == old.simplices
-        assert tuple(Fraction(x, sub.den) for x in part.alpha) == old.affine.matrix[0]
-        assert Fraction(part.const, sub.den) == old.affine.offset[0]
+    assert_matches_oracle(sub, want_key, want)
+
+
+@st.composite
+def poset_and_weights(draw):
+    """A random poset on at most 5 elements, its lattice, and 2 to 4
+    weights on it, each drawn by weight_on."""
+    P = draw(poset_strategy(max_size=5))
+    L = birkhoff(P)
+    return P, L, [weight_on(draw, L) for _ in range(draw(st.integers(2, 4)))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(poset_and_weights())
+def test_warm_tables_give_the_fresh_subdivision(case):
+    # one lattice serves every weight in turn, as one job's faces do: each
+    # subdivision read off its warm tables equals the one on a freshly built
+    # lattice and the Fraction oracle's
+    P, L, weights = case
+    for w in weights:
+        num, den = vec_over_den(w)
+        try:
+            want_key, want = oracle.regular_subdivision(L, w)
+        except NotInCone:
+            with pytest.raises(NotInCone):
+                regular_subdivision(L, num, den)
+            continue
+        warm, fresh = regular_subdivision(L, num, den), regular_subdivision(birkhoff(P), num, den)
+        assert (warm.scaled, warm.den, warm.parts, warm.tight) == (
+            fresh.scaled, fresh.den, fresh.parts, fresh.tight)
+        assert_matches_oracle(warm, want_key, want)
+    assert subdivision.staircase_table(L) == subdivision.staircase_table(birkhoff(P))
 
 
 def test_subdivide_classifies_the_weight_once(monkeypatch, capsys):
@@ -374,23 +416,91 @@ def test_b3_adjacency_hexagon():
 
 def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
     # cone_K, every face's key and every face's subdivision read the diamond
-    # pairs and the adjacency graph, which one job builds once for its lattice
-    built = {"pairs": 0, "graphs": 0}
-    pair, graph = lattice.DiamondPair, subdivision.AdjacencyGraph
+    # pairs, the staircase table and the adjacency graph, which one job
+    # builds once for its lattice; each of the 22 faces builds its key
+    # once, though each of its 4 rows prints it
+    built = {"pairs": 0, "tables": 0, "graphs": 0, "keys": 0}
+    pair, table = lattice.DiamondPair, subdivision.StaircaseTable
+    graph, key_of = subdivision.AdjacencyGraph, cone._key_of
 
     def counting_pair(*args):
         built["pairs"] += 1
         return pair(*args)
 
+    def counting_table(*args):
+        built["tables"] += 1
+        return table(*args)
+
     def counting_graph(*args):
         built["graphs"] += 1
         return graph(*args)
 
+    def counting_key(tight):
+        built["keys"] += 1
+        return key_of(tight)
+
     monkeypatch.setattr(lattice, "DiamondPair", counting_pair)
+    monkeypatch.setattr(subdivision, "StaircaseTable", counting_table)
     monkeypatch.setattr(subdivision, "AdjacencyGraph", counting_graph)
+    monkeypatch.setattr(cone, "_key_of", counting_key)
+    monkeypatch.setattr(subdivision, "_key_of", counting_key)
     assert main(["certify", "--boolean", "3", "--lmax", "4"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 22 * 4
-    assert built == {"pairs": 6, "graphs": 1}
+    assert built == {"pairs": 6, "tables": 1, "graphs": 1, "keys": 22}
+
+
+def generic_weight(L):
+    """10·|I|² plus the modular weight sum of 2^j over I: strictly
+    supermodular, so every extension is a part of its own, and no two
+    elements share a value."""
+    return [10 * m.bit_count() ** 2 + m for m in L.masks]
+
+
+def corrupted_tables(table, size):
+    """Every copy of the staircase table with one chain element, or one peel
+    parent, replaced by another element, as (field, index of the row, copy)."""
+    for k, chain in enumerate(table.chains):
+        for p, i in enumerate(chain):
+            for x in range(size):
+                if x != i:
+                    chains = list(table.chains)
+                    chains[k] = chain[:p] + (x,) + chain[p + 1:]
+                    yield "chains", k, table._replace(chains=tuple(chains))
+    for k, (i, parent, j) in enumerate(table.peel):
+        for x in range(size):
+            if x != parent:
+                peel = list(table.peel)
+                peel[k] = (i, x, j)
+                yield "peel", k, table._replace(peel=tuple(peel))
+
+
+@pytest.mark.parametrize("make", [lambda: B3, lambda: birkhoff(GRID)], ids=["B3", "grid"])
+def test_a_wrong_staircase_entry_fails_a_check(make):
+    # the table is trusted for nothing: at a generic weight every wrong chain
+    # element changes a part's vertex set or its map, and the ideal-set,
+    # interpolation or envelope check raises. A wrong peel parent raises too,
+    # unless the right parent is the bottom and the wrong one still holds
+    # the bottom's value, the part's constant, when it is read: then every
+    # value is right
+    L = make()
+    w = generic_weight(L)
+    want = regular_subdivision(L, w, 1)
+    table = subdivision.staircase_table(L)
+    assert len(want.parts) == len(table.chains)
+    bottom = L.at_mask[0]
+    raised = {"chains": 0, "peel": 0}
+    for field, k, bad in corrupted_tables(table, L.size):
+        L._staircases = bad
+        try:
+            got = regular_subdivision(L, w, 1)
+        except AssertionError:
+            raised[field] += 1
+        else:
+            assert field == "peel" and table.peel[k][1] == bottom
+            assert got.parts == want.parts
+    L._staircases = table
+    assert raised["chains"] == len(table.chains) * (L.poset_P.size + 1) * (L.size - 1)
+
 
 
 @settings(max_examples=15, deadline=None)
