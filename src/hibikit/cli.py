@@ -350,12 +350,11 @@ def cmd_certify(args) -> int:
         raise BadParams("--lmax needs to be at least 1")
     rows = degeneration_certificate(L, args.lmax)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CERTIFY_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        out = {col: row[col] for col in CERTIFY_COLUMNS}
-        out["pass"] = "true" if row["pass"] else "false"
-        writer.writerow(out)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CERTIFY_COLUMNS)
+    # "pass", the last column, is written as true or false
+    writer.writerows([*(row[col] for col in CERTIFY_COLUMNS[:-1]),
+                      "true" if row["pass"] else "false"] for row in rows)
     _write_text(buf.getvalue(), args.out)
     return 0 if all(row["pass"] for row in rows) else 1
 

@@ -6,12 +6,11 @@ the LP solver pivot on integer tableaux with one common denominator
 (integer-preserving elimination). A LatticePolytope holds integer points
 over one common denominator: its facet kernel runs the double description
 method with primitive integer rays on those ints and reads the vertices off
-the facets' tight sets, its facet normals and span equations are primitive
-integer rows, and its integer points are searched on ints. Its coordinates
-become reduced [num, den] pairs only in polytope_json. lp_feasible runs
-phase 1 of the simplex with Bland's rule, so it terminates without any
-tolerance knobs, on homogeneous equalities and integer rows a.x >= r, the
-systems that close a face key.
+the facets' tight sets, and its facet normals and span equations are
+primitive integer rows. Its coordinates become reduced [num, den] pairs
+only in polytope_json. lp_feasible runs phase 1 of the simplex with Bland's
+rule, so it terminates without any tolerance knobs, on homogeneous
+equalities and integer rows a.x >= r, the systems that close a face key.
 """
 
 from __future__ import annotations
@@ -402,58 +401,6 @@ class LatticePolytope:
 
     def __repr__(self):
         return f"LatticePolytope({len(self.vertices)} vertices, dim {self.dim})"
-
-
-def _box_lattice_points(lo: list[int], hi: list[int], les: list[tuple[list[int], int]]):
-    """Integer points of the box satisfying the integer constraints a.x <= b,
-    by depth first search with interval pruning."""
-    n = len(lo)
-    # the least value each constraint's terms past coordinate i take on the box
-    data = []
-    for a, b in les:
-        rest = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            rest[i] = rest[i + 1] + min(a[i] * lo[i], a[i] * hi[i])
-        data.append((a, b, rest))
-    point = [0] * n
-
-    def descend(i, partial):
-        if i == n:
-            yield tuple(point)
-            return
-        for x in range(lo[i], hi[i] + 1):
-            point[i] = x
-            sums = []
-            for (a, b, rest), s in zip(data, partial):
-                s += a[i] * x
-                if s + rest[i + 1] > b:
-                    break
-                sums.append(s)
-            else:
-                yield from descend(i + 1, sums)
-
-    yield from descend(0, [0] * len(data))
-
-
-def integer_points(poly: LatticePolytope) -> list[tuple[int, ...]]:
-    """All points of Z^n inside the polytope, in canonical sorted order.
-
-    Enumeration runs over the bounding box, restricted to the affine span
-    and filtered by the facets, on integers: with the polytope's rows over
-    den, an integer point x meets a.x = b / den only if den divides b, and
-    a.x <= b / den means a.x <= floor(b / den).
-    """
-    den = poly.den
-    les = []
-    for a, b in poly.span_equations:
-        if b % den:
-            return []
-        les += [(a, b // den), ([-x for x in a], -(b // den))]
-    les += [(normal, rhs // den) for normal, rhs in poly.hyperplanes]
-    verts = poly.vertices
-    lo = [min(coords) // den for coords in zip(*verts)]
-    hi = [-(-max(coords) // den) for coords in zip(*verts)]
-    return sorted(_box_lattice_points(lo, hi, les))
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,30 @@
 
 Each face F of the cone carries a linear span U(F) with a saturated integer
 basis. Restricting the coordinate functionals of R^L to U(F) and reading them
-in the dual basis yields one integer point per lattice element; their convex
-hull is the weight polytope of F. The distinguished faces, one per part of
-F's regular subdivision, are certified through the projection dual to the
-span inclusion U(apex) ⊆ U(F) and the affine change of coordinates zeta
-between the order polytope and the apex weight polytope. Both maps are
-integer matrices, each found by one integer elimination, so the
-certificates are integer dot products; no part needs a hull of its own.
+in the dual basis yields one integer point p_a per lattice element a; their
+convex hull is the weight polytope W of F. The paper (arXiv:2008.13243)
+shows that W projects onto the order polytope O(P), with the distinguished
+faces projecting into the parts of F's regular subdivision. W is
+certified, on integers and with no hull, through that projection
+(Sturmfels, Gröbner Bases and Convex Polytopes, 1996, ch. 4):
+
+- pi = to_apex, the integer projection dual to U(apex) ⊆ U(F), sends each
+  p_a to zeta(1_a), where zeta: x -> Z·x + z0 is the integer affine map from
+  R^P into the apex coordinates that sends each ideal's indicator 1_a to
+  the apex point of a. So pi(W) = zeta(O(P)).
+- Z has rank |P| and its columns span the saturated lattice of the apex
+  points' affine span, so zeta is injective and an integer point of
+  pi(W) is zeta of an integer point of O(P), an indicator.
+- The fiber of pi over a vertex zeta(1_a) of pi(W) is a face of W, the
+  hull of the points p_b with zeta(1_b) = zeta(1_a); zeta is injective, so
+  p_a alone. So an integer point y of W, whose image pi(y) is integral and
+  lies over some zeta(1_a), is p_a: W's integer points are exactly its |L|
+  points, and each is a vertex.
+
+Both maps are found by one integer elimination each, so the certificates
+are integer dot products. The distinguished faces, one per part of F's
+regular subdivision, project onto the images of the parts' order
+polytopes, and need no hull of their own either.
 """
 
 from __future__ import annotations
@@ -16,13 +33,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .cone import Face, face_of, span_of_face
-from .exactgeom import (
-    LatticePolytope,
-    _echelon,
-    integer_points,
-    rank,
-    same_lattice,
-)
+from .exactgeom import LatticePolytope, _echelon, rank, same_lattice
 from .poset import ideal_masks
 from .subdivision import face_subdivision
 
@@ -32,18 +43,22 @@ class WeightPolytope:
 
     `basis` rows span U(F) ∩ Z^L and are saturated, so "integer point" has
     an unambiguous meaning in the dual coordinates. `points[a]` is the
-    vector (b_1[a], ..., b_d[a]) for the basis rows b_i. Two weight
-    polytopes are equal when their faces are.
+    vector (b_1[a], ..., b_d[a]) for the basis rows b_i. `zeta` = (Z, z0)
+    and `to_apex` are the integer maps that certify it: to_apex·points[a]
+    == Z·1_a + z0 for every a. Two weight polytopes are equal when their
+    faces are.
     """
 
-    __slots__ = ("face", "basis", "points", "polytope")
+    __slots__ = ("face", "basis", "points", "zeta", "to_apex")
 
     def __init__(self, face: Face, basis: tuple[tuple[int, ...], ...],
-                 points: dict[str, tuple[int, ...]], polytope: LatticePolytope):
+                 points: dict[str, tuple[int, ...]],
+                 zeta: tuple[list[list[int]], list[int]], to_apex: list[list[int]]):
         self.face = face
         self.basis = basis
         self.points = points
-        self.polytope = polytope
+        self.zeta = zeta
+        self.to_apex = to_apex
 
     def __eq__(self, other):
         if not isinstance(other, WeightPolytope):
@@ -54,19 +69,27 @@ class WeightPolytope:
         return hash(self.face)
 
 
+def _points(L, basis) -> dict[str, tuple[int, ...]]:
+    return {a: tuple(row[i] for row in basis) for i, a in enumerate(L.elements)}
+
+
 def weight_polytope(F: Face) -> WeightPolytope:
+    """F's weight polytope, certified through its apex projection as the
+    module docstring argues, and of dimension dim F - 1."""
     L = F.cone.lattice
+    n = L.poset_P.size
     basis = tuple(tuple(row) for row in span_of_face(F))
-    points = {
-        a: tuple(row[L.index(a)] for row in basis) for a in L.elements
-    }
-    poly = LatticePolytope(list(points.values()), 1)
-    # every coordinate functional is a vertex, and nothing else is integral
-    assert len(set(points.values())) == L.size
-    assert len(poly.vertices) == L.size
-    assert set(integer_points(poly)) == set(points.values())
-    assert poly.dim == F.dim - 1
-    return WeightPolytope(F, basis, points, poly)
+    apex_basis = basis if F.is_apex else span_of_face(face_of(F.cone, (0,) * L.size, 1))
+    points = _points(L, basis)
+    zeta = _zeta_for(L, _points(L, apex_basis))
+    # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
+    to_apex = _inclusion_matrix(basis, apex_basis)
+    for a, m in zip(L.elements, L.masks):
+        assert _pulls_back(to_apex, zeta, points[a], [m >> j & 1 for j in range(n)]), \
+            "point is outside the apex image of its indicator"
+    base = points[L.elements[0]]
+    assert rank([[x - y for x, y in zip(p, base)] for p in points.values()]) == F.dim - 1
+    return WeightPolytope(F, basis, points, zeta, to_apex)
 
 
 def _integral_solution(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -88,25 +111,21 @@ def _inclusion_matrix(basis_g, basis_f) -> list[list[int]]:
     return [list(col) for col in zip(*X)]
 
 
-def _apex_weight_polytope(K) -> WeightPolytope:
-    return weight_polytope(face_of(K, (0,) * K.lattice.size, 1))
-
-
-def _zeta_for(apex: WeightPolytope) -> tuple[list[list[int]], list[int]]:
+def _zeta_for(L, apex_points: dict[str, tuple[int, ...]]) -> tuple[list[list[int]], list[int]]:
     """The affine map zeta: x -> Z·x + z0 from R^P to the apex coordinates
-    that sends each element's indicator 1_a to apex.points[a], as the
+    that sends each element's indicator 1_a to apex_points[a], as the
     integer matrix Z and offset z0. Asserts that the map exists and is
     integral, that Z has rank |P| (zeta is injective) and that its columns
-    span the apex polytope's lattice."""
-    L = apex.face.cone.lattice
+    span the lattice of the apex points' affine span."""
     n = L.poset_P.size
     inputs = [[m >> j & 1 for j in range(n)] + [1] for m in L.masks]
-    X = _integral_solution(inputs, [apex.points[a] for a in L.elements])
+    X = _integral_solution(inputs, [apex_points[a] for a in L.elements])
     columns, z0 = X[:n], X[n]
     Z = [[col[i] for col in columns] for i in range(len(z0))]  # |P| = 0 leaves its rows empty
     assert rank(Z) == n, "map must be injective on R^P"
-    lb = apex.polytope.lattice_basis
-    assert lb is not None and same_lattice(columns, [list(r) for r in lb])
+    # the span equations alone give the lattice basis; no facet is found
+    lb = LatticePolytope(list(apex_points.values()), 1, already_extreme=True).lattice_basis
+    assert same_lattice(columns, [list(r) for r in lb]), "zeta misses part of the apex lattice"
     return Z, z0
 
 
@@ -127,7 +146,6 @@ class DistinguishedFace(NamedTuple):
 
     elements: tuple[str, ...]
     separator: tuple[int, ...]
-    polytope: LatticePolytope
 
 
 def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
@@ -138,32 +156,26 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     extensions. Certified on integers, for each part:
 
     - a separating functional, the part's values minus the weight, zero on
-      the part's elements and positive elsewhere, that lies in the face's
-      span (one integer elimination), so it cuts a genuine face;
-    - the pullback through the apex: for each member a, to_apex·W.points[a]
-      == Z·1_a + z0, where to_apex is the integer projection dual to
-      U(apex) ⊆ U(F) and zeta = (Z, z0) the integer apex map of rank |P|,
-      so 1_a is the unique preimage;
+      the part's elements and positive elsewhere; all of them together lie
+      in the face's span (one rank), so each cuts a genuine face;
     - the members are the elements whose ideals are the order's ideals, the
-      vertices of the part's order polytope;
-    - the face has dimension |P|.
+      vertices of the part's order polytope O_part;
+    - the members' points span dimension |P| (one rank).
 
-    The face's polytope takes the member points as its vertices without a
-    hull. Distinct 0/1 points are in convex position. Z is injective and
-    affine, so the images Z·1_a + z0 are distinct vertices of their hull.
-    The linear map to_apex sends each W.points[a] to its image Z·1_a + z0;
-    were some W.points[a] a convex combination of the others, its image
-    would be the same convex combination of theirs, which is impossible.
+    The face needs no hull. weight_polytope certified pi(p_a) = zeta(1_a)
+    for every a, with pi = to_apex, so pi(W) = zeta(O(P)); zeta is affine
+    and injective, and its columns span the saturated apex lattice, so the
+    fiber of pi over a vertex zeta(1_a) holds p_a alone and W has no other
+    integer point (Sturmfels 1996, ch. 4). pi maps this face onto
+    zeta(O_part), which has the members' images as its distinct vertices.
+    Were some member's point a convex combination of the others, its image
+    would be the same convex combination of theirs, which is impossible; so
+    the members' points are the face's vertices.
     """
     F = W.face
     L = F.cone.lattice
     n = L.poset_P.size
     sub = face_subdivision(F)
-    apex = W if F.is_apex else _apex_weight_polytope(F.cone)
-    zeta = _zeta_for(apex)
-    # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
-    to_apex = _inclusion_matrix(W.basis, apex.basis)
-    indicator = {a: [m >> j & 1 for j in range(n)] for a, m in zip(L.elements, L.masks)}
     out = []
     for part in sub.parts:
         elements = part.vertex_elements
@@ -173,18 +185,13 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
         sep = tuple(v - x for v, x in zip(part.values, sub.scaled))
         assert all(x == 0 for a, x in zip(L.elements, sep) if a in members)
         assert sum(x > 0 for x in sep) == L.size - len(members)
-        # the functional lives in the face's span, so it cuts a genuine face
-        assert rank([*W.basis, sep]) == len(W.basis)
-        for a in elements:
-            assert _pulls_back(to_apex, zeta, W.points[a], indicator[a]), \
-                "point is outside the apex image of its indicator"
-        poly = LatticePolytope([W.points[a] for a in elements], 1,
-                               already_extreme=True)
-        assert len(poly.vertices) == len(members)
-        assert poly.dim == n
+        base = W.points[elements[0]]
+        assert rank([[x - y for x, y in zip(W.points[a], base)] for a in elements]) == n
         # the vertices are the elements whose ideals are the order's ideals
         assert members == {L.elements[L.at_mask[m]] for m in ideal_masks(part.order)}
-        out.append(DistinguishedFace(elements, sep, poly))
+        out.append(DistinguishedFace(elements, sep))
+    # the functionals live in the face's span, so each cuts a genuine face
+    assert rank([*W.basis, *(d.separator for d in out)]) == len(W.basis)
     return out
 
 

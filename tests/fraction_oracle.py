@@ -27,17 +27,22 @@ LatticePolytope is the Fraction polytope that exactgeom kept before its
 points became integers over one common denominator: every vertex, facet
 rhs and span equation rhs a Fraction, with its facets from the subset scan
 above, its lattice basis from affine_lattice_basis and its integer points
-from integer_points, which runs the same integer box search on the floors
-of its Fraction rows. vsub, vdot and is_integral are the Fraction vector
-helpers it needs, and nullspace is the Fraction kernel basis, on the
+from integer_points, which runs lattice_points' integer box search on the
+floors of its Fraction rows. vsub, vdot and is_integral are the Fraction
+vector helpers it needs, and nullspace is the Fraction kernel basis, on the
 Fraction rref above, that exactgeom.nullspace returned before its basis
 became primitive integer rows.
 
-contains is the Fraction membership test that LatticePolytope used to carry,
-on the integer polytope's rows over den; a brute-force box filter with it
-checks integer_points, which searches on integers. over_den writes rational
-points as integer points over the lcm of their denominators, and
-fraction_vertices reads an integer polytope's vertices back as Fractions.
+lattice_points is the search for the integer points of an integer
+polytope, on its rows over den, that exactgeom kept while weightpoly
+certified each weight polytope by a hull and this search; weightpoly now
+certifies them through their apex projection, and the tests check that
+certificate against this search. contains is the Fraction membership test
+that LatticePolytope used to carry, on the integer polytope's rows over
+den; a brute-force box filter with it checks lattice_points. over_den
+writes rational points as integer points over the lcm of their
+denominators, and fraction_vertices reads an integer polytope's vertices
+back as Fractions.
 
 MarkedPoset, _satisfies, _vertex_candidates, _fillings, _anchored,
 _is_vertex and _marked_vertices are the vertex search that flaggt ran
@@ -100,7 +105,7 @@ from typing import Iterable, Optional, Sequence
 
 from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
-from hibikit.exactgeom import _box_lattice_points, integer_kernel, same_lattice
+from hibikit.exactgeom import integer_kernel, same_lattice
 from hibikit.errors import NotStronger, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso, pbar_labels
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
@@ -553,9 +558,58 @@ class LatticePolytope:
         return [(row, vdot(row, base)) for row in int_rows(kernel)]
 
 
+def _box_lattice_points(lo: list[int], hi: list[int], les: list[tuple[list[int], int]]):
+    """Integer points of the box satisfying the integer constraints a.x <= b,
+    by depth first search with interval pruning."""
+    n = len(lo)
+    # the least value each constraint's terms past coordinate i take on the box
+    data = []
+    for a, b in les:
+        rest = [0] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            rest[i] = rest[i + 1] + min(a[i] * lo[i], a[i] * hi[i])
+        data.append((a, b, rest))
+    point = [0] * n
+
+    def descend(i, partial):
+        if i == n:
+            yield tuple(point)
+            return
+        for x in range(lo[i], hi[i] + 1):
+            point[i] = x
+            sums = []
+            for (a, b, rest), s in zip(data, partial):
+                s += a[i] * x
+                if s + rest[i + 1] > b:
+                    break
+                sums.append(s)
+            else:
+                yield from descend(i + 1, sums)
+
+    yield from descend(0, [0] * len(data))
+
+
+def lattice_points(poly: exactgeom.LatticePolytope) -> list[tuple[int, ...]]:
+    """All points of Z^n inside the integer polytope, in canonical sorted
+    order, by the box search on its rows over den: an integer point x meets
+    a.x = b / den only if den divides b, and a.x <= b / den means
+    a.x <= floor(b / den)."""
+    den = poly.den
+    les = []
+    for a, b in poly.span_equations:
+        if b % den:
+            return []
+        les += [(a, b // den), ([-x for x in a], -(b // den))]
+    les += [(normal, rhs // den) for normal, rhs in poly.hyperplanes]
+    verts = poly.vertices
+    lo = [min(coords) // den for coords in zip(*verts)]
+    hi = [-(-max(coords) // den) for coords in zip(*verts)]
+    return sorted(_box_lattice_points(lo, hi, les))
+
+
 def integer_points(poly: LatticePolytope) -> list[Vec]:
     """All points of Z^n inside the Fraction polytope, in sorted order, by
-    the integer box search on the floors of its Fraction rows."""
+    the same box search on the floors of its Fraction rows."""
     les = []
     for a, b in poly.span_equations:
         if b.denominator != 1:

@@ -10,11 +10,13 @@ import random
 import time
 from fractions import Fraction
 
-from fraction_oracle import AffineMap, indicator, invert_affine, is_full, part_value
+from fraction_oracle import (AffineMap, indicator, invert_affine, is_full, lattice_points,
+                             part_value)
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
+from hibikit.exactgeom import LatticePolytope
 from hibikit.flaggt import (GelfandTsetlin, gt_poset_iso, gt_subdivision, gt_vertices,
                             pbar_labels)
 from hibikit.hibi import degeneration_certificate
@@ -22,8 +24,7 @@ from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lat
 from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,
                                  generalized_permutahedron)
-from hibikit.weightpoly import (_apex_weight_polytope, _zeta_for, distinguished_faces,
-                                weight_polytope)
+from hibikit.weightpoly import distinguished_faces, weight_polytope
 
 
 def b(n):
@@ -99,16 +100,18 @@ def test_acceptance_5_weight_polytope_invariants():
         K = cone_K(L)
         unit = {tuple(1 if j == i else 0 for j in range(L.size))
                 for i in range(L.size)}
-        zmap = AffineMap(*_zeta_for(_apex_weight_polytope(K)))
         for F in enumerate_faces(K):
-            # constructor certifies |vertices| = |integer points| = |L|
-            # and dim = dim F - 1
+            # the constructor's apex pullback implies |vertices| =
+            # |integer points| = |L| and dim = dim F - 1; a hull and the
+            # oracle's lattice-point search recheck them
             W = weight_polytope(F)
-            assert len(W.polytope.vertices) == L.size
-            assert W.polytope.dim == F.dim - 1
+            hull = LatticePolytope(list(W.points.values()), 1)
+            assert len(hull.vertices) == len(lattice_points(hull)) == L.size
+            assert hull.dim == F.dim - 1
             if is_full(F):
                 assert set(W.points.values()) == unit  # standard simplex
             if F.is_apex:
+                zmap = AffineMap(*W.zeta)
                 for a in L.elements:
                     assert invert_affine(zmap, W.points[a]) == indicator(L, a)
             # distinguished faces biject with the subdivision parts

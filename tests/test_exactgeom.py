@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import affine_lattice_basis, indicator, solve_linear, to_vec, vdot
+from fraction_oracle import (affine_lattice_basis, indicator, lattice_points, solve_linear,
+                             to_vec, vdot)
 from hibikit.exactgeom import (
     LatticePolytope,
     facet_hyperplanes,
     int_row_echelon,
     integer_kernel,
-    integer_points,
     lattice_member,
     lp_feasible,
     nullspace,
@@ -260,29 +260,29 @@ def test_simplex_past_dimension_12():
     pts = [(0,) * 13] + [tuple(int(i == j) for j in range(13)) for i in range(13)]
     poly = LatticePolytope(pts, 1)
     assert len(poly.hyperplanes) == 14
-    assert integer_points(poly) == sorted(pts)
+    assert lattice_points(poly) == sorted(pts)
 
 
 def test_integer_points_unit_square():
     square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
-    assert len(integer_points(square)) == 4
+    assert len(lattice_points(square)) == 4
 
 
 def test_integer_points_doubled_segment():
     seg = LatticePolytope([(0,), (2,), (1,)], 1)
-    assert integer_points(seg) == [(0,), (1,), (2,)]
+    assert lattice_points(seg) == [(0,), (1,), (2,)]
 
 
 def test_integer_points_respect_affine_span():
     # segment from (0,0) to (2,2): integer points (0,0),(1,1),(2,2)
     seg = LatticePolytope([(0, 0), (2, 2)], 1)
-    assert integer_points(seg) == [(0, 0), (1, 1), (2, 2)]
+    assert lattice_points(seg) == [(0, 0), (1, 1), (2, 2)]
     # shifted off the integer lattice: no integer points at all
     seg2 = LatticePolytope([(1, 0), (1, 2)], 2)
-    assert integer_points(seg2) == []
+    assert lattice_points(seg2) == []
     # the same segment over den = 2, and one that halves its ends
-    assert integer_points(LatticePolytope([(0, 0), (4, 4)], 2)) == [(0, 0), (1, 1), (2, 2)]
-    assert integer_points(LatticePolytope([(-1, -1), (5, 5)], 2)) == [(0, 0), (1, 1), (2, 2)]
+    assert lattice_points(LatticePolytope([(0, 0), (4, 4)], 2)) == [(0, 0), (1, 1), (2, 2)]
+    assert lattice_points(LatticePolytope([(-1, -1), (5, 5)], 2)) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_polytope_contains():

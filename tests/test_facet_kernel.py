@@ -6,8 +6,9 @@ as integer points over a common denominator. On random rational point
 sets, embedded in larger ambient spaces, and on degenerate non-simplicial
 polytopes the kernel must return the same facet rows, in the same order,
 as integer rows whose rhs over den is the oracle's Fraction, and
-LatticePolytope the same vertices as one LP per point. integer_points, which
-searches on integers, must find what Fraction membership finds in the box.
+LatticePolytope the same vertices as one LP per point. The oracle's
+lattice_points, which searches on the integer rows, must find what Fraction
+membership finds in the box.
 The integer LatticePolytope must agree with the Fraction one on every
 member, over the lcm of the points' denominators and over multiples of it.
 """
@@ -22,9 +23,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import to_vec
+from fraction_oracle import lattice_points, to_vec
 from hibikit.cli import interior_weight
-from hibikit.exactgeom import LatticePolytope, facet_hyperplanes, integer_points
+from hibikit.exactgeom import LatticePolytope, facet_hyperplanes
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain
 from hibikit.subdivision import generalized_permutahedron
@@ -105,8 +106,8 @@ def test_random_point_sets_integer_points_match_box_filter(points):
            for c in zip(*oracle.fraction_vertices(poly))]
     assume(math.prod(map(len, box)) <= 3000)
     inside = [x for x in itertools.product(*box) if oracle.contains(poly, x)]
-    assert integer_points(poly) == inside
-    assert all(type(x) is int for p in integer_points(poly) for x in p)
+    assert lattice_points(poly) == inside
+    assert all(type(x) is int for p in lattice_points(poly) for x in p)
 
 
 def assert_matches_fraction_polytope(points, scale=1):
@@ -126,7 +127,7 @@ def assert_matches_fraction_polytope(points, scale=1):
         assert got.dim == want.dim
         assert got.lattice_basis == want.lattice_basis
         assert [(list(a), Fraction(b, den)) for a, b in got.span_equations] == want.span_equations
-        assert integer_points(got) == oracle.integer_points(want)
+        assert lattice_points(got) == oracle.integer_points(want)
     return got
 
 

@@ -4,6 +4,10 @@ The paper's claims that no subcommand reports are checked here through
 helpers over the package's own maps: the projections dual to span
 inclusions and their composition, the chain simplices as the full face's
 distinguished faces, and the normality of the weight and order polytopes.
+weightpoly certifies each weight polytope through its apex projection and
+builds no hull; the hulls here (LatticePolytope on the points, and the
+oracle's lattice_points) recheck what that certificate implies: |L|
+vertices, |L| integer points and dimension dim F - 1.
 """
 
 import itertools
@@ -14,20 +18,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full, solve_linear, vdot, vsub
-from hibikit import exactgeom
+from fraction_oracle import indicator, is_full, lattice_points, solve_linear, vdot, vsub
+from hibikit import exactgeom, weightpoly
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
-from hibikit.exactgeom import LatticePolytope, integer_points
-from hibikit.lattice import birkhoff, diamond_pairs, ideal_label
+from hibikit.exactgeom import LatticePolytope
+from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice, ideal_label
 from hibikit.poset import antichain, chain, from_cover_relations
 from hibikit.subdivision import face_subdivision
 from hibikit.weightpoly import (
     WeightPolytope,
-    _apex_weight_polytope,
     _inclusion_matrix,
     _pulls_back,
-    _zeta_for,
     distinguished_faces,
     weight_polytope,
     weight_polytope_json,
@@ -52,10 +54,20 @@ def apex_face(L):
     return face_of(K, (0,) * L.size, 1)
 
 
+def hull(W):
+    """The test-side hull of a weight polytope's points."""
+    return LatticePolytope(list(W.points.values()), 1)
+
+
+def face_hull(W, d):
+    """The hull of a distinguished face's member points."""
+    return LatticePolytope([W.points[a] for a in d.elements], 1)
+
+
 def project(G, F, point):
     """Dual of the span inclusion U(F) ⊆ U(G), for G's tight set inside F's,
-    in dual-basis coordinates: the restriction that distinguished_faces
-    applies with F the apex. Carries the point of G's weight polytope
+    in dual-basis coordinates: the restriction that weight_polytope applies
+    with F the apex. Carries the point of G's weight polytope
     labeled by a lattice element to the identically labeled point of F's."""
     assert G.tight_idx <= F.tight_idx
     return tuple(sum(c * x for c, x in zip(row, point, strict=True))
@@ -79,13 +91,13 @@ def normality_probe(Q, k_max):
     """Smallest k <= k_max whose dilation kQ has an integer point that is
     not a sum of k integer points of Q, or None when every level passes."""
     assert Q.lattice_basis is not None, "Q needs integral vertices"
-    base = set(integer_points(Q))
+    base = set(lattice_points(Q))
     sums = set(base)
     for k in range(2, k_max + 1):
         sums = oracle.minkowski_sum(sums, base)
         kQ = LatticePolytope([tuple(k * x for x in v) for v in Q.vertices], Q.den,
                              already_extreme=True)
-        if not set(integer_points(kQ)) <= sums:
+        if not set(lattice_points(kQ)) <= sums:
             return k
     return None
 
@@ -99,27 +111,30 @@ def test_full_face_is_standard_simplex(L):
     unit = [tuple(1 if j == i else 0 for j in range(L.size)) for i in range(L.size)]
     assert list(W.basis) == unit
     assert [W.points[a] for a in L.elements] == unit
-    assert W.polytope.dim == L.size - 1
+    assert hull(W).dim == L.size - 1
 
 
 def test_apex_b2_is_unit_square():
     W = weight_polytope(apex_face(B2))
-    assert W.polytope.dim == 2
-    assert len(W.polytope.vertices) == 4
-    assert len(integer_points(W.polytope)) == 4
+    Q = hull(W)
+    assert Q.dim == 2
+    assert len(Q.vertices) == 4
+    assert len(lattice_points(Q)) == 4
     # opposite edge vectors agree, so the four points are a parallelogram
     bot, p, q, top = (W.points[a] for a in B2.elements)
     assert vsub(p, bot) == vsub(top, q)
     assert vsub(q, bot) == vsub(top, p)
 
 
-@pytest.mark.parametrize("L", [B2, B3, GRIDL, birkhoff(chain(["a", "b", "c"]))])
+@pytest.mark.parametrize("L", [B2, B3, GRIDL, birkhoff(chain(["a", "b", "c"])),
+                               grassmann_lattice(2, 5), flag_lattice(4)])
 def test_every_face_has_lattice_point_count_of_L(L):
+    # what the apex pullback implies, by a hull and a lattice-point search
     for F in enumerate_faces(cone_K(L)):
-        W = weight_polytope(F)
-        assert len(W.polytope.vertices) == L.size
-        assert len(integer_points(W.polytope)) == L.size
-        assert W.polytope.dim == F.dim - 1
+        W = hull(weight_polytope(F))
+        assert len(W.vertices) == L.size
+        assert len(lattice_points(W)) == L.size
+        assert W.dim == F.dim - 1
 
 
 # -- project -----------------------------------------------------------------
@@ -149,8 +164,8 @@ def test_project_carries_whole_polytope():
             for a in L.elements:
                 assert project(G, F, polys[G].points[a]) == polys[F].points[a]
             image = LatticePolytope(
-                [project(G, F, v) for v in polys[G].polytope.vertices], 1)
-            assert image.vertices == polys[F].polytope.vertices
+                [project(G, F, v) for v in hull(polys[G]).vertices], 1)
+            assert image.vertices == hull(polys[F]).vertices
 
 
 def test_project_composition():
@@ -171,8 +186,8 @@ def test_project_composition():
 @pytest.mark.parametrize("L", [birkhoff(chain(["a", "b", "c"])), B2, B3, GRIDL,
                                birkhoff(antichain([]))])
 def test_zeta_bijects_order_polytope_and_apex_polytope(L):
-    z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(L))))
     W = weight_polytope(apex_face(L))
+    z = oracle.AffineMap(*W.zeta)
     for a in L.elements:
         assert z(indicator(L, a)) == W.points[a]
         assert oracle.invert_affine(z, W.points[a]) == indicator(L, a)
@@ -193,12 +208,12 @@ def test_weightpoly_on_the_empty_poset(face, tmp_path, capsys):
 
 
 def test_zeta_square_to_square():
-    z = oracle.AffineMap(*_zeta_for(_apex_weight_polytope(cone_K(B2))))
+    W = weight_polytope(apex_face(B2))
+    z = oracle.AffineMap(*W.zeta)
     order_poly = LatticePolytope([tuple(map(int, indicator(B2, a))) for a in B2.elements], 1)
     image = LatticePolytope(*oracle.over_den([z(v) for v in order_poly.vertices]))
-    W = weight_polytope(apex_face(B2))
-    assert image.den == 1 and image.vertices == W.polytope.vertices
-    assert len(integer_points(order_poly)) == len(integer_points(W.polytope))
+    assert image.den == 1 and image.vertices == hull(W).vertices
+    assert len(lattice_points(order_poly)) == len(lattice_points(hull(W)))
 
 
 # -- chain_simplex -----------------------------------------------------------
@@ -208,7 +223,7 @@ def test_chain_simplex_whole_simplex_for_chain_lattice():
     P = chain(["a", "b", "c"])
     elements, poly = chain_simplex(label_extensions(P)[0])
     assert len(elements) == 4
-    assert poly.vertices == weight_polytope(full_face(birkhoff(P))).polytope.vertices
+    assert poly.vertices == hull(weight_polytope(full_face(birkhoff(P)))).vertices
 
 
 def test_chain_simplex_b2():
@@ -231,19 +246,19 @@ def test_chain_simplex_grid_has_five_vertices():
 
 
 def test_apex_single_distinguished_face_is_whole_polytope():
-    A = apex_face(B3)
-    faces = distinguished_faces(weight_polytope(A))
+    W = weight_polytope(apex_face(B3))
+    faces = distinguished_faces(W)
     assert len(faces) == 1
-    assert faces[0].polytope.vertices == weight_polytope(A).polytope.vertices
+    assert face_hull(W, faces[0]).vertices == hull(W).vertices
     assert set(faces[0].elements) == set(B3.elements)
 
 
 def test_full_face_distinguished_are_chain_simplices():
     P = antichain(["p", "q"])
     F = full_face(B2)
-    faces = distinguished_faces(weight_polytope(F))
+    W = weight_polytope(F)
     simplices = {chain_simplex(ext)[1].vertices for ext in label_extensions(P)}
-    assert {d.polytope.vertices for d in faces} == simplices
+    assert {face_hull(W, d).vertices for d in distinguished_faces(W)} == simplices
 
 
 def test_b2_full_two_triangles_sharing_an_edge():
@@ -312,18 +327,15 @@ def oracle_pulls_back(zmap, to_apex, point, x):
 def test_integer_certificate_matches_fraction_oracle(P):
     L = birkhoff(P)
     assume(len(diamond_pairs(L)) <= 8)
-    K = cone_K(L)
-    apex = _apex_weight_polytope(K)
-    zeta = _zeta_for(apex)
+    apex = weight_polytope(apex_face(L))
     zmap = oracle.affine_map_through([indicator(L, a) for a in L.elements],
                                      [apex.points[a] for a in L.elements])
-    assert (zmap.matrix, zmap.offset) == (tuple(map(tuple, zeta[0])), tuple(zeta[1]))
     indicators = [[int(x) for x in indicator(L, a)] for a in L.elements]
-    for F in enumerate_faces(K):
+    for F in enumerate_faces(cone_K(L)):
         W = weight_polytope(F)
-        to_apex = _inclusion_matrix(W.basis, apex.basis)
+        assert (zmap.matrix, zmap.offset) == (tuple(map(tuple, W.zeta[0])), tuple(W.zeta[1]))
         cols = list(zip(*W.basis))
-        assert to_apex == [solve_linear(cols, row) for row in apex.basis]
+        assert W.to_apex == [solve_linear(cols, row) for row in apex.basis]
         # each element's own point and indicator, a wrong indicator, and
         # the point moved by 1 in each coordinate
         for i, a in enumerate(L.elements):
@@ -331,36 +343,80 @@ def test_integer_certificate_matches_fraction_oracle(P):
             cases = [(q, indicators[i]), (q, indicators[i - 1])]
             cases += [(bump(q, j), indicators[i]) for j in range(len(q))]
             for point, x in cases:
-                assert (_pulls_back(to_apex, zeta, point, x)
-                        == oracle_pulls_back(zmap, to_apex, point, x))
+                assert (_pulls_back(W.to_apex, W.zeta, point, x)
+                        == oracle_pulls_back(zmap, W.to_apex, point, x))
+        # what the pullback implies for each distinguished face: its members
+        # are its vertices, and it has dimension |P|
         for d in distinguished_faces(W):
-            hull = LatticePolytope([W.points[a] for a in d.elements], 1)
-            assert d.polytope.vertices == hull.vertices
-            assert d.polytope.hyperplanes == hull.hyperplanes
+            face = face_hull(W, d)
+            assert len(face.vertices) == len(d.elements)
+            assert face.dim == P.size
+
+
+def with_basis(monkeypatch, F, rows):
+    """Make weight_polytope read rows as F's span basis; every other face,
+    the apex among them, keeps its own."""
+    monkeypatch.setattr(weightpoly, "span_of_face",
+                        lambda G: rows if G == F else span_of_face(G))
 
 
 @pytest.mark.parametrize("L", [B3, GRIDL])
-def test_certificate_rejects_a_moved_point(L):
-    # each element's point moved by 1 in one coordinate, taken in turn: off
-    # the apex the pullback check fails; on the apex, where W is the apex
-    # polytope, zeta itself no longer exists or spans its lattice
+def test_certificate_rejects_a_moved_point(L, monkeypatch):
+    # each element's point moved by 1 in one coordinate, taken in turn, is
+    # off the apex image of its indicator under W's own maps. Handed the
+    # basis that moves it, weight_polytope fits its maps to the moved
+    # points: it rejects them, or the oracle finds that the moved polytope
+    # has every property the certificate claims
+    rejected = 0
     for F in enumerate_faces(cone_K(L)):
         W = weight_polytope(F)
-        for k, a in enumerate(L.elements):
-            moved = bump(W.points[a], k % len(W.points[a]))
-            with pytest.raises(AssertionError,
-                               match=None if F.is_apex else "outside the apex image"):
-                distinguished_faces(WeightPolytope(F, W.basis, {**W.points, a: moved},
-                                                   W.polytope))
+        for k, (a, m) in enumerate(zip(L.elements, L.masks)):
+            i = k % len(W.basis)
+            x = [m >> j & 1 for j in range(L.poset_P.size)]
+            assert _pulls_back(W.to_apex, W.zeta, W.points[a], x)
+            assert not _pulls_back(W.to_apex, W.zeta, bump(W.points[a], i), x)
+            rows = [list(row) for row in W.basis]
+            rows[i][k] += 1
+            with_basis(monkeypatch, F, rows)
+            try:
+                moved = hull(weight_polytope(F))
+            except AssertionError:
+                rejected += 1
+                continue
+            assert len(moved.vertices) == len(lattice_points(moved)) == L.size
+            assert moved.dim == F.dim - 1
+    assert rejected > 0
 
 
-@pytest.mark.parametrize("face, calls", [
-    ("apex", 1),
-    ("full", 2),
-    ('[["{p,q}","{p,r}"]]', 2),
-])
-def test_weightpoly_runs_the_facet_kernel_on_w_and_the_apex(face, calls, capsys, monkeypatch):
-    # the distinguished faces take their vertices without a hull
+@pytest.mark.parametrize("L", [B3, GRIDL, grassmann_lattice(2, 5), flag_lattice(4)])
+def test_certificate_rejects_a_doubled_basis_row(L, monkeypatch):
+    # a doubled row leaves the basis unsaturated. Off the apex the apex
+    # span's basis is then no integer combination of it, and the
+    # certificate fails. On the apex zeta is fitted to W's own points, and
+    # the doubled polytope is again an integral image of O(P): it passes,
+    # and the oracle finds no integer point but its |L| points. With every
+    # row doubled the apex polytope is twice one, its edge midpoints are
+    # integer points, and zeta's lattice check fails
+    for F in enumerate_faces(cone_K(L)):
+        basis = span_of_face(F)
+        for i in range(len(basis)):
+            with_basis(monkeypatch, F, [[2 * x for x in row] if k == i else row
+                                        for k, row in enumerate(basis)])
+            if F.is_apex:
+                assert len(lattice_points(hull(weight_polytope(F)))) == L.size
+            else:
+                with pytest.raises(AssertionError, match="not integral"):
+                    weight_polytope(F)
+        if F.is_apex:
+            with_basis(monkeypatch, F, [[2 * x for x in row] for row in basis])
+            with pytest.raises(AssertionError, match="apex lattice"):
+                weight_polytope(F)
+
+
+@pytest.mark.parametrize("face", ["apex", "full", '[["{p,q}","{p,r}"]]'])
+def test_weightpoly_runs_no_facet_kernel(face, capsys, monkeypatch):
+    # the apex pullback certifies the weight polytope and its distinguished
+    # faces with no hull
     found = []
     kernel = exactgeom.facet_hyperplanes
 
@@ -371,7 +427,7 @@ def test_weightpoly_runs_the_facet_kernel_on_w_and_the_apex(face, calls, capsys,
     monkeypatch.setattr(exactgeom, "facet_hyperplanes", counting)
     assert main(["weightpoly", "--boolean", "3", "--face", face]) == 0
     capsys.readouterr()
-    assert len(found) == calls
+    assert found == []
 
 
 # -- normality_probe ---------------------------------------------------------
@@ -403,7 +459,7 @@ def test_probe_detects_nonnormal_simplex():
 def test_probe_weight_polytopes(L):
     outcomes = {}
     for F in enumerate_faces(cone_K(L)):
-        outcomes[F.key()] = normality_probe(weight_polytope(F).polytope, 3)
+        outcomes[F.key()] = normality_probe(hull(weight_polytope(F)), 3)
     assert set(outcomes.values()) == {None}
 
 
@@ -426,5 +482,5 @@ def test_weight_polytopes_equal_on_their_face():
     W = weight_polytope(full)
     again = weight_polytope(face_of(cone_K(B3), [0, 1, 1, 1, 4, 4, 4, 9], 1))
     assert again == W and hash(again) == hash(W)
-    assert WeightPolytope(full, (), {}, W.polytope) == W
+    assert WeightPolytope(full, (), {}, W.zeta, W.to_apex) == W
     assert weight_polytope(apex) != W
