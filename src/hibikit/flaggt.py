@@ -5,9 +5,9 @@ Flag lattice elements (lattice.flag_lattice) are increasing index tuples
 written as digit strings ("13" for a_{1,3}). The triangular poset lives on
 labels "p{r}{s}" for 1 <= r <= s <= n; the two corner cells p11 and pnn
 only appear in the extended ground set that marked polytopes are defined
-on. pbar_labels(n) sorts the cells by (r, s), so the corners are its first
-and last cells, and cell j of the triangular poset gt_poset(n) is cell
-j + 1 of Pbar.
+on. Pbar sorts the cells by (r, s), so the corners are its first and
+last cells, and cell j of the triangular poset gt_poset(n) is cell j + 1
+of Pbar.
 
 Every computation holds one point format: a point of R^{Pbar}, or of any
 marked poset's ground set, is an int tuple over the base poset's element
@@ -19,10 +19,11 @@ GelfandTsetlin, and hands it to every step it runs.
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
-the vertex search and the sections of a subdivision. A GTVertex keeps its
-scaled integer point and decomposition, and each section's polytope its
-scaled integer points over den = n - 1; they are divided by n - 1 only
-when written out.
+the vertex search and the sections of a subdivision. The census reads
+each chain's section off its H-description and enumerates no vertices. A
+GTVertex keeps its scaled integer point and decomposition, and each
+section's polytope its scaled integer points over den = n - 1; they are
+divided by n - 1 only when written out.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from typing import NamedTuple, Optional, Sequence
 
 from .cone import Face
 from .errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
-from .exactgeom import LatticePolytope, same_lattice
+from .exactgeom import LatticePolytope
 from .lattice import Lattice, _label_of
-from .poset import Poset, _bits, chain, ideal_masks, linear_extensions
+from .poset import Poset, _bits, ideal_masks, linear_extensions
 from .subdivision import face_subdivision
 
 MAX_GT_RANK = 5
@@ -47,13 +48,9 @@ def _cell(r: int, s: int) -> str:
     return f"p{r}{s}"
 
 
-def pbar_labels(n: int) -> list[str]:
-    return [_cell(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
-
-
 def _triangle(n: int, corners: bool) -> Poset:
-    """The cells p_{r,s}, 1 <= r <= s <= n, in the order of pbar_labels and
-    ordered componentwise, which is already transitive; the two corners p11
+    """The cells p_{r,s}, 1 <= r <= s <= n, sorted by (r, s) and ordered
+    componentwise, which is already transitive; the two corners p11
     and pnn only when `corners` is set."""
     if n < 2:
         raise BadParams("need n >= 2")
@@ -412,79 +409,37 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
 # -- component shapes --------------------------------------------------------
 
 
-def _shape_and_image(gt: GelfandTsetlin, ext: tuple[int, ...]
-                     ) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """component_shape's block sizes, with the image of its section's
-    vertices under the difference map, on the (n-1)-scaled lattice.
-
-    The section's vertices are its candidates, with no anchoring test: each
-    free cell lies between two diagonal markers whose markings differ by 1,
-    so it takes one of them and is tight to it. The certificate does not
-    rest on that argument. The candidates are points of the section that
-    include all its vertices, so the section is their hull, and the
-    difference map is injective and unimodular. So when the images are
-    exactly the product's vertices, the section maps onto the product and
-    every candidate is a vertex; a candidate that is not a vertex would map
-    to a point of the product that is not a vertex, and
-    `set(image) == product_vertices` would fail."""
-    n = gt.n
-    total = [_cell(1, 1), *(gt.poset.elements[j] for j in ext), _cell(n, n)]
-    position = {p: i for i, p in enumerate(total)}
-    blocks = []
-    for k in range(1, n):
-        lo, hi = position[_cell(k, k)], position[_cell(k + 1, k + 1)]
-        assert lo < hi
-        blocks.append(total[lo + 1:hi])
-    shape = tuple(len(b) for b in blocks)
-    assert sum(shape) == n * (n - 1) // 2
-    assert all(d > 0 for d in shape)
-
-    # the section is the marked order polytope of the chain, with its
-    # vertices as value tuples along the chain. The difference map sends x
-    # to x_c - x_d over the steps c, d of each block followed by the next
-    # marker: one row per free cell c, in chain order, and d is the cell
-    # after c
-    mp = MarkedPoset(chain(total), _gt_marking(n, total))
-    vertices = _vertex_candidates(mp, mp.base)
-    rows = mp.free()
-    image = [tuple(v[i] - v[i + 1] for i in rows) for v in vertices]
-    assert len(set(image)) == len(vertices)
-    slots = []
-    offset = 0
-    for d in shape:
-        slots.append(range(offset, offset + d))
-        offset += d
-    product_vertices = set()
-    for choice in itertools.product(*[[None, *s] for s in slots]):
-        z = [0] * offset
-        for j in choice:
-            if j is not None:
-                z[j] = 1
-        product_vertices.add(tuple(z))
-    assert set(image) == product_vertices, "the section must be a product of unit simplices"
-    col = {p: j for j, p in enumerate(p for p in pbar_labels(n) if p[1] != p[2])}
-    B = []
-    for i in rows:
-        row = [0] * len(col)
-        row[col[total[i]]] = 1
-        if total[i + 1] in col:
-            row[col[total[i + 1]]] = -1
-        B.append(row)
-    identity = [[1 if i == j else 0 for j in range(len(B))] for i in range(len(B))]
-    assert same_lattice(B, identity), "difference map must be unimodular"
-    return shape, image
-
-
 def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]:
     """Block sizes of a linearization ext of gt.poset, an index tuple: the
     number of cells strictly between consecutive diagonal markers once the
     corners are added back.
 
-    Verifies that the corresponding section is a product of unit simplices
-    of these dimensions, up to a unimodular change of the (n-1)-scaled
-    lattice. The section's vertices are enumerated on that lattice, where
-    the marking of p_{r,r} is n - r, and compared as integer tuples."""
-    return _shape_and_image(gt, ext)[0]
+    Certifies, from the chain's H-description, that the section of the
+    Gelfand-Tsetlin polytope on the chain p11, ext's cells, pnn is the
+    product of unit simplices of these dimensions, up to a unimodular map
+    of the (n-1)-scaled lattice (Ardila, Bliem & Salazar 2011). The section
+    is the marked order polytope of the chain: x_c >= x_d for each step c,
+    d of the chain, with each marker p_kk fixed to its marking v(p_kk).
+    Give each free cell c the coordinate z_c = x_c - x_d, d the cell after
+    it. The map is unit triangular in chain order, so it is unimodular. In
+    z, the step out of each free cell becomes z_c >= 0, and the step out of
+    marker p_kk becomes the sum of z over block k at most
+    v(p_kk) - v(p_{k+1,k+1}). So the section is the product of the unit
+    simplices of the block sizes when the markers come in chain order with
+    values n - 1, ..., 0, each one below the last, and no block is
+    empty."""
+    n, values, cells = gt.n, gt.marked.values, gt.marked.base.elements
+    # the chain as indices of Pbar: cell j of gt.poset is cell j + 1 of Pbar
+    total = [0, *(j + 1 for j in ext), len(values) - 1]
+    markers = [i for i, c in enumerate(total) if values[c] is not None]
+    assert [cells[total[i]] for i in markers] == [_cell(k, k) for k in range(1, n + 1)], \
+        "the markers must come in chain order"
+    marks = [values[total[i]] for i in markers]
+    assert marks[0] == n - 1 and all(a - b == 1 for a, b in zip(marks, marks[1:])), \
+        "each marker value must be one below the last"
+    shape = tuple(b - a - 1 for a, b in zip(markers, markers[1:]))
+    assert all(shape), "every block must be nonempty"
+    return shape
 
 
 def shape_census(gt: GelfandTsetlin) -> dict[str, int]:

@@ -3,11 +3,18 @@
 A lattice is stored as the poset poset_P of its join-irreducible elements
 and, per element a, the bitmask of its order ideal iota(a) of poset_P, bit j
 for poset_P.elements[j]. Join and meet are OR and AND of the masks, and
-a <= b is mask containment. birkhoff reads the masks straight off the
-ideals of a poset. from_ops, whose operations are not set operations, goes
-through one validator that checks every lattice axiom and the Birkhoff
-invariants on n×n tables before it reads the masks off them; from_tables
-validates a text file's tables so, then relabels through birkhoff.
+a <= b is mask containment.
+
+Every constructor ends in a family of sets closed under union and
+intersection, which is a distributive lattice (Birkhoff 1937). birkhoff
+reads the masks straight off the ideals of a poset. The builtin Grassmann
+and flag lattices encode each index a_i as the bits v < a_i of block i,
+so componentwise max and min are OR and AND, and _ring_of_sets checks the
+closure and reads poset_P off the sets. Join/meet tables, which come from
+outside, run every lattice axiom and both distributive laws first
+(_assemble); the sets of irreducibles below each element then carry the
+tables' join and meet to OR and AND. from_tables relabels the result
+through birkhoff.
 
 The builtin Grassmann and flag families label their elements by index
 tuples written as digit strings ("13" for {1, 3}), so n is capped at 9.
@@ -24,6 +31,7 @@ from .poset import (
     _bits,
     check_labels,
     ideal_masks,
+    ideal_set,
     linear_extensions,
     parse_poset,
 )
@@ -130,14 +138,17 @@ class DiamondPair(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# the shared validator
+# rings of sets, and the validator of join/meet tables
 
 
 def _assemble(elements: Sequence[str],
               join_idx: list[list[int]],
               meet_idx: list[list[int]]) -> Lattice:
-    """Validate tables, compute join-irreducibles, poset_P, and the ideal
-    masks.
+    """Validate join/meet tables from outside, then build their lattice
+    through _ring_of_sets: every lattice axiom and both distributive laws
+    are checked on the tables; each element then gets the set of
+    irreducibles below it, and the tables' join and meet must be OR and AND
+    on those sets.
 
     Raises NotALattice / NotDistributive with details on any violation.
     """
@@ -179,48 +190,62 @@ def _assemble(elements: Sequence[str],
                         f"({elements[i]}, {elements[j]}, {elements[k]})",
                         witness=(elements[i], elements[j], elements[k]))
 
+    # the irreducibles are the elements other than the bottom that are not
+    # the join of the elements strictly below them
     leq = [[join_idx[i][j] == j for j in rng] for i in rng]
-    less = [[leq[i][j] and i != j for j in rng] for i in rng]
-
-    def is_cover(i, j):
-        return less[i][j] and not any(less[i][k] and less[k][j] for k in rng)
-
+    bottom = 0
+    for i in rng:
+        bottom = meet_idx[bottom][i]
     irreducibles = []
     for j in rng:
-        covered = [i for i in rng if is_cover(i, j)]
-        if len(covered) == 1:
+        below = bottom
+        for i in rng:
+            if leq[i][j] and i != j:
+                below = join_idx[below][i]
+        if below != j:
             irreducibles.append(j)
-
-    poset_P = Poset(tuple(elements[j] for j in irreducibles), tuple(
-        sum(1 << s for s, i in enumerate(irreducibles) if less[i][j]) for j in irreducibles))
-    masks = [sum(1 << t for t, i in enumerate(irreducibles) if leq[i][j]) for j in rng]
-
-    # Birkhoff invariants: iota is a bijection onto the ideals of poset_P,
-    # joins go to unions and meets to intersections
-    images = set(masks)
-    chk(len(images) == n and images == set(ideal_masks(poset_P)),
-        "iota is not a bijection onto the order ideals")
+    sets = [sum(1 << t for t, i in enumerate(irreducibles) if leq[i][j]) for j in rng]
     for i in rng:
         for j in rng:
-            chk(masks[join_idx[i][j]] == masks[i] | masks[j],
+            chk(sets[join_idx[i][j]] == sets[i] | sets[j],
                 "join does not correspond to union of ideals")
-            chk(masks[meet_idx[i][j]] == masks[i] & masks[j],
+            chk(sets[meet_idx[i][j]] == sets[i] & sets[j],
                 "meet does not correspond to intersection of ideals")
-    # every element is the join of the irreducibles below it
-    for j in rng:
-        acc = None
-        for i in irreducibles:
-            if leq[i][j]:
-                acc = i if acc is None else join_idx[acc][i]
-        if acc is None:
-            acc = next(i for i in rng if all(leq[i][k] for k in rng))
-        chk(acc == j, f"{elements[j]} is not the join of its irreducibles")
-    # graded structure: |iota(a)| is the height of a, lattice height |P|+1
-    for i in rng:
-        for j in rng:
-            if is_cover(i, j):
-                chk(masks[j].bit_count() == masks[i].bit_count() + 1,
-                    "cover steps must raise height by exactly one")
+    return _ring_of_sets(elements, sets)
+
+
+def _ring_of_sets(elements: Sequence[str], sets: Sequence[int]) -> Lattice:
+    """The lattice of distinct bit sets closed under OR and AND, one per
+    element, with join OR and meet AND. A family of sets closed under union
+    and intersection is a distributive lattice (Birkhoff 1937), so closure
+    is the one check.
+
+    Its join-irreducibles are the sets that differ from the union of the
+    bottom and the sets strictly inside them. poset_P lists them in element
+    order, ordered by inclusion, and each element's mask holds the
+    irreducibles inside it: the isomorphism onto the order ideals of
+    poset_P."""
+    at = {x: k for k, x in enumerate(sets)}
+    if len(at) != len(sets) or any(x | y not in at or x & y not in at
+                                   for x, y in combinations(sets, 2)):
+        raise AssertionError("the sets are not distinct and closed under union and intersection")
+    bottom = sets[0]
+    for x in sets:
+        bottom &= x
+    irreducibles = []
+    for k, x in enumerate(sets):
+        inner = bottom
+        for y in sets:
+            if y != x and not y & ~x:
+                inner |= y
+        if inner != x:
+            irreducibles.append(k)
+    irr = [sets[k] for k in irreducibles]
+    poset_P = Poset(tuple(elements[k] for k in irreducibles), tuple(
+        sum(1 << s for s, y in enumerate(irr) if y != x and not y & ~x) for x in irr))
+    masks = [sum(1 << t for t, y in enumerate(irr) if not y & ~x) for x in sets]
+    if set(masks) != ideal_set(poset_P):
+        raise AssertionError("the masks are not the order ideals of the irreducibles")
     return Lattice(elements, poset_P, masks)
 
 
@@ -300,10 +325,6 @@ def from_tables(elements: Sequence[str],
     return birkhoff(raw.poset_P)
 
 
-def _tuple_of(label: str) -> tuple[int, ...]:
-    return tuple(int(c) for c in label)
-
-
 def _label_of(indices: Sequence[int]) -> str:
     return "".join(str(i) for i in indices)
 
@@ -314,45 +335,37 @@ def _check_single_digits(n: int):
                         "of its indices 1..n as one digit")
 
 
+def _index_lattice(tuples: Sequence[tuple[int, ...]], n: int, blocks: int) -> Lattice:
+    """The lattice of increasing tuples of indices 1..n, each read as the
+    bit set that holds, in block i of n + 1 bits, the bits v < a_i. OR and
+    AND are componentwise max and min. A tuple shorter than `blocks` fills
+    every block past its length, as if its missing indices were n + 1."""
+    width = n + 1
+    sets = [sum(((1 << a) - 1) << width * i
+                for i, a in enumerate(t + (width,) * (blocks - len(t))))
+            for t in tuples]
+    return _ring_of_sets([_label_of(t) for t in tuples], sets)
+
+
 def grassmann_lattice(k: int, n: int) -> Lattice:
     """All k-element index sets with componentwise min/max as meet/join."""
     if not 1 <= k <= n - 1:
         raise BadParams("need 1 <= k <= n-1")
     _check_single_digits(n)
-    elements = [_label_of(c) for c in combinations(range(1, n + 1), k)]
-
-    def meet(a, b):
-        return _label_of(min(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
-
-    def join(a, b):
-        return _label_of(max(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
-
-    return from_ops(elements, join, meet)
+    return _index_lattice(list(combinations(range(1, n + 1), k)), n, k)
 
 
 def flag_lattice(n: int) -> Lattice:
-    """Index tuples of every length 1..n-1; the shorter tuple wins the join."""
+    """Index tuples of every length 1..n-1, shortest first. The join is the
+    componentwise max, so the shorter tuple wins its length; the meet is
+    the componentwise min, followed by the longer tuple's tail. Filled
+    blocks give both: OR keeps the shorter length and AND the longer
+    tail."""
     if n < 2:
         raise BadParams("need n >= 2")
     _check_single_digits(n)
-    elements = [
-        _label_of(c)
-        for k in range(1, n)
-        for c in combinations(range(1, n + 1), k)
-    ]
-
-    def meet(a, b):
-        s, t = _tuple_of(a), _tuple_of(b)
-        if len(s) < len(t):
-            s, t = t, s
-        return _label_of(
-            [min(x, y) for x, y in zip(s, t)] + list(s[len(t):]))
-
-    def join(a, b):
-        s, t = _tuple_of(a), _tuple_of(b)
-        return _label_of(max(x, y) for x, y in zip(s, t))
-
-    return from_ops(sorted(elements, key=lambda s: (len(s), s)), join, meet)
+    return _index_lattice([c for k in range(1, n) for c in combinations(range(1, n + 1), k)],
+                          n, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -142,10 +142,6 @@ def antichain(labels: list[str]) -> Poset:
     return from_cover_relations(labels, [])
 
 
-def chain(labels: list[str]) -> Poset:
-    return from_cover_relations(labels, list(zip(labels, labels[1:])))
-
-
 def linear_extensions(P: Poset) -> Iterator[tuple[int, ...]]:
     """All linearizations, lazily, each as the tuple of P's element indices
     in its order, the tuples in lexicographic order."""

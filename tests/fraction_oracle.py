@@ -64,9 +64,13 @@ gt_patterns and component_image are the Gelfand-Tsetlin pattern search and
 the component shape check that flaggt ran in Fraction arithmetic before it
 moved them to the (n-1)-scaled integer lattice: the patterns are the
 Fraction points themselves, and each section is a marked order polytope of
-its chain mapped by a Fraction AffineMap. gt_subdivision is the section
-search that flaggt ran on the Fraction marking, with one Fraction marked
-order polytope per part and the full dimension read off gt_polytope.
+its chain mapped by a Fraction AffineMap. component_image enumerates the
+section's vertices, which flaggt.component_shape no longer does: it reads
+the product of simplices off the chain's H-description. pbar_labels lists
+the cells of Pbar, corners included, in flaggt's order. gt_subdivision is
+the section search that flaggt ran on the Fraction marking, with one
+Fraction marked order polytope per part and the full dimension read off
+gt_polytope.
 
 regular_subdivision is the subdivision that hibikit ran in Fraction
 arithmetic before it scaled the weight to integers: one AffineMap per
@@ -107,7 +111,7 @@ from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
 from hibikit.exactgeom import integer_kernel, same_lattice
 from hibikit.errors import NotStronger, TooLarge
-from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso, pbar_labels
+from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, is_stronger, linear_extensions
 from hibikit.subdivision import face_subdivision
@@ -804,6 +808,11 @@ def gt_polytope(n: int) -> LatticePolytope:
     return marked_order_polytope(mp, mp.base)
 
 
+def pbar_labels(n: int) -> list[str]:
+    """The cells p_{r,s}, 1 <= r <= s <= n, sorted by (r, s)."""
+    return [_cell(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
+
+
 def _ptilde_labels(n: int) -> list[str]:
     return [c for c in pbar_labels(n) if c not in (_cell(1, 1), _cell(n, n))]
 
@@ -921,8 +930,9 @@ def gt_patterns(n: int) -> list[tuple[Vec, tuple[str, ...]]]:
 
 def component_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[Vec]]:
     """Block sizes of a linearization and the image of its section's
-    vertices under the difference map, checked as component_shape checks
-    them."""
+    vertices under the difference map, checked to be the vertices of the
+    product of unit simplices of the blocks, as component_shape checked
+    them before it read the product off the chain's H-description."""
     size = ext.poset.size
     n = next(m for m in range(2, 20) if m * (m + 1) // 2 - 2 == size)
     total = [_cell(1, 1), *ext.order, _cell(n, n)]

@@ -21,15 +21,28 @@ before they read a part's vertices off ideal_masks of its order; and
 pairwise_adjacency is the scan of all pairs of extensions, cross-checking
 three characterizations of adjacency, that adjacency_graph ran before it
 built its edges from adjacent swaps.
+
+chain is the total order on a label list, which poset built until its last
+caller in the package, the Gelfand-Tsetlin census, moved to the chain's
+H-description. grassmann_by_ops and flag_by_ops are the builtin Grassmann
+and flag lattices as lattice.grassmann_lattice and lattice.flag_lattice
+built them before they read their elements as rings of sets: string join
+and meet closures on the digit labels, validated by from_ops on the full
+n×n tables.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
-from hibikit.lattice import DiamondPair, diamond_pairs
-from hibikit.poset import Poset, _bits, ideal_masks, linear_extensions
+from hibikit.lattice import DiamondPair, diamond_pairs, from_ops
+from hibikit.poset import Poset, _bits, from_cover_relations, ideal_masks, linear_extensions
 from hibikit.subdivision import AdjacencyGraph
+
+
+def chain(labels: list[str]) -> Poset:
+    """The total order labels[0] < labels[1] < ..."""
+    return from_cover_relations(labels, list(zip(labels, labels[1:])))
 
 
 def order_ideals(P: Poset) -> list[frozenset[str]]:
@@ -239,3 +252,45 @@ def pairwise_adjacency(L) -> AdjacencyGraph:
                 edges.append((i, j))
                 edge_pairs.append(pair_index[diff])
     return AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
+
+
+# -- the builtin lattices on their join/meet tables ---------------------------
+
+
+def _tuple_of(label: str) -> tuple[int, ...]:
+    return tuple(int(c) for c in label)
+
+
+def _label_of(indices) -> str:
+    return "".join(str(i) for i in indices)
+
+
+def grassmann_by_ops(k: int, n: int):
+    """All k-element index sets with componentwise min/max as meet/join."""
+    elements = [_label_of(c) for c in itertools.combinations(range(1, n + 1), k)]
+
+    def meet(a, b):
+        return _label_of(min(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
+
+    def join(a, b):
+        return _label_of(max(x, y) for x, y in zip(_tuple_of(a), _tuple_of(b)))
+
+    return from_ops(elements, join, meet)
+
+
+def flag_by_ops(n: int):
+    """Index tuples of every length 1..n-1; the shorter tuple wins the join."""
+    elements = [_label_of(c) for k in range(1, n)
+                for c in itertools.combinations(range(1, n + 1), k)]
+
+    def meet(a, b):
+        s, t = _tuple_of(a), _tuple_of(b)
+        if len(s) < len(t):
+            s, t = t, s
+        return _label_of([min(x, y) for x, y in zip(s, t)] + list(s[len(t):]))
+
+    def join(a, b):
+        s, t = _tuple_of(a), _tuple_of(b)
+        return _label_of(max(x, y) for x, y in zip(s, t))
+
+    return from_ops(sorted(elements, key=lambda s: (len(s), s)), join, meet)

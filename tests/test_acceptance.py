@@ -11,14 +11,13 @@ import time
 from fractions import Fraction
 
 from fraction_oracle import (AffineMap, indicator, invert_affine, is_full, lattice_points,
-                             part_value)
+                             part_value, pbar_labels)
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
 from hibikit.exactgeom import LatticePolytope
-from hibikit.flaggt import (GelfandTsetlin, gt_poset_iso, gt_subdivision, gt_vertices,
-                            pbar_labels)
+from hibikit.flaggt import GelfandTsetlin, gt_poset_iso, gt_subdivision, gt_vertices
 from hibikit.hibi import degeneration_certificate
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain

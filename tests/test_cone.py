@@ -26,7 +26,8 @@ from hibikit.cone import (
 from hibikit.errors import BadParams, NotInCone, TooLarge
 from hibikit.exactgeom import rank, same_lattice
 from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
-from hibikit.poset import antichain, chain, check_labels, from_cover_relations
+from hibikit.poset import antichain, check_labels, from_cover_relations
+from order_oracle import chain
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]

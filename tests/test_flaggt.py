@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import vadd, vec_over_den, vscale, zero_vec
+from fraction_oracle import pbar_labels, vadd, vec_over_den, vscale, zero_vec
 from hibikit import flaggt, lattice
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
@@ -24,7 +24,6 @@ from hibikit.flaggt import (
     _gt_marking,
     _is_vertex,
     _marked_vertices,
-    _shape_and_image,
     component_shape,
     flag_point,
     gt_marked_poset,
@@ -34,13 +33,12 @@ from hibikit.flaggt import (
     gt_subdivision,
     gt_vertices,
     mu_k_marked_poset,
-    pbar_labels,
     shape_census,
 )
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
-from hibikit.poset import Poset, antichain, chain, from_cover_relations, linear_extensions
+from hibikit.poset import Poset, antichain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision, regular_subdivision
-from order_oracle import label_extension, order_ideals
+from order_oracle import chain, label_extension, order_ideals
 
 
 def full_face(L):
@@ -719,50 +717,61 @@ ORACLE_CASES = _oracle_linearizations()
 @pytest.mark.parametrize("n, ext", ORACLE_CASES,
                          ids=[f"n{n}-{i}" for i, (n, _) in enumerate(ORACLE_CASES)])
 def test_component_shape_matches_fraction_oracle(n, ext):
-    # same blocks, and the same difference image of the section's vertices
+    # the oracle enumerates the section's vertices in Fraction and checks
+    # that their difference image is the product of simplices of its blocks
     gt = GelfandTsetlin(n)
-    shape, image = _shape_and_image(gt, ext)
-    want_shape, want_image = oracle.component_image(label_extension(gt.poset, ext))
-    assert shape == component_shape(gt, ext) == want_shape
-    assert all(type(x) is int for z in image for x in z)
-    assert sorted(image) == sorted(want_image)
+    want_shape, _ = oracle.component_image(label_extension(gt.poset, ext))
+    assert component_shape(gt, ext) == want_shape
 
 
 def test_census_takes_no_anchoring_test(monkeypatch, capsys):
-    # on a census chain every candidate is a vertex, and the product check
-    # certifies that; the census used to run _is_vertex on all of them
-    def no_anchoring(*args):
-        raise RuntimeError("the census ran the anchoring test")
+    # the census reads each section off its chain's H-description, so it
+    # calls neither the anchoring test nor the vertex search; it used to run
+    # the search on every chain and, before that, _is_vertex on every point
+    def forbidden(*args):
+        raise RuntimeError("the census enumerated vertices")
 
-    monkeypatch.setattr(flaggt, "_is_vertex", no_anchoring)
+    monkeypatch.setattr(flaggt, "_is_vertex", forbidden)
+    monkeypatch.setattr(flaggt, "_vertex_candidates", forbidden)
     assert main(["gt", "--n", "4", "census"]) == 0
     assert json.loads(capsys.readouterr().out)["component_count"] == 12
 
 
-def test_census_certificate_rejects_a_non_vertex_candidate(monkeypatch):
-    # a candidate that is not a vertex, here the midpoint of two vertices,
-    # maps off the product's vertices and fails the product check
-    search = flaggt._vertex_candidates
-
-    def with_midpoint(mp, order):
-        points = search(mp, order)
-        return points + [tuple(Fraction(x + y, 2) for x, y in zip(points[0], points[-1]))]
-
-    monkeypatch.setattr(flaggt, "_vertex_candidates", with_midpoint)
-    for n in (3, 4):
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_census_rejects_a_marker_value_off_by_one(n):
+    # with one inner diagonal value lowered, a marker step is 2 and the
+    # next is 0: the section is no longer a product of unit simplices
+    for r in range(2, n):
         gt = GelfandTsetlin(n)
+        values = list(gt.marked.values)
+        values[gt.marked.base.index(f"p{r}{r}")] -= 1
+        gt.marked = MarkedPoset(gt.marked.base, tuple(values))
         for ext in linear_extensions(gt.poset):
-            with pytest.raises(AssertionError, match="product of unit simplices"):
-                _shape_and_image(gt, ext)
+            with pytest.raises(AssertionError, match="one below the last"):
+                component_shape(gt, ext)
 
 
-@pytest.mark.parametrize("action, orders", [("census", 12), ("vertices", 1)])
+@pytest.mark.parametrize("n", [4, 5])
+def test_census_rejects_two_diagonal_markers_swapped(n):
+    # swapping p_{r,r} and p_{r+1,r+1} in a linearization puts the markers
+    # out of chain order
+    gt = GelfandTsetlin(n)
+    for r in range(2, n - 1):
+        a, b = gt.poset.index(f"p{r}{r}"), gt.poset.index(f"p{r + 1}{r + 1}")
+        for ext in linear_extensions(gt.poset):
+            swapped = tuple(b if j == a else a if j == b else j for j in ext)
+            with pytest.raises(AssertionError, match="chain order"):
+                component_shape(gt, swapped)
+
+
+@pytest.mark.parametrize("action, orders", [("census", 0), ("vertices", 1)])
 def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
-    # Poset keeps its cover scan. The census reads the covers of each of
-    # the 12 chains its sections are marked on; the vertex search reads
-    # those of the one base order, which the patterns and the levels share.
-    # Each read used to rescan: 406 and 118 scans per job. The counted
-    # posets are kept, so a freed poset's id cannot be reused by the next.
+    # Poset keeps its cover scan. The census builds no poset on its chains
+    # and reads no covers (it read those of each of its 12 chains); the
+    # vertex search reads those of the one base order, which the patterns
+    # and the levels share. Each read used to rescan: 406 and 118 scans per
+    # job. The counted posets are kept, so a freed poset's id cannot be
+    # reused by the next.
     scans, counted = {}, []
     scan = Poset._scan_covers
 
@@ -781,11 +790,25 @@ def test_gt_subdivide_builds_the_flag_lattice_once(monkeypatch, capsys):
     # the CLI's lattice serves cone_K, the foreign-lattice check and the
     # poset isomorphism; it used to be built three times per job
     built = []
-    assemble = lattice._assemble
-    monkeypatch.setattr(lattice, "_assemble", lambda *args: built.append(1) or assemble(*args))
+    ring = lattice._ring_of_sets
+    monkeypatch.setattr(lattice, "_ring_of_sets", lambda *args: built.append(1) or ring(*args))
     assert main(["gt", "--n", "3", "subdivide"]) == 0
     capsys.readouterr()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv", [["gt", "--n", "3"], ["cone", "--grassmann", "2", "5"],
+                                  ["certify", "--flag", "3", "--lmax", "2"]],
+                         ids=["gt", "cone --grassmann", "certify --flag"])
+def test_builtin_lattices_take_no_table_validation(argv, monkeypatch, capsys):
+    # the builtins are rings of sets; only join/meet tables from a file
+    # run the table validator
+    def forbidden(*args):
+        raise RuntimeError("a builtin lattice reached the table validator")
+
+    monkeypatch.setattr(lattice, "_assemble", forbidden)
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [["gt", "--n", "4", "vertices"], ["gt", "--n", "3"]],

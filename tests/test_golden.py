@@ -47,6 +47,11 @@ GOLDEN = [
     # recorded with the scan of all 2^19 subsets for the order ideals
     ("lattice --flag 6",
      "8cb4e540fd49e4adc939e7f0436c3f9f9655113a005578552680d4148357c5e0", 0),
+    # recorded with the builtins validated on their n×n join/meet tables
+    ("lattice --grassmann 3 6",
+     "4b5aaeb0edc325be7e9dbf5a27669c7b7ef5d6e74fa61de9eb14c4fc1ca98880", 0),
+    ("lattice --grassmann 4 8",
+     "2ebcba3d2b748e3361d8ac735800569a15307984fea9a4c0681c64d0d7eaaa68", 0),
     ("cone --boolean 3",
      "9b2b4f8d04f9bdfec538f373971d5f8d5bce42aace48217fad40ff88a1e54ad4", 0),
     ("subdivide --boolean 3 --face full --check 3 --seed 1",

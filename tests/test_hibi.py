@@ -46,9 +46,9 @@ from hibikit.hibi import (
     standard_monomial_count,
 )
 from hibikit.lattice import birkhoff, flag_lattice, grassmann_lattice
-from hibikit.poset import antichain, chain, from_cover_relations
+from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
-from order_oracle import incomparable, label_extensions
+from order_oracle import chain, incomparable, label_extensions
 
 ROOT = Path(__file__).resolve().parent.parent
 

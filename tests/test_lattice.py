@@ -12,22 +12,25 @@ from hibi_oracle import maximal_chains, sublattice_for_order
 from hibikit.errors import NotALattice, NotDistributive, NotStronger, UnknownLabel
 from hibikit.lattice import (
     DiamondPair,
+    _ring_of_sets,
     birkhoff,
     diamond_pairs,
+    flag_lattice,
     from_ops,
     from_tables,
+    grassmann_lattice,
     ideal_label,
     maximal_chain_count,
     parse_lattice,
 )
 from hibikit.poset import (
     antichain,
-    chain,
     from_cover_relations,
     linear_extensions,
 )
-from order_oracle import (PairPoset, covers, diamond_pairs_by_covers, incomparable, iota,
-                          iota_inv, label_extensions, order_ideals, pairs_of)
+from order_oracle import (PairPoset, chain, covers, diamond_pairs_by_covers, flag_by_ops,
+                          grassmann_by_ops, incomparable, iota, iota_inv, label_extensions,
+                          order_ideals, pairs_of)
 
 
 def random_poset_from_seed(labels, pairs):
@@ -128,6 +131,43 @@ def test_two_subset_lattice_poset_is_grid():
     ends = [b for _, b in covers]
     assert len([x for x in set(starts) if starts.count(x) == 2]) == 1
     assert len([x for x in set(ends) if ends.count(x) == 2]) == 1
+
+
+# -- the builtins as rings of sets ---------------------------------------------
+
+
+BUILTINS = ([(f"Gr({k},{n})", grassmann_lattice, grassmann_by_ops, (k, n))
+             for n in range(2, 9) for k in range(1, n)]
+            + [(f"Flag({n})", flag_lattice, flag_by_ops, (n,)) for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("build, oracle, args", [b[1:] for b in BUILTINS],
+                         ids=[b[0] for b in BUILTINS])
+def test_builtin_matches_its_validated_tables(build, oracle, args):
+    # the ring of sets gives the elements, irreducibles and ideals that the
+    # string join/meet closures give on their fully validated tables
+    L, M = build(*args), oracle(*args)
+    assert L.elements == M.elements
+    assert L.poset_P == M.poset_P
+    assert L.masks == M.masks
+
+
+@pytest.mark.parametrize("L", [grassmann_lattice(2, 4), flag_lattice(3), birkhoff(GRID)],
+                         ids=["Gr(2,4)", "Flag(3)", "grid"])
+def test_ring_of_sets_rejects_a_missing_union(L):
+    # drop each set that is the union of two others: the family is no
+    # longer closed under union
+    sets = L.masks
+    for k, x in enumerate(sets):
+        if any(y | z == x and x not in (y, z) for y, z in itertools.combinations(sets, 2)):
+            rest = [i for i in range(L.size) if i != k]
+            with pytest.raises(AssertionError, match="closed under union"):
+                _ring_of_sets([L.elements[i] for i in rest], [sets[i] for i in rest])
+
+
+def test_ring_of_sets_rejects_a_repeated_set():
+    with pytest.raises(AssertionError, match="distinct"):
+        _ring_of_sets(["a", "b", "c"], [0, 1, 1])
 
 
 # -- from_tables -------------------------------------------------------------

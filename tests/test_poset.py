@@ -15,14 +15,13 @@ from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
 from hibikit.poset import (
     Poset,
     antichain,
-    chain,
     from_cover_relations,
     is_stronger,
     linear_extensions,
     parse_poset,
 )
-from order_oracle import (LinearExtension, PairPoset, closure, down_closed, label_extensions,
-                          order_ideals, pairs_of)
+from order_oracle import (LinearExtension, PairPoset, chain, closure, down_closed,
+                          label_extensions, order_ideals, pairs_of)
 
 
 def brute_extensions(P):

@@ -14,7 +14,7 @@ from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import NotInCone
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
-from hibikit.poset import antichain, chain, from_cover_relations, ideal_masks
+from hibikit.poset import antichain, from_cover_relations, ideal_masks
 from hibikit.subdivision import (
     Part,
     adjacency_graph,
@@ -24,8 +24,8 @@ from hibikit.subdivision import (
     subdivision_invariance_check,
     subdivision_json,
 )
-from order_oracle import (down_closed, iota, iota_inv, label_extension, label_extensions,
-                          order_ideals, pairwise_adjacency)
+from order_oracle import (chain, down_closed, iota, iota_inv, label_extension,
+                          label_extensions, order_ideals, pairwise_adjacency)
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]

@@ -24,7 +24,7 @@ from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
 from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice, ideal_label
-from hibikit.poset import antichain, chain, from_cover_relations
+from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
 from hibikit.weightpoly import (
     WeightPolytope,
@@ -34,7 +34,7 @@ from hibikit.weightpoly import (
     weight_polytope,
     weight_polytope_json,
 )
-from order_oracle import label_extensions, poset_from_pairs
+from order_oracle import chain, label_extensions, poset_from_pairs
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
