@@ -43,7 +43,7 @@ from math import lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .errors import BadParams, CycleError, HibikitError, UnknownLabel
+from .errors import BadParams, CycleError, HibikitError, TooLarge, UnknownLabel
 from .lattice import (Lattice, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice,
                       maximal_chain_count, parse_lattice)
 from .poset import Poset, antichain, check_labels, from_cover_relations
@@ -392,12 +392,14 @@ def _gt_subdivision_payload(gt: GelfandTsetlin, face_spec: str) -> dict:
 
 def cmd_gt(args) -> int:
     from .exactgeom import vector_pairs
-    from .flaggt import MAX_GT_RANK, GelfandTsetlin, gt_vertices, shape_census
+    from .flaggt import MAX_GT_RANK, MAX_SECTION_RANK, GelfandTsetlin, gt_vertices, shape_census
 
     if not 2 <= args.n <= MAX_GT_RANK:
         raise BadParams(f"gt needs 2 <= n <= {MAX_GT_RANK}")
     if args.face is not None and args.action in ("census", "vertices"):
         raise BadParams(f"gt {args.action} takes no --face")
+    if args.action in (None, "subdivide") and args.n > MAX_SECTION_RANK:
+        raise TooLarge(f"gt subdivide is capped at n = {MAX_SECTION_RANK}")
     payload = {"command": "gt", "n": args.n}
     gt = GelfandTsetlin(args.n)
     if args.action in (None, "census"):

@@ -32,10 +32,6 @@ class NotDistributive(HibikitError):
         self.witness = witness
 
 
-class NotStronger(HibikitError):
-    """The given order does not contain the required base order."""
-
-
 class NotInCone(HibikitError):
     """The weight vector violates a diamond pair inequality."""
 

@@ -19,11 +19,17 @@ GelfandTsetlin, and hands it to every step it runs.
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
-the vertex search and the sections of a subdivision. The census reads
-each chain's section off its H-description and enumerates no vertices. A
-GTVertex keeps its scaled integer point and decomposition, and each
-section's polytope its scaled integer points over den = n - 1; they are
-divided by n - 1 only when written out.
+the vertices and the sections of a subdivision. Nothing searches for
+points. The census reads each chain's section off its H-description. The
+patterns are walked off the chains of the flag lattice, each the sum of
+its chain's 0/1 flag points; the vertices are the patterns the tight
+graph anchors, and each section's points are the patterns whose chain
+lies in its part's vertex set. A GTVertex keeps its scaled integer point
+and decomposition, and each section's polytope its scaled integer points
+over den = n - 1; they are divided by n - 1 only when written out.
+
+The census and the vertices run to n = MAX_GT_RANK; the sections, whose
+full face at n = 6 would have 33,592 parts, stop at MAX_SECTION_RANK.
 """
 
 from __future__ import annotations
@@ -32,13 +38,14 @@ import itertools
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import Face
-from .errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
+from .errors import BadParams, TooLarge
 from .exactgeom import LatticePolytope
 from .lattice import Lattice, _label_of
 from .poset import Poset, _bits, ideal_masks, linear_extensions
 from .subdivision import face_subdivision
 
-MAX_GT_RANK = 5
+MAX_GT_RANK = 6
+MAX_SECTION_RANK = 5
 
 
 # -- the triangular poset ----------------------------------------------------
@@ -190,52 +197,6 @@ def _satisfies(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
     return all(point[a] >= point[b] for a, b in order.cover_indices())
 
 
-def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
-    """Every point that fixes the markings, takes a marking value on each
-    free cell, and satisfies x_a >= x_b for each cover a < b of `order`, in
-    a fixed order. `order` lists the base's elements in the base's order.
-
-    Every vertex coordinate propagates from a marked cell through tight
-    inequalities, so this candidate set contains all vertices. The search
-    runs index by index along a linear extension of `order`: a marked index
-    takes its marking, a free index p any marking value between the largest
-    marking above p and the least value of its predecessors.
-    """
-    if order.elements != mp.base.elements:
-        raise GroundSetMismatch("order must list the marked poset's elements in its order")
-    if any(m & ~s for m, s in zip(mp.base.below, order.below)):
-        raise NotStronger("order must refine the marked poset's base order")
-    marking, free = mp.values, mp.free()
-    if len(free) > 13:
-        raise TooLarge("marked polytope enumeration capped at 13 free cells")
-    preds = [[] for _ in marking]
-    for a, b in order.cover_indices():
-        preds[b].append(a)
-    lower = list(marking)  # a marked index is bounded by its own marking
-    for p in free:
-        lower[p] = max(marking[m] for m in mp.marked() if order.below[m] >> p & 1)
-    ext = next(linear_extensions(order))
-    values = sorted({v for v in marking if v is not None}, reverse=True)
-    point = [0] * len(marking)
-    out = []
-
-    def descend(i):
-        if i == len(ext):
-            if len(out) == 500_000:
-                raise TooLarge("marked polytope has too many candidate points")
-            out.append(tuple(point))
-            return
-        p = ext[i]
-        cap = min((point[q] for q in preds[p]), default=values[0])
-        for v in values if marking[p] is None else [marking[p]]:
-            if lower[p] <= v <= cap:
-                point[p] = v
-                descend(i + 1)
-
-    descend(0)
-    return out
-
-
 def _is_vertex(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
     # a point is a vertex iff every free cell reaches a marked cell through
     # the graph of tight cover inequalities
@@ -252,18 +213,6 @@ def _is_vertex(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
             root[find(a)] = find(b)
     anchored = {find(m) for m in mp.marked()}
     return all(find(p) in anchored for p in mp.free())
-
-
-def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
-    """Vertices of the marked order polytope, x_p fixed to the marking on M
-    and x_p >= x_q for p < q in `order`, as value tuples over
-    mp.base.elements: the candidates take marking values only, and a
-    candidate is extreme iff its tight graph anchors every free cell."""
-    points = [point for point in _vertex_candidates(mp, order)
-              if _is_vertex(mp, order, point)]
-    assert points, "a marked polytope always has at least one vertex"
-    assert len(set(points)) == len(points)
-    return points
 
 
 # -- Gelfand-Tsetlin vertices ------------------------------------------------
@@ -290,56 +239,65 @@ def flag_point(gt: GelfandTsetlin, label: str) -> tuple[int, ...]:
 def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     """Every point of the Gelfand-Tsetlin polytope whose coordinates all
     take marking values, with its flag-element chain, on the (n-1)-scaled
-    integer lattice: each point is n - 1 times a point of the polytope.
+    integer lattice, in descending lexicographic order of the points: each
+    point is n - 1 times a point of the polytope.
 
-    The k-th chain entry is read off the superlevel set at k: that ideal's
-    flag element has exactly k indices, and the point is the sum of the 0/1
-    flag points of its chain. Patterns are exactly the chains
-    a_1 > a_2 > ... > a_{n-1} with a_k a k-index element, so there are
-    2^(n(n-1)/2) of them; the polytope's vertices, scaled, are among them.
+    The points are walked off the chains a_1, ..., a_{n-1} of the flag
+    lattice with a_k a k-index element and gt.phi[a_{k+1}] inside
+    gt.phi[a_k]: each point is the sum of its chain's 0/1 flag points
+    (Ardila, Bliem & Salazar 2011). Every sum must fix the marking and
+    satisfy the base covers, the sums must be distinct, and there must be
+    2^(n(n-1)/2) of them.
+
+    Conversely, every marking-valued point x is such a sum. Its superlevel
+    sets L_k = {c : x_c >= k} over the triangle's cells, k = 1, ..., n-1,
+    are nested, L_1 ⊇ ... ⊇ L_{n-1}, and each is an order ideal of the
+    triangle, because x does not increase up the order. The marking fixes
+    each one's diagonal: p_{r,r} lies in L_k iff n - r >= k. phi is a
+    bijection from the flag elements onto the triangle's ideals, and the
+    k-index elements go onto the ideals with that diagonal, so
+    L_k = phi[a_k] for one k-index a_k, and the a_k form a chain. Since x
+    takes the values 0, ..., n-1, it is the sum of the indicators of its
+    superlevel sets, with the corners p11 and pnn at n - 1 and 0.
     """
-    n, mp = gt.n, gt.marked
-    ideal_to_label = {ideal: lbl for lbl, ideal in gt.phi.items()}
-    assert len(ideal_to_label) == len(gt.phi)
-    flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
-    out = []
-    for point in _vertex_candidates(mp, mp.base):
-        chain = []
-        for k in range(1, n):
-            # the superlevel set over the cells of gt.poset, Pbar's inner cells
-            level = sum(1 << j for j, x in enumerate(point[1:-1]) if x >= k)
-            lbl = ideal_to_label.get(level)
-            assert lbl is not None and len(lbl) == k
-            chain.append(lbl)
-        total = tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain))))
-        assert total == point
-        out.append((point, tuple(chain)))
-    assert len(out) == 2 ** (n * (n - 1) // 2)
+    n, mp, phi = gt.n, gt.marked, gt.phi
+    flag_points = {lbl: flag_point(gt, lbl) for lbl in phi}
+    by_size = [[lbl for lbl in phi if len(lbl) == k] for k in range(n)]
+    chains = [(lbl,) for lbl in by_size[1]]
+    for k in range(2, n):
+        chains = [(*chain, lbl) for chain in chains for lbl in by_size[k]
+                  if not phi[lbl] & ~phi[chain[-1]]]
+    out = sorted(((tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain)))), chain)
+                  for chain in chains), reverse=True)
+    assert all(_satisfies(mp, mp.base, point) for point, _ in out), \
+        "each chain must sum to a Gelfand-Tsetlin point"
+    assert all(a[0] != b[0] for a, b in zip(out, out[1:])), "the chain sums must be distinct"
+    assert len(out) == 2 ** (n * (n - 1) // 2), "there must be 2^(n(n-1)/2) chains"
     return out
 
 
 def gt_vertices(gt: GelfandTsetlin) -> list[GTVertex]:
-    """Vertices of the Gelfand-Tsetlin polytope with exact decompositions.
+    """Vertices of the Gelfand-Tsetlin polytope with exact decompositions,
+    on the (n-1)-scaled integer lattice: each vertex keeps its scaled point
+    and the flag points of its chain.
 
-    Vertices are the patterns whose tight-constraint graph anchors every
-    free cell. The search runs on the (n-1)-scaled integer lattice, and
-    each vertex keeps its scaled point and flag points.
+    Every vertex coordinate is tied to a marked cell through tight
+    inequalities, so every vertex is a pattern, and the vertices are the
+    patterns whose tight-constraint graph anchors every free cell. The k-th
+    flag point of a chain is a vertex of the level-k polytope, the marked
+    order polytope of mu_k_marked_poset(gt, k): its 0/1 marking makes that
+    polytope a face of the order polytope O(Pbar), so its vertices are
+    exactly its 0/1 points (Stanley, "Two poset polytopes", 1986), which
+    are the k-index flag points. Each k-index flag point must lie in it.
     """
     mp = gt.marked
     flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
-    xi = {k: set(_marked_vertices(mu_k_marked_poset(gt, k), mp.base))
-          for k in range(1, gt.n)}
     for k in range(1, gt.n):
-        k_points = {flag_points[lbl] for lbl in gt.phi if len(lbl) == k}
-        assert xi[k] == k_points, "level-k vertices must be k-index flag points"
-    out = []
-    for point, chain in gt_patterns(gt):
-        if not _is_vertex(mp, mp.base, point):
-            continue
-        for k, lbl in enumerate(chain, start=1):
-            assert flag_points[lbl] in xi[k]
-        out.append(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain))
-    return out
+        level = mu_k_marked_poset(gt, k)
+        assert all(_satisfies(level, mp.base, flag_points[lbl]) for lbl in gt.phi if len(lbl) == k), \
+            "each k-index flag point must lie in the level-k polytope"
+    return [GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain)
+            for point, chain in gt_patterns(gt) if _is_vertex(mp, mp.base, point)]
 
 
 # -- sections of the ambient subdivision -------------------------------------
@@ -359,50 +317,42 @@ def _extend_to_pbar(base: Poset, order_pt: Poset, at: Sequence[int]) -> Poset:
 def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
     """Parts of the Gelfand-Tsetlin polytope induced by a face of the cone
     of flag = flag_lattice(gt.n): the diagonal-pinned sections of the
-    ambient parts.
+    ambient parts, cut on the (n-1)-scaled integer lattice. Each section's
+    polytope holds its integer vertices over den = n - 1.
 
-    Cross-checked against the subdivision the lifted heights define
-    directly: over every pattern point x, each part's affine map
-    overestimates the lifted height, meets it exactly when x lies in that
-    section, and the minimum over parts always attains it. Since section
-    vertices are pattern points, this pins the same cell structure.
-
-    The sections are cut on the (n-1)-scaled integer lattice, over the
-    patterns of gt_patterns; each section's polytope holds those integer
-    vertices over den = n - 1.
+    A section is the marked order polytope of its part's order, so, as in
+    gt_vertices, its vertices are the patterns inside it whose tight graph
+    under that order anchors every free cell. A pattern lies in the section
+    iff its chain lies in part.vertex_mask: the pattern is the sum of its
+    chain's ideal indicators, so it respects the part order iff each of
+    those ideals is an ideal of the order, and regular_subdivision
+    certified vertex_mask as exactly those elements. The lifted heights
+    need no check: a part's value at a pattern minus the pattern's lift is
+    the sum over its chain of part.values[a_k] - w[a_k], which is at least
+    0, and 0 iff every a_k is a vertex of the part, by the envelope check
+    regular_subdivision ran.
     """
     n, mp = gt.n, gt.marked
+    if n > MAX_SECTION_RANK:
+        raise TooLarge(f"Gelfand-Tsetlin sections are capped at n = {MAX_SECTION_RANK}")
     L = F.cone.lattice
     if L != flag:
         raise ValueError("face must come from the flag lattice's cone")
     iso = gt_poset_iso(gt, flag)
-    sub = face_subdivision(F)
-    # each scaled pattern point with its lifted height times (n-1)·den,
-    # which is the sum of the scaled weight over its chain
-    lifts = {point: sum(sub.scaled[L.index(lbl)] for lbl in chain)
-             for point, chain in gt_patterns(gt)}
     at = [mp.base.index(iso[p]) for p in L.poset_P.elements]  # P's cells in Pbar
-    in_parts = dict.fromkeys(lifts, 0)
+    # each pattern with its chain as a mask over L's element indices
+    patterns = [(point, sum(1 << L.index(lbl) for lbl in chain))
+                for point, chain in gt_patterns(gt)]
     parts = []
-    for part in sub.parts:
+    for part in face_subdivision(F).parts:
         order = _extend_to_pbar(mp.base, part.order, at)
-        vertices = _marked_vertices(mp, order)
-        member_points = set(vertices)
-        assert member_points <= lifts.keys()
-        for point, lifted in lifts.items():
-            value = part.const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))
-            assert value >= lifted, "part maps must overestimate the lift"
-            inside = _satisfies(mp, order, point)
-            assert (value == lifted) == inside
-            if inside:
-                in_parts[point] += 1
-            assert (inside and _is_vertex(mp, order, point)) == (
-                point in member_points)
+        vertices = [point for point, chain in patterns
+                    if not chain & ~part.vertex_mask and _is_vertex(mp, order, point)]
+        assert all(_satisfies(mp, order, point) for point in vertices), \
+            "each section vertex must satisfy the part order"
         Q = LatticePolytope(vertices, n - 1, already_extreme=True)
         assert Q.dim == len(mp.free()), "each section must be full-dimensional"
         parts.append((order, Q))
-    assert all(count >= 1 for count in in_parts.values())
-    assert len(parts) == len(sub.parts)
     return parts
 
 

@@ -48,11 +48,16 @@ MarkedPoset, _satisfies, _vertex_candidates, _fillings, _anchored,
 _is_vertex and _marked_vertices are the vertex search that flaggt ran
 before its points became int tuples over the base's element order: a
 marking keyed by label, each candidate a dict from label to value, and
-the order read through its label covers. labelled turns a marked poset of
-flaggt into this form. _phi (each flag element's ideal as a label set),
-_ptilde_labels and flag_point are the ideals flaggt read the patterns off
-before they became bitmasks, and _extend_to_pbar the part orders it closed
-from label pairs before it wrote their masks.
+the order read through its label covers. flaggt later ran the same
+search on int tuples, for the patterns, the level polytopes and every
+section, until it read all of them off the chains of the flag lattice;
+this search is the oracle for those readings. It raises NotStronger, an
+error only the oracles raise, for an order that does not refine the
+base. labelled turns a marked poset of flaggt into this form. _phi (each
+flag element's ideal as a label set), _ptilde_labels and flag_point are
+the ideals flaggt read the patterns off before they became bitmasks, and
+_extend_to_pbar the part orders it closed from label pairs before it
+wrote their masks.
 
 gt_marked_poset is the Gelfand-Tsetlin marking that flaggt used before it
 moved to the (n-1)-scaled integer lattice: p_{r,r} carries (n-r)/(n-1).
@@ -70,7 +75,9 @@ the product of simplices off the chain's H-description. pbar_labels lists
 the cells of Pbar, corners included, in flaggt's order. gt_subdivision is
 the section search that flaggt ran on the Fraction marking, with one
 Fraction marked order polytope per part and the full dimension read off
-gt_polytope.
+gt_polytope. It checks every section against the lifted heights of its
+own patterns: each part's map overestimates the lift at every pattern and
+meets it exactly inside the section, which flaggt no longer evaluates.
 
 regular_subdivision is the subdivision that hibikit ran in Fraction
 arithmetic before it scaled the weight to integers: one AffineMap per
@@ -110,7 +117,7 @@ from typing import Iterable, Optional, Sequence
 from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
 from hibikit.exactgeom import integer_kernel, same_lattice
-from hibikit.errors import NotStronger, TooLarge
+from hibikit.errors import HibikitError, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, is_stronger, linear_extensions
@@ -659,6 +666,10 @@ def minkowski_sum(A, B) -> set:
 # -- the label-dict marked polytope search ----------------------------------
 
 
+class NotStronger(HibikitError):
+    """The given order does not contain the required base order."""
+
+
 @dataclass(frozen=True)
 class MarkedPoset:
     """A poset with a marked subset carrying fixed integer values.
@@ -867,15 +878,13 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     L = F.cone.lattice
     if L != flag:
         raise ValueError("face must come from the flag lattice's cone")
-    gt = GelfandTsetlin(n)
-    iso = gt_poset_iso(gt, flag)
+    iso = gt_poset_iso(GelfandTsetlin(n), flag)
     mp = gt_marked_poset(n)
     sub = face_subdivision(F)
-    # each pattern point with its scaled point and its lifted height times
-    # (n-1)·den, which is the sum of the scaled weight over its chain
-    lifts = {tuple(Fraction(x, n - 1) for x in point):
-             (point, sum(sub.scaled[L.index(lbl)] for lbl in chain))
-             for point, chain in flaggt.gt_patterns(gt)}
+    # each pattern point with its lifted height times (n-1)·den, which is
+    # the sum of the scaled weight over its chain
+    lifts = {point: sum(sub.scaled[L.index(lbl)] for lbl in chain)
+             for point, chain in gt_patterns(n)}
     gt_dim = gt_polytope(n).dim
     pbar = pbar_labels(n)
     at = [pbar.index(iso[p]) for p in L.poset_P.elements]
@@ -890,8 +899,8 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
         assert member_points <= pattern_points
         for point in pattern_points:
             coords = dict(zip(pbar, point))
-            scaled, lifted = lifts[point]
-            value = part.const * (n - 1) + sum(a * scaled[k] for a, k in zip(part.alpha, at))
+            lifted = lifts[point]
+            value = (n - 1) * (part.const + sum(a * point[k] for a, k in zip(part.alpha, at)))
             assert value >= lifted, "part maps must overestimate the lift"
             inside = _satisfies(mp, order, coords)
             assert (value == lifted) == inside

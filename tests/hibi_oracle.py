@@ -35,8 +35,8 @@ from itertools import combinations_with_replacement
 from math import comb
 from typing import Mapping, Optional, Sequence
 
-from fraction_oracle import indicator, vadd, zero_vec
-from hibikit.errors import BadParams, NotStronger
+from fraction_oracle import NotStronger, indicator, vadd, zero_vec
+from hibikit.errors import BadParams
 from hibikit.exactgeom import rank
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice

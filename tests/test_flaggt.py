@@ -15,7 +15,7 @@ from fraction_oracle import pbar_labels, vadd, vec_over_den, vscale, zero_vec
 from hibikit import flaggt, lattice
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
-from hibikit.errors import BadParams, GroundSetMismatch, NotStronger, TooLarge
+from hibikit.errors import BadParams, GroundSetMismatch, TooLarge
 from hibikit.exactgeom import rank
 from hibikit.flaggt import (
     GelfandTsetlin,
@@ -23,7 +23,7 @@ from hibikit.flaggt import (
     _extend_to_pbar,
     _gt_marking,
     _is_vertex,
-    _marked_vertices,
+    _satisfies,
     component_shape,
     flag_point,
     gt_marked_poset,
@@ -224,7 +224,8 @@ def test_gt_poset_iso_is_order_isomorphism(n):
 
 def test_marked_polytope_n2_is_segment():
     mp = gt_marked_poset(2)
-    assert sorted(_marked_vertices(mp, mp.base)) == [(1, 0, 0), (1, 1, 0)]
+    assert sorted(gv.point for gv in gt_vertices(GelfandTsetlin(2))) == [(1, 0, 0), (1, 1, 0)]
+    assert sorted(oracle._marked_vertices(oracle.labelled(mp), mp.base)) == [(1, 0, 0), (1, 1, 0)]
     assert oracle.marked_order_polytope(oracle.labelled(mp), mp.base).dim == 1
 
 
@@ -240,29 +241,32 @@ def test_gt3_polytope_is_3_dimensional():
 def test_marked_polytope_scaling():
     # O_{M,(n-1)mu} = (n-1) * O_{M,mu}: the integer marking is the dilate of
     # the Fraction one
-    mp = gt_marked_poset(3)
-    assert set(_marked_vertices(mp, mp.base)) == {
+    assert {gv.point for gv in gt_vertices(GelfandTsetlin(3))} == {
         vscale(2, v) for v in oracle.gt_polytope(3).vertices}
 
 
+# the label-dict vertex search is the oracle for every vertex set flaggt
+# reads off the flag chains; its guards stay pinned here
+
+
 def test_marked_polytope_rejects_weaker_order():
-    mp = gt_marked_poset(3)
+    mp = oracle.labelled(gt_marked_poset(3))
     loose = antichain(list(mp.base.elements))
-    with pytest.raises(NotStronger):
-        _marked_vertices(mp, loose)
+    with pytest.raises(oracle.NotStronger):
+        oracle._marked_vertices(mp, loose)
 
 
 def test_marked_polytopes_reject_order_on_other_ground_set():
-    mp = mu_k_marked_poset(GelfandTsetlin(3), 1)
+    mp = oracle.labelled(mu_k_marked_poset(GelfandTsetlin(3), 1))
     other = antichain(["x", "y"])
     with pytest.raises(GroundSetMismatch):
-        _marked_vertices(mp, other)
+        oracle._marked_vertices(mp, other)
 
 
 def test_marked_polytope_too_large():
-    mp = gt_marked_poset(6)  # 15 free cells
+    mp = oracle.labelled(gt_marked_poset(6))  # 15 free cells
     with pytest.raises(TooLarge):
-        _marked_vertices(mp, mp.base)
+        oracle._marked_vertices(mp, mp.base)
 
 
 def test_marked_poset_requires_marked_extremes():
@@ -299,15 +303,19 @@ def test_tight_rank_agrees_with_anchoring(n):
             tight_rank(mp, mp.base, point) == len(mp.free()))
 
 
-# -- the index search against the label-dict search ---------------------------
+# -- the chain reading against the label-dict search --------------------------
 
 
-def assert_search_matches_oracle(mp, order, patterns):
-    """The index search returns the label-dict search's vertex tuples in the
-    same order, and _is_vertex agrees with it on every pattern."""
+def assert_reading_matches_oracle(mp, order, points):
+    """`points` holds every marking-valued point of mp's polytope, and maybe
+    others. Those that satisfy `order` and that the tight graph anchors,
+    the rule gt_vertices and gt_subdivision read vertices by, are the
+    label-dict search's vertices; and _is_vertex agrees with the oracle's
+    anchoring test on every point."""
     labelled = oracle.labelled(mp)
-    assert _marked_vertices(mp, order) == oracle._marked_vertices(labelled, order)
-    for point in patterns:
+    read = [p for p in points if _satisfies(mp, order, p) and _is_vertex(mp, order, p)]
+    assert sorted(read) == sorted(oracle._marked_vertices(labelled, order))
+    for point in points:
         coords = dict(zip(mp.base.elements, point))
         assert _is_vertex(mp, order, point) == oracle._is_vertex(labelled, order, coords)
 
@@ -316,7 +324,8 @@ def assert_search_matches_oracle(mp, order, patterns):
 @given(st.data())
 def test_search_matches_label_dict_oracle_on_random_orders(data):
     # an order that intersects 1-4 random linear extensions of the base,
-    # under the Gelfand-Tsetlin marking or one of its 0/1 levels
+    # under the Gelfand-Tsetlin marking, whose marking-valued points are the
+    # patterns, or one of its 0/1 levels, whose are the k-index flag points
     n = data.draw(st.integers(2, 4), label="n")
     gt = GelfandTsetlin(n)
     k = data.draw(st.integers(0, n - 1), label="level")
@@ -332,7 +341,10 @@ def test_search_matches_label_dict_oracle_on_random_orders(data):
             masks[j] &= placed
             placed |= 1 << j
     order = Poset(base.elements, tuple(masks))
-    assert_search_matches_oracle(mp, order, [p for p, _ in gt_patterns(gt)])
+    # at n = 2 the level-1 points are the patterns themselves
+    points = dict.fromkeys([p for p, _ in gt_patterns(gt)]
+                           + [flag_point(gt, lbl) for lbl in gt.phi if len(lbl) == k])
+    assert_reading_matches_oracle(mp, order, list(points))
 
 
 def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
@@ -356,23 +368,24 @@ def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
             orders.append(from_cover_relations(list(mp.base.elements), list(zip(total, total[1:]))))
             census = MarkedPoset(chain(total), _gt_marking(n, total))
             at = [mp.base.index(p) for p in total]
-            assert_search_matches_oracle(census, census.base,
-                                         [tuple(p[i] for i in at) for p in patterns])
+            assert_reading_matches_oracle(census, census.base,
+                                          [tuple(p[i] for i in at) for p in patterns])
         for order in orders:
-            assert_search_matches_oracle(mp, order, patterns)
+            assert_reading_matches_oracle(mp, order, patterns)
 
 
 # -- patterns and vertices ---------------------------------------------------
 
 
-@pytest.mark.parametrize("n,count", [(2, 2), (3, 8), (4, 64)])
+@pytest.mark.parametrize("n,count", [(2, 2), (3, 8), (4, 64), (6, 32768)])
 def test_gt_pattern_count(n, count):
     assert len(gt_patterns(GelfandTsetlin(n))) == count
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_gt_patterns_match_fraction_oracle(n):
-    # the integer patterns, divided by n - 1, are the Fraction patterns
+    # the chain sums, divided by n - 1, are the Fraction patterns of the
+    # label-dict search, in its order
     patterns = gt_patterns(GelfandTsetlin(n))
     assert all(type(x) is int for point, _ in patterns for x in point)
     assert [(unscaled(n, point), chain) for point, chain in patterns] == oracle.gt_patterns(n)
@@ -383,6 +396,29 @@ def test_gt_patterns_are_chains():
     for point, chain in gt_patterns(GelfandTsetlin(3)):
         assert [len(lbl) for lbl in chain] == [1, 2]
         assert L.leq(chain[1], chain[0])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_patterns_reject_a_dropped_flag_element(n):
+    # every flag element lies on a chain, so without it the walk finds
+    # fewer than 2^(n(n-1)/2) chains
+    for lbl in GelfandTsetlin(n).phi:
+        gt = GelfandTsetlin(n)
+        del gt.phi[lbl]
+        with pytest.raises(AssertionError, match=r"2\^\(n\(n-1\)/2\) chains"):
+            gt_patterns(gt)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_patterns_reject_a_diagonal_cell_toggled_in_a_flag_ideal(n):
+    # p22 joins an (n-1)-index ideal; every (n-2)-index ideal holds p22, so
+    # each chain through the changed element survives and sums to n - 1 on
+    # p22, whose marking is n - 2
+    for lbl in [lbl for lbl in GelfandTsetlin(n).phi if len(lbl) == n - 1]:
+        gt = GelfandTsetlin(n)
+        gt.phi[lbl] ^= 1 << gt.poset.index("p22")
+        with pytest.raises(AssertionError, match="sum to a Gelfand-Tsetlin point"):
+            gt_patterns(gt)
 
 
 def hull_of_patterns(n):
@@ -485,18 +521,19 @@ def test_gt_vertices_5():
 
 def test_gt_vertices_too_large():
     with pytest.raises(TooLarge):
-        gt_vertices(GelfandTsetlin(6))
+        gt_vertices(GelfandTsetlin(7))
     with pytest.raises(BadParams):
         gt_vertices(GelfandTsetlin(1))
 
 
 def test_xi_vertex_sets_are_flag_points():
-    # level polytopes have one vertex per k-index element
+    # level polytopes have one vertex per k-index element: the label-dict
+    # search finds exactly the flag points gt_vertices takes as its vertices
     n = 4
     gt = GelfandTsetlin(n)
     base = gt.marked.base
     for k in range(1, n):
-        vertices = _marked_vertices(mu_k_marked_poset(gt, k), base)
+        vertices = oracle._marked_vertices(oracle.labelled(mu_k_marked_poset(gt, k)), base)
         expected = {
             flag_point(gt, lbl)
             for lbl in _all_flag_labels(n)
@@ -507,14 +544,16 @@ def test_xi_vertex_sets_are_flag_points():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_integer_points_of_01_levels_are_vertices(n):
-    # on a 0/1 polytope the integer points are exactly the vertices
+    # on a 0/1 polytope the integer points are exactly the vertices, and
+    # on the level-k polytope they are the k-index flag points
     gt = GelfandTsetlin(n)
     base = gt.marked.base
     for k in range(1, n):
         mp = mu_k_marked_poset(gt, k)
         points = marked_integer_points(mp, base)
         assert len(set(points)) == len(points)
-        assert set(points) == set(_marked_vertices(mp, base))
+        assert set(points) == {flag_point(gt, lbl) for lbl in gt.phi if len(lbl) == k}
+        assert set(points) == set(oracle._marked_vertices(oracle.labelled(mp), base))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -665,6 +704,34 @@ def test_gt_subdivision_matches_fraction_oracle(n, face_count):
                 == [(order.covers(), Q.vertices) for order, Q in want])
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_section_membership_is_the_chain_inside_the_vertex_set(n):
+    # over every pattern, on every part of every face: the chain lies in the
+    # part's vertex set iff the pattern satisfies the part order iff the
+    # part's map attains the pattern's lift, and the map never falls below
+    # the lift; gt_subdivision reads its sections off the first test alone
+    gt = GelfandTsetlin(n)
+    mp = gt.marked
+    C = cone_K(flag_lattice(n))
+    L = C.lattice
+    iso = gt_poset_iso(gt, L)
+    at = [mp.base.index(iso[p]) for p in L.poset_P.elements]
+    patterns = gt_patterns(gt)
+    seen = 0
+    for F in enumerate_faces(C):
+        sub = face_subdivision(F)
+        for part in sub.parts:
+            order = _extend_to_pbar(mp.base, part.order, at)
+            for point, chain in patterns:
+                lift = sum(sub.scaled[L.index(lbl)] for lbl in chain)
+                value = part.const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))
+                inside = all(part.vertex_mask >> L.index(lbl) & 1 for lbl in chain)
+                assert value >= lift
+                assert inside == _satisfies(mp, order, point) == (value == lift)
+                seen += inside
+    assert seen > 0
+
+
 def test_gt_subdivision_rejects_foreign_lattice():
     B2 = birkhoff(antichain(["p", "q"]))
     with pytest.raises(ValueError):
@@ -674,6 +741,19 @@ def test_gt_subdivision_rejects_foreign_lattice():
 def test_gt_subdivision_too_large():
     with pytest.raises(TooLarge):
         gt_subdivision(GelfandTsetlin(6), full_face(flag_lattice(3)), flag_lattice(3))
+
+
+@pytest.mark.parametrize("argv", [["gt", "--n", "6"], ["gt", "--n", "6", "subdivide"]],
+                         ids=["census and subdivide", "subdivide"])
+def test_gt_sections_stop_at_n5(argv, monkeypatch, capsys):
+    # the census and the vertices run to n = 6, the sections stop at 5; a
+    # job that asks for sections past that fails before any census work
+    def forbidden(*args):
+        raise RuntimeError("the job ran its census past the section cap")
+
+    monkeypatch.setattr(flaggt, "shape_census", forbidden)
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "TooLarge"
 
 
 # -- component shapes --------------------------------------------------------
@@ -726,13 +806,14 @@ def test_component_shape_matches_fraction_oracle(n, ext):
 
 def test_census_takes_no_anchoring_test(monkeypatch, capsys):
     # the census reads each section off its chain's H-description, so it
-    # calls neither the anchoring test nor the vertex search; it used to run
-    # the search on every chain and, before that, _is_vertex on every point
+    # walks no patterns and runs no anchoring test; it used to run the
+    # vertex search on every chain and, before that, _is_vertex on every
+    # point
     def forbidden(*args):
         raise RuntimeError("the census enumerated vertices")
 
     monkeypatch.setattr(flaggt, "_is_vertex", forbidden)
-    monkeypatch.setattr(flaggt, "_vertex_candidates", forbidden)
+    monkeypatch.setattr(flaggt, "gt_patterns", forbidden)
     assert main(["gt", "--n", "4", "census"]) == 0
     assert json.loads(capsys.readouterr().out)["component_count"] == 12
 

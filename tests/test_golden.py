@@ -126,6 +126,11 @@ GOLDEN = [
     # of the same job stays out of tier-1 while it runs for over 10 s
     ("gt --n 5 subdivide --face apex",
      "f1440fc9f9b6fdc1da9401d7e09c5aa300658965d922e3e35c91f1678e2b6198", 20),
+    # past the old n = 5 cap: 33,592 chains; the census that enumerated
+    # each chain's vertices gave the same digest with its caps lifted, in
+    # about 376 s
+    ("gt --n 6 census",
+     "ecf4b1750f0e9f3d3e920525f270e1f190f72878d285ad55690755d6d2d2fc68", 0),
     # the --poset inputs, recorded with the pair-set posets and the
     # table-validated Birkhoff lattices
     ("lattice --poset reordered.json",

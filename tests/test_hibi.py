@@ -14,7 +14,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import extension_poset, indicator, vadd, zero_vec
+from fraction_oracle import NotStronger, extension_poset, indicator, vadd, zero_vec
 from hibi_oracle import (
     Monomial,
     Polynomial,
@@ -35,7 +35,7 @@ from hibi_oracle import (
 
 from hibikit import hibi, lattice, poset
 from hibikit.cone import cone_K, enumerate_faces, face_of
-from hibikit.errors import BadParams, NotStronger
+from hibikit.errors import BadParams
 from hibikit.exactgeom import rank
 from hibikit.hibi import (
     degeneration_certificate,

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import extension_poset, indicator
+from fraction_oracle import NotStronger, extension_poset, indicator
 from hibi_oracle import maximal_chains, sublattice_for_order
-from hibikit.errors import NotALattice, NotDistributive, NotStronger, UnknownLabel
+from hibikit.errors import NotALattice, NotDistributive, UnknownLabel
 from hibikit.lattice import (
     DiamondPair,
     _ring_of_sets,
