@@ -15,7 +15,13 @@ incomparable pairs); the shorthands "full" (no tight pairs) and "apex"
 (all tight) are also accepted.
 
 main(argv) is cheap to call repeatedly in one process: the argument parser
-is built on the first call and kept, and parsing leaves it unchanged.
+is built on the first call and kept, and parsing leaves it unchanged. A
+call keeps the lattice its job named, in a one-entry cache keyed by the
+selector and its numbers or by the --poset file's text; the lattice keeps
+its certified cone, and the cone the last face resolved on it, with the
+face's span and subdivision. So a job on the lattice and face of the job
+before it reuses them, and at most one lattice and one face are kept. The
+input guards run and a --poset file is read on every call.
 Start-up is cheap too: at module level this module imports only errors,
 lattice and poset of the package. Each subcommand imports the kernels it
 runs when it is called, as cmd_certify imports csv and parse_vector
@@ -200,22 +206,37 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def build_lattice(args) -> Lattice:
+    """The lattice the input flags pick. Every call runs the guards and reads
+    a --poset file; the lattice comes from a one-entry cache keyed by the
+    selector and its numbers, or by the file's text, so a job on the lattice
+    of the job before it reuses that lattice and the tables it keeps."""
     picked = [name for name in ("boolean", "grassmann", "flag", "poset")
               if getattr(args, name) is not None]
     if len(picked) != 1:
         raise BadParams("pick exactly one of --boolean N, --grassmann K N, "
                         "--flag N, --poset FILE")
     if args.boolean is not None:
-        n = args.boolean
-        if not 1 <= n <= MAX_BOOLEAN:
+        if not 1 <= args.boolean <= MAX_BOOLEAN:
             raise BadParams(f"--boolean N needs 1 <= N <= {MAX_BOOLEAN}")
-        return birkhoff(antichain(list("pqrstu"[:n])))
+        return _lattice("boolean", args.boolean)
     if args.grassmann is not None:
-        k, n = args.grassmann
-        return grassmann_lattice(k, n)
+        return _lattice("grassmann", *args.grassmann)
     if args.flag is not None:
-        return flag_lattice(args.flag)
-    text = Path(args.poset).read_text(encoding="utf-8-sig")
+        return _lattice("flag", args.flag)
+    return _lattice("poset", Path(args.poset).read_text(encoding="utf-8-sig"))
+
+
+@functools.lru_cache(maxsize=1)
+def _lattice(kind: str, *params) -> Lattice:
+    """The lattice of one selector: (kind, its numbers), or ("poset", the
+    file's text). A build that raises leaves the cache as it was."""
+    if kind == "boolean":
+        return birkhoff(antichain(list("pqrstu"[:params[0]])))
+    if kind == "grassmann":
+        return grassmann_lattice(*params)
+    if kind == "flag":
+        return flag_lattice(*params)
+    text = params[0]
     try:
         if not text.lstrip().startswith("{"):
             return parse_lattice(text)
@@ -238,6 +259,15 @@ def apex_weight(L: Lattice) -> list[int]:
 
 
 def resolve_face(K: MaxCone, spec: str) -> Face:
+    """The face of K that spec names. The last face resolved is kept on K,
+    so a job that names the face of the job before it, on the same lattice,
+    reuses it with the span and subdivision it keeps."""
+    if K._resolved is None or K._resolved[0] != spec:
+        K._resolved = (spec, _face_for(K, spec))
+    return K._resolved[1]
+
+
+def _face_for(K: MaxCone, spec: str) -> Face:
     from .cone import Face, _close_tight, face_of
 
     if spec == "full":

@@ -34,13 +34,15 @@ def pair_normal(L: Lattice, d: DiamondPair) -> tuple[int, ...]:
 
 
 class MaxCone:
-    """The closed cone K-bar with its certified minimal H-description."""
+    """The closed cone K-bar with its certified minimal H-description. It
+    keeps the last face that cli.resolve_face resolved on it."""
 
     def __init__(self, lattice: Lattice, pairs: Sequence[DiamondPair],
                  normals: Sequence[tuple[int, ...]]):
         self.lattice = lattice
         self.pairs: tuple[DiamondPair, ...] = tuple(pairs)
         self.normals: tuple[tuple[int, ...], ...] = tuple(normals)
+        self._resolved: tuple[str, Face] | None = None  # cli.resolve_face
 
     @property
     def facet_inequalities(self) -> list[tuple[DiamondPair, tuple[int, ...]]]:
@@ -52,7 +54,12 @@ class MaxCone:
 
 class Face:
     """A face of K-bar, identified by its closed tight set of diamond pairs.
-    Its witness (w, den) is a point w / den of its relative interior."""
+    Its witness (w, den) is a point w / den of its relative interior.
+
+    What depends on the face alone is built on first use and kept here, so
+    every job on one face reads the same ones: its key (key), the integer
+    basis of its span (span_of_face) and its checked regular subdivision
+    (subdivision.face_subdivision)."""
 
     def __init__(self, cone: MaxCone, tight_idx: frozenset[int],
                  witness: tuple[tuple[int, ...], int]):
@@ -62,6 +69,8 @@ class Face:
             cone.pairs[i] for i in sorted(tight_idx))
         self._witness = witness
         self._key: str | None = None  # key()
+        self._span: tuple[tuple[int, ...], ...] | None = None  # span_of_face
+        self._subdivision = None  # subdivision.face_subdivision
         n = cone.lattice.size
         self.dim: int = n - rank([cone.normals[i] for i in sorted(tight_idx)])
         if len(tight_idx) == len(cone.pairs):
@@ -129,7 +138,10 @@ def cone_K(L: Lattice) -> MaxCone:
     its meet or join and adds 1 to each pair with X as a side. So the two
     indicators take 2 from this pair, and at most 1 from any other: taking 2
     needs d as the meet and d ∪ {p, q} as the join. Each point is checked by
-    integer dot products with every normal."""
+    integer dot products with every normal. Built and certified once per
+    lattice, and kept on L."""
+    if L._cone is not None:
+        return L._cone
     pairs = diamond_pairs(L)
     normals = [pair_normal(L, d) for d in pairs]
     supports = [[(i, c) for i, c in enumerate(normal) if c] for normal in normals]
@@ -141,7 +153,8 @@ def cone_K(L: Lattice) -> MaxCone:
         values = [sum(c * w[i] for i, c in support) for support in supports]
         if values[k] != 0 or any(v < 1 for j, v in enumerate(values) if j != k):
             raise AssertionError(f"inequality for {d.key()} is not facet-defining")
-    return MaxCone(L, pairs, normals)
+    L._cone = MaxCone(L, pairs, normals)
+    return L._cone
 
 
 def face_of(K: MaxCone, w: Sequence[int], den: int) -> Face:
@@ -157,13 +170,16 @@ def face_of(K: MaxCone, w: Sequence[int], den: int) -> Face:
     return Face(K, _tight_set(K.pairs, K.normals, w, den), (w, den))
 
 
-def span_of_face(F: Face) -> list[list[int]]:
-    """Saturated integer basis of {w : equality for every tight pair}."""
-    n = F.cone.lattice.size
-    rows = [F.cone.normals[i] for i in sorted(F.tight_idx)]
-    if not rows:
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return integer_kernel(rows)
+def span_of_face(F: Face) -> tuple[tuple[int, ...], ...]:
+    """Saturated integer basis of {w : equality for every tight pair}, as
+    rows; built once per face and kept on F."""
+    if F._span is None:
+        n = F.cone.lattice.size
+        rows = [F.cone.normals[i] for i in sorted(F.tight_idx)]
+        basis = (integer_kernel(rows) if rows
+                 else [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        F._span = tuple(map(tuple, basis))
+    return F._span
 
 
 def sample_relative_interior(F: Face) -> tuple[tuple[int, ...], int]:

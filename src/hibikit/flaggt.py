@@ -105,8 +105,7 @@ def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
         assert phi[t] in principal, "irreducibles must map to principal ideals"
         mapping[t] = principal[phi[t]]
     assert sorted(mapping.values()) == sorted(pt.elements)
-    for s, t in itertools.product(L.poset_P.elements, repeat=2):
-        assert L.poset_P.leq(s, t) == pt.leq(mapping[s], mapping[t])
+    assert {(mapping[s], mapping[t]) for s, t in L.poset_P.label_pairs()} == pt.label_pairs()
     return mapping
 
 

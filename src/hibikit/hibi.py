@@ -264,7 +264,11 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
                 standard_monomial_count(L, l)) for l in range(1, lmax + 1)]
     masks = L.masks
     rows = []
-    for face in enumerate_faces(cone_K(L)):
+    faces = enumerate_faces(cone_K(L))[::-1]
+    while faces:
+        # popped, so each face goes, with the subdivision it keeps, once its
+        # rows are written
+        face = faces.pop()
         members = [_members(masks, part.vertex_mask) for part in face_subdivision(face).parts]
         for l, dim_r, dim_in, standard in degrees:
             dim_cap = intersection_dim(L, members, l)

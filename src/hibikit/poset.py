@@ -185,10 +185,14 @@ def ideal_set(P: Poset) -> set[int]:
 
 
 def is_stronger(strong: Poset, weak: Poset) -> bool:
-    """True iff every weak relation also holds in `strong` (same ground set)."""
+    """True iff every weak relation also holds in `strong` (same ground set):
+    with weak's indices carried to strong's, every bit of a weak down-set is
+    set in the strong down-set of the same element."""
     if set(strong.elements) != set(weak.elements):
         raise GroundSetMismatch("posets are not on the same ground set")
-    return weak.label_pairs() <= strong.label_pairs()
+    at = [strong.index(x) for x in weak.elements]
+    return all(strong.below[at[j]] >> at[i] & 1
+               for j, m in enumerate(weak.below) for i in _bits(m))
 
 
 def check_labels(labels: Sequence[str]) -> None:

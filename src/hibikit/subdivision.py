@@ -210,7 +210,10 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
 
 def face_subdivision(F: Face) -> Subdivision:
     """The subdivision of the face: regular_subdivision at an interior
-    sample, verified against the tightness/same-part correspondence."""
+    sample, verified against the tightness/same-part correspondence. Built
+    and checked once per face, and kept on F."""
+    if F._subdivision is not None:
+        return F._subdivision
     L = F.cone.lattice
     sub = regular_subdivision(L, *sample_relative_interior(F), F.cone)
     if sub.tight != F.tight:
@@ -225,6 +228,7 @@ def face_subdivision(F: Face) -> Subdivision:
                 "tight diamond pairs must match same-part adjacencies")
     if len(set(graph.pairs)) != len(F.cone.pairs):
         raise AssertionError("every diamond pair needs a witnessing adjacency")
+    F._subdivision = sub
     return sub
 
 

@@ -78,7 +78,7 @@ def weight_polytope(F: Face) -> WeightPolytope:
     module docstring argues, and of dimension dim F - 1."""
     L = F.cone.lattice
     n = L.poset_P.size
-    basis = tuple(tuple(row) for row in span_of_face(F))
+    basis = span_of_face(F)
     apex_basis = basis if F.is_apex else span_of_face(face_of(F.cone, (0,) * L.size, 1))
     points = _points(L, basis)
     zeta = _zeta_for(L, _points(L, apex_basis))

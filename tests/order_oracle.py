@@ -22,6 +22,9 @@ pairwise_adjacency is the scan of all pairs of extensions, cross-checking
 three characterizations of adjacency, that adjacency_graph ran before it
 built its edges from adjacent swaps.
 
+label_pair_stronger is poset.is_stronger as it compared the relations'
+label pairs, before it compared down-set masks.
+
 chain is the total order on a label list, which poset built until its last
 caller in the package, the Gelfand-Tsetlin census, moved to the chain's
 H-description. grassmann_by_ops and flag_by_ops are the builtin Grassmann
@@ -43,6 +46,13 @@ from hibikit.subdivision import AdjacencyGraph
 def chain(labels: list[str]) -> Poset:
     """The total order labels[0] < labels[1] < ..."""
     return from_cover_relations(labels, list(zip(labels, labels[1:])))
+
+
+def label_pair_stronger(strong: Poset, weak: Poset) -> bool:
+    """True iff every weak relation, as a label pair, is a strong one."""
+    if set(strong.elements) != set(weak.elements):
+        raise GroundSetMismatch("posets are not on the same ground set")
+    return weak.label_pairs() <= strong.label_pairs()
 
 
 def order_ideals(P: Poset) -> list[frozenset[str]]:

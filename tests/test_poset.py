@@ -21,7 +21,7 @@ from hibikit.poset import (
     parse_poset,
 )
 from order_oracle import (LinearExtension, PairPoset, chain, closure, down_closed,
-                          label_extensions, order_ideals, pairs_of)
+                          label_extensions, label_pair_stronger, order_ideals, pairs_of)
 
 
 def brute_extensions(P):
@@ -272,6 +272,40 @@ def test_mask_poset_matches_pair_set_reference(drawn, data):
     Qm = from_cover_relations(order_q, [(order_q[i], order_q[j]) for i, j in closed_q])
     assert is_stronger(P, Qm) == R.is_stronger(Q)
     assert is_stronger(Qm, P) == Q.is_stronger(R)
+
+
+def drawn_order(data, labels):
+    """A poset on the labels, listed in a drawn order, from random pairs
+    read low to high in that order, so never cyclic."""
+    order = data.draw(st.permutations(labels))
+    n = len(order)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=2 * n))
+    return from_cover_relations(order, [(order[i], order[j]) for i, j in pairs if i < j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_is_stronger_matches_label_pairs_on_relabelled_copies(n, data):
+    # is_stronger carries weak's indices to strong's; the oracle compares
+    # label pairs. P is compared with a copy listed in another label order,
+    # with a linear extension of it in a third, and with an unrelated order
+    labels = [f"e{i}" for i in range(n)]
+    P = drawn_order(data, labels)
+    copy = from_cover_relations(data.draw(st.permutations(labels)), P.label_pairs())
+    ext = data.draw(st.sampled_from(list(linear_extensions(P))))
+    total = from_cover_relations(data.draw(st.permutations(labels)),
+                                 [(P.elements[i], P.elements[j]) for i, j in zip(ext, ext[1:])])
+    other = drawn_order(data, labels)
+    for strong, weak in itertools.product([P, copy, total, other], repeat=2):
+        assert is_stronger(strong, weak) == label_pair_stronger(strong, weak)
+    assert is_stronger(P, copy) and is_stronger(copy, P) and is_stronger(total, copy)
+    elsewhere = antichain(labels[1:] + ["x"])
+    for compare in (is_stronger, label_pair_stronger):
+        with pytest.raises(GroundSetMismatch):
+            compare(P, elsewhere)
+        with pytest.raises(GroundSetMismatch):
+            compare(elsewhere, P)
 
 
 @st.composite

@@ -1,0 +1,163 @@
+"""Jobs in one process reuse the last job's lattice, cone and face.
+
+cli.main keeps the lattice of the last job that named one, the cone K-bar
+on it and the last face resolved on that cone, with the span and the
+subdivision the face keeps. These tests pin what a warm job still builds,
+that every guard still runs, that a changed input is not served from the
+cache, and that the cache holds one lattice. The last test runs the
+benchmark's seed-1 `faces` list through main twice in this process and
+compares every output with its recorded digest.
+"""
+
+import gc
+import hashlib
+import itertools
+import json
+import weakref
+from pathlib import Path
+
+import pytest
+
+from hibikit import cli, cone, exactgeom, lattice, subdivision
+from hibikit.cli import main
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+B3_KEY = '[["{p,q}","{p,r}"]]'
+
+
+def run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Counts the diamond pairs, staircase tables, adjacency graphs, cones
+    and subdivisions built, and the LPs solved, from here on."""
+    built = {"pairs": 0, "tables": 0, "graphs": 0, "cones": 0, "subdivisions": 0, "lps": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lattice, "DiamondPair", counting("pairs", lattice.DiamondPair))
+    monkeypatch.setattr(subdivision, "StaircaseTable",
+                        counting("tables", subdivision.StaircaseTable))
+    monkeypatch.setattr(subdivision, "AdjacencyGraph",
+                        counting("graphs", subdivision.AdjacencyGraph))
+    monkeypatch.setattr(cone, "MaxCone", counting("cones", cone.MaxCone))
+    monkeypatch.setattr(subdivision, "Subdivision",
+                        counting("subdivisions", subdivision.Subdivision))
+    monkeypatch.setattr(exactgeom, "_run_simplex", counting("lps", exactgeom._run_simplex))
+    return built
+
+
+@pytest.mark.parametrize("sel, key", [(["--boolean", "3"], B3_KEY),
+                                      (["--grassmann", "2", "5"], '[["14","23"]]')],
+                         ids=["B3", "Gr25"])
+def test_keyed_jobs_on_one_face_build_it_once(sel, key, capsys, builds):
+    subdivide = ["subdivide", *sel, "--face", key, "--check", "3"]
+    weightpoly = ["weightpoly", *sel, "--face", key]
+    first = [run(capsys, subdivide), run(capsys, weightpoly)]
+    assert [code for code, _, _ in first] == [0, 0]
+    # the cold subdivide built everything once and closed the key by LP
+    assert builds["pairs"] > 0 and builds["lps"] > 0
+    assert (builds["tables"], builds["graphs"], builds["cones"]) == (1, 1, 1)
+    # weightpoly read the face's subdivision: only the 1 + 2 check
+    # samples' subdivisions were built
+    assert builds["subdivisions"] == 3
+    for counter in builds:
+        builds[counter] = 0
+    again = [run(capsys, subdivide), run(capsys, weightpoly)]
+    assert again == first
+    # only the check samples are new work
+    assert builds == {"pairs": 0, "tables": 0, "graphs": 0, "cones": 0,
+                      "subdivisions": 2, "lps": 0}
+
+
+def test_rewritten_poset_file_gives_the_new_lattice(tmp_path, capsys):
+    path = tmp_path / "p.poset"
+    path.write_text("elem p\nelem q\n", encoding="utf-8")
+    square = run(capsys, ["cone", "--poset", str(path)])
+    path.write_text("elem p\nelem q\nelem r\n", encoding="utf-8")
+    cube = run(capsys, ["cone", "--poset", str(path)])
+    assert json.loads(square[1])["face_count"] == 2
+    assert json.loads(cube[1])["face_count"] == 22
+    assert square == run(capsys, ["cone", "--boolean", "2"])
+    assert cube == run(capsys, ["cone", "--boolean", "3"])
+
+
+def test_boolean_cap_is_checked_on_a_warm_cache(capsys, monkeypatch):
+    assert run(capsys, ["lattice", "--boolean", "3"])[0] == 0
+    monkeypatch.setattr(cli, "MAX_BOOLEAN", 2)
+    code, out, err = run(capsys, ["lattice", "--boolean", "3"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("argv, poset_file", [
+    (["lattice", "--grassmann", "5", "4"], None),                   # fails while building
+    (["lattice", "--poset", "FILE"], "elem a\ncover a b\n"),        # a cover names no element
+    (["lattice", "--poset", "/nonexistent/poset.json"], None),      # fails before the lookup
+    (["subdivide", "--boolean", "3", "--face", '[["bogus","key"]]'], None),  # after it
+])
+def test_failed_call_leaves_the_cached_lattice(argv, poset_file, tmp_path, capsys, builds):
+    assert run(capsys, ["cone", "--boolean", "3"])[0] == 0
+    if poset_file is not None:
+        (tmp_path / "p.poset").write_text(poset_file, encoding="utf-8")
+        argv = [str(tmp_path / "p.poset") if x == "FILE" else x for x in argv]
+    code, _, err = run(capsys, argv)
+    assert code == 2, err
+    for counter in builds:
+        builds[counter] = 0
+    assert run(capsys, ["cone", "--boolean", "3"])[0] == 0
+    assert builds["pairs"] == builds["cones"] == 0
+
+
+@pytest.mark.parametrize("then", [["cone", "--boolean", "2"],
+                                  ["certify", "--grassmann", "2", "4", "--lmax", "1"],
+                                  ["weightpoly", "--flag", "3", "--face", "apex"]])
+def test_the_previous_lattice_is_freed(then, capsys):
+    # a keyed job leaves B3, its cone and a resolved face in the cache; the
+    # lattice and its cone refer to each other, so the collector frees them
+    assert run(capsys, ["weightpoly", "--boolean", "3", "--face", B3_KEY])[0] == 0
+    b3 = cli._lattice("boolean", 3)  # the cached lattice: no second build
+    assert b3._cone._resolved[0] == B3_KEY
+    held = weakref.ref(b3)
+    del b3
+    assert run(capsys, then)[0] == 0
+    gc.collect()
+    assert held() is None
+
+
+def test_seed1_faces_list_keeps_its_digests_in_a_warm_process(tmp_path, capsys, monkeypatch):
+    # the poset files go where the benchmark writes them, so each argv is
+    # the digest's key
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS
+
+    digests = json.loads((PERFBENCH / "digests.json").read_text())["faces"]
+    seconds = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    monkeypatch.chdir(tmp_path)
+    workdir = Path(".perfbench_work") / "faces"
+    workdir.mkdir(parents=True)
+    faces = WORKLOADS["faces"]
+    for _ in range(2):
+        checked = 0
+        for unit in itertools.islice(faces.units(1, workdir), faces.list_units(seconds)):
+            out = None
+            while True:
+                try:
+                    job = unit.steps.send(out)
+                except StopIteration:
+                    break
+                code, out, err = run(capsys, job.argv)
+                assert code == 0, (job.argv, err)
+                job.check(out)
+                key = " ".join(job.argv)
+                assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digests[key], key
+                checked += 1
+        assert checked == 48
