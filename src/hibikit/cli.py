@@ -253,11 +253,6 @@ def interior_weight(L: Lattice) -> list[int]:
     return [L.height(a) ** 2 for a in L.elements]
 
 
-def apex_weight(L: Lattice) -> list[int]:
-    # ideal sizes are modular, so every diamond inequality is tight
-    return [L.height(a) for a in L.elements]
-
-
 def resolve_face(K: MaxCone, spec: str) -> Face:
     """The face of K that spec names. The last face resolved is kept on K,
     so a job that names the face of the job before it, on the same lattice,
@@ -273,7 +268,7 @@ def _face_for(K: MaxCone, spec: str) -> Face:
     if spec == "full":
         return face_of(K, interior_weight(K.lattice), 1)
     if spec == "apex":
-        return face_of(K, apex_weight(K.lattice), 1)
+        return K.apex
     # close the key's pairs by LP; the closure's key is the spec only if
     # closing added no pair and the spec is spelled as Face.key spells it
     unknown = f"no face of the cone has key {spec}"

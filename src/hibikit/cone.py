@@ -11,6 +11,7 @@ NotInCone message prints the violated value as a reduced num/den.
 
 from __future__ import annotations
 
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
@@ -35,13 +36,16 @@ def pair_normal(L: Lattice, d: DiamondPair) -> tuple[int, ...]:
 
 class MaxCone:
     """The closed cone K-bar with its certified minimal H-description. It
-    keeps the last face that cli.resolve_face resolved on it."""
+    keeps its apex, the face with every pair tight, and the last face that
+    cli.resolve_face resolved on it."""
 
     def __init__(self, lattice: Lattice, pairs: Sequence[DiamondPair],
                  normals: Sequence[tuple[int, ...]]):
         self.lattice = lattice
         self.pairs: tuple[DiamondPair, ...] = tuple(pairs)
         self.normals: tuple[tuple[int, ...], ...] = tuple(normals)
+        # the apex's witness is never read: sample_relative_interior gives 0
+        self.apex = Face(self, frozenset(range(len(self.pairs))), ((0,) * lattice.size, 1))
         self._resolved: tuple[str, Face] | None = None  # cli.resolve_face
 
     @property
@@ -57,9 +61,9 @@ class Face:
     Its witness (w, den) is a point w / den of its relative interior.
 
     What depends on the face alone is built on first use and kept here, so
-    every job on one face reads the same ones: its key (key), the integer
-    basis of its span (span_of_face) and its checked regular subdivision
-    (subdivision.face_subdivision)."""
+    every job on one face reads the same ones: its key (key), its dimension
+    (dim), the integer basis of its span (span_of_face) and its checked
+    regular subdivision (subdivision.face_subdivision)."""
 
     def __init__(self, cone: MaxCone, tight_idx: frozenset[int],
                  witness: tuple[tuple[int, ...], int]):
@@ -71,22 +75,16 @@ class Face:
         self._key: str | None = None  # key()
         self._span: tuple[tuple[int, ...], ...] | None = None  # span_of_face
         self._subdivision = None  # subdivision.face_subdivision
-        n = cone.lattice.size
-        self.dim: int = n - rank([cone.normals[i] for i in sorted(tight_idx)])
-        if len(tight_idx) == len(cone.pairs):
-            # the apex is the lineality space; its dimension is |P|+1
-            if self.dim != cone.lattice.poset_P.size + 1:
-                raise AssertionError("apex dimension is not |P|+1")
+
+    @cached_property
+    def dim(self) -> int:
+        return self.cone.lattice.size - rank([self.cone.normals[i] for i in sorted(self.tight_idx)])
 
     def key(self) -> str:
         """The face's key, built once."""
         if self._key is None:
             self._key = _key_of(self.tight)
         return self._key
-
-    @property
-    def is_apex(self) -> bool:
-        return len(self.tight_idx) == len(self.cone.pairs)
 
     def __eq__(self, other):
         return (isinstance(other, Face)
@@ -138,8 +136,9 @@ def cone_K(L: Lattice) -> MaxCone:
     its meet or join and adds 1 to each pair with X as a side. So the two
     indicators take 2 from this pair, and at most 1 from any other: taking 2
     needs d as the meet and d ∪ {p, q} as the join. Each point is checked by
-    integer dot products with every normal. Built and certified once per
-    lattice, and kept on L."""
+    integer dot products with every normal. The apex, the lineality space,
+    is certified to have dimension |P| + 1 by one rank of all the normals.
+    Built and certified once per lattice, and kept on L."""
     if L._cone is not None:
         return L._cone
     pairs = diamond_pairs(L)
@@ -153,6 +152,8 @@ def cone_K(L: Lattice) -> MaxCone:
         values = [sum(c * w[i] for i, c in support) for support in supports]
         if values[k] != 0 or any(v < 1 for j, v in enumerate(values) if j != k):
             raise AssertionError(f"inequality for {d.key()} is not facet-defining")
+    if L.size - rank(normals) != L.poset_P.size + 1:
+        raise AssertionError("apex dimension is not |P|+1")
     L._cone = MaxCone(L, pairs, normals)
     return L._cone
 

@@ -3,10 +3,10 @@
 No floating point anywhere, and no Fraction: a rational vector is an
 integer tuple over one positive common denominator den. Row reduction and
 the LP solver pivot on integer tableaux with one common denominator
-(integer-preserving elimination). A LatticePolytope holds integer points
-over one common denominator: its facet kernel runs the double description
-method with primitive integer rays on those ints and reads the vertices off
-the facets' tight sets, and its facet normals and span equations are
+(integer-preserving elimination). A LatticePolytope holds the integer
+vertices its caller certified, over one common denominator: its facet
+kernel runs the double description method with primitive integer rays on
+those ints, on first use, and its facet normals and span equations are
 primitive integer rows. Its coordinates become reduced [num, den] pairs
 only in polytope_json. lp_feasible runs phase 1 of the simplex with Bland's
 rule, so it terminates without any tolerance knobs, on homogeneous
@@ -330,41 +330,26 @@ def facet_hyperplanes(vertices: Sequence[Sequence[int]]) -> list[tuple[tuple[int
     return out
 
 
-def _facet_vertices(points: list[tuple[int, ...]], planes) -> list[tuple[int, ...]]:
-    """Those of the distinct points at which the facets through the point
-    meet in that point alone: no other point lies on all of them."""
-    meet = [(1 << len(points)) - 1] * len(points)
-    for normal, rhs in planes:
-        on = [i for i, p in enumerate(points) if sum(a * x for a, x in zip(normal, p)) == rhs]
-        tight = sum(1 << i for i in on)
-        for i in on:
-            meet[i] &= tight
-    return [p for i, p in enumerate(points) if meet[i] == 1 << i]
-
-
 class LatticePolytope:
     """Exact V- and H-data for a bounded polytope, with the integer lattice
     of its affine span when the vertices are integral.
 
-    The polytope's points are integer tuples p standing for p / den, over
-    one common denominator den >= 1, and so are its vertices. Built from any
-    points, it runs the facet kernel once on them, keeps the facets as its
-    H-description and the points the facets single out as its vertices.
-    Built from `already_extreme` vertices, it finds its facets on demand.
-    Hyperplanes (normal, rhs) stand for normal.x <= rhs / den, with
-    primitive integer normals; each one is a facet. The coordinates are
-    reduced to [num, den] pairs only in polytope_json.
+    The vertices are integer tuples v standing for v / den, over one common
+    denominator den >= 1. Every caller hands in points it has certified to
+    be the vertices, each once; a repeated point raises ValueError. The
+    facets are found from the vertices on first use. Hyperplanes (normal,
+    rhs) stand for normal.x <= rhs / den, with primitive integer normals;
+    each one is a facet. The coordinates are reduced to [num, den] pairs
+    only in polytope_json.
     """
 
-    def __init__(self, points: Sequence[tuple[int, ...]], den: int, already_extreme=False):
-        pts = list(dict.fromkeys(points))
-        if not pts:
+    def __init__(self, vertices: Sequence[tuple[int, ...]], den: int):
+        if not vertices:
             raise ValueError("a polytope needs at least one vertex")
+        self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(vertices))
+        if len(set(self.vertices)) < len(self.vertices):
+            raise ValueError("a polytope's vertices must be distinct")
         self.den = den
-        if not already_extreme:
-            self.hyperplanes = tuple(facet_hyperplanes(pts))
-            pts = _facet_vertices(pts, self.hyperplanes)
-        self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(pts))
 
     @cached_property
     def hyperplanes(self) -> tuple[tuple[tuple[int, ...], int], ...]:

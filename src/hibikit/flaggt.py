@@ -349,7 +349,7 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
                     if not chain & ~part.vertex_mask and _is_vertex(mp, order, point)]
         assert all(_satisfies(mp, order, point) for point in vertices), \
             "each section vertex must satisfy the part order"
-        Q = LatticePolytope(vertices, n - 1, already_extreme=True)
+        Q = LatticePolytope(vertices, n - 1)
         assert Q.dim == len(mp.free()), "each section must be full-dimensional"
         parts.append((order, Q))
     return parts

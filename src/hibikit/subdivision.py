@@ -316,17 +316,31 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
 
 
 def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> LatticePolytope:
-    """Convex hull of the negated linear parts -alpha_i over the parts of
-    the subdivision of w / den, as integer points over the subdivision's
-    den. For Boolean lattices, u = -w is checked submodular over all pairs
-    of ideals."""
+    """Convex hull of the negated slopes -alpha_C over the parts C of the
+    subdivision of w / den, as integer points over the subdivision's den;
+    its normal fan, cut to O(P), is the fan of the parts (Postnikov 2009).
+    For Boolean lattices, u = -w is checked submodular over all pairs of
+    ideals.
+
+    Each -alpha_C is a vertex, on any lattice, by what regular_subdivision
+    certified: every part's constant is the bottom weight c (checked here),
+    so g_C(x) = (c + alpha_C·x) / den; g_C is >= w on all of L, with
+    equality exactly on C's vertices; and the parts have distinct
+    (alpha, c). Take x inside a staircase simplex of C, a positive convex
+    combination of its vertices. For another part C', g_C'(x) is that
+    combination of g_C' at those vertices, where g_C' >= w = g_C, with > at
+    one of them: were all equal, g_C' would interpolate w on a
+    full-dimensional simplex, as g_C does, and so equal g_C. So
+    alpha_C'·x > alpha_C·x for every C' != C: the functional y -> x·y is
+    maximal over the slopes -alpha at -alpha_C alone, which is therefore a
+    vertex, and the slopes are distinct."""
     sub = regular_subdivision(L, w, den)
     ws = sub.scaled
-    points = []
+    vertices = []
     for part in sub.parts:
         if part.const != ws[L.index(L.bottom)]:
             raise AssertionError("part constant must be the bottom weight")
-        points.append(tuple(-x for x in part.alpha))
+        vertices.append(tuple(-x for x in part.alpha))
 
     if not any(L.poset_P.below):  # Boolean lattice: antichain poset
         u = {m: -ws[i] for i, m in enumerate(L.masks)}
@@ -334,7 +348,7 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
             for B in u:
                 if u[A] + u[B] < u[A & B] + u[A | B]:
                     raise AssertionError("-w is not submodular")
-    return LatticePolytope(points, sub.den)
+    return LatticePolytope(vertices, sub.den)
 
 
 def subdivision_json(sub: Subdivision) -> dict:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .cone import Face, face_of, span_of_face
+from .cone import Face, span_of_face
 from .exactgeom import LatticePolytope, _echelon, rank, same_lattice
-from .poset import ideal_masks
+from .poset import ideal_set
 from .subdivision import face_subdivision
 
 
@@ -79,7 +79,7 @@ def weight_polytope(F: Face) -> WeightPolytope:
     L = F.cone.lattice
     n = L.poset_P.size
     basis = span_of_face(F)
-    apex_basis = basis if F.is_apex else span_of_face(face_of(F.cone, (0,) * L.size, 1))
+    apex_basis = span_of_face(F.cone.apex)
     points = _points(L, basis)
     zeta = _zeta_for(L, _points(L, apex_basis))
     # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
@@ -124,7 +124,7 @@ def _zeta_for(L, apex_points: dict[str, tuple[int, ...]]) -> tuple[list[list[int
     Z = [[col[i] for col in columns] for i in range(len(z0))]  # |P| = 0 leaves its rows empty
     assert rank(Z) == n, "map must be injective on R^P"
     # the span equations alone give the lattice basis; no facet is found
-    lb = LatticePolytope(list(apex_points.values()), 1, already_extreme=True).lattice_basis
+    lb = LatticePolytope(list(apex_points.values()), 1).lattice_basis
     assert same_lattice(columns, [list(r) for r in lb]), "zeta misses part of the apex lattice"
     return Z, z0
 
@@ -188,7 +188,7 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
         base = W.points[elements[0]]
         assert rank([[x - y for x, y in zip(W.points[a], base)] for a in elements]) == n
         # the vertices are the elements whose ideals are the order's ideals
-        assert members == {L.elements[L.at_mask[m]] for m in ideal_masks(part.order)}
+        assert members == {L.elements[L.at_mask[m]] for m in ideal_set(part.order)}
         out.append(DistinguishedFace(elements, sep))
     # the functionals live in the face's span, so each cuts a genuine face
     assert rank([*W.basis, *(d.separator for d in out)]) == len(W.basis)

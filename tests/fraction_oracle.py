@@ -21,7 +21,11 @@ description kernel: it tries every d-subset of the points as a facet.
 
 hull_vertices is the LP hull that exactgeom used before LatticePolytope read
 its vertices off the facet kernel: one convex_combination LP per point, on
-the rational simplex here.
+the rational simplex here. hull is the integer polytope of any integer
+points over den, which LatticePolytope built until every caller handed it
+certified vertices: the distinct points, the facets of
+exactgeom.facet_hyperplanes on them, and the points those facets single
+out, by the _facet_vertices filter below.
 
 LatticePolytope is the Fraction polytope that exactgeom kept before its
 points became integers over one common denominator: every vertex, facet
@@ -95,9 +99,9 @@ sample_relative_interior and invariance_samples are the relative-interior
 witness and the perturbed samples of subdivision_invariance_check, taken in
 Fraction arithmetic before both moved to integers.
 
-indicator and is_full are the Lattice and Face members that only tests
-read: an element's 0/1 Fraction vector over poset_P, and whether a face has
-no tight pair.
+indicator, is_full and is_apex are the Lattice and Face members that only
+tests read: an element's 0/1 Fraction vector over poset_P, whether a face
+has no tight pair, and whether it has every pair tight.
 
 cone_K is the facet certificate that cone ran before its integer witness:
 one LP per diamond pair, for a point with that pair tight and every other
@@ -167,6 +171,11 @@ def indicator(L: Lattice, a: str) -> Vec:
 def is_full(F: Face) -> bool:
     """Whether F is the full-dimensional face, with no tight pair."""
     return not F.tight_idx
+
+
+def is_apex(F: Face) -> bool:
+    """Whether F is the apex, the face with every pair tight."""
+    return len(F.tight_idx) == len(F.cone.pairs)
 
 
 def _pivot(T, row, col):
@@ -517,14 +526,24 @@ def affine_lattice_basis(points: Sequence[Vec]) -> list[list[int]]:
 
 def _facet_vertices(points: list[Vec], planes) -> list[Vec]:
     """Those of the distinct points at which the facets through the point
-    meet in that point alone: no other point lies on all of them."""
+    meet in that point alone: no other point lies on all of them. The
+    points are Fraction or integer tuples; a plain sum keeps integer dot
+    products ints."""
     meet = [(1 << len(points)) - 1] * len(points)
     for normal, rhs in planes:
-        on = [i for i, p in enumerate(points) if vdot(normal, p) == rhs]
+        on = [i for i, p in enumerate(points)
+              if sum(a * x for a, x in zip(normal, p, strict=True)) == rhs]
         tight = sum(1 << i for i in on)
         for i in on:
             meet[i] &= tight
     return [p for i, p in enumerate(points) if meet[i] == 1 << i]
+
+
+def hull(points: Sequence[tuple[int, ...]], den: int) -> exactgeom.LatticePolytope:
+    """The integer polytope of the integer points over den, whichever of
+    them are vertices, repeated or not."""
+    pts = list(dict.fromkeys(points))
+    return exactgeom.LatticePolytope(_facet_vertices(pts, exactgeom.facet_hyperplanes(pts)), den)
 
 
 class LatticePolytope:

@@ -10,13 +10,12 @@ import random
 import time
 from fractions import Fraction
 
-from fraction_oracle import (AffineMap, indicator, invert_affine, is_full, lattice_points,
-                             part_value, pbar_labels)
+from fraction_oracle import (AffineMap, hull, indicator, invert_affine, is_apex, is_full,
+                             lattice_points, part_value, pbar_labels)
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
-from hibikit.exactgeom import LatticePolytope
 from hibikit.flaggt import GelfandTsetlin, gt_poset_iso, gt_subdivision, gt_vertices
 from hibikit.hibi import degeneration_certificate
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
@@ -85,7 +84,7 @@ def test_acceptance_4_subdivision_bijection():
                 for p in sub.parts:
                     assert len(p.vertex_elements) == L.poset_P.size + 1
                     assert len(p.order.covers()) == L.poset_P.size - 1
-            if F.is_apex:
+            if is_apex(F):
                 part, = sub.parts
                 assert set(part.vertex_elements) == set(L.elements)
                 assert set(part.order.covers()) == set(L.poset_P.covers())
@@ -104,12 +103,12 @@ def test_acceptance_5_weight_polytope_invariants():
             # |integer points| = |L| and dim = dim F - 1; a hull and the
             # oracle's lattice-point search recheck them
             W = weight_polytope(F)
-            hull = LatticePolytope(list(W.points.values()), 1)
-            assert len(hull.vertices) == len(lattice_points(hull)) == L.size
-            assert hull.dim == F.dim - 1
+            Q = hull(list(W.points.values()), 1)
+            assert len(Q.vertices) == len(lattice_points(Q)) == L.size
+            assert Q.dim == F.dim - 1
             if is_full(F):
                 assert set(W.points.values()) == unit  # standard simplex
-            if F.is_apex:
+            if is_apex(F):
                 zmap = AffineMap(*W.zeta)
                 for a in L.elements:
                     assert invert_affine(zmap, W.points[a]) == indicator(L, a)

@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full, vdot
+from fraction_oracle import indicator, is_apex, is_full, vdot
 from hibikit import cone as cone_module
-from hibikit import exactgeom, subdivision
-from hibikit.cli import resolve_face
+from hibikit import cli, exactgeom, subdivision
+from hibikit.cli import main, resolve_face
 from hibikit.cone import (
     Face,
     _close_tight,
@@ -151,6 +151,40 @@ def test_cone_K_rejects_a_redundant_inequality(extra, monkeypatch):
             build(L)
 
 
+def test_cone_K_certifies_the_apex_dimension(monkeypatch):
+    # one rank of all the normals gives the apex, the lineality space,
+    # dimension |P| + 1; a rank off by one fails the check
+    L = birkhoff(antichain(["p", "q", "r"]))
+    real = cone_module.rank
+    monkeypatch.setattr(cone_module, "rank", lambda rows: real(rows) + 1)
+    with pytest.raises(AssertionError, match="apex dimension"):
+        cone_K(L)
+
+
+def test_a_face_ranks_its_normals_only_when_its_dimension_is_read(monkeypatch, capsys):
+    # cone_K ranks all the normals once; certify reads no face dimension,
+    # and cone reads each face's once
+    calls = []
+    real = cone_module.rank
+    monkeypatch.setattr(cone_module, "rank", lambda rows: calls.append(rows) or real(rows))
+    assert main(["certify", "--boolean", "3", "--lmax", "2"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    calls.clear()
+    cli._lattice.cache_clear()  # a cold B3, whose cone_K ranks again
+    assert main(["cone", "--boolean", "3"]) == 0
+    assert len(calls) == 1 + json.loads(capsys.readouterr().out)["face_count"]
+
+
+def test_the_apex_is_one_face_per_cone():
+    L = birkhoff(antichain(["p", "q", "r"]))
+    K = cone_K(L)
+    assert is_apex(K.apex) and K.apex.dim == L.poset_P.size + 1
+    assert K.apex == face_of(K, tuple(L.height(a) for a in L.elements), 1)
+    assert sample_relative_interior(K.apex) == ((0,) * L.size, 1)
+    assert resolve_face(K, "apex") is K.apex
+
+
 # -- face_of -----------------------------------------------------------------
 
 
@@ -160,7 +194,7 @@ def test_face_of_interior_point_b2():
     F = face_of(K, (0, -1, -1, 0), 1)
     assert F.tight == ()
     assert F.dim == 4
-    assert is_full(F) and not F.is_apex
+    assert is_full(F) and not is_apex(F)
 
 
 def test_face_of_zero_is_apex():
@@ -169,7 +203,7 @@ def test_face_of_zero_is_apex():
     F = face_of(K, (0, 0, 0, 0), 1)
     assert len(F.tight) == 1
     assert F.dim == 3 == L.poset_P.size + 1
-    assert F.is_apex
+    assert is_apex(F)
 
 
 def test_face_of_outside_point():
@@ -220,7 +254,7 @@ def test_apex_span_is_affine_functions_of_indicators():
         L = birkhoff(P)
         K = cone_K(L)
         apex = face_of(K, (0,) * L.size, 1)
-        assert apex.is_apex
+        assert is_apex(apex)
         basis = span_of_face(apex)
         cols = [[1] + [int(x) for x in indicator(L, a)] for a in L.elements]
         assert rank(cols) == P.size + 1  # the evaluation map is nondegenerate
@@ -248,7 +282,7 @@ def test_sample_apex_is_fixed_point():
     assert face_of(K, *sample_relative_interior(apex)) == apex
     # the affine weight w_S = |S| also lands in the apex
     affine = tuple(L.height(a) for a in L.elements)
-    assert face_of(K, affine, 1).is_apex
+    assert is_apex(face_of(K, affine, 1))
 
 
 # the keyed faces of the golden jobs, closed by LP in resolve_face
@@ -322,14 +356,14 @@ def test_enumerate_b2_two_faces():
     faces = enumerate_faces(K)
     assert len(faces) == 2
     assert {is_full(f) for f in faces} == {True, False}
-    assert {f.is_apex for f in faces} == {True, False}
+    assert {is_apex(f) for f in faces} == {True, False}
 
 
 def test_enumerate_chain_single_face():
     K = cone_K(birkhoff(chain(["a", "b", "c"])))
     faces = enumerate_faces(K)
     assert len(faces) == 1
-    assert is_full(faces[0]) and faces[0].is_apex
+    assert is_full(faces[0]) and is_apex(faces[0])
     assert faces[0].dim == 4
 
 
@@ -369,7 +403,7 @@ def test_enumerate_faces_b3_consistency():
     keys = {f.key() for f in faces}
     assert len(keys) == len(faces)
     assert sum(is_full(f) for f in faces) == 1
-    assert sum(f.is_apex for f in faces) == 1
+    assert sum(is_apex(f) for f in faces) == 1
     for f in faces:
         w, den = sample_relative_interior(f)
         assert face_of(K, w, den) == f

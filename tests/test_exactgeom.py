@@ -114,7 +114,7 @@ def test_lp_feasibility_decision_against_brute_rational_grid():
 
 def hull(pts):
     """The vertices of the points' hull, which the LP oracle must agree on."""
-    vertices = list(oracle.fraction_vertices(LatticePolytope(*oracle.over_den(pts))))
+    vertices = list(oracle.fraction_vertices(oracle.hull(*oracle.over_den(pts))))
     assert vertices == sorted(oracle.hull_vertices(pts))
     return vertices
 
@@ -269,7 +269,7 @@ def test_integer_points_unit_square():
 
 
 def test_integer_points_doubled_segment():
-    seg = LatticePolytope([(0,), (2,), (1,)], 1)
+    seg = oracle.hull([(0,), (2,), (1,)], 1)
     assert lattice_points(seg) == [(0,), (1,), (2,)]
 
 

@@ -5,12 +5,13 @@ LP hull and the Fraction LatticePolytope. Rational points go to the kernel
 as integer points over a common denominator. On random rational point
 sets, embedded in larger ambient spaces, and on degenerate non-simplicial
 polytopes the kernel must return the same facet rows, in the same order,
-as integer rows whose rhs over den is the oracle's Fraction, and
-LatticePolytope the same vertices as one LP per point. The oracle's
-lattice_points, which searches on the integer rows, must find what Fraction
-membership finds in the box.
-The integer LatticePolytope must agree with the Fraction one on every
-member, over the lcm of the points' denominators and over multiples of it.
+as integer rows whose rhs over den is the oracle's Fraction, and the
+oracle's hull on those facets the same vertices as one LP per point. The
+oracle's lattice_points, which searches on the integer rows, must find
+what Fraction membership finds in the box.
+The integer LatticePolytope of those vertices must agree with the Fraction
+one on every member, over the lcm of the points' denominators and over
+multiples of it.
 """
 
 import itertools
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from fraction_oracle import lattice_points, to_vec
 from hibikit.cli import interior_weight
-from hibikit.exactgeom import LatticePolytope, facet_hyperplanes
+from hibikit.exactgeom import facet_hyperplanes
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain
 from hibikit.subdivision import generalized_permutahedron
@@ -87,7 +88,7 @@ def hull_inputs(draw):
 
 
 def assert_same_vertices(points):
-    vertices = oracle.fraction_vertices(LatticePolytope(*oracle.over_den(points)))
+    vertices = oracle.fraction_vertices(oracle.hull(*oracle.over_den(points)))
     assert vertices == tuple(sorted(oracle.hull_vertices(points)))
     return vertices
 
@@ -101,7 +102,7 @@ def test_random_point_sets_vertices_match_lp_hull(points):
 @settings(max_examples=100, deadline=None)
 @given(embedded_point_sets(min_dim=0))
 def test_random_point_sets_integer_points_match_box_filter(points):
-    poly = LatticePolytope(*oracle.over_den(points))
+    poly = oracle.hull(*oracle.over_den(points))
     box = [range(math.floor(min(c)), math.ceil(max(c)) + 1)
            for c in zip(*oracle.fraction_vertices(poly))]
     assume(math.prod(map(len, box)) <= 3000)
@@ -112,22 +113,22 @@ def test_random_point_sets_integer_points_match_box_filter(points):
 
 def assert_matches_fraction_polytope(points, scale=1):
     """The integer polytope of the points over scale times the lcm of their
-    denominators against the Fraction polytope, member by member; also
-    rebuilt from its own vertices, with the facets found on demand."""
+    denominators against the Fraction polytope, member by member. Its facets,
+    found from its vertices alone, are the facets of all the points."""
     ints, den = oracle.over_den(points)
     ints = [tuple(scale * x for x in p) for p in ints]
     den *= scale
     want = oracle.LatticePolytope(points)
-    hull = LatticePolytope(ints, den)
-    for got in (hull, LatticePolytope(hull.vertices, den, already_extreme=True)):
-        assert oracle.fraction_vertices(got) == want.vertices
-        assert all(type(x) is int for v in got.vertices for x in v)
-        assert [(normal, Fraction(rhs, den)) for normal, rhs in got.hyperplanes] == list(
-            want.hyperplanes)
-        assert got.dim == want.dim
-        assert got.lattice_basis == want.lattice_basis
-        assert [(list(a), Fraction(b, den)) for a, b in got.span_equations] == want.span_equations
-        assert lattice_points(got) == oracle.integer_points(want)
+    got = oracle.hull(ints, den)
+    assert oracle.fraction_vertices(got) == want.vertices
+    assert all(type(x) is int for v in got.vertices for x in v)
+    assert list(got.hyperplanes) == facet_hyperplanes(ints)
+    assert [(normal, Fraction(rhs, den)) for normal, rhs in got.hyperplanes] == list(
+        want.hyperplanes)
+    assert got.dim == want.dim
+    assert got.lattice_basis == want.lattice_basis
+    assert [(list(a), Fraction(b, den)) for a, b in got.span_equations] == want.span_equations
+    assert lattice_points(got) == oracle.integer_points(want)
     return got
 
 

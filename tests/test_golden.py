@@ -76,6 +76,15 @@ GOLDEN = [
      "79ed290cec5164af7b1edd7c145fe3b20fbf0ea0af78a8047e58665d5ad1e68b", 10),
     ("permutahedron --boolean 3 --w 0,1,1,1,4,4,4,9",
      "c217968161e17f8474e794049d8e7de09b1abcb8fe68784aed33f59f36f2acf8", 6),
+    # recorded with the slopes filtered through a hull before they became
+    # the vertices: B4's interior (24 vertices), a B3 boundary weight (5)
+    # and a Gr(2,4) weight whose permutahedron is a segment (2)
+    ("permutahedron --boolean 4 --w=0,1,1,1,1,4,4,4,4,4,4,9,9,9,9,16",
+     "ad090370aec45fd98e2fa79a513b62941b7b3e5ba3d2fa551d6e429085e06d36", 14),
+    ("permutahedron --boolean 3 --w=0,0,0,0,0,1,1,6",
+     "a02c72f708da0638e86569ecd2c0612b47bd67234dd9ac55f29f267e26098ecd", 5),
+    ("permutahedron --grassmann 2 4 --w 0,1,4,4,9,16",
+     "5459450998c982e0a815d7d20f4b337fdc60732227b2760762fefcdd98a18ace", 2),
     # recorded with the 2^m subset scan of faces, which took about a minute
     ("cone --grassmann 3 6",
      "a9a6f156f95647a25b19f37b2e822cc52e6955898d73a7161eb695ee5e6ebfeb", 0),

@@ -78,6 +78,19 @@ def test_keyed_jobs_on_one_face_build_it_once(sel, key, capsys, builds):
                       "subdivisions": 2, "lps": 0}
 
 
+def test_weightpoly_keys_on_one_lattice_build_the_apex_span_once(capsys, monkeypatch):
+    # every weight polytope is certified through the apex projection, and
+    # the cone keeps its apex face with the span that face keeps
+    spans = []
+    kernel = cone.integer_kernel
+    monkeypatch.setattr(cone, "integer_kernel", lambda rows: spans.append(len(rows)) or kernel(rows))
+    for key in (B3_KEY, '[["{p}","{q}"]]', "apex"):
+        assert run(capsys, ["weightpoly", "--boolean", "3", "--face", key])[0] == 0
+    K = cli._lattice("boolean", 3)._cone
+    assert spans.count(len(K.pairs)) == 1
+    assert spans == [1, len(K.pairs), 1]
+
+
 def test_rewritten_poset_file_gives_the_new_lattice(tmp_path, capsys):
     path = tmp_path / "p.poset"
     path.write_text("elem p\nelem q\n", encoding="utf-8")

@@ -7,12 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import (extension_poset, indicator, intersect_orders, is_full, part_value,
-                             vec_over_den)
+from fraction_oracle import (extension_poset, indicator, intersect_orders, is_apex, is_full,
+                             part_value, vec_over_den)
 from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
-from hibikit.cone import cone_K, enumerate_faces, face_of
+from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior, span_of_face
 from hibikit.errors import NotInCone
+from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain, from_cover_relations, ideal_masks
 from hibikit.subdivision import (
@@ -49,10 +50,10 @@ def random_poset_from_seed(labels, pairs):
     return P
 
 
-def poset_strategy(max_size=3):
+def poset_strategy(max_size=3, min_size=1):
     @st.composite
     def build(draw):
-        n = draw(st.integers(min_value=1, max_value=max_size))
+        n = draw(st.integers(min_value=min_size, max_value=max_size))
         labels = [f"p{i}" for i in range(n)]
         k = draw(st.integers(min_value=0, max_value=2 * n))
         pairs = [
@@ -320,7 +321,7 @@ def test_part_count_is_monotone_under_face_inclusion():
         sub = face_subdivision(F)
         # tighter faces merge more: part count + tight count is bounded
         assert 1 <= len(sub.parts) <= 6
-        if F.is_apex:
+        if is_apex(F):
             assert len(sub.parts) == 1
         if is_full(F):
             assert len(sub.parts) == 6
@@ -554,6 +555,58 @@ def test_b3_generic_weight_hexagon():
     poly = generalized_permutahedron(B3, w, 1)
     assert len(poly.vertices) == 6
     assert poly.dim == 2  # hexagon lives in a plane (alpha sums are fixed)
+
+
+@st.composite
+def face_and_interior_weights(draw):
+    """The lattice of a random poset on 3 to 5 elements, a random face of
+    its cone and two random points of the face's relative interior, each an
+    integer weight over one den. The face holds a random modular weight
+    plus nonnegative multiples of supermodular indicators [S ⊆ iota(a)],
+    and in a third of the draws the squared heights, slack on every pair;
+    the points are its sample scaled past every slack and moved along an
+    integer combination of its span rows."""
+    L = birkhoff(draw(poset_strategy(max_size=5, min_size=3)))
+    K = cone_K(L)
+    labels = L.poset_P.elements
+    slope = {p: draw(st.integers(-3, 3)) for p in labels}
+    full = draw(st.integers(0, 2)) == 0
+    w = [sum(slope[p] for p in iota(L, a)) + full * L.height(a) ** 2 for a in L.elements]
+    for _ in range(draw(st.integers(0, 6))):
+        S = draw(st.sets(st.sampled_from(labels), min_size=2))
+        c = draw(st.integers(1, 3))
+        w = [x + (c if S <= iota(L, a) else 0) for x, a in zip(w, L.elements)]
+    F = face_of(K, w, 1)
+    base, den = sample_relative_interior(F)
+    points = []
+    for _ in range(2):
+        shift = [0] * L.size
+        for row in span_of_face(F):
+            c = draw(st.integers(-3, 3))
+            shift = [x + c * y for x, y in zip(shift, row)]
+        bound = max((abs(sum(a * x for a, x in zip(normal, shift))) for normal in K.normals),
+                    default=0)
+        points.append((tuple((bound + 1) * x + den * y for x, y in zip(base, shift)), den))
+    return L, F, points
+
+
+@settings(max_examples=40, deadline=None)
+@given(face_and_interior_weights())
+def test_permutahedron_vertices_are_the_part_slopes(case):
+    # generalized_permutahedron hands the negated slopes to LatticePolytope
+    # as its vertices, by the argument in its docstring: the oracle's hull
+    # of the slopes keeps every one, and a repeated vertex raises
+    L, F, points = case
+    for w, den in points:
+        sub = regular_subdivision(L, w, den)
+        assert sub.tight == F.tight
+        slopes = [tuple(-x for x in part.alpha) for part in sub.parts]
+        poly = generalized_permutahedron(L, w, den)
+        assert poly.den == sub.den
+        assert poly.vertices == tuple(sorted(slopes))
+        assert oracle.hull(slopes, sub.den).vertices == poly.vertices
+        with pytest.raises(ValueError, match="distinct"):
+            LatticePolytope(slopes + slopes[-1:], sub.den)
 
 
 def test_permutahedron_rejects_outside_weight():

@@ -5,8 +5,8 @@ helpers over the package's own maps: the projections dual to span
 inclusions and their composition, the chain simplices as the full face's
 distinguished faces, and the normality of the weight and order polytopes.
 weightpoly certifies each weight polytope through its apex projection and
-builds no hull; the hulls here (LatticePolytope on the points, and the
-oracle's lattice_points) recheck what that certificate implies: |L|
+builds no hull; the hulls here (the oracle's hull of the points, and its
+lattice_points) recheck what that certificate implies: |L|
 vertices, |L| integer points and dimension dim F - 1.
 """
 
@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_full, lattice_points, solve_linear, vdot, vsub
+from fraction_oracle import indicator, is_apex, is_full, lattice_points, solve_linear, vdot, vsub
 from hibikit import exactgeom, weightpoly
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
@@ -56,12 +56,12 @@ def apex_face(L):
 
 def hull(W):
     """The test-side hull of a weight polytope's points."""
-    return LatticePolytope(list(W.points.values()), 1)
+    return oracle.hull(list(W.points.values()), 1)
 
 
 def face_hull(W, d):
     """The hull of a distinguished face's member points."""
-    return LatticePolytope([W.points[a] for a in d.elements], 1)
+    return oracle.hull([W.points[a] for a in d.elements], 1)
 
 
 def project(G, F, point):
@@ -81,7 +81,7 @@ def chain_simplex(ext):
     W = weight_polytope(full_face(birkhoff(P)))
     labels = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
-    poly = LatticePolytope([W.points[a] for a in labels], 1)
+    poly = oracle.hull([W.points[a] for a in labels], 1)
     assert poly.dim == P.size
     assert len(poly.vertices) == P.size + 1
     return labels, poly
@@ -95,8 +95,7 @@ def normality_probe(Q, k_max):
     sums = set(base)
     for k in range(2, k_max + 1):
         sums = oracle.minkowski_sum(sums, base)
-        kQ = LatticePolytope([tuple(k * x for x in v) for v in Q.vertices], Q.den,
-                             already_extreme=True)
+        kQ = LatticePolytope([tuple(k * x for x in v) for v in Q.vertices], Q.den)
         if not set(lattice_points(kQ)) <= sums:
             return k
     return None
@@ -163,8 +162,7 @@ def test_project_carries_whole_polytope():
                 continue
             for a in L.elements:
                 assert project(G, F, polys[G].points[a]) == polys[F].points[a]
-            image = LatticePolytope(
-                [project(G, F, v) for v in hull(polys[G]).vertices], 1)
+            image = oracle.hull([project(G, F, v) for v in hull(polys[G]).vertices], 1)
             assert image.vertices == hull(polys[F]).vertices
 
 
@@ -173,7 +171,7 @@ def test_project_composition():
     K = cone_K(L)
     apex = face_of(K, (0,) * L.size, 1)
     full = full_face(L)
-    mid = next(F for F in enumerate_faces(K) if not F.is_apex and not is_full(F))
+    mid = next(F for F in enumerate_faces(K) if not is_apex(F) and not is_full(F))
     W = weight_polytope(full)
     for a in L.elements:
         two_step = project(mid, apex, project(full, mid, W.points[a]))
@@ -211,7 +209,7 @@ def test_zeta_square_to_square():
     W = weight_polytope(apex_face(B2))
     z = oracle.AffineMap(*W.zeta)
     order_poly = LatticePolytope([tuple(map(int, indicator(B2, a))) for a in B2.elements], 1)
-    image = LatticePolytope(*oracle.over_den([z(v) for v in order_poly.vertices]))
+    image = oracle.hull(*oracle.over_den([z(v) for v in order_poly.vertices]))
     assert image.den == 1 and image.vertices == hull(W).vertices
     assert len(lattice_points(order_poly)) == len(lattice_points(hull(W)))
 
@@ -402,12 +400,12 @@ def test_certificate_rejects_a_doubled_basis_row(L, monkeypatch):
         for i in range(len(basis)):
             with_basis(monkeypatch, F, [[2 * x for x in row] if k == i else row
                                         for k, row in enumerate(basis)])
-            if F.is_apex:
+            if is_apex(F):
                 assert len(lattice_points(hull(weight_polytope(F)))) == L.size
             else:
                 with pytest.raises(AssertionError, match="not integral"):
                     weight_polytope(F)
-        if F.is_apex:
+        if is_apex(F):
             with_basis(monkeypatch, F, [[2 * x for x in row] for row in basis])
             with pytest.raises(AssertionError, match="apex lattice"):
                 weight_polytope(F)
