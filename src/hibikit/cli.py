@@ -52,7 +52,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .errors import BadParams, CycleError, HibikitError, TooLarge, UnknownLabel
 from .lattice import (Lattice, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice,
                       maximal_chain_count, parse_lattice)
-from .poset import Poset, antichain, check_labels, from_cover_relations
+from .poset import antichain
 
 if TYPE_CHECKING:
     from .cone import Face, MaxCone
@@ -138,21 +138,6 @@ def _write_text(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def parse_poset_json(text: str) -> Poset:
-    """A JSON poset file: `elements`, a list of distinct strings, and
-    `covers`, a list of string pairs."""
-    data = json.loads(text)
-    elements, covers = data["elements"], data["covers"]
-    if not (isinstance(elements, list) and all(isinstance(x, str) for x in elements)):
-        raise ValueError("poset JSON elements must be a list of strings")
-    if not (isinstance(covers, list) and all(
-            isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
-            for c in covers)):
-        raise ValueError("poset JSON covers must be a list of string pairs")
-    check_labels(elements)
-    return from_cover_relations(elements, [(a, b) for a, b in covers])
-
-
 def _entry_digits(token: str) -> int:
     """A bound, read off the text, on the digits that Fraction(token) writes
     into its numerator and denominator: the token's digits plus the size of
@@ -236,16 +221,12 @@ def _lattice(kind: str, *params) -> Lattice:
         return grassmann_lattice(*params)
     if kind == "flag":
         return flag_lattice(*params)
-    text = params[0]
     try:
-        if not text.lstrip().startswith("{"):
-            return parse_lattice(text)
-        P = parse_poset_json(text)
+        return parse_lattice(params[0])
     except (ValueError, TypeError, KeyError) as exc:  # bad line or JSON shape, repeated element
         raise BadParams(f"bad poset file: {exc!r}") from None
     except (CycleError, UnknownLabel) as exc:  # covers that close a cycle or name no element
         raise BadParams(str(exc)) from None
-    return birkhoff(P)
 
 
 def interior_weight(L: Lattice) -> list[int]:

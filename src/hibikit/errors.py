@@ -18,16 +18,19 @@ class GroundSetMismatch(HibikitError):
 
 
 class NotALattice(HibikitError):
-    """The given tables violate a lattice axiom."""
+    """The given tables are not a lattice: a <= b, read as a join b = b, is
+    not a partial order whose joins and meets are the least upper and
+    greatest lower bounds, or an entry is missing."""
 
 
 class NotDistributive(HibikitError):
     """The lattice is not distributive.
 
-    The offending triple (a, b, c) is stored in the `witness` attribute.
+    The offending triple (x, a, b), with x ∧ (a ∨ b) ≠ (x ∧ a) ∨ (x ∧ b),
+    is stored in the `witness` attribute.
     """
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness):
         super().__init__(message)
         self.witness = witness
 

@@ -11,10 +11,11 @@ reads the masks straight off the ideals of a poset. The builtin Grassmann
 and flag lattices encode each index a_i as the bits v < a_i of block i,
 so componentwise max and min are OR and AND, and _ring_of_sets checks the
 closure and reads poset_P off the sets. Join/meet tables, which come from
-outside, run every lattice axiom and both distributive laws first
-(_assemble); the sets of irreducibles below each element then carry the
-tables' join and meet to OR and AND. from_tables relabels the result
-through birkhoff.
+outside, are certified by one embedding into a ring of sets: each element
+goes to the set of join-irreducibles below it, which must carry the
+tables' join to union (_table_lattice). from_tables relabels the result
+through birkhoff. parse_lattice reads every lattice file format: a JSON
+poset, `elem`/`cover` lines, or `join`/`meet` lines.
 
 The builtin Grassmann and flag families label their elements by index
 tuples written as digit strings ("13" for {1, 3}), so n is capped at 9.
@@ -22,19 +23,24 @@ tuples written as digit strings ("13" for {1, 3}), so n is capped at 9.
 
 from __future__ import annotations
 
+import json
 from itertools import combinations
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import BadParams, NotALattice, NotDistributive, UnknownLabel
+from .errors import BadParams, NotALattice, NotDistributive, TooLarge, UnknownLabel
 from .poset import (
     Poset,
     _bits,
     check_labels,
+    from_cover_relations,
     ideal_masks,
     ideal_set,
     linear_extensions,
-    parse_poset,
 )
+
+# linear extensions a lattice may list: `subdivide --grassmann 3 9 --face
+# full` lists 87,516 in 40-50 s and 1.7 GB; Gr(4,9) has 1,662,804
+MAX_EXTENSIONS = 90000
 
 
 def ideal_label(mask: int, ground: Sequence[str]) -> str:
@@ -111,8 +117,13 @@ class Lattice:
 
     def extensions(self) -> tuple[tuple[int, ...], ...]:
         """The linear extensions of poset_P, as linear_extensions yields
-        them; built once per lattice."""
+        them; built once per lattice. They are counted first, and past
+        MAX_EXTENSIONS none is listed: TooLarge."""
         if self._extensions is None:
+            count = _extension_count(self)
+            if count > MAX_EXTENSIONS:
+                raise TooLarge(f"{count} linear extensions; listing them is capped at "
+                               f"{MAX_EXTENSIONS}")
             self._extensions = tuple(linear_extensions(self.poset_P))
         return self._extensions
 
@@ -140,80 +151,7 @@ class DiamondPair(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# rings of sets, and the validator of join/meet tables
-
-
-def _assemble(elements: Sequence[str],
-              join_idx: list[list[int]],
-              meet_idx: list[list[int]]) -> Lattice:
-    """Validate join/meet tables from outside, then build their lattice
-    through _ring_of_sets: every lattice axiom and both distributive laws
-    are checked on the tables; each element then gets the set of
-    irreducibles below it, and the tables' join and meet must be OR and AND
-    on those sets.
-
-    Raises NotALattice / NotDistributive with details on any violation.
-    """
-    n = len(elements)
-    if n == 0:
-        raise NotALattice("empty element list")
-    rng = range(n)
-
-    def chk(cond, msg):
-        if not cond:
-            raise NotALattice(msg)
-
-    for i in rng:
-        chk(join_idx[i][i] == i, f"join not idempotent at {elements[i]}")
-        chk(meet_idx[i][i] == i, f"meet not idempotent at {elements[i]}")
-        for j in rng:
-            chk(join_idx[i][j] == join_idx[j][i], "join not commutative")
-            chk(meet_idx[i][j] == meet_idx[j][i], "meet not commutative")
-            chk(meet_idx[i][join_idx[i][j]] == i, "absorption fails")
-            chk(join_idx[i][meet_idx[i][j]] == i, "absorption fails")
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                chk(join_idx[join_idx[i][j]][k] == join_idx[i][join_idx[j][k]],
-                    "join not associative")
-                chk(meet_idx[meet_idx[i][j]][k] == meet_idx[i][meet_idx[j][k]],
-                    "meet not associative")
-    for i in rng:
-        for j in rng:
-            for k in rng:
-                if meet_idx[i][join_idx[j][k]] != join_idx[meet_idx[i][j]][meet_idx[i][k]]:
-                    raise NotDistributive(
-                        f"meet does not distribute over join on "
-                        f"({elements[i]}, {elements[j]}, {elements[k]})",
-                        witness=(elements[i], elements[j], elements[k]))
-                if join_idx[i][meet_idx[j][k]] != meet_idx[join_idx[i][j]][join_idx[i][k]]:
-                    raise NotDistributive(
-                        f"join does not distribute over meet on "
-                        f"({elements[i]}, {elements[j]}, {elements[k]})",
-                        witness=(elements[i], elements[j], elements[k]))
-
-    # the irreducibles are the elements other than the bottom that are not
-    # the join of the elements strictly below them
-    leq = [[join_idx[i][j] == j for j in rng] for i in rng]
-    bottom = 0
-    for i in rng:
-        bottom = meet_idx[bottom][i]
-    irreducibles = []
-    for j in rng:
-        below = bottom
-        for i in rng:
-            if leq[i][j] and i != j:
-                below = join_idx[below][i]
-        if below != j:
-            irreducibles.append(j)
-    sets = [sum(1 << t for t, i in enumerate(irreducibles) if leq[i][j]) for j in rng]
-    for i in rng:
-        for j in rng:
-            chk(sets[join_idx[i][j]] == sets[i] | sets[j],
-                "join does not correspond to union of ideals")
-            chk(sets[meet_idx[i][j]] == sets[i] & sets[j],
-                "meet does not correspond to intersection of ideals")
-    return _ring_of_sets(elements, sets)
+# rings of sets, and join/meet tables
 
 
 def _ring_of_sets(elements: Sequence[str], sets: Sequence[int]) -> Lattice:
@@ -251,6 +189,65 @@ def _ring_of_sets(elements: Sequence[str], sets: Sequence[int]) -> Lattice:
     return Lattice(elements, poset_P, masks)
 
 
+def _table_lattice(elements: Sequence[str],
+                   join: Mapping[tuple[str, str], str],
+                   meet: Mapping[tuple[str, str], str]) -> Lattice:
+    """The lattice of join/meet tables from outside, with their labels,
+    certified by one embedding into a ring of sets in O(n²) bitmask steps.
+
+    An entry (a, b) may be given as (b, a), and (a, a) defaults to a; a
+    missing entry raises NotALattice, a result that is not an element
+    UnknownLabel. With up[a] the set of b with a ∨ b = b, the tables are a
+    lattice iff that relation is a partial order whose joins are the least
+    upper bounds and whose meets the greatest lower bounds; else NotALattice.
+
+    In a finite lattice the join-irreducibles are the elements with exactly
+    one lower cover, and sending each element to the set of irreducibles
+    below it is injective and carries meet to intersection. The lattice is
+    distributive iff it also carries join to union (Birkhoff 1937): where
+    union fails on a, b, some irreducible x lies below a ∨ b but below
+    neither, so x ∧ a and x ∧ b lie below x's one lower cover and
+    x ∧ (a ∨ b) = x ≠ (x ∧ a) ∨ (x ∧ b), the witness of NotDistributive."""
+    if not elements:
+        raise NotALattice("empty element list")
+    n, index = len(elements), {x: i for i, x in enumerate(elements)}
+
+    def entry(table, a, b, what):
+        c = table.get((a, b), table.get((b, a), a if a == b else None))
+        if c is None:
+            raise NotALattice(f"{what} table is not total: missing ({a}, {b})")
+        if c not in index:
+            raise UnknownLabel(f"operation result {c!r} is not an element")
+        return index[c]
+
+    J = [[entry(join, a, b, "join") for b in elements] for a in elements]
+    M = [[entry(meet, a, b, "meet") for b in elements] for a in elements]
+    up = [sum(1 << j for j in range(n) if J[i][j] == j) for i in range(n)]
+    down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+    for i, a in enumerate(elements):
+        if up[i] & down[i] != 1 << i or any(up[j] & ~up[i] for j in _bits(up[i])):
+            raise NotALattice(f"a <= b, read as a join b = b, is not a partial order at {a}")
+        for j, b in enumerate(elements):
+            if up[J[i][j]] != up[i] & up[j]:
+                raise NotALattice(f"the join of {a} and {b} is not their least upper bound")
+            if down[M[i][j]] != down[i] & down[j]:
+                raise NotALattice(f"the meet of {a} and {b} is not their greatest lower bound")
+    irreducible = 0
+    for j in range(n):
+        strict = down[j] & ~(1 << j)
+        if sum(up[i] & strict == 1 << i for i in _bits(strict)) == 1:
+            irreducible |= 1 << j
+    sets = [m & irreducible for m in down]
+    for i, j in combinations(range(n), 2):
+        lost = sets[J[i][j]] & ~(sets[i] | sets[j])
+        if lost:
+            x, a, b = (elements[k] for k in (lost.bit_length() - 1, i, j))
+            raise NotDistributive(f"meet does not distribute over join on ({x}, {a}, {b}): "
+                                  f"{x} is below the join of {a} and {b} but below neither",
+                                  (x, a, b))
+    return _ring_of_sets(elements, sets)
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -282,49 +279,14 @@ def birkhoff(P: Poset) -> Lattice:
                    [moved(m) for m in ideals])
 
 
-def from_ops(elements: Sequence[str],
-             join_fn: Callable[[str, str], str],
-             meet_fn: Callable[[str, str], str]) -> Lattice:
-    """Build a lattice from join/meet callables, keeping the given labels."""
-    elems = tuple(elements)
-    index = {x: i for i, x in enumerate(elems)}
-
-    def idx_table(fn):
-        table = []
-        for a in elems:
-            row = []
-            for b in elems:
-                c = fn(a, b)
-                if c not in index:
-                    raise UnknownLabel(f"operation result {c!r} is not an element")
-                row.append(index[c])
-            table.append(row)
-        return table
-
-    return _assemble(elems, idx_table(join_fn), idx_table(meet_fn))
-
-
 def from_tables(elements: Sequence[str],
                 join: Mapping[tuple[str, str], str],
                 meet: Mapping[tuple[str, str], str]) -> Lattice:
-    """Validate explicit tables and canonically rename elements to their
-    ideals of join-irreducibles (the original irreducible labels survive as
-    the ground set of poset_P): once the tables pass, the lattice is the
-    Birkhoff lattice of its irreducibles."""
-
-    def lookup(table, a, b, what):
-        if (a, b) in table:
-            return table[(a, b)]
-        if (b, a) in table:
-            return table[(b, a)]
-        if a == b:
-            return a
-        raise NotALattice(f"{what} table is not total: missing ({a}, {b})")
-
-    raw = from_ops(elements,
-                   lambda a, b: lookup(join, a, b, "join"),
-                   lambda a, b: lookup(meet, a, b, "meet"))
-    return birkhoff(raw.poset_P)
+    """The lattice of explicit tables, certified by _table_lattice, with
+    each element renamed to its ideal of join-irreducibles: the lattice is
+    the Birkhoff lattice of its irreducibles, whose table labels survive as
+    the elements of poset_P."""
+    return birkhoff(_table_lattice(elements, join, meet).poset_P)
 
 
 def _label_of(indices: Sequence[int]) -> str:
@@ -407,47 +369,66 @@ def maximal_chain_count(L: Lattice) -> int:
     for j in sorted(range(L.size), key=height.__getitem__):
         paths[j] = sum(paths[i] for i in range(L.size)
                        if height[i] == height[j] - 1 and not masks[i] & ~masks[j]) or 1
-    extensions = {0: 1}  # ideal mask -> linear extensions of the ideal
-    for m in sorted(masks, key=int.bit_count)[1:]:
-        extensions[m] = sum(extensions.get(m & ~(1 << j), 0) for j in _bits(m))
     count = paths[L.index(L.top)]
-    if count != extensions[(1 << L.poset_P.size) - 1]:
+    if count != _extension_count(L):
         raise AssertionError("chain/extension bijection failed")
     return count
 
 
+def _extension_count(L: Lattice) -> int:
+    """The number of linear extensions of poset_P, built one maximal element
+    at a time over the ideal masks, in O(|L| |P|) steps."""
+    count = {0: 1}  # ideal mask -> linear extensions of the ideal
+    for m in sorted(L.masks, key=int.bit_count)[1:]:
+        count[m] = sum(count.get(m & ~(1 << j), 0) for j in _bits(m))
+    return count[(1 << L.poset_P.size) - 1]
+
+
 # ---------------------------------------------------------------------------
-# text format
+# lattice files
 
 
 def parse_lattice(text: str) -> Lattice:
-    """Either a poset file (interpreted via birkhoff) or `join a b c` /
-    `meet a b c` triples fed to from_tables."""
-    join: dict[tuple[str, str], str] = {}
-    meet: dict[tuple[str, str], str] = {}
-    labels: list[str] = []
-    tables_mode = False
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in ("join", "meet") and len(parts) == 4:
-            tables_mode = True
-            table = join if parts[0] == "join" else meet
-            table[(parts[1], parts[2])] = parts[3]
-            for x in parts[1:]:
-                if x not in labels:
-                    labels.append(x)
-        elif parts[0] == "elem" and len(parts) == 2:
-            if parts[1] not in labels:
+    """The lattice of a file, read in one pass. Text starting with `{` is a
+    JSON poset: `elements`, a list of strings, and `covers`, a list of
+    string pairs. Other text holds `elem a` and `cover a b` lines, a poset,
+    or `join a b c` and `meet a b c` lines (and optional `elem` lines),
+    tables whose labels come in order of first appearance; a file may not
+    mix the two. `#` starts a comment. Labels follow check_labels. A poset
+    gives its lattice through birkhoff, tables through from_tables.
+
+    Raises ValueError on a bad line, a mixed file, a repeated poset element
+    or a JSON field of the wrong type, and KeyError or TypeError on a JSON
+    value of the wrong shape."""
+    labels, covers, tables = [], [], {"join": {}, "meet": {}}
+    if text.lstrip().startswith("{"):
+        data = json.loads(text)
+        labels, covers = data["elements"], data["covers"]
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise ValueError("poset JSON elements must be a list of strings")
+        if not (isinstance(covers, list) and all(
+                isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
+                for c in covers)):
+            raise ValueError("poset JSON covers must be a list of string pairs")
+    else:
+        for raw in text.splitlines():
+            parts = raw.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if parts[0] == "elem" and len(parts) == 2:
                 labels.append(parts[1])
-        elif parts[0] == "cover" and len(parts) == 3:
-            tables_mode = False
-            break
-        else:
-            raise ValueError(f"bad lattice line: {raw!r}")
-    if tables_mode:
+            elif parts[0] == "cover" and len(parts) == 3:
+                covers.append(parts[1:])
+            elif parts[0] in tables and len(parts) == 4:
+                tables[parts[0]][parts[1], parts[2]] = parts[3]
+                labels += parts[1:]
+            else:
+                raise ValueError(f"bad lattice line: {raw!r}")
+    if not (tables["join"] or tables["meet"]):
         check_labels(labels)
-        return from_tables(labels, join, meet)
-    return birkhoff(parse_poset(text))
+        return birkhoff(from_cover_relations(labels, covers))
+    if covers:
+        raise ValueError("a lattice file holds cover lines or join/meet lines, not both")
+    labels = list(dict.fromkeys(labels))
+    check_labels(labels)
+    return from_tables(labels, tables["join"], tables["meet"])

@@ -204,25 +204,3 @@ def check_labels(labels: Sequence[str]) -> None:
             raise BadParams(f"element label {x!r} is empty or holds a comma, "
                             "a brace or whitespace")
 
-
-def parse_poset(text: str) -> Poset:
-    """Parse the poset text format: `elem <label>` and `cover <a> <b>` lines.
-
-    `#` starts a comment; blank lines are ignored. Labels follow
-    check_labels.
-    """
-    labels: list[str] = []
-    covers: list[tuple[str, str]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "elem" and len(parts) == 2:
-            labels.append(parts[1])
-        elif parts[0] == "cover" and len(parts) == 3:
-            covers.append((parts[1], parts[2]))
-        else:
-            raise ValueError(f"bad poset line: {raw!r}")
-    check_labels(labels)
-    return from_cover_relations(labels, covers)

@@ -27,18 +27,25 @@ label pairs, before it compared down-set masks.
 
 chain is the total order on a label list, which poset built until its last
 caller in the package, the Gelfand-Tsetlin census, moved to the chain's
-H-description. grassmann_by_ops and flag_by_ops are the builtin Grassmann
-and flag lattices as lattice.grassmann_lattice and lattice.flag_lattice
-built them before they read their elements as rings of sets: string join
-and meet closures on the digit labels, validated by from_ops on the full
-n×n tables.
+H-description. _assemble is the validator of join/meet index tables that
+lattice.from_tables ran before it certified the tables by their embedding
+into a ring of sets (lattice._table_lattice): every lattice axiom and both
+distributive laws, entry by entry in O(n³) loops, then the sets of
+irreducibles below each element handed to lattice._ring_of_sets. from_ops
+builds the tables of join/meet callables and hands them to _assemble.
+grassmann_by_ops and flag_by_ops are the builtin Grassmann and flag
+lattices as lattice.grassmann_lattice and lattice.flag_lattice built them
+before they read their elements as rings of sets: string join and meet
+closures on the digit labels, validated by from_ops on the full n×n tables.
 """
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
-from hibikit.lattice import DiamondPair, diamond_pairs, from_ops
+from hibikit.errors import (CycleError, GroundSetMismatch, NotALattice, NotDistributive,
+                            UnknownLabel)
+from hibikit.lattice import DiamondPair, Lattice, _ring_of_sets, diamond_pairs
 from hibikit.poset import Poset, _bits, from_cover_relations, ideal_masks, linear_extensions
 from hibikit.subdivision import AdjacencyGraph
 
@@ -262,6 +269,104 @@ def pairwise_adjacency(L) -> AdjacencyGraph:
                 edges.append((i, j))
                 edge_pairs.append(pair_index[diff])
     return AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
+
+
+# -- join/meet tables, validated axiom by axiom --------------------------------
+
+
+def _assemble(elements: Sequence[str],
+              join_idx: list[list[int]],
+              meet_idx: list[list[int]]) -> Lattice:
+    """Validate join/meet tables from outside, then build their lattice
+    through _ring_of_sets: every lattice axiom and both distributive laws
+    are checked on the tables; each element then gets the set of
+    irreducibles below it, and the tables' join and meet must be OR and AND
+    on those sets.
+
+    Raises NotALattice / NotDistributive with details on any violation.
+    """
+    n = len(elements)
+    if n == 0:
+        raise NotALattice("empty element list")
+    rng = range(n)
+
+    def chk(cond, msg):
+        if not cond:
+            raise NotALattice(msg)
+
+    for i in rng:
+        chk(join_idx[i][i] == i, f"join not idempotent at {elements[i]}")
+        chk(meet_idx[i][i] == i, f"meet not idempotent at {elements[i]}")
+        for j in rng:
+            chk(join_idx[i][j] == join_idx[j][i], "join not commutative")
+            chk(meet_idx[i][j] == meet_idx[j][i], "meet not commutative")
+            chk(meet_idx[i][join_idx[i][j]] == i, "absorption fails")
+            chk(join_idx[i][meet_idx[i][j]] == i, "absorption fails")
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                chk(join_idx[join_idx[i][j]][k] == join_idx[i][join_idx[j][k]],
+                    "join not associative")
+                chk(meet_idx[meet_idx[i][j]][k] == meet_idx[i][meet_idx[j][k]],
+                    "meet not associative")
+    for i in rng:
+        for j in rng:
+            for k in rng:
+                if meet_idx[i][join_idx[j][k]] != join_idx[meet_idx[i][j]][meet_idx[i][k]]:
+                    raise NotDistributive(
+                        f"meet does not distribute over join on "
+                        f"({elements[i]}, {elements[j]}, {elements[k]})",
+                        witness=(elements[i], elements[j], elements[k]))
+                if join_idx[i][meet_idx[j][k]] != meet_idx[join_idx[i][j]][join_idx[i][k]]:
+                    raise NotDistributive(
+                        f"join does not distribute over meet on "
+                        f"({elements[i]}, {elements[j]}, {elements[k]})",
+                        witness=(elements[i], elements[j], elements[k]))
+
+    # the irreducibles are the elements other than the bottom that are not
+    # the join of the elements strictly below them
+    leq = [[join_idx[i][j] == j for j in rng] for i in rng]
+    bottom = 0
+    for i in rng:
+        bottom = meet_idx[bottom][i]
+    irreducibles = []
+    for j in rng:
+        below = bottom
+        for i in rng:
+            if leq[i][j] and i != j:
+                below = join_idx[below][i]
+        if below != j:
+            irreducibles.append(j)
+    sets = [sum(1 << t for t, i in enumerate(irreducibles) if leq[i][j]) for j in rng]
+    for i in rng:
+        for j in rng:
+            chk(sets[join_idx[i][j]] == sets[i] | sets[j],
+                "join does not correspond to union of ideals")
+            chk(sets[meet_idx[i][j]] == sets[i] & sets[j],
+                "meet does not correspond to intersection of ideals")
+    return _ring_of_sets(elements, sets)
+
+
+def from_ops(elements: Sequence[str],
+             join_fn: Callable[[str, str], str],
+             meet_fn: Callable[[str, str], str]) -> Lattice:
+    """Build a lattice from join/meet callables, keeping the given labels."""
+    elems = tuple(elements)
+    index = {x: i for i, x in enumerate(elems)}
+
+    def idx_table(fn):
+        table = []
+        for a in elems:
+            row = []
+            for b in elems:
+                c = fn(a, b)
+                if c not in index:
+                    raise UnknownLabel(f"operation result {c!r} is not an element")
+                row.append(index[c])
+            table.append(row)
+        return table
+
+    return _assemble(elems, idx_table(join_fn), idx_table(meet_fn))
 
 
 # -- the builtin lattices on their join/meet tables ---------------------------

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hibikit import cli
-from hibikit.cli import canonical_json, main, parse_poset_json, parse_vector
+from hibikit.cli import canonical_json, main, parse_vector
 from hibikit.cone import cone_K, face_of
 from hibikit.exactgeom import LatticePolytope, polytope_json
-from hibikit.lattice import birkhoff
+from hibikit.lattice import birkhoff, grassmann_lattice, parse_lattice
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision, subdivision_json
 
@@ -86,7 +86,9 @@ def test_export_poset_round_trip(tmp_path, capsys):
     (tmp_path / "p.txt").write_text("elem x\nelem y\nelem z\ncover x y\ncover x z\n",
                                     encoding="utf-8")
     report = run_json(capsys, ["lattice", "--poset", str(tmp_path / "p.txt")])
-    assert parse_poset_json(canonical_json(report["poset"])) == P
+    M = parse_lattice(canonical_json(report["poset"]))
+    assert M.poset_P == P
+    assert M == birkhoff(P)
 
 
 def test_export_square_polytope():
@@ -314,6 +316,23 @@ def test_cone_past_the_face_cap_fails_fast(capsys):
     assert json.loads(err)["error"]["type"] == "TooLarge"
 
 
+@pytest.mark.parametrize("argv", [
+    ["subdivide", "--grassmann", "4", "9", "--face", "full"],
+    ["weightpoly", "--flag", "7"],
+    ["permutahedron", "--grassmann", "4", "9", "--w", "HEIGHTS"],
+], ids=["subdivide Gr(4,9)", "weightpoly Flag(7)", "permutahedron Gr(4,9)"])
+def test_too_many_extensions_fail_fast(capsys, argv):
+    # Gr(4,9) has 1,662,804 linear extensions and Flag(7) 23,178,480; they
+    # are counted over the ideal masks and refused before any is listed
+    heights = ",".join(map(str, cli.interior_weight(grassmann_lattice(4, 9))))
+    argv = [heights if x == "HEIGHTS" else x for x in argv]
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, argv)
+    assert time.monotonic() - start < 2
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "TooLarge"
+
+
 def test_face_keys_resolve_without_enumerating_the_cone(capsys, monkeypatch):
     def no_enumeration(K):
         raise RuntimeError("a face key was resolved by enumerating the cone")
@@ -380,6 +399,8 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("lattice --poset FILE", '{"elements": ["a b"], "covers": []}'),
     ("lattice --poset FILE", '{"elements": [""], "covers": []}'),
     ("lattice --poset FILE", "join x y {z}\nmeet x y w\n"),
+    # a file gives covers or join/meet tables, not both
+    ("lattice --poset FILE", "elem x\nelem y\ncover x y\njoin x y y\nmeet x y x\n"),
     # covers that close a cycle or name an element the file does not list
     ("lattice --poset FILE", "elem a\nelem b\ncover a b\ncover b a\n"),
     ("lattice --poset FILE", '{"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]}'),
@@ -394,7 +415,7 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
         "repeated elem", "repeated JSON element", "JSON elements not a list",
         "JSON without covers", "JSON elements not strings", "JSON elements a string",
         "JSON covers not pairs", "comma label", "JSON comma label", "JSON space label",
-        "JSON empty label", "table brace label", "cover cycle", "JSON cover cycle",
+        "JSON empty label", "table brace label", "covers and tables", "cover cycle", "JSON cover cycle",
         "unknown cover label", "JSON unknown cover label", "Gr(1,10)", "Gr(2,10)",
         "Flag(10)"])
 def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):

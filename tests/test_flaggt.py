@@ -878,17 +878,25 @@ def test_gt_subdivide_builds_the_flag_lattice_once(monkeypatch, capsys):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("argv", [["gt", "--n", "3"], ["cone", "--grassmann", "2", "5"],
-                                  ["certify", "--flag", "3", "--lmax", "2"]],
-                         ids=["gt", "cone --grassmann", "certify --flag"])
-def test_builtin_lattices_take_no_table_validation(argv, monkeypatch, capsys):
-    # the builtins are rings of sets; only join/meet tables from a file
-    # run the table validator
+@pytest.mark.parametrize("argv, poset_file", [
+    (["gt", "--n", "3"], None),
+    (["cone", "--grassmann", "2", "5"], None),
+    (["certify", "--flag", "3", "--lmax", "2"], None),
+    (["lattice", "--poset", "FILE"], "elem a\nelem b\nelem c\ncover a c\ncover b c\n"),
+    (["lattice", "--poset", "FILE"], '{"elements": ["a", "b", "c"], "covers": [["a", "c"]]}'),
+], ids=["gt", "cone --grassmann", "certify --flag", "poset text", "poset JSON"])
+def test_builtin_lattices_take_no_table_validation(argv, poset_file, tmp_path, monkeypatch,
+                                                   capsys):
+    # the builtins and poset files are rings of sets; only join/meet tables
+    # from a file run the table certificate
     def forbidden(*args):
-        raise RuntimeError("a builtin lattice reached the table validator")
+        raise RuntimeError("a lattice without tables reached the table certificate")
 
-    monkeypatch.setattr(lattice, "_assemble", forbidden)
-    assert main(argv) == 0
+    path = tmp_path / "poset.txt"
+    if poset_file is not None:
+        path.write_text(poset_file, encoding="utf-8")
+    monkeypatch.setattr(lattice, "_table_lattice", forbidden)
+    assert main([str(path) if x == "FILE" else x for x in argv]) == 0
     capsys.readouterr()
 
 

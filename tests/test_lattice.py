@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from fraction_oracle import NotStronger, extension_poset, indicator
 from hibi_oracle import maximal_chains, sublattice_for_order
-from hibikit.errors import NotALattice, NotDistributive, UnknownLabel
+from hibikit import lattice
+from hibikit.errors import NotALattice, NotDistributive, TooLarge, UnknownLabel
 from hibikit.lattice import (
     DiamondPair,
     _ring_of_sets,
+    _table_lattice,
     birkhoff,
     diamond_pairs,
     flag_lattice,
-    from_ops,
     from_tables,
     grassmann_lattice,
     ideal_label,
@@ -29,8 +30,8 @@ from hibikit.poset import (
     linear_extensions,
 )
 from order_oracle import (PairPoset, chain, covers, diamond_pairs_by_covers, flag_by_ops,
-                          grassmann_by_ops, incomparable, iota, iota_inv, label_extensions,
-                          order_ideals, pairs_of)
+                          from_ops, grassmann_by_ops, incomparable, iota, iota_inv,
+                          label_extensions, order_ideals, pairs_of)
 
 
 def random_poset_from_seed(labels, pairs):
@@ -276,6 +277,85 @@ def test_from_tables_birkhoff_round_trip_isomorphic(P):
     assert {(f[a], f[b]) for a, b in P.label_pairs()} == set(M.poset_P.label_pairs())
 
 
+def test_from_tables_b6_round_trip():
+    # the tables of B6 give back B6, its irreducibles keeping their labels
+    M = from_tables(*tables_of(birkhoff(antichain(list("pqrstu")))))
+    assert M == birkhoff(antichain([f"{{{x}}}" for x in "pqrstu"]))
+
+
+@st.composite
+def closure_tables(draw, max_points=5):
+    """The join/meet tables of a random family of subsets of at most 5
+    points closed under intersection, with the full set: a lattice, often
+    not distributive, with its elements in a drawn order. Half the time one
+    entry is replaced by a drawn element or deleted with its mirror."""
+    full = (1 << draw(st.integers(0, max_points))) - 1
+    family = {full}
+    for m in draw(st.lists(st.integers(0, full), max_size=8)):
+        family |= {m & x for x in family}
+    sets = draw(st.permutations(sorted(family)))
+    elems = [f"e{i}" for i in range(len(sets))]
+    label = dict(zip(sets, elems))
+
+    def least_above(u):
+        top = full
+        for x in sets:
+            if not u & ~x:
+                top &= x
+        return label[top]
+
+    join = {(label[x], label[y]): least_above(x | y) for x in sets for y in sets}
+    meet = {(label[x], label[y]): label[x & y] for x in sets for y in sets}
+    if draw(st.booleans()):
+        table = draw(st.sampled_from([join, meet]))
+        a, b = draw(st.sampled_from(elems)), draw(st.sampled_from(elems))
+        value = draw(st.sampled_from(elems + [None]))
+        if value is None:
+            table.pop((a, b))
+            table.pop((b, a), None)
+        else:
+            table[a, b] = value
+    return elems, join, meet
+
+
+def outcome(build):
+    try:
+        return build()
+    except (NotALattice, NotDistributive) as exc:
+        return exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(closure_tables())
+def test_table_certificate_matches_the_axiom_oracle(tables):
+    # the embedding into a ring of sets accepts the tables that every
+    # lattice axiom and both distributive laws accept, with the same
+    # lattice, and rejects the others with the same error class
+    elems, join, meet = tables
+
+    def lookup(table, what):
+        def op(a, b):
+            for key in ((a, b), (b, a)):
+                if key in table:
+                    return table[key]
+            if a == b:
+                return a
+            raise NotALattice(f"{what} table is not total: missing ({a}, {b})")
+        return op
+
+    new = outcome(lambda: _table_lattice(elems, join, meet))
+    old = outcome(lambda: from_ops(elems, lookup(join, "join"), lookup(meet, "meet")))
+    assert type(new) is type(old)
+    if not isinstance(new, Exception):
+        assert new == old
+        assert from_tables(elems, join, meet) == birkhoff(old.poset_P)
+    elif isinstance(new, NotDistributive):
+        # x ∧ (a ∨ b) = x, but (x ∧ a) ∨ (x ∧ b) is not x
+        x, a, b = new.witness
+        jn, mt = lookup(join, "join"), lookup(meet, "meet")
+        assert mt(x, jn(a, b)) == x != jn(mt(x, a), mt(x, b))
+
+
 @st.composite
 def reordered_posets(draw, max_size=7):
     """A poset on at most 7 elements with its labels in a drawn order, so
@@ -307,6 +387,23 @@ def test_birkhoff_matches_the_validated_set_lattice(P):
     assert L.poset_P.below == M.poset_P.below
     assert diamond_pairs(L) == diamond_pairs_by_covers(M)
     assert maximal_chain_count(L) == maximal_chain_count(M)
+
+
+# -- the extension guard -----------------------------------------------------
+
+
+def test_extensions_are_counted_before_they_are_listed(monkeypatch):
+    # the guard admits a lattice with MAX_EXTENSIONS extensions and refuses
+    # one with more before linear_extensions runs
+    monkeypatch.setattr(lattice, "MAX_EXTENSIONS", 6)
+    assert len(birkhoff(antichain(["p", "q", "r"])).extensions()) == 6
+
+    def forbidden(P):
+        raise AssertionError("listed the extensions of a lattice past the guard")
+
+    monkeypatch.setattr(lattice, "linear_extensions", forbidden)
+    with pytest.raises(TooLarge, match="24 linear extensions"):
+        birkhoff(antichain(["p", "q", "r", "s"])).extensions()
 
 
 # -- diamond pairs -----------------------------------------------------------

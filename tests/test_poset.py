@@ -12,13 +12,13 @@ from hypothesis import strategies as st
 
 from fraction_oracle import extension_poset, intersect_orders
 from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
+from hibikit.lattice import birkhoff, parse_lattice
 from hibikit.poset import (
     Poset,
     antichain,
     from_cover_relations,
     is_stronger,
     linear_extensions,
-    parse_poset,
 )
 from order_oracle import (LinearExtension, PairPoset, chain, closure, down_closed,
                           label_extensions, label_pair_stronger, order_ideals, pairs_of)
@@ -196,16 +196,14 @@ def test_text_format_round_trip():
     P = grid22()
     text = "".join([f"elem {x}\n" for x in P.elements]
                    + [f"cover {a} {b}\n" for a, b in P.covers()])
-    Q = parse_poset(text)
-    assert Q.elements == P.elements
-    assert Q.label_pairs() == P.label_pairs()
+    assert parse_lattice(text).poset_P == birkhoff(P).poset_P
 
 
 def test_text_format_comments_and_errors():
-    P = parse_poset("# a comment\nelem p\nelem q\ncover p q  # tail comment\n")
-    assert P.less("p", "q")
+    L = parse_lattice("# a comment\nelem p\nelem q\ncover p q  # tail comment\n")
+    assert L.poset_P == birkhoff(chain(["p", "q"])).poset_P
     with pytest.raises(ValueError):
-        parse_poset("elem p\nbogus q\n")
+        parse_lattice("elem p\nbogus q\n")
 
 
 def test_linear_extension_validation():
