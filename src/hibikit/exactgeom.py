@@ -4,13 +4,14 @@ No floating point anywhere, and no Fraction: a rational vector is an
 integer tuple over one positive common denominator den. Row reduction and
 the LP solver pivot on integer tableaux with one common denominator
 (integer-preserving elimination). A LatticePolytope holds the integer
-vertices its caller certified, over one common denominator: its facet
-kernel runs the double description method with primitive integer rays on
-those ints, on first use, and its facet normals and span equations are
-primitive integer rows. Its coordinates become reduced [num, den] pairs
-only in polytope_json. lp_feasible runs phase 1 of the simplex with Bland's
-rule, so it terminates without any tolerance knobs, on homogeneous
-equalities and integer rows a.x >= r, the systems that close a face key.
+vertices its caller certified, over one common denominator, and the facets
+when its caller certified those too; otherwise its facet kernel runs the
+double description method with primitive integer rays on those ints, on
+first use. Its facet normals and span equations are primitive integer
+rows. Its coordinates become reduced [num, den] pairs only in
+polytope_json. lp_feasible runs phase 1 of the simplex with Bland's rule,
+so it terminates without any tolerance knobs, on homogeneous equalities
+and integer rows a.x >= r, the systems that close a face key.
 """
 
 from __future__ import annotations
@@ -336,20 +337,26 @@ class LatticePolytope:
 
     The vertices are integer tuples v standing for v / den, over one common
     denominator den >= 1. Every caller hands in points it has certified to
-    be the vertices, each once; a repeated point raises ValueError. The
-    facets are found from the vertices on first use. Hyperplanes (normal,
-    rhs) stand for normal.x <= rhs / den, with primitive integer normals;
-    each one is a facet. The coordinates are reduced to [num, den] pairs
-    only in polytope_json.
+    be the vertices, each once; a repeated point raises ValueError.
+    Hyperplanes (normal, rhs) stand for normal.x <= rhs / den, with
+    primitive integer normals in the span's directions; each one is a
+    facet, and they are sorted. A caller that has certified the facets too
+    hands them in as hyperplanes, in that form; otherwise the double
+    description kernel (facet_hyperplanes) finds them from the vertices on
+    first use. The coordinates are reduced to [num, den] pairs only in
+    polytope_json.
     """
 
-    def __init__(self, vertices: Sequence[tuple[int, ...]], den: int):
+    def __init__(self, vertices: Sequence[tuple[int, ...]], den: int,
+                 hyperplanes: Optional[Sequence[tuple[tuple[int, ...], int]]] = None):
         if not vertices:
             raise ValueError("a polytope needs at least one vertex")
         self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(vertices))
         if len(set(self.vertices)) < len(self.vertices):
             raise ValueError("a polytope's vertices must be distinct")
         self.den = den
+        if hyperplanes is not None:
+            self.hyperplanes = tuple(hyperplanes)  # shadows the lazy kernel
 
     @cached_property
     def hyperplanes(self) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -28,6 +28,12 @@ lies in its part's vertex set. A GTVertex keeps its scaled integer point
 and decomposition, and each section's polytope its scaled integer points
 over den = n - 1; they are divided by n - 1 only when written out.
 
+Nothing runs a double description either. A section is the marked order
+polytope of its part's order, which its covers cut out (Ardila, Bliem &
+Salazar 2011; Pegel, Order 2018), so its facets are the covers touching a
+free cell whose tight vertex sets are proper and inclusion-maximal among
+the covers' tight sets (section_facets).
+
 The census and the vertices run to n = MAX_GT_RANK; the sections, whose
 full face at n = 6 would have 33,592 parts, stop at MAX_SECTION_RANK.
 """
@@ -35,6 +41,7 @@ full face at n = 6 would have 33,592 parts, stop at MAX_SECTION_RANK.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import Face
@@ -95,10 +102,13 @@ def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
     poset of join-irreducibles of L, which must be flag_lattice(gt.n)."""
     pt, phi = gt.poset, gt.phi
     assert sorted(phi.values()) == sorted(ideal_masks(pt))
-    for a, b in itertools.product(L.elements, repeat=2):
-        assert L.leq(a, b) == (not phi[a] & ~phi[b])
-        assert phi[L.join(a, b)] == phi[a] | phi[b]
-        assert phi[L.meet(a, b)] == phi[a] & phi[b]
+    # phi as a list over L's element indices, compared on L's ideal masks
+    ph = [phi[a] for a in L.elements]
+    masks, at_mask = L.masks, L.at_mask
+    for (ma, pa), (mb, pb) in itertools.product(zip(masks, ph), repeat=2):
+        assert (not ma & ~mb) == (not pa & ~pb)
+        assert ph[at_mask[ma | mb]] == pa | pb
+        assert ph[at_mask[ma & mb]] == pa & pb
     principal = {m | 1 << j: p for j, (p, m) in enumerate(zip(pt.elements, pt.below))}
     mapping = {}
     for t in L.poset_P.elements:
@@ -313,23 +323,83 @@ def _extend_to_pbar(base: Poset, order_pt: Poset, at: Sequence[int]) -> Poset:
     return Poset(base.elements, tuple(below))
 
 
+def section_facets(mp: MarkedPoset, order: Poset,
+                   vertices: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """Facets (normal, rhs), normal.x <= rhs, of the marked order polytope
+    of mp's marking under order, from its vertices, in the form and order
+    exactgeom.facet_hyperplanes gives them. The polytope must be
+    full-dimensional in the free cells, which the caller checks.
+
+    The polytope is cut out by its marking and its covers x_a >= x_b
+    (Ardila, Bliem & Salazar 2011; Pegel, Order 2018), so each facet is
+    one of the covers that touch a free cell: x_b - x_a <= 0 with the
+    marked cells' values moved to the right-hand side, so its normal
+    e_b - e_a lives on the free cells, the span's directions, and is
+    primitive. Every vertex must satisfy the marking and every cover. A
+    candidate's tight vertices are the vertices of a face, and the facets
+    are the proper faces no other face contains, so a candidate is a facet
+    iff its tight set is nonempty, proper and strictly inside no other
+    candidate's set; candidates with one such set are one facet and must be
+    the same (normal, rhs).
+    """
+    values = mp.values
+    cols = list(zip(*vertices))
+    for j, v in enumerate(values):
+        if v is not None:
+            assert all(x == v for x in cols[j]), "each vertex must fix the marking"
+    full = (1 << len(vertices)) - 1
+    planes: dict[int, set[tuple[tuple[int, ...], int]]] = {}  # tight mask -> candidates
+    for a, b in order.cover_indices():
+        assert all(x >= y for x, y in zip(cols[a], cols[b])), \
+            "each vertex must satisfy every cover"
+        if values[a] is not None and values[b] is not None:
+            continue
+        normal = [0] * len(values)
+        rhs = 0
+        for c, sign in ((a, -1), (b, 1)):
+            if values[c] is None:
+                normal[c] = sign
+            else:
+                rhs -= sign * values[c]
+        tight = sum(1 << i for i, (x, y) in enumerate(zip(cols[a], cols[b])) if x == y)
+        planes.setdefault(tight, set()).add((tuple(normal), rhs))
+    proper = [m for m in planes if 0 < m < full]
+    facets = []
+    for m in proper:
+        if any(m != t and not m & ~t for t in proper):
+            continue
+        assert len(planes[m]) == 1, "candidates with one tight set must be one facet"
+        facets += planes[m]
+    return sorted(facets)
+
+
 def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
     """Parts of the Gelfand-Tsetlin polytope induced by a face of the cone
     of flag = flag_lattice(gt.n): the diagonal-pinned sections of the
     ambient parts, cut on the (n-1)-scaled integer lattice. Each section's
-    polytope holds its integer vertices over den = n - 1.
+    polytope holds its integer vertices over den = n - 1 and its facets.
 
-    A section is the marked order polytope of its part's order, so, as in
-    gt_vertices, its vertices are the patterns inside it whose tight graph
-    under that order anchors every free cell. A pattern lies in the section
-    iff its chain lies in part.vertex_mask: the pattern is the sum of its
-    chain's ideal indicators, so it respects the part order iff each of
-    those ideals is an ideal of the order, and regular_subdivision
-    certified vertex_mask as exactly those elements. The lifted heights
-    need no check: a part's value at a pattern minus the pattern's lift is
-    the sum over its chain of part.values[a_k] - w[a_k], which is at least
-    0, and 0 iff every a_k is a vertex of the part, by the envelope check
-    regular_subdivision ran.
+    A section is the marked order polytope of its part's order. A pattern
+    lies in the section iff its chain lies in part.vertex_mask: the pattern
+    is the sum of its chain's ideal indicators, so it respects the part
+    order iff each of those ideals is an ideal of the order, and
+    regular_subdivision certified vertex_mask as exactly those elements.
+    The lifted heights need no check: a part's value at a pattern minus
+    the pattern's lift is the sum over its chain of part.values[a_k] -
+    w[a_k], which is at least 0, and 0 iff every a_k is a vertex of the
+    part, by the envelope check regular_subdivision ran.
+
+    A part with one simplex has a chain for its order, and component_shape
+    certifies its section as a product of unit simplices on the scaled
+    lattice, all of whose lattice points are vertices: its vertices are
+    the patterns inside it, and there must be one per vertex of the
+    product. On any other part, as in gt_vertices, the vertices are the
+    patterns inside whose tight graph under the order anchors every free
+    cell.
+
+    The facets are read off the part order's covers by section_facets,
+    since a marked order polytope is cut out by its covers (Ardila, Bliem
+    & Salazar 2011; Pegel, Order 2018): no double description runs.
     """
     n, mp = gt.n, gt.marked
     if n > MAX_SECTION_RANK:
@@ -345,11 +415,18 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
     parts = []
     for part in face_subdivision(F).parts:
         order = _extend_to_pbar(mp.base, part.order, at)
-        vertices = [point for point, chain in patterns
-                    if not chain & ~part.vertex_mask and _is_vertex(mp, order, point)]
-        assert all(_satisfies(mp, order, point) for point in vertices), \
-            "each section vertex must satisfy the part order"
-        Q = LatticePolytope(vertices, n - 1)
+        inside = [point for point, chain in patterns if not chain & ~part.vertex_mask]
+        if len(part.simplices) == 1:
+            total = [0, *(at[j] for j in part.simplices[0]), mp.base.size - 1]
+            assert order.cover_indices() == tuple(sorted(zip(total, total[1:]))), \
+                "a part with one simplex must have that chain for its order"
+            shape = component_shape(gt, tuple(c - 1 for c in total[1:-1]))
+            assert len(inside) == math.prod(d + 1 for d in shape), \
+                "a product of unit simplices must have one pattern per vertex"
+            vertices = inside
+        else:
+            vertices = [point for point in inside if _is_vertex(mp, order, point)]
+        Q = LatticePolytope(vertices, n - 1, section_facets(mp, order, vertices))
         assert Q.dim == len(mp.free()), "each section must be full-dimensional"
         parts.append((order, Q))
     return parts

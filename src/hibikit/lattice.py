@@ -95,15 +95,6 @@ class Lattice:
     def _mask(self, a: str) -> int:
         return self.masks[self.index(a)]
 
-    def join(self, a: str, b: str) -> str:
-        return self.elements[self.at_mask[self._mask(a) | self._mask(b)]]
-
-    def meet(self, a: str, b: str) -> str:
-        return self.elements[self.at_mask[self._mask(a) & self._mask(b)]]
-
-    def leq(self, a: str, b: str) -> bool:
-        return not self._mask(a) & ~self._mask(b)
-
     @property
     def bottom(self) -> str:
         return self.elements[self.at_mask[0]]

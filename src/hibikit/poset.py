@@ -71,12 +71,6 @@ class Poset:
         except KeyError:
             raise UnknownLabel(f"unknown element {label!r}") from None
 
-    def less(self, a: str, b: str) -> bool:
-        return bool(self.below[self.index(b)] >> self.index(a) & 1)
-
-    def leq(self, a: str, b: str) -> bool:
-        return a == b or self.less(a, b)
-
     @property
     def size(self) -> int:
         return len(self.elements)

@@ -126,8 +126,8 @@ from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, is_stronger, linear_extensions
 from hibikit.subdivision import face_subdivision
-from order_oracle import (LinearExtension, iota, label_extension, label_extensions,
-                          lattice_chain, order_ideals, poset_from_pairs)
+from order_oracle import (LinearExtension, iota, label_extension, label_extensions, lattice_chain,
+                          leq, less, order_ideals, poset_from_pairs)
 
 
 Vec = tuple[Fraction, ...]
@@ -711,7 +711,7 @@ class MarkedPoset:
             if is_min or is_max:
                 assert p in marked, "extreme elements must be marked"
         for a, b in itertools.permutations(self.marked, 2):
-            if self.base.less(a, b):
+            if less(self.base, a, b):
                 assert self.values[a] >= self.values[b]
 
     def free(self) -> list[str]:
@@ -749,7 +749,7 @@ def _vertex_candidates(mp: MarkedPoset, order: Poset) -> list[dict[str, int]]:
     for a, b in order.covers():
         preds[b].append(a)
     lower = {
-        p: max(mp.values[m] for m in mp.marked if order.leq(p, m))
+        p: max(mp.values[m] for m in mp.marked if leq(order, p, m))
         for p in free
     }
     return _fillings(label_extension(order, next(linear_extensions(order))).order,

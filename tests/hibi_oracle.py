@@ -41,8 +41,8 @@ from hibikit.exactgeom import rank
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
 from hibikit.poset import Poset, is_stronger
-from order_oracle import (LinearExtension, covers, incomparable, iota, label_extensions,
-                          lattice_chain, order_ideals)
+from order_oracle import (LinearExtension, covers, incomparable, iota, join_of, label_extensions,
+                          lattice_chain, meet_of, order_ideals)
 
 
 @dataclass(frozen=True)
@@ -176,7 +176,7 @@ def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
     members = [a for a in L.elements if iota(L, a) in ideal_set]
     for a in members:  # closure under both operations, by construction
         for b in members:
-            if L.join(a, b) not in members or L.meet(a, b) not in members:
+            if join_of(L, a, b) not in members or meet_of(L, a, b) not in members:
                 raise AssertionError("sublattice is not closed")
     return tuple(members)
 
@@ -263,8 +263,8 @@ def straighten(L, m):
             break
         i, j = swap
         a, b = L.elements[factors[i]], L.elements[factors[j]]
-        factors[i] = L.index(L.meet(a, b))
-        factors[j] = L.index(L.join(a, b))
+        factors[i] = L.index(meet_of(L, a, b))
+        factors[j] = L.index(join_of(L, a, b))
         factors.sort()
         new_score = badness()
         if new_score <= score:
@@ -291,7 +291,7 @@ def component_ideal(L, order):
             if incomparable(L, a, b):
                 gens.append(Polynomial({
                     monomial(L, {a: 1, b: 1}): 1,
-                    monomial(L, {L.join(a, b): 1, L.meet(a, b): 1}): -1,
+                    monomial(L, {join_of(L, a, b): 1, meet_of(L, a, b): 1}): -1,
                 }))
     inside = set(members)
     gens += [Polynomial({monomial(L, {c: 1}): 1})

@@ -37,6 +37,11 @@ grassmann_by_ops and flag_by_ops are the builtin Grassmann and flag
 lattices as lattice.grassmann_lattice and lattice.flag_lattice built them
 before they read their elements as rings of sets: string join and meet
 closures on the digit labels, validated by from_ops on the full n×n tables.
+
+less and leq compare two labels of a Poset or a Lattice, and join_of and
+meet_of combine two labels of a Lattice, as the Poset.less, Poset.leq,
+Lattice.leq, Lattice.join and Lattice.meet methods did until the package
+compared and combined the masks themselves.
 """
 
 import itertools
@@ -48,6 +53,26 @@ from hibikit.errors import (CycleError, GroundSetMismatch, NotALattice, NotDistr
 from hibikit.lattice import DiamondPair, Lattice, _ring_of_sets, diamond_pairs
 from hibikit.poset import Poset, _bits, from_cover_relations, ideal_masks, linear_extensions
 from hibikit.subdivision import AdjacencyGraph
+
+
+def less(P: Poset, a: str, b: str) -> bool:
+    """a < b in the poset, by labels."""
+    return bool(P.below[P.index(b)] >> P.index(a) & 1)
+
+
+def leq(order, a: str, b: str) -> bool:
+    """a <= b in a Poset or a Lattice, by labels."""
+    if isinstance(order, Lattice):
+        return not order.masks[order.index(a)] & ~order.masks[order.index(b)]
+    return a == b or less(order, a, b)
+
+
+def join_of(L: Lattice, a: str, b: str) -> str:
+    return L.elements[L.at_mask[L.masks[L.index(a)] | L.masks[L.index(b)]]]
+
+
+def meet_of(L: Lattice, a: str, b: str) -> str:
+    return L.elements[L.at_mask[L.masks[L.index(a)] & L.masks[L.index(b)]]]
 
 
 def chain(labels: list[str]) -> Poset:
@@ -171,13 +196,13 @@ def iota_inv(L, ideal) -> str:
 
 
 def incomparable(L, a, b) -> bool:
-    return not L.leq(a, b) and not L.leq(b, a)
+    return not leq(L, a, b) and not leq(L, b, a)
 
 
 def covers(L, a, b) -> bool:
     """Whether b covers a in L."""
-    return (a != b and L.leq(a, b)
-            and not any(c not in (a, b) and L.leq(a, c) and L.leq(c, b) for c in L.elements))
+    return (a != b and leq(L, a, b)
+            and not any(c not in (a, b) and leq(L, a, c) and leq(L, c, b) for c in L.elements))
 
 
 def diamond_pairs_by_covers(L) -> tuple[DiamondPair, ...]:
@@ -186,7 +211,7 @@ def diamond_pairs_by_covers(L) -> tuple[DiamondPair, ...]:
     cover their meet."""
     out = []
     for a, b in itertools.combinations(L.elements, 2):
-        m, j = L.meet(a, b), L.join(a, b)
+        m, j = meet_of(L, a, b), join_of(L, a, b)
         if (incomparable(L, a, b) and covers(L, a, j) and covers(L, b, j)
                 and covers(L, m, a) and covers(L, m, b)):
             out.append(DiamondPair(a, b, m, j))

@@ -12,11 +12,11 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from fraction_oracle import pbar_labels, vadd, vec_over_den, vscale, zero_vec
-from hibikit import flaggt, lattice
+from hibikit import exactgeom, flaggt, lattice
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams, GroundSetMismatch, TooLarge
-from hibikit.exactgeom import rank
+from hibikit.exactgeom import facet_hyperplanes, rank
 from hibikit.flaggt import (
     GelfandTsetlin,
     MarkedPoset,
@@ -33,12 +33,13 @@ from hibikit.flaggt import (
     gt_subdivision,
     gt_vertices,
     mu_k_marked_poset,
+    section_facets,
     shape_census,
 )
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import Poset, antichain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision, regular_subdivision
-from order_oracle import chain, label_extension, order_ideals
+from order_oracle import chain, join_of, label_extension, leq, meet_of, order_ideals
 
 
 def full_face(L):
@@ -100,7 +101,7 @@ def tight_rank(mp, order, point):
 def test_grassmann_1_2_is_chain():
     G = grassmann_lattice(1, 2)
     assert G.elements == ("1", "2")
-    assert G.leq("1", "2")
+    assert leq(G, "1", "2")
 
 
 def test_grassmann_2_4():
@@ -108,8 +109,8 @@ def test_grassmann_2_4():
     assert G.size == 6
     pairs = diamond_pairs(G)
     assert [{d.a, d.b} for d in pairs] == [{"14", "23"}]
-    assert G.meet("14", "23") == "13"
-    assert G.join("14", "23") == "24"
+    assert meet_of(G, "14", "23") == "13"
+    assert join_of(G, "14", "23") == "24"
 
 
 def test_grassmann_complementation_iso():
@@ -119,8 +120,8 @@ def test_grassmann_complementation_iso():
     for perm in itertools.permutations(B.elements):
         to = dict(zip(A.elements, perm))
         if all(
-            to[A.join(a, b)] == B.join(to[a], to[b])
-            and to[A.meet(a, b)] == B.meet(to[a], to[b])
+            to[join_of(A, a, b)] == join_of(B, to[a], to[b])
+            and to[meet_of(A, a, b)] == meet_of(B, to[a], to[b])
             for a, b in itertools.product(A.elements, repeat=2)
         ):
             found = True
@@ -141,7 +142,7 @@ def test_grassmann_bad_params():
 def test_flag_2_is_chain():
     L = flag_lattice(2)
     assert L.size == 2
-    assert L.leq("1", "2")
+    assert leq(L, "1", "2")
 
 
 def test_flag_3():
@@ -149,10 +150,10 @@ def test_flag_3():
     assert L.size == 6
     pairs = diamond_pairs(L)
     assert [{d.a, d.b} for d in pairs] == [{"1", "23"}]
-    assert L.meet("1", "23") == "13"
-    assert L.join("1", "23") == "2"
-    bottom = [a for a in L.elements if all(L.leq(a, b) for b in L.elements)]
-    top = [a for a in L.elements if all(L.leq(b, a) for b in L.elements)]
+    assert meet_of(L, "1", "23") == "13"
+    assert join_of(L, "1", "23") == "2"
+    bottom = [a for a in L.elements if all(leq(L, a, b) for b in L.elements)]
+    top = [a for a in L.elements if all(leq(L, b, a) for b in L.elements)]
     assert bottom == ["12"] and top == ["3"]
 
 
@@ -168,7 +169,7 @@ def test_flag_order_matches_componentwise_rule():
         s, t = tuple(map(int, a)), tuple(map(int, b))
         expected = len(s) >= len(t) and all(
             x <= y for x, y in zip(s, t))
-        assert L.leq(a, b) == expected
+        assert leq(L, a, b) == expected
 
 
 def test_flag_bad_params():
@@ -182,7 +183,7 @@ def test_flag_bad_params():
 def test_gt_poset_3():
     pt = gt_poset(3)
     assert pt.elements == ("p12", "p13", "p22", "p23")
-    assert not pt.leq("p13", "p22") and not pt.leq("p22", "p13")
+    assert not leq(pt, "p13", "p22") and not leq(pt, "p22", "p13")
     assert sum(1 for _ in linear_extensions(pt)) == 2
 
 
@@ -216,7 +217,17 @@ def test_gt_poset_iso_is_order_isomorphism(n):
     P = flag_lattice(n).poset_P
     assert sorted(iso.values()) == sorted(pt.elements)
     for s, t in itertools.product(P.elements, repeat=2):
-        assert P.leq(s, t) == pt.leq(iso[s], iso[t])
+        assert leq(P, s, t) == leq(pt, iso[s], iso[t])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gt_poset_iso_rejects_two_ideals_swapped(n):
+    # phi still lists every ideal of the triangle once, but "1" < "2" in L
+    # while their swapped ideals are the other way round
+    gt = GelfandTsetlin(n)
+    gt.phi["1"], gt.phi["2"] = gt.phi["2"], gt.phi["1"]
+    with pytest.raises(AssertionError):
+        gt_poset_iso(gt, flag_lattice(n))
 
 
 # -- marked order polytopes --------------------------------------------------
@@ -395,7 +406,7 @@ def test_gt_patterns_are_chains():
     L = flag_lattice(3)
     for point, chain in gt_patterns(GelfandTsetlin(3)):
         assert [len(lbl) for lbl in chain] == [1, 2]
-        assert L.leq(chain[1], chain[0])
+        assert leq(L, chain[1], chain[0])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -456,7 +467,7 @@ def test_gt_vertex_decompositions_3():
         for k, (lbl, part) in enumerate(zip(gv.labels, gv.decomposition), 1):
             assert len(lbl) == k
             assert part == flag_point(gt, lbl)
-        assert L.leq(gv.labels[1], gv.labels[0])
+        assert leq(L, gv.labels[1], gv.labels[0])
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -516,7 +527,7 @@ def test_gt_vertices_5():
     L = flag_lattice(5)
     for gv in vs[:20]:
         for a, b in zip(gv.labels, gv.labels[1:]):
-            assert L.leq(b, a)
+            assert leq(L, b, a)
 
 
 def test_gt_vertices_too_large():
@@ -702,6 +713,126 @@ def test_gt_subdivision_matches_fraction_oracle(n, face_count):
         assert all(type(x) is int for _, Q in got for v in Q.vertices for x in v)
         assert ([(order.covers(), oracle.fraction_vertices(Q)) for order, Q in got]
                 == [(order.covers(), Q.vertices) for order, Q in want])
+
+
+def every_section(n):
+    """(order, polytope) of every section of every face of Flag(n)'s cone."""
+    C = cone_K(flag_lattice(n))
+    gt = GelfandTsetlin(n)
+    return [section for F in enumerate_faces(C) for section in gt_subdivision(gt, F, C.lattice)]
+
+
+@pytest.mark.parametrize("n, count", [(3, 3), (4, 156)])
+def test_section_facets_match_the_double_description_kernel(n, count):
+    # the facets read off the part order's covers are the kernel's, in its
+    # order, on every section of every face
+    found = every_section(n)
+    assert len(found) == count
+    for _, Q in found:
+        assert Q.hyperplanes == tuple(facet_hyperplanes(Q.vertices))
+
+
+def test_section_facets_match_the_kernel_on_the_n5_apex():
+    ((_, Q),) = sections(5, apex_face)
+    assert len(Q.hyperplanes) == 20
+    assert Q.hyperplanes == tuple(facet_hyperplanes(Q.vertices))
+
+
+def test_section_facets_reject_a_vertex_that_violates_a_cover():
+    # each part's section holds vertices that the other part's order cuts off
+    mp = GelfandTsetlin(3).marked
+    (order0, Q0), (order1, Q1) = sections(3, full_face)
+    assert section_facets(mp, order0, Q0.vertices) == list(Q0.hyperplanes)
+    for order, Q in ((order0, Q1), (order1, Q0)):
+        with pytest.raises(AssertionError, match="every cover"):
+            section_facets(mp, order, Q.vertices)
+
+
+def test_section_facets_disagree_with_the_kernel_on_a_dropped_vertex():
+    # the covers describe the whole section, so with any one vertex dropped
+    # their facets are no longer the hull's: the kernel comparison above
+    # catches a vertex list that misses a vertex
+    mp = GelfandTsetlin(3).marked
+    for order, Q in every_section(3):
+        for k in range(len(Q.vertices)):
+            rest = Q.vertices[:k] + Q.vertices[k + 1:]
+            assert section_facets(mp, order, rest) != facet_hyperplanes(rest)
+
+
+def test_chain_parts_reject_a_dropped_pattern(monkeypatch):
+    # a chain part takes the patterns inside it as its vertices, and there
+    # must be one per vertex of its product of simplices
+    patterns = gt_patterns
+
+    def dropped(gt):
+        out = patterns(gt)
+        return out[:3] + out[4:]
+
+    monkeypatch.setattr(flaggt, "gt_patterns", dropped)
+    with pytest.raises(AssertionError, match="one pattern per vertex"):
+        sections(3, full_face)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gt", "--n", "3"],
+    ["gt", "--n", "4", "subdivide"],
+    ["gt", "--n", "3", "subdivide", "--face", '[["1","23"]]'],
+    ["gt", "--n", "4", "vertices"],
+    ["gt", "--n", "4", "census"],
+], ids=["census and subdivide", "subdivide", "keyed face", "vertices", "census"])
+def test_gt_runs_no_facet_kernel(argv, capsys, monkeypatch):
+    # every section's facets are read off its part order's covers
+    found = []
+    kernel = exactgeom.facet_hyperplanes
+
+    def counting(*args, **kwargs):
+        found.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(exactgeom, "facet_hyperplanes", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert found == []
+
+
+def _chain_parts(n, faces):
+    C = cone_K(flag_lattice(n))
+    gt = GelfandTsetlin(n)
+    out = []
+    for F in faces(C):
+        parts = zip(face_subdivision(F).parts, gt_subdivision(gt, F, C.lattice))
+        out += [(part, order, Q) for part, (order, Q) in parts if len(part.simplices) == 1]
+    return out
+
+
+@pytest.mark.parametrize("n, faces, count", [
+    (2, enumerate_faces, 1),
+    (3, enumerate_faces, 2),
+    (4, enumerate_faces, 56),
+    (5, lambda C: [full_face(C.lattice)], 286),
+], ids=["n2 faces", "n3 faces", "n4 faces", "n5 full"])
+def test_chain_parts_take_every_inside_pattern_with_no_anchoring_test(n, faces, count):
+    # on a part with one simplex, every pattern inside it passes the
+    # anchoring test that the other parts run
+    gt = GelfandTsetlin(n)
+    L = flag_lattice(n)
+    patterns = [(point, {L.index(lbl) for lbl in chain}) for point, chain in gt_patterns(gt)]
+    found = _chain_parts(n, faces)
+    assert len(found) == count
+    for part, order, Q in found:
+        inside = [point for point, chain in patterns
+                  if all(part.vertex_mask >> i & 1 for i in chain)]
+        assert all(_is_vertex(gt.marked, order, point) for point in inside)
+        assert sorted(inside) == list(Q.vertices)
+
+
+def test_gt_5_full_face_sections():
+    # 286 chambers, each a product of unit simplices with one facet per
+    # cover of its chain: 14 covers, each touching a free cell
+    found = sections(5, full_face)
+    assert len(found) == 286
+    assert all(len(order.cover_indices()) == len(Q.hyperplanes) == 14 for order, Q in found)
+    assert sum(len(Q.hyperplanes) for _, Q in found) == 4004
 
 
 @pytest.mark.parametrize("n", [3, 4])

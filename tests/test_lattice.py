@@ -29,9 +29,9 @@ from hibikit.poset import (
     from_cover_relations,
     linear_extensions,
 )
-from order_oracle import (PairPoset, chain, covers, diamond_pairs_by_covers, flag_by_ops,
-                          from_ops, grassmann_by_ops, incomparable, iota, iota_inv,
-                          label_extensions, order_ideals, pairs_of)
+from order_oracle import (PairPoset, chain, covers, diamond_pairs_by_covers, flag_by_ops, from_ops,
+                          grassmann_by_ops, incomparable, iota, iota_inv, join_of,
+                          label_extensions, leq, meet_of, order_ideals, pairs_of)
 
 
 def random_poset_from_seed(labels, pairs):
@@ -76,8 +76,8 @@ def test_birkhoff_two_antichain_is_b2():
     L = birkhoff(antichain(["p", "q"]))
     assert L.size == 4
     assert L.elements == ("{}", "{p}", "{q}", "{p,q}")
-    assert L.join("{p}", "{q}") == "{p,q}"
-    assert L.meet("{p}", "{q}") == "{}"
+    assert join_of(L, "{p}", "{q}") == "{p,q}"
+    assert meet_of(L, "{p}", "{q}") == "{}"
     assert L.bottom == "{}" and L.top == "{p,q}"
 
 
@@ -85,7 +85,7 @@ def test_birkhoff_three_chain_is_four_chain():
     L = birkhoff(chain(["a", "b", "c"]))
     assert L.size == 4
     for x, y in itertools.combinations(L.elements, 2):
-        assert L.leq(x, y) or L.leq(y, x)
+        assert leq(L, x, y) or leq(L, y, x)
 
 
 def test_birkhoff_grid_has_six_elements():
@@ -111,8 +111,8 @@ def test_grid_birkhoff_isomorphic_to_two_subset_lattice():
     for perm in itertools.permutations(G.elements):
         f = dict(zip(L.elements, perm))
         if all(
-            f[L.join(a, b)] == G.join(f[a], f[b])
-            and f[L.meet(a, b)] == G.meet(f[a], f[b])
+            f[join_of(L, a, b)] == join_of(G, f[a], f[b])
+            and f[meet_of(L, a, b)] == meet_of(G, f[a], f[b])
             for a in L.elements
             for b in L.elements
         ):
@@ -175,8 +175,8 @@ def test_ring_of_sets_rejects_a_repeated_set():
 
 
 def tables_of(L):
-    join = {(a, b): L.join(a, b) for a in L.elements for b in L.elements}
-    meet = {(a, b): L.meet(a, b) for a in L.elements for b in L.elements}
+    join = {(a, b): join_of(L, a, b) for a in L.elements for b in L.elements}
+    meet = {(a, b): meet_of(L, a, b) for a in L.elements for b in L.elements}
     return list(L.elements), join, meet
 
 
@@ -382,7 +382,7 @@ def test_birkhoff_matches_the_validated_set_lattice(P):
     L = birkhoff(P)
     assert L.elements == M.elements
     assert L.masks == M.masks
-    generator = {label[frozenset(q for q in P.elements if P.leq(q, p))]: p for p in P.elements}
+    generator = {label[frozenset(q for q in P.elements if leq(P, q, p))]: p for p in P.elements}
     assert L.poset_P.elements == tuple(generator[x] for x in M.poset_P.elements)
     assert L.poset_P.below == M.poset_P.below
     assert diamond_pairs(L) == diamond_pairs_by_covers(M)
@@ -422,7 +422,7 @@ def test_b3_six_diamond_pairs():
     expected = set()
     for a, b in itertools.combinations(L.elements, 2):
         if incomparable(L, a, b):
-            m, j = L.meet(a, b), L.join(a, b)
+            m, j = meet_of(L, a, b), join_of(L, a, b)
             if (
                 covers(L, a, j)
                 and covers(L, b, j)
@@ -539,8 +539,8 @@ def test_sublattice_closure_and_ideals(P):
         assert ideals == set(order_ideals(extension_poset(ext)))
         for a in members:
             for b in members:
-                assert L.join(a, b) in members
-                assert L.meet(a, b) in members
+                assert join_of(L, a, b) in members
+                assert meet_of(L, a, b) in members
 
 
 # -- invariants --------------------------------------------------------------
@@ -572,7 +572,8 @@ def test_every_element_is_join_of_its_irreducibles():
     for a in L.elements:
         acc = L.bottom
         for p in iota(L, a):
-            acc = L.join(acc, iota_inv(L, frozenset(q for q in GRID.elements if GRID.leq(q, p))))
+            down = frozenset(q for q in GRID.elements if leq(GRID, q, p))
+            acc = join_of(L, acc, iota_inv(L, down))
         assert acc == a
 
 
@@ -594,8 +595,8 @@ def test_parse_lattice_tables_mode():
         lines.append(f"elem {name[a]}")
     for a in L.elements:
         for b in L.elements:
-            lines.append(f"join {name[a]} {name[b]} {name[L.join(a, b)]}")
-            lines.append(f"meet {name[a]} {name[b]} {name[L.meet(a, b)]}")
+            lines.append(f"join {name[a]} {name[b]} {name[join_of(L, a, b)]}")
+            lines.append(f"meet {name[a]} {name[b]} {name[meet_of(L, a, b)]}")
     M = parse_lattice("\n".join(lines))
     assert M.size == 4
     assert set(M.poset_P.elements) == {"p", "q"}
@@ -620,4 +621,4 @@ def test_parse_lattice_bad_line():
 def test_unknown_label_rejected():
     L = birkhoff(antichain(["p", "q"]))
     with pytest.raises(UnknownLabel):
-        L.join("{p}", "{zz}")
+        join_of(L, "{p}", "{zz}")
