@@ -13,10 +13,6 @@ class UnknownLabel(HibikitError):
     """A relation or lookup references a label that is not in the ground set."""
 
 
-class GroundSetMismatch(HibikitError):
-    """Two posets that must share a ground set do not."""
-
-
 class NotALattice(HibikitError):
     """The given tables are not a lattice: a <= b, read as a join b = b, is
     not a partial order whose joins and meets are the least upper and

@@ -392,10 +392,12 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
     A part with one simplex has a chain for its order, and component_shape
     certifies its section as a product of unit simplices on the scaled
     lattice, all of whose lattice points are vertices: its vertices are
-    the patterns inside it, and there must be one per vertex of the
-    product. On any other part, as in gt_vertices, the vertices are the
+    the patterns inside it, there must be one per vertex of the product,
+    and its dimension is the sum of the simplices' dimensions, with no
+    rank taken. On any other part, as in gt_vertices, the vertices are the
     patterns inside whose tight graph under the order anchors every free
-    cell.
+    cell, and the dimension is the rank of the vertex differences. Every
+    section must be full-dimensional.
 
     The facets are read off the part order's covers by section_facets,
     since a marked order polytope is cut out by its covers (Ardila, Bliem
@@ -423,11 +425,12 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
             shape = component_shape(gt, tuple(c - 1 for c in total[1:-1]))
             assert len(inside) == math.prod(d + 1 for d in shape), \
                 "a product of unit simplices must have one pattern per vertex"
-            vertices = inside
+            vertices, dim = inside, sum(shape)
         else:
-            vertices = [point for point in inside if _is_vertex(mp, order, point)]
+            vertices, dim = [point for point in inside if _is_vertex(mp, order, point)], None
         Q = LatticePolytope(vertices, n - 1, section_facets(mp, order, vertices))
-        assert Q.dim == len(mp.free()), "each section must be full-dimensional"
+        assert (Q.dim if dim is None else dim) == len(mp.free()), \
+            "each section must be full-dimensional"
         parts.append((order, Q))
     return parts
 

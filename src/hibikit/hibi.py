@@ -108,17 +108,22 @@ def _build_degree_table(L: Lattice, l: int) -> DegreeTable:
             states.append({0})
         while len(states) <= l:
             states.append({state + packed | bit for state in states[-1] for packed, bit in factors})
-    classes: dict[int, list[int]] = {}
-    support = (1 << n) - 1
-    for state in states[l]:
-        classes.setdefault(state >> n, []).append(state & support)
     # per position, its support; at a guard, the item's top bit, above every
-    # element while L.size < width (MAX_ELEMENTS keeps it so)
+    # element while L.size < width (MAX_ELEMENTS keeps it so). Sorted, the
+    # states of one class sit next to each other, so a guard goes wherever
+    # the packed sum changes
     cells = array("I")
     width = 8 * cells.itemsize
-    for supports in classes.values():
-        cells.extend(supports)
-        cells.append(1 << width - 1)
+    guard = 1 << width - 1
+    support = (1 << n) - 1
+    ordered = sorted(states[l])
+    last = ordered[0] >> n
+    for state in ordered:
+        if state >> n != last:
+            cells.append(guard)
+            last = state >> n
+        cells.append(state & support)
+    cells.append(guard)
     # the cells' bits, most significant position first: bit e of every cell
     # is one slice of the string, and so one int
     digits = format(int.from_bytes(cells.tobytes(), sys.byteorder), f"0{width * len(cells)}b")
@@ -255,21 +260,22 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     computed once per degree, before the cone is built, so the element and
     degree caps fail fast; only the intersection is computed per face.
 
-    A component's members are its part's vertices, which
-    regular_subdivision has checked to be the ideals of the part's order."""
+    A component's members are its part's vertex mask, read off the part's
+    cell: regular_subdivision checked it, once per cell of the lattice, to
+    be the ideals of the part's order and a sublattice of L, and checks on
+    every face that the part's extensions give the same mask."""
     from .cone import cone_K, enumerate_faces
     from .subdivision import face_subdivision
 
     degrees = [(l, comb(L.size + l - 1, l), ideal_dim(L, l),
                 standard_monomial_count(L, l)) for l in range(1, lmax + 1)]
-    masks = L.masks
     rows = []
     faces = enumerate_faces(cone_K(L))[::-1]
     while faces:
         # popped, so each face goes, with the subdivision it keeps, once its
         # rows are written
         face = faces.pop()
-        members = [_members(masks, part.vertex_mask) for part in face_subdivision(face).parts]
+        members = [part.vertex_mask for part in face_subdivision(face).parts]
         for l, dim_r, dim_in, standard in degrees:
             dim_cap = intersection_dim(L, members, l)
             rows.append({
@@ -283,11 +289,3 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
             })
     return rows
 
-
-def _members(masks: Sequence[int], members: int) -> int:
-    """The bitmask members of lattice elements, checked to be a sublattice:
-    their ideal masks are closed under OR and AND."""
-    ideals = {masks[i] for i in _bits(members)}
-    if any(x | y not in ideals or x & y not in ideals for x, y in combinations(ideals, 2)):
-        raise AssertionError("sublattice is not closed")
-    return members

@@ -1,5 +1,5 @@
-"""Finite posets: construction, validation, linear extensions, order ideals,
-and order-strength comparisons.
+"""Finite posets: construction, validation, linear extensions and order
+ideals.
 
 Elements carry opaque string labels. The order is held as one down-set
 bitmask per element: bit i of below[j] is set when elements[i] < elements[j].
@@ -10,12 +10,18 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-from .errors import BadParams, CycleError, GroundSetMismatch, UnknownLabel
+from .errors import BadParams, CycleError, UnknownLabel
 
 
 def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+    """The positions of the set bits of mask, ascending: the lowest set bit
+    is popped until none is left, so the work is one step per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class Poset:
@@ -176,17 +182,6 @@ def ideal_set(P: Poset) -> set[int]:
                 found.add(grown)
                 stack.append(grown)
     return found
-
-
-def is_stronger(strong: Poset, weak: Poset) -> bool:
-    """True iff every weak relation also holds in `strong` (same ground set):
-    with weak's indices carried to strong's, every bit of a weak down-set is
-    set in the strong down-set of the same element."""
-    if set(strong.elements) != set(weak.elements):
-        raise GroundSetMismatch("posets are not on the same ground set")
-    at = [strong.index(x) for x in weak.elements]
-    return all(strong.below[at[j]] >> at[i] & 1
-               for j, m in enumerate(weak.below) for i in _bits(m))
 
 
 def check_labels(labels: Sequence[str]) -> None:

@@ -13,19 +13,30 @@ Orientation is pinned to the inequality g_i(v_a) >= w_a: every part's map
 weakly overestimates the weight off its own vertex set, with equality
 exactly on it. The code verifies this on every element rather than trusting
 convexity adjectives.
+
+The parts recur across the faces of one lattice, so what a part is apart
+from its map (its order, vertex mask and simplices) is a cell, kept in a
+per-lattice table keyed by the part's extension indices. A cell's order is
+checked to be a partial order refining P, its vertices the ideals of that
+order and a sublattice of L, once per lattice. Like the staircase table, the
+cell table is trusted for nothing: every weight recomputes each part's AND
+of before masks and union of chains and asserts that they, and its
+simplices, equal its cell's.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from math import gcd
+from operator import and_, eq, lt
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
                    span_of_face)
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import DiamondPair, Lattice, diamond_pairs
-from .poset import Poset, _bits, ideal_set, is_stronger
+from .poset import Poset, _bits, ideal_set
 
 
 class Part:
@@ -141,6 +152,41 @@ def staircase_table(L: Lattice) -> StaircaseTable:
     return L._staircases
 
 
+class Cell(NamedTuple):
+    """What a part of regular_subdivision holds that depends on its
+    extensions alone, not on the weight: its order, the mask of its vertex
+    elements and its simplices. Kept on L by the part's extension indices."""
+
+    order: Poset
+    vertex_mask: int
+    simplices: tuple[tuple[int, ...], ...]
+
+
+def _cell(L: Lattice, members: tuple[int, ...], below: tuple[int, ...],
+          vertex_mask: int) -> Cell:
+    """The cell of the extensions members, whose before masks AND to below
+    and whose chains cover vertex_mask, checked once and kept on L: below
+    must be a partial order refining P, the vertices the ideals of that
+    order, and their ideal masks a sublattice of L, closed under OR and
+    AND."""
+    cell = L._cells.get(members)
+    if cell is not None:
+        return cell
+    P = L.poset_P
+    order = Poset(P.elements, below)
+    if any(b & ~o for b, o in zip(P.below, below)):
+        raise AssertionError("part order must refine P")
+    # every ideal of the stronger order is an ideal of P, so an element of L
+    if vertex_mask != sum(1 << L.at_mask[m] for m in ideal_set(order)):
+        raise AssertionError("part is not the order polytope of its order")
+    ideals = {L.masks[i] for i in _bits(vertex_mask)}
+    if any(x | y not in ideals or x & y not in ideals for x, y in combinations(ideals, 2)):
+        raise AssertionError("sublattice is not closed")
+    exts = L.extensions()
+    cell = L._cells[members] = Cell(order, vertex_mask, tuple(exts[k] for k in members))
+    return cell
+
+
 def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
                         K: Optional[MaxCone] = None) -> Subdivision:
     """Interpolate the weight w / den, for integer w and den > 0, over every
@@ -151,7 +197,14 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
 
     The chains, before masks and peel order come from L's staircase table,
     so the work per weight is one difference per chain step, one AND of
-    before masks per merged extension and one add per element and part."""
+    before masks and one union of chains per merged extension, and one add
+    per element and part. What a part holds apart from its map, its order,
+    vertex mask and simplices, is its cell, kept on L by the part's
+    extension indices and checked once per lattice (_cell): the order is a
+    partial order refining P, the vertices are its ideals and a sublattice
+    of L. The cell table is trusted for nothing: every weight still
+    asserts that its ANDed before masks, its union of chains and its
+    simplices equal the cell's."""
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
     g = gcd(den, *w)
@@ -160,9 +213,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
     pairs = K.pairs if K is not None else diamond_pairs(L)
     normals = K.normals if K is not None else [pair_normal(L, d) for d in pairs]
     tight = _tight_set(pairs, normals, ws, den)  # also checks w in K-bar
-    P = L.poset_P
-    n = P.size
-    at_mask = L.at_mask
+    n = L.poset_P.size
     exts = L.extensions()
     chains, befores, peel = staircase_table(L)
 
@@ -180,31 +231,32 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
     parts = []
     for (alpha, const), members in sorted(groups.items()):
         below = befores[members[0]]
+        on_chains = set(chains[members[0]])
         for k in members[1:]:
-            below = [x & y for x, y in zip(below, befores[k])]
-        order = Poset(P.elements, tuple(below))
-        if not is_stronger(order, P):
-            raise AssertionError("part order must refine P")
-        # every ideal of the stronger order is an ideal of P, so an element
-        # of L
-        on_chains = set().union(*(chains[k] for k in members))
-        if on_chains != {at_mask[m] for m in ideal_set(order)}:
-            raise AssertionError("part is not the order polytope of its order")
+            below = tuple(map(and_, below, befores[k]))
+            on_chains.update(chains[k])
+        vertex_mask = 0
+        for i in on_chains:
+            vertex_mask |= 1 << i
+        cell = _cell(L, tuple(members), below, vertex_mask)
+        if (cell.order.below != below or cell.vertex_mask != vertex_mask
+                or cell.simplices != tuple(map(exts.__getitem__, members))):
+            raise AssertionError("cell table entry does not match its extensions")
         # envelope: the part overestimates w on all of L, tight exactly on
-        # its own vertices; each value is its parent's plus one alpha
+        # its own vertices; each value is its parent's plus one alpha. Once
+        # the map meets w on every vertex and nowhere below it, as many
+        # equal values as vertices leave none tight off the vertex set
         values = [const] * L.size
         for i, parent, j in peel:
             values[i] = values[parent] + alpha[j]
-        for i, (value, target) in enumerate(zip(values, ws)):
-            if i in on_chains:
-                if value != target:
-                    raise AssertionError("part map must interpolate w on its vertices")
-            elif value < target:
-                raise AssertionError("envelope inequality fails")
-            elif value == target:
-                raise AssertionError("tight value off the part's vertex set")
-        parts.append(Part(order, alpha, const, tuple(values), tuple(exts[k] for k in members),
-                          sum(1 << i for i in on_chains), L.elements))
+        if any(values[i] != ws[i] for i in on_chains):
+            raise AssertionError("part map must interpolate w on its vertices")
+        if any(map(lt, values, ws)):
+            raise AssertionError("envelope inequality fails")
+        if sum(map(eq, values, ws)) != len(on_chains):
+            raise AssertionError("tight value off the part's vertex set")
+        parts.append(Part(cell.order, alpha, const, tuple(values), cell.simplices,
+                          vertex_mask, L.elements))
     return Subdivision(L, ws, den, tuple(parts), tuple(pairs[i] for i in sorted(tight)))
 
 

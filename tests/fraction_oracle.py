@@ -124,10 +124,10 @@ from hibikit.exactgeom import integer_kernel, same_lattice
 from hibikit.errors import HibikitError, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
-from hibikit.poset import Poset, from_cover_relations, is_stronger, linear_extensions
+from hibikit.poset import Poset, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision
-from order_oracle import (LinearExtension, iota, label_extension, label_extensions, lattice_chain,
-                          leq, less, order_ideals, poset_from_pairs)
+from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
+                          lattice_chain, leq, less, order_ideals, poset_from_pairs)
 
 
 Vec = tuple[Fraction, ...]

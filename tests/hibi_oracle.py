@@ -40,9 +40,9 @@ from hibikit.errors import BadParams
 from hibikit.exactgeom import rank
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
-from hibikit.poset import Poset, is_stronger
-from order_oracle import (LinearExtension, covers, incomparable, iota, join_of, label_extensions,
-                          lattice_chain, meet_of, order_ideals)
+from hibikit.poset import Poset
+from order_oracle import (LinearExtension, covers, incomparable, iota, is_stronger, join_of,
+                          label_extensions, lattice_chain, meet_of, order_ideals)
 
 
 @dataclass(frozen=True)

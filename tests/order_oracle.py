@@ -22,8 +22,11 @@ pairwise_adjacency is the scan of all pairs of extensions, cross-checking
 three characterizations of adjacency, that adjacency_graph ran before it
 built its edges from adjacent swaps.
 
-label_pair_stronger is poset.is_stronger as it compared the relations'
-label pairs, before it compared down-set masks.
+is_stronger compares two posets' down-set masks, as poset.is_stronger did
+until regular_subdivision, its last caller in the package, tested each part
+order's masks against poset_P's directly; it raises GroundSetMismatch, which
+left hibikit.errors with it. label_pair_stronger is is_stronger as it
+compared the relations' label pairs, before it compared down-set masks.
 
 chain is the total order on a label list, which poset built until its last
 caller in the package, the Gelfand-Tsetlin census, moved to the chain's
@@ -48,11 +51,25 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from hibikit.errors import (CycleError, GroundSetMismatch, NotALattice, NotDistributive,
-                            UnknownLabel)
+from hibikit.errors import CycleError, HibikitError, NotALattice, NotDistributive, UnknownLabel
 from hibikit.lattice import DiamondPair, Lattice, _ring_of_sets, diamond_pairs
 from hibikit.poset import Poset, _bits, from_cover_relations, ideal_masks, linear_extensions
 from hibikit.subdivision import AdjacencyGraph
+
+
+class GroundSetMismatch(HibikitError):
+    """Two posets that must share a ground set do not."""
+
+
+def is_stronger(strong: Poset, weak: Poset) -> bool:
+    """True iff every weak relation also holds in `strong` (same ground set):
+    with weak's indices carried to strong's, every bit of a weak down-set is
+    set in the strong down-set of the same element."""
+    if set(strong.elements) != set(weak.elements):
+        raise GroundSetMismatch("posets are not on the same ground set")
+    at = [strong.index(x) for x in weak.elements]
+    return all(strong.below[at[j]] >> at[i] & 1
+               for j, m in enumerate(weak.below) for i in _bits(m))
 
 
 def less(P: Poset, a: str, b: str) -> bool:

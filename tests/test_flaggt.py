@@ -15,7 +15,7 @@ from fraction_oracle import pbar_labels, vadd, vec_over_den, vscale, zero_vec
 from hibikit import exactgeom, flaggt, lattice
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
-from hibikit.errors import BadParams, GroundSetMismatch, TooLarge
+from hibikit.errors import BadParams, TooLarge
 from hibikit.exactgeom import facet_hyperplanes, rank
 from hibikit.flaggt import (
     GelfandTsetlin,
@@ -39,7 +39,8 @@ from hibikit.flaggt import (
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import Poset, antichain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision, regular_subdivision
-from order_oracle import chain, join_of, label_extension, leq, meet_of, order_ideals
+from order_oracle import (GroundSetMismatch, chain, join_of, label_extension, leq, meet_of,
+                          order_ideals)
 
 
 def full_face(L):
@@ -833,6 +834,18 @@ def test_gt_5_full_face_sections():
     assert len(found) == 286
     assert all(len(order.cover_indices()) == len(Q.hyperplanes) == 14 for order, Q in found)
     assert sum(len(Q.hyperplanes) for _, Q in found) == 4004
+
+
+@pytest.mark.parametrize("n, found", [(4, lambda: every_section(4)),
+                                      (5, lambda: sections(5, full_face))],
+                         ids=["n4 faces", "n5 full"])
+def test_every_section_has_full_rank(n, found):
+    # gt_subdivision reads a chamber's dimension off its product of unit
+    # simplices, with no rank taken; the rank of the vertex differences
+    # agrees on every section
+    free = len(GelfandTsetlin(n).marked.free())
+    for _, Q in found():
+        assert Q.dim == free
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -1,5 +1,6 @@
 """Hibi ideal generators, the degree-wise dimensions, and their oracles."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -33,7 +34,8 @@ from hibi_oracle import (
     union_find_ideal_dim,
 )
 
-from hibikit import hibi, lattice, poset
+from hibikit import cli, hibi, lattice, poset
+from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.errors import BadParams
 from hibikit.exactgeom import rank
@@ -423,6 +425,15 @@ def test_degree_tables_match_the_per_monomial_oracle(L, data):
                 == exponent_sum_count(L, l) == len(supports))
         # one position per distinct support of each class
         assert (table.guards - table.lows).bit_count() == sum(map(len, supports.values()))
+        # each block, read back off the columns, is one class's supports
+        blocks, block = [], set()
+        for p in range(table.guards.bit_length()):
+            if table.guards >> p & 1:
+                blocks.append(frozenset(block))
+                block = set()
+            else:
+                block.add(sum(1 << e for e, column in enumerate(table.within) if column >> p & 1))
+        assert sorted(blocks, key=sorted) == sorted(map(frozenset, supports.values()), key=sorted)
     families = [face_subdivision(F).parts for F in enumerate_faces(cone_K(L))]
     # a face's parts tile a polytope, so each class has at most one nonzero
     # hit vector; parts drawn from different faces reach the ranks
@@ -592,6 +603,20 @@ def test_certificate_past_the_element_cap(monkeypatch):
     assert len(rows) == 320 and all(row["pass"] for row in rows)
     assert sorted({(row["l"], row["standard_count"]) for row in rows}) == [
         (1, 15), (2, 105), (3, 490), (4, 1764), (5, 5292)]
+
+
+def test_lifted_grassmann_3_6_certificate(monkeypatch, capsys):
+    # Gr(3,6) has 20 elements, past the CLI's cap of 12. Its 1,408 faces
+    # have 19,856 parts over them, and only 586 distinct cells, each checked
+    # once
+    monkeypatch.setattr(hibi, "MAX_ELEMENTS", 20)
+    assert main(["certify", "--grassmann", "3", "6", "--lmax", "3"]) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[1:]
+    assert len(rows) == 4224 and all(row.endswith(",true") for row in rows)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dcd8a4634924544df930c66af8e7dc5216c3e956e048cb6564b2b93d07c899d7")
+    assert len(cli._lattice("grassmann", 3, 6)._cells) == 586
 
 
 @pytest.mark.parametrize("P,lmax", [

@@ -11,17 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracle import extension_poset, intersect_orders
-from hibikit.errors import CycleError, GroundSetMismatch, UnknownLabel
+from hibikit.errors import CycleError, UnknownLabel
 from hibikit.lattice import birkhoff, parse_lattice
-from hibikit.poset import (
-    Poset,
-    antichain,
-    from_cover_relations,
-    is_stronger,
-    linear_extensions,
-)
-from order_oracle import (LinearExtension, PairPoset, chain, closure, down_closed,
-                          label_extensions, label_pair_stronger, less, order_ideals, pairs_of)
+from hibikit.poset import Poset, _bits, antichain, from_cover_relations, linear_extensions
+from order_oracle import (GroundSetMismatch, LinearExtension, PairPoset, chain, closure,
+                          down_closed, is_stronger, label_extensions, label_pair_stronger, less,
+                          order_ideals, pairs_of)
 
 
 def brute_extensions(P):
@@ -52,6 +47,11 @@ def brute_ideals(P):
 def grid22():
     # 2x2 grid: a < b, a < c, b < d, c < d
     return from_cover_relations(["a", "b", "c", "d"], [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
+
+
+@given(st.integers(0, 1 << 70))
+def test_bits_are_the_set_positions_ascending(mask):
+    assert _bits(mask) == [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def test_antichain_and_chain():

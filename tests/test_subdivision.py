@@ -15,7 +15,8 @@ from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_inter
 from hibikit.errors import NotInCone
 from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
-from hibikit.poset import antichain, from_cover_relations, ideal_masks
+from hibikit.hibi import degeneration_certificate
+from hibikit.poset import Poset, antichain, from_cover_relations, ideal_masks
 from hibikit.subdivision import (
     Part,
     adjacency_graph,
@@ -239,8 +240,11 @@ def poset_and_weights(draw):
 def test_warm_tables_give_the_fresh_subdivision(case):
     # one lattice serves every weight in turn, as one job's faces do: each
     # subdivision read off its warm tables equals the one on a freshly built
-    # lattice and the Fraction oracle's
+    # lattice, whose cell table is cold, and the Fraction oracle's. The
+    # weight's second subdivision reads every cell off the table and builds
+    # none
     P, L, weights = case
+    exts = L.extensions()
     for w in weights:
         num, den = vec_over_den(w)
         try:
@@ -250,9 +254,16 @@ def test_warm_tables_give_the_fresh_subdivision(case):
                 regular_subdivision(L, num, den)
             continue
         warm, fresh = regular_subdivision(L, num, den), regular_subdivision(birkhoff(P), num, den)
-        assert (warm.scaled, warm.den, warm.parts, warm.tight) == (
-            fresh.scaled, fresh.den, fresh.parts, fresh.tight)
-        assert_matches_oracle(warm, want_key, want)
+        cells = dict(L._cells)
+        again = regular_subdivision(L, num, den)
+        assert L._cells == cells
+        for sub in (warm, again):
+            assert (sub.scaled, sub.den, sub.parts, sub.tight) == (
+                fresh.scaled, fresh.den, fresh.parts, fresh.tight)
+            assert_matches_oracle(sub, want_key, want)
+        for part in again.parts:
+            assert cells[tuple(map(exts.index, part.simplices))] == (
+                part.order, part.vertex_mask, part.simplices)
     assert subdivision.staircase_table(L) == subdivision.staircase_table(birkhoff(P))
 
 
@@ -488,6 +499,8 @@ def test_a_wrong_staircase_entry_fails_a_check(make):
     want = regular_subdivision(L, w, 1)
     table = subdivision.staircase_table(L)
     assert len(want.parts) == len(table.chains)
+    # the cell table is warm: every part of the weight reads its cell off it
+    assert all((k,) in L._cells for k in range(len(table.chains)))
     bottom = L.at_mask[0]
     raised = {"chains": 0, "peel": 0}
     for field, k, bad in corrupted_tables(table, L.size):
@@ -502,6 +515,73 @@ def test_a_wrong_staircase_entry_fails_a_check(make):
     L._staircases = table
     assert raised["chains"] == len(table.chains) * (L.poset_P.size + 1) * (L.size - 1)
 
+
+def corrupted_cells(L, cell):
+    """Every copy of the cell with one field wrong, as (field, copy): its
+    order with one bit of one below mask flipped (validation bypassed), its
+    vertex mask with one bit flipped, and its simplices with one dropped or
+    one other extension added."""
+    n = L.poset_P.size
+    for j in range(n):
+        for i in range(n):
+            order = Poset(cell.order.elements, cell.order.below)
+            order.below = tuple(m ^ 1 << i if t == j else m for t, m in enumerate(order.below))
+            yield "order", cell._replace(order=order)
+    for i in range(L.size):
+        yield "vertex_mask", cell._replace(vertex_mask=cell.vertex_mask ^ 1 << i)
+    for k in range(len(cell.simplices)):
+        yield "simplices", cell._replace(simplices=cell.simplices[:k] + cell.simplices[k + 1:])
+    for ext in L.extensions():
+        if ext not in cell.simplices:
+            yield "simplices", cell._replace(simplices=cell.simplices + (ext,))
+
+
+@pytest.mark.parametrize("make", [lambda: birkhoff(antichain(["p", "q", "r"])),
+                                  lambda: birkhoff(GRID)], ids=["B3", "grid"])
+def test_a_wrong_cell_entry_fails_the_next_weight(make):
+    # the cell table is trusted for nothing: every face's sample reads the
+    # cells of its parts, and with any one field of one of them wrong, the
+    # next subdivision at that sample raises
+    L = make()
+    C = cone_K(L)
+    exts = L.extensions()
+    weight_of = {}
+    for F in enumerate_faces(C):
+        w, den = sample_relative_interior(F)
+        for part in regular_subdivision(L, w, den, C).parts:
+            weight_of.setdefault(tuple(exts.index(e) for e in part.simplices), (w, den))
+    assert weight_of.keys() == L._cells.keys()
+    raised = {"order": 0, "vertex_mask": 0, "simplices": 0}
+    for key, (w, den) in weight_of.items():
+        cell = L._cells[key]
+        for field, bad in corrupted_cells(L, cell):
+            L._cells[key] = bad
+            with pytest.raises(AssertionError, match="cell table entry"):
+                regular_subdivision(L, w, den, C)
+            raised[field] += 1
+        L._cells[key] = cell
+    n, count = L.poset_P.size, len(weight_of)
+    assert raised["order"] == n * n * count
+    assert raised["vertex_mask"] == L.size * count
+    assert raised["simplices"] == len(exts) * count
+
+
+@pytest.mark.parametrize("make, lmax, parts, cells", [
+    (lambda: birkhoff(antichain(["p", "q", "r"])), 4, 85, 19),
+    (lambda: grassmann_lattice(2, 5), 3, 22, 14),
+], ids=["B3", "Gr(2,5)"])
+def test_certify_checks_each_cell_once(make, lmax, parts, cells, monkeypatch):
+    # a cell is built, and its order, ideals and closure checked, once per
+    # lattice, however many faces' subdivisions share it
+    L = make()
+    built = []
+    poset_class = subdivision.Poset
+    monkeypatch.setattr(subdivision, "Poset", lambda *args: built.append(args) or poset_class(*args))
+    rows = degeneration_certificate(L, lmax)
+    assert all(row["pass"] for row in rows)
+    faces = enumerate_faces(cone_K(L))
+    assert sum(len(face_subdivision(F).parts) for F in faces) == parts
+    assert len(built) == len(L._cells) == cells
 
 
 @settings(max_examples=15, deadline=None)
