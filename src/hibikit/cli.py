@@ -253,7 +253,8 @@ def _face_for(K: MaxCone, spec: str) -> Face:
     # close the key's pairs by LP; the closure's key is the spec only if
     # closing added no pair and the spec is spelled as Face.key spells it
     unknown = f"no face of the cone has key {spec}"
-    index = {tuple(sorted((d.a, d.b))): i for i, d in enumerate(K.pairs)}
+    E = K.lattice.elements
+    index = {tuple(sorted((E[d.a], E[d.b]))): i for i, d in enumerate(K.pairs)}
     try:
         tight = frozenset(index[tuple(pair)] for pair in json.loads(spec))
     except (ValueError, TypeError, KeyError):
@@ -281,7 +282,7 @@ def cmd_lattice(args) -> int:
             "covers": [[a, b] for a, b in L.poset_P.covers()],
         },
         "diamond_count": len(pairs),
-        "diamond_pairs": [[d.a, d.b] for d in pairs],
+        "diamond_pairs": [[L.elements[d.a], L.elements[d.b]] for d in pairs],
         "maximal_chains": maximal_chain_count(L),
         "chain_length": L.poset_P.size + 1,
     }
@@ -302,8 +303,8 @@ def cmd_cone(args) -> int:
     payload = {
         "command": "cone",
         "facet_count": len(K.pairs),
-        "facets": [{"pair": [d.a, d.b], "normal": list(normal)}
-                   for d, normal in K.facet_inequalities],
+        "facets": [{"pair": [L.elements[d.a], L.elements[d.b]], "normal": list(normal)}
+                   for d, normal in zip(K.pairs, K.normals)],
         "face_count": len(faces),
         "faces": face_rows,
     }
@@ -323,7 +324,7 @@ def cmd_subdivide(args) -> int:
     L = build_lattice(args)
     K = cone_K(L)
     if args.w is not None:
-        sub = regular_subdivision(L, *parse_vector(args.w, L.size), K)  # validates cone membership
+        sub = regular_subdivision(L, *parse_vector(args.w, L.size))  # validates cone membership
         F = face_of(K, sub.scaled, sub.den) if args.check is not None else None
     else:
         F = resolve_face(K, args.face)

@@ -2,7 +2,10 @@
 
 K lives in R^L. Its closure is cut out by one inequality per diamond pair
 {a, b}: w_{a∧b} + w_{a∨b} - w_a - w_b >= 0, each certified a facet by an
-explicit integer point. A face is keyed by its closed tight set, the diamond
+explicit integer point. Every evaluation of an inequality at a point reads
+four entries, DiamondPair.value; the dense normals serve only the linear
+algebra: ranks, the span's integer kernel, the LPs, the double description
+and the `cone` output. A face is keyed by its closed tight set, the diamond
 equalities that hold on all of it. The faces are read off the tight sets of
 the cone's rays; a single key is closed by LP. A point of R^L is an integer
 tuple w over one positive denominator den, standing for w / den, and a
@@ -27,10 +30,10 @@ MAX_RAYS = 2000
 def pair_normal(L: Lattice, d: DiamondPair) -> tuple[int, ...]:
     """e_{a∧b} + e_{a∨b} - e_a - e_b over the canonical element order."""
     v = [0] * L.size
-    v[L.index(d.meet_elt)] += 1
-    v[L.index(d.join_elt)] += 1
-    v[L.index(d.a)] -= 1
-    v[L.index(d.b)] -= 1
+    v[d.meet] += 1
+    v[d.join] += 1
+    v[d.a] -= 1
+    v[d.b] -= 1
     return tuple(v)
 
 
@@ -47,10 +50,6 @@ class MaxCone:
         # the apex's witness is never read: sample_relative_interior gives 0
         self.apex = Face(self, frozenset(range(len(self.pairs))), ((0,) * lattice.size, 1))
         self._resolved: tuple[str, Face] | None = None  # cli.resolve_face
-
-    @property
-    def facet_inequalities(self) -> list[tuple[DiamondPair, tuple[int, ...]]]:
-        return list(zip(self.pairs, self.normals))
 
     def __repr__(self):
         return f"MaxCone({len(self.pairs)} facets over {self.lattice!r})"
@@ -83,7 +82,7 @@ class Face:
     def key(self) -> str:
         """The face's key, built once."""
         if self._key is None:
-            self._key = _key_of(self.tight)
+            self._key = _key_of(self.cone.lattice.elements, self.tight)
         return self._key
 
     def __eq__(self, other):
@@ -98,27 +97,27 @@ class Face:
         return f"Face(dim {self.dim}, tight {self.key()})"
 
 
-def _key_of(tight: Iterable[DiamondPair]) -> str:
-    """The sorted [a, b] label pairs of the tight set in the bytes of
-    json.dumps(..., separators=(",", ":")): each label quoted by the same
-    ASCII string encoder."""
+def _key_of(elements: Sequence[str], tight: Iterable[DiamondPair]) -> str:
+    """The sorted [a, b] label pairs of the tight set, labels read off
+    elements, in the bytes of json.dumps(..., separators=(",", ":")): each
+    label quoted by the same ASCII string encoder."""
     return "[" + ",".join(
         f"[{encode_basestring_ascii(a)},{encode_basestring_ascii(b)}]"
-        for a, b in sorted(sorted((d.a, d.b)) for d in tight)) + "]"
+        for a, b in sorted(sorted((elements[d.a], elements[d.b])) for d in tight)) + "]"
 
 
-def _tight_set(pairs: Sequence[DiamondPair], normals: Sequence[tuple[int, ...]],
-               w: Sequence[int], den: int) -> frozenset[int]:
-    """Indices of the pairs tight at w / den; NotInCone names the first violated."""
+def _tight_set(L: Lattice, w: Sequence[int], den: int) -> frozenset[int]:
+    """Indices into diamond_pairs(L) of the pairs tight at w / den, for w of
+    length |L|; NotInCone names the first violated."""
     tight = set()
-    for i, normal in enumerate(normals):
-        value = sum(c * x for c, x in zip(normal, w, strict=True))
+    for i, d in enumerate(diamond_pairs(L)):
+        value = d.value(w)
         if value < 0:
-            d = pairs[i]
+            E = L.elements
             g = gcd(value, den)
             shown = f"{value // g}" if g == den else f"{value // g}/{den // g}"
             raise NotInCone(
-                f"w_{{{d.meet_elt}}}+w_{{{d.join_elt}}}-w_{{{d.a}}}-w_{{{d.b}}}"
+                f"w_{{{E[d.meet]}}}+w_{{{E[d.join]}}}-w_{{{E[d.a]}}}-w_{{{E[d.b]}}}"
                 f" = {shown} < 0")
         if value == 0:
             tight.add(i)
@@ -136,22 +135,22 @@ def cone_K(L: Lattice) -> MaxCone:
     its meet or join and adds 1 to each pair with X as a side. So the two
     indicators take 2 from this pair, and at most 1 from any other: taking 2
     needs d as the meet and d ∪ {p, q} as the join. Each point is checked by
-    integer dot products with every normal. The apex, the lineality space,
-    is certified to have dimension |P| + 1 by one rank of all the normals.
-    Built and certified once per lattice, and kept on L."""
+    every pair's value at it. The apex, the lineality space, is certified
+    to have dimension |P| + 1 by one rank of all the normals. Built and
+    certified once per lattice, and kept on L."""
     if L._cone is not None:
         return L._cone
     pairs = diamond_pairs(L)
-    normals = [pair_normal(L, d) for d in pairs]
-    supports = [[(i, c) for i, c in enumerate(normal) if c] for normal in normals]
     base = [2 * comb(L.height(a), 2) for a in L.elements]
     for k, d in enumerate(pairs):
         w = list(base)
-        w[L.index(d.meet_elt)] -= 1
-        w[L.index(d.join_elt)] -= 1
-        values = [sum(c * w[i] for i, c in support) for support in supports]
+        w[d.meet] -= 1
+        w[d.join] -= 1
+        values = [e.value(w) for e in pairs]
         if values[k] != 0 or any(v < 1 for j, v in enumerate(values) if j != k):
-            raise AssertionError(f"inequality for {d.key()} is not facet-defining")
+            pair = (L.elements[d.a], L.elements[d.b])
+            raise AssertionError(f"inequality for {pair} is not facet-defining")
+    normals = [pair_normal(L, d) for d in pairs]
     if L.size - rank(normals) != L.poset_P.size + 1:
         raise AssertionError("apex dimension is not |P|+1")
     L._cone = MaxCone(L, pairs, normals)
@@ -168,7 +167,7 @@ def face_of(K: MaxCone, w: Sequence[int], den: int) -> Face:
     w = tuple(w)
     if len(w) != K.lattice.size:
         raise ValueError("point has wrong dimension")
-    return Face(K, _tight_set(K.pairs, K.normals, w, den), (w, den))
+    return Face(K, _tight_set(K.lattice, w, den), (w, den))
 
 
 def span_of_face(F: Face) -> tuple[tuple[int, ...], ...]:
@@ -192,7 +191,7 @@ def sample_relative_interior(F: Face) -> tuple[tuple[int, ...], int]:
         return (0,) * K.lattice.size, 1
     # the least slack is low / den; scaling by ceil(den / low) lifts it to 1
     w, den = F._witness
-    low = min(sum(c * x for c, x in zip(K.normals[k], w)) for k in loose)
+    low = min(K.pairs[k].value(w) for k in loose)
     if low <= 0:
         # every Face is built with a witness slack on every loose pair
         raise AssertionError("face witness is not slack on every loose pair")

@@ -399,7 +399,7 @@ class LatticePolytope:
 # serialization helpers
 
 
-def fraction_pair(x: int, den: int = 1) -> list[int]:
+def fraction_pair(x: int, den: int) -> list[int]:
     """x / den as a reduced [num, den] pair, for den > 0."""
     g = gcd(x, den)
     return [x // g, den // g]

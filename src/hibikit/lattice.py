@@ -17,6 +17,10 @@ tables' join to union (_table_lattice). from_tables relabels the result
 through birkhoff. parse_lattice reads every lattice file format: a JSON
 poset, `elem`/`cover` lines, or `join`/`meet` lines.
 
+A diamond pair is held as four element indices, (a, b, meet, join), and
+evaluated at a point w of R^L by DiamondPair.value, which reads four
+entries of w; labels are read off L.elements only where text is written.
+
 The builtin Grassmann and flag families label their elements by index
 tuples written as digit strings ("13" for {1, 3}), so n is capped at 9.
 """
@@ -131,15 +135,18 @@ class Lattice:
 
 
 class DiamondPair(NamedTuple):
-    """Incomparable a, b whose join covers both and which cover their meet."""
+    """Incomparable a, b whose join covers both and which cover their meet,
+    as indices into L.elements; a < b."""
 
-    a: str
-    b: str
-    meet_elt: str
-    join_elt: str
+    a: int
+    b: int
+    meet: int
+    join: int
 
-    def key(self) -> tuple[str, str]:
-        return (self.a, self.b)
+    def value(self, w: Sequence[int]) -> int:
+        """w_{a∧b} + w_{a∨b} - w_a - w_b at a point w of R^L, read off four
+        entries of w; K-bar is where every pair's value is >= 0."""
+        return w[self.meet] + w[self.join] - w[self.a] - w[self.b]
 
 
 # ---------------------------------------------------------------------------
@@ -329,10 +336,10 @@ def flag_lattice(n: int) -> Lattice:
 
 
 def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
-    """All unordered diamond pairs, in canonical element order; built once
-    per lattice and kept on L. A diamond is an ideal m, its meet, with two
-    addable elements p and q: minimal elements of its complement. Its sides
-    are m + p and m + q and its join m + p + q."""
+    """All unordered diamond pairs, as element indices in increasing order;
+    built once per lattice and kept on L. A diamond is an ideal m, its meet,
+    with two addable elements p and q: minimal elements of its complement.
+    Its sides are m + p and m + q and its join m + p + q."""
     if L._diamond_pairs is not None:
         return L._diamond_pairs
     at = L.at_mask
@@ -343,8 +350,7 @@ def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
         for p, q in combinations(addable, 2):
             a, b = sorted((at[m | p], at[m | q]))
             found.append((a, b, at[m], at[m | p | q]))
-    E = L.elements
-    L._diamond_pairs = tuple(DiamondPair(E[a], E[b], E[m], E[j]) for a, b, m, j in sorted(found))
+    L._diamond_pairs = tuple(DiamondPair(*pair) for pair in sorted(found))
     return L._diamond_pairs
 
 

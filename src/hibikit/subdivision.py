@@ -7,7 +7,10 @@ each part is again an order polytope O(P, order) for a stronger order.
 
 The work runs on integers: the weight is an integer tuple over one
 positive den, reduced once to lowest terms, so each part's map is
-x -> (const + alpha·x) / den with an integer const and alpha.
+x -> (const + alpha·x) / den with an integer const and alpha. The tight
+pairs come from each diamond pair's value at the weight, with no cone
+needed, and a part holds its vertices as a mask over L's elements, whose
+labels only subdivision_json reads.
 
 Orientation is pinned to the inequality g_i(v_a) >= w_a: every part's map
 weakly overestimates the weight off its own vertex set, with equality
@@ -30,55 +33,30 @@ import random
 from itertools import combinations
 from math import gcd
 from operator import and_, eq, lt
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
-from .cone import (Face, MaxCone, _key_of, _tight_set, pair_normal, sample_relative_interior,
-                   span_of_face)
+from .cone import Face, _key_of, _tight_set, sample_relative_interior, span_of_face
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import DiamondPair, Lattice, diamond_pairs
 from .poset import Poset, _bits, ideal_set
 
 
-class Part:
+class Part(NamedTuple):
     """One linearity domain of the envelope: the order polytope O(P, order).
 
     Its map is x -> (const + alpha·x) / den on R^P, with the subdivision's
     den; values[i] is its numerator at the i-th lattice element's indicator.
     Its simplices are its linear extensions, index tuples over P's
     elements. Bit i of vertex_mask is set when the i-th lattice element is
-    a vertex; labels are the lattice's elements, which vertex_elements
-    reads the vertices by. Two parts are equal when all but their labels
-    are.
+    a vertex.
     """
 
-    __slots__ = ("order", "alpha", "const", "values", "simplices", "vertex_mask", "labels")
-
-    def __init__(self, order: Poset, alpha: tuple[int, ...], const: int,
-                 values: tuple[int, ...], simplices: tuple[tuple[int, ...], ...],
-                 vertex_mask: int, labels: tuple[str, ...]):
-        self.order = order
-        self.alpha = alpha
-        self.const = const
-        self.values = values
-        self.simplices = simplices
-        self.vertex_mask = vertex_mask
-        self.labels = labels
-
-    def _key(self) -> tuple:
-        return (self.order, self.alpha, self.const, self.values, self.simplices,
-                self.vertex_mask)
-
-    def __eq__(self, other):
-        if not isinstance(other, Part):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    @property
-    def vertex_elements(self) -> tuple[str, ...]:
-        return tuple(self.labels[i] for i in _bits(self.vertex_mask))
+    order: Poset
+    alpha: tuple[int, ...]
+    const: int
+    values: tuple[int, ...]
+    simplices: tuple[tuple[int, ...], ...]
+    vertex_mask: int
 
 
 class Subdivision:
@@ -98,7 +76,7 @@ class Subdivision:
     @property
     def face_key(self) -> str:
         """The key of the face holding the weight in its relative interior."""
-        return _key_of(self.tight)
+        return _key_of(self.lattice.elements, self.tight)
 
     def structure(self) -> frozenset:
         """Weight-independent identity: the parts as (vertex set, order)."""
@@ -187,13 +165,12 @@ def _cell(L: Lattice, members: tuple[int, ...], below: tuple[int, ...],
     return cell
 
 
-def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
-                        K: Optional[MaxCone] = None) -> Subdivision:
+def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     """Interpolate the weight w / den, for integer w and den > 0, over every
     staircase simplex, merge equal affine maps, and verify each merged class
     is the order polytope of the intersected order with the envelope
-    inequality holding on all of L. A caller that holds L's cone K passes it
-    for its normals.
+    inequality holding on all of L. The tight pairs, in the cone's order of
+    diamond_pairs(L), come from each pair's value at w.
 
     The chains, before masks and peel order come from L's staircase table,
     so the work per weight is one difference per chain step, one AND of
@@ -210,9 +187,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
     g = gcd(den, *w)
     ws = tuple(x // g for x in w)
     den //= g
-    pairs = K.pairs if K is not None else diamond_pairs(L)
-    normals = K.normals if K is not None else [pair_normal(L, d) for d in pairs]
-    tight = _tight_set(pairs, normals, ws, den)  # also checks w in K-bar
+    tight = _tight_set(L, ws, den)  # also checks w in K-bar
     n = L.poset_P.size
     exts = L.extensions()
     chains, befores, peel = staircase_table(L)
@@ -256,7 +231,8 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int,
         if sum(map(eq, values, ws)) != len(on_chains):
             raise AssertionError("tight value off the part's vertex set")
         parts.append(Part(cell.order, alpha, const, tuple(values), cell.simplices,
-                          vertex_mask, L.elements))
+                          vertex_mask))
+    pairs = diamond_pairs(L)
     return Subdivision(L, ws, den, tuple(parts), tuple(pairs[i] for i in sorted(tight)))
 
 
@@ -267,7 +243,7 @@ def face_subdivision(F: Face) -> Subdivision:
     if F._subdivision is not None:
         return F._subdivision
     L = F.cone.lattice
-    sub = regular_subdivision(L, *sample_relative_interior(F), F.cone)
+    sub = regular_subdivision(L, *sample_relative_interior(F))
     if sub.tight != F.tight:
         raise AssertionError("sample does not lie in the face's relative interior")
 
@@ -284,7 +260,7 @@ def face_subdivision(F: Face) -> Subdivision:
     return sub
 
 
-def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: int = 0) -> bool:
+def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: int) -> bool:
     """Draw `trials` distinct relative-interior points of F, the first its
     sample, and compare the subdivisions the others induce (same part set
     with same orders) with sub, the subdivision of a point of F."""
@@ -308,15 +284,14 @@ def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: i
         for row in span:
             c = rng.randint(-r, r)
             shift = [x + c * y for x, y in zip(shift, row)]
-        bound = max((abs(sum(a * x for a, x in zip(normal, shift)))
-                     for normal in F.cone.normals), default=0)
+        bound = max((abs(d.value(shift)) for d in F.cone.pairs), default=0)
         # (bound + 1)·base + shift, over den
         candidate = tuple((bound + 1) * x + den * y for x, y in zip(base, shift))
         if candidate not in samples:
             samples.append(candidate)
     subs = []
     for w in samples[1:]:
-        subs.append(regular_subdivision(L, w, den, F.cone))
+        subs.append(regular_subdivision(L, w, den))
         if subs[-1].tight != F.tight:
             raise AssertionError("perturbed sample left the relative interior")
     return all(s.structure() == sub.structure() for s in subs)
@@ -343,7 +318,7 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
         return L._adjacency_graph
     exts = L.extensions()
     where = {t: i for i, t in enumerate(exts)}
-    pair_of = {(L.index(d.a), L.index(d.b)): k for k, d in enumerate(diamond_pairs(L))}
+    pair_of = {(d.a, d.b): k for k, d in enumerate(diamond_pairs(L))}
     at, below = L.at_mask, L.poset_P.below
     edges, edge_pairs = [], []
     for i, t in enumerate(exts):
@@ -371,8 +346,10 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
     """Convex hull of the negated slopes -alpha_C over the parts C of the
     subdivision of w / den, as integer points over the subdivision's den;
     its normal fan, cut to O(P), is the fan of the parts (Postnikov 2009).
-    For Boolean lattices, u = -w is checked submodular over all pairs of
-    ideals.
+    On a distributive lattice the diamond inequalities, which
+    regular_subdivision checks, make w supermodular on every pair of
+    elements (local to global), so u = -w is submodular with no further
+    check.
 
     Each -alpha_C is a vertex, on any lattice, by what regular_subdivision
     certified: every part's constant is the bottom weight c (checked here),
@@ -393,22 +370,16 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
         if part.const != ws[L.index(L.bottom)]:
             raise AssertionError("part constant must be the bottom weight")
         vertices.append(tuple(-x for x in part.alpha))
-
-    if not any(L.poset_P.below):  # Boolean lattice: antichain poset
-        u = {m: -ws[i] for i, m in enumerate(L.masks)}
-        for A in u:
-            for B in u:
-                if u[A] + u[B] < u[A & B] + u[A | B]:
-                    raise AssertionError("-w is not submodular")
     return LatticePolytope(vertices, sub.den)
 
 
 def subdivision_json(sub: Subdivision) -> dict:
+    E = sub.lattice.elements
     parts = []
     for p in sub.parts:
         parts.append({
             "order_covers": [[a, b] for a, b in p.order.covers()],
-            "elements": list(p.vertex_elements),
+            "elements": [E[i] for i in _bits(p.vertex_mask)],
             "alpha": vector_pairs(p.alpha, sub.den),
         })
     return {

@@ -25,7 +25,9 @@ certified, on integers and with no hull, through that projection
 Both maps are found by one integer elimination each, so the certificates
 are integer dot products. The distinguished faces, one per part of F's
 regular subdivision, project onto the images of the parts' order
-polytopes, and need no hull of their own either.
+polytopes, and need no hull of their own either. What the subdivision
+certified for a part, its separator's sign and its vertices' ideal set, is
+not checked again; only the two ranks are taken here.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .cone import Face, span_of_face
 from .exactgeom import LatticePolytope, _echelon, rank, same_lattice
-from .poset import ideal_set
+from .poset import _bits
 from .subdivision import face_subdivision
 
 
@@ -141,7 +143,8 @@ class DistinguishedFace(NamedTuple):
     """A face of the weight polytope cut out by one subdivision part.
 
     `separator` is the certifying integer functional, given per lattice
-    element: it vanishes exactly on `elements` and is at least 1 elsewhere.
+    element: it vanishes exactly on `elements` and is at least 1 elsewhere,
+    by the envelope check regular_subdivision ran on the part.
     """
 
     elements: tuple[str, ...]
@@ -153,14 +156,18 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     subdivision.
 
     Each face is the hull of the projected chain simplices of the part's
-    extensions. Certified on integers, for each part:
+    extensions. For each part:
 
     - a separating functional, the part's values minus the weight, zero on
-      the part's elements and positive elsewhere; all of them together lie
-      in the face's span (one rank), so each cuts a genuine face;
+      the part's elements and positive elsewhere: regular_subdivision's
+      envelope check certified this on the same values and weight. All of
+      them together lie in the face's span (one rank here), so each cuts a
+      genuine face;
     - the members are the elements whose ideals are the order's ideals, the
-      vertices of the part's order polytope O_part;
-    - the members' points span dimension |P| (one rank).
+      vertices of the part's order polytope O_part: subdivision._cell
+      checked this once per cell, and every weight asserts the part's
+      vertex mask and order equal its cell's;
+    - the members' points span dimension |P| (one rank here).
 
     The face needs no hull. weight_polytope certified pi(p_a) = zeta(1_a)
     for every a, with pi = to_apex, so pi(W) = zeta(O(P)); zeta is affine
@@ -178,17 +185,12 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     sub = face_subdivision(F)
     out = []
     for part in sub.parts:
-        elements = part.vertex_elements
-        members = set(elements)
+        elements = tuple(L.elements[i] for i in _bits(part.vertex_mask))
         # the separator: the part's map minus w, times den, an integer
         # functional, so its positive values are at least 1
         sep = tuple(v - x for v, x in zip(part.values, sub.scaled))
-        assert all(x == 0 for a, x in zip(L.elements, sep) if a in members)
-        assert sum(x > 0 for x in sep) == L.size - len(members)
         base = W.points[elements[0]]
         assert rank([[x - y for x, y in zip(W.points[a], base)] for a in elements]) == n
-        # the vertices are the elements whose ideals are the order's ideals
-        assert members == {L.elements[L.at_mask[m]] for m in ideal_set(part.order)}
         out.append(DistinguishedFace(elements, sep))
     # the functionals live in the face's span, so each cuts a genuine face
     assert rank([*W.basis, *(d.separator for d in out)]) == len(W.basis)

@@ -366,7 +366,8 @@ def cone_K(L: Lattice) -> MaxCone:
         cons = [(normals[i], "=", 0)]
         cons += [(normals[k], ">=", 1) for k in range(len(pairs)) if k != i]
         if lp_feasible(cons, L.size) is None:
-            raise AssertionError(f"inequality for {pairs[i].key()} is not facet-defining")
+            pair = (L.elements[pairs[i].a], L.elements[pairs[i].b])
+            raise AssertionError(f"inequality for {pair} is not facet-defining")
     return MaxCone(L, pairs, normals)
 
 

@@ -45,6 +45,9 @@ less and leq compare two labels of a Poset or a Lattice, and join_of and
 meet_of combine two labels of a Lattice, as the Poset.less, Poset.leq,
 Lattice.leq, Lattice.join and Lattice.meet methods did until the package
 compared and combined the masks themselves.
+
+vertex_labels names a subdivision part's vertices by their labels, as
+Part.vertex_elements did while a part kept the lattice's labels.
 """
 
 import itertools
@@ -225,14 +228,20 @@ def covers(L, a, b) -> bool:
 def diamond_pairs_by_covers(L) -> tuple[DiamondPair, ...]:
     """The diamond pairs by their definition, scanning the element pairs in
     canonical order: incomparable a, b whose join covers both and which
-    cover their meet."""
+    cover their meet; as element indices, like diamond_pairs."""
     out = []
     for a, b in itertools.combinations(L.elements, 2):
         m, j = meet_of(L, a, b), join_of(L, a, b)
         if (incomparable(L, a, b) and covers(L, a, j) and covers(L, b, j)
                 and covers(L, m, a) and covers(L, m, b)):
-            out.append(DiamondPair(a, b, m, j))
+            out.append(DiamondPair(*map(L.index, (a, b, m, j))))
     return tuple(out)
+
+
+def vertex_labels(L, part) -> tuple[str, ...]:
+    """The labels of a subdivision part's vertices, the elements of L its
+    vertex mask holds, in L's element order."""
+    return tuple(L.elements[i] for i in _bits(part.vertex_mask))
 
 
 # -- labelled linear extensions and the pairwise adjacency scan ---------------
@@ -292,7 +301,8 @@ def pairwise_adjacency(L) -> AdjacencyGraph:
     diamond pair. pairs[k] indexes diamond_pairs(L)."""
     exts = L.extensions()
     chains = [frozenset(lattice_chain(L, label_extension(L.poset_P, e))) for e in exts]
-    pair_index = {frozenset((d.a, d.b)): k for k, d in enumerate(diamond_pairs(L))}
+    pair_index = {frozenset((L.elements[d.a], L.elements[d.b])): k
+                  for k, d in enumerate(diamond_pairs(L))}
     edges, edge_pairs = [], []
     for i in range(len(exts)):
         for j in range(i + 1, len(exts)):

@@ -23,7 +23,7 @@ from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,
                                  generalized_permutahedron)
 from hibikit.weightpoly import distinguished_faces, weight_polytope
-from order_oracle import join_of, meet_of
+from order_oracle import join_of, meet_of, vertex_labels
 
 
 def b(n):
@@ -77,17 +77,17 @@ def test_acceptance_4_subdivision_bijection():
         for F in faces:
             sub = face_subdivision(F)
             forms.add(frozenset(
-                (frozenset(p.order.covers()), frozenset(p.vertex_elements))
+                (frozenset(p.order.covers()), frozenset(vertex_labels(L, p)))
                 for p in sub.parts))
             if is_full(F):
                 # staircase triangulation: one simplex per linear extension
                 assert len(sub.parts) == m == len(L.extensions())
                 for p in sub.parts:
-                    assert len(p.vertex_elements) == L.poset_P.size + 1
+                    assert len(vertex_labels(L, p)) == L.poset_P.size + 1
                     assert len(p.order.covers()) == L.poset_P.size - 1
             if is_apex(F):
                 part, = sub.parts
-                assert set(part.vertex_elements) == set(L.elements)
+                assert set(vertex_labels(L, part)) == set(L.elements)
                 assert set(part.order.covers()) == set(L.poset_P.covers())
         assert len(forms) == len(faces)  # distinct faces, distinct subdivisions
     _done("4 subdivision bijection", t0, 60)
@@ -119,7 +119,7 @@ def test_acceptance_5_weight_polytope_invariants():
             sub = face_subdivision(F)
             assert len(faces) == len(sub.parts)
             assert ({frozenset(d.elements) for d in faces}
-                    == {frozenset(p.vertex_elements) for p in sub.parts})
+                    == {frozenset(vertex_labels(L, p)) for p in sub.parts})
     _done("5 weight polytope invariants", t0, 120)
 
 
@@ -185,7 +185,7 @@ def test_acceptance_7_property_suites():
     L = b(3)
     w = [L.height(a) ** 2 for a in L.elements]
     assert is_full(face_of(cone_K(L), w, 1))  # generic interior weight
-    Q = generalized_permutahedron(L, w, 1)  # checks -w submodular internally
+    Q = generalized_permutahedron(L, w, 1)  # -w is submodular by the diamond inequalities
     assert len(Q.vertices) == 6
     wt = {a: w[L.index(a)] for a in L.elements}
     for x in L.elements:

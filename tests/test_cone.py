@@ -88,8 +88,8 @@ def test_grid_cone_single_inequality():
     K = cone_K(L)
     assert len(K.pairs) == 1
     d = K.pairs[0]
-    assert {d.a, d.b} == {"{p,q}", "{p,r}"}
-    assert d.meet_elt == "{p}" and d.join_elt == "{p,q,r}"
+    assert {L.elements[d.a], L.elements[d.b]} == {"{p,q}", "{p,r}"}
+    assert L.elements[d.meet] == "{p}" and L.elements[d.join] == "{p,q,r}"
 
 
 def test_b3_cone_six_inequalities():
@@ -129,24 +129,19 @@ def test_witness_and_lp_oracle_accept_the_same_pairs(P):
 @pytest.mark.parametrize("extra", ["repeat", "sum"])
 def test_cone_K_rejects_a_redundant_inequality(extra, monkeypatch):
     # one inequality more than B3's six: a repeat of the first is tight
-    # wherever the first is, so its point fails the slack check; the sum of
-    # the first two normals, on a pair with bottom and top as meet and join,
-    # gets a point where all six are slack and it is not, so only the
-    # tightness check fails
+    # wherever the first is, so its point fails the slack check; the
+    # non-diamond pair {p}, {q,r} with bottom and top as meet and join is a
+    # sum of diamond inequalities, and gets a point where all six are slack
+    # and it is not, so only the tightness check fails
     L = birkhoff(antichain(["p", "q", "r"]))
     pairs = diamond_pairs(L)
+    i = L.index
     if extra == "repeat":
-        added, normal = pairs[0], pair_normal
+        added = pairs[0]
     else:
-        added = DiamondPair(pairs[0].a, pairs[0].b, L.bottom, L.top)
-        summed = tuple(x + y for x, y in zip(pair_normal(L, pairs[0]), pair_normal(L, pairs[1])))
-
-        def normal(L, d):
-            return summed if d is added else pair_normal(L, d)
-
+        added = DiamondPair(i("{p}"), i("{q,r}"), i("{}"), i("{p,q,r}"))
     for module, build in ((cone_module, cone_K), (oracle, oracle.cone_K)):
         monkeypatch.setattr(module, "diamond_pairs", lambda L: pairs + (added,))
-        monkeypatch.setattr(module, "pair_normal", normal)
         with pytest.raises(AssertionError, match="not facet-defining"):
             build(L)
 
@@ -216,6 +211,45 @@ def test_face_of_wrong_dimension():
     K = cone_K(birkhoff(antichain(["p", "q"])))
     with pytest.raises(ValueError):
         face_of(K, (0, 1), 1)
+
+
+# NotInCone messages as they read while diamond pairs held labels, for
+# points outside K-bar: each names the first violated pair by its labels,
+# and its value as a reduced num/den
+NOT_IN_CONE = [
+    (birkhoff(antichain(["p", "q"])), (0, 1, 1, 0), 1, "w_{{}}+w_{{p,q}}-w_{{p}}-w_{{q}} = -2 < 0"),
+    (birkhoff(antichain(["p", "q"])), (0, 1, 1, 0), 3,
+     "w_{{}}+w_{{p,q}}-w_{{p}}-w_{{q}} = -2/3 < 0"),
+    (birkhoff(antichain(["p", "q", "r"])), (0, 3, 1, 2, 0, 5, 1, 9), 7,
+     "w_{{}}+w_{{p,q}}-w_{{p}}-w_{{q}} = -4/7 < 0"),
+    (grassmann_lattice(2, 4), (0, 1, 3, 3, 1, 0), 2, "w_{13}+w_{24}-w_{14}-w_{23} = -2 < 0"),
+    (flag_lattice(4), tuple(range(14)), 5, "w_{14}+w_{2}-w_{1}-w_{24} = -1/5 < 0"),
+]
+
+
+@pytest.mark.parametrize("L, w, den, message", NOT_IN_CONE,
+                         ids=["B2", "B2/3", "B3/7", "Gr(2,4)/2", "Flag(4)/5"])
+def test_not_in_cone_message_keeps_its_bytes(L, w, den, message):
+    with pytest.raises(NotInCone) as got:
+        face_of(cone_K(L), w, den)
+    assert str(got.value) == message
+    with pytest.raises(NotInCone) as got:
+        subdivision.regular_subdivision(L, w, den)
+    assert str(got.value) == message
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.sampled_from([birkhoff(antichain(["p", "q", "r"])),
+                                  birkhoff(antichain(["p", "q", "r", "s"])),
+                                  grassmann_lattice(2, 5), flag_lattice(4)]),
+                 poset_strategy(max_size=5).map(birkhoff)),
+       st.data())
+def test_pair_value_is_the_normal_dot_product(L, data):
+    # every evaluation of a diamond inequality reads four entries of w; the
+    # dense normal, kept for the linear algebra, gives the same value
+    w = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=L.size, max_size=L.size))
+    for d in diamond_pairs(L):
+        assert d.value(w) == sum(c * x for c, x in zip(pair_normal(L, d), w, strict=True))
 
 
 # -- span_of_face ------------------------------------------------------------
@@ -327,9 +361,9 @@ def test_invariance_samples_match_fraction_oracle(name, L, monkeypatch):
     seen = []
     kernel = subdivision.regular_subdivision
 
-    def recording(L, w, den, K=None):
+    def recording(L, w, den):
         seen.append(tuple(Fraction(x, den) for x in w))
-        return kernel(L, w, den, K)
+        return kernel(L, w, den)
 
     monkeypatch.setattr(subdivision, "regular_subdivision", recording)
     for F in faces_with_witnesses(name, L):
@@ -438,8 +472,12 @@ def accepted_labels():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(accepted_labels(), accepted_labels()), max_size=6))
 def test_face_key_is_the_compact_json_of_its_pairs(labels):
-    tight = [DiamondPair(a, b, "m", "j") for a, b in labels]
-    assert cone_module._key_of(tight) == json.dumps(
+    # the key reads the pairs' labels off the elements; meet and join,
+    # the last two elements, are not in it
+    elements = [x for pair in labels for x in pair] + ["m", "j"]
+    m = len(elements) - 2
+    tight = [DiamondPair(2 * k, 2 * k + 1, m, m + 1) for k in range(len(labels))]
+    assert cone_module._key_of(elements, tight) == json.dumps(
         sorted(sorted([a, b]) for a, b in labels), separators=(",", ":"))
 
 

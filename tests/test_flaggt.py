@@ -109,7 +109,7 @@ def test_grassmann_2_4():
     G = grassmann_lattice(2, 4)
     assert G.size == 6
     pairs = diamond_pairs(G)
-    assert [{d.a, d.b} for d in pairs] == [{"14", "23"}]
+    assert [{G.elements[d.a], G.elements[d.b]} for d in pairs] == [{"14", "23"}]
     assert meet_of(G, "14", "23") == "13"
     assert join_of(G, "14", "23") == "24"
 
@@ -150,7 +150,7 @@ def test_flag_3():
     L = flag_lattice(3)
     assert L.size == 6
     pairs = diamond_pairs(L)
-    assert [{d.a, d.b} for d in pairs] == [{"1", "23"}]
+    assert [{L.elements[d.a], L.elements[d.b]} for d in pairs] == [{"1", "23"}]
     assert meet_of(L, "1", "23") == "13"
     assert join_of(L, "1", "23") == "2"
     bottom = [a for a in L.elements if all(leq(L, a, b) for b in L.elements)]

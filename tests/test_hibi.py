@@ -50,7 +50,7 @@ from hibikit.hibi import (
 from hibikit.lattice import birkhoff, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
-from order_oracle import chain, incomparable, join_of, label_extensions, meet_of
+from order_oracle import chain, incomparable, join_of, label_extensions, meet_of, vertex_labels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -512,7 +512,7 @@ def test_samesum_factors_lie_in_intersection():
     K = cone_K(L)
     w = tuple(L.height(a) ** 2 for a in L.elements)
     sub = face_subdivision(face_of(K, w, 1))
-    part_members = [set(p.vertex_elements) for p in sub.parts]
+    part_members = [set(vertex_labels(L, p)) for p in sub.parts]
     for l in (2, 3):
         standard = {}
         for combo in itertools.combinations_with_replacement(L.elements, l):

@@ -83,6 +83,70 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
             and (module, qualname) != ("cli", "main")]
 
 
+def settled_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of the package's functions and methods that
+    every call in the package sets, or that no call sets; as
+    "module.function(parameter)". Calls are matched by the function's name,
+    as a bare name or an attribute, and a method's calls through an
+    attribute, or a class's through its name for __init__, pass self first.
+    A call with *args or **kwargs that may reach the parameter counts as
+    neither setting it nor leaving it. A function the package names other
+    than as the callee of a call, such as a callback, is skipped, as is the
+    entry point cli.main."""
+    defs = []  # (module, callee, function, [(position or None, parameter)], offset)
+    calls: dict[str, list[ast.Call]] = {}
+    named = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(m): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                 for m in node.body}
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.FunctionDef):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+                params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                cls = owner.get(id(node))
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in node.decorator_list)
+                if params and (module, node.name) != ("cli", "main"):
+                    defs.append((module, cls if node.name == "__init__" else node.name,
+                                 node.name, params, int(cls is not None and not static)))
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                named.add(getattr(node, "id", None) or node.attr)
+
+    def sets(call: ast.Call, index, param: str, offset: int):
+        """True or False, or None when a starred argument may reach it."""
+        if any(k.arg == param for k in call.keywords):
+            return True
+        if any(k.arg is None for k in call.keywords):
+            return None
+        if index is None:
+            return False
+        for k, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                return None
+            if k == index - offset:
+                return True
+        return False
+
+    out = []
+    for module, callee, name, params, offset in defs:
+        if callee in named:
+            continue
+        for index, param in params:
+            seen = {sets(call, index, param, offset) for call in calls.get(callee, [])}
+            if seen in ({True}, {False}, set()):
+                out.append(f"{module}.{name}({param})")
+    return out
+
+
 def importers(sources: dict[str, str], name: str) -> list[str]:
     """The modules that import the module `name` or a name from it,
     anywhere in their source."""
@@ -133,6 +197,24 @@ def test_unreferenced_public_names_detects_test_only_members():
     assert unreferenced_public_names(sources) == ["a.Shape.dead", "a.Shape.shadowed"]
 
 
+def test_settled_defaults_detects_knobs_that_no_call_turns():
+    sources = {
+        "a": "def always(x, den=1):\n    return x\n\n\n"
+             "def never(x, *, seed=0):\n    return x\n\n\n"
+             "def mixed(x, K=None):\n    return x\n\n\n"
+             "def spread(x, den=1):\n    return x\n\n\n"
+             "def callback(x, den=1):\n    return x\n\n\n"
+             "class Box:\n"
+             "    def __init__(self, size=1):\n        self.size = size\n\n"
+             "    def grow(self, by=1):\n        return self.size + by\n",
+        "b": "from a import Box, always, callback, mixed, never, spread\n\n\n"
+             "run = [always(1, 2), always(1, den=3), never(1), never(2), mixed(1), mixed(1, 2),\n"
+             "       spread(*[1, 2]), spread(1), map(callback, [1]), Box(2).grow(), Box(3).grow()]\n",
+    }
+    assert settled_defaults(sources) == ["a.always(den)", "a.never(seed)", "a.__init__(size)",
+                                         "a.grow(by)"]
+
+
 def test_fraction_importers_detects_both_forms():
     sources = {"a": "from fractions import Fraction\n", "b": "def f():\n    import fractions\n",
                "c": "import math\n"}
@@ -159,6 +241,13 @@ def test_every_public_name_is_reached_from_the_package():
     # belongs in tests/
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert unreferenced_public_names(sources) == []
+
+
+def test_no_default_is_settled_by_its_callers():
+    # an option every caller sets, or that no caller sets, picks no path:
+    # the parameter is required, or the default is the code
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert settled_defaults(sources) == []
 
 
 def test_every_private_function_is_referenced():

@@ -34,7 +34,7 @@ from hibikit.weightpoly import (
     weight_polytope,
     weight_polytope_json,
 )
-from order_oracle import chain, label_extensions, poset_from_pairs
+from order_oracle import chain, label_extensions, poset_from_pairs, vertex_labels
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -285,7 +285,7 @@ def test_distinguished_images_are_subdivision_parts():
     for F in enumerate_faces(cone_K(L)):
         sub = face_subdivision(F)
         got = {frozenset(d.elements) for d in distinguished_faces(weight_polytope(F))}
-        want = {frozenset(p.vertex_elements) for p in sub.parts}
+        want = {frozenset(vertex_labels(L, p)) for p in sub.parts}
         assert got == want
 
 
