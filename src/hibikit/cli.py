@@ -322,12 +322,12 @@ def cmd_subdivide(args) -> int:
     if args.check is not None and not 2 <= args.check <= MAX_CHECK:
         raise BadParams(f"--check needs 2 <= TRIALS <= {MAX_CHECK}")
     L = build_lattice(args)
-    K = cone_K(L)
     if args.w is not None:
         sub = regular_subdivision(L, *parse_vector(args.w, L.size))  # validates cone membership
-        F = face_of(K, sub.scaled, sub.den) if args.check is not None else None
+        # only the invariance check reads the cone
+        F = face_of(cone_K(L), sub.scaled, sub.den) if args.check is not None else None
     else:
-        F = resolve_face(K, args.face)
+        F = resolve_face(cone_K(L), args.face)
         sub = face_subdivision(F)
     payload = {
         "command": "subdivide",

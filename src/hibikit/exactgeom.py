@@ -224,36 +224,6 @@ def integer_kernel(M: Sequence[Sequence[int]]) -> list[list[int]]:
     return [row[m:] for row in work[r:]]
 
 
-def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Integer row echelon basis of the lattice generated by the rows."""
-    work = [list(map(int, row)) for row in rows if any(row)]
-    if not work:
-        return []
-    r = _euclid_echelon(work, len(work[0]))
-    return work[:r]
-
-
-def lattice_member(echelon: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
-    """Whether v lies in the lattice given by an int_row_echelon basis."""
-    rem = list(map(int, v))
-    for row in echelon:
-        c = next((j for j, x in enumerate(row) if x != 0), None)
-        if c is None:
-            continue
-        if rem[c] % row[c] != 0:
-            return False
-        q = rem[c] // row[c]
-        rem = [x - q * y for x, y in zip(rem, row)]
-    return not any(rem)
-
-
-def same_lattice(gens_a: Sequence[Sequence[int]], gens_b: Sequence[Sequence[int]]) -> bool:
-    ech_a = int_row_echelon(gens_a)
-    ech_b = int_row_echelon(gens_b)
-    return (all(lattice_member(ech_a, v) for v in gens_b)
-            and all(lattice_member(ech_b, v) for v in gens_a))
-
-
 # ---------------------------------------------------------------------------
 # polytopes
 

@@ -254,8 +254,6 @@ def face_subdivision(F: Face) -> Subdivision:
         if (part[i] == part[j]) != (pair in F.tight_idx):
             raise AssertionError(
                 "tight diamond pairs must match same-part adjacencies")
-    if len(set(graph.pairs)) != len(F.cone.pairs):
-        raise AssertionError("every diamond pair needs a witnessing adjacency")
     F._subdivision = sub
     return sub
 
@@ -313,12 +311,15 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
     extension with the two swapped, whose maximal chain differs from t's
     across the diamond with meet m, the ideal before them, and sides
     m + t[k] and m + t[k+1]. Edges (i, j), i < j, are listed in order.
-    Built once per lattice and kept on L."""
+    Every diamond pair must label some edge, or face_subdivision could not
+    read its tightness off the parts. Built and checked once per lattice
+    and kept on L."""
     if L._adjacency_graph is not None:
         return L._adjacency_graph
     exts = L.extensions()
     where = {t: i for i, t in enumerate(exts)}
-    pair_of = {(d.a, d.b): k for k, d in enumerate(diamond_pairs(L))}
+    pairs = diamond_pairs(L)
+    pair_of = {(d.a, d.b): k for k, d in enumerate(pairs)}
     at, below = L.at_mask, L.poset_P.below
     edges, edge_pairs = [], []
     for i, t in enumerate(exts):
@@ -338,6 +339,8 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
         for j, pair in sorted(found):
             edges.append((i, j))
             edge_pairs.append(pair)
+    if len(set(edge_pairs)) != len(pairs):
+        raise AssertionError("every diamond pair needs a witnessing adjacency")
     L._adjacency_graph = AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
     return L._adjacency_graph
 
@@ -352,11 +355,12 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
     check.
 
     Each -alpha_C is a vertex, on any lattice, by what regular_subdivision
-    certified: every part's constant is the bottom weight c (checked here),
-    so g_C(x) = (c + alpha_C·x) / den; g_C is >= w on all of L, with
-    equality exactly on C's vertices; and the parts have distinct
-    (alpha, c). Take x inside a staircase simplex of C, a positive convex
-    combination of its vertices. For another part C', g_C'(x) is that
+    certified: every part's constant is the bottom weight c, as the part's
+    map takes its constant at the bottom, where every chain starts, and
+    interpolates w on its chains; so g_C(x) = (c + alpha_C·x) / den; g_C is
+    >= w on all of L, with equality exactly on C's vertices; and the parts
+    have distinct (alpha, c). Take x inside a staircase simplex of C, a
+    positive convex combination of its vertices. For another part C', g_C'(x) is that
     combination of g_C' at those vertices, where g_C' >= w = g_C, with > at
     one of them: were all equal, g_C' would interpolate w on a
     full-dimensional simplex, as g_C does, and so equal g_C. So
@@ -364,13 +368,7 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
     maximal over the slopes -alpha at -alpha_C alone, which is therefore a
     vertex, and the slopes are distinct."""
     sub = regular_subdivision(L, w, den)
-    ws = sub.scaled
-    vertices = []
-    for part in sub.parts:
-        if part.const != ws[L.index(L.bottom)]:
-            raise AssertionError("part constant must be the bottom weight")
-        vertices.append(tuple(-x for x in part.alpha))
-    return LatticePolytope(vertices, sub.den)
+    return LatticePolytope([tuple(-x for x in part.alpha) for part in sub.parts], sub.den)
 
 
 def subdivision_json(sub: Subdivision) -> dict:

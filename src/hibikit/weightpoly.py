@@ -2,32 +2,37 @@
 
 Each face F of the cone carries a linear span U(F) with a saturated integer
 basis. Restricting the coordinate functionals of R^L to U(F) and reading them
-in the dual basis yields one integer point p_a per lattice element a; their
-convex hull is the weight polytope W of F. The paper (arXiv:2008.13243)
-shows that W projects onto the order polytope O(P), with the distinguished
-faces projecting into the parts of F's regular subdivision. W is
-certified, on integers and with no hull, through that projection
-(Sturmfels, Gröbner Bases and Convex Polytopes, 1996, ch. 4):
+in the dual basis yields one integer point p_a per lattice element a, the
+a-th column of the basis; their convex hull is the weight polytope W of F.
+Every diamond normal's entries sum to zero, so the all-ones weight lies in
+U(F): the |L| columns of the rank-d basis lie on an affine hyperplane off
+the origin, and W has dimension d - 1 = dim F - 1. The paper
+(arXiv:2008.13243) shows that W projects onto the order polytope O(P),
+with the distinguished faces projecting into the parts of F's regular
+subdivision. W is certified, on integers and with no hull, through that
+projection (Sturmfels, Gröbner Bases and Convex Polytopes, 1996, ch. 4), by
+three exact integer solves, each asserting that its solution exists, is
+unique and is integral:
 
-- pi = to_apex, the integer projection dual to U(apex) ⊆ U(F), sends each
-  p_a to zeta(1_a), where zeta: x -> Z·x + z0 is the integer affine map from
-  R^P into the apex coordinates that sends each ideal's indicator 1_a to
-  the apex point of a. So pi(W) = zeta(O(P)).
-- Z has rank |P| and its columns span the saturated lattice of the apex
-  points' affine span, so zeta is injective and an integer point of
-  pi(W) is zeta of an integer point of O(P), an indicator.
-- The fiber of pi over a vertex zeta(1_a) of pi(W) is a face of W, the
-  hull of the points p_b with zeta(1_b) = zeta(1_a); zeta is injective, so
-  p_a alone. So an integer point y of W, whose image pi(y) is integral and
-  lies over some zeta(1_a), is p_a: W's integer points are exactly its |L|
-  points, and each is a vertex.
+- pi = to_apex writes the apex basis rows over F's basis, so U(apex) ⊆ U(F)
+  and, column by column, pi(p_a) is the apex point q_a of a.
+- zeta: x -> Z·x + z0 is the integer affine map from R^P into the apex
+  coordinates with zeta(1_a) = q_a for every ideal indicator 1_a. So
+  pi(p_a) = zeta(1_a) for every a by construction, and pi(W) = zeta(O(P)).
+- Z·X = B, for B the saturated lattice basis of the apex points' affine
+  span: its solution is unique, so Z is injective; it is integral, so the
+  lattice lies in Z·Z^P, and Z's integer columns span that affine span's
+  directions, so Z·Z^P is the whole lattice. An integer point of pi(W) is
+  then zeta of an integer point of O(P), an indicator.
 
-Both maps are found by one integer elimination each, so the certificates
-are integer dot products. The distinguished faces, one per part of F's
+The fiber of pi over a vertex zeta(1_a) of pi(W) is a face of W, the hull
+of the points p_b with zeta(1_b) = zeta(1_a); zeta is injective, so p_a
+alone. So an integer point y of W, whose image pi(y) is integral and lies
+over some zeta(1_a), is p_a: W's integer points are exactly its |L|
+points, and each is a vertex. The distinguished faces, one per part of F's
 regular subdivision, project onto the images of the parts' order
-polytopes, and need no hull of their own either. What the subdivision
-certified for a part, its separator's sign and its vertices' ideal set, is
-not checked again; only the two ranks are taken here.
+polytopes, and need no hull or rank of their own either (distinguished_faces).
+Points are indexed by element; labels are read only in weight_polytope_json.
 """
 
 from __future__ import annotations
@@ -35,66 +40,43 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .cone import Face, span_of_face
-from .exactgeom import LatticePolytope, _echelon, rank, same_lattice
+from .exactgeom import LatticePolytope, _echelon
 from .poset import _bits
 from .subdivision import face_subdivision
 
+Matrix = tuple[tuple[int, ...], ...]
 
-class WeightPolytope:
+
+class WeightPolytope(NamedTuple):
     """Hull of the dual-basis coordinates of the coordinate functionals.
 
     `basis` rows span U(F) ∩ Z^L and are saturated, so "integer point" has
-    an unambiguous meaning in the dual coordinates. `points[a]` is the
-    vector (b_1[a], ..., b_d[a]) for the basis rows b_i. `zeta` = (Z, z0)
-    and `to_apex` are the integer maps that certify it: to_apex·points[a]
-    == Z·1_a + z0 for every a. Two weight polytopes are equal when their
-    faces are.
+    an unambiguous meaning in the dual coordinates. `points[i]` is the
+    vector (b_1[i], ..., b_d[i]) for the basis rows b_k and the i-th lattice
+    element. `zeta` = (Z, z0) and `to_apex` are the integer maps that
+    certify it: to_apex·points[i] == Z·1_i + z0 for every i.
     """
 
-    __slots__ = ("face", "basis", "points", "zeta", "to_apex")
-
-    def __init__(self, face: Face, basis: tuple[tuple[int, ...], ...],
-                 points: dict[str, tuple[int, ...]],
-                 zeta: tuple[list[list[int]], list[int]], to_apex: list[list[int]]):
-        self.face = face
-        self.basis = basis
-        self.points = points
-        self.zeta = zeta
-        self.to_apex = to_apex
-
-    def __eq__(self, other):
-        if not isinstance(other, WeightPolytope):
-            return NotImplemented
-        return self.face == other.face
-
-    def __hash__(self):
-        return hash(self.face)
-
-
-def _points(L, basis) -> dict[str, tuple[int, ...]]:
-    return {a: tuple(row[i] for row in basis) for i, a in enumerate(L.elements)}
+    face: Face
+    basis: Matrix
+    points: Matrix
+    zeta: tuple[Matrix, tuple[int, ...]]
+    to_apex: Matrix
 
 
 def weight_polytope(F: Face) -> WeightPolytope:
     """F's weight polytope, certified through its apex projection as the
     module docstring argues, and of dimension dim F - 1."""
     L = F.cone.lattice
-    n = L.poset_P.size
     basis = span_of_face(F)
     apex_basis = span_of_face(F.cone.apex)
-    points = _points(L, basis)
-    zeta = _zeta_for(L, _points(L, apex_basis))
+    zeta = _zeta_for(L, tuple(zip(*apex_basis)))
     # restriction to the apex span, the projection dual to U(apex) ⊆ U(F)
     to_apex = _inclusion_matrix(basis, apex_basis)
-    for a, m in zip(L.elements, L.masks):
-        assert _pulls_back(to_apex, zeta, points[a], [m >> j & 1 for j in range(n)]), \
-            "point is outside the apex image of its indicator"
-    base = points[L.elements[0]]
-    assert rank([[x - y for x, y in zip(p, base)] for p in points.values()]) == F.dim - 1
-    return WeightPolytope(F, basis, points, zeta, to_apex)
+    return WeightPolytope(F, basis, tuple(zip(*basis)), zeta, to_apex)
 
 
-def _integral_solution(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> list[list[int]]:
+def _integral_solution(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
     """The unique X with A·X = B, for integer A and B, from one integer
     elimination of [A | B]. Asserts that X exists, is unique and is
     integral."""
@@ -103,71 +85,58 @@ def _integral_solution(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -
     # a pivot past A's columns is a column of B off A's column span
     assert pivots == list(range(n)), "no unique solution"
     assert all(x % D == 0 for row in M for x in row[n:]), "solution is not integral"
-    return [[x // D for x in row[n:]] for row in M]
+    return tuple(tuple(x // D for x in row[n:]) for row in M)
 
 
-def _inclusion_matrix(basis_g, basis_f) -> list[list[int]]:
+def _inclusion_matrix(basis_g, basis_f) -> Matrix:
     # rows of basis(F) written in coordinates over basis(G); the span of the
     # subface must sit inside the span, and the coordinates are integers
-    X = _integral_solution(list(zip(*basis_g)), list(zip(*basis_f)))
-    return [list(col) for col in zip(*X)]
+    return tuple(zip(*_integral_solution(tuple(zip(*basis_g)), tuple(zip(*basis_f)))))
 
 
-def _zeta_for(L, apex_points: dict[str, tuple[int, ...]]) -> tuple[list[list[int]], list[int]]:
+def _zeta_for(L, apex_points: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """The affine map zeta: x -> Z·x + z0 from R^P to the apex coordinates
-    that sends each element's indicator 1_a to apex_points[a], as the
+    that sends the i-th element's indicator to apex_points[i], as the
     integer matrix Z and offset z0. Asserts that the map exists and is
-    integral, that Z has rank |P| (zeta is injective) and that its columns
-    span the lattice of the apex points' affine span."""
+    integral, and, by solving Z·X = B for the lattice basis B of the apex
+    points' affine span, that zeta is injective and Z's columns span that
+    lattice."""
     n = L.poset_P.size
     inputs = [[m >> j & 1 for j in range(n)] + [1] for m in L.masks]
-    X = _integral_solution(inputs, [apex_points[a] for a in L.elements])
-    columns, z0 = X[:n], X[n]
-    Z = [[col[i] for col in columns] for i in range(len(z0))]  # |P| = 0 leaves its rows empty
-    assert rank(Z) == n, "map must be injective on R^P"
+    X = _integral_solution(inputs, apex_points)
+    z0 = X[n]
+    rows = range(len(z0))
+    Z = tuple(tuple(col[i] for col in X[:n]) for i in rows)  # |P| = 0 leaves its rows empty
     # the span equations alone give the lattice basis; no facet is found
-    lb = LatticePolytope(list(apex_points.values()), 1).lattice_basis
-    assert same_lattice(columns, [list(r) for r in lb]), "zeta misses part of the apex lattice"
+    B = LatticePolytope(apex_points, 1).lattice_basis
+    _integral_solution(Z, [[v[i] for v in B] for i in rows])
     return Z, z0
 
 
-def _pulls_back(to_apex, zeta, point, x) -> bool:
-    """Whether to_apex·point == Z·x + z0, in integer dot products. Z has
-    rank |P|, so then x is the unique preimage of to_apex·point under zeta."""
-    Z, z0 = zeta
-    return ([sum(c * y for c, y in zip(row, point, strict=True)) for row in to_apex]
-            == [sum(c * y for c, y in zip(row, x, strict=True)) + c0 for row, c0 in zip(Z, z0)])
-
-
-class DistinguishedFace(NamedTuple):
-    """A face of the weight polytope cut out by one subdivision part.
-
-    `separator` is the certifying integer functional, given per lattice
-    element: it vanishes exactly on `elements` and is at least 1 elsewhere,
-    by the envelope check regular_subdivision ran on the part.
-    """
-
-    elements: tuple[str, ...]
-    separator: tuple[int, ...]
-
-
-def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
+def distinguished_faces(W: WeightPolytope) -> list[tuple[int, ...]]:
     """One face of the weight polytope W of a face F per part of F's regular
-    subdivision.
+    subdivision, as the part's vertex indices.
 
     Each face is the hull of the projected chain simplices of the part's
-    extensions. For each part:
+    extensions, and what certifies it was certified before:
 
-    - a separating functional, the part's values minus the weight, zero on
-      the part's elements and positive elsewhere: regular_subdivision's
-      envelope check certified this on the same values and weight. All of
-      them together lie in the face's span (one rank here), so each cuts a
-      genuine face;
-    - the members are the elements whose ideals are the order's ideals, the
-      vertices of the part's order polytope O_part: subdivision._cell
-      checked this once per cell, and every weight asserts the part's
-      vertex mask and order equal its cell's;
-    - the members' points span dimension |P| (one rank here).
+    - the separator, the part's values minus the weight, is zero on the
+      part's vertices and at least 1 elsewhere, by regular_subdivision's
+      envelope check. It lies in U(F): the values are modular (the peel
+      adds one alpha per element), so they lie in U(apex), which to_apex
+      certifies inside U(F), and face_subdivision asserts that the weight
+      is tight on F's pairs. So, written over the saturated basis, it is
+      an integer functional on W that cuts a genuine face;
+    - the members are the ideals of the part's order, the vertices of its
+      order polytope O_part, a sublattice C of L: subdivision._cell checked
+      this once per cell;
+    - the members' points span dimension |P|. At least |P|: C holds a full
+      chain simplex, whose |P| + 1 indicators zeta sends to affinely
+      independent points, as it is injective. At most |P|: C's covers add
+      one element of P each, so C's diamonds are diamonds of L; the weight
+      is affine on C, so they are tight on F, and every function in U(F)
+      is modular on C's diamonds, so affine on the distributive lattice C,
+      a space of dimension |P| + 1.
 
     The face needs no hull. weight_polytope certified pi(p_a) = zeta(1_a)
     for every a, with pi = to_apex, so pi(W) = zeta(O(P)); zeta is affine
@@ -179,30 +148,15 @@ def distinguished_faces(W: WeightPolytope) -> list[DistinguishedFace]:
     would be the same convex combination of theirs, which is impossible; so
     the members' points are the face's vertices.
     """
-    F = W.face
-    L = F.cone.lattice
-    n = L.poset_P.size
-    sub = face_subdivision(F)
-    out = []
-    for part in sub.parts:
-        elements = tuple(L.elements[i] for i in _bits(part.vertex_mask))
-        # the separator: the part's map minus w, times den, an integer
-        # functional, so its positive values are at least 1
-        sep = tuple(v - x for v, x in zip(part.values, sub.scaled))
-        base = W.points[elements[0]]
-        assert rank([[x - y for x, y in zip(W.points[a], base)] for a in elements]) == n
-        out.append(DistinguishedFace(elements, sep))
-    # the functionals live in the face's span, so each cuts a genuine face
-    assert rank([*W.basis, *(d.separator for d in out)]) == len(W.basis)
-    return out
+    return [tuple(_bits(part.vertex_mask)) for part in face_subdivision(W.face).parts]
 
 
 def weight_polytope_json(F: Face) -> dict:
     W = weight_polytope(F)
-    faces = distinguished_faces(W)
+    E = F.cone.lattice.elements
     return {
         "face": F.key(),
         "basis": [list(row) for row in W.basis],
-        "points": {a: list(W.points[a]) for a in W.face.cone.lattice.elements},
-        "distinguished": [list(d.elements) for d in faces],
+        "points": {a: list(p) for a, p in zip(E, W.points)},
+        "distinguished": [[E[i] for i in d] for d in distinguished_faces(W)],
     }

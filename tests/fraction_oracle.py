@@ -90,6 +90,13 @@ built as a Poset (extension_poset) and the part orders intersected
 (intersect_orders), and the order ideals scanned over all 2^|P| subsets.
 part_value evaluates an integer part's map at a rational point.
 
+int_row_echelon, lattice_member and same_lattice are the integer
+lattice tests that weightpoly ran on zeta's columns before one more exact
+solve, Z·X = the apex lattice basis, certified them: its uniqueness makes
+Z injective and its integrality makes Z·Z^P the saturated apex lattice.
+They run on exactgeom's Euclidean echelon step and check saturated bases
+against each other.
+
 AffineMap, affine_map_through and invert_affine are the Fraction affine maps
 that weightpoly certified its distinguished faces with before zeta and the
 projection to the apex became integer matrices: one solve_linear per output
@@ -120,7 +127,7 @@ from typing import Iterable, Optional, Sequence
 
 from hibikit import exactgeom, flaggt
 from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
-from hibikit.exactgeom import integer_kernel, same_lattice
+from hibikit.exactgeom import _euclid_echelon, integer_kernel
 from hibikit.errors import HibikitError, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
@@ -523,6 +530,36 @@ def affine_lattice_basis(points: Sequence[Vec]) -> list[list[int]]:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     K = int_rows(complement)
     return integer_kernel(K)
+
+
+def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Integer row echelon basis of the lattice generated by the rows."""
+    work = [list(map(int, row)) for row in rows if any(row)]
+    if not work:
+        return []
+    r = _euclid_echelon(work, len(work[0]))
+    return work[:r]
+
+
+def lattice_member(echelon: Sequence[Sequence[int]], v: Sequence[int]) -> bool:
+    """Whether v lies in the lattice given by an int_row_echelon basis."""
+    rem = list(map(int, v))
+    for row in echelon:
+        c = next((j for j, x in enumerate(row) if x != 0), None)
+        if c is None:
+            continue
+        if rem[c] % row[c] != 0:
+            return False
+        q = rem[c] // row[c]
+        rem = [x - q * y for x, y in zip(rem, row)]
+    return not any(rem)
+
+
+def same_lattice(gens_a: Sequence[Sequence[int]], gens_b: Sequence[Sequence[int]]) -> bool:
+    ech_a = int_row_echelon(gens_a)
+    ech_b = int_row_echelon(gens_b)
+    return (all(lattice_member(ech_a, v) for v in gens_b)
+            and all(lattice_member(ech_b, v) for v in gens_a))
 
 
 def _facet_vertices(points: list[Vec], planes) -> list[Vec]:

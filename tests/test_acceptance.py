@@ -104,21 +104,21 @@ def test_acceptance_5_weight_polytope_invariants():
             # |integer points| = |L| and dim = dim F - 1; a hull and the
             # oracle's lattice-point search recheck them
             W = weight_polytope(F)
-            Q = hull(list(W.points.values()), 1)
+            Q = hull(list(W.points), 1)
             assert len(Q.vertices) == len(lattice_points(Q)) == L.size
             assert Q.dim == F.dim - 1
             if is_full(F):
-                assert set(W.points.values()) == unit  # standard simplex
+                assert set(W.points) == unit  # standard simplex
             if is_apex(F):
                 zmap = AffineMap(*W.zeta)
-                for a in L.elements:
-                    assert invert_affine(zmap, W.points[a]) == indicator(L, a)
+                for a, p in zip(L.elements, W.points, strict=True):
+                    assert invert_affine(zmap, p) == indicator(L, a)
             # distinguished faces biject with the subdivision parts
-            # (each is certified against its part inside the call)
+            # (each is a part's vertex set, which the subdivision certified)
             faces = distinguished_faces(W)
             sub = face_subdivision(F)
             assert len(faces) == len(sub.parts)
-            assert ({frozenset(d.elements) for d in faces}
+            assert ({frozenset(L.elements[i] for i in d) for d in faces}
                     == {frozenset(vertex_labels(L, p)) for p in sub.parts})
     _done("5 weight polytope invariants", t0, 120)
 

@@ -6,6 +6,7 @@ entry point.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibikit import cli
+from hibikit import cli, cone
 from hibikit.cli import canonical_json, main, parse_vector
 from hibikit.cone import cone_K, face_of
 from hibikit.exactgeom import LatticePolytope, polytope_json
@@ -208,6 +209,19 @@ def test_subdivide_by_weight_and_by_face(capsys):
     key = apex["face"]
     again = run_json(capsys, ["subdivide", "--boolean", "2", "--face", key])
     assert again == apex
+
+
+def test_subdivide_by_weight_builds_no_cone(monkeypatch, capsys):
+    # a --w job without --check reads nothing from the cone, so it builds
+    # none; its bytes are those it wrote when it built one
+    def refuse(L):
+        raise AssertionError("the job built a cone")
+
+    monkeypatch.setattr(cone, "cone_K", refuse)
+    assert main(["subdivide", "--boolean", "3", "--w", "0,1,1,1,4,4,4,9"]) == 0
+    out = capsys.readouterr().out
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "82adb069f51d00c1a319c2fcaeb28d9ab1d7bb2d4e31b115759587ca737a2301")
 
 
 def test_subdivide_invariance_check_recorded(capsys):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_apex, is_full, vdot
+from fraction_oracle import indicator, is_apex, is_full, same_lattice, vdot
 from hibikit import cone as cone_module
 from hibikit import cli, exactgeom, subdivision
 from hibikit.cli import main, resolve_face
@@ -24,7 +24,7 @@ from hibikit.cone import (
     span_of_face,
 )
 from hibikit.errors import BadParams, NotInCone, TooLarge
-from hibikit.exactgeom import rank, same_lattice
+from hibikit.exactgeom import rank
 from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain, check_labels, from_cover_relations
 from order_oracle import chain

@@ -12,19 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import (affine_lattice_basis, indicator, lattice_points, solve_linear,
-                             to_vec, vdot)
+from fraction_oracle import (affine_lattice_basis, indicator, int_row_echelon, lattice_member,
+                             lattice_points, same_lattice, solve_linear, to_vec, vdot)
 from hibikit.exactgeom import (
     LatticePolytope,
     facet_hyperplanes,
-    int_row_echelon,
     integer_kernel,
-    lattice_member,
     lp_feasible,
     nullspace,
     polytope_json,
     rank,
-    same_lattice,
 )
 
 

@@ -112,6 +112,10 @@ GOLDEN = [
      "ceb56ea2206a361e35c8a2b9312fff50a37744331cfbf94aaf60247aea09fab1", 0, 0),
     ("weightpoly --flag 4",
      "a5ead3f5e34f8b312d0287e535d59bd7e6c7fa1e70a734c98cd76ec99579e2ae", 0, 0),
+    # 33,592 extensions; recorded when every point was pulled back and every
+    # distinguished face ranked again, which took about 95 s in process
+    ("weightpoly --flag 6",
+     "f4950a2d8dd75f15450fc90783888d1769fed696ab0758136f14bcf470536d2d", 0, 0),
     # recorded when cone_K certified B5's 80 facets by LP, about 10 s
     ("subdivide --boolean 5 --face full",
      "998cdc0370c3f9b623a3f1e2443813e6a0acc2bdf8c0b42f8ca301b8fc92146e", 0, 0),

@@ -628,6 +628,15 @@ def test_swap_build_needs_every_diamond_pair(monkeypatch):
         adjacency_graph(birkhoff(antichain(["p", "q", "r"])))
 
 
+def test_swap_build_needs_an_edge_for_every_diamond_pair(monkeypatch):
+    # the lookup's last entry for a repeated pair wins, so the pair's first
+    # copy labels no edge: the build, once per lattice, rejects it
+    pairs = lattice.diamond_pairs
+    monkeypatch.setattr(subdivision, "diamond_pairs", lambda L: pairs(L) + pairs(L)[:1])
+    with pytest.raises(AssertionError, match="every diamond pair needs a witnessing adjacency"):
+        adjacency_graph(birkhoff(antichain(["p", "q", "r"])))
+
+
 # -- generalized permutahedron -----------------------------------------------
 
 
@@ -679,6 +688,20 @@ def face_and_interior_weights(draw):
                     default=0)
         points.append((tuple((bound + 1) * x + den * y for x, y in zip(base, shift)), den))
     return L, F, points
+
+
+@settings(max_examples=40, deadline=None)
+@given(face_and_interior_weights())
+def test_every_part_constant_is_the_bottom_weight(case):
+    # generalized_permutahedron reads each part's map as (c + alpha·x) / den
+    # with c the bottom weight, which it does not check: regular_subdivision's
+    # interpolation check asserts it, as every chain starts at the bottom,
+    # where the part's map takes its constant
+    L, F, points = case
+    bottom = L.index(L.bottom)
+    for w, den in points:
+        sub = regular_subdivision(L, w, den)
+        assert {part.const for part in sub.parts} == {sub.scaled[bottom]}
 
 
 @settings(max_examples=40, deadline=None)

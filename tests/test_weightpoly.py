@@ -4,10 +4,13 @@ The paper's claims that no subcommand reports are checked here through
 helpers over the package's own maps: the projections dual to span
 inclusions and their composition, the chain simplices as the full face's
 distinguished faces, and the normality of the weight and order polytopes.
-weightpoly certifies each weight polytope through its apex projection and
-builds no hull; the hulls here (the oracle's hull of the points, and its
-lattice_points) recheck what that certificate implies: |L|
-vertices, |L| integer points and dimension dim F - 1.
+weightpoly certifies each weight polytope by three exact solves through its
+apex projection and builds no hull; the hulls here (the oracle's hull of
+the points, and its lattice_points) recheck what that certificate implies:
+|L| vertices, |L| integer points and dimension dim F - 1. What the solves
+imply and weightpoly no longer checks is checked here on every face of
+several lattices: the pullback identity, the separators' span and the
+distinguished faces' dimension.
 """
 
 import itertools
@@ -18,7 +21,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_apex, is_full, lattice_points, solve_linear, vdot, vsub
+from fraction_oracle import (indicator, is_apex, is_full, lattice_points, rank, solve_linear,
+                             vdot, vsub)
 from hibikit import exactgeom, weightpoly
 from hibikit.cli import main
 from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
@@ -26,14 +30,8 @@ from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice, ideal_label
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
-from hibikit.weightpoly import (
-    WeightPolytope,
-    _inclusion_matrix,
-    _pulls_back,
-    distinguished_faces,
-    weight_polytope,
-    weight_polytope_json,
-)
+from hibikit.weightpoly import (_inclusion_matrix, distinguished_faces, weight_polytope,
+                                weight_polytope_json)
 from order_oracle import chain, label_extensions, poset_from_pairs, vertex_labels
 
 GRID = from_cover_relations(
@@ -56,19 +54,60 @@ def apex_face(L):
 
 def hull(W):
     """The test-side hull of a weight polytope's points."""
-    return oracle.hull(list(W.points.values()), 1)
+    return oracle.hull(list(W.points), 1)
 
 
 def face_hull(W, d):
     """The hull of a distinguished face's member points."""
-    return oracle.hull([W.points[a] for a in d.elements], 1)
+    return oracle.hull([W.points[i] for i in d], 1)
+
+
+def labels(L, d):
+    """A distinguished face's members as element labels."""
+    return {L.elements[i] for i in d}
+
+
+def _pulls_back(to_apex, zeta, point, x) -> bool:
+    """Whether to_apex·point == Z·x + z0, in integer dot products. Z has
+    rank |P|, so then x is the unique preimage of to_apex·point under zeta."""
+    Z, z0 = zeta
+    return ([sum(c * y for c, y in zip(row, point, strict=True)) for row in to_apex]
+            == [sum(c * y for c, y in zip(row, x, strict=True)) + c0 for row, c0 in zip(Z, z0)])
+
+
+def separators(W):
+    """Each distinguished face with its separator per lattice element: the
+    part's values minus the weight, as regular_subdivision certified them."""
+    sub = face_subdivision(W.face)
+    return [(d, [v - x for v, x in zip(part.values, sub.scaled)])
+            for d, part in zip(distinguished_faces(W), sub.parts, strict=True)]
+
+
+def check_certificate(W):
+    """What weight_polytope's three solves and the subdivision imply, and
+    weightpoly no longer checks: every point pulls back to its indicator;
+    each separator is an integer combination of the basis rows, so an
+    integer functional on W, zero on its face's points and at least 1 on
+    the others; each distinguished face's points span dimension |P|."""
+    L = W.face.cone.lattice
+    n = L.poset_P.size
+    for point, m in zip(W.points, L.masks, strict=True):
+        assert _pulls_back(W.to_apex, W.zeta, point, [m >> j & 1 for j in range(n)])
+    for d, sep in separators(W):
+        # the points have rank d, so a solution is unique
+        c = solve_linear(W.points, sep)
+        assert c is not None and all(x.denominator == 1 for x in c)
+        assert [i for i, s in enumerate(sep) if s == 0] == list(d)
+        assert all(s >= 0 for s in sep)
+        base = W.points[d[0]]
+        assert rank([vsub(W.points[i], base) for i in d]) == n
 
 
 def project(G, F, point):
     """Dual of the span inclusion U(F) ⊆ U(G), for G's tight set inside F's,
     in dual-basis coordinates: the restriction that weight_polytope applies
-    with F the apex. Carries the point of G's weight polytope
-    labeled by a lattice element to the identically labeled point of F's."""
+    with F the apex. Carries the point of G's weight polytope of a lattice
+    element to the point of F's of the same element."""
     assert G.tight_idx <= F.tight_idx
     return tuple(sum(c * x for c, x in zip(row, point, strict=True))
                  for row in _inclusion_matrix(span_of_face(G), span_of_face(F)))
@@ -78,13 +117,14 @@ def chain_simplex(ext):
     """The coordinate face of the full-face weight polytope on the maximal
     chain of a linear extension: its element labels and its polytope."""
     P = ext.poset
-    W = weight_polytope(full_face(birkhoff(P)))
-    labels = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
+    L = birkhoff(P)
+    W = weight_polytope(full_face(L))
+    ideals = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
-    poly = oracle.hull([W.points[a] for a in labels], 1)
+    poly = oracle.hull([W.points[L.index(a)] for a in ideals], 1)
     assert poly.dim == P.size
     assert len(poly.vertices) == P.size + 1
-    return labels, poly
+    return ideals, poly
 
 
 def normality_probe(Q, k_max):
@@ -109,7 +149,7 @@ def test_full_face_is_standard_simplex(L):
     W = weight_polytope(full_face(L))
     unit = [tuple(1 if j == i else 0 for j in range(L.size)) for i in range(L.size)]
     assert list(W.basis) == unit
-    assert [W.points[a] for a in L.elements] == unit
+    assert list(W.points) == unit
     assert hull(W).dim == L.size - 1
 
 
@@ -120,7 +160,7 @@ def test_apex_b2_is_unit_square():
     assert len(Q.vertices) == 4
     assert len(lattice_points(Q)) == 4
     # opposite edge vectors agree, so the four points are a parallelogram
-    bot, p, q, top = (W.points[a] for a in B2.elements)
+    bot, p, q, top = W.points
     assert vsub(p, bot) == vsub(top, q)
     assert vsub(q, bot) == vsub(top, p)
 
@@ -142,15 +182,15 @@ def test_every_face_has_lattice_point_count_of_L(L):
 def test_project_identity():
     F = full_face(B2)
     W = weight_polytope(F)
-    for a in B2.elements:
-        assert project(F, F, W.points[a]) == W.points[a]
+    for p in W.points:
+        assert project(F, F, p) == p
 
 
 def test_project_full_to_apex_b2():
     F, A = full_face(B2), apex_face(B2)
     Wf, Wa = weight_polytope(F), weight_polytope(A)
-    for a in B2.elements:
-        assert project(F, A, Wf.points[a]) == Wa.points[a]
+    for p, q in zip(Wf.points, Wa.points, strict=True):
+        assert project(F, A, p) == q
 
 
 def test_project_carries_whole_polytope():
@@ -160,8 +200,8 @@ def test_project_carries_whole_polytope():
         for G, F in itertools.permutations(faces, 2):
             if not (G.tight_idx <= F.tight_idx):
                 continue
-            for a in L.elements:
-                assert project(G, F, polys[G].points[a]) == polys[F].points[a]
+            for p, q in zip(polys[G].points, polys[F].points, strict=True):
+                assert project(G, F, p) == q
             image = oracle.hull([project(G, F, v) for v in hull(polys[G]).vertices], 1)
             assert image.vertices == hull(polys[F]).vertices
 
@@ -173,9 +213,9 @@ def test_project_composition():
     full = full_face(L)
     mid = next(F for F in enumerate_faces(K) if not is_apex(F) and not is_full(F))
     W = weight_polytope(full)
-    for a in L.elements:
-        two_step = project(mid, apex, project(full, mid, W.points[a]))
-        assert two_step == project(full, apex, W.points[a])
+    for p in W.points:
+        two_step = project(mid, apex, project(full, mid, p))
+        assert two_step == project(full, apex, p)
 
 
 # -- zeta --------------------------------------------------------------------
@@ -186,9 +226,9 @@ def test_project_composition():
 def test_zeta_bijects_order_polytope_and_apex_polytope(L):
     W = weight_polytope(apex_face(L))
     z = oracle.AffineMap(*W.zeta)
-    for a in L.elements:
-        assert z(indicator(L, a)) == W.points[a]
-        assert oracle.invert_affine(z, W.points[a]) == indicator(L, a)
+    for a, p in zip(L.elements, W.points, strict=True):
+        assert z(indicator(L, a)) == p
+        assert oracle.invert_affine(z, p) == indicator(L, a)
 
 
 @pytest.mark.parametrize("face", ["full", "apex"])
@@ -248,7 +288,7 @@ def test_apex_single_distinguished_face_is_whole_polytope():
     faces = distinguished_faces(W)
     assert len(faces) == 1
     assert face_hull(W, faces[0]).vertices == hull(W).vertices
-    assert set(faces[0].elements) == set(B3.elements)
+    assert labels(B3, faces[0]) == set(B3.elements)
 
 
 def test_full_face_distinguished_are_chain_simplices():
@@ -262,21 +302,27 @@ def test_full_face_distinguished_are_chain_simplices():
 def test_b2_full_two_triangles_sharing_an_edge():
     faces = distinguished_faces(weight_polytope(full_face(B2)))
     assert len(faces) == 2
-    assert all(len(d.elements) == 3 for d in faces)
-    shared = set(faces[0].elements) & set(faces[1].elements)
+    assert all(len(d) == 3 for d in faces)
+    shared = labels(B2, faces[0]) & labels(B2, faces[1])
     assert shared == {"{}", "{p,q}"}
 
 
 def test_separator_vanishes_exactly_on_face():
     L = GRIDL
     for F in enumerate_faces(cone_K(L)):
-        for d in distinguished_faces(weight_polytope(F)):
-            members = set(d.elements)
-            for a, value in zip(L.elements, d.separator):
-                if a in members:
+        for d, sep in separators(weight_polytope(F)):
+            members = set(d)
+            for i, value in enumerate(sep):
+                if i in members:
                     assert value == 0
                 else:
                     assert value >= 1
+
+
+@pytest.mark.parametrize("L", [B3, GRIDL, grassmann_lattice(2, 5), flag_lattice(4)])
+def test_every_face_meets_its_certificate(L):
+    for F in enumerate_faces(cone_K(L)):
+        check_certificate(weight_polytope(F))
 
 
 def test_distinguished_images_are_subdivision_parts():
@@ -284,7 +330,7 @@ def test_distinguished_images_are_subdivision_parts():
     L = B3
     for F in enumerate_faces(cone_K(L)):
         sub = face_subdivision(F)
-        got = {frozenset(d.elements) for d in distinguished_faces(weight_polytope(F))}
+        got = {frozenset(labels(L, d)) for d in distinguished_faces(weight_polytope(F))}
         want = {frozenset(vertex_labels(L, p)) for p in sub.parts}
         assert got == want
 
@@ -326,18 +372,17 @@ def test_integer_certificate_matches_fraction_oracle(P):
     L = birkhoff(P)
     assume(len(diamond_pairs(L)) <= 8)
     apex = weight_polytope(apex_face(L))
-    zmap = oracle.affine_map_through([indicator(L, a) for a in L.elements],
-                                     [apex.points[a] for a in L.elements])
+    zmap = oracle.affine_map_through([indicator(L, a) for a in L.elements], apex.points)
     indicators = [[int(x) for x in indicator(L, a)] for a in L.elements]
     for F in enumerate_faces(cone_K(L)):
         W = weight_polytope(F)
-        assert (zmap.matrix, zmap.offset) == (tuple(map(tuple, W.zeta[0])), tuple(W.zeta[1]))
-        cols = list(zip(*W.basis))
-        assert W.to_apex == [solve_linear(cols, row) for row in apex.basis]
+        assert W.zeta == (zmap.matrix, zmap.offset)
+        assert [list(row) for row in W.to_apex] == [solve_linear(W.points, row)
+                                                    for row in apex.basis]
+        check_certificate(W)
         # each element's own point and indicator, a wrong indicator, and
         # the point moved by 1 in each coordinate
-        for i, a in enumerate(L.elements):
-            q = W.points[a]
+        for i, q in enumerate(W.points):
             cases = [(q, indicators[i]), (q, indicators[i - 1])]
             cases += [(bump(q, j), indicators[i]) for j in range(len(q))]
             for point, x in cases:
@@ -347,7 +392,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
         # are its vertices, and it has dimension |P|
         for d in distinguished_faces(W):
             face = face_hull(W, d)
-            assert len(face.vertices) == len(d.elements)
+            assert len(face.vertices) == len(d)
             assert face.dim == P.size
 
 
@@ -368,11 +413,11 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
     rejected = 0
     for F in enumerate_faces(cone_K(L)):
         W = weight_polytope(F)
-        for k, (a, m) in enumerate(zip(L.elements, L.masks)):
+        for k, (point, m) in enumerate(zip(W.points, L.masks)):
             i = k % len(W.basis)
             x = [m >> j & 1 for j in range(L.poset_P.size)]
-            assert _pulls_back(W.to_apex, W.zeta, W.points[a], x)
-            assert not _pulls_back(W.to_apex, W.zeta, bump(W.points[a], i), x)
+            assert _pulls_back(W.to_apex, W.zeta, point, x)
+            assert not _pulls_back(W.to_apex, W.zeta, bump(point, i), x)
             rows = [list(row) for row in W.basis]
             rows[i][k] += 1
             with_basis(monkeypatch, F, rows)
@@ -394,7 +439,8 @@ def test_certificate_rejects_a_doubled_basis_row(L, monkeypatch):
     # the doubled polytope is again an integral image of O(P): it passes,
     # and the oracle finds no integer point but its |L| points. With every
     # row doubled the apex polytope is twice one, its edge midpoints are
-    # integer points, and zeta's lattice check fails
+    # integer points, and the apex lattice basis is no integer combination
+    # of zeta's columns
     for F in enumerate_faces(cone_K(L)):
         basis = span_of_face(F)
         for i in range(len(basis)):
@@ -407,7 +453,7 @@ def test_certificate_rejects_a_doubled_basis_row(L, monkeypatch):
                     weight_polytope(F)
         if is_apex(F):
             with_basis(monkeypatch, F, [[2 * x for x in row] for row in basis])
-            with pytest.raises(AssertionError, match="apex lattice"):
+            with pytest.raises(AssertionError, match="not integral"):
                 weight_polytope(F)
 
 
@@ -473,12 +519,12 @@ def test_weight_polytope_json_shape():
 
 
 def test_weight_polytopes_equal_on_their_face():
-    # a weight polytope is determined by its face, so equality and hashing
-    # compare only the face
+    # every field of a weight polytope is a function of its face, so two
+    # built on one face are equal and hash alike; equality compares fields
     K = cone_K(B3)
     full, apex = face_of(K, [0, 1, 1, 1, 4, 4, 4, 9], 1), face_of(K, (0,) * 8, 1)
     W = weight_polytope(full)
     again = weight_polytope(face_of(cone_K(B3), [0, 1, 1, 1, 4, 4, 4, 9], 1))
     assert again == W and hash(again) == hash(W)
-    assert WeightPolytope(full, (), {}, W.zeta, W.to_apex) == W
+    assert W._replace(points=W.points[::-1]) != W
     assert weight_polytope(apex) != W
