@@ -59,7 +59,7 @@ if TYPE_CHECKING:
     from .flaggt import GelfandTsetlin
 
 MAX_BOOLEAN = 6
-MAX_CHECK = 20  # --check trials; B6's full face takes about 0.15 s per trial
+MAX_CHECK = 20  # --check trials; B6's full face takes about 15 ms per trial
 MAX_ENTRY_DIGITS = 100  # per weight entry, exponent included
 
 CERTIFY_COLUMNS = ["face_key", "l", "dimR", "dim_in", "dim_cap",

@@ -312,12 +312,12 @@ def gt_vertices(gt: GelfandTsetlin) -> list[GTVertex]:
 # -- sections of the ambient subdivision -------------------------------------
 
 
-def _extend_to_pbar(base: Poset, order_pt: Poset, at: Sequence[int]) -> Poset:
-    # the part order on Pbar's cells, with order_pt's element j at index
-    # at[j], the corner p11 (index 0) below every cell and pnn (the last
-    # index) above every cell
+def _extend_to_pbar(base: Poset, below_pt: Sequence[int], at: Sequence[int]) -> Poset:
+    # the part order, given by its down-set masks over P, on Pbar's cells,
+    # with P's element j at index at[j], the corner p11 (index 0) below
+    # every cell and pnn (the last index) above every cell
     below = [0] * base.size
-    for j, m in enumerate(order_pt.below):
+    for j, m in enumerate(below_pt):
         below[at[j]] = 1 | sum(1 << at[i] for i in _bits(m))
     below[-1] = (1 << base.size - 1) - 1
     return Poset(base.elements, tuple(below))
@@ -416,7 +416,7 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
                 for point, chain in gt_patterns(gt)]
     parts = []
     for part in face_subdivision(F).parts:
-        order = _extend_to_pbar(mp.base, part.order, at)
+        order = _extend_to_pbar(mp.base, part.below, at)
         inside = [point for point, chain in patterns if not chain & ~part.vertex_mask]
         if len(part.simplices) == 1:
             total = [0, *(at[j] for j in part.simplices[0]), mp.base.size - 1]

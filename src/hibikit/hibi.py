@@ -260,10 +260,10 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     computed once per degree, before the cone is built, so the element and
     degree caps fail fast; only the intersection is computed per face.
 
-    A component's members are its part's vertex mask, read off the part's
-    cell: regular_subdivision checked it, once per cell of the lattice, to
-    be the ideals of the part's order and a sublattice of L, and checks on
-    every face that the part's extensions give the same mask."""
+    A component's members are its part's vertex mask. They are the ideals
+    of the part's order and a sublattice of L by regular_subdivision's
+    interpolation and envelope checks alone, which it runs on every face
+    (the argument is in the subdivision module docstring)."""
     from .cone import cone_K, enumerate_faces
     from .subdivision import face_subdivision
 

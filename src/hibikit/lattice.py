@@ -64,10 +64,12 @@ class Lattice:
     The tables that depend on the lattice alone are built on first use and
     kept here, so every face of one lattice reads the same ones: the linear
     extensions (extensions), the diamond pairs (diamond_pairs), the
-    certified cone K-bar (cone.cone_K), the subdivision's staircase table,
-    cell table and adjacency graph (subdivision.staircase_table,
-    subdivision.regular_subdivision, subdivision.adjacency_graph), and the
-    degree-wise monomial states and tables of hibi.degree_table.
+    certified cone K-bar (cone.cone_K), the subdivision's staircase table
+    and adjacency graph (subdivision.staircase_table,
+    subdivision.adjacency_graph), and the degree-wise monomial states and
+    tables of hibi.degree_table. No table keeps a subdivision's parts: each
+    weight's parts are built from the staircase table and certified by the
+    envelope check alone (see the subdivision module docstring).
     """
 
     def __init__(self, elements, poset_P, masks):
@@ -80,7 +82,6 @@ class Lattice:
         self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
         self._cone = None  # cone.cone_K
         self._staircases = None  # subdivision.staircase_table
-        self._cells: dict[tuple[int, ...], tuple] = {}  # subdivision.regular_subdivision
         self._adjacency_graph = None  # subdivision.adjacency_graph
         self._degree_states: list[set[int]] = []  # hibi.degree_table
         self._degree_tables: dict[int, tuple] = {}  # hibi.degree_table

@@ -17,20 +17,39 @@ weakly overestimates the weight off its own vertex set, with equality
 exactly on it. The code verifies this on every element rather than trusting
 convexity adjectives.
 
-The parts recur across the faces of one lattice, so what a part is apart
-from its map (its order, vertex mask and simplices) is a cell, kept in a
-per-lattice table keyed by the part's extension indices. A cell's order is
-checked to be a partial order refining P, its vertices the ideals of that
-order and a sublattice of L, once per lattice. Like the staircase table, the
-cell table is trusted for nothing: every weight recomputes each part's AND
-of before masks and union of chains and asserts that they, and its
-simplices, equal its cell's.
+That each part is an order polytope needs no check of its own. Take a
+part with members M, the extensions merged into it, map g, and vertex set
+S, the union of the members' chains, whose sets are the members' prefixes.
+regular_subdivision asserts that w is in K-bar, that g interpolates w on S,
+and that g >= w on all of L with equality exactly on S. Its order is the
+AND of the members' before masks, and four steps make the part O(P, order):
+
+- Order: an AND of linear orders that extend P is a partial order refining
+  P.
+- Closure: for x, y in S, g(x∪y) + g(x∩y) = g(x) + g(y) = w(x) + w(y) <=
+  w(x∪y) + w(x∩y) <= g(x∪y) + g(x∩y). The equalities hold as g is affine,
+  with 1_x + 1_y = 1_{x∪y} + 1_{x∩y}, and meets w on S; the first
+  inequality as w in K-bar is supermodular (local to global on a
+  distributive lattice), the second by the envelope. So equality holds
+  throughout, and x∪y and x∩y are vertices.
+- Ideals: S is then a sublattice of 2^P that holds a full chain from ∅ to
+  P, a member's, so it is the ideal set of the order "every vertex holding
+  y holds x" (Birkhoff 1937). Every member extends that order, as its prefixes are
+  vertices.
+- Members: every linear extension of that order has its prefixes in S,
+  where g interpolates w, so its own map is g and it is a member. So the
+  members are that order's linear extensions, and the order, the AND of
+  its linear extensions, is the AND of the members' before masks.
+
+The argument takes one fact from the staircase table: each chain holds
+|P| + 1 distinct elements. A wrong chain entry that repeats an element of
+its own chain can leave the map checks passing, so a part with one member
+is checked to have |P| + 1 vertices.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations
 from math import gcd
 from operator import and_, eq, lt
 from typing import NamedTuple, Sequence
@@ -38,20 +57,21 @@ from typing import NamedTuple, Sequence
 from .cone import Face, _key_of, _tight_set, sample_relative_interior, span_of_face
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import DiamondPair, Lattice, diamond_pairs
-from .poset import Poset, _bits, ideal_set
+from .poset import Poset, _bits
 
 
 class Part(NamedTuple):
     """One linearity domain of the envelope: the order polytope O(P, order).
 
-    Its map is x -> (const + alpha·x) / den on R^P, with the subdivision's
-    den; values[i] is its numerator at the i-th lattice element's indicator.
-    Its simplices are its linear extensions, index tuples over P's
-    elements. Bit i of vertex_mask is set when the i-th lattice element is
-    a vertex.
+    below holds the order's down-set masks over P's elements, the AND of
+    its simplices' before masks. Its map is x -> (const + alpha·x) / den on
+    R^P, with the subdivision's den; values[i] is its numerator at the i-th
+    lattice element's indicator. Its simplices are its linear extensions,
+    index tuples over P's elements. Bit i of vertex_mask is set when the
+    i-th lattice element is a vertex.
     """
 
-    order: Poset
+    below: tuple[int, ...]
     alpha: tuple[int, ...]
     const: int
     values: tuple[int, ...]
@@ -80,7 +100,7 @@ class Subdivision:
 
     def structure(self) -> frozenset:
         """Weight-independent identity: the parts as (vertex set, order)."""
-        return frozenset((p.vertex_mask, p.order.below) for p in self.parts)
+        return frozenset((p.vertex_mask, p.below) for p in self.parts)
 
     def part_of(self, ext: tuple[int, ...]) -> int:
         return self._part_of[ext]
@@ -130,58 +150,18 @@ def staircase_table(L: Lattice) -> StaircaseTable:
     return L._staircases
 
 
-class Cell(NamedTuple):
-    """What a part of regular_subdivision holds that depends on its
-    extensions alone, not on the weight: its order, the mask of its vertex
-    elements and its simplices. Kept on L by the part's extension indices."""
-
-    order: Poset
-    vertex_mask: int
-    simplices: tuple[tuple[int, ...], ...]
-
-
-def _cell(L: Lattice, members: tuple[int, ...], below: tuple[int, ...],
-          vertex_mask: int) -> Cell:
-    """The cell of the extensions members, whose before masks AND to below
-    and whose chains cover vertex_mask, checked once and kept on L: below
-    must be a partial order refining P, the vertices the ideals of that
-    order, and their ideal masks a sublattice of L, closed under OR and
-    AND."""
-    cell = L._cells.get(members)
-    if cell is not None:
-        return cell
-    P = L.poset_P
-    order = Poset(P.elements, below)
-    if any(b & ~o for b, o in zip(P.below, below)):
-        raise AssertionError("part order must refine P")
-    # every ideal of the stronger order is an ideal of P, so an element of L
-    if vertex_mask != sum(1 << L.at_mask[m] for m in ideal_set(order)):
-        raise AssertionError("part is not the order polytope of its order")
-    ideals = {L.masks[i] for i in _bits(vertex_mask)}
-    if any(x | y not in ideals or x & y not in ideals for x, y in combinations(ideals, 2)):
-        raise AssertionError("sublattice is not closed")
-    exts = L.extensions()
-    cell = L._cells[members] = Cell(order, vertex_mask, tuple(exts[k] for k in members))
-    return cell
-
-
 def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     """Interpolate the weight w / den, for integer w and den > 0, over every
-    staircase simplex, merge equal affine maps, and verify each merged class
-    is the order polytope of the intersected order with the envelope
-    inequality holding on all of L. The tight pairs, in the cone's order of
-    diamond_pairs(L), come from each pair's value at w.
+    staircase simplex, merge equal affine maps, and check on all of L that
+    each merged class's map interpolates w on its vertices and overestimates
+    it elsewhere, which makes the class the order polytope of the AND of its
+    before masks (the module docstring's argument). The tight pairs, in the
+    cone's order of diamond_pairs(L), come from each pair's value at w.
 
     The chains, before masks and peel order come from L's staircase table,
     so the work per weight is one difference per chain step, one AND of
     before masks and one union of chains per merged extension, and one add
-    per element and part. What a part holds apart from its map, its order,
-    vertex mask and simplices, is its cell, kept on L by the part's
-    extension indices and checked once per lattice (_cell): the order is a
-    partial order refining P, the vertices are its ideals and a sublattice
-    of L. The cell table is trusted for nothing: every weight still
-    asserts that its ANDed before masks, its union of chains and its
-    simplices equal the cell's."""
+    per element and part."""
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
     g = gcd(den, *w)
@@ -210,13 +190,11 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
         for k in members[1:]:
             below = tuple(map(and_, below, befores[k]))
             on_chains.update(chains[k])
+        if len(members) == 1 and len(on_chains) != n + 1:
+            raise AssertionError("a chain must hold |P| + 1 distinct elements")
         vertex_mask = 0
         for i in on_chains:
             vertex_mask |= 1 << i
-        cell = _cell(L, tuple(members), below, vertex_mask)
-        if (cell.order.below != below or cell.vertex_mask != vertex_mask
-                or cell.simplices != tuple(map(exts.__getitem__, members))):
-            raise AssertionError("cell table entry does not match its extensions")
         # envelope: the part overestimates w on all of L, tight exactly on
         # its own vertices; each value is its parent's plus one alpha. Once
         # the map meets w on every vertex and nowhere below it, as many
@@ -230,8 +208,8 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
             raise AssertionError("envelope inequality fails")
         if sum(map(eq, values, ws)) != len(on_chains):
             raise AssertionError("tight value off the part's vertex set")
-        parts.append(Part(cell.order, alpha, const, tuple(values), cell.simplices,
-                          vertex_mask))
+        parts.append(Part(below, alpha, const, tuple(values),
+                          tuple(map(exts.__getitem__, members)), vertex_mask))
     pairs = diamond_pairs(L)
     return Subdivision(L, ws, den, tuple(parts), tuple(pairs[i] for i in sorted(tight)))
 
@@ -372,11 +350,12 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
 
 
 def subdivision_json(sub: Subdivision) -> dict:
-    E = sub.lattice.elements
+    L = sub.lattice
+    E = L.elements
     parts = []
     for p in sub.parts:
         parts.append({
-            "order_covers": [[a, b] for a, b in p.order.covers()],
+            "order_covers": [[a, b] for a, b in Poset(L.poset_P.elements, p.below).covers()],
             "elements": [E[i] for i in _bits(p.vertex_mask)],
             "alpha": vector_pairs(p.alpha, sub.den),
         })

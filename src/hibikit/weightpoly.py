@@ -128,8 +128,9 @@ def distinguished_faces(W: WeightPolytope) -> list[tuple[int, ...]]:
       is tight on F's pairs. So, written over the saturated basis, it is
       an integer functional on W that cuts a genuine face;
     - the members are the ideals of the part's order, the vertices of its
-      order polytope O_part, a sublattice C of L: subdivision._cell checked
-      this once per cell;
+      order polytope O_part, a sublattice C of L: regular_subdivision's
+      interpolation and envelope checks imply this (the subdivision module
+      docstring gives the argument);
     - the members' points span dimension |P|. At least |P|: C holds a full
       chain simplex, whose |P| + 1 indicators zeta sends to affinely
       independent points, as it is injective. At most |P|: C's covers add

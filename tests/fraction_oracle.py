@@ -134,7 +134,7 @@ from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision
 from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
-                          lattice_chain, leq, less, order_ideals, poset_from_pairs)
+                          lattice_chain, leq, less, order_ideals, part_order, poset_from_pairs)
 
 
 Vec = tuple[Fraction, ...]
@@ -949,7 +949,7 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     in_parts = {point: 0 for point in pattern_points}
     parts = []
     for part in sub.parts:
-        order = _extend_to_pbar(n, part.order, iso)
+        order = _extend_to_pbar(n, part_order(L, part), iso)
         Q = marked_order_polytope(mp, order)
         assert Q.dim == gt_dim, "each section must be full-dimensional"
         member_points = set(Q.vertices)

@@ -47,7 +47,13 @@ Lattice.leq, Lattice.join and Lattice.meet methods did until the package
 compared and combined the masks themselves.
 
 vertex_labels names a subdivision part's vertices by their labels, as
-Part.vertex_elements did while a part kept the lattice's labels.
+Part.vertex_elements did while a part kept the lattice's labels. part_order
+is a part's order as a validated Poset, as Part.order held it before a part
+kept only the order's down-set masks. check_part runs the four checks that
+regular_subdivision made on each part's order and vertices (once per cell
+of a per-lattice table) before its interpolation and envelope checks were
+shown to imply them: the order is a partial order, it refines P, its ideals
+are the part's vertices, and those are closed under union and intersection.
 """
 
 import itertools
@@ -56,7 +62,8 @@ from typing import Callable, Sequence
 
 from hibikit.errors import CycleError, HibikitError, NotALattice, NotDistributive, UnknownLabel
 from hibikit.lattice import DiamondPair, Lattice, _ring_of_sets, diamond_pairs
-from hibikit.poset import Poset, _bits, from_cover_relations, ideal_masks, linear_extensions
+from hibikit.poset import (Poset, _bits, from_cover_relations, ideal_masks, ideal_set,
+                           linear_extensions)
 from hibikit.subdivision import AdjacencyGraph
 
 
@@ -242,6 +249,31 @@ def vertex_labels(L, part) -> tuple[str, ...]:
     """The labels of a subdivision part's vertices, the elements of L its
     vertex mask holds, in L's element order."""
     return tuple(L.elements[i] for i in _bits(part.vertex_mask))
+
+
+def part_order(L, part) -> Poset:
+    """A subdivision part's order, from its down-set masks, as a Poset on
+    L.poset_P's elements; the constructor validates it."""
+    return Poset(L.poset_P.elements, part.below)
+
+
+def check_part(L, part) -> None:
+    """Raise AssertionError unless the part's order is a partial order
+    refining L.poset_P whose ideals are the part's vertices, and those
+    vertices are closed under union and intersection."""
+    try:
+        order = part_order(L, part)
+    except (HibikitError, ValueError) as exc:
+        raise AssertionError(f"part order is not a partial order: {exc}") from None
+    if any(b & ~o for b, o in zip(L.poset_P.below, part.below)):
+        raise AssertionError("part order must refine P")
+    # every ideal of the stronger order is an ideal of P, so an element of L
+    if part.vertex_mask != sum(1 << L.at_mask[m] for m in ideal_set(order)):
+        raise AssertionError("part is not the order polytope of its order")
+    ideals = {L.masks[i] for i in _bits(part.vertex_mask)}
+    if any(x | y not in ideals or x & y not in ideals
+           for x, y in itertools.combinations(ideals, 2)):
+        raise AssertionError("sublattice is not closed")
 
 
 # -- labelled linear extensions and the pairwise adjacency scan ---------------

@@ -23,7 +23,7 @@ from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,
                                  generalized_permutahedron)
 from hibikit.weightpoly import distinguished_faces, weight_polytope
-from order_oracle import join_of, meet_of, vertex_labels
+from order_oracle import join_of, meet_of, part_order, vertex_labels
 
 
 def b(n):
@@ -77,18 +77,18 @@ def test_acceptance_4_subdivision_bijection():
         for F in faces:
             sub = face_subdivision(F)
             forms.add(frozenset(
-                (frozenset(p.order.covers()), frozenset(vertex_labels(L, p)))
+                (frozenset(part_order(L, p).covers()), frozenset(vertex_labels(L, p)))
                 for p in sub.parts))
             if is_full(F):
                 # staircase triangulation: one simplex per linear extension
                 assert len(sub.parts) == m == len(L.extensions())
                 for p in sub.parts:
                     assert len(vertex_labels(L, p)) == L.poset_P.size + 1
-                    assert len(p.order.covers()) == L.poset_P.size - 1
+                    assert len(part_order(L, p).covers()) == L.poset_P.size - 1
             if is_apex(F):
                 part, = sub.parts
                 assert set(vertex_labels(L, part)) == set(L.elements)
-                assert set(part.order.covers()) == set(L.poset_P.covers())
+                assert set(part_order(L, part).covers()) == set(L.poset_P.covers())
         assert len(forms) == len(faces)  # distinct faces, distinct subdivisions
     _done("4 subdivision bijection", t0, 60)
 

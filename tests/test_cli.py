@@ -122,6 +122,19 @@ def test_poset_file_drives_lattice_command(tmp_path, capsys):
     assert again == report
 
 
+@pytest.mark.parametrize("argv", [["lattice"], ["certify", "--lmax", "1"], ["cone"]])
+def test_a_poset_file_past_the_ideal_cap_exits_2_at_once(tmp_path, capsys, argv):
+    # a 14-element antichain has 2^14 ideals; closing all pairs of them took
+    # 46 s before the lattice's ideals were counted against a cap
+    path = tmp_path / "p.txt"
+    path.write_text("".join(f"elem x{i}\n" for i in range(14)), encoding="utf-8")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, [*argv, "--poset", str(path)])
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "TooLarge"
+
+
 def test_poset_file_is_read_once(tmp_path, capsys, monkeypatch):
     # the file's text picks the format and is then parsed; a JSON file used
     # to be read a second time to parse it

@@ -372,7 +372,7 @@ def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
             C = cone_K(flag_lattice(n))
             iso = gt_poset_iso(gt, C.lattice)
             at = [mp.base.index(iso[p]) for p in C.lattice.poset_P.elements]
-            orders += [_extend_to_pbar(mp.base, part.order, at)
+            orders += [_extend_to_pbar(mp.base, part.below, at)
                        for F in enumerate_faces(C) for part in face_subdivision(F).parts]
         for ext in linear_extensions(gt.poset):
             total = [mp.base.elements[0], *(gt.poset.elements[j] for j in ext),
@@ -865,7 +865,7 @@ def test_section_membership_is_the_chain_inside_the_vertex_set(n):
     for F in enumerate_faces(C):
         sub = face_subdivision(F)
         for part in sub.parts:
-            order = _extend_to_pbar(mp.base, part.order, at)
+            order = _extend_to_pbar(mp.base, part.below, at)
             for point, chain in patterns:
                 lift = sum(sub.scaled[L.index(lbl)] for lbl in chain)
                 value = part.const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraction_oracle import extension_poset, intersect_orders
-from hibikit.errors import CycleError, UnknownLabel
+from hibikit.errors import CycleError, TooLarge, UnknownLabel
 from hibikit.lattice import birkhoff, parse_lattice
-from hibikit.poset import Poset, _bits, antichain, from_cover_relations, linear_extensions
+from hibikit.poset import (MAX_IDEALS, Poset, _bits, antichain, from_cover_relations, ideal_set,
+                           linear_extensions)
 from order_oracle import (GroundSetMismatch, LinearExtension, PairPoset, chain, closure,
                           down_closed, is_stronger, label_extensions, label_pair_stronger, less,
                           order_ideals, pairs_of)
@@ -113,6 +114,14 @@ def test_order_ideals_examples():
     C = chain(["p", "q", "r"])
     assert order_ideals(C) == [frozenset(), frozenset({"p"}),
                                frozenset({"p", "q"}), frozenset({"p", "q", "r"})]
+
+
+def test_ideal_count_is_capped_where_it_passes_max_ideals():
+    # an antichain of n elements has 2^n ideals: 2^10 is the cap itself
+    assert MAX_IDEALS == 1 << 10
+    assert len(ideal_set(antichain([f"x{i}" for i in range(10)]))) == MAX_IDEALS
+    with pytest.raises(TooLarge, match="order ideals"):
+        ideal_set(antichain([f"x{i}" for i in range(11)]))
 
 
 def test_grid_ideals_against_brute_force():

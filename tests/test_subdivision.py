@@ -17,7 +17,7 @@ from hibikit.errors import NotInCone
 from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.hibi import degeneration_certificate
-from hibikit.poset import Poset, antichain, from_cover_relations, ideal_masks
+from hibikit.poset import Poset, _bits, antichain, from_cover_relations, ideal_masks
 from hibikit.subdivision import (
     Part,
     adjacency_graph,
@@ -27,8 +27,9 @@ from hibikit.subdivision import (
     subdivision_invariance_check,
     subdivision_json,
 )
-from order_oracle import (chain, down_closed, iota, iota_inv, label_extension,
-                          label_extensions, order_ideals, pairwise_adjacency, vertex_labels)
+from order_oracle import (chain, check_part, down_closed, iota, iota_inv, label_extension,
+                          label_extensions, order_ideals, pairwise_adjacency, part_order,
+                          vertex_labels)
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -74,7 +75,7 @@ def test_b2_zero_weight_single_part():
     sub = regular_subdivision(B2, (0, 0, 0, 0), 1)
     assert len(sub.parts) == 1
     part = sub.parts[0]
-    assert part.order.label_pairs() == frozenset()
+    assert part_order(B2, part).label_pairs() == frozenset()
     assert vertex_labels(B2, part) == B2.elements
     assert len(part.simplices) == 2
 
@@ -82,7 +83,7 @@ def test_b2_zero_weight_single_part():
 def test_b2_generic_weight_two_triangles():
     sub = regular_subdivision(B2, (0, -1, -1, 0), 1)
     assert len(sub.parts) == 2
-    orders = {p.order.label_pairs() for p in sub.parts}
+    orders = {part_order(B2, p).label_pairs() for p in sub.parts}
     assert orders == {frozenset({("p", "q")}), frozenset({("q", "p")})}
     alphas = {p.alpha for p in sub.parts}
     assert alphas == {(-1, 1), (1, -1)}
@@ -151,7 +152,7 @@ def test_subdivision_partitions_extensions(P, salt):
         e.order for e in label_extensions(P))
     for part in sub.parts:
         ideals = {iota(L, a) for a in vertex_labels(L, part)}
-        assert ideals == set(order_ideals(part.order))
+        assert ideals == set(order_ideals(part_order(L, part)))
 
 
 @st.composite
@@ -206,12 +207,14 @@ def weight_on(draw, L):
 
 
 def assert_matches_oracle(sub, want_key, want):
-    """sub equals the Fraction oracle's face key and parts."""
+    """sub equals the Fraction oracle's face key and parts, and each part
+    passes check_part."""
     L = sub.lattice
     assert sub.face_key == want_key
     assert len(sub.parts) == len(want)
     for part, old in zip(sub.parts, want):
-        assert part.order == old.order
+        check_part(L, part)
+        assert part_order(L, part) == old.order
         assert vertex_labels(L, part) == old.vertex_elements
         assert tuple(label_extension(L.poset_P, e) for e in part.simplices) == old.simplices
         assert tuple(Fraction(x, sub.den) for x in part.alpha) == old.affine.matrix[0]
@@ -252,11 +255,9 @@ def poset_and_weights(draw):
 def test_warm_tables_give_the_fresh_subdivision(case):
     # one lattice serves every weight in turn, as one job's faces do: each
     # subdivision read off its warm tables equals the one on a freshly built
-    # lattice, whose cell table is cold, and the Fraction oracle's. The
-    # weight's second subdivision reads every cell off the table and builds
-    # none
+    # lattice and the Fraction oracle's, and each of its parts passes
+    # check_part
     P, L, weights = case
-    exts = L.extensions()
     for w in weights:
         num, den = vec_over_den(w)
         try:
@@ -266,16 +267,11 @@ def test_warm_tables_give_the_fresh_subdivision(case):
                 regular_subdivision(L, num, den)
             continue
         warm, fresh = regular_subdivision(L, num, den), regular_subdivision(birkhoff(P), num, den)
-        cells = dict(L._cells)
         again = regular_subdivision(L, num, den)
-        assert L._cells == cells
         for sub in (warm, again):
             assert (sub.scaled, sub.den, sub.parts, sub.tight) == (
                 fresh.scaled, fresh.den, fresh.parts, fresh.tight)
             assert_matches_oracle(sub, want_key, want)
-        for part in again.parts:
-            assert cells[tuple(map(exts.index, part.simplices))] == (
-                part.order, part.vertex_mask, part.simplices)
     assert subdivision.staircase_table(L) == subdivision.staircase_table(birkhoff(P))
 
 
@@ -510,8 +506,6 @@ def test_a_wrong_staircase_entry_fails_a_check(make):
     want = regular_subdivision(L, w, 1)
     table = subdivision.staircase_table(L)
     assert len(want.parts) == len(table.chains)
-    # the cell table is warm: every part of the weight reads its cell off it
-    assert all((k,) in L._cells for k in range(len(table.chains)))
     bottom = L.at_mask[0]
     raised = {"chains": 0, "peel": 0}
     for field, k, bad in corrupted_tables(table, L.size):
@@ -527,72 +521,53 @@ def test_a_wrong_staircase_entry_fails_a_check(make):
     assert raised["chains"] == len(table.chains) * (L.poset_P.size + 1) * (L.size - 1)
 
 
-def corrupted_cells(L, cell):
-    """Every copy of the cell with one field wrong, as (field, copy): its
-    order with one bit of one below mask flipped (validation bypassed), its
-    vertex mask with one bit flipped, and its simplices with one dropped or
-    one other extension added."""
-    n = L.poset_P.size
-    for j in range(n):
-        for i in range(n):
-            order = Poset(cell.order.elements, cell.order.below)
-            order.below = tuple(m ^ 1 << i if t == j else m for t, m in enumerate(order.below))
-            yield "order", cell._replace(order=order)
-    for i in range(L.size):
-        yield "vertex_mask", cell._replace(vertex_mask=cell.vertex_mask ^ 1 << i)
-    for k in range(len(cell.simplices)):
-        yield "simplices", cell._replace(simplices=cell.simplices[:k] + cell.simplices[k + 1:])
-    for ext in L.extensions():
-        if ext not in cell.simplices:
-            yield "simplices", cell._replace(simplices=cell.simplices + (ext,))
+def some_subdivisions():
+    """The subdivision at each face's sample of B3 and of the grid's
+    lattice."""
+    for L in (B3, birkhoff(GRID)):
+        for F in enumerate_faces(cone_K(L)):
+            yield regular_subdivision(L, *sample_relative_interior(F))
 
 
-@pytest.mark.parametrize("make", [lambda: birkhoff(antichain(["p", "q", "r"])),
-                                  lambda: birkhoff(GRID)], ids=["B3", "grid"])
-def test_a_wrong_cell_entry_fails_the_next_weight(make):
-    # the cell table is trusted for nothing: every face's sample reads the
-    # cells of its parts, and with any one field of one of them wrong, the
-    # next subdivision at that sample raises
-    L = make()
-    C = cone_K(L)
-    exts = L.extensions()
-    weight_of = {}
-    for F in enumerate_faces(C):
-        w, den = sample_relative_interior(F)
-        for part in regular_subdivision(L, w, den).parts:
-            weight_of.setdefault(tuple(exts.index(e) for e in part.simplices), (w, den))
-    assert weight_of.keys() == L._cells.keys()
-    raised = {"order": 0, "vertex_mask": 0, "simplices": 0}
-    for key, (w, den) in weight_of.items():
-        cell = L._cells[key]
-        for field, bad in corrupted_cells(L, cell):
-            L._cells[key] = bad
-            with pytest.raises(AssertionError, match="cell table entry"):
-                regular_subdivision(L, w, den)
-            raised[field] += 1
-        L._cells[key] = cell
-    n, count = L.poset_P.size, len(weight_of)
-    assert raised["order"] == n * n * count
-    assert raised["vertex_mask"] == L.size * count
-    assert raised["simplices"] == len(exts) * count
+def test_check_part_rejects_a_dropped_vertex_or_an_added_relation():
+    # the oracle is not vacuous: every part passes it, and fails it with
+    # any one vertex dropped, or with any one relation added to its order,
+    # whether that leaves no partial order or a stronger one with fewer
+    # ideals
+    checked = 0
+    for sub in some_subdivisions():
+        L = sub.lattice
+        n = L.poset_P.size
+        for part in sub.parts:
+            check_part(L, part)
+            for i in _bits(part.vertex_mask):
+                with pytest.raises(AssertionError):
+                    check_part(L, part._replace(vertex_mask=part.vertex_mask ^ 1 << i))
+            for j in range(n):
+                for i in range(n):
+                    if not part.below[j] >> i & 1:
+                        below = part.below[:j] + (part.below[j] | 1 << i,) + part.below[j + 1:]
+                        with pytest.raises(AssertionError):
+                            check_part(L, part._replace(below=below))
+            checked += 1
+    assert checked == 85 + 3  # B3 and the grid
 
 
-@pytest.mark.parametrize("make, lmax, parts, cells", [
-    (lambda: birkhoff(antichain(["p", "q", "r"])), 4, 85, 19),
-    (lambda: grassmann_lattice(2, 5), 3, 22, 14),
+@pytest.mark.parametrize("make, lmax, parts", [
+    (lambda: birkhoff(antichain(["p", "q", "r"])), 4, 85),
+    (lambda: grassmann_lattice(2, 5), 3, 22),
 ], ids=["B3", "Gr(2,5)"])
-def test_certify_checks_each_cell_once(make, lmax, parts, cells, monkeypatch):
-    # a cell is built, and its order, ideals and closure checked, once per
-    # lattice, however many faces' subdivisions share it
+def test_certify_builds_no_poset_for_a_part(make, lmax, parts, monkeypatch):
+    # a part's order is the AND of its extensions' before masks, kept as
+    # masks: once the lattice is built, certify builds no Poset at all
     L = make()
     built = []
-    poset_class = subdivision.Poset
-    monkeypatch.setattr(subdivision, "Poset", lambda *args: built.append(args) or poset_class(*args))
+    init = Poset.__init__
+    monkeypatch.setattr(Poset, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
     rows = degeneration_certificate(L, lmax)
-    assert all(row["pass"] for row in rows)
-    faces = enumerate_faces(cone_K(L))
-    assert sum(len(face_subdivision(F).parts) for F in faces) == parts
-    assert len(built) == len(L._cells) == cells
+    assert all(row["pass"] for row in rows) and built == []
+    assert sum(len(face_subdivision(F).parts) for F in enumerate_faces(cone_K(L))) == parts
 
 
 @settings(max_examples=15, deadline=None)
@@ -788,9 +763,9 @@ def test_subdivision_json_shape():
 
 
 def test_parts_equal_whatever_their_labels():
-    # a part holds no labels: its vertices are a mask over the lattice's
-    # elements, named only when written out, so equality and hashing see
-    # the mask and the map alone
+    # a part holds no labels: its order and vertices are masks over P's and
+    # the lattice's elements, named only when written out, so equality and
+    # hashing see the masks and the map alone
     w = [0, 1, 1, 1, 4, 4, 4, 9]
     upper = birkhoff(antichain(["P", "Q", "R"]))
     for p, q, shown in zip(regular_subdivision(B3, w, 1).parts,
@@ -799,6 +774,6 @@ def test_parts_equal_whatever_their_labels():
         assert not hasattr(p, "labels")
         copy = Part(*p)
         assert copy == p and hash(copy) == hash(p)
-        assert q._replace(order=p.order) == p
+        assert q == p
         assert shown["elements"] == [x.upper() for x in vertex_labels(B3, p)]
         assert p._replace(const=p.const + 1) != p
