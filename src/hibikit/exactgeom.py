@@ -17,6 +17,7 @@ and integer rows a.x >= r, the systems that close a face key.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from math import gcd, inf
 from typing import Optional, Sequence
 
@@ -376,7 +377,10 @@ def fraction_pair(x: int, den: int) -> list[int]:
 
 
 def vector_pairs(v: Sequence[int], den: int = 1) -> list[list[int]]:
-    return [fraction_pair(x, den) for x in v]
+    """Each x / den as a reduced [num, den] pair, for den > 0."""
+    if den == 1:
+        return [[x, 1] for x in v]
+    return [[x // g, den // g] for x, g in zip(v, map(gcd, v, repeat(den)))]
 
 
 def polytope_json(poly: LatticePolytope) -> dict:

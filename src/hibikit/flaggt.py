@@ -13,9 +13,12 @@ Every computation holds one point format: a point of R^{Pbar}, or of any
 marked poset's ground set, is an int tuple over the base poset's element
 order, and a marking is one value per index (None on a free element).
 Orders are read through Poset.below masks and cover index pairs, and each
-flag element's order ideal is a bitmask over gt_poset(n). A job builds
-the triangular poset, the marked poset and the ideals once, as one
-GelfandTsetlin, and hands it to every step it runs.
+flag element's order ideal is a bitmask over gt_poset(n). These, and the
+sections' inputs from their first use, are built once per rank and
+process as one GelfandTsetlin (gelfand_tsetlin(n)), which every step of a
+job reads; so a job on a rank built before pays for its own face,
+sections and output alone. Every rank's context, with its section inputs
+for n <= MAX_SECTION_RANK, holds about 0.8 MB in all (tracemalloc).
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
@@ -42,12 +45,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import Face
 from .errors import BadParams, TooLarge
 from .exactgeom import LatticePolytope
-from .lattice import Lattice, _label_of
+from .lattice import Lattice, _label_of, flag_lattice
 from .poset import Poset, _bits, ideal_masks, linear_extensions
 from .subdivision import face_subdivision
 
@@ -177,10 +181,15 @@ def gt_marked_poset(n: int) -> MarkedPoset:
 
 
 class GelfandTsetlin:
-    """What a Gelfand-Tsetlin job of rank n reads, built once per job: the
-    triangular poset (gt_poset), the marked poset on Pbar
-    (gt_marked_poset), and phi, each flag element's order ideal as a
-    bitmask over the triangular poset."""
+    """What a Gelfand-Tsetlin job of rank n reads, built once per rank and
+    process by gelfand_tsetlin(n): the triangular poset (gt_poset), the
+    marked poset on Pbar (gt_marked_poset), and phi, each flag element's
+    order ideal as a bitmask over the triangular poset.
+
+    The sections' inputs are built on first use and kept, each certified
+    once: the flag lattice (flag), whose cone.cone_K stays on it; P's
+    cells in Pbar (cell_at), through gt_poset_iso; and the patterns with
+    their chains as masks over flag's elements (pattern_masks)."""
 
     def __init__(self, n: int):
         if n > MAX_GT_RANK:
@@ -189,6 +198,35 @@ class GelfandTsetlin:
         self.poset = gt_poset(n)
         self.marked = gt_marked_poset(n)
         self.phi = _phi(n, self.poset)
+
+    @cached_property
+    def flag(self) -> Lattice:
+        """flag_lattice(n), for the sections alone: past MAX_SECTION_RANK,
+        TooLarge."""
+        if self.n > MAX_SECTION_RANK:
+            raise TooLarge(f"Gelfand-Tsetlin sections are capped at n = {MAX_SECTION_RANK}")
+        return flag_lattice(self.n)
+
+    @cached_property
+    def cell_at(self) -> tuple[int, ...]:
+        """The index in Pbar of each element of flag.poset_P."""
+        iso = gt_poset_iso(self, self.flag)
+        return tuple(self.marked.base.index(iso[p]) for p in self.flag.poset_P.elements)
+
+    @cached_property
+    def pattern_masks(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """gt_patterns, each chain as a mask over flag's element indices."""
+        index = self.flag.index
+        return tuple((point, sum(1 << index(lbl) for lbl in chain))
+                     for point, chain in gt_patterns(self))
+
+
+@cache
+def gelfand_tsetlin(n: int) -> GelfandTsetlin:
+    """The GelfandTsetlin of rank n, one per rank for the life of the
+    process, so a job on a rank an earlier job built reads its structures
+    and their certificates. A rank the constructor rejects is not kept."""
+    return GelfandTsetlin(n)
 
 
 def mu_k_marked_poset(gt: GelfandTsetlin, k: int) -> MarkedPoset:
@@ -373,9 +411,9 @@ def section_facets(mp: MarkedPoset, order: Poset,
     return sorted(facets)
 
 
-def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Poset, LatticePolytope]]:
+def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePolytope]]:
     """Parts of the Gelfand-Tsetlin polytope induced by a face of the cone
-    of flag = flag_lattice(gt.n): the diagonal-pinned sections of the
+    of gt.flag = flag_lattice(gt.n): the diagonal-pinned sections of the
     ambient parts, cut on the (n-1)-scaled integer lattice. Each section's
     polytope holds its integer vertices over den = n - 1 and its facets.
 
@@ -404,16 +442,9 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face, flag: Lattice) -> list[tuple[Pos
     & Salazar 2011; Pegel, Order 2018): no double description runs.
     """
     n, mp = gt.n, gt.marked
-    if n > MAX_SECTION_RANK:
-        raise TooLarge(f"Gelfand-Tsetlin sections are capped at n = {MAX_SECTION_RANK}")
-    L = F.cone.lattice
-    if L != flag:
+    if F.cone.lattice != gt.flag:  # past MAX_SECTION_RANK, TooLarge
         raise ValueError("face must come from the flag lattice's cone")
-    iso = gt_poset_iso(gt, flag)
-    at = [mp.base.index(iso[p]) for p in L.poset_P.elements]  # P's cells in Pbar
-    # each pattern with its chain as a mask over L's element indices
-    patterns = [(point, sum(1 << L.index(lbl) for lbl in chain))
-                for point, chain in gt_patterns(gt)]
+    at, patterns = gt.cell_at, gt.pattern_masks
     parts = []
     for part in face_subdivision(F).parts:
         order = _extend_to_pbar(mp.base, part.below, at)

@@ -29,6 +29,19 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def cover_pairs(below: Sequence[int]) -> list[tuple[int, int]]:
+    """The cover pairs (i, j), sorted, of the order whose transitively
+    closed down-set masks are below: i is covered by j iff i is below j but
+    below nothing below j."""
+    pairs = []
+    for j, m in enumerate(below):
+        inner = 0
+        for k in _bits(m):
+            inner |= below[k]
+        pairs += [(i, j) for i in _bits(m & ~inner)]
+    return sorted(pairs)
+
+
 class Poset:
     """A finite strict partial order.
 
@@ -99,14 +112,7 @@ class Poset:
         return [(self.elements[i], self.elements[j]) for i, j in self.cover_indices()]
 
     def _scan_covers(self) -> list[tuple[int, int]]:
-        # i is covered by j iff i is below j but below nothing below j
-        pairs = []
-        for j, m in enumerate(self.below):
-            inner = 0
-            for k in _bits(m):
-                inner |= self.below[k]
-            pairs += [(i, j) for i in _bits(m & ~inner)]
-        return sorted(pairs)
+        return cover_pairs(self.below)
 
     def label_pairs(self) -> frozenset[tuple[str, str]]:
         """The relation as (a, b) label pairs, a < b; built once per poset."""

@@ -57,7 +57,7 @@ from typing import NamedTuple, Sequence
 from .cone import Face, _key_of, _tight_set, sample_relative_interior, span_of_face
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import DiamondPair, Lattice, diamond_pairs
-from .poset import Poset, _bits
+from .poset import _bits, cover_pairs
 
 
 class Part(NamedTuple):
@@ -351,11 +351,14 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
 
 def subdivision_json(sub: Subdivision) -> dict:
     L = sub.lattice
-    E = L.elements
+    E, names = L.elements, L.poset_P.elements
     parts = []
     for p in sub.parts:
+        # a part with one simplex has that extension's chain for its order
+        ext = p.simplices[0]
+        covers = sorted(zip(ext, ext[1:])) if len(p.simplices) == 1 else cover_pairs(p.below)
         parts.append({
-            "order_covers": [[a, b] for a, b in Poset(L.poset_P.elements, p.below).covers()],
+            "order_covers": [[names[i], names[j]] for i, j in covers],
             "elements": [E[i] for i in _bits(p.vertex_mask)],
             "alpha": vector_pairs(p.alpha, sub.den),
         })

@@ -1,17 +1,23 @@
-"""Every test starts from a cold cli cache.
+"""Every test starts from cold cli and flaggt caches.
 
 cli.main keeps the last job's lattice, with the cone and the last resolved
-face it holds, for the next call in the process. A test that counts what a
-job builds must not find the lattice an earlier test warmed.
+face it holds, for the next call in the process, and flaggt keeps one
+Gelfand-Tsetlin context per rank. A test that counts what a job builds
+must not find a lattice or a context an earlier test warmed.
 """
 
 import pytest
 
-from hibikit import cli
+from hibikit import cli, flaggt
+
+
+def _clear():
+    cli._lattice.cache_clear()
+    flaggt.gelfand_tsetlin.cache_clear()
 
 
 @pytest.fixture(autouse=True)
-def cold_lattice_cache():
-    cli._lattice.cache_clear()
+def cold_caches():
+    _clear()
     yield
-    cli._lattice.cache_clear()
+    _clear()

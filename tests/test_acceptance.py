@@ -133,7 +133,7 @@ def test_acceptance_6_gt_consistency():
         # section-based parts; the call itself certifies agreement with the
         # envelope of the lifted heights over every pattern point
         gt = GelfandTsetlin(n)
-        parts = gt_subdivision(gt, F, L)
+        parts = gt_subdivision(gt, F)
         sub = face_subdivision(F)
         assert len(parts) == len(sub.parts)
         w, den = sample_relative_interior(F)

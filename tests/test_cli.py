@@ -508,11 +508,34 @@ def test_canonical_json_sorted_and_terminated():
 
 
 TRICKY = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u2029é漢😀a ') | st.characters())
+# strings a %-template would misread if they were spliced into it
+PERCENT = st.lists(st.sampled_from(["%", "%d", "%s", "%%", "%(a)s", "d", '"', "\\"])).map("".join)
+LEAVES = st.integers() | TRICKY | PERCENT
+
+
+def uniform_arrays(leaves):
+    """Lists of up to four rows whose levels below the top, up to
+    three, each hold rows of one nonzero length, down to leaves drawn from
+    `leaves`: the arrays the writer fills from one template."""
+    def of_shape(shape):
+        rows = leaves
+        for k in reversed(shape):
+            row = st.lists(rows, min_size=k, max_size=k)
+            rows = row | row.map(tuple)
+        return st.lists(rows, max_size=4)
+
+    return st.lists(st.integers(1, 3), max_size=3).flatmap(of_shape)
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | TRICKY,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
                    | st.dictionaries(TRICKY, inner)
-                   | st.lists(st.integers()) | st.lists(st.lists(st.integers()))
+                   | uniform_arrays(st.integers()) | uniform_arrays(TRICKY | PERCENT)
+                   | uniform_arrays(LEAVES)  # mixed ints and strs
+                   # ragged rows and empty inner lists
+                   | st.lists(st.lists(st.integers())) | st.lists(st.lists(PERCENT))
+                   | st.lists(st.lists(st.lists(st.integers(), max_size=2), max_size=2))
                    | st.lists(st.lists(st.integers(), min_size=1).map(tuple))),
     max_leaves=40)
 
@@ -530,8 +553,10 @@ def test_canonical_json_is_the_stdlib_layout(obj):
     1.5, Fraction(1, 2), {1, 2}, frozenset(), b"bytes",
     {1: "int key"}, {True: "bool key"}, {None: "null key"}, {("a",): "tuple key"},
     {"a": [1, 2.0]}, [[1, 2], [3, Fraction(4)]], [{"a": {0.5}}],
+    [[[1, 2], [3, 4]], [[5, 6], [7, 0.5]]], [[[Fraction(1, 2)]], [[3]]],
 ], ids=["float", "Fraction", "set", "frozenset", "bytes", "int key", "bool key",
-        "None key", "tuple key", "nested float", "Fraction in a row", "nested set"])
+        "None key", "tuple key", "nested float", "Fraction in a row", "nested set",
+        "float in a 3-level array", "Fraction in a 3-level array"])
 def test_canonical_json_rejects_what_it_cannot_spell(obj):
     # the stdlib would write some of these (floats, int keys); the writer
     # never picks a spelling for a type it does not know

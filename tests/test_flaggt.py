@@ -614,7 +614,7 @@ def test_lift_envelope_identity():
 
 def sections(n, face):
     L = flag_lattice(n)
-    return gt_subdivision(GelfandTsetlin(n), face(L), L)
+    return gt_subdivision(GelfandTsetlin(n), face(L))
 
 
 def test_gt_subdivision_3_apex():
@@ -661,7 +661,7 @@ def test_gt_subdivision_4_mid_face():
     C = cone_K(flag_lattice(4))
     mids = [F for F in enumerate_faces(C) if 0 < len(F.tight) < 5]
     picked = sorted(mids, key=lambda F: len(F.tight))[0]
-    parts = gt_subdivision(GelfandTsetlin(4), picked, C.lattice)
+    parts = gt_subdivision(GelfandTsetlin(4), picked)
     assert 1 < len(parts) < 12
 
 
@@ -708,7 +708,7 @@ def test_gt_subdivision_matches_fraction_oracle(n, face_count):
     faces = enumerate_faces(C)
     assert len(faces) == face_count
     for F in faces:
-        got = gt_subdivision(GelfandTsetlin(n), F, C.lattice)
+        got = gt_subdivision(GelfandTsetlin(n), F)
         want = oracle.gt_subdivision(n, F, C.lattice)
         assert all(Q.den == n - 1 for _, Q in got)
         assert all(type(x) is int for _, Q in got for v in Q.vertices for x in v)
@@ -720,7 +720,7 @@ def every_section(n):
     """(order, polytope) of every section of every face of Flag(n)'s cone."""
     C = cone_K(flag_lattice(n))
     gt = GelfandTsetlin(n)
-    return [section for F in enumerate_faces(C) for section in gt_subdivision(gt, F, C.lattice)]
+    return [section for F in enumerate_faces(C) for section in gt_subdivision(gt, F)]
 
 
 @pytest.mark.parametrize("n, count", [(3, 3), (4, 156)])
@@ -801,7 +801,7 @@ def _chain_parts(n, faces):
     gt = GelfandTsetlin(n)
     out = []
     for F in faces(C):
-        parts = zip(face_subdivision(F).parts, gt_subdivision(gt, F, C.lattice))
+        parts = zip(face_subdivision(F).parts, gt_subdivision(gt, F))
         out += [(part, order, Q) for part, (order, Q) in parts if len(part.simplices) == 1]
     return out
 
@@ -879,12 +879,12 @@ def test_section_membership_is_the_chain_inside_the_vertex_set(n):
 def test_gt_subdivision_rejects_foreign_lattice():
     B2 = birkhoff(antichain(["p", "q"]))
     with pytest.raises(ValueError):
-        gt_subdivision(GelfandTsetlin(3), full_face(B2), flag_lattice(3))
+        gt_subdivision(GelfandTsetlin(3), full_face(B2))
 
 
 def test_gt_subdivision_too_large():
     with pytest.raises(TooLarge):
-        gt_subdivision(GelfandTsetlin(6), full_face(flag_lattice(3)), flag_lattice(3))
+        gt_subdivision(GelfandTsetlin(6), full_face(flag_lattice(3)))
 
 
 @pytest.mark.parametrize("argv", [["gt", "--n", "6"], ["gt", "--n", "6", "subdivide"]],
@@ -1012,12 +1012,14 @@ def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
 
 
 def test_gt_subdivide_builds_the_flag_lattice_once(monkeypatch, capsys):
-    # the CLI's lattice serves cone_K, the foreign-lattice check and the
-    # poset isomorphism; it used to be built three times per job
+    # the rank's flag lattice serves cone_K, the foreign-lattice check and
+    # the poset isomorphism; it used to be built three times per job, and
+    # a later job on the rank builds none
     built = []
     ring = lattice._ring_of_sets
     monkeypatch.setattr(lattice, "_ring_of_sets", lambda *args: built.append(1) or ring(*args))
     assert main(["gt", "--n", "3", "subdivide"]) == 0
+    assert main(["gt", "--n", "3", "subdivide", "--face", "apex"]) == 0
     capsys.readouterr()
     assert len(built) == 1
 

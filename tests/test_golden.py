@@ -125,6 +125,11 @@ GOLDEN = [
      "1133cb9fd853930c730352647e656d6148e6180199173873285e9d6168e9c984", 0, 0),
     ("subdivide --flag 5 --face full --check 3 --seed 1",
      "31e7cf518f702003252ba39b92c1134e00e284f83dbc93e6256d60501208fc9b", 0, 0),
+    # 33,592 parts, most of them one simplex, whose covers are written
+    # without a Poset; recorded when each part's covers came from a
+    # validated Poset, which took about 9 s in process
+    ("subdivide --flag 6 --face full",
+     "721363297d8a2fc7986fc317ecef345d8e0cb2d6fec7738f83196468173e85c7", 0, 0),
     # recorded with the Fraction census and patterns, which took about 44 s
     # on the n = 5 census
     ("gt --n 4 vertices",

@@ -1,12 +1,14 @@
-"""Jobs in one process reuse the last job's lattice, cone and face.
+"""Jobs in one process reuse the last job's lattice, cone and face, and
+each rank's Gelfand-Tsetlin context.
 
 cli.main keeps the lattice of the last job that named one, the cone K-bar
 on it and the last face resolved on that cone, with the span and the
-subdivision the face keeps. These tests pin what a warm job still builds,
-that every guard still runs, that a changed input is not served from the
-cache, and that the cache holds one lattice. The last test runs the
-benchmark's seed-1 `faces` list through main twice in this process and
-compares every output with its recorded digest.
+subdivision the face keeps; a gt job reads flaggt's context for its rank.
+These tests pin what a warm job still builds, that every guard still runs,
+that a changed input is not served from the cache, that the lattice cache
+holds one lattice and the rank memo one context per rank. The last test
+runs the benchmark's seed-1 `faces` list through main twice in this
+process and compares every output with its recorded digest.
 """
 
 import gc
@@ -18,8 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from hibikit import cli, cone, exactgeom, lattice, subdivision
+from hibikit import cli, cone, exactgeom, flaggt, lattice, subdivision
 from hibikit.cli import main
+from hibikit.errors import TooLarge
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 B3_KEY = '[["{p,q}","{p,r}"]]'
@@ -144,6 +147,52 @@ def test_the_previous_lattice_is_freed(then, capsys):
     assert run(capsys, then)[0] == 0
     gc.collect()
     assert held() is None
+
+
+# one round of the benchmark's polytopes list: the two ranks alternate with
+# a lattice job, which takes the one-entry lattice cache
+POLYTOPES_ROUND = [
+    ["gt", "--n", "4", "vertices"],
+    ["permutahedron", "--boolean", "3", "--w=0,1,1,1,4,4,4,9"],
+    ["gt", "--n", "3"],
+    ["gt", "--n", "3", "subdivide", "--face", '[["1","23"]]'],
+    ["gt", "--n", "4", "census"],
+    ["gt", "--n", "3", "subdivide", "--face", "[]"],
+]
+
+
+def test_polytopes_round_builds_each_rank_once(capsys, monkeypatch):
+    cold = []
+    for argv in POLYTOPES_ROUND:
+        cli._lattice.cache_clear()
+        flaggt.gelfand_tsetlin.cache_clear()
+        cold.append(run(capsys, argv))
+    assert [code for code, _, _ in cold] == [0] * len(POLYTOPES_ROUND)
+    cli._lattice.cache_clear()
+    flaggt.gelfand_tsetlin.cache_clear()
+    inits, isos = [], []
+    init, iso = flaggt.GelfandTsetlin.__init__, flaggt.gt_poset_iso
+
+    def counting_init(self, n):
+        inits.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(flaggt.GelfandTsetlin, "__init__", counting_init)
+    monkeypatch.setattr(flaggt, "gt_poset_iso", lambda gt, L: isos.append(gt.n) or iso(gt, L))
+    for _ in range(2):
+        assert [run(capsys, argv) for argv in POLYTOPES_ROUND] == cold
+    # rank 4 cuts no sections, so it never reads the isomorphism
+    assert sorted(inits) == [3, 4]
+    assert isos == [3]
+
+
+def test_rejected_rank_leaves_the_memo_empty(capsys):
+    code, out, err = run(capsys, ["gt", "--n", "7"])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "BadParams"
+    with pytest.raises(TooLarge):
+        flaggt.gelfand_tsetlin(7)
+    assert flaggt.gelfand_tsetlin.cache_info().currsize == 0
 
 
 def test_seed1_faces_list_keeps_its_digests_in_a_warm_process(tmp_path, capsys, monkeypatch):
