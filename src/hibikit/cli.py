@@ -328,11 +328,12 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    from .cone import cone_K, enumerate_faces
+    from .cone import cone_K, enumerate_faces, grade_faces
 
     L = build_lattice(args)
     K = cone_K(L)  # raises unless every inequality has its facet witness
     faces = enumerate_faces(K)
+    grade_faces(faces)
     face_rows = sorted(
         ({"key": F.key(), "dim": F.dim, "tight_count": len(F.tight)}
          for F in faces),

@@ -4,12 +4,24 @@ K lives in R^L. Its closure is cut out by one inequality per diamond pair
 {a, b}: w_{a∧b} + w_{a∨b} - w_a - w_b >= 0, each certified a facet by an
 explicit integer point. Every evaluation of an inequality at a point reads
 four entries, DiamondPair.value; the dense normals serve only the linear
-algebra: ranks, the span's integer kernel, the LPs, the double description
-and the `cone` output. A face is keyed by its closed tight set, the diamond
-equalities that hold on all of it. The faces are read off the tight sets of
-the cone's rays; a single key is closed by LP. A point of R^L is an integer
-tuple w over one positive denominator den, standing for w / den, and a
-NotInCone message prints the violated value as a reduced num/den.
+algebra: the apex's rank, the span's integer kernel, the LPs, the double
+description and the `cone` output. A face is keyed by its closed tight set,
+the diamond equalities that hold on all of it. The faces are read off the
+tight sets of the cone's rays; a single key is closed by LP. A point of R^L
+is an integer tuple w over one positive denominator den, standing for
+w / den, and a NotInCone message prints the violated value as a reduced
+num/den.
+
+The faces' dimensions come from the face lattice, not from a rank per face
+(grade_faces). The face lattice of a cone is graded (Ziegler, Lectures on
+Polytopes, ch. 2): dim F = dim G + 1 for every facet G of F, and the apex,
+the lineality space, has dimension |P| + 1, which cone_K certifies by one
+rank. Every face below F is cut from F by the pairs tight on it, so the
+facets of F are among the faces F ∩ {pair k tight} for k loose on F; such
+a face holds the rays of F that are tight on k, and the one with the most
+rays lies in no other, so it is a facet. Only `cone` reads the dimensions;
+a face that was not graded reads its dimension off the integer basis of
+its span.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from .errors import NotInCone, TooLarge
 from .exactgeom import _echelon, _extreme_rays, integer_kernel, lp_feasible, rank
 from .lattice import DiamondPair, Lattice, diamond_pairs
 
-MAX_FACES = 25000
+MAX_FACES = 100000
 MAX_RAYS = 2000
 
 
@@ -60,9 +72,12 @@ class Face:
     Its witness (w, den) is a point w / den of its relative interior.
 
     What depends on the face alone is built on first use and kept here, so
-    every job on one face reads the same ones: its key (key), its dimension
-    (dim), the integer basis of its span (span_of_face) and its checked
-    regular subdivision (subdivision.face_subdivision)."""
+    every job on one face reads the same ones: its key (key), the integer
+    basis of its span (span_of_face) and its checked regular subdivision
+    (subdivision.face_subdivision). A face from enumerate_faces also keeps
+    the bit set of the rays on it, from which grade_faces sets its
+    dimension (dim) off the face lattice; any other face reads its
+    dimension off its span's basis, on first use."""
 
     def __init__(self, cone: MaxCone, tight_idx: frozenset[int],
                  witness: tuple[tuple[int, ...], int]):
@@ -74,10 +89,11 @@ class Face:
         self._key: str | None = None  # key()
         self._span: tuple[tuple[int, ...], ...] | None = None  # span_of_face
         self._subdivision = None  # subdivision.face_subdivision
+        self._rays: int | None = None  # enumerate_faces
 
     @cached_property
     def dim(self) -> int:
-        return self.cone.lattice.size - rank([self.cone.normals[i] for i in sorted(self.tight_idx)])
+        return len(span_of_face(self))  # grade_faces sets it on an enumerated face
 
     def key(self) -> str:
         """The face's key, built once."""
@@ -234,8 +250,10 @@ def enumerate_faces(K: MaxCone) -> list[Face]:
     independent columns J of the normals N, double description gives the rays
     of the pointed quotient {h : N_J h >= 0}; the faces' tight sets are all
     pairs (the apex) and the intersections of rays' tight sets (Kaibel &
-    Pfetsch 2002). A face's witness is the sum of its rays, placed on J."""
+    Pfetsch 2002). A face's witness is the sum of its rays, placed on J, and
+    the face keeps the bit set of those rays for grade_faces."""
     m = len(K.pairs)
+    n = K.lattice.size
     J = _echelon(K.normals)[2]
     rays = _extreme_rays([[row[j] for j in J] for row in K.normals], MAX_RAYS) if J else []
     masks = {(1 << m) - 1}
@@ -243,10 +261,46 @@ def enumerate_faces(K: MaxCone) -> list[Face]:
         masks |= {tight & mask for mask in masks}
         if len(masks) > MAX_FACES:
             raise TooLarge(f"more than {MAX_FACES} faces; enumeration is capped there")
+    # each ray carries its bit past its J coordinates, so one sum over a
+    # face's rays gives the witness on J and the face's ray set; a zero
+    # past the bit fills the coordinates off J
+    rays = [(ray + [1 << r], tight) for r, (ray, tight) in enumerate(rays)]
+    d = len(J)
+    place = [J.index(j) if j in J else d + 1 for j in range(n)]
+    zero = [0] * (d + 2)
     faces = []
     for mask in sorted(masks):
         on_face = [ray for ray, tight in rays if tight & mask == mask]
-        h = dict(zip(J, map(sum, zip(*on_face))))
-        faces.append(Face(K, frozenset(i for i in range(m) if mask >> i & 1),
-                          (tuple(h.get(j, 0) for j in range(K.lattice.size)), 1)))
+        sums = [*map(sum, zip(*on_face)), 0] if on_face else zero
+        F = Face(K, frozenset([i for i in range(m) if mask >> i & 1]),
+                 (tuple(map(sums.__getitem__, place)), 1))
+        F._rays = sums[d]
+        faces.append(F)
     return faces
+
+
+def grade_faces(faces: Sequence[Face]) -> None:
+    """Set the dimension of every face of one enumerate_faces list off the
+    face lattice, by the grading argument of the module docstring, with no
+    rank. A face is its set of rays. The rays tight on pair k are those of
+    the facet {k}, a face of the list since cone_K certified the pair a
+    facet. Faces are graded in increasing ray count, so a face's facets
+    are graded before it. The list always holds the apex."""
+    K = faces[0].cone
+    on_pair = [0] * len(K.pairs)
+    for F in faces:
+        if len(F.tight_idx) == 1:
+            on_pair[next(iter(F.tight_idx))] = F._rays
+    dims = {0: K.lattice.poset_P.size + 1}
+    for F in sorted(faces, key=lambda F: F._rays.bit_count()):
+        R = F._rays
+        if R not in dims:
+            # the candidates below F: a pair tight on every ray of F is tight
+            # on F, so it gives F itself and is skipped
+            best, most = 0, -1
+            for on in on_pair:
+                G = R & on
+                if G != R and G.bit_count() > most:
+                    best, most = G, G.bit_count()
+            dims[R] = dims[best] + 1
+        F.dim = dims[R]

@@ -11,7 +11,12 @@ first use. Its facet normals and span equations are primitive integer
 rows. Its coordinates become reduced [num, den] pairs only in
 polytope_json. lp_feasible runs phase 1 of the simplex with Bland's rule,
 so it terminates without any tolerance knobs, on homogeneous equalities
-and integer rows a.x >= r, the systems that close a face key.
+and integer rows a.x >= r, the systems that close a face key. Its tableau
+has no artificial columns: the artificial basis is bookkeeping in the
+basis list, and the phase-1 objective, the sum of the artificial rows, is
+one more row that every pivot updates with the others. Bland's rule reads
+only the signs of that row's entries, so the pivots are those of the full
+tableau, and the final tableau checks the row against the sum.
 """
 
 from __future__ import annotations
@@ -54,12 +59,15 @@ def _pivot(M, D, row, col):
         p = -p
     for i, r in enumerate(M):
         f = r[col]
-        if i == row or (f == 0 and p == D):
-            continue
-        if f == 0:
+        if f:
+            if i == row:
+                continue
+            if D == 1:
+                M[i] = [p * x - f * y for x, y in zip(r, prow)]
+            else:
+                M[i] = [(p * x - f * y) // D for x, y in zip(r, prow)]
+        elif p != D:
             M[i] = [x * p // D for x in r]
-        else:
-            M[i] = [(p * x - f * y) // D for x, y in zip(r, prow)]
     return p
 
 
@@ -114,31 +122,42 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[int]]:
 
 def _run_simplex(M, D, basis, n):
     """Phase 1 of the simplex on the tableau M / D in place: maximize minus
-    the sum of the artificial variables (the basic columns n and up) by
-    Bland's rule over the first n columns. Returns the final denominator.
+    the sum of the artificial variables by Bland's rule over the n columns.
+    Returns the final denominator.
 
-    Column j enters when its reduced cost, the sum of its entries in the
-    artificial rows, is positive; such a column has a positive entry in some
-    artificial row, so phase 1 is never unbounded.
+    The tableau has no artificial columns: nothing reads them, and a row
+    whose basis entry is n or more has its artificial variable basic. M
+    holds one row more than basis, the last: the phase-1 objective row,
+    the sum of the artificial rows, pivoted with the others. A pivot turns
+    it into the sum of the pivoted artificial rows, so it never needs to be
+    summed again; the final tableau checks that it did. Column j enters
+    when its reduced cost, the objective row's entry j, is positive; such a
+    column has a positive entry in some artificial row, so phase 1 is never
+    unbounded.
     """
+    z = M[-1]
     while True:
-        artificial = [row for row, b in zip(M, basis) if b >= n]
-        entering = next((j for j in range(n) if sum(row[j] for row in artificial) > 0), None)
+        entering = next((j for j in range(n) if z[j] > 0), None)
         if entering is None:
-            return D
+            break
         # smallest ratio M[i][-1] / M[i][entering], ties to the smaller basis index
         leaving = None
-        for i, row in enumerate(M):
+        for i, (row, b) in enumerate(zip(M, basis)):  # the objective row is not a candidate
             a = row[entering]
             if a > 0:
                 if leaving is None:
                     leaving, num, den = i, row[-1], a
                     continue
                 lhs, rhs = row[-1] * den, num * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                if lhs < rhs or (lhs == rhs and b < basis[leaving]):
                     leaving, num, den = i, row[-1], a
         D = _pivot(M, D, leaving, entering)
         basis[leaving] = entering
+        z = M[-1]
+    artificial = [row for row, b in zip(M, basis) if b >= n]
+    assert z == [sum(col) for col in zip(*artificial)] if artificial else not any(z), \
+        "the objective row must be the sum of the artificial rows"
+    return D
 
 
 def lp_feasible(equalities: Sequence[Sequence[int]], rows: Sequence[tuple[Sequence[int], int]],
@@ -149,26 +168,29 @@ def lp_feasible(equalities: Sequence[Sequence[int]], rows: Sequence[tuple[Sequen
 
     x = u - v with u, v >= 0, and each row gets one slack s >= 0: the
     columns are u, v, then the slacks, and a row reads -a.u + a.v + s = -r.
-    Phase 1 gives every equation one artificial variable; the system is
-    feasible iff phase 1 drives their sum to 0. Artificials left in the
-    basis at value 0 are then pivoted out, except on a redundant row, which
-    has no other nonzero entry.
+    Phase 1 gives every equation one artificial variable, kept in the basis
+    alone (see _run_simplex); the system is feasible iff phase 1 drives
+    their sum to 0. Artificials left in the basis at value 0 are then
+    pivoted out, except on a redundant row, which has no other nonzero
+    entry.
     """
     m = len(rows)
-    A = [list(a) + [-x for x in a] + [0] * m for a in equalities]
-    A += [[-x for x in a] + list(a) + [int(j == k) for j in range(m)]
-          for k, (a, _) in enumerate(rows)]
-    b = [0] * len(equalities) + [-r for _, r in rows]
     cols = 2 * n + m
-    M = []
-    for i, (row, r) in enumerate(zip(A, b)):
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-        M.append(row + [int(j == i) for j in range(len(A))] + [r])
-    basis = [cols + i for i in range(len(A))]
+    # each equation is negated where needed to make its right-hand side,
+    # the artificial's starting value, nonnegative
+    M = [[*a, *(-x for x in a), *[0] * m, 0] for a in equalities]
+    for k, (a, r) in enumerate(rows):
+        slack = [0] * m
+        if r > 0:
+            slack[k] = -1
+            M.append([*a, *(-x for x in a), *slack, r])
+        else:
+            slack[k] = 1
+            M.append([*(-x for x in a), *a, *slack, -r])
+    basis = [cols + i for i in range(len(M))]
+    M.append([sum(col) for col in zip(*M)] if M else [0] * (cols + 1))
     D = _run_simplex(M, 1, basis, cols)
-    if any(row[-1] != 0 for row, bi in zip(M, basis) if bi >= cols):
+    if M.pop()[-1] != 0:
         return None
     for i, row in enumerate(M):
         if basis[i] >= cols:

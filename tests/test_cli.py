@@ -333,10 +333,11 @@ def test_certify_past_element_cap_fails_before_any_lp(argv, capsys, monkeypatch)
 
 
 def test_cone_past_the_face_cap_fails_fast(capsys):
-    # Flag(5) has 90,112 faces, more than cone.MAX_FACES; the cap trips while
-    # the rays' tight sets are intersected, before any face is built
+    # Gr(3,7) has more than 1,000,000 faces, more than cone.MAX_FACES; the
+    # cap trips while the rays' tight sets are intersected, before any face
+    # is built
     start = time.monotonic()
-    code, out, err = run_cli(capsys, ["cone", "--flag", "5"])
+    code, out, err = run_cli(capsys, ["cone", "--grassmann", "3", "7"])
     assert time.monotonic() - start < 10
     assert code == 2
     assert out == ""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from fraction_oracle import indicator, is_apex, is_full, same_lattice, vdot
 from hibikit import cone as cone_module
-from hibikit import cli, exactgeom, subdivision
+from hibikit import cli, exactgeom, hibi, subdivision
 from hibikit.cli import main, resolve_face
 from hibikit.cone import (
     Face,
@@ -156,19 +156,34 @@ def test_cone_K_certifies_the_apex_dimension(monkeypatch):
         cone_K(L)
 
 
-def test_a_face_ranks_its_normals_only_when_its_dimension_is_read(monkeypatch, capsys):
-    # cone_K ranks all the normals once; certify reads no face dimension,
-    # and cone reads each face's once
+def test_cone_ranks_only_for_the_apex_check(monkeypatch, capsys):
+    # cone_K ranks all the normals once; cone reads every face's dimension
+    # off the face lattice, with no rank
     calls = []
-    real = cone_module.rank
-    monkeypatch.setattr(cone_module, "rank", lambda rows: calls.append(rows) or real(rows))
-    assert main(["certify", "--boolean", "3", "--lmax", "2"]) == 0
-    capsys.readouterr()
-    assert len(calls) == 1
-    calls.clear()
-    cli._lattice.cache_clear()  # a cold B3, whose cone_K ranks again
+    real = exactgeom.rank
+    counting = lambda rows: calls.append(rows) or real(rows)
+    for module in (exactgeom, cone_module, hibi):
+        monkeypatch.setattr(module, "rank", counting)
+    cli._lattice.cache_clear()  # a cold B3, whose cone_K ranks
     assert main(["cone", "--boolean", "3"]) == 0
-    assert len(calls) == 1 + json.loads(capsys.readouterr().out)["face_count"]
+    report = json.loads(capsys.readouterr().out)
+    assert report["face_count"] == 22
+    assert calls == [list(cli._lattice("boolean", 3)._cone.normals)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--boolean", "3", "--lmax", "2"],
+    ["subdivide", "--boolean", "3", "--face", '[["{p,q}","{p,r}"]]'],
+], ids=["certify", "keyed subdivide"])
+def test_jobs_that_print_no_dimension_compute_none(argv, monkeypatch, capsys):
+    def no_dim(*args):
+        raise AssertionError("a face dimension was computed")
+
+    monkeypatch.setattr(cone_module, "grade_faces", no_dim)
+    monkeypatch.setattr(Face, "dim", property(no_dim))
+    cli._lattice.cache_clear()
+    assert main(argv) == 0
+    capsys.readouterr()
 
 
 def test_the_apex_is_one_face_per_cone():
@@ -410,6 +425,12 @@ def test_enumerate_face_cap(monkeypatch):
     assert len(enumerate_faces(K)) == 22
 
 
+def test_enumerate_reaches_flag5():
+    # cone --flag 5's 90,112 faces, within cone.MAX_FACES; its output is
+    # pinned by digest in test_golden.py
+    assert len(enumerate_faces(cone_K(flag_lattice(5)))) == 90112 <= cone_module.MAX_FACES
+
+
 def test_enumerate_ray_cap_stops_b5():
     # the double description on B5's 80 pairs keeps thousands of rays and
     # runs for minutes uncapped
@@ -508,6 +529,49 @@ def test_enumerate_random_small(P):
     for f in faces:
         assert face_of(K, *sample_relative_interior(f)) == f
         assert L.poset_P.size + 1 <= f.dim <= L.size
+
+
+def rank_dim(F):
+    """The oracle: |L| minus the rank of the face's tight normals."""
+    K = F.cone
+    return K.lattice.size - rank([K.normals[i] for i in sorted(F.tight_idx)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(poset_strategy(max_size=6))
+def test_graded_dimensions_match_rank_on_random_posets(P):
+    L = birkhoff(P)
+    assume(len(diamond_pairs(L)) <= 20)
+    faces = enumerate_faces(cone_K(L))
+    cone_module.grade_faces(faces)
+    for F in faces:
+        assert F.dim == rank_dim(F)
+
+
+GRADED = [
+    ("B3", birkhoff(antichain(["p", "q", "r"])), 22),
+    ("Gr(2,5)", grassmann_lattice(2, 5), 8),
+    ("Flag(4)", flag_lattice(4), 32),
+    ("Gr(3,6)", grassmann_lattice(3, 6), 1408),
+    ("B4", birkhoff(antichain(["p", "q", "r", "s"])), 22108),
+]
+
+
+@pytest.mark.parametrize("name, L, count", GRADED, ids=[name for name, _, _ in GRADED])
+def test_graded_dimensions_match_rank(name, L, count, monkeypatch):
+    # grading takes no rank and no span; the oracle ranks every face
+    # afterwards
+    def no_linear_algebra(rows):
+        raise AssertionError("grading ran linear algebra on a face")
+
+    faces = enumerate_faces(cone_K(L))
+    monkeypatch.setattr(cone_module, "rank", no_linear_algebra)
+    monkeypatch.setattr(cone_module, "integer_kernel", no_linear_algebra)
+    cone_module.grade_faces(faces)
+    monkeypatch.undo()
+    assert len(faces) == count
+    assert [F.dim for F in faces] == [rank_dim(F) for F in faces]
+    assert faces[-1].dim == L.poset_P.size + 1  # the apex, every pair tight
 
 
 # -- minimality --------------------------------------------------------------

@@ -6,9 +6,9 @@ hard case, lp_feasible must reach the point that the oracle's simplex
 reaches on the same tableau with c = 0 after as many pivots, which means
 it walked the same Bland pivot sequence, and return None exactly when the
 oracle finds the system infeasible; the reduced row echelon form and the
-kernel basis must agree with sympy. The work counts of two cone jobs are
-pinned, so a change that alters the pivot sequence anywhere on them fails
-here.
+kernel basis must agree with sympy. The work counts of two cone jobs and
+three keyed jobs are pinned, so a change that alters the pivot sequence
+anywhere on them fails here.
 """
 
 from contextlib import contextmanager
@@ -169,7 +169,8 @@ def test_solve_linear_matches_fraction_oracle(data):
 # per pair off its key
 WORK = [("cone --boolean 3", 0, 0), ("cone --grassmann 2 5", 0, 0),
         ('subdivide --grassmann 2 5 --face [["14","23"]]', 2, 9),
-        ('weightpoly --boolean 3 --face [["{p,q}","{p,r}"]]', 5, 44)]
+        ('weightpoly --boolean 3 --face [["{p,q}","{p,r}"]]', 5, 44),
+        ('subdivide --boolean 4 --face [["{p}","{q}"]]', 23, 1422)]
 
 
 @pytest.mark.parametrize("argv, solves, pivots", WORK, ids=[a for a, _, _ in WORK])
@@ -199,8 +200,9 @@ def test_simplex_work_counts(argv, solves, pivots, monkeypatch, capsys):
     assert counts == {"solves": solves, "pivots": pivots}
 
 
-# the keyed job solves the closure LPs of its key
-REPLAY = ['subdivide --grassmann 2 5 --face [["14","23"]]']
+# the keyed jobs solve the closure LPs of their keys
+REPLAY = ['subdivide --grassmann 2 5 --face [["14","23"]]',
+          'subdivide --boolean 4 --face [["{p}","{q}"]]']
 
 
 @pytest.mark.parametrize("argv", REPLAY, ids=REPLAY)

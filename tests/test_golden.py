@@ -92,6 +92,10 @@ GOLDEN = [
     # recorded with the 2^m subset scan of faces, which took about a minute
     ("cone --grassmann 3 6",
      "a9a6f156f95647a25b19f37b2e822cc52e6955898d73a7161eb695ee5e6ebfeb", 0, 0),
+    # 90,112 faces; recorded with a rank per face, its cap lifted, before
+    # the dimensions were read off the face lattice
+    ("cone --flag 5",
+     "186fbdc9b77861904abb0f430c5934ba4fb92876044e01904c921adac1d249a9", 0, 0),
     # keyed faces resolved by LP: these outputs carry _close_tight witnesses
     ('subdivide --grassmann 2 5 --face [["14","23"]] --check 3 --seed 1',
      "1e8f334314f2a29caab129346226d81f3f8bc1b15a559b813ee432adb14e268b", 0, 0),

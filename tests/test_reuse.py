@@ -1,14 +1,15 @@
 """Jobs in one process reuse the last job's lattice, cone and face, and
-each rank's Gelfand-Tsetlin context.
+each rank's Gelfand-Tsetlin context with its vertices.
 
 cli.main keeps the lattice of the last job that named one, the cone K-bar
 on it and the last face resolved on that cone, with the span and the
 subdivision the face keeps; a gt job reads flaggt's context for its rank.
 These tests pin what a warm job still builds, that every guard still runs,
 that a changed input is not served from the cache, that the lattice cache
-holds one lattice and the rank memo one context per rank. The last test
-runs the benchmark's seed-1 `faces` list through main twice in this
-process and compares every output with its recorded digest.
+holds one lattice and the rank memo one context per rank, which builds
+its vertices once. The last test runs the benchmark's seed-1 `faces` list
+through main twice in this process and compares every output with its
+recorded digest.
 """
 
 import gc
@@ -184,6 +185,25 @@ def test_polytopes_round_builds_each_rank_once(capsys, monkeypatch):
     # rank 4 cuts no sections, so it never reads the isomorphism
     assert sorted(inits) == [3, 4]
     assert isos == [3]
+
+
+def test_polytopes_round_builds_the_vertices_once_per_rank(capsys, monkeypatch):
+    # gt_vertices depends on n alone, and the rank's context keeps them
+    cold = []
+    for argv in POLYTOPES_ROUND:
+        cli._lattice.cache_clear()
+        flaggt.gelfand_tsetlin.cache_clear()
+        cold.append(run(capsys, argv))
+    cli._lattice.cache_clear()
+    flaggt.gelfand_tsetlin.cache_clear()
+    built = []
+    vertex = flaggt.GTVertex
+    monkeypatch.setattr(flaggt, "GTVertex", lambda *args: built.append(args) or vertex(*args))
+    for _ in range(2):
+        assert [run(capsys, argv) for argv in POLYTOPES_ROUND] == cold
+    # rank 4's 40 vertices, built in the first round alone
+    assert len(built) == 40
+    assert flaggt.gelfand_tsetlin(4).vertices == tuple(vertex(*args) for args in built)
 
 
 def test_rejected_rank_leaves_the_memo_empty(capsys):
