@@ -293,7 +293,7 @@ def _face_for(K: MaxCone, spec: str) -> Face:
     E = K.lattice.elements
     index = {tuple(sorted((E[d.a], E[d.b]))): i for i, d in enumerate(K.pairs)}
     try:
-        tight = frozenset(index[tuple(pair)] for pair in json.loads(spec))
+        tight = sum({1 << index[tuple(pair)] for pair in json.loads(spec)})
     except (ValueError, TypeError, KeyError):
         raise BadParams(unknown) from None
     F = Face(K, *_close_tight(K, tight))
@@ -328,15 +328,15 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    from .cone import cone_K, enumerate_faces, grade_faces
+    from .cone import _key_of, cone_K, enumerate_faces, grade_faces
 
     L = build_lattice(args)
     K = cone_K(L)  # raises unless every inequality has its facet witness
     faces = enumerate_faces(K)
-    grade_faces(faces)
     face_rows = sorted(
-        ({"key": F.key(), "dim": F.dim, "tight_count": len(F.tight)}
-         for F in faces),
+        ({"key": _key_of(L.elements, K.pairs, tight), "dim": dim,
+          "tight_count": tight.bit_count()}
+         for (tight, _), dim in zip(faces, grade_faces(K, faces))),
         key=lambda row: (row["tight_count"], row["key"]))
     payload = {
         "command": "cone",

@@ -6,8 +6,9 @@ explicit integer point. Every evaluation of an inequality at a point reads
 four entries, DiamondPair.value; the dense normals serve only the linear
 algebra: the apex's rank, the span's integer kernel, the LPs, the double
 description and the `cone` output. A face is keyed by its closed tight set,
-the diamond equalities that hold on all of it. The faces are read off the
-tight sets of the cone's rays; a single key is closed by LP. A point of R^L
+the diamond equalities that hold on all of it, held as an int mask whose
+bit k stands for the pair K.pairs[k]. The faces are read off the tight
+sets of the cone's rays; a single key is closed by LP. A point of R^L
 is an integer tuple w over one positive denominator den, standing for
 w / den, and a NotInCone message prints the violated value as a reduced
 num/den.
@@ -19,21 +20,19 @@ the lineality space, has dimension |P| + 1, which cone_K certifies by one
 rank. Every face below F is cut from F by the pairs tight on it, so the
 facets of F are among the faces F ∩ {pair k tight} for k loose on F; such
 a face holds the rays of F that are tight on k, and the one with the most
-rays lies in no other, so it is a facet. Only `cone` reads the dimensions;
-a face that was not graded reads its dimension off the integer basis of
-its span.
+rays lies in no other, so it is a facet. Only `cone` reads the dimensions.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotInCone, TooLarge
 from .exactgeom import _echelon, _extreme_rays, integer_kernel, lp_feasible, rank
 from .lattice import DiamondPair, Lattice, diamond_pairs
+from .poset import _bits
 
 MAX_FACES = 100000
 MAX_RAYS = 2000
@@ -51,8 +50,9 @@ def pair_normal(L: Lattice, d: DiamondPair) -> tuple[int, ...]:
 
 class MaxCone:
     """The closed cone K-bar with its certified minimal H-description. It
-    keeps its apex, the face with every pair tight, and the last face that
-    cli.resolve_face resolved on it."""
+    keeps its apex, the face with every pair tight, the last face that
+    cli.resolve_face resolved on it, and, once enumerate_faces has run, the
+    cone's rays placed on L, from which enumerated_face sums a witness."""
 
     def __init__(self, lattice: Lattice, pairs: Sequence[DiamondPair],
                  normals: Sequence[tuple[int, ...]]):
@@ -60,72 +60,56 @@ class MaxCone:
         self.pairs: tuple[DiamondPair, ...] = tuple(pairs)
         self.normals: tuple[tuple[int, ...], ...] = tuple(normals)
         # the apex's witness is never read: sample_relative_interior gives 0
-        self.apex = Face(self, frozenset(range(len(self.pairs))), ((0,) * lattice.size, 1))
+        self.apex = Face(self, (1 << len(self.pairs)) - 1, ((0,) * lattice.size, 1))
         self._resolved: tuple[str, Face] | None = None  # cli.resolve_face
+        self._rays: tuple[tuple[int, ...], ...] | None = None  # enumerate_faces
 
     def __repr__(self):
         return f"MaxCone({len(self.pairs)} facets over {self.lattice!r})"
 
 
 class Face:
-    """A face of K-bar, identified by its closed tight set of diamond pairs.
-    Its witness (w, den) is a point w / den of its relative interior.
+    """A face of K-bar, identified by its closed tight set, the mask tight
+    over cone.pairs. Its witness (w, den) is a point w / den of its
+    relative interior.
 
     What depends on the face alone is built on first use and kept here, so
     every job on one face reads the same ones: its key (key), the integer
     basis of its span (span_of_face) and its checked regular subdivision
-    (subdivision.face_subdivision). A face from enumerate_faces also keeps
-    the bit set of the rays on it, from which grade_faces sets its
-    dimension (dim) off the face lattice; any other face reads its
-    dimension off its span's basis, on first use."""
+    (subdivision.face_subdivision)."""
 
-    def __init__(self, cone: MaxCone, tight_idx: frozenset[int],
-                 witness: tuple[tuple[int, ...], int]):
+    def __init__(self, cone: MaxCone, tight: int, witness: tuple[tuple[int, ...], int]):
         self.cone = cone
-        self.tight_idx = tight_idx
-        self.tight: tuple[DiamondPair, ...] = tuple(
-            cone.pairs[i] for i in sorted(tight_idx))
+        self.tight = tight
         self._witness = witness
         self._key: str | None = None  # key()
         self._span: tuple[tuple[int, ...], ...] | None = None  # span_of_face
         self._subdivision = None  # subdivision.face_subdivision
-        self._rays: int | None = None  # enumerate_faces
-
-    @cached_property
-    def dim(self) -> int:
-        return len(span_of_face(self))  # grade_faces sets it on an enumerated face
 
     def key(self) -> str:
         """The face's key, built once."""
         if self._key is None:
-            self._key = _key_of(self.cone.lattice.elements, self.tight)
+            self._key = _key_of(self.cone.lattice.elements, self.cone.pairs, self.tight)
         return self._key
 
-    def __eq__(self, other):
-        return (isinstance(other, Face)
-                and self.cone.lattice.elements == other.cone.lattice.elements
-                and self.tight_idx == other.tight_idx)
-
-    def __hash__(self):
-        return hash((self.cone.lattice.elements, self.tight_idx))
-
     def __repr__(self):
-        return f"Face(dim {self.dim}, tight {self.key()})"
+        return f"Face(tight {self.key()})"
 
 
-def _key_of(elements: Sequence[str], tight: Iterable[DiamondPair]) -> str:
-    """The sorted [a, b] label pairs of the tight set, labels read off
-    elements, in the bytes of json.dumps(..., separators=(",", ":")): each
-    label quoted by the same ASCII string encoder."""
+def _key_of(elements: Sequence[str], pairs: Sequence[DiamondPair], tight: int) -> str:
+    """The sorted [a, b] label pairs of the pairs in the mask tight, labels
+    read off elements, in the bytes of json.dumps(..., separators=(",", ":")):
+    each label quoted by the same ASCII string encoder."""
     return "[" + ",".join(
         f"[{encode_basestring_ascii(a)},{encode_basestring_ascii(b)}]"
-        for a, b in sorted(sorted((elements[d.a], elements[d.b])) for d in tight)) + "]"
+        for a, b in sorted(sorted((elements[pairs[k].a], elements[pairs[k].b]))
+                           for k in _bits(tight))) + "]"
 
 
-def _tight_set(L: Lattice, w: Sequence[int], den: int) -> frozenset[int]:
-    """Indices into diamond_pairs(L) of the pairs tight at w / den, for w of
-    length |L|; NotInCone names the first violated."""
-    tight = set()
+def _tight_set(L: Lattice, w: Sequence[int], den: int) -> int:
+    """The mask over diamond_pairs(L) of the pairs tight at w / den, for w
+    of length |L|; NotInCone names the first violated."""
+    tight = 0
     for i, d in enumerate(diamond_pairs(L)):
         value = d.value(w)
         if value < 0:
@@ -136,8 +120,8 @@ def _tight_set(L: Lattice, w: Sequence[int], den: int) -> frozenset[int]:
                 f"w_{{{E[d.meet]}}}+w_{{{E[d.join]}}}-w_{{{E[d.a]}}}-w_{{{E[d.b]}}}"
                 f" = {shown} < 0")
         if value == 0:
-            tight.add(i)
-    return frozenset(tight)
+            tight |= 1 << i
+    return tight
 
 
 def cone_K(L: Lattice) -> MaxCone:
@@ -191,7 +175,7 @@ def span_of_face(F: Face) -> tuple[tuple[int, ...], ...]:
     rows; built once per face and kept on F."""
     if F._span is None:
         n = F.cone.lattice.size
-        rows = [F.cone.normals[i] for i in sorted(F.tight_idx)]
+        rows = [F.cone.normals[i] for i in _bits(F.tight)]
         basis = (integer_kernel(rows) if rows
                  else [[1 if i == j else 0 for j in range(n)] for i in range(n)])
         F._span = tuple(map(tuple, basis))
@@ -202,7 +186,7 @@ def sample_relative_interior(F: Face) -> tuple[tuple[int, ...], int]:
     """Exact relative-interior witness (w, den), the point w / den: tight
     equalities exact, every other diamond inequality slack at least 1."""
     K = F.cone
-    loose = [k for k in range(len(K.pairs)) if k not in F.tight_idx]
+    loose = [k for k in range(len(K.pairs)) if not F.tight >> k & 1]
     if not loose:
         return (0,) * K.lattice.size, 1
     # the least slack is low / den; scaling by ceil(den / low) lifts it to 1
@@ -217,9 +201,8 @@ def sample_relative_interior(F: Face) -> tuple[tuple[int, ...], int]:
     return w, den
 
 
-def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int],
-                                                              tuple[tuple[int, ...], int]]:
-    """Close a tight set against K-bar and produce an interior witness, the
+def _close_tight(K: MaxCone, tight: int) -> tuple[int, tuple[tuple[int, ...], int]]:
+    """Close a tight mask against K-bar and produce an interior witness, the
     sum of the LP points over the lcm of their denominators.
 
     A pair k is implied when {tight equalities, all inequalities, slack >= 1
@@ -227,31 +210,31 @@ def _close_tight(K: MaxCone, tight: frozenset[int]) -> tuple[frozenset[int],
     implied set depends only on the input and one pass suffices.
     """
     n = K.lattice.size
-    m = len(K.pairs)
-    closed = set(tight)
+    loose = [k for k in range(len(K.pairs)) if not tight >> k & 1]
+    closed = tight
     points = []
-    equalities = [K.normals[i] for i in sorted(tight)]
-    rows = [(K.normals[j], 0) for j in range(m) if j not in tight]
-    for k in range(m):
-        if k in tight:
-            continue
+    equalities = [K.normals[i] for i in _bits(tight)]
+    rows = [(K.normals[j], 0) for j in loose]
+    for k in loose:
         x = lp_feasible(equalities, rows + [(K.normals[k], 1)], n)
         if x is None:
-            closed.add(k)
+            closed |= 1 << k
         else:
             points.append(x)
     den = lcm(*(d for _, d in points))
     witness = tuple(sum(den // d * x[i] for x, d in points) for i in range(n))
-    return frozenset(closed), (witness, den)
+    return closed, (witness, den)
 
 
-def enumerate_faces(K: MaxCone) -> list[Face]:
-    """All faces of K-bar in increasing tight-mask order, with no LP. On r
-    independent columns J of the normals N, double description gives the rays
-    of the pointed quotient {h : N_J h >= 0}; the faces' tight sets are all
-    pairs (the apex) and the intersections of rays' tight sets (Kaibel &
-    Pfetsch 2002). A face's witness is the sum of its rays, placed on J, and
-    the face keeps the bit set of those rays for grade_faces."""
+def enumerate_faces(K: MaxCone) -> list[tuple[int, int]]:
+    """All faces of K-bar as (tight mask, ray mask) pairs, in increasing
+    tight-mask order, with no LP. On r independent columns J of the normals
+    N, double description gives the rays of the pointed quotient
+    {h : N_J h >= 0}; the faces' tight sets are all pairs (the apex) and the
+    intersections of rays' tight sets (Kaibel & Pfetsch 2002). A face is
+    determined by its rays, bit r of its ray mask standing for the r-th ray,
+    those tight on every pair of the face. K keeps the rays, placed on L
+    with zeros off J, for enumerated_face."""
     m = len(K.pairs)
     n = K.lattice.size
     J = _echelon(K.normals)[2]
@@ -261,39 +244,44 @@ def enumerate_faces(K: MaxCone) -> list[Face]:
         masks |= {tight & mask for mask in masks}
         if len(masks) > MAX_FACES:
             raise TooLarge(f"more than {MAX_FACES} faces; enumeration is capped there")
-    # each ray carries its bit past its J coordinates, so one sum over a
-    # face's rays gives the witness on J and the face's ray set; a zero
-    # past the bit fills the coordinates off J
-    rays = [(ray + [1 << r], tight) for r, (ray, tight) in enumerate(rays)]
-    d = len(J)
-    place = [J.index(j) if j in J else d + 1 for j in range(n)]
-    zero = [0] * (d + 2)
+    place = {j: i for i, j in enumerate(J)}
+    K._rays = tuple(tuple(ray[place[j]] if j in place else 0 for j in range(n))
+                    for ray, _ in rays)
+    # the rays on pair k; a face's rays are those on each of its pairs
+    on_pair = [sum(1 << r for r, (_, tight) in enumerate(rays) if tight >> k & 1)
+               for k in range(m)]
+    every = (1 << len(rays)) - 1
     faces = []
     for mask in sorted(masks):
-        on_face = [ray for ray, tight in rays if tight & mask == mask]
-        sums = [*map(sum, zip(*on_face)), 0] if on_face else zero
-        F = Face(K, frozenset([i for i in range(m) if mask >> i & 1]),
-                 (tuple(map(sums.__getitem__, place)), 1))
-        F._rays = sums[d]
-        faces.append(F)
+        on = every
+        for k in _bits(mask):
+            on &= on_pair[k]
+        faces.append((mask, on))
     return faces
 
 
-def grade_faces(faces: Sequence[Face]) -> None:
-    """Set the dimension of every face of one enumerate_faces list off the
-    face lattice, by the grading argument of the module docstring, with no
-    rank. A face is its set of rays. The rays tight on pair k are those of
-    the facet {k}, a face of the list since cone_K certified the pair a
-    facet. Faces are graded in increasing ray count, so a face's facets
-    are graded before it. The list always holds the apex."""
-    K = faces[0].cone
+def enumerated_face(K: MaxCone, tight: int, rays: int) -> Face:
+    """The Face of one (tight mask, ray mask) pair of enumerate_faces(K).
+    Its witness is the sum of its rays, positive on every pair loose on
+    the face since some ray of the face is slack there."""
+    on_face = [K._rays[r] for r in _bits(rays)]
+    w = tuple(map(sum, zip(*on_face))) if on_face else (0,) * K.lattice.size
+    return Face(K, tight, (w, 1))
+
+
+def grade_faces(K: MaxCone, faces: Sequence[tuple[int, int]]) -> list[int]:
+    """The dimension of every face of enumerate_faces(K), in list order,
+    read off the face lattice by the grading argument of the module
+    docstring, with no rank. A face is its ray mask. The rays tight on pair
+    k are those of the facet {k}, a face of the list since cone_K certified
+    the pair a facet. Ray masks are graded in increasing ray count, so a
+    face's facets are graded before it. The apex has no ray."""
     on_pair = [0] * len(K.pairs)
-    for F in faces:
-        if len(F.tight_idx) == 1:
-            on_pair[next(iter(F.tight_idx))] = F._rays
+    for tight, rays in faces:
+        if tight.bit_count() == 1:
+            on_pair[tight.bit_length() - 1] = rays
     dims = {0: K.lattice.poset_P.size + 1}
-    for F in sorted(faces, key=lambda F: F._rays.bit_count()):
-        R = F._rays
+    for R in sorted((rays for _, rays in faces), key=int.bit_count):
         if R not in dims:
             # the candidates below F: a pair tight on every ray of F is tight
             # on F, so it gives F itself and is skipped
@@ -303,4 +291,4 @@ def grade_faces(faces: Sequence[Face]) -> None:
                 if G != R and G.bit_count() > most:
                     best, most = G, G.bit_count()
             dims[R] = dims[best] + 1
-        F.dim = dims[R]
+    return [dims[R] for _, R in faces]

@@ -264,17 +264,18 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     of the part's order and a sublattice of L by regular_subdivision's
     interpolation and envelope checks alone, which it runs on every face
     (the argument is in the subdivision module docstring)."""
-    from .cone import cone_K, enumerate_faces
+    from .cone import cone_K, enumerate_faces, enumerated_face
     from .subdivision import face_subdivision
 
     degrees = [(l, comb(L.size + l - 1, l), ideal_dim(L, l),
                 standard_monomial_count(L, l)) for l in range(1, lmax + 1)]
     rows = []
-    faces = enumerate_faces(cone_K(L))[::-1]
+    K = cone_K(L)
+    faces = enumerate_faces(K)[::-1]
     while faces:
-        # popped, so each face goes, with the subdivision it keeps, once its
-        # rows are written
-        face = faces.pop()
+        # built when popped, so each face goes, with the subdivision it
+        # keeps, once its rows are written
+        face = enumerated_face(K, *faces.pop())
         members = [part.vertex_mask for part in face_subdivision(face).parts]
         for l, dim_r, dim_in, standard in degrees:
             dim_cap = intersection_dim(L, members, l)

@@ -56,7 +56,7 @@ from typing import NamedTuple, Sequence
 
 from .cone import Face, _key_of, _tight_set, sample_relative_interior, span_of_face
 from .exactgeom import LatticePolytope, vector_pairs
-from .lattice import DiamondPair, Lattice, diamond_pairs
+from .lattice import Lattice, diamond_pairs
 from .poset import _bits, cover_pairs
 
 
@@ -81,11 +81,11 @@ class Part(NamedTuple):
 
 class Subdivision:
     """The parts of the subdivision of the weight scaled / den, in lowest
-    terms; tight holds the diamond pairs tight at the weight, in the cone's
-    pair order."""
+    terms; tight is the mask over diamond_pairs(lattice), the cone's pair
+    order, of the pairs tight at the weight."""
 
     def __init__(self, lattice: Lattice, scaled: tuple[int, ...], den: int,
-                 parts: tuple[Part, ...], tight: tuple[DiamondPair, ...]):
+                 parts: tuple[Part, ...], tight: int):
         self.lattice = lattice
         self.scaled = scaled
         self.den = den
@@ -96,11 +96,12 @@ class Subdivision:
     @property
     def face_key(self) -> str:
         """The key of the face holding the weight in its relative interior."""
-        return _key_of(self.lattice.elements, self.tight)
+        return _key_of(self.lattice.elements, diamond_pairs(self.lattice), self.tight)
 
-    def structure(self) -> frozenset:
-        """Weight-independent identity: the parts as (vertex set, order)."""
-        return frozenset((p.vertex_mask, p.below) for p in self.parts)
+    def structure(self) -> tuple:
+        """Weight-independent identity: the parts as (vertex set, order),
+        sorted."""
+        return tuple(sorted((p.vertex_mask, p.below) for p in self.parts))
 
     def part_of(self, ext: tuple[int, ...]) -> int:
         return self._part_of[ext]
@@ -155,8 +156,9 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     staircase simplex, merge equal affine maps, and check on all of L that
     each merged class's map interpolates w on its vertices and overestimates
     it elsewhere, which makes the class the order polytope of the AND of its
-    before masks (the module docstring's argument). The tight pairs, in the
-    cone's order of diamond_pairs(L), come from each pair's value at w.
+    before masks (the module docstring's argument). The mask of tight
+    pairs, over the cone's order of diamond_pairs(L), comes from each
+    pair's value at w.
 
     The chains, before masks and peel order come from L's staircase table,
     so the work per weight is one difference per chain step, one AND of
@@ -210,8 +212,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
             raise AssertionError("tight value off the part's vertex set")
         parts.append(Part(below, alpha, const, tuple(values),
                           tuple(map(exts.__getitem__, members)), vertex_mask))
-    pairs = diamond_pairs(L)
-    return Subdivision(L, ws, den, tuple(parts), tuple(pairs[i] for i in sorted(tight)))
+    return Subdivision(L, ws, den, tuple(parts), tight)
 
 
 def face_subdivision(F: Face) -> Subdivision:
@@ -229,7 +230,7 @@ def face_subdivision(F: Face) -> Subdivision:
     graph = adjacency_graph(L)
     part = [sub.part_of(e) for e in graph.extensions]
     for (i, j), pair in zip(graph.edges, graph.pairs):
-        if (part[i] == part[j]) != (pair in F.tight_idx):
+        if (part[i] == part[j]) != bool(F.tight >> pair & 1):
             raise AssertionError(
                 "tight diamond pairs must match same-part adjacencies")
     F._subdivision = sub

@@ -110,6 +110,12 @@ indicator, is_full and is_apex are the Lattice and Face members that only
 tests read: an element's 0/1 Fraction vector over poset_P, whether a face
 has no tight pair, and whether it has every pair tight.
 
+enumerated_faces, same_face and rank_dim are what only tests read of a
+cone's faces: the faces as Faces built from enumerate_faces' masks, in its
+order; whether two faces have the same lattice and tight mask; and a
+face's dimension by one rank of its tight normals, the oracle grade_faces
+is checked against.
+
 cone_K is the facet certificate that cone ran before its integer witness:
 one LP per diamond pair, for a point with that pair tight and every other
 pair slack at least 1. Its LPs run on the rational simplex here through
@@ -126,7 +132,8 @@ from math import ceil, floor, gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from hibikit import exactgeom, flaggt
-from hibikit.cone import Face, MaxCone, face_of, pair_normal, span_of_face
+from hibikit.cone import (Face, MaxCone, enumerate_faces, enumerated_face, face_of, pair_normal,
+                          span_of_face)
 from hibikit.exactgeom import _euclid_echelon, integer_kernel
 from hibikit.errors import HibikitError, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
@@ -177,12 +184,30 @@ def indicator(L: Lattice, a: str) -> Vec:
 
 def is_full(F: Face) -> bool:
     """Whether F is the full-dimensional face, with no tight pair."""
-    return not F.tight_idx
+    return not F.tight
 
 
 def is_apex(F: Face) -> bool:
     """Whether F is the apex, the face with every pair tight."""
-    return len(F.tight_idx) == len(F.cone.pairs)
+    return F.tight == (1 << len(F.cone.pairs)) - 1
+
+
+def enumerated_faces(K: MaxCone) -> list[Face]:
+    """The faces of K as Faces, in the order of enumerate_faces, each built
+    from its (tight mask, ray mask) pair."""
+    return [enumerated_face(K, *masks) for masks in enumerate_faces(K)]
+
+
+def same_face(F: Face, G: Face) -> bool:
+    """Whether F and G are one face: the same lattice and tight mask."""
+    return F.cone.lattice.elements == G.cone.lattice.elements and F.tight == G.tight
+
+
+def rank_dim(K: MaxCone, tight: int) -> int:
+    """The dimension of the face of K with tight mask tight: |L| minus the
+    rank of its tight normals."""
+    return K.lattice.size - exactgeom.rank(
+        [K.normals[i] for i in range(len(K.pairs)) if tight >> i & 1])
 
 
 def _pivot(T, row, col):
@@ -1136,7 +1161,7 @@ def sample_relative_interior(F) -> Vec:
     """The face's witness scaled so every loose pair has slack at least 1,
     with the least slack taken by Fraction vdot over the full normals."""
     K = F.cone
-    loose = [k for k in range(len(K.pairs)) if k not in F.tight_idx]
+    loose = [k for k in range(len(K.pairs)) if not F.tight >> k & 1]
     if not loose:
         return zero_vec(K.lattice.size)
     num, den = F._witness

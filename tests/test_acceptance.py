@@ -10,8 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from fraction_oracle import (AffineMap, hull, indicator, invert_affine, is_apex, is_full,
-                             lattice_points, part_value, pbar_labels)
+from fraction_oracle import (AffineMap, enumerated_faces, hull, indicator, invert_affine, is_apex,
+                             is_full, lattice_points, part_value, pbar_labels, rank_dim)
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
@@ -72,7 +72,7 @@ def test_acceptance_4_subdivision_bijection():
     t0 = time.monotonic()
     for L, m in ((b(2), 2), (b(3), 6)):
         K = cone_K(L)
-        faces = enumerate_faces(K)
+        faces = enumerated_faces(K)
         forms = set()
         for F in faces:
             sub = face_subdivision(F)
@@ -99,14 +99,14 @@ def test_acceptance_5_weight_polytope_invariants():
         K = cone_K(L)
         unit = {tuple(1 if j == i else 0 for j in range(L.size))
                 for i in range(L.size)}
-        for F in enumerate_faces(K):
+        for F in enumerated_faces(K):
             # the constructor's apex pullback implies |vertices| =
             # |integer points| = |L| and dim = dim F - 1; a hull and the
             # oracle's lattice-point search recheck them
             W = weight_polytope(F)
             Q = hull(list(W.points), 1)
             assert len(Q.vertices) == len(lattice_points(Q)) == L.size
-            assert Q.dim == F.dim - 1
+            assert Q.dim == rank_dim(K, F.tight) - 1
             if is_full(F):
                 assert set(W.points) == unit  # standard simplex
             if is_apex(F):

@@ -344,6 +344,23 @@ def test_cone_past_the_face_cap_fails_fast(capsys):
     assert json.loads(err)["error"]["type"] == "TooLarge"
 
 
+def test_cone_flag5_peak_memory():
+    # cone lists Flag(5)'s 90,112 faces as masks and builds no Face for
+    # them; a fresh process peaks at about 145 MB (ru_maxrss), where one
+    # Face per face took about 250 MB
+    script = ("import os, resource, sys\n"
+              "from hibikit.cli import main\n"
+              "code = main(['cone', '--flag', '5', '--out', os.devnull])\n"
+              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kb < 190 * 1024
+
+
 @pytest.mark.parametrize("argv", [
     ["subdivide", "--grassmann", "4", "9", "--face", "full"],
     ["weightpoly", "--flag", "7"],

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import indicator, is_apex, is_full, same_lattice, vdot
+from fraction_oracle import (enumerated_faces, indicator, is_apex, is_full, rank_dim, same_face,
+                             same_lattice, vdot)
 from hibikit import cone as cone_module
 from hibikit import cli, exactgeom, hibi, subdivision
 from hibikit.cli import main, resolve_face
@@ -176,21 +177,67 @@ def test_cone_ranks_only_for_the_apex_check(monkeypatch, capsys):
     ["subdivide", "--boolean", "3", "--face", '[["{p,q}","{p,r}"]]'],
 ], ids=["certify", "keyed subdivide"])
 def test_jobs_that_print_no_dimension_compute_none(argv, monkeypatch, capsys):
+    # a Face has no dimension of its own; grading and a face's span are the
+    # two ways to compute one
     def no_dim(*args):
         raise AssertionError("a face dimension was computed")
 
+    assert not hasattr(Face, "dim")
     monkeypatch.setattr(cone_module, "grade_faces", no_dim)
-    monkeypatch.setattr(Face, "dim", property(no_dim))
+    monkeypatch.setattr(cone_module, "span_of_face", no_dim)
+    monkeypatch.setattr(subdivision, "span_of_face", no_dim)
     cli._lattice.cache_clear()
     assert main(argv) == 0
     capsys.readouterr()
 
 
+def built_faces(monkeypatch, events):
+    """Log ("face", tight) to events for every Face constructed."""
+    init = Face.__init__
+
+    def logging(self, cone, tight, witness):
+        events.append(("face", tight))
+        init(self, cone, tight, witness)
+
+    monkeypatch.setattr(Face, "__init__", logging)
+
+
+def test_cone_builds_no_faces(monkeypatch, capsys):
+    # cone spells each face off its masks; the one Face built is the apex
+    # that cone_K's MaxCone holds
+    events = []
+    built_faces(monkeypatch, events)
+    cli._lattice.cache_clear()  # a cold B3, whose cone_K builds the apex
+    assert main(["cone", "--boolean", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["face_count"] == 22
+    K = cli._lattice("boolean", 3)._cone
+    assert events == [("face", K.apex.tight)]
+
+
+def test_certify_builds_each_face_after_the_rows_before_it(monkeypatch, capsys):
+    # certify builds one Face per enumerated face, in enumeration order,
+    # when it reaches it: after the previous face's rows, one
+    # intersection_dim per degree, are computed
+    events = []
+    built_faces(monkeypatch, events)
+    real = hibi.intersection_dim
+    monkeypatch.setattr(hibi, "intersection_dim",
+                        lambda L, members, l: events.append(("row", l)) or real(L, members, l))
+    cli._lattice.cache_clear()
+    assert main(["certify", "--boolean", "3", "--lmax", "2"]) == 0
+    capsys.readouterr()
+    K = cli._lattice("boolean", 3)._cone
+    expected = [("face", K.apex.tight)]
+    for tight, _ in enumerate_faces(K):
+        expected += [("face", tight), ("row", 1), ("row", 2)]
+    assert events == expected
+
+
 def test_the_apex_is_one_face_per_cone():
     L = birkhoff(antichain(["p", "q", "r"]))
     K = cone_K(L)
-    assert is_apex(K.apex) and K.apex.dim == L.poset_P.size + 1
-    assert K.apex == face_of(K, tuple(L.height(a) for a in L.elements), 1)
+    assert is_apex(K.apex) and rank_dim(K, K.apex.tight) == L.poset_P.size + 1
+    assert same_face(K.apex, face_of(K, tuple(L.height(a) for a in L.elements), 1))
     assert sample_relative_interior(K.apex) == ((0,) * L.size, 1)
     assert resolve_face(K, "apex") is K.apex
 
@@ -202,8 +249,8 @@ def test_face_of_interior_point_b2():
     L = birkhoff(antichain(["p", "q"]))
     K = cone_K(L)
     F = face_of(K, (0, -1, -1, 0), 1)
-    assert F.tight == ()
-    assert F.dim == 4
+    assert F.tight == 0
+    assert rank_dim(K, F.tight) == 4
     assert is_full(F) and not is_apex(F)
 
 
@@ -211,8 +258,8 @@ def test_face_of_zero_is_apex():
     L = birkhoff(antichain(["p", "q"]))
     K = cone_K(L)
     F = face_of(K, (0, 0, 0, 0), 1)
-    assert len(F.tight) == 1
-    assert F.dim == 3 == L.poset_P.size + 1
+    assert F.tight.bit_count() == 1
+    assert rank_dim(K, F.tight) == 3 == L.poset_P.size + 1
     assert is_apex(F)
 
 
@@ -321,14 +368,14 @@ def test_sample_full_face_b2():
     F = face_of(K, (0, -1, -1, 0), 1)
     w, den = sample_relative_interior(F)
     assert vdot(K.normals[0], w) >= den
-    assert face_of(K, w, den) == F
+    assert same_face(face_of(K, w, den), F)
 
 
 def test_sample_apex_is_fixed_point():
     L = birkhoff(antichain(["p", "q", "r"]))
     K = cone_K(L)
     apex = face_of(K, (0,) * L.size, 1)
-    assert face_of(K, *sample_relative_interior(apex)) == apex
+    assert same_face(face_of(K, *sample_relative_interior(apex)), apex)
     # the affine weight w_S = |S| also lands in the apex
     affine = tuple(L.height(a) for a in L.elements)
     assert is_apex(face_of(K, affine, 1))
@@ -343,11 +390,11 @@ def faces_with_witnesses(name, L):
     again with its witness scaled by 1/7, 3/10 and 5/2: non-integral
     witnesses, with the least slack below 1 for the first two."""
     K = cone_K(L)
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     if name in LP_CLOSED_KEYS:
         faces.append(resolve_face(K, LP_CLOSED_KEYS[name]))
-    faces += [Face(K, F.tight_idx, (tuple(c.numerator * x for x in F._witness[0]),
-                                     c.denominator * F._witness[1]))
+    faces += [Face(K, F.tight, (tuple(c.numerator * x for x in F._witness[0]),
+                                 c.denominator * F._witness[1]))
               for F in list(faces) for c in (Fraction(1, 7), Fraction(3, 10), Fraction(5, 2))]
     return faces
 
@@ -402,7 +449,7 @@ def test_convex_weight_is_interior():
 
 def test_enumerate_b2_two_faces():
     K = cone_K(birkhoff(antichain(["p", "q"])))
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     assert len(faces) == 2
     assert {is_full(f) for f in faces} == {True, False}
     assert {is_apex(f) for f in faces} == {True, False}
@@ -410,10 +457,10 @@ def test_enumerate_b2_two_faces():
 
 def test_enumerate_chain_single_face():
     K = cone_K(birkhoff(chain(["a", "b", "c"])))
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     assert len(faces) == 1
     assert is_full(faces[0]) and is_apex(faces[0])
-    assert faces[0].dim == 4
+    assert rank_dim(K, faces[0].tight) == 4
 
 
 def test_enumerate_face_cap(monkeypatch):
@@ -454,21 +501,21 @@ def test_enumerate_solves_no_lp(L, count, monkeypatch):
 def test_enumerate_faces_b3_consistency():
     L = birkhoff(antichain(["p", "q", "r"]))
     K = cone_K(L)
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     keys = {f.key() for f in faces}
     assert len(keys) == len(faces)
     assert sum(is_full(f) for f in faces) == 1
     assert sum(is_apex(f) for f in faces) == 1
     for f in faces:
         w, den = sample_relative_interior(f)
-        assert face_of(K, w, den) == f
+        assert same_face(face_of(K, w, den), f)
         for i in range(len(K.pairs)):
             slack = vdot(K.normals[i], w)
-            if i in f.tight_idx:
+            if f.tight >> i & 1:
                 assert slack == 0
             else:
                 assert slack >= den
-    dims = sorted(f.dim for f in faces)
+    dims = sorted(rank_dim(K, f.tight) for f in faces)
     assert dims[0] == L.poset_P.size + 1
     assert dims[-1] == L.size
 
@@ -498,7 +545,7 @@ def test_face_key_is_the_compact_json_of_its_pairs(labels):
     elements = [x for pair in labels for x in pair] + ["m", "j"]
     m = len(elements) - 2
     tight = [DiamondPair(2 * k, 2 * k + 1, m, m + 1) for k in range(len(labels))]
-    assert cone_module._key_of(elements, tight) == json.dumps(
+    assert cone_module._key_of(elements, tight, (1 << len(tight)) - 1) == json.dumps(
         sorted(sorted([a, b]) for a, b in labels), separators=(",", ":"))
 
 
@@ -508,9 +555,8 @@ def faces_by_subset_scan(K):
     m = len(K.pairs)
     faces = []
     for mask in range(1 << m):
-        subset = frozenset(i for i in range(m) if mask >> i & 1)
-        closed, witness = _close_tight(K, subset)
-        if closed == subset:
+        closed, witness = _close_tight(K, mask)
+        if closed == mask:
             faces.append(Face(K, closed, witness))
     return faces
 
@@ -521,20 +567,14 @@ def test_enumerate_random_small(P):
     L = birkhoff(P)
     assume(len(diamond_pairs(L)) <= 8)
     K = cone_K(L)
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     oracle = faces_by_subset_scan(K)
-    assert [f.tight_idx for f in faces] == [f.tight_idx for f in oracle]
-    assert [f.dim for f in faces] == [f.dim for f in oracle]
+    assert [f.tight for f in faces] == [f.tight for f in oracle]
+    assert [len(span_of_face(f)) for f in faces] == [rank_dim(K, f.tight) for f in oracle]
     assert sum(is_full(f) for f in faces) == 1
     for f in faces:
-        assert face_of(K, *sample_relative_interior(f)) == f
-        assert L.poset_P.size + 1 <= f.dim <= L.size
-
-
-def rank_dim(F):
-    """The oracle: |L| minus the rank of the face's tight normals."""
-    K = F.cone
-    return K.lattice.size - rank([K.normals[i] for i in sorted(F.tight_idx)])
+        assert same_face(face_of(K, *sample_relative_interior(f)), f)
+        assert L.poset_P.size + 1 <= len(span_of_face(f)) <= L.size
 
 
 @settings(max_examples=40, deadline=None)
@@ -542,10 +582,9 @@ def rank_dim(F):
 def test_graded_dimensions_match_rank_on_random_posets(P):
     L = birkhoff(P)
     assume(len(diamond_pairs(L)) <= 20)
-    faces = enumerate_faces(cone_K(L))
-    cone_module.grade_faces(faces)
-    for F in faces:
-        assert F.dim == rank_dim(F)
+    K = cone_K(L)
+    faces = enumerate_faces(K)
+    assert cone_module.grade_faces(K, faces) == [rank_dim(K, tight) for tight, _ in faces]
 
 
 GRADED = [
@@ -564,14 +603,15 @@ def test_graded_dimensions_match_rank(name, L, count, monkeypatch):
     def no_linear_algebra(rows):
         raise AssertionError("grading ran linear algebra on a face")
 
-    faces = enumerate_faces(cone_K(L))
+    K = cone_K(L)
+    faces = enumerate_faces(K)
     monkeypatch.setattr(cone_module, "rank", no_linear_algebra)
     monkeypatch.setattr(cone_module, "integer_kernel", no_linear_algebra)
-    cone_module.grade_faces(faces)
+    dims = cone_module.grade_faces(K, faces)
     monkeypatch.undo()
     assert len(faces) == count
-    assert [F.dim for F in faces] == [rank_dim(F) for F in faces]
-    assert faces[-1].dim == L.poset_P.size + 1  # the apex, every pair tight
+    assert dims == [rank_dim(K, tight) for tight, _ in faces]
+    assert dims[-1] == L.poset_P.size + 1  # the apex, every pair tight
 
 
 # -- minimality --------------------------------------------------------------

@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraction_oracle import NotStronger, extension_poset, indicator, vadd, zero_vec
+from fraction_oracle import NotStronger, enumerated_faces, extension_poset, indicator, vadd, zero_vec
 from hibi_oracle import (
     Monomial,
     Polynomial,
@@ -36,7 +36,7 @@ from hibi_oracle import (
 
 from hibikit import hibi, lattice, poset
 from hibikit.cli import main
-from hibikit.cone import cone_K, enumerate_faces, face_of
+from hibikit.cone import cone_K, face_of
 from hibikit.errors import BadParams
 from hibikit.exactgeom import rank
 from hibikit.hibi import (
@@ -342,7 +342,7 @@ def test_component_ideal_not_stronger():
 
 def test_vertex_masks_are_the_sublattices_of_the_part_orders():
     for L in ORACLE_LATTICES:
-        for F in enumerate_faces(cone_K(L)):
+        for F in enumerated_faces(cone_K(L)):
             parts = face_subdivision(F).parts
             assert ([part.vertex_mask for part in parts]
                     == member_masks(L, [part_order(L, part) for part in parts]))
@@ -435,7 +435,7 @@ def test_degree_tables_match_the_per_monomial_oracle(L, data):
             else:
                 block.add(sum(1 << e for e, column in enumerate(table.within) if column >> p & 1))
         assert sorted(blocks, key=sorted) == sorted(map(frozenset, supports.values()), key=sorted)
-    families = [face_subdivision(F).parts for F in enumerate_faces(cone_K(L))]
+    families = [face_subdivision(F).parts for F in enumerated_faces(cone_K(L))]
     # a face's parts tile a polytope, so each class has at most one nonzero
     # hit vector; parts drawn from different faces reach the ranks
     parts = [part for family in families for part in family]
@@ -450,7 +450,7 @@ def test_degree_tables_match_the_per_monomial_oracle(L, data):
 def test_intersection_of_two_faces_parts_needs_a_rank():
     # the parts of two faces together tile nothing: at l = 3 one class of B3
     # has the hit vectors {0}, {5, 6} and {0, 5, 6}, of rank 2, not 3
-    faces = {F.key(): F for F in enumerate_faces(cone_K(B3))}
+    faces = {F.key(): F for F in enumerated_faces(cone_K(B3))}
     keys = ['[["{p}","{q}"]]',
             '[["{p,q}","{p,r}"],["{p,q}","{q,r}"],["{p}","{r}"],["{q}","{r}"]]']
     parts = [part for key in keys for part in face_subdivision(faces[key]).parts]
@@ -500,7 +500,7 @@ def test_intersection_of_components_is_initial_dim():
     # dim in_w(I)_l = dim I_l on every face, because the degeneration is flat
     L = GRIDL
     K = cone_K(L)
-    for F in enumerate_faces(K):
+    for F in enumerated_faces(K):
         members = [part.vertex_mask for part in face_subdivision(F).parts]
         for l in (2, 3):
             assert intersection_dim(L, members, l) == ideal_dim(L, l)

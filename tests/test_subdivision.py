@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import (extension_poset, indicator, intersect_orders, is_apex, is_full,
-                             part_value, vec_over_den)
+from fraction_oracle import (enumerated_faces, extension_poset, indicator, intersect_orders, is_apex,
+                             is_full, part_value, vec_over_den)
 from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
-from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior, span_of_face
+from hibikit.cone import cone_K, face_of, sample_relative_interior, span_of_face
 from hibikit.errors import NotInCone
 from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
@@ -318,7 +318,7 @@ def test_face_count_matches_subdivision_count_b3():
     # the face -> subdivision map is injective (and so bijective onto the
     # subdivisions arising from cone points)
     K = cone_K(B3)
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     subs = {face_subdivision(F).structure() for F in faces}
     assert len(subs) == len(faces)
 
@@ -326,7 +326,7 @@ def test_face_count_matches_subdivision_count_b3():
 def test_face_count_matches_subdivision_count_grid():
     L = birkhoff(GRID)
     K = cone_K(L)
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     subs = {face_subdivision(F).structure() for F in faces}
     assert len(subs) == len(faces)
     assert len(faces) == 2  # one facet: full face and apex
@@ -334,7 +334,7 @@ def test_face_count_matches_subdivision_count_grid():
 
 def test_part_count_is_monotone_under_face_inclusion():
     K = cone_K(B3)
-    faces = enumerate_faces(K)
+    faces = enumerated_faces(K)
     for F in faces:
         sub = face_subdivision(F)
         # tighter faces merge more: part count + tight count is bounded
@@ -362,7 +362,7 @@ def test_invariance_b2_full():
 
 def test_invariance_all_faces_b3():
     K = cone_K(B3)
-    for F in enumerate_faces(K):
+    for F in enumerated_faces(K):
         assert subdivision_invariance_check(F, face_subdivision(F), 5, seed=0)
 
 
@@ -454,9 +454,9 @@ def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
         built["graphs"] += 1
         return graph(*args)
 
-    def counting_key(elements, tight):
+    def counting_key(elements, pairs, tight):
         built["keys"] += 1
-        return key_of(elements, tight)
+        return key_of(elements, pairs, tight)
 
     monkeypatch.setattr(lattice, "DiamondPair", counting_pair)
     monkeypatch.setattr(subdivision, "StaircaseTable", counting_table)
@@ -525,7 +525,7 @@ def some_subdivisions():
     """The subdivision at each face's sample of B3 and of the grid's
     lattice."""
     for L in (B3, birkhoff(GRID)):
-        for F in enumerate_faces(cone_K(L)):
+        for F in enumerated_faces(cone_K(L)):
             yield regular_subdivision(L, *sample_relative_interior(F))
 
 
@@ -567,7 +567,7 @@ def test_certify_builds_no_poset_for_a_part(make, lmax, parts, monkeypatch):
                         lambda self, *args: built.append(args) or init(self, *args))
     rows = degeneration_certificate(L, lmax)
     assert all(row["pass"] for row in rows) and built == []
-    assert sum(len(face_subdivision(F).parts) for F in enumerate_faces(cone_K(L))) == parts
+    assert sum(len(face_subdivision(F).parts) for F in enumerated_faces(cone_K(L))) == parts
 
 
 @settings(max_examples=15, deadline=None)
@@ -703,7 +703,7 @@ def cone_generators(L):
     """The integer witnesses of every face of L's cone, and the rows of its
     apex span, the lineality space."""
     K = cone_K(L)
-    return [F._witness[0] for F in enumerate_faces(K)], span_of_face(K.apex)
+    return [F._witness[0] for F in enumerated_faces(K)], span_of_face(K.apex)
 
 
 @st.composite

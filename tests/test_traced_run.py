@@ -14,6 +14,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 JOBS = [
+    ["cone", "--boolean", "2"],
     ["certify", "--boolean", "2", "--lmax", "2"],
     ["weightpoly", "--boolean", "2", "--face", "apex"],
     ["permutahedron", "--boolean", "2", "--w", "0,1,1,3"],
@@ -44,3 +45,6 @@ def test_traced_jobs_run_and_count():
     counts = report["summary"]["counts"]
     for name in ("faces.found", "facets.found", "hibi.degree_basis"):
         assert counts[name] > 0, name
+    # the tracer counts the faces as the length of enumerate_faces' list:
+    # B2's two faces, once for cone and once for certify
+    assert counts["faces.found"] == 4

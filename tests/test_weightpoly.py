@@ -21,11 +21,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import (indicator, is_apex, is_full, lattice_points, rank, solve_linear,
-                             vdot, vsub)
+from fraction_oracle import (enumerated_faces, indicator, is_apex, is_full, lattice_points, rank,
+                             rank_dim, same_face, solve_linear, vdot, vsub)
 from hibikit import exactgeom, weightpoly
 from hibikit.cli import main
-from hibikit.cone import cone_K, enumerate_faces, face_of, span_of_face
+from hibikit.cone import cone_K, face_of, span_of_face
 from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice, ideal_label
 from hibikit.poset import antichain, from_cover_relations
@@ -108,7 +108,7 @@ def project(G, F, point):
     in dual-basis coordinates: the restriction that weight_polytope applies
     with F the apex. Carries the point of G's weight polytope of a lattice
     element to the point of F's of the same element."""
-    assert G.tight_idx <= F.tight_idx
+    assert G.tight & F.tight == G.tight
     return tuple(sum(c * x for c, x in zip(row, point, strict=True))
                  for row in _inclusion_matrix(span_of_face(G), span_of_face(F)))
 
@@ -169,11 +169,11 @@ def test_apex_b2_is_unit_square():
                                grassmann_lattice(2, 5), flag_lattice(4)])
 def test_every_face_has_lattice_point_count_of_L(L):
     # what the apex pullback implies, by a hull and a lattice-point search
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         W = hull(weight_polytope(F))
         assert len(W.vertices) == L.size
         assert len(lattice_points(W)) == L.size
-        assert W.dim == F.dim - 1
+        assert W.dim == rank_dim(F.cone, F.tight) - 1
 
 
 # -- project -----------------------------------------------------------------
@@ -195,10 +195,10 @@ def test_project_full_to_apex_b2():
 
 def test_project_carries_whole_polytope():
     for L in (B3, GRIDL):
-        faces = enumerate_faces(cone_K(L))
+        faces = enumerated_faces(cone_K(L))
         polys = {F: weight_polytope(F) for F in faces}
         for G, F in itertools.permutations(faces, 2):
-            if not (G.tight_idx <= F.tight_idx):
+            if G.tight & F.tight != G.tight:
                 continue
             for p, q in zip(polys[G].points, polys[F].points, strict=True):
                 assert project(G, F, p) == q
@@ -211,7 +211,7 @@ def test_project_composition():
     K = cone_K(L)
     apex = face_of(K, (0,) * L.size, 1)
     full = full_face(L)
-    mid = next(F for F in enumerate_faces(K) if not is_apex(F) and not is_full(F))
+    mid = next(F for F in enumerated_faces(K) if not is_apex(F) and not is_full(F))
     W = weight_polytope(full)
     for p in W.points:
         two_step = project(mid, apex, project(full, mid, p))
@@ -309,7 +309,7 @@ def test_b2_full_two_triangles_sharing_an_edge():
 
 def test_separator_vanishes_exactly_on_face():
     L = GRIDL
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         for d, sep in separators(weight_polytope(F)):
             members = set(d)
             for i, value in enumerate(sep):
@@ -321,14 +321,14 @@ def test_separator_vanishes_exactly_on_face():
 
 @pytest.mark.parametrize("L", [B3, GRIDL, grassmann_lattice(2, 5), flag_lattice(4)])
 def test_every_face_meets_its_certificate(L):
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         check_certificate(weight_polytope(F))
 
 
 def test_distinguished_images_are_subdivision_parts():
     # pulling each face back through zeta recovers the part's vertex set
     L = B3
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         sub = face_subdivision(F)
         got = {frozenset(labels(L, d)) for d in distinguished_faces(weight_polytope(F))}
         want = {frozenset(vertex_labels(L, p)) for p in sub.parts}
@@ -374,7 +374,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
     apex = weight_polytope(apex_face(L))
     zmap = oracle.affine_map_through([indicator(L, a) for a in L.elements], apex.points)
     indicators = [[int(x) for x in indicator(L, a)] for a in L.elements]
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         W = weight_polytope(F)
         assert W.zeta == (zmap.matrix, zmap.offset)
         assert [list(row) for row in W.to_apex] == [solve_linear(W.points, row)
@@ -400,7 +400,7 @@ def with_basis(monkeypatch, F, rows):
     """Make weight_polytope read rows as F's span basis; every other face,
     the apex among them, keeps its own."""
     monkeypatch.setattr(weightpoly, "span_of_face",
-                        lambda G: rows if G == F else span_of_face(G))
+                        lambda G: rows if same_face(G, F) else span_of_face(G))
 
 
 @pytest.mark.parametrize("L", [B3, GRIDL])
@@ -411,7 +411,7 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
     # points: it rejects them, or the oracle finds that the moved polytope
     # has every property the certificate claims
     rejected = 0
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         W = weight_polytope(F)
         for k, (point, m) in enumerate(zip(W.points, L.masks)):
             i = k % len(W.basis)
@@ -427,7 +427,7 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
                 rejected += 1
                 continue
             assert len(moved.vertices) == len(lattice_points(moved)) == L.size
-            assert moved.dim == F.dim - 1
+            assert moved.dim == rank_dim(F.cone, F.tight) - 1
     assert rejected > 0
 
 
@@ -441,7 +441,7 @@ def test_certificate_rejects_a_doubled_basis_row(L, monkeypatch):
     # row doubled the apex polytope is twice one, its edge midpoints are
     # integer points, and the apex lattice basis is no integer combination
     # of zeta's columns
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         basis = span_of_face(F)
         for i in range(len(basis)):
             with_basis(monkeypatch, F, [[2 * x for x in row] if k == i else row
@@ -502,7 +502,7 @@ def test_probe_detects_nonnormal_simplex():
 @pytest.mark.parametrize("L", [B2, B3])
 def test_probe_weight_polytopes(L):
     outcomes = {}
-    for F in enumerate_faces(cone_K(L)):
+    for F in enumerated_faces(cone_K(L)):
         outcomes[F.key()] = normality_probe(hull(weight_polytope(F)), 3)
     assert set(outcomes.values()) == {None}
 
@@ -520,11 +520,13 @@ def test_weight_polytope_json_shape():
 
 def test_weight_polytopes_equal_on_their_face():
     # every field of a weight polytope is a function of its face, so two
-    # built on one face are equal and hash alike; equality compares fields
+    # built on two Face objects of one face agree on the face and are equal,
+    # and hash alike, in every other field; equality compares fields
     K = cone_K(B3)
     full, apex = face_of(K, [0, 1, 1, 1, 4, 4, 4, 9], 1), face_of(K, (0,) * 8, 1)
     W = weight_polytope(full)
     again = weight_polytope(face_of(cone_K(B3), [0, 1, 1, 1, 4, 4, 4, 9], 1))
-    assert again == W and hash(again) == hash(W)
+    assert same_face(again.face, W.face)
+    assert again[1:] == W[1:] and hash(again[1:]) == hash(W[1:])
     assert W._replace(points=W.points[::-1]) != W
-    assert weight_polytope(apex) != W
+    assert weight_polytope(apex)[1:] != W[1:]
