@@ -397,11 +397,15 @@ def parse_lattice(text: str) -> Lattice:
     gives its lattice through birkhoff, tables through from_tables.
 
     Raises ValueError on a bad line, a mixed file, a repeated poset element
-    or a JSON field of the wrong type, and KeyError or TypeError on a JSON
-    value of the wrong shape."""
+    or a JSON field of the wrong type, KeyError or TypeError on a JSON value
+    of the wrong shape, and BadParams on JSON nested past the decoder's
+    recursion limit."""
     labels, covers, tables = [], [], {"join": {}, "meet": {}}
     if text.lstrip().startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise BadParams("poset JSON is nested too deep") from None
         labels, covers = data["elements"], data["covers"]
         if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
             raise ValueError("poset JSON elements must be a list of strings")

@@ -45,16 +45,26 @@ The argument takes one fact from the staircase table: each chain holds
 |P| + 1 distinct elements. A wrong chain entry that repeats an element of
 its own chain can leave the map checks passing, so a part with one member
 is checked to have |P| + 1 vertices.
+
+The parts are the same at every point of a face. Swap fact: staircase
+simplices one adjacent swap apart, of p and q after the ideal m, have the
+same map iff the diamond pair (m∪p, m∪q) is tight. For the first one's map
+g is affine, so g(m∪q) = w(m) + w(m∪p∪q) - w(m∪p) misses w(m∪q) by exactly
+the diamond's value, >= 0 at every w in K-bar; at 0, g is the second's map.
+By the members step a part's simplices are the linear extensions of its
+order, joined by adjacent swaps of elements incomparable there, so in P
+(bubble sort). So the parts are the components of the swap edges whose
+pair is tight, which depend on the face alone, as do a part's vertex set
+and order, read off its members. subdivision_invariance_check tests this.
 """
 
 from __future__ import annotations
 
-import random
 from math import gcd
 from operator import and_, eq, lt
 from typing import NamedTuple, Sequence
 
-from .cone import Face, _key_of, _tight_set, sample_relative_interior, span_of_face
+from .cone import Face, _key_of, _tight_set, sample_relative_interior
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import Lattice, diamond_pairs
 from .poset import _bits, cover_pairs
@@ -97,11 +107,6 @@ class Subdivision:
     def face_key(self) -> str:
         """The key of the face holding the weight in its relative interior."""
         return _key_of(self.lattice.elements, diamond_pairs(self.lattice), self.tight)
-
-    def structure(self) -> tuple:
-        """Weight-independent identity: the parts as (vertex set, order),
-        sorted."""
-        return tuple(sorted((p.vertex_mask, p.below) for p in self.parts))
 
     def part_of(self, ext: tuple[int, ...]) -> int:
         return self._part_of[ext]
@@ -237,41 +242,30 @@ def face_subdivision(F: Face) -> Subdivision:
     return sub
 
 
-def subdivision_invariance_check(F: Face, sub: Subdivision, trials: int, seed: int) -> bool:
-    """Draw `trials` distinct relative-interior points of F, the first its
-    sample, and compare the subdivisions the others induce (same part set
-    with same orders) with sub, the subdivision of a point of F."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    L = F.cone.lattice
-    base, den = sample_relative_interior(F)
-    span = span_of_face(F)
-    rng = random.Random(seed)
-    # coefficients in [-r, r]: a one-row span gives 2r + 1 >= trials
-    # distinct samples, the base among them
-    r = max(3, trials // 2)
-    samples = [base]
-    attempts = 0
-    while len(samples) < trials:
-        attempts += 1
-        if attempts > 1000:
-            raise AssertionError("could not draw enough distinct samples")
-        # an integer combination of the integer span rows
-        shift = [0] * L.size
-        for row in span:
-            c = rng.randint(-r, r)
-            shift = [x + c * y for x, y in zip(shift, row)]
-        bound = max((abs(d.value(shift)) for d in F.cone.pairs), default=0)
-        # (bound + 1)·base + shift, over den
-        candidate = tuple((bound + 1) * x + den * y for x, y in zip(base, shift))
-        if candidate not in samples:
-            samples.append(candidate)
-    subs = []
-    for w in samples[1:]:
-        subs.append(regular_subdivision(L, w, den))
-        if subs[-1].tight != F.tight:
-            raise AssertionError("perturbed sample left the relative interior")
-    return all(s.structure() == sub.structure() for s in subs)
+def subdivision_invariance_check(sub: Subdivision) -> bool:
+    """Whether sub's parts are the same at every point of its face, as the
+    components of the tight swap edges (module docstring): each edge joins
+    one part iff its pair is tight, and there are as many components as
+    parts. One union-find over adjacency_graph's edges; nothing is sampled."""
+    graph = adjacency_graph(sub.lattice)
+    part = [sub.part_of(t) for t in graph.extensions]
+    root = list(range(len(part)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    components = len(part)
+    for (i, j), pair in zip(graph.edges, graph.pairs):
+        if (part[i] == part[j]) != bool(sub.tight >> pair & 1):
+            return False
+        if part[i] == part[j]:
+            i, j = find(i), find(j)
+            if i != j:
+                root[i] = j
+                components -= 1
+    return components == len(sub.parts)
 
 
 class AdjacencyGraph(NamedTuple):

@@ -103,8 +103,10 @@ projection to the apex became integer matrices: one solve_linear per output
 coordinate for zeta, and one solve per point for its preimage.
 
 sample_relative_interior and invariance_samples are the relative-interior
-witness and the perturbed samples of subdivision_invariance_check, taken in
-Fraction arithmetic before both moved to integers.
+witness and the perturbed samples that subdivision_invariance_check drew,
+taken in Fraction arithmetic before both moved to integers; structure is
+what it compared at each sample, before it certified the parts from the
+tight swaps and stopped sampling.
 
 indicator, is_full and is_apex are the Lattice and Face members that only
 tests read: an element's 0/1 Fraction vector over poset_P, whether a face
@@ -1174,7 +1176,7 @@ def sample_relative_interior(F) -> Vec:
 
 
 def invariance_samples(F, trials: int, seed: int = 0) -> list[Vec]:
-    """The samples subdivision_invariance_check draws, in Fraction
+    """The samples subdivision_invariance_check drew, in Fraction
     arithmetic: the base witness, then (bound + 1)·base + shift for random
     shifts in the face's span, skipping repeats."""
     base = sample_relative_interior(F)
@@ -1191,3 +1193,9 @@ def invariance_samples(F, trials: int, seed: int = 0) -> list[Vec]:
         if candidate not in samples:
             samples.append(candidate)
     return samples
+
+
+def structure(sub) -> tuple:
+    """A subdivision's weight-independent identity: its parts as (vertex
+    mask, order), sorted."""
+    return tuple(sorted((p.vertex_mask, p.below) for p in sub.parts))

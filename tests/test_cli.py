@@ -225,16 +225,21 @@ def test_subdivide_by_weight_and_by_face(capsys):
 
 
 def test_subdivide_by_weight_builds_no_cone(monkeypatch, capsys):
-    # a --w job without --check reads nothing from the cone, so it builds
-    # none; its bytes are those it wrote when it built one
-    def refuse(L):
-        raise AssertionError("the job built a cone")
+    # a --w job reads nothing from the cone, with --check or without, so it
+    # builds no cone and no Face; its bytes are those it wrote when it
+    # built them
+    def refuse(*args):
+        raise AssertionError("the job built a cone or a face")
 
     monkeypatch.setattr(cone, "cone_K", refuse)
-    assert main(["subdivide", "--boolean", "3", "--w", "0,1,1,1,4,4,4,9"]) == 0
-    out = capsys.readouterr().out
-    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
-            == "82adb069f51d00c1a319c2fcaeb28d9ab1d7bb2d4e31b115759587ca737a2301")
+    monkeypatch.setattr(cone.Face, "__init__", refuse)
+    for check, digest in [
+        ([], "82adb069f51d00c1a319c2fcaeb28d9ab1d7bb2d4e31b115759587ca737a2301"),
+        (["--check", "3"], "5271ccdcf94197aa8f7b51dfa763683d113d0c86ec9416bf406062ff07d5052c"),
+    ]:
+        assert main(["subdivide", "--boolean", "3", "--w", "0,1,1,1,4,4,4,9", *check]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_subdivide_invariance_check_recorded(capsys):
@@ -344,14 +349,18 @@ def test_cone_past_the_face_cap_fails_fast(capsys):
     assert json.loads(err)["error"]["type"] == "TooLarge"
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_cone_flag5_peak_memory():
     # cone lists Flag(5)'s 90,112 faces as masks and builds no Face for
-    # them; a fresh process peaks at about 145 MB (ru_maxrss), where one
-    # Face per face took about 250 MB
-    script = ("import os, resource, sys\n"
+    # them; a fresh process peaks at about 145 MB, where one Face per face
+    # took about 250 MB. The child reads its own VmHWM: Linux carries the
+    # parent's peak RSS across exec into ru_maxrss, so under a large test
+    # process that counter measures the parent
+    script = ("import os\n"
               "from hibikit.cli import main\n"
               "code = main(['cone', '--flag', '5', '--out', os.devnull])\n"
-              "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+              "status = open('/proc/self/status').read()\n"
+              "print(code, status.split('VmHWM:')[1].split()[0])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
@@ -426,7 +435,7 @@ def test_keys_naming_no_face_are_bad_params(key, capsys):
     ("permutahedron --boolean 2 --w 1,1,1," + "9" * 5000, None),
     ("subdivide --boolean 2 --face full --check 1", None),
     ("subdivide --boolean 2 --face full --check -2", None),
-    # past cli.MAX_CHECK; B2 has fewer distinct samples than 5000
+    # past cli.MAX_CHECK, which guards TRIALS though nothing is sampled
     ("subdivide --boolean 2 --face full --check 21", None),
     ("subdivide --boolean 2 --face full --check 5000", None),
     ("certify --boolean 2 --lmax 0", None),
@@ -469,6 +478,21 @@ def test_malformed_input_is_bad_params(tmp_path, capsys, argv, poset_file):
     if poset_file is not None:
         path.write_text(poset_file, encoding="utf-8")
     code, out, err = run_cli(capsys, argv.replace("FILE", str(path)).split())
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "BadParams"
+
+
+@pytest.mark.parametrize("argv, poset_file", [
+    (["subdivide", "--boolean", "2", "--face", "[" * 5000], None),
+    (["lattice", "--poset", "FILE"], '{"elements": ' + "[" * 200_000),
+], ids=["face key", "poset file"])
+def test_deeply_nested_json_is_bad_params(tmp_path, capsys, argv, poset_file):
+    # JSON nested past the decoder's recursion limit is bad input, not a
+    # failed certification or a crash
+    path = tmp_path / "poset.json"
+    if poset_file is not None:
+        path.write_text(poset_file, encoding="utf-8")
+    code, out, err = run_cli(capsys, [str(path) if x == "FILE" else x for x in argv])
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "BadParams"
 

@@ -174,18 +174,19 @@ def test_cone_ranks_only_for_the_apex_check(monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["certify", "--boolean", "3", "--lmax", "2"],
-    ["subdivide", "--boolean", "3", "--face", '[["{p,q}","{p,r}"]]'],
+    ["subdivide", "--boolean", "3", "--face", '[["{p,q}","{p,r}"]]', "--check", "3"],
 ], ids=["certify", "keyed subdivide"])
 def test_jobs_that_print_no_dimension_compute_none(argv, monkeypatch, capsys):
     # a Face has no dimension of its own; grading and a face's span are the
-    # two ways to compute one
+    # two ways to compute one, and the invariance check, which certifies
+    # from the tight swaps, reads neither
     def no_dim(*args):
         raise AssertionError("a face dimension was computed")
 
     assert not hasattr(Face, "dim")
+    assert not hasattr(subdivision, "span_of_face")
     monkeypatch.setattr(cone_module, "grade_faces", no_dim)
     monkeypatch.setattr(cone_module, "span_of_face", no_dim)
-    monkeypatch.setattr(subdivision, "span_of_face", no_dim)
     cli._lattice.cache_clear()
     assert main(argv) == 0
     capsys.readouterr()
@@ -417,22 +418,17 @@ def test_sample_relative_interior_matches_fraction_oracle(name, L):
 
 
 @pytest.mark.parametrize("name, L", SAMPLED, ids=[name for name, _ in SAMPLED])
-def test_invariance_samples_match_fraction_oracle(name, L, monkeypatch):
-    # the weights subdivision_invariance_check subdivides are its samples
-    # past the first, whose subdivision it is given
-    seen = []
-    kernel = subdivision.regular_subdivision
-
-    def recording(L, w, den):
-        seen.append(tuple(Fraction(x, den) for x in w))
-        return kernel(L, w, den)
-
-    monkeypatch.setattr(subdivision, "regular_subdivision", recording)
+def test_invariance_samples_match_fraction_oracle(name, L):
+    # subdivision_invariance_check certifies every point of the face at
+    # once; at the points it drew before, the oracle's samples, the
+    # subdivision has the face's parts
     for F in faces_with_witnesses(name, L):
         sub = subdivision.face_subdivision(F)
-        seen.clear()
-        assert subdivision.subdivision_invariance_check(F, sub, 3, seed=1)
-        assert seen == oracle.invariance_samples(F, 3, seed=1)[1:]
+        assert subdivision.subdivision_invariance_check(sub)
+        for w in oracle.invariance_samples(F, 3, seed=1)[1:]:
+            sample = subdivision.regular_subdivision(L, *oracle.vec_over_den(w))
+            assert sample.tight == F.tight
+            assert oracle.structure(sample) == oracle.structure(sub)
 
 
 def test_convex_weight_is_interior():

@@ -70,16 +70,16 @@ def test_keyed_jobs_on_one_face_build_it_once(sel, key, capsys, builds):
     # the cold subdivide built everything once and closed the key by LP
     assert builds["pairs"] > 0 and builds["lps"] > 0
     assert (builds["tables"], builds["graphs"], builds["cones"]) == (1, 1, 1)
-    # weightpoly read the face's subdivision: only the 1 + 2 check
-    # samples' subdivisions were built
-    assert builds["subdivisions"] == 3
+    # the check certifies the face's subdivision from its tight swaps, and
+    # weightpoly reads that subdivision: one was built
+    assert builds["subdivisions"] == 1
     for counter in builds:
         builds[counter] = 0
     again = [run(capsys, subdivide), run(capsys, weightpoly)]
     assert again == first
-    # only the check samples are new work
+    # a warm job on the same face builds nothing
     assert builds == {"pairs": 0, "tables": 0, "graphs": 0, "cones": 0,
-                      "subdivisions": 2, "lps": 0}
+                      "subdivisions": 0, "lps": 0}
 
 
 def test_weightpoly_keys_on_one_lattice_build_the_apex_span_once(capsys, monkeypatch):

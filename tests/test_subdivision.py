@@ -1,10 +1,12 @@
 """Regular subdivisions, adjacency, and generalized permutahedra."""
 
 import functools
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
@@ -319,7 +321,7 @@ def test_face_count_matches_subdivision_count_b3():
     # subdivisions arising from cone points)
     K = cone_K(B3)
     faces = enumerated_faces(K)
-    subs = {face_subdivision(F).structure() for F in faces}
+    subs = {oracle.structure(face_subdivision(F)) for F in faces}
     assert len(subs) == len(faces)
 
 
@@ -327,7 +329,7 @@ def test_face_count_matches_subdivision_count_grid():
     L = birkhoff(GRID)
     K = cone_K(L)
     faces = enumerated_faces(K)
-    subs = {face_subdivision(F).structure() for F in faces}
+    subs = {oracle.structure(face_subdivision(F)) for F in faces}
     assert len(subs) == len(faces)
     assert len(faces) == 2  # one facet: full face and apex
 
@@ -351,26 +353,97 @@ def test_part_count_is_monotone_under_face_inclusion():
 def test_invariance_b2_apex():
     K = cone_K(B2)
     apex = face_of(K, (0, 0, 0, 0), 1)
-    assert subdivision_invariance_check(apex, face_subdivision(apex), 3, seed=0)
+    assert subdivision_invariance_check(face_subdivision(apex))
 
 
 def test_invariance_b2_full():
     K = cone_K(B2)
     full = face_of(K, (0, -1, -1, 0), 1)
-    assert subdivision_invariance_check(full, face_subdivision(full), 3, seed=0)
+    assert subdivision_invariance_check(face_subdivision(full))
 
 
 def test_invariance_all_faces_b3():
     K = cone_K(B3)
     for F in enumerated_faces(K):
-        assert subdivision_invariance_check(F, face_subdivision(F), 5, seed=0)
+        assert subdivision_invariance_check(face_subdivision(F))
 
 
-def test_invariance_needs_two_trials():
-    K = cone_K(B2)
-    apex = face_of(K, (0, 0, 0, 0), 1)
-    with pytest.raises(ValueError):
-        subdivision_invariance_check(apex, face_subdivision(apex), 1, seed=0)
+@st.composite
+def poset_with_few_faces(draw):
+    """The lattice of a random poset on 3 to 6 elements whose cone has at
+    most 8 facets, so at most 256 faces."""
+    L = birkhoff(draw(poset_strategy(max_size=6, min_size=3)))
+    assume(len(diamond_pairs(L)) <= 8)
+    return L
+
+
+@settings(max_examples=30, deadline=None)
+@given(poset_with_few_faces())
+@example(birkhoff(antichain(["p", "q", "r"])))
+def test_invariance_certificate_matches_the_sampled_oracle(L):
+    # on every face the certificate passes, and the subdivisions at the
+    # points the sampler drew, the oracle, have the face's parts
+    for F in enumerated_faces(cone_K(L)):
+        sub = face_subdivision(F)
+        assert subdivision_invariance_check(sub)
+        for w in oracle.invariance_samples(F, 3, seed=1)[1:]:
+            sample = regular_subdivision(L, *vec_over_den(w))
+            assert sample.tight == F.tight
+            assert oracle.structure(sample) == oracle.structure(sub)
+
+
+def mutated(sub, parts=None, tight=None):
+    """sub with its parts or its tight mask replaced."""
+    return subdivision.Subdivision(sub.lattice, sub.scaled, sub.den,
+                                   sub.parts if parts is None else parts,
+                                   sub.tight if tight is None else tight)
+
+
+def test_invariance_rejects_merged_or_split_parts_or_a_dropped_tight_bit():
+    # on every face of B3 and of the grid's lattice, the certificate fails
+    # with any two parts merged (into the first, as it reads them, by their
+    # simplices), whether or not a swap joins them, with any part of two
+    # simplices or more split, and with any tight bit dropped
+    checked = {"merged": 0, "merged apart": 0, "split": 0, "dropped": 0}
+    for L in (B3, birkhoff(GRID)):
+        graph = adjacency_graph(L)
+        for F in enumerated_faces(cone_K(L)):
+            sub = face_subdivision(F)
+            parts = sub.parts
+            joined = {frozenset(sub.part_of(graph.extensions[i]) for i in edge)
+                      for edge in graph.edges}
+            for a, b in itertools.combinations(range(len(parts)), 2):
+                one = parts[a]._replace(simplices=parts[a].simplices + parts[b].simplices)
+                rest = tuple(p for k, p in enumerate(parts) if k not in (a, b))
+                assert not subdivision_invariance_check(mutated(sub, parts=(one, *rest)))
+                checked["merged" if {a, b} in joined else "merged apart"] += 1
+            for k, part in enumerate(parts):
+                if len(part.simplices) > 1:
+                    head = part._replace(simplices=part.simplices[:1])
+                    tail = part._replace(simplices=part.simplices[1:])
+                    assert not subdivision_invariance_check(
+                        mutated(sub, parts=parts[:k] + (head, tail) + parts[k + 1:]))
+                    checked["split"] += 1
+            for pair in _bits(sub.tight):
+                assert not subdivision_invariance_check(mutated(sub, tight=sub.tight ^ 1 << pair))
+                checked["dropped"] += 1
+    assert all(checked.values())
+
+
+def test_failed_invariance_check_prints_pass_false(monkeypatch, capsys):
+    # exit 1 means a certification ran and failed: a --check job whose
+    # parts are not the tight swap components says so and writes its record
+    kernel = subdivision.regular_subdivision
+
+    def dropping(L, w, den):
+        sub = kernel(L, w, den)
+        return mutated(sub, tight=sub.tight & (sub.tight - 1))
+
+    monkeypatch.setattr(subdivision, "regular_subdivision", dropping)
+    argv = "subdivide --boolean 3 --w 0,0,0,0,0,0,0,0 --check 3 --seed 1".split()
+    assert main(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["invariance_check"] == {"trials": 3, "seed": 1, "pass": False}
 
 
 CHECK_JOBS = ["subdivide --boolean 3 --face full --check 3",
@@ -380,8 +453,8 @@ CHECK_JOBS = ["subdivide --boolean 3 --face full --check 3",
 
 @pytest.mark.parametrize("argv", CHECK_JOBS, ids=CHECK_JOBS)
 def test_check_job_subdivides_each_weight_once(argv, monkeypatch, capsys):
-    # a --check 3 job compares three distinct weights' subdivisions, and
-    # builds the one it prints once
+    # a --check job certifies the one subdivision it prints from its tight
+    # swaps: it subdivides one weight, once, and draws no other
     seen = []
     kernel = subdivision.regular_subdivision
 
@@ -392,8 +465,7 @@ def test_check_job_subdivides_each_weight_once(argv, monkeypatch, capsys):
     monkeypatch.setattr(subdivision, "regular_subdivision", recording)
     assert main(argv.split()) == 0
     capsys.readouterr()
-    assert len(seen) == 3
-    assert len({tuple(Fraction(x, den) for x in w) for w, den, *_ in seen}) == 3
+    assert len(seen) == 1
 
 
 # -- adjacency ---------------------------------------------------------------
