@@ -14,11 +14,12 @@ Faces are addressed by their canonical key (the JSON list of tight
 incomparable pairs); the shorthands "full" (no tight pairs) and "apex"
 (all tight) are also accepted.
 
-main(argv) is cheap to call repeatedly in one process: the argument parser
-is built on the first call and kept, and parsing leaves it unchanged. A
-call keeps the lattice its job named, in a one-entry cache keyed by the
-selector and its numbers or by the --poset file's text; the lattice keeps
-its certified cone, and the cone the last face resolved on it, with the
+main(argv) is cheap to call repeatedly in one process: the parsers are
+built on the first call and kept, parsing leaves them unchanged, and a
+job's argv is parsed once, by its command's subparser alone. A call keeps
+the lattice its job named, in a one-entry cache keyed by the selector and
+its numbers or by the --poset file's text; the lattice keeps its
+certified cone, and the cone the last face resolved on it, with the
 face's span and subdivision. So a job on the lattice and face of the job
 before it reuses them, and at most one lattice and one face are kept. A
 gt job reads the Gelfand-Tsetlin context of its rank from
@@ -28,22 +29,15 @@ jobs on two ranks do not evict each other or the lattice cache. The
 input guards run and a --poset file is read on every call.
 Start-up is cheap too: at module level this module imports only errors,
 lattice and poset of the package. Each subcommand imports the kernels it
-runs when it is called, as cmd_certify imports csv and parse_vector
-fractions. A
-fresh `python -m hibikit.cli cone --boolean 3` took 128-141 ms, against
-183-200 ms when every module loaded at import, and a bare interpreter
-75-81 ms (medians of 9 runs each, two rounds, one CPU of a shared 2-CPU
-host, no bytecode cache).
-Canonical JSON comes from this module's own writer, byte-identical to
-json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False), whose
-indented form runs on the stdlib's pure-Python encoder. Each uniform
-array (every level below the top holds rows of one length, down to
-all-int or all-str leaves: a point list, a [num, den] vector, a label
-list) is filled in one step from one %-template, one row template
-repeated per level; strs are escaped before they fill it. Everything else
-is written item by item. On the 42 MB output of `gt --n 5 subdivide
---face full` the writer took 0.30 s and the stdlib 2.17 s (best of 5, in
-process, one CPU of a shared 2-CPU host).
+runs when it is called, as cmd_certify imports csv, parse_vector
+fractions (for a weight that is not an integer) and canonical_json the
+JSON writer. A fresh `python -m hibikit.cli cone --boolean 3` took
+128-141 ms, against 183-200 ms when every module loaded at import, and a
+bare interpreter 75-81 ms (medians of 9 runs each, two rounds, one CPU of
+a shared 2-CPU host, no bytecode cache).
+Canonical JSON comes from hibikit's own writer (hibikit.jsonwriter),
+byte-identical to json.dumps(obj, sort_keys=True, indent=2,
+ensure_ascii=False).
 """
 
 from __future__ import annotations
@@ -51,11 +45,9 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import itertools
 import json
 import re
 import sys
-from json.encoder import encode_basestring as _escape  # the C escaper
 from math import lcm
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -85,87 +77,17 @@ def canonical_json(obj) -> str:
     ensure_ascii=False) plus a newline, for str-keyed dicts, lists, tuples,
     str, int, bool and None; any other type raises TypeError."""
     out: list[str] = []
-    _emit(obj, "\n", out)
+    _writer()(obj, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, nl: str, out: list[str]) -> None:
-    # nl is a newline plus the indent of the line obj starts on
-    t = type(obj)
-    if t is str:
-        out.append(_escape(obj))
-    elif t is int:
-        out.append(int.__repr__(obj))
-    elif t is list or t is tuple:
-        if not obj:
-            out.append("[]")
-            return
-        array = _uniform_array(obj)
-        if array is not None:
-            lengths, leaf, leaves = array
-            out.append(_array_template(nl, lengths, leaf) % tuple(leaves))
-            return
-        inner = nl + "  "
-        sep = "," + inner
-        for i, x in enumerate(obj):
-            out.append(sep if i else "[" + inner)
-            _emit(x, inner, out)
-        out.append(nl + "]")
-    elif t is dict:
-        if not obj:
-            out.append("{}")
-            return
-        if not all(type(k) is str for k in obj):
-            raise TypeError("canonical JSON keys must be str")
-        inner = nl + "  "
-        sep = "," + inner
-        for i, k in enumerate(sorted(obj)):
-            out.append((sep if i else "{" + inner) + _escape(k) + ": ")
-            _emit(obj[k], inner, out)
-        out.append(nl + "}")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"canonical JSON has no form for {t.__name__}")
+@functools.cache
+def _writer():
+    # hibikit.jsonwriter is imported on the first write, not at start-up
+    from .jsonwriter import emit
 
-
-def _uniform_array(obj) -> Optional[tuple[list[int], str, Sequence]]:
-    """For a nonempty nested list or tuple whose every level below the top
-    holds lists or tuples of one length, none empty, down to leaves that
-    are all ints or all strs: the length of each level, top first, the
-    leaf's template, and the leaves in order, each str escaped. None for
-    anything else."""
-    lengths = [len(obj)]
-    level = obj
-    while True:
-        types = set(map(type, level))
-        if types == {int}:
-            return lengths, "%d", level
-        if types == {str}:
-            return lengths, "%s", list(map(_escape, level))
-        if not types <= {list, tuple}:
-            return None
-        sizes = set(map(len, level))
-        if len(sizes) > 1 or 0 in sizes:
-            return None
-        lengths.append(sizes.pop())
-        level = list(itertools.chain.from_iterable(level))
-
-
-def _array_template(nl: str, lengths: list[int], leaf: str) -> str:
-    # one row template per level, innermost first, each repeated as many
-    # times as its level's length; a level's rows all start on one indent
-    row = leaf
-    for depth in reversed(range(len(lengths))):
-        start = nl + "  " * depth
-        inner = start + "  "
-        row = "[" + inner + ("," + inner).join([row] * lengths[depth]) + start + "]"
-    return row
+    return emit
 
 
 def _write_text(text: str, out: Optional[str]) -> None:
@@ -201,6 +123,9 @@ def parse_vector(text: str, size: int) -> tuple[tuple[int, ...], int]:
         if _entry_digits(t) > MAX_ENTRY_DIGITS:
             raise BadParams(f"weight vector entry {i + 1} has more than "
                             f"{MAX_ENTRY_DIGITS} digits")
+    unsigned = [t[t[0] in "+-":] for t in tokens]
+    if all(u.isascii() and u.isdigit() for u in unsigned):  # [+-]?[0-9]+
+        return tuple(map(int, tokens)), 1  # what Fraction gives on such tokens
     from fractions import Fraction
 
     try:
@@ -328,13 +253,14 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_cone(args) -> int:
-    from .cone import _key_of, cone_K, enumerate_faces, grade_faces
+    from .cone import _key_of, cone_K, enumerate_faces, grade_faces, key_fragments
 
     L = build_lattice(args)
     K = cone_K(L)  # raises unless every inequality has its facet witness
     faces = enumerate_faces(K)
+    fragments = key_fragments(L)
     face_rows = sorted(
-        ({"key": _key_of(L.elements, K.pairs, tight), "dim": dim,
+        ({"key": _key_of(fragments, tight), "dim": dim,
           "tight_count": tight.bit_count()}
          for (tight, _), dim in zip(faces, grade_faces(K, faces))),
         key=lambda row: (row["tight_count"], row["key"]))
@@ -482,7 +408,8 @@ def cmd_permutahedron(args) -> int:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, by name and alias."""
     parser = argparse.ArgumentParser(
         prog="hibikit",
         description="certified combinatorics of lattice degenerations")
@@ -536,11 +463,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", metavar="VEC", required=True,
                    help="comma separated weights, fractions allowed")
 
-    return parser
+    return parser, subs.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:  # no command, -h or an unknown command
+        args = parser.parse_args(argv)
+    else:  # the subparser the top-level parse would hand argv[1:] to
+        args, extra = sub.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (HibikitError, AssertionError, OSError,

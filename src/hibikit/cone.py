@@ -89,21 +89,39 @@ class Face:
     def key(self) -> str:
         """The face's key, built once."""
         if self._key is None:
-            self._key = _key_of(self.cone.lattice.elements, self.cone.pairs, self.tight)
+            self._key = _key_of(key_fragments(self.cone.lattice), self.tight)
         return self._key
 
     def __repr__(self):
         return f"Face(tight {self.key()})"
 
 
-def _key_of(elements: Sequence[str], pairs: Sequence[DiamondPair], tight: int) -> str:
-    """The sorted [a, b] label pairs of the pairs in the mask tight, labels
-    read off elements, in the bytes of json.dumps(..., separators=(",", ":")):
-    each label quoted by the same ASCII string encoder."""
-    return "[" + ",".join(
-        f"[{encode_basestring_ascii(a)},{encode_basestring_ascii(b)}]"
-        for a, b in sorted(sorted((elements[pairs[k].a], elements[pairs[k].b]))
-                           for k in _bits(tight))) + "]"
+def key_fragments(L: Lattice) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """Each diamond pair's [a, b] fragment of a face key, its two labels
+    sorted and quoted, in key order, and each pair's rank in that order;
+    built once per lattice and kept on L beside its diamond pairs."""
+    if L._key_fragments is None:
+        L._key_fragments = _fragments(L.elements, diamond_pairs(L))
+    return L._key_fragments
+
+
+def _fragments(elements: Sequence[str], pairs: Sequence[DiamondPair]):
+    """key_fragments of the pairs with labels read off elements; each label
+    quoted by the ASCII string encoder of json.dumps."""
+    labels = [sorted((elements[d.a], elements[d.b])) for d in pairs]
+    order = sorted(range(len(pairs)), key=labels.__getitem__)
+    rank = [0] * len(pairs)
+    for r, k in enumerate(order):
+        rank[k] = r
+    return (tuple(f"[{encode_basestring_ascii(labels[k][0])},"
+                  f"{encode_basestring_ascii(labels[k][1])}]" for k in order), tuple(rank))
+
+
+def _key_of(fragments: tuple[tuple[str, ...], tuple[int, ...]], tight: int) -> str:
+    """The key of the mask tight over the pairs of fragments: their sorted
+    [a, b] label pairs in the bytes of json.dumps(..., separators=(",", ":"))."""
+    quoted, rank = fragments
+    return "[" + ",".join([quoted[r] for r in sorted([rank[k] for k in _bits(tight)])]) + "]"
 
 
 def _tight_set(L: Lattice, w: Sequence[int], den: int) -> int:

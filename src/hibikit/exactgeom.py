@@ -14,9 +14,11 @@ so it terminates without any tolerance knobs, on homogeneous equalities
 and integer rows a.x >= r, the systems that close a face key. Its tableau
 has no artificial columns: the artificial basis is bookkeeping in the
 basis list, and the phase-1 objective, the sum of the artificial rows, is
-one more row that every pivot updates with the others. Bland's rule reads
-only the signs of that row's entries, so the pivots are those of the full
-tableau, and the final tableau checks the row against the sum.
+one more row that every pivot updates with the others. It has no v columns
+of x = u - v either, since every row's v part is minus its u part. Bland's
+rule reads only the signs of the objective row's entries, so the pivots
+are those of the full tableau, and the final tableau checks the row
+against the sum.
 """
 
 from __future__ import annotations
@@ -122,28 +124,42 @@ def nullspace(rows: Sequence[Sequence]) -> list[list[int]]:
 
 def _run_simplex(M, D, basis, n):
     """Phase 1 of the simplex on the tableau M / D in place: maximize minus
-    the sum of the artificial variables by Bland's rule over the n columns.
-    Returns the final denominator.
+    the sum of the artificial variables by Bland's rule over lp_feasible's
+    columns u, v and the slacks, x = u - v in Q^n. Returns the final
+    denominator.
 
-    The tableau has no artificial columns: nothing reads them, and a row
-    whose basis entry is n or more has its artificial variable basic. M
-    holds one row more than basis, the last: the phase-1 objective row,
-    the sum of the artificial rows, pivoted with the others. A pivot turns
-    it into the sum of the pivoted artificial rows, so it never needs to be
-    summed again; the final tableau checks that it did. Column j enters
-    when its reduced cost, the objective row's entry j, is positive; such a
-    column has a positive entry in some artificial row, so phase 1 is never
-    unbounded.
+    The tableau holds u and the slacks, not v: every pivot is a row
+    operation, so each row's v part stays minus its u part, and v_j's
+    reduced cost is -z_j and its column -u_j. Columns and basis entries are
+    numbered in the full order u, v, slacks, so Bland's rule and its ties
+    are the full tableau's; a pivot on v_j is _pivot on u_j with the pivot
+    row's sign kept, as the full tableau keeps it.
+
+    Nor are there artificial columns: a row whose basis entry is past the
+    full columns has its artificial variable basic. M holds one row more
+    than basis, the last: the phase-1 objective row, the sum of the
+    artificial rows, pivoted with the others, so it is never summed again;
+    the final tableau checks that it is the sum. A column enters when its
+    reduced cost is positive; it then has a positive entry in some
+    artificial row, so phase 1 is never unbounded.
     """
     z = M[-1]
+    lean = len(z) - 1
     while True:
         entering = next((j for j in range(n) if z[j] > 0), None)
         if entering is None:
+            entering = next((n + j for j in range(n) if z[j] < 0), None)
+        if entering is None:
+            entering = next((n + j for j in range(n, lean) if z[j] > 0), None)
+        if entering is None:
             break
-        # smallest ratio M[i][-1] / M[i][entering], ties to the smaller basis index
+        col = entering if entering < n else entering - n
+        sign = -1 if n <= entering < 2 * n else 1  # -1: v_j, read off u_j
+        # smallest ratio M[i][-1] / a, a the entering column's entry in row
+        # i, ties to the smaller basis index
         leaving = None
         for i, (row, b) in enumerate(zip(M, basis)):  # the objective row is not a candidate
-            a = row[entering]
+            a = sign * row[col]
             if a > 0:
                 if leaving is None:
                     leaving, num, den = i, row[-1], a
@@ -151,10 +167,12 @@ def _run_simplex(M, D, basis, n):
                 lhs, rhs = row[-1] * den, num * a
                 if lhs < rhs or (lhs == rhs and b < basis[leaving]):
                     leaving, num, den = i, row[-1], a
-        D = _pivot(M, D, leaving, entering)
+        D = _pivot(M, D, leaving, col)
+        if sign < 0:  # _pivot negated the row to make u_j's entry positive
+            M[leaving] = [-x for x in M[leaving]]
         basis[leaving] = entering
         z = M[-1]
-    artificial = [row for row, b in zip(M, basis) if b >= n]
+    artificial = [row for row, b in zip(M, basis) if b >= lean + n]
     assert z == [sum(col) for col in zip(*artificial)] if artificial else not any(z), \
         "the objective row must be the sum of the artificial rows"
     return D
@@ -168,36 +186,37 @@ def lp_feasible(equalities: Sequence[Sequence[int]], rows: Sequence[tuple[Sequen
 
     x = u - v with u, v >= 0, and each row gets one slack s >= 0: the
     columns are u, v, then the slacks, and a row reads -a.u + a.v + s = -r.
-    Phase 1 gives every equation one artificial variable, kept in the basis
-    alone (see _run_simplex); the system is feasible iff phase 1 drives
-    their sum to 0. Artificials left in the basis at value 0 are then
-    pivoted out, except on a redundant row, which has no other nonzero
-    entry.
+    The tableau keeps u and the slacks alone (see _run_simplex). Phase 1
+    gives every equation one artificial variable, kept in the basis alone;
+    the system is feasible iff phase 1 drives their sum to 0. Artificials
+    left in the basis at value 0 are then pivoted out on their row's first
+    nonzero column, never a v column since u_j comes first, except on a
+    redundant row, which has no other nonzero entry.
     """
     m = len(rows)
     cols = 2 * n + m
     # each equation is negated where needed to make its right-hand side,
     # the artificial's starting value, nonnegative
-    M = [[*a, *(-x for x in a), *[0] * m, 0] for a in equalities]
+    M = [[*a, *[0] * m, 0] for a in equalities]
     for k, (a, r) in enumerate(rows):
         slack = [0] * m
         if r > 0:
             slack[k] = -1
-            M.append([*a, *(-x for x in a), *slack, r])
+            M.append([*a, *slack, r])
         else:
             slack[k] = 1
-            M.append([*(-x for x in a), *a, *slack, -r])
+            M.append([*(-x for x in a), *slack, -r])
     basis = [cols + i for i in range(len(M))]
-    M.append([sum(col) for col in zip(*M)] if M else [0] * (cols + 1))
-    D = _run_simplex(M, 1, basis, cols)
+    M.append([sum(col) for col in zip(*M)] if M else [0] * (n + m + 1))
+    D = _run_simplex(M, 1, basis, n)
     if M.pop()[-1] != 0:
         return None
     for i, row in enumerate(M):
         if basis[i] >= cols:
-            col = next((j for j in range(cols) if row[j] != 0), None)
+            col = next((j for j in range(n + m) if row[j] != 0), None)
             if col is not None:
                 D = _pivot(M, D, i, col)
-                basis[i] = col
+                basis[i] = col if col < n else col + n
     y = [0] * cols
     for row, bi in zip(M, basis):
         if bi < cols:

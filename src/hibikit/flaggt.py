@@ -14,10 +14,10 @@ marked poset's ground set, is an int tuple over the base poset's element
 order, and a marking is one value per index (None on a free element).
 Orders are read through Poset.below masks and cover index pairs, and each
 flag element's order ideal is a bitmask over gt_poset(n). These, and the
-sections' inputs and the vertices from their first use, are built once
-per rank and process as one GelfandTsetlin (gelfand_tsetlin(n)), which
-every step of a job reads; so a job on a rank built before pays for its
-own face, sections and output alone. Every rank's context, with its
+sections' inputs, the vertices and the census from their first use, are
+built once per rank and process as one GelfandTsetlin (gelfand_tsetlin(n)),
+which every step of a job reads; so a job on a rank built before pays for
+its own face, sections and output alone. Every rank's context, with its
 section inputs for n <= MAX_SECTION_RANK, holds about 0.8 MB in all
 (tracemalloc). The vertices hold 0.16 MB more for n <= 5 and 2.2 MB for
 n = 6, whose 4,884 vertices take about 3 s to build.
@@ -192,7 +192,8 @@ class GelfandTsetlin:
     once: the flag lattice (flag), whose cone.cone_K stays on it; P's
     cells in Pbar (cell_at), through gt_poset_iso; and the patterns with
     their chains as masks over flag's elements (pattern_masks). So are the
-    vertices (gt_vertices), which depend on n alone."""
+    vertices (gt_vertices) and the census (shape_census), which depend on
+    n alone."""
 
     def __init__(self, n: int):
         if n > MAX_GT_RANK:
@@ -202,6 +203,7 @@ class GelfandTsetlin:
         self.marked = gt_marked_poset(n)
         self.phi = _phi(n, self.poset)
         self.vertices: Optional[tuple[GTVertex, ...]] = None  # gt_vertices
+        self.census: Optional[tuple[tuple[str, int], ...]] = None  # shape_census
 
     @cached_property
     def flag(self) -> Lattice:
@@ -512,10 +514,13 @@ def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]
 
 
 def shape_census(gt: GelfandTsetlin) -> dict[str, int]:
-    """How many linearizations produce each multiset of block sizes."""
-    census: dict[str, int] = {}
-    for ext in linear_extensions(gt.poset):
-        shape = component_shape(gt, ext)
-        key = "x".join(str(d) for d in sorted(shape, reverse=True))
-        census[key] = census.get(key, 0) + 1
-    return census
+    """How many linearizations produce each multiset of block sizes, as a
+    new dict on every call; counted once per rank and kept on gt.census."""
+    if gt.census is None:
+        census: dict[str, int] = {}
+        for ext in linear_extensions(gt.poset):
+            shape = component_shape(gt, ext)
+            key = "x".join(str(d) for d in sorted(shape, reverse=True))
+            census[key] = census.get(key, 0) + 1
+        gt.census = tuple(census.items())
+    return dict(gt.census)

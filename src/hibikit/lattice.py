@@ -63,11 +63,11 @@ class Lattice:
 
     The tables that depend on the lattice alone are built on first use and
     kept here, so every face of one lattice reads the same ones: the linear
-    extensions (extensions), the diamond pairs (diamond_pairs), the
-    certified cone K-bar (cone.cone_K), the subdivision's staircase table
-    and adjacency graph (subdivision.staircase_table,
-    subdivision.adjacency_graph), and the degree-wise monomial states and
-    tables of hibi.degree_table. No table keeps a subdivision's parts: each
+    extensions (extensions), the diamond pairs (diamond_pairs) and their
+    face-key fragments (cone.key_fragments), the certified cone K-bar
+    (cone.cone_K), the subdivision's staircase table and adjacency graph
+    (subdivision.staircase_table, subdivision.adjacency_graph), and the
+    degree-wise monomial states and tables of hibi.degree_table. No table keeps a subdivision's parts: each
     weight's parts are built from the staircase table and certified by the
     envelope check alone (see the subdivision module docstring).
     """
@@ -80,6 +80,7 @@ class Lattice:
         self.at_mask = {m: i for i, m in enumerate(self.masks)}
         self._extensions: Optional[tuple[tuple[int, ...], ...]] = None
         self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
+        self._key_fragments = None  # cone.key_fragments
         self._cone = None  # cone.cone_K
         self._staircases = None  # subdivision.staircase_table
         self._adjacency_graph = None  # subdivision.adjacency_graph

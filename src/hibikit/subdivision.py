@@ -64,7 +64,7 @@ from math import gcd
 from operator import and_, eq, lt
 from typing import NamedTuple, Sequence
 
-from .cone import Face, _key_of, _tight_set, sample_relative_interior
+from .cone import Face, _key_of, _tight_set, key_fragments, sample_relative_interior
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import Lattice, diamond_pairs
 from .poset import _bits, cover_pairs
@@ -106,7 +106,7 @@ class Subdivision:
     @property
     def face_key(self) -> str:
         """The key of the face holding the weight in its relative interior."""
-        return _key_of(self.lattice.elements, diamond_pairs(self.lattice), self.tight)
+        return _key_of(key_fragments(self.lattice), self.tight)
 
     def part_of(self, ext: tuple[int, ...]) -> int:
         return self._part_of[ext]

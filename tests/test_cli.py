@@ -19,9 +19,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibikit import cli, cone
+from hibikit import cli, cone, jsonwriter
 from hibikit.cli import canonical_json, main, parse_vector
 from hibikit.cone import cone_K, face_of
+from hibikit.errors import BadParams
 from hibikit.exactgeom import LatticePolytope, polytope_json
 from hibikit.lattice import birkhoff, grassmann_lattice, parse_lattice
 from hibikit.poset import antichain, from_cover_relations
@@ -543,6 +544,48 @@ def test_parse_vector_fractions():
     assert parse_vector("1/6 -1/4 0", 3) == ((2, -3, 0), 12)
 
 
+TOKEN_PARTS = st.tuples(st.sampled_from(["", "+", "-"]), st.sampled_from(["", "0", "00"]),
+                        st.integers(0, 10**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(TOKEN_PARTS, min_size=1, max_size=6), st.sampled_from([",", " ", ", ", ",\t"]))
+def test_integer_weights_skip_fraction(parts, sep):
+    # ASCII [+-]?[0-9]+ tokens, signs, -0 and leading zeros included, give
+    # what Fraction gives them over den 1, without calling Fraction
+    import fractions
+
+    tokens = [sign + zeros + str(v) for sign, zeros, v in parts]
+    want = tuple(int(Fraction(t)) for t in tokens)
+
+    def no_fraction(*args):
+        raise AssertionError("an integer weight took the Fraction path")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fractions, "Fraction", no_fraction)
+        assert parse_vector(sep.join(tokens), len(tokens)) == (want, 1)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("1_0 2", ((10, 2), 1)),        # int() and Fraction() both read 1_0
+    ("\u0661\u0662 3", ((12, 3), 1)),  # Arabic-Indic digits
+    ("\u00b2 1", None),               # a superscript: isdigit, but no number
+    ("1__0 1", None),
+    ("+-1 1", None),
+    ("3/3 -2/1", ((1, -2), 1)),
+], ids=["underscore", "non-ASCII digits", "superscript", "double underscore",
+        "two signs", "fractions over 1"])
+def test_other_weights_get_fractions_values(text, want):
+    # every token but ASCII digits after one optional sign takes the
+    # Fraction path (test_startup_loads_only_what_the_subcommand_runs), and
+    # gets Fraction's value or its message
+    if want is None:
+        with pytest.raises(BadParams, match="bad weight vector entry: Invalid literal"):
+            parse_vector(text, 2)
+    else:
+        assert parse_vector(text, 2) == want
+
+
 def test_canonical_json_sorted_and_terminated():
     text = canonical_json({"b": 1, "a": [2, 3]})
     assert text.endswith("\n")
@@ -569,6 +612,46 @@ def uniform_arrays(leaves):
     return st.lists(st.integers(1, 3), max_size=3).flatmap(of_shape)
 
 
+# keys a %-template would misread if they were not escaped into it
+KEYS = st.sampled_from(["%", "%%", "%d", "%s", "a", "b", '"', "\\", "\n", "é"]) | TRICKY
+
+
+@st.composite
+def record_lists(draw, inner):
+    """Lists of up to five dicts that share one key set and, key by key,
+    one shape: leaves, arrays of one length, empty lists or tuples, and
+    nested records, arrays being lists or tuples row by row; the lists the
+    writer fills from one template. Half are made ragged: one row gets a
+    value of any shape for one key, or loses a key."""
+    def shape(depth):
+        nested = ["record"] if depth < 2 else []
+        kind = draw(st.sampled_from(["int", "str", "array", "empty", *nested]))
+        if kind == "int":
+            return st.integers()
+        if kind == "str":
+            return TRICKY | PERCENT
+        if kind == "empty":
+            return st.sampled_from([[], ()])
+        if kind == "array":
+            n = draw(st.integers(1, 3))
+            row = st.lists(shape(depth + 1), min_size=n, max_size=n)
+            return row | row.map(tuple)
+        keys = draw(st.lists(KEYS, unique=True, max_size=3))
+        return st.fixed_dictionaries({k: shape(depth + 1) for k in keys})
+
+    keys = draw(st.lists(KEYS, unique=True, max_size=4))
+    rows = draw(st.lists(st.fixed_dictionaries({k: shape(1) for k in keys}),
+                         min_size=1, max_size=5))
+    if keys and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        key = draw(st.sampled_from(keys))
+        if draw(st.booleans()):
+            row[key] = draw(inner)
+        else:
+            del row[key]
+    return rows
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | TRICKY,
     lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
@@ -578,7 +661,8 @@ JSON_VALUES = st.recursive(
                    # ragged rows and empty inner lists
                    | st.lists(st.lists(st.integers())) | st.lists(st.lists(PERCENT))
                    | st.lists(st.lists(st.lists(st.integers(), max_size=2), max_size=2))
-                   | st.lists(st.lists(st.integers(), min_size=1).map(tuple))),
+                   | st.lists(st.lists(st.integers(), min_size=1).map(tuple))
+                   | record_lists(inner)),
     max_leaves=40)
 
 
@@ -591,14 +675,45 @@ def test_canonical_json_is_the_stdlib_layout(obj):
     assert canonical_json(obj) == want
 
 
+def long_lists():
+    """Lists longer than jsonwriter.CHUNK_ROWS rows: records of short rows, which
+    fill one chunk, uniform or with one ragged row, and rows of 300 ints,
+    about 90 to a chunk, of one length or of a length that changes every
+    100 rows, so that some chunks are uniform and some ragged."""
+    rows = [{"key": f"%{i}", "point": [[i, 1], [-i, 2]], "tight": []} for i in range(1300)]
+    ragged = [dict(row) for row in rows]
+    ragged[700]["point"] = [[1, 2]]
+    wide = [list(range(i, i + 300)) for i in range(600)]
+    return {"uniform": rows, "ragged": ragged, "wide": wide,
+            "chunk shapes": [row[:300 - i // 100] for i, row in enumerate(wide)],
+            "ints": list(range(-600, 600)), "strs": tuple(map(chr, range(32, 1400)))}
+
+
+@pytest.mark.parametrize("name", list(long_lists()))
+def test_long_lists_are_filled_chunk_by_chunk(name):
+    obj = long_lists()[name]
+    assert len(obj) > jsonwriter.CHUNK_ROWS
+    want = json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    assert canonical_json(obj) == want
+    assert canonical_json({"a": [obj]}) == json.dumps(
+        {"a": [obj]}, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+class Label(str):
+    """A str subclass, which the stdlib writes as a key and hibikit's does not."""
+
+
 @pytest.mark.parametrize("obj", [
     1.5, Fraction(1, 2), {1, 2}, frozenset(), b"bytes",
     {1: "int key"}, {True: "bool key"}, {None: "null key"}, {("a",): "tuple key"},
     {"a": [1, 2.0]}, [[1, 2], [3, Fraction(4)]], [{"a": {0.5}}],
     [[[1, 2], [3, 4]], [[5, 6], [7, 0.5]]], [[[Fraction(1, 2)]], [[3]]],
+    {Label("a"): 1}, [{Label("a"): 1}, {Label("a"): 2}], [{1: "a"}, {1: "b"}],
+    [{"a": 1, 2: 3}, {"a": 4, 2: 5}],
 ], ids=["float", "Fraction", "set", "frozenset", "bytes", "int key", "bool key",
         "None key", "tuple key", "nested float", "Fraction in a row", "nested set",
-        "float in a 3-level array", "Fraction in a 3-level array"])
+        "float in a 3-level array", "Fraction in a 3-level array", "str subclass key",
+        "str subclass key in records", "int key in records", "mixed keys in records"])
 def test_canonical_json_rejects_what_it_cannot_spell(obj):
     # the stdlib would write some of these (floats, int keys); the writer
     # never picks a spelling for a type it does not know
@@ -636,6 +751,45 @@ def test_main_reenters_on_one_parser(capsys, monkeypatch):
     assert "usage: hibikit cone" in capsys.readouterr().err
     assert [run_cli(capsys, argv) for argv in MIXED_JOBS] == first
     assert built.count("hibikit") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cone", "--boolean", "2", "--bogus"],  # the top-level parser reports it
+    ["cone", "--boolean", "x"],             # the subparser reports it
+    ["cone", "--grassmann", "2", "--bogus"],
+    ["flag", "--n", "3", "--bogus"],
+    ["flag", "--n", "3", "census", "extra"],
+    ["gt", "--n", "3", "bogus"],
+    ["cone", "-h"], ["flag", "-h"], ["-h"], ["bogus"], [],
+    ["flag", "--n", "3", "census"],
+    ["lattice", "--boolean", "2"],
+], ids=lambda argv: " ".join(argv) or "empty")
+def test_one_parse_matches_the_top_level_parse(argv, capsys, monkeypatch):
+    # main parses a command's arguments with its subparser alone; exit
+    # code, stdout and stderr are those of the top-level parse it skips
+    def outcome(run):
+        try:
+            code = run()
+        except SystemExit as stop:
+            code = stop.code
+        return (code, *capsys.readouterr())
+
+    def top_level():
+        args = cli._build_parser()[0].parse_args(argv)
+        return args.func(args)
+
+    parses = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parses.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    got = outcome(lambda: main(argv))
+    if argv and argv[0] in ("cone", "flag", "gt", "lattice"):
+        assert parses == [f"hibikit {'gt' if argv[0] == 'flag' else argv[0]}"]
+    assert got == outcome(top_level)
 
 
 # Prints main(argv)'s exit status and the modules that `import hibikit.cli`
@@ -677,6 +831,11 @@ def test_startup_loads_only_what_the_subcommand_runs():
         loaded = loaded_modules(argv.split(), 0)
         assert not loaded & {f"hibikit.{m}" for m in absent}, argv
         assert "dataclasses" not in loaded, argv
+    # integer weights never import fractions; any other token does
+    for w, fractions in [("0,+1,-0,003", False), ("0,1_0,1,30", True),
+                         ("\u0660,1,1,3", True), ("0,1/2,1/2,3/2", True)]:
+        loaded = loaded_modules(["permutahedron", "--boolean", "2", "--w", w], 0)
+        assert ("fractions" in loaded) == fractions, w
 
 
 def test_module_entry_point_subprocess():

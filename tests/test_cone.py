@@ -537,12 +537,16 @@ def accepted_labels():
 @given(st.lists(st.tuples(accepted_labels(), accepted_labels()), max_size=6))
 def test_face_key_is_the_compact_json_of_its_pairs(labels):
     # the key reads the pairs' labels off the elements; meet and join,
-    # the last two elements, are not in it
+    # the last two elements, are not in it. Every mask is spelled from the
+    # same fragments, joined in rank order
     elements = [x for pair in labels for x in pair] + ["m", "j"]
     m = len(elements) - 2
     tight = [DiamondPair(2 * k, 2 * k + 1, m, m + 1) for k in range(len(labels))]
-    assert cone_module._key_of(elements, tight, (1 << len(tight)) - 1) == json.dumps(
-        sorted(sorted([a, b]) for a, b in labels), separators=(",", ":"))
+    fragments = cone_module._fragments(elements, tight)
+    for mask in range(1 << len(tight)):
+        assert cone_module._key_of(fragments, mask) == json.dumps(
+            sorted(sorted([a, b]) for k, (a, b) in enumerate(labels) if mask >> k & 1),
+            separators=(",", ":"))
 
 
 def faces_by_subset_scan(K):

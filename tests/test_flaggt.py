@@ -637,6 +637,20 @@ def test_gt_subdivision_3_full():
     assert len(union) == 8
 
 
+def test_census_is_counted_once_per_rank(monkeypatch):
+    # the census depends on n alone: one component_shape per linear
+    # extension, once, and each call returns a dict of its own
+    calls = []
+    shape = flaggt.component_shape
+    monkeypatch.setattr(flaggt, "component_shape",
+                        lambda gt, ext: calls.append(ext) or shape(gt, ext))
+    gt = GelfandTsetlin(4)
+    first = shape_census(gt)
+    first["3x2x1"] = 0
+    assert shape_census(gt) == {"3x2x1": 8, "2x2x2": 2, "4x1x1": 2}
+    assert len(calls) == 12
+
+
 def test_gt_subdivision_4_full():
     parts = sections(4, full_face)
     assert len(parts) == 12

@@ -526,9 +526,9 @@ def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
         built["graphs"] += 1
         return graph(*args)
 
-    def counting_key(elements, pairs, tight):
+    def counting_key(fragments, tight):
         built["keys"] += 1
-        return key_of(elements, pairs, tight)
+        return key_of(fragments, tight)
 
     monkeypatch.setattr(lattice, "DiamondPair", counting_pair)
     monkeypatch.setattr(subdivision, "StaircaseTable", counting_table)
