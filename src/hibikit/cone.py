@@ -32,7 +32,7 @@ from typing import Sequence
 from .errors import NotInCone, TooLarge
 from .exactgeom import _echelon, _extreme_rays, integer_kernel, lp_feasible, rank
 from .lattice import DiamondPair, Lattice, diamond_pairs
-from .poset import _bits
+from .poset import _bits, _kept
 
 MAX_FACES = 100000
 MAX_RAYS = 2000
@@ -50,19 +50,18 @@ def pair_normal(L: Lattice, d: DiamondPair) -> tuple[int, ...]:
 
 class MaxCone:
     """The closed cone K-bar with its certified minimal H-description. It
-    keeps its apex, the face with every pair tight, the last face that
-    cli.resolve_face resolved on it, and, once enumerate_faces has run, the
-    cone's rays placed on L, from which enumerated_face sums a witness."""
+    keeps its apex, the face with every pair tight, and the last face that
+    cli.resolve_face resolved on it; what depends on the cone alone is kept
+    in its memo by the function that builds it (poset._kept)."""
 
     def __init__(self, lattice: Lattice, pairs: Sequence[DiamondPair],
                  normals: Sequence[tuple[int, ...]]):
         self.lattice = lattice
         self.pairs: tuple[DiamondPair, ...] = tuple(pairs)
         self.normals: tuple[tuple[int, ...], ...] = tuple(normals)
-        # the apex's witness is never read: sample_relative_interior gives 0
         self.apex = Face(self, (1 << len(self.pairs)) - 1, ((0,) * lattice.size, 1))
         self._resolved: tuple[str, Face] | None = None  # cli.resolve_face
-        self._rays: tuple[tuple[int, ...], ...] | None = None  # enumerate_faces
+        self._memo: dict = {}  # _kept
 
     def __repr__(self):
         return f"MaxCone({len(self.pairs)} facets over {self.lattice!r})"
@@ -71,38 +70,33 @@ class MaxCone:
 class Face:
     """A face of K-bar, identified by its closed tight set, the mask tight
     over cone.pairs. Its witness (w, den) is a point w / den of its
-    relative interior.
+    relative interior, where subdivision.face_subdivision subdivides.
 
-    What depends on the face alone is built on first use and kept here, so
-    every job on one face reads the same ones: its key (key), the integer
-    basis of its span (span_of_face) and its checked regular subdivision
-    (subdivision.face_subdivision)."""
+    What depends on the face alone is kept in its memo by the function that
+    builds it (poset._kept), so every job on one face reads the same
+    tables."""
 
     def __init__(self, cone: MaxCone, tight: int, witness: tuple[tuple[int, ...], int]):
         self.cone = cone
         self.tight = tight
-        self._witness = witness
-        self._key: str | None = None  # key()
-        self._span: tuple[tuple[int, ...], ...] | None = None  # span_of_face
-        self._subdivision = None  # subdivision.face_subdivision
+        self.witness = witness
+        self._memo: dict = {}  # _kept
 
+    @_kept
     def key(self) -> str:
         """The face's key, built once."""
-        if self._key is None:
-            self._key = _key_of(key_fragments(self.cone.lattice), self.tight)
-        return self._key
+        return _key_of(key_fragments(self.cone.lattice), self.tight)
 
     def __repr__(self):
         return f"Face(tight {self.key()})"
 
 
+@_kept
 def key_fragments(L: Lattice) -> tuple[tuple[str, ...], tuple[int, ...]]:
     """Each diamond pair's [a, b] fragment of a face key, its two labels
     sorted and quoted, in key order, and each pair's rank in that order;
-    built once per lattice and kept on L beside its diamond pairs."""
-    if L._key_fragments is None:
-        L._key_fragments = _fragments(L.elements, diamond_pairs(L))
-    return L._key_fragments
+    built once per lattice."""
+    return _fragments(L.elements, diamond_pairs(L))
 
 
 def _fragments(elements: Sequence[str], pairs: Sequence[DiamondPair]):
@@ -142,6 +136,7 @@ def _tight_set(L: Lattice, w: Sequence[int], den: int) -> int:
     return tight
 
 
+@_kept
 def cone_K(L: Lattice) -> MaxCone:
     """Build K-bar and certify every inequality facet-defining: for each
     pair there is a point with that equality exact and all others slack.
@@ -155,9 +150,7 @@ def cone_K(L: Lattice) -> MaxCone:
     needs d as the meet and d ∪ {p, q} as the join. Each point is checked by
     every pair's value at it. The apex, the lineality space, is certified
     to have dimension |P| + 1 by one rank of all the normals. Built and
-    certified once per lattice, and kept on L."""
-    if L._cone is not None:
-        return L._cone
+    certified once per lattice."""
     pairs = diamond_pairs(L)
     base = [2 * comb(L.height(a), 2) for a in L.elements]
     for k, d in enumerate(pairs):
@@ -171,8 +164,7 @@ def cone_K(L: Lattice) -> MaxCone:
     normals = [pair_normal(L, d) for d in pairs]
     if L.size - rank(normals) != L.poset_P.size + 1:
         raise AssertionError("apex dimension is not |P|+1")
-    L._cone = MaxCone(L, pairs, normals)
-    return L._cone
+    return MaxCone(L, pairs, normals)
 
 
 def face_of(K: MaxCone, w: Sequence[int], den: int) -> Face:
@@ -188,40 +180,22 @@ def face_of(K: MaxCone, w: Sequence[int], den: int) -> Face:
     return Face(K, _tight_set(K.lattice, w, den), (w, den))
 
 
+@_kept
 def span_of_face(F: Face) -> tuple[tuple[int, ...], ...]:
     """Saturated integer basis of {w : equality for every tight pair}, as
-    rows; built once per face and kept on F."""
-    if F._span is None:
-        n = F.cone.lattice.size
-        rows = [F.cone.normals[i] for i in _bits(F.tight)]
-        basis = (integer_kernel(rows) if rows
-                 else [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-        F._span = tuple(map(tuple, basis))
-    return F._span
-
-
-def sample_relative_interior(F: Face) -> tuple[tuple[int, ...], int]:
-    """Exact relative-interior witness (w, den), the point w / den: tight
-    equalities exact, every other diamond inequality slack at least 1."""
-    K = F.cone
-    loose = [k for k in range(len(K.pairs)) if not F.tight >> k & 1]
-    if not loose:
-        return (0,) * K.lattice.size, 1
-    # the least slack is low / den; scaling by ceil(den / low) lifts it to 1
-    w, den = F._witness
-    low = min(K.pairs[k].value(w) for k in loose)
-    if low <= 0:
-        # every Face is built with a witness slack on every loose pair
-        raise AssertionError("face witness is not slack on every loose pair")
-    if low < den:
-        scale = -(-den // low)
-        w = tuple(scale * x for x in w)
-    return w, den
+    rows; built once per face."""
+    n = F.cone.lattice.size
+    rows = [F.cone.normals[i] for i in _bits(F.tight)]
+    basis = (integer_kernel(rows) if rows
+             else [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    return tuple(map(tuple, basis))
 
 
 def _close_tight(K: MaxCone, tight: int) -> tuple[int, tuple[tuple[int, ...], int]]:
     """Close a tight mask against K-bar and produce an interior witness, the
-    sum of the LP points over the lcm of their denominators.
+    sum of the LP points over the lcm of their denominators. Each point has
+    its own pair's value at least 1 and every other pair's at least 0, so
+    the sum has every loose pair's value at least den.
 
     A pair k is implied when {tight equalities, all inequalities, slack >= 1
     on k} is infeasible. Implied equalities do not change the face, so the
@@ -251,20 +225,14 @@ def enumerate_faces(K: MaxCone) -> list[tuple[int, int]]:
     {h : N_J h >= 0}; the faces' tight sets are all pairs (the apex) and the
     intersections of rays' tight sets (Kaibel & Pfetsch 2002). A face is
     determined by its rays, bit r of its ray mask standing for the r-th ray,
-    those tight on every pair of the face. K keeps the rays, placed on L
-    with zeros off J, for enumerated_face."""
+    those tight on every pair of the face."""
     m = len(K.pairs)
-    n = K.lattice.size
-    J = _echelon(K.normals)[2]
-    rays = _extreme_rays([[row[j] for j in J] for row in K.normals], MAX_RAYS) if J else []
+    rays = _rays(K)
     masks = {(1 << m) - 1}
     for _, tight in rays:
         masks |= {tight & mask for mask in masks}
         if len(masks) > MAX_FACES:
             raise TooLarge(f"more than {MAX_FACES} faces; enumeration is capped there")
-    place = {j: i for i, j in enumerate(J)}
-    K._rays = tuple(tuple(ray[place[j]] if j in place else 0 for j in range(n))
-                    for ray, _ in rays)
     # the rays on pair k; a face's rays are those on each of its pairs
     on_pair = [sum(1 << r for r, (_, tight) in enumerate(rays) if tight >> k & 1)
                for k in range(m)]
@@ -278,11 +246,24 @@ def enumerate_faces(K: MaxCone) -> list[tuple[int, int]]:
     return faces
 
 
+@_kept
+def _rays(K: MaxCone) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The rays of enumerate_faces, each placed on L as an integer point,
+    zero off the columns J, with its tight mask; built once per cone."""
+    n = K.lattice.size
+    J = _echelon(K.normals)[2]
+    rays = _extreme_rays([[row[j] for j in J] for row in K.normals], MAX_RAYS) if J else []
+    place = {j: i for i, j in enumerate(J)}
+    return tuple((tuple(ray[place[j]] if j in place else 0 for j in range(n)), tight)
+                 for ray, tight in rays)
+
+
 def enumerated_face(K: MaxCone, tight: int, rays: int) -> Face:
     """The Face of one (tight mask, ray mask) pair of enumerate_faces(K).
-    Its witness is the sum of its rays, positive on every pair loose on
-    the face since some ray of the face is slack there."""
-    on_face = [K._rays[r] for r in _bits(rays)]
+    Its witness is the sum of its rays, over den 1, at least 1 on every
+    pair loose on the face since some ray of the face is slack there."""
+    placed = _rays(K)
+    on_face = [placed[r][0] for r in _bits(rays)]
     w = tuple(map(sum, zip(*on_face))) if on_face else (0,) * K.lattice.size
     return Face(K, tight, (w, 1))
 

@@ -54,7 +54,7 @@ from .cone import Face
 from .errors import BadParams, TooLarge
 from .exactgeom import LatticePolytope
 from .lattice import Lattice, _label_of, flag_lattice
-from .poset import Poset, _bits, ideal_masks, linear_extensions
+from .poset import Poset, _bits, _kept, ideal_masks, linear_extensions
 from .subdivision import face_subdivision
 
 MAX_GT_RANK = 6
@@ -131,7 +131,6 @@ def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
 class MarkedPoset:
     """A poset with a marked subset carrying fixed integer values:
     values[j] is the marking of base.elements[j], None when it is free.
-    Equal when the base and the values are.
 
     Convention: points satisfy x_p >= x_q whenever p < q, so values must
     not increase along the order.
@@ -153,14 +152,6 @@ class MarkedPoset:
             for a in _bits(below[b]):
                 if values[a] is not None:
                     assert values[a] >= values[b]
-
-    def __eq__(self, other):
-        if not isinstance(other, MarkedPoset):
-            return NotImplemented
-        return self.base == other.base and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.base, self.values))
 
     def marked(self) -> list[int]:
         return [j for j, v in enumerate(self.values) if v is not None]
@@ -189,11 +180,10 @@ class GelfandTsetlin:
     order ideal as a bitmask over the triangular poset.
 
     The sections' inputs are built on first use and kept, each certified
-    once: the flag lattice (flag), whose cone.cone_K stays on it; P's
-    cells in Pbar (cell_at), through gt_poset_iso; and the patterns with
-    their chains as masks over flag's elements (pattern_masks). So are the
-    vertices (gt_vertices) and the census (shape_census), which depend on
-    n alone."""
+    once: the flag lattice (flag); P's cells in Pbar (cell_at), through
+    gt_poset_iso; and the patterns with their chains as masks over flag's
+    elements (pattern_masks). What else depends on n alone is kept in its
+    memo by the function that builds it (poset._kept)."""
 
     def __init__(self, n: int):
         if n > MAX_GT_RANK:
@@ -202,8 +192,7 @@ class GelfandTsetlin:
         self.poset = gt_poset(n)
         self.marked = gt_marked_poset(n)
         self.phi = _phi(n, self.poset)
-        self.vertices: Optional[tuple[GTVertex, ...]] = None  # gt_vertices
-        self.census: Optional[tuple[tuple[str, int], ...]] = None  # shape_census
+        self._memo: dict = {}  # _kept
 
     @cached_property
     def flag(self) -> Lattice:
@@ -329,6 +318,7 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
     return out
 
 
+@_kept
 def gt_vertices(gt: GelfandTsetlin) -> tuple[GTVertex, ...]:
     """Vertices of the Gelfand-Tsetlin polytope with exact decompositions,
     on the (n-1)-scaled integer lattice: each vertex keeps its scaled point
@@ -343,19 +333,16 @@ def gt_vertices(gt: GelfandTsetlin) -> tuple[GTVertex, ...]:
     exactly its 0/1 points (Stanley, "Two poset polytopes", 1986), which
     are the k-index flag points. Each k-index flag point must lie in it.
 
-    Built once per rank and kept on gt.vertices.
+    Built once per rank.
     """
-    if gt.vertices is not None:
-        return gt.vertices
     mp = gt.marked
     flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
     for k in range(1, gt.n):
         level = mu_k_marked_poset(gt, k)
         assert all(_satisfies(level, mp.base, flag_points[lbl]) for lbl in gt.phi if len(lbl) == k), \
             "each k-index flag point must lie in the level-k polytope"
-    gt.vertices = tuple(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain)
-                        for point, chain in gt_patterns(gt) if _is_vertex(mp, mp.base, point))
-    return gt.vertices
+    return tuple(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain)
+                 for point, chain in gt_patterns(gt) if _is_vertex(mp, mp.base, point))
 
 
 # -- sections of the ambient subdivision -------------------------------------
@@ -515,12 +502,15 @@ def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]
 
 def shape_census(gt: GelfandTsetlin) -> dict[str, int]:
     """How many linearizations produce each multiset of block sizes, as a
-    new dict on every call; counted once per rank and kept on gt.census."""
-    if gt.census is None:
-        census: dict[str, int] = {}
-        for ext in linear_extensions(gt.poset):
-            shape = component_shape(gt, ext)
-            key = "x".join(str(d) for d in sorted(shape, reverse=True))
-            census[key] = census.get(key, 0) + 1
-        gt.census = tuple(census.items())
-    return dict(gt.census)
+    new dict on every call; counted once per rank."""
+    return dict(_census(gt))
+
+
+@_kept
+def _census(gt: GelfandTsetlin) -> tuple[tuple[str, int], ...]:
+    census: dict[str, int] = {}
+    for ext in linear_extensions(gt.poset):
+        shape = component_shape(gt, ext)
+        key = "x".join(str(d) for d in sorted(shape, reverse=True))
+        census[key] = census.get(key, 0) + 1
+    return tuple(census.items())

@@ -16,10 +16,10 @@ its monomials' factors' ideals, as many as the standard monomials. Each class
 gives its distinct supports, as bit masks over L's elements, consecutive bit
 positions: a block, followed by one guard bit. The table keeps, per element
 e, one int of the positions whose support contains e; it is built once per
-degree and kept on the Lattice. The intersection of a face's component
-ideals has one small rank per class, a support's row being the set of
-components containing it, and the bit layout finds those ranks for all
-classes at once with a few int operations per component.
+lattice and degree. The intersection of a face's component ideals has one
+small rank per class, a support's row being the set of components
+containing it, and the bit layout finds those ranks for all classes at
+once with a few int operations per component.
 
 A certificate row checks that three dimensions are equal: dim in_w(I)_l, the
 dimension of the intersection of the face's component ideals, and dim R_l
@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 from .errors import BadParams
 from .exactgeom import rank
 from .lattice import Lattice
-from .poset import _bits
+from .poset import _bits, _kept
 
 MAX_ELEMENTS = 12
 MAX_DEGREE = 6
@@ -80,34 +80,12 @@ class DegreeTable(NamedTuple):
     lows: int  # the lowest position of each block
 
 
+@_kept
 def degree_table(L: Lattice, l: int) -> DegreeTable:
-    """The degree-l monomials of L by exponent-sum class, laid out as bits.
-    The classes are told apart by their packed sums, one digit per element
-    of poset_P in base MAX_DEGREE + 1, so adding up to MAX_DEGREE indicators
-    never carries. Two per-lattice tables are kept on L: each degree's
-    table, built once, and the (packed sum, support) states of the degree-k
-    monomials for every k built so far, each degree's states extending the
-    last's by one factor; a state is one int, the support in its low L.size
-    bits."""
+    """The degree-l monomials of L by exponent-sum class, laid out as bits,
+    built once per lattice and degree from the degree's monomial states."""
     _check_caps(L.size, l)
-    table = L._degree_tables.get(l)
-    if table is None:
-        table = L._degree_tables[l] = _build_degree_table(L, l)
-    return table
-
-
-def _build_degree_table(L: Lattice, l: int) -> DegreeTable:
-    # states[k]: the (packed sum, support mask) pairs of the degree-k
-    # monomials, each one int with the support in its low L.size bits
-    states = L._degree_states
     n = L.size
-    if len(states) <= l:
-        base = MAX_DEGREE + 1
-        factors = [(sum(base ** j for j in _bits(m)) << n, 1 << i) for i, m in enumerate(L.masks)]
-        if not states:
-            states.append({0})
-        while len(states) <= l:
-            states.append({state + packed | bit for state in states[-1] for packed, bit in factors})
     # per position, its support; at a guard, the item's top bit, above every
     # element while L.size < width (MAX_ELEMENTS keeps it so). Sorted, the
     # states of one class sit next to each other, so a guard goes wherever
@@ -116,7 +94,7 @@ def _build_degree_table(L: Lattice, l: int) -> DegreeTable:
     width = 8 * cells.itemsize
     guard = 1 << width - 1
     support = (1 << n) - 1
-    ordered = sorted(states[l])
+    ordered = sorted(_degree_states(L, l))
     last = ordered[0] >> n
     for state in ordered:
         if state >> n != last:
@@ -131,6 +109,21 @@ def _build_degree_table(L: Lattice, l: int) -> DegreeTable:
     guards = int(digits[::width], 2)
     lows = (guards << 1 | 1) & ~(1 << len(cells))  # position 0 and the one above each guard
     return DegreeTable(within, guards, lows)
+
+
+@_kept
+def _degree_states(L: Lattice, l: int) -> set[int]:
+    """The (packed sum, support) states of the degree-l monomials of L, each
+    one int with the support in its low L.size bits, built once per lattice
+    and degree by extending the degree below's states by one factor. The
+    classes are told apart by their packed sums, one digit per element of
+    poset_P in base MAX_DEGREE + 1, so adding up to MAX_DEGREE indicators
+    never carries."""
+    if not l:
+        return {0}
+    base, n = MAX_DEGREE + 1, L.size
+    factors = [(sum(base ** j for j in _bits(m)) << n, 1 << i) for i, m in enumerate(L.masks)]
+    return {state + packed | bit for state in _degree_states(L, l - 1) for packed, bit in factors}
 
 
 def standard_monomial_count(L: Lattice, l: int) -> int:

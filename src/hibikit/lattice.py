@@ -29,12 +29,13 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BadParams, NotALattice, NotDistributive, TooLarge, UnknownLabel
 from .poset import (
     Poset,
     _bits,
+    _kept,
     check_labels,
     from_cover_relations,
     ideal_masks,
@@ -61,15 +62,9 @@ class Lattice:
     masks: per element, its order ideal of poset_P as a bitmask
     at_mask: the element index of each mask
 
-    The tables that depend on the lattice alone are built on first use and
-    kept here, so every face of one lattice reads the same ones: the linear
-    extensions (extensions), the diamond pairs (diamond_pairs) and their
-    face-key fragments (cone.key_fragments), the certified cone K-bar
-    (cone.cone_K), the subdivision's staircase table and adjacency graph
-    (subdivision.staircase_table, subdivision.adjacency_graph), and the
-    degree-wise monomial states and tables of hibi.degree_table. No table keeps a subdivision's parts: each
-    weight's parts are built from the staircase table and certified by the
-    envelope check alone (see the subdivision module docstring).
+    What depends on the lattice alone is kept in its memo by the function
+    that builds it (poset._kept), so every face of one lattice reads the
+    same tables.
     """
 
     def __init__(self, elements, poset_P, masks):
@@ -78,14 +73,7 @@ class Lattice:
         self.masks: tuple[int, ...] = tuple(masks)
         self._index = {x: i for i, x in enumerate(self.elements)}
         self.at_mask = {m: i for i, m in enumerate(self.masks)}
-        self._extensions: Optional[tuple[tuple[int, ...], ...]] = None
-        self._diamond_pairs: Optional[tuple[DiamondPair, ...]] = None
-        self._key_fragments = None  # cone.key_fragments
-        self._cone = None  # cone.cone_K
-        self._staircases = None  # subdivision.staircase_table
-        self._adjacency_graph = None  # subdivision.adjacency_graph
-        self._degree_states: list[set[int]] = []  # hibi.degree_table
-        self._degree_tables: dict[int, tuple] = {}  # hibi.degree_table
+        self._memo: dict = {}  # _kept
 
     # -- basic structure ----------------------------------------------------
 
@@ -113,17 +101,16 @@ class Lattice:
     def height(self, a: str) -> int:
         return self._mask(a).bit_count()
 
+    @_kept
     def extensions(self) -> tuple[tuple[int, ...], ...]:
         """The linear extensions of poset_P, as linear_extensions yields
         them; built once per lattice. They are counted first, and past
         MAX_EXTENSIONS none is listed: TooLarge."""
-        if self._extensions is None:
-            count = _extension_count(self)
-            if count > MAX_EXTENSIONS:
-                raise TooLarge(f"{count} linear extensions; listing them is capped at "
-                               f"{MAX_EXTENSIONS}")
-            self._extensions = tuple(linear_extensions(self.poset_P))
-        return self._extensions
+        count = _extension_count(self)
+        if count > MAX_EXTENSIONS:
+            raise TooLarge(f"{count} linear extensions; listing them is capped at "
+                           f"{MAX_EXTENSIONS}")
+        return tuple(linear_extensions(self.poset_P))
 
     def __eq__(self, other):
         return (isinstance(other, Lattice) and self.elements == other.elements
@@ -337,13 +324,12 @@ def flag_lattice(n: int) -> Lattice:
 # structure maps
 
 
+@_kept
 def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
     """All unordered diamond pairs, as element indices in increasing order;
-    built once per lattice and kept on L. A diamond is an ideal m, its meet,
-    with two addable elements p and q: minimal elements of its complement.
-    Its sides are m + p and m + q and its join m + p + q."""
-    if L._diamond_pairs is not None:
-        return L._diamond_pairs
+    built once per lattice. A diamond is an ideal m, its meet, with two
+    addable elements p and q: minimal elements of its complement. Its sides
+    are m + p and m + q and its join m + p + q."""
     at = L.at_mask
     found = []
     for m in L.masks:
@@ -352,8 +338,7 @@ def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
         for p, q in combinations(addable, 2):
             a, b = sorted((at[m | p], at[m | q]))
             found.append((a, b, at[m], at[m | p | q]))
-    L._diamond_pairs = tuple(DiamondPair(*pair) for pair in sorted(found))
-    return L._diamond_pairs
+    return tuple(DiamondPair(*pair) for pair in sorted(found))
 
 
 def maximal_chain_count(L: Lattice) -> int:

@@ -8,7 +8,8 @@ A linear extension is a tuple of element indices.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence
+from functools import wraps
+from typing import Iterator, Sequence
 
 from .errors import BadParams, CycleError, TooLarge, UnknownLabel
 
@@ -27,6 +28,28 @@ def _bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
+
+
+def _kept(build):
+    """build(obj, *args), built on the first call with obj and args and
+    kept in obj's memo dict, obj._memo, under build and args, so every
+    later call reads the same table. A kept table lives as long as obj and
+    goes with it; a build that raises keeps nothing, so the next call builds
+    again. Every table that depends on one lattice, cone, face, poset or
+    rank alone is kept this way, by the function that builds it."""
+
+    @wraps(build)
+    def kept(obj, *args):
+        key = (build, *args) if args else build
+        memo = obj._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        memo[key] = table = build(obj, *args)
+        return table
+
+    return kept
 
 
 def cover_pairs(below: Sequence[int]) -> list[tuple[int, int]]:
@@ -50,13 +73,12 @@ class Poset:
     their elements and masks are.
     """
 
-    __slots__ = ("elements", "below", "_index", "_covers", "_label_pairs")
+    __slots__ = ("elements", "below", "_index", "_memo")
 
     def __init__(self, elements: tuple[str, ...], below: tuple[int, ...]):
         self.elements = elements
         self.below = below
-        self._covers: Optional[tuple[tuple[int, int], ...]] = None  # cover_indices()
-        self._label_pairs: Optional[frozenset[tuple[str, str]]] = None  # label_pairs()
+        self._memo: dict = {}  # _kept
         n = len(elements)
         self._index = {x: i for i, x in enumerate(elements)}
         if len(self._index) != n:
@@ -99,27 +121,22 @@ class Poset:
     def size(self) -> int:
         return len(self.elements)
 
+    @_kept
     def cover_indices(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j) of indices, elements[i] < elements[j] with
         nothing in between, ordered by i, then j; scanned once per poset."""
-        if self._covers is None:
-            self._covers = tuple(self._scan_covers())
-        return self._covers
+        return tuple(cover_pairs(self.below))
 
     def covers(self) -> list[tuple[str, str]]:
         """Cover pairs (a, b) with a < b and nothing in between, as labels,
         in the order of cover_indices."""
         return [(self.elements[i], self.elements[j]) for i, j in self.cover_indices()]
 
-    def _scan_covers(self) -> list[tuple[int, int]]:
-        return cover_pairs(self.below)
-
+    @_kept
     def label_pairs(self) -> frozenset[tuple[str, str]]:
         """The relation as (a, b) label pairs, a < b; built once per poset."""
-        if self._label_pairs is None:
-            self._label_pairs = frozenset((self.elements[i], self.elements[j])
-                                          for j, m in enumerate(self.below) for i in _bits(m))
-        return self._label_pairs
+        return frozenset((self.elements[i], self.elements[j])
+                         for j, m in enumerate(self.below) for i in _bits(m))
 
 
 def from_cover_relations(labels: list[str], covers: list[tuple[str, str]]) -> Poset:

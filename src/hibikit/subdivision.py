@@ -64,10 +64,10 @@ from math import gcd
 from operator import and_, eq, lt
 from typing import NamedTuple, Sequence
 
-from .cone import Face, _key_of, _tight_set, key_fragments, sample_relative_interior
+from .cone import Face, _key_of, _tight_set, key_fragments
 from .exactgeom import LatticePolytope, vector_pairs
 from .lattice import Lattice, diamond_pairs
-from .poset import _bits, cover_pairs
+from .poset import _bits, _kept, cover_pairs
 
 
 class Part(NamedTuple):
@@ -117,7 +117,7 @@ class Subdivision:
 
 class StaircaseTable(NamedTuple):
     """The weight-independent half of regular_subdivision, built once per
-    lattice and kept on L. For the k-th linear extension t of P, chains[k]
+    lattice. For the k-th linear extension t of P, chains[k]
     holds the element indices of its maximal chain, the ideals of t's
     prefixes from the bottom up, and befores[k][p] the mask of the elements
     t puts before p. peel lists (i, parent, j) for every element i but the
@@ -129,10 +129,9 @@ class StaircaseTable(NamedTuple):
     peel: tuple[tuple[int, int, int], ...]
 
 
+@_kept
 def staircase_table(L: Lattice) -> StaircaseTable:
     """L's staircase table, built on first use."""
-    if L._staircases is not None:
-        return L._staircases
     at = L.at_mask
     n = L.poset_P.size
     chains, befores = [], []
@@ -152,8 +151,7 @@ def staircase_table(L: Lattice) -> StaircaseTable:
         # removing a maximal member of an ideal leaves an ideal
         j = next(j for j in reversed(_bits(m)) if m ^ 1 << j in at)
         peel.append((i, at[m ^ 1 << j], j))
-    L._staircases = StaircaseTable(tuple(chains), tuple(befores), tuple(peel))
-    return L._staircases
+    return StaircaseTable(tuple(chains), tuple(befores), tuple(peel))
 
 
 def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
@@ -220,14 +218,13 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     return Subdivision(L, ws, den, tuple(parts), tight)
 
 
+@_kept
 def face_subdivision(F: Face) -> Subdivision:
-    """The subdivision of the face: regular_subdivision at an interior
-    sample, verified against the tightness/same-part correspondence. Built
-    and checked once per face, and kept on F."""
-    if F._subdivision is not None:
-        return F._subdivision
+    """The subdivision of the face: regular_subdivision at its witness,
+    verified against the tightness/same-part correspondence. Built and
+    checked once per face."""
     L = F.cone.lattice
-    sub = regular_subdivision(L, *sample_relative_interior(F))
+    sub = regular_subdivision(L, *F.witness)
     if sub.tight != F.tight:
         raise AssertionError("sample does not lie in the face's relative interior")
 
@@ -238,7 +235,6 @@ def face_subdivision(F: Face) -> Subdivision:
         if (part[i] == part[j]) != bool(F.tight >> pair & 1):
             raise AssertionError(
                 "tight diamond pairs must match same-part adjacencies")
-    F._subdivision = sub
     return sub
 
 
@@ -278,6 +274,7 @@ class AdjacencyGraph(NamedTuple):
     pairs: tuple[int, ...]
 
 
+@_kept
 def adjacency_graph(L: Lattice) -> AdjacencyGraph:
     """Extensions adjacent when their staircase simplices share a facet,
     built from adjacent swaps: t[k] and t[k+1] incomparable give the
@@ -285,10 +282,7 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
     across the diamond with meet m, the ideal before them, and sides
     m + t[k] and m + t[k+1]. Edges (i, j), i < j, are listed in order.
     Every diamond pair must label some edge, or face_subdivision could not
-    read its tightness off the parts. Built and checked once per lattice
-    and kept on L."""
-    if L._adjacency_graph is not None:
-        return L._adjacency_graph
+    read its tightness off the parts. Built and checked once per lattice."""
     exts = L.extensions()
     where = {t: i for i, t in enumerate(exts)}
     pairs = diamond_pairs(L)
@@ -314,8 +308,7 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
             edge_pairs.append(pair)
     if len(set(edge_pairs)) != len(pairs):
         raise AssertionError("every diamond pair needs a witnessing adjacency")
-    L._adjacency_graph = AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
-    return L._adjacency_graph
+    return AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
 
 
 def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> LatticePolytope:

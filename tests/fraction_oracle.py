@@ -1166,7 +1166,7 @@ def sample_relative_interior(F) -> Vec:
     loose = [k for k in range(len(K.pairs)) if not F.tight >> k & 1]
     if not loose:
         return zero_vec(K.lattice.size)
-    num, den = F._witness
+    num, den = F.witness
     w = tuple(Fraction(x, den) for x in num)
     low = min(vdot(K.normals[k], w) for k in loose)
     assert low > 0, "face witness is not slack on every loose pair"

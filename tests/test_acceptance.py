@@ -15,7 +15,7 @@ from fraction_oracle import (AffineMap, enumerated_faces, hull, indicator, inver
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
-from hibikit.cone import cone_K, enumerate_faces, face_of, sample_relative_interior
+from hibikit.cone import cone_K, enumerate_faces, face_of
 from hibikit.flaggt import GelfandTsetlin, gt_poset_iso, gt_subdivision, gt_vertices
 from hibikit.hibi import degeneration_certificate
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
@@ -136,7 +136,7 @@ def test_acceptance_6_gt_consistency():
         parts = gt_subdivision(gt, F)
         sub = face_subdivision(F)
         assert len(parts) == len(sub.parts)
-        w, den = sample_relative_interior(F)
+        w, den = F.witness
         iso = gt_poset_iso(gt, L)
         pbar = pbar_labels(n)
         for v in gt_vertices(gt):

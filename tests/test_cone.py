@@ -19,14 +19,15 @@ from hibikit.cone import (
     _close_tight,
     cone_K,
     enumerate_faces,
+    enumerated_face,
     face_of,
     pair_normal,
-    sample_relative_interior,
     span_of_face,
 )
 from hibikit.errors import BadParams, NotInCone, TooLarge
 from hibikit.exactgeom import rank
-from hibikit.lattice import DiamondPair, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
+from hibikit.lattice import (DiamondPair, Lattice, birkhoff, diamond_pairs, flag_lattice,
+                             grassmann_lattice)
 from hibikit.poset import antichain, check_labels, from_cover_relations
 from order_oracle import chain
 
@@ -169,7 +170,7 @@ def test_cone_ranks_only_for_the_apex_check(monkeypatch, capsys):
     assert main(["cone", "--boolean", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["face_count"] == 22
-    assert calls == [list(cli._lattice("boolean", 3)._cone.normals)]
+    assert calls == [list(cone_K(cli._lattice("boolean", 3)).normals)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -211,7 +212,7 @@ def test_cone_builds_no_faces(monkeypatch, capsys):
     cli._lattice.cache_clear()  # a cold B3, whose cone_K builds the apex
     assert main(["cone", "--boolean", "3"]) == 0
     assert json.loads(capsys.readouterr().out)["face_count"] == 22
-    K = cli._lattice("boolean", 3)._cone
+    K = cone_K(cli._lattice("boolean", 3))
     assert events == [("face", K.apex.tight)]
 
 
@@ -227,7 +228,7 @@ def test_certify_builds_each_face_after_the_rows_before_it(monkeypatch, capsys):
     cli._lattice.cache_clear()
     assert main(["certify", "--boolean", "3", "--lmax", "2"]) == 0
     capsys.readouterr()
-    K = cli._lattice("boolean", 3)._cone
+    K = cone_K(cli._lattice("boolean", 3))
     expected = [("face", K.apex.tight)]
     for tight, _ in enumerate_faces(K):
         expected += [("face", tight), ("row", 1), ("row", 2)]
@@ -239,8 +240,35 @@ def test_the_apex_is_one_face_per_cone():
     K = cone_K(L)
     assert is_apex(K.apex) and rank_dim(K, K.apex.tight) == L.poset_P.size + 1
     assert same_face(K.apex, face_of(K, tuple(L.height(a) for a in L.elements), 1))
-    assert sample_relative_interior(K.apex) == ((0,) * L.size, 1)
+    assert K.apex.witness == ((0,) * L.size, 1)
     assert resolve_face(K, "apex") is K.apex
+
+
+def test_a_cone_whose_facet_check_fails_is_not_kept(monkeypatch):
+    # a kept build that raises keeps nothing: every call runs the check and
+    # fails it, and once the fault is gone the next call builds the cone
+    L = birkhoff(antichain(["p", "q", "r"]))
+    monkeypatch.setattr(cone_module, "comb", lambda n, k: 0)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="not facet-defining"):
+            cone_K(L)
+    monkeypatch.undo()
+    assert cone_K(L) is cone_K(L)
+
+
+@pytest.mark.parametrize("L", [birkhoff(antichain(["p", "q", "r"])), grassmann_lattice(2, 5)],
+                         ids=["B3", "Gr(2,5)"])
+def test_enumerated_face_needs_no_enumeration_on_its_cone(L):
+    # the rays are a table of the cone, built by whichever reads them first:
+    # a fresh cone gives every enumerated face before enumerate_faces runs
+    # on it
+    faces = enumerate_faces(cone_K(L))
+    fresh = cone_K(Lattice(L.elements, L.poset_P, L.masks))
+    for tight, rays in faces:
+        F = enumerated_face(fresh, tight, rays)
+        assert F.witness == enumerated_face(cone_K(L), tight, rays).witness
+        assert face_of(fresh, *F.witness).tight == tight
+    assert enumerate_faces(fresh) == faces
 
 
 # -- face_of -----------------------------------------------------------------
@@ -367,7 +395,7 @@ def test_apex_span_is_affine_functions_of_indicators():
 def test_sample_full_face_b2():
     K = cone_K(birkhoff(antichain(["p", "q"])))
     F = face_of(K, (0, -1, -1, 0), 1)
-    w, den = sample_relative_interior(F)
+    w, den = F.witness
     assert vdot(K.normals[0], w) >= den
     assert same_face(face_of(K, w, den), F)
 
@@ -376,7 +404,7 @@ def test_sample_apex_is_fixed_point():
     L = birkhoff(antichain(["p", "q", "r"]))
     K = cone_K(L)
     apex = face_of(K, (0,) * L.size, 1)
-    assert same_face(face_of(K, *sample_relative_interior(apex)), apex)
+    assert same_face(face_of(K, *apex.witness), apex)
     # the affine weight w_S = |S| also lands in the apex
     affine = tuple(L.height(a) for a in L.elements)
     assert is_apex(face_of(K, affine, 1))
@@ -394,8 +422,8 @@ def faces_with_witnesses(name, L):
     faces = enumerated_faces(K)
     if name in LP_CLOSED_KEYS:
         faces.append(resolve_face(K, LP_CLOSED_KEYS[name]))
-    faces += [Face(K, F.tight, (tuple(c.numerator * x for x in F._witness[0]),
-                                 c.denominator * F._witness[1]))
+    faces += [Face(K, F.tight, (tuple(c.numerator * x for x in F.witness[0]),
+                                 c.denominator * F.witness[1]))
               for F in list(faces) for c in (Fraction(1, 7), Fraction(3, 10), Fraction(5, 2))]
     return faces
 
@@ -407,13 +435,28 @@ SAMPLED = [
 ]
 
 
-@pytest.mark.parametrize("name, L", SAMPLED, ids=[name for name, _ in SAMPLED])
-def test_sample_relative_interior_matches_fraction_oracle(name, L):
-    faces = faces_with_witnesses(name, L)
-    assert any(any(x % den for x in w) for w, den in (F._witness for F in faces))
+WITNESSED = SAMPLED + [("Flag(4)", flag_lattice(4))]
+
+
+@pytest.mark.parametrize("name, L", WITNESSED, ids=[name for name, _ in WITNESSED])
+def test_every_face_route_gives_a_witness_slack_at_least_den(name, L):
+    # face_subdivision subdivides at the witness itself, which every route
+    # to a Face gives slack at least den on each loose pair: the enumerated
+    # faces' ray sums, the squared heights of `full`, the apex's zero, and
+    # the lcm sums of the LP closure, on every enumerated face's mask and on
+    # the golden keys. So the witness is the oracle's sample, which scales a
+    # witness until every loose pair's slack is at least 1
+    K = cone_K(L)
+    faces = enumerated_faces(K) + [
+        cli._face_for(K, "full"), cli._face_for(K, "apex"),
+        *(Face(K, *_close_tight(K, F.tight)) for F in enumerated_faces(K))]
+    if name in LP_CLOSED_KEYS:
+        faces.append(cli._face_for(K, LP_CLOSED_KEYS[name]))
     for F in faces:
-        w, den = sample_relative_interior(F)
-        assert all(type(x) is int for x in w) and type(den) is int
+        w, den = F.witness
+        assert all(type(x) is int for x in w) and type(den) is int and den > 0
+        values = [d.value(w) for d in K.pairs]
+        assert all((v == 0) if F.tight >> k & 1 else (v >= den) for k, v in enumerate(values))
         assert tuple(Fraction(x, den) for x in w) == oracle.sample_relative_interior(F)
 
 
@@ -503,7 +546,7 @@ def test_enumerate_faces_b3_consistency():
     assert sum(is_full(f) for f in faces) == 1
     assert sum(is_apex(f) for f in faces) == 1
     for f in faces:
-        w, den = sample_relative_interior(f)
+        w, den = f.witness
         assert same_face(face_of(K, w, den), f)
         for i in range(len(K.pairs)):
             slack = vdot(K.normals[i], w)
@@ -573,7 +616,7 @@ def test_enumerate_random_small(P):
     assert [len(span_of_face(f)) for f in faces] == [rank_dim(K, f.tight) for f in oracle]
     assert sum(is_full(f) for f in faces) == 1
     for f in faces:
-        assert same_face(face_of(K, *sample_relative_interior(f)), f)
+        assert same_face(face_of(K, *f.witness), f)
         assert L.poset_P.size + 1 <= len(span_of_face(f)) <= L.size
 
 

@@ -400,15 +400,20 @@ def test_ideal_dim_matches_the_polynomial_oracles(L, l):
 @given(small_lattices())
 def test_degree_states_are_shared_across_degrees(L):
     # degree l's (packed sum, support) states extend degree l - 1's and stay
-    # on the lattice, so the tables come out the same whichever degree is
-    # read first; each degree's states are the oracle's supports by class,
-    # the packed sum read as one base-(MAX_DEGREE + 1) digit per element
+    # on the lattice: degree 4's table keeps its own and every lower
+    # degree's states, and nothing else, so reading them builds nothing, and
+    # the tables come out the same whichever degree is read first; each
+    # degree's states are the oracle's supports by class, the packed sum
+    # read as one base-(MAX_DEGREE + 1) digit per element
     cold = lattice.Lattice(L.elements, L.poset_P, L.masks)
+    degree_table(cold, 4)
+    assert len(cold._memo) == 1 + 5
+    kept = [hibi._degree_states(cold, l) for l in range(5)]
+    assert len(cold._memo) == 1 + 5
     descending = [degree_table(cold, l) for l in reversed(range(5))]
     assert [degree_table(L, l) for l in range(5)] == descending[::-1]
     base = hibi.MAX_DEGREE + 1
-    assert len(L._degree_states) == 5
-    for l, states in enumerate(L._degree_states):
+    for l, states in enumerate(kept):
         classes = {}
         for state in states:
             packed, support = state >> L.size, state & (1 << L.size) - 1
@@ -540,32 +545,37 @@ def test_samesum_factors_lie_in_intersection():
 
 
 COUNT_SCRIPT = """
-import contextlib, io, json, sys
+import contextlib, csv, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from hibikit import hibi
 from hibikit.cli import main
 counts = {"tables": [], "ranks": 0}
-build, rank = hibi._build_degree_table, hibi.rank
+table, rank = hibi.DegreeTable, hibi.rank
 
-def counting_build(L, l):
-    counts["tables"].append(l)
-    return build(L, l)
+def counting_table(within, guards, lows):
+    # one DegreeTable per build, never per lookup; a table's classes, its
+    # guards, are the degree's standard monomials
+    counts["tables"].append(guards.bit_count())
+    return table(within, guards, lows)
 
 def counting_rank(rows):
     counts["ranks"] += 1
     return rank(rows)
 
-hibi._build_degree_table, hibi.rank = counting_build, counting_rank
+hibi.DegreeTable, hibi.rank = counting_table, counting_rank
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["certify", "--boolean", "3", "--lmax", "4"])
-counts["code"], counts["rows"] = code, len(out.getvalue().splitlines()) - 1
+rows = list(csv.DictReader(io.StringIO(out.getvalue())))
+counts["code"], counts["rows"] = code, len(rows)
+counts["standard"] = sorted({(int(row["l"]), int(row["standard_count"])) for row in rows})
 print(json.dumps(counts))
 """
 
 
 @pytest.mark.parametrize("hash_seed", ["0", "3", "17"])
 def test_certify_work_counts(hash_seed):
-    # 22 faces x 4 degrees read each degree's table, built once per job.
+    # 22 faces x 4 degrees read each degree's table, built once per job,
+    # in degree order: degree l's table has one class per standard monomial.
     # Only a class with two or more distinct nonzero hit vectors is
     # eliminated, and on a face's parts there is none: the parts containing
     # a monomial's support are the parts containing its exponent sum / l
@@ -576,7 +586,8 @@ def test_certify_work_counts(hash_seed):
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     assert counts["code"] == 0 and counts["rows"] == 22 * 4
-    assert counts["tables"] == [1, 2, 3, 4]
+    assert counts["tables"] == [standard for _, standard in counts["standard"]]
+    assert [l for l, _ in counts["standard"]] == [1, 2, 3, 4]
     assert counts["ranks"] == 0
 
 

@@ -406,6 +406,19 @@ def test_extensions_are_counted_before_they_are_listed(monkeypatch):
         birkhoff(antichain(["p", "q", "r", "s"])).extensions()
 
 
+def test_refused_extensions_are_not_kept(monkeypatch):
+    # a kept build that raises keeps nothing: past the cap every call is
+    # refused again, and under a raised cap the next call lists them
+    L = birkhoff(antichain(["p", "q", "r", "s"]))
+    monkeypatch.setattr(lattice, "MAX_EXTENSIONS", 23)
+    for _ in range(2):
+        with pytest.raises(TooLarge, match="24 linear extensions"):
+            L.extensions()
+    assert L._memo == {}
+    monkeypatch.setattr(lattice, "MAX_EXTENSIONS", 24)
+    assert len(L.extensions()) == 24 and L.extensions() is L.extensions()
+
+
 # -- diamond pairs -----------------------------------------------------------
 
 

@@ -147,6 +147,37 @@ def settled_defaults(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def hand_written_memos(sources: dict[str, str]) -> list[str]:
+    """Functions and methods that test obj.attr is None, or is not None, as
+    the whole condition of an if, and also assign obj.attr: a memo kept by
+    hand, where poset._kept keeps the table; as "module.function". A
+    compound condition, such as cli.resolve_face's, is not flagged."""
+    out = []
+    for module, source in sources.items():
+        for func in ast.walk(ast.parse(source)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            tested, assigned = set(), set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.If):
+                    test = node.test
+                    if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Attribute)
+                            and len(test.ops) == 1 and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+                            and isinstance(test.comparators[0], ast.Constant)
+                            and test.comparators[0].value is None):
+                        tested.add(ast.unparse(test.left))
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                           else [])
+                for target in targets:
+                    for leaf in ast.walk(target):
+                        if isinstance(leaf, ast.Attribute) and isinstance(leaf.ctx, ast.Store):
+                            assigned.add(ast.unparse(leaf))
+            if tested & assigned:
+                out.append(f"{module}.{func.name}")
+    return out
+
+
 def importers(sources: dict[str, str], name: str) -> list[str]:
     """The modules that import the module `name` or a name from it,
     anywhere in their source."""
@@ -215,6 +246,22 @@ def test_settled_defaults_detects_knobs_that_no_call_turns():
                                          "a.grow(by)"]
 
 
+def test_hand_written_memos_detects_both_tests():
+    sources = {
+        "a": "def memo(L):\n    if L._cone is None:\n        L._cone = build(L)\n"
+             "    return L._cone\n\n\n"
+             "def early(F):\n    if F._span is not None:\n        return F._span\n"
+             "    F._span, done = 1, True\n    return F._span\n\n\n"
+             "def slot(K, spec):\n    if K._resolved is None or K._resolved[0] != spec:\n"
+             "        K._resolved = (spec, 1)\n    return K._resolved[1]\n\n\n"
+             "def guard(x):\n    if x.y is None:\n        raise ValueError\n    return x.y\n\n\n"
+             "def other(x):\n    if x.y is None:\n        x.z = 1\n",
+        "b": "class Box:\n    def size(self):\n        if self._size is None:\n"
+             "            self._size = 3\n        return self._size\n",
+    }
+    assert hand_written_memos(sources) == ["a.memo", "a.early", "b.size"]
+
+
 def test_fraction_importers_detects_both_forms():
     sources = {"a": "from fractions import Fraction\n", "b": "def f():\n    import fractions\n",
                "c": "import math\n"}
@@ -248,6 +295,13 @@ def test_no_default_is_settled_by_its_callers():
     # the parameter is required, or the default is the code
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert settled_defaults(sources) == []
+
+
+def test_no_hand_written_memo():
+    # a table that depends on one object alone is kept by poset._kept, in
+    # the object's one memo dict, not in an attribute named for the table
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert hand_written_memos(sources) == []
 
 
 def test_every_private_function_is_referenced():

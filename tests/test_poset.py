@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from fraction_oracle import extension_poset, intersect_orders
 from hibikit.errors import CycleError, TooLarge, UnknownLabel
 from hibikit.lattice import birkhoff, parse_lattice
-from hibikit.poset import (MAX_IDEALS, Poset, _bits, antichain, from_cover_relations, ideal_set,
-                           linear_extensions)
+from hibikit.poset import (MAX_IDEALS, Poset, _bits, _kept, antichain, from_cover_relations,
+                           ideal_set, linear_extensions)
 from order_oracle import (GroundSetMismatch, LinearExtension, PairPoset, chain, closure,
                           down_closed, is_stronger, label_extensions, label_pair_stronger, less,
                           order_ideals, pairs_of)
@@ -350,3 +350,46 @@ def test_posets_equal_on_elements_and_masks():
     assert P != Poset(("a", "b", "c"), (0, 0, 0))
     assert P != Poset(("a", "c", "b"), (0, 0, 1))
     assert P != (("a", "b", "c"), (0, 1, 0))
+
+
+class Holder:
+    def __init__(self):
+        self._memo = {}
+
+
+def test_kept_builds_once_per_object_and_arguments():
+    built = []
+
+    @_kept
+    def table(obj, *args):
+        """One table."""
+        built.append(args)
+        return list(args)
+
+    a, b = Holder(), Holder()
+    assert table(a) is table(a) and table(a, 2) is table(a, 2) and table(b) is table(b)
+    assert table(a, 2) is not table(a, 3)
+    assert built == [(), (2,), (), (3,)]
+    # the tracer and inspect read the build through the memo
+    assert (table.__name__, table.__module__, table.__doc__) == ("table", __name__, "One table.")
+    assert table.__wrapped__.__name__ == "table"
+    assert len(a._memo) == 3
+
+
+def test_kept_keeps_nothing_when_the_build_raises():
+    calls = []
+
+    @_kept
+    def table(obj, fail):
+        calls.append(fail)
+        if fail:
+            raise ValueError("refused")
+        return object()
+
+    obj = Holder()
+    for _ in range(2):
+        with pytest.raises(ValueError, match="refused"):
+            table(obj, True)
+    assert obj._memo == {}
+    assert table(obj, False) is table(obj, False)
+    assert calls == [True, True, False]

@@ -14,7 +14,7 @@ from fraction_oracle import (enumerated_faces, extension_poset, indicator, inter
                              is_full, part_value, vec_over_den)
 from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
-from hibikit.cone import cone_K, face_of, sample_relative_interior, span_of_face
+from hibikit.cone import cone_K, face_of, span_of_face
 from hibikit.errors import NotInCone
 from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
@@ -566,7 +566,7 @@ def corrupted_tables(table, size):
 
 
 @pytest.mark.parametrize("make", [lambda: B3, lambda: birkhoff(GRID)], ids=["B3", "grid"])
-def test_a_wrong_staircase_entry_fails_a_check(make):
+def test_a_wrong_staircase_entry_fails_a_check(make, monkeypatch):
     # the table is trusted for nothing: at a generic weight every wrong chain
     # element changes a part's vertex set or its map, and the ideal-set,
     # interpolation or envelope check raises. A wrong peel parent raises too,
@@ -580,8 +580,10 @@ def test_a_wrong_staircase_entry_fails_a_check(make):
     assert len(want.parts) == len(table.chains)
     bottom = L.at_mask[0]
     raised = {"chains": 0, "peel": 0}
+    served = [table]
+    monkeypatch.setattr(subdivision, "staircase_table", lambda L: served[0])
     for field, k, bad in corrupted_tables(table, L.size):
-        L._staircases = bad
+        served[0] = bad
         try:
             got = regular_subdivision(L, w, 1)
         except AssertionError:
@@ -589,16 +591,15 @@ def test_a_wrong_staircase_entry_fails_a_check(make):
         else:
             assert field == "peel" and table.peel[k][1] == bottom
             assert got.parts == want.parts
-    L._staircases = table
     assert raised["chains"] == len(table.chains) * (L.poset_P.size + 1) * (L.size - 1)
 
 
 def some_subdivisions():
-    """The subdivision at each face's sample of B3 and of the grid's
+    """The subdivision at each face's witness of B3 and of the grid's
     lattice."""
     for L in (B3, birkhoff(GRID)):
         for F in enumerated_faces(cone_K(L)):
-            yield regular_subdivision(L, *sample_relative_interior(F))
+            yield regular_subdivision(L, *F.witness)
 
 
 def test_check_part_rejects_a_dropped_vertex_or_an_added_relation():
@@ -724,7 +725,7 @@ def face_and_interior_weights(draw):
         c = draw(st.integers(1, 3))
         w = [x + (c if S <= iota(L, a) else 0) for x, a in zip(w, L.elements)]
     F = face_of(K, w, 1)
-    base, den = sample_relative_interior(F)
+    base, den = F.witness
     points = []
     for _ in range(2):
         shift = [0] * L.size
@@ -775,7 +776,7 @@ def cone_generators(L):
     """The integer witnesses of every face of L's cone, and the rows of its
     apex span, the lineality space."""
     K = cone_K(L)
-    return [F._witness[0] for F in enumerated_faces(K)], span_of_face(K.apex)
+    return [F.witness[0] for F in enumerated_faces(K)], span_of_face(K.apex)
 
 
 @st.composite
