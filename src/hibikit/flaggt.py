@@ -421,8 +421,8 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
     order iff each of those ideals is an ideal of the order, and
     regular_subdivision certified vertex_mask as exactly those elements.
     The lifted heights need no check: a part's value at a pattern minus
-    the pattern's lift is the sum over its chain of part.values[a_k] -
-    w[a_k], which is at least 0, and 0 iff every a_k is a vertex of the
+    the pattern's lift is the sum over its chain of g(a_k) - w[a_k], g the
+    part's map, which is at least 0, and 0 iff every a_k is a vertex of the
     part, by the envelope check regular_subdivision ran.
 
     A part with one simplex has a chain for its order, and component_shape

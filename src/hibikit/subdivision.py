@@ -7,7 +7,8 @@ each part is again an order polytope O(P, order) for a stronger order.
 
 The work runs on integers: the weight is an integer tuple over one
 positive den, reduced once to lowest terms, so each part's map is
-x -> (const + alpha·x) / den with an integer const and alpha. The tight
+x -> (c + alpha·x) / den with an integer alpha, where the constant c is
+the bottom weight, as every chain starts at the bottom. The tight
 pairs come from each diamond pair's value at the weight, with no cone
 needed, and a part holds its vertices as a mask over L's elements, whose
 labels only subdivision_json reads.
@@ -55,7 +56,8 @@ By the members step a part's simplices are the linear extensions of its
 order, joined by adjacent swaps of elements incomparable there, so in P
 (bubble sort). So the parts are the components of the swap edges whose
 pair is tight, which depend on the face alone, as do a part's vertex set
-and order, read off its members. subdivision_invariance_check tests this.
+and order, read off its members. subdivision_invariance_check tests this,
+and face_subdivision runs it on every face.
 """
 
 from __future__ import annotations
@@ -74,42 +76,38 @@ class Part(NamedTuple):
     """One linearity domain of the envelope: the order polytope O(P, order).
 
     below holds the order's down-set masks over P's elements, the AND of
-    its simplices' before masks. Its map is x -> (const + alpha·x) / den on
-    R^P, with the subdivision's den; values[i] is its numerator at the i-th
-    lattice element's indicator. Its simplices are its linear extensions,
-    index tuples over P's elements. Bit i of vertex_mask is set when the
-    i-th lattice element is a vertex.
+    its simplices' before masks. Its map is x -> (c + alpha·x) / den on
+    R^P, with the subdivision's den and c its bottom weight. Its simplices
+    are its linear extensions, index tuples over P's elements. Bit i of
+    vertex_mask is set when the i-th lattice element is a vertex.
     """
 
     below: tuple[int, ...]
     alpha: tuple[int, ...]
-    const: int
-    values: tuple[int, ...]
     simplices: tuple[tuple[int, ...], ...]
     vertex_mask: int
 
 
 class Subdivision:
     """The parts of the subdivision of the weight scaled / den, in lowest
-    terms; tight is the mask over diamond_pairs(lattice), the cone's pair
-    order, of the pairs tight at the weight."""
+    terms; part_at[k] is the index of the part that holds the k-th linear
+    extension of L.extensions(), and tight the mask over
+    diamond_pairs(lattice), the cone's pair order, of the pairs tight at
+    the weight."""
 
     def __init__(self, lattice: Lattice, scaled: tuple[int, ...], den: int,
-                 parts: tuple[Part, ...], tight: int):
+                 parts: tuple[Part, ...], part_at: tuple[int, ...], tight: int):
         self.lattice = lattice
         self.scaled = scaled
         self.den = den
         self.parts = parts
+        self.part_at = part_at
         self.tight = tight
-        self._part_of = {ext: i for i, p in enumerate(parts) for ext in p.simplices}
 
     @property
     def face_key(self) -> str:
         """The key of the face holding the weight in its relative interior."""
         return _key_of(key_fragments(self.lattice), self.tight)
-
-    def part_of(self, ext: tuple[int, ...]) -> int:
-        return self._part_of[ext]
 
     def __repr__(self):
         return f"Subdivision({len(self.parts)} parts, face {self.face_key})"
@@ -179,17 +177,19 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
 
     # vertices of a simplex are its prefix-ideal indicators; the
     # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}} along the
-    # extension's chain a_0 < a_1 < ...
+    # extension's chain a_0 < a_1 < ..., and every chain starts at the
+    # bottom, so the maps of two extensions are equal iff their alphas are
     groups: dict[tuple, list[int]] = {}
     for k, (ext, chain) in enumerate(zip(exts, chains)):
         steps = [ws[i] for i in chain]
         alpha = [0] * n
         for j, low, high in zip(ext, steps, steps[1:]):
             alpha[j] = high - low
-        groups.setdefault((tuple(alpha), steps[0]), []).append(k)
+        groups.setdefault(tuple(alpha), []).append(k)
 
-    parts = []
-    for (alpha, const), members in sorted(groups.items()):
+    bottom = ws[L.at_mask[0]]
+    parts, part_at = [], [0] * len(exts)
+    for alpha, members in sorted(groups.items()):
         below = befores[members[0]]
         on_chains = set(chains[members[0]])
         for k in members[1:]:
@@ -204,7 +204,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
         # its own vertices; each value is its parent's plus one alpha. Once
         # the map meets w on every vertex and nowhere below it, as many
         # equal values as vertices leave none tight off the vertex set
-        values = [const] * L.size
+        values = [bottom] * L.size
         for i, parent, j in peel:
             values[i] = values[parent] + alpha[j]
         if any(values[i] != ws[i] for i in on_chains):
@@ -213,28 +213,23 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
             raise AssertionError("envelope inequality fails")
         if sum(map(eq, values, ws)) != len(on_chains):
             raise AssertionError("tight value off the part's vertex set")
-        parts.append(Part(below, alpha, const, tuple(values),
-                          tuple(map(exts.__getitem__, members)), vertex_mask))
-    return Subdivision(L, ws, den, tuple(parts), tight)
+        for k in members:
+            part_at[k] = len(parts)
+        parts.append(Part(below, alpha, tuple(map(exts.__getitem__, members)), vertex_mask))
+    return Subdivision(L, ws, den, tuple(parts), tuple(part_at), tight)
 
 
 @_kept
 def face_subdivision(F: Face) -> Subdivision:
     """The subdivision of the face: regular_subdivision at its witness,
-    verified against the tightness/same-part correspondence. Built and
-    checked once per face."""
-    L = F.cone.lattice
-    sub = regular_subdivision(L, *F.witness)
+    whose tight mask must be the face's, certified by
+    subdivision_invariance_check to have the tight swap components for its
+    parts. Built and checked once per face."""
+    sub = regular_subdivision(F.cone.lattice, *F.witness)
     if sub.tight != F.tight:
         raise AssertionError("sample does not lie in the face's relative interior")
-
-    # graph.pairs index diamond_pairs(L), the pairs cone_K builds F.cone on
-    graph = adjacency_graph(L)
-    part = [sub.part_of(e) for e in graph.extensions]
-    for (i, j), pair in zip(graph.edges, graph.pairs):
-        if (part[i] == part[j]) != bool(F.tight >> pair & 1):
-            raise AssertionError(
-                "tight diamond pairs must match same-part adjacencies")
+    if not subdivision_invariance_check(sub):
+        raise AssertionError("the parts must be the components of the tight swap edges")
     return sub
 
 
@@ -242,9 +237,10 @@ def subdivision_invariance_check(sub: Subdivision) -> bool:
     """Whether sub's parts are the same at every point of its face, as the
     components of the tight swap edges (module docstring): each edge joins
     one part iff its pair is tight, and there are as many components as
-    parts. One union-find over adjacency_graph's edges; nothing is sampled."""
+    parts. One union-find over adjacency_graph's edges, whose pairs index
+    diamond_pairs(L), the order of sub.tight; nothing is sampled."""
     graph = adjacency_graph(sub.lattice)
-    part = [sub.part_of(t) for t in graph.extensions]
+    part = sub.part_at
     root = list(range(len(part)))
 
     def find(i: int) -> int:
@@ -265,11 +261,10 @@ def subdivision_invariance_check(sub: Subdivision) -> bool:
 
 
 class AdjacencyGraph(NamedTuple):
-    """Edges index into `extensions`; pairs[k] is the index in
+    """Edges index into L.extensions(); pairs[k] is the index in
     diamond_pairs(L) of the diamond pair by which the chains of edge k
     differ."""
 
-    extensions: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, int], ...]
     pairs: tuple[int, ...]
 
@@ -308,7 +303,7 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
             edge_pairs.append(pair)
     if len(set(edge_pairs)) != len(pairs):
         raise AssertionError("every diamond pair needs a witnessing adjacency")
-    return AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
+    return AdjacencyGraph(tuple(edges), tuple(edge_pairs))
 
 
 def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> LatticePolytope:
@@ -325,7 +320,7 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
     map takes its constant at the bottom, where every chain starts, and
     interpolates w on its chains; so g_C(x) = (c + alpha_C·x) / den; g_C is
     >= w on all of L, with equality exactly on C's vertices; and the parts
-    have distinct (alpha, c). Take x inside a staircase simplex of C, a
+    have distinct alpha. Take x inside a staircase simplex of C, a
     positive convex combination of its vertices. For another part C', g_C'(x) is that
     combination of g_C' at those vertices, where g_C' >= w = g_C, with > at
     one of them: were all equal, g_C' would interpolate w on a

@@ -88,7 +88,10 @@ arithmetic before it scaled the weight to integers: one AffineMap per
 part, evaluated at every element's indicator, each extension's total order
 built as a Poset (extension_poset) and the part orders intersected
 (intersect_orders), and the order ideals scanned over all 2^|P| subsets.
-part_value evaluates an integer part's map at a rational point.
+part_map gives an integer part's constant, the bottom weight, and its
+numerator at every element, read off the staircase table's peel as
+regular_subdivision computed them, which a part no longer keeps;
+part_value evaluates its map at a rational point.
 
 int_row_echelon, lattice_member and same_lattice are the integer
 lattice tests that weightpoly ran on zeta's columns before one more exact
@@ -141,7 +144,7 @@ from hibikit.errors import HibikitError, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, linear_extensions
-from hibikit.subdivision import face_subdivision
+from hibikit.subdivision import face_subdivision, staircase_table
 from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
                           lattice_chain, leq, less, order_ideals, part_order, poset_from_pairs)
 
@@ -976,6 +979,7 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     in_parts = {point: 0 for point in pattern_points}
     parts = []
     for part in sub.parts:
+        const, _ = part_map(sub, part)
         order = _extend_to_pbar(n, part_order(L, part), iso)
         Q = marked_order_polytope(mp, order)
         assert Q.dim == gt_dim, "each section must be full-dimensional"
@@ -984,7 +988,7 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
         for point in pattern_points:
             coords = dict(zip(pbar, point))
             lifted = lifts[point]
-            value = (n - 1) * (part.const + sum(a * point[k] for a, k in zip(part.alpha, at)))
+            value = (n - 1) * (const + sum(a * point[k] for a, k in zip(part.alpha, at)))
             assert value >= lifted, "part maps must overestimate the lift"
             inside = _satisfies(mp, order, coords)
             assert (value == lifted) == inside
@@ -1102,9 +1106,22 @@ def intersect_orders(orders: list[Poset]) -> Poset:
     return poset_from_pairs(first.elements, ((index[a], index[b]) for a, b in common))
 
 
+def part_map(sub, part) -> tuple[int, tuple[int, ...]]:
+    """An integer part's constant c, the bottom weight, as every chain
+    starts at the bottom, and its map's numerator c + alpha·1_a at each
+    lattice element a, each its peel parent's plus one alpha."""
+    L = sub.lattice
+    const = sub.scaled[L.at_mask[0]]
+    values = [const] * L.size
+    for i, parent, j in staircase_table(L).peel:
+        values[i] = values[parent] + part.alpha[j]
+    return const, tuple(values)
+
+
 def part_value(sub, part, point) -> Fraction:
     """An integer part's map at a point of R^P: (const + alpha·point) / den."""
-    total = part.const + sum(a * x for a, x in zip(part.alpha, point, strict=True))
+    const, _ = part_map(sub, part)
+    total = const + sum(a * x for a, x in zip(part.alpha, point, strict=True))
     return Fraction(total) / sub.den
 
 

@@ -352,7 +352,7 @@ def pairwise_adjacency(L) -> AdjacencyGraph:
             if by_chain:
                 edges.append((i, j))
                 edge_pairs.append(pair_index[diff])
-    return AdjacencyGraph(exts, tuple(edges), tuple(edge_pairs))
+    return AdjacencyGraph(tuple(edges), tuple(edge_pairs))
 
 
 # -- join/meet tables, validated axiom by axiom --------------------------------

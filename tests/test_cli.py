@@ -350,16 +350,14 @@ def test_cone_past_the_face_cap_fails_fast(capsys):
     assert json.loads(err)["error"]["type"] == "TooLarge"
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
-def test_cone_flag5_peak_memory():
-    # cone lists Flag(5)'s 90,112 faces as masks and builds no Face for
-    # them; a fresh process peaks at about 145 MB, where one Face per face
-    # took about 250 MB. The child reads its own VmHWM: Linux carries the
-    # parent's peak RSS across exec into ru_maxrss, so under a large test
-    # process that counter measures the parent
+def child_peak_kb(argv):
+    """Run main(argv + --out os.devnull) in a fresh process; its exit code
+    must be 0. Returns the child's own VmHWM in kB: Linux carries the
+    parent's peak RSS across exec into ru_maxrss, so under a large test
+    process that counter measures the parent."""
     script = ("import os\n"
               "from hibikit.cli import main\n"
-              "code = main(['cone', '--flag', '5', '--out', os.devnull])\n"
+              f"code = main({argv!r} + ['--out', os.devnull])\n"
               "status = open('/proc/self/status').read()\n"
               "print(code, status.split('VmHWM:')[1].split()[0])\n")
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
@@ -368,7 +366,24 @@ def test_cone_flag5_peak_memory():
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = map(int, proc.stdout.split())
     assert code == 0
-    assert peak_kb < 190 * 1024
+    return peak_kb
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_cone_flag5_peak_memory():
+    # cone lists Flag(5)'s 90,112 faces as masks and builds no Face for
+    # them; a fresh process peaks at about 145 MB, where one Face per face
+    # took about 250 MB
+    assert child_peak_kb(["cone", "--flag", "5"]) < 190 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_subdivide_flag6_peak_memory():
+    # the full face of Flag(6) has 33,592 parts of one extension each; a
+    # part keeps no constant and no value row, and the subdivision one part
+    # index per extension, no dict keyed by extension: a fresh process
+    # peaks at about 381 MB, where those took about 404 MB
+    assert child_peak_kb(["subdivide", "--flag", "6", "--face", "full"]) < 400 * 1024
 
 
 @pytest.mark.parametrize("argv", [

@@ -871,10 +871,11 @@ def test_section_membership_is_the_chain_inside_the_vertex_set(n):
     for F in enumerated_faces(C):
         sub = face_subdivision(F)
         for part in sub.parts:
+            const, _ = oracle.part_map(sub, part)
             order = _extend_to_pbar(mp.base, part.below, at)
             for point, chain in patterns:
                 lift = sum(sub.scaled[L.index(lbl)] for lbl in chain)
-                value = part.const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))
+                value = const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))
                 inside = all(part.vertex_mask >> L.index(lbl) & 1 for lbl in chain)
                 assert value >= lift
                 assert inside == _satisfies(mp, order, point) == (value == lift)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from fraction_oracle import (enumerated_faces, extension_poset, indicator, intersect_orders, is_apex,
-                             is_full, part_value, vec_over_den)
+                             is_full, part_map, part_value, vec_over_den)
 from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, face_of, span_of_face
@@ -220,7 +220,10 @@ def assert_matches_oracle(sub, want_key, want):
         assert vertex_labels(L, part) == old.vertex_elements
         assert tuple(label_extension(L.poset_P, e) for e in part.simplices) == old.simplices
         assert tuple(Fraction(x, sub.den) for x in part.alpha) == old.affine.matrix[0]
-        assert Fraction(part.const, sub.den) == old.affine.offset[0]
+        const, values = part_map(sub, part)
+        assert Fraction(const, sub.den) == old.affine.offset[0]
+        assert [Fraction(v, sub.den) for v in values] == [
+            old.affine(indicator(L, a))[0] for a in L.elements]
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,6 +244,10 @@ def test_regular_subdivision_matches_fraction_oracle(case):
     sub = regular_subdivision(L, num, den)
     assert (sub.scaled, sub.den) == vec_over_den(w)
     assert_matches_oracle(sub, want_key, want)
+    # part_at[k] is the part whose simplices hold the k-th extension
+    exts = L.extensions()
+    assert len(sub.part_at) == len(exts)
+    assert all(exts[k] in sub.parts[i].simplices for k, i in enumerate(sub.part_at))
 
 
 @st.composite
@@ -393,9 +400,12 @@ def test_invariance_certificate_matches_the_sampled_oracle(L):
 
 
 def mutated(sub, parts=None, tight=None):
-    """sub with its parts or its tight mask replaced."""
-    return subdivision.Subdivision(sub.lattice, sub.scaled, sub.den,
-                                   sub.parts if parts is None else parts,
+    """sub with its parts or its tight mask replaced, and part_at rebuilt
+    from the parts' simplices."""
+    parts = sub.parts if parts is None else parts
+    index = {t: i for i, p in enumerate(parts) for t in p.simplices}
+    return subdivision.Subdivision(sub.lattice, sub.scaled, sub.den, parts,
+                                   tuple(map(index.__getitem__, sub.lattice.extensions())),
                                    sub.tight if tight is None else tight)
 
 
@@ -410,8 +420,7 @@ def test_invariance_rejects_merged_or_split_parts_or_a_dropped_tight_bit():
         for F in enumerated_faces(cone_K(L)):
             sub = face_subdivision(F)
             parts = sub.parts
-            joined = {frozenset(sub.part_of(graph.extensions[i]) for i in edge)
-                      for edge in graph.edges}
+            joined = {frozenset(sub.part_at[i] for i in edge) for edge in graph.edges}
             for a, b in itertools.combinations(range(len(parts)), 2):
                 one = parts[a]._replace(simplices=parts[a].simplices + parts[b].simplices)
                 rest = tuple(p for k, p in enumerate(parts) if k not in (a, b))
@@ -428,6 +437,24 @@ def test_invariance_rejects_merged_or_split_parts_or_a_dropped_tight_bit():
                 assert not subdivision_invariance_check(mutated(sub, tight=sub.tight ^ 1 << pair))
                 checked["dropped"] += 1
     assert all(checked.values())
+
+
+def test_face_subdivision_certifies_the_tight_swap_components(monkeypatch):
+    # face_subdivision runs the invariance certificate on every face: with
+    # two parts of B3's full face merged, the tight mask is still the
+    # face's, and the certificate raises
+    kernel = subdivision.regular_subdivision
+
+    def merging(L, w, den):
+        sub = kernel(L, w, den)
+        first, second, *rest = sub.parts
+        return mutated(sub, parts=(first._replace(simplices=first.simplices + second.simplices),
+                                   *rest))
+
+    monkeypatch.setattr(subdivision, "regular_subdivision", merging)
+    F = face_of(cone_K(B3), tuple(B3.height(a) ** 2 for a in B3.elements), 1)
+    with pytest.raises(AssertionError, match="components of the tight swap edges"):
+        face_subdivision(F)
 
 
 def test_failed_invariance_check_prints_pass_false(monkeypatch, capsys):
@@ -473,19 +500,20 @@ def test_check_job_subdivides_each_weight_once(argv, monkeypatch, capsys):
 
 def test_b2_adjacency_single_edge():
     g = adjacency_graph(B2)
-    assert len(g.extensions) == 2
+    assert len(B2.extensions()) == 2
     assert g.edges == ((0, 1),)
 
 
 def test_chain_adjacency_trivial():
-    g = adjacency_graph(birkhoff(chain(["a", "b", "c"])))
-    assert len(g.extensions) == 1
+    L = birkhoff(chain(["a", "b", "c"]))
+    g = adjacency_graph(L)
+    assert len(L.extensions()) == 1
     assert g.edges == ()
 
 
 def test_b3_adjacency_hexagon():
     g = adjacency_graph(B3)
-    assert len(g.extensions) == 6
+    assert len(B3.extensions()) == 6
     assert len(g.edges) == 6
     for i in range(6):
         assert sum(1 for e in g.edges if i in e) == 2
@@ -654,16 +682,17 @@ def test_adjacency_symdiff_is_diamond(L):
     # pairwise scan, which cross-checks the chain, swap and diamond tests
     g = adjacency_graph(L)
     assert g == pairwise_adjacency(L)
+    exts = L.extensions()
     pairs = diamond_pairs(L)
     for (i, j), k in zip(g.edges, g.pairs):
         ci = {L.bottom}
         cj = {L.bottom}
         pre = set()
-        for p in label_extension(L.poset_P, g.extensions[i]).order:
+        for p in label_extension(L.poset_P, exts[i]).order:
             pre.add(p)
             ci.add(iota_inv(L, frozenset(pre)))
         pre = set()
-        for p in label_extension(L.poset_P, g.extensions[j]).order:
+        for p in label_extension(L.poset_P, exts[j]).order:
             pre.add(p)
             cj.add(iota_inv(L, frozenset(pre)))
         assert ci ^ cj == {L.elements[pairs[k].a], L.elements[pairs[k].b]}
@@ -742,14 +771,21 @@ def face_and_interior_weights(draw):
 @given(face_and_interior_weights())
 def test_every_part_constant_is_the_bottom_weight(case):
     # generalized_permutahedron reads each part's map as (c + alpha·x) / den
-    # with c the bottom weight, which it does not check: regular_subdivision's
-    # interpolation check asserts it, as every chain starts at the bottom,
-    # where the part's map takes its constant
+    # with c the bottom weight, which it does not check, and
+    # regular_subdivision groups the extensions by alpha alone: every chain
+    # starts at the bottom, where the part's map takes its constant. The
+    # Fraction oracle groups by (alpha, constant) and checks each map at
+    # every element; its parts have one constant, the bottom weight, and
+    # distinct alphas, so the two groupings are one partition
     L, F, points = case
     bottom = L.index(L.bottom)
     for w, den in points:
         sub = regular_subdivision(L, w, den)
-        assert {part.const for part in sub.parts} == {sub.scaled[bottom]}
+        _, want = oracle.regular_subdivision(L, [Fraction(x, den) for x in w])
+        assert {old.affine.offset[0] for old in want} == {Fraction(sub.scaled[bottom], sub.den)}
+        assert len({old.affine.matrix[0] for old in want}) == len(want)
+        assert [tuple(label_extension(L.poset_P, e) for e in part.simplices)
+                for part in sub.parts] == [old.simplices for old in want]
 
 
 @settings(max_examples=40, deadline=None)
@@ -849,4 +885,4 @@ def test_parts_equal_whatever_their_labels():
         assert copy == p and hash(copy) == hash(p)
         assert q == p
         assert shown["elements"] == [x.upper() for x in vertex_labels(B3, p)]
-        assert p._replace(const=p.const + 1) != p
+        assert p._replace(alpha=tuple(x + 1 for x in p.alpha)) != p

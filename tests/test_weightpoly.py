@@ -79,7 +79,7 @@ def separators(W):
     """Each distinguished face with its separator per lattice element: the
     part's values minus the weight, as regular_subdivision certified them."""
     sub = face_subdivision(W.face)
-    return [(d, [v - x for v, x in zip(part.values, sub.scaled)])
+    return [(d, [v - x for v, x in zip(oracle.part_map(sub, part)[1], sub.scaled)])
             for d, part in zip(distinguished_faces(W), sub.parts, strict=True)]
 
 
