@@ -25,8 +25,18 @@ before it reuses them, and at most one lattice and one face are kept. A
 gt job reads the Gelfand-Tsetlin context of its rank from
 flaggt.gelfand_tsetlin, one per rank for the life of the process, which
 keeps the rank's flag lattice, its cone and that cone's last face, so gt
-jobs on two ranks do not evict each other or the lattice cache. The
-input guards run and a --poset file is read on every call.
+jobs on two ranks do not evict each other or the lattice cache. For the
+last 32 (context, face spec) pairs that gt jobs named, a call keeps the
+face's key and its Gelfand-Tsetlin sections (_gt_sections; 32 is the face
+count of Flag(4)'s cone), so a gt job on a spec named before on its
+rank's context resolves no face and cuts no section; it still builds and
+writes its own payload. A spec that is refused keeps nothing, and a new
+context for the rank cuts its sections again. One face's kept sections
+hold 2.6-4.6 KB for Flag(3), 4.7-43 KB (median 16 KB) over Flag(4)'s 32
+faces, and 116 KB-1.8 MB (median 0.5 MB) over 13 of Flag(5)'s faces,
+the full face with its 286 sections the largest (tracemalloc), so the
+table holds at most about 60 MB. The input guards run and a --poset file
+is read on every call.
 Start-up is cheap too: at module level this module imports only errors,
 lattice and poset of the package. Each subcommand imports the kernels it
 runs when it is called, as cmd_certify imports csv, parse_vector
@@ -55,10 +65,11 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .errors import BadParams, CycleError, HibikitError, TooLarge, UnknownLabel
 from .lattice import (Lattice, birkhoff, diamond_pairs, flag_lattice, grassmann_lattice,
                       maximal_chain_count, parse_lattice)
-from .poset import antichain
+from .poset import Poset, antichain
 
 if TYPE_CHECKING:
     from .cone import Face, MaxCone
+    from .exactgeom import LatticePolytope
     from .flaggt import GelfandTsetlin
 
 MAX_BOOLEAN = 6
@@ -298,7 +309,8 @@ def cmd_subdivide(args) -> int:
     }
     status = 0
     if args.check is not None:
-        ok = subdivision_invariance_check(sub)
+        # face_subdivision has run the same certificate and raised if it failed
+        ok = args.face is not None or subdivision_invariance_check(sub)
         payload["invariance_check"] = {
             "trials": args.check, "seed": args.seed, "pass": ok,
         }
@@ -341,20 +353,30 @@ def cmd_weightpoly(args) -> int:
 
 
 def _gt_subdivision_payload(gt: GelfandTsetlin, face_spec: str) -> dict:
-    from .cone import cone_K
     from .exactgeom import polytope_json
-    from .flaggt import gt_subdivision
 
-    F = resolve_face(cone_K(gt.flag), face_spec)
-    parts = gt_subdivision(gt, F)
+    key, parts = _gt_sections(gt, face_spec)
     return {
-        "face": F.key(),
+        "face": key,
         "part_count": len(parts),
         "parts": [{
             "order_covers": [[a, b] for a, b in order.covers()],
             "polytope": polytope_json(Q),
         } for order, Q in parts],
     }
+
+
+@functools.lru_cache(maxsize=32)  # Flag(4)'s cone has 32 faces
+def _gt_sections(gt: GelfandTsetlin,
+                 face_spec: str) -> tuple[str, tuple[tuple[Poset, LatticePolytope], ...]]:
+    """The key of the face of gt.flag's cone that face_spec names, and its
+    Gelfand-Tsetlin sections, kept for the last 32 (context, spec) pairs.
+    A spec that raises keeps nothing."""
+    from .cone import cone_K
+    from .flaggt import gt_subdivision
+
+    F = resolve_face(cone_K(gt.flag), face_spec)
+    return F.key(), tuple(gt_subdivision(gt, F))
 
 
 def cmd_gt(args) -> int:

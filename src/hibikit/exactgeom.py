@@ -24,7 +24,7 @@ against the sum.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, inf
 from typing import Optional, Sequence
 
@@ -173,8 +173,8 @@ def _run_simplex(M, D, basis, n):
         basis[leaving] = entering
         z = M[-1]
     artificial = [row for row, b in zip(M, basis) if b >= lean + n]
-    assert z == [sum(col) for col in zip(*artificial)] if artificial else not any(z), \
-        "the objective row must be the sum of the artificial rows"
+    if z != ([sum(col) for col in zip(*artificial)] if artificial else [0] * len(z)):
+        raise AssertionError("the objective row must be the sum of the artificial rows")
     return D
 
 
@@ -427,13 +427,19 @@ def vector_pairs(v: Sequence[int], den: int = 1) -> list[list[int]]:
 def polytope_json(poly: LatticePolytope) -> dict:
     """Canonical JSON payload: vertices, hyperplanes, lattice basis, all as
     reduced [num, den] integer pairs; the one place the polytope's
-    coordinates over den are reduced."""
-    den = poly.den
+    coordinates over den are reduced, each distinct one once, its pair
+    shared by every vertex row that holds it."""
+    den, rows = poly.den, poly.vertices
+    if den == 1:
+        vertices = [vector_pairs(v) for v in rows]
+    else:  # one reduced pair per distinct coordinate, which every row shares
+        pair = {x: fraction_pair(x, den) for x in set(chain.from_iterable(rows))}
+        vertices = [[*map(pair.__getitem__, v)] for v in rows]
     planes = [{"normal": vector_pairs(normal), "rhs": fraction_pair(rhs, den)}
               for normal, rhs in poly.hyperplanes]
     basis = poly.lattice_basis
     return {
-        "vertices": [vector_pairs(v, den) for v in poly.vertices],
+        "vertices": vertices,
         "hyperplanes": planes,
         "lattice_basis": [vector_pairs(row) for row in basis] if basis else [],
     }

@@ -17,7 +17,12 @@ flag element's order ideal is a bitmask over gt_poset(n). These, and the
 sections' inputs, the vertices and the census from their first use, are
 built once per rank and process as one GelfandTsetlin (gelfand_tsetlin(n)),
 which every step of a job reads; so a job on a rank built before pays for
-its own face, sections and output alone. Every rank's context, with its
+its own face, sections and output alone. The command line keeps each
+face's sections too, for the last 32 (context, face spec) pairs that gt
+jobs named (cli._gt_sections), so a job on a spec named before on its
+rank pays for its output alone; one face's sections hold 2.6-4.6 KB for
+n = 3, 4.7-43 KB for n = 4 and up to 1.8 MB for n = 5's full face
+(tracemalloc). Every rank's context, with its
 section inputs for n <= MAX_SECTION_RANK, holds about 0.8 MB in all
 (tracemalloc). The vertices hold 0.16 MB more for n <= 5 and 2.2 MB for
 n = 6, whose 4,884 vertices take about 3 s to build.
@@ -107,21 +112,28 @@ def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
     """The label map that identifies the triangular poset gt.poset with the
     poset of join-irreducibles of L, which must be flag_lattice(gt.n)."""
     pt, phi = gt.poset, gt.phi
-    assert sorted(phi.values()) == sorted(ideal_masks(pt))
+    if sorted(phi.values()) != sorted(ideal_masks(pt)):
+        raise AssertionError("phi must be a bijection onto the order ideals of the triangle")
     # phi as a list over L's element indices, compared on L's ideal masks
     ph = [phi[a] for a in L.elements]
     masks, at_mask = L.masks, L.at_mask
     for (ma, pa), (mb, pb) in itertools.product(zip(masks, ph), repeat=2):
-        assert (not ma & ~mb) == (not pa & ~pb)
-        assert ph[at_mask[ma | mb]] == pa | pb
-        assert ph[at_mask[ma & mb]] == pa & pb
+        if (not ma & ~mb) != (not pa & ~pb):
+            raise AssertionError("phi must preserve and reflect the order")
+        if ph[at_mask[ma | mb]] != pa | pb:
+            raise AssertionError("phi must take joins to unions")
+        if ph[at_mask[ma & mb]] != pa & pb:
+            raise AssertionError("phi must take meets to intersections")
     principal = {m | 1 << j: p for j, (p, m) in enumerate(zip(pt.elements, pt.below))}
     mapping = {}
     for t in L.poset_P.elements:
-        assert phi[t] in principal, "irreducibles must map to principal ideals"
+        if phi[t] not in principal:
+            raise AssertionError("irreducibles must map to principal ideals")
         mapping[t] = principal[phi[t]]
-    assert sorted(mapping.values()) == sorted(pt.elements)
-    assert {(mapping[s], mapping[t]) for s, t in L.poset_P.label_pairs()} == pt.label_pairs()
+    if sorted(mapping.values()) != sorted(pt.elements):
+        raise AssertionError("the irreducibles must map onto the cells")
+    if {(mapping[s], mapping[t]) for s, t in L.poset_P.label_pairs()} != pt.label_pairs():
+        raise AssertionError("the map must be an order isomorphism")
     return mapping
 
 
@@ -141,17 +153,18 @@ class MarkedPoset:
     def __init__(self, base: Poset, values: tuple[Optional[int], ...]):
         self.base = base
         self.values = values
-        assert len(values) == base.size
+        if len(values) != base.size:
+            raise AssertionError("each element must have one marking")
         below = base.below
         for j, m in enumerate(below):
             is_min = not m
             is_max = not any(b >> j & 1 for b in below)
-            if is_min or is_max:
-                assert values[j] is not None, "extreme elements must be marked"
+            if (is_min or is_max) and values[j] is None:
+                raise AssertionError("extreme elements must be marked")
         for b in self.marked():
             for a in _bits(below[b]):
-                if values[a] is not None:
-                    assert values[a] >= values[b]
+                if values[a] is not None and values[a] < values[b]:
+                    raise AssertionError("markings must not increase along the order")
 
     def marked(self) -> list[int]:
         return [j for j, v in enumerate(self.values) if v is not None]
@@ -311,10 +324,12 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
                   if not phi[lbl] & ~phi[chain[-1]]]
     out = sorted(((tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain)))), chain)
                   for chain in chains), reverse=True)
-    assert all(_satisfies(mp, mp.base, point) for point, _ in out), \
-        "each chain must sum to a Gelfand-Tsetlin point"
-    assert all(a[0] != b[0] for a, b in zip(out, out[1:])), "the chain sums must be distinct"
-    assert len(out) == 2 ** (n * (n - 1) // 2), "there must be 2^(n(n-1)/2) chains"
+    if not all(_satisfies(mp, mp.base, point) for point, _ in out):
+        raise AssertionError("each chain must sum to a Gelfand-Tsetlin point")
+    if not all(a[0] != b[0] for a, b in zip(out, out[1:])):
+        raise AssertionError("the chain sums must be distinct")
+    if len(out) != 2 ** (n * (n - 1) // 2):
+        raise AssertionError("there must be 2^(n(n-1)/2) chains")
     return out
 
 
@@ -339,8 +354,8 @@ def gt_vertices(gt: GelfandTsetlin) -> tuple[GTVertex, ...]:
     flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
     for k in range(1, gt.n):
         level = mu_k_marked_poset(gt, k)
-        assert all(_satisfies(level, mp.base, flag_points[lbl]) for lbl in gt.phi if len(lbl) == k), \
-            "each k-index flag point must lie in the level-k polytope"
+        if not all(_satisfies(level, mp.base, flag_points[lbl]) for lbl in gt.phi if len(lbl) == k):
+            raise AssertionError("each k-index flag point must lie in the level-k polytope")
     return tuple(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain)
                  for point, chain in gt_patterns(gt) if _is_vertex(mp, mp.base, point))
 
@@ -382,12 +397,13 @@ def section_facets(mp: MarkedPoset, order: Poset,
     cols = list(zip(*vertices))
     for j, v in enumerate(values):
         if v is not None:
-            assert all(x == v for x in cols[j]), "each vertex must fix the marking"
+            if not all(x == v for x in cols[j]):
+                raise AssertionError("each vertex must fix the marking")
     full = (1 << len(vertices)) - 1
     planes: dict[int, set[tuple[tuple[int, ...], int]]] = {}  # tight mask -> candidates
     for a, b in order.cover_indices():
-        assert all(x >= y for x, y in zip(cols[a], cols[b])), \
-            "each vertex must satisfy every cover"
+        if not all(x >= y for x, y in zip(cols[a], cols[b])):
+            raise AssertionError("each vertex must satisfy every cover")
         if values[a] is not None and values[b] is not None:
             continue
         normal = [0] * len(values)
@@ -404,7 +420,8 @@ def section_facets(mp: MarkedPoset, order: Poset,
     for m in proper:
         if any(m != t and not m & ~t for t in proper):
             continue
-        assert len(planes[m]) == 1, "candidates with one tight set must be one facet"
+        if len(planes[m]) != 1:
+            raise AssertionError("candidates with one tight set must be one facet")
         facets += planes[m]
     return sorted(facets)
 
@@ -449,17 +466,17 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
         inside = [point for point, chain in patterns if not chain & ~part.vertex_mask]
         if len(part.simplices) == 1:
             total = [0, *(at[j] for j in part.simplices[0]), mp.base.size - 1]
-            assert order.cover_indices() == tuple(sorted(zip(total, total[1:]))), \
-                "a part with one simplex must have that chain for its order"
+            if order.cover_indices() != tuple(sorted(zip(total, total[1:]))):
+                raise AssertionError("a part with one simplex must have that chain for its order")
             shape = component_shape(gt, tuple(c - 1 for c in total[1:-1]))
-            assert len(inside) == math.prod(d + 1 for d in shape), \
-                "a product of unit simplices must have one pattern per vertex"
+            if len(inside) != math.prod(d + 1 for d in shape):
+                raise AssertionError("a product of unit simplices must have one pattern per vertex")
             vertices, dim = inside, sum(shape)
         else:
             vertices, dim = [point for point in inside if _is_vertex(mp, order, point)], None
         Q = LatticePolytope(vertices, n - 1, section_facets(mp, order, vertices))
-        assert (Q.dim if dim is None else dim) == len(mp.free()), \
-            "each section must be full-dimensional"
+        if (Q.dim if dim is None else dim) != len(mp.free()):
+            raise AssertionError("each section must be full-dimensional")
         parts.append((order, Q))
     return parts
 
@@ -490,13 +507,14 @@ def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]
     # the chain as indices of Pbar: cell j of gt.poset is cell j + 1 of Pbar
     total = [0, *(j + 1 for j in ext), len(values) - 1]
     markers = [i for i, c in enumerate(total) if values[c] is not None]
-    assert [cells[total[i]] for i in markers] == [_cell(k, k) for k in range(1, n + 1)], \
-        "the markers must come in chain order"
+    if [cells[total[i]] for i in markers] != [_cell(k, k) for k in range(1, n + 1)]:
+        raise AssertionError("the markers must come in chain order")
     marks = [values[total[i]] for i in markers]
-    assert marks[0] == n - 1 and all(a - b == 1 for a, b in zip(marks, marks[1:])), \
-        "each marker value must be one below the last"
+    if marks[0] != n - 1 or any(a - b != 1 for a, b in zip(marks, marks[1:])):
+        raise AssertionError("each marker value must be one below the last")
     shape = tuple(b - a - 1 for a, b in zip(markers, markers[1:]))
-    assert all(shape), "every block must be nonempty"
+    if not all(shape):
+        raise AssertionError("every block must be nonempty")
     return shape
 
 

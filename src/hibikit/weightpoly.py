@@ -78,13 +78,15 @@ def weight_polytope(F: Face) -> WeightPolytope:
 
 def _integral_solution(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]]) -> Matrix:
     """The unique X with A·X = B, for integer A and B, from one integer
-    elimination of [A | B]. Asserts that X exists, is unique and is
-    integral."""
+    elimination of [A | B]. Raises AssertionError unless X exists, is
+    unique and is integral."""
     n = len(A[0])
     M, D, pivots = _echelon([list(a) + list(b) for a, b in zip(A, B, strict=True)])
     # a pivot past A's columns is a column of B off A's column span
-    assert pivots == list(range(n)), "no unique solution"
-    assert all(x % D == 0 for row in M for x in row[n:]), "solution is not integral"
+    if pivots != list(range(n)):
+        raise AssertionError("no unique solution")
+    if any(x % D for row in M for x in row[n:]):
+        raise AssertionError("solution is not integral")
     return tuple(tuple(x // D for x in row[n:]) for row in M)
 
 

@@ -17,9 +17,14 @@ temporary directory first.
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hibikit
 from hibikit import exactgeom
 from hibikit.cli import main
 
@@ -218,3 +223,41 @@ def test_stdout_digest(argv, digest, kernel_facets, written_facets, capsys, monk
     assert sum(found) == kernel_facets
     assert _written_facets(captured.out) == written_facets
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+# python -O strips assert statements; every certificate raises
+# AssertionError itself, so it still runs in such a child
+OPTIMIZED_PROBE = """
+import contextlib, hashlib, io, json, sys
+from hibikit.cli import main
+from hibikit.flaggt import MarkedPoset, gt_poset
+from hibikit.weightpoly import _integral_solution
+
+assert False, "python -O keeps assert statements"  # stripped under -O
+refused = []
+for check in (lambda: _integral_solution([[2]], [[1]]),  # no integer solution
+              lambda: MarkedPoset(gt_poset(3), (None,) * 4)):  # extremes unmarked
+    try:
+        check()
+    except AssertionError as exc:
+        refused.append(str(exc))
+digests = {}
+for argv in sys.argv[1:]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv.split())
+    digests[argv] = [code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()]
+print(json.dumps([refused, digests]))
+"""
+
+
+def test_certificates_run_under_python_O():
+    jobs = ["weightpoly --grassmann 2 4 --face apex", "gt --n 3"]
+    src = str(Path(hibikit.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_PROBE, *jobs],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    refused, digests = json.loads(proc.stdout)
+    assert refused == ["solution is not integral", "extreme elements must be marked"]
+    assert digests == {argv: [0, digest] for argv, digest, *_ in GOLDEN if argv in jobs}

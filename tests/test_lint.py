@@ -178,6 +178,13 @@ def hand_written_memos(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def assert_statements(sources: dict[str, str]) -> list[str]:
+    """Assert statements, which python -O strips, so a certificate written
+    as one would not run; as "module:line"."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
 def importers(sources: dict[str, str], name: str) -> list[str]:
     """The modules that import the module `name` or a name from it,
     anywhere in their source."""
@@ -262,6 +269,15 @@ def test_hand_written_memos_detects_both_tests():
     assert hand_written_memos(sources) == ["a.memo", "a.early", "b.size"]
 
 
+def test_assert_statements_detects_both_forms():
+    sources = {
+        "a": "def f(x):\n    assert x\n    if not x:\n        raise AssertionError\n",
+        "b": "class C:\n    def g(self, y):\n        assert y > 0, 'positive'\n",
+        "c": "def h(z):\n    return z.assert_called()\n",
+    }
+    assert assert_statements(sources) == ["a:2", "b:3"]
+
+
 def test_fraction_importers_detects_both_forms():
     sources = {"a": "from fractions import Fraction\n", "b": "def f():\n    import fractions\n",
                "c": "import math\n"}
@@ -302,6 +318,12 @@ def test_no_hand_written_memo():
     # the object's one memo dict, not in an attribute named for the table
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert hand_written_memos(sources) == []
+
+
+def test_no_assert_statement():
+    # every certificate raises AssertionError itself, so it runs under -O
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert assert_statements(sources) == []
 
 
 def test_every_private_function_is_referenced():

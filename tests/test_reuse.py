@@ -1,13 +1,16 @@
 """Jobs in one process reuse the last job's lattice, cone and face, and
-each rank's Gelfand-Tsetlin context with its vertices.
+each rank's Gelfand-Tsetlin context with its vertices, and the sections of
+the faces gt jobs named.
 
 cli.main keeps the lattice of the last job that named one, the cone K-bar
 on it and the last face resolved on that cone, with the span and the
-subdivision the face keeps; a gt job reads flaggt's context for its rank.
-These tests pin what a warm job still builds, that every guard still runs,
-that a changed input is not served from the cache, that the lattice cache
-holds one lattice and the rank memo one context per rank, which builds
-its vertices once. The last test runs the benchmark's seed-1 `faces` list
+subdivision the face keeps; a gt job reads flaggt's context for its rank,
+and cli keeps the face key and sections of the last 32 (context, face
+spec) pairs. These tests pin what a warm job still builds, that every
+guard still runs, that a changed input is not served from the cache, that
+the lattice cache holds one lattice, the rank memo one context per rank,
+which builds its vertices once, and the section table at most 32 entries,
+none for a refused spec. The last test runs the benchmark's seed-1 `faces` list
 through main twice in this process and compares every output with its
 recorded digest.
 """
@@ -150,6 +153,20 @@ def test_the_previous_lattice_is_freed(then, capsys):
     assert held() is None
 
 
+def cold_outputs(capsys, jobs):
+    """Each job's (code, out, err) from caches as cold as a fresh process's."""
+    out = []
+    for argv in jobs:
+        cli._lattice.cache_clear()
+        cli._gt_sections.cache_clear()
+        flaggt.gelfand_tsetlin.cache_clear()
+        out.append(run(capsys, argv))
+    cli._lattice.cache_clear()
+    cli._gt_sections.cache_clear()
+    flaggt.gelfand_tsetlin.cache_clear()
+    return out
+
+
 # one round of the benchmark's polytopes list: the two ranks alternate with
 # a lattice job, which takes the one-entry lattice cache
 POLYTOPES_ROUND = [
@@ -163,14 +180,8 @@ POLYTOPES_ROUND = [
 
 
 def test_polytopes_round_builds_each_rank_once(capsys, monkeypatch):
-    cold = []
-    for argv in POLYTOPES_ROUND:
-        cli._lattice.cache_clear()
-        flaggt.gelfand_tsetlin.cache_clear()
-        cold.append(run(capsys, argv))
+    cold = cold_outputs(capsys, POLYTOPES_ROUND)
     assert [code for code, _, _ in cold] == [0] * len(POLYTOPES_ROUND)
-    cli._lattice.cache_clear()
-    flaggt.gelfand_tsetlin.cache_clear()
     inits, isos = [], []
     init, iso = flaggt.GelfandTsetlin.__init__, flaggt.gt_poset_iso
 
@@ -189,13 +200,7 @@ def test_polytopes_round_builds_each_rank_once(capsys, monkeypatch):
 
 def test_polytopes_round_builds_the_vertices_once_per_rank(capsys, monkeypatch):
     # gt_vertices depends on n alone, and the rank's context keeps them
-    cold = []
-    for argv in POLYTOPES_ROUND:
-        cli._lattice.cache_clear()
-        flaggt.gelfand_tsetlin.cache_clear()
-        cold.append(run(capsys, argv))
-    cli._lattice.cache_clear()
-    flaggt.gelfand_tsetlin.cache_clear()
+    cold = cold_outputs(capsys, POLYTOPES_ROUND)
     built = []
     vertex = flaggt.GTVertex
     monkeypatch.setattr(flaggt, "GTVertex", lambda *args: built.append(args) or vertex(*args))
@@ -205,6 +210,67 @@ def test_polytopes_round_builds_the_vertices_once_per_rank(capsys, monkeypatch):
     assert len(built) == 40
     assert flaggt.gt_vertices(flaggt.gelfand_tsetlin(4)) == tuple(vertex(*args) for args in built)
     assert len(built) == 40
+
+
+@pytest.fixture
+def cuts(monkeypatch):
+    """The (rank, face key) of each gt_subdivision call from here on."""
+    seen = []
+    kernel = flaggt.gt_subdivision
+    monkeypatch.setattr(flaggt, "gt_subdivision",
+                        lambda gt, F: seen.append((gt.n, F.key())) or kernel(gt, F))
+    return seen
+
+
+def test_polytopes_round_cuts_each_face_once_per_spec(capsys, cuts):
+    # Flag(3)'s two faces, named by three specs: full (the default face of
+    # gt --n 3), [] and [["1","23"]]; the sections are kept per spec
+    cold = cold_outputs(capsys, POLYTOPES_ROUND)
+    assert [code for code, _, _ in cold] == [0] * len(POLYTOPES_ROUND)
+    cuts.clear()
+    for _ in range(2):
+        assert [run(capsys, argv) for argv in POLYTOPES_ROUND] == cold
+    assert sorted(cuts) == sorted([(3, "[]"), (3, "[]"), (3, '[["1","23"]]')])
+    assert cli._gt_sections.cache_info().currsize == 3
+
+
+def test_sections_are_kept_per_context(capsys, cuts):
+    # a new context for the rank, as after gelfand_tsetlin.cache_clear(),
+    # cuts its sections again
+    argv = ["gt", "--n", "3", "subdivide", "--face", '[["1","23"]]']
+    first = run(capsys, argv)
+    assert run(capsys, argv) == first
+    flaggt.gelfand_tsetlin.cache_clear()
+    assert run(capsys, argv) == first
+    assert cuts == [(3, '[["1","23"]]')] * 2
+
+
+@pytest.mark.parametrize("key", ['[["bogus","key"]]', '[["1","23"]', '[["1","23"],["1","23"]]'],
+                         ids=["unknown pair", "bad JSON", "not as the key spells it"])
+def test_refused_spec_keeps_no_sections(key, capsys):
+    code, out, err = run(capsys, ["gt", "--n", "3", "subdivide", "--face", key])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "BadParams"
+    assert cli._gt_sections.cache_info().currsize == 0
+
+
+def test_flag4_sweep_keeps_at_most_32_faces(capsys, cuts):
+    # all 34 specs of Flag(4)'s 32 faces, twice: the table holds at most 32
+    # (context, spec) entries and every output is the cold one
+    code, out, _ = run(capsys, ["cone", "--flag", "4"])
+    assert code == 0
+    keys = [row["key"] for row in json.loads(out)["faces"]]
+    assert len(keys) == 32
+    jobs = [["gt", "--n", "4", "subdivide", "--face", spec] for spec in ["full", "apex", *keys]]
+    cold = cold_outputs(capsys, jobs)
+    assert [code for code, _, _ in cold] == [0] * len(jobs)
+    cuts.clear()
+    for _ in range(2):
+        assert [run(capsys, argv) for argv in jobs] == cold
+        assert cli._gt_sections.cache_info().currsize == 32
+    # the least recently used spec goes first, so a cyclic sweep of more
+    # specs than the table holds cuts every face on every pass
+    assert len(cuts) == 2 * len(jobs)
 
 
 def test_rejected_rank_leaves_the_memo_empty(capsys):

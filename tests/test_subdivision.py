@@ -495,6 +495,20 @@ def test_check_job_subdivides_each_weight_once(argv, monkeypatch, capsys):
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("argv", CHECK_JOBS, ids=CHECK_JOBS)
+def test_check_job_runs_one_union_find(argv, monkeypatch, capsys):
+    # a --face job's subdivision is certified by face_subdivision, which
+    # raises if the certificate fails, so --check reports it and does not
+    # run it again; a --w job runs it for --check alone
+    calls = []
+    check = subdivision.subdivision_invariance_check
+    monkeypatch.setattr(subdivision, "subdivision_invariance_check",
+                        lambda sub: calls.append(sub) or check(sub))
+    assert main(argv.split()) == 0
+    assert json.loads(capsys.readouterr().out)["invariance_check"]["pass"] is True
+    assert len(calls) == 1
+
+
 # -- adjacency ---------------------------------------------------------------
 
 
