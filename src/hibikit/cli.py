@@ -26,12 +26,14 @@ gt job reads the Gelfand-Tsetlin context of its rank from
 flaggt.gelfand_tsetlin, one per rank for the life of the process, which
 keeps the rank's flag lattice, its cone and that cone's last face, so gt
 jobs on two ranks do not evict each other or the lattice cache. For the
-last 32 (context, face spec) pairs that gt jobs named, a call keeps the
-face's key and its Gelfand-Tsetlin sections (_gt_sections; 32 is the face
-count of Flag(4)'s cone), so a gt job on a spec named before on its
-rank's context resolves no face and cuts no section; it still builds and
-writes its own payload. A spec that is refused keeps nothing, and a new
-context for the rank cuts its sections again. One face's kept sections
+last 32 (context, face) pairs that gt jobs named, a call keeps the face's
+key and its Gelfand-Tsetlin sections (_gt_sections; 32 is the face count
+of Flag(4)'s cone), each face under one spelling: "full" for the key [],
+"apex" for the key of every pair, and its key for any other face. So a gt
+job on a face named before on its rank's context, by any spelling,
+resolves no face and cuts no section; it still builds and writes its own
+payload. A spec that is refused keeps nothing, and a new context for the
+rank cuts its sections again. One face's kept sections
 hold 2.6-4.6 KB for Flag(3), 4.7-43 KB (median 16 KB) over Flag(4)'s 32
 faces, and 116 KB-1.8 MB (median 0.5 MB) over 13 of Flag(5)'s faces,
 the full face with its 286 sections the largest (tracemalloc), so the
@@ -353,9 +355,12 @@ def cmd_weightpoly(args) -> int:
 
 
 def _gt_subdivision_payload(gt: GelfandTsetlin, face_spec: str) -> dict:
+    from .cone import cone_K
     from .exactgeom import polytope_json
 
-    key, parts = _gt_sections(gt, face_spec)
+    # one spelling per face: "full" for [], and "apex" for the key of every pair
+    spelling = {"[]": "full", cone_K(gt.flag).apex.key(): "apex"}
+    key, parts = _gt_sections(gt, spelling.get(face_spec, face_spec))
     return {
         "face": key,
         "part_count": len(parts),
@@ -370,8 +375,9 @@ def _gt_subdivision_payload(gt: GelfandTsetlin, face_spec: str) -> dict:
 def _gt_sections(gt: GelfandTsetlin,
                  face_spec: str) -> tuple[str, tuple[tuple[Poset, LatticePolytope], ...]]:
     """The key of the face of gt.flag's cone that face_spec names, and its
-    Gelfand-Tsetlin sections, kept for the last 32 (context, spec) pairs.
-    A spec that raises keeps nothing."""
+    Gelfand-Tsetlin sections, kept for the last 32 (context, spec) pairs;
+    _gt_subdivision_payload spells each face one way. A spec that raises
+    keeps nothing."""
     from .cone import cone_K
     from .flaggt import gt_subdivision
 
@@ -380,7 +386,7 @@ def _gt_sections(gt: GelfandTsetlin,
 
 
 def cmd_gt(args) -> int:
-    from .exactgeom import vector_pairs
+    from .exactgeom import pair_table
     from .flaggt import (MAX_GT_RANK, MAX_SECTION_RANK, gelfand_tsetlin, gt_vertices,
                          shape_census)
 
@@ -401,11 +407,13 @@ def cmd_gt(args) -> int:
         payload["subdivision"] = _gt_subdivision_payload(gt, face)
     if args.action == "vertices":
         vs = gt_vertices(gt)
+        pair = pair_table((x for v in vs for row in (v.point, *v.decomposition) for x in row),
+                          args.n - 1).__getitem__
         payload["vertex_count"] = len(vs)
         payload["vertices"] = [{
-            "point": vector_pairs(v.point, args.n - 1),
+            "point": [*map(pair, v.point)],
             "labels": list(v.labels),
-            "decomposition": [vector_pairs(d, args.n - 1) for d in v.decomposition],
+            "decomposition": [[*map(pair, d)] for d in v.decomposition],
         } for v in vs]
     _write_text(canonical_json(payload), args.out)
     return 0

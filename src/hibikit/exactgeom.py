@@ -26,7 +26,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, inf
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import TooLarge
 
@@ -424,6 +424,12 @@ def vector_pairs(v: Sequence[int], den: int = 1) -> list[list[int]]:
     return [[x // g, den // g] for x, g in zip(v, map(gcd, v, repeat(den)))]
 
 
+def pair_table(values: Iterable[int], den: int) -> dict[int, list[int]]:
+    """Each distinct x / den of values as its reduced [num, den] pair, for
+    den > 0, reduced once and shared by every row that holds x."""
+    return {x: fraction_pair(x, den) for x in set(values)}
+
+
 def polytope_json(poly: LatticePolytope) -> dict:
     """Canonical JSON payload: vertices, hyperplanes, lattice basis, all as
     reduced [num, den] integer pairs; the one place the polytope's
@@ -433,8 +439,8 @@ def polytope_json(poly: LatticePolytope) -> dict:
     if den == 1:
         vertices = [vector_pairs(v) for v in rows]
     else:  # one reduced pair per distinct coordinate, which every row shares
-        pair = {x: fraction_pair(x, den) for x in set(chain.from_iterable(rows))}
-        vertices = [[*map(pair.__getitem__, v)] for v in rows]
+        pair = pair_table(chain.from_iterable(rows), den).__getitem__
+        vertices = [[*map(pair, v)] for v in rows]
     planes = [{"normal": vector_pairs(normal), "rhs": fraction_pair(rhs, den)}
               for normal, rhs in poly.hyperplanes]
     basis = poly.lattice_basis

@@ -18,11 +18,11 @@ sections' inputs, the vertices and the census from their first use, are
 built once per rank and process as one GelfandTsetlin (gelfand_tsetlin(n)),
 which every step of a job reads; so a job on a rank built before pays for
 its own face, sections and output alone. The command line keeps each
-face's sections too, for the last 32 (context, face spec) pairs that gt
-jobs named (cli._gt_sections), so a job on a spec named before on its
-rank pays for its output alone; one face's sections hold 2.6-4.6 KB for
-n = 3, 4.7-43 KB for n = 4 and up to 1.8 MB for n = 5's full face
-(tracemalloc). Every rank's context, with its
+face's sections too, for the last 32 (context, face) pairs that gt jobs
+named (cli._gt_sections), so a job on a face named before on its rank, by
+any spelling, pays for its output alone; one face's sections hold
+2.6-4.6 KB for n = 3, 4.7-43 KB for n = 4 and up to 1.8 MB for n = 5's
+full face (tracemalloc). Every rank's context, with its
 section inputs for n <= MAX_SECTION_RANK, holds about 0.8 MB in all
 (tracemalloc). The vertices hold 0.16 MB more for n <= 5 and 2.2 MB for
 n = 6, whose 4,884 vertices take about 3 s to build.

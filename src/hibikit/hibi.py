@@ -115,15 +115,22 @@ def degree_table(L: Lattice, l: int) -> DegreeTable:
 def _degree_states(L: Lattice, l: int) -> set[int]:
     """The (packed sum, support) states of the degree-l monomials of L, each
     one int with the support in its low L.size bits, built once per lattice
-    and degree by extending the degree below's states by one factor. The
-    classes are told apart by their packed sums, one digit per element of
-    poset_P in base MAX_DEGREE + 1, so adding up to MAX_DEGREE indicators
-    never carries."""
+    and degree by extending the degree below's states by one factor. A
+    state is extended only by the factors at or above its support's top
+    element, so each multiset of factors is built once, in increasing order,
+    and every monomial's state is still reached. The classes are told apart
+    by their packed sums, one digit per element of poset_P in base
+    MAX_DEGREE + 1, so adding up to MAX_DEGREE indicators never carries."""
     if not l:
         return {0}
     base, n = MAX_DEGREE + 1, L.size
     factors = [(sum(base ** j for j in _bits(m)) << n, 1 << i) for i, m in enumerate(L.masks)]
-    return {state + packed | bit for state in _degree_states(L, l - 1) for packed, bit in factors}
+    # the factors from element t on, at index t + 1, the bit length of a
+    # support whose top element is t; all of them for the empty support
+    tails = [factors] + [factors[t:] for t in range(n)]
+    support = (1 << n) - 1
+    return {state + packed | bit for state in _degree_states(L, l - 1)
+            for packed, bit in tails[(state & support).bit_length()]}
 
 
 def standard_monomial_count(L: Lattice, l: int) -> int:

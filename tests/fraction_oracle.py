@@ -100,6 +100,14 @@ Z injective and its integrality makes Z·Z^P the saturated apex lattice.
 They run on exactgeom's Euclidean echelon step and check saturated bases
 against each other.
 
+zeta_fit is the apex certificate weightpoly ran before it read the apex
+span in its indicator coordinates, three exact integer solves where it now
+runs one: the affine map zeta: x -> Z·x + z0 from R^P into the coordinates
+of span_of_face(apex) through every ideal indicator, fitted to the apex
+points; Z·X = B, for B the saturated lattice basis of the apex points'
+affine span, whose uniqueness and integrality make zeta injective and
+onto that lattice; and the apex basis rows over F's basis.
+
 AffineMap, affine_map_through and invert_affine are the Fraction affine maps
 that weightpoly certified its distinguished faces with before zeta and the
 projection to the apex became integer matrices: one solve_linear per output
@@ -145,6 +153,7 @@ from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision, staircase_table
+from hibikit.weightpoly import _inclusion_matrix, _integral_solution
 from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
                           lattice_chain, leq, less, order_ideals, part_order, poset_from_pairs)
 
@@ -590,6 +599,24 @@ def same_lattice(gens_a: Sequence[Sequence[int]], gens_b: Sequence[Sequence[int]
     ech_b = int_row_echelon(gens_b)
     return (all(lattice_member(ech_a, v) for v in gens_b)
             and all(lattice_member(ech_b, v) for v in gens_a))
+
+
+def zeta_fit(F: Face) -> tuple[tuple, tuple, tuple]:
+    """F's apex certificate by the three solves of zeta_fit in the module
+    docstring, as (Z, z0, to_apex) with to_apex over span_of_face(apex):
+    to_apex·p_i == Z·1_i + z0 for every element i. Raises AssertionError
+    where a solve does."""
+    L = F.cone.lattice
+    apex_basis = span_of_face(F.cone.apex)
+    apex_points = tuple(zip(*apex_basis))
+    n = L.poset_P.size
+    X = _integral_solution([[m >> j & 1 for j in range(n)] + [1] for m in L.masks], apex_points)
+    z0 = X[n]
+    rows = range(len(z0))
+    Z = tuple(tuple(col[i] for col in X[:n]) for i in rows)  # |P| = 0 leaves its rows empty
+    B = exactgeom.LatticePolytope(apex_points, 1).lattice_basis
+    _integral_solution(Z, [[v[i] for v in B] for i in rows])
+    return Z, z0, _inclusion_matrix(span_of_face(F), apex_basis)
 
 
 def _facet_vertices(points: list[Vec], planes) -> list[Vec]:

@@ -10,8 +10,8 @@ import random
 import time
 from fractions import Fraction
 
-from fraction_oracle import (AffineMap, enumerated_faces, hull, indicator, invert_affine, is_apex,
-                             is_full, lattice_points, part_value, pbar_labels, rank_dim)
+from fraction_oracle import (enumerated_faces, hull, indicator, is_apex, is_full, lattice_points,
+                             part_value, pbar_labels, rank_dim, vdot)
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
@@ -109,10 +109,10 @@ def test_acceptance_5_weight_polytope_invariants():
             assert Q.dim == rank_dim(K, F.tight) - 1
             if is_full(F):
                 assert set(W.points) == unit  # standard simplex
-            if is_apex(F):
-                zmap = AffineMap(*W.zeta)
-                for a, p in zip(L.elements, W.points, strict=True):
-                    assert invert_affine(zmap, p) == indicator(L, a)
+            # each point's apex projection is (1, 1_a), the fixed zeta of
+            # its ideal's indicator
+            for a, p in zip(L.elements, W.points, strict=True):
+                assert tuple(vdot(row, p) for row in W.to_apex) == (1, *indicator(L, a))
             # distinguished faces biject with the subdivision parts
             # (each is a part's vertex set, which the subdivision certified)
             faces = distinguished_faces(W)

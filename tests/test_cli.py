@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hibikit import cli, cone, jsonwriter
+from hibikit import cli, cone, exactgeom, jsonwriter
 from hibikit.cli import canonical_json, main, parse_vector
 from hibikit.cone import cone_K, face_of
 from hibikit.errors import BadParams
@@ -281,6 +281,20 @@ def test_gt_vertices(capsys):
     for record in report["vertices"]:
         assert len(record["labels"]) == 2
         assert len(record["decomposition"]) == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gt_vertices_reduce_each_coordinate_once(n, capsys, monkeypatch):
+    # each distinct coordinate of the vertex rows, points and decompositions
+    # alike, is reduced over n - 1 once per job, and its pair shared
+    reduced = []
+    pair = exactgeom.fraction_pair
+    monkeypatch.setattr(exactgeom, "fraction_pair",
+                        lambda x, den: reduced.append((x, den)) or pair(x, den))
+    report = run_json(capsys, ["gt", "--n", str(n), "vertices"])
+    rows = [row for v in report["vertices"] for row in (v["point"], *v["decomposition"])]
+    assert len(reduced) == len(set(reduced)) == len({tuple(x) for row in rows for x in row})
+    assert {den for _, den in reduced} == {n - 1}
 
 
 # -- determinism and errors ---------------------------------------------------

@@ -86,16 +86,17 @@ def test_keyed_jobs_on_one_face_build_it_once(sel, key, capsys, builds):
 
 
 def test_weightpoly_keys_on_one_lattice_build_the_apex_span_once(capsys, monkeypatch):
-    # every weight polytope is certified through the apex projection, and
-    # the cone keeps its apex face with the span that face keeps
+    # every weight polytope is certified through the apex projection, read
+    # in the apex span's indicator coordinates, so only the apex's own job
+    # builds the apex span, an integer kernel of every diamond normal; the
+    # cone keeps its apex face with the span that face keeps
     spans = []
     kernel = cone.integer_kernel
     monkeypatch.setattr(cone, "integer_kernel", lambda rows: spans.append(len(rows)) or kernel(rows))
-    for key in (B3_KEY, '[["{p}","{q}"]]', "apex"):
+    for key in (B3_KEY, '[["{p}","{q}"]]', "apex", "apex"):
         assert run(capsys, ["weightpoly", "--boolean", "3", "--face", key])[0] == 0
     K = cone.cone_K(cli._lattice("boolean", 3))
-    assert spans.count(len(K.pairs)) == 1
-    assert spans == [1, len(K.pairs), 1]
+    assert spans == [1, 1, len(K.pairs)]
 
 
 def test_rewritten_poset_file_gives_the_new_lattice(tmp_path, capsys):
@@ -224,14 +225,15 @@ def cuts(monkeypatch):
 
 def test_polytopes_round_cuts_each_face_once_per_spec(capsys, cuts):
     # Flag(3)'s two faces, named by three specs: full (the default face of
-    # gt --n 3), [] and [["1","23"]]; the sections are kept per spec
+    # gt --n 3), [] and [["1","23"]]; full and [] spell one face, whose
+    # sections are kept once
     cold = cold_outputs(capsys, POLYTOPES_ROUND)
     assert [code for code, _, _ in cold] == [0] * len(POLYTOPES_ROUND)
     cuts.clear()
     for _ in range(2):
         assert [run(capsys, argv) for argv in POLYTOPES_ROUND] == cold
-    assert sorted(cuts) == sorted([(3, "[]"), (3, "[]"), (3, '[["1","23"]]')])
-    assert cli._gt_sections.cache_info().currsize == 3
+    assert sorted(cuts) == sorted([(3, "[]"), (3, '[["1","23"]]')])
+    assert cli._gt_sections.cache_info().currsize == 2
 
 
 def test_sections_are_kept_per_context(capsys, cuts):
@@ -255,8 +257,9 @@ def test_refused_spec_keeps_no_sections(key, capsys):
 
 
 def test_flag4_sweep_keeps_at_most_32_faces(capsys, cuts):
-    # all 34 specs of Flag(4)'s 32 faces, twice: the table holds at most 32
-    # (context, spec) entries and every output is the cold one
+    # all 34 specs of Flag(4)'s 32 faces, twice: full and [] spell one face,
+    # apex and the key of every pair another, so the 32-entry table holds
+    # every face and every output is the cold one
     code, out, _ = run(capsys, ["cone", "--flag", "4"])
     assert code == 0
     keys = [row["key"] for row in json.loads(out)["faces"]]
@@ -268,9 +271,8 @@ def test_flag4_sweep_keeps_at_most_32_faces(capsys, cuts):
     for _ in range(2):
         assert [run(capsys, argv) for argv in jobs] == cold
         assert cli._gt_sections.cache_info().currsize == 32
-    # the least recently used spec goes first, so a cyclic sweep of more
-    # specs than the table holds cuts every face on every pass
-    assert len(cuts) == 2 * len(jobs)
+    # each face is cut once, in the first pass
+    assert len(cuts) == 32 and len(set(cuts)) == 32
 
 
 def test_rejected_rank_leaves_the_memo_empty(capsys):

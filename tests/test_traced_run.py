@@ -17,6 +17,7 @@ JOBS = [
     ["cone", "--boolean", "2"],
     ["certify", "--boolean", "2", "--lmax", "2"],
     ["weightpoly", "--boolean", "2", "--face", "apex"],
+    ["weightpoly", "--boolean", "2", "--face", "full"],
     ["permutahedron", "--boolean", "2", "--w", "0,1,1,3"],
 ]
 

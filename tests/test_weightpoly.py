@@ -4,17 +4,21 @@ The paper's claims that no subcommand reports are checked here through
 helpers over the package's own maps: the projections dual to span
 inclusions and their composition, the chain simplices as the full face's
 distinguished faces, and the normality of the weight and order polytopes.
-weightpoly certifies each weight polytope by three exact solves through its
-apex projection and builds no hull; the hulls here (the oracle's hull of
-the points, and its lattice_points) recheck what that certificate implies:
-|L| vertices, |L| integer points and dimension dim F - 1. What the solves
-imply and weightpoly no longer checks is checked here on every face of
-several lattices: the pullback identity, the separators' span and the
-distinguished faces' dimension.
+weightpoly certifies each weight polytope by one exact solve through its
+apex projection, read in the apex span's indicator coordinates, and builds
+no hull; the hulls here (the oracle's hull of the points, and its
+lattice_points) recheck what that certificate implies: |L| vertices, |L|
+integer points and dimension dim F - 1. What the solve implies and
+weightpoly no longer checks is checked here on every face of several
+lattices: the pullback identity through the fixed zeta: x -> (1, x), the
+separators' span and the distinguished faces' dimension; and the three
+solves weightpoly ran before, fitting zeta to the apex points
+(fraction_oracle.zeta_fit), accept the same polytopes.
 """
 
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -67,12 +71,27 @@ def labels(L, d):
     return {L.elements[i] for i in d}
 
 
-def _pulls_back(to_apex, zeta, point, x) -> bool:
-    """Whether to_apex·point == Z·x + z0, in integer dot products. Z has
-    rank |P|, so then x is the unique preimage of to_apex·point under zeta."""
-    Z, z0 = zeta
-    return ([sum(c * y for c, y in zip(row, point, strict=True)) for row in to_apex]
-            == [sum(c * y for c, y in zip(row, x, strict=True)) + c0 for row, c0 in zip(Z, z0)])
+def zeta(x):
+    """The fixed zeta: x -> (1, x), from R^P into the apex span's indicator
+    coordinates, injective and onto its lattice."""
+    return (1, *x)
+
+
+def pi(W, point):
+    """The apex projection to_apex of a point of W, in integer dot products."""
+    return tuple(sum(c * y for c, y in zip(row, point, strict=True)) for row in W.to_apex)
+
+
+def _pulls_back(W, point, x) -> bool:
+    """Whether pi(point) == zeta(x): then x is the unique preimage of
+    pi(point) under zeta."""
+    return pi(W, point) == zeta(x)
+
+
+def zeta_map(n):
+    """The fixed zeta on R^n as the oracle's Fraction AffineMap."""
+    unit = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return oracle.AffineMap(((Fraction(0),) * n, *unit), (Fraction(1),) + (Fraction(0),) * n)
 
 
 def separators(W):
@@ -84,7 +103,7 @@ def separators(W):
 
 
 def check_certificate(W):
-    """What weight_polytope's three solves and the subdivision imply, and
+    """What weight_polytope's solve and the subdivision imply, and
     weightpoly no longer checks: every point pulls back to its indicator;
     each separator is an integer combination of the basis rows, so an
     integer functional on W, zero on its face's points and at least 1 on
@@ -92,7 +111,7 @@ def check_certificate(W):
     L = W.face.cone.lattice
     n = L.poset_P.size
     for point, m in zip(W.points, L.masks, strict=True):
-        assert _pulls_back(W.to_apex, W.zeta, point, [m >> j & 1 for j in range(n)])
+        assert _pulls_back(W, point, [m >> j & 1 for j in range(n)])
     for d, sep in separators(W):
         # the points have rank d, so a solution is unique
         c = solve_linear(W.points, sep)
@@ -224,19 +243,24 @@ def test_project_composition():
 @pytest.mark.parametrize("L", [birkhoff(chain(["a", "b", "c"])), B2, B3, GRIDL,
                                birkhoff(antichain([]))])
 def test_zeta_bijects_order_polytope_and_apex_polytope(L):
+    # on the apex, to_apex is square and unimodular, so zeta followed by
+    # its inverse is an integer affine bijection carrying 1_a to p_a
     W = weight_polytope(apex_face(L))
-    z = oracle.AffineMap(*W.zeta)
+    n = L.poset_P.size
+    assert len(W.to_apex) == len(W.basis) == n + 1
+    assert oracle.same_lattice(W.to_apex, [[int(i == j) for j in range(n + 1)]
+                                           for i in range(n + 1)])
+    z = zeta_map(n)
     for a, p in zip(L.elements, W.points, strict=True):
-        assert z(indicator(L, a)) == p
-        assert oracle.invert_affine(z, p) == indicator(L, a)
+        assert solve_linear(W.to_apex, z(indicator(L, a))) == list(p)
+        assert oracle.invert_affine(z, pi(W, p)) == indicator(L, a)
 
 
 @pytest.mark.parametrize("face", ["full", "apex"])
 def test_weightpoly_on_the_empty_poset(face, tmp_path, capsys):
-    # one lattice element, the empty ideal: zeta has a row per apex
-    # coordinate and no column (the last case of the zeta test above); it
-    # used to have no row, and the pullback check failed with an
-    # AssertionError record
+    # one lattice element, the empty ideal: the apex span's indicator
+    # coordinates are the all-ones row alone, and zeta takes the empty
+    # indicator to (1,) (the last case of the zeta test above)
     path = tmp_path / "empty.json"
     path.write_text('{"elements": [], "covers": []}', encoding="utf-8")
     assert main(["weightpoly", "--poset", str(path), "--face", face]) == 0
@@ -246,10 +270,13 @@ def test_weightpoly_on_the_empty_poset(face, tmp_path, capsys):
 
 
 def test_zeta_square_to_square():
+    # the order polytope's vertices through zeta and the inverse of the
+    # apex's to_apex are the apex polytope's
     W = weight_polytope(apex_face(B2))
-    z = oracle.AffineMap(*W.zeta)
+    z = zeta_map(2)
     order_poly = LatticePolytope([tuple(map(int, indicator(B2, a))) for a in B2.elements], 1)
-    image = oracle.hull(*oracle.over_den([z(v) for v in order_poly.vertices]))
+    image = oracle.hull(*oracle.over_den([solve_linear(W.to_apex, z(v))
+                                          for v in order_poly.vertices]))
     assert image.den == 1 and image.vertices == hull(W).vertices
     assert len(lattice_points(order_poly)) == len(lattice_points(hull(W)))
 
@@ -325,6 +352,21 @@ def test_every_face_meets_its_certificate(L):
         check_certificate(weight_polytope(F))
 
 
+@pytest.mark.parametrize("L", [B3, GRIDL, grassmann_lattice(2, 5), flag_lattice(4)])
+def test_zeta_fit_accepts_the_same_polytopes(L):
+    # the three solves weightpoly ran before accept every face's polytope,
+    # and their projection is the one solve's read through the integer
+    # matrix M = [z0 | Z], square and unimodular: M·(1, 1_i) = Z·1_i + z0
+    for F in enumerated_faces(cone_K(L)):
+        W = weight_polytope(F)
+        Z, z0, to_apex = oracle.zeta_fit(F)
+        M = [[c0, *row] for c0, row in zip(z0, Z, strict=True)]
+        assert oracle.same_lattice(M, [[int(i == j) for j in range(len(M))]
+                                       for i in range(len(M))])
+        assert [list(row) for row in to_apex] == [[vdot(m, col) for col in zip(*W.to_apex)]
+                                                  for m in M]
+
+
 def test_distinguished_images_are_subdivision_parts():
     # pulling each face back through zeta recovers the part's vertex set
     L = B3
@@ -371,14 +413,13 @@ def oracle_pulls_back(zmap, to_apex, point, x):
 def test_integer_certificate_matches_fraction_oracle(P):
     L = birkhoff(P)
     assume(len(diamond_pairs(L)) <= 8)
-    apex = weight_polytope(apex_face(L))
-    zmap = oracle.affine_map_through([indicator(L, a) for a in L.elements], apex.points)
+    # the apex span's indicator rows, and the fixed zeta as a Fraction map
+    rows = [[1] * L.size] + [[m >> j & 1 for m in L.masks] for j in range(P.size)]
+    zmap = zeta_map(P.size)
     indicators = [[int(x) for x in indicator(L, a)] for a in L.elements]
     for F in enumerated_faces(cone_K(L)):
         W = weight_polytope(F)
-        assert W.zeta == (zmap.matrix, zmap.offset)
-        assert [list(row) for row in W.to_apex] == [solve_linear(W.points, row)
-                                                    for row in apex.basis]
+        assert [list(row) for row in W.to_apex] == [solve_linear(W.points, row) for row in rows]
         check_certificate(W)
         # each element's own point and indicator, a wrong indicator, and
         # the point moved by 1 in each coordinate
@@ -386,7 +427,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
             cases = [(q, indicators[i]), (q, indicators[i - 1])]
             cases += [(bump(q, j), indicators[i]) for j in range(len(q))]
             for point, x in cases:
-                assert (_pulls_back(W.to_apex, W.zeta, point, x)
+                assert (_pulls_back(W, point, x)
                         == oracle_pulls_back(zmap, W.to_apex, point, x))
         # what the pullback implies for each distinguished face: its members
         # are its vertices, and it has dimension |P|
@@ -406,18 +447,18 @@ def with_basis(monkeypatch, F, rows):
 @pytest.mark.parametrize("L", [B3, GRIDL])
 def test_certificate_rejects_a_moved_point(L, monkeypatch):
     # each element's point moved by 1 in one coordinate, taken in turn, is
-    # off the apex image of its indicator under W's own maps. Handed the
-    # basis that moves it, weight_polytope fits its maps to the moved
-    # points: it rejects them, or the oracle finds that the moved polytope
-    # has every property the certificate claims
+    # off the apex image of its indicator under W's own map. Handed the
+    # basis that moves it, weight_polytope solves for the indicator rows
+    # over the moved basis: it rejects it, or the oracle finds that the
+    # moved polytope has every property the certificate claims
     rejected = 0
     for F in enumerated_faces(cone_K(L)):
         W = weight_polytope(F)
         for k, (point, m) in enumerate(zip(W.points, L.masks)):
             i = k % len(W.basis)
             x = [m >> j & 1 for j in range(L.poset_P.size)]
-            assert _pulls_back(W.to_apex, W.zeta, point, x)
-            assert not _pulls_back(W.to_apex, W.zeta, bump(point, i), x)
+            assert _pulls_back(W, point, x)
+            assert not _pulls_back(W, bump(point, i), x)
             rows = [list(row) for row in W.basis]
             rows[i][k] += 1
             with_basis(monkeypatch, F, rows)
@@ -433,28 +474,39 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
 
 @pytest.mark.parametrize("L", [B3, GRIDL, grassmann_lattice(2, 5), flag_lattice(4)])
 def test_certificate_rejects_a_doubled_basis_row(L, monkeypatch):
-    # a doubled row leaves the basis unsaturated. Off the apex the apex
-    # span's basis is then no integer combination of it, and the
-    # certificate fails. On the apex zeta is fitted to W's own points, and
-    # the doubled polytope is again an integral image of O(P): it passes,
-    # and the oracle finds no integer point but its |L| points. With every
-    # row doubled the apex polytope is twice one, its edge midpoints are
-    # integer points, and the apex lattice basis is no integer combination
-    # of zeta's columns
+    # a doubled row leaves the basis unsaturated, and the apex span's
+    # indicator rows, a basis of its integer points, are then no integer
+    # combination of it: the certificate fails on every face, the apex
+    # among them. (The zeta fitted to the apex's own points let a single
+    # doubled row through there, as the polytope it gave was again an
+    # integral image of O(P) with no integer point but its |L| points.)
     for F in enumerated_faces(cone_K(L)):
         basis = span_of_face(F)
-        for i in range(len(basis)):
-            with_basis(monkeypatch, F, [[2 * x for x in row] if k == i else row
-                                        for k, row in enumerate(basis)])
-            if is_apex(F):
-                assert len(lattice_points(hull(weight_polytope(F)))) == L.size
-            else:
-                with pytest.raises(AssertionError, match="not integral"):
-                    weight_polytope(F)
-        if is_apex(F):
-            with_basis(monkeypatch, F, [[2 * x for x in row] for row in basis])
+        doubled = [[[2 * x for x in row] if k == i else row for k, row in enumerate(basis)]
+                   for i in range(len(basis))]
+        for rows in doubled + [[[2 * x for x in row] for row in basis]]:
+            with_basis(monkeypatch, F, rows)
             with pytest.raises(AssertionError, match="not integral"):
                 weight_polytope(F)
+
+
+@pytest.mark.parametrize("argv", [["--boolean", "3", "--face", '[["{p,q}","{p,r}"]]'],
+                                  ["--boolean", "3", "--face", "full"],
+                                  ["--grassmann", "2", "5", "--face", '[["14","23"]]']],
+                         ids=["B3 key", "B3 full", "Gr25 key"])
+def test_weightpoly_off_the_apex_runs_one_solve(argv, capsys, monkeypatch):
+    # one exact solve certifies the weight polytope, and the apex span, an
+    # integer kernel of every diamond normal, is never built
+    solves, spans = [], []
+    solve, span = weightpoly._integral_solution, weightpoly.span_of_face
+    monkeypatch.setattr(weightpoly, "_integral_solution",
+                        lambda A, B: solves.append(len(B[0])) or solve(A, B))
+    monkeypatch.setattr(weightpoly, "span_of_face", lambda F: spans.append(F) or span(F))
+    assert main(["weightpoly", *argv]) == 0
+    capsys.readouterr()
+    L = spans[0].cone.lattice
+    assert solves == [L.poset_P.size + 1]
+    assert len(spans) == 1 and not is_apex(spans[0])
 
 
 @pytest.mark.parametrize("face", ["apex", "full", '[["{p,q}","{p,r}"]]'])
