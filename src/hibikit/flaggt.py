@@ -436,11 +436,11 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
     lies in the section iff its chain lies in part.vertex_mask: the pattern
     is the sum of its chain's ideal indicators, so it respects the part
     order iff each of those ideals is an ideal of the order, and
-    regular_subdivision certified vertex_mask as exactly those elements.
-    The lifted heights need no check: a part's value at a pattern minus
-    the pattern's lift is the sum over its chain of g(a_k) - w[a_k], g the
-    part's map, which is at least 0, and 0 iff every a_k is a vertex of the
-    part, by the envelope check regular_subdivision ran.
+    regular_subdivision's construction certified vertex_mask as exactly
+    those elements. The lifted heights need no check: a part's value at a
+    pattern minus the pattern's lift is the sum over its chain of g(a_k) -
+    w[a_k], g the part's map, which is at least 0, and 0 iff every a_k is a
+    vertex of the part, by the envelope check regular_subdivision ran.
 
     A part with one simplex has a chain for its order, and component_shape
     certifies its section as a product of unit simplices on the scaled

@@ -261,9 +261,9 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
     degree caps fail fast; only the intersection is computed per face.
 
     A component's members are its part's vertex mask. They are the ideals
-    of the part's order and a sublattice of L by regular_subdivision's
-    interpolation and envelope checks alone, which it runs on every face
-    (the argument is in the subdivision module docstring)."""
+    of the part's order and a sublattice of L by the checks that
+    regular_subdivision builds every part with, on every face (the
+    argument is in the subdivision module docstring)."""
     from .cone import cone_K, enumerate_faces, enumerated_face
     from .subdivision import face_subdivision
 

@@ -18,12 +18,43 @@ weakly overestimates the weight off its own vertex set, with equality
 exactly on it. The code verifies this on every element rather than trusting
 convexity adjectives.
 
-That each part is an order polytope needs no check of its own. Take a
-part with members M, the extensions merged into it, map g, and vertex set
-S, the union of the members' chains, whose sets are the members' prefixes.
-regular_subdivision asserts that w is in K-bar, that g interpolates w on S,
-and that g >= w on all of L with equality exactly on S. Its order is the
-AND of the members' before masks, and four steps make the part O(P, order):
+regular_subdivision builds the parts from the swap edges: staircase
+simplices one adjacent swap apart, of p and q after the ideal m, share a
+facet across the diamond pair (m∪p, m∪q). It joins the extensions by the
+edges of the pairs tight at w, and no others, and takes each component's
+map g from one member, the differences of w along its chain. It asserts
+that w is in K-bar, that g >= w on all of L, that the set S where g
+equals w is the union of the members' chains, so every member's chain
+lies in S, and that no two components have the same S. The staircase
+table, built once per lattice, asserts that each chain holds |P| + 1
+distinct elements, a full chain. Four steps make the components the
+parts:
+
+1. A map that interpolates w on a full chain is that chain's map: the
+   chain's indicators are the vertices of its simplex, affinely
+   independent.
+2. So every member of a component, whose chain lies in S, has the
+   component's map g.
+3. S is the set where g meets w, so distinct S come from distinct maps:
+   two components never share a map, and an extension's map, by step 2
+   its component's, is no other component's. So no part is split, and
+   the components are exactly the classes of equal maps.
+4. A loose swap edge inside a component would give two extensions one
+   map. The first one's map g is affine, so g(m∪q) = w(m) + w(m∪p∪q) -
+   w(m∪p), which exceeds w(m∪q) by exactly the diamond's value; one map
+   for both, which meets w at m∪q, makes that value 0 and the pair
+   tight. So an edge joins one part iff its pair is tight, the per-edge
+   test that a separate pass once ran.
+
+The components depend on the tight mask alone, so the parts are the same
+at every point of a face, as are a part's vertex set and order, read off
+its members below. The steps read only that each chain lies in S; that S
+holds nothing more, as the members step below shows it must, checks the
+values the peel gives.
+
+That each part is an order polytope needs no further check. Take a part
+with members M, map g, and vertex set S. Its order is the AND of the
+members' before masks, and four steps make the part O(P, order):
 
 - Order: an AND of linear orders that extend P is a partial order refining
   P.
@@ -35,35 +66,21 @@ AND of the members' before masks, and four steps make the part O(P, order):
   throughout, and x∪y and x∩y are vertices.
 - Ideals: S is then a sublattice of 2^P that holds a full chain from ∅ to
   P, a member's, so it is the ideal set of the order "every vertex holding
-  y holds x" (Birkhoff 1937). Every member extends that order, as its prefixes are
-  vertices.
+  y holds x" (Birkhoff 1937). Every member extends that order, as its
+  prefixes are vertices.
 - Members: every linear extension of that order has its prefixes in S,
-  where g interpolates w, so its own map is g and it is a member. So the
-  members are that order's linear extensions, and the order, the AND of
-  its linear extensions, is the AND of the members' before masks.
-
-The argument takes one fact from the staircase table: each chain holds
-|P| + 1 distinct elements. A wrong chain entry that repeats an element of
-its own chain can leave the map checks passing, so a part with one member
-is checked to have |P| + 1 vertices.
-
-The parts are the same at every point of a face. Swap fact: staircase
-simplices one adjacent swap apart, of p and q after the ideal m, have the
-same map iff the diamond pair (m∪p, m∪q) is tight. For the first one's map
-g is affine, so g(m∪q) = w(m) + w(m∪p∪q) - w(m∪p) misses w(m∪q) by exactly
-the diamond's value, >= 0 at every w in K-bar; at 0, g is the second's map.
-By the members step a part's simplices are the linear extensions of its
-order, joined by adjacent swaps of elements incomparable there, so in P
-(bubble sort). So the parts are the components of the swap edges whose
-pair is tight, which depend on the face alone, as do a part's vertex set
-and order, read off its members. subdivision_invariance_check tests this,
-and face_subdivision runs it on every face.
+  where g interpolates w, so its own map is g (step 1) and, by step 3, it
+  is a member. So the members are that order's linear extensions, the
+  order, the AND of its linear extensions, is the AND of the members'
+  before masks, and S, each of whose ideals lies on some maximal chain, is
+  the union of the members' chains.
 """
 
 from __future__ import annotations
 
+from itertools import compress, count
 from math import gcd
-from operator import and_, eq, lt
+from operator import and_, attrgetter, eq, lt
 from typing import NamedTuple, Sequence
 
 from .cone import Face, _key_of, _tight_set, key_fragments
@@ -90,18 +107,15 @@ class Part(NamedTuple):
 
 class Subdivision:
     """The parts of the subdivision of the weight scaled / den, in lowest
-    terms; part_at[k] is the index of the part that holds the k-th linear
-    extension of L.extensions(), and tight the mask over
-    diamond_pairs(lattice), the cone's pair order, of the pairs tight at
-    the weight."""
+    terms, sorted by alpha, and tight the mask over diamond_pairs(lattice),
+    the cone's pair order, of the pairs tight at the weight."""
 
     def __init__(self, lattice: Lattice, scaled: tuple[int, ...], den: int,
-                 parts: tuple[Part, ...], part_at: tuple[int, ...], tight: int):
+                 parts: tuple[Part, ...], tight: int):
         self.lattice = lattice
         self.scaled = scaled
         self.den = den
         self.parts = parts
-        self.part_at = part_at
         self.tight = tight
 
     @property
@@ -115,14 +129,14 @@ class Subdivision:
 
 class StaircaseTable(NamedTuple):
     """The weight-independent half of regular_subdivision, built once per
-    lattice. For the k-th linear extension t of P, chains[k]
-    holds the element indices of its maximal chain, the ideals of t's
-    prefixes from the bottom up, and befores[k][p] the mask of the elements
-    t puts before p. peel lists (i, parent, j) for every element i but the
-    bottom, each after its parent's entry: j is a maximal member of i's
-    ideal and parent the element whose ideal is i's without j."""
+    lattice. For the k-th linear extension t of P, chains[k] is the mask
+    over L's elements of its maximal chain, the ideals of t's prefixes,
+    checked to hold |P| + 1 elements, and befores[k][p] the mask of the
+    elements t puts before p. peel lists (i, parent, j) for every element i
+    but the bottom, each after its parent's entry: j is a maximal member of
+    i's ideal and parent the element whose ideal is i's without j."""
 
-    chains: tuple[tuple[int, ...], ...]
+    chains: tuple[int, ...]
     befores: tuple[tuple[int, ...], ...]
     peel: tuple[tuple[int, int, int], ...]
 
@@ -135,13 +149,15 @@ def staircase_table(L: Lattice) -> StaircaseTable:
     chains, befores = [], []
     for ext in L.extensions():
         before = [0] * n
-        chain = [at[0]]
+        chain = 1 << at[0]
         m = 0
         for j in ext:
             before[j] = m
             m |= 1 << j
-            chain.append(at[m])
-        chains.append(tuple(chain))
+            chain |= 1 << at[m]
+        if chain.bit_count() != n + 1:
+            raise AssertionError("a chain must hold |P| + 1 distinct elements")
+        chains.append(chain)
         befores.append(tuple(before))
     peel = []
     for i in sorted(range(L.size), key=lambda i: L.masks[i].bit_count())[1:]:
@@ -153,18 +169,20 @@ def staircase_table(L: Lattice) -> StaircaseTable:
 
 
 def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
-    """Interpolate the weight w / den, for integer w and den > 0, over every
-    staircase simplex, merge equal affine maps, and check on all of L that
-    each merged class's map interpolates w on its vertices and overestimates
-    it elsewhere, which makes the class the order polytope of the AND of its
-    before masks (the module docstring's argument). The mask of tight
+    """The parts of the subdivision of the weight w / den, for integer w
+    and den > 0, built as the components of the swap edges whose diamond
+    pair is tight at w and certified by the checks of the module
+    docstring's argument: each component's map, read off one member's
+    chain, is >= w on all of L and meets w on its members' chains alone,
+    and no two components meet w on the same set. The mask of tight
     pairs, over the cone's order of diamond_pairs(L), comes from each
     pair's value at w.
 
     The chains, before masks and peel order come from L's staircase table,
-    so the work per weight is one difference per chain step, one AND of
-    before masks and one union of chains per merged extension, and one add
-    per element and part."""
+    and the edges from its adjacency graph, read only when some pair is
+    tight; so the work per weight is one union per tight edge, one
+    difference per chain step and one add per element for each part, and
+    one OR of a chain mask and one AND of before masks per extension."""
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
     g = gcd(den, *w)
@@ -175,117 +193,87 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     exts = L.extensions()
     chains, befores, peel = staircase_table(L)
 
-    # vertices of a simplex are its prefix-ideal indicators; the
-    # interpolating map has alpha[p_k] = w_{a_k} - w_{a_{k-1}} along the
-    # extension's chain a_0 < a_1 < ..., and every chain starts at the
-    # bottom, so the maps of two extensions are equal iff their alphas are
-    groups: dict[tuple, list[int]] = {}
-    for k, (ext, chain) in enumerate(zip(exts, chains)):
-        steps = [ws[i] for i in chain]
-        alpha = [0] * n
-        for j, low, high in zip(ext, steps, steps[1:]):
-            alpha[j] = high - low
-        groups.setdefault(tuple(alpha), []).append(k)
-
-    bottom = ws[L.at_mask[0]]
-    parts, part_at = [], [0] * len(exts)
-    for alpha, members in sorted(groups.items()):
-        below = befores[members[0]]
-        on_chains = set(chains[members[0]])
-        for k in members[1:]:
-            below = tuple(map(and_, below, befores[k]))
-            on_chains.update(chains[k])
-        if len(members) == 1 and len(on_chains) != n + 1:
-            raise AssertionError("a chain must hold |P| + 1 distinct elements")
-        vertex_mask = 0
-        for i in on_chains:
-            vertex_mask |= 1 << i
-        # envelope: the part overestimates w on all of L, tight exactly on
-        # its own vertices; each value is its parent's plus one alpha. Once
-        # the map meets w on every vertex and nowhere below it, as many
-        # equal values as vertices leave none tight off the vertex set
-        values = [bottom] * L.size
-        for i, parent, j in peel:
-            values[i] = values[parent] + alpha[j]
-        if any(values[i] != ws[i] for i in on_chains):
-            raise AssertionError("part map must interpolate w on its vertices")
-        if any(map(lt, values, ws)):
-            raise AssertionError("envelope inequality fails")
-        if sum(map(eq, values, ws)) != len(on_chains):
-            raise AssertionError("tight value off the part's vertex set")
-        for k in members:
-            part_at[k] = len(parts)
-        parts.append(Part(below, alpha, tuple(map(exts.__getitem__, members)), vertex_mask))
-    return Subdivision(L, ws, den, tuple(parts), tuple(part_at), tight)
-
-
-@_kept
-def face_subdivision(F: Face) -> Subdivision:
-    """The subdivision of the face: regular_subdivision at its witness,
-    whose tight mask must be the face's, certified by
-    subdivision_invariance_check to have the tight swap components for its
-    parts. Built and checked once per face."""
-    sub = regular_subdivision(F.cone.lattice, *F.witness)
-    if sub.tight != F.tight:
-        raise AssertionError("sample does not lie in the face's relative interior")
-    if not subdivision_invariance_check(sub):
-        raise AssertionError("the parts must be the components of the tight swap edges")
-    return sub
-
-
-def subdivision_invariance_check(sub: Subdivision) -> bool:
-    """Whether sub's parts are the same at every point of its face, as the
-    components of the tight swap edges (module docstring): each edge joins
-    one part iff its pair is tight, and there are as many components as
-    parts. One union-find over adjacency_graph's edges, whose pairs index
-    diamond_pairs(L), the order of sub.tight; nothing is sampled."""
-    graph = adjacency_graph(sub.lattice)
-    part = sub.part_at
-    root = list(range(len(part)))
+    root = list(range(len(exts)))
 
     def find(i: int) -> int:
         while root[i] != i:
             root[i] = i = root[root[i]]
         return i
 
-    components = len(part)
-    for (i, j), pair in zip(graph.edges, graph.pairs):
-        if (part[i] == part[j]) != bool(sub.tight >> pair & 1):
-            return False
-        if part[i] == part[j]:
-            i, j = find(i), find(j)
-            if i != j:
-                root[i] = j
-                components -= 1
-    return components == len(sub.parts)
+    edges = adjacency_graph(L) if tight else ()
+    for pair in _bits(tight):
+        for i, j in edges[pair]:
+            root[find(i)] = find(j)
+    components: dict[int, list[int]] = {}
+    for k in range(len(exts)):
+        components.setdefault(find(k), []).append(k)
 
-
-class AdjacencyGraph(NamedTuple):
-    """Edges index into L.extensions(); pairs[k] is the index in
-    diamond_pairs(L) of the diamond pair by which the chains of edge k
-    differ."""
-
-    edges: tuple[tuple[int, int], ...]
-    pairs: tuple[int, ...]
+    at = L.at_mask
+    bottom = ws[at[0]]
+    parts, vertex_sets = [], set()
+    for members in components.values():
+        # the first member's map: alpha[p_k] = w_{a_k} - w_{a_{k-1}} along
+        # its chain a_0 < a_1 < ..., which starts at the bottom
+        alpha = [0] * n
+        m, low = 0, bottom
+        for j in exts[members[0]]:
+            m |= 1 << j
+            high = ws[at[m]]
+            alpha[j] = high - low
+            low = high
+        # its value at every element is its parent's plus one alpha
+        values = [bottom] * L.size
+        for i, parent, j in peel:
+            values[i] = values[parent] + alpha[j]
+        if any(map(lt, values, ws)):
+            raise AssertionError("envelope inequality fails")
+        vertex_mask = sum(1 << i for i in compress(count(), map(eq, values, ws)))
+        on_chains = 0
+        for k in members:
+            on_chains |= chains[k]
+        if on_chains != vertex_mask:
+            raise AssertionError("a part's map must meet w on its members' chains alone")
+        if vertex_mask in vertex_sets:
+            raise AssertionError("two components must not share a vertex set")
+        vertex_sets.add(vertex_mask)
+        below = befores[members[0]]
+        for k in members[1:]:
+            below = tuple(map(and_, below, befores[k]))
+        parts.append(Part(below, tuple(alpha), tuple(map(exts.__getitem__, members)),
+                          vertex_mask))
+    parts.sort(key=attrgetter("alpha"))
+    return Subdivision(L, ws, den, tuple(parts), tight)
 
 
 @_kept
-def adjacency_graph(L: Lattice) -> AdjacencyGraph:
-    """Extensions adjacent when their staircase simplices share a facet,
-    built from adjacent swaps: t[k] and t[k+1] incomparable give the
-    extension with the two swapped, whose maximal chain differs from t's
-    across the diamond with meet m, the ideal before them, and sides
-    m + t[k] and m + t[k+1]. Edges (i, j), i < j, are listed in order.
-    Every diamond pair must label some edge, or face_subdivision could not
-    read its tightness off the parts. Built and checked once per lattice."""
+def face_subdivision(F: Face) -> Subdivision:
+    """The subdivision of the face: regular_subdivision at its witness,
+    whose tight mask must be the face's. Its construction certifies that
+    its parts are the tight swap components, which depend on the face
+    alone. Built once per face."""
+    sub = regular_subdivision(F.cone.lattice, *F.witness)
+    if sub.tight != F.tight:
+        raise AssertionError("sample does not lie in the face's relative interior")
+    return sub
+
+
+@_kept
+def adjacency_graph(L: Lattice) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The swap edges between L's staircase simplices, grouped by diamond
+    pair: entry k lists the edges (i, j), i < j, indices into
+    L.extensions(), in order, whose chains differ across the k-th pair of
+    diamond_pairs(L). t[k] and t[k+1] incomparable give the extension with
+    the two swapped, whose maximal chain differs from t's across the
+    diamond with meet m, the ideal before them, and sides m + t[k] and
+    m + t[k+1]. Every diamond pair must label some edge, or a tight pair
+    could join no simplices. Built and checked once per lattice."""
     exts = L.extensions()
     where = {t: i for i, t in enumerate(exts)}
     pairs = diamond_pairs(L)
     pair_of = {(d.a, d.b): k for k, d in enumerate(pairs)}
     at, below = L.at_mask, L.poset_P.below
-    edges, edge_pairs = [], []
+    by_pair: list[list[tuple[int, int]]] = [[] for _ in pairs]
     for i, t in enumerate(exts):
-        found = []
         m = 0
         for k in range(len(t) - 1):
             p, q = t[k], t[k + 1]
@@ -296,14 +284,11 @@ def adjacency_graph(L: Lattice) -> AdjacencyGraph:
                     if pair is None:
                         raise AssertionError(
                             f"extensions {t} and {exts[j]} differ across no diamond pair")
-                    found.append((j, pair))
+                    by_pair[pair].append((i, j))
             m |= 1 << p
-        for j, pair in sorted(found):
-            edges.append((i, j))
-            edge_pairs.append(pair)
-    if len(set(edge_pairs)) != len(pairs):
+    if not all(by_pair):
         raise AssertionError("every diamond pair needs a witnessing adjacency")
-    return AdjacencyGraph(tuple(edges), tuple(edge_pairs))
+    return tuple(map(tuple, by_pair))
 
 
 def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> LatticePolytope:

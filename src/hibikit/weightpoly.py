@@ -105,17 +105,18 @@ def distinguished_faces(W: WeightPolytope) -> list[tuple[int, ...]]:
     extensions, and what certifies it was certified before:
 
     - the separator, the part's values minus the weight, is zero on the
-      part's vertices and at least 1 elsewhere, by regular_subdivision's
-      envelope check. It lies in U(F): the values are modular (the peel
-      adds one alpha per element), c + alpha·1_x, a combination of the
-      apex span's indicator rows, which weight_polytope's solve certifies
-      inside U(F), and face_subdivision asserts that the weight is tight
-      on F's pairs. So, written over the saturated basis, it is an integer
-      functional on W that cuts a genuine face;
+      part's vertices, the set where regular_subdivision found the values
+      meet the weight, and at least 1 elsewhere, by its envelope check.
+      It lies in U(F): the values are modular (the peel adds one alpha per
+      element), c + alpha·1_x, a combination of the apex span's indicator
+      rows, which weight_polytope's solve certifies inside U(F), and
+      face_subdivision asserts that the weight is tight on F's pairs. So,
+      written over the saturated basis, it is an integer functional on W
+      that cuts a genuine face;
     - the members are the ideals of the part's order, the vertices of its
-      order polytope O_part, a sublattice C of L: regular_subdivision's
-      interpolation and envelope checks imply this (the subdivision module
-      docstring gives the argument);
+      order polytope O_part, a sublattice C of L: the checks that
+      regular_subdivision builds every part with imply this (the
+      subdivision module docstring gives the argument);
     - the members' points span dimension |P|. At least |P|: C holds a full
       chain simplex, whose |P| + 1 points pi sends to the affinely
       independent (1, 1_a) of the chain's ideals. At most |P|: C's covers

@@ -117,7 +117,16 @@ sample_relative_interior and invariance_samples are the relative-interior
 witness and the perturbed samples that subdivision_invariance_check drew,
 taken in Fraction arithmetic before both moved to integers; structure is
 what it compared at each sample, before it certified the parts from the
-tight swaps and stopped sampling.
+tight swaps and stopped sampling. subdivision_invariance_check is that
+certificate, which face_subdivision ran as a second pass on every face
+until regular_subdivision built the parts as the tight swap components:
+one union-find over every swap edge, each of which must join one part iff
+its pair is tight, with as many components as parts. grouped_subdivision
+is the integer regular_subdivision it certified: one slope per extension,
+interpolated along its chain, the extensions grouped by slope, and each
+group's map checked on all of L. part_index is the part_at that a
+Subdivision kept for that certificate, the index of the part whose
+simplices hold each extension, derived from the parts.
 
 indicator, is_full and is_apex are the Lattice and Face members that only
 tests read: an element's 0/1 Fraction vector over poset_P, whether a face
@@ -142,17 +151,19 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
+from operator import and_, eq, lt
 from typing import Iterable, Optional, Sequence
 
 from hibikit import exactgeom, flaggt
-from hibikit.cone import (Face, MaxCone, enumerate_faces, enumerated_face, face_of, pair_normal,
-                          span_of_face)
+from hibikit.cone import (Face, MaxCone, _tight_set, enumerate_faces, enumerated_face, face_of,
+                          pair_normal, span_of_face)
 from hibikit.exactgeom import _euclid_echelon, integer_kernel
 from hibikit.errors import HibikitError, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
 from hibikit.poset import Poset, from_cover_relations, linear_extensions
-from hibikit.subdivision import face_subdivision, staircase_table
+from hibikit.subdivision import (Part, Subdivision, adjacency_graph, face_subdivision,
+                                 staircase_table)
 from hibikit.weightpoly import _inclusion_matrix, _integral_solution
 from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
                           lattice_chain, leq, less, order_ideals, part_order, poset_from_pairs)
@@ -1243,3 +1254,91 @@ def structure(sub) -> tuple:
     """A subdivision's weight-independent identity: its parts as (vertex
     mask, order), sorted."""
     return tuple(sorted((p.vertex_mask, p.below) for p in sub.parts))
+
+
+def part_index(sub) -> tuple[int, ...]:
+    """For each extension of sub.lattice.extensions(), the index of the
+    part whose simplices hold it."""
+    index = {t: i for i, p in enumerate(sub.parts) for t in p.simplices}
+    return tuple(map(index.__getitem__, sub.lattice.extensions()))
+
+
+def grouped_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
+    """The subdivision of the integer weight w / den, in lowest terms,
+    with its parts the classes of extensions of one slope, interpolated
+    along each chain, sorted by slope; each class's map must interpolate w
+    on its chains, overestimate it elsewhere and be tight nowhere else,
+    and a class of one extension must have |P| + 1 vertices."""
+    if len(w) != L.size:
+        raise ValueError("weight has wrong dimension")
+    g = gcd(den, *w)
+    ws = tuple(x // g for x in w)
+    den //= g
+    tight = _tight_set(L, ws, den)
+    n = L.poset_P.size
+    exts = L.extensions()
+    _, befores, peel = staircase_table(L)
+    at = L.at_mask
+    chains = []
+    for ext in exts:
+        chain, m = [at[0]], 0
+        for j in ext:
+            m |= 1 << j
+            chain.append(at[m])
+        chains.append(tuple(chain))
+
+    groups: dict[tuple, list[int]] = {}
+    for k, (ext, chain) in enumerate(zip(exts, chains)):
+        steps = [ws[i] for i in chain]
+        alpha = [0] * n
+        for j, low, high in zip(ext, steps, steps[1:]):
+            alpha[j] = high - low
+        groups.setdefault(tuple(alpha), []).append(k)
+
+    bottom = ws[at[0]]
+    parts = []
+    for alpha, members in sorted(groups.items()):
+        below = befores[members[0]]
+        on_chains = set(chains[members[0]])
+        for k in members[1:]:
+            below = tuple(map(and_, below, befores[k]))
+            on_chains.update(chains[k])
+        assert len(members) > 1 or len(on_chains) == n + 1, \
+            "a chain must hold |P| + 1 distinct elements"
+        values = [bottom] * L.size
+        for i, parent, j in peel:
+            values[i] = values[parent] + alpha[j]
+        assert all(values[i] == ws[i] for i in on_chains), \
+            "part map must interpolate w on its vertices"
+        assert not any(map(lt, values, ws)), "envelope inequality fails"
+        assert sum(map(eq, values, ws)) == len(on_chains), "tight value off the part's vertex set"
+        parts.append(Part(below, alpha, tuple(map(exts.__getitem__, members)),
+                          sum(1 << i for i in on_chains)))
+    return Subdivision(L, ws, den, tuple(parts), tight)
+
+
+def subdivision_invariance_check(sub) -> bool:
+    """Whether sub's parts are the components of the tight swap edges:
+    each edge joins one part iff its pair is tight, and there are as many
+    components as parts. One union-find over adjacency_graph's edges,
+    whose pairs index diamond_pairs(L), the order of sub.tight."""
+    part = part_index(sub)
+    root = list(range(len(part)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    components = len(part)
+    for pair, edges in enumerate(adjacency_graph(sub.lattice)):
+        tight = bool(sub.tight >> pair & 1)
+        for i, j in edges:
+            if (part[i] == part[j]) != tight:
+                return False
+            if tight:
+                i, j = find(i), find(j)
+                if i != j:
+                    root[i] = j
+                    components -= 1
+    return components == len(sub.parts)

@@ -64,7 +64,6 @@ from hibikit.errors import CycleError, HibikitError, NotALattice, NotDistributiv
 from hibikit.lattice import DiamondPair, Lattice, _ring_of_sets, diamond_pairs
 from hibikit.poset import (Poset, _bits, from_cover_relations, ideal_masks, ideal_set,
                            linear_extensions)
-from hibikit.subdivision import AdjacencyGraph
 
 
 class GroundSetMismatch(HibikitError):
@@ -325,17 +324,18 @@ def down_closed(P: Poset, masks) -> list[bool]:
     return [all(not P.below[j] & ~m for j in _bits(m)) for m in masks]
 
 
-def pairwise_adjacency(L) -> AdjacencyGraph:
+def pairwise_adjacency(L) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Extensions adjacent when their staircase simplices share a facet,
     over all pairs of extensions. Three equivalent tests are computed and
     cross-checked: the maximal chains differ in exactly one element; the
     tuples differ by one adjacent transposition; the chain difference is a
-    diamond pair. pairs[k] indexes diamond_pairs(L)."""
+    diamond pair. Entry k lists, in order, the edges across the k-th pair
+    of diamond_pairs(L)."""
     exts = L.extensions()
     chains = [frozenset(lattice_chain(L, label_extension(L.poset_P, e))) for e in exts]
     pair_index = {frozenset((L.elements[d.a], L.elements[d.b])): k
                   for k, d in enumerate(diamond_pairs(L))}
-    edges, edge_pairs = [], []
+    by_pair = [[] for _ in pair_index]
     for i in range(len(exts)):
         for j in range(i + 1, len(exts)):
             diff = chains[i] ^ chains[j]
@@ -350,9 +350,8 @@ def pairwise_adjacency(L) -> AdjacencyGraph:
                 raise AssertionError(
                     f"adjacency characterizations disagree on {oi} / {oj}")
             if by_chain:
-                edges.append((i, j))
-                edge_pairs.append(pair_index[diff])
-    return AdjacencyGraph(tuple(edges), tuple(edge_pairs))
+                by_pair[pair_index[diff]].append((i, j))
+    return tuple(map(tuple, by_pair))
 
 
 # -- join/meet tables, validated axiom by axiom --------------------------------

@@ -394,10 +394,11 @@ def test_cone_flag5_peak_memory():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_subdivide_flag6_peak_memory():
     # the full face of Flag(6) has 33,592 parts of one extension each; a
-    # part keeps no constant and no value row, and the subdivision one part
-    # index per extension, no dict keyed by extension: a fresh process
-    # peaks at about 381 MB, where those took about 404 MB
-    assert child_peak_kb(["subdivide", "--flag", "6", "--face", "full"]) < 400 * 1024
+    # part keeps no constant and no value row, the subdivision no part
+    # index per extension, and the staircase table one chain mask per
+    # extension, not a tuple: a fresh process peaks at about 356 MB, where
+    # the index and the tuples took about 381 MB
+    assert child_peak_kb(["subdivide", "--flag", "6", "--face", "full"]) < 370 * 1024
 
 
 @pytest.mark.parametrize("argv", [

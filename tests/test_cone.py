@@ -462,12 +462,13 @@ def test_every_face_route_gives_a_witness_slack_at_least_den(name, L):
 
 @pytest.mark.parametrize("name, L", SAMPLED, ids=[name for name, _ in SAMPLED])
 def test_invariance_samples_match_fraction_oracle(name, L):
-    # subdivision_invariance_check certifies every point of the face at
-    # once; at the points it drew before, the oracle's samples, the
-    # subdivision has the face's parts
+    # the tight swap components certify every point of the face at once,
+    # and the per-edge certificate once run beside them holds; at the
+    # points it drew before, the oracle's samples, the subdivision has the
+    # face's parts
     for F in faces_with_witnesses(name, L):
         sub = subdivision.face_subdivision(F)
-        assert subdivision.subdivision_invariance_check(sub)
+        assert oracle.subdivision_invariance_check(sub)
         for w in oracle.invariance_samples(F, 3, seed=1)[1:]:
             sample = subdivision.regular_subdivision(L, *oracle.vec_over_den(w))
             assert sample.tight == F.tight

@@ -53,8 +53,10 @@ def builds(monkeypatch):
     monkeypatch.setattr(lattice, "DiamondPair", counting("pairs", lattice.DiamondPair))
     monkeypatch.setattr(subdivision, "StaircaseTable",
                         counting("tables", subdivision.StaircaseTable))
-    monkeypatch.setattr(subdivision, "AdjacencyGraph",
-                        counting("graphs", subdivision.AdjacencyGraph))
+    # an adjacency graph build reads the diamond pairs once, through the
+    # name subdivision binds
+    monkeypatch.setattr(subdivision, "diamond_pairs",
+                        counting("graphs", subdivision.diamond_pairs))
     monkeypatch.setattr(cone, "MaxCone", counting("cones", cone.MaxCone))
     monkeypatch.setattr(subdivision, "Subdivision",
                         counting("subdivisions", subdivision.Subdivision))

@@ -1,7 +1,6 @@
 """Regular subdivisions, adjacency, and generalized permutahedra."""
 
 import functools
-import itertools
 import json
 from fractions import Fraction
 
@@ -10,8 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import (enumerated_faces, extension_poset, indicator, intersect_orders, is_apex,
-                             is_full, part_map, part_value, vec_over_den)
+from fraction_oracle import (enumerated_faces, extension_poset, grouped_subdivision, indicator,
+                             intersect_orders, is_apex, is_full, part_map, part_value,
+                             subdivision_invariance_check, vec_over_den)
 from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, face_of, span_of_face
@@ -26,7 +26,6 @@ from hibikit.subdivision import (
     face_subdivision,
     generalized_permutahedron,
     regular_subdivision,
-    subdivision_invariance_check,
     subdivision_json,
 )
 from order_oracle import (chain, check_part, down_closed, iota, iota_inv, label_extension,
@@ -244,10 +243,8 @@ def test_regular_subdivision_matches_fraction_oracle(case):
     sub = regular_subdivision(L, num, den)
     assert (sub.scaled, sub.den) == vec_over_den(w)
     assert_matches_oracle(sub, want_key, want)
-    # part_at[k] is the part whose simplices hold the k-th extension
-    exts = L.extensions()
-    assert len(sub.part_at) == len(exts)
-    assert all(exts[k] in sub.parts[i].simplices for k, i in enumerate(sub.part_at))
+    # every extension is a simplex of exactly one part
+    assert sorted(t for part in sub.parts for t in part.simplices) == sorted(L.extensions())
 
 
 @st.composite
@@ -399,78 +396,153 @@ def test_invariance_certificate_matches_the_sampled_oracle(L):
             assert oracle.structure(sample) == oracle.structure(sub)
 
 
-def mutated(sub, parts=None, tight=None):
-    """sub with its parts or its tight mask replaced, and part_at rebuilt
-    from the parts' simplices."""
-    parts = sub.parts if parts is None else parts
-    index = {t: i for i, p in enumerate(parts) for t in p.simplices}
-    return subdivision.Subdivision(sub.lattice, sub.scaled, sub.den, parts,
-                                   tuple(map(index.__getitem__, sub.lattice.extensions())),
-                                   sub.tight if tight is None else tight)
+@st.composite
+def few_faces_and_weights(draw):
+    """The lattice of a random poset on 3 to 6 elements whose cone has at
+    most 8 facets, and 1 to 3 weights on it, each drawn by weight_on."""
+    L = draw(poset_with_few_faces())
+    return L, [weight_on(draw, L) for _ in range(draw(st.integers(1, 3)))]
 
 
-def test_invariance_rejects_merged_or_split_parts_or_a_dropped_tight_bit():
-    # on every face of B3 and of the grid's lattice, the certificate fails
-    # with any two parts merged (into the first, as it reads them, by their
-    # simplices), whether or not a swap joins them, with any part of two
-    # simplices or more split, and with any tight bit dropped
-    checked = {"merged": 0, "merged apart": 0, "split": 0, "dropped": 0}
+@settings(max_examples=30, deadline=None)
+@given(few_faces_and_weights())
+@example((B3, [[0, 1, 1, 1, 4, 4, 4, 9], [0, 0, 0, 0, 0, 0, 0, 0]]))
+def test_components_are_the_slope_classes(case):
+    # the tight swap components, certified as they are built, are the
+    # classes of extensions of one slope that regular_subdivision grouped
+    # before them: the same alpha, order, simplices and vertex mask, part
+    # by part in the same order, at every face's witness and at random
+    # weights, and the per-edge certificate that once ran as a second pass
+    # holds on every result
+    L, weights = case
+    points = [F.witness for F in enumerated_faces(cone_K(L))]
+    points += [vec_over_den(w) for w in weights]
+    for w, den in points:
+        try:
+            want = grouped_subdivision(L, w, den)
+        except NotInCone:
+            with pytest.raises(NotInCone):
+                regular_subdivision(L, w, den)
+            continue
+        sub = regular_subdivision(L, w, den)
+        assert (sub.scaled, sub.den, sub.tight) == (want.scaled, want.den, want.tight)
+        assert sub.parts == want.parts
+        assert subdivision_invariance_check(sub)
+
+
+ENVELOPE = "envelope inequality fails"
+CHAIN = "a part's map must meet w on its members' chains alone"
+SHARED = "two components must not share a vertex set"
+LENGTH = "a chain must hold |P| + 1 distinct elements"
+OFF_FACE = "sample does not lie in the face's relative interior"
+
+
+def raised(call) -> str:
+    """The message of the AssertionError call() raises."""
+    with pytest.raises(AssertionError) as exc:
+        call()
+    return str(exc.value)
+
+
+def isolating(graph_of, k):
+    """graph_of with every edge at the k-th extension withheld."""
+    return lambda L: tuple(tuple(e for e in edges if k not in e) for edges in graph_of(L))
+
+
+def test_invariance_rejects_merged_or_split_parts_or_a_dropped_tight_bit(monkeypatch):
+    # the construction is the invariance certificate, on every face of B3
+    # and of the grid's lattice. Joining one loose pair's edges too merges
+    # parts: the first member's map is a true part's, >= w, and meets w on
+    # that part's vertex set, which no other component has, so only the
+    # chain check can fail, and it does, as the other part's chains leave
+    # that set. Withholding one tight pair's edges splits a part when no
+    # other tight edge joins its pieces: each piece has the part's map, and
+    # here every split leaves a piece whose chains miss some of the part's
+    # vertices, which the chain check catches too (the next test splits a
+    # part into pieces that each cover them); where nothing splits, the
+    # parts stay as they were. Dropping a tight bit splits a part in the
+    # same way, or else fails face_subdivision's tight-mask check
+    checked = {"merged": 0, "split": 0, "withheld": 0, "dropped, split": 0, "dropped": 0}
+    tight_set, graph_of = subdivision._tight_set, subdivision.adjacency_graph
+    serve = {"add": 0, "drop": 0, "withhold": None}
+    monkeypatch.setattr(subdivision, "_tight_set",
+                        lambda *args: (tight_set(*args) | serve["add"]) & ~serve["drop"])
+    monkeypatch.setattr(subdivision, "adjacency_graph", lambda L: tuple(
+        () if k == serve["withhold"] else edges for k, edges in enumerate(graph_of(L))))
     for L in (B3, birkhoff(GRID)):
-        graph = adjacency_graph(L)
-        for F in enumerated_faces(cone_K(L)):
-            sub = face_subdivision(F)
-            parts = sub.parts
-            joined = {frozenset(sub.part_at[i] for i in edge) for edge in graph.edges}
-            for a, b in itertools.combinations(range(len(parts)), 2):
-                one = parts[a]._replace(simplices=parts[a].simplices + parts[b].simplices)
-                rest = tuple(p for k, p in enumerate(parts) if k not in (a, b))
-                assert not subdivision_invariance_check(mutated(sub, parts=(one, *rest)))
-                checked["merged" if {a, b} in joined else "merged apart"] += 1
-            for k, part in enumerate(parts):
-                if len(part.simplices) > 1:
-                    head = part._replace(simplices=part.simplices[:1])
-                    tail = part._replace(simplices=part.simplices[1:])
-                    assert not subdivision_invariance_check(
-                        mutated(sub, parts=parts[:k] + (head, tail) + parts[k + 1:]))
+        K = cone_K(L)
+        for F in enumerated_faces(K):
+            want = regular_subdivision(L, *F.witness)
+            for pair in range(len(K.pairs)):
+                if not F.tight >> pair & 1:
+                    serve.update(add=1 << pair)
+                    assert raised(lambda: regular_subdivision(L, *F.witness)) == CHAIN
+                    checked["merged"] += 1
+                    serve.update(add=0)
+                    continue
+                serve.update(withhold=pair)
+                try:
+                    got = regular_subdivision(L, *F.witness)
+                except AssertionError as exc:
+                    assert str(exc) == CHAIN
                     checked["split"] += 1
-            for pair in _bits(sub.tight):
-                assert not subdivision_invariance_check(mutated(sub, tight=sub.tight ^ 1 << pair))
-                checked["dropped"] += 1
-    assert all(checked.values())
+                else:
+                    assert got.parts == want.parts
+                    checked["withheld"] += 1
+                serve.update(withhold=None, drop=1 << pair)
+                message = raised(lambda: face_subdivision(F))
+                assert message in (CHAIN, OFF_FACE)
+                checked["dropped, split" if message == CHAIN else "dropped"] += 1
+                serve.update(drop=0)
+    assert checked == {"merged": 85, "split": 43, "withheld": 6, "dropped, split": 43, "dropped": 6}
+
+
+def test_a_weight_outside_k_bar_fails_the_envelope_check(monkeypatch):
+    # with the classification that rejects a weight outside K-bar skipped,
+    # only the envelope check catches it: at (0, 1, 1, 0) on B2, whose
+    # diamond's value is -2, each extension is a component, whose map meets
+    # w on its own chain alone, and the two chains differ, so the chain and
+    # vertex-set checks pass; but each map is -1 at the other side, below w
+    monkeypatch.setattr(subdivision, "_tight_set", lambda *args: 0)
+    assert raised(lambda: regular_subdivision(B2, (0, 1, 1, 0), 1)) == ENVELOPE
 
 
 def test_face_subdivision_certifies_the_tight_swap_components(monkeypatch):
-    # face_subdivision runs the invariance certificate on every face: with
-    # two parts of B3's full face merged, the tight mask is still the
-    # face's, and the certificate raises
-    kernel = subdivision.regular_subdivision
+    # face_subdivision certifies as it builds, with no second pass. On B3's
+    # apex, every pair tight, a table that joins the extensions into two
+    # triples, the rotations of pqr and the rest, gives two components with
+    # the apex's map, whose chains each cover all of B3: only the check for
+    # distinct vertex sets catches that, and the build raises and keeps
+    # nothing. With the edges at one extension withheld, the chain check
+    # catches the split first. Served the true edges, the same face builds
+    # its one part
+    L = birkhoff(antichain(["p", "q", "r"]))
+    apex = cone_K(L).apex
+    exts = L.extensions()
+    rotations = [k for k, t in enumerate(exts) if t in {(0, 1, 2), (1, 2, 0), (2, 0, 1)}]
+    rest = [k for k in range(len(exts)) if k not in rotations]
+    triples = tuple(zip(rotations, rotations[1:])) + tuple(zip(rest, rest[1:]))
+    others = ((),) * (len(diamond_pairs(L)) - 1)
+    graph_of = subdivision.adjacency_graph
+    monkeypatch.setattr(subdivision, "adjacency_graph", lambda L: (triples, *others))
+    assert raised(lambda: face_subdivision(apex)) == SHARED
+    monkeypatch.setattr(subdivision, "adjacency_graph", isolating(graph_of, 0))
+    assert raised(lambda: face_subdivision(apex)) == CHAIN
+    monkeypatch.setattr(subdivision, "adjacency_graph", graph_of)
+    assert len(face_subdivision(apex).parts) == 1
 
-    def merging(L, w, den):
-        sub = kernel(L, w, den)
-        first, second, *rest = sub.parts
-        return mutated(sub, parts=(first._replace(simplices=first.simplices + second.simplices),
-                                   *rest))
 
-    monkeypatch.setattr(subdivision, "regular_subdivision", merging)
-    F = face_of(cone_K(B3), tuple(B3.height(a) ** 2 for a in B3.elements), 1)
-    with pytest.raises(AssertionError, match="components of the tight swap edges"):
-        face_subdivision(F)
-
-
-def test_failed_invariance_check_prints_pass_false(monkeypatch, capsys):
-    # exit 1 means a certification ran and failed: a --check job whose
-    # parts are not the tight swap components says so and writes its record
-    kernel = subdivision.regular_subdivision
-
-    def dropping(L, w, den):
-        sub = kernel(L, w, den)
-        return mutated(sub, tight=sub.tight & (sub.tight - 1))
-
-    monkeypatch.setattr(subdivision, "regular_subdivision", dropping)
+def test_failed_certificate_exits_2_with_an_error_record(monkeypatch, capsys):
+    # a subdivision whose certificate fails is an error, whatever the job
+    # asked for: a --w --check job at the zero weight, every pair tight,
+    # with the edges at one extension withheld, writes no output and an
+    # AssertionError record, and exits 2
+    monkeypatch.setattr(subdivision, "adjacency_graph", isolating(subdivision.adjacency_graph, 0))
     argv = "subdivide --boolean 3 --w 0,0,0,0,0,0,0,0 --check 3 --seed 1".split()
-    assert main(argv) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["invariance_check"] == {"trials": 3, "seed": 1, "pass": False}
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": {"type": "AssertionError", "message": CHAIN}}
 
 
 CHECK_JOBS = ["subdivide --boolean 3 --face full --check 3",
@@ -497,16 +569,25 @@ def test_check_job_subdivides_each_weight_once(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv", CHECK_JOBS, ids=CHECK_JOBS)
 def test_check_job_runs_one_union_find(argv, monkeypatch, capsys):
-    # a --face job's subdivision is certified by face_subdivision, which
-    # raises if the certificate fails, so --check reports it and does not
-    # run it again; a --w job runs it for --check alone
-    calls = []
-    check = subdivision.subdivision_invariance_check
-    monkeypatch.setattr(subdivision, "subdivision_invariance_check",
-                        lambda sub: calls.append(sub) or check(sub))
+    # the union-find inside the job's one subdivision is its certificate,
+    # which every subdivide job runs, --check or not: with the edges of its
+    # first loose pair joined too, the job fails the chain check with and
+    # without --check, and run as it is, it reports the check passed
+    tight_set = subdivision._tight_set
+
+    def merging(*args):
+        tight = tight_set(*args)
+        return tight | ~tight & tight + 1
+
+    monkeypatch.setattr(subdivision, "_tight_set", merging)
+    for job in (argv.split(), argv.split()[:-2]):
+        assert main(job) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {"type": "AssertionError", "message": CHAIN}
+    monkeypatch.setattr(subdivision, "_tight_set", tight_set)
     assert main(argv.split()) == 0
     assert json.loads(capsys.readouterr().out)["invariance_check"]["pass"] is True
-    assert len(calls) == 1
 
 
 # -- adjacency ---------------------------------------------------------------
@@ -515,25 +596,25 @@ def test_check_job_runs_one_union_find(argv, monkeypatch, capsys):
 def test_b2_adjacency_single_edge():
     g = adjacency_graph(B2)
     assert len(B2.extensions()) == 2
-    assert g.edges == ((0, 1),)
+    assert g == (((0, 1),),)
 
 
 def test_chain_adjacency_trivial():
     L = birkhoff(chain(["a", "b", "c"]))
     g = adjacency_graph(L)
     assert len(L.extensions()) == 1
-    assert g.edges == ()
+    assert g == ()
 
 
 def test_b3_adjacency_hexagon():
-    g = adjacency_graph(B3)
+    edges = [e for pair in adjacency_graph(B3) for e in pair]
     assert len(B3.extensions()) == 6
-    assert len(g.edges) == 6
+    assert len(edges) == 6
     for i in range(6):
-        assert sum(1 for e in g.edges if i in e) == 2
+        assert sum(1 for e in edges if i in e) == 2
     # connected single cycle
     adj = {i: set() for i in range(6)}
-    for i, j in g.edges:
+    for i, j in edges:
         adj[i].add(j)
         adj[j].add(i)
     seen = {0}
@@ -551,10 +632,11 @@ def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
     # cone_K, every face's key and every face's subdivision read the diamond
     # pairs, the staircase table and the adjacency graph, which one job
     # builds once for its lattice; each of the 22 faces builds its key
-    # once, though each of its 4 rows prints it
+    # once, though each of its 4 rows prints it. A graph build reads the
+    # diamond pairs once, through the name subdivision binds
     built = {"pairs": 0, "tables": 0, "graphs": 0, "keys": 0}
     pair, table = lattice.DiamondPair, subdivision.StaircaseTable
-    graph, key_of = subdivision.AdjacencyGraph, cone._key_of
+    pairs_of, key_of = subdivision.diamond_pairs, cone._key_of
 
     def counting_pair(*args):
         built["pairs"] += 1
@@ -564,9 +646,9 @@ def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
         built["tables"] += 1
         return table(*args)
 
-    def counting_graph(*args):
+    def counting_graph(L):
         built["graphs"] += 1
-        return graph(*args)
+        return pairs_of(L)
 
     def counting_key(fragments, tight):
         built["keys"] += 1
@@ -574,7 +656,7 @@ def test_certify_builds_pairs_and_graph_once(monkeypatch, capsys):
 
     monkeypatch.setattr(lattice, "DiamondPair", counting_pair)
     monkeypatch.setattr(subdivision, "StaircaseTable", counting_table)
-    monkeypatch.setattr(subdivision, "AdjacencyGraph", counting_graph)
+    monkeypatch.setattr(subdivision, "diamond_pairs", counting_graph)
     monkeypatch.setattr(cone, "_key_of", counting_key)
     monkeypatch.setattr(subdivision, "_key_of", counting_key)
     assert main(["certify", "--boolean", "3", "--lmax", "4"]) == 0
@@ -593,11 +675,11 @@ def corrupted_tables(table, size):
     """Every copy of the staircase table with one chain element, or one peel
     parent, replaced by another element, as (field, index of the row, copy)."""
     for k, chain in enumerate(table.chains):
-        for p, i in enumerate(chain):
+        for i in _bits(chain):
             for x in range(size):
                 if x != i:
                     chains = list(table.chains)
-                    chains[k] = chain[:p] + (x,) + chain[p + 1:]
+                    chains[k] = chain & ~(1 << i) | 1 << x
                     yield "chains", k, table._replace(chains=tuple(chains))
     for k, (i, parent, j) in enumerate(table.peel):
         for x in range(size):
@@ -607,33 +689,64 @@ def corrupted_tables(table, size):
                 yield "peel", k, table._replace(peel=tuple(peel))
 
 
-@pytest.mark.parametrize("make", [lambda: B3, lambda: birkhoff(GRID)], ids=["B3", "grid"])
-def test_a_wrong_staircase_entry_fails_a_check(make, monkeypatch):
-    # the table is trusted for nothing: at a generic weight every wrong chain
-    # element changes a part's vertex set or its map, and the ideal-set,
-    # interpolation or envelope check raises. A wrong peel parent raises too,
-    # unless the right parent is the bottom and the wrong one still holds
-    # the bottom's value, the part's constant, when it is read: then every
-    # value is right
+@pytest.mark.parametrize("make, peel_failures", [(lambda: B3, 31), (lambda: birkhoff(GRID), 20)],
+                         ids=["B3", "grid"])
+def test_a_wrong_staircase_entry_fails_a_check(make, peel_failures, monkeypatch):
+    # the table is trusted for nothing: at a generic weight every part has
+    # one member, whose map is read off its extension and meets w on its
+    # chain alone. Every wrong chain element fails the chain check, whether
+    # it leaves the vertex set or repeats an element of the chain, which
+    # leaves a mask of |P| elements. A wrong peel parent fails the envelope
+    # or chain check, unless the right parent is the bottom and the wrong
+    # one still holds the bottom's value, the part's constant, when it is
+    # read: then every value is right. The counts are those of the slope
+    # grouping's checks
     L = make()
+    n = L.poset_P.size
     w = generic_weight(L)
     want = regular_subdivision(L, w, 1)
     table = subdivision.staircase_table(L)
     assert len(want.parts) == len(table.chains)
     bottom = L.at_mask[0]
-    raised = {"chains": 0, "peel": 0}
+    failed = {"chains": 0, "peel": 0}
     served = [table]
     monkeypatch.setattr(subdivision, "staircase_table", lambda L: served[0])
     for field, k, bad in corrupted_tables(table, L.size):
         served[0] = bad
         try:
             got = regular_subdivision(L, w, 1)
-        except AssertionError:
-            raised[field] += 1
+        except AssertionError as exc:
+            assert str(exc) == CHAIN if field == "chains" else str(exc) in (ENVELOPE, CHAIN)
+            failed[field] += 1
         else:
             assert field == "peel" and table.peel[k][1] == bottom
             assert got.parts == want.parts
-    assert raised["chains"] == len(table.chains) * (L.poset_P.size + 1) * (L.size - 1)
+    assert failed == {"chains": len(table.chains) * (n + 1) * (L.size - 1),
+                      "peel": peel_failures}
+
+
+@pytest.mark.parametrize("P", [antichain(["p", "q", "r"]), GRID], ids=["B3", "grid"])
+def test_a_repeated_chain_element_fails_the_table_build(P, monkeypatch):
+    # the build checks each chain's length once per lattice, which a part
+    # of several members needs: at the apex, a first chain short of the
+    # bottom still leaves the other chains covering every vertex, and the
+    # per-weight checks pass with the one part as it should be. With one
+    # ideal's index read as the bottom's, every chain through that ideal
+    # holds the bottom twice, and the build raises and keeps nothing
+    L = birkhoff(P)
+    want = regular_subdivision(L, (0,) * L.size, 1)
+    table = subdivision.staircase_table(L)
+    short = table.chains[0] & ~(1 << L.at_mask[0])
+    monkeypatch.setattr(subdivision, "staircase_table",
+                        lambda L: table._replace(chains=(short, *table.chains[1:])))
+    assert regular_subdivision(L, (0,) * L.size, 1).parts == want.parts
+    monkeypatch.undo()
+    for mask in L.masks:
+        if mask:
+            wrong = birkhoff(P)
+            wrong.at_mask[mask] = wrong.at_mask[0]
+            assert raised(lambda: subdivision.staircase_table(wrong)) == LENGTH
+            assert subdivision.staircase_table.__wrapped__ not in wrong._memo
 
 
 def some_subdivisions():
@@ -698,7 +811,7 @@ def test_adjacency_symdiff_is_diamond(L):
     assert g == pairwise_adjacency(L)
     exts = L.extensions()
     pairs = diamond_pairs(L)
-    for (i, j), k in zip(g.edges, g.pairs):
+    for k, (i, j) in ((k, e) for k, edges in enumerate(g) for e in edges):
         ci = {L.bottom}
         cj = {L.bottom}
         pre = set()

@@ -19,6 +19,8 @@ JOBS = [
     ["weightpoly", "--boolean", "2", "--face", "apex"],
     ["weightpoly", "--boolean", "2", "--face", "full"],
     ["permutahedron", "--boolean", "2", "--w", "0,1,1,3"],
+    ["subdivide", "--boolean", "2", "--face", "apex", "--check", "3"],
+    ["subdivide", "--boolean", "2", "--w", "0,1,1,3"],
 ]
 
 SCRIPT = """
@@ -49,3 +51,7 @@ def test_traced_jobs_run_and_count():
     # the tracer counts the faces as the length of enumerate_faces' list:
     # B2's two faces, once for cone and once for certify
     assert counts["faces.found"] == 4
+    # the apex subdivision, with its tight pair, reads the adjacency graph
+    calls = report["summary"]["calls"]
+    for name in ("subdivision.adjacency_graph", "subdivision.regular_subdivision"):
+        assert calls[name] >= 1, name
