@@ -89,18 +89,13 @@ def canonical_json(obj) -> str:
     """obj as the bytes of json.dumps(obj, sort_keys=True, indent=2,
     ensure_ascii=False) plus a newline, for str-keyed dicts, lists, tuples,
     str, int, bool and None; any other type raises TypeError."""
-    out: list[str] = []
-    _writer()(obj, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-@functools.cache
-def _writer():
     # hibikit.jsonwriter is imported on the first write, not at start-up
     from .jsonwriter import emit
 
-    return emit
+    out: list[str] = []
+    emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _write_text(text: str, out: Optional[str]) -> None:

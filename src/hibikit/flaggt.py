@@ -60,7 +60,7 @@ from .errors import BadParams, TooLarge
 from .exactgeom import LatticePolytope
 from .lattice import Lattice, _label_of, flag_lattice
 from .poset import Poset, _bits, _kept, ideal_masks, linear_extensions
-from .subdivision import face_subdivision
+from .subdivision import face_subdivision, part_order
 
 MAX_GT_RANK = 6
 MAX_SECTION_RANK = 5
@@ -462,7 +462,7 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
     at, patterns = gt.cell_at, gt.pattern_masks
     parts = []
     for part in face_subdivision(F).parts:
-        order = _extend_to_pbar(mp.base, part.below, at)
+        order = _extend_to_pbar(mp.base, part_order(part), at)
         inside = [point for point, chain in patterns if not chain & ~part.vertex_mask]
         if len(part.simplices) == 1:
             total = [0, *(at[j] for j in part.simplices[0]), mp.base.size - 1]

@@ -16,10 +16,17 @@ its monomials' factors' ideals, as many as the standard monomials. Each class
 gives its distinct supports, as bit masks over L's elements, consecutive bit
 positions: a block, followed by one guard bit. The table keeps, per element
 e, one int of the positions whose support contains e; it is built once per
-lattice and degree. The intersection of a face's component ideals has one
-small rank per class, a support's row being the set of components
-containing it, and the bit layout finds those ranks for all classes at
-once with a few int operations per component.
+lattice and degree. The intersection of a face's component ideals has, per
+class, the rank of its supports' distinct nonzero hit vectors, the sets of
+components containing them. That rank is 0 or 1, by the envelope that
+regular_subdivision certifies for each part C: an affine map g_C(x) = c +
+alpha·1_x, >= w on L and equal to w exactly on C's vertices. Let degree-l
+monomials M, M' of one class have supp M in C and supp M' in C'. Equal
+exponent sums give sum_M g = sum_M' g for every affine g, so sum_M' w <=
+sum_M' g_C = sum_M g_C = sum_M w, and the same with the roles swapped. So
+the sums are equal, g_C = w on supp M', and supp M' lies in C: within a
+class every nonzero hit vector is the same, on every face and in every
+degree, and the bit layout reads every class's rank at once.
 
 A certificate row checks that three dimensions are equal: dim in_w(I)_l, the
 dimension of the intersection of the face's component ideals, and dim R_l
@@ -40,7 +47,6 @@ from math import comb
 from typing import NamedTuple, Sequence
 
 from .errors import BadParams
-from .exactgeom import rank
 from .lattice import Lattice
 from .poset import _bits, _kept
 
@@ -191,14 +197,15 @@ def ideal_dim(L: Lattice, l: int) -> int:
 def intersection_dim(L: Lattice, members: Sequence[int], l: int) -> int:
     """dim of the degree-l piece of the intersection of the component
     ideals I_i, each given by the bitmask of the elements that survive in
-    component i.
+    component i: members are the vertex masks of one face's parts.
 
     The intersection is the kernel of the evaluation map sending a degree-l
     monomial M to, per component i, its exponent-sum class when every
     factor survives in component i and zero otherwise. So M's image is fixed
     by its class and by its hit vector, the components whose members contain
     its support. Classes hit disjoint coordinates, so the rank is the sum,
-    over the classes, of the rank of their distinct nonzero hit vectors.
+    over the classes, of the rank of their distinct nonzero hit vectors,
+    which is 1 for every class some component meets (module docstring).
 
     The work runs on the degree table's bit layout, for all classes at once.
     Component i's inside_i is every position whose support avoids all the
@@ -206,10 +213,10 @@ def intersection_dim(L: Lattice, members: Sequence[int], l: int) -> int:
     A block holds a bit of x iff its guard survives ((x | guards) - lows) &
     guards: the subtraction borrows through the block's positions only when
     they are all clear, and the guard stops the borrow at the block's edge.
-    A class has at least one nonzero hit vector iff its block meets hit, the
-    OR of the inside_i; it has two distinct ones iff, for some i, its block
-    meets both inside_i and hit & ~inside_i. Those mixed classes alone are
-    eliminated; every other class that hit meets has rank 1.
+    A class has a nonzero hit vector iff its block meets hit, the OR of the
+    inside_i; it has two distinct ones iff, for some i, its block meets
+    both inside_i and hit & ~inside_i, which members of one face's parts
+    never give.
     """
     _check_caps(L.size, l)
     within, guards, lows = degree_table(L, l)
@@ -229,20 +236,10 @@ def intersection_dim(L: Lattice, members: Sequence[int], l: int) -> int:
     hit = 0
     for inside in insides:
         hit |= inside
-    mixed = 0
     for inside in insides:
-        mixed |= occupied(hit & ~inside) & occupied(inside)
-    total_rank = (occupied(hit) & ~mixed).bit_count()
-    while mixed:
-        guard = mixed.bit_length() - 1
-        low = (lows & ((1 << guard) - 1)).bit_length() - 1
-        blocks = [inside >> low & ((1 << guard - low) - 1) for inside in insides]
-        hits = {sum(1 << i for i, block in enumerate(blocks) if block >> j & 1)
-                for j in range(guard - low)}
-        hits.discard(0)
-        total_rank += rank([[h >> i & 1 for i in range(len(members))] for h in sorted(hits)])
-        mixed ^= 1 << guard
-    return comb(L.size + l - 1, l) - total_rank
+        if occupied(hit & ~inside) & occupied(inside):
+            raise AssertionError("a class must have one nonzero hit vector")
+    return comb(L.size + l - 1, l) - occupied(hit).bit_count()
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ parts:
 
 The components depend on the tight mask alone, so the parts are the same
 at every point of a face, as are a part's vertex set and order, read off
-its members below. The steps read only that each chain lies in S; that S
-holds nothing more, as the members step below shows it must, checks the
-values the peel gives.
+its members below by part_order. The steps read only that each chain lies
+in S; that S holds nothing more, as the members step below shows it must,
+checks the values the peel gives.
 
 That each part is an order polytope needs no further check. Take a part
 with members M, map g, and vertex set S. Its order is the AND of the
@@ -80,7 +80,7 @@ from __future__ import annotations
 
 from itertools import compress, count
 from math import gcd
-from operator import and_, attrgetter, eq, lt
+from operator import attrgetter, eq, lt
 from typing import NamedTuple, Sequence
 
 from .cone import Face, _key_of, _tight_set, key_fragments
@@ -92,14 +92,12 @@ from .poset import _bits, _kept, cover_pairs
 class Part(NamedTuple):
     """One linearity domain of the envelope: the order polytope O(P, order).
 
-    below holds the order's down-set masks over P's elements, the AND of
-    its simplices' before masks. Its map is x -> (c + alpha·x) / den on
-    R^P, with the subdivision's den and c its bottom weight. Its simplices
-    are its linear extensions, index tuples over P's elements. Bit i of
-    vertex_mask is set when the i-th lattice element is a vertex.
+    Its map is x -> (c + alpha·x) / den on R^P, with the subdivision's den
+    and c its bottom weight. Its simplices are its linear extensions, index
+    tuples over P's elements, and part_order reads its order off them. Bit
+    i of vertex_mask is set when the i-th lattice element is a vertex.
     """
 
-    below: tuple[int, ...]
     alpha: tuple[int, ...]
     simplices: tuple[tuple[int, ...], ...]
     vertex_mask: int
@@ -131,13 +129,12 @@ class StaircaseTable(NamedTuple):
     """The weight-independent half of regular_subdivision, built once per
     lattice. For the k-th linear extension t of P, chains[k] is the mask
     over L's elements of its maximal chain, the ideals of t's prefixes,
-    checked to hold |P| + 1 elements, and befores[k][p] the mask of the
-    elements t puts before p. peel lists (i, parent, j) for every element i
-    but the bottom, each after its parent's entry: j is a maximal member of
-    i's ideal and parent the element whose ideal is i's without j."""
+    checked to hold |P| + 1 elements. peel lists (i, parent, j) for every
+    element i but the bottom, each after its parent's entry: j is a maximal
+    member of i's ideal and parent the element whose ideal is i's without
+    j."""
 
     chains: tuple[int, ...]
-    befores: tuple[tuple[int, ...], ...]
     peel: tuple[tuple[int, int, int], ...]
 
 
@@ -146,26 +143,23 @@ def staircase_table(L: Lattice) -> StaircaseTable:
     """L's staircase table, built on first use."""
     at = L.at_mask
     n = L.poset_P.size
-    chains, befores = [], []
+    chains = []
     for ext in L.extensions():
-        before = [0] * n
         chain = 1 << at[0]
         m = 0
         for j in ext:
-            before[j] = m
             m |= 1 << j
             chain |= 1 << at[m]
         if chain.bit_count() != n + 1:
             raise AssertionError("a chain must hold |P| + 1 distinct elements")
         chains.append(chain)
-        befores.append(tuple(before))
     peel = []
     for i in sorted(range(L.size), key=lambda i: L.masks[i].bit_count())[1:]:
         m = L.masks[i]
         # removing a maximal member of an ideal leaves an ideal
         j = next(j for j in reversed(_bits(m)) if m ^ 1 << j in at)
         peel.append((i, at[m ^ 1 << j], j))
-    return StaircaseTable(tuple(chains), tuple(befores), tuple(peel))
+    return StaircaseTable(tuple(chains), tuple(peel))
 
 
 def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
@@ -178,11 +172,11 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     pairs, over the cone's order of diamond_pairs(L), comes from each
     pair's value at w.
 
-    The chains, before masks and peel order come from L's staircase table,
-    and the edges from its adjacency graph, read only when some pair is
-    tight; so the work per weight is one union per tight edge, one
-    difference per chain step and one add per element for each part, and
-    one OR of a chain mask and one AND of before masks per extension."""
+    The chains and peel order come from L's staircase table, and the
+    edges from its adjacency graph, read only when some pair is tight; so
+    the work per weight is one union per tight edge, one difference per
+    chain step and one add per element for each part, and one OR of a
+    chain mask per extension."""
     if len(w) != L.size:
         raise ValueError("weight has wrong dimension")
     g = gcd(den, *w)
@@ -191,7 +185,7 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     tight = _tight_set(L, ws, den)  # also checks w in K-bar
     n = L.poset_P.size
     exts = L.extensions()
-    chains, befores, peel = staircase_table(L)
+    chains, peel = staircase_table(L)
 
     root = list(range(len(exts)))
 
@@ -236,13 +230,22 @@ def regular_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
         if vertex_mask in vertex_sets:
             raise AssertionError("two components must not share a vertex set")
         vertex_sets.add(vertex_mask)
-        below = befores[members[0]]
-        for k in members[1:]:
-            below = tuple(map(and_, below, befores[k]))
-        parts.append(Part(below, tuple(alpha), tuple(map(exts.__getitem__, members)),
-                          vertex_mask))
+        parts.append(Part(tuple(alpha), tuple(map(exts.__getitem__, members)), vertex_mask))
     parts.sort(key=attrgetter("alpha"))
     return Subdivision(L, ws, den, tuple(parts), tight)
+
+
+def part_order(part: Part) -> tuple[int, ...]:
+    """The part's order as down-set masks over P's elements: the AND of its
+    simplices' before masks, bit i of entry p set when every simplex puts
+    element i before p (the module docstring's Members step)."""
+    below = [-1] * len(part.simplices[0])
+    for ext in part.simplices:
+        m = 0
+        for j in ext:
+            below[j] &= m
+            m |= 1 << j
+    return tuple(below)
 
 
 @_kept
@@ -324,7 +327,8 @@ def subdivision_json(sub: Subdivision) -> dict:
     for p in sub.parts:
         # a part with one simplex has that extension's chain for its order
         ext = p.simplices[0]
-        covers = sorted(zip(ext, ext[1:])) if len(p.simplices) == 1 else cover_pairs(p.below)
+        covers = (sorted(zip(ext, ext[1:])) if len(p.simplices) == 1
+                  else cover_pairs(part_order(p)))
         parts.append({
             "order_covers": [[names[i], names[j]] for i, j in covers],
             "elements": [E[i] for i in _bits(p.vertex_mask)],

@@ -151,7 +151,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
-from operator import and_, eq, lt
+from operator import eq, lt
 from typing import Iterable, Optional, Sequence
 
 from hibikit import exactgeom, flaggt
@@ -1253,7 +1253,7 @@ def invariance_samples(F, trials: int, seed: int = 0) -> list[Vec]:
 def structure(sub) -> tuple:
     """A subdivision's weight-independent identity: its parts as (vertex
     mask, order), sorted."""
-    return tuple(sorted((p.vertex_mask, p.below) for p in sub.parts))
+    return tuple(sorted((p.vertex_mask, part_order(sub.lattice, p).below) for p in sub.parts))
 
 
 def part_index(sub) -> tuple[int, ...]:
@@ -1277,7 +1277,7 @@ def grouped_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     tight = _tight_set(L, ws, den)
     n = L.poset_P.size
     exts = L.extensions()
-    _, befores, peel = staircase_table(L)
+    _, peel = staircase_table(L)
     at = L.at_mask
     chains = []
     for ext in exts:
@@ -1298,10 +1298,8 @@ def grouped_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
     bottom = ws[at[0]]
     parts = []
     for alpha, members in sorted(groups.items()):
-        below = befores[members[0]]
-        on_chains = set(chains[members[0]])
-        for k in members[1:]:
-            below = tuple(map(and_, below, befores[k]))
+        on_chains = set()
+        for k in members:
             on_chains.update(chains[k])
         assert len(members) > 1 or len(on_chains) == n + 1, \
             "a chain must hold |P| + 1 distinct elements"
@@ -1312,7 +1310,7 @@ def grouped_subdivision(L: Lattice, w: Sequence[int], den: int) -> Subdivision:
             "part map must interpolate w on its vertices"
         assert not any(map(lt, values, ws)), "envelope inequality fails"
         assert sum(map(eq, values, ws)) == len(on_chains), "tight value off the part's vertex set"
-        parts.append(Part(below, alpha, tuple(map(exts.__getitem__, members)),
+        parts.append(Part(alpha, tuple(map(exts.__getitem__, members)),
                           sum(1 << i for i in on_chains)))
     return Subdivision(L, ws, den, tuple(parts), tight)
 

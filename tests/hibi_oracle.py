@@ -26,7 +26,9 @@ per_support_intersection_dim is the per-support scan that
 hibi.intersection_dim ran over a dict degree table before it laid the
 classes out as bit blocks: for every class and support it tests every
 member, and it ranks every class with two or more distinct nonzero hit
-vectors.
+vectors. class_hit_vectors lists those hit vectors per class, so a test
+can tell the members whose classes intersection_dim, with no rank step,
+must refuse.
 """
 
 from dataclasses import dataclass
@@ -406,6 +408,17 @@ def support_table(L, l):
     return table
 
 
+def class_hit_vectors(L, members, l):
+    """Per exponent-sum class of the degree-l monomials, the distinct
+    nonzero hit vectors of its supports over the bitmasks of members, each
+    as a mask over the members."""
+    out = []
+    for supports in support_table(L, l).values():
+        hits = {sum(1 << i for i, m in enumerate(members) if s & m == s) for s in supports}
+        out.append(hits - {0})
+    return out
+
+
 def per_support_intersection_dim(L, members, l):
     """dim of the degree-l piece of the intersection of the component
     ideals, each given by a bitmask of members: every support of every class
@@ -413,9 +426,7 @@ def per_support_intersection_dim(L, members, l):
     nonzero hit vectors is ranked."""
     _check_caps(L.size, l)
     total_rank = 0
-    for supports in support_table(L, l).values():
-        hits = {sum(1 << i for i, m in enumerate(members) if s & m == s) for s in supports}
-        hits.discard(0)
+    for hits in class_hit_vectors(L, members, l):
         if len(hits) > 1:
             total_rank += rank([[h >> i & 1 for i in range(len(members))]
                                 for h in sorted(hits)])

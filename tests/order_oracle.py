@@ -49,17 +49,19 @@ compared and combined the masks themselves.
 vertex_labels names a subdivision part's vertices by their labels, as
 Part.vertex_elements did while a part kept the lattice's labels. part_order
 is a part's order as a validated Poset, as Part.order held it before a part
-kept only the order's down-set masks. check_part runs the four checks that
-regular_subdivision made on each part's order and vertices (once per cell
-of a per-lattice table) before its interpolation and envelope checks were
-shown to imply them: the order is a partial order, it refines P, its ideals
-are the part's vertices, and those are closed under union and intersection.
+kept only the order's down-set masks, and then none. check_part runs, by
+check_order, the four checks that regular_subdivision made on each part's
+order and vertices (once per cell of a per-lattice table) before its
+interpolation and envelope checks were shown to imply them: the order is a
+partial order, it refines P, its ideals are the part's vertices, and those
+are closed under union and intersection.
 """
 
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+from hibikit import subdivision
 from hibikit.errors import CycleError, HibikitError, NotALattice, NotDistributive, UnknownLabel
 from hibikit.lattice import DiamondPair, Lattice, _ring_of_sets, diamond_pairs
 from hibikit.poset import (Poset, _bits, from_cover_relations, ideal_masks, ideal_set,
@@ -251,25 +253,31 @@ def vertex_labels(L, part) -> tuple[str, ...]:
 
 
 def part_order(L, part) -> Poset:
-    """A subdivision part's order, from its down-set masks, as a Poset on
-    L.poset_P's elements; the constructor validates it."""
-    return Poset(L.poset_P.elements, part.below)
+    """A subdivision part's order, the down-set masks subdivision.part_order
+    reads off its simplices, as a Poset on L.poset_P's elements; the
+    constructor validates it."""
+    return Poset(L.poset_P.elements, subdivision.part_order(part))
 
 
 def check_part(L, part) -> None:
-    """Raise AssertionError unless the part's order is a partial order
-    refining L.poset_P whose ideals are the part's vertices, and those
-    vertices are closed under union and intersection."""
+    """check_order on the part's order and vertices."""
+    check_order(L, subdivision.part_order(part), part.vertex_mask)
+
+
+def check_order(L, below: Sequence[int], vertex_mask: int) -> None:
+    """Raise AssertionError unless the order of the down-set masks below is
+    a partial order refining L.poset_P whose ideals are the elements of L
+    in vertex_mask, and those are closed under union and intersection."""
     try:
-        order = part_order(L, part)
+        order = Poset(L.poset_P.elements, tuple(below))
     except (HibikitError, ValueError) as exc:
         raise AssertionError(f"part order is not a partial order: {exc}") from None
-    if any(b & ~o for b, o in zip(L.poset_P.below, part.below)):
+    if any(b & ~o for b, o in zip(L.poset_P.below, below)):
         raise AssertionError("part order must refine P")
     # every ideal of the stronger order is an ideal of P, so an element of L
-    if part.vertex_mask != sum(1 << L.at_mask[m] for m in ideal_set(order)):
+    if vertex_mask != sum(1 << L.at_mask[m] for m in ideal_set(order)):
         raise AssertionError("part is not the order polytope of its order")
-    ideals = {L.masks[i] for i in _bits(part.vertex_mask)}
+    ideals = {L.masks[i] for i in _bits(vertex_mask)}
     if any(x | y not in ideals or x & y not in ideals
            for x, y in itertools.combinations(ideals, 2)):
         raise AssertionError("sublattice is not closed")

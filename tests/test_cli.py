@@ -394,11 +394,20 @@ def test_cone_flag5_peak_memory():
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
 def test_subdivide_flag6_peak_memory():
     # the full face of Flag(6) has 33,592 parts of one extension each; a
-    # part keeps no constant and no value row, the subdivision no part
-    # index per extension, and the staircase table one chain mask per
-    # extension, not a tuple: a fresh process peaks at about 356 MB, where
-    # the index and the tuples took about 381 MB
-    assert child_peak_kb(["subdivide", "--flag", "6", "--face", "full"]) < 370 * 1024
+    # part keeps no constant, no value row and no order, the subdivision no
+    # part index per extension, and the staircase table one chain mask per
+    # extension and no before masks: a fresh process peaks at about 334 MB,
+    # where the before masks and part orders took about 359 MB
+    assert child_peak_kb(["subdivide", "--flag", "6", "--face", "full"]) < 350 * 1024
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+def test_weightpoly_flag6_peak_memory():
+    # weightpoly reads the vertex masks of its face's subdivision and no
+    # part's order, so the staircase table keeps no before masks for its
+    # 33,592 extensions: a fresh process peaks at about 69 MB, where the
+    # before masks took about 91 MB
+    assert child_peak_kb(["weightpoly", "--flag", "6"]) < 84 * 1024
 
 
 @pytest.mark.parametrize("argv", [
@@ -861,6 +870,8 @@ def test_startup_loads_only_what_the_subcommand_runs():
         loaded = loaded_modules(argv.split(), 0)
         assert not loaded & {f"hibikit.{m}" for m in absent}, argv
         assert "dataclasses" not in loaded, argv
+    # the JSON writer loads with the first JSON output, not at start-up
+    assert "hibikit.jsonwriter" in loaded
     # integer weights never import fractions; any other token does
     for w, fractions in [("0,+1,-0,003", False), ("0,1_0,1,30", True),
                          ("\u0660,1,1,3", True), ("0,1/2,1/2,3/2", True)]:

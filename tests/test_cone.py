@@ -164,7 +164,7 @@ def test_cone_ranks_only_for_the_apex_check(monkeypatch, capsys):
     calls = []
     real = exactgeom.rank
     counting = lambda rows: calls.append(rows) or real(rows)
-    for module in (exactgeom, cone_module, hibi):
+    for module in (exactgeom, cone_module):
         monkeypatch.setattr(module, "rank", counting)
     cli._lattice.cache_clear()  # a cold B3, whose cone_K ranks
     assert main(["cone", "--boolean", "3"]) == 0

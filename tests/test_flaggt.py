@@ -38,7 +38,7 @@ from hibikit.flaggt import (
 )
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.poset import Poset, antichain, from_cover_relations, linear_extensions
-from hibikit.subdivision import face_subdivision, regular_subdivision
+from hibikit.subdivision import face_subdivision, part_order, regular_subdivision
 from order_oracle import (GroundSetMismatch, chain, join_of, label_extension, leq, meet_of,
                           order_ideals)
 
@@ -364,7 +364,7 @@ def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
             C = cone_K(flag_lattice(n))
             iso = gt_poset_iso(gt, C.lattice)
             at = [mp.base.index(iso[p]) for p in C.lattice.poset_P.elements]
-            orders += [_extend_to_pbar(mp.base, part.below, at)
+            orders += [_extend_to_pbar(mp.base, part_order(part), at)
                        for F in enumerated_faces(C) for part in face_subdivision(F).parts]
         for ext in linear_extensions(gt.poset):
             total = [mp.base.elements[0], *(gt.poset.elements[j] for j in ext),
@@ -872,7 +872,7 @@ def test_section_membership_is_the_chain_inside_the_vertex_set(n):
         sub = face_subdivision(F)
         for part in sub.parts:
             const, _ = oracle.part_map(sub, part)
-            order = _extend_to_pbar(mp.base, part.below, at)
+            order = _extend_to_pbar(mp.base, part_order(part), at)
             for point, chain in patterns:
                 lift = sum(sub.scaled[L.index(lbl)] for lbl in chain)
                 value = const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))

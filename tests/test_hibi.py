@@ -19,6 +19,7 @@ from fraction_oracle import NotStronger, enumerated_faces, extension_poset, indi
 from hibi_oracle import (
     Monomial,
     Polynomial,
+    class_hit_vectors,
     component_ideal,
     elimination_ideal_dim,
     exponent_sum_count,
@@ -38,7 +39,6 @@ from hibikit import hibi, lattice, poset
 from hibikit.cli import main
 from hibikit.cone import cone_K, face_of
 from hibikit.errors import BadParams
-from hibikit.exactgeom import rank
 from hibikit.hibi import (
     degeneration_certificate,
     degree_table,
@@ -422,6 +422,15 @@ def test_degree_states_are_shared_across_degrees(L):
         assert classes == support_table(L, l)
 
 
+SPLIT = "a class must have one nonzero hit vector"
+
+
+def one_hit_vector_per_class(L, members, l) -> bool:
+    """Whether every class of the degree-l monomials has at most one
+    distinct nonzero hit vector over members, by the per-support oracle."""
+    return all(len(hits) <= 1 for hits in class_hit_vectors(L, members, l))
+
+
 @settings(max_examples=20, deadline=None)
 @given(small_lattices(), st.data())
 def test_degree_tables_match_the_per_monomial_oracle(L, data):
@@ -441,27 +450,43 @@ def test_degree_tables_match_the_per_monomial_oracle(L, data):
                 block.add(sum(1 << e for e, column in enumerate(table.within) if column >> p & 1))
         assert sorted(blocks, key=sorted) == sorted(map(frozenset, supports.values()), key=sorted)
     families = [face_subdivision(F).parts for F in enumerated_faces(cone_K(L))]
-    # a face's parts tile a polytope, so each class has at most one nonzero
-    # hit vector; parts drawn from different faces reach the ranks
+    # a face's parts carry one envelope, so each class has at most one
+    # nonzero hit vector; parts drawn from different faces may split one
     parts = [part for family in families for part in family]
-    families.append(data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=5)))
+    drawn = data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=5))
     for family in families:
         members = [part.vertex_mask for part in family]
         orders = [part_order(L, part) for part in family]
         for l in range(4):
             assert intersection_dim(L, members, l) == per_monomial_intersection_dim(L, orders, l)
+    members = [part.vertex_mask for part in drawn]
+    for l in range(4):
+        if one_hit_vector_per_class(L, members, l):
+            assert (intersection_dim(L, members, l)
+                    == per_monomial_intersection_dim(L, [part_order(L, p) for p in drawn], l))
+        else:
+            with pytest.raises(AssertionError, match=SPLIT):
+                intersection_dim(L, members, l)
 
 
-def test_intersection_of_two_faces_parts_needs_a_rank():
-    # the parts of two faces together tile nothing: at l = 3 one class of B3
-    # has the hit vectors {0}, {5, 6} and {0, 5, 6}, of rank 2, not 3
+def test_two_faces_parts_split_a_class():
+    # the parts of two faces carry no one envelope: at l = 3 one class of B3
+    # has the hit vectors {0}, {5, 6} and {0, 5, 6}, of rank 2, which the
+    # oracle finds and intersection_dim refuses
     faces = {F.key(): F for F in enumerated_faces(cone_K(B3))}
     keys = ['[["{p}","{q}"]]',
             '[["{p,q}","{p,r}"],["{p,q}","{q,r}"],["{p}","{r}"],["{q}","{r}"]]']
     parts = [part for key in keys for part in face_subdivision(faces[key]).parts]
     members = [part.vertex_mask for part in parts]
     orders = [part_order(B3, part) for part in parts]
-    assert intersection_dim(B3, members, 3) == per_monomial_intersection_dim(B3, orders, 3) == 28
+    assert per_monomial_intersection_dim(B3, orders, 3) == 28
+    assert per_support_intersection_dim(B3, members, 3) == 28
+    assert not one_hit_vector_per_class(B3, members, 3)
+    with pytest.raises(AssertionError, match=SPLIT):
+        intersection_dim(B3, members, 3)
+    for key in keys:
+        members = [part.vertex_mask for part in face_subdivision(faces[key]).parts]
+        assert intersection_dim(B3, members, 3) == per_support_intersection_dim(B3, members, 3)
 
 
 # the lattices the per-support scan checks arbitrary member masks on: B3,
@@ -470,30 +495,36 @@ MASK_LATTICES = [B3, grassmann_lattice(2, 4), flag_lattice(3), birkhoff(chain(["
                  birkhoff(antichain([]))]
 
 
-def test_intersection_dim_matches_the_per_support_scan(monkeypatch):
-    # members drawn as any masks, not only sublattices, split the supports
-    # of a class between them, so some draws must reach the exact rank
-    ranked = []
-    monkeypatch.setattr(hibi, "rank", lambda rows: ranked.append(rows) or rank(rows))
+def test_intersection_dim_matches_the_per_support_scan():
+    # members drawn as any masks, not only sublattices: where the scan sees
+    # every class with at most one nonzero hit vector the two agree, and
+    # where some class has two intersection_dim raises; the draws reach both
+    outcomes = set()
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.sampled_from(MASK_LATTICES), st.integers(0, 3), st.data())
     def check(L, l, data):
         members = data.draw(st.lists(st.integers(0, (1 << L.size) - 1), max_size=5))
-        assert intersection_dim(L, members, l) == per_support_intersection_dim(L, members, l)
+        single = one_hit_vector_per_class(L, members, l)
+        outcomes.add(single)
+        if single:
+            assert intersection_dim(L, members, l) == per_support_intersection_dim(L, members, l)
+        else:
+            with pytest.raises(AssertionError, match=SPLIT):
+                intersection_dim(L, members, l)
 
     check()
-    assert ranked
+    assert outcomes == {True, False}
 
 
-def test_two_members_that_split_one_class_rank_it_once(monkeypatch):
+def test_two_members_that_split_one_class_raise():
     # at l = 2 only B2's class of {p}{q} and {}{p,q} has two supports; the
-    # members {p},{q} and {},{p,q} give them the hit vectors 01 and 10
-    ranked = []
-    monkeypatch.setattr(hibi, "rank", lambda rows: ranked.append(rows) or rank(rows))
+    # members {p},{q} and {},{p,q}, which are no face's parts, give them the
+    # hit vectors 01 and 10, of rank 2
     members = [0b0110, 0b1001]
-    assert intersection_dim(B2, members, 2) == per_support_intersection_dim(B2, members, 2) == 4
-    assert ranked == [[[1, 0], [0, 1]]]
+    assert per_support_intersection_dim(B2, members, 2) == 4
+    with pytest.raises(AssertionError, match=SPLIT):
+        intersection_dim(B2, members, 2)
 
 
 def test_intersection_not_stronger():
@@ -549,8 +580,8 @@ import contextlib, csv, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from hibikit import hibi
 from hibikit.cli import main
-counts = {"tables": [], "ranks": 0}
-table, rank = hibi.DegreeTable, hibi.rank
+counts = {"tables": []}
+table = hibi.DegreeTable
 
 def counting_table(within, guards, lows):
     # one DegreeTable per build, never per lookup; a table's classes, its
@@ -558,11 +589,7 @@ def counting_table(within, guards, lows):
     counts["tables"].append(guards.bit_count())
     return table(within, guards, lows)
 
-def counting_rank(rows):
-    counts["ranks"] += 1
-    return rank(rows)
-
-hibi.DegreeTable, hibi.rank = counting_table, counting_rank
+hibi.DegreeTable = counting_table
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["certify", "--boolean", "3", "--lmax", "4"])
 rows = list(csv.DictReader(io.StringIO(out.getvalue())))
@@ -575,10 +602,7 @@ print(json.dumps(counts))
 @pytest.mark.parametrize("hash_seed", ["0", "3", "17"])
 def test_certify_work_counts(hash_seed):
     # 22 faces x 4 degrees read each degree's table, built once per job,
-    # in degree order: degree l's table has one class per standard monomial.
-    # Only a class with two or more distinct nonzero hit vectors is
-    # eliminated, and on a face's parts there is none: the parts containing
-    # a monomial's support are the parts containing its exponent sum / l
+    # in degree order: degree l's table has one class per standard monomial
     proc = subprocess.run(
         [sys.executable, "-c", COUNT_SCRIPT, str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,
@@ -588,7 +612,6 @@ def test_certify_work_counts(hash_seed):
     assert counts["code"] == 0 and counts["rows"] == 22 * 4
     assert counts["tables"] == [standard for _, standard in counts["standard"]]
     assert [l for l, _ in counts["standard"]] == [1, 2, 3, 4]
-    assert counts["ranks"] == 0
 
 
 @pytest.mark.parametrize("make, lmax", [

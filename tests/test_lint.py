@@ -292,6 +292,14 @@ def test_only_cli_imports_fractions():
     assert importers(sources, "fractions") == ["cli"]
 
 
+def test_hibi_imports_nothing_from_exactgeom():
+    # on one face's parts every exponent-sum class has at most one nonzero
+    # hit vector, so intersection_dim reads each class's rank off its block
+    # and ranks no matrix
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert "hibi" not in importers(sources, "exactgeom")
+
+
 def test_no_module_imports_dataclasses():
     # dataclasses loads inspect, ast, dis and tokenize at start-up; records
     # are NamedTuples or __slots__ classes
