@@ -18,7 +18,9 @@ one more row that every pivot updates with the others. It has no v columns
 of x = u - v either, since every row's v part is minus its u part. Bland's
 rule reads only the signs of the objective row's entries, so the pivots
 are those of the full tableau, and the final tableau checks the row
-against the sum.
+against the sum. The point is read off when phase 1 ends: an artificial
+still basic there sits at 0, on a row whose right-hand side is 0 and so
+sets no column's value, and it stays in the basis.
 """
 
 from __future__ import annotations
@@ -188,10 +190,11 @@ def lp_feasible(equalities: Sequence[Sequence[int]], rows: Sequence[tuple[Sequen
     columns are u, v, then the slacks, and a row reads -a.u + a.v + s = -r.
     The tableau keeps u and the slacks alone (see _run_simplex). Phase 1
     gives every equation one artificial variable, kept in the basis alone;
-    the system is feasible iff phase 1 drives their sum to 0. Artificials
-    left in the basis at value 0 are then pivoted out on their row's first
-    nonzero column, never a v column since u_j comes first, except on a
-    redundant row, which has no other nonzero entry.
+    the system is feasible iff phase 1 drives their sum to 0, and the point
+    is read off the basic columns when it ends. An artificial left in the
+    basis then has value 0, so its row's right-hand side is 0 and it sets
+    no column's value: a pivot that drove it out would scale every other
+    row's right-hand side and the denominator alike, and move no point.
     """
     m = len(rows)
     cols = 2 * n + m
@@ -211,12 +214,6 @@ def lp_feasible(equalities: Sequence[Sequence[int]], rows: Sequence[tuple[Sequen
     D = _run_simplex(M, 1, basis, n)
     if M.pop()[-1] != 0:
         return None
-    for i, row in enumerate(M):
-        if basis[i] >= cols:
-            col = next((j for j in range(n + m) if row[j] != 0), None)
-            if col is not None:
-                D = _pivot(M, D, i, col)
-                basis[i] = col if col < n else col + n
     y = [0] * cols
     for row, bi in zip(M, basis):
         if bi < cols:

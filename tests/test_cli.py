@@ -405,9 +405,11 @@ def test_subdivide_flag6_peak_memory():
 def test_weightpoly_flag6_peak_memory():
     # weightpoly reads the vertex masks of its face's subdivision and no
     # part's order, so the staircase table keeps no before masks for its
-    # 33,592 extensions: a fresh process peaks at about 69 MB, where the
-    # before masks took about 91 MB
-    assert child_peak_kb(["weightpoly", "--flag", "6"]) < 84 * 1024
+    # 33,592 extensions, and it writes each part's labels straight off its
+    # mask and keeps no weight-polytope record: a fresh process peaks at
+    # about 63.5 MB, where the record and per-part index tuples took about
+    # 65.5 MB and the before masks about 91 MB
+    assert child_peak_kb(["weightpoly", "--flag", "6"]) < 82 * 1024
 
 
 @pytest.mark.parametrize("argv", [

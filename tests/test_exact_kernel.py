@@ -64,8 +64,8 @@ def systems(draw, kind):
         x0 = [draw(st.sampled_from([0, 0, 0, 1, -2])) for _ in range(n)]
         return [], [(a, dot(a, x0)) for a in normals], n
     if kind == "redundant":
-        # repeated and combined equalities leave zero artificial rows for
-        # the drive-out to drop; the origin is feasible
+        # repeated and combined equalities leave artificials basic at 0
+        # when phase 1 ends; the origin is feasible
         for _ in range(draw(st.integers(1, 3))):
             lam = [draw(INTS) for _ in equalities]
             row = [sum(l * e[j] for l, e in zip(lam, equalities)) for j in range(n)]
@@ -114,6 +114,17 @@ def test_lp_matches_fraction_oracle(kind, data):
 def test_lp_with_no_rows():
     assert lp_feasible([], [], 2) == ((0, 0), 1)
     assert lp_feasible([[1, -1]], [], 2) == ((0, 0), 1)
+
+
+def test_lp_reads_the_point_where_an_artificial_stays_basic():
+    # phase 1 ends with an artificial basic at 0 on this system; the
+    # solver once pivoted it out, which moved no point: (-1/5, -2/5) over
+    # den 5 either way, after as many phase-1 pivots as the oracle's
+    equalities, rows = [[-2, 1]], [([-1, -2], 1), ([1, 2], -1), ([-1, -2], 1)]
+    with counting_pivots() as count:
+        assert lp_feasible(equalities, rows, 2) == ((-1, -2), 5)
+    assert oracle.phase1_point(equalities, rows, 2) == ((Fraction(-1, 5), Fraction(-2, 5)),
+                                                        count[0])
 
 
 def to_fraction(x) -> Fraction:
@@ -175,8 +186,8 @@ WORK = [("cone --boolean 3", 0, 0), ("cone --grassmann 2 5", 0, 0),
 
 @pytest.mark.parametrize("argv, solves, pivots", WORK, ids=[a for a, _, _ in WORK])
 def test_simplex_work_counts(argv, solves, pivots, monkeypatch, capsys):
-    """LP solves and simplex pivots (drive-out pivots included) of a job,
-    counted through lp_feasible, which cone calls for its closure LPs."""
+    """LP solves and phase-1 simplex pivots of a job, counted through
+    lp_feasible, which cone calls for its closure LPs."""
     counts = {"solves": 0, "pivots": 0}
     inside = [False]
     solve, step = cone.lp_feasible, exactgeom._pivot

@@ -766,6 +766,22 @@ def test_section_facets_disagree_with_the_kernel_on_a_dropped_vertex():
             assert section_facets(mp, order, rest) != facet_hyperplanes(rest)
 
 
+def test_section_facets_reject_one_facets_vertices():
+    # a facet's vertices alone span one dimension less than the section,
+    # and the facet's cover is tight on every one of them: an implicit
+    # equality, so they fail the full-dimension certificate, on every
+    # facet of every section of every face of Flag(4)'s cone
+    mp = GelfandTsetlin(4).marked
+    checked = 0
+    for order, Q in every_section(4):
+        for normal, rhs in Q.hyperplanes:
+            on = [v for v in Q.vertices if sum(a * x for a, x in zip(normal, v)) == rhs]
+            with pytest.raises(AssertionError, match="each section must be full-dimensional"):
+                section_facets(mp, order, on)
+            checked += 1
+    assert checked == 1552
+
+
 def test_chain_parts_reject_a_dropped_pattern(monkeypatch):
     # a chain part takes the patterns inside it as its vertices, and there
     # must be one per vertex of its product of simplices
@@ -846,9 +862,9 @@ def test_gt_5_full_face_sections():
                                       (5, lambda: sections(5, full_face))],
                          ids=["n4 faces", "n5 full"])
 def test_every_section_has_full_rank(n, found):
-    # gt_subdivision reads a chamber's dimension off its product of unit
-    # simplices, with no rank taken; the rank of the vertex differences
-    # agrees on every section
+    # section_facets certifies every section full-dimensional in the free
+    # cells by its covers' tight vertex sets, with no rank taken; the rank
+    # of the vertex differences agrees on every section
     free = len(GelfandTsetlin(n).marked.free())
     for _, Q in found():
         assert Q.dim == free

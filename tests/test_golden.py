@@ -151,6 +151,11 @@ GOLDEN = [
      "eddd6a1067a2b133e9c2643df831976393ee0d1f6420b1f4df450037ecea71d0", 0, 0),
     ('gt --n 3 subdivide --face [["1","23"]]',
      "bf92bfb746e61fbd5b136ae098b7dc9145af20ffb79c8891436fcac2b09f013b", 0, 6),
+    # five parts, none of them a chain, so every section takes the
+    # anchoring test; recorded when each such section's dimension was the
+    # rank of its vertex differences
+    ('gt --n 4 subdivide --face [["1","24"],["2","34"]]',
+     "9d68936bde540fe78c85636a42373612c7ed7834dd7b5ae456bb7241bdbd504c", 0, 50),
     ("gt --n 5 census",
      "2a1b84701a8a02e4f1def1380aba46894f2b50b9559869e0a1677c896e793e90", 0, 0),
     # recorded with the sections cut on the Fraction marking; the full face

@@ -169,7 +169,7 @@ def lattice_and_intersection_order(draw):
 @settings(max_examples=40, deadline=None)
 @given(lattice_and_intersection_order())
 def test_order_ideals_are_the_down_closed_masks(case):
-    # regular_subdivision and distinguished_faces read a part's vertices
+    # regular_subdivision and weightpoly's distinguished faces read a part's vertices
     # off the ideal masks of its order, where they tested each element's
     # mask for closure
     L, order = case

@@ -13,7 +13,10 @@ weightpoly no longer checks is checked here on every face of several
 lattices: the pullback identity through the fixed zeta: x -> (1, x), the
 separators' span and the distinguished faces' dimension; and the three
 solves weightpoly ran before, fitting zeta to the apex points
-(fraction_oracle.zeta_fit), accept the same polytopes.
+(fraction_oracle.zeta_fit), accept the same polytopes. weightpoly returns
+each face's certified basis alone; fraction_oracle.weight_record rebuilds
+from it the points, the apex projection to_apex and the distinguished
+faces that these tests read.
 """
 
 import itertools
@@ -26,7 +29,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from fraction_oracle import (enumerated_faces, indicator, is_apex, is_full, lattice_points, rank,
-                             rank_dim, same_face, solve_linear, vdot, vsub)
+                             rank_dim, same_face, solve_linear, vdot, vsub, weight_record)
 from hibikit import exactgeom, weightpoly
 from hibikit.cli import main
 from hibikit.cone import cone_K, face_of, span_of_face
@@ -34,8 +37,7 @@ from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice, ideal_label
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
-from hibikit.weightpoly import (_inclusion_matrix, distinguished_faces, weight_polytope,
-                                weight_polytope_json)
+from hibikit.weightpoly import weight_polytope, weight_polytope_json
 from order_oracle import chain, label_extensions, poset_from_pairs, vertex_labels
 
 GRID = from_cover_relations(
@@ -99,7 +101,7 @@ def separators(W):
     part's values minus the weight, as regular_subdivision certified them."""
     sub = face_subdivision(W.face)
     return [(d, [v - x for v, x in zip(oracle.part_map(sub, part)[1], sub.scaled)])
-            for d, part in zip(distinguished_faces(W), sub.parts, strict=True)]
+            for d, part in zip(W.distinguished, sub.parts, strict=True)]
 
 
 def check_certificate(W):
@@ -129,7 +131,7 @@ def project(G, F, point):
     element to the point of F's of the same element."""
     assert G.tight & F.tight == G.tight
     return tuple(sum(c * x for c, x in zip(row, point, strict=True))
-                 for row in _inclusion_matrix(span_of_face(G), span_of_face(F)))
+                 for row in oracle.inclusion_matrix(span_of_face(G), span_of_face(F)))
 
 
 def chain_simplex(ext):
@@ -137,7 +139,7 @@ def chain_simplex(ext):
     chain of a linear extension: its element labels and its polytope."""
     P = ext.poset
     L = birkhoff(P)
-    W = weight_polytope(full_face(L))
+    W = weight_record(full_face(L))
     ideals = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
     poly = oracle.hull([W.points[L.index(a)] for a in ideals], 1)
@@ -165,7 +167,7 @@ def normality_probe(Q, k_max):
 
 @pytest.mark.parametrize("L", [B2, B3, GRIDL])
 def test_full_face_is_standard_simplex(L):
-    W = weight_polytope(full_face(L))
+    W = weight_record(full_face(L))
     unit = [tuple(1 if j == i else 0 for j in range(L.size)) for i in range(L.size)]
     assert list(W.basis) == unit
     assert list(W.points) == unit
@@ -173,7 +175,7 @@ def test_full_face_is_standard_simplex(L):
 
 
 def test_apex_b2_is_unit_square():
-    W = weight_polytope(apex_face(B2))
+    W = weight_record(apex_face(B2))
     Q = hull(W)
     assert Q.dim == 2
     assert len(Q.vertices) == 4
@@ -189,7 +191,7 @@ def test_apex_b2_is_unit_square():
 def test_every_face_has_lattice_point_count_of_L(L):
     # what the apex pullback implies, by a hull and a lattice-point search
     for F in enumerated_faces(cone_K(L)):
-        W = hull(weight_polytope(F))
+        W = hull(weight_record(F))
         assert len(W.vertices) == L.size
         assert len(lattice_points(W)) == L.size
         assert W.dim == rank_dim(F.cone, F.tight) - 1
@@ -200,14 +202,14 @@ def test_every_face_has_lattice_point_count_of_L(L):
 
 def test_project_identity():
     F = full_face(B2)
-    W = weight_polytope(F)
+    W = weight_record(F)
     for p in W.points:
         assert project(F, F, p) == p
 
 
 def test_project_full_to_apex_b2():
     F, A = full_face(B2), apex_face(B2)
-    Wf, Wa = weight_polytope(F), weight_polytope(A)
+    Wf, Wa = weight_record(F), weight_record(A)
     for p, q in zip(Wf.points, Wa.points, strict=True):
         assert project(F, A, p) == q
 
@@ -215,7 +217,7 @@ def test_project_full_to_apex_b2():
 def test_project_carries_whole_polytope():
     for L in (B3, GRIDL):
         faces = enumerated_faces(cone_K(L))
-        polys = {F: weight_polytope(F) for F in faces}
+        polys = {F: weight_record(F) for F in faces}
         for G, F in itertools.permutations(faces, 2):
             if G.tight & F.tight != G.tight:
                 continue
@@ -231,7 +233,7 @@ def test_project_composition():
     apex = face_of(K, (0,) * L.size, 1)
     full = full_face(L)
     mid = next(F for F in enumerated_faces(K) if not is_apex(F) and not is_full(F))
-    W = weight_polytope(full)
+    W = weight_record(full)
     for p in W.points:
         two_step = project(mid, apex, project(full, mid, p))
         assert two_step == project(full, apex, p)
@@ -245,7 +247,7 @@ def test_project_composition():
 def test_zeta_bijects_order_polytope_and_apex_polytope(L):
     # on the apex, to_apex is square and unimodular, so zeta followed by
     # its inverse is an integer affine bijection carrying 1_a to p_a
-    W = weight_polytope(apex_face(L))
+    W = weight_record(apex_face(L))
     n = L.poset_P.size
     assert len(W.to_apex) == len(W.basis) == n + 1
     assert oracle.same_lattice(W.to_apex, [[int(i == j) for j in range(n + 1)]
@@ -272,7 +274,7 @@ def test_weightpoly_on_the_empty_poset(face, tmp_path, capsys):
 def test_zeta_square_to_square():
     # the order polytope's vertices through zeta and the inverse of the
     # apex's to_apex are the apex polytope's
-    W = weight_polytope(apex_face(B2))
+    W = weight_record(apex_face(B2))
     z = zeta_map(2)
     order_poly = LatticePolytope([tuple(map(int, indicator(B2, a))) for a in B2.elements], 1)
     image = oracle.hull(*oracle.over_den([solve_linear(W.to_apex, z(v))
@@ -288,7 +290,7 @@ def test_chain_simplex_whole_simplex_for_chain_lattice():
     P = chain(["a", "b", "c"])
     elements, poly = chain_simplex(label_extensions(P)[0])
     assert len(elements) == 4
-    assert poly.vertices == hull(weight_polytope(full_face(birkhoff(P)))).vertices
+    assert poly.vertices == hull(weight_record(full_face(birkhoff(P)))).vertices
 
 
 def test_chain_simplex_b2():
@@ -307,12 +309,12 @@ def test_chain_simplex_grid_has_five_vertices():
         assert len(poly.vertices) == 5
 
 
-# -- distinguished_faces -----------------------------------------------------
+# -- distinguished faces -----------------------------------------------------
 
 
 def test_apex_single_distinguished_face_is_whole_polytope():
-    W = weight_polytope(apex_face(B3))
-    faces = distinguished_faces(W)
+    W = weight_record(apex_face(B3))
+    faces = W.distinguished
     assert len(faces) == 1
     assert face_hull(W, faces[0]).vertices == hull(W).vertices
     assert labels(B3, faces[0]) == set(B3.elements)
@@ -321,13 +323,13 @@ def test_apex_single_distinguished_face_is_whole_polytope():
 def test_full_face_distinguished_are_chain_simplices():
     P = antichain(["p", "q"])
     F = full_face(B2)
-    W = weight_polytope(F)
+    W = weight_record(F)
     simplices = {chain_simplex(ext)[1].vertices for ext in label_extensions(P)}
-    assert {face_hull(W, d).vertices for d in distinguished_faces(W)} == simplices
+    assert {face_hull(W, d).vertices for d in W.distinguished} == simplices
 
 
 def test_b2_full_two_triangles_sharing_an_edge():
-    faces = distinguished_faces(weight_polytope(full_face(B2)))
+    faces = weight_record(full_face(B2)).distinguished
     assert len(faces) == 2
     assert all(len(d) == 3 for d in faces)
     shared = labels(B2, faces[0]) & labels(B2, faces[1])
@@ -337,7 +339,7 @@ def test_b2_full_two_triangles_sharing_an_edge():
 def test_separator_vanishes_exactly_on_face():
     L = GRIDL
     for F in enumerated_faces(cone_K(L)):
-        for d, sep in separators(weight_polytope(F)):
+        for d, sep in separators(weight_record(F)):
             members = set(d)
             for i, value in enumerate(sep):
                 if i in members:
@@ -349,7 +351,7 @@ def test_separator_vanishes_exactly_on_face():
 @pytest.mark.parametrize("L", [B3, GRIDL, grassmann_lattice(2, 5), flag_lattice(4)])
 def test_every_face_meets_its_certificate(L):
     for F in enumerated_faces(cone_K(L)):
-        check_certificate(weight_polytope(F))
+        check_certificate(weight_record(F))
 
 
 @pytest.mark.parametrize("L", [B3, GRIDL, grassmann_lattice(2, 5), flag_lattice(4)])
@@ -358,7 +360,7 @@ def test_zeta_fit_accepts_the_same_polytopes(L):
     # and their projection is the one solve's read through the integer
     # matrix M = [z0 | Z], square and unimodular: M·(1, 1_i) = Z·1_i + z0
     for F in enumerated_faces(cone_K(L)):
-        W = weight_polytope(F)
+        W = weight_record(F)
         Z, z0, to_apex = oracle.zeta_fit(F)
         M = [[c0, *row] for c0, row in zip(z0, Z, strict=True)]
         assert oracle.same_lattice(M, [[int(i == j) for j in range(len(M))]
@@ -372,7 +374,7 @@ def test_distinguished_images_are_subdivision_parts():
     L = B3
     for F in enumerated_faces(cone_K(L)):
         sub = face_subdivision(F)
-        got = {frozenset(labels(L, d)) for d in distinguished_faces(weight_polytope(F))}
+        got = {frozenset(labels(L, d)) for d in weight_record(F).distinguished}
         want = {frozenset(vertex_labels(L, p)) for p in sub.parts}
         assert got == want
 
@@ -418,7 +420,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
     zmap = zeta_map(P.size)
     indicators = [[int(x) for x in indicator(L, a)] for a in L.elements]
     for F in enumerated_faces(cone_K(L)):
-        W = weight_polytope(F)
+        W = weight_record(F)
         assert [list(row) for row in W.to_apex] == [solve_linear(W.points, row) for row in rows]
         check_certificate(W)
         # each element's own point and indicator, a wrong indicator, and
@@ -431,7 +433,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
                         == oracle_pulls_back(zmap, W.to_apex, point, x))
         # what the pullback implies for each distinguished face: its members
         # are its vertices, and it has dimension |P|
-        for d in distinguished_faces(W):
+        for d in W.distinguished:
             face = face_hull(W, d)
             assert len(face.vertices) == len(d)
             assert face.dim == P.size
@@ -453,7 +455,7 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
     # moved polytope has every property the certificate claims
     rejected = 0
     for F in enumerated_faces(cone_K(L)):
-        W = weight_polytope(F)
+        W = weight_record(F)
         for k, (point, m) in enumerate(zip(W.points, L.masks)):
             i = k % len(W.basis)
             x = [m >> j & 1 for j in range(L.poset_P.size)]
@@ -463,7 +465,7 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
             rows[i][k] += 1
             with_basis(monkeypatch, F, rows)
             try:
-                moved = hull(weight_polytope(F))
+                moved = hull(weight_record(F))
             except AssertionError:
                 rejected += 1
                 continue
@@ -555,7 +557,7 @@ def test_probe_detects_nonnormal_simplex():
 def test_probe_weight_polytopes(L):
     outcomes = {}
     for F in enumerated_faces(cone_K(L)):
-        outcomes[F.key()] = normality_probe(hull(weight_polytope(F)), 3)
+        outcomes[F.key()] = normality_probe(hull(weight_record(F)), 3)
     assert set(outcomes.values()) == {None}
 
 
@@ -571,14 +573,16 @@ def test_weight_polytope_json_shape():
 
 
 def test_weight_polytopes_equal_on_their_face():
-    # every field of a weight polytope is a function of its face, so two
-    # built on two Face objects of one face agree on the face and are equal,
-    # and hash alike, in every other field; equality compares fields
+    # the certified basis, and every field rebuilt from it, is a function
+    # of its face, so two built on two Face objects of one face agree on
+    # the face and are equal, and hash alike, in every other field;
+    # equality compares fields
     K = cone_K(B3)
     full, apex = face_of(K, [0, 1, 1, 1, 4, 4, 4, 9], 1), face_of(K, (0,) * 8, 1)
-    W = weight_polytope(full)
-    again = weight_polytope(face_of(cone_K(B3), [0, 1, 1, 1, 4, 4, 4, 9], 1))
+    W = weight_record(full)
+    again = weight_record(face_of(cone_K(B3), [0, 1, 1, 1, 4, 4, 4, 9], 1))
     assert same_face(again.face, W.face)
+    assert weight_polytope(again.face) == weight_polytope(W.face) == W.basis
     assert again[1:] == W[1:] and hash(again[1:]) == hash(W[1:])
     assert W._replace(points=W.points[::-1]) != W
-    assert weight_polytope(apex)[1:] != W[1:]
+    assert weight_record(apex)[1:] != W[1:]
