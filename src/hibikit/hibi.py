@@ -1,54 +1,62 @@
-"""The Hibi ideal of a distributive lattice and its degree-wise dimensions.
+"""The Hibi ideal of a distributive lattice and its degeneration certificate.
 
 All ideal computations are degree-truncated linear algebra over the monomial
 basis of R_l, in integers; no Groebner bases. The lattice is read only
 through its ideal bitmasks, L.masks: two elements are incomparable iff
 neither mask contains the other, and join and meet are OR and AND.
 
-The Hibi ideal I is spanned by the binomials X_a X_b - X_{a∨b} X_{a∧b},
-one per incomparable pair. Each degree-l row m*g is e_u - e_v, so dim I_l
-is the number of union-find merges over the degree-l monomials, packed as
-ints with one base-(l + 1) digit per element.
+The Hibi ideal I is spanned by the binomials g = X_a X_b - X_{a∨b} X_{a∧b},
+one per incomparable pair: its sides a, b and its corners a∨b, a∧b. Each
+degree-l row m*g is e_u - e_v, so dim I_l is the number of union-find
+merges over the degree-l monomials, packed as ints with one base-(l + 1)
+digit per element. The standard monomials are the multichains (Hibi 1987),
+one per exponent-sum class: a multichain's ideals are the level sets of its
+sum, and straightening keeps the sum.
 
-The degree table of L lays the degree-l monomials out as bits. They fall
-into exponent-sum classes, a class being the sum of the indicator vectors of
-its monomials' factors' ideals, as many as the standard monomials. Each class
-gives its distinct supports, as bit masks over L's elements, consecutive bit
-positions: a block, followed by one guard bit. The table keeps, per element
-e, one int of the positions whose support contains e; it is built once per
-lattice and degree. The intersection of a face's component ideals has, per
-class, the rank of its supports' distinct nonzero hit vectors, the sets of
-components containing them. That rank is 0 or 1, by the envelope that
-regular_subdivision certifies for each part C: an affine map g_C(x) = c +
-alpha·1_x, >= w on L and equal to w exactly on C's vertices. Let degree-l
-monomials M, M' of one class have supp M in C and supp M' in C'. Equal
-exponent sums give sum_M g = sum_M' g for every affine g, so sum_M' w <=
-sum_M' g_C = sum_M g_C = sum_M w, and the same with the roles swapped. So
-the sums are equal, g_C = w on supp M', and supp M' lies in C: within a
-class every nonzero hit vector is the same, on every face and in every
-degree, and the bit layout reads every class's rank at once.
+On a face with witness w, regular_subdivision certifies for each part C an
+affine map g_C >= w on L, equal to w exactly on its vertex set S_C, a
+sublattice. C's ideal I_C is spanned by S_C's Hibi binomials and the
+variables off S_C, and R/I_C is S_C's toric ring: a monomial with support
+in S_C goes to its exponent sum, any other to 0. g is tight at w if its
+corners weigh what its sides weigh, and slack otherwise. in_w keeps the
+terms of least weight, K's sign, so in_w(g) is X_a X_b for a slack g and g
+for a tight one; J_w is the ideal they span. A passing row certifies
+in_w(I)_l = the intersection of the I_{C,l} by three steps.
 
-A certificate row checks that three dimensions are equal: dim in_w(I)_l, the
-dimension of the intersection of the face's component ideals, and dim R_l
-minus the standard monomial count. dim in_w(I)_l is computed as dim I_l: a
-Groebner degeneration of a homogeneous ideal is flat, so in_w(I) has the
-Hilbert function of I for every weight w (Sturmfels, Groebner Bases and
-Convex Polytopes, 1996, ch. 1-2). No row uses w, and equal dimensions alone
-do not certify in_w(I)_l = the intersection of the I_{i,l}: that also needs
-one space to contain the other, which the certificate does not check.
+Containment, J_w in every I_C. If S_C holds both sides it holds both
+corners, and g_C, affine and equal to w on S_C, makes g tight. If it holds
+both corners of a tight g, g_C(a) + g_C(b) = w(a) + w(b) with g_C >= w, so
+it holds both sides. So a part holds a generator's sides iff the generator
+is tight and the part holds its corners: the mask rule, which
+check_containment asserts on every face. X_a X_b lies in I_C iff S_C misses
+a side, and a tight g lies in I_C when S_C holds all four of its elements
+or misses a side and a corner, so the rule puts each in_w(g) in each I_C.
+
+Cover, dim (∩ I_C)_l = dimR - standard_count. ∩ I_C is the kernel of the
+map to the R/I_C, so each class adds the rank of its supports' distinct
+nonzero hit vectors, the sets of parts holding them. For monomials M, M' of
+one class, supp M in S_C and supp M' in S_C', sum_M' w <= sum_M' g_C =
+sum_M g_C = sum_M w and the reverse, so g_C = w on supp M': both parts hold
+both supports, and the rank is at most 1. It is 1: the class holds a
+multichain, which lies on some extension's chain, which lies in some S_C by
+regular_subdivision's on_chains == vertex_mask check.
+
+Equality. Each in_w(g) leads with X_a X_b in a term order in which every g
+does (Hibi 1987), so the leading terms of J_w hold every X_a X_b, and
+dim J_{w,l} >= dimR - standard_count = dim (∩ I_C)_l >= dim J_{w,l}, the
+last by containment: J_{w,l} = (∩ I_C)_l. in_w(I) contains J_w and has the
+Hilbert function of I (Sturmfels, Groebner Bases and Convex Polytopes,
+1996, ch. 1-2), so the row's dim_in = dim I_l = dimR - standard_count
+gives in_w(I)_l = J_{w,l}.
 """
 
 from __future__ import annotations
 
-import sys
-from array import array
 from itertools import combinations, combinations_with_replacement
 from math import comb
-from typing import NamedTuple, Sequence
 
 from .errors import BadParams
 from .lattice import Lattice
-from .poset import _bits, _kept
 
 MAX_ELEMENTS = 12
 MAX_DEGREE = 6
@@ -76,72 +84,8 @@ def _check_caps(n: int, l: int):
         raise BadParams("degree must be nonnegative")
 
 
-class DegreeTable(NamedTuple):
-    """The bit layout of the degree-l monomials of L. Each exponent-sum class
-    is a block of consecutive positions, one per distinct support, followed
-    by one guard bit."""
-
-    within: tuple[int, ...]  # per element e, the positions whose support contains e
-    guards: int  # the guard bit above each block
-    lows: int  # the lowest position of each block
-
-
-@_kept
-def degree_table(L: Lattice, l: int) -> DegreeTable:
-    """The degree-l monomials of L by exponent-sum class, laid out as bits,
-    built once per lattice and degree from the degree's monomial states."""
-    _check_caps(L.size, l)
-    n = L.size
-    # per position, its support; at a guard, the item's top bit, above every
-    # element while L.size < width (MAX_ELEMENTS keeps it so). Sorted, the
-    # states of one class sit next to each other, so a guard goes wherever
-    # the packed sum changes
-    cells = array("I")
-    width = 8 * cells.itemsize
-    guard = 1 << width - 1
-    support = (1 << n) - 1
-    ordered = sorted(_degree_states(L, l))
-    last = ordered[0] >> n
-    for state in ordered:
-        if state >> n != last:
-            cells.append(guard)
-            last = state >> n
-        cells.append(state & support)
-    cells.append(guard)
-    # the cells' bits, most significant position first: bit e of every cell
-    # is one slice of the string, and so one int
-    digits = format(int.from_bytes(cells.tobytes(), sys.byteorder), f"0{width * len(cells)}b")
-    within = tuple(int(digits[width - 1 - e::width], 2) for e in range(L.size))
-    guards = int(digits[::width], 2)
-    lows = (guards << 1 | 1) & ~(1 << len(cells))  # position 0 and the one above each guard
-    return DegreeTable(within, guards, lows)
-
-
-@_kept
-def _degree_states(L: Lattice, l: int) -> set[int]:
-    """The (packed sum, support) states of the degree-l monomials of L, each
-    one int with the support in its low L.size bits, built once per lattice
-    and degree by extending the degree below's states by one factor. A
-    state is extended only by the factors at or above its support's top
-    element, so each multiset of factors is built once, in increasing order,
-    and every monomial's state is still reached. The classes are told apart
-    by their packed sums, one digit per element of poset_P in base
-    MAX_DEGREE + 1, so adding up to MAX_DEGREE indicators never carries."""
-    if not l:
-        return {0}
-    base, n = MAX_DEGREE + 1, L.size
-    factors = [(sum(base ** j for j in _bits(m)) << n, 1 << i) for i, m in enumerate(L.masks)]
-    # the factors from element t on, at index t + 1, the bit length of a
-    # support whose top element is t; all of them for the empty support
-    tails = [factors] + [factors[t:] for t in range(n)]
-    support = (1 << n) - 1
-    return {state + packed | bit for state in _degree_states(L, l - 1)
-            for packed, bit in tails[(state & support).bit_length()]}
-
-
 def standard_monomial_count(L: Lattice, l: int) -> int:
-    """Multichains of length l, cross-checked against the number of
-    exponent-sum classes in the degree table."""
+    """Multichains of length l, the standard monomials of degree l."""
     _check_caps(L.size, l)
     if l == 0:
         return 1
@@ -149,10 +93,7 @@ def standard_monomial_count(L: Lattice, l: int) -> int:
     ladder = [1] * L.size  # multichains of length 1 ending at each element
     for _ in range(l - 1):
         ladder = [sum(x for x, a in zip(ladder, masks) if a & b == a) for b in masks]
-    count = sum(ladder)
-    if degree_table(L, l).guards.bit_count() != count:
-        raise AssertionError("multichain count must equal the exponent-sum count")
-    return count
+    return sum(ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -191,81 +132,41 @@ def ideal_dim(L: Lattice, l: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# intersections of the component ideals
-
-
-def intersection_dim(L: Lattice, members: Sequence[int], l: int) -> int:
-    """dim of the degree-l piece of the intersection of the component
-    ideals I_i, each given by the bitmask of the elements that survive in
-    component i: members are the vertex masks of one face's parts.
-
-    The intersection is the kernel of the evaluation map sending a degree-l
-    monomial M to, per component i, its exponent-sum class when every
-    factor survives in component i and zero otherwise. So M's image is fixed
-    by its class and by its hit vector, the components whose members contain
-    its support. Classes hit disjoint coordinates, so the rank is the sum,
-    over the classes, of the rank of their distinct nonzero hit vectors,
-    which is 1 for every class some component meets (module docstring).
-
-    The work runs on the degree table's bit layout, for all classes at once.
-    Component i's inside_i is every position whose support avoids all the
-    elements outside its members: one OR of within[e] per such element.
-    A block holds a bit of x iff its guard survives ((x | guards) - lows) &
-    guards: the subtraction borrows through the block's positions only when
-    they are all clear, and the guard stops the borrow at the block's edge.
-    A class has a nonzero hit vector iff its block meets hit, the OR of the
-    inside_i; it has two distinct ones iff, for some i, its block meets
-    both inside_i and hit & ~inside_i, which members of one face's parts
-    never give.
-    """
-    _check_caps(L.size, l)
-    within, guards, lows = degree_table(L, l)
-    positions = guards - lows  # every block's positions, no guard
-
-    def occupied(x: int) -> int:
-        """The guard of each block that holds a bit of x."""
-        return ((x | guards) - lows) & guards
-
-    insides = []
-    for m in members:
-        outside = 0
-        for e, column in enumerate(within):
-            if not m >> e & 1:
-                outside |= column
-        insides.append(positions & ~outside)
-    hit = 0
-    for inside in insides:
-        hit |= inside
-    for inside in insides:
-        if occupied(hit & ~inside) & occupied(inside):
-            raise AssertionError("a class must have one nonzero hit vector")
-    return comb(L.size + l - 1, l) - occupied(hit).bit_count()
-
-
-# ---------------------------------------------------------------------------
 # the degeneration certificate
 
 
+def check_containment(generators: list[tuple[tuple[int, int], tuple[int, int]]],
+                      w: tuple[int, ...], members: list[int]) -> None:
+    """Assert the mask rule of the module docstring's containment step on
+    one face: generators are hibi_generators(L), w the face's witness and
+    members its parts' vertex masks: no part holds both sides of a
+    generator slack at w, and a part holds both sides of a tight one iff it
+    holds both its corners."""
+    for (a, b), (join, meet) in generators:
+        sides, corners = 1 << a | 1 << b, 1 << join | 1 << meet
+        if w[join] + w[meet] == w[a] + w[b]:
+            broken = [m for m in members if (m & sides == sides) != (m & corners == corners)]
+        else:
+            broken = [m for m in members if m & sides == sides]
+        if broken:
+            raise AssertionError(
+                "a part must hold a generator's sides iff it is tight and holds its corners")
+
+
 def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
-    """One row per (face of K, degree l <= lmax) checking the three-way
-    dimension identity dim in_w(I)_l = dim of the intersection of the face's
-    component ideals = dim R_l minus the standard monomial count.
-
-    dim in_w(I)_l is reported as dim I_l: the degeneration is flat, so it
-    is the same for every weight w, and the row checks dimensions only (see
-    the module docstring). It and the standard monomial count are
-    computed once per degree, before the cone is built, so the element and
-    degree caps fail fast; only the intersection is computed per face.
-
-    A component's members are its part's vertex mask. They are the ideals
-    of the part's order and a sublattice of L by the checks that
-    regular_subdivision builds every part with, on every face (the
-    argument is in the subdivision module docstring)."""
+    """One row per (face of K, degree l <= lmax) certifying in_w(I)_l = the
+    intersection of the face's part ideals, by the module docstring's
+    three steps: dim_in, dim I_l, equals dimR minus the standard monomial
+    count, and dim_cap is that difference, which the cover gives on every
+    face. Both numbers are computed once per degree, before the cone is
+    built, so the element and degree caps fail fast; per face, only the
+    containment mask test runs, at the face's witness."""
     from .cone import cone_K, enumerate_faces, enumerated_face
     from .subdivision import face_subdivision
 
     degrees = [(l, comb(L.size + l - 1, l), ideal_dim(L, l),
                 standard_monomial_count(L, l)) for l in range(1, lmax + 1)]
+    generators = hibi_generators(L)
     rows = []
     K = cone_K(L)
     faces = enumerate_faces(K)[::-1]
@@ -274,8 +175,9 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
         # keeps, once its rows are written
         face = enumerated_face(K, *faces.pop())
         members = [part.vertex_mask for part in face_subdivision(face).parts]
+        check_containment(generators, face.witness[0], members)
         for l, dim_r, dim_in, standard in degrees:
-            dim_cap = intersection_dim(L, members, l)
+            dim_cap = dim_r - standard
             rows.append({
                 "face_key": face.key(),
                 "l": l,
@@ -286,4 +188,3 @@ def degeneration_certificate(L: Lattice, lmax: int) -> list[dict]:
                 "pass": dim_in == dim_cap == dim_r - standard,
             })
     return rows
-

@@ -4,8 +4,8 @@ straighten rewrites a monomial, one meet/join swap at a time, to the
 standard monomial with the same exponent sum; counting its distinct results
 over all degree-l monomials gives `standard_count` without the multichain
 recursion. component_ideal writes the ideal of one degeneration component
-out as polynomials, so union_find_ideal_dim of it gives the single-order
-`dim_cap` that hibi.intersection_dim computes without building any ideal.
+out as polynomials, so union_find_ideal_dim of it gives `dim_cap` for a
+face with one part.
 
 Monomial, Polynomial and union_find_ideal_dim are the polynomial ring model
 and the general union-find that hibi used before it packed monomials into
@@ -14,21 +14,20 @@ monomials and binomials c(M - M') and rejects other shapes.
 generator_polynomials writes hibi_generators' index pairs out as
 polynomials. sublattice_for_order is the per-order sublattice that hibi
 built from order_ideals before it took each component's members from its
-part of the subdivision; member_masks gives them as hibi's bitmasks.
-maximal_chains lists the chains that the lattice command used to list only
-to count them.
+part of the subdivision; member_masks gives them as the parts' vertex
+masks. maximal_chains lists the chains that the lattice command used to
+list only to count them.
 
-The rest is the per-monomial Fraction code that hibi's integer degree tables
-replaced, kept as the reference they are compared against:
-exponent_sum_count sums indicator vectors, elimination_ideal_dim and
-per_monomial_intersection_dim eliminate sparse Fraction rows.
-per_support_intersection_dim is the per-support scan that
-hibi.intersection_dim ran over a dict degree table before it laid the
-classes out as bit blocks: for every class and support it tests every
-member, and it ranks every class with two or more distinct nonzero hit
-vectors. class_hit_vectors lists those hit vectors per class, so a test
-can tell the members whose classes intersection_dim, with no rank step,
-must refuse.
+The rest computes dim of the intersection of a face's component ideals,
+which hibi no longer computes: its module docstring's cover step gives it
+as dimR minus the standard monomial count. exponent_sum_count sums
+indicator vectors, elimination_ideal_dim and per_monomial_intersection_dim
+eliminate sparse Fraction rows. support_table lists each exponent-sum
+class's distinct supports, one class per standard monomial.
+per_support_intersection_dim tests every support of every class against
+every member and ranks every class with two or more distinct nonzero hit
+vectors; class_hit_vectors lists those hit vectors per class, so a test can
+tell the members whose classes split.
 """
 
 from dataclasses import dataclass
@@ -184,8 +183,8 @@ def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
 
 
 def member_masks(L, orders):
-    """The bitmask of each order's sublattice, as hibi.intersection_dim
-    takes its components."""
+    """The bitmask of each order's sublattice, as a part's vertex mask
+    holds it."""
     return [sum(1 << L.index(a) for a in sublattice_for_order(L, o)) for o in orders]
 
 

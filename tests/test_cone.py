@@ -218,20 +218,19 @@ def test_cone_builds_no_faces(monkeypatch, capsys):
 
 def test_certify_builds_each_face_after_the_rows_before_it(monkeypatch, capsys):
     # certify builds one Face per enumerated face, in enumeration order,
-    # when it reaches it: after the previous face's rows, one
-    # intersection_dim per degree, are computed
+    # when it reaches it: after the previous face's one containment check
     events = []
     built_faces(monkeypatch, events)
-    real = hibi.intersection_dim
-    monkeypatch.setattr(hibi, "intersection_dim",
-                        lambda L, members, l: events.append(("row", l)) or real(L, members, l))
+    real = hibi.check_containment
+    monkeypatch.setattr(hibi, "check_containment",
+                        lambda gens, w, members: events.append("check") or real(gens, w, members))
     cli._lattice.cache_clear()
     assert main(["certify", "--boolean", "3", "--lmax", "2"]) == 0
     capsys.readouterr()
     K = cone_K(cli._lattice("boolean", 3))
     expected = [("face", K.apex.tight)]
     for tight, _ in enumerate_faces(K):
-        expected += [("face", tight), ("row", 1), ("row", 2)]
+        expected += [("face", tight), "check"]
     assert events == expected
 
 

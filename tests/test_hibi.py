@@ -26,6 +26,7 @@ from hibi_oracle import (
     factor_indices,
     generator_polynomials,
     is_standard,
+    maximal_chains,
     member_masks,
     monomial,
     per_monomial_intersection_dim,
@@ -35,16 +36,15 @@ from hibi_oracle import (
     union_find_ideal_dim,
 )
 
-from hibikit import hibi, lattice, poset
+from hibikit import hibi, lattice, poset, subdivision
 from hibikit.cli import main
 from hibikit.cone import cone_K, face_of
 from hibikit.errors import BadParams
 from hibikit.hibi import (
+    check_containment,
     degeneration_certificate,
-    degree_table,
     hibi_generators,
     ideal_dim,
-    intersection_dim,
     standard_monomial_count,
 )
 from hibikit.lattice import birkhoff, flag_lattice, grassmann_lattice
@@ -337,7 +337,7 @@ def test_component_ideal_not_stronger():
         component_ideal(birkhoff(chain(["p", "q"])), antichain(["p", "q"]))
 
 
-# -- intersection_dim --------------------------------------------------------
+# -- intersections (oracle) --------------------------------------------------
 
 
 def test_vertex_masks_are_the_sublattices_of_the_part_orders():
@@ -350,13 +350,14 @@ def test_vertex_masks_are_the_sublattices_of_the_part_orders():
 
 def test_intersection_b2_two_linearizations():
     orders = [extension_poset(e) for e in label_extensions(antichain(["p", "q"]))]
-    assert intersection_dim(B2, member_masks(B2, orders), 2) == 1
+    assert per_support_intersection_dim(B2, member_masks(B2, orders), 2) == 1
+    assert per_monomial_intersection_dim(B2, orders, 2) == 1
 
 
 def test_intersection_single_weak_order_is_ideal_dim():
     for L in (B2, B3, GRIDL, CHAIN4):
         for l in (2, 3):
-            got = intersection_dim(L, member_masks(L, [L.poset_P]), l)
+            got = per_support_intersection_dim(L, member_masks(L, [L.poset_P]), l)
             assert got == ideal_dim(L, l)
 
 
@@ -366,7 +367,7 @@ def test_single_component_dim_matches_its_ideal():
         for o in orders:
             gens = component_ideal(L, o)
             for l in (1, 2, 3):
-                got = intersection_dim(L, member_masks(L, [o]), l)
+                got = per_support_intersection_dim(L, member_masks(L, [o]), l)
                 assert got == union_find_ideal_dim(gens, l) == elimination_ideal_dim(gens, l)
 
 
@@ -397,32 +398,169 @@ def test_ideal_dim_matches_the_polynomial_oracles(L, l):
 
 
 @settings(max_examples=20, deadline=None)
+@given(small_lattices(), st.data())
+def test_support_tables_match_the_per_monomial_oracle(L, data):
+    # the per-support scan and the per-monomial elimination agree on every
+    # face's parts, where by the cover step each gives dimR minus the
+    # standard monomial count, and on parts drawn from several faces, whose
+    # classes may split
+    families = [face_subdivision(F).parts for F in enumerated_faces(cone_K(L))]
+    for family in families:
+        members = [part.vertex_mask for part in family]
+        orders = [part_order(L, part) for part in family]
+        for l in range(4):
+            assert (per_support_intersection_dim(L, members, l)
+                    == per_monomial_intersection_dim(L, orders, l)
+                    == comb(L.size + l - 1, l) - standard_monomial_count(L, l))
+    parts = [part for family in families for part in family]
+    drawn = data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=5))
+    members = [part.vertex_mask for part in drawn]
+    for l in range(4):
+        assert (per_support_intersection_dim(L, members, l)
+                == per_monomial_intersection_dim(L, [part_order(L, p) for p in drawn], l))
+
+
+# -- the cover argument -------------------------------------------------------
+
+
+@settings(max_examples=20, deadline=None)
 @given(small_lattices())
-def test_degree_states_are_shared_across_degrees(L):
-    # degree l's (packed sum, support) states extend degree l - 1's and stay
-    # on the lattice: degree 4's table keeps its own and every lower
-    # degree's states, and nothing else, so reading them builds nothing, and
-    # the tables come out the same whichever degree is read first; each
-    # degree's states are the oracle's supports by class, the packed sum
-    # read as one base-(MAX_DEGREE + 1) digit per element
-    cold = lattice.Lattice(L.elements, L.poset_P, L.masks)
-    degree_table(cold, 4)
-    assert len(cold._memo) == 1 + 5
-    kept = [hibi._degree_states(cold, l) for l in range(5)]
-    assert len(cold._memo) == 1 + 5
-    descending = [degree_table(cold, l) for l in reversed(range(5))]
-    assert [degree_table(L, l) for l in range(5)] == descending[::-1]
-    base = hibi.MAX_DEGREE + 1
-    for l, states in enumerate(kept):
-        classes = {}
-        for state in states:
-            packed, support = state >> L.size, state & (1 << L.size) - 1
-            digits = tuple(packed // base ** j % base for j in range(L.poset_P.size))
-            classes.setdefault(digits, set()).add(support)
-        assert classes == support_table(L, l)
+def test_support_classes_are_the_standard_monomials(L):
+    # one exponent-sum class per multichain, as the cover step reads them
+    for l in range(5):
+        assert (len(support_table(L, l)) == standard_monomial_count(L, l)
+                == exponent_sum_count(L, l))
 
 
-SPLIT = "a class must have one nonzero hit vector"
+@settings(max_examples=20, deadline=None)
+@given(small_lattices())
+def test_every_extension_chain_lies_in_some_part(L):
+    # the cover step's premise, on every face
+    chains = [sum(1 << L.index(a) for a in c.elements) for c in maximal_chains(L)]
+    for F in enumerated_faces(cone_K(L)):
+        members = [part.vertex_mask for part in face_subdivision(F).parts]
+        for chain_mask in chains:
+            assert any(chain_mask & m == chain_mask for m in members)
+
+
+# -- the containment check ---------------------------------------------------
+
+
+CONTAINMENT = "a part must hold a generator's sides iff it is tight and holds its corners"
+
+
+def mask_rule_holds(L, w, members) -> bool:
+    """The containment step's mask rule, read off labels by the order oracle."""
+    for a, b in itertools.combinations(L.elements, 2):
+        if not incomparable(L, a, b):
+            continue
+        join, meet = join_of(L, a, b), meet_of(L, a, b)
+        tight = w[L.index(join)] + w[L.index(meet)] == w[L.index(a)] + w[L.index(b)]
+        for m in members:
+            held = [m >> L.index(x) & 1 for x in (a, b, join, meet)]
+            if (held[0] and held[1]) != (tight and held[2] and held[3]):
+                return False
+    return True
+
+
+def faces_failing_containment(L, read_weight) -> list[str]:
+    """The keys of L's faces whose parts fail check_containment at the
+    weight read_weight makes of the face's witness."""
+    failing = []
+    for F in enumerated_faces(cone_K(L)):
+        members = [part.vertex_mask for part in face_subdivision(F).parts]
+        try:
+            check_containment(hibi_generators(L), read_weight(F.witness[0]), members)
+        except AssertionError as e:
+            assert str(e) == CONTAINMENT
+            failing.append(F.key())
+    return failing
+
+
+@pytest.mark.parametrize("make, lift, faces", [
+    (lambda: B3, 12, 22),
+    (lambda: flag_lattice(4), 14, 32),
+], ids=["B3", "Flag4"])
+def test_slack_read_as_tight_fails_on_every_face_but_the_apex(make, lift, faces, monkeypatch):
+    # a zero weight reads every generator tight, as a flipped sign in the
+    # tightness test would read every slack one: the apex, where every
+    # generator is tight, is the one face that still passes
+    monkeypatch.setattr(hibi, "MAX_ELEMENTS", lift)
+    L = make()
+    K = cone_K(L)
+    assert faces_failing_containment(L, lambda w: w) == []
+    failing = faces_failing_containment(L, lambda w: (0,) * len(w))
+    assert len(failing) == faces - 1 and K.apex.key() not in failing
+    real = hibi.check_containment
+    monkeypatch.setattr(hibi, "check_containment",
+                        lambda gens, w, members: real(gens, (0,) * len(w), members))
+    with pytest.raises(AssertionError, match=CONTAINMENT):
+        degeneration_certificate(L, 1)
+
+
+def drop_a_tight_side(L, sub):
+    """sub with one side of a tight generator dropped from the first part
+    that holds its two sides and two corners; sub itself if none does."""
+    w = sub.scaled
+    for (a, b), (join, meet) in hibi_generators(L):
+        if w[join] + w[meet] != w[a] + w[b]:
+            continue
+        four = 1 << a | 1 << b | 1 << join | 1 << meet
+        for k, part in enumerate(sub.parts):
+            if part.vertex_mask & four == four:
+                parts = list(sub.parts)
+                parts[k] = part._replace(vertex_mask=part.vertex_mask & ~(1 << a))
+                return subdivision.Subdivision(L, w, sub.den, tuple(parts), sub.tight)
+    return sub
+
+
+def test_dropping_one_side_of_a_tight_generator_raises(monkeypatch):
+    # every face of B3 but the full one has a tight generator and a part
+    # holding its sides and corners; dropping a side breaks the mask rule
+    dropped = 0
+    for F in enumerated_faces(cone_K(B3)):
+        sub = face_subdivision(F)
+        bad = drop_a_tight_side(B3, sub)
+        if bad is sub:
+            continue
+        dropped += 1
+        with pytest.raises(AssertionError, match=CONTAINMENT):
+            check_containment(hibi_generators(B3), F.witness[0],
+                              [part.vertex_mask for part in bad.parts])
+    assert dropped == 21
+    real = subdivision.face_subdivision
+    monkeypatch.setattr(subdivision, "face_subdivision", lambda F: drop_a_tight_side(B3, real(F)))
+    with pytest.raises(AssertionError, match=CONTAINMENT):
+        degeneration_certificate(B3, 1)
+
+
+# the lattices the containment check is drawn against the label rule on: B3,
+# Gr(2,4), Flag(3), a 3-chain and the one-element lattice
+MASK_LATTICES = [B3, grassmann_lattice(2, 4), flag_lattice(3), birkhoff(chain(["a", "b"])),
+                 birkhoff(antichain([]))]
+
+
+def test_containment_check_matches_the_label_rule():
+    # members drawn as any masks and weights as any integers, not only a
+    # face's parts and witness: the check raises iff the label rule fails,
+    # and the draws reach both
+    outcomes = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(MASK_LATTICES), st.data())
+    def check(L, data):
+        members = data.draw(st.lists(st.integers(0, (1 << L.size) - 1), max_size=5))
+        w = tuple(data.draw(st.lists(st.integers(0, 2), min_size=L.size, max_size=L.size)))
+        holds = mask_rule_holds(L, w, members)
+        outcomes.add(holds)
+        if holds:
+            check_containment(hibi_generators(L), w, members)
+        else:
+            with pytest.raises(AssertionError, match=CONTAINMENT):
+                check_containment(hibi_generators(L), w, members)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def one_hit_vector_per_class(L, members, l) -> bool:
@@ -431,48 +569,11 @@ def one_hit_vector_per_class(L, members, l) -> bool:
     return all(len(hits) <= 1 for hits in class_hit_vectors(L, members, l))
 
 
-@settings(max_examples=20, deadline=None)
-@given(small_lattices(), st.data())
-def test_degree_tables_match_the_per_monomial_oracle(L, data):
-    for l in range(4):
-        table, supports = degree_table(L, l), support_table(L, l)
-        assert (table.guards.bit_count() == standard_monomial_count(L, l)
-                == exponent_sum_count(L, l) == len(supports))
-        # one position per distinct support of each class
-        assert (table.guards - table.lows).bit_count() == sum(map(len, supports.values()))
-        # each block, read back off the columns, is one class's supports
-        blocks, block = [], set()
-        for p in range(table.guards.bit_length()):
-            if table.guards >> p & 1:
-                blocks.append(frozenset(block))
-                block = set()
-            else:
-                block.add(sum(1 << e for e, column in enumerate(table.within) if column >> p & 1))
-        assert sorted(blocks, key=sorted) == sorted(map(frozenset, supports.values()), key=sorted)
-    families = [face_subdivision(F).parts for F in enumerated_faces(cone_K(L))]
-    # a face's parts carry one envelope, so each class has at most one
-    # nonzero hit vector; parts drawn from different faces may split one
-    parts = [part for family in families for part in family]
-    drawn = data.draw(st.lists(st.sampled_from(parts), min_size=2, max_size=5))
-    for family in families:
-        members = [part.vertex_mask for part in family]
-        orders = [part_order(L, part) for part in family]
-        for l in range(4):
-            assert intersection_dim(L, members, l) == per_monomial_intersection_dim(L, orders, l)
-    members = [part.vertex_mask for part in drawn]
-    for l in range(4):
-        if one_hit_vector_per_class(L, members, l):
-            assert (intersection_dim(L, members, l)
-                    == per_monomial_intersection_dim(L, [part_order(L, p) for p in drawn], l))
-        else:
-            with pytest.raises(AssertionError, match=SPLIT):
-                intersection_dim(L, members, l)
-
-
 def test_two_faces_parts_split_a_class():
     # the parts of two faces carry no one envelope: at l = 3 one class of B3
     # has the hit vectors {0}, {5, 6} and {0, 5, 6}, of rank 2, which the
-    # oracle finds and intersection_dim refuses
+    # oracle finds, and at either face's witness the parts of both fail
+    # the containment check
     faces = {F.key(): F for F in enumerated_faces(cone_K(B3))}
     keys = ['[["{p}","{q}"]]',
             '[["{p,q}","{p,r}"],["{p,q}","{q,r}"],["{p}","{r}"],["{q}","{r}"]]']
@@ -482,49 +583,26 @@ def test_two_faces_parts_split_a_class():
     assert per_monomial_intersection_dim(B3, orders, 3) == 28
     assert per_support_intersection_dim(B3, members, 3) == 28
     assert not one_hit_vector_per_class(B3, members, 3)
-    with pytest.raises(AssertionError, match=SPLIT):
-        intersection_dim(B3, members, 3)
     for key in keys:
-        members = [part.vertex_mask for part in face_subdivision(faces[key]).parts]
-        assert intersection_dim(B3, members, 3) == per_support_intersection_dim(B3, members, 3)
-
-
-# the lattices the per-support scan checks arbitrary member masks on: B3,
-# Gr(2,4), Flag(3), a 3-chain and the one-element lattice
-MASK_LATTICES = [B3, grassmann_lattice(2, 4), flag_lattice(3), birkhoff(chain(["a", "b"])),
-                 birkhoff(antichain([]))]
-
-
-def test_intersection_dim_matches_the_per_support_scan():
-    # members drawn as any masks, not only sublattices: where the scan sees
-    # every class with at most one nonzero hit vector the two agree, and
-    # where some class has two intersection_dim raises; the draws reach both
-    outcomes = set()
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.sampled_from(MASK_LATTICES), st.integers(0, 3), st.data())
-    def check(L, l, data):
-        members = data.draw(st.lists(st.integers(0, (1 << L.size) - 1), max_size=5))
-        single = one_hit_vector_per_class(L, members, l)
-        outcomes.add(single)
-        if single:
-            assert intersection_dim(L, members, l) == per_support_intersection_dim(L, members, l)
-        else:
-            with pytest.raises(AssertionError, match=SPLIT):
-                intersection_dim(L, members, l)
-
-    check()
-    assert outcomes == {True, False}
+        with pytest.raises(AssertionError, match=CONTAINMENT):
+            check_containment(hibi_generators(B3), faces[key].witness[0], members)
+        own = [part.vertex_mask for part in face_subdivision(faces[key]).parts]
+        check_containment(hibi_generators(B3), faces[key].witness[0], own)
+        assert one_hit_vector_per_class(B3, own, 3)
+        assert (per_support_intersection_dim(B3, own, 3)
+                == comb(B3.size + 2, 3) - standard_monomial_count(B3, 3) == 56)
 
 
 def test_two_members_that_split_one_class_raise():
     # at l = 2 only B2's class of {p}{q} and {}{p,q} has two supports; the
     # members {p},{q} and {},{p,q}, which are no face's parts, give them the
-    # hit vectors 01 and 10, of rank 2
+    # hit vectors 01 and 10, of rank 2; the first holds the generator's
+    # sides without its corners, at any weight
     members = [0b0110, 0b1001]
     assert per_support_intersection_dim(B2, members, 2) == 4
-    with pytest.raises(AssertionError, match=SPLIT):
-        intersection_dim(B2, members, 2)
+    for w in ((0, 0, 0, 0), (0, 0, 0, 1)):
+        with pytest.raises(AssertionError, match=CONTAINMENT):
+            check_containment(hibi_generators(B2), w, members)
 
 
 def test_intersection_not_stronger():
@@ -539,7 +617,7 @@ def test_intersection_of_components_is_initial_dim():
     for F in enumerated_faces(K):
         members = [part.vertex_mask for part in face_subdivision(F).parts]
         for l in (2, 3):
-            assert intersection_dim(L, members, l) == ideal_dim(L, l)
+            assert per_support_intersection_dim(L, members, l) == ideal_dim(L, l)
 
 
 def test_samesum_factors_lie_in_intersection():
@@ -580,20 +658,25 @@ import contextlib, csv, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from hibikit import hibi
 from hibikit.cli import main
-counts = {"tables": []}
-table = hibi.DegreeTable
+counts = {"checks": 0, "generator_lists": set(), "degrees": []}
+check, standard = hibi.check_containment, hibi.standard_monomial_count
 
-def counting_table(within, guards, lows):
-    # one DegreeTable per build, never per lookup; a table's classes, its
-    # guards, are the degree's standard monomials
-    counts["tables"].append(guards.bit_count())
-    return table(within, guards, lows)
+def counting_check(generators, w, members):
+    counts["checks"] += 1
+    counts["generator_lists"].add(id(generators))
+    return check(generators, w, members)
 
-hibi.DegreeTable = counting_table
+def counting_standard(L, l):
+    counts["degrees"].append(l)
+    return standard(L, l)
+
+hibi.check_containment = counting_check
+hibi.standard_monomial_count = counting_standard
 with contextlib.redirect_stdout(io.StringIO()) as out:
     code = main(["certify", "--boolean", "3", "--lmax", "4"])
 rows = list(csv.DictReader(io.StringIO(out.getvalue())))
 counts["code"], counts["rows"] = code, len(rows)
+counts["generator_lists"] = len(counts["generator_lists"])
 counts["standard"] = sorted({(int(row["l"]), int(row["standard_count"])) for row in rows})
 print(json.dumps(counts))
 """
@@ -601,8 +684,9 @@ print(json.dumps(counts))
 
 @pytest.mark.parametrize("hash_seed", ["0", "3", "17"])
 def test_certify_work_counts(hash_seed):
-    # 22 faces x 4 degrees read each degree's table, built once per job,
-    # in degree order: degree l's table has one class per standard monomial
+    # 22 faces x 4 degrees: one containment check per face, all on one list
+    # of generators built per job, and one standard monomial count per
+    # degree, in degree order, before any face
     proc = subprocess.run(
         [sys.executable, "-c", COUNT_SCRIPT, str(ROOT / "src")],
         capture_output=True, text=True, timeout=120,
@@ -610,8 +694,8 @@ def test_certify_work_counts(hash_seed):
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
     assert counts["code"] == 0 and counts["rows"] == 22 * 4
-    assert counts["tables"] == [standard for _, standard in counts["standard"]]
-    assert [l for l, _ in counts["standard"]] == [1, 2, 3, 4]
+    assert counts["checks"] == 22 and counts["generator_lists"] == 1
+    assert counts["degrees"] == [l for l, _ in counts["standard"]] == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("make, lmax", [

@@ -501,6 +501,16 @@ def test_one_element_lattice_has_one_chain():
     assert maximal_chain_count(birkhoff(antichain([]))) == 1
 
 
+def test_a_miscounted_extension_breaks_the_bijection(monkeypatch):
+    # the path count over the covers is checked against the extension count
+    L = birkhoff(antichain(["p", "q", "r"]))
+    assert maximal_chain_count(L) == 6
+    count = lattice._extension_count
+    monkeypatch.setattr(lattice, "_extension_count", lambda L: count(L) + 1)
+    with pytest.raises(AssertionError, match="chain/extension bijection failed"):
+        maximal_chain_count(L)
+
+
 @settings(max_examples=15, deadline=None)
 @given(poset_strategy())
 def test_chain_extension_bijection(P):

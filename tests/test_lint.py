@@ -293,9 +293,9 @@ def test_only_cli_imports_fractions():
 
 
 def test_hibi_imports_nothing_from_exactgeom():
-    # on one face's parts every exponent-sum class has at most one nonzero
-    # hit vector, so intersection_dim reads each class's rank off its block
-    # and ranks no matrix
+    # the certificate ranks no matrix: dim_cap is dimR minus the standard
+    # monomial count, by the cover argument in hibi's module docstring, and
+    # each face runs one containment mask test
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert "hibi" not in importers(sources, "exactgeom")
 
