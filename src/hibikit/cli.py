@@ -162,7 +162,8 @@ def _add_input_flags(sub: argparse.ArgumentParser) -> None:
 
 def build_lattice(args) -> Lattice:
     """The lattice the input flags pick. Every call runs the guards and reads
-    a --poset file; the lattice comes from a one-entry cache keyed by the
+    a --poset file, as UTF-8 with or without a byte-order mark (BadParams
+    otherwise); the lattice comes from a one-entry cache keyed by the
     selector and its numbers, or by the file's text, so a job on the lattice
     of the job before it reuses that lattice and the tables it keeps."""
     picked = [name for name in ("boolean", "grassmann", "flag", "poset")
@@ -178,7 +179,11 @@ def build_lattice(args) -> Lattice:
         return _lattice("grassmann", *args.grassmann)
     if args.flag is not None:
         return _lattice("flag", args.flag)
-    return _lattice("poset", Path(args.poset).read_text(encoding="utf-8-sig"))
+    try:
+        text = Path(args.poset).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise BadParams(f"poset file is not UTF-8: {exc}") from None
+    return _lattice("poset", text)
 
 
 @functools.lru_cache(maxsize=1)

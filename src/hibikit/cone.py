@@ -63,9 +63,6 @@ class MaxCone:
         self._resolved: tuple[str, Face] | None = None  # cli.resolve_face
         self._memo: dict = {}  # _kept
 
-    def __repr__(self):
-        return f"MaxCone({len(self.pairs)} facets over {self.lattice!r})"
-
 
 class Face:
     """A face of K-bar, identified by its closed tight set, the mask tight
@@ -86,9 +83,6 @@ class Face:
     def key(self) -> str:
         """The face's key, built once."""
         return _key_of(key_fragments(self.cone.lattice), self.tight)
-
-    def __repr__(self):
-        return f"Face(tight {self.key()})"
 
 
 @_kept
@@ -160,7 +154,7 @@ def cone_K(L: Lattice) -> MaxCone:
         values = [e.value(w) for e in pairs]
         if values[k] != 0 or any(v < 1 for j, v in enumerate(values) if j != k):
             pair = (L.elements[d.a], L.elements[d.b])
-            raise AssertionError(f"inequality for {pair} is not facet-defining")
+            raise AssertionError(f"not facet-defining: the inequality for {pair}")
     normals = [pair_normal(L, d) for d in pairs]
     if L.size - rank(normals) != L.poset_P.size + 1:
         raise AssertionError("apex dimension is not |P|+1")
@@ -184,11 +178,8 @@ def face_of(K: MaxCone, w: Sequence[int], den: int) -> Face:
 def span_of_face(F: Face) -> tuple[tuple[int, ...], ...]:
     """Saturated integer basis of {w : equality for every tight pair}, as
     rows; built once per face."""
-    n = F.cone.lattice.size
     rows = [F.cone.normals[i] for i in _bits(F.tight)]
-    basis = (integer_kernel(rows) if rows
-             else [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-    return tuple(map(tuple, basis))
+    return tuple(map(tuple, integer_kernel(rows, F.cone.lattice.size)))
 
 
 def _close_tight(K: MaxCone, tight: int) -> tuple[int, tuple[tuple[int, ...], int]]:

@@ -100,13 +100,11 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_echelon(rows)[2])
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[list[int]]:
-    """Basis of {x : A x = 0}, one primitive integer row per free column f
-    of the reduced row echelon form: the solution with x_f positive and
-    every other free coordinate 0."""
-    if not rows:
-        return []
-    n = len(rows[0])
+def nullspace(rows: Sequence[Sequence], n: int) -> list[list[int]]:
+    """Basis of {x in Q^n : A x = 0}, one primitive integer row per free
+    column f of the reduced row echelon form: the solution with x_f
+    positive and every other free coordinate 0. With no rows every column
+    is free, and the basis is the unit vectors."""
     M, D, pivots = _echelon(rows)
     basis = []
     for f in range(n):
@@ -249,12 +247,10 @@ def _euclid_echelon(work: list[list[int]], ncols: int) -> int:
     return r
 
 
-def integer_kernel(M: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of {v in Z^n : M v = 0}; the basis generates all such v."""
-    if not M:
-        return []
+def integer_kernel(M: Sequence[Sequence[int]], n: int) -> list[list[int]]:
+    """Basis of {v in Z^n : M v = 0}; the basis generates all such v. With
+    no rows nothing is reduced, and the basis is the unit vectors."""
     m = len(M)
-    n = len(M[0])
     # row j is [column j of M | e_j]; the e-parts of the rows that reduce to
     # zero over the first m coordinates span the kernel
     work = [[int(M[i][j]) for i in range(m)] + [1 if k == j else 0 for k in range(n)]
@@ -322,8 +318,6 @@ def facet_hyperplanes(vertices: Sequence[Sequence[int]]) -> list[tuple[tuple[int
     an extreme ray (m, b) of the cone {h : (y_i, 1).h >= 0} over the points,
     so normal = -sum m_k E_k.
     """
-    if not vertices:
-        return []
     base = vertices[0]
     span_rows = _int_rows(_echelon([[x - y for x, y in zip(p, base)] for p in vertices[1:]])[0])
     d = len(span_rows)
@@ -372,18 +366,12 @@ class LatticePolytope:
         return tuple(facet_hyperplanes(self.vertices))
 
     @cached_property
-    def dim(self) -> int:
-        base = self.vertices[0]
-        return rank([[x - y for x, y in zip(v, base)] for v in self.vertices[1:]])
-
-    @cached_property
     def span_equations(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Equations a.x = b / den cutting out the affine span, each a a
         primitive integer row."""
         base = self.vertices[0]
-        n = len(base)
         diffs = [[x - y for x, y in zip(v, base)] for v in self.vertices[1:]]
-        rows = nullspace(diffs) if diffs else [[int(i == j) for j in range(n)] for i in range(n)]
+        rows = nullspace(diffs, len(base))
         return tuple((tuple(a), sum(x * y for x, y in zip(a, base))) for a in rows)
 
     @cached_property
@@ -395,13 +383,7 @@ class LatticePolytope:
         if any(x % self.den for v in self.vertices for x in v):
             return None
         rows = [a for a, _ in self.span_equations]
-        if not rows:
-            n = len(self.vertices[0])
-            return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return tuple(map(tuple, integer_kernel(rows)))
-
-    def __repr__(self):
-        return f"LatticePolytope({len(self.vertices)} vertices, dim {self.dim})"
+        return tuple(map(tuple, integer_kernel(rows, len(self.vertices[0]))))
 
 
 # ---------------------------------------------------------------------------

@@ -112,28 +112,28 @@ def _phi(n: int, pt: Poset) -> dict[str, int]:
 
 def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
     """The label map that identifies the triangular poset gt.poset with the
-    poset of join-irreducibles of L, which must be flag_lattice(gt.n)."""
+    poset of join-irreducibles of L, which must be flag_lattice(gt.n).
+
+    phi is checked to be a bijection onto the triangle's order ideals that
+    preserves and reflects the order: the identification of L with the
+    triangle's ideals (Ardila, Bliem & Salazar 2011). Such a bijection
+    between two lattices is a lattice isomorphism, so phi takes joins to
+    unions and meets to intersections, and join-irreducibles to
+    join-irreducibles. In a lattice of order ideals those are the
+    principal ideals, one per cell, so each irreducible of L maps to a
+    principal ideal, and the irreducibles go one-to-one onto the cells.
+    The mapping is then an order isomorphism, which is checked on the two
+    posets' relations."""
     pt, phi = gt.poset, gt.phi
     if sorted(phi.values()) != sorted(ideal_masks(pt)):
         raise AssertionError("phi must be a bijection onto the order ideals of the triangle")
     # phi as a list over L's element indices, compared on L's ideal masks
     ph = [phi[a] for a in L.elements]
-    masks, at_mask = L.masks, L.at_mask
-    for (ma, pa), (mb, pb) in itertools.product(zip(masks, ph), repeat=2):
+    for (ma, pa), (mb, pb) in itertools.product(zip(L.masks, ph), repeat=2):
         if (not ma & ~mb) != (not pa & ~pb):
             raise AssertionError("phi must preserve and reflect the order")
-        if ph[at_mask[ma | mb]] != pa | pb:
-            raise AssertionError("phi must take joins to unions")
-        if ph[at_mask[ma & mb]] != pa & pb:
-            raise AssertionError("phi must take meets to intersections")
     principal = {m | 1 << j: p for j, (p, m) in enumerate(zip(pt.elements, pt.below))}
-    mapping = {}
-    for t in L.poset_P.elements:
-        if phi[t] not in principal:
-            raise AssertionError("irreducibles must map to principal ideals")
-        mapping[t] = principal[phi[t]]
-    if sorted(mapping.values()) != sorted(pt.elements):
-        raise AssertionError("the irreducibles must map onto the cells")
+    mapping = {t: principal[phi[t]] for t in L.poset_P.elements}
     if {(mapping[s], mapping[t]) for s, t in L.poset_P.label_pairs()} != pt.label_pairs():
         raise AssertionError("the map must be an order isomorphism")
     return mapping
@@ -303,8 +303,7 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
     lattice with a_k a k-index element and gt.phi[a_{k+1}] inside
     gt.phi[a_k]: each point is the sum of its chain's 0/1 flag points
     (Ardila, Bliem & Salazar 2011). Every sum must fix the marking and
-    satisfy the base covers, the sums must be distinct, and there must be
-    2^(n(n-1)/2) of them.
+    satisfy the base covers, and there must be 2^(n(n-1)/2) of them.
 
     Conversely, every marking-valued point x is such a sum. Its superlevel
     sets L_k = {c : x_c >= k} over the triangle's cells, k = 1, ..., n-1,
@@ -316,6 +315,11 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
     L_k = phi[a_k] for one k-index a_k, and the a_k form a chain. Since x
     takes the values 0, ..., n-1, it is the sum of the indicators of its
     superlevel sets, with the corners p11 and pnn at n - 1 and 0.
+
+    So the sums are distinct: a chain's sum has the chain's ideals
+    phi[a_k] for its superlevel sets, and phi is injective, since the
+    diagonal of phi[a] gives the length k of a and its column n - j + 1
+    the index i_j.
     """
     n, mp, phi = gt.n, gt.marked, gt.phi
     flag_points = {lbl: flag_point(gt, lbl) for lbl in phi}
@@ -328,8 +332,6 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
                   for chain in chains), reverse=True)
     if not all(_satisfies(mp, mp.base, point) for point, _ in out):
         raise AssertionError("each chain must sum to a Gelfand-Tsetlin point")
-    if not all(a[0] != b[0] for a, b in zip(out, out[1:])):
-        raise AssertionError("the chain sums must be distinct")
     if len(out) != 2 ** (n * (n - 1) // 2):
         raise AssertionError("there must be 2^(n(n-1)/2) chains")
     return out
@@ -388,34 +390,37 @@ def section_facets(mp: MarkedPoset, order: Poset,
     one of the covers that touch a free cell: x_b - x_a <= 0 with the
     marked cells' values moved to the right-hand side, so its normal
     e_b - e_a lives on the free cells, the span's directions, and is
-    primitive. Every vertex must satisfy the marking and every cover. A
-    candidate's tight vertices are the vertices of a face, and the facets
-    are the proper faces no other face contains, so a candidate is a facet
-    iff its tight set is nonempty, proper and strictly inside no other
-    candidate's set; candidates with one such set are one facet and must be
-    the same (normal, rhs).
+    primitive. Every vertex must satisfy every cover. Each fixes the
+    marking, as every vertex handed in is a pattern, and gt_patterns
+    certified every pattern against the marking. A candidate's tight
+    vertices are the vertices of a face, and the facets are the proper
+    faces no other face contains, so a candidate is a facet iff its tight
+    set is nonempty, proper and strictly inside no other candidate's set.
+    Candidates with one such set are one facet and so one (normal, rhs):
+    in the free cells the polytope is full-dimensional (checked below), so
+    a facet has one outer normal up to a positive factor, and the
+    candidates' normals are primitive.
 
     The affine hull of {x : Ax <= b} is cut out by the inequalities tight
     on all of it (Schrijver 1986, §8.2), and an inequality is tight on the
     hull of the vertices iff it is tight on every vertex. Here those are
-    the marking, the covers between two marked cells, which hold no free
-    cell, and the candidates whose tight set holds every vertex; so the
-    polytope is full-dimensional in the free cells iff there is no such
-    candidate, and AssertionError is raised otherwise.
+    the marking and the candidates whose tight set holds every vertex; so
+    the polytope is full-dimensional in the free cells iff there is no
+    such candidate, and AssertionError is raised otherwise.
+
+    Every cover of the order touches a free cell when the order extends
+    the triangle's on Pbar, as every part order does: p11 is covered only
+    by the triangle's minimum p12, pnn covers only its maximum
+    p_{n-1,n}, and p_{k,k} < p_{k,k+1} < p_{k+1,k+1} puts a free cell
+    between any two diagonal cells.
     """
     values = mp.values
     cols = list(zip(*vertices))
-    for j, v in enumerate(values):
-        if v is not None:
-            if not all(x == v for x in cols[j]):
-                raise AssertionError("each vertex must fix the marking")
     full = (1 << len(vertices)) - 1
     planes: dict[int, set[tuple[tuple[int, ...], int]]] = {}  # tight mask -> candidates
     for a, b in order.cover_indices():
         if not all(x >= y for x, y in zip(cols[a], cols[b])):
             raise AssertionError("each vertex must satisfy every cover")
-        if values[a] is not None and values[b] is not None:
-            continue
         normal = [0] * len(values)
         rhs = 0
         for c, sign in ((a, -1), (b, 1)):
@@ -432,8 +437,6 @@ def section_facets(mp: MarkedPoset, order: Poset,
     for m in proper:
         if any(m != t and not m & ~t for t in proper):
             continue
-        if len(planes[m]) != 1:
-            raise AssertionError("candidates with one tight set must be one facet")
         facets += planes[m]
     return sorted(facets)
 
@@ -454,7 +457,8 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
     w[a_k], g the part's map, which is at least 0, and 0 iff every a_k is a
     vertex of the part, by the envelope check regular_subdivision ran.
 
-    A part with one simplex has a chain for its order, and component_shape
+    A part with one simplex has that simplex's chain for its order, since
+    part_order reads the order off the simplices, and component_shape
     certifies its section as a product of unit simplices on the scaled
     lattice, all of whose lattice points are vertices: its vertices are
     the patterns inside it, and there must be one per vertex of the
@@ -477,10 +481,7 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
         order = _extend_to_pbar(mp.base, part_order(part), at)
         inside = [point for point, chain in patterns if not chain & ~part.vertex_mask]
         if len(part.simplices) == 1:
-            total = [0, *(at[j] for j in part.simplices[0]), mp.base.size - 1]
-            if order.cover_indices() != tuple(sorted(zip(total, total[1:]))):
-                raise AssertionError("a part with one simplex must have that chain for its order")
-            shape = component_shape(gt, tuple(c - 1 for c in total[1:-1]))
+            shape = component_shape(gt, tuple(at[j] - 1 for j in part.simplices[0]))
             if len(inside) != math.prod(d + 1 for d in shape):
                 raise AssertionError("a product of unit simplices must have one pattern per vertex")
             vertices = inside
@@ -511,8 +512,8 @@ def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]
     marker p_kk becomes the sum of z over block k at most
     v(p_kk) - v(p_{k+1,k+1}). So the section is the product of the unit
     simplices of the block sizes when the markers come in chain order with
-    values n - 1, ..., 0, each one below the last, and no block is
-    empty."""
+    values n - 1, ..., 0, each one below the last. No block is empty: in
+    any linearization, p_{k,k+1} lies between p_{k,k} and p_{k+1,k+1}."""
     n, values, cells = gt.n, gt.marked.values, gt.marked.base.elements
     # the chain as indices of Pbar: cell j of gt.poset is cell j + 1 of Pbar
     total = [0, *(j + 1 for j in ext), len(values) - 1]
@@ -522,10 +523,7 @@ def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]
     marks = [values[total[i]] for i in markers]
     if marks[0] != n - 1 or any(a - b != 1 for a, b in zip(marks, marks[1:])):
         raise AssertionError("each marker value must be one below the last")
-    shape = tuple(b - a - 1 for a, b in zip(markers, markers[1:]))
-    if not all(shape):
-        raise AssertionError("every block must be nonempty")
-    return shape
+    return tuple(b - a - 1 for a, b in zip(markers, markers[1:]))
 
 
 def shape_census(gt: GelfandTsetlin) -> dict[str, int]:

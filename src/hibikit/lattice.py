@@ -116,12 +116,6 @@ class Lattice:
         return (isinstance(other, Lattice) and self.elements == other.elements
                 and self.poset_P == other.poset_P and self.masks == other.masks)
 
-    def __hash__(self):
-        return hash(self.elements)
-
-    def __repr__(self):
-        return f"Lattice({self.size} elements, P of size {self.poset_P.size})"
-
 
 class DiamondPair(NamedTuple):
     """Incomparable a, b whose join covers both and which cover their meet,

@@ -105,12 +105,6 @@ class Poset:
             return NotImplemented
         return self.elements == other.elements and self.below == other.below
 
-    def __hash__(self):
-        return hash((self.elements, self.below))
-
-    def __repr__(self):
-        return f"Poset(elements={self.elements!r}, below={self.below!r})"
-
     def index(self, label: str) -> int:
         try:
             return self._index[label]

@@ -121,9 +121,6 @@ class Subdivision:
         """The key of the face holding the weight in its relative interior."""
         return _key_of(key_fragments(self.lattice), self.tight)
 
-    def __repr__(self):
-        return f"Subdivision({len(self.parts)} parts, face {self.face_key})"
-
 
 class StaircaseTable(NamedTuple):
     """The weight-independent half of regular_subdivision, built once per
@@ -286,7 +283,7 @@ def adjacency_graph(L: Lattice) -> tuple[tuple[tuple[int, int], ...], ...]:
                     pair = pair_of.get(tuple(sorted((at[m | 1 << p], at[m | 1 << q]))))
                     if pair is None:
                         raise AssertionError(
-                            f"extensions {t} and {exts[j]} differ across no diamond pair")
+                            f"adjacent extensions differ across no diamond pair: {t}, {exts[j]}")
                     by_pair[pair].append((i, j))
             m |= 1 << p
     if not all(by_pair):

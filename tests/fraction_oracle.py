@@ -278,6 +278,13 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
+def dim_of(poly) -> int:
+    """The dimension of a polytope of either LatticePolytope class: the rank
+    of its vertices' differences from the first."""
+    base = poly.vertices[0]
+    return rank([vsub(v, base) for v in poly.vertices[1:]])
+
+
 def int_rows(rows) -> list[list[int]]:
     """Scale each rational row to a primitive integer row."""
     out = []
@@ -591,7 +598,7 @@ def affine_lattice_basis(points: Sequence[Vec]) -> list[list[int]]:
     if not complement:
         return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     K = int_rows(complement)
-    return integer_kernel(K)
+    return integer_kernel(K, n)
 
 
 def int_row_echelon(rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -716,7 +723,7 @@ class LatticePolytope:
 
     @cached_property
     def dim(self) -> int:
-        return len(rref([vsub(v, self.vertices[0]) for v in self.vertices[1:]])[1])
+        return dim_of(self)
 
     @cached_property
     def lattice_basis(self) -> Optional[tuple[tuple[int, ...], ...]]:

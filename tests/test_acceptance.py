@@ -10,8 +10,9 @@ import random
 import time
 from fractions import Fraction
 
-from fraction_oracle import (enumerated_faces, hull, indicator, is_apex, is_full, lattice_points,
-                             part_value, pbar_labels, rank_dim, vdot, weight_record)
+from fraction_oracle import (dim_of, enumerated_faces, hull, indicator, is_apex, is_full,
+                             lattice_points, part_value, pbar_labels, rank_dim, vdot,
+                             weight_record)
 from hibi_oracle import is_standard, monomial, straighten
 
 from hibikit.cli import main
@@ -105,7 +106,7 @@ def test_acceptance_5_weight_polytope_invariants():
             W = weight_record(F)
             Q = hull(list(W.points), 1)
             assert len(Q.vertices) == len(lattice_points(Q)) == L.size
-            assert Q.dim == rank_dim(K, F.tight) - 1
+            assert dim_of(Q) == rank_dim(K, F.tight) - 1
             if is_full(F):
                 assert set(W.points) == unit  # standard simplex
             # each point's apex projection is (1, 1_a), the fixed zeta of

@@ -164,6 +164,19 @@ def test_poset_file_may_start_with_a_byte_order_mark(tmp_path, capsys, poset_fil
     assert outputs[1] == outputs[0]
 
 
+def test_a_poset_file_that_is_not_utf8_is_bad_params(tmp_path, capsys):
+    # bad input: an error record and exit 2, not a traceback and exit 1,
+    # which would say a certification ran and failed
+    path = tmp_path / "p.txt"
+    path.write_bytes(b"elem \xff\n")
+    code, out, err = run_cli(capsys, ["lattice", "--poset", str(path)])
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "BadParams",
+        "message": "poset file is not UTF-8: 'utf-8' codec can't decode byte 0xff in "
+                   "position 5: invalid start byte"}
+
+
 # -- remaining subcommands ---------------------------------------------------
 
 

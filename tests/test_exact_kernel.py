@@ -127,6 +127,17 @@ def test_lp_reads_the_point_where_an_artificial_stays_basic():
                                                         count[0])
 
 
+def test_phase_one_checks_its_objective_row():
+    # the objective row is pivoted with the others and never summed again,
+    # so the final tableau checks it: lp_feasible's tableau for x >= 1 in
+    # one variable (the row x - s = 1, its artificial basic) with the
+    # objective row zeroed ends phase 1 at once and fails the check
+    M = [[1, -1, 1], [0, 0, 0]]
+    with pytest.raises(AssertionError,
+                       match="the objective row must be the sum of the artificial rows"):
+        exactgeom._run_simplex(M, 1, [3], 1)
+
+
 def to_fraction(x) -> Fraction:
     return Fraction(int(x.p), int(x.q))
 
@@ -152,7 +163,7 @@ def test_rref_matches_sympy(data):
     kernel = [[to_fraction(x) for x in v] for v in sympy.Matrix(rows).nullspace()]
     assert oracle.nullspace(rows) == kernel
     # the integer kernel is the same basis, each vector made a primitive integer row
-    assert nullspace(rows) == oracle.int_rows(kernel)
+    assert nullspace(rows, n) == oracle.int_rows(kernel)
 
 
 @settings(max_examples=60, deadline=None)

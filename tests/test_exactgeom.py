@@ -49,7 +49,7 @@ def test_rank_against_sympy():
 
 def test_nullspace_against_sympy():
     m = [[1, 1, 1, 0], [0, 1, 1, 1]]
-    ours = nullspace(m)
+    ours = nullspace(m, 4)
     assert len(ours) == len(sympy.Matrix(m).nullspace())
     for v in ours:
         assert all(vdot(row, v) == 0 for row in m)
@@ -195,7 +195,7 @@ def test_affine_lattice_basis_grid_order_polytope():
 
 def test_integer_kernel_against_sympy():
     M = [[2, 4, 6], [1, 2, 3]]
-    kern = integer_kernel(M)
+    kern = integer_kernel(M, 3)
     assert len(kern) == 2
     for v in kern:
         assert all(vdot(row, v) == 0 for row in M)

@@ -26,6 +26,7 @@ from hibikit.flaggt import (
     _satisfies,
     component_shape,
     flag_point,
+    gelfand_tsetlin,
     gt_marked_poset,
     gt_patterns,
     gt_poset,
@@ -227,7 +228,29 @@ def test_gt_poset_iso_rejects_two_ideals_swapped(n):
     # while their swapped ideals are the other way round
     gt = GelfandTsetlin(n)
     gt.phi["1"], gt.phi["2"] = gt.phi["2"], gt.phi["1"]
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="phi must preserve and reflect the order"):
+        gt_poset_iso(gt, flag_lattice(n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gt_poset_iso_rejects_a_repeated_ideal(n):
+    # two flag elements sent to one ideal: phi is no bijection onto the
+    # triangle's ideals
+    gt = GelfandTsetlin(n)
+    gt.phi["1"] = gt.phi["2"]
+    with pytest.raises(AssertionError,
+                       match="phi must be a bijection onto the order ideals of the triangle"):
+        gt_poset_iso(gt, flag_lattice(n))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gt_poset_iso_checks_the_map_against_the_triangle_relation(n):
+    # the map is compared with the triangle's relation as its label_pairs
+    # memo holds it; with one pair dropped from the memo, they differ
+    gt = GelfandTsetlin(n)
+    pairs = gt.poset.label_pairs()
+    gt.poset._memo[Poset.label_pairs.__wrapped__] = pairs - {min(pairs)}
+    with pytest.raises(AssertionError, match="the map must be an order isomorphism"):
         gt_poset_iso(gt, flag_lattice(n))
 
 
@@ -283,8 +306,23 @@ def test_marked_polytope_too_large():
 
 def test_marked_poset_requires_marked_extremes():
     base = gt_marked_poset(2).base
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="extreme elements must be marked"):
         MarkedPoset(base, (1, None, None))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_the_gt_marking_is_checked(n, monkeypatch):
+    # the marked poset checks the marking gt_marked_poset hands it: one
+    # value per cell, and values that do not increase up the order, as the
+    # diagonal marked n - 1 - v in place of v does
+    marking = flaggt._gt_marking
+    monkeypatch.setattr(flaggt, "_gt_marking", lambda *args: marking(*args)[:-1])
+    with pytest.raises(AssertionError, match="each element must have one marking"):
+        GelfandTsetlin(n)
+    monkeypatch.setattr(flaggt, "_gt_marking", lambda *args: tuple(
+        None if v is None else n - 1 - v for v in marking(*args)))
+    with pytest.raises(AssertionError, match="markings must not increase along the order"):
+        GelfandTsetlin(n)
 
 
 def test_tight_rank_detects_vertices():
@@ -481,6 +519,17 @@ def test_gt_vertex_decomposition_unique(n):
         assert matches == [gv.labels]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_gt_vertices_check_each_flag_point_against_its_level(n, monkeypatch):
+    # each level read with the marking of the next: the k-index flag points
+    # hold p_{n-k,n-k}, which that marking fixes to 0
+    level = flaggt.mu_k_marked_poset
+    monkeypatch.setattr(flaggt, "mu_k_marked_poset", lambda gt, k: level(gt, k % (gt.n - 1) + 1))
+    with pytest.raises(AssertionError,
+                       match="each k-index flag point must lie in the level-k polytope"):
+        gt_vertices(GelfandTsetlin(n))
+
+
 def _all_flag_labels(n):
     return flag_lattice(n).elements
 
@@ -619,7 +668,7 @@ def test_gt_subdivision_3_apex():
 def test_gt_subdivision_3_full():
     parts = sections(3, full_face)
     assert len(parts) == 2
-    assert [q.dim for _, q in parts] == [3, 3]
+    assert [oracle.dim_of(q) for _, q in parts] == [3, 3]
     # two products of simplices with 2*3 = 3*2 = 6 vertices each
     assert [len(q.vertices) for _, q in parts] == [6, 6]
     shared = set(parts[0][1].vertices) & set(parts[1][1].vertices)
@@ -867,7 +916,49 @@ def test_every_section_has_full_rank(n, found):
     # of the vertex differences agrees on every section
     free = len(GelfandTsetlin(n).marked.free())
     for _, Q in found():
-        assert Q.dim == free
+        assert oracle.dim_of(Q) == free
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_arguments_for_the_dropped_checks_hold(n):
+    # what flaggt no longer checks, since an earlier check implies it as
+    # the owning docstring argues, holds on every face of Flag(2) to
+    # Flag(4) and on Flag(5)'s full face and apex
+    gt = gelfand_tsetlin(n)
+    L, pt, phi, mp = gt.flag, gt.poset, gt.phi, gt.marked
+    # phi carries joins to unions and meets to intersections
+    ph = [phi[a] for a in L.elements]
+    for i, j in itertools.product(range(L.size), repeat=2):
+        assert ph[L.at_mask[L.masks[i] | L.masks[j]]] == ph[i] | ph[j]
+        assert ph[L.at_mask[L.masks[i] & L.masks[j]]] == ph[i] & ph[j]
+    # the irreducibles go onto the cells, each to its principal ideal
+    principal = {m | 1 << j: p for j, (p, m) in enumerate(zip(pt.elements, pt.below))}
+    assert sorted(principal[phi[t]] for t in L.poset_P.elements) == sorted(pt.elements)
+    # the chain sums are distinct
+    points = [point for point, _ in gt_patterns(gt)]
+    assert len(set(points)) == len(points)
+    # no census block is empty
+    assert all(int(d) for key in shape_census(gt) for d in key.split("x"))
+    marked = [(j, v) for j, v in enumerate(mp.values) if v is not None]
+    K = cone_K(L)
+    checked = 0
+    for F in enumerated_faces(K) if n < 5 else [full_face(L), K.apex]:
+        for part, (order, Q) in zip(face_subdivision(F).parts, gt_subdivision(gt, F)):
+            # every section vertex fixes the marking
+            assert all(v[j] == x for v in Q.vertices for j, x in marked)
+            # one facet per tight set
+            tight = [frozenset(v for v in Q.vertices
+                               if sum(a * x for a, x in zip(normal, v)) == rhs)
+                     for normal, rhs in Q.hyperplanes]
+            assert len(set(tight)) == len(tight)
+            if len(part.simplices) == 1:
+                # a one-simplex part's order is its chain, and no block of
+                # its section is empty
+                total = [0, *(gt.cell_at[j] for j in part.simplices[0]), mp.base.size - 1]
+                assert order.cover_indices() == tuple(sorted(zip(total, total[1:])))
+                assert all(component_shape(gt, tuple(c - 1 for c in total[1:-1])))
+            checked += 1
+    assert checked == {2: 1, 3: 3, 4: 156, 5: 287}[n]
 
 
 @pytest.mark.parametrize("n", [3, 4])

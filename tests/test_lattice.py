@@ -171,6 +171,26 @@ def test_ring_of_sets_rejects_a_repeated_set():
         _ring_of_sets(["a", "b", "c"], [0, 1, 1])
 
 
+def test_ring_of_sets_checks_its_masks_against_the_ideals(monkeypatch):
+    # each element's mask holds the irreducibles inside it, and the masks
+    # must be the order ideals of poset_P: with the top ideal missing from
+    # the ideals they are compared with, they are not
+    ideals = lattice.ideal_set
+    monkeypatch.setattr(lattice, "ideal_set", lambda P: ideals(P) - {(1 << P.size) - 1})
+    with pytest.raises(AssertionError,
+                       match="the masks are not the order ideals of the irreducibles"):
+        flag_lattice(3)
+
+
+def test_birkhoff_checks_the_closure_of_the_ideals(monkeypatch):
+    # with the top ideal dropped, the union of {p} and {q} is missing
+    ideals = lattice.ideal_masks
+    monkeypatch.setattr(lattice, "ideal_masks", lambda P: ideals(P)[:-1])
+    with pytest.raises(AssertionError,
+                       match="order ideals are not closed under union and intersection"):
+        birkhoff(antichain(["p", "q"]))
+
+
 # -- from_tables -------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Static checks on the package sources that need no linter installed."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,68 @@ def assert_statements(sources: dict[str, str]) -> list[str]:
             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
 
 
+def certificate_messages(source: str) -> list[tuple[int, str | None]]:
+    """Each `raise AssertionError(message)` of the source as (line, message):
+    a string literal as it is, an f-string as its literal prefix, the text
+    before its first replacement field, and anything else, or no message,
+    as None."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        call = node.exc if isinstance(node.exc, ast.Call) else None
+        if ast.unparse(call.func if call else node.exc) != "AssertionError":
+            continue
+        arg = call.args[0] if call and call.args else None
+        if isinstance(arg, ast.JoinedStr):
+            prefix = ""
+            for part in arg.values:
+                if not isinstance(part, ast.Constant):
+                    break
+                prefix += part.value
+            out.append((node.lineno, prefix))
+        else:
+            out.append((node.lineno, arg.value if isinstance(arg, ast.Constant)
+                        and isinstance(arg.value, str) else None))
+    return out
+
+
+def assertion_patterns(source: str) -> list[str]:
+    """The match= patterns of the source's pytest.raises(AssertionError, ...)
+    calls that are a string literal, a module-level name bound to one, or
+    re.escape of either."""
+    tree = ast.parse(source)
+    names = {target.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+             and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+             for target in node.targets if isinstance(target, ast.Name)}
+
+    def pattern(node):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if (isinstance(node, ast.Call) and ast.unparse(node.func) == "re.escape"
+                and len(node.args) == 1 and (inner := pattern(node.args[0])) is not None):
+            return re.escape(inner)
+        return None
+
+    return [p for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "pytest.raises"
+            and [ast.unparse(a) for a in node.args] == ["AssertionError"]
+            for k in node.keywords if k.arg == "match" and (p := pattern(k.value)) is not None]
+
+
+def untested_certificates(sources: dict[str, str], tests: dict[str, str]) -> list[str]:
+    """The `raise AssertionError` sites of the sources whose message no
+    match= pattern of the tests' pytest.raises(AssertionError, ...) finds,
+    by re.search as pytest matches; as "module:line". A certificate no test
+    can make fail is an argument, which belongs in a docstring."""
+    patterns = [p for source in tests.values() for p in assertion_patterns(source)]
+    return [f"{module}:{line}" for module, source in sources.items()
+            for line, message in certificate_messages(source)
+            if message is None or not any(re.search(p, message) for p in patterns)]
+
+
 def importers(sources: dict[str, str], name: str) -> list[str]:
     """The modules that import the module `name` or a name from it,
     anywhere in their source."""
@@ -278,6 +341,32 @@ def test_assert_statements_detects_both_forms():
     assert assert_statements(sources) == ["a:2", "b:3"]
 
 
+def test_untested_certificates_detects_each_unmatched_raise():
+    sources = {
+        "a": "def f(x):\n    if x:\n        raise AssertionError(\"tested by a literal\")\n"
+             "    if not x:\n        raise AssertionError(\"never tested\")\n",
+        "b": "def g(y):\n    if y:\n        raise AssertionError(f\"prefix {y} suffix\")\n"
+             "    if y > 1:\n        raise AssertionError(f\"{y} is only matched past a field\")\n"
+             "    if y > 2:\n        raise AssertionError(\"a |P| + 1 count\")\n"
+             "    if y > 3:\n        raise AssertionError(\"by name\")\n"
+             "    if y > 4:\n        raise AssertionError\n",
+    }
+    tests = {
+        "test_a": "import re\n\nimport pytest\n\nNAMED = \"by name\"\n\n\n"
+                  "def test_f():\n"
+                  "    with pytest.raises(AssertionError, match=\"by a literal\"):\n        f(1)\n"
+                  "    with pytest.raises(AssertionError, match=\"prefix\"):\n        g(1)\n"
+                  "    with pytest.raises(AssertionError, match=\"matched past\"):\n        g(2)\n"
+                  "    with pytest.raises(AssertionError, match=re.escape(\"|P| + 1\")):\n"
+                  "        g(3)\n"
+                  "    with pytest.raises(AssertionError, match=NAMED):\n        g(4)\n",
+        "test_b": "import pytest\n\n\ndef test_h():\n"
+                  "    with pytest.raises(ValueError, match=\"never tested\"):\n        f(0)\n"
+                  "    with pytest.raises(AssertionError):\n        f(0)\n",
+    }
+    assert untested_certificates(sources, tests) == ["a:5", "b:5", "b:11"]
+
+
 def test_fraction_importers_detects_both_forms():
     sources = {"a": "from fractions import Fraction\n", "b": "def f():\n    import fractions\n",
                "c": "import math\n"}
@@ -332,6 +421,14 @@ def test_no_assert_statement():
     # every certificate raises AssertionError itself, so it runs under -O
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert assert_statements(sources) == []
+
+
+def test_every_certificate_fails_in_a_named_test():
+    # each raise AssertionError in src is matched by a test that makes it
+    # fire; a check that no input can fail is argued in its docstring
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    tests = {p.stem: p.read_text(encoding="utf-8") for p in sorted(TESTS.glob("*.py"))}
+    assert untested_certificates(sources, tests) == []
 
 
 def test_every_private_function_is_referenced():

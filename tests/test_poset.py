@@ -341,12 +341,12 @@ def test_mask_constructor_raises_as_pair_set_reference(below):
 
 
 def test_posets_equal_on_elements_and_masks():
-    # equality and hashing read the elements and masks, not the cached
-    # index or cover scan
+    # equality reads the elements and masks, not the cached index or cover
+    # scan
     P = from_cover_relations(["a", "b", "c"], [("a", "b")])
     Q = Poset(("a", "b", "c"), (0, 1, 0))
     Q.cover_indices()
-    assert P == Q and hash(P) == hash(Q)
+    assert P == Q
     assert P != Poset(("a", "b", "c"), (0, 0, 0))
     assert P != Poset(("a", "c", "b"), (0, 0, 1))
     assert P != (("a", "b", "c"), (0, 1, 0))

@@ -94,7 +94,8 @@ def test_weightpoly_keys_on_one_lattice_build_the_apex_span_once(capsys, monkeyp
     # cone keeps its apex face with the span that face keeps
     spans = []
     kernel = cone.integer_kernel
-    monkeypatch.setattr(cone, "integer_kernel", lambda rows: spans.append(len(rows)) or kernel(rows))
+    monkeypatch.setattr(cone, "integer_kernel",
+                        lambda rows, n: spans.append(len(rows)) or kernel(rows, n))
     for key in (B3_KEY, '[["{p}","{q}"]]', "apex", "apex"):
         assert run(capsys, ["weightpoly", "--boolean", "3", "--face", key])[0] == 0
     K = cone.cone_K(cli._lattice("boolean", 3))

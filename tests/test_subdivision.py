@@ -1,7 +1,7 @@
 """Regular subdivisions, adjacency, and generalized permutahedra."""
 
-import functools
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,12 +14,12 @@ from fraction_oracle import (enumerated_faces, extension_poset, grouped_subdivis
                              subdivision_invariance_check, vec_over_den)
 from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
-from hibikit.cone import cone_K, face_of, span_of_face
+from hibikit.cone import Face, cone_K, face_of, span_of_face
 from hibikit.errors import NotInCone
 from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.hibi import degeneration_certificate
-from hibikit.poset import Poset, _bits, antichain, from_cover_relations, ideal_masks
+from hibikit.poset import Poset, _bits, _kept, antichain, from_cover_relations, ideal_masks
 from hibikit.subdivision import (
     Part,
     adjacency_graph,
@@ -504,7 +504,16 @@ def test_a_weight_outside_k_bar_fails_the_envelope_check(monkeypatch):
     # w on its own chain alone, and the two chains differ, so the chain and
     # vertex-set checks pass; but each map is -1 at the other side, below w
     monkeypatch.setattr(subdivision, "_tight_set", lambda *args: 0)
-    assert raised(lambda: regular_subdivision(B2, (0, 1, 1, 0), 1)) == ENVELOPE
+    with pytest.raises(AssertionError, match=ENVELOPE):
+        regular_subdivision(B2, (0, 1, 1, 0), 1)
+
+
+def test_a_witness_off_its_face_fails_the_tight_mask_check():
+    # the apex's witness, 0, is tight on every pair, so its subdivision is
+    # not that of a face with no pair tight
+    K = cone_K(B3)
+    with pytest.raises(AssertionError, match=OFF_FACE):
+        face_subdivision(Face(K, 0, K.apex.witness))
 
 
 def test_face_subdivision_certifies_the_tight_swap_components(monkeypatch):
@@ -525,9 +534,11 @@ def test_face_subdivision_certifies_the_tight_swap_components(monkeypatch):
     others = ((),) * (len(diamond_pairs(L)) - 1)
     graph_of = subdivision.adjacency_graph
     monkeypatch.setattr(subdivision, "adjacency_graph", lambda L: (triples, *others))
-    assert raised(lambda: face_subdivision(apex)) == SHARED
+    with pytest.raises(AssertionError, match=SHARED):
+        face_subdivision(apex)
     monkeypatch.setattr(subdivision, "adjacency_graph", isolating(graph_of, 0))
-    assert raised(lambda: face_subdivision(apex)) == CHAIN
+    with pytest.raises(AssertionError, match=CHAIN):
+        face_subdivision(apex)
     monkeypatch.setattr(subdivision, "adjacency_graph", graph_of)
     assert len(face_subdivision(apex).parts) == 1
 
@@ -745,7 +756,8 @@ def test_a_repeated_chain_element_fails_the_table_build(P, monkeypatch):
         if mask:
             wrong = birkhoff(P)
             wrong.at_mask[mask] = wrong.at_mask[0]
-            assert raised(lambda: subdivision.staircase_table(wrong)) == LENGTH
+            with pytest.raises(AssertionError, match=re.escape(LENGTH)):
+                subdivision.staircase_table(wrong)
             assert subdivision.staircase_table.__wrapped__ not in wrong._memo
 
 
@@ -859,7 +871,7 @@ def test_b3_generic_weight_hexagon():
     w = tuple(B3.height(a) ** 2 for a in B3.elements)
     poly = generalized_permutahedron(B3, w, 1)
     assert len(poly.vertices) == 6
-    assert poly.dim == 2  # hexagon lives in a plane (alpha sums are fixed)
+    assert oracle.dim_of(poly) == 2  # hexagon lives in a plane (alpha sums are fixed)
 
 
 @st.composite
@@ -935,10 +947,10 @@ def test_permutahedron_vertices_are_the_part_slopes(case):
             LatticePolytope(slopes + slopes[-1:], sub.den)
 
 
-@functools.cache
+@_kept
 def cone_generators(L):
     """The integer witnesses of every face of L's cone, and the rows of its
-    apex span, the lineality space."""
+    apex span, the lineality space; kept in L's memo."""
     K = cone_K(L)
     return [F.witness[0] for F in enumerated_faces(K)], span_of_face(K.apex)
 

@@ -28,8 +28,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from fraction_oracle import (enumerated_faces, indicator, is_apex, is_full, lattice_points, rank,
-                             rank_dim, same_face, solve_linear, vdot, vsub, weight_record)
+from fraction_oracle import (dim_of, enumerated_faces, indicator, is_apex, is_full,
+                             lattice_points, rank, rank_dim, same_face, solve_linear, vdot, vsub,
+                             weight_record)
 from hibikit import exactgeom, weightpoly
 from hibikit.cli import main
 from hibikit.cone import cone_K, face_of, span_of_face
@@ -143,7 +144,7 @@ def chain_simplex(ext):
     ideals = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
     poly = oracle.hull([W.points[L.index(a)] for a in ideals], 1)
-    assert poly.dim == P.size
+    assert dim_of(poly) == P.size
     assert len(poly.vertices) == P.size + 1
     return ideals, poly
 
@@ -171,13 +172,13 @@ def test_full_face_is_standard_simplex(L):
     unit = [tuple(1 if j == i else 0 for j in range(L.size)) for i in range(L.size)]
     assert list(W.basis) == unit
     assert list(W.points) == unit
-    assert hull(W).dim == L.size - 1
+    assert dim_of(hull(W)) == L.size - 1
 
 
 def test_apex_b2_is_unit_square():
     W = weight_record(apex_face(B2))
     Q = hull(W)
-    assert Q.dim == 2
+    assert dim_of(Q) == 2
     assert len(Q.vertices) == 4
     assert len(lattice_points(Q)) == 4
     # opposite edge vectors agree, so the four points are a parallelogram
@@ -194,7 +195,7 @@ def test_every_face_has_lattice_point_count_of_L(L):
         W = hull(weight_record(F))
         assert len(W.vertices) == L.size
         assert len(lattice_points(W)) == L.size
-        assert W.dim == rank_dim(F.cone, F.tight) - 1
+        assert dim_of(W) == rank_dim(F.cone, F.tight) - 1
 
 
 # -- project -----------------------------------------------------------------
@@ -298,14 +299,14 @@ def test_chain_simplex_b2():
                if e.order == ("p", "q"))
     elements, poly = chain_simplex(ext)
     assert elements == ("{}", "{p}", "{p,q}")
-    assert poly.dim == 2
+    assert dim_of(poly) == 2
 
 
 def test_chain_simplex_grid_has_five_vertices():
     for ext in label_extensions(GRID):
         elements, poly = chain_simplex(ext)
         assert len(elements) == GRID.size + 1 == 5
-        assert poly.dim == 4
+        assert dim_of(poly) == 4
         assert len(poly.vertices) == 5
 
 
@@ -436,7 +437,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
         for d in W.distinguished:
             face = face_hull(W, d)
             assert len(face.vertices) == len(d)
-            assert face.dim == P.size
+            assert dim_of(face) == P.size
 
 
 def with_basis(monkeypatch, F, rows):
@@ -470,7 +471,7 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
                 rejected += 1
                 continue
             assert len(moved.vertices) == len(lattice_points(moved)) == L.size
-            assert moved.dim == rank_dim(F.cone, F.tight) - 1
+            assert dim_of(moved) == rank_dim(F.cone, F.tight) - 1
     assert rejected > 0
 
 
@@ -490,6 +491,16 @@ def test_certificate_rejects_a_doubled_basis_row(L, monkeypatch):
             with_basis(monkeypatch, F, rows)
             with pytest.raises(AssertionError, match="not integral"):
                 weight_polytope(F)
+
+
+def test_certificate_rejects_a_repeated_basis_row(monkeypatch):
+    # a repeated row makes two columns of the solve's matrix equal, so the
+    # solution is not unique, on every face
+    for F in enumerated_faces(cone_K(B3)):
+        basis = span_of_face(F)
+        with_basis(monkeypatch, F, basis + basis[:1])
+        with pytest.raises(AssertionError, match="no unique solution"):
+            weight_polytope(F)
 
 
 @pytest.mark.parametrize("argv", [["--boolean", "3", "--face", '[["{p,q}","{p,r}"]]'],
