@@ -17,10 +17,11 @@ basis list, and the phase-1 objective, the sum of the artificial rows, is
 one more row that every pivot updates with the others. It has no v columns
 of x = u - v either, since every row's v part is minus its u part. Bland's
 rule reads only the signs of the objective row's entries, so the pivots
-are those of the full tableau, and the final tableau checks the row
-against the sum. The point is read off when phase 1 ends: an artificial
-still basic there sits at 0, on a row whose right-hand side is 0 and so
-sets no column's value, and it stays in the basis.
+are those of the full tableau, whose reduced costs keep the row the sum
+of the rows whose artificial is basic, with no check. The point is read
+off when phase 1 ends: an artificial still basic there sits at 0, on a
+row whose right-hand side is 0 and so sets no column's value, and it
+stays in the basis.
 """
 
 from __future__ import annotations
@@ -138,10 +139,15 @@ def _run_simplex(M, D, basis, n):
     Nor are there artificial columns: a row whose basis entry is past the
     full columns has its artificial variable basic. M holds one row more
     than basis, the last: the phase-1 objective row, the sum of the
-    artificial rows, pivoted with the others, so it is never summed again;
-    the final tableau checks that it is the sum. A column enters when its
-    reduced cost is positive; it then has a positive entry in some
-    artificial row, so phase 1 is never unbounded.
+    artificial rows, pivoted with the others, so it is never summed again.
+    It needs no check against that sum: with c the phase-1 costs, 1 on each
+    artificial, the objective row of any basis B is c_B B^-1 A on the real
+    columns, the sum of the rows of B^-1 A whose basic variable is
+    artificial. Every pivot is an exact row operation on all rows alike,
+    the objective row too, and an artificial that leaves the basis never
+    enters again, having no column. A column enters when its reduced cost
+    is positive; it then has a positive entry in some artificial row, so
+    phase 1 is never unbounded.
     """
     z = M[-1]
     lean = len(z) - 1
@@ -172,9 +178,6 @@ def _run_simplex(M, D, basis, n):
             M[leaving] = [-x for x in M[leaving]]
         basis[leaving] = entering
         z = M[-1]
-    artificial = [row for row, b in zip(M, basis) if b >= lean + n]
-    if z != ([sum(col) for col in zip(*artificial)] if artificial else [0] * len(z)):
-        raise AssertionError("the objective row must be the sum of the artificial rows")
     return D
 
 

@@ -9,21 +9,20 @@ on. Pbar sorts the cells by (r, s), so the corners are its first and
 last cells, and cell j of the triangular poset gt_poset(n) is cell j + 1
 of Pbar.
 
-Every computation holds one point format: a point of R^{Pbar}, or of any
-marked poset's ground set, is an int tuple over the base poset's element
-order, and a marking is one value per index (None on a free element).
-Orders are read through Poset.below masks and cover index pairs, and each
-flag element's order ideal is a bitmask over gt_poset(n). These, and the
-sections' inputs, the vertices and the census from their first use, are
-built once per rank and process as one GelfandTsetlin (gelfand_tsetlin(n)),
-which every step of a job reads; so a job on a rank built before pays for
-its own face, sections and output alone. The command line keeps each
-face's sections too, for the last 32 (context, face) pairs that gt jobs
-named (cli._gt_sections), so a job on a face named before on its rank, by
-any spelling, pays for its output alone; one face's sections hold
-2.6-4.6 KB for n = 3, 4.7-43 KB for n = 4 and up to 1.8 MB for n = 5's
-full face (tracemalloc). Every rank's context, with its
-section inputs for n <= MAX_SECTION_RANK, holds about 0.8 MB in all
+Every computation holds one point format: a point of R^{Pbar} is an int
+tuple over Pbar's cell order, and a marking is one value per cell (None on
+a free cell). Orders are read through Poset.below masks and cover index
+pairs, and each flag element's order ideal is a bitmask over gt_poset(n).
+These, Pbar and its marking, and the sections' inputs, the vertices and
+the census from their first use, are built once per rank and process as
+one GelfandTsetlin (gelfand_tsetlin(n)), which every step of a job reads;
+so a job on a rank built before pays for its own face, sections and output
+alone. The command line keeps each face's sections too, for the last 32
+(context, face) pairs that gt jobs named (cli._gt_sections), so a job on a
+face named before on its rank, by any spelling, pays for its output alone;
+one face's sections hold 2.6-4.6 KB for n = 3, 4.7-43 KB for n = 4 and up
+to 1.8 MB for n = 5's full face (tracemalloc). Every rank's context, with
+its section inputs for n <= MAX_SECTION_RANK, holds about 0.8 MB in all
 (tracemalloc). The vertices hold 0.16 MB more for n <= 5 and 2.2 MB for
 n = 6, whose 4,884 vertices take about 3 s to build.
 
@@ -46,8 +45,10 @@ the covers' tight sets (section_facets). No cover touching a free cell may
 be tight on every vertex: that certifies the section full-dimensional, with
 no rank.
 
-The census and the vertices run to n = MAX_GT_RANK; the sections, whose
-full face at n = 6 would have 33,592 parts, stop at MAX_SECTION_RANK.
+The command line runs the census and the vertices to n = MAX_GT_RANK and
+the sections, whose full face at n = 6 would have 33,592 parts, to
+MAX_SECTION_RANK (cli.cmd_gt); it rejects every other rank before any
+work.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from functools import cache, cached_property
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import Face
-from .errors import BadParams, TooLarge
 from .exactgeom import LatticePolytope
 from .lattice import Lattice, _label_of, flag_lattice
 from .poset import Poset, _bits, _kept, ideal_masks, linear_extensions
@@ -79,8 +79,6 @@ def _triangle(n: int, corners: bool) -> Poset:
     """The cells p_{r,s}, 1 <= r <= s <= n, sorted by (r, s) and ordered
     componentwise, which is already transitive; the two corners p11
     and pnn only when `corners` is set."""
-    if n < 2:
-        raise BadParams("need n >= 2")
     cells = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)
              if corners or (r, s) not in ((1, 1), (n, n))]
     below = [sum(1 << i for i, (a, b) in enumerate(cells)
@@ -142,57 +140,24 @@ def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
 # -- marked order polytopes --------------------------------------------------
 
 
-class MarkedPoset:
-    """A poset with a marked subset carrying fixed integer values:
-    values[j] is the marking of base.elements[j], None when it is free.
-
-    Convention: points satisfy x_p >= x_q whenever p < q, so values must
-    not increase along the order.
-    """
-
-    __slots__ = ("base", "values")
-
-    def __init__(self, base: Poset, values: tuple[Optional[int], ...]):
-        self.base = base
-        self.values = values
-        if len(values) != base.size:
-            raise AssertionError("each element must have one marking")
-        below = base.below
-        for j, m in enumerate(below):
-            is_min = not m
-            is_max = not any(b >> j & 1 for b in below)
-            if (is_min or is_max) and values[j] is None:
-                raise AssertionError("extreme elements must be marked")
-        for b in self.marked():
-            for a in _bits(below[b]):
-                if values[a] is not None and values[a] < values[b]:
-                    raise AssertionError("markings must not increase along the order")
-
-    def marked(self) -> list[int]:
-        return [j for j, v in enumerate(self.values) if v is not None]
-
-    def free(self) -> list[int]:
-        return [j for j, v in enumerate(self.values) if v is None]
-
-
 def _gt_marking(n: int, labels: Sequence[str]) -> tuple[Optional[int], ...]:
     """The Gelfand-Tsetlin marking of the cells `labels` on the (n-1)-scaled
-    lattice: p_{r,r} carries n - r, every other cell is free."""
+    lattice: p_{r,r} carries n - r, every other cell is free.
+
+    On Pbar it is a marking of a marked order polytope, whose points x have
+    x_a >= x_b for a < b, by construction: it has one value per cell; the
+    extremes of Pbar, p11 below every cell and pnn above every cell, are
+    marked; and the marked cells p11 < p22 < ... < pnn form a chain whose
+    values n - 1, ..., 0 fall by one up the order."""
     return tuple(n - int(p[1]) if p[1] == p[2] else None for p in labels)
-
-
-def gt_marked_poset(n: int) -> MarkedPoset:
-    """Full triangular array, diagonal marked to n - r: the Gelfand-Tsetlin
-    polytope scaled by n - 1, so every marking is an integer."""
-    base = _triangle(n, corners=True)
-    return MarkedPoset(base, _gt_marking(n, base.elements))
 
 
 class GelfandTsetlin:
     """What a Gelfand-Tsetlin job of rank n reads, built once per rank and
-    process by gelfand_tsetlin(n): the triangular poset (gt_poset), the
-    marked poset on Pbar (gt_marked_poset), and phi, each flag element's
-    order ideal as a bitmask over the triangular poset.
+    process by gelfand_tsetlin(n): the triangular poset (gt_poset), Pbar,
+    the triangle with its corners (pbar), Pbar's Gelfand-Tsetlin marking
+    (marking), and phi, each flag element's order ideal as a bitmask over
+    the triangular poset.
 
     The sections' inputs are built on first use and kept, each certified
     once: the flag lattice (flag); P's cells in Pbar (cell_at), through
@@ -201,27 +166,23 @@ class GelfandTsetlin:
     memo by the function that builds it (poset._kept)."""
 
     def __init__(self, n: int):
-        if n > MAX_GT_RANK:
-            raise TooLarge(f"Gelfand-Tsetlin work is capped at n = {MAX_GT_RANK}")
         self.n = n
         self.poset = gt_poset(n)
-        self.marked = gt_marked_poset(n)
+        self.pbar = _triangle(n, corners=True)
+        self.marking = _gt_marking(n, self.pbar.elements)
         self.phi = _phi(n, self.poset)
         self._memo: dict = {}  # _kept
 
     @cached_property
     def flag(self) -> Lattice:
-        """flag_lattice(n), for the sections alone: past MAX_SECTION_RANK,
-        TooLarge."""
-        if self.n > MAX_SECTION_RANK:
-            raise TooLarge(f"Gelfand-Tsetlin sections are capped at n = {MAX_SECTION_RANK}")
+        """flag_lattice(n), for the sections alone."""
         return flag_lattice(self.n)
 
     @cached_property
     def cell_at(self) -> tuple[int, ...]:
         """The index in Pbar of each element of flag.poset_P."""
         iso = gt_poset_iso(self, self.flag)
-        return tuple(self.marked.base.index(iso[p]) for p in self.flag.poset_P.elements)
+        return tuple(self.pbar.index(iso[p]) for p in self.flag.poset_P.elements)
 
     @cached_property
     def pattern_masks(self) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -235,26 +196,17 @@ class GelfandTsetlin:
 def gelfand_tsetlin(n: int) -> GelfandTsetlin:
     """The GelfandTsetlin of rank n, one per rank for the life of the
     process, so a job on a rank an earlier job built reads its structures
-    and their certificates. A rank the constructor rejects is not kept."""
+    and their certificates."""
     return GelfandTsetlin(n)
 
 
-def mu_k_marked_poset(gt: GelfandTsetlin, k: int) -> MarkedPoset:
-    """0/1 diagonal marking whose polytope holds the k-index flag points:
-    p_{r,r} is marked 1 exactly when r <= n-k."""
-    if not 1 <= k <= gt.n - 1:
-        raise BadParams("need 1 <= k <= n-1")
-    return MarkedPoset(gt.marked.base,
-                       tuple(None if v is None else int(v >= k) for v in gt.marked.values))
-
-
-def _satisfies(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
-    if any(v is not None and point[j] != v for j, v in enumerate(mp.values)):
+def _satisfies(marking: Sequence[Optional[int]], order: Poset, point: Sequence[int]) -> bool:
+    if any(v is not None and point[j] != v for j, v in enumerate(marking)):
         return False
     return all(point[a] >= point[b] for a, b in order.cover_indices())
 
 
-def _is_vertex(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
+def _is_vertex(marking: Sequence[Optional[int]], order: Poset, point: Sequence[int]) -> bool:
     # a point is a vertex iff every free cell reaches a marked cell through
     # the graph of tight cover inequalities
     root = list(range(len(point)))
@@ -268,8 +220,8 @@ def _is_vertex(mp: MarkedPoset, order: Poset, point: Sequence[int]) -> bool:
     for a, b in order.cover_indices():
         if point[a] == point[b]:
             root[find(a)] = find(b)
-    anchored = {find(m) for m in mp.marked()}
-    return all(find(p) in anchored for p in mp.free())
+    anchored = {find(j) for j, v in enumerate(marking) if v is not None}
+    return all(find(j) in anchored for j, v in enumerate(marking) if v is None)
 
 
 # -- Gelfand-Tsetlin vertices ------------------------------------------------
@@ -290,7 +242,7 @@ def flag_point(gt: GelfandTsetlin, label: str) -> tuple[int, ...]:
     """0/1 indicator of the flag element's triangular ideal gt.phi[label],
     over Pbar, with the two corner cells pinned to 1 and 0."""
     mask = gt.phi[label] << 1 | 1  # cell j of gt.poset is cell j + 1 of Pbar
-    return tuple(mask >> j & 1 for j in range(gt.marked.base.size))
+    return tuple(mask >> j & 1 for j in range(gt.pbar.size))
 
 
 def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
@@ -321,7 +273,7 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
     diagonal of phi[a] gives the length k of a and its column n - j + 1
     the index i_j.
     """
-    n, mp, phi = gt.n, gt.marked, gt.phi
+    n, phi = gt.n, gt.phi
     flag_points = {lbl: flag_point(gt, lbl) for lbl in phi}
     by_size = [[lbl for lbl in phi if len(lbl) == k] for k in range(n)]
     chains = [(lbl,) for lbl in by_size[1]]
@@ -330,7 +282,7 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
                   if not phi[lbl] & ~phi[chain[-1]]]
     out = sorted(((tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain)))), chain)
                   for chain in chains), reverse=True)
-    if not all(_satisfies(mp, mp.base, point) for point, _ in out):
+    if not all(_satisfies(gt.marking, gt.pbar, point) for point, _ in out):
         raise AssertionError("each chain must sum to a Gelfand-Tsetlin point")
     if len(out) != 2 ** (n * (n - 1) // 2):
         raise AssertionError("there must be 2^(n(n-1)/2) chains")
@@ -347,21 +299,26 @@ def gt_vertices(gt: GelfandTsetlin) -> tuple[GTVertex, ...]:
     inequalities, so every vertex is a pattern, and the vertices are the
     patterns whose tight-constraint graph anchors every free cell. The k-th
     flag point of a chain is a vertex of the level-k polytope, the marked
-    order polytope of mu_k_marked_poset(gt, k): its 0/1 marking makes that
-    polytope a face of the order polytope O(Pbar), so its vertices are
-    exactly its 0/1 points (Stanley, "Two poset polytopes", 1986), which
-    are the k-index flag points. Each k-index flag point must lie in it.
+    order polytope of Pbar whose 0/1 marking puts 1 on p_{r,r} exactly when
+    r <= n - k: that marking makes the polytope a face of the order
+    polytope O(Pbar), so its vertices are exactly its 0/1 points (Stanley,
+    "Two poset polytopes", 1986), which are the k-index flag points.
+
+    Each k-index flag point lies in the level-k polytope by _phi's
+    construction, with no check. For a = (i_1, ..., i_k), phi[a] is an
+    order ideal of the triangle: its column n - j + 1 holds rows 1..i_j - j,
+    a bound that does not fall as j grows and the column moves left, since
+    i_{j+1} > i_j, and the columns left of n - k + 1 are full. Its diagonal
+    cells are the p_{r,r} with r <= n - k, as i_j <= n keeps p_{s,s} out of
+    column s = n - j + 1. So the indicator of phi[a], with p11 at 1 and pnn
+    at 0, fixes the level's marking and does not increase up Pbar.
 
     Built once per rank.
     """
-    mp = gt.marked
     flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
-    for k in range(1, gt.n):
-        level = mu_k_marked_poset(gt, k)
-        if not all(_satisfies(level, mp.base, flag_points[lbl]) for lbl in gt.phi if len(lbl) == k):
-            raise AssertionError("each k-index flag point must lie in the level-k polytope")
     return tuple(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain)
-                 for point, chain in gt_patterns(gt) if _is_vertex(mp, mp.base, point))
+                 for point, chain in gt_patterns(gt)
+                 if _is_vertex(gt.marking, gt.pbar, point))
 
 
 # -- sections of the ambient subdivision -------------------------------------
@@ -378,10 +335,10 @@ def _extend_to_pbar(base: Poset, below_pt: Sequence[int], at: Sequence[int]) -> 
     return Poset(base.elements, tuple(below))
 
 
-def section_facets(mp: MarkedPoset, order: Poset,
+def section_facets(marking: Sequence[Optional[int]], order: Poset,
                    vertices: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
     """Facets (normal, rhs), normal.x <= rhs, of the marked order polytope
-    of mp's marking under order, from all its vertices, in the form and
+    of the marking under order, from all its vertices, in the form and
     order exactgeom.facet_hyperplanes gives them. The polytope must be
     full-dimensional in the free cells, which is checked here.
 
@@ -390,12 +347,14 @@ def section_facets(mp: MarkedPoset, order: Poset,
     one of the covers that touch a free cell: x_b - x_a <= 0 with the
     marked cells' values moved to the right-hand side, so its normal
     e_b - e_a lives on the free cells, the span's directions, and is
-    primitive. Every vertex must satisfy every cover. Each fixes the
-    marking, as every vertex handed in is a pattern, and gt_patterns
-    certified every pattern against the marking. A candidate's tight
-    vertices are the vertices of a face, and the facets are the proper
-    faces no other face contains, so a candidate is a facet iff its tight
-    set is nonempty, proper and strictly inside no other candidate's set.
+    primitive. Every vertex handed in lies in the polytope, with no check:
+    it is a pattern, which gt_patterns certified against the marking, and
+    it satisfies every cover of the order, as gt_subdivision takes it from
+    the patterns whose chain lies in the part's vertex set. A candidate's
+    tight vertices are the vertices of a face, and the facets are the
+    proper faces no other face contains, so a candidate is a facet iff its
+    tight set is nonempty, proper and strictly inside no other candidate's
+    set.
     Candidates with one such set are one facet and so one (normal, rhs):
     in the free cells the polytope is full-dimensional (checked below), so
     a facet has one outer normal up to a positive factor, and the
@@ -414,20 +373,17 @@ def section_facets(mp: MarkedPoset, order: Poset,
     p_{n-1,n}, and p_{k,k} < p_{k,k+1} < p_{k+1,k+1} puts a free cell
     between any two diagonal cells.
     """
-    values = mp.values
     cols = list(zip(*vertices))
     full = (1 << len(vertices)) - 1
     planes: dict[int, set[tuple[tuple[int, ...], int]]] = {}  # tight mask -> candidates
     for a, b in order.cover_indices():
-        if not all(x >= y for x, y in zip(cols[a], cols[b])):
-            raise AssertionError("each vertex must satisfy every cover")
-        normal = [0] * len(values)
+        normal = [0] * len(marking)
         rhs = 0
         for c, sign in ((a, -1), (b, 1)):
-            if values[c] is None:
+            if marking[c] is None:
                 normal[c] = sign
             else:
-                rhs -= sign * values[c]
+                rhs -= sign * marking[c]
         tight = sum(1 << i for i, (x, y) in enumerate(zip(cols[a], cols[b])) if x == y)
         planes.setdefault(tight, set()).add((tuple(normal), rhs))
     if full in planes:
@@ -442,8 +398,9 @@ def section_facets(mp: MarkedPoset, order: Poset,
 
 
 def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePolytope]]:
-    """Parts of the Gelfand-Tsetlin polytope induced by a face of the cone
-    of gt.flag = flag_lattice(gt.n): the diagonal-pinned sections of the
+    """Parts of the Gelfand-Tsetlin polytope induced by a face F of the cone
+    of gt.flag = flag_lattice(gt.n), which the caller resolves F on (in the
+    command line, cli._gt_sections): the diagonal-pinned sections of the
     ambient parts, cut on the (n-1)-scaled integer lattice. Each section's
     polytope holds its integer vertices over den = n - 1 and its facets.
 
@@ -472,13 +429,10 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
     rank is taken. section_facets also certifies that every section is
     full-dimensional in the free cells, by the covers' tight vertex sets.
     """
-    n, mp = gt.n, gt.marked
-    if F.cone.lattice != gt.flag:  # past MAX_SECTION_RANK, TooLarge
-        raise ValueError("face must come from the flag lattice's cone")
-    at, patterns = gt.cell_at, gt.pattern_masks
+    marking, at, patterns = gt.marking, gt.cell_at, gt.pattern_masks
     parts = []
     for part in face_subdivision(F).parts:
-        order = _extend_to_pbar(mp.base, part_order(part), at)
+        order = _extend_to_pbar(gt.pbar, part_order(part), at)
         inside = [point for point, chain in patterns if not chain & ~part.vertex_mask]
         if len(part.simplices) == 1:
             shape = component_shape(gt, tuple(at[j] - 1 for j in part.simplices[0]))
@@ -486,9 +440,9 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
                 raise AssertionError("a product of unit simplices must have one pattern per vertex")
             vertices = inside
         else:
-            vertices = [point for point in inside if _is_vertex(mp, order, point)]
-        parts.append((order, LatticePolytope(vertices, n - 1,
-                                             section_facets(mp, order, vertices))))
+            vertices = [point for point in inside if _is_vertex(marking, order, point)]
+        parts.append((order, LatticePolytope(vertices, gt.n - 1,
+                                             section_facets(marking, order, vertices))))
     return parts
 
 
@@ -512,17 +466,20 @@ def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]
     marker p_kk becomes the sum of z over block k at most
     v(p_kk) - v(p_{k+1,k+1}). So the section is the product of the unit
     simplices of the block sizes when the markers come in chain order with
-    values n - 1, ..., 0, each one below the last. No block is empty: in
-    any linearization, p_{k,k+1} lies between p_{k,k} and p_{k+1,k+1}."""
-    n, values, cells = gt.n, gt.marked.values, gt.marked.base.elements
+    values n - 1, ..., 0, each one below the last.
+
+    Both hold with no check, as ext is a linear extension of the triangle
+    in both callers: the census lists them, and gt_subdivision moves a
+    part's one simplex, an extension of flag.poset_P, onto the cells by
+    cell_at, which gt_poset_iso certified an order isomorphism. So the
+    chain extends Pbar, where p11 < p22 < ... < pnn, and the markers come
+    in that order, marked n - 1, ..., 0 (_gt_marking). No block is empty:
+    in any linearization, p_{k,k+1} lies between p_{k,k} and
+    p_{k+1,k+1}."""
+    marking = gt.marking
     # the chain as indices of Pbar: cell j of gt.poset is cell j + 1 of Pbar
-    total = [0, *(j + 1 for j in ext), len(values) - 1]
-    markers = [i for i, c in enumerate(total) if values[c] is not None]
-    if [cells[total[i]] for i in markers] != [_cell(k, k) for k in range(1, n + 1)]:
-        raise AssertionError("the markers must come in chain order")
-    marks = [values[total[i]] for i in markers]
-    if marks[0] != n - 1 or any(a - b != 1 for a, b in zip(marks, marks[1:])):
-        raise AssertionError("each marker value must be one below the last")
+    total = [0, *(j + 1 for j in ext), len(marking) - 1]
+    markers = [i for i, c in enumerate(total) if marking[c] is not None]
     return tuple(b - a - 1 for a, b in zip(markers, markers[1:]))
 
 

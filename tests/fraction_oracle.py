@@ -58,7 +58,13 @@ search on int tuples, for the patterns, the level polytopes and every
 section, until it read all of them off the chains of the flag lattice;
 this search is the oracle for those readings. It raises NotStronger, an
 error only the oracles raise, for an order that does not refine the
-base. labelled turns a marked poset of flaggt into this form. _phi (each
+base. labelled turns a marking of flaggt, one value per cell of a poset
+(None on a free cell), into this form; its MarkedPoset checks that the
+extremes are marked and that the values do not increase up the order, as
+flaggt's MarkedPoset did until its callers were shown to build only such
+markings. level_marking is the 0/1 marking of the level-k polytope, that
+flaggt's mu_k_marked_poset built to check each k-index flag point against
+until _phi's construction was shown to place them there. _phi (each
 flag element's ideal as a label set), _ptilde_labels and flag_point are
 the ideals flaggt read the patterns off before they became bitmasks, and
 _extend_to_pbar the part orders it closed from label pairs before it
@@ -175,7 +181,8 @@ from hibikit.subdivision import (Part, Subdivision, adjacency_graph, face_subdiv
                                  staircase_table)
 from hibikit.weightpoly import _integral_solution
 from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
-                          lattice_chain, leq, less, order_ideals, part_order, poset_from_pairs)
+                          lattice_chain, lattice_key, leq, less, order_ideals, part_order,
+                          poset_from_pairs)
 
 
 Vec = tuple[Fraction, ...]
@@ -875,11 +882,19 @@ class MarkedPoset:
         return [p for p in self.base.elements if p not in marked]
 
 
-def labelled(mp: flaggt.MarkedPoset) -> MarkedPoset:
-    """A marked poset of flaggt, with its marking keyed by label."""
-    elements = mp.base.elements
-    return MarkedPoset(mp.base, tuple(elements[j] for j in mp.marked()),
-                       {elements[j]: mp.values[j] for j in mp.marked()})
+def labelled(base: Poset, marking: Sequence[Optional[int]]) -> MarkedPoset:
+    """A marking of flaggt on base, one value per cell, None on a free
+    cell, keyed by label."""
+    assert len(marking) == base.size, "each cell must have one marking"
+    marked = [j for j, v in enumerate(marking) if v is not None]
+    return MarkedPoset(base, tuple(base.elements[j] for j in marked),
+                       {base.elements[j]: marking[j] for j in marked})
+
+
+def level_marking(gt: flaggt.GelfandTsetlin, k: int) -> tuple[Optional[int], ...]:
+    """The 0/1 marking of Pbar whose polytope holds the k-index flag
+    points: p_{r,r} is marked 1 exactly when r <= n - k."""
+    return tuple(None if v is None else int(v >= k) for v in gt.marking)
 
 
 def _satisfies(mp: MarkedPoset, order: Poset, point: dict[str, int]) -> bool:
@@ -979,7 +994,8 @@ def _marked_vertices(mp: MarkedPoset, order: Poset) -> list[tuple[int, ...]]:
 
 def gt_marked_poset(n: int) -> MarkedPoset:
     """Full triangular array, diagonal marked to (n-r)/(n-1)."""
-    mp = labelled(flaggt.gt_marked_poset(n))
+    gt = flaggt.GelfandTsetlin(n)
+    mp = labelled(gt.pbar, gt.marking)
     return MarkedPoset(mp.base, mp.marked, {p: Fraction(v, n - 1) for p, v in mp.values.items()})
 
 
@@ -1051,7 +1067,7 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     the same checks over the Fraction pattern points, with one marked order
     polytope per part."""
     L = F.cone.lattice
-    if L != flag:
+    if lattice_key(L) != lattice_key(flag):
         raise ValueError("face must come from the flag lattice's cone")
     iso = gt_poset_iso(GelfandTsetlin(n), flag)
     mp = gt_marked_poset(n)

@@ -41,6 +41,14 @@ lattices as lattice.grassmann_lattice and lattice.flag_lattice built them
 before they read their elements as rings of sets: string join and meet
 closures on the digit labels, validated by from_ops on the full n×n tables.
 
+mask_poset is a Poset checked as the Poset constructor checked its masks
+until every caller in the package was shown to build a strict order:
+distinct labels, one mask per element inside the ground set, and masks
+that are irreflexive, antisymmetric and transitively closed. The oracles
+here that build a Poset from outside masks build it through mask_poset.
+order_key and lattice_key are the elements and masks that Poset.__eq__ and
+Lattice.__eq__ compared until no job compared two orders or lattices.
+
 less and leq compare two labels of a Poset or a Lattice, and join_of and
 meet_of combine two labels of a Lattice, as the Poset.less, Poset.leq,
 Lattice.leq, Lattice.join and Lattice.meet methods did until the package
@@ -144,12 +152,49 @@ def pairs_of(P: Poset) -> frozenset[tuple[int, int]]:
                      for i in range(m.bit_length()) if m >> i & 1)
 
 
+def mask_poset(elements, below) -> Poset:
+    """The Poset of the labels and down-set masks, which must already be
+    transitively closed; ValueError, UnknownLabel or CycleError as the
+    Poset constructor raised them."""
+    n = len(elements)
+    if len(set(elements)) != n:
+        raise ValueError("element labels must be pairwise distinct")
+    if len(below) != n:
+        raise ValueError("below needs one mask per element")
+    members = []
+    for j, m in enumerate(below):
+        if not 0 <= m < 1 << n:
+            raise UnknownLabel(f"below mask of {elements[j]} has an index out of range")
+        if m >> j & 1:
+            raise CycleError(f"relation is not irreflexive at {elements[j]}")
+        members.append(_bits(m))
+        for i in members[j]:
+            if below[i] >> j & 1:
+                raise CycleError(f"antisymmetry fails on {elements[i]}, {elements[j]}")
+    for m, bits in zip(below, members):
+        for i in bits:
+            if below[i] & ~m:
+                raise ValueError("relation is not transitively closed")
+    return Poset(tuple(elements), tuple(below))
+
+
+def order_key(P: Poset) -> tuple:
+    """What two equal orders share: the elements and the masks."""
+    return P.elements, P.below
+
+
+def lattice_key(L: Lattice) -> tuple:
+    """What two equal lattices share: the elements, poset_P's elements and
+    masks, and the element masks."""
+    return L.elements, order_key(L.poset_P), L.masks
+
+
 def poset_from_pairs(elements, pairs) -> Poset:
     """The mask Poset of a transitively closed set of index pairs."""
     below = [0] * len(elements)
     for i, j in pairs:
         below[j] |= 1 << i
-    return Poset(tuple(elements), tuple(below))
+    return mask_poset(tuple(elements), tuple(below))
 
 
 class PairPoset:
@@ -254,9 +299,9 @@ def vertex_labels(L, part) -> tuple[str, ...]:
 
 def part_order(L, part) -> Poset:
     """A subdivision part's order, the down-set masks subdivision.part_order
-    reads off its simplices, as a Poset on L.poset_P's elements; the
-    constructor validates it."""
-    return Poset(L.poset_P.elements, subdivision.part_order(part))
+    reads off its simplices, as a Poset on L.poset_P's elements, validated
+    by mask_poset."""
+    return mask_poset(L.poset_P.elements, subdivision.part_order(part))
 
 
 def check_part(L, part) -> None:
@@ -269,7 +314,7 @@ def check_order(L, below: Sequence[int], vertex_mask: int) -> None:
     a partial order refining L.poset_P whose ideals are the elements of L
     in vertex_mask, and those are closed under union and intersection."""
     try:
-        order = Poset(L.poset_P.elements, tuple(below))
+        order = mask_poset(L.poset_P.elements, tuple(below))
     except (HibikitError, ValueError) as exc:
         raise AssertionError(f"part order is not a partial order: {exc}") from None
     if any(b & ~o for b, o in zip(L.poset_P.below, below)):

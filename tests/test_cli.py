@@ -27,6 +27,7 @@ from hibikit.exactgeom import LatticePolytope, polytope_json
 from hibikit.lattice import birkhoff, grassmann_lattice, parse_lattice
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision, subdivision_json
+from order_oracle import lattice_key, order_key
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,8 +90,8 @@ def test_export_poset_round_trip(tmp_path, capsys):
                                     encoding="utf-8")
     report = run_json(capsys, ["lattice", "--poset", str(tmp_path / "p.txt")])
     M = parse_lattice(canonical_json(report["poset"]))
-    assert M.poset_P == P
-    assert M == birkhoff(P)
+    assert order_key(M.poset_P) == order_key(P)
+    assert lattice_key(M) == lattice_key(birkhoff(P))
 
 
 def test_export_square_polytope():

@@ -127,15 +127,30 @@ def test_lp_reads_the_point_where_an_artificial_stays_basic():
                                                         count[0])
 
 
-def test_phase_one_checks_its_objective_row():
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_phase_one_objective_row_is_the_sum_of_the_artificial_rows(data):
     # the objective row is pivoted with the others and never summed again,
-    # so the final tableau checks it: lp_feasible's tableau for x >= 1 in
-    # one variable (the row x - s = 1, its artificial basic) with the
-    # objective row zeroed ends phase 1 at once and fails the check
-    M = [[1, -1, 1], [0, 0, 0]]
-    with pytest.raises(AssertionError,
-                       match="the objective row must be the sum of the artificial rows"):
-        exactgeom._run_simplex(M, 1, [3], 1)
+    # and _run_simplex argues, with no check, that it stays the sum of the
+    # rows whose artificial is basic: so it is when phase 1 ends, on every
+    # kind of system
+    equalities, rows, n = data.draw(systems(data.draw(st.sampled_from(sorted(EXPECTED)))))
+    ends = []
+    run = exactgeom._run_simplex
+
+    def checked(M, D, basis, n):
+        D = run(M, D, basis, n)
+        z = M[-1]
+        artificial = [row for row, b in zip(M, basis) if b >= len(z) - 1 + n]
+        ends.append(z == ([sum(col) for col in zip(*artificial)] if artificial else [0] * len(z)))
+        return D
+
+    exactgeom._run_simplex = checked
+    try:
+        lp_feasible(equalities, rows, n)
+    finally:
+        exactgeom._run_simplex = run
+    assert ends == [True]
 
 
 def to_fraction(x) -> Fraction:

@@ -19,7 +19,6 @@ from hibikit.errors import BadParams, TooLarge
 from hibikit.exactgeom import facet_hyperplanes, rank
 from hibikit.flaggt import (
     GelfandTsetlin,
-    MarkedPoset,
     _extend_to_pbar,
     _gt_marking,
     _is_vertex,
@@ -27,21 +26,19 @@ from hibikit.flaggt import (
     component_shape,
     flag_point,
     gelfand_tsetlin,
-    gt_marked_poset,
     gt_patterns,
     gt_poset,
     gt_poset_iso,
     gt_subdivision,
     gt_vertices,
-    mu_k_marked_poset,
     section_facets,
     shape_census,
 )
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
-from hibikit.poset import Poset, antichain, from_cover_relations, linear_extensions
+from hibikit.poset import Poset, _bits, antichain, from_cover_relations, linear_extensions
 from hibikit.subdivision import face_subdivision, part_order, regular_subdivision
-from order_oracle import (GroundSetMismatch, chain, join_of, label_extension, leq, meet_of,
-                          order_ideals)
+from order_oracle import (GroundSetMismatch, chain, join_of, label_extension, leq, mask_poset,
+                          meet_of, order_ideals)
 
 
 def full_face(L):
@@ -62,15 +59,19 @@ def free_coords(n, point):
     return tuple(x for p, x in zip(labels, point) if p[1] != p[2])
 
 
-def marked_integer_points(mp, order):
+def free_cells(marking):
+    return [j for j, v in enumerate(marking) if v is None]
+
+
+def marked_integer_points(marking, order):
     """All integer points of the marked order polytope of an integral
     marking, by brute force over the free cells' values between the least
     and the greatest marking."""
-    free = mp.free()
-    marks = [v for v in mp.values if v is not None]
+    free = free_cells(marking)
+    marks = [v for v in marking if v is not None]
     out = []
     for filling in itertools.product(range(min(marks), max(marks) + 1), repeat=len(free)):
-        point = list(mp.values)
+        point = list(marking)
         for j, x in zip(free, filling):
             point[j] = x
         if all(point[a] >= point[b] for a, b in order.cover_indices()):
@@ -78,10 +79,10 @@ def marked_integer_points(mp, order):
     return out
 
 
-def tight_rank(mp, order, point):
+def tight_rank(marking, order, point):
     """Rank of the tight constraint normals in the free coordinates. Equals
     the number of free cells exactly at vertices."""
-    free = mp.free()
+    free = free_cells(marking)
     col = {p: i for i, p in enumerate(free)}
     rows = []
     for a, b in order.cover_indices():
@@ -258,10 +259,11 @@ def test_gt_poset_iso_checks_the_map_against_the_triangle_relation(n):
 
 
 def test_marked_polytope_n2_is_segment():
-    mp = gt_marked_poset(2)
-    assert sorted(gv.point for gv in gt_vertices(GelfandTsetlin(2))) == [(1, 0, 0), (1, 1, 0)]
-    assert sorted(oracle._marked_vertices(oracle.labelled(mp), mp.base)) == [(1, 0, 0), (1, 1, 0)]
-    assert oracle.marked_order_polytope(oracle.labelled(mp), mp.base).dim == 1
+    gt = GelfandTsetlin(2)
+    mp = oracle.labelled(gt.pbar, gt.marking)
+    assert sorted(gv.point for gv in gt_vertices(gt)) == [(1, 0, 0), (1, 1, 0)]
+    assert sorted(oracle._marked_vertices(mp, gt.pbar)) == [(1, 0, 0), (1, 1, 0)]
+    assert oracle.marked_order_polytope(mp, gt.pbar).dim == 1
 
 
 def test_gt3_polytope_is_3_dimensional():
@@ -270,7 +272,8 @@ def test_gt3_polytope_is_3_dimensional():
     assert len(Q.vertices) == 7
     # gt_subdivision checks each section's dimension against the free cells
     for n in range(2, 6):
-        assert oracle.gt_polytope(n).dim == len(gt_marked_poset(n).free()) == n * (n - 1) // 2
+        free = free_cells(GelfandTsetlin(n).marking)
+        assert oracle.gt_polytope(n).dim == len(free) == n * (n - 1) // 2
 
 
 def test_marked_polytope_scaling():
@@ -285,81 +288,87 @@ def test_marked_polytope_scaling():
 
 
 def test_marked_polytope_rejects_weaker_order():
-    mp = oracle.labelled(gt_marked_poset(3))
+    gt = GelfandTsetlin(3)
+    mp = oracle.labelled(gt.pbar, gt.marking)
     loose = antichain(list(mp.base.elements))
     with pytest.raises(oracle.NotStronger):
         oracle._marked_vertices(mp, loose)
 
 
 def test_marked_polytopes_reject_order_on_other_ground_set():
-    mp = oracle.labelled(mu_k_marked_poset(GelfandTsetlin(3), 1))
+    gt = GelfandTsetlin(3)
+    mp = oracle.labelled(gt.pbar, oracle.level_marking(gt, 1))
     other = antichain(["x", "y"])
     with pytest.raises(GroundSetMismatch):
         oracle._marked_vertices(mp, other)
 
 
 def test_marked_polytope_too_large():
-    mp = oracle.labelled(gt_marked_poset(6))  # 15 free cells
+    gt = GelfandTsetlin(6)
+    mp = oracle.labelled(gt.pbar, gt.marking)  # 15 free cells
     with pytest.raises(TooLarge):
         oracle._marked_vertices(mp, mp.base)
 
 
-def test_marked_poset_requires_marked_extremes():
-    base = gt_marked_poset(2).base
-    with pytest.raises(AssertionError, match="extreme elements must be marked"):
-        MarkedPoset(base, (1, None, None))
-
-
-@pytest.mark.parametrize("n", [3, 4])
-def test_the_gt_marking_is_checked(n, monkeypatch):
-    # the marked poset checks the marking gt_marked_poset hands it: one
-    # value per cell, and values that do not increase up the order, as the
-    # diagonal marked n - 1 - v in place of v does
-    marking = flaggt._gt_marking
-    monkeypatch.setattr(flaggt, "_gt_marking", lambda *args: marking(*args)[:-1])
-    with pytest.raises(AssertionError, match="each element must have one marking"):
-        GelfandTsetlin(n)
-    monkeypatch.setattr(flaggt, "_gt_marking", lambda *args: tuple(
-        None if v is None else n - 1 - v for v in marking(*args)))
-    with pytest.raises(AssertionError, match="markings must not increase along the order"):
-        GelfandTsetlin(n)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_the_gt_marking_is_checked(n):
+    # what _gt_marking's and _phi's constructions give, so flaggt checks
+    # none of it (their docstrings argue it): the marking and each 0/1
+    # level marking have one value per cell of Pbar, a strict order, mark
+    # its extremes and do not increase up the order, and each k-index flag
+    # point lies in the level-k polytope
+    gt = GelfandTsetlin(n)
+    pbar = mask_poset(gt.pbar.elements, gt.pbar.below)
+    assert mask_poset(gt.poset.elements, gt.poset.below).elements == pbar.elements[1:-1]
+    below = pbar.below
+    extremes = [j for j in range(pbar.size)
+                if not below[j] or not any(m >> j & 1 for m in below)]
+    assert extremes == [0, pbar.size - 1]
+    for k in range(n):
+        marking = gt.marking if k == 0 else oracle.level_marking(gt, k)
+        assert len(marking) == pbar.size
+        assert all(marking[j] is not None for j in extremes)
+        assert all(marking[i] >= marking[j] for j, m in enumerate(below) for i in _bits(m)
+                   if None not in (marking[i], marking[j]))
+        oracle.labelled(pbar, marking)  # the label-dict form asserts the same
+        if k:
+            for lbl in gt.phi:
+                assert _satisfies(marking, pbar, flag_point(gt, lbl)) == (len(lbl) == k)
 
 
 def test_tight_rank_detects_vertices():
     gt = GelfandTsetlin(3)
-    mp = gt.marked
     for gv in gt_vertices(gt):
-        assert tight_rank(mp, mp.base, gv.point) == 3
+        assert tight_rank(gt.marking, gt.pbar, gv.point) == 3
     # the one pattern that is not a vertex: free coords (1, 1/2, 0), scaled
     # by n - 1 = 2 over (p11, p12, p13, p22, p23, p33)
-    assert tight_rank(mp, mp.base, (2, 2, 1, 1, 0, 0)) == 2
+    assert tight_rank(gt.marking, gt.pbar, (2, 2, 1, 1, 0, 0)) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_tight_rank_agrees_with_anchoring(n):
     # the rank test and the tight-graph anchoring test pick the same patterns
     gt = GelfandTsetlin(n)
-    mp = gt.marked
     for point, _ in gt_patterns(gt):
-        assert _is_vertex(mp, mp.base, point) == (
-            tight_rank(mp, mp.base, point) == len(mp.free()))
+        assert _is_vertex(gt.marking, gt.pbar, point) == (
+            tight_rank(gt.marking, gt.pbar, point) == len(free_cells(gt.marking)))
 
 
 # -- the chain reading against the label-dict search --------------------------
 
 
-def assert_reading_matches_oracle(mp, order, points):
-    """`points` holds every marking-valued point of mp's polytope, and maybe
-    others. Those that satisfy `order` and that the tight graph anchors,
-    the rule gt_vertices and gt_subdivision read vertices by, are the
-    label-dict search's vertices; and _is_vertex agrees with the oracle's
-    anchoring test on every point."""
-    labelled = oracle.labelled(mp)
-    read = [p for p in points if _satisfies(mp, order, p) and _is_vertex(mp, order, p)]
+def assert_reading_matches_oracle(base, marking, order, points):
+    """`points` holds every marking-valued point of the polytope of the
+    marking on base, and maybe others. Those that satisfy `order` and that
+    the tight graph anchors, the rule gt_vertices and gt_subdivision read
+    vertices by, are the label-dict search's vertices; and _is_vertex
+    agrees with the oracle's anchoring test on every point."""
+    labelled = oracle.labelled(base, marking)
+    read = [p for p in points if _satisfies(marking, order, p) and _is_vertex(marking, order, p)]
     assert sorted(read) == sorted(oracle._marked_vertices(labelled, order))
     for point in points:
-        coords = dict(zip(mp.base.elements, point))
-        assert _is_vertex(mp, order, point) == oracle._is_vertex(labelled, order, coords)
+        coords = dict(zip(base.elements, point))
+        assert _is_vertex(marking, order, point) == oracle._is_vertex(labelled, order, coords)
 
 
 @settings(max_examples=60, deadline=None)
@@ -371,8 +380,8 @@ def test_search_matches_label_dict_oracle_on_random_orders(data):
     n = data.draw(st.integers(2, 4), label="n")
     gt = GelfandTsetlin(n)
     k = data.draw(st.integers(0, n - 1), label="level")
-    mp = gt.marked if k == 0 else mu_k_marked_poset(gt, k)
-    base = mp.base
+    marking = gt.marking if k == 0 else oracle.level_marking(gt, k)
+    base = gt.pbar
     masks = [(1 << base.size) - 1] * base.size
     for _ in range(data.draw(st.integers(1, 4), label="extensions")):
         placed = 0
@@ -386,7 +395,7 @@ def test_search_matches_label_dict_oracle_on_random_orders(data):
     # at n = 2 the level-1 points are the patterns themselves
     points = dict.fromkeys([p for p, _ in gt_patterns(gt)]
                            + [flag_point(gt, lbl) for lbl in gt.phi if len(lbl) == k])
-    assert_reading_matches_oracle(mp, order, list(points))
+    assert_reading_matches_oracle(base, marking, order, list(points))
 
 
 def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
@@ -395,25 +404,24 @@ def test_search_matches_label_dict_oracle_on_face_and_chain_orders():
     # on the Gelfand-Tsetlin base
     for n in (2, 3, 4):
         gt = GelfandTsetlin(n)
-        mp = gt.marked
+        base = gt.pbar
         patterns = [p for p, _ in gt_patterns(gt)]
         orders = []
         if n > 2:
             C = cone_K(flag_lattice(n))
             iso = gt_poset_iso(gt, C.lattice)
-            at = [mp.base.index(iso[p]) for p in C.lattice.poset_P.elements]
-            orders += [_extend_to_pbar(mp.base, part_order(part), at)
+            at = [base.index(iso[p]) for p in C.lattice.poset_P.elements]
+            orders += [_extend_to_pbar(base, part_order(part), at)
                        for F in enumerated_faces(C) for part in face_subdivision(F).parts]
         for ext in linear_extensions(gt.poset):
-            total = [mp.base.elements[0], *(gt.poset.elements[j] for j in ext),
-                     mp.base.elements[-1]]
-            orders.append(from_cover_relations(list(mp.base.elements), list(zip(total, total[1:]))))
-            census = MarkedPoset(chain(total), _gt_marking(n, total))
-            at = [mp.base.index(p) for p in total]
-            assert_reading_matches_oracle(census, census.base,
+            total = [base.elements[0], *(gt.poset.elements[j] for j in ext), base.elements[-1]]
+            orders.append(from_cover_relations(list(base.elements), list(zip(total, total[1:]))))
+            census = chain(total)
+            at = [base.index(p) for p in total]
+            assert_reading_matches_oracle(census, _gt_marking(n, total), census,
                                           [tuple(p[i] for i in at) for p in patterns])
         for order in orders:
-            assert_reading_matches_oracle(mp, order, patterns)
+            assert_reading_matches_oracle(base, gt.marking, order, patterns)
 
 
 # -- patterns and vertices ---------------------------------------------------
@@ -519,17 +527,6 @@ def test_gt_vertex_decomposition_unique(n):
         assert matches == [gv.labels]
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_gt_vertices_check_each_flag_point_against_its_level(n, monkeypatch):
-    # each level read with the marking of the next: the k-index flag points
-    # hold p_{n-k,n-k}, which that marking fixes to 0
-    level = flaggt.mu_k_marked_poset
-    monkeypatch.setattr(flaggt, "mu_k_marked_poset", lambda gt, k: level(gt, k % (gt.n - 1) + 1))
-    with pytest.raises(AssertionError,
-                       match="each k-index flag point must lie in the level-k polytope"):
-        gt_vertices(GelfandTsetlin(n))
-
-
 def _all_flag_labels(n):
     return flag_lattice(n).elements
 
@@ -572,11 +569,13 @@ def test_gt_vertices_5():
             assert leq(L, b, a)
 
 
-def test_gt_vertices_too_large():
-    with pytest.raises(TooLarge):
-        gt_vertices(GelfandTsetlin(7))
-    with pytest.raises(BadParams):
-        gt_vertices(GelfandTsetlin(1))
+def test_gt_vertices_too_large(capsys):
+    # the command line refuses a rank past MAX_GT_RANK, and one below 2,
+    # before any Gelfand-Tsetlin work
+    for n in ("7", "1"):
+        assert main(["gt", "--n", n, "vertices"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "BadParams"
+    assert flaggt.gelfand_tsetlin.cache_info().currsize == 0
 
 
 def test_xi_vertex_sets_are_flag_points():
@@ -584,9 +583,10 @@ def test_xi_vertex_sets_are_flag_points():
     # search finds exactly the flag points gt_vertices takes as its vertices
     n = 4
     gt = GelfandTsetlin(n)
-    base = gt.marked.base
+    base = gt.pbar
     for k in range(1, n):
-        vertices = oracle._marked_vertices(oracle.labelled(mu_k_marked_poset(gt, k)), base)
+        level = oracle.labelled(base, oracle.level_marking(gt, k))
+        vertices = oracle._marked_vertices(level, base)
         expected = {
             flag_point(gt, lbl)
             for lbl in _all_flag_labels(n)
@@ -600,23 +600,23 @@ def test_integer_points_of_01_levels_are_vertices(n):
     # on a 0/1 polytope the integer points are exactly the vertices, and
     # on the level-k polytope they are the k-index flag points
     gt = GelfandTsetlin(n)
-    base = gt.marked.base
+    base = gt.pbar
     for k in range(1, n):
-        mp = mu_k_marked_poset(gt, k)
-        points = marked_integer_points(mp, base)
+        marking = oracle.level_marking(gt, k)
+        points = marked_integer_points(marking, base)
         assert len(set(points)) == len(points)
         assert set(points) == {flag_point(gt, lbl) for lbl in gt.phi if len(lbl) == k}
-        assert set(points) == set(oracle._marked_vertices(oracle.labelled(mp), base))
+        assert set(points) == set(oracle._marked_vertices(oracle.labelled(base, marking), base))
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_minkowski_sum_of_integer_points(n):
     gt = GelfandTsetlin(n)
-    mp = gt.marked
-    big = set(marked_integer_points(mp, mp.base))
+    big = set(marked_integer_points(gt.marking, gt.pbar))
     sums = {zero_vec(len(pbar_labels(n)))}
     for k in range(1, n):
-        sums = oracle.minkowski_sum(sums, marked_integer_points(mu_k_marked_poset(gt, k), mp.base))
+        sums = oracle.minkowski_sum(sums, marked_integer_points(oracle.level_marking(gt, k),
+                                                                gt.pbar))
     # integer points of the (n-1)-scaled polytope are exactly the level-wise
     # sums
     assert len(big) == 2 ** (n * (n - 1) // 2)
@@ -794,25 +794,15 @@ def test_section_facets_match_the_kernel_on_the_n5_apex():
     assert Q.hyperplanes == tuple(facet_hyperplanes(Q.vertices))
 
 
-def test_section_facets_reject_a_vertex_that_violates_a_cover():
-    # each part's section holds vertices that the other part's order cuts off
-    mp = GelfandTsetlin(3).marked
-    (order0, Q0), (order1, Q1) = sections(3, full_face)
-    assert section_facets(mp, order0, Q0.vertices) == list(Q0.hyperplanes)
-    for order, Q in ((order0, Q1), (order1, Q0)):
-        with pytest.raises(AssertionError, match="every cover"):
-            section_facets(mp, order, Q.vertices)
-
-
 def test_section_facets_disagree_with_the_kernel_on_a_dropped_vertex():
     # the covers describe the whole section, so with any one vertex dropped
     # their facets are no longer the hull's: the kernel comparison above
     # catches a vertex list that misses a vertex
-    mp = GelfandTsetlin(3).marked
+    marking = GelfandTsetlin(3).marking
     for order, Q in every_section(3):
         for k in range(len(Q.vertices)):
             rest = Q.vertices[:k] + Q.vertices[k + 1:]
-            assert section_facets(mp, order, rest) != facet_hyperplanes(rest)
+            assert section_facets(marking, order, rest) != facet_hyperplanes(rest)
 
 
 def test_section_facets_reject_one_facets_vertices():
@@ -820,13 +810,13 @@ def test_section_facets_reject_one_facets_vertices():
     # and the facet's cover is tight on every one of them: an implicit
     # equality, so they fail the full-dimension certificate, on every
     # facet of every section of every face of Flag(4)'s cone
-    mp = GelfandTsetlin(4).marked
+    marking = GelfandTsetlin(4).marking
     checked = 0
     for order, Q in every_section(4):
         for normal, rhs in Q.hyperplanes:
             on = [v for v in Q.vertices if sum(a * x for a, x in zip(normal, v)) == rhs]
             with pytest.raises(AssertionError, match="each section must be full-dimensional"):
-                section_facets(mp, order, on)
+                section_facets(marking, order, on)
             checked += 1
     assert checked == 1552
 
@@ -894,7 +884,7 @@ def test_chain_parts_take_every_inside_pattern_with_no_anchoring_test(n, faces, 
     for part, order, Q in found:
         inside = [point for point, chain in patterns
                   if all(part.vertex_mask >> i & 1 for i in chain)]
-        assert all(_is_vertex(gt.marked, order, point) for point in inside)
+        assert all(_is_vertex(gt.marking, order, point) for point in inside)
         assert sorted(inside) == list(Q.vertices)
 
 
@@ -914,18 +904,18 @@ def test_every_section_has_full_rank(n, found):
     # section_facets certifies every section full-dimensional in the free
     # cells by its covers' tight vertex sets, with no rank taken; the rank
     # of the vertex differences agrees on every section
-    free = len(GelfandTsetlin(n).marked.free())
+    free = len(free_cells(GelfandTsetlin(n).marking))
     for _, Q in found():
         assert oracle.dim_of(Q) == free
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_the_arguments_for_the_dropped_checks_hold(n):
-    # what flaggt no longer checks, since an earlier check implies it as
-    # the owning docstring argues, holds on every face of Flag(2) to
-    # Flag(4) and on Flag(5)'s full face and apex
+    # what flaggt no longer checks, since an earlier check or its own
+    # construction implies it as the owning docstring argues, holds on every
+    # face of Flag(2) to Flag(4) and on Flag(5)'s full face and apex
     gt = gelfand_tsetlin(n)
-    L, pt, phi, mp = gt.flag, gt.poset, gt.phi, gt.marked
+    L, pt, phi, marking, last = gt.flag, gt.poset, gt.phi, gt.marking, gt.pbar.size - 1
     # phi carries joins to unions and meets to intersections
     ph = [phi[a] for a in L.elements]
     for i, j in itertools.product(range(L.size), repeat=2):
@@ -937,15 +927,25 @@ def test_the_arguments_for_the_dropped_checks_hold(n):
     # the chain sums are distinct
     points = [point for point, _ in gt_patterns(gt)]
     assert len(set(points)) == len(points)
-    # no census block is empty
+    # no census block is empty, and on every chain of the census, and of a
+    # one-simplex part below, the markers come in chain order, each marked
+    # one below the last
     assert all(int(d) for key in shape_census(gt) for d in key.split("x"))
-    marked = [(j, v) for j, v in enumerate(mp.values) if v is not None]
+    in_order = [(f"p{k}{k}", n - k) for k in range(1, n + 1)]
+
+    def markers(total):
+        return [(gt.pbar.elements[c], marking[c]) for c in total if marking[c] is not None]
+
+    assert all(markers([0, *(j + 1 for j in ext), last]) == in_order
+               for ext in linear_extensions(pt))
     K = cone_K(L)
     checked = 0
     for F in enumerated_faces(K) if n < 5 else [full_face(L), K.apex]:
         for part, (order, Q) in zip(face_subdivision(F).parts, gt_subdivision(gt, F)):
-            # every section vertex fixes the marking
-            assert all(v[j] == x for v in Q.vertices for j, x in marked)
+            # every section order is a strict order, and every section
+            # vertex fixes the marking and satisfies every cover
+            mask_poset(order.elements, order.below)
+            assert all(_satisfies(marking, order, v) for v in Q.vertices)
             # one facet per tight set
             tight = [frozenset(v for v in Q.vertices
                                if sum(a * x for a, x in zip(normal, v)) == rhs)
@@ -954,9 +954,10 @@ def test_the_arguments_for_the_dropped_checks_hold(n):
             if len(part.simplices) == 1:
                 # a one-simplex part's order is its chain, and no block of
                 # its section is empty
-                total = [0, *(gt.cell_at[j] for j in part.simplices[0]), mp.base.size - 1]
+                total = [0, *(gt.cell_at[j] for j in part.simplices[0]), last]
                 assert order.cover_indices() == tuple(sorted(zip(total, total[1:])))
                 assert all(component_shape(gt, tuple(c - 1 for c in total[1:-1])))
+                assert markers(total) == in_order
             checked += 1
     assert checked == {2: 1, 3: 3, 4: 156, 5: 287}[n]
 
@@ -968,37 +969,42 @@ def test_section_membership_is_the_chain_inside_the_vertex_set(n):
     # part's map attains the pattern's lift, and the map never falls below
     # the lift; gt_subdivision reads its sections off the first test alone
     gt = GelfandTsetlin(n)
-    mp = gt.marked
     C = cone_K(flag_lattice(n))
     L = C.lattice
     iso = gt_poset_iso(gt, L)
-    at = [mp.base.index(iso[p]) for p in L.poset_P.elements]
+    at = [gt.pbar.index(iso[p]) for p in L.poset_P.elements]
     patterns = gt_patterns(gt)
     seen = 0
     for F in enumerated_faces(C):
         sub = face_subdivision(F)
         for part in sub.parts:
             const, _ = oracle.part_map(sub, part)
-            order = _extend_to_pbar(mp.base, part_order(part), at)
+            order = _extend_to_pbar(gt.pbar, part_order(part), at)
             for point, chain in patterns:
                 lift = sum(sub.scaled[L.index(lbl)] for lbl in chain)
                 value = const * (n - 1) + sum(a * point[k] for a, k in zip(part.alpha, at))
                 inside = all(part.vertex_mask >> L.index(lbl) & 1 for lbl in chain)
                 assert value >= lift
-                assert inside == _satisfies(mp, order, point) == (value == lift)
+                assert inside == _satisfies(gt.marking, order, point) == (value == lift)
                 seen += inside
     assert seen > 0
 
 
-def test_gt_subdivision_rejects_foreign_lattice():
-    B2 = birkhoff(antichain(["p", "q"]))
-    with pytest.raises(ValueError):
-        gt_subdivision(GelfandTsetlin(3), full_face(B2))
+def test_gt_subdivision_rejects_foreign_lattice(capsys):
+    # gt_subdivision takes the faces the command line resolves on the flag
+    # lattice's cone; the key of another lattice's face is rejected there,
+    # before any section is cut
+    key = apex_face(birkhoff(antichain(["p", "q"]))).key()
+    assert main(["gt", "--n", "3", "subdivide", "--face", key]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert (error["type"], error["message"]) == ("BadParams", f"no face of the cone has key {key}")
 
 
-def test_gt_subdivision_too_large():
-    with pytest.raises(TooLarge):
-        gt_subdivision(GelfandTsetlin(6), full_face(flag_lattice(3)))
+def test_gt_subdivision_too_large(capsys):
+    # the command line cuts no section past MAX_SECTION_RANK
+    assert main(["gt", "--n", "6", "subdivide", "--face", "apex"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "TooLarge"
+    assert flaggt.gelfand_tsetlin.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("argv", [["gt", "--n", "6"], ["gt", "--n", "6", "subdivide"]],
@@ -1076,33 +1082,6 @@ def test_census_takes_no_anchoring_test(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["component_count"] == 12
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
-def test_census_rejects_a_marker_value_off_by_one(n):
-    # with one inner diagonal value lowered, a marker step is 2 and the
-    # next is 0: the section is no longer a product of unit simplices
-    for r in range(2, n):
-        gt = GelfandTsetlin(n)
-        values = list(gt.marked.values)
-        values[gt.marked.base.index(f"p{r}{r}")] -= 1
-        gt.marked = MarkedPoset(gt.marked.base, tuple(values))
-        for ext in linear_extensions(gt.poset):
-            with pytest.raises(AssertionError, match="one below the last"):
-                component_shape(gt, ext)
-
-
-@pytest.mark.parametrize("n", [4, 5])
-def test_census_rejects_two_diagonal_markers_swapped(n):
-    # swapping p_{r,r} and p_{r+1,r+1} in a linearization puts the markers
-    # out of chain order
-    gt = GelfandTsetlin(n)
-    for r in range(2, n - 1):
-        a, b = gt.poset.index(f"p{r}{r}"), gt.poset.index(f"p{r + 1}{r + 1}")
-        for ext in linear_extensions(gt.poset):
-            swapped = tuple(b if j == a else a if j == b else j for j in ext)
-            with pytest.raises(AssertionError, match="chain order"):
-                component_shape(gt, swapped)
-
-
 @pytest.mark.parametrize("action, orders", [("census", 0), ("vertices", 1)])
 def test_gt_scans_each_orders_covers_once(action, orders, monkeypatch, capsys):
     # Poset keeps its cover scan, one cover_pairs of its masks. The census
@@ -1166,20 +1145,21 @@ def test_builtin_lattices_take_no_table_validation(argv, poset_file, tmp_path, m
 def test_gt_builds_the_triangle_once(argv, monkeypatch, capsys):
     # the job builds its GelfandTsetlin once and hands it to every step:
     # the vertex job used to build the marked poset 5 times and the ideals
-    # twice, and the census-and-subdivide job each of the three twice
-    built = {name: 0 for name in ("gt_poset", "gt_marked_poset", "_phi")}
+    # twice, and the census-and-subdivide job each of the three twice. The
+    # triangle is built twice, without its corners and with them (Pbar)
+    built = {name: 0 for name in ("_triangle", "_gt_marking", "_phi")}
 
     def counting(name, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             built[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
     for name in built:
         monkeypatch.setattr(flaggt, name, counting(name, getattr(flaggt, name)))
     assert main(argv) == 0
     capsys.readouterr()
-    assert built == {"gt_poset": 1, "gt_marked_poset": 1, "_phi": 1}
+    assert built == {"_triangle": 2, "_gt_marking": 1, "_phi": 1}
 
 
 def test_component_shape_sums():

@@ -235,13 +235,14 @@ def test_stdout_digest(argv, digest, kernel_facets, written_facets, capsys, monk
 OPTIMIZED_PROBE = """
 import contextlib, hashlib, io, json, sys
 from hibikit.cli import main
-from hibikit.flaggt import MarkedPoset, gt_poset
+from hibikit.hibi import check_containment
 from hibikit.weightpoly import _integral_solution
 
 assert False, "python -O keeps assert statements"  # stripped under -O
 refused = []
+# the second: B2's one generator, slack at w, with a part holding both sides
 for check in (lambda: _integral_solution([[2]], [[1]]),  # no integer solution
-              lambda: MarkedPoset(gt_poset(3), (None,) * 4)):  # extremes unmarked
+              lambda: check_containment([((1, 2), (3, 0))], (0, 0, 0, 1), [0b0110])):
     try:
         check()
     except AssertionError as exc:
@@ -264,5 +265,7 @@ def test_certificates_run_under_python_O():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     refused, digests = json.loads(proc.stdout)
-    assert refused == ["solution is not integral", "extreme elements must be marked"]
+    assert refused == [
+        "solution is not integral",
+        "a part must hold a generator's sides iff it is tight and holds its corners"]
     assert digests == {argv: [0, digest] for argv, digest, *_ in GOLDEN if argv in jobs}

@@ -240,11 +240,16 @@ def assertion_patterns(source: str) -> list[str]:
 def untested_certificates(sources: dict[str, str], tests: dict[str, str]) -> list[str]:
     """The `raise AssertionError` sites of the sources whose message no
     match= pattern of the tests' pytest.raises(AssertionError, ...) finds,
-    by re.search as pytest matches; as "module:line". A certificate no test
-    can make fail is an argument, which belongs in a docstring."""
-    patterns = [p for source in tests.values() for p in assertion_patterns(source)]
-    return [f"{module}:{line}" for module, source in sources.items()
-            for line, message in certificate_messages(source)
+    by re.search as pytest matches; as "module:line". A pattern that finds
+    the messages of two or more sites counts for none of them, as it cannot
+    tell which one fired. A certificate no test can make fail is an
+    argument, which belongs in a docstring."""
+    sites = [(module, line, message) for module, source in sources.items()
+             for line, message in certificate_messages(source)]
+    messages = [message for _, _, message in sites if message is not None]
+    patterns = [p for source in tests.values() for p in assertion_patterns(source)
+                if sum(bool(re.search(p, message)) for message in messages) == 1]
+    return [f"{module}:{line}" for module, line, message in sites
             if message is None or not any(re.search(p, message) for p in patterns)]
 
 
@@ -350,6 +355,8 @@ def test_untested_certificates_detects_each_unmatched_raise():
              "    if y > 2:\n        raise AssertionError(\"a |P| + 1 count\")\n"
              "    if y > 3:\n        raise AssertionError(\"by name\")\n"
              "    if y > 4:\n        raise AssertionError\n",
+        "c": "def h(z):\n    if z:\n        raise AssertionError(\"the sets are not closed\")\n"
+             "    if not z:\n        raise AssertionError(\"the ideals are not closed\")\n",
     }
     tests = {
         "test_a": "import re\n\nimport pytest\n\nNAMED = \"by name\"\n\n\n"
@@ -363,8 +370,12 @@ def test_untested_certificates_detects_each_unmatched_raise():
         "test_b": "import pytest\n\n\ndef test_h():\n"
                   "    with pytest.raises(ValueError, match=\"never tested\"):\n        f(0)\n"
                   "    with pytest.raises(AssertionError):\n        f(0)\n",
+        # a pattern that finds two messages counts for neither
+        "test_c": "import pytest\n\n\ndef test_k():\n"
+                  "    with pytest.raises(AssertionError, match=\"not closed\"):\n        h(1)\n"
+                  "    with pytest.raises(AssertionError, match=\"ideals\"):\n        h(0)\n",
     }
-    assert untested_certificates(sources, tests) == ["a:5", "b:5", "b:11"]
+    assert untested_certificates(sources, tests) == ["a:5", "b:5", "b:11", "c:3"]
 
 
 def test_fraction_importers_detects_both_forms():

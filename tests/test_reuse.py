@@ -26,7 +26,6 @@ import pytest
 
 from hibikit import cli, cone, exactgeom, flaggt, lattice, subdivision
 from hibikit.cli import main
-from hibikit.errors import TooLarge
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 B3_KEY = '[["{p,q}","{p,r}"]]'
@@ -279,11 +278,14 @@ def test_flag4_sweep_keeps_at_most_32_faces(capsys, cuts):
 
 
 def test_rejected_rank_leaves_the_memo_empty(capsys):
-    code, out, err = run(capsys, ["gt", "--n", "7"])
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"]["type"] == "BadParams"
-    with pytest.raises(TooLarge):
-        flaggt.gelfand_tsetlin(7)
+    # the command line rejects a rank past MAX_GT_RANK, and sections past
+    # MAX_SECTION_RANK, before it builds a GelfandTsetlin, whose
+    # constructor rejects nothing
+    for argv, error in ((["gt", "--n", "7"], "BadParams"),
+                        (["gt", "--n", "6", "subdivide"], "TooLarge")):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["type"] == error
     assert flaggt.gelfand_tsetlin.cache_info().currsize == 0
 
 
