@@ -527,6 +527,23 @@ def test_gt_vertex_decomposition_unique(n):
         assert matches == [gv.labels]
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_gt_vertices_check_each_flag_point_against_its_level(n):
+    # _phi's construction puts each k-index flag point in the level-k
+    # polytope, with no check of its own (test_the_gt_marking_is_checked
+    # asserts it); with a 1-index and a 2-index element's ideals swapped,
+    # each flag point of the two lies off its level, and the chains' sums
+    # fail gt_patterns' certificate, which gt_vertices reads first
+    gt = GelfandTsetlin(n)
+    phi = dict(gt.phi)
+    a = next(lbl for lbl in phi if len(lbl) == 1)
+    b = next(lbl for lbl in phi if len(lbl) == 2)
+    phi[a], phi[b] = phi[b], phi[a]
+    gt.phi = phi
+    with pytest.raises(AssertionError, match="each chain must sum to a Gelfand-Tsetlin point"):
+        gt_vertices(gt)
+
+
 def _all_flag_labels(n):
     return flag_lattice(n).elements
 
@@ -792,6 +809,19 @@ def test_section_facets_match_the_kernel_on_the_n5_apex():
     ((_, Q),) = sections(5, apex_face)
     assert len(Q.hyperplanes) == 20
     assert Q.hyperplanes == tuple(facet_hyperplanes(Q.vertices))
+
+
+def test_section_facets_reject_a_vertex_that_violates_a_cover():
+    # each part's section holds vertices that the other part's order cuts
+    # off; gt_subdivision hands section_facets only the patterns inside the
+    # part, so it checks no cover, and with the other part's vertices its
+    # facets are not their hull's: the kernel comparison above catches it
+    marking = GelfandTsetlin(3).marking
+    (order0, Q0), (order1, Q1) = sections(3, full_face)
+    assert section_facets(marking, order0, Q0.vertices) == list(Q0.hyperplanes)
+    for order, Q in ((order0, Q1), (order1, Q0)):
+        assert not all(_satisfies(marking, order, v) for v in Q.vertices)
+        assert section_facets(marking, order, Q.vertices) != facet_hyperplanes(Q.vertices)
 
 
 def test_section_facets_disagree_with_the_kernel_on_a_dropped_vertex():
@@ -1080,6 +1110,43 @@ def test_census_takes_no_anchoring_test(monkeypatch, capsys):
     monkeypatch.setattr(flaggt, "gt_patterns", forbidden)
     assert main(["gt", "--n", "4", "census"]) == 0
     assert json.loads(capsys.readouterr().out)["component_count"] == 12
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_census_rejects_a_marker_value_off_by_one(n):
+    # component_shape reads the markers' values, n - 1, ..., 0, off
+    # _gt_marking with no check; with one inner diagonal value lowered, a
+    # marker step is 2 and the next is 0, and gt_patterns, which the
+    # sections whose one-simplex parts carry the census's shapes read
+    # first, rejects the marking
+    for r in range(2, n):
+        gt = GelfandTsetlin(n)
+        values = list(gt.marking)
+        values[gt.pbar.index(f"p{r}{r}")] -= 1
+        gt.marking = tuple(values)
+        with pytest.raises(AssertionError, match="each chain must sum to a Gelfand-Tsetlin point"):
+            gt_patterns(gt)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_census_rejects_two_diagonal_markers_swapped(n):
+    # the census reads linear extensions alone, in which the markers come
+    # in chain order with no check: swapping p_{r,r} and p_{r+1,r+1} in
+    # one gives no linear extension. With their values swapped in the
+    # marking, gt_patterns rejects it
+    gt = GelfandTsetlin(n)
+    exts = set(linear_extensions(gt.poset))
+    for r in range(2, n - 1):
+        a, b = gt.poset.index(f"p{r}{r}"), gt.poset.index(f"p{r + 1}{r + 1}")
+        for ext in exts:
+            assert tuple(b if j == a else a if j == b else j for j in ext) not in exts
+        wrong = GelfandTsetlin(n)
+        values = list(wrong.marking)
+        i, j = wrong.pbar.index(f"p{r}{r}"), wrong.pbar.index(f"p{r + 1}{r + 1}")
+        values[i], values[j] = values[j], values[i]
+        wrong.marking = tuple(values)
+        with pytest.raises(AssertionError, match="each chain must sum to a Gelfand-Tsetlin point"):
+            gt_patterns(wrong)
 
 
 @pytest.mark.parametrize("action, orders", [("census", 0), ("vertices", 1)])

@@ -27,6 +27,7 @@ from hibikit.lattice import (
 from hibikit.poset import (
     antichain,
     from_cover_relations,
+    ideal_masks,
     linear_extensions,
 )
 from order_oracle import (PairPoset, chain, covers, diamond_pairs_by_covers, flag_by_ops, from_ops,
@@ -170,6 +171,32 @@ def test_ring_of_sets_rejects_a_missing_union(L):
 def test_ring_of_sets_rejects_a_repeated_set():
     with pytest.raises(AssertionError, match="distinct"):
         _ring_of_sets(["a", "b", "c"], [0, 1, 1])
+
+
+def test_ring_of_sets_checks_its_masks_against_the_ideals():
+    # each element's mask holds the irreducibles inside it, and those are
+    # the order ideals of poset_P by Birkhoff's theorem, given the closure
+    # check (test_ring_of_sets_rejects_a_missing_union), so no second
+    # enumeration compares them: on rings of sets with and without a
+    # common bit in every set, the masks are exactly the ideals, one each
+    for L in (flag_lattice(3), grassmann_lattice(2, 4), birkhoff(GRID)):
+        for sets in (L.masks, [m << 1 | 1 for m in L.masks]):
+            M = _ring_of_sets(L.elements, sets)
+            assert sorted(M.masks) == sorted(ideal_masks(M.poset_P))
+
+
+def test_birkhoff_checks_the_closure_of_the_ideals(monkeypatch):
+    # birkhoff checks no closure, as ideal_masks lists every down-closed
+    # set; with the top ideal dropped, the union of {p} and {q} is missing,
+    # the ring-of-sets check rejects the masks, and the lattice's first use
+    # looks the union up in vain
+    ideals = lattice.ideal_masks
+    monkeypatch.setattr(lattice, "ideal_masks", lambda P: ideals(P)[:-1])
+    L = birkhoff(antichain(["p", "q"]))
+    with pytest.raises(AssertionError, match="not distinct and closed"):
+        _ring_of_sets(L.elements, L.masks)
+    with pytest.raises(KeyError):
+        diamond_pairs(L)
 
 
 # -- from_tables -------------------------------------------------------------

@@ -734,6 +734,24 @@ def test_a_wrong_staircase_entry_fails_a_check(make, peel_failures, monkeypatch)
                       "peel": peel_failures}
 
 
+@pytest.mark.parametrize("P", [antichain(["p", "q", "r"]), GRID], ids=["B3", "grid"])
+def test_a_repeated_chain_element_fails_the_table_build(P):
+    # the build checks no chain length, as a linear extension's prefixes
+    # have distinct sizes: every chain holds |P| + 1 elements. With one
+    # ideal's index read as the bottom's, every chain through that ideal
+    # holds the bottom twice; the table builds, and the subdivision at the
+    # apex, one part of every member, fails the chain check
+    L = birkhoff(P)
+    assert all(c.bit_count() == P.size + 1 for c in subdivision.staircase_table(L).chains)
+    for mask in L.masks:
+        if mask:
+            wrong = birkhoff(P)
+            wrong.at_mask[mask] = wrong.at_mask[0]
+            assert any(c.bit_count() == P.size for c in subdivision.staircase_table(wrong).chains)
+            with pytest.raises(AssertionError, match=CHAIN):
+                regular_subdivision(wrong, (0,) * L.size, 1)
+
+
 def some_subdivisions():
     """The subdivision at each face's witness of B3 and of the grid's
     lattice."""
@@ -816,6 +834,21 @@ def test_swap_build_needs_every_diamond_pair(monkeypatch):
     monkeypatch.setattr(subdivision, "diamond_pairs", lambda L: lattice.diamond_pairs(L)[1:])
     with pytest.raises(KeyError):
         adjacency_graph(birkhoff(antichain(["p", "q", "r"])))
+
+
+def test_swap_build_needs_an_edge_for_every_diamond_pair(monkeypatch):
+    # the lookup's last entry for a repeated pair wins, so the pair's first
+    # copy labels no edge. The build checks no pair for an edge, as every
+    # diamond pair labels one; with the copy, the face tight on that pair
+    # alone keeps apart the two simplices the pair joins, and their parts
+    # fail the chain check
+    pairs = lattice.diamond_pairs
+    monkeypatch.setattr(subdivision, "diamond_pairs", lambda L: pairs(L) + pairs(L)[:1])
+    L = birkhoff(antichain(["p", "q", "r"]))
+    assert adjacency_graph(L)[0] == ()
+    (F,) = [F for F in enumerated_faces(cone_K(L)) if F.tight == 1]
+    with pytest.raises(AssertionError, match=CHAIN):
+        face_subdivision(F)
 
 
 @settings(max_examples=40, deadline=None)
