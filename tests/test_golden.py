@@ -94,6 +94,18 @@ GOLDEN = [
      "a02c72f708da0638e86569ecd2c0612b47bd67234dd9ac55f29f267e26098ecd", 5, 5),
     ("permutahedron --grassmann 2 4 --w 0,1,4,4,9,16",
      "5459450998c982e0a815d7d20f4b337fdc60732227b2760762fefcdd98a18ace", 2, 2),
+    # the lattice basis over den = 2: integral vertices write a 2-row basis
+    # (the bytes of the den-1 weight with the same slopes, four lines up),
+    # and half-integral ones write []; recorded with the LatticePolytope
+    # record and its cached basis
+    ("permutahedron --boolean 3 --w 1/2,3/2,3/2,3/2,9/2,9/2,9/2,19/2",
+     "c217968161e17f8474e794049d8e7de09b1abcb8fe68784aed33f59f36f2acf8", 6, 6),
+    ("permutahedron --boolean 3 --w 0,1/2,1/2,1/2,2,2,2,9/2",
+     "89e2fa9b46fedda4e93a42c0e47a86af546e6e86f732e2f20fe2309ef7ea3dfc", 6, 6),
+    # den = n - 1 = 1: the one section writes a lattice basis, which no
+    # rank n >= 3 does
+    ("gt --n 2",
+     "24cdbd7fbc7bd20b4b998b7be5984c21e4e928fb87eaa47e1a4e57bdb1440cd4", 0, 2),
     # recorded with the 2^m subset scan of faces, which took about a minute
     ("cone --grassmann 3 6",
      "a9a6f156f95647a25b19f37b2e822cc52e6955898d73a7161eb695ee5e6ebfeb", 0, 0),
