@@ -71,7 +71,6 @@ from .poset import Poset, antichain
 
 if TYPE_CHECKING:
     from .cone import Face, MaxCone
-    from .exactgeom import LatticePolytope
     from .flaggt import GelfandTsetlin
 
 MAX_BOOLEAN = 6
@@ -352,29 +351,30 @@ def _gt_subdivision_payload(gt: GelfandTsetlin, face_spec: str) -> dict:
     from .exactgeom import polytope_json
 
     # one spelling per face: "full" for [], and "apex" for the key of every pair
-    spelling = {"[]": "full", cone_K(gt.flag).apex.key(): "apex"}
+    spelling = {"[]": "full", cone_K(gt.flag()).apex.key(): "apex"}
     key, parts = _gt_sections(gt, spelling.get(face_spec, face_spec))
     return {
         "face": key,
         "part_count": len(parts),
         "parts": [{
             "order_covers": [[a, b] for a, b in order.covers()],
-            "polytope": polytope_json(Q),
-        } for order, Q in parts],
+            "polytope": polytope_json(vertices, gt.n - 1, facets),
+        } for order, vertices, facets in parts],
     }
 
 
 @functools.lru_cache(maxsize=32)  # Flag(4)'s cone has 32 faces
 def _gt_sections(gt: GelfandTsetlin,
-                 face_spec: str) -> tuple[str, tuple[tuple[Poset, LatticePolytope], ...]]:
-    """The key of the face of gt.flag's cone that face_spec names, and its
-    Gelfand-Tsetlin sections, kept for the last 32 (context, spec) pairs;
+                 face_spec: str) -> tuple[str, tuple[tuple[Poset, list, list], ...]]:
+    """The key of the face of gt.flag()'s cone that face_spec names, and its
+    Gelfand-Tsetlin sections as gt_subdivision's (order, vertices, facets)
+    triples, kept for the last 32 (context, spec) pairs;
     _gt_subdivision_payload spells each face one way. A spec that raises
     keeps nothing."""
     from .cone import cone_K
     from .flaggt import gt_subdivision
 
-    F = resolve_face(cone_K(gt.flag), face_spec)
+    F = resolve_face(cone_K(gt.flag()), face_spec)
     return F.key(), tuple(gt_subdivision(gt, F))
 
 
@@ -413,15 +413,15 @@ def cmd_gt(args) -> int:
 
 
 def cmd_permutahedron(args) -> int:
-    from .exactgeom import polytope_json
+    from .exactgeom import facet_hyperplanes, polytope_json
     from .subdivision import generalized_permutahedron
 
     L = build_lattice(args)
-    Q = generalized_permutahedron(L, *parse_vector(args.w, L.size))
+    vertices, den = generalized_permutahedron(L, *parse_vector(args.w, L.size))
     payload = {
         "command": "permutahedron",
-        "vertex_count": len(Q.vertices),
-        "polytope": polytope_json(Q),
+        "vertex_count": len(vertices),
+        "polytope": polytope_json(vertices, den, facet_hyperplanes(vertices)),
     }
     _write_text(canonical_json(payload), args.out)
     return 0

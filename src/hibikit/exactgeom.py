@@ -3,13 +3,14 @@
 No floating point anywhere, and no Fraction: a rational vector is an
 integer tuple over one positive common denominator den. Row reduction and
 the LP solver pivot on integer tableaux with one common denominator
-(integer-preserving elimination). A LatticePolytope holds the integer
-vertices its caller certified, over one common denominator, and the facets
-when its caller certified those too; otherwise its facet kernel runs the
-double description method with primitive integer rays on those ints, on
-first use. Its facet normals and span equations are primitive integer
-rows. Its coordinates become reduced [num, den] pairs only in
-polytope_json. lp_feasible runs phase 1 of the simplex with Bland's rule,
+(integer-preserving elimination). A polytope is the sorted integer
+vertices its builder certified, over one common denominator, and its
+facets: a Gelfand-Tsetlin section's come certified with its vertices, and
+a generalized permutahedron's from facet_hyperplanes, the double
+description method with primitive integer rays on those ints. Facet
+normals are primitive integer rows. polytope_json writes the vertices,
+the facets and lattice_basis, the one place the coordinates become reduced
+[num, den] pairs. lp_feasible runs phase 1 of the simplex with Bland's rule,
 so it terminates without any tolerance knobs, on homogeneous equalities
 and integer rows a.x >= r, the systems that close a face key. Its tableau
 has no artificial columns: the artificial basis is bookkeeping in the
@@ -26,7 +27,6 @@ stays in the basis.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, repeat
 from math import gcd, inf
 from typing import Iterable, Optional, Sequence
@@ -337,56 +337,16 @@ def facet_hyperplanes(vertices: Sequence[Sequence[int]]) -> list[tuple[tuple[int
     return out
 
 
-class LatticePolytope:
-    """Exact V- and H-data for a bounded polytope, with the integer lattice
-    of its affine span when the vertices are integral.
-
-    The vertices are integer tuples v standing for v / den, over one common
-    denominator den >= 1. Every caller hands in points it has certified to
-    be the vertices, each once; a repeated point raises ValueError.
-    Hyperplanes (normal, rhs) stand for normal.x <= rhs / den, with
-    primitive integer normals in the span's directions; each one is a
-    facet, and they are sorted. A caller that has certified the facets too
-    hands them in as hyperplanes, in that form; otherwise the double
-    description kernel (facet_hyperplanes) finds them from the vertices on
-    first use. The coordinates are reduced to [num, den] pairs only in
-    polytope_json.
-    """
-
-    def __init__(self, vertices: Sequence[tuple[int, ...]], den: int,
-                 hyperplanes: Optional[Sequence[tuple[tuple[int, ...], int]]] = None):
-        if not vertices:
-            raise ValueError("a polytope needs at least one vertex")
-        self.vertices: tuple[tuple[int, ...], ...] = tuple(sorted(vertices))
-        if len(set(self.vertices)) < len(self.vertices):
-            raise ValueError("a polytope's vertices must be distinct")
-        self.den = den
-        if hyperplanes is not None:
-            self.hyperplanes = tuple(hyperplanes)  # shadows the lazy kernel
-
-    @cached_property
-    def hyperplanes(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        return tuple(facet_hyperplanes(self.vertices))
-
-    @cached_property
-    def span_equations(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Equations a.x = b / den cutting out the affine span, each a a
-        primitive integer row."""
-        base = self.vertices[0]
-        diffs = [[x - y for x, y in zip(v, base)] for v in self.vertices[1:]]
-        rows = nullspace(diffs, len(base))
-        return tuple((tuple(a), sum(x * y for x, y in zip(a, base))) for a in rows)
-
-    @cached_property
-    def lattice_basis(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        """Saturated integer basis of the affine span directions, when the
-        vertices are integral (every coordinate a multiple of den); None
-        otherwise. The directions in Z^n are the integer kernel of the span
-        equations."""
-        if any(x % self.den for v in self.vertices for x in v):
-            return None
-        rows = [a for a, _ in self.span_equations]
-        return tuple(map(tuple, integer_kernel(rows, len(self.vertices[0]))))
+def lattice_basis(vertices: Sequence[Sequence[int]], den: int) -> Optional[list[list[int]]]:
+    """Saturated integer basis of the directions of the affine span of the
+    points v / den, when they are integral (every coordinate a multiple of
+    den); None otherwise. The directions in Z^n are the integer kernel of
+    the nullspace of the points' differences."""
+    if any(x % den for v in vertices for x in v):
+        return None
+    base = vertices[0]
+    n = len(base)
+    return integer_kernel(nullspace([[x - y for x, y in zip(v, base)] for v in vertices[1:]], n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +372,26 @@ def pair_table(values: Iterable[int], den: int) -> dict[int, list[int]]:
     return {x: fraction_pair(x, den) for x in set(values)}
 
 
-def polytope_json(poly: LatticePolytope) -> dict:
-    """Canonical JSON payload: vertices, hyperplanes, lattice basis, all as
-    reduced [num, den] integer pairs; the one place the polytope's
-    coordinates over den are reduced, each distinct one once, its pair
-    shared by every vertex row that holds it."""
-    den, rows = poly.den, poly.vertices
+def polytope_json(vertices: Sequence[tuple[int, ...]], den: int,
+                  hyperplanes: Iterable[tuple[tuple[int, ...], int]]) -> dict:
+    """Canonical JSON payload of a polytope, all as reduced [num, den]
+    integer pairs: its vertices v / den, sorted integer tuples over one
+    common denominator den >= 1, each once; its facets (normal, rhs),
+    normal.x <= rhs / den, sorted, with primitive integer normals in the
+    span's directions; and its lattice basis. The caller certified the
+    vertices and the facets. This is the one place the coordinates over den
+    are reduced, each distinct one once, its pair shared by every vertex
+    row that holds it."""
     if den == 1:
-        vertices = [vector_pairs(v) for v in rows]
+        rows = [vector_pairs(v) for v in vertices]
     else:  # one reduced pair per distinct coordinate, which every row shares
-        pair = pair_table(chain.from_iterable(rows), den).__getitem__
-        vertices = [[*map(pair, v)] for v in rows]
+        pair = pair_table(chain.from_iterable(vertices), den).__getitem__
+        rows = [[*map(pair, v)] for v in vertices]
     planes = [{"normal": vector_pairs(normal), "rhs": fraction_pair(rhs, den)}
-              for normal, rhs in poly.hyperplanes]
-    basis = poly.lattice_basis
+              for normal, rhs in hyperplanes]
+    basis = lattice_basis(vertices, den)
     return {
-        "vertices": vertices,
+        "vertices": rows,
         "hyperplanes": planes,
         "lattice_basis": [vector_pairs(row) for row in basis] if basis else [],
     }

@@ -34,8 +34,9 @@ patterns are walked off the chains of the flag lattice, each the sum of
 its chain's 0/1 flag points; the vertices are the patterns the tight
 graph anchors, and each section's points are the patterns whose chain
 lies in its part's vertex set. A GTVertex keeps its scaled integer point
-and decomposition, and each section's polytope its scaled integer points
-over den = n - 1; they are divided by n - 1 only when written out.
+and decomposition, and each section is its order, its sorted scaled
+integer vertices and its facets; they are divided by n - 1 only when
+written out (exactgeom.polytope_json).
 
 Nothing runs a double description either. A section is the marked order
 polytope of its part's order, which its covers cut out (Ardila, Bliem &
@@ -55,11 +56,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, cached_property
+from functools import cache
 from typing import NamedTuple, Optional, Sequence
 
 from .cone import Face
-from .exactgeom import LatticePolytope
 from .lattice import Lattice, _label_of, flag_lattice
 from .poset import Poset, _bits, _kept, ideal_masks, linear_extensions
 from .subdivision import face_subdivision, part_order
@@ -159,11 +159,12 @@ class GelfandTsetlin:
     (marking), and phi, each flag element's order ideal as a bitmask over
     the triangular poset.
 
-    The sections' inputs are built on first use and kept, each certified
-    once: the flag lattice (flag); P's cells in Pbar (cell_at), through
-    gt_poset_iso; and the patterns with their chains as masks over flag's
-    elements (pattern_masks). What else depends on n alone is kept in its
-    memo by the function that builds it (poset._kept)."""
+    The sections' inputs are built on first use and kept in its memo
+    (poset._kept), each certified once: the flag lattice (flag); P's cells
+    in Pbar (cell_at), through gt_poset_iso; and the patterns with their
+    chains as masks over flag's elements (pattern_masks). What else
+    depends on n alone is kept there too, by the function that builds
+    it."""
 
     def __init__(self, n: int):
         self.n = n
@@ -173,21 +174,22 @@ class GelfandTsetlin:
         self.phi = _phi(n, self.poset)
         self._memo: dict = {}  # _kept
 
-    @cached_property
+    @_kept
     def flag(self) -> Lattice:
         """flag_lattice(n), for the sections alone."""
         return flag_lattice(self.n)
 
-    @cached_property
+    @_kept
     def cell_at(self) -> tuple[int, ...]:
-        """The index in Pbar of each element of flag.poset_P."""
-        iso = gt_poset_iso(self, self.flag)
-        return tuple(self.pbar.index(iso[p]) for p in self.flag.poset_P.elements)
+        """The index in Pbar of each element of flag().poset_P."""
+        flag = self.flag()
+        iso = gt_poset_iso(self, flag)
+        return tuple(self.pbar.index(iso[p]) for p in flag.poset_P.elements)
 
-    @cached_property
+    @_kept
     def pattern_masks(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """gt_patterns, each chain as a mask over flag's element indices."""
-        index = self.flag.index
+        """gt_patterns, each chain as a mask over flag()'s element indices."""
+        index = self.flag().index
         return tuple((point, sum(1 << index(lbl) for lbl in chain))
                      for point, chain in gt_patterns(self))
 
@@ -365,7 +367,9 @@ def section_facets(marking: Sequence[Optional[int]], order: Poset,
     hull of the vertices iff it is tight on every vertex. Here those are
     the marking and the candidates whose tight set holds every vertex; so
     the polytope is full-dimensional in the free cells iff there is no
-    such candidate, and AssertionError is raised otherwise.
+    such candidate, and AssertionError is raised otherwise. With no
+    vertices every candidate is tight on all of them, so an empty section
+    raises too.
 
     Every cover of the order touches a free cell when the order extends
     the triangle's on Pbar, as every part order does: p11 is covered only
@@ -373,7 +377,6 @@ def section_facets(marking: Sequence[Optional[int]], order: Poset,
     p_{n-1,n}, and p_{k,k} < p_{k,k+1} < p_{k+1,k+1} puts a free cell
     between any two diagonal cells.
     """
-    cols = list(zip(*vertices))
     full = (1 << len(vertices)) - 1
     planes: dict[int, set[tuple[tuple[int, ...], int]]] = {}  # tight mask -> candidates
     for a, b in order.cover_indices():
@@ -384,7 +387,7 @@ def section_facets(marking: Sequence[Optional[int]], order: Poset,
                 normal[c] = sign
             else:
                 rhs -= sign * marking[c]
-        tight = sum(1 << i for i, (x, y) in enumerate(zip(cols[a], cols[b])) if x == y)
+        tight = sum(1 << i for i, v in enumerate(vertices) if v[a] == v[b])
         planes.setdefault(tight, set()).add((tuple(normal), rhs))
     if full in planes:
         raise AssertionError("each section must be full-dimensional")
@@ -397,12 +400,14 @@ def section_facets(marking: Sequence[Optional[int]], order: Poset,
     return sorted(facets)
 
 
-def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePolytope]]:
+def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, list, list]]:
     """Parts of the Gelfand-Tsetlin polytope induced by a face F of the cone
-    of gt.flag = flag_lattice(gt.n), which the caller resolves F on (in the
-    command line, cli._gt_sections): the diagonal-pinned sections of the
-    ambient parts, cut on the (n-1)-scaled integer lattice. Each section's
-    polytope holds its integer vertices over den = n - 1 and its facets.
+    of gt.flag() = flag_lattice(gt.n), which the caller resolves F on (in
+    the command line, cli._gt_sections): the diagonal-pinned sections of
+    the ambient parts, cut on the (n-1)-scaled integer lattice. Each
+    section is (order, vertices, facets): its part order on Pbar, its
+    sorted integer vertices over den = n - 1 and its facets in the form
+    and order of exactgeom.facet_hyperplanes, which polytope_json writes.
 
     A section is the marked order polytope of its part's order. A pattern
     lies in the section iff its chain lies in part.vertex_mask: the pattern
@@ -423,13 +428,18 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
     patterns inside whose tight graph under the order anchors every free
     cell.
 
+    The vertices are distinct, as gt_patterns proved the pattern sums are,
+    and there is at least one: a chain section holds its checked product
+    count of patterns, at least 1, and section_facets certifies every
+    section full-dimensional, which no empty one is.
+
     The facets are read off the part order's covers by section_facets,
     since a marked order polytope is cut out by its covers (Ardila, Bliem
     & Salazar 2011; Pegel, Order 2018): no double description runs and no
     rank is taken. section_facets also certifies that every section is
     full-dimensional in the free cells, by the covers' tight vertex sets.
     """
-    marking, at, patterns = gt.marking, gt.cell_at, gt.pattern_masks
+    marking, at, patterns = gt.marking, gt.cell_at(), gt.pattern_masks()
     parts = []
     for part in face_subdivision(F).parts:
         order = _extend_to_pbar(gt.pbar, part_order(part), at)
@@ -441,8 +451,7 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, LatticePoly
             vertices = inside
         else:
             vertices = [point for point in inside if _is_vertex(marking, order, point)]
-        parts.append((order, LatticePolytope(vertices, gt.n - 1,
-                                             section_facets(marking, order, vertices))))
+        parts.append((order, sorted(vertices), section_facets(marking, order, vertices)))
     return parts
 
 
@@ -470,8 +479,8 @@ def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]
 
     Both hold with no check, as ext is a linear extension of the triangle
     in both callers: the census lists them, and gt_subdivision moves a
-    part's one simplex, an extension of flag.poset_P, onto the cells by
-    cell_at, which gt_poset_iso certified an order isomorphism. So the
+    part's one simplex, an extension of flag().poset_P, onto the cells by
+    cell_at(), which gt_poset_iso certified an order isomorphism. So the
     chain extends Pbar, where p11 < p22 < ... < pnn, and the markers come
     in that order, marked n - 1, ..., 0 (_gt_marking). No block is empty:
     in any linearization, p_{k,k+1} lies between p_{k,k} and

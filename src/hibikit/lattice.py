@@ -104,9 +104,10 @@ class Lattice:
     @_kept
     def extensions(self) -> tuple[tuple[int, ...], ...]:
         """The linear extensions of poset_P, as linear_extensions yields
-        them; built once per lattice. They are counted first, and past
-        MAX_EXTENSIONS none is listed: TooLarge."""
-        count = _extension_count(self)
+        them; built once per lattice. They are counted first, by
+        maximal_chain_count, and past MAX_EXTENSIONS none is listed:
+        TooLarge."""
+        count = maximal_chain_count(self)
         if count > MAX_EXTENSIONS:
             raise TooLarge(f"{count} linear extensions; listing them is capped at "
                            f"{MAX_EXTENSIONS}")
@@ -332,28 +333,18 @@ def diamond_pairs(L: Lattice) -> tuple[DiamondPair, ...]:
 
 
 def maximal_chain_count(L: Lattice) -> int:
-    """The number of maximal chains, counted twice: as paths from bottom to
-    top over the cover relation, and as linear extensions of poset_P, built
-    one maximal element at a time over the ideal masks. The two counts are
-    the two sides of the chain/extension bijection and must agree."""
-    masks = L.masks
-    height = [m.bit_count() for m in masks]
-    # b covers a iff a < b and b is one higher: L is graded; only the
-    # bottom has no lower cover
-    paths = [0] * L.size  # element index -> chains from the bottom to it
-    for j in sorted(range(L.size), key=height.__getitem__):
-        paths[j] = sum(paths[i] for i in range(L.size)
-                       if height[i] == height[j] - 1 and not masks[i] & ~masks[j]) or 1
-    count = paths[L.index(L.top)]
-    if count != _extension_count(L):
-        raise AssertionError("chain/extension bijection failed")
-    return count
+    """The number of maximal chains of L, counted as the linear extensions
+    of poset_P, one maximal element at a time over the ideal masks, in
+    O(|L| |P|) steps.
 
-
-def _extension_count(L: Lattice) -> int:
-    """The number of linear extensions of poset_P, built one maximal element
-    at a time over the ideal masks, in O(|L| |P|) steps."""
-    count = {0: 1}  # ideal mask -> linear extensions of the ideal
+    A maximal chain of the lattice of ideals adds one element of poset_P
+    per cover, and the elements in the order the chain adds them are a
+    linear extension: the bijection between maximal chains and linear
+    extensions (Stanley, Enumerative Combinatorics I, §3.5). The lower
+    covers of an ideal m are m less one of its maximal elements, so the
+    count up to m sums theirs; m less any other element is no ideal, which
+    count.get reads as 0."""
+    count = {0: 1}  # ideal mask -> maximal chains from the bottom to it
     for m in sorted(L.masks, key=int.bit_count)[1:]:
         count[m] = sum(count.get(m & ~(1 << j), 0) for j in _bits(m))
     return count[(1 << L.poset_P.size) - 1]

@@ -84,7 +84,7 @@ from operator import attrgetter, eq, lt
 from typing import NamedTuple, Sequence
 
 from .cone import Face, _key_of, _tight_set, key_fragments
-from .exactgeom import LatticePolytope, vector_pairs
+from .exactgeom import vector_pairs
 from .lattice import Lattice, diamond_pairs
 from .poset import _bits, _kept, cover_pairs
 
@@ -292,11 +292,13 @@ def adjacency_graph(L: Lattice) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(map(tuple, by_pair))
 
 
-def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> LatticePolytope:
-    """Convex hull of the negated slopes -alpha_C over the parts C of the
-    subdivision of w / den, as integer points over the subdivision's den;
-    its normal fan, cut to O(P), is the fan of the parts (Postnikov 2009).
-    On a distributive lattice the diamond inequalities, which
+def generalized_permutahedron(L: Lattice, w: Sequence[int],
+                              den: int) -> tuple[list[tuple[int, ...]], int]:
+    """The vertices of the convex hull of the negated slopes -alpha_C over
+    the parts C of the subdivision of w / den, as sorted integer points,
+    and the subdivision's den, over which they stand; the hull's normal
+    fan, cut to O(P), is the fan of the parts (Postnikov 2009). On a
+    distributive lattice the diamond inequalities, which
     regular_subdivision checks, make w supermodular on every pair of
     elements (local to global), so u = -w is submodular with no further
     check.
@@ -313,9 +315,12 @@ def generalized_permutahedron(L: Lattice, w: Sequence[int], den: int) -> Lattice
     full-dimensional simplex, as g_C does, and so equal g_C. So
     alpha_C'·x > alpha_C·x for every C' != C: the functional y -> x·y is
     maximal over the slopes -alpha at -alpha_C alone, which is therefore a
-    vertex, and the slopes are distinct."""
+    vertex, and the slopes are distinct. So the vertices are the slopes,
+    each once, and there is at least one: every subdivision has a part, as
+    every finite poset has a linear extension (the empty one has the empty
+    extension), and each extension lies in a part."""
     sub = regular_subdivision(L, w, den)
-    return LatticePolytope([tuple(-x for x in part.alpha) for part in sub.parts], sub.den)
+    return sorted(tuple(-x for x in part.alpha) for part in sub.parts), sub.den
 
 
 def subdivision_json(sub: Subdivision) -> dict:

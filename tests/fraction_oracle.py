@@ -20,13 +20,13 @@ integer tuple over one denominator; the oracles here still run on them.
 facet_hyperplanes is the subset scan that exactgeom used before its double
 description kernel: it tries every d-subset of the points as a facet.
 
-hull_vertices is the LP hull that exactgeom used before LatticePolytope read
-its vertices off the facet kernel: one convex_combination LP per point, on
-the rational simplex here. hull is the integer polytope of any integer
-points over den, which LatticePolytope built until every caller handed it
-certified vertices: the distinct points, the facets of
-exactgeom.facet_hyperplanes on them, and the points those facets single
-out, by the _facet_vertices filter below.
+hull_vertices is the LP hull that exactgeom used before its polytopes read
+their vertices off the facet kernel: one convex_combination LP per point,
+on the rational simplex here. hull is the sorted vertices of any integer
+points, which exactgeom's polytope record found until every caller handed
+it certified vertices: the distinct points that the facets of
+exactgeom.facet_hyperplanes single out, by the _facet_vertices filter
+below.
 
 LatticePolytope is the Fraction polytope that exactgeom kept before its
 points became integers over one common denominator: every vertex, facet
@@ -38,16 +38,18 @@ vector helpers it needs, and nullspace is the Fraction kernel basis, on the
 Fraction rref above, that exactgeom.nullspace returned before its basis
 became primitive integer rows.
 
-lattice_points is the search for the integer points of an integer
-polytope, on its rows over den, that exactgeom kept while weightpoly
-certified each weight polytope by a hull and this search; weightpoly now
-certifies them through their apex projection, and the tests check that
-certificate against this search. contains is the Fraction membership test
-that LatticePolytope used to carry, on the integer polytope's rows over
-den; a brute-force box filter with it checks lattice_points. over_den
-writes rational points as integer points over the lcm of their
-denominators, and fraction_vertices reads an integer polytope's vertices
-back as Fractions.
+lattice_points is the search for the integer points of the polytope of
+integer vertices over den, on its rows over den, that exactgeom kept while
+weightpoly certified each weight polytope by a hull and this search;
+weightpoly now certifies them through their apex projection, and the tests
+check that certificate against this search. Its rows are span_equations,
+built from exactgeom.nullspace as exactgeom's polytope record built them
+until nothing in the package read them, and the facets of
+exactgeom.facet_hyperplanes. contains is the Fraction membership test that
+the record used to carry, on the same rows over den; a brute-force box
+filter with it checks lattice_points. over_den writes rational points as
+integer points over the lcm of their denominators, and fraction_vertices
+reads integer vertices over den back as Fractions.
 
 MarkedPoset, _satisfies, _vertex_candidates, _fillings, _anchored,
 _is_vertex and _marked_vertices are the vertex search that flaggt ran
@@ -285,11 +287,11 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def dim_of(poly) -> int:
-    """The dimension of a polytope of either LatticePolytope class: the rank
-    of its vertices' differences from the first."""
-    base = poly.vertices[0]
-    return rank([vsub(v, base) for v in poly.vertices[1:]])
+def dim_of(vertices) -> int:
+    """The dimension of a polytope from its vertices, Fraction or integer
+    tuples: the rank of their differences from the first."""
+    base = vertices[0]
+    return rank([vsub(v, base) for v in vertices[1:]])
 
 
 def int_rows(rows) -> list[list[int]]:
@@ -651,7 +653,7 @@ def zeta_fit(F: Face) -> tuple[tuple, tuple, tuple]:
     z0 = X[n]
     rows = range(len(z0))
     Z = tuple(tuple(col[i] for col in X[:n]) for i in rows)  # |P| = 0 leaves its rows empty
-    B = exactgeom.LatticePolytope(apex_points, 1).lattice_basis
+    B = exactgeom.lattice_basis(apex_points, 1)
     _integral_solution(Z, [[v[i] for v in B] for i in rows])
     return Z, z0, inclusion_matrix(span_of_face(F), apex_basis)
 
@@ -702,11 +704,12 @@ def _facet_vertices(points: list[Vec], planes) -> list[Vec]:
     return [p for i, p in enumerate(points) if meet[i] == 1 << i]
 
 
-def hull(points: Sequence[tuple[int, ...]], den: int) -> exactgeom.LatticePolytope:
-    """The integer polytope of the integer points over den, whichever of
-    them are vertices, repeated or not."""
+def hull(points: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The sorted vertices of the hull of integer points, repeated or not:
+    the distinct points that exactgeom.facet_hyperplanes' facets single
+    out. Over any den they are the vertices of the points over den."""
     pts = list(dict.fromkeys(points))
-    return exactgeom.LatticePolytope(_facet_vertices(pts, exactgeom.facet_hyperplanes(pts)), den)
+    return sorted(_facet_vertices(pts, exactgeom.facet_hyperplanes(pts)))
 
 
 class LatticePolytope:
@@ -730,7 +733,7 @@ class LatticePolytope:
 
     @cached_property
     def dim(self) -> int:
-        return dim_of(self)
+        return dim_of(self.vertices)
 
     @cached_property
     def lattice_basis(self) -> Optional[tuple[tuple[int, ...], ...]]:
@@ -782,21 +785,29 @@ def _box_lattice_points(lo: list[int], hi: list[int], les: list[tuple[list[int],
     yield from descend(0, [0] * len(data))
 
 
-def lattice_points(poly: exactgeom.LatticePolytope) -> list[tuple[int, ...]]:
-    """All points of Z^n inside the integer polytope, in canonical sorted
-    order, by the box search on its rows over den: an integer point x meets
-    a.x = b / den only if den divides b, and a.x <= b / den means
+def span_equations(vertices: Sequence[tuple[int, ...]]) -> list[tuple[list[int], int]]:
+    """Equations a.x = b, on the points' own scale, cutting out the affine
+    span of integer points: a runs over exactgeom.nullspace of their
+    differences, primitive integer rows, and b is a at the first point."""
+    base = vertices[0]
+    rows = exactgeom.nullspace([[x - y for x, y in zip(v, base)] for v in vertices[1:]], len(base))
+    return [(a, sum(x * y for x, y in zip(a, base))) for a in rows]
+
+
+def lattice_points(vertices: Sequence[tuple[int, ...]], den: int) -> list[tuple[int, ...]]:
+    """All points of Z^n inside the polytope of the integer vertices over
+    den, in canonical sorted order, by the box search on its span equations
+    and exactgeom.facet_hyperplanes' facets, both over den: an integer point
+    x meets a.x = b / den only if den divides b, and a.x <= b / den means
     a.x <= floor(b / den)."""
-    den = poly.den
     les = []
-    for a, b in poly.span_equations:
+    for a, b in span_equations(vertices):
         if b % den:
             return []
         les += [(a, b // den), ([-x for x in a], -(b // den))]
-    les += [(normal, rhs // den) for normal, rhs in poly.hyperplanes]
-    verts = poly.vertices
-    lo = [min(coords) // den for coords in zip(*verts)]
-    hi = [-(-max(coords) // den) for coords in zip(*verts)]
+    les += [(list(normal), rhs // den) for normal, rhs in exactgeom.facet_hyperplanes(vertices)]
+    lo = [min(coords) // den for coords in zip(*vertices)]
+    hi = [-(-max(coords) // den) for coords in zip(*vertices)]
     return sorted(_box_lattice_points(lo, hi, les))
 
 
@@ -815,13 +826,14 @@ def integer_points(poly: LatticePolytope) -> list[Vec]:
     return sorted(to_vec(pt) for pt in _box_lattice_points(lo, hi, les))
 
 
-def contains(poly: exactgeom.LatticePolytope, point) -> bool:
-    """Whether the point satisfies the integer polytope's span equations
-    and facet inequalities, whose right-hand sides are over poly.den, in
-    Fraction arithmetic."""
+def contains(vertices: Sequence[tuple[int, ...]], den: int, point) -> bool:
+    """Whether the point satisfies the span equations and the facet
+    inequalities of the polytope of the integer vertices over den, whose
+    right-hand sides are over den, in Fraction arithmetic."""
     point = to_vec(point)
-    return (all(vdot(row, point) == Fraction(b, poly.den) for row, b in poly.span_equations)
-            and all(vdot(n, point) <= Fraction(r, poly.den) for n, r in poly.hyperplanes))
+    return (all(vdot(row, point) == Fraction(b, den) for row, b in span_equations(vertices))
+            and all(vdot(n, point) <= Fraction(r, den)
+                    for n, r in exactgeom.facet_hyperplanes(vertices)))
 
 
 def over_den(points) -> tuple[list[tuple[int, ...]], int]:
@@ -836,9 +848,9 @@ def vec_over_den(v) -> tuple[tuple[int, ...], int]:
     return points[0], den
 
 
-def fraction_vertices(poly: exactgeom.LatticePolytope) -> tuple[Vec, ...]:
-    """An integer polytope's vertices over den, as Fraction tuples."""
-    return tuple(tuple(Fraction(x, poly.den) for x in v) for v in poly.vertices)
+def fraction_vertices(vertices: Sequence[tuple[int, ...]], den: int) -> tuple[Vec, ...]:
+    """Integer vertices over den, as Fraction tuples."""
+    return tuple(tuple(Fraction(x, den) for x in v) for v in vertices)
 
 
 def minkowski_sum(A, B) -> set:

@@ -104,8 +104,8 @@ def test_acceptance_5_weight_polytope_invariants():
             # |integer points| = |L| and dim = dim F - 1; a hull and the
             # oracle's lattice-point search recheck them
             W = weight_record(F)
-            Q = hull(list(W.points), 1)
-            assert len(Q.vertices) == len(lattice_points(Q)) == L.size
+            Q = hull(list(W.points))
+            assert len(Q) == len(lattice_points(Q, 1)) == L.size
             assert dim_of(Q) == rank_dim(K, F.tight) - 1
             if is_full(F):
                 assert set(W.points) == unit  # standard simplex
@@ -186,8 +186,8 @@ def test_acceptance_7_property_suites():
     L = b(3)
     w = [L.height(a) ** 2 for a in L.elements]
     assert is_full(face_of(cone_K(L), w, 1))  # generic interior weight
-    Q = generalized_permutahedron(L, w, 1)  # -w is submodular by the diamond inequalities
-    assert len(Q.vertices) == 6
+    Q, _ = generalized_permutahedron(L, w, 1)  # -w is submodular by the diamond inequalities
+    assert len(Q) == 6
     wt = {a: w[L.index(a)] for a in L.elements}
     for x in L.elements:
         for y in L.elements:

@@ -23,7 +23,7 @@ from hibikit import cli, cone, exactgeom, jsonwriter
 from hibikit.cli import canonical_json, main, parse_vector
 from hibikit.cone import cone_K, face_of
 from hibikit.errors import BadParams
-from hibikit.exactgeom import LatticePolytope, polytope_json
+from hibikit.exactgeom import facet_hyperplanes, polytope_json
 from hibikit.lattice import birkhoff, grassmann_lattice, parse_lattice
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision, subdivision_json
@@ -95,8 +95,8 @@ def test_export_poset_round_trip(tmp_path, capsys):
 
 
 def test_export_square_polytope():
-    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
-    data = polytope_json(square)
+    square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    data = polytope_json(square, 1, facet_hyperplanes(square))
     assert len(data["vertices"]) == 4
     assert all(num in (0, 1) and den == 1
                for vert in data["vertices"] for num, den in vert)

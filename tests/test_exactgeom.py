@@ -15,9 +15,9 @@ import fraction_oracle as oracle
 from fraction_oracle import (affine_lattice_basis, indicator, int_row_echelon, lattice_member,
                              lattice_points, same_lattice, solve_linear, to_vec, vdot)
 from hibikit.exactgeom import (
-    LatticePolytope,
     facet_hyperplanes,
     integer_kernel,
+    lattice_basis,
     lp_feasible,
     nullspace,
     polytope_json,
@@ -111,7 +111,8 @@ def test_lp_feasibility_decision_against_brute_rational_grid():
 
 def hull(pts):
     """The vertices of the points' hull, which the LP oracle must agree on."""
-    vertices = list(oracle.fraction_vertices(oracle.hull(*oracle.over_den(pts))))
+    ints, den = oracle.over_den(pts)
+    vertices = list(oracle.fraction_vertices(oracle.hull(ints), den))
     assert vertices == sorted(oracle.hull_vertices(pts))
     return vertices
 
@@ -150,34 +151,34 @@ def test_convex_combination_witness():
 # ------------------------------------------------------------ integer lattice
 
 
-def lattice_basis(points):
-    """The polytope's lattice basis, which the Fraction oracle must agree on."""
-    basis = LatticePolytope(points, 1).lattice_basis
-    assert list(map(list, basis)) == affine_lattice_basis(points)
+def checked_basis(points):
+    """The points' lattice basis, which the Fraction oracle must agree on."""
+    basis = lattice_basis(points, 1)
+    assert basis == affine_lattice_basis(points)
     return basis
 
 
 def test_affine_lattice_basis_standard():
-    basis = lattice_basis([(0, 0), (1, 0), (0, 1)])
+    basis = checked_basis([(0, 0), (1, 0), (0, 1)])
     assert same_lattice(basis, [[1, 0], [0, 1]])
 
 
 def test_affine_lattice_basis_saturation():
-    basis = lattice_basis([(0, 0), (2, 0)])
+    basis = checked_basis([(0, 0), (2, 0)])
     assert same_lattice(basis, [[1, 0]])
 
 
 def test_affine_lattice_basis_diagonal():
     # direction (2, 2): saturated lattice is generated by (1, 1)
-    basis = lattice_basis([(0, 0), (2, 2)])
+    basis = checked_basis([(0, 0), (2, 2)])
     assert same_lattice(basis, [[1, 1]])
 
 
 def test_lattice_basis_over_den():
     # the same diagonal segment over den = 2 and den = 3: the basis needs
     # integral vertices, which (2, 2) / 3 is not
-    assert LatticePolytope([(0, 0), (4, 4)], 2).lattice_basis == ((1, 1),)
-    assert LatticePolytope([(0, 0), (2, 2)], 3).lattice_basis is None
+    assert lattice_basis([(0, 0), (4, 4)], 2) == [[1, 1]]
+    assert lattice_basis([(0, 0), (2, 2)], 3) is None
 
 
 def test_affine_lattice_basis_grid_order_polytope():
@@ -188,7 +189,7 @@ def test_affine_lattice_basis_grid_order_polytope():
                              [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")])
     L = birkhoff(P)
     pts = [tuple(map(int, indicator(L, a))) for a in L.elements]
-    basis = lattice_basis(pts)
+    basis = checked_basis(pts)
     assert len(basis) == 4
     assert sympy.Matrix(basis).rank() == 4
 
@@ -255,39 +256,35 @@ def test_facets_of_embedded_triangle():
 def test_simplex_past_dimension_12():
     # the facet kernel has no dimension guard: the 13-simplex has its 14 facets
     pts = [(0,) * 13] + [tuple(int(i == j) for j in range(13)) for i in range(13)]
-    poly = LatticePolytope(pts, 1)
-    assert len(poly.hyperplanes) == 14
-    assert lattice_points(poly) == sorted(pts)
+    assert len(facet_hyperplanes(pts)) == 14
+    assert lattice_points(pts, 1) == sorted(pts)
 
 
 def test_integer_points_unit_square():
-    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
-    assert len(lattice_points(square)) == 4
+    assert len(lattice_points([(0, 0), (0, 1), (1, 0), (1, 1)], 1)) == 4
 
 
 def test_integer_points_doubled_segment():
-    seg = oracle.hull([(0,), (2,), (1,)], 1)
-    assert lattice_points(seg) == [(0,), (1,), (2,)]
+    seg = oracle.hull([(0,), (2,), (1,)])
+    assert lattice_points(seg, 1) == [(0,), (1,), (2,)]
 
 
 def test_integer_points_respect_affine_span():
     # segment from (0,0) to (2,2): integer points (0,0),(1,1),(2,2)
-    seg = LatticePolytope([(0, 0), (2, 2)], 1)
-    assert lattice_points(seg) == [(0, 0), (1, 1), (2, 2)]
+    assert lattice_points([(0, 0), (2, 2)], 1) == [(0, 0), (1, 1), (2, 2)]
     # shifted off the integer lattice: no integer points at all
-    seg2 = LatticePolytope([(1, 0), (1, 2)], 2)
-    assert lattice_points(seg2) == []
+    assert lattice_points([(1, 0), (1, 2)], 2) == []
     # the same segment over den = 2, and one that halves its ends
-    assert lattice_points(LatticePolytope([(0, 0), (4, 4)], 2)) == [(0, 0), (1, 1), (2, 2)]
-    assert lattice_points(LatticePolytope([(-1, -1), (5, 5)], 2)) == [(0, 0), (1, 1), (2, 2)]
+    assert lattice_points([(0, 0), (4, 4)], 2) == [(0, 0), (1, 1), (2, 2)]
+    assert lattice_points([(-1, -1), (5, 5)], 2) == [(0, 0), (1, 1), (2, 2)]
 
 
 def test_polytope_contains():
-    tri = LatticePolytope([(0, 0), (2, 0), (0, 2)], 1)
-    assert oracle.contains(tri, (1, 1))
-    assert oracle.contains(tri, (Fraction(1, 2), Fraction(1, 2)))
-    assert not oracle.contains(tri, (2, 2))
-    assert not oracle.contains(LatticePolytope([(0, 0), (2, 2)], 1), (1, 0))
+    tri = [(0, 0), (0, 2), (2, 0)]
+    assert oracle.contains(tri, 1, (1, 1))
+    assert oracle.contains(tri, 1, (Fraction(1, 2), Fraction(1, 2)))
+    assert not oracle.contains(tri, 1, (2, 2))
+    assert not oracle.contains([(0, 0), (2, 2)], 1, (1, 0))
 
 
 def test_minkowski_sum():
@@ -297,8 +294,8 @@ def test_minkowski_sum():
 
 
 def test_polytope_json_shape():
-    square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)], 1)
-    payload = polytope_json(square)
+    square = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    payload = polytope_json(square, 1, facet_hyperplanes(square))
     assert len(payload["vertices"]) == 4
     assert payload["vertices"][0][0] == [0, 1]
     assert len(payload["hyperplanes"]) == 4
@@ -307,7 +304,7 @@ def test_polytope_json_shape():
 
 def test_polytope_json_reduces_over_den():
     # the segment [0, 1/2] ⊆ R stored over den = 4: Fractions reduced only here
-    payload = polytope_json(LatticePolytope([(0,), (2,)], 4))
+    payload = polytope_json([(0,), (2,)], 4, facet_hyperplanes([(0,), (2,)]))
     assert payload == {
         "vertices": [[[0, 1]], [[1, 2]]],
         "hyperplanes": [{"normal": [[-1, 1]], "rhs": [0, 1]},

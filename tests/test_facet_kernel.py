@@ -9,9 +9,10 @@ as integer rows whose rhs over den is the oracle's Fraction, and the
 oracle's hull on those facets the same vertices as one LP per point. The
 oracle's lattice_points, which searches on the integer rows, must find
 what Fraction membership finds in the box.
-The integer LatticePolytope of those vertices must agree with the Fraction
-one on every member, over the lcm of the points' denominators and over
-multiples of it.
+The integer vertices of those points, with their facets, lattice basis,
+span equations and integer points, must agree with the Fraction polytope's
+members, over the lcm of the points' denominators and over multiples of
+it.
 """
 
 import itertools
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 import fraction_oracle as oracle
 from fraction_oracle import lattice_points, to_vec
 from hibikit.cli import interior_weight
-from hibikit.exactgeom import facet_hyperplanes
+from hibikit.exactgeom import facet_hyperplanes, lattice_basis
 from hibikit.lattice import birkhoff
 from hibikit.poset import antichain
 from hibikit.subdivision import generalized_permutahedron
@@ -88,7 +89,8 @@ def hull_inputs(draw):
 
 
 def assert_same_vertices(points):
-    vertices = oracle.fraction_vertices(oracle.hull(*oracle.over_den(points)))
+    ints, den = oracle.over_den(points)
+    vertices = oracle.fraction_vertices(oracle.hull(ints), den)
     assert vertices == tuple(sorted(oracle.hull_vertices(points)))
     return vertices
 
@@ -102,34 +104,37 @@ def test_random_point_sets_vertices_match_lp_hull(points):
 @settings(max_examples=100, deadline=None)
 @given(embedded_point_sets(min_dim=0))
 def test_random_point_sets_integer_points_match_box_filter(points):
-    poly = oracle.hull(*oracle.over_den(points))
+    ints, den = oracle.over_den(points)
+    vertices = oracle.hull(ints)
     box = [range(math.floor(min(c)), math.ceil(max(c)) + 1)
-           for c in zip(*oracle.fraction_vertices(poly))]
+           for c in zip(*oracle.fraction_vertices(vertices, den))]
     assume(math.prod(map(len, box)) <= 3000)
-    inside = [x for x in itertools.product(*box) if oracle.contains(poly, x)]
-    assert lattice_points(poly) == inside
-    assert all(type(x) is int for p in lattice_points(poly) for x in p)
+    inside = [x for x in itertools.product(*box) if oracle.contains(vertices, den, x)]
+    assert lattice_points(vertices, den) == inside
+    assert all(type(x) is int for p in lattice_points(vertices, den) for x in p)
 
 
 def assert_matches_fraction_polytope(points, scale=1):
-    """The integer polytope of the points over scale times the lcm of their
-    denominators against the Fraction polytope, member by member. Its facets,
-    found from its vertices alone, are the facets of all the points."""
+    """The integer vertices of the points over scale times the lcm of their
+    denominators against the Fraction polytope, member by member; returns
+    them with that den. Their facets, found from the vertices alone, are the
+    facets of all the points."""
     ints, den = oracle.over_den(points)
     ints = [tuple(scale * x for x in p) for p in ints]
     den *= scale
     want = oracle.LatticePolytope(points)
-    got = oracle.hull(ints, den)
-    assert oracle.fraction_vertices(got) == want.vertices
-    assert all(type(x) is int for v in got.vertices for x in v)
-    assert list(got.hyperplanes) == facet_hyperplanes(ints)
-    assert [(normal, Fraction(rhs, den)) for normal, rhs in got.hyperplanes] == list(
-        want.hyperplanes)
-    assert oracle.dim_of(got) == oracle.dim_of(want)
-    assert got.lattice_basis == want.lattice_basis
-    assert [(list(a), Fraction(b, den)) for a, b in got.span_equations] == want.span_equations
-    assert lattice_points(got) == oracle.integer_points(want)
-    return got
+    got = oracle.hull(ints)
+    assert oracle.fraction_vertices(got, den) == want.vertices
+    assert all(type(x) is int for v in got for x in v)
+    planes = facet_hyperplanes(got)
+    assert planes == facet_hyperplanes(ints)
+    assert [(normal, Fraction(rhs, den)) for normal, rhs in planes] == list(want.hyperplanes)
+    assert oracle.dim_of(got) == oracle.dim_of(want.vertices)
+    basis = lattice_basis(got, den)
+    assert want.lattice_basis == (None if basis is None else tuple(map(tuple, basis)))
+    assert [(a, Fraction(b, den)) for a, b in oracle.span_equations(got)] == want.span_equations
+    assert lattice_points(got, den) == oracle.integer_points(want)
+    return got, den
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,23 +144,25 @@ def test_random_point_sets_match_fraction_polytope(points, scale):
 
 
 def test_single_point_matches_fraction_polytope():
-    got = assert_matches_fraction_polytope([(Fraction(1, 2), Fraction(-2, 3), 1)], 2)
-    assert oracle.dim_of(got) == 0 and got.hyperplanes == () and got.lattice_basis is None
+    got, den = assert_matches_fraction_polytope([(Fraction(1, 2), Fraction(-2, 3), 1)], 2)
+    assert oracle.dim_of(got) == 0 and facet_hyperplanes(got) == []
+    assert lattice_basis(got, den) is None
 
 
 def test_collinear_and_repeated_points_match_fraction_polytope():
     points = [(Fraction(k, 3), Fraction(2 * k, 3) + 1) for k in (0, 4, 1, 4, 2, 0)]
-    got = assert_matches_fraction_polytope(points)
-    assert oracle.dim_of(got) == 1 and len(got.vertices) == 2 and got.den == 3
+    got, den = assert_matches_fraction_polytope(points)
+    assert oracle.dim_of(got) == 1 and len(got) == 2 and den == 3
 
 
 def test_integral_points_over_den_match_fraction_polytope():
     # every coordinate a multiple of den > 1, as in a Gelfand-Tsetlin
     # section, so the lattice basis exists
     points = [(0, 0, 1), (2, 0, 1), (0, 1, 1), (1, 1, 1), (1, 0, 1)]
-    got = assert_matches_fraction_polytope(points, 3)
-    assert got.den == 3 and oracle.dim_of(got) == 2
-    assert got.lattice_basis is not None and len(got.lattice_basis) == 2
+    got, den = assert_matches_fraction_polytope(points, 3)
+    assert den == 3 and oracle.dim_of(got) == 2
+    basis = lattice_basis(got, den)
+    assert basis is not None and len(basis) == 2
 
 
 def simplex(d):
@@ -188,7 +195,7 @@ def lifted(points):
 
 def permutahedron(n):
     L = birkhoff(antichain(list(string.ascii_lowercase[15:15 + n])))
-    return list(oracle.fraction_vertices(generalized_permutahedron(L, interior_weight(L), 1)))
+    return list(oracle.fraction_vertices(*generalized_permutahedron(L, interior_weight(L), 1)))
 
 
 DEGENERATE = [

@@ -678,19 +678,18 @@ def sections(n, face):
 def test_gt_subdivision_3_apex():
     parts = sections(3, apex_face)
     assert len(parts) == 1
-    assert parts[0][1].den == 2
-    assert oracle.fraction_vertices(parts[0][1]) == oracle.gt_polytope(3).vertices
+    assert oracle.fraction_vertices(parts[0][1], 2) == oracle.gt_polytope(3).vertices
 
 
 def test_gt_subdivision_3_full():
     parts = sections(3, full_face)
     assert len(parts) == 2
-    assert [oracle.dim_of(q) for _, q in parts] == [3, 3]
+    assert [oracle.dim_of(q) for _, q, _ in parts] == [3, 3]
     # two products of simplices with 2*3 = 3*2 = 6 vertices each
-    assert [len(q.vertices) for _, q in parts] == [6, 6]
-    shared = set(parts[0][1].vertices) & set(parts[1][1].vertices)
+    assert [len(q) for _, q, _ in parts] == [6, 6]
+    shared = set(parts[0][1]) & set(parts[1][1])
     assert len(shared) == 4
-    union = set(parts[0][1].vertices) | set(parts[1][1].vertices)
+    union = set(parts[0][1]) | set(parts[1][1])
     assert {gv.point for gv in gt_vertices(GelfandTsetlin(3))} <= union
     assert len(union) == 8
 
@@ -719,7 +718,7 @@ def test_gt_subdivision_4_full():
         for key, mult in census.items()
         for v in [_product_count(key)] * mult
     )
-    assert sorted(len(q.vertices) for _, q in parts) == expected
+    assert sorted(len(q) for _, q, _ in parts) == expected
 
 
 def _product_count(key):
@@ -782,14 +781,14 @@ def test_gt_subdivision_matches_fraction_oracle(n, face_count):
     for F in faces:
         got = gt_subdivision(GelfandTsetlin(n), F)
         want = oracle.gt_subdivision(n, F, C.lattice)
-        assert all(Q.den == n - 1 for _, Q in got)
-        assert all(type(x) is int for _, Q in got for v in Q.vertices for x in v)
-        assert ([(order.covers(), oracle.fraction_vertices(Q)) for order, Q in got]
+        assert all(type(x) is int for _, Q, _ in got for v in Q for x in v)
+        assert ([(order.covers(), oracle.fraction_vertices(Q, n - 1)) for order, Q, _ in got]
                 == [(order.covers(), Q.vertices) for order, Q in want])
 
 
 def every_section(n):
-    """(order, polytope) of every section of every face of Flag(n)'s cone."""
+    """(order, vertices, facets) of every section of every face of Flag(n)'s
+    cone."""
     C = cone_K(flag_lattice(n))
     gt = GelfandTsetlin(n)
     return [section for F in enumerated_faces(C) for section in gt_subdivision(gt, F)]
@@ -801,14 +800,14 @@ def test_section_facets_match_the_double_description_kernel(n, count):
     # order, on every section of every face
     found = every_section(n)
     assert len(found) == count
-    for _, Q in found:
-        assert Q.hyperplanes == tuple(facet_hyperplanes(Q.vertices))
+    for _, Q, facets in found:
+        assert facets == facet_hyperplanes(Q)
 
 
 def test_section_facets_match_the_kernel_on_the_n5_apex():
-    ((_, Q),) = sections(5, apex_face)
-    assert len(Q.hyperplanes) == 20
-    assert Q.hyperplanes == tuple(facet_hyperplanes(Q.vertices))
+    ((_, Q, facets),) = sections(5, apex_face)
+    assert len(facets) == 20
+    assert facets == facet_hyperplanes(Q)
 
 
 def test_section_facets_reject_a_vertex_that_violates_a_cover():
@@ -817,11 +816,11 @@ def test_section_facets_reject_a_vertex_that_violates_a_cover():
     # part, so it checks no cover, and with the other part's vertices its
     # facets are not their hull's: the kernel comparison above catches it
     marking = GelfandTsetlin(3).marking
-    (order0, Q0), (order1, Q1) = sections(3, full_face)
-    assert section_facets(marking, order0, Q0.vertices) == list(Q0.hyperplanes)
+    (order0, Q0, facets0), (order1, Q1, _) = sections(3, full_face)
+    assert section_facets(marking, order0, Q0) == facets0
     for order, Q in ((order0, Q1), (order1, Q0)):
-        assert not all(_satisfies(marking, order, v) for v in Q.vertices)
-        assert section_facets(marking, order, Q.vertices) != facet_hyperplanes(Q.vertices)
+        assert not all(_satisfies(marking, order, v) for v in Q)
+        assert section_facets(marking, order, Q) != facet_hyperplanes(Q)
 
 
 def test_section_facets_disagree_with_the_kernel_on_a_dropped_vertex():
@@ -829,9 +828,9 @@ def test_section_facets_disagree_with_the_kernel_on_a_dropped_vertex():
     # their facets are no longer the hull's: the kernel comparison above
     # catches a vertex list that misses a vertex
     marking = GelfandTsetlin(3).marking
-    for order, Q in every_section(3):
-        for k in range(len(Q.vertices)):
-            rest = Q.vertices[:k] + Q.vertices[k + 1:]
+    for order, Q, _ in every_section(3):
+        for k in range(len(Q)):
+            rest = Q[:k] + Q[k + 1:]
             assert section_facets(marking, order, rest) != facet_hyperplanes(rest)
 
 
@@ -842,9 +841,9 @@ def test_section_facets_reject_one_facets_vertices():
     # facet of every section of every face of Flag(4)'s cone
     marking = GelfandTsetlin(4).marking
     checked = 0
-    for order, Q in every_section(4):
-        for normal, rhs in Q.hyperplanes:
-            on = [v for v in Q.vertices if sum(a * x for a, x in zip(normal, v)) == rhs]
+    for order, Q, facets in every_section(4):
+        for normal, rhs in facets:
+            on = [v for v in Q if sum(a * x for a, x in zip(normal, v)) == rhs]
             with pytest.raises(AssertionError, match="each section must be full-dimensional"):
                 section_facets(marking, order, on)
             checked += 1
@@ -893,7 +892,7 @@ def _chain_parts(n, faces):
     out = []
     for F in faces(C):
         parts = zip(face_subdivision(F).parts, gt_subdivision(gt, F))
-        out += [(part, order, Q) for part, (order, Q) in parts if len(part.simplices) == 1]
+        out += [(part, order, Q) for part, (order, Q, _) in parts if len(part.simplices) == 1]
     return out
 
 
@@ -915,7 +914,7 @@ def test_chain_parts_take_every_inside_pattern_with_no_anchoring_test(n, faces, 
         inside = [point for point, chain in patterns
                   if all(part.vertex_mask >> i & 1 for i in chain)]
         assert all(_is_vertex(gt.marking, order, point) for point in inside)
-        assert sorted(inside) == list(Q.vertices)
+        assert sorted(inside) == Q
 
 
 def test_gt_5_full_face_sections():
@@ -923,8 +922,8 @@ def test_gt_5_full_face_sections():
     # cover of its chain: 14 covers, each touching a free cell
     found = sections(5, full_face)
     assert len(found) == 286
-    assert all(len(order.cover_indices()) == len(Q.hyperplanes) == 14 for order, Q in found)
-    assert sum(len(Q.hyperplanes) for _, Q in found) == 4004
+    assert all(len(order.cover_indices()) == len(facets) == 14 for order, _, facets in found)
+    assert sum(len(facets) for _, _, facets in found) == 4004
 
 
 @pytest.mark.parametrize("n, found", [(4, lambda: every_section(4)),
@@ -935,7 +934,7 @@ def test_every_section_has_full_rank(n, found):
     # cells by its covers' tight vertex sets, with no rank taken; the rank
     # of the vertex differences agrees on every section
     free = len(free_cells(GelfandTsetlin(n).marking))
-    for _, Q in found():
+    for _, Q, _ in found():
         assert oracle.dim_of(Q) == free
 
 
@@ -945,7 +944,7 @@ def test_the_arguments_for_the_dropped_checks_hold(n):
     # construction implies it as the owning docstring argues, holds on every
     # face of Flag(2) to Flag(4) and on Flag(5)'s full face and apex
     gt = gelfand_tsetlin(n)
-    L, pt, phi, marking, last = gt.flag, gt.poset, gt.phi, gt.marking, gt.pbar.size - 1
+    L, pt, phi, marking, last = gt.flag(), gt.poset, gt.phi, gt.marking, gt.pbar.size - 1
     # phi carries joins to unions and meets to intersections
     ph = [phi[a] for a in L.elements]
     for i, j in itertools.product(range(L.size), repeat=2):
@@ -971,20 +970,20 @@ def test_the_arguments_for_the_dropped_checks_hold(n):
     K = cone_K(L)
     checked = 0
     for F in enumerated_faces(K) if n < 5 else [full_face(L), K.apex]:
-        for part, (order, Q) in zip(face_subdivision(F).parts, gt_subdivision(gt, F)):
+        for part, (order, Q, facets) in zip(face_subdivision(F).parts, gt_subdivision(gt, F)):
             # every section order is a strict order, and every section
             # vertex fixes the marking and satisfies every cover
             mask_poset(order.elements, order.below)
-            assert all(_satisfies(marking, order, v) for v in Q.vertices)
+            assert all(_satisfies(marking, order, v) for v in Q)
             # one facet per tight set
-            tight = [frozenset(v for v in Q.vertices
+            tight = [frozenset(v for v in Q
                                if sum(a * x for a, x in zip(normal, v)) == rhs)
-                     for normal, rhs in Q.hyperplanes]
+                     for normal, rhs in facets]
             assert len(set(tight)) == len(tight)
             if len(part.simplices) == 1:
                 # a one-simplex part's order is its chain, and no block of
                 # its section is empty
-                total = [0, *(gt.cell_at[j] for j in part.simplices[0]), last]
+                total = [0, *(gt.cell_at()[j] for j in part.simplices[0]), last]
                 assert order.cover_indices() == tuple(sorted(zip(total, total[1:])))
                 assert all(component_shape(gt, tuple(c - 1 for c in total[1:-1])))
                 assert markers(total) == in_order

@@ -242,6 +242,31 @@ def test_stdout_digest(argv, digest, kernel_facets, written_facets, capsys, monk
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
+# the jobs that write polytopes: gt sections and generalized permutahedra
+POLYTOPE_JOBS = [argv for argv, *_ in GOLDEN if argv.startswith("permutahedron")
+                 or (argv.startswith("gt") and not {"census", "vertices"} & set(argv.split()))]
+
+
+@pytest.mark.parametrize("argv", POLYTOPE_JOBS)
+def test_every_written_polytope_has_distinct_vertices(argv, capsys, monkeypatch):
+    # no builder checks the vertices it hands polytope_json: by the
+    # arguments in generalized_permutahedron's and gt_subdivision's
+    # docstrings there is at least one, and each comes once, sorted
+    written = []
+    write = exactgeom.polytope_json
+
+    def recording(vertices, den, hyperplanes):
+        written.append(list(vertices))
+        return write(vertices, den, hyperplanes)
+
+    monkeypatch.setattr(exactgeom, "polytope_json", recording)
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    assert written
+    for vertices in written:
+        assert vertices and vertices == sorted(set(vertices))
+
+
 # python -O strips assert statements; every certificate raises
 # AssertionError itself, so it still runs in such a child
 OPTIMIZED_PROBE = """

@@ -1,7 +1,9 @@
 """Static checks on the package sources that need no linter installed."""
 
 import ast
+import io
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -179,6 +181,38 @@ def hand_written_memos(sources: dict[str, str]) -> list[str]:
     return out
 
 
+def cached_properties(sources: dict[str, str]) -> list[str]:
+    """Each name or attribute cached_property, as "module:line": a table
+    kept in an attribute of its own, where poset._kept keeps it in the
+    object's one memo dict."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items()
+            for node in ast.walk(ast.parse(source))
+            if getattr(node, "id", None) == "cached_property"
+            or getattr(node, "attr", None) == "cached_property"
+            or (isinstance(node, ast.alias) and node.name == "cached_property")]
+
+
+def code_lines(source: str) -> int:
+    """The lines of the source that hold code, by a tokenize/AST count:
+    docstrings (a string statement that opens a module, class or function
+    body), comments and blank lines are left out, and a statement over
+    several lines counts each of them."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
 def assert_statements(sources: dict[str, str]) -> list[str]:
     """Assert statements, which python -O strips, so a certificate written
     as one would not run; as "module:line"."""
@@ -337,6 +371,35 @@ def test_hand_written_memos_detects_both_tests():
     assert hand_written_memos(sources) == ["a.memo", "a.early", "b.size"]
 
 
+def test_cached_properties_detects_each_spelling():
+    sources = {
+        "a": "from functools import cache, cached_property\n\n\n"
+             "class A:\n    @cached_property\n    def t(self):\n        return 1\n",
+        "b": "import functools\n\n\nclass B:\n    @functools.cached_property\n"
+             "    def t(self):\n        return 1\n",
+        "c": "from functools import cache\n\n\n@cache\ndef f(x):\n    return x\n",
+    }
+    assert cached_properties(sources) == ["a:1", "a:5", "b:5"]
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blanks():
+    source = ('"""Module\ndocstring."""\n'
+              "\n"
+              "# a comment\n"
+              "import os  # trailing comment\n"
+              "\n\n"
+              "def f(x,\n"
+              "      y):\n"
+              '    """One line."""\n'
+              '    s = """not a\n'
+              '    docstring"""\n'
+              "    return (x +\n"
+              "            y)\n")
+    # import, the two lines of the def, the two of the string assignment
+    # and the two of the return
+    assert code_lines(source) == 7
+
+
 def test_assert_statements_detects_both_forms():
     sources = {
         "a": "def f(x):\n    assert x\n    if not x:\n        raise AssertionError\n",
@@ -426,6 +489,12 @@ def test_no_hand_written_memo():
     # the object's one memo dict, not in an attribute named for the table
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert hand_written_memos(sources) == []
+
+
+def test_no_cached_property():
+    # every per-object table is kept by poset._kept, the package's one memo
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert cached_properties(sources) == []
 
 
 def test_no_assert_statement():

@@ -15,7 +15,6 @@ from hibikit import cone, lattice, subdivision
 from hibikit.cli import main
 from hibikit.cone import Face, cone_K, face_of, span_of_face
 from hibikit.errors import NotInCone
-from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice
 from hibikit.hibi import degeneration_certificate
 from hibikit.poset import Poset, _bits, _kept, antichain, from_cover_relations, ideal_masks
@@ -887,20 +886,19 @@ def test_the_arguments_for_the_dropped_order_checks_hold(L):
 
 
 def test_b2_zero_weight_point():
-    poly = generalized_permutahedron(B2, (0, 0, 0, 0), 1)
-    assert poly.vertices == ((0, 0),)
+    assert generalized_permutahedron(B2, (0, 0, 0, 0), 1) == ([(0, 0)], 1)
 
 
 def test_b2_generic_weight_segment():
-    poly = generalized_permutahedron(B2, (0, -1, -1, 0), 1)
-    assert set(poly.vertices) == {(1, -1), (-1, 1)}
+    vertices, _ = generalized_permutahedron(B2, (0, -1, -1, 0), 1)
+    assert set(vertices) == {(1, -1), (-1, 1)}
 
 
 def test_b3_generic_weight_hexagon():
     w = tuple(B3.height(a) ** 2 for a in B3.elements)
-    poly = generalized_permutahedron(B3, w, 1)
-    assert len(poly.vertices) == 6
-    assert oracle.dim_of(poly) == 2  # hexagon lives in a plane (alpha sums are fixed)
+    vertices, _ = generalized_permutahedron(B3, w, 1)
+    assert len(vertices) == 6
+    assert oracle.dim_of(vertices) == 2  # hexagon lives in a plane (alpha sums are fixed)
 
 
 @st.composite
@@ -960,20 +958,20 @@ def test_every_part_constant_is_the_bottom_weight(case):
 @settings(max_examples=40, deadline=None)
 @given(face_and_interior_weights())
 def test_permutahedron_vertices_are_the_part_slopes(case):
-    # generalized_permutahedron hands the negated slopes to LatticePolytope
-    # as its vertices, by the argument in its docstring: the oracle's hull
-    # of the slopes keeps every one, and a repeated vertex raises
+    # generalized_permutahedron returns the sorted negated slopes as the
+    # vertices, by the argument in its docstring: the oracle's hull of the
+    # slopes keeps every one, and they are nonempty and distinct, with no
+    # check in the package
     L, F, points = case
     for w, den in points:
         sub = regular_subdivision(L, w, den)
         assert sub.tight == F.tight
         slopes = [tuple(-x for x in part.alpha) for part in sub.parts]
-        poly = generalized_permutahedron(L, w, den)
-        assert poly.den == sub.den
-        assert poly.vertices == tuple(sorted(slopes))
-        assert oracle.hull(slopes, sub.den).vertices == poly.vertices
-        with pytest.raises(ValueError, match="distinct"):
-            LatticePolytope(slopes + slopes[-1:], sub.den)
+        vertices, got_den = generalized_permutahedron(L, w, den)
+        assert got_den == sub.den
+        assert vertices == sorted(slopes)
+        assert oracle.hull(slopes) == vertices
+        assert vertices and len(set(vertices)) == len(vertices)
 
 
 @_kept

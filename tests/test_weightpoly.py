@@ -34,7 +34,6 @@ from fraction_oracle import (dim_of, enumerated_faces, indicator, is_apex, is_fu
 from hibikit import exactgeom, weightpoly
 from hibikit.cli import main
 from hibikit.cone import cone_K, face_of, span_of_face
-from hibikit.exactgeom import LatticePolytope
 from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lattice, ideal_label
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
@@ -60,13 +59,13 @@ def apex_face(L):
 
 
 def hull(W):
-    """The test-side hull of a weight polytope's points."""
-    return oracle.hull(list(W.points), 1)
+    """The test-side hull of a weight polytope's points: its vertices."""
+    return oracle.hull(list(W.points))
 
 
 def face_hull(W, d):
-    """The hull of a distinguished face's member points."""
-    return oracle.hull([W.points[i] for i in d], 1)
+    """The hull of a distinguished face's member points: its vertices."""
+    return oracle.hull([W.points[i] for i in d])
 
 
 def labels(L, d):
@@ -143,22 +142,22 @@ def chain_simplex(ext):
     W = weight_record(full_face(L))
     ideals = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
-    poly = oracle.hull([W.points[L.index(a)] for a in ideals], 1)
+    poly = oracle.hull([W.points[L.index(a)] for a in ideals])
     assert dim_of(poly) == P.size
-    assert len(poly.vertices) == P.size + 1
+    assert len(poly) == P.size + 1
     return ideals, poly
 
 
 def normality_probe(Q, k_max):
     """Smallest k <= k_max whose dilation kQ has an integer point that is
-    not a sum of k integer points of Q, or None when every level passes."""
-    assert Q.lattice_basis is not None, "Q needs integral vertices"
-    base = set(lattice_points(Q))
+    not a sum of k integer points of Q, or None when every level passes;
+    Q is given by its integer vertices."""
+    assert all(type(x) is int for v in Q for x in v), "Q needs integral vertices"
+    base = set(lattice_points(Q, 1))
     sums = set(base)
     for k in range(2, k_max + 1):
         sums = oracle.minkowski_sum(sums, base)
-        kQ = LatticePolytope([tuple(k * x for x in v) for v in Q.vertices], Q.den)
-        if not set(lattice_points(kQ)) <= sums:
+        if not set(lattice_points([tuple(k * x for x in v) for v in Q], 1)) <= sums:
             return k
     return None
 
@@ -179,8 +178,8 @@ def test_apex_b2_is_unit_square():
     W = weight_record(apex_face(B2))
     Q = hull(W)
     assert dim_of(Q) == 2
-    assert len(Q.vertices) == 4
-    assert len(lattice_points(Q)) == 4
+    assert len(Q) == 4
+    assert len(lattice_points(Q, 1)) == 4
     # opposite edge vectors agree, so the four points are a parallelogram
     bot, p, q, top = W.points
     assert vsub(p, bot) == vsub(top, q)
@@ -193,8 +192,8 @@ def test_every_face_has_lattice_point_count_of_L(L):
     # what the apex pullback implies, by a hull and a lattice-point search
     for F in enumerated_faces(cone_K(L)):
         W = hull(weight_record(F))
-        assert len(W.vertices) == L.size
-        assert len(lattice_points(W)) == L.size
+        assert len(W) == L.size
+        assert len(lattice_points(W, 1)) == L.size
         assert dim_of(W) == rank_dim(F.cone, F.tight) - 1
 
 
@@ -224,8 +223,8 @@ def test_project_carries_whole_polytope():
                 continue
             for p, q in zip(polys[G].points, polys[F].points, strict=True):
                 assert project(G, F, p) == q
-            image = oracle.hull([project(G, F, v) for v in hull(polys[G]).vertices], 1)
-            assert image.vertices == hull(polys[F]).vertices
+            image = oracle.hull([project(G, F, v) for v in hull(polys[G])])
+            assert image == hull(polys[F])
 
 
 def test_project_composition():
@@ -277,11 +276,10 @@ def test_zeta_square_to_square():
     # apex's to_apex are the apex polytope's
     W = weight_record(apex_face(B2))
     z = zeta_map(2)
-    order_poly = LatticePolytope([tuple(map(int, indicator(B2, a))) for a in B2.elements], 1)
-    image = oracle.hull(*oracle.over_den([solve_linear(W.to_apex, z(v))
-                                          for v in order_poly.vertices]))
-    assert image.den == 1 and image.vertices == hull(W).vertices
-    assert len(lattice_points(order_poly)) == len(lattice_points(hull(W)))
+    order_poly = sorted(tuple(map(int, indicator(B2, a))) for a in B2.elements)
+    image, den = oracle.over_den([solve_linear(W.to_apex, z(v)) for v in order_poly])
+    assert den == 1 and oracle.hull(image) == hull(W)
+    assert len(lattice_points(order_poly, 1)) == len(lattice_points(hull(W), 1))
 
 
 # -- chain_simplex -----------------------------------------------------------
@@ -291,7 +289,7 @@ def test_chain_simplex_whole_simplex_for_chain_lattice():
     P = chain(["a", "b", "c"])
     elements, poly = chain_simplex(label_extensions(P)[0])
     assert len(elements) == 4
-    assert poly.vertices == hull(weight_record(full_face(birkhoff(P)))).vertices
+    assert poly == hull(weight_record(full_face(birkhoff(P))))
 
 
 def test_chain_simplex_b2():
@@ -307,7 +305,7 @@ def test_chain_simplex_grid_has_five_vertices():
         elements, poly = chain_simplex(ext)
         assert len(elements) == GRID.size + 1 == 5
         assert dim_of(poly) == 4
-        assert len(poly.vertices) == 5
+        assert len(poly) == 5
 
 
 # -- distinguished faces -----------------------------------------------------
@@ -317,7 +315,7 @@ def test_apex_single_distinguished_face_is_whole_polytope():
     W = weight_record(apex_face(B3))
     faces = W.distinguished
     assert len(faces) == 1
-    assert face_hull(W, faces[0]).vertices == hull(W).vertices
+    assert face_hull(W, faces[0]) == hull(W)
     assert labels(B3, faces[0]) == set(B3.elements)
 
 
@@ -325,8 +323,8 @@ def test_full_face_distinguished_are_chain_simplices():
     P = antichain(["p", "q"])
     F = full_face(B2)
     W = weight_record(F)
-    simplices = {chain_simplex(ext)[1].vertices for ext in label_extensions(P)}
-    assert {face_hull(W, d).vertices for d in W.distinguished} == simplices
+    simplices = {tuple(chain_simplex(ext)[1]) for ext in label_extensions(P)}
+    assert {tuple(face_hull(W, d)) for d in W.distinguished} == simplices
 
 
 def test_b2_full_two_triangles_sharing_an_edge():
@@ -436,7 +434,7 @@ def test_integer_certificate_matches_fraction_oracle(P):
         # are its vertices, and it has dimension |P|
         for d in W.distinguished:
             face = face_hull(W, d)
-            assert len(face.vertices) == len(d)
+            assert len(face) == len(d)
             assert dim_of(face) == P.size
 
 
@@ -470,7 +468,7 @@ def test_certificate_rejects_a_moved_point(L, monkeypatch):
             except AssertionError:
                 rejected += 1
                 continue
-            assert len(moved.vertices) == len(lattice_points(moved)) == L.size
+            assert len(moved) == len(lattice_points(moved, 1)) == L.size
             assert dim_of(moved) == rank_dim(F.cone, F.tight) - 1
     assert rejected > 0
 
@@ -543,8 +541,7 @@ def test_weightpoly_runs_no_facet_kernel(face, capsys, monkeypatch):
 
 
 def test_probe_passes_unimodular_simplex():
-    Q = LatticePolytope([(0, 0), (1, 0), (0, 1)], 1)
-    assert normality_probe(Q, 4) is None
+    assert normality_probe([(0, 0), (1, 0), (0, 1)], 4) is None
 
 
 @pytest.mark.parametrize("P", [
@@ -554,14 +551,13 @@ def test_probe_passes_unimodular_simplex():
 ])
 def test_probe_passes_order_polytopes(P):
     L = birkhoff(P)
-    Q = LatticePolytope([tuple(map(int, indicator(L, a))) for a in L.elements], 1)
+    Q = [tuple(map(int, indicator(L, a))) for a in L.elements]
     assert normality_probe(Q, 4) is None
 
 
 def test_probe_detects_nonnormal_simplex():
     # the classical empty simplex: 2Q holds a point that is not a sum
-    Q = LatticePolytope([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)], 1)
-    assert normality_probe(Q, 4) == 2
+    assert normality_probe([(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)], 4) == 2
 
 
 @pytest.mark.parametrize("L", [B2, B3])
