@@ -168,6 +168,11 @@ GOLDEN = [
     # rank of its vertex differences
     ('gt --n 4 subdivide --face [["1","24"],["2","34"]]',
      "9d68936bde540fe78c85636a42373612c7ed7834dd7b5ae456bb7241bdbd504c", 0, 50),
+    # ten parts over 16 extensions: eight are one simplex, whose sections
+    # component_shape certifies, and two take the anchoring test; recorded
+    # with the cells addressed through the corner-less triangle
+    ('gt --n 4 subdivide --face [["1","24"]]',
+     "f9680724e197f8d88b425cf0a0506d59de741c6f9c9cf1ba20be68ff5b2f00cf", 0, 92),
     ("gt --n 5 census",
      "2a1b84701a8a02e4f1def1380aba46894f2b50b9559869e0a1677c896e793e90", 0, 0),
     # recorded with the sections cut on the Fraction marking; the full face
