@@ -205,7 +205,7 @@ def _lattice(kind: str, *params) -> Lattice:
 
 def interior_weight(L: Lattice) -> list[int]:
     # squared ideal sizes are strictly slack on every diamond inequality
-    return [L.height(a) ** 2 for a in L.elements]
+    return [m.bit_count() ** 2 for m in L.masks]
 
 
 def resolve_face(K: MaxCone, spec: str) -> Face:

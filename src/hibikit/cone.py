@@ -146,7 +146,7 @@ def cone_K(L: Lattice) -> MaxCone:
     to have dimension |P| + 1 by one rank of all the normals. Built and
     certified once per lattice."""
     pairs = diamond_pairs(L)
-    base = [2 * comb(L.height(a), 2) for a in L.elements]
+    base = [2 * comb(m.bit_count(), 2) for m in L.masks]
     for k, d in enumerate(pairs):
         w = list(base)
         w[d.meet] -= 1

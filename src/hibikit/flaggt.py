@@ -2,18 +2,18 @@
 flag lattices.
 
 Flag lattice elements (lattice.flag_lattice) are increasing index tuples
-written as digit strings ("13" for a_{1,3}). The triangular poset lives on
-labels "p{r}{s}" for 1 <= r <= s <= n; the two corner cells p11 and pnn
-only appear in the extended ground set that marked polytopes are defined
-on. Pbar sorts the cells by (r, s), so the corners are its first and
-last cells, and cell j of the triangular poset gt_poset(n) is cell j + 1
-of Pbar.
+written as digit strings ("13" for a_{1,3}). Pbar is the triangle of cells
+labelled "p{r}{s}" for 1 <= r <= s <= n, ordered componentwise and sorted
+by (r, s), so the corners p11, its minimum, and pnn, its maximum, are its
+first and last cells. Every cell is addressed by its index in Pbar, which
+is the one order every computation reads.
 
 Every computation holds one point format: a point of R^{Pbar} is an int
 tuple over Pbar's cell order, and a marking is one value per cell (None on
 a free cell). Orders are read through Poset.below masks and cover index
-pairs, and each flag element's order ideal is a bitmask over gt_poset(n).
-These, Pbar and its marking, and the sections' inputs, the vertices and
+pairs, and each flag element's order ideal is a bitmask over Pbar, which
+holds p11 and not pnn (the triangle's ideals with p11 added). These, Pbar
+and its marking, and the sections' inputs, the patterns, the vertices and
 the census from their first use, are built once per rank and process as
 one GelfandTsetlin (gelfand_tsetlin(n)), which every step of a job reads;
 so a job on a rank built before pays for its own face, sections and output
@@ -24,7 +24,9 @@ one face's sections hold 2.6-4.6 KB for n = 3, 4.7-43 KB for n = 4 and up
 to 1.8 MB for n = 5's full face (tracemalloc). Every rank's context, with
 its section inputs for n <= MAX_SECTION_RANK, holds about 0.8 MB in all
 (tracemalloc). The vertices hold 0.16 MB more for n <= 5 and 2.2 MB for
-n = 6, whose 4,884 vertices take about 3 s to build.
+n = 6, whose 4,884 vertices take about 3 s to build, and the patterns they
+are read off 0.4 MB for n = 5 and 12 MB for n = 6, whose 32,768 patterns
+only the vertices read.
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
@@ -68,73 +70,70 @@ MAX_GT_RANK = 6
 MAX_SECTION_RANK = 5
 
 
-# -- the triangular poset ----------------------------------------------------
+# -- Pbar and the flag ideals -------------------------------------------------
 
 
 def _cell(r: int, s: int) -> str:
     return f"p{r}{s}"
 
 
-def _triangle(n: int, corners: bool) -> Poset:
-    """The cells p_{r,s}, 1 <= r <= s <= n, sorted by (r, s) and ordered
-    componentwise, which is already transitive; the two corners p11
-    and pnn only when `corners` is set."""
-    cells = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)
-             if corners or (r, s) not in ((1, 1), (n, n))]
+def _triangle(n: int) -> Poset:
+    """Pbar: the cells p_{r,s}, 1 <= r <= s <= n, sorted by (r, s) and
+    ordered componentwise, which is already transitive."""
+    cells = [(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
     below = [sum(1 << i for i, (a, b) in enumerate(cells)
                  if a <= r and b <= s and (a, b) != (r, s))
              for r, s in cells]
     return Poset(tuple(_cell(r, s) for r, s in cells), tuple(below))
 
 
-def gt_poset(n: int) -> Poset:
-    """Cells p_{r,s}, 1 <= r <= s <= n without the two corners, ordered
-    componentwise."""
-    return _triangle(n, corners=False)
-
-
-def _phi(n: int, pt: Poset) -> dict[str, int]:
-    # each flag element as an order ideal of the triangular poset pt, a
-    # bitmask over its cells: column n-j+1 holds rows 1..i_j-j, plus every
-    # full column left of n-k+1
+def _phi(n: int, pbar: Poset) -> dict[str, int]:
+    # each flag element as an order ideal of Pbar, a bitmask over its cells:
+    # column n-j+1 holds rows 1..i_j-j, plus every full column left of
+    # n-k+1, which for k <= n-1 takes in p11; pnn is in no column it fills
+    at = {p: j for j, p in enumerate(pbar.elements)}
     out = {}
     for k in range(1, n):
         for combo in itertools.combinations(range(1, n + 1), k):
             cells = {(t, n - j + 1) for j, ij in enumerate(combo, start=1)
                      for t in range(1, ij - j + 1)}
             cells |= {(r, s) for s in range(1, n - k + 1) for r in range(1, s + 1)}
-            cells.discard((1, 1))
-            out[_label_of(combo)] = sum(1 << pt.index(_cell(r, s)) for r, s in cells)
+            out[_label_of(combo)] = sum(1 << at[_cell(r, s)] for r, s in cells)
     return out
 
 
-def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> dict[str, str]:
-    """The label map that identifies the triangular poset gt.poset with the
-    poset of join-irreducibles of L, which must be flag_lattice(gt.n).
+def gt_poset_iso(gt: GelfandTsetlin, L: Lattice) -> tuple[int, ...]:
+    """The index in gt.pbar of the cell that each element of L.poset_P, the
+    join-irreducibles of L, which must be flag_lattice(gt.n), is
+    identified with.
 
-    phi is checked to be a bijection onto the triangle's order ideals that
-    preserves and reflects the order: the identification of L with the
-    triangle's ideals (Ardila, Bliem & Salazar 2011). Such a bijection
-    between two lattices is a lattice isomorphism, so phi takes joins to
-    unions and meets to intersections, and join-irreducibles to
-    join-irreducibles. In a lattice of order ideals those are the
-    principal ideals, one per cell, so each irreducible of L maps to a
-    principal ideal, and the irreducibles go one-to-one onto the cells.
-    The mapping is then an order isomorphism, which is checked on the two
-    posets' relations."""
-    pt, phi = gt.poset, gt.phi
-    if sorted(phi.values()) != sorted(ideal_masks(pt)):
-        raise AssertionError("phi must be a bijection onto the order ideals of the triangle")
+    phi is checked to be a bijection onto the order ideals of Pbar other
+    than the empty one and Pbar, which preserves and reflects the order:
+    the identification of L with the ideals of the triangle, Pbar without
+    its corners, each with p11 added (Ardila, Bliem & Salazar 2011). Such a
+    bijection between two lattices is a lattice isomorphism, so phi takes
+    joins to unions and meets to intersections, and join-irreducibles to
+    join-irreducibles. Those are the principal ideals of Pbar's cells
+    other than the corners, so each irreducible of L maps to one, and the
+    irreducibles go one-to-one onto those cells. The mapping is then an
+    order isomorphism, which is checked on the two posets' relations."""
+    pbar, phi = gt.pbar, gt.phi
+    if sorted(phi.values()) != sorted(ideal_masks(pbar)[1:-1]):
+        raise AssertionError("phi must be a bijection onto the order ideals of Pbar "
+                             "other than the empty one and Pbar")
     # phi as a list over L's element indices, compared on L's ideal masks
     ph = [phi[a] for a in L.elements]
     for (ma, pa), (mb, pb) in itertools.product(zip(L.masks, ph), repeat=2):
         if (not ma & ~mb) != (not pa & ~pb):
             raise AssertionError("phi must preserve and reflect the order")
-    principal = {m | 1 << j: p for j, (p, m) in enumerate(zip(pt.elements, pt.below))}
-    mapping = {t: principal[phi[t]] for t in L.poset_P.elements}
-    if {(mapping[s], mapping[t]) for s, t in L.poset_P.label_pairs()} != pt.label_pairs():
+    principal = {pbar.below[j] | 1 << j: j for j in range(1, pbar.size - 1)}
+    at = tuple(principal[phi[t]] for t in L.poset_P.elements)
+    cell = dict(zip(L.poset_P.elements, (pbar.elements[j] for j in at)))
+    p11, pnn = pbar.elements[0], pbar.elements[-1]  # Pbar's minimum and maximum
+    if ({(cell[s], cell[t]) for s, t in L.poset_P.label_pairs()}
+            != {(a, b) for a, b in pbar.label_pairs() if a != p11 and b != pnn}):
         raise AssertionError("the map must be an order isomorphism")
-    return mapping
+    return at
 
 
 # -- marked order polytopes --------------------------------------------------
@@ -154,24 +153,23 @@ def _gt_marking(n: int, labels: Sequence[str]) -> tuple[Optional[int], ...]:
 
 class GelfandTsetlin:
     """What a Gelfand-Tsetlin job of rank n reads, built once per rank and
-    process by gelfand_tsetlin(n): the triangular poset (gt_poset), Pbar,
-    the triangle with its corners (pbar), Pbar's Gelfand-Tsetlin marking
-    (marking), and phi, each flag element's order ideal as a bitmask over
-    the triangular poset.
+    process by gelfand_tsetlin(n): the triangle with its corners (pbar),
+    Pbar's Gelfand-Tsetlin marking (marking), and phi, each flag element's
+    order ideal as a bitmask over Pbar.
 
     The sections' inputs are built on first use and kept in its memo
     (poset._kept), each certified once: the flag lattice (flag); P's cells
     in Pbar (cell_at), through gt_poset_iso; and the patterns with their
     chains as masks over flag's elements (pattern_masks). What else
     depends on n alone is kept there too, by the function that builds
-    it."""
+    it: the flag points and the patterns, which the vertices and the
+    sections both read."""
 
     def __init__(self, n: int):
         self.n = n
-        self.poset = gt_poset(n)
-        self.pbar = _triangle(n, corners=True)
+        self.pbar = _triangle(n)
         self.marking = _gt_marking(n, self.pbar.elements)
-        self.phi = _phi(n, self.poset)
+        self.phi = _phi(n, self.pbar)
         self._memo: dict = {}  # _kept
 
     @_kept
@@ -182,16 +180,13 @@ class GelfandTsetlin:
     @_kept
     def cell_at(self) -> tuple[int, ...]:
         """The index in Pbar of each element of flag().poset_P."""
-        flag = self.flag()
-        iso = gt_poset_iso(self, flag)
-        return tuple(self.pbar.index(iso[p]) for p in flag.poset_P.elements)
+        return gt_poset_iso(self, self.flag())
 
     @_kept
     def pattern_masks(self) -> tuple[tuple[tuple[int, ...], int], ...]:
         """gt_patterns, each chain as a mask over flag()'s element indices."""
-        index = self.flag().index
-        return tuple((point, sum(1 << index(lbl) for lbl in chain))
-                     for point, chain in gt_patterns(self))
+        at = {a: i for i, a in enumerate(self.flag().elements)}
+        return tuple((point, sum(1 << at[a] for a in chain)) for point, chain in gt_patterns(self))
 
 
 @cache
@@ -241,13 +236,20 @@ class GTVertex(NamedTuple):
 
 
 def flag_point(gt: GelfandTsetlin, label: str) -> tuple[int, ...]:
-    """0/1 indicator of the flag element's triangular ideal gt.phi[label],
-    over Pbar, with the two corner cells pinned to 1 and 0."""
-    mask = gt.phi[label] << 1 | 1  # cell j of gt.poset is cell j + 1 of Pbar
+    """0/1 indicator over Pbar of the flag element's ideal gt.phi[label],
+    which holds the corner p11 and not pnn."""
+    mask = gt.phi[label]
     return tuple(mask >> j & 1 for j in range(gt.pbar.size))
 
 
-def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
+@_kept
+def _flag_points(gt: GelfandTsetlin) -> dict[str, tuple[int, ...]]:
+    # every flag element's flag_point, by label; built once per rank
+    return {lbl: flag_point(gt, lbl) for lbl in gt.phi}
+
+
+@_kept
+def gt_patterns(gt: GelfandTsetlin) -> tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]:
     """Every point of the Gelfand-Tsetlin polytope whose coordinates all
     take marking values, with its flag-element chain, on the (n-1)-scaled
     integer lattice, in descending lexicographic order of the points: each
@@ -260,30 +262,32 @@ def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ..
     satisfy the base covers, and there must be 2^(n(n-1)/2) of them.
 
     Conversely, every marking-valued point x is such a sum. Its superlevel
-    sets L_k = {c : x_c >= k} over the triangle's cells, k = 1, ..., n-1,
-    are nested, L_1 ⊇ ... ⊇ L_{n-1}, and each is an order ideal of the
-    triangle, because x does not increase up the order. The marking fixes
-    each one's diagonal: p_{r,r} lies in L_k iff n - r >= k. phi is a
-    bijection from the flag elements onto the triangle's ideals, and the
-    k-index elements go onto the ideals with that diagonal, so
-    L_k = phi[a_k] for one k-index a_k, and the a_k form a chain. Since x
-    takes the values 0, ..., n-1, it is the sum of the indicators of its
-    superlevel sets, with the corners p11 and pnn at n - 1 and 0.
+    sets L_k = {c : x_c >= k} over Pbar's cells, k = 1, ..., n-1, are
+    nested, L_1 ⊇ ... ⊇ L_{n-1}, and each is an order ideal of Pbar,
+    because x does not increase up the order. The marking fixes each one's
+    diagonal: p_{r,r} lies in L_k iff n - r >= k, so p11 is in and pnn is
+    out. phi is a bijection from the flag elements onto the ideals of Pbar
+    other than the empty one and Pbar, and the k-index elements go onto
+    the ideals with that diagonal, so L_k = phi[a_k] for one k-index a_k,
+    and the a_k form a chain. Since x takes the values 0, ..., n-1, it is
+    the sum of the indicators of its superlevel sets.
 
     So the sums are distinct: a chain's sum has the chain's ideals
     phi[a_k] for its superlevel sets, and phi is injective, since the
     diagonal of phi[a] gives the length k of a and its column n - j + 1
     the index i_j.
+
+    Walked once per rank: the vertices and the sections read the same
+    patterns.
     """
-    n, phi = gt.n, gt.phi
-    flag_points = {lbl: flag_point(gt, lbl) for lbl in phi}
+    n, phi, flag_points = gt.n, gt.phi, _flag_points(gt)
     by_size = [[lbl for lbl in phi if len(lbl) == k] for k in range(n)]
     chains = [(lbl,) for lbl in by_size[1]]
     for k in range(2, n):
         chains = [(*chain, lbl) for chain in chains for lbl in by_size[k]
                   if not phi[lbl] & ~phi[chain[-1]]]
-    out = sorted(((tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain)))), chain)
-                  for chain in chains), reverse=True)
+    out = tuple(sorted(((tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain)))), chain)
+                        for chain in chains), reverse=True))
     if not all(_satisfies(gt.marking, gt.pbar, point) for point, _ in out):
         raise AssertionError("each chain must sum to a Gelfand-Tsetlin point")
     if len(out) != 2 ** (n * (n - 1) // 2):
@@ -308,16 +312,16 @@ def gt_vertices(gt: GelfandTsetlin) -> tuple[GTVertex, ...]:
 
     Each k-index flag point lies in the level-k polytope by _phi's
     construction, with no check. For a = (i_1, ..., i_k), phi[a] is an
-    order ideal of the triangle: its column n - j + 1 holds rows 1..i_j - j,
-    a bound that does not fall as j grows and the column moves left, since
+    order ideal of Pbar: its column n - j + 1 holds rows 1..i_j - j, a
+    bound that does not fall as j grows and the column moves left, since
     i_{j+1} > i_j, and the columns left of n - k + 1 are full. Its diagonal
-    cells are the p_{r,r} with r <= n - k, as i_j <= n keeps p_{s,s} out of
-    column s = n - j + 1. So the indicator of phi[a], with p11 at 1 and pnn
-    at 0, fixes the level's marking and does not increase up Pbar.
+    cells are the p_{r,r} with r <= n - k, p11 among them and pnn not, as
+    i_j <= n keeps p_{s,s} out of column s = n - j + 1. So the indicator of
+    phi[a] fixes the level's marking and does not increase up Pbar.
 
     Built once per rank.
     """
-    flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
+    flag_points = _flag_points(gt)
     return tuple(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain)
                  for point, chain in gt_patterns(gt)
                  if _is_vertex(gt.marking, gt.pbar, point))
@@ -440,12 +444,13 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, list, list]
     full-dimensional in the free cells, by the covers' tight vertex sets.
     """
     marking, at, patterns = gt.marking, gt.cell_at(), gt.pattern_masks()
+    last = gt.pbar.size - 1
     parts = []
     for part in face_subdivision(F).parts:
         order = _extend_to_pbar(gt.pbar, part_order(part), at)
         inside = [point for point, chain in patterns if not chain & ~part.vertex_mask]
         if len(part.simplices) == 1:
-            shape = component_shape(gt, tuple(at[j] - 1 for j in part.simplices[0]))
+            shape = component_shape(gt, (0, *(at[j] for j in part.simplices[0]), last))
             if len(inside) != math.prod(d + 1 for d in shape):
                 raise AssertionError("a product of unit simplices must have one pattern per vertex")
             vertices = inside
@@ -459,36 +464,34 @@ def gt_subdivision(gt: GelfandTsetlin, F: Face) -> list[tuple[Poset, list, list]
 
 
 def component_shape(gt: GelfandTsetlin, ext: tuple[int, ...]) -> tuple[int, ...]:
-    """Block sizes of a linearization ext of gt.poset, an index tuple: the
-    number of cells strictly between consecutive diagonal markers once the
-    corners are added back.
+    """Block sizes of a linearization ext of gt.pbar, a tuple of Pbar's
+    cell indices that starts at the corner p11 and ends at pnn: the number
+    of cells strictly between consecutive diagonal markers.
 
     Certifies, from the chain's H-description, that the section of the
-    Gelfand-Tsetlin polytope on the chain p11, ext's cells, pnn is the
-    product of unit simplices of these dimensions, up to a unimodular map
-    of the (n-1)-scaled lattice (Ardila, Bliem & Salazar 2011). The section
-    is the marked order polytope of the chain: x_c >= x_d for each step c,
-    d of the chain, with each marker p_kk fixed to its marking v(p_kk).
-    Give each free cell c the coordinate z_c = x_c - x_d, d the cell after
-    it. The map is unit triangular in chain order, so it is unimodular. In
-    z, the step out of each free cell becomes z_c >= 0, and the step out of
-    marker p_kk becomes the sum of z over block k at most
-    v(p_kk) - v(p_{k+1,k+1}). So the section is the product of the unit
-    simplices of the block sizes when the markers come in chain order with
-    values n - 1, ..., 0, each one below the last.
+    Gelfand-Tsetlin polytope on the chain ext is the product of unit
+    simplices of these dimensions, up to a unimodular map of the
+    (n-1)-scaled lattice (Ardila, Bliem & Salazar 2011). The section is the
+    marked order polytope of the chain: x_c >= x_d for each step c, d of the
+    chain, with each marker p_kk fixed to its marking v(p_kk). Give each
+    free cell c the coordinate z_c = x_c - x_d, d the cell after it. The map
+    is unit triangular in chain order, so it is unimodular. In z, the step
+    out of each free cell becomes z_c >= 0, and the step out of marker p_kk
+    becomes the sum of z over block k at most v(p_kk) - v(p_{k+1,k+1}). So
+    the section is the product of the unit simplices of the block sizes when
+    the markers come in chain order with values n - 1, ..., 0, each one
+    below the last.
 
-    Both hold with no check, as ext is a linear extension of the triangle
-    in both callers: the census lists them, and gt_subdivision moves a
-    part's one simplex, an extension of flag().poset_P, onto the cells by
-    cell_at(), which gt_poset_iso certified an order isomorphism. So the
-    chain extends Pbar, where p11 < p22 < ... < pnn, and the markers come
-    in that order, marked n - 1, ..., 0 (_gt_marking). No block is empty:
-    in any linearization, p_{k,k+1} lies between p_{k,k} and
-    p_{k+1,k+1}."""
+    Both hold with no check, as ext is a linear extension of Pbar in both
+    callers: the census lists them, and gt_subdivision moves a part's one
+    simplex, an extension of flag().poset_P, onto the cells by cell_at(),
+    which gt_poset_iso certified an order isomorphism onto Pbar without its
+    corners, with p11, Pbar's minimum, first and pnn, its maximum, last. In
+    Pbar p11 < p22 < ... < pnn, so the markers come in that order, marked
+    n - 1, ..., 0 (_gt_marking). No block is empty: in any linearization,
+    p_{k,k+1} lies between p_{k,k} and p_{k+1,k+1}."""
     marking = gt.marking
-    # the chain as indices of Pbar: cell j of gt.poset is cell j + 1 of Pbar
-    total = [0, *(j + 1 for j in ext), len(marking) - 1]
-    markers = [i for i, c in enumerate(total) if marking[c] is not None]
+    markers = [i for i, c in enumerate(ext) if marking[c] is not None]
     return tuple(b - a - 1 for a, b in zip(markers, markers[1:]))
 
 
@@ -501,7 +504,7 @@ def shape_census(gt: GelfandTsetlin) -> dict[str, int]:
 @_kept
 def _census(gt: GelfandTsetlin) -> tuple[tuple[str, int], ...]:
     census: dict[str, int] = {}
-    for ext in linear_extensions(gt.poset):
+    for ext in linear_extensions(gt.pbar):
         shape = component_shape(gt, ext)
         key = "x".join(str(d) for d in sorted(shape, reverse=True))
         census[key] = census.get(key, 0) + 1

@@ -3,7 +3,8 @@
 A lattice is stored as the poset poset_P of its join-irreducible elements
 and, per element a, the bitmask of its order ideal iota(a) of poset_P, bit j
 for poset_P.elements[j]. Join and meet are OR and AND of the masks, and
-a <= b is mask containment.
+a <= b is mask containment. Elements are addressed by index, and a's
+height is the bit count of its mask.
 
 Every constructor ends in a family of sets closed under union and
 intersection, which is a distributive lattice (Birkhoff 1937). birkhoff
@@ -71,24 +72,14 @@ class Lattice:
         self.elements: tuple[str, ...] = tuple(elements)
         self.poset_P: Poset = poset_P
         self.masks: tuple[int, ...] = tuple(masks)
-        self._index = {x: i for i, x in enumerate(self.elements)}
         self.at_mask = {m: i for i, m in enumerate(self.masks)}
         self._memo: dict = {}  # _kept
 
     # -- basic structure ----------------------------------------------------
 
-    def index(self, a: str) -> int:
-        try:
-            return self._index[a]
-        except KeyError:
-            raise UnknownLabel(f"unknown lattice element {a!r}") from None
-
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def _mask(self, a: str) -> int:
-        return self.masks[self.index(a)]
 
     @property
     def bottom(self) -> str:
@@ -97,9 +88,6 @@ class Lattice:
     @property
     def top(self) -> str:
         return self.elements[self.at_mask[(1 << self.poset_P.size) - 1]]
-
-    def height(self, a: str) -> int:
-        return self._mask(a).bit_count()
 
     @_kept
     def extensions(self) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,11 @@
 """Finite posets: construction, validation, linear extensions and order
 ideals.
 
-Elements carry opaque string labels. The order is held as one down-set
-bitmask per element: bit i of below[j] is set when elements[i] < elements[j].
-A linear extension is a tuple of element indices.
+Elements carry opaque string labels but are addressed by index: a label is
+read only where text is parsed or written. The order is held as one
+down-set bitmask per element: bit i of below[j] is set when
+elements[i] < elements[j]. A linear extension is a tuple of element
+indices.
 """
 
 from __future__ import annotations
@@ -89,19 +91,12 @@ class Poset:
       pnn above every cell.
     """
 
-    __slots__ = ("elements", "below", "_index", "_memo")
+    __slots__ = ("elements", "below", "_memo")
 
     def __init__(self, elements: tuple[str, ...], below: tuple[int, ...]):
         self.elements = elements
         self.below = below
         self._memo: dict = {}  # _kept
-        self._index = {x: i for i, x in enumerate(elements)}
-
-    def index(self, label: str) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise UnknownLabel(f"unknown element {label!r}") from None
 
     @property
     def size(self) -> int:

@@ -85,7 +85,10 @@ Fraction points themselves, and each section is a marked order polytope of
 its chain mapped by a Fraction AffineMap. component_image enumerates the
 section's vertices, which flaggt.component_shape no longer does: it reads
 the product of simplices off the chain's H-description. pbar_labels lists
-the cells of Pbar, corners included, in flaggt's order. gt_subdivision is
+the cells of Pbar, corners included, in flaggt's order. gt_poset is the
+triangle, Pbar without its corners, that flaggt kept beside Pbar, one
+index apart, until it addressed every cell by its index in Pbar.
+gt_subdivision is
 the section search that flaggt ran on the Fraction marking, with one
 Fraction marked order polytope per part and the full dimension read off
 gt_polytope. It checks every section against the lifted heights of its
@@ -184,7 +187,7 @@ from hibikit.subdivision import (Part, Subdivision, adjacency_graph, face_subdiv
 from hibikit.weightpoly import _integral_solution
 from order_oracle import (LinearExtension, iota, is_stronger, label_extension, label_extensions,
                           lattice_chain, lattice_key, leq, less, order_ideals, part_order,
-                          poset_from_pairs)
+                          poset_from_pairs, position)
 
 
 Vec = tuple[Fraction, ...]
@@ -1027,6 +1030,14 @@ def pbar_labels(n: int) -> list[str]:
     return [_cell(r, s) for r in range(1, n + 1) for s in range(r, n + 1)]
 
 
+def gt_poset(n: int) -> Poset:
+    """The cells p_{r,s}, 1 <= r <= s <= n, without the two corners,
+    ordered componentwise: Pbar's order on its inner cells, so cell j here
+    is cell j + 1 of Pbar."""
+    pbar = GelfandTsetlin(n).pbar
+    return Poset(pbar.elements[1:-1], tuple(m >> 1 for m in pbar.below[1:-1]))
+
+
 def _ptilde_labels(n: int) -> list[str]:
     return [c for c in pbar_labels(n) if c not in (_cell(1, 1), _cell(n, n))]
 
@@ -1081,16 +1092,16 @@ def gt_subdivision(n: int, F: Face, flag: Lattice) -> list[tuple[Poset, LatticeP
     L = F.cone.lattice
     if lattice_key(L) != lattice_key(flag):
         raise ValueError("face must come from the flag lattice's cone")
-    iso = gt_poset_iso(GelfandTsetlin(n), flag)
+    pbar = pbar_labels(n)
+    at = gt_poset_iso(GelfandTsetlin(n), flag)
+    iso = {p: pbar[j] for p, j in zip(L.poset_P.elements, at)}
     mp = gt_marked_poset(n)
     sub = face_subdivision(F)
     # each pattern point with its lifted height times (n-1)·den, which is
     # the sum of the scaled weight over its chain
-    lifts = {point: sum(sub.scaled[L.index(lbl)] for lbl in chain)
+    lifts = {point: sum(sub.scaled[position(L, lbl)] for lbl in chain)
              for point, chain in gt_patterns(n)}
     gt_dim = gt_polytope(n).dim
-    pbar = pbar_labels(n)
-    at = [pbar.index(iso[p]) for p in L.poset_P.elements]
     pattern_points = set(lifts)
     in_parts = {point: 0 for point in pattern_points}
     parts = []
@@ -1142,13 +1153,13 @@ def gt_patterns(n: int) -> list[tuple[Vec, tuple[str, ...]]]:
 
 
 def component_image(ext: LinearExtension) -> tuple[tuple[int, ...], list[Vec]]:
-    """Block sizes of a linearization and the image of its section's
+    """Block sizes of a linearization of Pbar and the image of its section's
     vertices under the difference map, checked to be the vertices of the
     product of unit simplices of the blocks, as component_shape checked
     them before it read the product off the chain's H-description."""
     size = ext.poset.size
-    n = next(m for m in range(2, 20) if m * (m + 1) // 2 - 2 == size)
-    total = [_cell(1, 1), *ext.order, _cell(n, n)]
+    n = next(m for m in range(2, 20) if m * (m + 1) // 2 == size)
+    total = list(ext.order)
     position = {p: i for i, p in enumerate(total)}
     blocks = []
     for k in range(1, n):
@@ -1267,7 +1278,7 @@ def regular_subdivision(L: Lattice, w: Sequence) -> tuple[str, list[FractionPart
         alpha = [Fraction(0)] * n
         chain = lattice_chain(L, ext)
         for p, lo, hi in zip(ext.order, chain, chain[1:]):
-            alpha[P.index(p)] = wt[hi] - wt[lo]
+            alpha[position(P, p)] = wt[hi] - wt[lo]
         groups.setdefault((tuple(alpha), const), []).append(ext)
 
     parts = []

@@ -42,8 +42,8 @@ from hibikit.exactgeom import rank
 from hibikit.hibi import _check_caps, hibi_generators
 from hibikit.lattice import Lattice
 from hibikit.poset import Poset
-from order_oracle import (LinearExtension, covers, incomparable, iota, is_stronger, join_of,
-                          label_extensions, lattice_chain, meet_of, order_ideals)
+from order_oracle import (LinearExtension, covers, height, incomparable, iota, is_stronger,
+                          join_of, label_extensions, lattice_chain, meet_of, order_ideals, position)
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ class Monomial:
 def monomial(L: Lattice, exps: Mapping[str, int]) -> Monomial:
     dense = [0] * L.size
     for a, e in exps.items():
-        dense[L.index(a)] += e
+        dense[position(L, a)] += e
     return Monomial(tuple(dense))
 
 
@@ -185,7 +185,7 @@ def sublattice_for_order(L: Lattice, stronger: Poset) -> tuple[str, ...]:
 def member_masks(L, orders):
     """The bitmask of each order's sublattice, as a part's vertex mask
     holds it."""
-    return [sum(1 << L.index(a) for a in sublattice_for_order(L, o)) for o in orders]
+    return [sum(1 << position(L, a) for a in sublattice_for_order(L, o)) for o in orders]
 
 
 @dataclass(frozen=True)
@@ -248,7 +248,7 @@ def straighten(L, m):
         target = vadd(target, indicator(L, L.elements[i]))
 
     def badness():
-        return sum(L.height(L.elements[i]) ** 2 for i in factors)
+        return sum(height(L, L.elements[i]) ** 2 for i in factors)
 
     score = badness()
     while True:
@@ -264,8 +264,8 @@ def straighten(L, m):
             break
         i, j = swap
         a, b = L.elements[factors[i]], L.elements[factors[j]]
-        factors[i] = L.index(meet_of(L, a, b))
-        factors[j] = L.index(join_of(L, a, b))
+        factors[i] = position(L, meet_of(L, a, b))
+        factors[j] = position(L, join_of(L, a, b))
         factors.sort()
         new_score = badness()
         if new_score <= score:

@@ -49,6 +49,13 @@ here that build a Poset from outside masks build it through mask_poset.
 order_key and lattice_key are the elements and masks that Poset.__eq__ and
 Lattice.__eq__ compared until no job compared two orders or lattices.
 
+position is the index of a label in a Poset or a Lattice, as the
+Poset.index and Lattice.index methods read it off a label-to-index dict
+until the package addressed every element by its index and read labels
+only where text is parsed or written; it raises UnknownLabel on a label
+that names no element, as they did. height is the size of a lattice
+element's ideal, as Lattice.height read it.
+
 less and leq compare two labels of a Poset or a Lattice, and join_of and
 meet_of combine two labels of a Lattice, as the Poset.less, Poset.leq,
 Lattice.leq, Lattice.join and Lattice.meet methods did until the package
@@ -80,35 +87,48 @@ class GroundSetMismatch(HibikitError):
     """Two posets that must share a ground set do not."""
 
 
+def position(order, label: str) -> int:
+    """The index of label among the elements of a Poset or a Lattice."""
+    try:
+        return order.elements.index(label)
+    except ValueError:
+        raise UnknownLabel(f"unknown element {label!r}") from None
+
+
+def height(L: Lattice, a: str) -> int:
+    """The size of the order ideal of poset_P that the element a stands for."""
+    return L.masks[position(L, a)].bit_count()
+
+
 def is_stronger(strong: Poset, weak: Poset) -> bool:
     """True iff every weak relation also holds in `strong` (same ground set):
     with weak's indices carried to strong's, every bit of a weak down-set is
     set in the strong down-set of the same element."""
     if set(strong.elements) != set(weak.elements):
         raise GroundSetMismatch("posets are not on the same ground set")
-    at = [strong.index(x) for x in weak.elements]
+    at = [position(strong, x) for x in weak.elements]
     return all(strong.below[at[j]] >> at[i] & 1
                for j, m in enumerate(weak.below) for i in _bits(m))
 
 
 def less(P: Poset, a: str, b: str) -> bool:
     """a < b in the poset, by labels."""
-    return bool(P.below[P.index(b)] >> P.index(a) & 1)
+    return bool(P.below[position(P, b)] >> position(P, a) & 1)
 
 
 def leq(order, a: str, b: str) -> bool:
     """a <= b in a Poset or a Lattice, by labels."""
     if isinstance(order, Lattice):
-        return not order.masks[order.index(a)] & ~order.masks[order.index(b)]
+        return not order.masks[position(order, a)] & ~order.masks[position(order, b)]
     return a == b or less(order, a, b)
 
 
 def join_of(L: Lattice, a: str, b: str) -> str:
-    return L.elements[L.at_mask[L.masks[L.index(a)] | L.masks[L.index(b)]]]
+    return L.elements[L.at_mask[L.masks[position(L, a)] | L.masks[position(L, b)]]]
 
 
 def meet_of(L: Lattice, a: str, b: str) -> str:
-    return L.elements[L.at_mask[L.masks[L.index(a)] & L.masks[L.index(b)]]]
+    return L.elements[L.at_mask[L.masks[position(L, a)] & L.masks[position(L, b)]]]
 
 
 def chain(labels: list[str]) -> Poset:
@@ -259,7 +279,7 @@ class PairPoset:
 
 def iota(L, a) -> frozenset[str]:
     """The order ideal of poset_P that the element a stands for."""
-    m = L.masks[L.index(a)]
+    m = L.masks[position(L, a)]
     return frozenset(p for j, p in enumerate(L.poset_P.elements) if m >> j & 1)
 
 
@@ -287,7 +307,7 @@ def diamond_pairs_by_covers(L) -> tuple[DiamondPair, ...]:
         m, j = meet_of(L, a, b), join_of(L, a, b)
         if (incomparable(L, a, b) and covers(L, a, j) and covers(L, b, j)
                 and covers(L, m, a) and covers(L, m, b)):
-            out.append(DiamondPair(*map(L.index, (a, b, m, j))))
+            out.append(DiamondPair(*(position(L, x) for x in (a, b, m, j))))
     return tuple(out)
 
 
@@ -343,7 +363,7 @@ class LinearExtension:
             raise GroundSetMismatch("extension is not a permutation of the ground set")
         placed = 0
         for x in self.order:
-            j = self.poset.index(x)
+            j = position(self.poset, x)
             missing = self.poset.below[j] & ~placed
             if missing:
                 a = self.poset.elements[_bits(missing)[0]]
@@ -366,7 +386,7 @@ def lattice_chain(L, ext: LinearExtension) -> tuple[str, ...]:
     m = 0
     members = [L.bottom]
     for p in ext.order:
-        m |= 1 << L.poset_P.index(p)
+        m |= 1 << position(L.poset_P, p)
         members.append(L.elements[L.at_mask[m]])
     return tuple(members)
 

@@ -50,8 +50,8 @@ from hibikit.hibi import (
 from hibikit.lattice import birkhoff, flag_lattice, grassmann_lattice
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
-from order_oracle import (chain, incomparable, join_of, label_extensions, meet_of, part_order,
-                          vertex_labels)
+from order_oracle import (chain, height, incomparable, join_of, label_extensions, meet_of,
+                          part_order, position, vertex_labels)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,7 +86,7 @@ def test_b2_single_generator():
 
 def test_generators_are_incomparable_pairs_with_join_and_meet():
     for L in ORACLE_LATTICES:
-        expected = [((i, j), (L.index(join_of(L, a, b)), L.index(meet_of(L, a, b))))
+        expected = [((i, j), (position(L, join_of(L, a, b)), position(L, meet_of(L, a, b))))
                     for (i, a), (j, b) in itertools.combinations(enumerate(L.elements), 2)
                     if incomparable(L, a, b)]
         assert hibi_generators(L) == expected
@@ -436,7 +436,7 @@ def test_support_classes_are_the_standard_monomials(L):
 @given(small_lattices())
 def test_every_extension_chain_lies_in_some_part(L):
     # the cover step's premise, on every face
-    chains = [sum(1 << L.index(a) for a in c.elements) for c in maximal_chains(L)]
+    chains = [sum(1 << position(L, a) for a in c.elements) for c in maximal_chains(L)]
     for F in enumerated_faces(cone_K(L)):
         members = [part.vertex_mask for part in face_subdivision(F).parts]
         for chain_mask in chains:
@@ -455,9 +455,9 @@ def mask_rule_holds(L, w, members) -> bool:
         if not incomparable(L, a, b):
             continue
         join, meet = join_of(L, a, b), meet_of(L, a, b)
-        tight = w[L.index(join)] + w[L.index(meet)] == w[L.index(a)] + w[L.index(b)]
+        tight = w[position(L, join)] + w[position(L, meet)] == w[position(L, a)] + w[position(L, b)]
         for m in members:
-            held = [m >> L.index(x) & 1 for x in (a, b, join, meet)]
+            held = [m >> position(L, x) & 1 for x in (a, b, join, meet)]
             if (held[0] and held[1]) != (tight and held[2] and held[3]):
                 return False
     return True
@@ -625,7 +625,7 @@ def test_samesum_factors_lie_in_intersection():
     # must lie inside both parts' element sets
     L = B3
     K = cone_K(L)
-    w = tuple(L.height(a) ** 2 for a in L.elements)
+    w = tuple(height(L, a) ** 2 for a in L.elements)
     sub = face_subdivision(face_of(K, w, 1))
     part_members = [set(vertex_labels(L, p)) for p in sub.parts]
     for l in (2, 3):

@@ -86,17 +86,20 @@ def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
             and (module, qualname) != ("cli", "main")]
 
 
-def settled_defaults(sources: dict[str, str]) -> list[str]:
-    """Defaulted parameters of the package's functions and methods that
-    every call in the package sets, or that no call sets; as
-    "module.function(parameter)". Calls are matched by the function's name,
-    as a bare name or an attribute, and a method's calls through an
-    attribute, or a class's through its name for __init__, pass self first.
-    A call with *args or **kwargs that may reach the parameter counts as
-    neither setting it nor leaving it. A function the package names other
-    than as the callee of a call, such as a callback, is skipped, as is the
-    entry point cli.main."""
-    defs = []  # (module, callee, function, [(position or None, parameter)], offset)
+# what a call passes for a parameter that *args or **kwargs may reach
+STARRED = object()
+
+
+def call_sites(sources: dict[str, str]):
+    """The package's function definitions and calls, which the call-site
+    lints read: each definition as (module, callee, function, parameters,
+    offset), the parameters as (position or None, name, defaulted); each
+    call under its callee's name, a bare name or an attribute; and the
+    names the package reads other than as a callee. A method's calls
+    through an attribute, or a class's through its name for __init__,
+    pass self first, so its offset is 1. The entry point cli.main is left
+    out."""
+    defs = []
     calls: dict[str, list[ast.Call]] = {}
     named = set()
     for module, source in sources.items():
@@ -113,39 +116,76 @@ def settled_defaults(sources: dict[str, str]) -> list[str]:
                 a = node.args
                 positional = a.posonlyargs + a.args
                 first = len(positional) - len(a.defaults)
-                params = [(i, p.arg) for i, p in enumerate(positional) if i >= first]
-                params += [(None, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+                params = [(i, p.arg, i >= first) for i, p in enumerate(positional)]
+                params += [(None, p.arg, d is not None)
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults)]
                 cls = owner.get(id(node))
                 static = any(getattr(d, "id", None) == "staticmethod"
                              for d in node.decorator_list)
-                if params and (module, node.name) != ("cli", "main"):
+                if (module, node.name) != ("cli", "main"):
                     defs.append((module, cls if node.name == "__init__" else node.name,
                                  node.name, params, int(cls is not None and not static)))
             elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
                 named.add(getattr(node, "id", None) or node.attr)
+    return defs, calls, named
 
-    def sets(call: ast.Call, index, param: str, offset: int):
-        """True or False, or None when a starred argument may reach it."""
-        if any(k.arg == param for k in call.keywords):
-            return True
-        if any(k.arg is None for k in call.keywords):
-            return None
-        if index is None:
-            return False
-        for k, arg in enumerate(call.args):
-            if isinstance(arg, ast.Starred):
-                return None
-            if k == index - offset:
-                return True
-        return False
 
+def argument(call: ast.Call, index, param: str, offset: int):
+    """The expression the call passes for the parameter, None when it
+    passes none, or STARRED when a starred argument may reach it."""
+    for k in call.keywords:
+        if k.arg == param:
+            return k.value
+    if any(k.arg is None for k in call.keywords):
+        return STARRED
+    if index is None:
+        return None
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return STARRED
+        if k == index - offset:
+            return arg
+    return None
+
+
+def settled_defaults(sources: dict[str, str]) -> list[str]:
+    """Defaulted parameters of the package's functions and methods that
+    every call in the package sets, or that no call sets; as
+    "module.function(parameter)". Calls are matched by call_sites. A call
+    with *args or **kwargs that may reach the parameter counts as neither
+    setting it nor leaving it. A function the package names other than as
+    the callee of a call, such as a callback, is skipped, as is the entry
+    point cli.main."""
+    defs, calls, named = call_sites(sources)
     out = []
     for module, callee, name, params, offset in defs:
         if callee in named:
             continue
-        for index, param in params:
-            seen = {sets(call, index, param, offset) for call in calls.get(callee, [])}
+        for index, param, defaulted in params:
+            if not defaulted:
+                continue
+            passed = [argument(call, index, param, offset) for call in calls.get(callee, [])]
+            seen = {None if a is STARRED else a is not None for a in passed}
             if seen in ({True}, {False}, set()):
+                out.append(f"{module}.{name}({param})")
+    return out
+
+
+def mode_flags(sources: dict[str, str]) -> list[str]:
+    """Parameters of the package's functions and methods that every call in
+    the package passes as the literal True or False; as
+    "module.function(parameter)". Such a function is two functions sharing
+    one body, one per literal. Calls are matched by call_sites; a function
+    no call reaches, or that the package names other than as the callee of
+    a call, is skipped, as is the entry point cli.main."""
+    defs, calls, named = call_sites(sources)
+    out = []
+    for module, callee, name, params, offset in defs:
+        if callee in named or not calls.get(callee):
+            continue
+        for index, param, _ in params:
+            passed = [argument(call, index, param, offset) for call in calls[callee]]
+            if all(isinstance(a, ast.Constant) and type(a.value) is bool for a in passed):
                 out.append(f"{module}.{name}({param})")
     return out
 
@@ -355,6 +395,27 @@ def test_settled_defaults_detects_knobs_that_no_call_turns():
                                          "a.grow(by)"]
 
 
+def test_mode_flags_detects_a_literal_switch():
+    sources = {
+        "a": "def cells(n, corners):\n    return n\n\n\n"
+             "def scaled(x, exact=True):\n    return x\n\n\n"
+             "def mixed(x, flag):\n    return x\n\n\n"
+             "def spread(x, flag):\n    return x\n\n\n"
+             "def callback(x, flag):\n    return x\n\n\n"
+             "def uncalled(x, flag):\n    return x\n\n\n"
+             "class Box:\n"
+             "    def __init__(self, shut):\n        self.shut = shut\n\n"
+             "    def turn(self, on):\n        return on\n",
+        "b": "from a import Box, callback, cells, mixed, scaled, spread\n\n\n"
+             "run = [cells(1, corners=True), cells(2, False), scaled(1, False),\n"
+             "       scaled(2, exact=False), mixed(1, True), mixed(1, 1 > 0), spread(*[1, True]),\n"
+             "       spread(1, False), map(callback, [1]), Box(True).turn(False),\n"
+             "       Box(False).turn(on=True)]\n",
+    }
+    assert mode_flags(sources) == ["a.cells(corners)", "a.scaled(exact)", "a.__init__(shut)",
+                                   "a.turn(on)"]
+
+
 def test_hand_written_memos_detects_both_tests():
     sources = {
         "a": "def memo(L):\n    if L._cone is None:\n        L._cone = build(L)\n"
@@ -482,6 +543,13 @@ def test_no_default_is_settled_by_its_callers():
     # the parameter is required, or the default is the code
     sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
     assert settled_defaults(sources) == []
+
+
+def test_no_mode_flag():
+    # a parameter every caller passes as True or False splits one body into
+    # two functions; each is its own function, or the flag is read off data
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert mode_flags(sources) == []
 
 
 def test_no_hand_written_memo():

@@ -26,9 +26,9 @@ from hibikit.subdivision import (
     regular_subdivision,
     subdivision_json,
 )
-from order_oracle import (chain, check_order, check_part, down_closed, iota, iota_inv,
+from order_oracle import (chain, check_order, check_part, down_closed, height, iota, iota_inv,
                           label_extension, label_extensions, mask_poset, order_ideals, order_key,
-                          pairwise_adjacency, part_order, vertex_labels)
+                          pairwise_adjacency, part_order, position, vertex_labels)
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -122,7 +122,7 @@ def test_a_weight_one_entry_off_raises_value_error(w):
 
 def test_parts_interpolate_weight():
     L = birkhoff(GRID)
-    w = tuple(L.height(a) ** 2 for a in L.elements)
+    w = tuple(height(L, a) ** 2 for a in L.elements)
     sub = regular_subdivision(L, w, 1)
     wt = dict(zip(L.elements, w))
     for part in sub.parts:
@@ -138,11 +138,11 @@ def test_parts_interpolate_weight():
 def test_subdivision_partitions_extensions(P, salt):
     L = birkhoff(P)
     # a convex-in-height weight lies in the closed cone; salt varies it
-    w = tuple(L.height(a) ** 2 + (salt >> i & 1) for i, a in enumerate(L.elements))
+    w = tuple(height(L, a) ** 2 + (salt >> i & 1) for i, a in enumerate(L.elements))
     try:
         sub = regular_subdivision(L, w, 1)
     except NotInCone:
-        w = tuple(L.height(a) ** 2 for a in L.elements)
+        w = tuple(height(L, a) ** 2 for a in L.elements)
         sub = regular_subdivision(L, w, 1)
     seen = []
     for part in sub.parts:
@@ -301,7 +301,7 @@ def test_subdivide_classifies_the_weight_once(monkeypatch, capsys):
 
 def test_full_face_triangulation():
     K = cone_K(B3)
-    full = face_of(K, tuple(B3.height(a) ** 2 for a in B3.elements), 1)
+    full = face_of(K, tuple(height(B3, a) ** 2 for a in B3.elements), 1)
     assert is_full(full)
     sub = face_subdivision(full)
     assert len(sub.parts) == 6  # one simplex per linear extension
@@ -895,7 +895,7 @@ def test_b2_generic_weight_segment():
 
 
 def test_b3_generic_weight_hexagon():
-    w = tuple(B3.height(a) ** 2 for a in B3.elements)
+    w = tuple(height(B3, a) ** 2 for a in B3.elements)
     vertices, _ = generalized_permutahedron(B3, w, 1)
     assert len(vertices) == 6
     assert oracle.dim_of(vertices) == 2  # hexagon lives in a plane (alpha sums are fixed)
@@ -915,7 +915,7 @@ def face_and_interior_weights(draw):
     labels = L.poset_P.elements
     slope = {p: draw(st.integers(-3, 3)) for p in labels}
     full = draw(st.integers(0, 2)) == 0
-    w = [sum(slope[p] for p in iota(L, a)) + full * L.height(a) ** 2 for a in L.elements]
+    w = [sum(slope[p] for p in iota(L, a)) + full * height(L, a) ** 2 for a in L.elements]
     for _ in range(draw(st.integers(0, 6))):
         S = draw(st.sets(st.sampled_from(labels), min_size=2))
         c = draw(st.integers(1, 3))
@@ -945,7 +945,7 @@ def test_every_part_constant_is_the_bottom_weight(case):
     # every element; its parts have one constant, the bottom weight, and
     # distinct alphas, so the two groupings are one partition
     L, F, points = case
-    bottom = L.index(L.bottom)
+    bottom = position(L, L.bottom)
     for w, den in points:
         sub = regular_subdivision(L, w, den)
         _, want = oracle.regular_subdivision(L, [Fraction(x, den) for x in w])
@@ -1005,7 +1005,7 @@ def lattice_and_cone_point(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(lattice_and_cone_point())
-@example((B3, tuple(B3.height(a) ** 2 for a in B3.elements)))
+@example((B3, tuple(height(B3, a) ** 2 for a in B3.elements)))
 def test_diamond_inequalities_make_the_weight_supermodular(case):
     # local to global on a distributive lattice: a weight that meets every
     # diamond inequality, as regular_subdivision checks, is supermodular on

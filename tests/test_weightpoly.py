@@ -38,7 +38,7 @@ from hibikit.lattice import birkhoff, diamond_pairs, flag_lattice, grassmann_lat
 from hibikit.poset import antichain, from_cover_relations
 from hibikit.subdivision import face_subdivision
 from hibikit.weightpoly import weight_polytope, weight_polytope_json
-from order_oracle import chain, label_extensions, poset_from_pairs, vertex_labels
+from order_oracle import chain, height, label_extensions, poset_from_pairs, position, vertex_labels
 
 GRID = from_cover_relations(
     ["p", "q", "r", "s"], [("p", "q"), ("p", "r"), ("q", "s"), ("r", "s")]
@@ -50,7 +50,7 @@ GRIDL = birkhoff(GRID)
 
 def full_face(L):
     K = cone_K(L)
-    return face_of(K, tuple(L.height(a) ** 2 for a in L.elements), 1)
+    return face_of(K, tuple(height(L, a) ** 2 for a in L.elements), 1)
 
 
 def apex_face(L):
@@ -140,9 +140,9 @@ def chain_simplex(ext):
     P = ext.poset
     L = birkhoff(P)
     W = weight_record(full_face(L))
-    ideals = tuple(ideal_label(sum(1 << P.index(x) for x in ext.order[:k]), P.elements)
+    ideals = tuple(ideal_label(sum(1 << position(P, x) for x in ext.order[:k]), P.elements)
                    for k in range(P.size + 1))
-    poly = oracle.hull([W.points[L.index(a)] for a in ideals])
+    poly = oracle.hull([W.points[position(L, a)] for a in ideals])
     assert dim_of(poly) == P.size
     assert len(poly) == P.size + 1
     return ideals, poly
