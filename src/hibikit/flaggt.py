@@ -13,8 +13,8 @@ tuple over Pbar's cell order, and a marking is one value per cell (None on
 a free cell). Orders are read through Poset.below masks and cover index
 pairs, and each flag element's order ideal is a bitmask over Pbar, which
 holds p11 and not pnn (the triangle's ideals with p11 added). These, Pbar
-and its marking, and the sections' inputs, the patterns, the vertices and
-the census from their first use, are built once per rank and process as
+and its marking, and the sections' inputs, the vertices and the census
+from their first use, are built once per rank and process as
 one GelfandTsetlin (gelfand_tsetlin(n)), which every step of a job reads;
 so a job on a rank built before pays for its own face, sections and output
 alone. The command line keeps each face's sections too, for the last 32
@@ -24,9 +24,7 @@ one face's sections hold 2.6-4.6 KB for n = 3, 4.7-43 KB for n = 4 and up
 to 1.8 MB for n = 5's full face (tracemalloc). Every rank's context, with
 its section inputs for n <= MAX_SECTION_RANK, holds about 0.8 MB in all
 (tracemalloc). The vertices hold 0.16 MB more for n <= 5 and 2.2 MB for
-n = 6, whose 4,884 vertices take about 3 s to build, and the patterns they
-are read off 0.4 MB for n = 5 and 12 MB for n = 6, whose 32,768 patterns
-only the vertices read.
+n = 6, whose 4,884 vertices take about 3 s to build.
 
 Every Gelfand-Tsetlin computation runs on the (n-1)-scaled integer
 lattice, where the marking of p_{r,r} is n - r: the census, the patterns,
@@ -162,8 +160,7 @@ class GelfandTsetlin:
     in Pbar (cell_at), through gt_poset_iso; and the patterns with their
     chains as masks over flag's elements (pattern_masks). What else
     depends on n alone is kept there too, by the function that builds
-    it: the flag points and the patterns, which the vertices and the
-    sections both read."""
+    it."""
 
     def __init__(self, n: int):
         self.n = n
@@ -242,14 +239,7 @@ def flag_point(gt: GelfandTsetlin, label: str) -> tuple[int, ...]:
     return tuple(mask >> j & 1 for j in range(gt.pbar.size))
 
 
-@_kept
-def _flag_points(gt: GelfandTsetlin) -> dict[str, tuple[int, ...]]:
-    # every flag element's flag_point, by label; built once per rank
-    return {lbl: flag_point(gt, lbl) for lbl in gt.phi}
-
-
-@_kept
-def gt_patterns(gt: GelfandTsetlin) -> tuple[tuple[tuple[int, ...], tuple[str, ...]], ...]:
+def gt_patterns(gt: GelfandTsetlin) -> list[tuple[tuple[int, ...], tuple[str, ...]]]:
     """Every point of the Gelfand-Tsetlin polytope whose coordinates all
     take marking values, with its flag-element chain, on the (n-1)-scaled
     integer lattice, in descending lexicographic order of the points: each
@@ -276,18 +266,16 @@ def gt_patterns(gt: GelfandTsetlin) -> tuple[tuple[tuple[int, ...], tuple[str, .
     phi[a_k] for its superlevel sets, and phi is injective, since the
     diagonal of phi[a] gives the length k of a and its column n - j + 1
     the index i_j.
-
-    Walked once per rank: the vertices and the sections read the same
-    patterns.
     """
-    n, phi, flag_points = gt.n, gt.phi, _flag_points(gt)
+    n, phi = gt.n, gt.phi
+    flag_points = {lbl: flag_point(gt, lbl) for lbl in phi}
     by_size = [[lbl for lbl in phi if len(lbl) == k] for k in range(n)]
     chains = [(lbl,) for lbl in by_size[1]]
     for k in range(2, n):
         chains = [(*chain, lbl) for chain in chains for lbl in by_size[k]
                   if not phi[lbl] & ~phi[chain[-1]]]
-    out = tuple(sorted(((tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain)))), chain)
-                        for chain in chains), reverse=True))
+    out = sorted(((tuple(map(sum, zip(*(flag_points[lbl] for lbl in chain)))), chain)
+                  for chain in chains), reverse=True)
     if not all(_satisfies(gt.marking, gt.pbar, point) for point, _ in out):
         raise AssertionError("each chain must sum to a Gelfand-Tsetlin point")
     if len(out) != 2 ** (n * (n - 1) // 2):
@@ -321,7 +309,7 @@ def gt_vertices(gt: GelfandTsetlin) -> tuple[GTVertex, ...]:
 
     Built once per rank.
     """
-    flag_points = _flag_points(gt)
+    flag_points = {lbl: flag_point(gt, lbl) for lbl in gt.phi}
     return tuple(GTVertex(point, tuple(flag_points[lbl] for lbl in chain), chain)
                  for point, chain in gt_patterns(gt)
                  if _is_vertex(gt.marking, gt.pbar, point))

@@ -215,24 +215,6 @@ def test_polytopes_round_builds_the_vertices_once_per_rank(capsys, monkeypatch):
     assert len(built) == 40
 
 
-def test_vertices_and_sections_walk_the_patterns_once_per_rank(capsys, monkeypatch):
-    # gt_vertices and the sections' pattern masks read one walk of the
-    # 2^(n(n-1)/2) flag chains, whose certificate tests each of its 64 sums
-    # once, and one table of the 14 flag points; each of them used to walk
-    # the chains, and build the flag points, itself
-    sums, points = [], []
-    satisfies, flag_point = flaggt._satisfies, flaggt.flag_point
-    monkeypatch.setattr(flaggt, "_satisfies",
-                        lambda marking, order, point: sums.append(point)
-                        or satisfies(marking, order, point))
-    monkeypatch.setattr(flaggt, "flag_point",
-                        lambda gt, label: points.append(label) or flag_point(gt, label))
-    assert run(capsys, ["gt", "--n", "4", "vertices"])[0] == 0
-    assert run(capsys, ["gt", "--n", "4", "subdivide"])[0] == 0
-    walks = len(sums) // 2 ** 6
-    assert (walks, len(sums), len(points)) == (1, 64, 14)
-
-
 @pytest.fixture
 def cuts(monkeypatch):
     """The (rank, face key) of each gt_subdivision call from here on."""
